@@ -1,6 +1,7 @@
 GO ?= go
+BENCH := BENCH.json
 
-.PHONY: all fmt vet build test test-race ci smoke doccheck bench tune chaos trace cluster
+.PHONY: all fmt vet build test test-race ci smoke doccheck benchcheck loc soak bench tune chaos trace cluster
 
 all: ci
 
@@ -35,8 +36,27 @@ ci: fmt vet build test
 doccheck:
 	$(GO) run ./cmd/doccheck
 
+# benchcheck vets and tests the host-time benchmark. benchmark/ is a
+# module of its own (benchmark/go.mod), so `go build ./...` and
+# `go test ./...` never see it: this is what catches an API change that
+# broke it (~8 s).
+benchcheck:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
+
+# loc prints the non-test Go line count each PR reports the delta of in
+# CHANGES.md (the benchmark module is not counted).
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+
+# soak reruns the fault-path and flight-recorder tests 50 times: the
+# kill / abort / requeue paths must be deterministic on every run, not
+# most of them.
+soak:
+	$(GO) test -count=50 -run 'TraceFig|Chaos|Cluster' ./internal/...
+
 # bench regenerates the machine-readable perf-trajectory snapshot
-# (BENCH_pr10.json): the all-to-all size × algorithm × shape × fabric
+# (BENCH.json): the all-to-all size × algorithm × shape × fabric
 # matrix, the fault-injection scenarios with their chaos-overhead
 # column, the full-collective matrix (all-reduce / all-gather /
 # reduce-scatter × ring / hierarchical / auto), the tracing-overhead
@@ -44,10 +64,10 @@ doccheck:
 # multi-job contention column (per-policy cluster cells plus the
 # launch-path allocs/op cell). Deterministic — regenerating on an
 # unchanged tree is a no-op diff, so CI can assert the committed
-# snapshot is current. (BENCH_pr9.json is the previous PR's snapshot,
-# kept as history.)
+# snapshot is current. There is one snapshot; its history is
+# `git log -p BENCH.json`.
 bench:
-	$(GO) run ./cmd/trainbench -fig collbench -out BENCH_pr10.json
+	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)
 
 # tune regenerates the committed auto-tuning table
 # (internal/tune/default_table.json) from the crossover sweep; like
@@ -81,10 +101,11 @@ cluster:
 	$(GO) run ./cmd/trainbench -fig cluster
 
 # smoke is the all-in-one gate: formatting, static checks (go vet), the
-# race-detector test pass, the godoc floor, and a minimal-iteration pass
-# through every cmd/* entry point. The cmd/ pass takes a few seconds;
-# test-race dominates (~1 min). See TESTING.md.
-smoke: fmt vet build test-race doccheck
+# race-detector test pass, the godoc floor, the benchmark module's own
+# vet + tests, and a minimal-iteration pass through every cmd/* entry
+# point. The cmd/ pass takes a few seconds; test-race dominates
+# (~1 min). See TESTING.md.
+smoke: fmt vet build test-race doccheck benchcheck
 	$(GO) run ./cmd/overhead > /dev/null
 	$(GO) run ./cmd/dlprevent -iters 2 > /dev/null
 	$(GO) run ./cmd/dlprevent -lib nccl > /dev/null
@@ -99,7 +120,7 @@ smoke: fmt vet build test-race doccheck
 	$(GO) run ./cmd/trainbench -fig cluster > /dev/null
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null
-	$(GO) run ./cmd/trainbench -fig collbench -out BENCH_pr10.json
-	@git diff --exit-code -- internal/tune/default_table.json BENCH_pr10.json \
+	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)
+	@git diff --exit-code -- internal/tune/default_table.json $(BENCH) \
 		|| { echo "smoke: regenerated artifacts differ from the committed ones"; exit 1; }
 	@echo "smoke: all entry points OK"

@@ -17,8 +17,8 @@
 //	-fig a2abench
 //	          machine-readable all-to-all benchmark matrix (sizes ×
 //	          algorithms × shapes × fabrics, plus a chaos-overhead
-//	          column) written as JSON to -out (the BENCH_pr7.json
-//	          subset of the full matrix; see -fig collbench)
+//	          column) written as JSON to -out (a subset of the
+//	          full matrix; see -fig collbench)
 //	-fig chaos
 //	          fault-injection gate: seeded kill/revive schedules
 //	          against live DP, MoE, and ZeRO workloads; exits non-zero
@@ -47,7 +47,7 @@
 //	          chaos cells plus allreduce/allgather/reducescatter ×
 //	          sizes × ring/hierarchical/auto × shapes × fabrics and the
 //	          tracing-overhead cells, written as JSON to -out
-//	          (`make bench` → BENCH_pr9.json)
+//	          (`make bench` → BENCH.json)
 //	-fig trace
 //	          flight-recorder gate: runs the DP + hierarchical-MoE +
 //	          chaos scenario with the full-depth recorder installed and

@@ -28,9 +28,9 @@
 // order — circular collective dependency that would deadlock NCCL is
 // resolved by preemption.
 //
-// The paper-literal API of Listing 1 (RegisterAllReduce / RunAllReduce
-// / Run by integer collective ID) remains available as thin deprecated
-// shims over the handle layer.
+// The paper's Listing 1 shape — dfcclRegister* under an integer
+// collective ID, dfcclRun* with a completion callback — is Open with
+// WithCollID plus LaunchCB on the returned handle.
 package dfccl
 
 import (

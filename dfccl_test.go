@@ -17,7 +17,8 @@ func TestFacadeQuickstart(t *testing.T) {
 		rank := rank
 		lib.Go("rank", func(p *dfccl.Process) {
 			ctx := lib.Init(p, rank)
-			if err := ctx.RegisterAllReduce(1, count, dfccl.Float64, dfccl.Sum, ranks, 0); err != nil {
+			coll, err := ctx.Open(dfccl.AllReduce(count, dfccl.Float64, dfccl.Sum, ranks...), dfccl.WithCollID(1))
+			if err != nil {
 				t.Errorf("register: %v", err)
 				return
 			}
@@ -25,7 +26,7 @@ func TestFacadeQuickstart(t *testing.T) {
 			recv := dfccl.NewBuffer(dfccl.Float64, count)
 			send.Fill(float64(rank + 1))
 			results[rank] = recv
-			if err := ctx.Run(p, 1, send, recv, nil); err != nil {
+			if err := coll.LaunchCB(p, send, recv, nil); err != nil {
 				t.Errorf("run: %v", err)
 				return
 			}
@@ -59,8 +60,11 @@ func TestFacadeDisorderedOrdersComplete(t *testing.T) {
 		rank := rank
 		lib.Go("rank", func(p *dfccl.Process) {
 			ctx := lib.Init(p, rank)
-			for c := 0; c < nColl; c++ {
-				if err := ctx.RegisterAllReduce(c, 128, dfccl.Float32, dfccl.Sum, ranks, 0); err != nil {
+			var colls [nColl]*dfccl.Collective
+			for c := range colls {
+				var err error
+				colls[c], err = ctx.Open(dfccl.AllReduce(128, dfccl.Float32, dfccl.Sum, ranks...), dfccl.WithCollID(c))
+				if err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -68,7 +72,7 @@ func TestFacadeDisorderedOrdersComplete(t *testing.T) {
 			for _, c := range orders[rank] {
 				send := dfccl.NewBuffer(dfccl.Float32, 128)
 				recv := dfccl.NewBuffer(dfccl.Float32, 128)
-				if err := ctx.Run(p, c, send, recv, func(error) { completed[rank]++ }); err != nil {
+				if err := colls[c].LaunchCB(p, send, recv, func(error) { completed[rank]++ }); err != nil {
 					t.Errorf("run: %v", err)
 					return
 				}

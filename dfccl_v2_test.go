@@ -167,15 +167,18 @@ func TestV2BuildersMatchKinds(t *testing.T) {
 				}
 				futs = append(futs, fut)
 			}
-			// The paper-literal shim still works alongside handles.
-			if err := ctx.RegisterAllReduce(99, 64, dfccl.Float64, dfccl.Sum, ranks, 0); err != nil {
-				t.Errorf("shim register: %v", err)
+			// An explicit collective ID and a callback-style launch (the
+			// paper's dfcclRegister*/dfcclRun* shape) work alongside
+			// auto-ID handles and futures.
+			byID, err := ctx.Open(dfccl.AllReduce(64, dfccl.Float64, dfccl.Sum, ranks...), dfccl.WithCollID(99))
+			if err != nil {
+				t.Errorf("explicit-ID open: %v", err)
 				return
 			}
 			s := dfccl.NewBuffer(dfccl.Float64, 64)
 			d := dfccl.NewBuffer(dfccl.Float64, 64)
-			if err := ctx.RunAllReduce(p, 99, s, d, nil); err != nil {
-				t.Errorf("shim run: %v", err)
+			if err := byID.LaunchCB(p, s, d, nil); err != nil {
+				t.Errorf("callback launch: %v", err)
 				return
 			}
 			for i, fut := range futs {

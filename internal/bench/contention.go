@@ -115,7 +115,7 @@ func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, e
 }
 
 // BenchCell is one row of the machine-readable benchmark matrix
-// (BENCH_pr9.json): a collective size × shape × algorithm × fabric
+// (BENCH.json): a collective size × shape × algorithm × fabric
 // cell with its end-to-end latency and transport byte split, a
 // fault-injection cell with its chaos-overhead column, or a
 // tracing-overhead cell pinning the flight recorder's observer effect.

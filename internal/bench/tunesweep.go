@@ -362,7 +362,7 @@ func CollBenchCells() ([]BenchCell, error) {
 	return cells, nil
 }
 
-// FullBenchMatrix is the BENCH_pr10.json matrix: the all-to-all and
+// FullBenchMatrix is the BENCH.json matrix: the all-to-all and
 // chaos cells of A2ABenchMatrix, the full-collective cells, the
 // tracing-overhead cells pinning the flight recorder's zero observer
 // effect, and the multi-job contention column (per-policy cluster

@@ -1,26 +1,26 @@
 // Package chaos is the fault-injection harness for elastic rank
-// membership: it runs seeded kill/revive schedules against live
-// data-carrying training workloads (data-parallel gradient AllReduce,
-// MoE token dispatch over AllToAllv with a runtime-gathered count
-// matrix, ZeRO-style ReduceScatter + AllGather) and verifies that every
-// fault surfaces as a typed core.ErrRankLost or a clean group
-// re-formation — never a hang, never silent corruption — and that every
-// committed training iteration is bit-identical to a serial fault-free
-// reference computed over the membership that committed it.
+// membership: it runs seeded kill/revive schedules against the live
+// data-carrying training workloads of internal/workload (DP gradient
+// AllReduce, MoE dispatch over AllToAllv with a runtime-gathered count
+// matrix, ZeRO ReduceScatter + AllGather, and the DP+MoE hybrid) and
+// verifies that every fault surfaces as a typed core.ErrRankLost or a
+// clean group re-formation — never a hang, never silent corruption —
+// and that every committed training iteration is bit-identical to a
+// serial fault-free reference computed over the membership that
+// committed it.
 //
-// The harness uses a restart-the-epoch protocol. Training proceeds in
-// attempts: an attempt runs iterations over a fixed membership until
-// either all iterations commit, a kill aborts the attempt's collectives
-// (every member's Future resolves with the typed error; the commit
-// barrier is poisoned so nobody blocks on the dead rank), or a revive
-// requests re-formation. Between attempts the controller re-forms the
-// group over the current survivors — re-opening the collectives through
-// the communicator pool, which rebuilds ring and HierFabric wiring for
-// the new shape — and restarts from the first uncommitted iteration.
-// Iterations are stateless functions of (membership, iteration), so a
-// retried iteration is idempotent and the per-iteration expected values
-// are exact: all payloads are small integers in float64, making
-// reductions order-independent and bit-exact.
+// The harness is a membership controller over the shared data plane: it
+// decides who is in the group and when to re-form it; workload.Attempt
+// runs the members. The protocol is restart-the-epoch. An attempt runs
+// iterations over a fixed membership until either all iterations
+// commit, a kill aborts the attempt's collectives (every member's
+// Future resolves with the typed error; the commit barriers are
+// poisoned so nobody blocks on the dead rank), or a revive requests
+// re-formation. Between attempts the controller re-forms the group over
+// the current survivors — re-opening the collectives through the
+// communicator pool, which rebuilds ring and HierFabric wiring for the
+// new shape — and restarts from the first uncommitted iteration, which
+// is safe because iterations are stateless and idempotent.
 //
 // Hangs are converted into failures by the engine's MaxTime: a harness
 // bug or a lost wakeup surfaces as Report.Hang, not a stuck test.
@@ -29,6 +29,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dfccl/internal/core"
@@ -36,6 +37,7 @@ import (
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 	"dfccl/internal/trace"
+	"dfccl/internal/workload"
 )
 
 // EventKind distinguishes schedule events.
@@ -70,7 +72,8 @@ type Schedule []Event
 
 // Config describes one chaos run.
 type Config struct {
-	// Workload selects the training loop: "dp", "moe", or "zero".
+	// Workload selects the training loop: "dp", "moe", "zero", or
+	// "hybrid" (see workload.New).
 	Workload string
 	// Cluster is the simulated deployment.
 	Cluster *topo.Cluster
@@ -153,81 +156,11 @@ func (r *Report) Ok() bool {
 // across a rank leave or join.
 func (r *Report) MembershipChanged() bool {
 	for i := 1; i < len(r.Trajectory); i++ {
-		if !sameMembers(r.Trajectory[i-1], r.Trajectory[i]) {
+		if !slices.Equal(r.Trajectory[i-1], r.Trajectory[i]) {
 			return true
 		}
 	}
 	return false
-}
-
-func sameMembers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// pbarrier is a poisonable generation barrier: a member that observes
-// an abort poisons it, releasing every blocked peer with a false
-// return so nobody waits on a rank that will never arrive.
-type pbarrier struct {
-	n, arrived, gen int
-	poisoned        bool
-	cond            *sim.Cond
-}
-
-func newPBarrier(n int) *pbarrier {
-	return &pbarrier{n: n, cond: sim.NewCond("chaos.barrier")}
-}
-
-func (b *pbarrier) Wait(p *sim.Process) bool {
-	if b.poisoned {
-		return false
-	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast(p.Engine())
-		return !b.poisoned
-	}
-	for gen == b.gen && !b.poisoned {
-		b.cond.Wait(p)
-	}
-	return !b.poisoned
-}
-
-func (b *pbarrier) Poison(e *sim.Engine) {
-	b.poisoned = true
-	b.cond.Broadcast(e)
-}
-
-// runState is the shared controller/worker state. All access happens
-// from simulated processes, which the engine serializes.
-type runState struct {
-	nextIt      int
-	aborted     bool // current attempt hit a typed error
-	interrupted bool // a revive requests clean re-formation
-	running     int
-	join        *sim.Cond
-	barA, barB  *pbarrier
-	pendRevive  []int
-	otherErr    error
-}
-
-func (st *runState) fail(e *sim.Engine, err error) {
-	if st.otherErr == nil {
-		st.otherErr = err
-	}
-	st.aborted = true
-	st.barA.Poison(e)
-	st.barB.Poison(e)
 }
 
 // Run executes the chaos scenario and returns its report. The returned
@@ -249,7 +182,8 @@ func Run(cfg Config) (*Report, error) {
 		rep.Err = fmt.Sprintf("chaos: bad config: %d iterations over %v", cfg.Iterations, cfg.Ranks)
 		return rep, errors.New(rep.Err)
 	}
-	if _, err := newWorkload(cfg); err != nil {
+	tenant := workload.Tenant{Algo: cfg.Algo, Layers: cfg.Layers}
+	if _, err := workload.New(cfg.Workload, tenant); err != nil {
 		rep.Err = err.Error()
 		return rep, err
 	}
@@ -262,7 +196,18 @@ func Run(cfg Config) (*Report, error) {
 		ccfg.Tracer = cfg.Recorder
 	}
 	sys := core.NewSystem(e, cfg.Cluster, ccfg)
-	st := &runState{join: sim.NewCond("chaos.join")}
+	// Controller state, shared with the injector and the members; all
+	// access happens from simulated processes, which the engine
+	// serializes.
+	var (
+		prog        workload.Progress
+		interrupted bool // a revive requests clean re-formation
+		pendRevive  []int
+		fatal       error
+		running     int
+		join        = sim.NewCond("chaos.join")
+	)
+	stop := func() bool { return interrupted }
 
 	initial := append([]int(nil), cfg.Ranks...)
 	sort.Ints(initial)
@@ -278,30 +223,25 @@ func Run(cfg Config) (*Report, error) {
 			}
 			switch ev.Kind {
 			case Kill:
-				if sys.RankLost(ev.Rank) {
-					rep.KillsSkipped++
-					continue
-				}
-				sys.KillRank(ev.Rank)
-				if sys.RankLost(ev.Rank) {
+				if sys.KillRank(ev.Rank) {
 					rep.KillsApplied++
 				} else {
-					rep.KillsSkipped++ // never-initialized rank: no-op
+					rep.KillsSkipped++ // already dead, or never initialized
 				}
 			case Revive:
 				if !sys.RankLost(ev.Rank) {
 					rep.RevivesSkipped++
 					continue
 				}
-				st.pendRevive = append(st.pendRevive, ev.Rank)
-				st.interrupted = true // re-form at next boundary
+				pendRevive = append(pendRevive, ev.Rank)
+				interrupted = true // re-form at next boundary
 			}
 		}
 	})
 
 	e.Spawn("chaos.controller", func(p *sim.Process) {
 		attemptCap := cfg.Iterations + 2*len(events) + 4
-		for st.nextIt < cfg.Iterations {
+		for prog.Next < cfg.Iterations {
 			rep.Attempts++
 			if rep.Attempts > attemptCap {
 				rep.Hang = true
@@ -310,14 +250,14 @@ func Run(cfg Config) (*Report, error) {
 			}
 			// Apply due revives (the rank's abort drain may still be in
 			// flight; ReviveRank refuses until it completes).
-			for _, rank := range st.pendRevive {
+			for _, rank := range pendRevive {
 				if !sys.RankLost(rank) {
 					continue
 				}
 				deadline := p.Now().Add(sim.Duration(5 * sim.Second))
 				for sys.ReviveRank(rank) != nil {
 					if p.Now().Sub(deadline) >= 0 {
-						st.otherErr = fmt.Errorf("chaos: revive of rank %d never drained", rank)
+						fatal = fmt.Errorf("chaos: revive of rank %d never drained", rank)
 						break
 					}
 					p.Sleep(5 * sim.Microsecond)
@@ -326,35 +266,49 @@ func Run(cfg Config) (*Report, error) {
 					rep.RevivesApplied++
 				}
 			}
-			st.pendRevive = nil
-			if st.otherErr != nil {
+			pendRevive = nil
+			if fatal != nil {
 				break
 			}
 			members := survivors(sys, initial)
 			if len(members) == 0 {
-				st.otherErr = errors.New("chaos: schedule killed every rank")
+				fatal = errors.New("chaos: schedule killed every rank")
 				break
 			}
-			st.aborted, st.interrupted = false, false
-			st.barA, st.barB = newPBarrier(len(members)), newPBarrier(len(members))
-			st.running = len(members)
+			interrupted = false
+			att := workload.NewAttempt(members, cfg.Iterations, cfg.Compute, &prog, stop)
+			running = len(members)
 			for pos, rank := range members {
 				pos, rank := pos, rank
 				e.Spawn(fmt.Sprintf("chaos.worker.%d", rank), func(p *sim.Process) {
-					runWorker(p, cfg, sys, st, rep, members, pos, rank)
-					st.running--
-					st.join.Broadcast(p.Engine())
+					w, _ := workload.New(cfg.Workload, tenant)
+					rc := sys.Init(p, rank)
+					att.Member(p, rc, w, pos)
+					// A dead rank's registrations are auto-released by
+					// its exiting poller; live ranks drain any aborted
+					// in-flight runs and close their handles so the pool
+					// can re-form the group. The harness is the rank
+					// context's only user, so waiting for it to go fully
+					// idle is safe.
+					if !sys.RankLost(rank) {
+						rc.WaitAll(p)
+						w.Teardown(p)
+					}
+					running--
+					join.Broadcast(p.Engine())
 				})
 			}
-			for st.running > 0 {
-				st.join.Wait(p)
+			for running > 0 {
+				join.Wait(p)
 			}
-			if st.aborted {
+			rep.TypedErrors += att.TypedErrors
+			if att.Aborted {
 				rep.AbortedAttempts++
-			} else if st.interrupted && st.nextIt < cfg.Iterations {
+			} else if interrupted && prog.Next < cfg.Iterations {
 				rep.InterruptedAttempts++
 			}
-			if st.otherErr != nil {
+			if att.Err != nil {
+				fatal = att.Err
 				break
 			}
 		}
@@ -372,22 +326,17 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Elapsed = e.Now().Sub(sim.Time(0))
-	rep.Committed = st.nextIt
-	if st.otherErr != nil && rep.Err == "" {
-		rep.Err = st.otherErr.Error()
+	rep.Committed, rep.Trajectory, rep.Hashes = prog.Next, prog.Trajectory, prog.Hashes
+	if fatal != nil && rep.Err == "" {
+		rep.Err = fatal.Error()
 	}
 
 	// Serial fault-free reference over the committed trajectory,
 	// computed outside the simulation.
-	w, _ := newWorkload(cfg)
-	rep.BitIdentical = len(rep.Hashes) == rep.Committed && rep.Committed == cfg.Iterations && st.otherErr == nil
-	for it, membersAt := range rep.Trajectory {
-		ref := w.refHash(membersAt, it)
-		rep.RefHashes = append(rep.RefHashes, ref)
-		if it >= len(rep.Hashes) || rep.Hashes[it] != ref {
-			rep.BitIdentical = false
-		}
-	}
+	w, _ := workload.New(cfg.Workload, tenant)
+	var identical bool
+	rep.RefHashes, identical = prog.Reference(w)
+	rep.BitIdentical = identical && rep.Committed == cfg.Iterations && fatal == nil
 	if !rep.Ok() {
 		if rep.Err == "" {
 			rep.Err = fmt.Sprintf("chaos: committed %d/%d iterations, bit-identical=%v", rep.Committed, cfg.Iterations, rep.BitIdentical)
@@ -406,56 +355,4 @@ func survivors(sys *core.System, initial []int) []int {
 		}
 	}
 	return out
-}
-
-// runWorker is one member's attempt loop: open the workload's
-// collectives over this attempt's membership, run iterations from the
-// shared cursor, verify every element, and commit through the
-// poisonable barriers. Any typed ErrRankLost aborts the attempt; any
-// other error is fatal to the run.
-func runWorker(p *sim.Process, cfg Config, sys *core.System, st *runState, rep *Report, members []int, pos, rank int) {
-	e := p.Engine()
-	w, _ := newWorkload(cfg)
-	rc := sys.Init(p, rank)
-	handle := func(err error) {
-		if errors.Is(err, core.ErrRankLost) {
-			rep.TypedErrors++
-			st.aborted = true
-			st.barA.Poison(e)
-			st.barB.Poison(e)
-			return
-		}
-		st.fail(e, err)
-	}
-	if err := w.setup(p, rc, members); err != nil {
-		handle(err)
-	} else {
-		for !st.aborted && !st.interrupted && st.nextIt < cfg.Iterations {
-			it := st.nextIt
-			p.Sleep(cfg.Compute)
-			hash, err := w.iter(p, rc, members, pos, it)
-			if err != nil {
-				handle(err)
-				break
-			}
-			if !st.barA.Wait(p) {
-				break
-			}
-			if pos == 0 {
-				rep.Trajectory = append(rep.Trajectory, append([]int(nil), members...))
-				rep.Hashes = append(rep.Hashes, hash)
-				st.nextIt++
-			}
-			if !st.barB.Wait(p) {
-				break
-			}
-		}
-	}
-	// Teardown: a dead rank's registrations are auto-released by its
-	// exiting poller; live ranks drain any aborted in-flight runs and
-	// close their handles so the pool can re-form the group.
-	if !sys.RankLost(rank) {
-		rc.WaitAll(p)
-		w.teardown(p)
-	}
 }

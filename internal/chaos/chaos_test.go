@@ -14,7 +14,7 @@ import (
 // every workload commits all iterations in one attempt, bit-identical
 // to the serial reference.
 func TestChaosFaultFree(t *testing.T) {
-	for _, wl := range []string{"dp", "moe", "zero"} {
+	for _, wl := range []string{"dp", "moe", "zero", "hybrid"} {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
 			rep, err := Run(Config{
@@ -42,7 +42,7 @@ func TestChaosFaultFree(t *testing.T) {
 // survivors, and the remaining iterations commit bit-identical to the
 // reference for the shrunken membership.
 func TestChaosKillMidRun(t *testing.T) {
-	for _, wl := range []string{"dp", "moe", "zero"} {
+	for _, wl := range []string{"dp", "moe", "zero", "hybrid"} {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
 			rep, err := Run(Config{

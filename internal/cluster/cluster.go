@@ -12,10 +12,11 @@
 // NIC-load bin-packing) on every arrival, completion, or requeue,
 // placing admitted jobs onto — possibly overlapping — rank sets subject
 // to a per-GPU concurrency slot cap. The data plane is the jobs
-// themselves: per-member worker processes sharing the per-rank contexts
-// and daemon queues, launching collectives tagged with WithJob and
-// WithPriority so daemon scheduling, trace spans, and fabric flows all
-// carry the tenant.
+// themselves — internal/workload iterations run by workload.Attempt,
+// one per placement: per-member worker processes sharing the per-rank
+// contexts and daemon queues, launching collectives tagged with WithJob
+// and WithPriority so daemon scheduling, trace spans, and fabric flows
+// all carry the tenant.
 //
 // The core invariant is the library's own: multi-tenancy may change
 // timing, never data. Every committed job iteration is verified
@@ -24,9 +25,9 @@
 // out-of-sim reference (RefHashes) and, in the gates, against an actual
 // solo re-run (SoloHashes). Kills landing during admission or mid-run
 // surface as typed core.ErrRankLost aborts; the aborted job is requeued
-// and re-placed onto survivors, mirroring the chaos harness's
-// restart-the-epoch protocol. Hangs become failures through the
-// engine's MaxTime, never stuck tests.
+// and re-placed onto survivors, resuming from its first uncommitted
+// iteration. Hangs become failures through the engine's MaxTime, never
+// stuck tests.
 package cluster
 
 import (
@@ -38,6 +39,7 @@ import (
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 	"dfccl/internal/trace"
+	"dfccl/internal/workload"
 )
 
 // JobSpec describes one tenant job: what it trains, how many ranks it
@@ -68,6 +70,24 @@ type JobSpec struct {
 	Compute sim.Duration
 }
 
+// workload builds one member's instance of the job's workload; it
+// validates Kind.
+func (j JobSpec) workload() (workload.Workload, error) {
+	layers := j.Layers
+	if layers <= 0 {
+		layers = 2
+	}
+	return workload.New(j.Kind, workload.Tenant{Job: j.ID, Priority: j.Priority, Algo: j.Algo, Layers: layers})
+}
+
+// compute is the job's per-iteration compute sleep.
+func (j JobSpec) compute() sim.Duration {
+	if j.Compute <= 0 {
+		return 40 * sim.Microsecond
+	}
+	return j.Compute
+}
+
 // KillEvent is one scheduled fault: rank Rank dies at time At. Jobs
 // placed on the rank abort with the typed error and are requeued onto
 // survivors; jobs being admitted skip the lost rank at placement.
@@ -89,8 +109,8 @@ type Config struct {
 	// the full-pool rejection path.
 	SlotsPerGPU int
 	// Oversub, when > 0, prices transfers on a shared congestion-aware
-	// fabric with that leaf/spine oversubscription factor; 0 keeps the
-	// legacy independent pricing (contention in queues only).
+	// fabric with that leaf/spine oversubscription factor; 0 prices
+	// every transfer independently (contention in queues only).
 	Oversub float64
 	// Kills is the fault schedule.
 	Kills []KillEvent
@@ -233,7 +253,7 @@ func (cfg *Config) validate() error {
 		if j.Iterations <= 0 {
 			return fmt.Errorf("cluster: job %d has %d iterations", j.ID, j.Iterations)
 		}
-		if _, err := newJobWorkload(*j); err != nil {
+		if _, err := j.workload(); err != nil {
 			return err
 		}
 	}

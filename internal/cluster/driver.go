@@ -8,44 +8,9 @@ import (
 	"dfccl/internal/fabric"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
+	"dfccl/internal/trace"
+	"dfccl/internal/workload"
 )
-
-// pbarrier is a poisonable generation barrier (the chaos harness
-// pattern): a member that observes an abort poisons it, releasing every
-// blocked peer with a false return so nobody waits on a rank that will
-// never arrive.
-type pbarrier struct {
-	n, arrived, gen int
-	poisoned        bool
-	cond            *sim.Cond
-}
-
-func newPBarrier(n int) *pbarrier {
-	return &pbarrier{n: n, cond: sim.NewCond("cluster.barrier")}
-}
-
-func (b *pbarrier) Wait(p *sim.Process) bool {
-	if b.poisoned {
-		return false
-	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast(p.Engine())
-		return !b.poisoned
-	}
-	for gen == b.gen && !b.poisoned {
-		b.cond.Wait(p)
-	}
-	return !b.poisoned
-}
-
-func (b *pbarrier) Poison(e *sim.Engine) {
-	b.poisoned = true
-	b.cond.Broadcast(e)
-}
 
 // jobState is one job's control-plane record. All access happens from
 // simulated processes, which the engine serializes.
@@ -53,20 +18,17 @@ type jobState struct {
 	spec JobSpec
 	res  *JobResult
 
-	arrived      bool
 	admittedOnce bool
 	attempts     int
 
 	// Per-attempt data-plane state.
-	members    []int
-	barA, barB *pbarrier
-	join       *sim.Cond
-	running    int
-	aborted    bool
+	members []int
+	join    *sim.Cond
+	running int
 
-	// nextIt persists across attempts: a requeued job resumes from its
-	// first uncommitted iteration, like the chaos restart protocol.
-	nextIt int
+	// progress persists across attempts: a requeued job resumes from
+	// its first uncommitted iteration.
+	progress workload.Progress
 }
 
 // driver is the shared run state.
@@ -92,6 +54,10 @@ func (d *driver) fail(err error) {
 		d.otherErr = err
 	}
 }
+
+// stopped is every attempt's stop predicate: a fatal error anywhere in
+// the run ends all jobs at their next iteration boundary.
+func (d *driver) stopped() bool { return d.otherErr != nil }
 
 // view assembles the policy's control-plane snapshot.
 func (d *driver) view() View {
@@ -157,13 +123,23 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 	d.active++
 	js.members = append([]int(nil), ranks...)
 	js.res.Ranks = js.members
-	js.aborted = false
-	js.barA, js.barB = newPBarrier(len(ranks)), newPBarrier(len(ranks))
+	att := workload.NewAttempt(js.members, js.spec.Iterations, js.spec.compute(), &js.progress, d.stopped)
 	js.running = len(ranks)
 	for pos, rank := range ranks {
 		pos, rank := pos, rank
 		d.e.Spawn(fmt.Sprintf("cluster.job%d.w%d", js.spec.ID, rank), func(p *sim.Process) {
-			d.runWorker(p, js, pos, rank)
+			w, _ := js.spec.workload()
+			att.Member(p, d.sys.Init(p, rank), w, pos)
+			// A dead rank's registrations are auto-released by its
+			// exiting poller; live ranks close their handles so the
+			// pool recycles the communicators. The job's own futures
+			// were all waited inside Iter, so Close never sees
+			// outstanding runs — and there is no WaitAll here: waiting
+			// for the shared rank context to go fully idle would couple
+			// this job's teardown to every other tenant on the GPU.
+			if !d.sys.RankLost(rank) {
+				w.Teardown(p)
+			}
 			js.running--
 			js.join.Broadcast(p.Engine())
 		})
@@ -176,12 +152,15 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 			d.load[r]--
 		}
 		d.active--
+		if att.Err != nil {
+			d.fail(att.Err)
+		}
 		switch {
-		case js.nextIt >= js.spec.Iterations:
+		case js.progress.Next >= js.spec.Iterations:
 			js.res.Done = d.e.Now()
 			js.res.Latency = js.res.Done.Sub(js.res.Arrival)
 			d.finished++
-		case js.aborted && d.otherErr == nil:
+		case att.Aborted && d.otherErr == nil:
 			d.rep.Requeues++
 			if js.attempts >= d.attemptCap() {
 				js.res.Failed = true
@@ -194,7 +173,7 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 			js.res.Failed = true
 			d.finished++
 			if d.otherErr == nil {
-				d.fail(fmt.Errorf("cluster: job %d stopped at iteration %d without abort", js.spec.ID, js.nextIt))
+				d.fail(fmt.Errorf("cluster: job %d stopped at iteration %d without abort", js.spec.ID, js.progress.Next))
 			}
 		}
 		d.wake.Broadcast(p.Engine())
@@ -204,65 +183,28 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 // attemptCap bounds requeues so a livelock becomes a failure.
 func (d *driver) attemptCap() int { return 3 + len(d.cfg.Kills) }
 
-// runWorker is one member's attempt loop, mirroring the chaos worker:
-// open the job's collectives over this placement, run iterations from
-// the job's cursor, verify every element, and commit through the
-// poisonable barriers. A typed core.ErrRankLost aborts the attempt
-// (the job requeues); any other error is fatal to the run.
-func (d *driver) runWorker(p *sim.Process, js *jobState, pos, rank int) {
-	e := p.Engine()
-	w, _ := newJobWorkload(js.spec)
-	rc := d.sys.Init(p, rank)
-	handle := func(err error) {
-		if errors.Is(err, core.ErrRankLost) {
-			js.aborted = true
-			js.barA.Poison(e)
-			js.barB.Poison(e)
-			return
-		}
-		d.fail(err)
-		js.barA.Poison(e)
-		js.barB.Poison(e)
-	}
-	compute := js.spec.Compute
-	if compute <= 0 {
-		compute = 40 * sim.Microsecond
-	}
-	if err := w.setup(p, rc, js.members); err != nil {
-		handle(err)
+// newSystem builds the engine, fabric, and DFCCL deployment a cluster
+// run — multi-tenant or solo — executes on.
+func newSystem(cl *topo.Cluster, oversub float64, maxVirtual sim.Duration, rec *trace.Recorder) (*sim.Engine, *fabric.Network, *core.System) {
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(maxVirtual)
+	var net *fabric.Network
+	if oversub > 0 {
+		net = fabric.Shared(cl, fabric.OversubConfig(oversub))
 	} else {
-		for !js.aborted && d.otherErr == nil && js.nextIt < js.spec.Iterations {
-			it := js.nextIt
-			p.Sleep(compute)
-			hash, err := w.iter(p, rc, js.members, pos, it)
-			if err != nil {
-				handle(err)
-				break
-			}
-			if !js.barA.Wait(p) {
-				break
-			}
-			if pos == 0 {
-				js.res.Trajectory = append(js.res.Trajectory, append([]int(nil), js.members...))
-				js.res.Hashes = append(js.res.Hashes, hash)
-				js.nextIt++
-				js.res.Committed = js.nextIt
-			}
-			if !js.barB.Wait(p) {
-				break
-			}
-		}
+		net = fabric.Unshared(cl)
 	}
-	// A dead rank's registrations are auto-released by its exiting
-	// poller; live ranks close their handles so the pool recycles the
-	// communicators. The job's own futures were all waited inside
-	// iter, so Close never sees outstanding runs — and unlike the
-	// single-tenant chaos harness there is no WaitAll here: waiting for
-	// the shared rank context to go fully idle would couple this job's
-	// teardown to every other tenant on the GPU.
-	if !d.sys.RankLost(rank) {
-		w.teardown(p)
+	ccfg := core.DefaultConfig()
+	// Multi-tenant daemons are priority-aware: the per-GPU task queue
+	// orders by the jobs' priorities, so a high-priority tenant's
+	// launches overtake queued low-priority work even on shared GPUs.
+	ccfg.Order = core.OrderPriority
+	ccfg.Network = net
+	if rec != nil {
+		ccfg.Recorder = rec
+		ccfg.Tracer = rec
 	}
+	return e, net, core.NewSystem(e, cl, ccfg)
 }
 
 // Run executes the cluster scenario and returns its report. The
@@ -283,25 +225,7 @@ func Run(cfg Config) (*Report, error) {
 		return rep, err
 	}
 
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(cfg.MaxVirtual)
-	var net *fabric.Network
-	if cfg.Oversub > 0 {
-		net = fabric.Shared(cfg.Cluster, fabric.OversubConfig(cfg.Oversub))
-	} else {
-		net = fabric.Unshared(cfg.Cluster)
-	}
-	ccfg := core.DefaultConfig()
-	// Multi-tenant daemons are priority-aware: the per-GPU task queue
-	// orders by the jobs' priorities, so a high-priority tenant's
-	// launches overtake queued low-priority work even on shared GPUs.
-	ccfg.Order = core.OrderPriority
-	ccfg.Network = net
-	if cfg.Recorder != nil {
-		ccfg.Recorder = cfg.Recorder
-		ccfg.Tracer = cfg.Recorder
-	}
-	sys := core.NewSystem(e, cfg.Cluster, ccfg)
+	e, net, sys := newSystem(cfg.Cluster, cfg.Oversub, cfg.MaxVirtual, cfg.Recorder)
 
 	d := &driver{
 		cfg:      cfg,
@@ -336,7 +260,6 @@ func Run(cfg Config) (*Report, error) {
 			if dl := js.spec.Arrival - p.Now().Sub(sim.Time(0)); dl > 0 {
 				p.Sleep(dl)
 			}
-			js.arrived = true
 			js.res.Arrival = p.Now()
 			d.pending = append(d.pending, js)
 			d.arrivals--
@@ -353,15 +276,10 @@ func Run(cfg Config) (*Report, error) {
 				if dl := ev.At - p.Now().Sub(sim.Time(0)); dl > 0 {
 					p.Sleep(dl)
 				}
-				if sys.RankLost(ev.Rank) {
-					rep.KillsSkipped++
-					continue
-				}
-				sys.KillRank(ev.Rank)
-				if sys.RankLost(ev.Rank) {
+				if sys.KillRank(ev.Rank) {
 					rep.KillsApplied++
 				} else {
-					rep.KillsSkipped++ // never-initialized rank: no-op
+					rep.KillsSkipped++ // already dead, or never initialized
 				}
 			}
 		})
@@ -416,20 +334,13 @@ func Run(cfg Config) (*Report, error) {
 	// Solo reference, computed outside the simulation: every committed
 	// iteration's fingerprint must equal the job running alone over the
 	// membership that committed it.
-	for i := range rep.Jobs {
+	for i, js := range states {
 		j := &rep.Jobs[i]
-		w, err := newJobWorkload(j.Spec)
-		if err != nil {
-			continue
-		}
-		j.BitIdentical = j.Committed == j.Spec.Iterations && len(j.Hashes) == j.Committed
-		for it, members := range j.Trajectory {
-			ref := w.refHash(members, it)
-			j.RefHashes = append(j.RefHashes, ref)
-			if it >= len(j.Hashes) || j.Hashes[it] != ref {
-				j.BitIdentical = false
-			}
-		}
+		j.Committed, j.Trajectory, j.Hashes = js.progress.Next, js.progress.Trajectory, js.progress.Hashes
+		w, _ := j.Spec.workload()
+		var identical bool
+		j.RefHashes, identical = js.progress.Reference(w)
+		j.BitIdentical = identical && j.Committed == j.Spec.Iterations
 	}
 	if !rep.Ok() {
 		if rep.Err == "" {
@@ -446,64 +357,20 @@ func Run(cfg Config) (*Report, error) {
 // against (the out-of-sim refHash is the pure counterpart). It is only
 // meaningful for jobs whose committed trajectory kept one membership.
 func SoloHashes(cl *topo.Cluster, spec JobSpec, ranks []int, oversub float64) ([]uint64, error) {
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	var net *fabric.Network
-	if oversub > 0 {
-		net = fabric.Shared(cl, fabric.OversubConfig(oversub))
-	} else {
-		net = fabric.Unshared(cl)
+	if _, err := spec.workload(); err != nil {
+		return nil, err
 	}
-	ccfg := core.DefaultConfig()
-	ccfg.Order = core.OrderPriority
-	ccfg.Network = net
-	sys := core.NewSystem(e, cl, ccfg)
+	e, _, sys := newSystem(cl, oversub, 600*sim.Second, nil)
 
-	hashes := make([]uint64, 0, spec.Iterations)
-	var firstErr error
-	bar := newPBarrier(len(ranks))
-	compute := spec.Compute
-	if compute <= 0 {
-		compute = 40 * sim.Microsecond
-	}
+	var pr workload.Progress
+	att := workload.NewAttempt(ranks, spec.Iterations, spec.compute(), &pr, nil)
 	running := len(ranks)
 	for pos, rank := range ranks {
 		pos, rank := pos, rank
 		e.Spawn(fmt.Sprintf("solo.job%d.w%d", spec.ID, rank), func(p *sim.Process) {
-			w, err := newJobWorkload(spec)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				bar.Poison(e)
-				return
-			}
-			rc := sys.Init(p, rank)
-			if err := w.setup(p, rc, ranks); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				bar.Poison(e)
-			} else {
-				for it := 0; it < spec.Iterations; it++ {
-					p.Sleep(compute)
-					hash, err := w.iter(p, rc, ranks, pos, it)
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						bar.Poison(e)
-						break
-					}
-					if !bar.Wait(p) {
-						break
-					}
-					if pos == 0 {
-						hashes = append(hashes, hash)
-					}
-				}
-				w.teardown(p)
-			}
+			w, _ := spec.workload()
+			att.Member(p, sys.Init(p, rank), w, pos)
+			w.Teardown(p)
 			running--
 			if running == 0 {
 				for _, r := range ranks {
@@ -512,8 +379,12 @@ func SoloHashes(cl *topo.Cluster, spec JobSpec, ranks []int, oversub float64) ([
 			}
 		})
 	}
-	if err := e.Run(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("cluster: solo run: %v", err)
+	err := e.Run()
+	switch {
+	case att.Err != nil:
+		err = att.Err
+	case err != nil:
+		err = fmt.Errorf("cluster: solo run: %v", err)
 	}
-	return hashes, firstErr
+	return pr.Hashes, err
 }

@@ -21,7 +21,8 @@ func TestResumeAcrossVoluntaryQuit(t *testing.T) {
 	var quits int
 	sys.Engine.Spawn("rank0", func(p *sim.Process) {
 		r := sys.Init(p, 0)
-		if err := r.RegisterAllReduce(1, count, mem.Float64, mem.Sum, []int{0, 1}, 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}}, WithCollID(1))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -29,7 +30,7 @@ func TestResumeAcrossVoluntaryQuit(t *testing.T) {
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
 		s.Fill(3)
 		result = d
-		if err := r.Run(p, 1, s, d, nil); err != nil {
+		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 			return
 		}
@@ -39,7 +40,8 @@ func TestResumeAcrossVoluntaryQuit(t *testing.T) {
 	})
 	sys.Engine.Spawn("rank1-late", func(p *sim.Process) {
 		r := sys.Init(p, 1)
-		if err := r.RegisterAllReduce(1, count, mem.Float64, mem.Sum, []int{0, 1}, 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}}, WithCollID(1))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -49,7 +51,7 @@ func TestResumeAcrossVoluntaryQuit(t *testing.T) {
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
 		s.Fill(4)
-		if err := r.Run(p, 1, s, d, nil); err != nil {
+		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 			return
 		}
@@ -75,14 +77,15 @@ func TestManyCollectivesSmallCQ(t *testing.T) {
 	sys := newSys(2, cfg)
 	const burst = 24
 	runApp(t, sys, 2, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, 64, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(1))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
 		for i := 0; i < burst; i++ {
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
 			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-			if err := r.Run(p, 1, s, d, nil); err != nil {
+			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 				return
 			}
@@ -102,9 +105,13 @@ func TestRegistrationBeyondContextBuffer(t *testing.T) {
 	cfg.MaxCollectives = 3
 	sys := newSys(2, cfg)
 	runApp(t, sys, 2, func(p *sim.Process, r *RankContext) {
+		var first *Collective
 		var lastErr error
 		for c := 0; c < 5; c++ {
-			lastErr = r.RegisterAllReduce(c, 32, mem.Float32, mem.Sum, allRanks(2), 0)
+			var coll *Collective
+			if coll, lastErr = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 32, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(c)); c == 0 {
+				first = coll
+			}
 		}
 		if lastErr == nil {
 			t.Error("registration beyond MaxCollectives accepted")
@@ -112,7 +119,7 @@ func TestRegistrationBeyondContextBuffer(t *testing.T) {
 		// The registered ones still work.
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
-		if err := r.Run(p, 0, s, d, nil); err != nil {
+		if err := first.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
 	})
@@ -128,7 +135,8 @@ func TestTimingOnlyMatchesDataPathSchedule(t *testing.T) {
 		runApp(t, sys, 4, func(p *sim.Process, r *RankContext) {
 			spec := prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum,
 				Ranks: allRanks(4), TimingOnly: timingOnly}
-			if err := r.Register(spec, 1, 0); err != nil {
+			coll, err := r.Open(spec, WithCollID(1))
+			if err != nil {
 				t.Errorf("register: %v", err)
 				return
 			}
@@ -138,7 +146,7 @@ func TestTimingOnlyMatchesDataPathSchedule(t *testing.T) {
 			}
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, n)
 			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, n)
-			if err := r.Run(p, 1, s, d, nil); err != nil {
+			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 			}
 		})
@@ -155,13 +163,14 @@ func TestTimingOnlyMatchesDataPathSchedule(t *testing.T) {
 func TestDaemonGridUsesLargestRegistered(t *testing.T) {
 	sys := newSys(2, DefaultConfig())
 	runApp(t, sys, 2, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, 64, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(1))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		if err := r.Run(p, 1, s, d, nil); err != nil {
+		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 			return
 		}
@@ -178,8 +187,11 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() (sim.Time, RankStats) {
 		sys := newSys(4, DefaultConfig())
 		runApp(t, sys, 4, func(p *sim.Process, r *RankContext) {
-			for c := 0; c < 4; c++ {
-				if err := r.RegisterAllReduce(c, 256<<c, mem.Float32, mem.Sum, allRanks(4), 0); err != nil {
+			var colls [4]*Collective
+			for c := range colls {
+				var err error
+				colls[c], err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 256 << c, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(4)}, WithCollID(c))
+				if err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -189,7 +201,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 					id := (c + r.Rank + i) % 4 // rank-dependent order
 					s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256<<id)
 					d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256<<id)
-					if err := r.Run(p, id, s, d, nil); err != nil {
+					if err := colls[id].LaunchCB(p, s, d, nil); err != nil {
 						t.Errorf("run: %v", err)
 						return
 					}
@@ -216,8 +228,11 @@ func TestFIFOFetchBackoff(t *testing.T) {
 	cfg := DefaultConfig()
 	sys := newSys(2, cfg)
 	runApp(t, sys, 2, func(p *sim.Process, r *RankContext) {
-		for c := 0; c < 3; c++ {
-			if err := r.RegisterAllReduce(c, 1024, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+		var colls [3]*Collective
+		for c := range colls {
+			var err error
+			colls[c], err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(c))
+			if err != nil {
 				t.Errorf("register: %v", err)
 				return
 			}
@@ -227,10 +242,10 @@ func TestFIFOFetchBackoff(t *testing.T) {
 		if r.Rank == 1 {
 			p.Sleep(200 * sim.Microsecond)
 		}
-		for c := 0; c < 3; c++ {
+		for _, coll := range colls {
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
 			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-			if err := r.Run(p, c, s, d, nil); err != nil {
+			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 				return
 			}
@@ -253,7 +268,7 @@ func TestDestroyIdempotent(t *testing.T) {
 			r := sys.Init(p, rank)
 			r.Destroy(p)
 			r.Destroy(p)
-			if err := r.RegisterAllReduce(1, 8, mem.Float32, mem.Sum, allRanks(2), 0); err == nil {
+			if _, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 8, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(1)); err == nil {
 				t.Error("register after destroy accepted")
 			}
 		})

@@ -6,6 +6,7 @@ import (
 
 	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
+	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
@@ -47,7 +48,8 @@ func TestSingleAllReduceCompletes(t *testing.T) {
 	sys := newSys(n, DefaultConfig())
 	results := make([]*mem.Buffer, n)
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, count, mem.Float64, mem.Sum, allRanks(n), 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(1))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -56,7 +58,7 @@ func TestSingleAllReduceCompletes(t *testing.T) {
 		s.Fill(float64(r.Rank + 1))
 		results[r.Rank] = d
 		var completed bool
-		if err := r.Run(p, 1, s, d, func(error) { completed = true }); err != nil {
+		if err := coll.LaunchCB(p, s, d, func(error) { completed = true }); err != nil {
 			t.Errorf("run: %v", err)
 			return
 		}
@@ -87,30 +89,36 @@ func TestAllCollectiveKindsThroughDFCCL(t *testing.T) {
 				t.Errorf("rank %d: %v", r.Rank, err)
 			}
 		}
-		check(r.RegisterAllGather(10, 16, mem.Float64, devs, 0))
-		check(r.RegisterReduceScatter(11, 16*n, mem.Float64, mem.Sum, devs, 0))
-		check(r.RegisterBroadcast(12, 64, mem.Float64, 2, devs, 0))
-		check(r.RegisterReduce(13, 64, mem.Float64, mem.Sum, 1, devs, 0))
+		open := func(id int, spec prim.Spec) *Collective {
+			spec.Type, spec.Ranks = mem.Float64, devs
+			coll, err := r.Open(spec, WithCollID(id))
+			check(err)
+			return coll
+		}
+		agC := open(10, prim.Spec{Kind: prim.AllGather, Count: 16})
+		rsC := open(11, prim.Spec{Kind: prim.ReduceScatter, Count: 16 * n, Op: mem.Sum})
+		bcC := open(12, prim.Spec{Kind: prim.Broadcast, Count: 64, Root: 2})
+		rdC := open(13, prim.Spec{Kind: prim.Reduce, Count: 64, Op: mem.Sum, Root: 1})
 
 		agS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
 		agS.Fill(float64(r.Rank))
 		ag[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16*n)
-		check(r.Run(p, 10, agS, ag[r.Rank], nil))
+		check(agC.LaunchCB(p, agS, ag[r.Rank], nil))
 
 		rsS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16*n)
 		rsS.Fill(2)
 		rs[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
-		check(r.Run(p, 11, rsS, rs[r.Rank], nil))
+		check(rsC.LaunchCB(p, rsS, rs[r.Rank], nil))
 
 		bcS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
 		bcS.Fill(float64(100 + r.Rank))
 		bc[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
-		check(r.Run(p, 12, bcS, bc[r.Rank], nil))
+		check(bcC.LaunchCB(p, bcS, bc[r.Rank], nil))
 
 		rdS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
 		rdS.Fill(3)
 		rd[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
-		check(r.Run(p, 13, rdS, rd[r.Rank], nil))
+		check(rdC.LaunchCB(p, rdS, rd[r.Rank], nil))
 	})
 	for rank := 0; rank < n; rank++ {
 		for seg := 0; seg < n; seg++ {
@@ -144,9 +152,12 @@ func TestDisorderedInvocationNoDeadlock(t *testing.T) {
 	}
 	var totalPreempts int
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		for c := 0; c < nColl; c++ {
+		var colls [nColl]*Collective
+		for c := range colls {
 			count := 64 << c // 256B .. 32KB float32
-			if err := r.RegisterAllReduce(c, count, mem.Float32, mem.Sum, allRanks(n), 0); err != nil {
+			var err error
+			colls[c], err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(c))
+			if err != nil {
 				t.Errorf("register: %v", err)
 				return
 			}
@@ -157,7 +168,7 @@ func TestDisorderedInvocationNoDeadlock(t *testing.T) {
 				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
 				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
 				s.Fill(1)
-				if err := r.Run(p, c, s, d, nil); err != nil {
+				if err := colls[c].LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("run: %v", err)
 					return
 				}
@@ -184,8 +195,11 @@ func TestDeviceSyncBetweenCollectivesNoDeadlock(t *testing.T) {
 	sys := newSys(n, DefaultConfig())
 	var quits int
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		for c := 0; c < 2; c++ {
-			if err := r.RegisterAllReduce(c, 512, mem.Float32, mem.Sum, allRanks(n), 0); err != nil {
+		var colls [2]*Collective
+		for c := range colls {
+			var err error
+			colls[c], err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 512, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(c))
+			if err != nil {
 				t.Errorf("register: %v", err)
 				return
 			}
@@ -201,12 +215,12 @@ func TestDeviceSyncBetweenCollectivesNoDeadlock(t *testing.T) {
 			return s, mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
 		}
 		s1, d1 := mk()
-		if err := r.Run(p, order[0], s1, d1, nil); err != nil {
+		if err := colls[order[0]].LaunchCB(p, s1, d1, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
 		r.dev.Synchronize(p)
 		s2, d2 := mk()
-		if err := r.Run(p, order[1], s2, d2, nil); err != nil {
+		if err := colls[order[1]].LaunchCB(p, s2, d2, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
 		r.WaitAll(p)
@@ -227,7 +241,8 @@ func TestRepeatedRunsOfRegisteredCollective(t *testing.T) {
 	sys := newSys(n, DefaultConfig())
 	sums := make([]float64, n)
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(7, 128, mem.Float64, mem.Sum, allRanks(n), 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 128, Type: mem.Float64, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(7))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -235,7 +250,7 @@ func TestRepeatedRunsOfRegisteredCollective(t *testing.T) {
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 128)
 			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 128)
 			s.Fill(float64(it))
-			if err := r.Run(p, 7, s, d, nil); err != nil {
+			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 				return
 			}
@@ -259,7 +274,8 @@ func TestPipelinedRunsWithoutWait(t *testing.T) {
 	sys := newSys(n, DefaultConfig())
 	order := make([][]int, n)
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(3, 64, mem.Float64, mem.Sum, allRanks(n), 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float64, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(3))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -269,7 +285,7 @@ func TestPipelinedRunsWithoutWait(t *testing.T) {
 			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
 			s.Fill(float64(i))
 			rank := r.Rank
-			if err := r.Run(p, 3, s, d, func(error) { order[rank] = append(order[rank], i) }); err != nil {
+			if err := coll.LaunchCB(p, s, d, func(error) { order[rank] = append(order[rank], i) }); err != nil {
 				t.Errorf("run: %v", err)
 				return
 			}
@@ -293,14 +309,15 @@ func TestCQVariantsAllDeliver(t *testing.T) {
 		cfg.CQVariant = v
 		sys := newSys(2, cfg)
 		runApp(t, sys, 2, func(p *sim.Process, r *RankContext) {
-			if err := r.RegisterAllReduce(1, 32, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+			coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 32, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(1))
+			if err != nil {
 				t.Errorf("%v register: %v", v, err)
 				return
 			}
 			for i := 0; i < 5; i++ {
 				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
 				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
-				if err := r.Run(p, 1, s, d, nil); err != nil {
+				if err := coll.LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("%v run: %v", v, err)
 					return
 				}
@@ -393,11 +410,13 @@ func TestSQBackpressure(t *testing.T) {
 func TestRegistrationValidation(t *testing.T) {
 	sys := newSys(2, DefaultConfig())
 	runApp(t, sys, 2, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, 64, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+		var c1, c2 *Collective
+		var err error
+		if c1, err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(1)); err != nil {
 			t.Errorf("register: %v", err)
 		}
 		// Duplicate registration on the same rank must fail.
-		if err := r.RegisterAllReduce(1, 64, mem.Float32, mem.Sum, allRanks(2), 0); err == nil {
+		if _, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(1)); err == nil {
 			t.Error("duplicate registration accepted")
 		}
 		// Unregistered collective cannot run.
@@ -408,31 +427,31 @@ func TestRegistrationValidation(t *testing.T) {
 		}
 		// Wrong buffer sizes must fail.
 		bad := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
-		if err := r.Run(p, 1, bad, d, nil); err == nil {
+		if err := c1.LaunchCB(p, bad, d, nil); err == nil {
 			t.Error("run with undersized send buffer accepted")
 		}
 		// Mismatched re-registration from another collective ID is fine,
 		// but conflicting spec under the same ID must fail system-wide.
 		if r.Rank == 0 {
-			if err := r.RegisterAllReduce(2, 128, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+			if c2, err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 128, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(2)); err != nil {
 				t.Errorf("register 2: %v", err)
 			}
 		} else {
-			if err := r.RegisterAllReduce(2, 999, mem.Float32, mem.Sum, allRanks(2), 0); err == nil {
+			if _, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 999, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(2)); err == nil {
 				t.Error("conflicting spec for same collective ID accepted")
 			}
-			if err := r.RegisterAllReduce(2, 128, mem.Float32, mem.Sum, allRanks(2), 0); err != nil {
+			if c2, err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 128, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(2)}, WithCollID(2)); err != nil {
 				t.Errorf("register 2 (consistent): %v", err)
 			}
 		}
 		// Both ranks must run collective 2 so neither hangs.
 		s2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 128)
 		d2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 128)
-		if err := r.Run(p, 2, s2, d2, nil); err != nil {
+		if err := c2.LaunchCB(p, s2, d2, nil); err != nil {
 			t.Errorf("run 2: %v", err)
 		}
 		// Collective 1 as well.
-		if err := r.Run(p, 1, s, d, nil); err != nil {
+		if err := c1.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run 1: %v", err)
 		}
 	})
@@ -442,24 +461,26 @@ func TestDynamicRegistrationDuringRuntime(t *testing.T) {
 	const n = 2
 	sys := newSys(n, DefaultConfig())
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, 64, mem.Float32, mem.Sum, allRanks(n), 0); err != nil {
+		var c1, c2 *Collective
+		var err error
+		if c1, err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(1)); err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		if err := r.Run(p, 1, s, d, nil); err != nil {
+		if err := c1.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
 		r.WaitAll(p)
 		// Register a new collective after the daemon has been running.
-		if err := r.RegisterAllGather(2, 16, mem.Float32, allRanks(n), 0); err != nil {
+		if c2, err = r.Open(prim.Spec{Kind: prim.AllGather, Count: 16, Type: mem.Float32, Ranks: allRanks(n)}, WithCollID(2)); err != nil {
 			t.Errorf("dynamic register: %v", err)
 			return
 		}
 		s2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 16)
 		d2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 16*n)
-		if err := r.Run(p, 2, s2, d2, nil); err != nil {
+		if err := c2.LaunchCB(p, s2, d2, nil); err != nil {
 			t.Errorf("run dynamic: %v", err)
 		}
 	})
@@ -472,13 +493,14 @@ func TestDaemonQuitsWhenIdle(t *testing.T) {
 	const n = 2
 	sys := newSys(n, DefaultConfig())
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, 64, mem.Float32, mem.Sum, allRanks(n), 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(1))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		if err := r.Run(p, 1, s, d, nil); err != nil {
+		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
 		r.WaitAll(p)
@@ -560,11 +582,13 @@ func TestPriorityOrderingPrefersHighPriority(t *testing.T) {
 	sys := newSys(n, cfg)
 	firstDone := make([]int, n)
 	runApp(t, sys, n, func(p *sim.Process, r *RankContext) {
-		if err := r.RegisterAllReduce(1, 4096, mem.Float32, mem.Sum, allRanks(n), 0); err != nil {
+		var c1, c2 *Collective
+		var err error
+		if c1, err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 4096, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(1)); err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
-		if err := r.RegisterAllReduce(2, 4096, mem.Float32, mem.Sum, allRanks(n), 10); err != nil {
+		if c2, err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 4096, Type: mem.Float32, Op: mem.Sum, Ranks: allRanks(n)}, WithCollID(2), WithPriority(10)); err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -581,10 +605,10 @@ func TestPriorityOrderingPrefersHighPriority(t *testing.T) {
 				}
 			}
 		}
-		if err := r.Run(p, 1, s1, d1, record(1)); err != nil {
+		if err := c1.LaunchCB(p, s1, d1, record(1)); err != nil {
 			t.Errorf("run: %v", err)
 		}
-		if err := r.Run(p, 2, s2, d2, record(2)); err != nil {
+		if err := c2.LaunchCB(p, s2, d2, record(2)); err != nil {
 			t.Errorf("run: %v", err)
 		}
 	})
@@ -607,13 +631,14 @@ func TestDisjointGroupsProgressIndependently(t *testing.T) {
 			group = []int{2, 3}
 			collID = 2
 		}
-		if err := r.RegisterAllReduce(collID, 256, mem.Float32, mem.Sum, group, 0); err != nil {
+		coll, err := r.Open(prim.Spec{Kind: prim.AllReduce, Count: 256, Type: mem.Float32, Op: mem.Sum, Ranks: group}, WithCollID(collID))
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
 		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
-		if err := r.Run(p, collID, s, d, nil); err != nil {
+		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
 	})
@@ -645,8 +670,11 @@ func TestOverlappingGroupsFreeGroupingStyle(t *testing.T) {
 				}
 			}
 		}
+		colls := make(map[int]*Collective, len(mine))
 		for _, id := range mine {
-			if err := r.RegisterAllReduce(id, 512, mem.Float32, mem.Sum, groups[id], 0); err != nil {
+			var err error
+			colls[id], err = r.Open(prim.Spec{Kind: prim.AllReduce, Count: 512, Type: mem.Float32, Op: mem.Sum, Ranks: groups[id]}, WithCollID(id))
+			if err != nil {
 				t.Errorf("register %d: %v", id, err)
 				return
 			}
@@ -656,7 +684,7 @@ func TestOverlappingGroupsFreeGroupingStyle(t *testing.T) {
 			id := mine[(i+r.Rank)%len(mine)]
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
 			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
-			if err := r.Run(p, id, s, d, nil); err != nil {
+			if err := colls[id].LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run %d: %v", id, err)
 			}
 		}

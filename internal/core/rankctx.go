@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"dfccl/internal/cudasim"
@@ -136,9 +138,8 @@ func (s *System) Init(p *sim.Process, rank int) *RankContext {
 	return r
 }
 
-// register is the registration workhorse behind Open and the
-// deprecated Register* shims: it creates (or joins) the cross-rank
-// group and installs the per-rank task.
+// register is the registration workhorse behind Open: it creates (or
+// joins) the cross-rank group and installs the per-rank task.
 func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) error {
 	if r.destroyed && !r.lost {
 		return fmt.Errorf("core: rank %d context destroyed", r.Rank)
@@ -180,21 +181,11 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	return nil
 }
 
-// Register registers a collective on this rank by explicit ID — the
-// paper-literal dfcclRegister* layer. All participating ranks must
-// register the same collective ID with the same spec. Registration is
-// cheap and can also happen dynamically at runtime.
-//
-// Deprecated: use Open, which returns a *Collective handle with
-// launch, stats, and lifecycle (Close) methods.
-func (r *RankContext) Register(spec prim.Spec, collID, priority int) error {
-	return r.register(spec, collID, priority, 0, 0)
-}
-
 // Unregister removes a collective's registration from this rank — the
-// inverse of Register that the paper's API lacks. When the last
-// participating rank unregisters, the group's communicator returns to
-// the pool. Unregistering with outstanding runs is an error.
+// inverse of dfcclRegister* that the paper's API lacks, and the layer
+// under (*Collective).Close. When the last participating rank
+// unregisters, the group's communicator returns to the pool.
+// Unregistering with outstanding runs is an error.
 func (r *RankContext) Unregister(collID int) error {
 	t, ok := r.tasks[collID]
 	if !ok {
@@ -211,43 +202,8 @@ func (r *RankContext) Unregister(collID int) error {
 	return nil
 }
 
-// RegisterAllReduce registers an all-reduce — dfcclRegisterAllReduce.
-//
-// Deprecated: use Open(prim.Spec{Kind: prim.AllReduce, ...}) or the
-// dfccl.AllReduce builder.
-func (r *RankContext) RegisterAllReduce(collID, count int, t mem.DataType, op mem.ReduceOp, devSet []int, priority int) error {
-	return r.Register(prim.Spec{Kind: prim.AllReduce, Count: count, Type: t, Op: op, Ranks: devSet}, collID, priority)
-}
-
-// RegisterAllGather registers an all-gather (count per rank).
-//
-// Deprecated: use Open with the dfccl.AllGather builder.
-func (r *RankContext) RegisterAllGather(collID, count int, t mem.DataType, devSet []int, priority int) error {
-	return r.Register(prim.Spec{Kind: prim.AllGather, Count: count, Type: t, Ranks: devSet}, collID, priority)
-}
-
-// RegisterReduceScatter registers a reduce-scatter (count = total send).
-//
-// Deprecated: use Open with the dfccl.ReduceScatter builder.
-func (r *RankContext) RegisterReduceScatter(collID, count int, t mem.DataType, op mem.ReduceOp, devSet []int, priority int) error {
-	return r.Register(prim.Spec{Kind: prim.ReduceScatter, Count: count, Type: t, Op: op, Ranks: devSet}, collID, priority)
-}
-
-// RegisterBroadcast registers a broadcast; root indexes devSet.
-//
-// Deprecated: use Open with the dfccl.Broadcast builder.
-func (r *RankContext) RegisterBroadcast(collID, count int, t mem.DataType, root int, devSet []int, priority int) error {
-	return r.Register(prim.Spec{Kind: prim.Broadcast, Count: count, Type: t, Root: root, Ranks: devSet}, collID, priority)
-}
-
-// RegisterReduce registers a reduce; root indexes devSet.
-//
-// Deprecated: use Open with the dfccl.Reduce builder.
-func (r *RankContext) RegisterReduce(collID, count int, t mem.DataType, op mem.ReduceOp, root int, devSet []int, priority int) error {
-	return r.Register(prim.Spec{Kind: prim.Reduce, Count: count, Type: t, Op: op, Root: root, Ranks: devSet}, collID, priority)
-}
-
-// Run invokes a registered collective — dfcclRun*. It is asynchronous
+// Run invokes an open collective by ID — dfcclRun*, the layer under
+// (*Collective).LaunchCB. It is asynchronous
 // and non-blocking: the SQE is inserted, the callback is recorded in
 // the callback map, and the daemon kernel is started if necessary
 // (event-driven starting, Sec. 4.4).
@@ -279,16 +235,6 @@ func (r *RankContext) Run(p *sim.Process, collID int, sendBuf, recvBuf *mem.Buff
 	r.ensureDaemon(p)
 	r.pollerWake.Broadcast(p.Engine())
 	return nil
-}
-
-// RunAllReduce invokes a registered all-reduce — dfcclRunAllReduce.
-// It is an alias of Run with the paper's Listing 1 name; the generic
-// Run works for every registered collective kind.
-//
-// Deprecated: use (*Collective).Launch or LaunchCB on a handle from
-// Open.
-func (r *RankContext) RunAllReduce(p *sim.Process, collID int, sendBuf, recvBuf *mem.Buffer, cb Callback) error {
-	return r.Run(p, collID, sendBuf, recvBuf, cb)
 }
 
 // checkBufferSizes validates a launch's buffers against the spec's
@@ -427,7 +373,10 @@ func (r *RankContext) completionErr(id int) error {
 // idempotent cleanup for killed ranks, run by the exiting poller and
 // by ReviveRank (whichever comes first).
 func (r *RankContext) releaseAll() {
-	for id, t := range r.tasks {
+	// Sorted: the last rank out of a group scrubs and pools its
+	// communicator, which wakes processes and orders the free lists.
+	for _, id := range slices.Sorted(maps.Keys(r.tasks)) {
+		t := r.tasks[id]
 		r.sys.retireExec(t.exec)
 		delete(r.tasks, id)
 		delete(r.callbacks, id)
@@ -466,15 +415,6 @@ func (r *RankContext) TaskStats(collID int) (ctxSwitches, completions, queueLen 
 		return 0, 0, 0
 	}
 	return t.CtxSwitches, t.Completions, t.QueueLenAtLast
-}
-
-// ResetTaskStats zeroes per-collective counters (between measurement
-// iterations).
-func (r *RankContext) ResetTaskStats() {
-	for _, t := range r.tasks {
-		t.CtxSwitches = 0
-		t.QueueLenAtLast = 0
-	}
 }
 
 // DebugPending describes tasks with unfinished runs, for diagnostics.

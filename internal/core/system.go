@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"dfccl/internal/cudasim"
@@ -46,13 +48,12 @@ type System struct {
 }
 
 // AutoCollIDBase is the first system-assigned collective ID; explicit
-// IDs (WithCollID, the Register* shims) should stay below it.
+// IDs (WithCollID) should stay below it.
 const AutoCollIDBase = 1 << 20
 
 // NewSystem creates the deployment. Rank contexts are created lazily by
 // Init, mirroring dfcclInit. Transfer pricing follows cfg.Network; when
-// nil, an Unshared fabric over c reproduces the legacy independent
-// pricing exactly.
+// nil, an Unshared fabric over c prices every transfer independently.
 func NewSystem(e *sim.Engine, c *topo.Cluster, cfg Config) *System {
 	net := cfg.Network
 	if net == nil {
@@ -226,28 +227,10 @@ func (s *System) resolveAlgo(spec prim.Spec) (prim.Algorithm, string) {
 // with different routing must not share a registration).
 func sameSpec(a, b prim.Spec) bool {
 	if a.Kind != b.Kind || a.Algo != b.Algo || a.Count != b.Count || a.Type != b.Type || a.Op != b.Op || a.Root != b.Root ||
-		a.TimingOnly != b.TimingOnly || a.ChunkElems != b.ChunkElems || len(a.Ranks) != len(b.Ranks) {
+		a.TimingOnly != b.TimingOnly || a.ChunkElems != b.ChunkElems {
 		return false
 	}
-	for i := range a.Ranks {
-		if a.Ranks[i] != b.Ranks[i] {
-			return false
-		}
-	}
-	if len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for i := range a.Counts {
-		if len(a.Counts[i]) != len(b.Counts[i]) {
-			return false
-		}
-		for j := range a.Counts[i] {
-			if a.Counts[i][j] != b.Counts[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.Ranks, b.Ranks) && slices.EqualFunc(a.Counts, b.Counts, slices.Equal[[]int])
 }
 
 // rankAt returns the rank context if Init has created one, else nil.
@@ -282,11 +265,12 @@ func (s *System) RankLost(rank int) bool {
 // The dead rank's own daemon runs the identical abort-drain protocol,
 // so its outstanding futures also resolve (with the error) and its
 // poller exits cleanly, auto-releasing the rank's registrations.
-// Killing an already-lost or never-initialized rank is a no-op.
-func (s *System) KillRank(rank int) {
+// Killing an already-lost or never-initialized rank is a no-op;
+// KillRank reports whether the kill took effect.
+func (s *System) KillRank(rank int) bool {
 	rc := s.rankAt(rank)
 	if rc == nil || rc.lost {
-		return
+		return false
 	}
 	rc.lost = true
 	rc.destroyed = true
@@ -296,7 +280,11 @@ func (s *System) KillRank(rank int) {
 		rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkKill, GPU: rank, Coll: -1})
 	}
 	e := s.Engine
-	for _, g := range s.groups {
+	// Wakeups are scheduled in sorted collective-ID and ring-position
+	// order: the engine breaks same-instant ties by schedule sequence,
+	// so the order of these broadcasts is part of the virtual timeline.
+	for _, id := range slices.Sorted(maps.Keys(s.groups)) {
+		g := s.groups[id]
 		if _, in := g.posOf[rank]; !in {
 			continue
 		}
@@ -304,10 +292,6 @@ func (s *System) KillRank(rank int) {
 			g.abortErr = &RankLostError{CollID: g.ID, Lost: []int{rank}}
 			s.aborts++
 			if rec != nil {
-				// Map iteration makes same-instant abort marks arrive in
-				// nondeterministic order; the recorder's documented stable
-				// sort (time, kind, gpu, coll) restores determinism at
-				// export.
 				rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkAbort, GPU: rank, Coll: g.ID, Note: "rank lost"})
 			}
 		} else {
@@ -316,13 +300,14 @@ func (s *System) KillRank(rank int) {
 		// Wake daemons blocked on the group's connectors so the abort
 		// is observed immediately instead of after the spin budget.
 		g.comm.wake(e)
-		for member := range g.posOf {
+		for _, member := range g.Spec.Ranks {
 			if mc := s.rankAt(member); mc != nil {
 				mc.pollerWake.Broadcast(e)
 			}
 		}
 	}
 	rc.pollerWake.Broadcast(e)
+	return true
 }
 
 // ReviveRank returns a previously killed rank's slot to the
@@ -417,7 +402,7 @@ type communicator struct {
 // position pos over the wiring the spec's algorithm needs.
 func (c *communicator) executorFor(cluster *topo.Cluster, spec prim.Spec, pos int) *prim.Executor {
 	if spec.Algo == prim.AlgoHierarchical {
-		if c.hier == nil || !sameRankOrder(c.hierRanks, spec.Ranks) {
+		if c.hier == nil || !slices.Equal(c.hierRanks, spec.Ranks) {
 			c.hier = prim.BuildHierFabricOn(c.net, spec.Ranks, c.tag+".hier")
 			c.hierRanks = append([]int(nil), spec.Ranks...)
 		}
@@ -429,10 +414,7 @@ func (c *communicator) executorFor(cluster *topo.Cluster, spec prim.Spec, pos in
 // wake broadcasts every connector condition of the communicator's
 // wirings so daemons blocked mid-wait re-poll their abort checks.
 func (c *communicator) wake(e *sim.Engine) {
-	for _, conn := range c.ring.Conns {
-		conn.Readable().Broadcast(e)
-		conn.Writable().Broadcast(e)
-	}
+	c.ring.WakeAll(e)
 	if c.hier != nil {
 		c.hier.WakeAll(e)
 	}
@@ -446,20 +428,6 @@ func (c *communicator) scrub(e *sim.Engine) {
 	if c.hier != nil {
 		c.hier.DrainConnectors(e)
 	}
-}
-
-// sameRankOrder reports whether two rank lists are identical including
-// order (ring position assignments depend on it).
-func sameRankOrder(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 type commPool struct {

@@ -17,8 +17,8 @@
 //
 // Two constructors cover the two pricing regimes. Unshared builds a
 // network with no links at all: Transfer sleeps exactly
-// Path.TransferTime, bit-identical to the legacy pricing, and is the
-// default everywhere so existing behavior is unchanged. Shared builds
+// Path.TransferTime — every transfer priced independently — and is the
+// default everywhere. Shared builds
 // the contended link graph. Data movement never depends on the choice;
 // only virtual-time durations do.
 package fabric
@@ -267,8 +267,8 @@ type Network struct {
 func (n *Network) SetRecorder(rec *trace.Recorder) { n.rec = rec }
 
 // Unshared returns a network with no shared links: Transfer sleeps
-// exactly Path.TransferTime(bytes), reproducing the legacy independent
-// pricing bit-for-bit. It is the default pricing model.
+// exactly Path.TransferTime(bytes), pricing every transfer
+// independently. It is the default pricing model.
 func Unshared(c *topo.Cluster) *Network {
 	return &Network{
 		cluster: c,

@@ -23,12 +23,12 @@ type flow struct {
 // the transfer's duration. The Path latency is always charged up front.
 // Under Unshared networks — or for routes with no shared links, or
 // zero-byte sends — the duration is exactly Path.TransferTime(bytes),
-// matching the legacy pricing bit-for-bit. Otherwise the transfer
+// the independent pricing. Otherwise the transfer
 // becomes a flow: it serializes at its max-min fair share of every link
 // on the route, re-solved each time any flow joins or finishes, so its
 // duration depends on concurrent traffic. (Even without contention the
 // shared pricing rounds serialization up to whole nanoseconds, where
-// the legacy pricing truncates — durations may differ by 1ns.)
+// the independent pricing truncates — durations may differ by 1ns.)
 func (n *Network) Transfer(p *sim.Process, r Route, bytes int) {
 	n.TransferJob(p, r, bytes, 0)
 }

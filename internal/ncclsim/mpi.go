@@ -33,7 +33,7 @@ func MPIAllReduce(e *sim.Engine, c *topo.Cluster, ranks []int, count int, t mem.
 		// Whole-segment chunks: no pipelining within a segment.
 		ChunkElems: count/n + 1,
 	}
-	ring := prim.BuildRing(c, spec, "mpi")
+	ring := prim.BuildRingOn(fabric.Unshared(c), spec, "mpi")
 	bytes := count * t.Size()
 	for i := 0; i < n; i++ {
 		x := ring.ExecutorFor(c, spec, i, sendBufs[i], recvBufs[i])

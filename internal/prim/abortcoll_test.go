@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -15,7 +16,7 @@ import (
 // calls.
 func collVictimTrajectory(t *testing.T, c *topo.Cluster, spec Spec, victim int) []abortState {
 	t.Helper()
-	fab := BuildHierFabric(c, spec.Ranks, "tca")
+	fab := BuildHierFabricOn(fabric.Unshared(c), spec.Ranks, "tca")
 	n := spec.N()
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
@@ -89,7 +90,7 @@ func TestHierCollAbortCheckpointTable(t *testing.T) {
 
 				for kill := 0; kill < len(traj); kill++ {
 					kill := kill
-					fab := BuildHierFabric(c, spec.Ranks, "tck")
+					fab := BuildHierFabricOn(fabric.Unshared(c), spec.Ranks, "tck")
 					n := spec.N()
 					execs := make([]*Executor, n)
 					dead := false

@@ -3,6 +3,7 @@ package prim
 import (
 	"testing"
 
+	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -122,7 +123,7 @@ func TestAllToAllPreemptAndResume(t *testing.T) {
 	const n, count = 4, 48
 	ranks := []int{0, 1, 2, 3}
 	spec := Spec{Kind: AllToAll, Count: count, Type: mem.Float64, Ranks: ranks, ChunkElems: 8}
-	ring := BuildRing(c, spec, "t")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
 	recvs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {

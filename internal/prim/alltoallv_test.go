@@ -3,6 +3,7 @@ package prim
 import (
 	"testing"
 
+	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -196,7 +197,7 @@ func TestAllToAllvPreemptAndResume(t *testing.T) {
 	}
 	const n = 4
 	spec := vSpec(counts, 8)
-	ring := BuildRing(c, spec, "tv")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "tv")
 	recvs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
@@ -291,7 +292,7 @@ func TestAllToAllSingleRankNoop(t *testing.T) {
 		if seq.NumPrimitives() != 0 {
 			t.Errorf("%s: 1-rank NumPrimitives = %d, want 0", name, seq.NumPrimitives())
 		}
-		ring := BuildRing(c, spec, "solo")
+		ring := BuildRingOn(fabric.Unshared(c), spec, "solo")
 		send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 100)
 		recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 100)
 		for i := 0; i < 100; i++ {
@@ -325,7 +326,7 @@ func wireBytes(t *testing.T, spec Spec, fill func(rank int, b *mem.Buffer)) int 
 	t.Helper()
 	c := topo.Server3090(8)
 	e := sim.NewEngine()
-	ring := BuildRing(c, spec, "wb")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "wb")
 	n := spec.N()
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {

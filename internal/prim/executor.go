@@ -114,10 +114,9 @@ type Executor struct {
 	// Outs[i]): the endpoint-to-endpoint Path plus the shared fabric
 	// links the transfer crosses, if any.
 	OutRoutes []fabric.Route
-	// Net, when non-nil, prices each send as a flow on the shared
-	// fabric (contending with concurrent transfers). When nil the
-	// executor sleeps Path.TransferTime directly — the legacy
-	// independent pricing, bit-identical to pre-fabric behavior.
+	// Net prices each send: as a flow contending with concurrent
+	// transfers on a fabric.Shared network, at the path's isolated
+	// TransferTime on a fabric.Unshared one.
 	Net *fabric.Network
 	// ComputeBW prices local reduce/copy work in bytes/second.
 	ComputeBW float64
@@ -168,14 +167,6 @@ type Executor struct {
 	// BytesSentBy splits BytesSent by the transport of the path each
 	// chunk was sent over (SHM vs RDMA vs device-local).
 	BytesSentBy TransportBytes
-}
-
-// NewExecutor builds an executor for the participant at position pos,
-// wired to a single ring predecessor/successor connector pair, with
-// legacy independent transfer pricing (no shared fabric).
-func NewExecutor(spec Spec, pos int, sendBuf, recvBuf *mem.Buffer, prev, next *mem.Connector, nextPath topo.Path, computeBW float64) *Executor {
-	return newExecutorSeq(spec, pos, spec.SequenceFor(pos), sendBuf, recvBuf,
-		[]*mem.Connector{prev}, []*mem.Connector{next}, []fabric.Route{{Path: nextPath}}, nil, computeBW)
 }
 
 // newExecutorSeq builds an executor over an explicit sequence and
@@ -490,9 +481,8 @@ func (x *Executor) localCopy(p *sim.Process, a Action) {
 
 // sendHalf transmits the current round's slice of the action's send
 // segment (clipped to the in-flight block in ragged sequences),
-// charging serialization and latency on the route — as a contending
-// flow on the shared fabric when one is attached, or at the path's
-// isolated TransferTime otherwise.
+// charging serialization and latency on the route through the
+// executor's network.
 func (x *Executor) sendHalf(p *sim.Process, a Action) {
 	sr := x.Seq.sendSlice(a, x.Round)
 	bytes := sr.len() * x.Spec.Type.Size()
@@ -511,11 +501,7 @@ func (x *Executor) sendHalf(p *sim.Process, a Action) {
 			Job: x.Job,
 		})
 	}
-	if x.Net != nil {
-		x.Net.TransferJob(p, route, bytes, x.Job)
-	} else {
-		p.Sleep(sim.Duration(route.Path.TransferTime(bytes)))
-	}
+	x.Net.TransferJob(p, route, bytes, x.Job)
 	if x.Spec.TimingOnly {
 		out.Write(p.Engine(), nil)
 		return
@@ -551,34 +537,20 @@ type Ring struct {
 	Conns []*mem.Connector
 	// Routes[i] prices position i -> i+1.
 	Routes []fabric.Route
-	// Net is the shared fabric transfers contend on; nil selects the
-	// legacy independent pricing.
+	// Net is the fabric the ring's transfers are priced on.
 	Net *fabric.Network
 }
 
-// BuildRing creates the ring connectors and routes for spec on cluster
-// c with legacy independent transfer pricing.
-func BuildRing(c *topo.Cluster, spec Spec, tag string) *Ring {
-	return buildRing(c, nil, spec, tag)
-}
-
 // BuildRingOn creates the ring connectors and routes for spec, pricing
-// transfers on net's fabric (net's cluster supplies the topology).
+// transfers on net's fabric (net's cluster supplies the topology;
+// fabric.Unshared gives independent, contention-free pricing).
 func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Ring {
-	return buildRing(net.Cluster(), net, spec, tag)
-}
-
-func buildRing(c *topo.Cluster, net *fabric.Network, spec Spec, tag string) *Ring {
 	n := spec.N()
 	r := &Ring{Conns: make([]*mem.Connector, n), Routes: make([]fabric.Route, n), Net: net}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
 		r.Conns[i] = mem.NewConnector(fmt.Sprintf("%s.conn%d->%d", tag, spec.Ranks[i], spec.Ranks[next]), ConnectorSlots)
-		if net != nil {
-			r.Routes[i] = net.RouteBetween(spec.Ranks[i], spec.Ranks[next])
-		} else {
-			r.Routes[i] = fabric.Route{Path: c.PathBetween(spec.Ranks[i], spec.Ranks[next])}
-		}
+		r.Routes[i] = net.RouteBetween(spec.Ranks[i], spec.Ranks[next])
 	}
 	return r
 }

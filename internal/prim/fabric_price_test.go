@@ -11,26 +11,11 @@ import (
 	"dfccl/internal/topo"
 )
 
-// pricing selects how runPriced wires transfer pricing.
-type pricing int
-
-const (
-	priceLegacy   pricing = iota // nil-network inline Path.TransferTime
-	priceUnshared                // fabric.Unshared network
-	priceShared                  // fabric.Shared network, default config
-)
-
-// runPriced executes spec to completion under the given pricing model,
+// runPriced executes spec to completion with transfers priced on net,
 // returning recv buffers, executors, and the virtual end time.
-func runPriced(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *mem.Buffer), pr pricing) ([]*mem.Buffer, []*Executor, sim.Time) {
+func runPriced(t *testing.T, net *fabric.Network, spec Spec, fill func(pos int, b *mem.Buffer)) ([]*mem.Buffer, []*Executor, sim.Time) {
 	t.Helper()
-	var net *fabric.Network
-	switch pr {
-	case priceUnshared:
-		net = fabric.Unshared(c)
-	case priceShared:
-		net = fabric.Shared(c, fabric.DefaultConfig())
-	}
+	c := net.Cluster()
 	e := sim.NewEngine()
 	n := spec.N()
 	recvBufs := make([]*mem.Buffer, n)
@@ -38,17 +23,9 @@ func runPriced(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *m
 	var hier *HierFabric
 	var ring *Ring
 	if spec.Algo == AlgoHierarchical {
-		if net != nil {
-			hier = BuildHierFabricOn(net, spec.Ranks, "fp")
-		} else {
-			hier = BuildHierFabric(c, spec.Ranks, "fp")
-		}
+		hier = BuildHierFabricOn(net, spec.Ranks, "fp")
 	} else {
-		if net != nil {
-			ring = BuildRingOn(net, spec, "fp")
-		} else {
-			ring = BuildRing(c, spec, "fp")
-		}
+		ring = BuildRingOn(net, spec, "fp")
 	}
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
@@ -67,7 +44,7 @@ func runPriced(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *m
 		})
 	}
 	if err := e.Run(); err != nil {
-		t.Fatalf("%v under pricing %d: %v", spec.Kind, pr, err)
+		t.Fatalf("%v (contended=%v): %v", spec.Kind, net.Contended(), err)
 	}
 	return recvBufs, execs, e.Now()
 }
@@ -88,11 +65,10 @@ func sameBufs(t *testing.T, name string, a, b []*mem.Buffer) {
 }
 
 // TestFabricPricingEquivalenceCorpus replays the PR 4 60-case
-// cross-algorithm corpus (same seed, same shapes) under three pricing
-// models. The regression contract: fabric.Unshared reproduces the
-// legacy inline pricing's end-to-end time exactly for both algorithms,
-// and results are bit-identical under every model — data never depends
-// on the timing model, shared contention included.
+// cross-algorithm corpus (same seed, same shapes) under both pricing
+// models. The regression contract: results are bit-identical whether
+// transfers are priced independently (fabric.Unshared) or as contending
+// flows (fabric.Shared) — data never depends on the timing model.
 func TestFabricPricingEquivalenceCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	for trial := 0; trial < 60; trial++ {
@@ -126,15 +102,10 @@ func TestFabricPricingEquivalenceCorpus(t *testing.T) {
 		fill := func(pos int, b *mem.Buffer) { fillV(counts, pos, b) }
 		for _, algo := range []Algorithm{AlgoRing, AlgoHierarchical} {
 			spec := Spec{Kind: AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: counts, ChunkElems: chunk, Algo: algo}
-			legacyRecv, _, legacyEnd := runPriced(t, cluster, spec, fill, priceLegacy)
-			unshRecv, _, unshEnd := runPriced(t, cluster, spec, fill, priceUnshared)
-			if unshEnd != legacyEnd {
-				t.Fatalf("%s algo %v: Unshared end time %v != legacy %v", name, algo, unshEnd, legacyEnd)
-			}
-			sameBufs(t, name+"-unshared", legacyRecv, unshRecv)
-			sharedRecv, _, _ := runPriced(t, cluster, spec, fill, priceShared)
-			sameBufs(t, name+"-shared", legacyRecv, sharedRecv)
-			checkV(t, counts, 0, legacyRecv[0])
+			unshRecv, _, _ := runPriced(t, fabric.Unshared(cluster), spec, fill)
+			sharedRecv, _, _ := runPriced(t, fabric.Shared(cluster, fabric.DefaultConfig()), spec, fill)
+			sameBufs(t, name+"-shared", unshRecv, sharedRecv)
+			checkV(t, counts, 0, unshRecv[0])
 		}
 	}
 }

@@ -465,68 +465,44 @@ type HierFabric struct {
 	ins      [][]*mem.Connector
 	// outRoutes[pos][i] prices sends on Outs endpoint i of position pos.
 	outRoutes [][]fabric.Route
-	// net is the shared fabric transfers contend on; nil selects the
-	// legacy independent pricing.
+	// net is the fabric the wiring's transfers are priced on.
 	net *fabric.Network
 }
 
-// BuildHierFabric creates the hierarchical connector fabric for a rank
-// set on a cluster with legacy independent transfer pricing.
-func BuildHierFabric(c *topo.Cluster, ranks []int, tag string) *HierFabric {
-	return buildHierFabric(c, nil, ranks, tag)
-}
-
-// BuildHierFabricOn creates the hierarchical connector fabric for a
-// rank set, pricing transfers on net's fabric (net's cluster supplies
-// the topology).
-func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *HierFabric {
-	return buildHierFabric(net.Cluster(), net, ranks, tag)
+// each visits every fabric connector once: each one is some position's
+// out endpoint, so the out endpoints cover the whole mesh and leader
+// ring.
+func (f *HierFabric) each(visit func(*mem.Connector)) {
+	for _, row := range f.outs {
+		for _, c := range row {
+			if c != nil {
+				visit(c)
+			}
+		}
+	}
 }
 
 // WakeAll broadcasts every fabric connector's conditions so executors
 // blocked mid-wait re-poll their abort checks.
 func (f *HierFabric) WakeAll(e *sim.Engine) {
-	for _, row := range f.outs {
-		for _, c := range row {
-			if c != nil {
-				c.Readable().Broadcast(e)
-				c.Writable().Broadcast(e)
-			}
-		}
-	}
-	for _, row := range f.ins {
-		for _, c := range row {
-			if c != nil {
-				c.Readable().Broadcast(e)
-				c.Writable().Broadcast(e)
-			}
-		}
-	}
+	f.each(func(c *mem.Connector) {
+		c.Readable().Broadcast(e)
+		c.Writable().Broadcast(e)
+	})
 }
 
 // DrainConnectors scrubs every fabric connector after an aborted
-// collective (every position's out endpoints cover the whole mesh and
-// leader ring; Drain is idempotent, so shared endpoints drained twice
-// are harmless).
+// collective.
 func (f *HierFabric) DrainConnectors(e *sim.Engine) {
-	for _, row := range f.outs {
-		for _, c := range row {
-			if c != nil {
-				c.Drain(e)
-			}
-		}
-	}
-	for _, row := range f.ins {
-		for _, c := range row {
-			if c != nil {
-				c.Drain(e)
-			}
-		}
-	}
+	f.each(func(c *mem.Connector) { c.Drain(e) })
 }
 
-func buildHierFabric(c *topo.Cluster, net *fabric.Network, ranks []int, tag string) *HierFabric {
-	g := GroupByNode(c, ranks)
+// BuildHierFabricOn creates the hierarchical connector fabric for a
+// rank set, pricing transfers on net's fabric (net's cluster supplies
+// the topology; fabric.Unshared gives independent, contention-free
+// pricing).
+func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *HierFabric {
+	g := GroupByNode(net.Cluster(), ranks)
 	n := len(ranks)
 	f := &HierFabric{
 		Grouping:  g,
@@ -534,12 +510,6 @@ func buildHierFabric(c *topo.Cluster, net *fabric.Network, ranks []int, tag stri
 		ins:       make([][]*mem.Connector, n),
 		outRoutes: make([][]fabric.Route, n),
 		net:       net,
-	}
-	routeBetween := func(a, b int) fabric.Route {
-		if net != nil {
-			return net.RouteBetween(a, b)
-		}
-		return fabric.Route{Path: c.PathBetween(a, b)}
 	}
 	for pos := range ranks {
 		sz := len(g.Members[g.NodeOf[pos]]) - 1
@@ -559,7 +529,7 @@ func buildHierFabric(c *topo.Cluster, net *fabric.Network, ranks []int, tag stri
 				conn := mem.NewConnector(fmt.Sprintf("%s.mesh%d->%d", tag, ranks[x], ranks[y]), ConnectorSlots)
 				f.outs[x][g.peerIdx(x, y)] = conn
 				f.ins[y][g.peerIdx(y, x)] = conn
-				f.outRoutes[x][g.peerIdx(x, y)] = routeBetween(ranks[x], ranks[y])
+				f.outRoutes[x][g.peerIdx(x, y)] = net.RouteBetween(ranks[x], ranks[y])
 			}
 		}
 	}
@@ -569,7 +539,7 @@ func buildHierFabric(c *topo.Cluster, net *fabric.Network, ranks []int, tag stri
 			conn := mem.NewConnector(fmt.Sprintf("%s.lring%d->%d", tag, ranks[la], ranks[lb]), ConnectorSlots)
 			f.outs[la][g.ringIdx(la)] = conn
 			f.ins[lb][g.ringIdx(lb)] = conn
-			f.outRoutes[la][g.ringIdx(la)] = routeBetween(ranks[la], ranks[lb])
+			f.outRoutes[la][g.ringIdx(la)] = net.RouteBetween(ranks[la], ranks[lb])
 		}
 	}
 	return f

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -22,7 +23,7 @@ func hierSpec(counts [][]int, chunk int) Spec {
 func runHier(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *mem.Buffer)) ([]*mem.Buffer, []*Executor) {
 	t.Helper()
 	e := sim.NewEngine()
-	fab := BuildHierFabric(c, spec.Ranks, "th")
+	fab := BuildHierFabricOn(fabric.Unshared(c), spec.Ranks, "th")
 	n := spec.N()
 	recvBufs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
@@ -51,7 +52,7 @@ func runRingRef(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *
 	ringSpec := spec
 	ringSpec.Algo = AlgoRing
 	e := sim.NewEngine()
-	ring := BuildRing(c, ringSpec, "tr")
+	ring := BuildRingOn(fabric.Unshared(c), ringSpec, "tr")
 	n := ringSpec.N()
 	recvBufs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
@@ -380,7 +381,7 @@ func TestHierPreemptAndResume(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := topo.NewCluster(2, 3, topo.RTX3090, topo.DefaultLinks)
 			spec := hierSpec(counts, 4)
-			fab := BuildHierFabric(c, spec.Ranks, "tp")
+			fab := BuildHierFabricOn(fabric.Unshared(c), spec.Ranks, "tp")
 			n := spec.N()
 			recvs := make([]*mem.Buffer, n)
 			execs := make([]*Executor, n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -19,7 +20,7 @@ func runWithPreemption(t *testing.T, spec Spec, fill func(rank int, b *mem.Buffe
 	c := topo.Server3090(8)
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(10 * sim.Second)
-	ring := BuildRing(c, spec, "pre")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "pre")
 	n := spec.N()
 	recvs := make([]*mem.Buffer, n)
 	for i := 0; i < n; i++ {
@@ -107,7 +108,7 @@ func TestAllGatherProperty(t *testing.T) {
 		}
 		spec := Spec{Kind: AllGather, Count: per, Type: mem.Float64, Ranks: ranks, ChunkElems: chunk}
 		e := sim.NewEngine()
-		ring := BuildRing(c, spec, "q")
+		ring := BuildRingOn(fabric.Unshared(c), spec, "q")
 		recvs := make([]*mem.Buffer, n)
 		for i := 0; i < n; i++ {
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, per)
@@ -156,7 +157,7 @@ func TestTimingOnlyScheduleEquivalence(t *testing.T) {
 			spec := Spec{Kind: AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum,
 				Ranks: ranks, ChunkElems: chunk, TimingOnly: timingOnly}
 			e := sim.NewEngine()
-			ring := BuildRing(c, spec, "q")
+			ring := BuildRingOn(fabric.Unshared(c), spec, "q")
 			for i := 0; i < n; i++ {
 				bufCount := count
 				if timingOnly {
@@ -191,7 +192,7 @@ func TestExecutorResetReusesConnectors(t *testing.T) {
 	c := topo.Server3090(2)
 	const count = 100
 	spec := Spec{Kind: AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}, ChunkElems: 16}
-	ring := BuildRing(c, spec, "t")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
 	execs := make([]*Executor, 2)
 	for i := range execs {
 		execs[i] = ring.ExecutorFor(c, spec, i, nil, nil)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -16,7 +17,7 @@ import (
 func runCollective(t *testing.T, c *topo.Cluster, spec Spec, fill func(rank int, b *mem.Buffer)) ([]*mem.Buffer, sim.Time) {
 	t.Helper()
 	e := sim.NewEngine()
-	ring := BuildRing(c, spec, "t")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
 	n := spec.N()
 	sendBufs := make([]*mem.Buffer, n)
 	recvBufs := make([]*mem.Buffer, n)
@@ -235,7 +236,7 @@ func TestSpinBudgetAbortsWhenPeerAbsent(t *testing.T) {
 	// within its budget instead of hanging — the preemption chance.
 	c := topo.Server3090(2)
 	spec := Spec{Kind: AllReduce, Count: 100, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1}, ChunkElems: 10}
-	ring := BuildRing(c, spec, "t")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
 	send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 100)
 	recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 100)
 	x := ring.ExecutorFor(c, spec, 0, send, recv)
@@ -274,7 +275,7 @@ func TestPreemptAndResumeMidCollective(t *testing.T) {
 	c := topo.Server3090(2)
 	const count = 256
 	spec := Spec{Kind: AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}, ChunkElems: 16}
-	ring := BuildRing(c, spec, "t")
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
 	bufs := make([][2]*mem.Buffer, 2)
 	execs := make([]*Executor, 2)
 	for i := 0; i < 2; i++ {
@@ -375,7 +376,7 @@ func TestAllReduceSumProperty(t *testing.T) {
 		}
 		spec := Spec{Kind: AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, ChunkElems: chunk}
 		e := sim.NewEngine()
-		ring := BuildRing(c, spec, "q")
+		ring := BuildRingOn(fabric.Unshared(c), spec, "q")
 		recvs := make([]*mem.Buffer, n)
 		for i := 0; i < n; i++ {
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)

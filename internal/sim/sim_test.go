@@ -276,3 +276,58 @@ func TestSleepOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBarrier pins the poisonable barrier's three behaviours: a
+// generation releases on its last arrival (and the barrier is reusable),
+// Poison releases blocked waiters with false, and a poisoned barrier
+// never blocks again.
+func TestBarrier(t *testing.T) {
+	e := NewEngine()
+	b := NewBarrier("b", 3)
+	released := make([]Time, 3)
+	for i := 0; i < 3; i++ {
+		i := i
+		e.Spawn("member", func(p *Process) {
+			for gen := 0; gen < 2; gen++ {
+				p.Sleep(Duration(10 * (i + 1)))
+				if !b.Wait(p) {
+					t.Errorf("member %d gen %d: healthy barrier returned false", i, gen)
+				}
+			}
+			released[i] = p.Now()
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Gen 0 releases at t=30 (the slowest arrival); gen 1 at 30+30.
+	for i, at := range released {
+		if at != 60 {
+			t.Fatalf("member %d released at %v, want 60 (last arrival of the second generation)", i, at)
+		}
+	}
+
+	e = NewEngine()
+	b = NewBarrier("b", 3)
+	results := map[string]bool{}
+	for _, name := range []string{"w1", "w2"} {
+		name := name
+		e.Spawn(name, func(p *Process) { results[name] = b.Wait(p) })
+	}
+	e.Spawn("poisoner", func(p *Process) {
+		p.Sleep(5)
+		b.Poison(p.Engine())
+		// A poisoned barrier returns at once, even though the third
+		// member never arrived.
+		results["late"] = b.Wait(p)
+		if p.Now() != 5 {
+			t.Errorf("Wait on a poisoned barrier blocked until %v", p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run after poison: %v", err)
+	}
+	if len(results) != 3 || results["w1"] || results["w2"] || results["late"] {
+		t.Fatalf("poisoned waits = %v, want all three false", results)
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"dfccl/internal/core"
 	"dfccl/internal/mem"
+	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 	"dfccl/internal/trace"
@@ -29,8 +30,11 @@ func runTraced(t *testing.T) *trace.Recorder {
 		rank := rank
 		e.Spawn("app", func(p *sim.Process) {
 			rc := sys.Init(p, rank)
-			for c := 0; c < 2; c++ {
-				if err := rc.RegisterAllReduce(c, 1024, mem.Float32, mem.Sum, []int{0, 1}, 0); err != nil {
+			var colls [2]*core.Collective
+			for c := range colls {
+				var err error
+				colls[c], err = rc.Open(prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1}}, core.WithCollID(c))
+				if err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -45,7 +49,7 @@ func runTraced(t *testing.T) *trace.Recorder {
 			for _, c := range order {
 				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
 				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-				if err := rc.Run(p, c, s, d, nil); err != nil {
+				if err := colls[c].LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("run: %v", err)
 					return
 				}

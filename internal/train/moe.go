@@ -212,7 +212,7 @@ func RunMoE(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg MoEConfig)
 		outs[r] = make([]float64, 0, cfg.Iterations*cfg.TokensPerRank*cfg.ElemsPerToken)
 	}
 
-	bar := newBarrier(n)
+	bar := sim.NewBarrier("train.barrier", n)
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
@@ -290,7 +290,7 @@ func moeLayoutFor(cfg MoEConfig, rank int, tokCnt [][]int) moeLayout {
 	return l
 }
 
-func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cfg MoEConfig, rank int, ranks []int, bar *barrier, res *Result, outs [][]float64) error {
+func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cfg MoEConfig, rank int, ranks []int, bar *sim.Barrier, res *Result, outs [][]float64) error {
 	var b orch.Backend = db
 	n := cfg.Ranks
 	ept := cfg.ElemsPerToken
@@ -550,7 +550,7 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 			}
 			// Every rank must finish closing before the next iteration
 			// opens, so released communicators are reusable.
-			bar.wait(p)
+			bar.Wait(p)
 		}
 		if rank == 0 {
 			res.IterTimes.Add(float64(p.Now().Sub(start)) / float64(sim.Second))

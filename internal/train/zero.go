@@ -124,7 +124,7 @@ func RunZeRO(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfi
 		cfg.Momentum = 0.5
 	}
 	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
-	bar := newBarrier(cfg.Ranks)
+	bar := sim.NewBarrier("train.barrier", cfg.Ranks)
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
@@ -151,7 +151,7 @@ func RunZeRO(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfi
 	return res, nil
 }
 
-func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn orch.DynamicBackend, cfg ZeROConfig, rank int, bar *barrier, res *Result) error {
+func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn orch.DynamicBackend, cfg ZeROConfig, rank int, bar *sim.Barrier, res *Result) error {
 	var b orch.Backend = db
 	n := cfg.Ranks
 	ranks := make([]int, n)
@@ -329,7 +329,7 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn
 			}
 			// All ranks must close before the next iteration reopens,
 			// so DFCCL's pool can recycle every communicator.
-			bar.wait(p)
+			bar.Wait(p)
 		}
 		if rank == 0 {
 			res.IterTimes.Add(float64(p.Now().Sub(start)) / float64(sim.Second))
