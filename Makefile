@@ -49,11 +49,11 @@ benchcheck:
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 
-# soak reruns the fault-path and flight-recorder tests 50 times: the
+# soak reruns the fault-path and flight-recorder tests 200 times: the
 # kill / abort / requeue paths must be deterministic on every run, not
 # most of them.
 soak:
-	$(GO) test -count=50 -run 'TraceFig|Chaos|Cluster' ./internal/...
+	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

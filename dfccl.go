@@ -64,8 +64,10 @@ type (
 	Config = core.Config
 	// RankContext is the per-GPU context (dfcclInit's rankCtx).
 	RankContext = core.RankContext
-	// TraceRecorder records daemon scheduling events when assigned to
-	// Config.Tracer; it exports Chrome trace JSON (WriteChromeTrace).
+	// TraceRecorder is the flight recorder: assigned to Config.Recorder
+	// it records daemon scheduling events, executor spans, sends, fabric
+	// flows and membership marks, and exports Chrome trace JSON
+	// (WriteChromeTrace).
 	TraceRecorder = trace.Recorder
 
 	// Spec describes one collective operation; build one with the

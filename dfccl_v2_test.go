@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"dfccl"
-	"dfccl/internal/bench"
+	"dfccl/internal/sim"
 )
 
 // TestV2HandleQuickstart drives the v2 surface end to end: builder
@@ -17,7 +17,7 @@ func TestV2HandleQuickstart(t *testing.T) {
 	ranks := []int{0, 1, 2, 3}
 	results := make([]*dfccl.Buffer, n)
 	coreExec := make([]dfccl.Duration, n)
-	bar := bench.NewBarrier(n)
+	bar := sim.NewBarrier("test.barrier", n)
 	for rank := 0; rank < n; rank++ {
 		rank := rank
 		lib.Go("rank", func(p *dfccl.Process) {

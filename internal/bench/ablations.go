@@ -22,7 +22,7 @@ func AblationLazySave() (lazy, always []AblationResult, err error) {
 	run := func(alwaysSave bool) ([]AblationResult, error) {
 		cfg := core.DefaultConfig()
 		cfg.AlwaysSaveContext = alwaysSave
-		res, err := sec61WithConfig(cfg, 5, 7)
+		res, err := sec61Run(cfg, 5, 7, false)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func AblationQuitPeriod(periods []sim.Duration) ([]AblationResult, error) {
 	for _, qp := range periods {
 		cfg := core.DefaultConfig()
 		cfg.QuitPeriod = qp
-		res, err := sec61SyncWithConfig(cfg, 3, 7)
+		res, err := sec61Run(cfg, 3, 7, true)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +67,7 @@ func AblationQuitPeriod(periods []sim.Duration) ([]AblationResult, error) {
 // layers (the backward-overlap scheme of Sec. 4.3).
 func AblationOrdering(iterations int) (fifo, priority float64, err error) {
 	run := func(order core.OrderPolicy, usePriorities bool) (float64, error) {
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
+		e := newEngine()
 		cluster := topo.Server3090(4)
 		cfg := core.DefaultConfig()
 		cfg.Order = order
@@ -89,97 +88,75 @@ func AblationOrdering(iterations int) (fifo, priority float64, err error) {
 	return
 }
 
-// sec61Ext augments Sec61Result with extra counters for ablations.
+// sec61Ext is a Sec. 6.1 testing-program run with the extra counters
+// the ablations report; Sec61Result is its projection.
 type sec61Ext struct {
 	Sec61Result
 	ContextSaves int
 	Elapsed      sim.Duration
 }
 
-// sec61WithConfig runs the program-1 workload under an explicit DFCCL
-// configuration, returning extended counters.
-func sec61WithConfig(cfg core.Config, iterations int, seed int64) (sec61Ext, error) {
-	return sec61Configurable(cfg, iterations, seed, false)
-}
-
-// sec61SyncWithConfig is the program-2 (device sync) variant.
-func sec61SyncWithConfig(cfg core.Config, iterations int, seed int64) (sec61Ext, error) {
-	return sec61Configurable(cfg, iterations, seed, true)
-}
-
-func sec61Configurable(cfg core.Config, iterations int, seed int64, withSync bool) (sec61Ext, error) {
-	const nGPU, nColl = 8, 8
-	orders, sizes := sec61Workload(nGPU, nColl, seed)
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(3600 * sim.Second)
-	cluster := topo.Server3090(nGPU)
-	sys := core.NewSystem(e, cluster, cfg)
-	ranks := make([]int, nGPU)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	var ext sec61Ext
-	var firstErr error
-	for rank := 0; rank < nGPU; rank++ {
-		rank := rank
-		e.Spawn("abl", func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			colls := make([]*core.Collective, nColl)
-			for c := 0; c < nColl; c++ {
-				coll, err := rc.Open(collSpec(sizes[c], ranks), core.WithCollID(c))
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				colls[c] = coll
-			}
-			send := zeroBuf()
-			recv := zeroBuf()
-			for it := 0; it < iterations; it++ {
-				for _, c := range orders[rank] {
-					if err := colls[c].LaunchCB(p, send, recv, nil); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
-					}
-					if withSync {
-						rc.DeviceSynchronize(p)
-					}
-				}
-				rc.WaitAll(p)
-			}
-			ext.Completed += rc.Completed()
-			ext.Preemptions += rc.Stats.Preemptions
-			ext.VoluntaryQuits += rc.Stats.VoluntaryQuits
-			ext.ContextSaves += rc.Stats.ContextSaves
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return ext, firstErr
-	}
-	if err != nil {
-		ext.Deadlocked = true
-	}
-	ext.Elapsed = sim.Duration(e.Now())
-	return ext, nil
-}
-
-func sec61Workload(nGPU, nColl int, seed int64) ([][]int, []int) {
-	orders := make([][]int, nGPU)
+// sec61Workload draws the programs' seeded workload: a unique random
+// launch order per GPU over nColl all-reduces of 256B-32KB.
+func sec61Workload(nGPU, nColl int, seed int64) (orders [][]int, sizes []int) {
+	orders = make([][]int, nGPU)
 	rng := newSeededRNG(seed)
 	for i := range orders {
 		orders[i] = rng.Perm(nColl)
 	}
-	sizes := make([]int, nColl)
+	sizes = make([]int, nColl)
 	for i := range sizes {
 		sizes[i] = 64 << i
 	}
 	return orders, sizes
+}
+
+// sec61Run runs a Sec. 6.1 testing program over DFCCL under an explicit
+// configuration: eight GPUs launch eight all-reduces per iteration,
+// each GPU in its own order; withSync (program 2) inserts a device
+// synchronization after every launch.
+func sec61Run(cfg core.Config, iterations int, seed int64, withSync bool) (sec61Ext, error) {
+	const nGPU, nColl = 8, 8
+	orders, sizes := sec61Workload(nGPU, nColl, seed)
+	d := deploy(topo.Server3090(nGPU), cfg)
+	ranks := seqRanks(nGPU)
+	ext := sec61Ext{Sec61Result: Sec61Result{Program: "1", Lib: "dfccl"}}
+	if withSync {
+		ext.Program = "2"
+	}
+	err := d.run("sec61", func(p *sim.Process, rc *core.RankContext) error {
+		colls := make([]*core.Collective, nColl)
+		for c := range colls {
+			coll, err := rc.Open(collSpec(sizes[c], ranks), core.WithCollID(c))
+			if err != nil {
+				return err
+			}
+			colls[c] = coll
+		}
+		send, recv := zeroBuf(), zeroBuf()
+		for it := 0; it < iterations; it++ {
+			for _, c := range orders[rc.Rank] {
+				if err := colls[c].LaunchCB(p, send, recv, nil); err != nil {
+					return err
+				}
+				if withSync {
+					rc.DeviceSynchronize(p)
+				}
+			}
+			rc.WaitAll(p)
+		}
+		ext.Completed += rc.Completed()
+		ext.Preemptions += rc.Stats.Preemptions
+		ext.VoluntaryQuits += rc.Stats.VoluntaryQuits
+		ext.ContextSaves += rc.Stats.ContextSaves
+		return nil
+	})
+	if err != nil && !stalled(err) {
+		return ext, err
+	}
+	ext.Deadlocked = err != nil
+	ext.Elapsed = sim.Duration(d.e.Now())
+	return ext, nil
 }
 
 // AblationBatchedSQERead compares per-entry SQE reads against the
@@ -192,55 +169,32 @@ func AblationBatchedSQERead() (perEntry, batched float64, err error) {
 		cfg := core.DefaultConfig()
 		cfg.BatchedSQERead = batch
 		const nColl, burst = 16, 16
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(600 * sim.Second)
-		cluster := topo.Server3090(2)
-		sys := core.NewSystem(e, cluster, cfg)
-		ranks := []int{0, 1}
-		var firstErr error
-		for rank := 0; rank < 2; rank++ {
-			rank := rank
-			e.Spawn("burst", func(p *sim.Process) {
-				rc := sys.Init(p, rank)
-				colls := make([]*core.Collective, nColl)
-				for c := 0; c < nColl; c++ {
-					coll, err := rc.Open(collSpec(16, ranks), core.WithCollID(c))
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
-					}
-					colls[c] = coll
-				}
-				// The whole backlog is one Batch: burst×nColl runs
-				// submitted at once, awaited through a joined future.
-				items := make([]core.BatchItem, 0, burst*nColl)
-				for i := 0; i < burst; i++ {
-					for c := 0; c < nColl; c++ {
-						items = append(items, core.BatchItem{C: colls[c], Send: zeroBuf(), Recv: zeroBuf()})
-					}
-				}
-				fut, err := core.Batch(p, items...)
+		d := deploy(topo.Server3090(2), cfg)
+		ranks := seqRanks(2)
+		err := d.run("burst", func(p *sim.Process, rc *core.RankContext) error {
+			colls := make([]*core.Collective, nColl)
+			for c := range colls {
+				coll, err := rc.Open(collSpec(16, ranks), core.WithCollID(c))
 				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+					return err
 				}
-				if err := fut.Wait(p); err != nil && firstErr == nil {
-					firstErr = err
+				colls[c] = coll
+			}
+			// The whole backlog is one Batch: burst×nColl runs
+			// submitted at once, awaited through a joined future.
+			items := make([]core.BatchItem, 0, burst*nColl)
+			for i := 0; i < burst; i++ {
+				for c := 0; c < nColl; c++ {
+					items = append(items, core.BatchItem{C: colls[c], Send: zeroBuf(), Recv: zeroBuf()})
 				}
-				rc.Destroy(p)
-			})
-		}
-		if err := e.Run(); err != nil {
-			return 0, err
-		}
-		if firstErr != nil {
-			return 0, firstErr
-		}
-		return float64(e.Now()) / 1e6, nil
+			}
+			fut, err := core.Batch(p, items...)
+			if err != nil {
+				return err
+			}
+			return fut.Wait(p)
+		})
+		return float64(d.e.Now()) / 1e6, err
 	}
 	if perEntry, err = run(false); err != nil {
 		return

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dfccl/internal/core"
-	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -74,126 +73,98 @@ func a2aSendVal(src, dst, i int) float64 {
 	return float64(100000*src + 1000*dst + i + 1)
 }
 
-// runA2A runs one real-data AllToAllv exchange over the v2 handle API
-// with the given algorithm under the default (Unshared) pricing and
-// returns the measured row plus every rank's recv-buffer bytes for
-// cross-algorithm comparison.
-func runA2A(cluster *topo.Cluster, counts [][]int, algo prim.Algorithm) (A2ARow, [][]byte, error) {
-	row, outs, _, err := runA2AWith(cluster, nil, counts, algo)
-	return row, outs, err
-}
-
-// runA2AWith is runA2A with an explicit fabric network (nil selects the
-// system default, fabric.Unshared). When the network is contended it
-// also returns the per-tier link-utilization summary over the run.
-func runA2AWith(cluster *topo.Cluster, net *fabric.Network, counts [][]int, algo prim.Algorithm) (A2ARow, [][]byte, []fabric.TierUtil, error) {
-	n := len(counts)
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	cfg := core.DefaultConfig()
-	cfg.Network = net
-	sys := core.NewSystem(e, cluster, cfg)
-	bar := NewBarrier(n)
-	row := A2ARow{Algo: algo}
-	outs := make([][]byte, n)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+// uniformCounts is the n×n count matrix with every pair exchanging v
+// elements.
+func uniformCounts(n, v int) [][]int {
+	m := make([][]int, n)
+	for i := range m {
+		m[i] = make([]int, n)
+		for j := range m[i] {
+			m[i][j] = v
 		}
 	}
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("bench.a2a.rank%d", rank), func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			spec := prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks}
-			coll, err := rc.Open(spec, core.WithCounts(counts), core.WithAlgorithm(algo))
-			if err != nil {
-				fail(err)
-				return
+	return m
+}
+
+// runA2A is runA2AOn under the default configuration (unshared fabric).
+func runA2A(cluster *topo.Cluster, counts [][]int, algo prim.Algorithm) (CollRunRow, [][]byte, error) {
+	return runA2AOn(cluster, core.DefaultConfig(), counts, algo)
+}
+
+// runA2AOn is runColl for a real-data AllToAllv exchange of the given
+// count matrix, every block filled with a2aSendVal.
+func runA2AOn(cluster *topo.Cluster, cfg core.Config, counts [][]int, algo prim.Algorithm) (CollRunRow, [][]byte, error) {
+	spec := prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: seqRanks(len(counts)), Counts: counts, Algo: algo}
+	return runColl(cluster, cfg, spec, func(rank int, send *mem.Buffer) {
+		off := 0
+		for dst, count := range counts[rank] {
+			for i := 0; i < count; i++ {
+				send.SetFloat64(off, a2aSendVal(rank, dst, i))
+				off++
 			}
-			sendCount, recvCount := prim.BufferCountsFor(coll.Spec(), rank)
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendCount)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvCount)
-			off := 0
-			for dst := 0; dst < n; dst++ {
-				for i := 0; i < counts[rank][dst]; i++ {
-					send.SetFloat64(off, a2aSendVal(rank, dst, i))
-					off++
-				}
-			}
-			bar.Wait(p)
-			start := p.Now()
-			fut, err := coll.Launch(p, send, recv)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := fut.Wait(p); err != nil {
-				fail(err)
-				return
-			}
-			if rank == 0 {
-				row.E2E = p.Now().Sub(start)
-			}
-			st := coll.Stats()
-			row.SHMBytes += st.BytesSentBy.SHM
-			row.RDMABytes += st.BytesSentBy.RDMA
-			outs[rank] = append([]byte(nil), recv.Bytes()...)
-			if err := coll.Close(p); err != nil {
-				fail(err)
-			}
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return row, nil, nil, firstErr
-	}
-	if err != nil {
-		return row, nil, nil, fmt.Errorf("bench: a2a %v: %w", algo, err)
-	}
-	var tiers []fabric.TierUtil
-	if net != nil && net.Contended() {
-		tiers = fabric.TierSummary(net.Snapshot(), sim.Duration(e.Now()))
-	}
-	return row, outs, tiers, nil
+		}
+	})
 }
 
 // AllToAllAlgoSweep is the Fig. 8-style algorithm sweep: for each
 // cluster shape (1, 2, and 4 nodes) and skew regime it runs the same
 // real-data AllToAllv under the flat ring and the hierarchical
 // algorithm, verifying the outputs are bit-identical and reporting the
-// per-transport wire bytes. The hierarchical claim the caller should
-// enforce (cmd/trainbench does): on multi-node shapes its RDMA bytes
-// are strictly below the ring's; on one node they are zero.
+// per-transport wire bytes. A2AGate enforces the sweep's claims.
 func AllToAllAlgoSweep() ([]A2ARow, error) {
 	var rows []A2ARow
 	for _, shape := range []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}} {
 		for _, skew := range []string{"uniform", "hot-row"} {
 			cluster := topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
 			counts := a2aCounts(shape.nodes*shape.gpus, skew)
-			ringRow, ringOuts, err := runA2A(cluster, counts, prim.AlgoRing)
-			if err != nil {
-				return nil, err
-			}
-			hierRow, hierOuts, err := runA2A(cluster, counts, prim.AlgoHierarchical)
-			if err != nil {
-				return nil, err
-			}
-			ringRow.BitIdentical = true
-			hierRow.BitIdentical = bytesEqual(ringOuts, hierOuts)
-			for _, r := range []A2ARow{ringRow, hierRow} {
-				r.Nodes, r.GPUsPerNode, r.Skew = shape.nodes, shape.gpus, skew
-				rows = append(rows, r)
+			var ringOuts [][]byte
+			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
+				run, outs, err := runA2A(cluster, counts, algo)
+				if err != nil {
+					return nil, err
+				}
+				if algo == prim.AlgoRing {
+					ringOuts = outs
+				}
+				rows = append(rows, A2ARow{
+					Nodes: shape.nodes, GPUsPerNode: shape.gpus, Skew: skew, Algo: algo,
+					E2E: run.E2E, SHMBytes: run.SHMBytes, RDMABytes: run.RDMABytes,
+					BitIdentical: bytesEqual(ringOuts, outs),
+				})
 			}
 		}
 	}
 	return rows, nil
+}
+
+// A2AGate enforces the algorithm sweep's claims on its rows: every
+// hierarchical run's outputs are bit-identical to the ring's, on
+// multi-node shapes the hierarchical algorithm's RDMA bytes are
+// strictly below the ring's, and on one node they are zero.
+func A2AGate(rows []A2ARow) error {
+	for _, r := range rows {
+		if !r.BitIdentical {
+			return fmt.Errorf("%d-node %s: hierarchical outputs diverged from the ring", r.Nodes, r.Skew)
+		}
+	}
+	for _, r := range rows {
+		if r.Algo != prim.AlgoHierarchical {
+			continue
+		}
+		for _, ring := range rows {
+			if ring.Algo != prim.AlgoRing || ring.Nodes != r.Nodes || ring.Skew != r.Skew {
+				continue
+			}
+			switch {
+			case r.Nodes == 1 && r.RDMABytes != 0:
+				return fmt.Errorf("1-node %s: hierarchical moved %d RDMA bytes, want 0", r.Skew, r.RDMABytes)
+			case r.Nodes > 1 && r.RDMABytes >= ring.RDMABytes:
+				return fmt.Errorf("%d-node %s: hierarchical RDMA bytes %d not below ring's %d",
+					r.Nodes, r.Skew, r.RDMABytes, ring.RDMABytes)
+			}
+		}
+	}
+	return nil
 }
 
 // bytesEqual compares two per-rank output sets byte for byte.

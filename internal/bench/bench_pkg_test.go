@@ -3,35 +3,10 @@ package bench
 import (
 	"testing"
 
+	"dfccl/internal/core"
 	"dfccl/internal/prim"
-	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
-
-func TestBarrier(t *testing.T) {
-	e := sim.NewEngine()
-	bar := NewBarrier(3)
-	var order []sim.Time
-	for i := 0; i < 3; i++ {
-		d := sim.Duration(i * 10)
-		e.Spawn("p", func(p *sim.Process) {
-			p.Sleep(d)
-			bar.Wait(p)
-			order = append(order, p.Now())
-			bar.Wait(p)
-			order = append(order, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Everyone leaves the first barrier at t=20 (slowest arrival).
-	for _, at := range order {
-		if at != 20 {
-			t.Fatalf("barrier exits = %v, want all at 20", order)
-		}
-	}
-}
 
 func TestMeasureBothLibsSmallAllReduce(t *testing.T) {
 	cfg := CollConfig{Cluster: topo.Server3090(4), Kind: prim.AllReduce, Bytes: 4 << 10, Iters: 3, Warmup: 1}
@@ -39,7 +14,7 @@ func TestMeasureBothLibsSmallAllReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := MeasureDFCCL(cfg, coreDefault())
+	d, err := MeasureDFCCL(cfg, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,5 +200,66 @@ func TestA2ASweepInvariants(t *testing.T) {
 	}
 	if hierRow.E2E <= 0 || ringRow.E2E <= 0 {
 		t.Fatal("missing end-to-end timing")
+	}
+}
+
+// TestA2AGate and TestContentionGate run the two sweeps behind
+// `trainbench -fig a2a` through the gates that command enforces, and
+// check each gate rejects a row set that breaks one of its claims.
+func TestA2AGate(t *testing.T) {
+	rows, err := AllToAllAlgoSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := A2AGate(rows); err != nil {
+		t.Fatalf("A2AGate on the sweep: %v", err)
+	}
+	for i, r := range rows {
+		if r.Algo != prim.AlgoHierarchical || r.Nodes < 2 {
+			continue
+		}
+		bad := append([]A2ARow(nil), rows...)
+		bad[i].RDMABytes = 1 << 40
+		if A2AGate(bad) == nil {
+			t.Fatal("A2AGate accepted hierarchical RDMA bytes above the ring's")
+		}
+		bad[i] = r
+		bad[i].BitIdentical = false
+		if A2AGate(bad) == nil {
+			t.Fatal("A2AGate accepted diverged outputs")
+		}
+		break
+	}
+}
+
+func TestContentionGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 4×4 bandwidth-dominated sweep takes ~4 s (~1 min under -race)")
+	}
+	crows, err := AllToAllContentionSweep([]float64{1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ContentionGate(crows); err != nil {
+		t.Fatalf("ContentionGate on the sweep: %v", err)
+	}
+	if got := len(HierAdvantages(crows)); got != 6 {
+		t.Fatalf("advantage column has %d cells, want 2 skews × 3 factors", got)
+	}
+	for i, r := range crows {
+		if r.Algo != prim.AlgoHierarchical || r.Oversub != 4 {
+			continue
+		}
+		bad := append([]A2AContentionRow(nil), crows...)
+		bad[i].E2E = bad[i].UnsharedE2E // spine invisible, and advantage no longer monotone
+		if ContentionGate(bad) == nil {
+			t.Fatal("ContentionGate accepted a contended run no slower than its isolated-sum prediction")
+		}
+		bad[i] = r
+		bad[i].Tiers = nil
+		if ContentionGate(bad) == nil {
+			t.Fatal("ContentionGate accepted a run that never saturated the spine")
+		}
+		break
 	}
 }

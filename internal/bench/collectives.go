@@ -48,14 +48,6 @@ type CollConfig struct {
 
 func (c CollConfig) count() int { return c.Bytes / mem.Float32.Size() }
 
-func (c CollConfig) ranks() []int {
-	ranks := make([]int, c.Cluster.Size())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranks
-}
-
 func (c CollConfig) spec() prim.Spec {
 	count := c.count()
 	// NCCL-Tests convention: the plotted size is the aggregate buffer;
@@ -68,122 +60,107 @@ func (c CollConfig) spec() prim.Spec {
 	}
 	return prim.Spec{
 		Kind: c.Kind, Count: count, Type: mem.Float32, Op: mem.Sum,
-		Ranks: c.ranks(), TimingOnly: true,
+		Ranks: seqRanks(c.Cluster.Size()), TimingOnly: true,
 	}
+}
+
+// collMeter accumulates one measurement's per-iteration latencies:
+// rank 0's invocation-to-completion time and every rank's on-GPU time.
+type collMeter struct {
+	cfg             CollConfig
+	bar             *sim.Barrier
+	e2eSum, coreSum sim.Duration
+	measured        int
+}
+
+func newCollMeter(cfg CollConfig) *collMeter {
+	return &collMeter{cfg: cfg, bar: sim.NewBarrier("bench.barrier", cfg.Cluster.Size())}
+}
+
+// iterate runs the warm-up and measured iterations of one rank: once
+// (launch and wait, returning the run's core execution time) executes
+// between two barriers so every iteration starts in lock-step.
+func (m *collMeter) iterate(p *sim.Process, rank int, once func() (sim.Duration, error)) error {
+	for it := 0; it < m.cfg.Warmup+m.cfg.Iters; it++ {
+		m.bar.Wait(p)
+		start := p.Now()
+		coreExec, err := once()
+		if err != nil {
+			return err
+		}
+		if it >= m.cfg.Warmup {
+			if rank == 0 {
+				m.e2eSum += p.Now().Sub(start)
+				m.measured++
+			}
+			m.coreSum += coreExec
+		}
+		m.bar.Wait(p)
+	}
+	return nil
+}
+
+// result averages the accumulated latencies; a failed run is reported
+// under the library and configuration it measured.
+func (m *collMeter) result(lib string, err error) (CollResult, error) {
+	cfg, n := m.cfg, m.cfg.Cluster.Size()
+	if err != nil {
+		return CollResult{}, fmt.Errorf("bench: %s %v/%s: %w", lib, cfg.Kind, HumanBytes(cfg.Bytes), err)
+	}
+	e2e := m.e2eSum / sim.Duration(m.measured)
+	return CollResult{
+		Lib: lib, Kind: cfg.Kind, GPUs: n, Bytes: cfg.Bytes,
+		E2E:      e2e,
+		CoreExec: m.coreSum / sim.Duration(m.measured*n),
+		AlgoBW:   metrics.AlgoBandwidth(cfg.Bytes, e2e),
+	}, nil
 }
 
 // MeasureNCCL runs the collective over the NCCL baseline.
 func MeasureNCCL(cfg CollConfig) (CollResult, error) {
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(120 * sim.Second)
+	e := newEngine()
 	lib := ncclsim.New(e, cfg.Cluster)
-	n := cfg.Cluster.Size()
 	spec := cfg.spec()
 	comm := lib.NewComm(spec.Ranks)
-	bar := NewBarrier(n)
-	var e2eSum, coreSum sim.Duration
-	measured := 0
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn("bench.nccl", func(p *sim.Process) {
-			st := lib.Device(rank).NewStream()
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			for it := 0; it < cfg.Warmup+cfg.Iters; it++ {
-				bar.Wait(p)
-				start := p.Now()
-				k := comm.Launch(p, st, rank, spec, send, recv)
-				k.Wait(p)
-				if it >= cfg.Warmup {
-					if rank == 0 {
-						e2eSum += p.Now().Sub(start)
-						measured++
-					}
-					coreSum += k.CompletedAt.Sub(k.StartedAt)
-				}
-				bar.Wait(p)
-			}
+	m := newCollMeter(cfg)
+	err := e.RunRanks("bench.nccl", cfg.Cluster.Size(), func(p *sim.Process, rank int) error {
+		st := lib.Device(rank).NewStream()
+		send, recv := zeroBuf(), zeroBuf()
+		return m.iterate(p, rank, func() (sim.Duration, error) {
+			k := comm.Launch(p, st, rank, spec, send, recv)
+			k.Wait(p)
+			return k.CompletedAt.Sub(k.StartedAt), nil
 		})
-	}
-	if err := e.Run(); err != nil {
-		return CollResult{}, fmt.Errorf("bench: nccl %v/%s: %w", cfg.Kind, HumanBytes(cfg.Bytes), err)
-	}
-	return CollResult{
-		Lib: "nccl", Kind: cfg.Kind, GPUs: n, Bytes: cfg.Bytes,
-		E2E:      e2eSum / sim.Duration(measured),
-		CoreExec: coreSum / sim.Duration(measured*n),
-		AlgoBW:   metrics.AlgoBandwidth(cfg.Bytes, e2eSum/sim.Duration(measured)),
-	}, nil
+	})
+	return m.result("nccl", err)
 }
 
 // MeasureDFCCL runs the collective over DFCCL.
 func MeasureDFCCL(cfg CollConfig, conf core.Config) (CollResult, error) {
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(120 * sim.Second)
-	sys := core.NewSystem(e, cfg.Cluster, conf)
-	n := cfg.Cluster.Size()
+	d := deploy(cfg.Cluster, conf)
 	spec := cfg.spec()
-	bar := NewBarrier(n)
-	var e2eSum, coreSum sim.Duration
-	measured := 0
-	var firstErr error
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn("bench.dfccl", func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			coll, err := rc.Open(spec)
+	m := newCollMeter(cfg)
+	err := d.run("bench.dfccl", func(p *sim.Process, rc *core.RankContext) error {
+		coll, err := rc.Open(spec)
+		if err != nil {
+			return err
+		}
+		send, recv := zeroBuf(), zeroBuf()
+		if err := m.iterate(p, rc.Rank, func() (sim.Duration, error) {
+			fut, err := coll.Launch(p, send, recv)
 			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+				return 0, err
 			}
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			for it := 0; it < cfg.Warmup+cfg.Iters; it++ {
-				bar.Wait(p)
-				start := p.Now()
-				fut, err := coll.Launch(p, send, recv)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if err := fut.Wait(p); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if it >= cfg.Warmup {
-					if rank == 0 {
-						e2eSum += p.Now().Sub(start)
-						measured++
-					}
-					coreSum += fut.CoreExecTime()
-				}
-				bar.Wait(p)
+			if err := fut.Wait(p); err != nil {
+				return 0, err
 			}
-			if err := coll.Close(p); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return CollResult{}, firstErr
-	}
-	if err != nil {
-		return CollResult{}, fmt.Errorf("bench: dfccl %v/%s: %w", cfg.Kind, HumanBytes(cfg.Bytes), err)
-	}
-	return CollResult{
-		Lib: "dfccl", Kind: cfg.Kind, GPUs: n, Bytes: cfg.Bytes,
-		E2E:      e2eSum / sim.Duration(measured),
-		CoreExec: coreSum / sim.Duration(measured*n),
-		AlgoBW:   metrics.AlgoBandwidth(cfg.Bytes, e2eSum/sim.Duration(measured)),
-	}, nil
+			return fut.CoreExecTime(), nil
+		}); err != nil {
+			return err
+		}
+		return coll.Close(p)
+	})
+	return m.result("dfccl", err)
 }
 
 // Fig8Row is a (size, nccl, dfccl) comparison point.

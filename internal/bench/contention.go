@@ -56,15 +56,85 @@ func (r A2AContentionRow) String() string {
 // oversubscription factor and skew regime the same real-data AllToAllv
 // runs under the flat ring and the hierarchical algorithm on a shared
 // fabric (fabric.OversubConfig), with an isolated-path twin run giving
-// the congestion-blind prediction. The claims the caller should enforce
-// (cmd/trainbench does): with oversubscription above 1 the shared
-// timing is strictly slower than the isolated-sum prediction (spine
-// contention is visible), the hierarchical algorithm's advantage over
-// the ring grows monotonically with the factor (it crosses the
-// oversubscribed tiers fewer times), and every run's outputs are
-// bit-identical — contention reprices, it never reroutes.
+// the congestion-blind prediction. ContentionGate enforces the sweep's
+// claims.
 func AllToAllContentionSweep(oversubs []float64) ([]A2AContentionRow, error) {
 	return contentionSweep(4, 4, oversubs)
+}
+
+// HierAdvantage is the hierarchical algorithm's edge over the ring
+// (ring e2e − hierarchical e2e) in one (skew, oversubscription) cell of
+// the congestion sweep.
+type HierAdvantage struct {
+	Skew      string
+	Oversub   float64
+	Advantage sim.Duration
+}
+
+// String renders the advantage as one sweep-table line.
+func (a HierAdvantage) String() string {
+	return fmt.Sprintf("%-8s F=%-3g hierarchical advantage over ring: %+.0fus", a.Skew, a.Oversub, float64(a.Advantage)/1000)
+}
+
+// HierAdvantages derives the sweep's advantage column, skew-major with
+// the oversubscription factors in sweep order.
+func HierAdvantages(rows []A2AContentionRow) []HierAdvantage {
+	var out []HierAdvantage
+	for _, skew := range []string{"uniform", "hot-row"} {
+		for _, r := range rows {
+			if r.Skew != skew || r.Algo != prim.AlgoHierarchical {
+				continue
+			}
+			for _, ring := range rows {
+				if ring.Skew == skew && ring.Oversub == r.Oversub && ring.Algo == prim.AlgoRing {
+					out = append(out, HierAdvantage{Skew: skew, Oversub: r.Oversub, Advantage: ring.E2E - r.E2E})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// ContentionGate enforces the congestion sweep's claims on its rows:
+// every run's outputs are bit-identical to the unshared and ring
+// references (contention reprices, it never reroutes); with
+// oversubscription above 1 the hierarchical rows — whose leader ring is
+// exactly the overlapping-flows scenario the fabric must price — are
+// strictly slower than their isolated-sum prediction and saturate the
+// spine; and the hierarchical advantage over the ring grows
+// monotonically with the factor (it crosses the tapered core with fewer
+// bytes, so every increase of F widens its margin).
+func ContentionGate(rows []A2AContentionRow) error {
+	for _, r := range rows {
+		if !r.BitIdentical {
+			return fmt.Errorf("F=%g %s %v: outputs diverged from the unshared/ring reference", r.Oversub, r.Skew, r.Algo)
+		}
+		if r.Algo != prim.AlgoHierarchical || r.Oversub <= 1 {
+			continue
+		}
+		if r.E2E <= r.UnsharedE2E {
+			return fmt.Errorf("F=%g %s: spine contention invisible — shared e2e %v not above isolated-sum %v",
+				r.Oversub, r.Skew, r.E2E, r.UnsharedE2E)
+		}
+		spineSat := false
+		for _, t := range r.Tiers {
+			if t.Tier == fabric.TierSpine && t.Saturated > 0 {
+				spineSat = true
+			}
+		}
+		if !spineSat {
+			return fmt.Errorf("F=%g %s: spine never saturated under overlapping inter-leader flows", r.Oversub, r.Skew)
+		}
+	}
+	advs := HierAdvantages(rows)
+	for i := 1; i < len(advs); i++ {
+		prev, a := advs[i-1], advs[i]
+		if a.Skew == prev.Skew && a.Advantage <= prev.Advantage {
+			return fmt.Errorf("%s: hierarchical advantage not monotone in oversubscription: F=%g gives %+.0fus after %+.0fus",
+				a.Skew, a.Oversub, float64(a.Advantage)/1000, float64(prev.Advantage)/1000)
+		}
+	}
+	return nil
 }
 
 // contentionScale multiplies the algorithm sweep's count matrices into
@@ -90,7 +160,7 @@ func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, e
 			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
 				cluster := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
 				net := fabric.Shared(cluster, fabric.OversubConfig(f))
-				row, outs, tiers, err := runA2AWith(cluster, net, counts, algo)
+				row, outs, err := runA2AOn(cluster, onFabric(net), counts, algo)
 				if err != nil {
 					return nil, err
 				}
@@ -106,7 +176,7 @@ func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, e
 					Nodes: nodes, GPUsPerNode: gpus, Skew: skew, Oversub: f, Algo: algo,
 					E2E: row.E2E, UnsharedE2E: unshRow.E2E, RDMABytes: row.RDMABytes,
 					BitIdentical: bytesEqual(outs, unshOuts) && bytesEqual(outs, ringOuts),
-					Tiers:        tiers,
+					Tiers:        row.Tiers,
 				})
 			}
 		}
@@ -188,14 +258,7 @@ func A2ABenchMatrix() ([]BenchCell, error) {
 	var cells []BenchCell
 	for _, shape := range []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}} {
 		for _, elems := range []int{24, 96, 384} {
-			n := shape.nodes * shape.gpus
-			counts := make([][]int, n)
-			for i := range counts {
-				counts[i] = make([]int, n)
-				for j := range counts[i] {
-					counts[i][j] = elems
-				}
-			}
+			counts := uniformCounts(shape.nodes*shape.gpus, elems)
 			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
 				for _, shared := range []bool{false, true} {
 					cluster := topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
@@ -209,7 +272,7 @@ func A2ABenchMatrix() ([]BenchCell, error) {
 						cell.Fabric = fmt.Sprintf("oversub%g", benchOversub)
 						cell.Oversub = benchOversub
 					}
-					row, _, _, err := runA2AWith(cluster, net, counts, algo)
+					row, _, err := runA2AOn(cluster, onFabric(net), counts, algo)
 					if err != nil {
 						return nil, err
 					}

@@ -6,39 +6,69 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
+	"dfccl/internal/core"
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
+	"dfccl/internal/topo"
 )
 
-// Barrier synchronizes n simulated processes at iteration boundaries.
-type Barrier struct {
-	n       int
-	arrived int
-	gen     int
-	cond    *sim.Cond
+// timeLimit bounds the virtual time of every deployment the harness
+// runs. A deadlocked DFCCL system is not a pure engine deadlock — its
+// pollers keep re-arming their guard timers — so the limit is what ends
+// such a run, as sim.ErrTimeLimit.
+const timeLimit = 7200 * sim.Second
+
+// deployment is one DFCCL system on a fresh engine.
+type deployment struct {
+	e   *sim.Engine
+	sys *core.System
 }
 
-// NewBarrier creates a barrier for n processes.
-func NewBarrier(n int) *Barrier {
-	return &Barrier{n: n, cond: sim.NewCond("bench.barrier")}
+// newEngine returns a fresh engine bounded by timeLimit.
+func newEngine() *sim.Engine {
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(timeLimit)
+	return e
 }
 
-// Wait blocks until all n processes arrive.
-func (b *Barrier) Wait(p *sim.Process) {
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast(p.Engine())
-		return
+func deploy(cluster *topo.Cluster, cfg core.Config) deployment {
+	e := newEngine()
+	return deployment{e: e, sys: core.NewSystem(e, cluster, cfg)}
+}
+
+// run executes body once per GPU of the cluster, each on its own
+// process "<name>.rank<i>" with the rank's context initialized before
+// and destroyed after it, and drives the simulation to completion
+// (sim.Engine.RunRanks gives the error contract).
+func (d deployment) run(name string, body func(p *sim.Process, rc *core.RankContext) error) error {
+	return d.e.RunRanks(name, d.sys.Cluster.Size(), func(p *sim.Process, rank int) error {
+		rc := d.sys.Init(p, rank)
+		if err := body(p, rc); err != nil {
+			return err
+		}
+		rc.Destroy(p)
+		return nil
+	})
+}
+
+// stalled reports whether err is the engine giving up on a run — a
+// global deadlock or the virtual-time limit — rather than a rank's own
+// failure.
+func stalled(err error) bool {
+	return errors.Is(err, sim.ErrDeadlock) || errors.Is(err, sim.ErrTimeLimit)
+}
+
+// seqRanks returns the rank list 0..n-1.
+func seqRanks(n int) []int {
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = i
 	}
-	for gen == b.gen {
-		b.cond.Wait(p)
-	}
+	return ranks
 }
 
 // SizeSweep returns the Fig. 8-style buffer sweep in bytes.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dfccl/internal/core"
 	"dfccl/internal/orch"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -78,17 +77,6 @@ func moeBenchConfig(iters int) train.MoEConfig {
 	}
 }
 
-func moeBackend(name string, e *sim.Engine, cluster *topo.Cluster) orch.Backend {
-	switch name {
-	case "dfccl":
-		return orch.NewDFCCL(e, cluster, core.DefaultConfig())
-	case "nccl-staticsort":
-		return orch.NewStaticSort(e, cluster)
-	default:
-		return orch.NewNCCLSingleStream(e, cluster)
-	}
-}
-
 func commsCreated(b orch.Backend) int {
 	switch v := b.(type) {
 	case *orch.DFCCL:
@@ -114,10 +102,8 @@ func MoE(iters, trials int) ([]MoERow, MoEDispatch, DeadlockTally, error) {
 	var rows []MoERow
 	var raggedRes *train.Result
 	for _, name := range []string{"dfccl", "nccl-staticsort", "nccl-singlestream"} {
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
 		cluster := topo.Server3090(moeBenchRanks)
-		b := moeBackend(name, e, cluster)
+		e, b := newBackend(name, cluster)
 		cfg := moeBenchConfig(iters)
 		// Dynamic groups need Deregister-capable backends (all three
 		// here are); churn is the point of the scenario.
@@ -138,13 +124,12 @@ func MoE(iters, trials int) ([]MoERow, MoEDispatch, DeadlockTally, error) {
 	// AllToAll. Outputs must be bit-identical; bytes must be higher.
 	var dispatch MoEDispatch
 	{
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
 		cluster := topo.Server3090(moeBenchRanks)
 		cfg := moeBenchConfig(iters)
 		cfg.DynamicGroups = true
 		cfg.PaddedAllToAll = true
-		res, err := train.RunMoE(e, cluster, moeBackend("dfccl", e, cluster), cfg)
+		e, b := newBackend("dfccl", cluster)
+		res, err := train.RunMoE(e, cluster, b, cfg)
 		if err != nil {
 			return nil, MoEDispatch{}, DeadlockTally{}, fmt.Errorf("moe padded reference: %w", err)
 		}
@@ -158,16 +143,16 @@ func MoE(iters, trials int) ([]MoERow, MoEDispatch, DeadlockTally, error) {
 	for k := 1; k <= trials; k++ {
 		cfg := moeBenchConfig(k) // each trial is a distinct schedule
 		cfg.Disorder = true
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
-		cluster := topo.Server3090(moeBenchRanks)
-		if _, err := train.RunMoE(e, cluster, moeBackend("dfccl", e, cluster), cfg); err != nil {
+		failed := func(backend string) bool {
+			cluster := topo.Server3090(moeBenchRanks)
+			e, b := newBackend(backend, cluster)
+			_, err := train.RunMoE(e, cluster, b, cfg)
+			return err != nil
+		}
+		if failed("dfccl") {
 			tally.DFCCLDeadlocks++
 		}
-		e = sim.NewEngine()
-		e.MaxTime = sim.Time(600 * sim.Second)
-		cluster = topo.Server3090(moeBenchRanks)
-		if _, err := train.RunMoE(e, cluster, moeBackend("nccl-singlestream", e, cluster), cfg); err != nil {
+		if failed("nccl-singlestream") {
 			tally.BaselineDeadlocks++
 		}
 	}
@@ -209,10 +194,8 @@ func ZeRO(iters, trials int) ([]ZeRORow, DeadlockTally, error) {
 	var rows []ZeRORow
 	for stage := 1; stage <= 3; stage++ {
 		for _, name := range []string{"dfccl", "nccl-staticsort"} {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(3600 * sim.Second)
 			cluster := topo.Server3090(zeroBenchRanks)
-			b := moeBackend(name, e, cluster)
+			e, b := newBackend(name, cluster)
 			cfg := train.ZeROConfig{
 				Model: zeroBenchModel(), Stage: stage, Ranks: zeroBenchRanks,
 				BatchPerGPU: 4, Iterations: iters,
@@ -227,10 +210,8 @@ func ZeRO(iters, trials int) ([]ZeRORow, DeadlockTally, error) {
 	// Stage-3 churn on DFCCL: reopen every per-layer collective each
 	// iteration; CommsCreated stays flat thanks to the pool.
 	{
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
 		cluster := topo.Server3090(zeroBenchRanks)
-		b := moeBackend("dfccl", e, cluster)
+		e, b := newBackend("dfccl", cluster)
 		cfg := train.ZeROConfig{
 			Model: zeroBenchModel(), Stage: 3, Ranks: zeroBenchRanks,
 			BatchPerGPU: 4, Iterations: iters, Churn: true,
@@ -250,7 +231,7 @@ func ZeRO(iters, trials int) ([]ZeRORow, DeadlockTally, error) {
 			}
 			return rngs
 		}
-		rngs := mkRNGs()
+		var rngs []*rand.Rand
 		disorder := func(rank, iter int, order []int) {
 			perm := rngs[rank].Perm(len(order))
 			tmp := append([]int(nil), order...)
@@ -262,18 +243,18 @@ func ZeRO(iters, trials int) ([]ZeRORow, DeadlockTally, error) {
 			Model: zeroBenchModel(), Stage: 2, Ranks: zeroBenchRanks,
 			BatchPerGPU: 1, Iterations: 2, Disorder: disorder,
 		}
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
-		cluster := topo.Server3090(zeroBenchRanks)
-		if _, err := train.RunZeRO(e, cluster, moeBackend("dfccl", e, cluster), cfg); err != nil {
+		failed := func(backend string) bool {
+			// Fresh RNG state so both sides see the same permutations.
+			rngs = mkRNGs()
+			cluster := topo.Server3090(zeroBenchRanks)
+			e, b := newBackend(backend, cluster)
+			_, err := train.RunZeRO(e, cluster, b, cfg)
+			return err != nil
+		}
+		if failed("dfccl") {
 			tally.DFCCLDeadlocks++
 		}
-		// Fresh RNG state so the baseline sees the same permutations.
-		rngs = mkRNGs()
-		e = sim.NewEngine()
-		e.MaxTime = sim.Time(600 * sim.Second)
-		cluster = topo.Server3090(zeroBenchRanks)
-		if _, err := train.RunZeRO(e, cluster, moeBackend("nccl-singlestream", e, cluster), cfg); err != nil {
+		if failed("nccl-singlestream") {
 			tally.BaselineDeadlocks++
 		}
 	}

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"dfccl/internal/core"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -29,61 +27,38 @@ type PoolChurnResult struct {
 // collective ID, so a flat Created count demonstrates end-to-end pool
 // recycling through Close.
 func PoolChurn(nGPUs, cycles int) (PoolChurnResult, error) {
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	sys := core.NewSystem(e, topo.Server3090(nGPUs), core.DefaultConfig())
-	ranks := make([]int, nGPUs)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	bar := NewBarrier(nGPUs)
+	d := deploy(topo.Server3090(nGPUs), core.DefaultConfig())
+	ranks := seqRanks(nGPUs)
+	bar := sim.NewBarrier("bench.barrier", nGPUs)
 	res := PoolChurnResult{Cycles: cycles}
-	var firstErr error
-	for rank := 0; rank < nGPUs; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("bench.pool%d", rank), func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			fail := func(err error) {
-				if firstErr == nil {
-					firstErr = err
-				}
+	err := d.run("bench.pool", func(p *sim.Process, rc *core.RankContext) error {
+		for cy := 0; cy < cycles; cy++ {
+			coll, err := rc.Open(collSpec(4<<10, ranks), core.WithCollID(100+cy))
+			if err != nil {
+				return err
 			}
-			for cy := 0; cy < cycles; cy++ {
-				coll, err := rc.Open(collSpec(4<<10, ranks), core.WithCollID(100+cy))
-				if err != nil {
-					fail(err)
-					return
-				}
-				fut, err := coll.Launch(p, zeroBuf(), zeroBuf())
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := fut.Wait(p); err != nil {
-					fail(err)
-					return
-				}
-				res.Completed++
-				if err := coll.Close(p); err != nil {
-					fail(err)
-					return
-				}
-				// All ranks must close (returning the communicator to
-				// the pool) before any rank opens the next group,
-				// otherwise the next acquire cannot reuse it.
-				bar.Wait(p)
+			fut, err := coll.Launch(p, zeroBuf(), zeroBuf())
+			if err != nil {
+				return err
 			}
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return res, firstErr
-	}
+			if err := fut.Wait(p); err != nil {
+				return err
+			}
+			res.Completed++
+			if err := coll.Close(p); err != nil {
+				return err
+			}
+			// All ranks must close (returning the communicator to
+			// the pool) before any rank opens the next group,
+			// otherwise the next acquire cannot reuse it.
+			bar.Wait(p)
+		}
+		return nil
+	})
 	if err != nil {
 		return res, err
 	}
-	res.Created = sys.CommsCreated()
-	res.Pooled = sys.CommsPooled()
+	res.Created = d.sys.CommsCreated()
+	res.Pooled = d.sys.CommsPooled()
 	return res, nil
 }

@@ -84,16 +84,11 @@ func traceScenario() (*TraceResult, error) {
 	rec := &trace.Recorder{}
 	cfg := core.DefaultConfig()
 	cfg.Recorder = rec
-	cfg.Tracer = rec
 	cfg.Network = fabric.Shared(cluster, fabric.OversubConfig(traceOversub))
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	sys := core.NewSystem(e, cluster, cfg)
+	d := deploy(cluster, cfg)
+	sys := d.sys
 
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
+	ranks := seqRanks(n)
 	arSpec := prim.Spec{Kind: prim.AllReduce, Count: traceARElems, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, Algo: prim.AlgoAuto}
 	a2aSpec := prim.Spec{Kind: prim.AllToAll, Count: traceA2AElems, Type: mem.Float64, Ranks: ranks, Algo: prim.AlgoHierarchical}
 
@@ -101,15 +96,9 @@ func traceScenario() (*TraceResult, error) {
 		iterLatency metrics.Series
 		cleanIters  int
 		gates       []spanGate
-		firstErr    error
 	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 	killed := make([]bool, n)
-	start := NewBarrier(n)
+	start := sim.NewBarrier("bench.barrier", n)
 
 	// runIter launches the DP all-reduce then the MoE all-to-all; a
 	// typed ErrRankLost anywhere means the kill landed.
@@ -127,110 +116,94 @@ func traceScenario() (*TraceResult, error) {
 		}
 		return fut.Wait(p)
 	}
-
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("trace.rank%d", rank), func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			ar, err := rc.Open(arSpec, core.WithCollID(traceARCollID))
-			if err != nil {
-				fail(fmt.Errorf("rank %d open ar: %w", rank, err))
-				return
-			}
-			a2a, err := rc.Open(a2aSpec, core.WithCollID(traceA2ACollID))
-			if err != nil {
-				fail(fmt.Errorf("rank %d open a2a: %w", rank, err))
-				return
-			}
-			arS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceARElems)
-			arR := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceARElems)
-			aS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*n)
-			aR := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*n)
-			for i := 0; i < traceARElems; i++ {
-				arS.SetFloat64(i, benchCollVal(rank, i))
-			}
-			for i := 0; i < aS.Len(); i++ {
-				aS.SetFloat64(i, benchCollVal(rank, i))
-			}
-			start.Wait(p)
-			iters := 0
-			for {
-				iterStart := p.Now()
-				err := runIter(p, ar, a2a, arS, arR, aS, aR)
-				if errors.Is(err, core.ErrRankLost) {
-					killed[rank] = true
-					break
-				}
-				if err != nil {
-					fail(fmt.Errorf("rank %d iter %d: %w", rank, iters, err))
-					return
-				}
-				if rank == 0 {
-					iterLatency.Add(float64(p.Now().Sub(iterStart)))
-				}
-				iters++
-				if iters > traceMaxIters {
-					fail(fmt.Errorf("rank %d: kill never landed after %d iterations", rank, iters))
-					return
-				}
-				p.Sleep(traceCompute)
-			}
-			if rank == 0 {
-				cleanIters = iters
-			}
-			if rank == traceVictim {
-				return // dead rank: its context is torn down by the kill
-			}
-			ar2, err := ar.Reform(p)
-			if err != nil {
-				fail(fmt.Errorf("rank %d reform ar: %w", rank, err))
-				return
-			}
-			a2a2, err := a2a.Reform(p)
-			if err != nil {
-				fail(fmt.Errorf("rank %d reform a2a: %w", rank, err))
-				return
-			}
-			sn := n - 1
-			aS2 := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*sn)
-			aR2 := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*sn)
-			for i := 0; i < aS2.Len(); i++ {
-				aS2.SetFloat64(i, benchCollVal(rank, i))
-			}
-			for j := 0; j < traceReformedIters; j++ {
-				if err := runIter(p, ar2, a2a2, arS, arR, aS2, aR2); err != nil {
-					fail(fmt.Errorf("rank %d reformed iter %d: %w", rank, j, err))
-					return
-				}
-			}
-			// The re-formed collectives ran clean: pin the span-count gate
-			// Completions × NumPrimitives before Close retires them.
-			for _, c := range []*core.Collective{ar2, a2a2} {
-				st := c.Stats()
-				gates = append(gates, spanGate{coll: c.ID(), gpu: rank, want: st.Completions * st.NumPrimitives})
-				if st.PrimsExecuted != st.Completions*st.NumPrimitives {
-					fail(fmt.Errorf("rank %d coll %d: executed %d primitives, want %d×%d",
-						rank, c.ID(), st.PrimsExecuted, st.Completions, st.NumPrimitives))
-				}
-				if err := c.Close(p); err != nil {
-					fail(fmt.Errorf("rank %d close %d: %w", rank, c.ID(), err))
-				}
-			}
-			rc.Destroy(p)
-		})
+	// filled returns a send buffer of count elements holding rank's
+	// benchCollVal pattern.
+	filled := func(rank, count int) *mem.Buffer {
+		b := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		fillCollVal(rank, b)
+		return b
 	}
-	e.Spawn("trace.chaos", func(p *sim.Process) {
+
+	d.e.Spawn("trace.chaos", func(p *sim.Process) {
 		p.Sleep(traceKillAt)
 		sys.KillRank(traceVictim)
 		for sys.ReviveRank(traceVictim) != nil {
 			p.Sleep(5 * sim.Microsecond)
 		}
 	})
-	if err := e.Run(); err != nil {
+	err := d.run("trace", func(p *sim.Process, rc *core.RankContext) error {
+		rank := rc.Rank
+		ar, err := rc.Open(arSpec, core.WithCollID(traceARCollID))
+		if err != nil {
+			return fmt.Errorf("rank %d open ar: %w", rank, err)
+		}
+		a2a, err := rc.Open(a2aSpec, core.WithCollID(traceA2ACollID))
+		if err != nil {
+			return fmt.Errorf("rank %d open a2a: %w", rank, err)
+		}
+		arS, aS := filled(rank, traceARElems), filled(rank, traceA2AElems*n)
+		arR := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceARElems)
+		aR := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*n)
+		start.Wait(p)
+		iters := 0
+		for {
+			iterStart := p.Now()
+			err := runIter(p, ar, a2a, arS, arR, aS, aR)
+			if errors.Is(err, core.ErrRankLost) {
+				killed[rank] = true
+				break
+			}
+			if err != nil {
+				return fmt.Errorf("rank %d iter %d: %w", rank, iters, err)
+			}
+			if rank == 0 {
+				iterLatency.Add(float64(p.Now().Sub(iterStart)))
+			}
+			iters++
+			if iters > traceMaxIters {
+				return fmt.Errorf("rank %d: kill never landed after %d iterations", rank, iters)
+			}
+			p.Sleep(traceCompute)
+		}
+		if rank == 0 {
+			cleanIters = iters
+		}
+		if rank == traceVictim {
+			return nil // dead rank: its context is torn down by the kill
+		}
+		ar2, err := ar.Reform(p)
+		if err != nil {
+			return fmt.Errorf("rank %d reform ar: %w", rank, err)
+		}
+		a2a2, err := a2a.Reform(p)
+		if err != nil {
+			return fmt.Errorf("rank %d reform a2a: %w", rank, err)
+		}
+		sn := n - 1
+		aS2 := filled(rank, traceA2AElems*sn)
+		aR2 := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*sn)
+		for j := 0; j < traceReformedIters; j++ {
+			if err := runIter(p, ar2, a2a2, arS, arR, aS2, aR2); err != nil {
+				return fmt.Errorf("rank %d reformed iter %d: %w", rank, j, err)
+			}
+		}
+		// The re-formed collectives ran clean: pin the span-count gate
+		// Completions × NumPrimitives before Close retires them.
+		for _, c := range []*core.Collective{ar2, a2a2} {
+			st := c.Stats()
+			gates = append(gates, spanGate{coll: c.ID(), gpu: rank, want: st.Completions * st.NumPrimitives})
+			if st.PrimsExecuted != st.Completions*st.NumPrimitives {
+				return fmt.Errorf("rank %d coll %d: executed %d primitives, want %d×%d",
+					rank, c.ID(), st.PrimsExecuted, st.Completions, st.NumPrimitives)
+			}
+			if err := c.Close(p); err != nil {
+				return fmt.Errorf("rank %d close %d: %w", rank, c.ID(), err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("bench: trace scenario: %w", err)
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("bench: trace scenario: %w", firstErr)
 	}
 	for rank := 0; rank < n; rank++ {
 		if !killed[rank] {
@@ -332,8 +305,9 @@ func traceScenario() (*TraceResult, error) {
 // next to the recorded path's, and TraceOverheadCells uses full cells
 // to pin the zero observer effect in virtual time.
 func TraceProbe(rec *trace.Recorder) (sim.Duration, error) {
-	cluster := topo.NewCluster(1, 4, topo.RTX3090, topo.DefaultLinks)
-	row, _, err := runCollWith(cluster, nil, prim.AllReduce, 256, prim.AlgoRing, nil, rec)
+	cfg := core.DefaultConfig()
+	cfg.Recorder = rec
+	row, _, err := runKind(topo.NewCluster(1, 4, topo.RTX3090, topo.DefaultLinks), cfg, prim.AllReduce, 256, prim.AlgoRing)
 	return row.E2E, err
 }
 
@@ -358,12 +332,14 @@ func TraceOverheadCells() ([]BenchCell, error) {
 		newCluster := func() *topo.Cluster {
 			return topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
 		}
-		plain, _, err := runCollWith(newCluster(), nil, c.kind, c.elems, c.algo, nil, nil)
+		plain, _, err := runKind(newCluster(), core.DefaultConfig(), c.kind, c.elems, c.algo)
 		if err != nil {
 			return nil, err
 		}
 		rec := &trace.Recorder{}
-		traced, _, err := runCollWith(newCluster(), nil, c.kind, c.elems, c.algo, nil, rec)
+		cfg := core.DefaultConfig()
+		cfg.Recorder = rec
+		traced, _, err := runKind(newCluster(), cfg, c.kind, c.elems, c.algo)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"dfccl/internal/core"
@@ -23,37 +22,45 @@ type Fig10Row struct {
 	Throughput float64
 }
 
+// newBackend builds the named orchestration backend over cluster on a
+// fresh engine: "dfccl" (default configuration), "oneflow-static" /
+// "nccl-staticsort" (NCCL under static sorting), "kungfu", "horovod",
+// or "nccl-singlestream".
+func newBackend(name string, cluster *topo.Cluster) (*sim.Engine, orch.Backend) {
+	e := newEngine()
+	switch name {
+	case "dfccl":
+		return e, orch.NewDFCCL(e, cluster, core.DefaultConfig())
+	case "oneflow-static", "nccl-staticsort":
+		return e, orch.NewStaticSort(e, cluster)
+	case "kungfu":
+		return e, orch.NewKungFu(e, cluster)
+	case "horovod":
+		return e, orch.NewHorovod(e, cluster)
+	case "nccl-singlestream":
+		return e, orch.NewNCCLSingleStream(e, cluster)
+	default:
+		panic(fmt.Sprintf("bench: unknown backend %q", name))
+	}
+}
+
 // Fig10 runs ResNet50 data-parallel training on eight 3080Ti and eight
 // 3090 GPUs across the four methods of the paper's Fig. 10: OneFlow
 // static sorting, DFCCL, KungFu, and Horovod.
 func Fig10(iterations int) ([]Fig10Row, error) {
 	var rows []Fig10Row
-	type server struct {
+	servers := []struct {
 		name    string
 		cluster func() *topo.Cluster
 		batch   int
-	}
-	servers := []server{
+	}{
 		{"3080ti", func() *topo.Cluster { return topo.Server3080Ti(8) }, 48},
 		{"3090", func() *topo.Cluster { return topo.Server3090(8) }, 96},
 	}
-	backends := []string{"oneflow-static", "dfccl", "kungfu", "horovod"}
 	for _, sv := range servers {
-		for _, name := range backends {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(3600 * sim.Second)
+		for _, name := range []string{"oneflow-static", "dfccl", "kungfu", "horovod"} {
 			cluster := sv.cluster()
-			var b orch.Backend
-			switch name {
-			case "oneflow-static":
-				b = orch.NewStaticSort(e, cluster)
-			case "dfccl":
-				b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
-			case "kungfu":
-				b = orch.NewKungFu(e, cluster)
-			case "horovod":
-				b = orch.NewHorovod(e, cluster)
-			}
+			e, b := newBackend(name, cluster)
 			res, err := train.RunDP(e, cluster, b, train.DPConfig{
 				Model: train.ResNet50(), BatchPerGPU: sv.batch, Iterations: iterations,
 			})
@@ -86,8 +93,7 @@ type Fig11Result struct {
 // burst scenario described in Sec. 6.4.1.
 func Fig11(iterations int) (naive, adaptive Fig11Result, err error) {
 	run := func(policy core.SpinPolicy, name string) (Fig11Result, error) {
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(3600 * sim.Second)
+		e := newEngine()
 		cluster := topo.Server3090(4)
 		cfg := core.DefaultConfig()
 		cfg.Spin = policy
@@ -131,48 +137,53 @@ type Fig12Row struct {
 	DFCCLSer   []float64
 }
 
+// hybridCase is one hybrid-parallel configuration of Figs. 12-13.
+type hybridCase struct {
+	name   string
+	nodes  int
+	hybrid train.HybridConfig
+}
+
+// hybridPair trains one hybrid configuration for the given iteration
+// count on static-sorted NCCL and on DFCCL.
+func hybridPair(fig string, c hybridCase, iterations int) (nccl, dfccl *train.Result, err error) {
+	c.hybrid.Iterations = iterations
+	run := func(lib, backend string) (*train.Result, error) {
+		cluster := topo.MultiNode3090(c.nodes)
+		e, b := newBackend(backend, cluster)
+		res, err := train.RunHybrid(e, cluster, b, c.hybrid)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s/%s: %w", fig, c.name, lib, err)
+		}
+		return res, nil
+	}
+	if nccl, err = run("nccl", "nccl-staticsort"); err != nil {
+		return nil, nil, err
+	}
+	dfccl, err = run("dfccl", "dfccl")
+	return nccl, dfccl, err
+}
+
 // Fig12 runs the four ViT configurations of Fig. 12: DP on 8 GPUs,
 // TP on 8 GPUs, 3D hybrid (base) on 16 GPUs, 3D hybrid (large) on 16.
 func Fig12(iterations int) ([]Fig12Row, error) {
-	type cfg struct {
-		name   string
-		nodes  int
-		hybrid train.HybridConfig
-	}
-	cfgs := []cfg{
+	var rows []Fig12Row
+	for _, c := range []hybridCase{
 		{"vit-base-dp8", 1, train.HybridConfig{Model: train.ViTBase(), TP: 1, DP: 8, PP: 1, MicrobatchSize: 128, NumMicrobatches: 1}},
 		{"vit-base-tp8", 1, train.HybridConfig{Model: train.ViTBase(), TP: 8, DP: 1, PP: 1, MicrobatchSize: 128, NumMicrobatches: 1}},
 		{"vit-base-3d16", 2, train.HybridConfig{Model: train.ViTBase(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 128, NumMicrobatches: 4}},
 		{"vit-large-3d16", 2, train.HybridConfig{Model: train.ViTLarge(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 128, NumMicrobatches: 4}},
-	}
-	var rows []Fig12Row
-	for _, c := range cfgs {
-		c.hybrid.Iterations = iterations
-		row := Fig12Row{Name: c.name}
-		for _, lib := range []string{"nccl", "dfccl"} {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(7200 * sim.Second)
-			cluster := topo.MultiNode3090(c.nodes)
-			var b orch.Backend
-			if lib == "nccl" {
-				b = orch.NewStaticSort(e, cluster)
-			} else {
-				b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
-			}
-			res, err := train.RunHybrid(e, cluster, b, c.hybrid)
-			if err != nil {
-				return nil, fmt.Errorf("fig12 %s/%s: %w", c.name, lib, err)
-			}
-			series := res.RunningThroughput(c.hybrid.SamplesPerIteration())
-			if lib == "nccl" {
-				row.NCCL = res.Throughput
-				row.NCCLSeries = series
-			} else {
-				row.DFCCL = res.Throughput
-				row.DFCCLSer = series
-			}
+	} {
+		nccl, dfccl, err := hybridPair("fig12", c, iterations)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		samples := c.hybrid.SamplesPerIteration()
+		rows = append(rows, Fig12Row{
+			Name: c.name,
+			NCCL: nccl.Throughput, NCCLSeries: nccl.RunningThroughput(samples),
+			DFCCL: dfccl.Throughput, DFCCLSer: dfccl.RunningThroughput(samples),
+		})
 	}
 	return rows, nil
 }
@@ -189,42 +200,20 @@ type Fig13Row struct {
 // Fig13 runs GPT-2 under 3D hybrid parallelism on 8 and 16 GPUs with
 // microbatch size 18, comparing per-iteration time and stability.
 func Fig13(iterations int) ([]Fig13Row, error) {
-	type cfg struct {
-		name   string
-		nodes  int
-		hybrid train.HybridConfig
-	}
-	cfgs := []cfg{
+	var rows []Fig13Row
+	for _, c := range []hybridCase{
 		{"gpt2-3d8", 1, train.HybridConfig{Model: train.GPT2(), TP: 2, DP: 2, PP: 2, MicrobatchSize: 18, NumMicrobatches: 4, JitterPct: 0.06, JitterSeed: 11}},
 		{"gpt2-3d16", 2, train.HybridConfig{Model: train.GPT2(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 18, NumMicrobatches: 4, JitterPct: 0.06, JitterSeed: 11}},
-	}
-	var rows []Fig13Row
-	for _, c := range cfgs {
-		c.hybrid.Iterations = iterations
-		row := Fig13Row{Name: c.name}
-		for _, lib := range []string{"nccl", "dfccl"} {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(7200 * sim.Second)
-			cluster := topo.MultiNode3090(c.nodes)
-			var b orch.Backend
-			if lib == "nccl" {
-				b = orch.NewStaticSort(e, cluster)
-			} else {
-				b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
-			}
-			res, err := train.RunHybrid(e, cluster, b, c.hybrid)
-			if err != nil {
-				return nil, fmt.Errorf("fig13 %s/%s: %w", c.name, lib, err)
-			}
-			iterMS := res.IterTimes.Mean() * 1000
-			cov := res.IterTimes.CoV()
-			if lib == "nccl" {
-				row.NCCLIterMS, row.NCCLCoV = iterMS, cov
-			} else {
-				row.DFCCLIterMS, row.DFCCLCoV = iterMS, cov
-			}
+	} {
+		nccl, dfccl, err := hybridPair("fig13", c, iterations)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig13Row{
+			Name:       c.name,
+			NCCLIterMS: nccl.IterTimes.Mean() * 1000, NCCLCoV: nccl.IterTimes.CoV(),
+			DFCCLIterMS: dfccl.IterTimes.Mean() * 1000, DFCCLCoV: dfccl.IterTimes.CoV(),
+		})
 	}
 	return rows, nil
 }
@@ -240,104 +229,23 @@ type Sec61Result struct {
 }
 
 // Sec61Program1 runs the first testing program (eight GPUs, eight
-// all-reduces of 256B-1MB, unique random launch order per GPU,
+// all-reduces of 256B-32KB, unique random launch order per GPU,
 // iterations of the whole set) over DFCCL or the NCCL baseline.
 func Sec61Program1(lib string, iterations int, seed int64) (Sec61Result, error) {
-	const nGPU, nColl = 8, 8
-	rng := rand.New(rand.NewSource(seed))
-	orders := make([][]int, nGPU)
-	for i := range orders {
-		orders[i] = rng.Perm(nColl)
-	}
-	sizes := make([]int, nColl)
-	for i := range sizes {
-		sizes[i] = 64 << i // 256B .. 32KB float32 elems -> 256B..1MB buffers span
-	}
 	if lib == "nccl" {
 		// Program 1 uses a single queue (stream) per GPU, the paper's
 		// Fig. 1(c) regime; the NCCL baseline deadlocks there.
-		return sec61NCCLSingleQueue(orders, sizes)
+		return sec61NCCLSingleQueue(sec61Workload(8, 8, seed))
 	}
-	return sec61DFCCL(orders, sizes, iterations, false)
+	ext, err := sec61Run(core.DefaultConfig(), iterations, seed, false)
+	return ext.Sec61Result, err
 }
 
 // Sec61Program2 inserts cudaDeviceSynchronize between the disordered
 // all-reduces (DFCCL only; NCCL deadlocks already in program 1).
 func Sec61Program2(iterations int, seed int64) (Sec61Result, error) {
-	const nGPU, nColl = 8, 8
-	rng := rand.New(rand.NewSource(seed))
-	orders := make([][]int, nGPU)
-	for i := range orders {
-		orders[i] = rng.Perm(nColl)
-	}
-	sizes := make([]int, nColl)
-	for i := range sizes {
-		sizes[i] = 64 << i
-	}
-	return sec61DFCCL(orders, sizes, iterations, true)
-}
-
-func sec61DFCCL(orders [][]int, sizes []int, iterations int, withSync bool) (Sec61Result, error) {
-	nGPU := len(orders)
-	nColl := len(sizes)
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(3600 * sim.Second)
-	cluster := topo.Server3090(nGPU)
-	sys := core.NewSystem(e, cluster, core.DefaultConfig())
-	ranks := make([]int, nGPU)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	res := Sec61Result{Program: "1", Lib: "dfccl"}
-	if withSync {
-		res.Program = "2"
-	}
-	var firstErr error
-	for rank := 0; rank < nGPU; rank++ {
-		rank := rank
-		e.Spawn("sec61", func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			colls := make([]*core.Collective, nColl)
-			for c := 0; c < nColl; c++ {
-				coll, err := rc.Open(collSpec(sizes[c], ranks), core.WithCollID(c))
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				colls[c] = coll
-			}
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			for it := 0; it < iterations; it++ {
-				for _, c := range orders[rank] {
-					if err := colls[c].LaunchCB(p, send, recv, nil); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
-					}
-					if withSync {
-						rc.DeviceSynchronize(p)
-					}
-				}
-				rc.WaitAll(p)
-			}
-			res.Completed += rc.Completed()
-			res.Preemptions += rc.Stats.Preemptions
-			res.VoluntaryQuits += rc.Stats.VoluntaryQuits
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	if err != nil {
-		res.Deadlocked = true
-	}
-	return res, nil
+	ext, err := sec61Run(core.DefaultConfig(), iterations, seed, true)
+	return ext.Sec61Result, err
 }
 
 func collSpec(count int, ranks []int) prim.Spec {
@@ -352,38 +260,25 @@ func collSpec(count int, ranks []int) prim.Spec {
 // deadlock.
 func sec61NCCLSingleQueue(orders [][]int, sizes []int) (Sec61Result, error) {
 	nGPU := len(orders)
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	cluster := topo.Server3090(nGPU)
-	lib := ncclsim.New(e, cluster)
-	ranks := make([]int, nGPU)
-	for i := range ranks {
-		ranks[i] = i
-	}
+	e := newEngine()
+	lib := ncclsim.New(e, topo.Server3090(nGPU))
+	ranks := seqRanks(nGPU)
 	comms := make([]*ncclsim.Comm, len(sizes))
 	for i := range comms {
 		comms[i] = lib.NewComm(ranks)
 	}
-	for rank := 0; rank < nGPU; rank++ {
-		rank := rank
-		e.Spawn("sec61.nccl", func(p *sim.Process) {
-			st := lib.Device(rank).NewStream()
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			for _, c := range orders[rank] {
-				comms[c].Launch(p, st, rank, collSpec(sizes[c], ranks), send, recv)
-			}
-		})
+	err := e.RunRanks("sec61.nccl", nGPU, func(p *sim.Process, rank int) error {
+		st := lib.Device(rank).NewStream()
+		send, recv := zeroBuf(), zeroBuf()
+		for _, c := range orders[rank] {
+			comms[c].Launch(p, st, rank, collSpec(sizes[c], ranks), send, recv)
+		}
+		return nil
+	})
+	if err != nil && !stalled(err) {
+		return Sec61Result{}, err
 	}
-	err := e.Run()
-	res := Sec61Result{Program: "1", Lib: "nccl", Deadlocked: err != nil}
-	return res, nil
-}
-
-// Table1 runs the full Table 1 grid with the given round count and
-// returns the results alongside the paper's reported ratios.
-func Table1(rounds int, bigConfigRounds int) ([]Table1Row, error) {
-	return Table1Filtered(rounds, bigConfigRounds, "")
+	return Sec61Result{Program: "1", Lib: "nccl", Deadlocked: err != nil}, nil
 }
 
 // Table1Filtered runs only the Table 1 configurations whose name

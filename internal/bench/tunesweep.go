@@ -9,7 +9,6 @@ import (
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
-	"dfccl/internal/trace"
 	"dfccl/internal/tune"
 )
 
@@ -20,6 +19,13 @@ func benchCollVal(rank, i int) float64 {
 	return float64(1 + (rank*37+i*13)%97)
 }
 
+// fillCollVal fills rank's send buffer with benchCollVal.
+func fillCollVal(rank int, send *mem.Buffer) {
+	for i := 0; i < send.Len(); i++ {
+		send.SetFloat64(i, benchCollVal(rank, i))
+	}
+}
+
 // CollRunRow is one measured collective run: end-to-end latency, the
 // per-transport wire split, and — for AlgoAuto launches — the concrete
 // algorithm the tuning table resolved to.
@@ -27,6 +33,9 @@ type CollRunRow struct {
 	E2E                 sim.Duration
 	SHMBytes, RDMABytes int
 	Resolved            prim.Algorithm
+	// Tiers is the per-tier link-utilization summary over the run when
+	// the deployment's fabric is contended (nil otherwise).
+	Tiers []fabric.TierUtil
 }
 
 // benchCollSpec assembles the spec for one benchmark run of a
@@ -40,87 +49,69 @@ func benchCollSpec(kind prim.Kind, count int, ranks []int, algo prim.Algorithm) 
 	return s
 }
 
-// runCollWith runs one real-data collective over the v2 handle API with
-// the given algorithm (ring, hierarchical, or auto) and fabric (nil =
-// unshared), returning the measured row plus every rank's recv bytes
-// for cross-algorithm comparison. A non-nil rec is installed as the
-// run's flight recorder (the tracing-overhead cells pin that doing so
-// leaves the virtual timeline untouched).
-func runCollWith(cluster *topo.Cluster, net *fabric.Network, kind prim.Kind, count int, algo prim.Algorithm, tbl *tune.Table, rec *trace.Recorder) (CollRunRow, [][]byte, error) {
+// runColl runs one real-data collective over the v2 handle API on a
+// deployment configured by cfg (its fabric, and a flight recorder when
+// the tracing-overhead cells install one): every rank opens spec, fills
+// its send buffer with fill, and launches once in lock-step. It returns
+// the measured row plus every rank's recv bytes for cross-algorithm
+// comparison.
+func runColl(cluster *topo.Cluster, cfg core.Config, spec prim.Spec, fill func(rank int, send *mem.Buffer)) (CollRunRow, [][]byte, error) {
+	d := deploy(cluster, cfg)
 	n := cluster.Size()
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	cfg := core.DefaultConfig()
-	cfg.Network = net
-	cfg.Tuning = tbl
-	if rec != nil {
-		cfg.Recorder = rec
-		cfg.Tracer = rec
-	}
-	sys := core.NewSystem(e, cluster, cfg)
-	bar := NewBarrier(n)
-	row := CollRunRow{}
+	bar := sim.NewBarrier("bench.barrier", n)
+	var row CollRunRow
 	outs := make([][]byte, n)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+	err := d.run("bench.coll", func(p *sim.Process, rc *core.RankContext) error {
+		rank := rc.Rank
+		coll, err := rc.Open(spec)
+		if err != nil {
+			return err
 		}
-	}
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("bench.coll.rank%d", rank), func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			coll, err := rc.Open(benchCollSpec(kind, count, ranks, algo))
-			if err != nil {
-				fail(err)
-				return
-			}
-			if rank == 0 {
-				row.Resolved = coll.Spec().Algo
-			}
-			sendCount, recvCount := prim.BufferCountsFor(coll.Spec(), rank)
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendCount)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvCount)
-			for i := 0; i < sendCount; i++ {
-				send.SetFloat64(i, benchCollVal(rank, i))
-			}
-			bar.Wait(p)
-			start := p.Now()
-			fut, err := coll.Launch(p, send, recv)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := fut.Wait(p); err != nil {
-				fail(err)
-				return
-			}
-			if rank == 0 {
-				row.E2E = p.Now().Sub(start)
-			}
-			st := coll.Stats()
-			row.SHMBytes += st.BytesSentBy.SHM
-			row.RDMABytes += st.BytesSentBy.RDMA
-			outs[rank] = append([]byte(nil), recv.Bytes()...)
-			if err := coll.Close(p); err != nil {
-				fail(err)
-			}
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return row, nil, firstErr
-	}
+		if rank == 0 {
+			row.Resolved = coll.Spec().Algo
+		}
+		sendCount, recvCount := prim.BufferCountsFor(coll.Spec(), rank)
+		send := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+		recv := mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		fill(rank, send)
+		bar.Wait(p)
+		start := p.Now()
+		fut, err := coll.Launch(p, send, recv)
+		if err != nil {
+			return err
+		}
+		if err := fut.Wait(p); err != nil {
+			return err
+		}
+		if rank == 0 {
+			row.E2E = p.Now().Sub(start)
+		}
+		st := coll.Stats()
+		row.SHMBytes += st.BytesSentBy.SHM
+		row.RDMABytes += st.BytesSentBy.RDMA
+		outs[rank] = append([]byte(nil), recv.Bytes()...)
+		return coll.Close(p)
+	})
 	if err != nil {
-		return row, nil, fmt.Errorf("bench: %v/%v: %w", kind, algo, err)
+		return row, nil, fmt.Errorf("bench: %v/%v: %w", spec.Kind, spec.Algo, err)
+	}
+	if net := cfg.Network; net != nil && net.Contended() {
+		row.Tiers = fabric.TierSummary(net.Snapshot(), sim.Duration(d.e.Now()))
 	}
 	return row, outs, nil
+}
+
+// runKind is runColl for a uniform-count collective kind with the
+// benchCollVal fill.
+func runKind(cluster *topo.Cluster, cfg core.Config, kind prim.Kind, count int, algo prim.Algorithm) (CollRunRow, [][]byte, error) {
+	return runColl(cluster, cfg, benchCollSpec(kind, count, seqRanks(cluster.Size()), algo), fillCollVal)
+}
+
+// onFabric is the default configuration priced on net (nil = unshared).
+func onFabric(net *fabric.Network) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Network = net
+	return cfg
 }
 
 // tuneShapes are the node shapes the sweep (and the committed table)
@@ -189,41 +180,22 @@ func TuneSweep() (*tune.Table, error) {
 // probeCell measures one (shape, kind, count) cell under both concrete
 // algorithms on the unshared fabric.
 func probeCell(nodes, gpus int, kind prim.Kind, count int) (ringE2E, hierE2E sim.Duration, err error) {
-	if kind == prim.AllToAllv {
-		n := nodes * gpus
-		counts := make([][]int, n)
-		for i := range counts {
-			counts[i] = make([]int, n)
-			for j := range counts[i] {
-				counts[i][j] = count
-			}
-		}
-		for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
-			row, _, e := runA2A(topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks), counts, algo)
-			if e != nil {
-				return 0, 0, e
-			}
-			if algo == prim.AlgoRing {
-				ringE2E = row.E2E
-			} else {
-				hierE2E = row.E2E
-			}
-		}
-		return ringE2E, hierE2E, nil
-	}
-	for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
+	run := func(algo prim.Algorithm) (sim.Duration, error) {
 		cluster := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
-		row, _, e := runCollWith(cluster, nil, kind, count, algo, nil, nil)
-		if e != nil {
-			return 0, 0, e
-		}
-		if algo == prim.AlgoRing {
-			ringE2E = row.E2E
+		var row CollRunRow
+		var err error
+		if kind == prim.AllToAllv {
+			row, _, err = runA2A(cluster, uniformCounts(nodes*gpus, count), algo)
 		} else {
-			hierE2E = row.E2E
+			row, _, err = runKind(cluster, core.DefaultConfig(), kind, count, algo)
 		}
+		return row.E2E, err
 	}
-	return ringE2E, hierE2E, nil
+	if ringE2E, err = run(prim.AlgoRing); err != nil {
+		return 0, 0, err
+	}
+	hierE2E, err = run(prim.AlgoHierarchical)
+	return ringE2E, hierE2E, err
 }
 
 // AutoGateRow is one cell of the ring-vs-hierarchical-vs-auto gate.
@@ -290,15 +262,15 @@ func AutoAlgoGate() ([]AutoGateRow, bool, error) {
 				newCluster := func() *topo.Cluster {
 					return topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
 				}
-				ringRow, ringOuts, err := runCollWith(newCluster(), nil, kind, count, prim.AlgoRing, nil, nil)
+				ringRow, ringOuts, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoRing)
 				if err != nil {
 					return nil, false, err
 				}
-				hierRow, _, err := runCollWith(newCluster(), nil, kind, count, prim.AlgoHierarchical, nil, nil)
+				hierRow, _, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoHierarchical)
 				if err != nil {
 					return nil, false, err
 				}
-				autoRow, autoOuts, err := runCollWith(newCluster(), nil, kind, count, prim.AlgoAuto, nil, nil)
+				autoRow, autoOuts, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoAuto)
 				if err != nil {
 					return nil, false, err
 				}
@@ -347,7 +319,7 @@ func CollBenchCells() ([]BenchCell, error) {
 							cell.Fabric = fmt.Sprintf("oversub%g", benchOversub)
 							cell.Oversub = benchOversub
 						}
-						row, _, err := runCollWith(cluster, net, kind, count, algo, nil, nil)
+						row, _, err := runKind(cluster, onFabric(net), kind, count, algo)
 						if err != nil {
 							return nil, err
 						}

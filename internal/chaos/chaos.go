@@ -18,7 +18,7 @@
 // poisoned so nobody blocks on the dead rank), or a revive requests
 // re-formation. Between attempts the controller re-forms the group over
 // the current survivors — re-opening the collectives through the
-// communicator pool, which rebuilds ring and HierFabric wiring for the
+// communicator pool, which rebuilds ring and hierarchical wiring for the
 // new shape — and restarts from the first uncommitted iteration, which
 // is safe because iterations are stateless and idempotent.
 //
@@ -98,9 +98,9 @@ type Config struct {
 	// reported failure (default 600 virtual seconds).
 	MaxVirtual sim.Duration
 	// Recorder, when non-nil, is installed as the run's flight recorder
-	// (core.Config.Recorder and Tracer): executor spans, byte records,
-	// and kill/abort/reform/revive marks from the fault script all land
-	// on one timeline.
+	// (core.Config.Recorder): daemon events, executor spans, byte
+	// records, and kill/abort/reform/revive marks from the fault script
+	// all land on one timeline.
 	Recorder *trace.Recorder
 }
 
@@ -191,10 +191,7 @@ func Run(cfg Config) (*Report, error) {
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(cfg.MaxVirtual)
 	ccfg := core.DefaultConfig()
-	if cfg.Recorder != nil {
-		ccfg.Recorder = cfg.Recorder
-		ccfg.Tracer = cfg.Recorder
-	}
+	ccfg.Recorder = cfg.Recorder
 	sys := core.NewSystem(e, cfg.Cluster, ccfg)
 	// Controller state, shared with the injector and the members; all
 	// access happens from simulated processes, which the engine

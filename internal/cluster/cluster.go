@@ -216,19 +216,6 @@ func (r *Report) LatencySeries(name string, pred func(*JobResult) bool) *metrics
 	return s
 }
 
-// WaitSeries collects Admitted-Arrival queueing delays (in virtual ns)
-// over the jobs matching pred (nil = all).
-func (r *Report) WaitSeries(name string, pred func(*JobResult) bool) *metrics.Series {
-	s := &metrics.Series{Name: name}
-	for i := range r.Jobs {
-		j := &r.Jobs[i]
-		if pred == nil || pred(j) {
-			s.Add(float64(j.Wait))
-		}
-	}
-	return s
-}
-
 // validate checks a config before the engine spins up.
 func (cfg *Config) validate() error {
 	if cfg.Cluster == nil {

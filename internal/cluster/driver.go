@@ -200,10 +200,7 @@ func newSystem(cl *topo.Cluster, oversub float64, maxVirtual sim.Duration, rec *
 	// launches overtake queued low-priority work even on shared GPUs.
 	ccfg.Order = core.OrderPriority
 	ccfg.Network = net
-	if rec != nil {
-		ccfg.Recorder = rec
-		ccfg.Tracer = rec
-	}
+	ccfg.Recorder = rec
 	return e, net, core.NewSystem(e, cl, ccfg)
 }
 

@@ -6,8 +6,8 @@ import (
 	"dfccl/internal/sim"
 )
 
-// CQVariant selects one of the three completion-queue implementations
-// the paper develops and ablates (Sec. 5, Fig. 7(c)).
+// CQVariant selects one of the three completion-queue designs the
+// paper develops and ablates (Sec. 5, Fig. 7(c)).
 type CQVariant int
 
 const (
@@ -24,6 +24,14 @@ const (
 	CQVanillaRing
 )
 
+// cqWriteCost is the GPU-side cost of inserting one CQE — the one
+// number the three designs differ in.
+var cqWriteCost = [...]sim.Duration{
+	CQOptimized:     2000 * sim.Nanosecond,
+	CQOptimizedRing: 4800 * sim.Nanosecond,
+	CQVanillaRing:   6900 * sim.Nanosecond,
+}
+
 func (v CQVariant) String() string {
 	switch v {
 	case CQOptimized:
@@ -38,127 +46,50 @@ func (v CQVariant) String() string {
 }
 
 // CQ is a completion queue: the daemon pushes completed collective IDs,
-// the CPU poller drains them. Implementations differ in mechanics and
-// per-write cost; Cost is charged by the daemon at the push site so the
-// ablation in Fig. 7(c) falls out of the same code path.
-type CQ interface {
-	// WriteCost is the GPU-side cost of inserting one CQE.
-	WriteCost() sim.Duration
-	// Push inserts a completed collective ID; it reports false when
-	// the queue is full (the daemon retries after the poller drains).
-	Push(collID int) bool
-	// Drain removes and returns all available CQEs in completion order
-	// (slot-scan order for CQOptimized).
-	Drain() []int
-	// Variant identifies the implementation.
-	Variant() CQVariant
+// the CPU poller drains them. It is one bounded FIFO for all three
+// variants. The hardware designs differ in how a CQE reaches host
+// memory, which the model charges as WriteCost at the push site (so the
+// ablation of Fig. 7(c) falls out of the same code path), not in what
+// the poller observes: every consumer drains the whole queue, so the
+// slot-scan design fills slots 0, 1, 2, … between drains and its scan
+// order is push order, like the two rings.
+type CQ struct {
+	variant CQVariant
+	slots   int
+	pending []int
 }
 
 // NewCQ builds a CQ of the given variant with the given slot count.
-func NewCQ(v CQVariant, slots int) CQ {
+func NewCQ(v CQVariant, slots int) *CQ {
 	if slots < 1 {
 		panic("core: CQ needs at least one slot")
 	}
-	switch v {
-	case CQVanillaRing:
-		return &vanillaRingCQ{slots: make([]int, slots)}
-	case CQOptimizedRing:
-		return &optRingCQ{slots: make([]uint64, slots)}
-	case CQOptimized:
-		q := &optimizedCQ{slots: make([]int64, slots)}
-		for i := range q.slots {
-			q.slots[i] = -1
-		}
-		return q
-	default:
+	if v < 0 || int(v) >= len(cqWriteCost) {
 		panic(fmt.Sprintf("core: unknown CQ variant %v", v))
 	}
+	return &CQ{variant: v, slots: slots}
 }
 
-// vanillaRingCQ models the baseline: separate CQE write and tail
-// update, which on hardware needs ≥5 host-memory operations and a
-// memory fence between them.
-type vanillaRingCQ struct {
-	slots      []int
-	head, tail uint64
-}
+// Variant identifies the modeled design.
+func (q *CQ) Variant() CQVariant { return q.variant }
 
-func (q *vanillaRingCQ) Variant() CQVariant      { return CQVanillaRing }
-func (q *vanillaRingCQ) WriteCost() sim.Duration { return 6900 * sim.Nanosecond }
-func (q *vanillaRingCQ) Push(collID int) bool {
-	if q.tail-q.head >= uint64(len(q.slots)) {
+// WriteCost is the GPU-side cost of inserting one CQE.
+func (q *CQ) WriteCost() sim.Duration { return cqWriteCost[q.variant] }
+
+// Push inserts a completed collective ID; it reports false when the
+// queue is full (the daemon retries after the poller drains).
+func (q *CQ) Push(collID int) bool {
+	if len(q.pending) >= q.slots {
 		return false
 	}
-	q.slots[q.tail%uint64(len(q.slots))] = collID
-	q.tail++
+	q.pending = append(q.pending, collID)
 	return true
 }
-func (q *vanillaRingCQ) Drain() []int {
-	var out []int
-	for q.head < q.tail {
-		out = append(out, q.slots[q.head%uint64(len(q.slots))])
-		q.head++
-	}
-	return out
-}
 
-// optRingCQ models the fused 64-bit write: the CQE carries (tail,
-// collID) in one word, so no fence is needed and the poller validates a
-// CQE by comparing the embedded tail against its head.
-type optRingCQ struct {
-	slots      []uint64
-	head, tail uint64
-}
-
-func (q *optRingCQ) Variant() CQVariant      { return CQOptimizedRing }
-func (q *optRingCQ) WriteCost() sim.Duration { return 4800 * sim.Nanosecond }
-func (q *optRingCQ) Push(collID int) bool {
-	if q.tail-q.head >= uint64(len(q.slots)) {
-		return false
-	}
-	// High 32 bits: sequence (tail); low 32 bits: collective ID + 1
-	// (so a zeroed slot is never a valid CQE).
-	q.slots[q.tail%uint64(len(q.slots))] = (q.tail+1)<<32 | uint64(collID+1)
-	q.tail++
-	return true
-}
-func (q *optRingCQ) Drain() []int {
-	var out []int
-	for {
-		word := q.slots[q.head%uint64(len(q.slots))]
-		if word>>32 != q.head+1 {
-			return out // not yet written for this generation
-		}
-		out = append(out, int(word&0xffffffff)-1)
-		q.head++
-	}
-}
-
-// optimizedCQ abandons ring semantics: the CQE is only the collective
-// ID, atomically swapped into any writable slot; the poller scans all
-// slots and marks consumed ones writable.
-type optimizedCQ struct {
-	slots []int64 // -1 = writable, otherwise a collective ID
-}
-
-func (q *optimizedCQ) Variant() CQVariant      { return CQOptimized }
-func (q *optimizedCQ) WriteCost() sim.Duration { return 2000 * sim.Nanosecond }
-func (q *optimizedCQ) Push(collID int) bool {
-	for i := range q.slots {
-		if q.slots[i] == -1 {
-			q.slots[i] = int64(collID)
-			return true
-		}
-	}
-	return false
-}
-func (q *optimizedCQ) Drain() []int {
-	var out []int
-	for i := range q.slots {
-		if q.slots[i] != -1 {
-			out = append(out, int(q.slots[i]))
-			q.slots[i] = -1
-		}
-	}
+// Drain removes and returns all available CQEs in completion order, nil
+// when there are none. The caller owns the returned slice.
+func (q *CQ) Drain() []int {
+	out := q.pending
+	q.pending = nil
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"dfccl/internal/cudasim"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
+	"dfccl/internal/trace"
 )
 
 // daemonBody is the daemon kernel (Sec. 4): DFCCL's core component. It
@@ -19,7 +20,7 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 	p := kc.Process
 	cfg := &r.sys.Config
 	p.Sleep(DaemonStartup)
-	r.trace(p, -1, TraceStart)
+	r.trace(p, -1, trace.EvStart)
 
 	// Rebuild the task queue from contexts in global memory: work that
 	// survived a voluntary quit (shared memory is lost across quits;
@@ -76,7 +77,7 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 				t.ExecStartedAt = p.Now()
 			}
 			r.loadContext(p, t)
-			r.trace(p, t.ID(), TraceExecute)
+			r.trace(p, t.ID(), trace.EvExecute)
 			done, prog := r.executeTask(p, t)
 			if prog {
 				progressed = true
@@ -105,7 +106,7 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 				r.saveContext(p, t)
 			}
 			r.Stats.VoluntaryQuits++
-			r.trace(p, -1, TraceQuit)
+			r.trace(p, -1, trace.EvQuit)
 			// Wake the poller: it notices CQEs lag SQEs and will
 			// restart the daemon when appropriate.
 			r.pollerWake.Broadcast(p.Engine())
@@ -180,7 +181,7 @@ func (r *RankContext) fetchSQEs(p *sim.Process, queue *[]*collTask, lastActivity
 			*queue = append(*queue, t)
 		}
 		t.QueueLenAtLast = len(*queue)
-		r.trace(p, t.ID(), TraceFetch)
+		r.trace(p, t.ID(), trace.EvFetch)
 		fetched++
 	}
 	return fetched
@@ -212,7 +213,7 @@ func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
 			t.LastCompletedAt = p.Now()
 			t.Completions++
 			r.writeCQE(p, t.ID())
-			r.trace(p, t.ID(), TraceComplete)
+			r.trace(p, t.ID(), trace.EvComplete)
 			return true, true
 		case prim.Stuck:
 			// Preempt: lazily save the dynamic context (only if the
@@ -220,7 +221,7 @@ func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
 			r.Stats.Preemptions++
 			t.CtxSwitches++
 			r.saveContext(p, t)
-			r.trace(p, t.ID(), TracePreempt)
+			r.trace(p, t.ID(), trace.EvPreempt)
 			return false, progressed
 		case prim.Aborted:
 			// A rank loss killed the group (the executor observed it at
@@ -236,7 +237,7 @@ func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
 			for i := 0; i < n; i++ {
 				r.writeCQE(p, t.ID())
 			}
-			r.trace(p, t.ID(), TraceComplete)
+			r.trace(p, t.ID(), trace.EvComplete)
 			return true, true
 		}
 	}
@@ -320,9 +321,9 @@ func (r *RankContext) saveContext(p *sim.Process, t *collTask) {
 	t.dirty = false
 }
 
-// trace forwards a daemon scheduling event to the configured tracer.
-func (r *RankContext) trace(p *sim.Process, coll, kind int) {
-	if tr := r.sys.Config.Tracer; tr != nil {
-		tr.Record(p.Now(), r.Rank, coll, kind)
+// trace records a daemon scheduling event on the flight recorder.
+func (r *RankContext) trace(p *sim.Process, coll int, kind trace.Kind) {
+	if rec := r.sys.Config.Recorder; rec != nil {
+		rec.Record(p.Now(), r.Rank, coll, kind)
 	}
 }

@@ -110,23 +110,6 @@ func (o OrderPolicy) String() string {
 	return "fifo"
 }
 
-// Tracer receives daemon scheduling events. Kind values follow the
-// internal/trace package's Kind enumeration (fetch, execute, preempt,
-// complete, quit, start).
-type Tracer interface {
-	Record(at sim.Time, gpu, coll int, kind int)
-}
-
-// Trace event kinds, mirroring internal/trace.Kind.
-const (
-	TraceFetch = iota
-	TraceExecute
-	TracePreempt
-	TraceComplete
-	TraceQuit
-	TraceStart
-)
-
 // Config assembles a DFCCL deployment's tunables. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
@@ -149,18 +132,14 @@ type Config struct {
 	// every preemption saves the dynamic context even when the
 	// collective made no progress since its last save. Ablation knob.
 	AlwaysSaveContext bool
-	// Tracer, when non-nil, receives daemon scheduling events (see
-	// internal/trace for a recorder and Chrome-trace exporter).
-	Tracer Tracer
-	// Recorder, when non-nil, is the full-depth flight recorder: it is
-	// threaded into every executor (per-action spans, per-send byte
-	// records), the fabric (flow and saturation events), and the
-	// membership/tuning paths (kill/abort/reform/revive/tune-pick
-	// marks). nil — the default — keeps all those paths recording-free:
-	// one nil check per primitive, zero allocations (benchmark-pinned in
-	// the root package). Typically the same *trace.Recorder is also
-	// installed as Tracer so the coarse daemon events share the
-	// timeline.
+	// Recorder, when non-nil, is the full-depth flight recorder: it
+	// receives the daemon's scheduling events and is threaded into
+	// every executor (per-action spans, per-send byte records), the
+	// fabric (flow and saturation events), and the membership/tuning
+	// paths (kill/abort/reform/revive/tune-pick marks). nil — the
+	// default — keeps all those paths recording-free: one nil check per
+	// primitive, zero allocations (benchmark-pinned in the root
+	// package).
 	Recorder *trace.Recorder
 	// BatchedSQERead enables the I/O optimization the paper leaves as
 	// future work ("we will prioritize optimizing DFCCL's I/O handling

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/mem"
@@ -72,7 +71,7 @@ type RankContext struct {
 	dev  *cudasim.Device
 
 	sq     *SQ
-	cq     CQ
+	cq     *CQ
 	stream *cudasim.Stream
 
 	tasks     map[int]*collTask
@@ -167,7 +166,7 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	pos := g.posOf[r.Rank]
 	t := &collTask{
 		group: g,
-		exec:  g.comm.executorFor(r.sys.Cluster, g.Spec, pos),
+		exec:  g.comm.wirings.ExecutorFor(r.sys.Cluster, g.Spec, pos, nil, nil),
 	}
 	// The abort hook is how a rank loss reaches the daemon: the
 	// executor polls it at every step entry and connector-wait wakeup.
@@ -415,17 +414,4 @@ func (r *RankContext) TaskStats(collID int) (ctxSwitches, completions, queueLen 
 		return 0, 0, 0
 	}
 	return t.CtxSwitches, t.Completions, t.QueueLenAtLast
-}
-
-// DebugPending describes tasks with unfinished runs, for diagnostics.
-func (r *RankContext) DebugPending() []string {
-	var out []string
-	for id, t := range r.tasks {
-		if len(t.runs) > 0 {
-			out = append(out, fmt.Sprintf("coll%d: runs=%d prepared=%v stage=%d round=%d step=%d phase=%d ctxsw=%d",
-				id, len(t.runs), t.prepared, t.exec.Stage, t.exec.Round, t.exec.Step, t.exec.Phase, t.CtxSwitches))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -26,7 +26,6 @@ func TestTracingUnderFaults(t *testing.T) {
 	rec := &trace.Recorder{}
 	cfg := DefaultConfig()
 	cfg.Recorder = rec
-	cfg.Tracer = rec
 	sys := NewSystem(e, topo.Server3090(n), cfg)
 	ranks := []int{0, 1, 2, 3}
 

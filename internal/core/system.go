@@ -8,7 +8,6 @@ import (
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/fabric"
-	"dfccl/internal/mem"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -69,7 +68,7 @@ func NewSystem(e *sim.Engine, c *topo.Cluster, cfg Config) *System {
 		net:        net,
 		ranks:      make([]*RankContext, c.Size()),
 		groups:     make(map[int]*Group),
-		pool:       newCommPool(c, net),
+		pool:       newCommPool(net),
 		autoIDs:    make(map[string][]int),
 		nextAutoID: AutoCollIDBase,
 	}
@@ -176,7 +175,7 @@ func (s *System) unregister(g *Group) {
 		// pending run resolve (Close refuses outstanding runs), so no
 		// daemon is still touching the wiring: scrub the chunks the
 		// lost rank left in flight before the pool reuses it.
-		g.comm.scrub(s.Engine)
+		g.comm.wirings.DrainConnectors(s.Engine)
 	}
 	s.pool.release(g.comm)
 	delete(s.groups, g.ID)
@@ -299,7 +298,7 @@ func (s *System) KillRank(rank int) bool {
 		}
 		// Wake daemons blocked on the group's connectors so the abort
 		// is observed immediately instead of after the spin budget.
-		g.comm.wake(e)
+		g.comm.wirings.WakeAll(e)
 		for _, member := range g.Spec.Ranks {
 			if mc := s.rankAt(member); mc != nil {
 				mc.pollerWake.Broadcast(e)
@@ -374,72 +373,24 @@ func (s *System) CommsPooled() int {
 // communicator owns the connector wiring for one registered
 // collective; the pool hands one out per collective so concurrently
 // executing collectives never share connectors (which would corrupt a
-// preempted collective's in-flight chunks). The flat ring is built
-// eagerly (every algorithm's default); the hierarchical fabric — the
-// intra-node mesh plus leader ring AlgoHierarchical schedules over —
-// is built on first use and reused across the communicator's pooled
-// lifetimes, since both wirings depend only on the rank set.
+// preempted collective's in-flight chunks). The wiring prices every
+// transfer on the system-wide fabric, so collectives on different
+// communicators contend with each other when it is Shared.
 type communicator struct {
-	ranks []int
-	tag   string
-	ring  *prim.Ring
-	// hier is the hierarchical fabric, cached with the rank ORDER it
-	// was wired for: the pool rekeys communicators by sorted rank set,
-	// so a later collective over a permuted order must not inherit a
-	// fabric whose node grouping maps ring positions to the wrong
-	// machines (its per-transport wiring and pricing would silently
-	// misclassify cross-node traffic as SHM).
-	hier      *prim.HierFabric
-	hierRanks []int
-	// net prices every transfer of the communicator's wirings; it is
-	// the system-wide fabric, so collectives on different
-	// communicators contend with each other when it is Shared.
-	net   *fabric.Network
-	inUse bool
-}
-
-// executorFor builds the executor for spec's participant at ring
-// position pos over the wiring the spec's algorithm needs.
-func (c *communicator) executorFor(cluster *topo.Cluster, spec prim.Spec, pos int) *prim.Executor {
-	if spec.Algo == prim.AlgoHierarchical {
-		if c.hier == nil || !slices.Equal(c.hierRanks, spec.Ranks) {
-			c.hier = prim.BuildHierFabricOn(c.net, spec.Ranks, c.tag+".hier")
-			c.hierRanks = append([]int(nil), spec.Ranks...)
-		}
-		return c.hier.ExecutorFor(cluster, spec, pos, nil, nil)
-	}
-	return c.ring.ExecutorFor(cluster, spec, pos, nil, nil)
-}
-
-// wake broadcasts every connector condition of the communicator's
-// wirings so daemons blocked mid-wait re-poll their abort checks.
-func (c *communicator) wake(e *sim.Engine) {
-	c.ring.WakeAll(e)
-	if c.hier != nil {
-		c.hier.WakeAll(e)
-	}
-}
-
-// scrub discards in-flight chunks an aborted collective left in the
-// communicator's connectors, restoring the pool invariant that a
-// released communicator's wiring is empty.
-func (c *communicator) scrub(e *sim.Engine) {
-	c.ring.DrainConnectors(e)
-	if c.hier != nil {
-		c.hier.DrainConnectors(e)
-	}
+	ranks   []int
+	wirings *prim.Wirings
+	inUse   bool
 }
 
 type commPool struct {
-	cluster *topo.Cluster
 	net     *fabric.Network
 	free    map[string][]*communicator
 	created int
 	reused  int
 }
 
-func newCommPool(c *topo.Cluster, net *fabric.Network) *commPool {
-	return &commPool{cluster: c, net: net, free: make(map[string][]*communicator)}
+func newCommPool(net *fabric.Network) *commPool {
+	return &commPool{net: net, free: make(map[string][]*communicator)}
 }
 
 func rankKey(ranks []int) string {
@@ -460,14 +411,11 @@ func (cp *commPool) acquire(ranks []int, tag string) *communicator {
 		return c
 	}
 	cp.created++
-	c := &communicator{
-		ranks: append([]int(nil), ranks...),
-		tag:   tag,
-		ring:  prim.BuildRingOn(cp.net, prim.Spec{Kind: prim.AllReduce, Ranks: ranks, Type: mem.Float32}, tag),
-		net:   cp.net,
-		inUse: true,
+	return &communicator{
+		ranks:   append([]int(nil), ranks...),
+		wirings: prim.NewWirings(cp.net, tag),
+		inUse:   true,
 	}
-	return c
 }
 
 // release returns a communicator to the pool.

@@ -290,10 +290,6 @@ func (d *Device) AllocPinned(p *sim.Process, t mem.DataType, count int) *mem.Buf
 	return mem.NewBuffer(mem.PinnedSpace, t, count)
 }
 
-// PendingKernels returns the number of launched-but-unfinished kernels,
-// for diagnostics and deadlock classification.
-func (d *Device) PendingKernels() int { return len(d.incomplete) }
-
 // IncompleteKernelNames lists incomplete kernels sorted by launch order,
 // for deadlock reports.
 func (d *Device) IncompleteKernelNames() []string {

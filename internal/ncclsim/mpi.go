@@ -38,7 +38,7 @@ func MPIAllReduce(e *sim.Engine, c *topo.Cluster, ranks []int, count int, t mem.
 	for i := 0; i < n; i++ {
 		x := ring.ExecutorFor(c, spec, i, sendBufs[i], recvBufs[i])
 		// Override path pricing with MPI's software messaging costs.
-		x.OutRoutes[0] = fabric.Route{Path: topo.Path{Transport: topo.TransportSHM, Bandwidth: mpiBandwidth, Latency: int64(mpiMsgLatency)}}
+		x.OutRoutes = []fabric.Route{{Path: topo.Path{Transport: topo.TransportSHM, Bandwidth: mpiBandwidth, Latency: int64(mpiMsgLatency)}}}
 		x.ComputeBW = 30e9 // CPU-side reduction bandwidth
 		e.Spawn(fmt.Sprintf("mpi-rank%d", ranks[i]), func(p *sim.Process) {
 			// Stage device -> host.

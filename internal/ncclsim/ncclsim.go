@@ -98,11 +98,9 @@ type Comm struct {
 	lib   *Lib
 	id    int
 	Ranks []int
-	ring  *prim.Ring
-	// hier is the hierarchical-algorithm fabric (intra-node mesh +
-	// leader ring), built on first use like NCCL's lazy transport setup
-	// for a secondary algorithm.
-	hier *prim.HierFabric
+	// wirings holds the connector wiring per algorithm, each built on
+	// first use like NCCL's lazy transport setup.
+	wirings *prim.Wirings
 	// Channels is the block count each collective kernel occupies.
 	Channels int
 	// calls counts collective invocations, for kernel naming.
@@ -115,11 +113,10 @@ func (l *Lib) NewComm(ranks []int) *Comm {
 		panic("ncclsim: empty communicator")
 	}
 	l.comms++
-	c := &Comm{lib: l, id: l.comms, Ranks: append([]int(nil), ranks...), Channels: DefaultChannels}
-	// The ring's connector wiring depends only on the rank list, so it
-	// is built once per communicator, like NCCL's transport setup.
-	c.ring = prim.BuildRingOn(l.Net, prim.Spec{Kind: prim.AllReduce, Ranks: c.Ranks, Count: 0, Type: mem.Float32}, fmt.Sprintf("comm%d", l.comms))
-	return c
+	return &Comm{
+		lib: l, id: l.comms, Ranks: append([]int(nil), ranks...), Channels: DefaultChannels,
+		wirings: prim.NewWirings(l.Net, fmt.Sprintf("comm%d", l.comms)),
+	}
 }
 
 // pos returns the ring position of a global rank.
@@ -153,16 +150,7 @@ func (c *Comm) Launch(p *sim.Process, stream *cudasim.Stream, rank int, spec pri
 		}
 		spec.Algo = tbl.PickFor(c.lib.Cluster, spec)
 	}
-	pos := c.pos(rank)
-	var x *prim.Executor
-	if spec.Algo == prim.AlgoHierarchical {
-		if c.hier == nil {
-			c.hier = prim.BuildHierFabricOn(c.lib.Net, c.Ranks, fmt.Sprintf("comm%d.hier", c.id))
-		}
-		x = c.hier.ExecutorFor(c.lib.Cluster, spec, pos, sendBuf, recvBuf)
-	} else {
-		x = c.ring.ExecutorFor(c.lib.Cluster, spec, pos, sendBuf, recvBuf)
-	}
+	x := c.wirings.ExecutorFor(c.lib.Cluster, spec, c.pos(rank), sendBuf, recvBuf)
 	if c.lib.rec != nil {
 		x.Rec, x.RecColl = c.lib.rec, c.id
 	}
@@ -226,12 +214,6 @@ func (c *Comm) AllToAll(p *sim.Process, stream *cudasim.Stream, rank, count int,
 // pass the same matrix.
 func (c *Comm) AllToAllv(p *sim.Process, stream *cudasim.Stream, rank int, counts [][]int, t mem.DataType, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
 	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllToAllv, Type: t, Ranks: c.Ranks, Counts: counts}, sendBuf, recvBuf)
-}
-
-// AllToAllAlgo is AllToAll with an explicit algorithm choice
-// (prim.AlgoRing or prim.AlgoHierarchical).
-func (c *Comm) AllToAllAlgo(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, algo prim.Algorithm, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllToAll, Count: count, Type: t, Ranks: c.Ranks, Algo: algo}, sendBuf, recvBuf)
 }
 
 // AllToAllvAlgo is AllToAllv with an explicit algorithm choice

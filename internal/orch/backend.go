@@ -65,26 +65,12 @@ type DynamicBackend interface {
 	Deregister(p *sim.Process, rank, collID int) error
 }
 
-// ElasticBackend is the optional extension for elastic-membership
-// workloads: launches can fail asynchronously when a participating
-// rank is killed mid-run, and WaitErr surfaces that failure (core's
-// typed ErrRankLost) where plain Wait only blocks.
-type ElasticBackend interface {
-	Backend
-	// WaitErr blocks until every launched run of collID completed on
-	// rank and returns the first failure any of them observed, if any.
-	WaitErr(p *sim.Process, rank, collID int) error
-}
-
 // collState tracks one collective's per-rank launch/completion counts.
 type collState struct {
 	spec     prim.Spec
 	priority int
 	launched map[int]int // rank -> runs launched
 	done     map[int]int // rank -> runs completed
-	// errs records the first asynchronous failure per rank (rank loss
-	// aborts delivered through completion callbacks).
-	errs     map[int]error
 	doneCond *sim.Cond
 }
 
@@ -94,7 +80,6 @@ func newCollState(spec prim.Spec, priority int) *collState {
 		priority: priority,
 		launched: make(map[int]int),
 		done:     make(map[int]int),
-		errs:     make(map[int]error),
 		doneCond: sim.NewCond("coll.done"),
 	}
 }

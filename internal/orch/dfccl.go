@@ -115,24 +115,10 @@ func (d *DFCCL) Launch(p *sim.Process, rank, collID int) error {
 	bufs := d.bufs[bufKey{rank, collID}]
 	c.launched[rank]++
 	e := p.Engine()
-	return h.LaunchCB(p, bufs.send, bufs.recv, func(err error) {
+	return h.LaunchCB(p, bufs.send, bufs.recv, func(error) {
 		c.done[rank]++
-		if err != nil && c.errs[rank] == nil {
-			c.errs[rank] = err
-		}
 		c.doneCond.Broadcast(e)
 	})
-}
-
-// WaitErr implements ElasticBackend: Wait plus the first asynchronous
-// failure (typed core.ErrRankLost when a kill aborted a run).
-func (d *DFCCL) WaitErr(p *sim.Process, rank, collID int) error {
-	c, ok := d.colls[collID]
-	if !ok {
-		return nil
-	}
-	c.waitRank(p, rank)
-	return c.errs[rank]
 }
 
 // Wait implements Backend.

@@ -169,27 +169,6 @@ type Executor struct {
 	BytesSentBy TransportBytes
 }
 
-// newExecutorSeq builds an executor over an explicit sequence and
-// endpoint set (the hierarchical fabric's constructor).
-func newExecutorSeq(spec Spec, pos int, seq *Sequence, sendBuf, recvBuf *mem.Buffer, ins, outs []*mem.Connector, outRoutes []fabric.Route, net *fabric.Network, computeBW float64) *Executor {
-	x := &Executor{
-		Spec:      spec,
-		Pos:       pos,
-		Seq:       seq,
-		SendBuf:   sendBuf,
-		RecvBuf:   recvBuf,
-		Ins:       ins,
-		Outs:      outs,
-		OutRoutes: outRoutes,
-		Net:       net,
-		ComputeBW: computeBW,
-	}
-	if x.Seq.useScratch && !spec.TimingOnly {
-		x.scratch = mem.NewBuffer(mem.DeviceSpace, spec.Type, x.Seq.workLen)
-	}
-	return x
-}
-
 // work returns the working buffer the sequence operates on.
 func (x *Executor) work() *mem.Buffer {
 	if x.Seq.useScratch {
@@ -529,57 +508,4 @@ func (x *Executor) recvHalf(p *sim.Process, a Action) {
 	} else {
 		copy(dst, chunk)
 	}
-}
-
-// Ring wires the connectors for one collective over a cluster: conn[i]
-// carries chunks from ring position i to position i+1 (mod n).
-type Ring struct {
-	Conns []*mem.Connector
-	// Routes[i] prices position i -> i+1.
-	Routes []fabric.Route
-	// Net is the fabric the ring's transfers are priced on.
-	Net *fabric.Network
-}
-
-// BuildRingOn creates the ring connectors and routes for spec, pricing
-// transfers on net's fabric (net's cluster supplies the topology;
-// fabric.Unshared gives independent, contention-free pricing).
-func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Ring {
-	n := spec.N()
-	r := &Ring{Conns: make([]*mem.Connector, n), Routes: make([]fabric.Route, n), Net: net}
-	for i := 0; i < n; i++ {
-		next := (i + 1) % n
-		r.Conns[i] = mem.NewConnector(fmt.Sprintf("%s.conn%d->%d", tag, spec.Ranks[i], spec.Ranks[next]), ConnectorSlots)
-		r.Routes[i] = net.RouteBetween(spec.Ranks[i], spec.Ranks[next])
-	}
-	return r
-}
-
-// DrainConnectors scrubs every ring connector after an aborted
-// collective, discarding in-flight chunks a lost rank left behind and
-// waking any writer still blocked on a full ring.
-func (r *Ring) DrainConnectors(e *sim.Engine) {
-	for _, c := range r.Conns {
-		c.Drain(e)
-	}
-}
-
-// WakeAll broadcasts every ring connector's conditions so executors
-// blocked mid-wait re-poll their abort checks.
-func (r *Ring) WakeAll(e *sim.Engine) {
-	for _, c := range r.Conns {
-		c.Readable().Broadcast(e)
-		c.Writable().Broadcast(e)
-	}
-}
-
-// ExecutorFor builds the executor for ring position pos using the
-// ring's wiring and the cluster's GPU compute bandwidth.
-func (r *Ring) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
-	n := spec.N()
-	prev := r.Conns[mod(pos-1, n)]
-	next := r.Conns[pos]
-	bw := c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth
-	return newExecutorSeq(spec, pos, spec.SequenceFor(pos), sendBuf, recvBuf,
-		[]*mem.Connector{prev}, []*mem.Connector{next}, []fabric.Route{r.Routes[pos]}, r.Net, bw)
 }

@@ -20,23 +20,13 @@ func runPriced(t *testing.T, net *fabric.Network, spec Spec, fill func(pos int, 
 	n := spec.N()
 	recvBufs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
-	var hier *HierFabric
-	var ring *Ring
-	if spec.Algo == AlgoHierarchical {
-		hier = BuildHierFabricOn(net, spec.Ranks, "fp")
-	} else {
-		ring = BuildRingOn(net, spec, "fp")
-	}
+	wirings := NewWirings(net, "fp")
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
 		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
 		recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
 		fill(i, s)
-		if hier != nil {
-			execs[i] = hier.ExecutorFor(c, spec, i, s, recvBufs[i])
-		} else {
-			execs[i] = ring.ExecutorFor(c, spec, i, s, recvBufs[i])
-		}
+		execs[i] = wirings.ExecutorFor(c, spec, i, s, recvBufs[i])
 		x := execs[i]
 		e.Spawn("rank", func(p *sim.Process) {
 			for x.StepOnce(p, -1) != Done {

@@ -34,9 +34,6 @@ package prim
 import (
 	"fmt"
 
-	"dfccl/internal/fabric"
-	"dfccl/internal/mem"
-	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
 
@@ -130,7 +127,7 @@ func uniformCounts(n, count int) [][]int {
 // HierSequenceFor builds the hierarchical sequence for the participant
 // at ring position pos, given the node grouping. Spec validation must
 // have passed and s.Algo must be AlgoHierarchical; executors over
-// these sequences need the matching HierFabric wiring. The all-to-all
+// these sequences need the matching BuildHierFabricOn wiring. The all-to-all
 // variants use the four-phase gather/ring/scatter schedule of this
 // file; all-reduce, all-gather, and reduce-scatter use the two-level
 // reduction schedules of hiercoll.go over the same wiring.
@@ -450,105 +447,4 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 		ragged:         true,
 		Stages:         stages,
 	}
-}
-
-// HierFabric wires one collective for AlgoHierarchical: a full mesh of
-// SHM connectors between same-node members (so intra-node blocks and
-// leader convoys are direct, single-hop transfers) plus one ring over
-// the node leaders (the only RDMA wiring). Like Ring, the fabric
-// depends only on the rank set and cluster, so communicator pools can
-// reuse it across collectives over the same ranks.
-type HierFabric struct {
-	// Grouping is the node grouping the fabric was wired for.
-	Grouping NodeGrouping
-	outs     [][]*mem.Connector
-	ins      [][]*mem.Connector
-	// outRoutes[pos][i] prices sends on Outs endpoint i of position pos.
-	outRoutes [][]fabric.Route
-	// net is the fabric the wiring's transfers are priced on.
-	net *fabric.Network
-}
-
-// each visits every fabric connector once: each one is some position's
-// out endpoint, so the out endpoints cover the whole mesh and leader
-// ring.
-func (f *HierFabric) each(visit func(*mem.Connector)) {
-	for _, row := range f.outs {
-		for _, c := range row {
-			if c != nil {
-				visit(c)
-			}
-		}
-	}
-}
-
-// WakeAll broadcasts every fabric connector's conditions so executors
-// blocked mid-wait re-poll their abort checks.
-func (f *HierFabric) WakeAll(e *sim.Engine) {
-	f.each(func(c *mem.Connector) {
-		c.Readable().Broadcast(e)
-		c.Writable().Broadcast(e)
-	})
-}
-
-// DrainConnectors scrubs every fabric connector after an aborted
-// collective.
-func (f *HierFabric) DrainConnectors(e *sim.Engine) {
-	f.each(func(c *mem.Connector) { c.Drain(e) })
-}
-
-// BuildHierFabricOn creates the hierarchical connector fabric for a
-// rank set, pricing transfers on net's fabric (net's cluster supplies
-// the topology; fabric.Unshared gives independent, contention-free
-// pricing).
-func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *HierFabric {
-	g := GroupByNode(net.Cluster(), ranks)
-	n := len(ranks)
-	f := &HierFabric{
-		Grouping:  g,
-		outs:      make([][]*mem.Connector, n),
-		ins:       make([][]*mem.Connector, n),
-		outRoutes: make([][]fabric.Route, n),
-		net:       net,
-	}
-	for pos := range ranks {
-		sz := len(g.Members[g.NodeOf[pos]]) - 1
-		if g.IsLeader(pos) && g.Nodes() > 1 {
-			sz++ // leader-ring endpoint at ringIdx
-		}
-		f.outs[pos] = make([]*mem.Connector, sz)
-		f.ins[pos] = make([]*mem.Connector, sz)
-		f.outRoutes[pos] = make([]fabric.Route, sz)
-	}
-	for _, members := range g.Members {
-		for _, x := range members {
-			for _, y := range members {
-				if x == y {
-					continue
-				}
-				conn := mem.NewConnector(fmt.Sprintf("%s.mesh%d->%d", tag, ranks[x], ranks[y]), ConnectorSlots)
-				f.outs[x][g.peerIdx(x, y)] = conn
-				f.ins[y][g.peerIdx(y, x)] = conn
-				f.outRoutes[x][g.peerIdx(x, y)] = net.RouteBetween(ranks[x], ranks[y])
-			}
-		}
-	}
-	if M := g.Nodes(); M > 1 {
-		for a := 0; a < M; a++ {
-			la, lb := g.Leader(a), g.Leader((a+1)%M)
-			conn := mem.NewConnector(fmt.Sprintf("%s.lring%d->%d", tag, ranks[la], ranks[lb]), ConnectorSlots)
-			f.outs[la][g.ringIdx(la)] = conn
-			f.ins[lb][g.ringIdx(lb)] = conn
-			f.outRoutes[la][g.ringIdx(la)] = net.RouteBetween(ranks[la], ranks[lb])
-		}
-	}
-	return f
-}
-
-// ExecutorFor builds the hierarchical executor for ring position pos
-// using the fabric's wiring and the cluster's GPU compute bandwidth.
-func (f *HierFabric) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
-	seq := spec.HierSequenceFor(pos, f.Grouping)
-	bw := c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth
-	return newExecutorSeq(spec, pos, seq, sendBuf, recvBuf, f.ins[pos], f.outs[pos], f.outRoutes[pos], f.net, bw)
 }

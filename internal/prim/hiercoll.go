@@ -2,7 +2,7 @@ package prim
 
 // Hierarchical (topology-aware) reduction collectives: two-level
 // schedules for all-reduce, all-gather, and reduce-scatter over the
-// same NodeGrouping/HierFabric wiring as the hierarchical all-to-all
+// same NodeGrouping and BuildHierFabricOn wiring as the hierarchical all-to-all
 // (hier.go) — a full SHM mesh inside each node plus one unidirectional
 // inter-leader RDMA ring.
 //

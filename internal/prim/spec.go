@@ -584,13 +584,13 @@ func mod(a, n int) int { return ((a % n) + n) % n }
 // position pos within s.Ranks, using the Ring algorithm and Simple
 // protocol (the configuration the paper evaluates). Hierarchical specs
 // need the cluster's node grouping and different wiring: build their
-// executors through HierFabric, which calls HierSequenceFor.
+// executors over a BuildHierFabricOn wiring, which calls HierSequenceFor.
 func (s Spec) SequenceFor(pos int) *Sequence {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
 	if s.Algo == AlgoHierarchical {
-		panic("prim: hierarchical sequences need node grouping; build executors through HierFabric")
+		panic("prim: hierarchical sequences need node grouping; build executors over a BuildHierFabricOn wiring")
 	}
 	if s.Algo == AlgoAuto {
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")

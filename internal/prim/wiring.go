@@ -1,0 +1,226 @@
+package prim
+
+import (
+	"fmt"
+	"slices"
+
+	"dfccl/internal/fabric"
+	"dfccl/internal/mem"
+	"dfccl/internal/sim"
+	"dfccl/internal/topo"
+)
+
+// Wiring is the connector wiring of one collective over one rank order:
+// every ring position's recv and send endpoints plus the routes that
+// price its sends. A flat ring (BuildRingOn) gives each position one
+// endpoint each way; the hierarchical fabric (BuildHierFabricOn) gives
+// it a full mesh to its same-node peers and, on node leaders, the
+// leader ring. Every connector is exactly one position's send endpoint.
+type Wiring struct {
+	// ranks is the rank ORDER the wiring was built for: positions map
+	// to machines through it, so a permuted order needs a new wiring.
+	ranks []int
+	// grouping is the node grouping of a hierarchical wiring; it has no
+	// nodes on a flat ring.
+	grouping  NodeGrouping
+	ins, outs [][]*mem.Connector
+	// outRoutes[pos][i] prices sends on outs[pos][i].
+	outRoutes [][]fabric.Route
+	// net is the fabric the wiring's transfers are priced on.
+	net *fabric.Network
+}
+
+func newWiring(net *fabric.Network, ranks []int) *Wiring {
+	n := len(ranks)
+	return &Wiring{
+		ranks:     slices.Clone(ranks),
+		ins:       make([][]*mem.Connector, n),
+		outs:      make([][]*mem.Connector, n),
+		outRoutes: make([][]fabric.Route, n),
+		net:       net,
+	}
+}
+
+// BuildRingOn creates the ring connectors and routes for spec's rank
+// order — connector i carries chunks from ring position i to position
+// i+1 (mod n) — pricing transfers on net's fabric (net's cluster
+// supplies the topology; fabric.Unshared gives independent,
+// contention-free pricing).
+func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Wiring {
+	n := spec.N()
+	w := newWiring(net, spec.Ranks)
+	conns := make([]*mem.Connector, n)
+	routes := make([]fabric.Route, n)
+	for i := 0; i < n; i++ {
+		next := (i + 1) % n
+		conns[i] = mem.NewConnector(fmt.Sprintf("%s.conn%d->%d", tag, spec.Ranks[i], spec.Ranks[next]), ConnectorSlots)
+		routes[i] = net.RouteBetween(spec.Ranks[i], spec.Ranks[next])
+	}
+	// One-element windows onto the shared arrays: building an executor
+	// allocates no endpoint slices.
+	for pos := 0; pos < n; pos++ {
+		prev := mod(pos-1, n)
+		w.ins[pos] = conns[prev : prev+1 : prev+1]
+		w.outs[pos] = conns[pos : pos+1 : pos+1]
+		w.outRoutes[pos] = routes[pos : pos+1 : pos+1]
+	}
+	return w
+}
+
+// BuildHierFabricOn creates the AlgoHierarchical wiring for a rank
+// order: a full mesh of SHM connectors between same-node members (so
+// intra-node blocks and leader convoys are direct, single-hop
+// transfers) plus one ring over the node leaders (the only RDMA
+// wiring), pricing transfers on net's fabric like BuildRingOn.
+func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
+	g := GroupByNode(net.Cluster(), ranks)
+	w := newWiring(net, ranks)
+	w.grouping = g
+	for pos := range ranks {
+		sz := len(g.Members[g.NodeOf[pos]]) - 1
+		if g.IsLeader(pos) && g.Nodes() > 1 {
+			sz++ // leader-ring endpoint at ringIdx
+		}
+		w.outs[pos] = make([]*mem.Connector, sz)
+		w.ins[pos] = make([]*mem.Connector, sz)
+		w.outRoutes[pos] = make([]fabric.Route, sz)
+	}
+	for _, members := range g.Members {
+		for _, x := range members {
+			for _, y := range members {
+				if x == y {
+					continue
+				}
+				conn := mem.NewConnector(fmt.Sprintf("%s.mesh%d->%d", tag, ranks[x], ranks[y]), ConnectorSlots)
+				w.outs[x][g.peerIdx(x, y)] = conn
+				w.ins[y][g.peerIdx(y, x)] = conn
+				w.outRoutes[x][g.peerIdx(x, y)] = net.RouteBetween(ranks[x], ranks[y])
+			}
+		}
+	}
+	if M := g.Nodes(); M > 1 {
+		for a := 0; a < M; a++ {
+			la, lb := g.Leader(a), g.Leader((a+1)%M)
+			conn := mem.NewConnector(fmt.Sprintf("%s.lring%d->%d", tag, ranks[la], ranks[lb]), ConnectorSlots)
+			w.outs[la][g.ringIdx(la)] = conn
+			w.ins[lb][g.ringIdx(lb)] = conn
+			w.outRoutes[la][g.ringIdx(la)] = net.RouteBetween(ranks[la], ranks[lb])
+		}
+	}
+	return w
+}
+
+// each visits every connector of the wiring once, through the send
+// endpoints.
+func (w *Wiring) each(visit func(*mem.Connector)) {
+	for _, row := range w.outs {
+		for _, c := range row {
+			visit(c)
+		}
+	}
+}
+
+// WakeAll broadcasts every connector's conditions so executors blocked
+// mid-wait re-poll their abort checks.
+func (w *Wiring) WakeAll(e *sim.Engine) {
+	w.each(func(c *mem.Connector) {
+		c.Readable().Broadcast(e)
+		c.Writable().Broadcast(e)
+	})
+}
+
+// DrainConnectors scrubs every connector after an aborted collective,
+// discarding in-flight chunks a lost rank left behind and waking any
+// writer still blocked on a full connector.
+func (w *Wiring) DrainConnectors(e *sim.Engine) {
+	w.each(func(c *mem.Connector) { c.Drain(e) })
+}
+
+// ExecutorFor builds the executor for ring position pos over the
+// wiring's endpoints — running spec's flat-ring sequence on a ring, its
+// hierarchical sequence on a hierarchical fabric — with the cluster's
+// GPU compute bandwidth. The executor shares the wiring's endpoint and
+// route slices; it must not write to them.
+func (w *Wiring) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
+	var seq *Sequence
+	if w.grouping.Nodes() > 0 {
+		seq = spec.HierSequenceFor(pos, w.grouping)
+	} else {
+		seq = spec.SequenceFor(pos)
+	}
+	x := &Executor{
+		Spec:      spec,
+		Pos:       pos,
+		Seq:       seq,
+		SendBuf:   sendBuf,
+		RecvBuf:   recvBuf,
+		Ins:       w.ins[pos],
+		Outs:      w.outs[pos],
+		OutRoutes: w.outRoutes[pos],
+		Net:       w.net,
+		ComputeBW: c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth,
+	}
+	if seq.useScratch && !spec.TimingOnly {
+		x.scratch = mem.NewBuffer(mem.DeviceSpace, spec.Type, seq.workLen)
+	}
+	return x
+}
+
+// Wirings is a communicator's connector wiring: one Wiring per
+// algorithm family, built when a collective first needs it and kept
+// across the communicator's pooled lifetimes. A wiring is rebuilt when
+// a collective arrives over a different rank ORDER: communicator pools
+// key by sorted rank set, and a wiring inherited across a permutation
+// would map ring positions to the wrong machines (its per-transport
+// wiring and pricing would silently misclassify cross-node traffic as
+// SHM).
+type Wirings struct {
+	net        *fabric.Network
+	tag        string
+	ring, hier *Wiring
+}
+
+// NewWirings returns an empty wiring set whose connectors will be
+// priced on net and named <tag>.conn…, <tag>.hier.mesh… and
+// <tag>.hier.lring….
+func NewWirings(net *fabric.Network, tag string) *Wirings {
+	return &Wirings{net: net, tag: tag}
+}
+
+// ExecutorFor builds the executor for spec's participant at ring
+// position pos over the wiring spec's algorithm needs.
+func (ws *Wirings) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
+	slot := &ws.ring
+	if spec.Algo == AlgoHierarchical {
+		slot = &ws.hier
+	}
+	if *slot == nil || !slices.Equal((*slot).ranks, spec.Ranks) {
+		if spec.Algo == AlgoHierarchical {
+			*slot = BuildHierFabricOn(ws.net, spec.Ranks, ws.tag+".hier")
+		} else {
+			*slot = BuildRingOn(ws.net, spec, ws.tag)
+		}
+	}
+	return (*slot).ExecutorFor(c, spec, pos, sendBuf, recvBuf)
+}
+
+// each visits the wirings built so far.
+func (ws *Wirings) each(visit func(*Wiring)) {
+	for _, w := range []*Wiring{ws.ring, ws.hier} {
+		if w != nil {
+			visit(w)
+		}
+	}
+}
+
+// WakeAll is Wiring.WakeAll over every wiring built so far.
+func (ws *Wirings) WakeAll(e *sim.Engine) {
+	ws.each(func(w *Wiring) { w.WakeAll(e) })
+}
+
+// DrainConnectors is Wiring.DrainConnectors over every wiring built so
+// far, restoring the pool invariant that a released communicator's
+// wiring is empty.
+func (ws *Wirings) DrainConnectors(e *sim.Engine) {
+	ws.each(func(w *Wiring) { w.DrainConnectors(e) })
+}

@@ -35,10 +35,7 @@ func (c *Cond) removeWaiter(p *Process) {
 // ever arrives and no timed events remain, the engine declares deadlock.
 func (c *Cond) Wait(p *Process) {
 	p.yield <- yieldMsg{kind: yieldWait, d: -1, cond: c}
-	msg := <-p.resume
-	if msg.kind == resumeKill {
-		panic(killSentinel{})
-	}
+	<-p.resume
 }
 
 // WaitTimeout blocks until the condition is signalled or d elapses.
@@ -49,10 +46,7 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 	}
 	p.timedOut = false
 	p.yield <- yieldMsg{kind: yieldWait, d: d, cond: c}
-	msg := <-p.resume
-	if msg.kind == resumeKill {
-		panic(killSentinel{})
-	}
+	<-p.resume
 	return p.timedOut
 }
 

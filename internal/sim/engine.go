@@ -58,9 +58,6 @@ func (t Time) String() string { return Duration(t).String() }
 // processes remain blocked.
 var ErrDeadlock = errors.New("sim: global deadlock: all live processes blocked with no pending events")
 
-// ErrStopped is returned by Run when Stop was called.
-var ErrStopped = errors.New("sim: engine stopped")
-
 type event struct {
 	at  Time
 	seq uint64
@@ -132,7 +129,6 @@ type Engine struct {
 	queue   eventQueue
 	procs   map[*Process]struct{}
 	blocked map[*Process]*Cond // processes waiting on conditions, no timeout armed
-	stopped bool
 
 	// MaxTime, when non-zero, bounds the simulation; Run returns
 	// ErrTimeLimit once the clock would pass it.
@@ -153,9 +149,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Stop requests that Run return ErrStopped at the next scheduling point.
-func (e *Engine) Stop() { e.stopped = true }
-
 func (e *Engine) schedule(p *Process, at Time) {
 	e.seq++
 	e.queue.push(event{at: at, seq: e.seq, p: p})
@@ -167,16 +160,12 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	p := &Process{
 		engine: e,
 		name:   name,
-		resume: make(chan resumeMsg),
+		resume: make(chan struct{}),
 		yield:  make(chan yieldMsg),
 	}
 	e.procs[p] = struct{}{}
 	go func() {
-		msg := <-p.resume // wait for first scheduling
-		if msg.kind == resumeKill {
-			p.yield <- yieldMsg{kind: yieldDone}
-			return
-		}
+		<-p.resume // wait for first scheduling
 		defer func() {
 			if r := recover(); r != nil {
 				p.yield <- yieldMsg{kind: yieldPanic, panicVal: r}
@@ -194,13 +183,9 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 //   - nil when all processes finished,
 //   - ErrDeadlock when live processes remain but none can run,
 //   - ErrTimeLimit when MaxTime is exceeded,
-//   - ErrStopped after Stop,
 //   - or the panic value of a process that panicked, wrapped in an error.
 func (e *Engine) Run() error {
 	for {
-		if e.stopped {
-			return ErrStopped
-		}
 		if len(e.queue) == 0 {
 			if len(e.procs) == 0 {
 				return nil
@@ -225,15 +210,40 @@ func (e *Engine) Run() error {
 			delete(e.blocked, p)
 			p.timedOut = true
 		}
-		if err := e.step(p, resumeMsg{kind: resumeRun}); err != nil {
+		if err := e.step(p); err != nil {
 			return err
 		}
 	}
 }
 
+// RunRanks spawns n processes named "<name>.rank<i>", each running
+// body with its rank, and drives the simulation like Run. The first
+// error a body returns wins over the engine's own: a rank that gives up
+// strands its peers, so the deadlock the engine then reports is the
+// symptom, not the cause. An engine error comes back wrapped with the
+// names of the processes it left blocked.
+func (e *Engine) RunRanks(name string, n int, body func(p *Process, rank int) error) error {
+	var first error
+	for rank := 0; rank < n; rank++ {
+		e.Spawn(fmt.Sprintf("%s.rank%d", name, rank), func(p *Process) {
+			if err := body(p, rank); err != nil && first == nil {
+				first = err
+			}
+		})
+	}
+	err := e.Run()
+	if first != nil {
+		return first
+	}
+	if err != nil {
+		return fmt.Errorf("%w (blocked: %v)", err, e.BlockedProcesses())
+	}
+	return nil
+}
+
 // step resumes p and processes its next yield.
-func (e *Engine) step(p *Process, msg resumeMsg) error {
-	p.resume <- msg
+func (e *Engine) step(p *Process) error {
+	p.resume <- struct{}{}
 	y := <-p.yield
 	switch y.kind {
 	case yieldDone:

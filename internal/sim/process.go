@@ -1,16 +1,5 @@
 package sim
 
-type resumeKind int
-
-const (
-	resumeRun resumeKind = iota
-	resumeKill
-)
-
-type resumeMsg struct {
-	kind resumeKind
-}
-
 type yieldKind int
 
 const (
@@ -33,7 +22,7 @@ type yieldMsg struct {
 type Process struct {
 	engine    *Engine
 	name      string
-	resume    chan resumeMsg
+	resume    chan struct{}
 	yield     chan yieldMsg
 	done      bool
 	timedOut  bool
@@ -57,19 +46,8 @@ func (p *Process) Sleep(d Duration) {
 		d = 0
 	}
 	p.yield <- yieldMsg{kind: yieldSleep, d: d}
-	msg := <-p.resume
-	if msg.kind == resumeKill {
-		panic(killSentinel{})
-	}
+	<-p.resume
 }
-
-// Yield cedes the processor without advancing time.
-func (p *Process) Yield() { p.Sleep(0) }
-
-// killSentinel aborts a process via panic; Engine.step treats the
-// resulting yieldPanic as termination. Kill is used only in tests and
-// teardown paths.
-type killSentinel struct{}
 
 // Spawn starts a child process from within this process.
 func (p *Process) Spawn(name string, fn func(p *Process)) *Process {

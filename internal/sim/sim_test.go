@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -329,5 +330,55 @@ func TestBarrier(t *testing.T) {
 	}
 	if len(results) != 3 || results["w1"] || results["w2"] || results["late"] {
 		t.Fatalf("poisoned waits = %v, want all three false", results)
+	}
+}
+
+func TestRunRanks(t *testing.T) {
+	// All ranks run, each with its own rank number.
+	e := NewEngine()
+	ran := make([]bool, 4)
+	if err := e.RunRanks("ok", len(ran), func(p *Process, rank int) error {
+		p.Sleep(Duration(rank))
+		ran[rank] = true
+		return nil
+	}); err != nil {
+		t.Fatalf("RunRanks: %v", err)
+	}
+	for rank, ok := range ran {
+		if !ok {
+			t.Fatalf("rank %d did not run", rank)
+		}
+	}
+
+	// A rank that gives up strands its peer on the barrier: the body
+	// error is returned, not the deadlock it causes.
+	e = NewEngine()
+	b := NewBarrier("b", 2)
+	errBody := errors.New("rank 1 gave up")
+	err := e.RunRanks("fail", 2, func(p *Process, rank int) error {
+		if rank == 1 {
+			return errBody
+		}
+		b.Wait(p)
+		return nil
+	})
+	if err != errBody {
+		t.Fatalf("RunRanks = %v, want the body error", err)
+	}
+
+	// A pure deadlock is ErrDeadlock naming the blocked processes.
+	e = NewEngine()
+	c := NewCond("never")
+	err = e.RunRanks("stuck", 2, func(p *Process, rank int) error {
+		c.Wait(p)
+		return nil
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("RunRanks = %v, want ErrDeadlock", err)
+	}
+	for _, name := range []string{"stuck.rank0", "stuck.rank1"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("deadlock error %q does not name %s", err, name)
+		}
 	}
 }

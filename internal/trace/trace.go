@@ -4,8 +4,7 @@
 // fabric flow and link-saturation events, and membership/tuning marks
 // on the virtual timeline, and exports them in the Chrome trace-event
 // JSON format so a DFCCL run can be inspected in chrome://tracing or
-// Perfetto. Tracing is opt-in via core.Config.Tracer (coarse daemon
-// events) and core.Config.Recorder (full-depth spans) and costs
+// Perfetto. Tracing is opt-in via core.Config.Recorder and costs
 // nothing when disabled.
 //
 // The package deliberately imports only internal/sim and the standard
@@ -222,10 +221,9 @@ type Mark struct {
 	Note string
 }
 
-// Recorder accumulates the full-depth flight-recorder streams. It
-// satisfies the core package's Tracer interface (the Events stream)
-// and additionally collects action spans, sends, fabric flow events,
-// saturation intervals, and membership marks when threaded through
+// Recorder accumulates the full-depth flight-recorder streams — daemon
+// scheduling events, action spans, sends, fabric flow events,
+// saturation intervals, and membership marks — when threaded through
 // core.Config.Recorder. The zero value is ready to use.
 //
 // The simulation engine is cooperatively scheduled, so all appends
@@ -239,9 +237,9 @@ type Recorder struct {
 	Marks   []Mark
 }
 
-// Record implements the Tracer hook.
-func (r *Recorder) Record(at sim.Time, gpu, coll int, kind int) {
-	r.Events = append(r.Events, Event{At: at, GPU: gpu, Coll: coll, Kind: Kind(kind)})
+// Record appends a daemon scheduling event.
+func (r *Recorder) Record(at sim.Time, gpu, coll int, kind Kind) {
+	r.Events = append(r.Events, Event{At: at, GPU: gpu, Coll: coll, Kind: kind})
 }
 
 // RecordAction appends a completed primitive action span.
@@ -396,16 +394,6 @@ func (r *Recorder) SendBytesByJob() map[int]int {
 	out := make(map[int]int)
 	for _, s := range r.Sends {
 		out[s.Job] += s.Bytes
-	}
-	return out
-}
-
-// ActionsByColl counts completed action spans per collective ID across
-// all GPUs — the span-count side of the reconciliation gate.
-func (r *Recorder) ActionsByColl() map[int]int {
-	out := make(map[int]int)
-	for _, a := range r.Actions {
-		out[a.Coll]++
 	}
 	return out
 }

@@ -21,7 +21,6 @@ func runTraced(t *testing.T) *trace.Recorder {
 	t.Helper()
 	rec := &trace.Recorder{}
 	cfg := core.DefaultConfig()
-	cfg.Tracer = rec
 	cfg.Recorder = rec
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(60 * sim.Second)
@@ -184,10 +183,10 @@ func TestChromeTraceDeterministic(t *testing.T) {
 // restores the documented (time, GPU, coll, kind) order.
 func TestSortCanonicalOrder(t *testing.T) {
 	rec := &trace.Recorder{}
-	rec.Record(10, 1, 5, int(trace.EvComplete))
-	rec.Record(10, 0, 7, int(trace.EvFetch))
-	rec.Record(10, 0, 3, int(trace.EvFetch))
-	rec.Record(5, 9, 9, int(trace.EvStart))
+	rec.Record(10, 1, 5, trace.EvComplete)
+	rec.Record(10, 0, 7, trace.EvFetch)
+	rec.Record(10, 0, 3, trace.EvFetch)
+	rec.Record(5, 9, 9, trace.EvStart)
 	rec.RecordMark(trace.Mark{At: 2, Kind: trace.MarkAbort, Coll: 4})
 	rec.RecordMark(trace.Mark{At: 2, Kind: trace.MarkAbort, Coll: 1})
 	rec.RecordMark(trace.Mark{At: 2, Kind: trace.MarkKill, GPU: 3})
@@ -233,26 +232,6 @@ func TestKindStrings(t *testing.T) {
 	} {
 		if k.String() != want {
 			t.Fatalf("transport %d.String() = %q, want %q", int(k), k.String(), want)
-		}
-	}
-}
-
-// Compile-time check: the recorder satisfies core's Tracer interface
-// and the kind constants line up.
-var _ core.Tracer = (*trace.Recorder)(nil)
-
-func TestKindConstantsAligned(t *testing.T) {
-	pairs := [][2]int{
-		{int(trace.EvFetch), core.TraceFetch},
-		{int(trace.EvExecute), core.TraceExecute},
-		{int(trace.EvPreempt), core.TracePreempt},
-		{int(trace.EvComplete), core.TraceComplete},
-		{int(trace.EvQuit), core.TraceQuit},
-		{int(trace.EvStart), core.TraceStart},
-	}
-	for _, pr := range pairs {
-		if pr[0] != pr[1] {
-			t.Fatalf("kind constants diverged: %v", pairs)
 		}
 	}
 }

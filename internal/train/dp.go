@@ -52,6 +52,21 @@ func (r *Result) RunningThroughput(samplesPerIter int) []float64 {
 	return out
 }
 
+// runRanks runs body once per rank 0..n-1 on backend b, drives the
+// simulation to completion (sim.Engine.RunRanks gives the error
+// contract), and closes the run's Result: total virtual time and the
+// throughput of samples over it.
+func runRanks(e *sim.Engine, b orch.Backend, name string, n, samples int, body func(p *sim.Process, rank int, res *Result) error) (*Result, error) {
+	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
+	err := e.RunRanks(name, n, func(p *sim.Process, rank int) error { return body(p, rank, res) })
+	if err != nil {
+		return nil, fmt.Errorf("train: %s: %w", b.Name(), err)
+	}
+	res.Elapsed = sim.Duration(e.Now())
+	res.Throughput = metrics.Throughput(samples, res.Elapsed)
+	return res, nil
+}
+
 // DPConfig configures a data-parallel training run (Fig. 10, Fig. 11,
 // Fig. 12(a)).
 type DPConfig struct {
@@ -88,79 +103,58 @@ func RunDP(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg DPConfig) (
 	for i := range ranks {
 		ranks[i] = i
 	}
-	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+	return runRanks(e, b, "train.dp", n, n*cfg.BatchPerGPU*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
+		speed := SpeedFactor(cluster.GPUs[rank].Model)
+		scale := func(d sim.Duration) sim.Duration {
+			return sim.Duration(float64(d) * speed * float64(cfg.BatchPerGPU))
 		}
-	}
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("train.dp.rank%d", rank), func(p *sim.Process) {
-			speed := SpeedFactor(cluster.GPUs[rank].Model)
-			scale := func(d sim.Duration) sim.Duration {
-				return sim.Duration(float64(d) * speed * float64(cfg.BatchPerGPU))
+		for li, layer := range cfg.Model.Layers {
+			prio := 0
+			if cfg.Priority {
+				prio = len(cfg.Model.Layers) - li // shallow layers highest
 			}
-			for li, layer := range cfg.Model.Layers {
-				prio := 0
-				if cfg.Priority {
-					prio = len(cfg.Model.Layers) - li // shallow layers highest
-				}
-				spec := prim.Spec{
-					Kind: prim.AllReduce, Count: layer.GradElems,
-					Type: mem.Float32, Op: mem.Sum, Ranks: ranks, TimingOnly: true,
-					Algo: cfg.Algo,
-				}
-				if err := b.Register(p, rank, li, spec, prio); err != nil {
-					fail(err)
-					return
-				}
+			spec := prim.Spec{
+				Kind: prim.AllReduce, Count: layer.GradElems,
+				Type: mem.Float32, Op: mem.Sum, Ranks: ranks, TimingOnly: true,
+				Algo: cfg.Algo,
 			}
-			order := make([]int, len(cfg.Model.Layers))
-			for it := 0; it < cfg.Iterations; it++ {
-				start := p.Now()
-				// Forward pass.
-				var fwd sim.Duration
-				for _, l := range cfg.Model.Layers {
-					fwd += scale(l.FwdPerSample)
+			if err := b.Register(p, rank, li, spec, prio); err != nil {
+				return err
+			}
+		}
+		order := make([]int, len(cfg.Model.Layers))
+		for it := 0; it < cfg.Iterations; it++ {
+			start := p.Now()
+			// Forward pass.
+			var fwd sim.Duration
+			for _, l := range cfg.Model.Layers {
+				fwd += scale(l.FwdPerSample)
+			}
+			p.Sleep(fwd)
+			// Backward pass: deepest layer first; each gradient
+			// becomes ready as its layer's backward completes.
+			for i := range order {
+				order[i] = len(cfg.Model.Layers) - 1 - i
+			}
+			if cfg.Disorder != nil {
+				cfg.Disorder(rank, it, order)
+			}
+			for _, li := range order {
+				p.Sleep(scale(cfg.Model.Layers[li].BwdPerSample))
+				if cfg.StragglerDelay > 0 && rank == cfg.StragglerRank {
+					p.Sleep(cfg.StragglerDelay)
 				}
-				p.Sleep(fwd)
-				// Backward pass: deepest layer first; each gradient
-				// becomes ready as its layer's backward completes.
-				for i := range order {
-					order[i] = len(cfg.Model.Layers) - 1 - i
-				}
-				if cfg.Disorder != nil {
-					cfg.Disorder(rank, it, order)
-				}
-				for _, li := range order {
-					p.Sleep(scale(cfg.Model.Layers[li].BwdPerSample))
-					if cfg.StragglerDelay > 0 && rank == cfg.StragglerRank {
-						p.Sleep(cfg.StragglerDelay)
-					}
-					if err := b.Launch(p, rank, li); err != nil {
-						fail(err)
-						return
-					}
-				}
-				b.WaitAll(p, rank)
-				p.Sleep(OptimizerTime)
-				if rank == 0 {
-					res.IterTimes.Add(float64(p.Now().Sub(start)) / float64(sim.Second))
+				if err := b.Launch(p, rank, li); err != nil {
+					return err
 				}
 			}
-			b.Teardown(p, rank)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("train: %s: %w (blocked: %v)", b.Name(), err, e.BlockedProcesses())
-	}
-	res.Elapsed = sim.Duration(e.Now())
-	res.Throughput = metrics.Throughput(n*cfg.BatchPerGPU*cfg.Iterations, res.Elapsed)
-	return res, nil
+			b.WaitAll(p, rank)
+			p.Sleep(OptimizerTime)
+			if rank == 0 {
+				res.IterTimes.Add(float64(p.Now().Sub(start)) / float64(sim.Second))
+			}
+		}
+		b.Teardown(p, rank)
+		return nil
+	})
 }

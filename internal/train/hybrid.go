@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"dfccl/internal/mem"
-	"dfccl/internal/metrics"
 	"dfccl/internal/orch"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -101,31 +100,9 @@ func RunHybrid(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg HybridC
 	if cfg.NumMicrobatches < 1 || cfg.Iterations < 1 {
 		return nil, fmt.Errorf("train: bad hybrid config %+v", cfg)
 	}
-	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for rank := 0; rank < cfg.GPUs(); rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("train.3d.rank%d", rank), func(p *sim.Process) {
-			if err := runHybridRank(p, cluster, b, cfg, rank, res); err != nil {
-				fail(err)
-			}
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("train: %s: %w (blocked: %v)", b.Name(), err, e.BlockedProcesses())
-	}
-	res.Elapsed = sim.Duration(e.Now())
-	res.Throughput = metrics.Throughput(cfg.SamplesPerIteration()*cfg.Iterations, res.Elapsed)
-	return res, nil
+	return runRanks(e, b, "train.3d", cfg.GPUs(), cfg.SamplesPerIteration()*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
+		return runHybridRank(p, cluster, b, cfg, rank, res)
+	})
 }
 
 func runHybridRank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg HybridConfig, rank int, res *Result) error {

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"dfccl/internal/mem"
-	"dfccl/internal/metrics"
 	"dfccl/internal/orch"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -203,8 +202,6 @@ func RunMoE(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg MoEConfig)
 	for i := range ranks {
 		ranks[i] = i
 	}
-	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
-
 	// outs collects each rank's combined token outputs in iteration/
 	// token/element order; hashed after the run in rank order.
 	outs := make([][]float64, n)
@@ -213,26 +210,11 @@ func RunMoE(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg MoEConfig)
 	}
 
 	bar := sim.NewBarrier("train.barrier", n)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("train.moe.rank%d", rank), func(p *sim.Process) {
-			if err := runMoERank(p, db, dyn, cfg, rank, ranks, bar, res, outs); err != nil {
-				fail(err)
-			}
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	res, err := runRanks(e, b, "train.moe", n, n*cfg.TokensPerRank*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
+		return runMoERank(p, db, dyn, cfg, rank, ranks, bar, res, outs)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("train: %s: %w (blocked: %v)", b.Name(), err, e.BlockedProcesses())
+		return nil, err
 	}
 	h := fnv.New64a()
 	var word [8]byte
@@ -243,8 +225,6 @@ func RunMoE(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg MoEConfig)
 		}
 	}
 	res.OutputHash = h.Sum64()
-	res.Elapsed = sim.Duration(e.Now())
-	res.Throughput = metrics.Throughput(n*cfg.TokensPerRank*cfg.Iterations, res.Elapsed)
 	return res, nil
 }
 

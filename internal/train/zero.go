@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dfccl/internal/mem"
-	"dfccl/internal/metrics"
 	"dfccl/internal/orch"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -123,32 +122,10 @@ func RunZeRO(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfi
 	if cfg.Momentum == 0 {
 		cfg.Momentum = 0.5
 	}
-	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
 	bar := sim.NewBarrier("train.barrier", cfg.Ranks)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for rank := 0; rank < cfg.Ranks; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("train.zero%d.rank%d", cfg.Stage, rank), func(p *sim.Process) {
-			if err := runZeRORank(p, cluster, db, dyn, cfg, rank, bar, res); err != nil {
-				fail(err)
-			}
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("train: %s: %w (blocked: %v)", b.Name(), err, e.BlockedProcesses())
-	}
-	res.Elapsed = sim.Duration(e.Now())
-	res.Throughput = metrics.Throughput(cfg.Ranks*cfg.BatchPerGPU*cfg.Iterations, res.Elapsed)
-	return res, nil
+	return runRanks(e, b, fmt.Sprintf("train.zero%d", cfg.Stage), cfg.Ranks, cfg.Ranks*cfg.BatchPerGPU*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
+		return runZeRORank(p, cluster, db, dyn, cfg, rank, bar, res)
+	})
 }
 
 func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn orch.DynamicBackend, cfg ZeROConfig, rank int, bar *sim.Barrier, res *Result) error {
