@@ -21,9 +21,10 @@ test:
 	$(GO) test ./...
 
 # test-race runs the whole suite under the race detector. The
-# simulation engine is cooperatively scheduled, so this mostly guards
-# the host-side harness code (benches, workloads) against accidental
-# real concurrency; ~1 min.
+# simulation is cooperatively scheduled, but every process is its own
+# goroutine (a coroutine the engine resumes), so this checks the
+# engine's hand-off as well as guarding the host-side harness code
+# (benches, workloads) against accidental real concurrency; ~1.5 min.
 test-race:
 	$(GO) test -race ./...
 
@@ -51,9 +52,12 @@ loc:
 
 # soak reruns the fault-path and flight-recorder tests 200 times: the
 # kill / abort / requeue paths must be deterministic on every run, not
-# most of them.
+# most of them. The engine's coroutine hand-off is the one piece of real
+# cross-goroutine state in the tree, so its own tests also run 50 times
+# under the race detector.
 soak:
 	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
+	$(GO) test -race -count=50 ./internal/sim
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

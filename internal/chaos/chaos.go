@@ -138,6 +138,9 @@ type Report struct {
 	// fault-free run of the same config by the chaos overhead (aborted
 	// work plus re-formation cost).
 	Elapsed sim.Duration
+	// Fingerprint is the engine's timeline hash after the run
+	// (sim.Engine.Fingerprint): equal configs must reproduce it.
+	Fingerprint uint64
 	// Hang is set when the run deadlocked, exceeded MaxVirtual, or
 	// livelocked past the attempt cap.
 	Hang bool
@@ -323,6 +326,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Elapsed = e.Now().Sub(sim.Time(0))
+	rep.Fingerprint = e.Fingerprint()
 	rep.Committed, rep.Trajectory, rep.Hashes = prog.Next, prog.Trajectory, prog.Hashes
 	if fatal != nil && rep.Err == "" {
 		rep.Err = fatal.Error()

@@ -180,6 +180,9 @@ type Report struct {
 	JobBytes map[int]int64
 	// Elapsed is the run's total virtual time (the makespan).
 	Elapsed sim.Duration
+	// Fingerprint is the engine's timeline hash after the run
+	// (sim.Engine.Fingerprint): equal configs must reproduce it.
+	Fingerprint uint64
 	// Hang is set when the run deadlocked, exceeded MaxVirtual, or
 	// livelocked past the attempt cap.
 	Hang bool

@@ -321,6 +321,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Elapsed = e.Now().Sub(sim.Time(0))
+	rep.Fingerprint = e.Fingerprint()
 	rep.PoolCreated = sys.CommsCreated()
 	rep.PoolReused = sys.CommsReused()
 	rep.JobBytes = net.JobBytes()

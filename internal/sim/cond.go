@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Cond is a simulated condition variable. Processes block on it with
 // Wait or WaitTimeout; any code running inside the simulation (including
 // other processes) wakes them with Signal or Broadcast.
@@ -12,8 +14,13 @@ package sim
 //		cond.Wait(p)
 //	}
 type Cond struct {
-	name    string
+	name string
+	// waiters is FIFO and keeps its backing array across wake-ups, so
+	// waiting allocates only while a condition's waiter count is still
+	// reaching its peak; slot is that array while the peak is one (a
+	// connector, a kernel's done, a future).
 	waiters []*Process
+	slot    [1]*Process
 }
 
 // NewCond returns a condition variable with a diagnostic name.
@@ -22,20 +29,25 @@ func NewCond(name string) *Cond { return &Cond{name: name} }
 // Name returns the diagnostic name.
 func (c *Cond) Name() string { return c.name }
 
+func (c *Cond) enqueue(p *Process) {
+	if c.waiters == nil {
+		c.waiters = c.slot[:0]
+	}
+	c.waiters = append(c.waiters, p)
+	p.cond = c
+}
+
 func (c *Cond) removeWaiter(p *Process) {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
+	if i := slices.Index(c.waiters, p); i >= 0 {
+		c.waiters = slices.Delete(c.waiters, i, i+1)
 	}
 }
 
 // Wait blocks the process until the condition is signalled. If no signal
 // ever arrives and no timed events remain, the engine declares deadlock.
 func (c *Cond) Wait(p *Process) {
-	p.yield <- yieldMsg{kind: yieldWait, d: -1, cond: c}
-	<-p.resume
+	c.enqueue(p)
+	p.park()
 }
 
 // WaitTimeout blocks until the condition is signalled or d elapses.
@@ -45,8 +57,11 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 		d = 0
 	}
 	p.timedOut = false
-	p.yield <- yieldMsg{kind: yieldWait, d: d, cond: c}
-	<-p.resume
+	c.enqueue(p)
+	e := p.engine
+	p.cancelSeq = e.seq + 1
+	e.schedule(p, e.now.Add(d))
+	p.park()
 	return p.timedOut
 }
 
@@ -56,21 +71,21 @@ func (c *Cond) Signal(e *Engine) {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	c.waiters = slices.Delete(c.waiters, 0, 1) // shifts in place: same order, same array
 	c.wake(e, p)
 }
 
 // Broadcast wakes all waiters at the current virtual time.
 func (c *Cond) Broadcast(e *Engine) {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for _, p := range c.waiters {
 		c.wake(e, p)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 func (c *Cond) wake(e *Engine, p *Process) {
-	delete(e.blocked, p)
+	p.cond = nil
 	p.cancelSeq = e.seq + 1 // invalidate any pending timeout event
 	p.timedOut = false
 	e.schedule(p, e.now)

@@ -1,8 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// Simulated actors ("processes") are goroutines that run cooperatively:
-// exactly one process executes at any instant, and control passes between
-// the engine and processes through unbuffered channel handoffs. Processes
+// Simulated actors ("processes") run cooperatively: exactly one process
+// executes at any instant. A process body runs on a coroutine (iter.Pull)
+// that the engine resumes and that yields back once the process has
+// queued its own timer or joined a condition's waiters; the switch is a
+// direct goroutine hand-off that never enters the Go scheduler, and a
+// coroutine whose body returned runs the next spawned process. Processes
 // advance virtual time by sleeping or by waiting on conditions; the engine
 // orders all wakeups on a priority queue keyed by (virtual time, sequence
 // number), which makes every run bit-for-bit reproducible.
@@ -16,6 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -122,13 +126,16 @@ func (q *eventQueue) pop() event {
 
 // Engine is a discrete-event simulation driver. It is not safe for
 // concurrent use; all interaction happens from the goroutine that calls
-// Run plus the process goroutines the engine itself coordinates.
+// Run plus the process coroutines the engine itself resumes.
 type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
-	procs   map[*Process]struct{}
-	blocked map[*Process]*Cond // processes waiting on conditions, no timeout armed
+	live    int      // processes spawned and not yet finished
+	head    *Process // the live processes, linked through Process.prev/next
+	idle    *worker  // coroutines whose body returned, linked through worker.idle
+	spawned uint64   // the next process's spawn ordinal
+	fp      uint64   // timeline fingerprint, see Fingerprint
 
 	// MaxTime, when non-zero, bounds the simulation; Run returns
 	// ErrTimeLimit once the clock would pass it.
@@ -138,12 +145,17 @@ type Engine struct {
 // ErrTimeLimit is returned by Run when the configured MaxTime is exceeded.
 var ErrTimeLimit = errors.New("sim: virtual time limit exceeded")
 
+// FNV-1a's 64-bit parameters, applied to whole words by Fingerprint.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		procs:   make(map[*Process]struct{}),
-		blocked: make(map[*Process]*Cond),
-	}
+	// 64 events cover a whole one-shot run of a few ranks, which would
+	// otherwise grow the queue 1-2-4-...-64 on every fresh engine.
+	return &Engine{queue: make(eventQueue, 0, 64), fp: fnvOffset}
 }
 
 // Now returns the current virtual time.
@@ -157,26 +169,55 @@ func (e *Engine) schedule(p *Process, at Time) {
 // Spawn creates a process executing fn and schedules it to start at the
 // current virtual time. The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
-	p := &Process{
-		engine: e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan yieldMsg),
+	p := &Process{engine: e, name: name, ord: e.spawned, fn: fn, next: e.head}
+	e.spawned++
+	if e.head != nil {
+		e.head.prev = p
 	}
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first scheduling
-		defer func() {
-			if r := recover(); r != nil {
-				p.yield <- yieldMsg{kind: yieldPanic, panicVal: r}
-				return
-			}
-			p.yield <- yieldMsg{kind: yieldDone}
-		}()
-		fn(p)
-	}()
+	e.head = p
+	e.live++
 	e.schedule(p, e.now)
 	return p
+}
+
+// worker is one coroutine. It runs the body of the process the engine
+// assigned it, parks on the engine's idle list when that body returns,
+// and runs the next assignment when resumed, so a steady state of
+// short-lived processes creates no coroutines.
+type worker struct {
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	p        *Process // the process whose body is running
+	panicked any      // what the body that just ended panicked with
+	idle     *worker  // the next worker on Engine.idle
+}
+
+func newWorker() *worker {
+	w := &worker{}
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.run(w.p)
+		if !yield(struct{}{}) {
+			return // stopped while idle
+		}
+	}
+}
+
+// run executes p's body. A panic is kept for step to report; a
+// runtime.Goexit passes through, ends the coroutine, and iter.Pull
+// repeats it on the goroutine that called Run.
+func (w *worker) run(p *Process) {
+	defer func() {
+		p.done, p.fn = true, nil
+		w.panicked = recover()
+	}()
+	p.fn(p)
 }
 
 // Run drives the simulation until no runnable work remains. It returns:
@@ -185,35 +226,52 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 //   - ErrTimeLimit when MaxTime is exceeded,
 //   - or the panic value of a process that panicked, wrapped in an error.
 func (e *Engine) Run() error {
+	// Parked processes keep their coroutines (a later Run may resume
+	// them); idle ones would be unreachable goroutines from here on.
+	defer e.stopIdle()
 	for {
 		if len(e.queue) == 0 {
-			if len(e.procs) == 0 {
+			if e.live == 0 {
 				return nil
 			}
 			// Every remaining live process must be blocked on a
 			// condition with no timeout: a global deadlock.
 			return ErrDeadlock
 		}
-		ev := e.queue.pop()
+		ev := e.queue[0]
 		p := ev.p
 		if p.done || ev.seq < p.cancelSeq {
+			e.queue.pop()
 			continue // stale wakeup (cancelled timer)
 		}
 		if e.MaxTime != 0 && ev.at > e.MaxTime {
+			// The event stays queued: Run again under a higher
+			// MaxTime picks up exactly here.
 			return ErrTimeLimit
 		}
+		e.queue.pop()
 		e.now = ev.at
+		e.fp = (e.fp ^ uint64(ev.at)) * fnvPrime
+		e.fp = (e.fp ^ ev.seq) * fnvPrime
+		e.fp = (e.fp ^ p.ord) * fnvPrime
 		// If this process was blocked on a condition (timed wait),
 		// remove it from the waiters list: the timeout fired.
-		if c, ok := e.blocked[p]; ok {
+		if c := p.cond; c != nil {
 			c.removeWaiter(p)
-			delete(e.blocked, p)
+			p.cond = nil
 			p.timedOut = true
 		}
 		if err := e.step(p); err != nil {
 			return err
 		}
 	}
+}
+
+func (e *Engine) stopIdle() {
+	for w := e.idle; w != nil; w = w.idle {
+		w.stop()
+	}
+	e.idle = nil
 }
 
 // RunRanks spawns n processes named "<name>.rank<i>", each running
@@ -241,47 +299,58 @@ func (e *Engine) RunRanks(name string, n int, body func(p *Process, rank int) er
 	return nil
 }
 
-// step resumes p and processes its next yield.
+// step runs p until it parks or its body ends.
 func (e *Engine) step(p *Process) error {
-	p.resume <- struct{}{}
-	y := <-p.yield
-	switch y.kind {
-	case yieldDone:
-		p.done = true
-		delete(e.procs, p)
-		delete(e.blocked, p)
-		return nil
-	case yieldPanic:
-		p.done = true
-		delete(e.procs, p)
-		return fmt.Errorf("sim: process %q panicked: %v", p.name, y.panicVal)
-	case yieldSleep:
-		e.schedule(p, e.now.Add(y.d))
-		return nil
-	case yieldWait:
-		c := y.cond
-		c.waiters = append(c.waiters, p)
-		if y.d >= 0 {
-			p.cancelSeq = e.seq + 1
-			e.schedule(p, e.now.Add(y.d))
+	w := p.w
+	if w == nil { // first dispatch: p needs a coroutine
+		if w = e.idle; w != nil {
+			e.idle = w.idle
+		} else {
+			w = newWorker()
 		}
-		e.blocked[p] = c
-		return nil
-	default:
-		return fmt.Errorf("sim: process %q: unknown yield kind %d", p.name, y.kind)
+		w.p, p.w = p, w
 	}
+	w.next()
+	if !p.done {
+		return nil
+	}
+	w.p, p.w = nil, nil
+	w.idle, e.idle = e.idle, w
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	e.live--
+	if r := w.panicked; r != nil {
+		w.panicked = nil
+		return fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+	}
+	return nil
 }
 
 // BlockedProcesses returns the names of processes currently blocked on
 // conditions, sorted, for deadlock diagnostics.
 func (e *Engine) BlockedProcesses() []string {
-	names := make([]string, 0, len(e.blocked))
-	for p := range e.blocked {
-		names = append(names, p.name)
+	var names []string
+	for p := e.head; p != nil; p = p.next {
+		if p.cond != nil {
+			names = append(names, p.name)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
 // LiveProcesses returns the number of processes that have not finished.
-func (e *Engine) LiveProcesses() int { return len(e.procs) }
+func (e *Engine) LiveProcesses() int { return e.live }
+
+// Fingerprint returns a hash of the timeline so far: the (virtual time,
+// sequence number, spawn ordinal of the process) of every event
+// dispatched to a process, in dispatch order. Two runs with equal
+// fingerprints resumed the same processes at the same times in the same
+// order, so a change that must not alter behaviour must not alter this.
+func (e *Engine) Fingerprint() uint64 { return e.fp }

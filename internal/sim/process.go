@@ -1,32 +1,19 @@
 package sim
 
-type yieldKind int
-
-const (
-	yieldDone yieldKind = iota
-	yieldPanic
-	yieldSleep
-	yieldWait
-)
-
-type yieldMsg struct {
-	kind     yieldKind
-	d        Duration // sleep duration, or wait timeout (-1 = none)
-	cond     *Cond
-	panicVal interface{}
-}
-
 // Process is a cooperative simulated actor. All methods must be called
 // from within the process's own function; they hand control back to the
 // engine and block until the engine reschedules the process.
 type Process struct {
-	engine    *Engine
-	name      string
-	resume    chan struct{}
-	yield     chan yieldMsg
-	done      bool
-	timedOut  bool
-	cancelSeq uint64 // events with seq < cancelSeq are stale
+	engine     *Engine
+	name       string
+	ord        uint64         // spawn ordinal, the process's identity in Engine.Fingerprint
+	fn         func(*Process) // the body, until it returns
+	w          *worker        // the coroutine running the body, from first dispatch to its end
+	prev, next *Process       // Engine's list of live processes
+	cond       *Cond          // the condition the process is blocked on, if any
+	done       bool
+	timedOut   bool
+	cancelSeq  uint64 // events with seq < cancelSeq are stale
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -38,6 +25,11 @@ func (p *Process) Now() Time { return p.engine.Now() }
 // Engine returns the engine driving this process.
 func (p *Process) Engine() *Engine { return p.engine }
 
+// park hands control back to the engine until it next dispatches an
+// event for p. What wakes p (a timer, a place among a condition's
+// waiters) must already be in place.
+func (p *Process) park() { p.w.yield(struct{}{}) }
+
 // Sleep advances the process by d of virtual time. Other processes run
 // in the meantime. A non-positive d yields the processor for zero time,
 // still giving same-time events scheduled earlier a chance to run.
@@ -45,8 +37,8 @@ func (p *Process) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.yield <- yieldMsg{kind: yieldSleep, d: d}
-	<-p.resume
+	p.engine.schedule(p, p.engine.now.Add(d))
+	p.park()
 }
 
 // Spawn starts a child process from within this process.

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -181,6 +185,29 @@ func TestMaxTime(t *testing.T) {
 	})
 	if err := e.Run(); !errors.Is(err, ErrTimeLimit) {
 		t.Fatalf("err = %v, want ErrTimeLimit", err)
+	}
+}
+
+// TestMaxTimeKeepsCrossingEvent: the event that would cross MaxTime
+// stays queued, so raising the limit and calling Run again resumes the
+// sleeper instead of reporting a deadlock with the sleeper still live.
+func TestMaxTimeKeepsCrossingEvent(t *testing.T) {
+	e := NewEngine()
+	e.MaxTime = 10
+	woke := false
+	e.Spawn("sleeper", func(p *Process) {
+		p.Sleep(20)
+		woke = true
+	})
+	if err := e.Run(); !errors.Is(err, ErrTimeLimit) {
+		t.Fatalf("first Run = %v, want ErrTimeLimit", err)
+	}
+	e.MaxTime = 100
+	if err := e.Run(); err != nil {
+		t.Fatalf("second Run = %v, want nil", err)
+	}
+	if !woke || e.Now() != 20 {
+		t.Fatalf("woke = %v at %v, want the sleeper resumed at 20ns", woke, e.Now())
 	}
 }
 
@@ -380,5 +407,267 @@ func TestRunRanks(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("deadlock error %q does not name %s", err, name)
 		}
+	}
+}
+
+// TestCondWaiterReuseKeepsOrder: the waiter list reuses its backing
+// array across Signal, Broadcast and timeouts that leave from the
+// middle; after 1000 mixed rounds Signal must still wake in FIFO order
+// and Waiters must be exact. The waiters keep a model of the queue
+// themselves: a process appends itself before it waits and takes itself
+// out when its wait times out.
+func TestCondWaiterReuseKeepsOrder(t *testing.T) {
+	e := NewEngine()
+	c := NewCond("c")
+	var model, signalled []int
+	stop := false
+	for i := 0; i < 6; i++ {
+		e.Spawn(fmt.Sprintf("w%d", i), func(p *Process) {
+			for !stop {
+				model = append(model, i)
+				if i%2 == 0 {
+					c.Wait(p)
+				} else if c.WaitTimeout(p, Duration(5+3*i)) {
+					model = slices.Delete(model, slices.Index(model, i), slices.Index(model, i)+1)
+					continue
+				}
+				signalled = append(signalled, i)
+			}
+		})
+	}
+	e.Spawn("controller", func(p *Process) {
+		p.Sleep(1)
+		for round := 0; round < 1000; round++ {
+			var want []int
+			switch round % 3 {
+			case 0:
+				want = []int{model[0]}
+				model = model[1:]
+				c.Signal(e)
+			case 1:
+				want, model = model, nil
+				c.Broadcast(e)
+			case 2:
+				p.Sleep(Duration(3 + round%17)) // some timed waits expire, from any position
+			}
+			signalled = signalled[:0]
+			p.Sleep(1)
+			if !slices.Equal(signalled, want) {
+				t.Fatalf("round %d: woke %v, want %v", round, signalled, want)
+			}
+			if c.Waiters() != len(model) {
+				t.Fatalf("round %d: Waiters() = %d with %v waiting", round, c.Waiters(), model)
+			}
+		}
+		stop = true
+		c.Broadcast(e)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestSwitchAllocatesNothing measures, from inside a process body, the
+// three switches everything else is built from. Each must cost zero
+// allocations once warm: no message per yield, no map write per wait, no
+// waiter slice regrown after a Signal or a Broadcast.
+func TestSwitchAllocatesNothing(t *testing.T) {
+	measure := func(name string, spawn func(e *Engine, round func(func()))) {
+		e := NewEngine()
+		spawn(e, func(f func()) {
+			for i := 0; i < 100; i++ {
+				f() // grow the event queue and the waiter lists to their peak
+			}
+			if n := testing.AllocsPerRun(2000, f); n != 0 {
+				t.Errorf("%s: %v allocations per round, want 0", name, n)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	measure("32-process Sleep round-robin", func(e *Engine, round func(func())) {
+		stop := false
+		for i := 0; i < 31; i++ {
+			e.Spawn("peer", func(p *Process) {
+				for !stop {
+					p.Sleep(1)
+				}
+			})
+		}
+		e.Spawn("probe", func(p *Process) {
+			round(func() { p.Sleep(1) })
+			stop = true
+		})
+	})
+	measure("Wait/Signal ping-pong", func(e *Engine, round func(func())) {
+		ping, pong := NewCond("ping"), NewCond("pong")
+		stop := false
+		e.Spawn("peer", func(p *Process) {
+			for ping.Wait(p); !stop; ping.Wait(p) {
+				pong.Signal(e)
+			}
+		})
+		e.Spawn("probe", func(p *Process) {
+			round(func() {
+				ping.Signal(e)
+				pong.Wait(p)
+			})
+			stop = true
+			ping.Signal(e)
+		})
+	})
+	measure("64-waiter Broadcast and re-Wait", func(e *Engine, round func(func())) {
+		c := NewCond("gen")
+		stop := false
+		for i := 0; i < 64; i++ {
+			e.Spawn("waiter", func(p *Process) {
+				for !stop {
+					c.Wait(p)
+				}
+			})
+		}
+		e.Spawn("probe", func(p *Process) {
+			round(func() {
+				c.Broadcast(e)
+				p.Sleep(1)
+			})
+			stop = true
+			c.Broadcast(e)
+		})
+	})
+}
+
+// TestNoGoroutineLeak: a process is a goroutine (a parked coroutine), so
+// every Run must leave none behind once its processes finished, and a
+// finished process's coroutine must serve the next spawn.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		e := NewEngine()
+		for j := 0; j < 10; j++ {
+			e.Spawn("parent", func(p *Process) {
+				p.Sleep(Duration(j))
+				p.Spawn("child", func(c *Process) { c.Sleep(3) })
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 100 finished engines, %d before", n, base)
+	}
+
+	e := NewEngine()
+	peak := 0
+	e.Spawn("parent", func(p *Process) {
+		for i := 0; i < 10000; i++ {
+			p.Spawn("short", func(c *Process) { c.Sleep(1) })
+			p.Sleep(2)
+			peak = max(peak, runtime.NumGoroutine())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if peak > base+2 {
+		t.Fatalf("10000 one-at-a-time processes held %d goroutines over the baseline, want 2 (parent and one reused coroutine)", peak-base)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Run, %d before", n, base)
+	}
+}
+
+// TestGoexitInProcessEndsRunCaller: runtime.Goexit in a process body
+// (what t.Fatal there does) must unwind the goroutine that called Run,
+// running its deferred calls, rather than leave it waiting for a
+// coroutine that no longer exists.
+func TestGoexitInProcessEndsRunCaller(t *testing.T) {
+	unwound := make(chan struct{})
+	go func() {
+		defer close(unwound)
+		e := NewEngine()
+		e.Spawn("peer", func(p *Process) { p.Sleep(5) })
+		e.Spawn("quitter", func(p *Process) {
+			p.Sleep(1)
+			runtime.Goexit()
+		})
+		err := e.Run()
+		t.Errorf("Run returned %v after a process called runtime.Goexit", err)
+	}()
+	select {
+	case <-unwound:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run's caller still blocked 10s after a process called runtime.Goexit")
+	}
+}
+
+// TestPanicLeavesEngineConsistent: a panicking process ends Run with the
+// documented text, its parked peers stay counted, and nothing leaks into
+// a later engine.
+func TestPanicLeavesEngineConsistent(t *testing.T) {
+	e := NewEngine()
+	never := NewCond("never")
+	for i := 0; i < 3; i++ {
+		e.Spawn("peer", func(p *Process) { never.Wait(p) })
+	}
+	e.Spawn("x", func(p *Process) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	err := e.Run()
+	if err == nil || err.Error() != `sim: process "x" panicked: boom` {
+		t.Fatalf("Run = %v, want the panic of process x", err)
+	}
+	if got := e.LiveProcesses(); got != 3 {
+		t.Fatalf("LiveProcesses = %d after the panic, want the 3 parked peers", got)
+	}
+	if got := e.BlockedProcesses(); len(got) != 3 {
+		t.Fatalf("BlockedProcesses = %v, want the 3 parked peers", got)
+	}
+
+	e = NewEngine()
+	ran := false
+	e.Spawn("after", func(p *Process) {
+		p.Sleep(1)
+		ran = true
+	})
+	if err := e.Run(); err != nil || !ran {
+		t.Fatalf("fresh engine after a panic elsewhere: Run = %v, ran = %v", err, ran)
+	}
+}
+
+// TestRunSpawnRun: an engine can be run again. Run stopped its idle
+// coroutines, so the second round starts new ones, and a process the
+// first Run left blocked still resumes where it parked.
+func TestRunSpawnRun(t *testing.T) {
+	e := NewEngine()
+	c := NewCond("c")
+	var order []string
+	e.Spawn("first", func(p *Process) {
+		p.Sleep(1)
+		order = append(order, "first")
+	})
+	e.Spawn("blocked", func(p *Process) {
+		c.Wait(p)
+		order = append(order, "blocked")
+	})
+	if err := e.Run(); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("first Run = %v, want ErrDeadlock", err)
+	}
+	e.Spawn("second", func(p *Process) {
+		p.Sleep(1)
+		order = append(order, "second")
+		c.Signal(e)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("second Run = %v", err)
+	}
+	if want := []string{"first", "second", "blocked"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if e.Now() != 2 || e.LiveProcesses() != 0 {
+		t.Fatalf("ended at %v with %d live processes, want 2ns and 0", e.Now(), e.LiveProcesses())
 	}
 }
