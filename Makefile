@@ -54,10 +54,14 @@ loc:
 # kill / abort / requeue paths must be deterministic on every run, not
 # most of them. The engine's coroutine hand-off is the one piece of real
 # cross-goroutine state in the tree, so its own tests also run 50 times
-# under the race detector.
+# under the race detector. The data plane's run 20 times under it: mem's
+# kernels view bytes through unsafe (-race turns checkptr on), and
+# recycled connector chunks are only correct while readers consume
+# before they yield.
 soak:
 	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
 	$(GO) test -race -count=50 ./internal/sim
+	$(GO) test -race -count=20 ./internal/mem ./internal/prim
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

@@ -2,6 +2,7 @@ package dfccl_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dfccl"
@@ -99,5 +100,67 @@ func TestFacadeTimeAdvances(t *testing.T) {
 	}
 	if lib.Now() != 3*dfccl.Millisecond {
 		t.Fatalf("Now = %v", lib.Now())
+	}
+}
+
+// TestRelaunchAllocationBudget holds the launch path to an allocation
+// budget: one AllReduce(1024) over 8 ranks, opened once and relaunched
+// in lock-step, may cost at most 8 heap allocations per rank-launch
+// (6.0 when written: RankContext.Run 2, a sim.Cond, the launch and its
+// future, half a CQ push, and a little engine bookkeeping). A chunk
+// buffer allocated per connector Write — 14 a rank-launch here — puts
+// it above 20.
+func TestRelaunchAllocationBudget(t *testing.T) {
+	const n, count, warm, measured = 8, 1024, 10, 50
+	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	// mallocs runs the whole simulation with the given launches per rank
+	// and returns the heap allocations it made.
+	mallocs := func(launches int) uint64 {
+		lib := dfccl.New(dfccl.Server3090(n))
+		lib.SetTimeLimit(10 * dfccl.Second)
+		for rank := 0; rank < n; rank++ {
+			send := dfccl.NewBuffer(dfccl.Float32, count)
+			recv := dfccl.NewBuffer(dfccl.Float32, count)
+			send.Fill(float64(rank + 1))
+			lib.Go("rank", func(p *dfccl.Process) {
+				ctx := lib.Init(p, rank)
+				coll, err := ctx.Open(dfccl.AllReduce(count, dfccl.Float32, dfccl.Sum, ranks...), dfccl.WithCollID(1))
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				for i := 0; i < launches; i++ {
+					fut, err := coll.Launch(p, send, recv)
+					if err == nil {
+						err = fut.Wait(p)
+					}
+					if err != nil {
+						t.Errorf("launch %d: %v", i, err)
+						return
+					}
+				}
+				if got := recv.Float64At(count - 1); got != n*(n+1)/2 {
+					t.Errorf("rank %d: sum = %v, want %d", rank, got, n*(n+1)/2)
+				}
+				if err := coll.Close(p); err != nil {
+					t.Errorf("close: %v", err)
+				}
+				ctx.Destroy(p)
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := lib.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// Set-up (Init, Open, the first launches' connector buffers) is in
+	// both runs and cancels.
+	perLaunch := float64(mallocs(warm+measured)-mallocs(warm)) / (measured * n)
+	t.Logf("%.2f allocations per rank-launch", perLaunch)
+	if perLaunch > 8 {
+		t.Errorf("%.2f allocations per rank-launch, budget 8", perLaunch)
 	}
 }

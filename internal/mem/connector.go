@@ -15,12 +15,27 @@ import (
 // construction: once a chunk is written to a slot it remains visible to
 // the peer even if the writer is preempted immediately afterwards, and
 // regardless of whether the reader is currently scheduled.
+//
+// Chunk memory is recycled: Write stages into the buffer Read freed
+// last, so a steady stream of equal-sized chunks allocates nothing. See
+// Read for the lifetime this gives a chunk.
 type Connector struct {
 	name  string
 	slots [][]byte
 	// head counts consumed chunks, tail counts produced chunks;
 	// tail-head is the number of readable slots.
 	head, tail uint64
+
+	// spare is the chunk buffer freed most recently, kept for the next
+	// Write. One is all that is kept: a ring in steady state alternates
+	// Read and Write, and keeping every buffer ever freed would pin a
+	// backed-up ring's full depth (Cap chunks) on every connector of a
+	// pooled communicator for as long as the pool lives.
+	spare []byte
+
+	// Bytes staged by Write, handed out by Read, and discarded by Drain.
+	// Whenever nothing is pending, written == read + scrubbed.
+	written, read, scrubbed uint64
 
 	readable *sim.Cond // signalled on write
 	writable *sim.Cond // signalled on read
@@ -70,14 +85,26 @@ func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 	if !c.CanWrite() {
 		panic(fmt.Sprintf("mem: connector %s overrun", c.name))
 	}
-	buf := make([]byte, len(chunk))
+	buf := c.spare
+	c.spare = nil
+	if cap(buf) < len(chunk) {
+		buf = make([]byte, len(chunk))
+	}
+	buf = buf[:len(chunk)]
 	copy(buf, chunk)
 	c.slots[c.tail%uint64(len(c.slots))] = buf
 	c.tail++
+	c.written += uint64(len(chunk))
 	c.readable.Broadcast(e)
 }
 
 // Read consumes the oldest chunk. The caller must have checked CanRead.
+//
+// The returned bytes are valid until the caller next yields to the
+// engine (Sleep, a Cond wait, returning from the process body): the
+// slot is free from this instant, and the next Write — which can only
+// run once the caller has yielded — stages its chunk into the same
+// memory. A caller that needs the data later copies it out first.
 func (c *Connector) Read(e *sim.Engine) []byte {
 	if !c.CanRead() {
 		panic(fmt.Sprintf("mem: connector %s underrun", c.name))
@@ -85,16 +112,10 @@ func (c *Connector) Read(e *sim.Engine) []byte {
 	chunk := c.slots[c.head%uint64(len(c.slots))]
 	c.slots[c.head%uint64(len(c.slots))] = nil
 	c.head++
+	c.read += uint64(len(chunk))
+	c.spare = chunk
 	c.writable.Broadcast(e)
 	return chunk
-}
-
-// Peek returns the oldest chunk without consuming it.
-func (c *Connector) Peek() []byte {
-	if !c.CanRead() {
-		panic(fmt.Sprintf("mem: connector %s underrun on peek", c.name))
-	}
-	return c.slots[c.head%uint64(len(c.slots))]
 }
 
 // Readable returns the condition signalled when a chunk arrives.
@@ -110,11 +131,13 @@ func (c *Connector) Writable() *sim.Cond { return c.writable }
 // pool scrubs the connector before reuse instead of tripping the
 // Reset in-flight panic.
 func (c *Connector) Drain(e *sim.Engine) {
-	for i := range c.slots {
+	for i, chunk := range c.slots {
+		c.scrubbed += uint64(len(chunk))
 		c.slots[i] = nil
 	}
 	c.head = c.tail
 	c.Owner = -1
+	c.checkBytes()
 	c.writable.Broadcast(e)
 }
 
@@ -125,7 +148,17 @@ func (c *Connector) Reset() {
 	if c.Pending() != 0 {
 		panic(fmt.Sprintf("mem: resetting connector %s with %d in-flight chunks", c.name, c.Pending()))
 	}
+	c.checkBytes()
 	c.Owner = -1
+}
+
+// checkBytes asserts the byte-conservation invariant of an empty ring:
+// every byte written was either read or scrubbed.
+func (c *Connector) checkBytes() {
+	if c.written != c.read+c.scrubbed {
+		panic(fmt.Sprintf("mem: connector %s lost bytes: written %d != read %d + scrubbed %d",
+			c.name, c.written, c.read, c.scrubbed))
+	}
 }
 
 // DeviceMemory tracks global-memory allocation on one simulated GPU.

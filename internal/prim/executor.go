@@ -211,13 +211,23 @@ func (x *Executor) initialize(p *sim.Process) {
 	switch x.Seq.initCopyOwnSeg {
 	case initCopyNone:
 	case initCopyWhole: // whole send buffer into the working buffer
-		dst := x.work().Bytes()
 		src := x.SendBuf.Bytes()
-		if len(dst) != len(src) {
-			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
+		// A scratch this copy overwrites whole is not allocated (and
+		// zeroed) ahead of its first run: it starts life as the copy.
+		fresh := x.Seq.useScratch && x.scratch == nil
+		workBytes := x.Seq.workLen * x.Spec.Type.Size()
+		if !fresh {
+			workBytes = len(x.work().Bytes())
+		}
+		if workBytes != len(src) {
+			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
 		}
 		p.Sleep(x.computeCost(len(src)))
-		copy(dst, src)
+		if fresh {
+			x.scratch = x.SendBuf.Clone()
+		} else {
+			copy(x.work().Bytes(), src)
+		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
 		src := x.SendBuf.Bytes()
 		dst := x.work().Bytes()
@@ -489,7 +499,11 @@ func (x *Executor) sendHalf(p *sim.Process, a Action) {
 }
 
 // recvHalf consumes a chunk and reduces or copies it into the action's
-// recv segment, charging compute time.
+// recv segment, charging compute time. The data moves before the sleep
+// that prices it, because the chunk is only valid until this process
+// yields (mem.Connector.Read). Nothing can tell: the segment belongs to
+// this executor, whose process is the one asleep, and a kill or abort
+// is only observed at StepOnce entry and in connector waits.
 func (x *Executor) recvHalf(p *sim.Process, a Action) {
 	chunk := x.Ins[a.RecvConn].Read(p.Engine())
 	sr := x.Seq.recvSlice(a, x.Round)
@@ -502,10 +516,10 @@ func (x *Executor) recvHalf(p *sim.Process, a Action) {
 		panic(fmt.Sprintf("prim: %v rank-pos %d stage %d round %d step %d: chunk %dB vs segment slice %dB",
 			x.Spec.Kind, x.Pos, x.Stage, x.Round, x.Step, len(chunk), len(dst)))
 	}
-	p.Sleep(x.computeCost(len(chunk)))
 	if a.Reduce {
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)
 	} else {
 		copy(dst, chunk)
 	}
+	p.Sleep(x.computeCost(len(chunk)))
 }

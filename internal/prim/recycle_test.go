@@ -1,0 +1,185 @@
+package prim
+
+import (
+	"strings"
+	"testing"
+
+	"dfccl/internal/fabric"
+	"dfccl/internal/mem"
+	"dfccl/internal/sim"
+	"dfccl/internal/topo"
+)
+
+// sumPattern fills rank's send buffer with small integers (a different
+// set per shift), so float32 sums over any number of ranks are exact,
+// and returns the all-reduce sum expected at element i over n ranks.
+func sumPattern(n, shift int) (fill func(rank int, b *mem.Buffer), want func(i int) float64) {
+	val := func(rank, i int) float64 { return float64((rank*7+(i+shift)*3)%17 + 1) }
+	fill = func(rank int, b *mem.Buffer) {
+		for i := 0; i < b.Len(); i++ {
+			b.SetFloat64(i, val(rank, i))
+		}
+	}
+	want = func(i int) float64 {
+		var s float64
+		for r := 0; r < n; r++ {
+			s += val(r, i)
+		}
+		return s
+	}
+	return fill, want
+}
+
+// TestBackedUpRingsStayExact drives an 8-rank data-carrying all-reduce
+// the way the daemon does — StepOnce with a spin budget, and a rank that
+// comes back Stuck is switched out for a while — with reducers slower
+// than the wire. A switched-out reader lets its ring back up to all
+// ConnectorSlots; once it is back, its writer refills each slot it
+// frees while the reader is still inside recvHalf's compute sleep, and
+// with recycled chunk memory that refill lands in the very buffer the
+// reader was just handed. The sums are only exact if the reader has
+// reduced the chunk before it sleeps (mem.Connector.Read's lifetime
+// contract): reduce after the sleep and this test fails.
+func TestBackedUpRingsStayExact(t *testing.T) {
+	const n, count = 8, 8 * 64 * 6
+	c := topo.Server3090(n)
+	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	spec := Spec{Kind: AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: ranks, ChunkElems: 64}
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
+	fill, want := sumPattern(n, 0)
+	recvs := make([]*mem.Buffer, n)
+	e := sim.NewEngine()
+	deepest := 0
+	for i := 0; i < n; i++ {
+		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, count)
+		recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, count)
+		fill(i, s)
+		x := ring.ExecutorFor(c, spec, i, s, recvs[i])
+		x.ComputeBW = 1e9 // reducing a chunk takes longer than sending one
+		e.Spawn("rank", func(p *sim.Process) {
+			for {
+				r := x.StepOnce(p, 500*sim.Nanosecond)
+				deepest = max(deepest, x.Outs[0].Pending())
+				switch r {
+				case Done:
+					return
+				case Stuck:
+					p.Sleep(sim.Duration(20+15*i) * sim.Microsecond)
+				}
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if deepest != ConnectorSlots {
+		t.Fatalf("rings backed up to %d of %d slots: the schedule no longer exercises the case", deepest, ConnectorSlots)
+	}
+	for r := 0; r < n; r++ {
+		for i := 0; i < count; i++ {
+			if got := recvs[r].Float64At(i); got != want(i) {
+				t.Fatalf("rank %d elem %d = %v, want %v", r, i, got, want(i))
+			}
+		}
+	}
+}
+
+// TestPooledWiringServesLargerChunks reuses one communicator's wiring
+// for collectives of different chunk sizes, as the communicator pool
+// does across Close and Open: connectors that kept a small collective's
+// buffer must carry a larger one's chunks whole, and the other way
+// round must not leak the larger buffer's tail.
+func TestPooledWiringServesLargerChunks(t *testing.T) {
+	const n = 4
+	c := topo.Server3090(n)
+	ws := NewWirings(fabric.Unshared(c), "t")
+	fill, want := sumPattern(n, 0)
+	var first *Wiring
+	for _, sz := range []struct{ count, chunk int }{{64, 4}, {4096, 512}, {100, 7}, {4096, 1024}} {
+		spec := Spec{Kind: AllReduce, Count: sz.count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3}, ChunkElems: sz.chunk}
+		e := sim.NewEngine()
+		recvs := make([]*mem.Buffer, n)
+		for i := 0; i < n; i++ {
+			s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sz.count)
+			recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, sz.count)
+			fill(i, s)
+			x := ws.ExecutorFor(c, spec, i, s, recvs[i])
+			e.Spawn("rank", func(p *sim.Process) {
+				for x.StepOnce(p, -1) != Done {
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("count %d chunk %d: %v", sz.count, sz.chunk, err)
+		}
+		for r := 0; r < n; r++ {
+			for i := 0; i < sz.count; i++ {
+				if got := recvs[r].Float64At(i); got != want(i) {
+					t.Fatalf("count %d chunk %d: rank %d elem %d = %v, want %v", sz.count, sz.chunk, r, i, got, want(i))
+				}
+			}
+		}
+		if first == nil {
+			first = ws.ring
+		}
+		if ws.ring != first {
+			t.Fatal("the wiring was rebuilt: the test no longer reuses connectors")
+		}
+	}
+}
+
+// TestScratchStartsAsTheInitCopy: a reduce-scatter's scratch is
+// overwritten whole by the init copy, so it is not allocated ahead of
+// the first run but made by that copy. The first and the relaunched run
+// (which copies into the scratch it then has) are both exact, and a
+// send buffer of the wrong size is still refused on either.
+func TestScratchStartsAsTheInitCopy(t *testing.T) {
+	const n, count = 4, 4 * 50
+	c := topo.Server3090(n)
+	spec := Spec{Kind: ReduceScatter, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3}, ChunkElems: 16}
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
+	execs := make([]*Executor, n)
+	for i := range execs {
+		execs[i] = ring.ExecutorFor(c, spec, i, nil, nil)
+		if execs[i].scratch != nil {
+			t.Fatal("scratch allocated before the first run")
+		}
+	}
+	run := func(shift int, sendCount int) error {
+		fill, want := sumPattern(n, shift)
+		e := sim.NewEngine()
+		recvs := make([]*mem.Buffer, n)
+		for i, x := range execs {
+			s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+			fill(i, s)
+			recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, count/n)
+			x.Reset(s, recvs[i])
+			e.Spawn("rank", func(p *sim.Process) {
+				for x.StepOnce(p, -1) != Done {
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			return err
+		}
+		for r := 0; r < n; r++ {
+			for j := 0; j < count/n; j++ {
+				if got, w := recvs[r].Float64At(j), want(r*count/n+j); got != w {
+					t.Fatalf("shift %d: rank %d elem %d = %v, want %v", shift, r, j, got, w)
+				}
+			}
+		}
+		return nil
+	}
+	if err := run(0, count-1); err == nil || !strings.Contains(err.Error(), "init copy size mismatch") {
+		t.Fatalf("short send buffer on the first run: %v, want an init copy size mismatch", err)
+	}
+	for shift := 0; shift < 3; shift++ {
+		if err := run(shift, count); err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+	}
+	if err := run(0, count+1); err == nil || !strings.Contains(err.Error(), "init copy size mismatch") {
+		t.Fatalf("long send buffer on a relaunch: %v, want an init copy size mismatch", err)
+	}
+}

@@ -160,7 +160,8 @@ func (w *Wiring) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvB
 		Net:       w.net,
 		ComputeBW: c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth,
 	}
-	if seq.useScratch && !spec.TimingOnly {
+	// A scratch the init copy overwrites whole is made by that copy.
+	if seq.useScratch && !spec.TimingOnly && seq.initCopyOwnSeg != initCopyWhole {
 		x.scratch = mem.NewBuffer(mem.DeviceSpace, spec.Type, seq.workLen)
 	}
 	return x

@@ -157,7 +157,7 @@ func (k FlowEventKind) String() string {
 
 // FlowEvent is one fabric flow lifecycle point: start (with payload
 // size), a rate re-allocation, or finish. Rate is in bytes per virtual
-// nanosecond (== GB/s).
+// second, as the fabric's solver allocates it.
 type FlowEvent struct {
 	At    sim.Time
 	ID    int
@@ -563,7 +563,7 @@ func (r *Recorder) fabricEvents() []chromeEvent {
 			start[f.ID] = f
 		case FlowRate:
 			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("rate %.3f GB/s", f.Rate),
+				Name: fmt.Sprintf("rate %.3f GB/s", f.Rate/1e9),
 				Cat:  "flow", Ph: "i",
 				TS: usec(f.At), PID: FabricPID, TID: f.ID,
 			})

@@ -5,6 +5,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dfccl/internal/core"
@@ -160,6 +161,20 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if !phases["M"] {
 		t.Fatalf("expected track metadata (M) events, got %v", phases)
+	}
+}
+
+// TestChromeFlowRateLabel: the fabric records rates in bytes per second;
+// the viewer label is in GB/s.
+func TestChromeFlowRateLabel(t *testing.T) {
+	rec := &trace.Recorder{}
+	rec.RecordFlow(trace.FlowEvent{At: 5, ID: 1, Kind: trace.FlowRate, Rate: 11e9})
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"rate 11.000 GB/s"`) {
+		t.Fatalf("11e9 B/s not labelled 11.000 GB/s:\n%s", buf.String())
 	}
 }
 
