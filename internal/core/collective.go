@@ -402,7 +402,7 @@ func survivorSpec(spec prim.Spec, lost []int) (prim.Spec, error) {
 // launches): completion, error state, and core-execution timing.
 type Future struct {
 	engine   *sim.Engine
-	cond     *sim.Cond
+	cond     sim.Cond
 	pending  int
 	total    int
 	err      error
@@ -410,7 +410,7 @@ type Future struct {
 }
 
 func newFuture(e *sim.Engine, n int) *Future {
-	return &Future{engine: e, cond: sim.NewCond("core.future"), pending: n, total: n}
+	return &Future{engine: e, pending: n, total: n}
 }
 
 // completeOne records one completed run; the future resolves when all

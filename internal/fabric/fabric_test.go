@@ -1,8 +1,11 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dfccl/internal/sim"
@@ -276,4 +279,53 @@ func TestTierSummary(t *testing.T) {
 	if sum[1].Saturated != 10 {
 		t.Fatalf("spine saturated %v, want 10", sum[1].Saturated)
 	}
+}
+
+// TestRecomputeInvariantHolds drives the solver the way TransferJob does
+// — a flow joins or finishes, recompute — through 1 000 seeded random
+// sequences on four 8-GPU machines behind a 4:1 tapered leaf and spine.
+// recompute itself panics if a link is over-committed or a flow is left
+// without a rate; the test adds the half it cannot afford on every solve:
+// the rates are max-min fair, so every flow runs at its path's cap or
+// crosses a link the solve left saturated.
+func TestRecomputeInvariantHolds(t *testing.T) {
+	n := Shared(topo.MultiNode3090(4), OversubConfig(4))
+	size := n.Cluster().Size()
+	for seq := 0; seq < 1000; seq++ {
+		rng := rand.New(rand.NewSource(int64(seq)))
+		n.flows = n.flows[:0]
+		for step := 0; step < 48; step++ {
+			if len(n.flows) > 0 && rng.Intn(3) == 0 {
+				n.remove(n.flows[rng.Intn(len(n.flows))])
+			} else {
+				a := rng.Intn(size)
+				b := (a + 1 + rng.Intn(size-1)) % size
+				r := n.RouteBetween(a, b)
+				n.flows = append(n.flows, &flow{route: r, remaining: 1 << 20, cap: r.Path.Bandwidth})
+			}
+			n.recompute()
+			for _, f := range n.flows {
+				bottlenecked := f.rate == f.cap
+				for _, l := range f.route.Links {
+					bottlenecked = bottlenecked || l.saturatedNow
+				}
+				if f.rate <= 0 || f.rate > f.cap || !bottlenecked {
+					t.Fatalf("sequence %d step %d: a flow of %d runs at %.0f B/s (cap %.0f) with no saturated link on its route",
+						seq, step, len(n.flows), f.rate, f.cap)
+				}
+			}
+		}
+	}
+
+	// The check bites: recompute floors rates at 1 B/s, which a link
+	// with less than that cannot carry.
+	thin := &Network{shared: true}
+	l := thin.addLink("thin", TierSpine, 0.5)
+	thin.flows = []*flow{{route: Route{Links: []*Link{l}}, remaining: 1, cap: 10}}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "link thin") {
+			t.Fatalf("recompute over an over-committed link: recovered %v, want a panic naming it", r)
+		}
+	}()
+	thin.recompute()
 }

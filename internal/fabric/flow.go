@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 
 	"dfccl/internal/sim"
@@ -182,6 +183,12 @@ func (n *Network) recompute() {
 		}
 	}
 	for _, l := range n.links {
+		// What the solve promises, whatever the flow set: every flow
+		// frozen at a rate, and no link handing out more than it has.
+		if l.live != 0 || l.alloc > l.Capacity*(1+1e-9) {
+			panic(fmt.Sprintf("fabric: link %s after recompute: %d flows unfrozen, %.0f of %.0f B/s allocated",
+				l.Name, l.live, l.alloc, l.Capacity))
+		}
 		l.saturatedNow = l.nflows > 0 && l.alloc >= l.Capacity*(1-1e-9)
 	}
 	if n.rec != nil {

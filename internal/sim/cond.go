@@ -58,9 +58,7 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 	}
 	p.timedOut = false
 	c.enqueue(p)
-	e := p.engine
-	p.cancelSeq = e.seq + 1
-	e.schedule(p, e.now.Add(d))
+	p.engine.schedule(p, p.engine.now.Add(d))
 	p.park()
 	return p.timedOut
 }
@@ -86,9 +84,8 @@ func (c *Cond) Broadcast(e *Engine) {
 
 func (c *Cond) wake(e *Engine, p *Process) {
 	p.cond = nil
-	p.cancelSeq = e.seq + 1 // invalidate any pending timeout event
 	p.timedOut = false
-	e.schedule(p, e.now)
+	e.schedule(p, e.now) // takes over the slot of a pending timeout
 }
 
 // Waiters returns the number of processes currently blocked on c.

@@ -8,7 +8,10 @@
 // coroutine whose body returned runs the next spawned process. Processes
 // advance virtual time by sleeping or by waiting on conditions; the engine
 // orders all wakeups on a priority queue keyed by (virtual time, sequence
-// number), which makes every run bit-for-bit reproducible.
+// number), which makes every run bit-for-bit reproducible. The queue holds
+// one entry per process, the wakeup it is parked on: a signal that beats a
+// WaitTimeout's timer moves the timer's entry to the new key, so a timer
+// that never fires costs nothing once its wait is over.
 //
 // The engine also provides the property the whole repository is built
 // around: if every live process is blocked on a condition and no timed
@@ -68,58 +71,79 @@ type event struct {
 	p   *Process
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq). It is hand-rolled
-// rather than built on container/heap: the interface-based heap boxes an
-// event allocation on every Push and Pop, which dominated the launch-path
-// allocation profile (~half of all allocs/op on the nil-recorder probe).
+// before reports whether a is dispatched before b.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap ordered by (at, seq) that holds at most
+// one event per process: the wakeup the process is parked on. Each entry's
+// position is kept in its process (Process.ev), so the wake of a timed
+// waiter re-keys the waiter's pending timer in place instead of leaving a
+// cancelled one behind, and the heap is never deeper than the live
+// processes are many, however many timers were set and never fired.
+//
+// Events sit in the array by value, so a sift compares without leaving it;
+// it moves a hole and writes Process.ev only for the entries that move.
+// The heap is hand-rolled rather than built on container/heap because the
+// interface-based heap boxes an event allocation on every Push and Pop.
 type eventQueue []event
 
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push appends ev and restores the heap invariant (sift up).
-func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev)
-	h := *q
-	i := len(h) - 1
+// up places ev at or above the hole at i.
+func (q eventQueue) up(i int, ev event) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !ev.before(q[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		q[i] = q[parent]
+		q[i].p.ev = i + 1
 		i = parent
 	}
+	q[i] = ev
+	ev.p.ev = i + 1
 }
 
-// pop removes and returns the minimum event (sift down).
+// down places ev at or below the hole at i.
+func (q eventQueue) down(i int, ev event) {
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if right := child + 1; right < len(q) && q[right].before(q[child]) {
+			child = right
+		}
+		if !q[child].before(ev) {
+			break
+		}
+		q[i] = q[child]
+		q[i].p.ev = i + 1
+		i = child
+	}
+	q[i] = ev
+	ev.p.ev = i + 1
+}
+
+// push adds the first event of a process that has none queued.
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
+}
+
+// pop removes and returns the minimum event.
 func (q *eventQueue) pop() event {
 	h := *q
 	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
+	top, last := h[0], h[n]
 	h[n] = event{} // release the *Process reference
 	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && h.less(right, left) {
-			min = right
-		}
-		if !h.less(min, i) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+	top.p.ev = 0
+	if n > 0 {
+		h[:n].down(0, last)
 	}
 	return top
 }
@@ -161,9 +185,22 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// schedule queues p's wakeup, the one event p has. A process that already
+// has one is a timed waiter being woken at now. Its timer is due no
+// earlier, so the entry takes the new key and moves up; unless the timer
+// is due at this very instant: then the time stays, the sequence number
+// grows, and the entry moves down.
 func (e *Engine) schedule(p *Process, at Time) {
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, p: p})
+	ev := event{at: at, seq: e.seq, p: p}
+	switch i := p.ev - 1; {
+	case i < 0:
+		e.queue.push(ev)
+	case at < e.queue[i].at:
+		e.queue.up(i, ev)
+	default:
+		e.queue.down(i, ev)
+	}
 }
 
 // Spawn creates a process executing fn and schedules it to start at the
@@ -240,10 +277,6 @@ func (e *Engine) Run() error {
 		}
 		ev := e.queue[0]
 		p := ev.p
-		if p.done || ev.seq < p.cancelSeq {
-			e.queue.pop()
-			continue // stale wakeup (cancelled timer)
-		}
 		if e.MaxTime != 0 && ev.at > e.MaxTime {
 			// The event stays queued: Run again under a higher
 			// MaxTime picks up exactly here.
@@ -313,6 +346,9 @@ func (e *Engine) step(p *Process) error {
 	w.next()
 	if !p.done {
 		return nil
+	}
+	if p.ev != 0 {
+		panic(fmt.Sprintf("sim: process %q ended with an event still queued", p.name))
 	}
 	w.p, p.w = nil, nil
 	w.idle, e.idle = e.idle, w

@@ -11,9 +11,9 @@ type Process struct {
 	w          *worker        // the coroutine running the body, from first dispatch to its end
 	prev, next *Process       // Engine's list of live processes
 	cond       *Cond          // the condition the process is blocked on, if any
+	ev         int            // 1 + the index of the process's event in Engine.queue, 0 while it has none
 	done       bool
 	timedOut   bool
-	cancelSeq  uint64 // events with seq < cancelSeq are stale
 }
 
 // Name returns the diagnostic name given at Spawn.

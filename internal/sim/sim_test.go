@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -669,5 +670,410 @@ func TestRunSpawnRun(t *testing.T) {
 	}
 	if e.Now() != 2 || e.LiveProcesses() != 0 {
 		t.Fatalf("ended at %v with %d live processes, want 2ns and 0", e.Now(), e.LiveProcesses())
+	}
+}
+
+// checkQueue asserts what the event queue promises between any two
+// dispatches: a heap in (at, seq) order holding exactly the one pending
+// event of every process that has one, each entry's position recorded in
+// its process, and so never more entries than live processes.
+func checkQueue(t *testing.T, e *Engine) {
+	t.Helper()
+	q := e.queue
+	if len(q) > e.live {
+		t.Fatalf("queue holds %d events for %d live processes", len(q), e.live)
+	}
+	for i, ev := range q {
+		if ev.p.ev != i+1 {
+			t.Fatalf("queue[%d] belongs to %s, which records position %d", i, ev.p.name, ev.p.ev-1)
+		}
+		if i > 0 && ev.before(q[(i-1)/2]) {
+			t.Fatalf("queue[%d] = (%v, %d) is due before its parent (%v, %d)", i, ev.at, ev.seq, q[(i-1)/2].at, q[(i-1)/2].seq)
+		}
+	}
+	queued := 0
+	for p := e.head; p != nil; p = p.next {
+		if p.ev == 0 {
+			continue
+		}
+		queued++
+		if p.ev > len(q) || q[p.ev-1].p != p {
+			t.Fatalf("%s records position %d, which is not its event", p.name, p.ev-1)
+		}
+	}
+	if queued != len(q) {
+		t.Fatalf("queue holds %d events, live processes record %d", len(q), queued)
+	}
+}
+
+// tokenRing runs n processes passing a token round in a fresh engine. Each
+// waits for it under a 20 ms budget that never runs out, the way every
+// connector wait under a spin threshold does, calls got with the number
+// of waits cancelled so far, and hands the token on, until that number
+// reaches rounds.
+func tokenRing(tb testing.TB, n, rounds int, got func(e *Engine, p *Process, cancelled int)) {
+	e := NewEngine()
+	conds := make([]Cond, n)
+	cancelled := 0
+	for i := 0; i < n; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
+			if i == 0 {
+				p.Sleep(1) // let the others start waiting
+				conds[1].Signal(e)
+			}
+			for cancelled < rounds {
+				if conds[i].WaitTimeout(p, 20*Millisecond) {
+					tb.Errorf("%s: timed out at %v", p.name, p.Now())
+					return
+				}
+				cancelled++
+				got(e, p, cancelled)
+				conds[(i+1)%n].Signal(e)
+			}
+			for j := range conds {
+				conds[j].Signal(e) // the token stops here: release the rest
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		tb.Fatalf("Run: %v", err)
+	}
+	if cancelled < rounds || e.Now() >= Time(20*Millisecond) {
+		tb.Fatalf("%d waits cancelled by %v, want %d before any 20ms budget could run out", cancelled, e.Now(), rounds)
+	}
+}
+
+// TestQueueHoldsOnlyLiveEvents: 10 000 cancelled timers into a token ring
+// of 16 processes the queue must still hold one event per process at
+// most, checked by every process each time it is dispatched.
+func TestQueueHoldsOnlyLiveEvents(t *testing.T) {
+	tokenRing(t, 16, 10000, func(e *Engine, p *Process, _ int) {
+		checkQueue(t, e)
+		p.Sleep(1)
+		checkQueue(t, e)
+	})
+}
+
+// TestTimerRekeyEdgeCases: waking a timed waiter re-keys its queued timer
+// to (now, next seq). Every case checks the queue after each wake and
+// pins the dispatch order, which is FIFO by sequence number within an
+// instant whatever position the re-keyed entry started from.
+func TestTimerRekeyEdgeCases(t *testing.T) {
+	// run spawns the named bodies in order and returns the order in
+	// which they logged.
+	type proc struct {
+		name string
+		body func(p *Process, e *Engine, log func(string))
+	}
+	run := func(t *testing.T, procs ...proc) []string {
+		t.Helper()
+		e := NewEngine()
+		var order []string
+		for _, pr := range procs {
+			e.Spawn(pr.name, func(p *Process) {
+				pr.body(p, e, func(s string) {
+					checkQueue(t, e)
+					order = append(order, fmt.Sprintf("%s:%s@%d", pr.name, s, p.Now()))
+				})
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if e.LiveProcesses() != 0 || len(e.queue) != 0 {
+			t.Fatalf("%d live processes and %d queued events after Run", e.LiveProcesses(), len(e.queue))
+		}
+		return order
+	}
+	expect := func(t *testing.T, got []string, want ...string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("order = %v\n       want %v", got, want)
+		}
+	}
+	timed := func(c *Cond, d Duration) func(*Process, *Engine, func(string)) {
+		return func(p *Process, e *Engine, log func(string)) {
+			if c.WaitTimeout(p, d) {
+				log("timeout")
+			} else {
+				log("signal")
+			}
+		}
+	}
+	sleeper := func(d Duration) func(*Process, *Engine, func(string)) {
+		return func(p *Process, e *Engine, log func(string)) {
+			p.Sleep(d)
+			log("woke")
+		}
+	}
+
+	t.Run("deadline equals now", func(t *testing.T) {
+		// At t=10 the queue holds, by seq: s, eight timers, eight
+		// sleepers. s broadcasts: the timers keep their time and take
+		// later seqs, so every sleeper runs before any waiter. A re-key
+		// that only sifted up would leave waiters above sleepers.
+		var c Cond
+		procs := []proc{{"s", func(p *Process, e *Engine, log func(string)) {
+			p.Sleep(10)
+			c.Broadcast(e)
+			checkQueue(t, e)
+			log("broadcast")
+		}}}
+		want := []string{"s:broadcast@10"}
+		for i := 0; i < 8; i++ {
+			procs = append(procs, proc{fmt.Sprintf("w%d", i), timed(&c, 10)})
+		}
+		for i := 0; i < 8; i++ {
+			procs = append(procs, proc{fmt.Sprintf("x%d", i), sleeper(10)})
+			want = append(want, fmt.Sprintf("x%d:woke@10", i))
+		}
+		for i := 0; i < 8; i++ {
+			want = append(want, fmt.Sprintf("w%d:signal@10", i))
+		}
+		expect(t, run(t, procs...), want...)
+	})
+
+	t.Run("timeout zero", func(t *testing.T) {
+		// A zero (or negative) budget still yields to what the instant
+		// already holds, so b runs and signals a before a's timer fires.
+		// That puts a behind n, whose own timer was queued after a's.
+		var c, never Cond
+		expect(t, run(t,
+			proc{"a", timed(&c, 0)},
+			proc{"n", timed(&never, -5)},
+			proc{"b", func(p *Process, e *Engine, log func(string)) {
+				c.Signal(e)
+				log("signalled")
+			}},
+			proc{"x", sleeper(0)},
+		), "b:signalled@0", "n:timeout@0", "a:signal@0", "x:woke@0")
+	})
+
+	t.Run("timer first at the same instant", func(t *testing.T) {
+		// w's timer was queued before s's sleep, so at t=10 it fires
+		// first; the signal that follows finds nobody and wakes nobody.
+		var c Cond
+		expect(t, run(t,
+			proc{"w", func(p *Process, e *Engine, log func(string)) {
+				timed(&c, 10)(p, e, log)
+				p.Sleep(5)
+				log("once")
+			}},
+			proc{"s", func(p *Process, e *Engine, log func(string)) {
+				p.Sleep(10)
+				c.Signal(e)
+				log("signalled")
+			}},
+		), "w:timeout@10", "s:signalled@10", "w:once@15")
+	})
+
+	t.Run("broadcast over 64 timed waiters", func(t *testing.T) {
+		var c Cond
+		var procs []proc
+		var want []string
+		for i := 0; i < 64; i++ {
+			// Deadlines fall as i grows, so waiter order is the
+			// reverse of timer order.
+			procs = append(procs, proc{fmt.Sprintf("w%d", i), timed(&c, Duration(1000-i))})
+			want = append(want, fmt.Sprintf("w%d:signal@3", i))
+		}
+		procs = append(procs, proc{"s", func(p *Process, e *Engine, log func(string)) {
+			p.Sleep(3)
+			c.Broadcast(e)
+			checkQueue(t, e)
+			if len(e.queue) != 64 {
+				t.Errorf("%d events queued for 64 woken waiters", len(e.queue))
+			}
+		}})
+		expect(t, run(t, procs...), want...)
+	})
+
+	t.Run("wake then wait again", func(t *testing.T) {
+		var c Cond
+		signalled := 0
+		got := run(t,
+			proc{"w", func(p *Process, e *Engine, log func(string)) {
+				for i := 0; i < 100; i++ {
+					if c.WaitTimeout(p, 20*Millisecond) {
+						t.Errorf("wait %d timed out at %v", i, p.Now())
+					}
+					if p.Now() != Time(i+1) {
+						t.Errorf("wait %d returned at %v", i, p.Now())
+					}
+					signalled++
+				}
+				log("done")
+			}},
+			proc{"s", func(p *Process, e *Engine, log func(string)) {
+				for i := 0; i < 100; i++ {
+					p.Sleep(1)
+					c.Signal(e)
+					checkQueue(t, e)
+				}
+			}},
+		)
+		expect(t, got, "w:done@100")
+		if signalled != 100 {
+			t.Fatalf("%d wakes for 100 signals", signalled)
+		}
+	})
+
+	t.Run("root and last leaf", func(t *testing.T) {
+		// Ten timers with s running: signal whichever sits in the last
+		// slot (it climbs the whole heap), then the root (it stays),
+		// then the rest.
+		conds := make([]Cond, 10)
+		var waiters []*Process
+		e := NewEngine()
+		var order, want []string
+		for i := range conds {
+			waiters = append(waiters, e.Spawn(fmt.Sprintf("w%d", i), func(p *Process) {
+				if conds[i].WaitTimeout(p, Duration(100*(i+1))) {
+					t.Errorf("%s timed out", p.name)
+				}
+				order = append(order, p.name)
+			}))
+		}
+		e.Spawn("s", func(p *Process) {
+			p.Sleep(1)
+			at := func(pos int) int {
+				return slices.IndexFunc(waiters, func(w *Process) bool { return w.ev == pos+1 })
+			}
+			root, leaf := at(0), at(len(e.queue)-1)
+			if len(e.queue) != 10 || root != 0 || leaf <= 0 {
+				t.Fatalf("%d timers queued with w%d first and w%d last, want 10 with w0 first", len(e.queue), root, leaf)
+			}
+			signal := func(i int) {
+				want = append(want, waiters[i].name)
+				conds[i].Signal(e)
+				checkQueue(t, e)
+			}
+			signal(leaf)
+			if waiters[leaf].ev != 1 {
+				t.Errorf("the woken last leaf sits at %d, want the root", waiters[leaf].ev-1)
+			}
+			signal(root)
+			for i := 1; i < len(waiters); i++ {
+				if i != leaf {
+					signal(i)
+				}
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		expect(t, order, want...)
+	})
+}
+
+// TestEndWithQueuedEventPanics: nothing in the API lets a body return with
+// its own wakeup still queued; if engine code ever does, step must say so
+// rather than dispatch a finished process later.
+func TestEndWithQueuedEventPanics(t *testing.T) {
+	e := NewEngine()
+	var w *worker
+	e.Spawn("leaver", func(p *Process) {
+		w = p.w
+		e.schedule(p, e.now.Add(5))
+	})
+	defer func() {
+		w.stop() // step gave up before it recycled the coroutine
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"leaver" ended with an event still queued`) {
+			t.Fatalf("recovered %v, want the panic naming the process", r)
+		}
+	}()
+	err := e.Run()
+	t.Fatalf("Run returned %v", err)
+}
+
+// cancelledTimersTimeline runs a seeded random program of 64 processes
+// (and the children they spawn) over eight conditions and returns its
+// timeline fingerprint. Times are a few nanoseconds, so signals, timers
+// and sleeps keep falling on the same instant; the 20 ms waits are always
+// cancelled, by a peer or by the ticker that also keeps plain waits from
+// deadlocking.
+func cancelledTimersTimeline(t *testing.T) uint64 {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	conds := make([]Cond, 8)
+	left := 0
+	var body func(steps int, parent bool) func(*Process)
+	body = func(steps int, parent bool) func(*Process) {
+		left++
+		return func(p *Process) {
+			for i := 0; i < steps; i++ {
+				c := &conds[rng.Intn(len(conds))]
+				timedOut := false
+				switch rng.Intn(8) {
+				case 0:
+					p.Sleep(Duration(rng.Intn(4)))
+				case 1:
+					c.Wait(p)
+				case 2:
+					timedOut = c.WaitTimeout(p, Duration(rng.Intn(4)))
+				case 3, 4:
+					timedOut = c.WaitTimeout(p, 20*Millisecond)
+				case 5:
+					c.Signal(e)
+				case 6:
+					c.Broadcast(e)
+				case 7:
+					if parent {
+						p.Spawn("child", body(8, false))
+					}
+				}
+				if timedOut {
+					p.Sleep(1) // what a wait reports shapes the timeline too
+				}
+			}
+			left--
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), body(200, true))
+	}
+	e.Spawn("ticker", func(p *Process) {
+		for left > 0 {
+			p.Sleep(7)
+			for i := range conds {
+				conds[i].Broadcast(e)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if e.Now() >= Time(20*Millisecond) {
+		t.Fatalf("ended at %v: a 20ms budget ran out", e.Now())
+	}
+	return e.Fingerprint()
+}
+
+// TestCancelledTimersKeepTimeline pins the fingerprint of that program to
+// the value recorded on the engine that left cancelled timers queued
+// until their deadline (the parent of the live-only queue): how the queue
+// forgets a timer must not change which event is dispatched when.
+func TestCancelledTimersKeepTimeline(t *testing.T) {
+	const golden uint64 = 0xd23676c74428cdbd
+	for run := 0; run < 2; run++ {
+		if got := cancelledTimersTimeline(t); got != golden {
+			t.Fatalf("run %d: fingerprint %#x, want %#x", run, got, golden)
+		}
+	}
+}
+
+// BenchmarkCancelledTimers is the cost of one signalled WaitTimeout under
+// a 20 ms budget, in a token ring of 16 processes that takes no virtual
+// time, so no budget ever runs out. Timing starts once the given number
+// of timers has been cancelled; the cost must not depend on it.
+func BenchmarkCancelledTimers(b *testing.B) {
+	for _, after := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("after=%d", after), func(b *testing.B) {
+			tokenRing(b, 16, after+b.N, func(_ *Engine, _ *Process, cancelled int) {
+				if cancelled == after {
+					b.ResetTimer()
+				}
+			})
+		})
 	}
 }
