@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"dfccl/internal/cudasim"
@@ -16,6 +18,13 @@ import (
 // collectives via context switch, writes CQEs for completed ones, and
 // voluntarily quits when idle or globally stuck so GPU synchronization
 // can complete.
+//
+// The kernel polls the SQ every IdlePollTime for as long as it lives, as
+// on the GPU. While its task queue is empty a scheduler pass that finds
+// the SQ empty too does nothing but count itself and pause again, so those
+// passes are the turns of one repeating wait (idleDaemon) that the engine
+// takes without resuming this process; it runs again when there is an SQE
+// to fetch or the quit period is up.
 func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 	p := kc.Process
 	cfg := &r.sys.Config
@@ -30,21 +39,21 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 		r.loadContext(p, t)
 	}
 
-	lastActivity := p.Now()
+	r.lastActivity = p.Now()
 	for {
 		r.Stats.SchedulerPass++
 
 		// Fetch SQEs per the ordering policy.
-		fetched := r.fetchSQEs(p, &queue, lastActivity)
+		fetched := r.fetchSQEs(p, &queue)
 		if fetched < 0 {
 			return // exiting SQE: final exit (dfcclDestroy)
 		}
 		if fetched > 0 {
-			lastActivity = p.Now()
+			r.lastActivity = p.Now()
 		}
 		if cfg.Order == OrderPriority {
-			sort.SliceStable(queue, func(i, j int) bool {
-				return queue[i].group.Priority > queue[j].group.Priority
+			slices.SortStableFunc(queue, func(a, b *collTask) int {
+				return cmp.Compare(b.group.Priority, a.group.Priority)
 			})
 		}
 
@@ -93,7 +102,7 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 			}
 		}
 		if progressed {
-			lastActivity = p.Now()
+			r.lastActivity = p.Now()
 			continue
 		}
 
@@ -101,7 +110,7 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 		// grace period so implicit/explicit GPU synchronization can
 		// complete and resources free up (Sec. 4.4); otherwise pause
 		// briefly and rescan.
-		if p.Now().Sub(lastActivity) >= cfg.QuitPeriod {
+		if p.Now().Sub(r.lastActivity) >= cfg.QuitPeriod {
 			for _, t := range queue {
 				r.saveContext(p, t)
 			}
@@ -112,8 +121,28 @@ func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
 			r.pollerWake.Broadcast(p.Engine())
 			return
 		}
-		p.Sleep(IdlePollTime)
+		if len(queue) == 0 {
+			p.SleepWhile(IdlePollTime, (*idleDaemon)(r))
+		} else {
+			p.Sleep(IdlePollTime) // stuck, not idle: every pass retries the queue
+		}
 	}
+}
+
+// idleDaemon is the rank's daemon kernel pausing over an empty task queue.
+type idleDaemon RankContext
+
+// Again is one scheduler pass of the daemon over an empty task queue
+// (sim.Repeater). With an SQE to fetch or the quit period up, the pass is
+// real work and the daemon must run it; otherwise all it would do is count
+// itself and pause again.
+func (d *idleDaemon) Again() (sim.Duration, bool) {
+	r := (*RankContext)(d)
+	if r.sq.Len() > 0 || r.sys.Engine.Now().Sub(r.lastActivity) >= r.sys.Config.QuitPeriod {
+		return 0, false
+	}
+	r.Stats.SchedulerPass++
+	return IdlePollTime, true
 }
 
 // rebuildQueue reconstructs the task queue after a (re)start from the
@@ -141,12 +170,12 @@ func (r *RankContext) rebuildQueue() []*collTask {
 // fetchSQEs pops SQEs into the task queue according to the ordering
 // policy. It returns the number fetched, or -1 when the exiting SQE was
 // read.
-func (r *RankContext) fetchSQEs(p *sim.Process, queue *[]*collTask, lastActivity sim.Time) int {
+func (r *RankContext) fetchSQEs(p *sim.Process, queue *[]*collTask) int {
 	cfg := &r.sys.Config
 	if cfg.Order == OrderFIFO {
 		// FIFO: fetch only when the queue is empty or everything has
 		// been stuck past the backoff — empty the queue quickly.
-		if len(*queue) != 0 && p.Now().Sub(lastActivity) < cfg.FetchBackoff {
+		if len(*queue) != 0 && p.Now().Sub(r.lastActivity) < cfg.FetchBackoff {
 			return 0
 		}
 	}

@@ -78,8 +78,12 @@ type RankContext struct {
 	callbacks map[int][]Callback
 
 	daemonInst *cudasim.KernelInstance
-	finalExit  bool
-	destroyed  bool
+	// lastActivity is when the live daemon instance last fetched an SQE or
+	// made progress; the quit period and the FIFO fetch backoff count
+	// from it.
+	lastActivity sim.Time
+	finalExit    bool
+	destroyed    bool
 	// lost marks the rank as killed (KillRank): destroyed for new work,
 	// with its daemon still draining aborted runs to CQEs. The poller
 	// auto-releases the rank's registrations when it exits.
@@ -310,7 +314,11 @@ func (r *RankContext) ensureDaemon(p *sim.Process) {
 // pollerBody is the CPU poller thread: it drains the CQ, runs
 // callbacks, and restarts the daemon when completions lag submissions
 // (Sec. 4.4). It is event-driven with a modeled discovery latency
-// rather than a hot loop, so idle systems quiesce.
+// rather than a hot loop, so idle systems quiesce. While work is
+// outstanding it looks again at every wake of pollerWake and every guard
+// period; the looks that find an empty CQ and a live daemon are the turns
+// of one repeating wait (pollerGuard) that the engine takes without
+// resuming this process.
 func (r *RankContext) pollerBody(p *sim.Process) {
 	for {
 		ids := r.cq.Drain()
@@ -351,8 +359,28 @@ func (r *RankContext) pollerBody(p *sim.Process) {
 		// CQE signal, re-checking after a guard timeout in case a
 		// signal raced with the drain above.
 		r.ensureDaemon(p)
-		r.pollerWake.WaitTimeout(p, 50*PollerInterval)
+		r.pollerWake.WaitWhile(p, pollerGuardTime, (*pollerGuard)(r))
 	}
+}
+
+// pollerGuardTime bounds how long the poller trusts pollerWake alone.
+const pollerGuardTime = 50 * PollerInterval
+
+// pollerGuard is the rank's poller waiting for the daemon's CQE signal.
+type pollerGuard RankContext
+
+// Again is one pass of the poller's loop after a wake or a guard time-out
+// (sim.Repeater). The poller has something to do when the CQ holds an
+// entry, when nothing is outstanding any more (idle hand-off, exit), or
+// when the daemon is gone and must be relaunched, which needs the poller's
+// own process; otherwise the pass drains nothing, finds the daemon alive
+// and waits again.
+func (g *pollerGuard) Again() (sim.Duration, bool) {
+	r := (*RankContext)(g)
+	if len(r.cq.pending) > 0 || r.Outstanding() == 0 || r.daemonInst == nil || r.daemonInst.Done() {
+		return 0, false
+	}
+	return pollerGuardTime, true
 }
 
 // completionErr maps a drained CQE to the error its callback should

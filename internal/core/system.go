@@ -377,7 +377,7 @@ func (s *System) CommsPooled() int {
 // transfer on the system-wide fabric, so collectives on different
 // communicators contend with each other when it is Shared.
 type communicator struct {
-	ranks   []int
+	key     string // rankKey of its rank set: the pool's free list it returns to
 	wirings *prim.Wirings
 	inUse   bool
 }
@@ -412,7 +412,7 @@ func (cp *commPool) acquire(ranks []int, tag string) *communicator {
 	}
 	cp.created++
 	return &communicator{
-		ranks:   append([]int(nil), ranks...),
+		key:     key,
 		wirings: prim.NewWirings(cp.net, tag),
 		inUse:   true,
 	}
@@ -421,7 +421,7 @@ func (cp *commPool) acquire(ranks []int, tag string) *communicator {
 // release returns a communicator to the pool.
 func (cp *commPool) release(c *communicator) {
 	c.inUse = false
-	cp.free[rankKey(c.ranks)] = append(cp.free[rankKey(c.ranks)], c)
+	cp.free[c.key] = append(cp.free[c.key], c)
 }
 
 // Created reports how many communicators were ever constructed, for

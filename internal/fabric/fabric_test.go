@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
+	"dfccl/internal/trace"
 )
 
 // near asserts got is within tol of want (float rounding in the flow
@@ -328,4 +330,162 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 		}
 	}()
 	thin.recompute()
+}
+
+// loopTransferJob is TransferJob as it was while the transferring process
+// re-predicted in its own body: woken by every join and finish, it accrued
+// progress and waited again. It is the reference TestRepredictMatchesLoop
+// holds the Repeater form to.
+func loopTransferJob(n *Network, p *sim.Process, r Route, bytes, job int) {
+	if n.jobBytes == nil {
+		n.jobBytes = make(map[int]int64)
+	}
+	n.jobBytes[job] += int64(bytes)
+	p.Sleep(sim.Duration(r.Path.Latency))
+	e := p.Engine()
+	f := &flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
+	if n.rec != nil {
+		n.flowSeq++
+		f.id = n.flowSeq
+		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowStart, Bytes: bytes, Job: job})
+	}
+	n.advance(e.Now())
+	n.flows = append(n.flows, f)
+	n.recompute()
+	n.change.Broadcast(e)
+	for {
+		n.advance(e.Now())
+		if f.remaining <= 0 {
+			break
+		}
+		wait := sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
+		n.change.WaitTimeout(p, wait)
+	}
+	n.remove(f)
+	n.recompute()
+	n.change.Broadcast(e)
+	if n.rec != nil {
+		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowEnd, Job: f.job})
+	}
+}
+
+// TestRepredictMatchesLoop runs 1 000 seeded programs of up to ten
+// processes, each making up to three transfers at drawn instants over
+// drawn routes of four 8-GPU machines behind a 4:1 tapered leaf and spine,
+// once through loopTransferJob and once through TransferJob. Start times
+// and sizes come from small sets, so joins and finishes keep falling on
+// the same nanosecond. Everything observable must be equal: when each
+// transfer finished, the link counters, the recorded flow and saturation
+// events, the per-job bytes and the engine's timeline. What differs is who
+// ran: with the flow as its own Repeater a transferring process is resumed
+// for its start delay, its latency and its completion, and never between
+// its flow's join and its finish. The test fails when Again forgets to
+// advance the flows before it re-predicts.
+func TestRepredictMatchesLoop(t *testing.T) {
+	type outcome struct {
+		finished    []sim.Time
+		links       []LinkStat
+		rec         trace.Recorder
+		jobBytes    map[int]int64
+		fingerprint uint64
+		resumes     uint64
+	}
+	run := func(seed int64, transfer func(n *Network, p *sim.Process, r Route, bytes, job int)) (out outcome, wantResumes uint64) {
+		rng := rand.New(rand.NewSource(seed))
+		n := Shared(topo.MultiNode3090(4), OversubConfig(4))
+		n.SetRecorder(&out.rec)
+		size := n.Cluster().Size()
+		e := sim.NewEngine()
+		e.MaxTime = sim.Time(sim.Second) // a flow that never drains fails the run, not the suite's timeout
+		for proc, procs := 0, 2+rng.Intn(9); proc < procs; proc++ {
+			type xfer struct {
+				delay      sim.Duration
+				route      Route
+				bytes, job int
+			}
+			xfers := make([]xfer, 1+rng.Intn(3))
+			for i := range xfers {
+				a := rng.Intn(size)
+				xfers[i] = xfer{
+					delay: []sim.Duration{0, 0, sim.Microsecond, sim.Duration(rng.Intn(20000))}[rng.Intn(4)],
+					route: n.RouteBetween(a, (a+1+rng.Intn(size-1))%size),
+					bytes: []int{1, 64 << 10, 64 << 10, 1 << 20, 1 + rng.Intn(1<<20)}[rng.Intn(5)],
+					job:   rng.Intn(3),
+				}
+			}
+			wantResumes += 1 + 3*uint64(len(xfers))
+			first := len(out.finished)
+			out.finished = append(out.finished, make([]sim.Time, len(xfers))...)
+			e.Spawn(fmt.Sprintf("p%d", proc), func(p *sim.Process) {
+				for i, x := range xfers {
+					p.Sleep(x.delay)
+					transfer(n, p, x.route, x.bytes, x.job)
+					out.finished[first+i] = p.Now()
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if len(n.flows) != 0 {
+			t.Fatalf("seed %d: %d flows left on the network", seed, len(n.flows))
+		}
+		out.links, out.jobBytes = n.Snapshot(), n.JobBytes()
+		out.fingerprint, out.resumes = e.Fingerprint(), e.Resumes()
+		return out, wantResumes
+	}
+	sameInstant, saved := 0, uint64(0)
+	for seed := int64(0); seed < 1000; seed++ {
+		want, _ := run(seed, loopTransferJob)
+		got, wantResumes := run(seed, (*Network).TransferJob)
+		if got.resumes != wantResumes {
+			t.Fatalf("seed %d: %d resumes, want %d: one per start delay, latency and completion", seed, got.resumes, wantResumes)
+		}
+		saved += want.resumes - got.resumes
+		got.resumes = want.resumes
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: TransferJob and the loop it replaced disagree:\n got %+v\nwant %+v", seed, got, want)
+		}
+		ends := slices.Sorted(slices.Values(want.finished))
+		if len(slices.Compact(ends)) < len(ends) {
+			sameInstant++
+		}
+	}
+	if sameInstant < 100 || saved < 10000 {
+		t.Fatalf("%d of 1000 programs finish two transfers in one nanosecond, %d resumes saved: the corpus does not exercise re-prediction", sameInstant, saved)
+	}
+}
+
+// BenchmarkFlowEvent is the host cost of one small transfer (a join and a
+// finish, each re-solving the rates and re-predicting every flow) while 64
+// long transfers cross the same 4:1 tapered spine.
+func BenchmarkFlowEvent(b *testing.B) {
+	n := Shared(topo.MultiNode3090(4), OversubConfig(4))
+	e := sim.NewEngine()
+	done := false
+	for i := 0; i < 64; i++ {
+		r := n.RouteBetween(i%16, 16+(i+i/16)%16)
+		e.Spawn("background", func(p *sim.Process) {
+			for !done {
+				n.Transfer(p, r, 256<<20)
+			}
+		})
+	}
+	e.Spawn("probe", func(p *sim.Process) {
+		r := n.RouteBetween(3, 29)
+		p.Sleep(sim.Millisecond) // every background flow has joined
+		if len(n.flows) != 64 {
+			b.Errorf("%d background flows live, want 64", len(n.flows))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Transfer(p, r, 4096)
+		}
+		b.StopTimer()
+		done = true
+	})
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
 }

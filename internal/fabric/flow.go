@@ -9,7 +9,11 @@ import (
 )
 
 // flow is one in-flight transfer holding capacity on its route's links.
+// Finished records are reused (Network.spare), so nothing may hold one
+// past the end of its TransferJob.
 type flow struct {
+	net       *Network
+	engine    *sim.Engine
 	route     Route
 	remaining float64 // bytes left to move
 	cap       float64 // per-flow rate ceiling (the route's Path.Bandwidth)
@@ -51,7 +55,13 @@ func (n *Network) TransferJob(p *sim.Process, r Route, bytes, job int) {
 	}
 	p.Sleep(sim.Duration(r.Path.Latency))
 	e := p.Engine()
-	f := &flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
+	var f *flow
+	if k := len(n.spare); k > 0 {
+		f, n.spare = n.spare[k-1], n.spare[:k-1]
+	} else {
+		f = new(flow)
+	}
+	*f = flow{net: n, engine: e, route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
 	if n.rec != nil {
 		n.flowSeq++
 		f.id = n.flowSeq
@@ -61,15 +71,10 @@ func (n *Network) TransferJob(p *sim.Process, r Route, bytes, job int) {
 	n.flows = append(n.flows, f)
 	n.recompute()
 	n.change.Broadcast(e)
-	for {
-		n.advance(e.Now())
-		if f.remaining <= 0 {
-			break
-		}
-		// Sleep until the predicted completion at the current rate; a
-		// rate change broadcasts and wakes us early to re-predict.
-		wait := sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
-		n.change.WaitTimeout(p, wait)
+	if f.remaining > 0 {
+		// Wait until the predicted completion at the current rate; a rate
+		// change broadcasts, and the flow re-predicts (Again) at once.
+		n.change.WaitWhile(p, f.eta(), f)
 	}
 	n.remove(f)
 	n.recompute()
@@ -77,6 +82,22 @@ func (n *Network) TransferJob(p *sim.Process, r Route, bytes, job int) {
 	if n.rec != nil {
 		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowEnd, Job: f.job})
 	}
+	n.spare = append(n.spare, f)
+}
+
+// eta is the time the flow still needs at its current rate.
+func (f *flow) eta() sim.Duration {
+	return sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
+}
+
+// Again is the flow's turn each time a join, a finish or its own predicted
+// completion wakes it (sim.Repeater): accrue progress up to now, and unless
+// the last byte has moved, wait out the new prediction. The engine takes
+// these turns on the transferring process's behalf, so that process runs
+// again only once its flow is done.
+func (f *flow) Again() (sim.Duration, bool) {
+	f.net.advance(f.engine.Now())
+	return f.eta(), f.remaining > 0
 }
 
 // remove drops a finished flow from the active set.

@@ -46,6 +46,7 @@ func (c *Cond) removeWaiter(p *Process) {
 // Wait blocks the process until the condition is signalled. If no signal
 // ever arrives and no timed events remain, the engine declares deadlock.
 func (c *Cond) Wait(p *Process) {
+	p.mustRun()
 	c.enqueue(p)
 	p.park()
 }
@@ -53,6 +54,7 @@ func (c *Cond) Wait(p *Process) {
 // WaitTimeout blocks until the condition is signalled or d elapses.
 // It reports true if the wait timed out without a signal.
 func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
+	p.mustRun()
 	if d < 0 {
 		d = 0
 	}
@@ -61,6 +63,22 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 	p.engine.schedule(p, p.engine.now.Add(d))
 	p.park()
 	return p.timedOut
+}
+
+// WaitWhile is the polling loop
+//
+//	for again := true; again; d, again = r.Again() {
+//		c.WaitTimeout(p, d)
+//	}
+//
+// on SleepWhile's terms: same events, same sequence numbers, same place
+// among c's waiters, Again on the engine's stack, p resumed once. A signal
+// and a time-out both end a turn; Again is not told which.
+func (c *Cond) WaitWhile(p *Process, d Duration, r Repeater) {
+	p.mustRun()
+	p.rep, p.repCond = r, c
+	c.WaitTimeout(p, d)
+	p.endRepeat()
 }
 
 // Signal wakes one waiter (FIFO order) at the current virtual time.

@@ -13,6 +13,16 @@
 // WaitTimeout's timer moves the timer's entry to the new key, so a timer
 // that never fires costs nothing once its wait is over.
 //
+// A process is resumed when it has work, not when its wait ends. A loop
+// that polls (wake, look, find nothing, wait again) is written as one
+// repeating wait, Process.SleepWhile or Cond.WaitWhile, whose Repeater
+// says at every wake-up whether the turn is an empty one. The engine
+// dispatches each of those wake-ups as it would any other, under the same
+// (time, sequence number), and takes the empty turns itself: it queues the
+// next wait on the process's behalf and goes on to the next event without
+// switching coroutines. The timeline is the hand-written loop's, event for
+// event; only the switches that carried no work are gone.
+//
 // The engine also provides the property the whole repository is built
 // around: if every live process is blocked on a condition and no timed
 // event remains, the simulated system has deadlocked, and Run returns
@@ -160,6 +170,8 @@ type Engine struct {
 	idle    *worker  // coroutines whose body returned, linked through worker.idle
 	spawned uint64   // the next process's spawn ordinal
 	fp      uint64   // timeline fingerprint, see Fingerprint
+	resumes uint64   // see Resumes
+	running *Process // the process whose body is executing; nil on Run's own stack
 
 	// MaxTime, when non-zero, bounds the simulation; Run returns
 	// ErrTimeLimit once the clock would pass it.
@@ -226,7 +238,7 @@ type worker struct {
 	stop     func()
 	yield    func(struct{}) bool
 	p        *Process // the process whose body is running
-	panicked any      // what the body that just ended panicked with
+	panicked any      // what the body that just ended panicked with; on the way in, what p's Again did
 	idle     *worker  // the next worker on Engine.idle
 }
 
@@ -294,10 +306,36 @@ func (e *Engine) Run() error {
 			p.cond = nil
 			p.timedOut = true
 		}
+		if p.rep != nil && e.again(p) {
+			continue // an empty turn of a repeating wait: p stays parked
+		}
 		if err := e.step(p); err != nil {
 			return err
 		}
 	}
+}
+
+// again takes p's turn at a wake-up of its repeating wait, where step
+// would have resumed p. If the Repeater answers with another wait, again
+// does what the loop in p's body would have done next, in its order (re-join
+// the condition's waiters, queue the timer under the next sequence number)
+// and reports true: p stays parked. A panic in Again is p's own: p is
+// resumed to raise it on its own stack (endRepeat) and unwind its body.
+func (e *Engine) again(p *Process) (again bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.w.panicked, again = r, false
+		}
+	}()
+	d, again := p.rep.Again()
+	if !again {
+		return false
+	}
+	if c := p.repCond; c != nil {
+		c.enqueue(p)
+	}
+	e.schedule(p, e.now.Add(max(d, 0)))
+	return true
 }
 
 func (e *Engine) stopIdle() {
@@ -343,7 +381,10 @@ func (e *Engine) step(p *Process) error {
 		}
 		w.p, p.w = p, w
 	}
+	e.resumes++
+	e.running = p
 	w.next()
+	e.running = nil
 	if !p.done {
 		return nil
 	}
@@ -386,7 +427,15 @@ func (e *Engine) LiveProcesses() int { return e.live }
 
 // Fingerprint returns a hash of the timeline so far: the (virtual time,
 // sequence number, spawn ordinal of the process) of every event
-// dispatched to a process, in dispatch order. Two runs with equal
-// fingerprints resumed the same processes at the same times in the same
-// order, so a change that must not alter behaviour must not alter this.
+// dispatched to a process, in dispatch order, whether the process was
+// resumed for it or the engine took an empty turn of its repeating wait.
+// Two runs with equal fingerprints woke the same processes at the same
+// times in the same order, so a change that must not alter behaviour must
+// not alter this.
 func (e *Engine) Fingerprint() uint64 { return e.fp }
+
+// Resumes returns how many times a process coroutine has been resumed so
+// far. Every dispatch Fingerprint counts is either a resume or an empty
+// turn of a repeating wait that the engine took itself, so the two
+// together say how many of a run's events carried work.
+func (e *Engine) Resumes() uint64 { return e.resumes }
