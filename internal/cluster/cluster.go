@@ -31,8 +31,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dfccl/internal/metrics"
 	"dfccl/internal/prim"
@@ -257,11 +258,8 @@ func byArrival(jobs []JobSpec) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if jobs[idx[a]].Arrival != jobs[idx[b]].Arrival {
-			return jobs[idx[a]].Arrival < jobs[idx[b]].Arrival
-		}
-		return jobs[idx[a]].ID < jobs[idx[b]].ID
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(jobs[a].Arrival, jobs[b].Arrival), cmp.Compare(jobs[a].ID, jobs[b].ID))
 	})
 	return idx
 }

@@ -47,6 +47,11 @@ type driver struct {
 	finished  int // jobs done or failed
 	wake      *sim.Cond
 	otherErr  error
+
+	// lostBuf and pendingBuf back what view and pendingView hand the
+	// policy, rewritten at every admission pass.
+	lostBuf    []bool
+	pendingBuf []Pending
 }
 
 func (d *driver) fail(err error) {
@@ -61,14 +66,14 @@ func (d *driver) stopped() bool { return d.otherErr != nil }
 
 // view assembles the policy's control-plane snapshot.
 func (d *driver) view() View {
-	lost := make([]bool, len(d.load))
-	for r := range lost {
-		lost[r] = d.sys.RankLost(r)
+	d.lostBuf = d.lostBuf[:0]
+	for r := range d.load {
+		d.lostBuf = append(d.lostBuf, d.sys.RankLost(r))
 	}
 	return View{
 		Load:      d.load,
 		Slots:     d.cfg.SlotsPerGPU,
-		Lost:      lost,
+		Lost:      d.lostBuf,
 		MachineOf: d.machineOf,
 		NICLoad:   d.net.NICLoad(),
 		Now:       d.e.Now(),
@@ -77,11 +82,11 @@ func (d *driver) view() View {
 
 // pendingView projects the queue for the policy.
 func (d *driver) pendingView() []Pending {
-	out := make([]Pending, len(d.pending))
-	for i, js := range d.pending {
-		out[i] = Pending{Spec: js.spec, Arrived: js.res.Arrival, Requeued: js.attempts > 0}
+	d.pendingBuf = d.pendingBuf[:0]
+	for _, js := range d.pending {
+		d.pendingBuf = append(d.pendingBuf, Pending{Spec: js.spec, Arrived: js.res.Arrival, Requeued: js.attempts > 0})
 	}
-	return out
+	return d.pendingBuf
 }
 
 // tryAdmit re-runs the policy until it refuses, placing each admitted

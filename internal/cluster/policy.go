@@ -1,12 +1,14 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dfccl/internal/sim"
 )
 
-// Pending is one queued job as the admission policy sees it.
+// Pending is one queued job as the admission policy sees it. The slice
+// Admit receives is the driver's own, valid for that call only.
 type Pending struct {
 	// Spec is the job waiting for placement.
 	Spec JobSpec
@@ -19,7 +21,7 @@ type Pending struct {
 
 // View is the control-plane state a policy reads at one admission
 // pass. Slices are indexed by global rank except NICLoad (per
-// machine).
+// machine). They are the driver's own, valid for the Admit call only.
 type View struct {
 	// Load is the number of admitted jobs currently holding each GPU.
 	Load []int
@@ -91,20 +93,13 @@ func leastLoaded(size int, v View) []int {
 		}
 		return v.NICLoad[v.MachineOf[r]]
 	}
-	sort.SliceStable(cand, func(a, b int) bool {
-		ra, rb := cand[a], cand[b]
-		if v.Load[ra] != v.Load[rb] {
-			return v.Load[ra] < v.Load[rb]
-		}
-		if na, nb := nic(ra), nic(rb); na != nb {
-			return na < nb
-		}
-		return ra < rb
+	slices.SortStableFunc(cand, func(ra, rb int) int {
+		return cmp.Or(cmp.Compare(v.Load[ra], v.Load[rb]), cmp.Compare(nic(ra), nic(rb)), cmp.Compare(ra, rb))
 	})
-	ranks := append([]int(nil), cand[:size]...)
 	// Rank order inside the job is ascending: the ring wiring (and the
 	// solo reference) must not depend on the sort's tie-breaking.
-	sort.Ints(ranks)
+	ranks := cand[:size]
+	slices.Sort(ranks)
 	return ranks
 }
 
@@ -138,29 +133,33 @@ type PriorityPolicy struct{}
 // Name implements Policy.
 func (PriorityPolicy) Name() string { return "priority" }
 
-// Admit implements Policy: scan in (priority desc, arrival, ID) order
-// and admit the first job that fits.
+// Admit implements Policy: admit the first job in (priority desc,
+// arrival, ID) order that fits. First fit takes the lowest free GPUs, so
+// a job fits when it needs no more than there are, and the first that
+// fits is the least of those that do: one pass, nothing sorted.
 func (PriorityPolicy) Admit(pending []Pending, v View) (int, []int, bool) {
-	order := make([]int, len(pending))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := &pending[order[a]], &pending[order[b]]
-		if pa.Spec.Priority != pb.Spec.Priority {
-			return pa.Spec.Priority > pb.Spec.Priority
-		}
-		if pa.Arrived != pb.Arrived {
-			return pa.Arrived < pb.Arrived
-		}
-		return pa.Spec.ID < pb.Spec.ID
-	})
-	for _, i := range order {
-		if ranks := firstFit(pending[i].Spec.Size, v); ranks != nil {
-			return i, ranks, true
+	free := 0
+	for r := range v.Load {
+		if v.free(r) {
+			free++
 		}
 	}
-	return 0, nil, false
+	best := -1
+	for i := range pending {
+		if p := &pending[i]; p.Spec.Size <= free && (best < 0 || p.before(&pending[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return 0, nil, false
+	}
+	return best, firstFit(pending[best].Spec.Size, v), true
+}
+
+// before is PriorityPolicy's order: priority descending, then arrival,
+// then ID.
+func (p *Pending) before(q *Pending) bool {
+	return cmp.Or(cmp.Compare(q.Spec.Priority, p.Spec.Priority), cmp.Compare(p.Arrived, q.Arrived), cmp.Compare(p.Spec.ID, q.Spec.ID)) < 0
 }
 
 // BinPack admits in queue order (with backfill) but places onto the

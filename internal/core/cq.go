@@ -80,6 +80,12 @@ func (q *CQ) WriteCost() sim.Duration { return cqWriteCost[q.variant] }
 // queue is full (the daemon retries after the poller drains).
 func (q *CQ) Push(collID int) bool {
 	if len(q.pending) >= q.slots {
+		// More CQEs than slots is an overwritten completion: a callback
+		// that never runs, far from whatever filled the queue behind
+		// Push's back.
+		if len(q.pending) > q.slots {
+			panic(fmt.Sprintf("core: %v CQ holds %d CQEs in %d slots", q.variant, len(q.pending), q.slots))
+		}
 		return false
 	}
 	q.pending = append(q.pending, collID)

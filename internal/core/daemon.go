@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/prim"
@@ -158,11 +157,8 @@ func (r *RankContext) rebuildQueue() []*collTask {
 		}
 		t.resident = false
 	}
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].enqueueSeq != queue[j].enqueueSeq {
-			return queue[i].enqueueSeq < queue[j].enqueueSeq
-		}
-		return queue[i].ID() < queue[j].ID() // never-fetched tasks tie at 0
+	slices.SortFunc(queue, func(a, b *collTask) int {
+		return cmp.Or(cmp.Compare(a.enqueueSeq, b.enqueueSeq), cmp.Compare(a.ID(), b.ID())) // never-fetched tasks tie at 0
 	})
 	return queue
 }
@@ -219,56 +215,48 @@ func (r *RankContext) fetchSQEs(p *sim.Process, queue *[]*collTask) int {
 // executeTask runs the scheduled collective's primitives until it
 // completes or a primitive exhausts its spin threshold, in which case
 // the collective is preempted (Algorithm 1, lines 6-15). It reports
-// (runCompleted, madeProgress).
+// (runCompleted, madeProgress). The daemon asks for the whole run, not a
+// primitive at a time: the rank's Runner takes the primitive loop's turns
+// on the engine's stack, with the task as its Pacer for what Algorithm 1
+// does between two primitives (line 9), and this process is resumed only
+// for the outcome.
 func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
-	cfg := &r.sys.Config
-	progressed := false
-	for {
-		res := t.exec.StepOnce(p, budget(t.spin))
-		switch res {
-		case prim.Progressed:
-			progressed = true
-			t.dirty = true
-			// Primitive success raises succeeding primitives'
-			// thresholds (Algorithm 1, line 9): the gang-scheduling
-			// negotiation signal.
-			t.spin = cfg.Spin.boost(t.spin)
-		case prim.Done:
-			progressed = true
-			t.runs = t.runs[1:]
-			t.prepared = false
-			t.dirty = false
-			t.execStarted = false
-			t.LastCompletedAt = p.Now()
-			t.Completions++
+	t.progressed = false
+	switch r.runner.Run(p, t.exec, t) {
+	case prim.Done:
+		t.runs = t.runs[1:]
+		t.prepared = false
+		t.dirty = false
+		t.execStarted = false
+		t.LastCompletedAt = p.Now()
+		t.Completions++
+		r.writeCQE(p, t.ID())
+		r.trace(p, t.ID(), trace.EvComplete)
+		return true, true
+	case prim.Stuck:
+		// Preempt: lazily save the dynamic context (only if the
+		// collective progressed since its last save) and switch.
+		r.Stats.Preemptions++
+		t.CtxSwitches++
+		r.saveContext(p, t)
+		r.trace(p, t.ID(), trace.EvPreempt)
+		return false, t.progressed
+	default: // prim.Aborted
+		// A rank loss killed the group (the executor observed it at
+		// a step/wait checkpoint, touching no connector state).
+		// Resolve every pending run to a CQE; the poller translates
+		// them into the group's typed error. The same drain runs on
+		// the lost rank's own daemon, so its futures resolve too.
+		n := len(t.runs)
+		t.runs = nil
+		t.prepared = false
+		t.dirty = false
+		t.execStarted = false
+		for i := 0; i < n; i++ {
 			r.writeCQE(p, t.ID())
-			r.trace(p, t.ID(), trace.EvComplete)
-			return true, true
-		case prim.Stuck:
-			// Preempt: lazily save the dynamic context (only if the
-			// collective progressed since its last save) and switch.
-			r.Stats.Preemptions++
-			t.CtxSwitches++
-			r.saveContext(p, t)
-			r.trace(p, t.ID(), trace.EvPreempt)
-			return false, progressed
-		case prim.Aborted:
-			// A rank loss killed the group (the executor observed it at
-			// a step/wait checkpoint, touching no connector state).
-			// Resolve every pending run to a CQE; the poller translates
-			// them into the group's typed error. The same drain runs on
-			// the lost rank's own daemon, so its futures resolve too.
-			n := len(t.runs)
-			t.runs = nil
-			t.prepared = false
-			t.dirty = false
-			t.execStarted = false
-			for i := 0; i < n; i++ {
-				r.writeCQE(p, t.ID())
-			}
-			r.trace(p, t.ID(), trace.EvComplete)
-			return true, true
 		}
+		r.trace(p, t.ID(), trace.EvComplete)
+		return true, true
 	}
 }
 

@@ -42,8 +42,12 @@ type collTask struct {
 	dirty bool
 	// resident marks the context as loaded in an active slot.
 	resident bool
-	// spin is the current spin threshold in polls.
-	spin int64
+	// progressed marks a primitive completed in the current executeTask.
+	progressed  bool
+	execStarted bool
+	// spin is the current spin threshold in polls, adjusted under policy.
+	spin   int64
+	policy *SpinPolicy
 	// enqueueSeq orders queue rebuilds after daemon restarts.
 	enqueueSeq uint64
 
@@ -53,14 +57,26 @@ type collTask struct {
 	QueueLenAtLast int // task queue length right after this task's last SQE fetch
 
 	// Core-execution timing of the most recent run (Fig. 9's "core
-	// execution time": preparing overheads + primitive execution).
-	execStarted     bool
+	// execution time": preparing overheads + primitive execution), from
+	// the first scheduling (execStarted) to completion.
 	ExecStartedAt   sim.Time
 	LastCompletedAt sim.Time
 }
 
 // ID returns the collective ID.
 func (t *collTask) ID() int { return t.group.ID }
+
+// Budget is the spin budget of the task's next primitive (prim.Pacer).
+func (t *collTask) Budget() sim.Duration { return budget(t.spin) }
+
+// Progressed books a primitive's success (prim.Pacer): the context is
+// dirty, and succeeding primitives' thresholds rise (Algorithm 1, line 9),
+// the gang-scheduling negotiation signal.
+func (t *collTask) Progressed() {
+	t.progressed = true
+	t.dirty = true
+	t.spin = t.policy.boost(t.spin)
+}
 
 // RankContext is the per-GPU DFCCL context created by Init: the SQ/CQ
 // pair, the callback map, the poller thread, and the daemon kernel
@@ -73,6 +89,9 @@ type RankContext struct {
 	sq     *SQ
 	cq     *CQ
 	stream *cudasim.Stream
+	// runner runs the primitives of whichever collective the daemon has
+	// scheduled.
+	runner prim.Runner
 
 	tasks     map[int]*collTask
 	callbacks map[int][]Callback
@@ -169,8 +188,9 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	}
 	pos := g.posOf[r.Rank]
 	t := &collTask{
-		group: g,
-		exec:  g.comm.wirings.ExecutorFor(r.sys.Cluster, g.Spec, pos, nil, nil),
+		group:  g,
+		exec:   g.comm.wirings.ExecutorFor(r.sys.Cluster, g.Spec, pos, nil, nil),
+		policy: &r.sys.Config.Spin,
 	}
 	// The abort hook is how a rank loss reaches the daemon: the
 	// executor polls it at every step entry and connector-wait wakeup.

@@ -11,9 +11,9 @@
 // route; concurrently-active flows share each link max-min fairly
 // (progressive filling), and whenever a flow joins or finishes the fair
 // shares are re-solved and every in-flight flow's remaining bytes are
-// re-scheduled at its new rate, by the engine on the flow's behalf (a
-// sim.Repeater): the transferring process itself sleeps from the moment
-// its flow joins to the moment it is done. A transfer's duration therefore
+// re-scheduled at its new rate, by the engine on the transfer's behalf (an
+// Xfer is a sim.Stepper): whoever is transferring is resumed only once the
+// transfer is over. A transfer's duration therefore
 // depends on who else is on the wire — the congestion behavior the
 // independent Path.TransferTime pricing cannot express.
 //
@@ -252,7 +252,7 @@ type Network struct {
 	routes map[[2]int]Route
 
 	flows  []*flow
-	spare  []*flow   // finished flow records, reused by the next transfers
+	spare  []*Xfer   // finished TransferJob records, reused by the next ones
 	change *sim.Cond // broadcast on every flow join/leave
 	lastAt sim.Time  // last time flow progress was accrued
 

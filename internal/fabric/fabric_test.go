@@ -377,10 +377,10 @@ func loopTransferJob(n *Network, p *sim.Process, r Route, bytes, job int) {
 // the same nanosecond. Everything observable must be equal: when each
 // transfer finished, the link counters, the recorded flow and saturation
 // events, the per-job bytes and the engine's timeline. What differs is who
-// ran: with the flow as its own Repeater a transferring process is resumed
-// for its start delay, its latency and its completion, and never between
-// its flow's join and its finish. The test fails when Again forgets to
-// advance the flows before it re-predicts.
+// ran: with the transfer as a machine the engine runs (Xfer) a transferring
+// process is resumed for its start delay and its completion, and never
+// between the start of its transfer and its flow's finish. The test fails
+// when a flow's turn forgets to advance the flows before it re-predicts.
 func TestRepredictMatchesLoop(t *testing.T) {
 	type outcome struct {
 		finished    []sim.Time
@@ -413,7 +413,7 @@ func TestRepredictMatchesLoop(t *testing.T) {
 					job:   rng.Intn(3),
 				}
 			}
-			wantResumes += 1 + 3*uint64(len(xfers))
+			wantResumes += 1 + 2*uint64(len(xfers))
 			first := len(out.finished)
 			out.finished = append(out.finished, make([]sim.Time, len(xfers))...)
 			e.Spawn(fmt.Sprintf("p%d", proc), func(p *sim.Process) {
@@ -439,7 +439,7 @@ func TestRepredictMatchesLoop(t *testing.T) {
 		want, _ := run(seed, loopTransferJob)
 		got, wantResumes := run(seed, (*Network).TransferJob)
 		if got.resumes != wantResumes {
-			t.Fatalf("seed %d: %d resumes, want %d: one per start delay, latency and completion", seed, got.resumes, wantResumes)
+			t.Fatalf("seed %d: %d resumes, want %d: one per start delay and completion", seed, got.resumes, wantResumes)
 		}
 		saved += want.resumes - got.resumes
 		got.resumes = want.resumes

@@ -8,12 +8,10 @@ import (
 	"dfccl/internal/trace"
 )
 
-// flow is one in-flight transfer holding capacity on its route's links.
-// Finished records are reused (Network.spare), so nothing may hold one
-// past the end of its TransferJob.
+// flow is one in-flight transfer holding capacity on its route's links,
+// from the moment it joins the network's active set to the moment it
+// leaves. It is part of the Xfer that moves it.
 type flow struct {
-	net       *Network
-	engine    *sim.Engine
 	route     Route
 	remaining float64 // bytes left to move
 	cap       float64 // per-flow rate ceiling (the route's Path.Bandwidth)
@@ -22,6 +20,88 @@ type flow struct {
 	id        int     // recorder flow ID (0 when recording is off)
 	prevRate  float64 // rate before the last solve (rate-change detection)
 	job       int     // owning tenant job ID (0 = untagged)
+}
+
+// Xfer is one transfer as a machine that returns its waits instead of
+// making them (sim.Stepper): Begin arms it, and whoever runs it makes the
+// waits Next asks for, a process by Awaiting it (TransferJob), another
+// machine by handing each wait on (the executor's send). Between two waits
+// Next does what a transferring process would: price the first sleep; join
+// the network's flows and re-solve the rates; at every join, finish or
+// predicted completion accrue progress and predict again; leave and
+// re-solve. The engine takes those turns, so a process runs again only
+// once its transfer is over. An Xfer is reusable after Next answers false
+// and must stay where it is until then: the network points into it.
+type Xfer struct {
+	net    *Network
+	engine *sim.Engine
+	bytes  int
+	at     xferState
+	flow   flow
+}
+
+// xferState is where an Xfer's next turn picks up.
+type xferState uint8
+
+const (
+	xferStart   xferState = iota // nothing done yet
+	xferJoin                     // the latency has passed: join the flows
+	xferFlowing                  // a join, a finish or the predicted completion woke the flow
+	xferDone                     // an independently priced transfer has slept its time
+)
+
+// Begin arms x to move bytes over route r on n, attributed to tenant job
+// ID job, in a simulation driven by e.
+func (x *Xfer) Begin(n *Network, e *sim.Engine, r Route, bytes, job int) {
+	x.net, x.engine, x.bytes, x.at = n, e, bytes, xferStart
+	x.flow = flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
+}
+
+// Next is the transfer's next turn (sim.Stepper).
+func (x *Xfer) Next() (sim.Wait, bool) {
+	n, e, f := x.net, x.engine, &x.flow
+	switch x.at {
+	case xferStart:
+		if x.bytes > 0 {
+			if n.jobBytes == nil {
+				n.jobBytes = make(map[int]int64)
+			}
+			n.jobBytes[f.job] += int64(x.bytes)
+		}
+		if !n.shared || len(f.route.Links) == 0 || x.bytes == 0 {
+			x.at = xferDone
+			return sim.Wait{D: sim.Duration(f.route.Path.TransferTime(x.bytes))}, true
+		}
+		x.at = xferJoin
+		return sim.Wait{D: sim.Duration(f.route.Path.Latency)}, true
+	case xferJoin:
+		if n.rec != nil {
+			n.flowSeq++
+			f.id = n.flowSeq
+			n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowStart, Bytes: x.bytes, Job: f.job})
+		}
+		n.advance(e.Now())
+		n.flows = append(n.flows, f)
+		n.recompute()
+		n.change.Broadcast(e)
+		x.at = xferFlowing
+	case xferFlowing:
+		n.advance(e.Now())
+	case xferDone:
+		return sim.Wait{}, false
+	}
+	if f.remaining > 0 {
+		// Wait until the predicted completion at the current rate; a rate
+		// change broadcasts, and the flow re-predicts at once.
+		return sim.Wait{Cond: n.change, D: f.eta()}, true
+	}
+	n.remove(f)
+	n.recompute()
+	n.change.Broadcast(e)
+	if n.rec != nil {
+		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowEnd, Job: f.job})
+	}
+	return sim.Wait{}, false
 }
 
 // Transfer moves bytes over route r, blocking the calling process for
@@ -42,62 +122,22 @@ func (n *Network) Transfer(p *sim.Process, r Route, bytes int) {
 // job ID (0 = untagged): the pricing is identical, but the bytes accrue
 // to the per-job attribution read back by JobBytes, and — under shared
 // networks with recording on — the flow's trace events carry the job.
+// It Awaits an Xfer: p is resumed once, when the transfer is over.
 func (n *Network) TransferJob(p *sim.Process, r Route, bytes, job int) {
-	if bytes > 0 {
-		if n.jobBytes == nil {
-			n.jobBytes = make(map[int]int64)
-		}
-		n.jobBytes[job] += int64(bytes)
-	}
-	if !n.shared || len(r.Links) == 0 || bytes == 0 {
-		p.Sleep(sim.Duration(r.Path.TransferTime(bytes)))
-		return
-	}
-	p.Sleep(sim.Duration(r.Path.Latency))
-	e := p.Engine()
-	var f *flow
+	var x *Xfer
 	if k := len(n.spare); k > 0 {
-		f, n.spare = n.spare[k-1], n.spare[:k-1]
+		x, n.spare = n.spare[k-1], n.spare[:k-1]
 	} else {
-		f = new(flow)
+		x = new(Xfer)
 	}
-	*f = flow{net: n, engine: e, route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
-	if n.rec != nil {
-		n.flowSeq++
-		f.id = n.flowSeq
-		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowStart, Bytes: bytes, Job: job})
-	}
-	n.advance(e.Now())
-	n.flows = append(n.flows, f)
-	n.recompute()
-	n.change.Broadcast(e)
-	if f.remaining > 0 {
-		// Wait until the predicted completion at the current rate; a rate
-		// change broadcasts, and the flow re-predicts (Again) at once.
-		n.change.WaitWhile(p, f.eta(), f)
-	}
-	n.remove(f)
-	n.recompute()
-	n.change.Broadcast(e)
-	if n.rec != nil {
-		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowEnd, Job: f.job})
-	}
-	n.spare = append(n.spare, f)
+	x.Begin(n, p.Engine(), r, bytes, job)
+	p.Await(x)
+	n.spare = append(n.spare, x)
 }
 
 // eta is the time the flow still needs at its current rate.
 func (f *flow) eta() sim.Duration {
 	return sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
-}
-
-// Again is the flow's turn each time a join, a finish or its own predicted
-// completion wakes it (sim.Repeater): accrue progress up to now, and unless
-// the last byte has moved, wait out the new prediction. The engine takes
-// these turns on the transferring process's behalf, so that process runs
-// again only once its flow is done.
-func (f *flow) Again() (sim.Duration, bool) {
-	f.net.advance(f.engine.Now())
-	return f.eta(), f.remaining > 0
 }
 
 // remove drops a finished flow from the active set.

@@ -2,6 +2,7 @@ package prim
 
 import (
 	"fmt"
+	"slices"
 
 	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
@@ -96,7 +97,10 @@ func TraceTransport(tr topo.Transport) trace.Transport {
 // exported position fields (Stage, Round, Step, Phase) are the dynamic
 // context of Sec. 4.2: saving and restoring them across preemptions
 // resumes the collective exactly where it stopped, without under- or
-// re-transmission.
+// re-transmission. Everything that lives only while a primitive is in
+// flight (where in the primitive it is, what it waits for, until when) is
+// not here but in the Runner that runs it: the context is what a preempted
+// collective keeps, the Runner is the registers of the kernel running it.
 type Executor struct {
 	Spec Spec
 	Pos  int // position within Spec.Ranks
@@ -129,6 +133,11 @@ type Executor struct {
 	Phase       int
 	Initialized bool
 
+	// last is (Stage+1, Round, Step) of the primitive that completed last
+	// since Reset, zero when none has: every completed primitive must lie
+	// strictly beyond it.
+	last [3]int32
+
 	// AbortCheck, when non-nil, is polled at StepOnce entry and at
 	// every connector-wait wakeup. When it reports true the executor
 	// returns Aborted without touching connector state, leaving
@@ -154,6 +163,9 @@ type Executor struct {
 	Job int
 
 	scratch *mem.Buffer
+	// runner runs StepOnce's primitives; callers that drive a Runner of
+	// their own never make one.
+	runner *Runner
 
 	// Stats.
 	PrimsExecuted int
@@ -184,6 +196,7 @@ func (x *Executor) Reset(sendBuf, recvBuf *mem.Buffer) {
 	x.SendBuf, x.RecvBuf = sendBuf, recvBuf
 	x.Stage, x.Round, x.Step, x.Phase = 0, 0, 0, 0
 	x.Initialized = false
+	x.last = [3]int32{}
 }
 
 // Finished reports completion of all stages and rounds.
@@ -198,20 +211,20 @@ func (x *Executor) computeCost(bytes int) sim.Duration {
 	return sim.Duration(float64(bytes) / x.ComputeBW * 1e9)
 }
 
-// initialize performs the sequence's init copy, charging compute time.
-func (x *Executor) initialize(p *sim.Process) {
-	if x.Spec.TimingOnly {
-		if x.Seq.initCopyOwnSeg != initCopyNone {
-			sendCount, _ := BufferCountsFor(x.Spec, x.Pos)
-			p.Sleep(x.computeCost(sendCount * x.Spec.Type.Size()))
-		}
-		x.Initialized = true
-		return
+// initCopy is the sequence's init copy: it reports the bytes the copy is
+// priced by (ok false when the sequence has none) and, once the sleep that
+// charges them is over (move), performs it.
+func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
+	if x.Seq.initCopyOwnSeg == initCopyNone {
+		return 0, false
 	}
+	if x.Spec.TimingOnly {
+		sendCount, _ := BufferCountsFor(x.Spec, x.Pos)
+		return sendCount * x.Spec.Type.Size(), true
+	}
+	src := x.SendBuf.Bytes()
 	switch x.Seq.initCopyOwnSeg {
-	case initCopyNone:
 	case initCopyWhole: // whole send buffer into the working buffer
-		src := x.SendBuf.Bytes()
 		// A scratch this copy overwrites whole is not allocated (and
 		// zeroed) ahead of its first run: it starts life as the copy.
 		fresh := x.Seq.useScratch && x.scratch == nil
@@ -222,45 +235,44 @@ func (x *Executor) initialize(p *sim.Process) {
 		if workBytes != len(src) {
 			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
 		}
-		p.Sleep(x.computeCost(len(src)))
-		if fresh {
+		if move && fresh {
 			x.scratch = x.SendBuf.Clone()
-		} else {
+		} else if move {
 			copy(x.work().Bytes(), src)
 		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
-		src := x.SendBuf.Bytes()
 		dst := x.work().Bytes()
 		if len(dst) < len(src) {
 			panic(fmt.Sprintf("prim: %v init prefix copy overflow: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
-		p.Sleep(x.computeCost(len(src)))
-		copy(dst[:len(src)], src)
+		if move {
+			copy(dst[:len(src)], src)
+		}
 	default: // own contribution into its working-buffer segment
 		sr := x.Seq.segs[x.Seq.initCopyOwnSeg]
 		dst := x.work().Slice(sr.Lo, sr.Hi)
-		src := x.SendBuf.Bytes()
 		if len(dst) != len(src) {
 			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
-		p.Sleep(x.computeCost(len(src)))
-		copy(dst, src)
+		if move {
+			copy(dst, src)
+		}
 	}
-	x.Initialized = true
+	return len(src), true
 }
 
 // copyOut moves results from the working buffer into the recv buffer
 // after the last round: a single segment (reduce-scatter) or a
-// concatenation of segments (all-to-all).
-func (x *Executor) copyOut(p *sim.Process) {
+// concatenation of segments (all-to-all). Like initCopy it first reports
+// the bytes that price it, then (move) performs it.
+func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
 	if len(x.Seq.copyOutSegs) > 0 {
 		total := 0
 		for _, sg := range x.Seq.copyOutSegs {
 			total += x.Seq.segs[sg].len()
 		}
-		p.Sleep(x.computeCost(total * x.Spec.Type.Size()))
-		if x.Spec.TimingOnly {
-			return
+		if !move || x.Spec.TimingOnly {
+			return total * x.Spec.Type.Size(), true
 		}
 		off := 0
 		for _, sg := range x.Seq.copyOutSegs {
@@ -271,23 +283,24 @@ func (x *Executor) copyOut(p *sim.Process) {
 		if off*x.Spec.Type.Size() != len(x.RecvBuf.Bytes()) {
 			panic(fmt.Sprintf("prim: %v copy-out covered %d elems, recv holds %d", x.Spec.Kind, off, x.RecvBuf.Len()))
 		}
-		return
+		return total * x.Spec.Type.Size(), true
 	}
 	if x.Seq.copyOutSeg < 0 {
-		return
+		return 0, false
 	}
 	sr := x.Seq.segs[x.Seq.copyOutSeg]
 	if x.Spec.TimingOnly {
-		p.Sleep(x.computeCost(sr.len() * x.Spec.Type.Size()))
-		return
+		return sr.len() * x.Spec.Type.Size(), true
 	}
 	src := x.work().Slice(sr.Lo, sr.Hi)
 	dst := x.RecvBuf.Bytes()
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("prim: copy-out size mismatch: seg=%d recv=%d", len(src), len(dst)))
 	}
-	p.Sleep(x.computeCost(len(src)))
-	copy(dst, src)
+	if move {
+		copy(dst, src)
+	}
+	return len(src), true
 }
 
 // aborted reports whether the owning runtime has flagged this
@@ -297,123 +310,290 @@ func (x *Executor) aborted() bool {
 	return x.AbortCheck != nil && x.AbortCheck()
 }
 
-// waitConn spins (in simulated terms: waits) until ready() is true,
-// the budget expires (Stuck), or an abort is observed (Aborted). A
-// negative budget means wait forever — the NCCL busy-wait mode — but
-// even there every cond wakeup re-polls AbortCheck, so a daemon
-// blocked on a dead peer's connector unblocks as soon as the kill
-// broadcast lands. Returns Progressed when the condition was met.
-func (x *Executor) waitConn(p *sim.Process, ready func() bool, cond *sim.Cond, budget sim.Duration) StepResult {
-	if x.aborted() {
-		return Aborted
-	}
-	if ready() {
-		return Progressed
-	}
-	if budget < 0 {
-		for !ready() {
-			cond.Wait(p)
-			if x.aborted() {
-				return Aborted
-			}
-		}
-		return Progressed
-	}
-	deadline := p.Now().Add(budget)
-	for !ready() {
-		remaining := deadline.Sub(p.Now())
-		if remaining <= 0 {
-			return Stuck
-		}
-		timedOut := cond.WaitTimeout(p, remaining)
-		if x.aborted() {
-			return Aborted
-		}
-		if timedOut && !ready() {
-			return Stuck
-		}
-	}
-	return Progressed
-}
-
 // StepOnce attempts the next primitive with the given spin budget
 // (negative = unbounded, NCCL-style). The budget bounds only the
 // busy-wait for connector readiness; once ready, the primitive's data
-// movement runs to completion (two-phase blocking execution).
+// movement runs to completion (two-phase blocking execution). The
+// primitive runs on a Runner the executor keeps for the purpose, so p is
+// resumed once, with the outcome.
 func (x *Executor) StepOnce(p *sim.Process, spinBudget sim.Duration) StepResult {
-	if x.aborted() {
-		return Aborted
+	if x.runner == nil {
+		x.runner = new(Runner)
 	}
-	if !x.Initialized {
-		x.initialize(p)
-		if x.Seq.totalActions() == 0 {
-			// Single-rank collective: init (plus copy-out) is all.
-			x.Stage = x.Seq.NumStages()
-			x.Round = x.Seq.TotalRounds()
-			x.copyOut(p)
-			return Done
-		}
-	}
-	if x.Finished() {
-		return Done
-	}
-	stage := x.Seq.stageAt(x.Stage)
-	a := stage.Actions[x.Step]
-	attemptStart := p.Now()
-	pipelined := !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
+	return x.runner.run(p, x, nil, spinBudget)
+}
 
-	switch {
-	case a.LocalCopy:
-		// Connector-free working-buffer copy; cannot block or stick.
-		x.localCopy(p, a)
-	case pipelined:
-		// recv → process → send: forwarding actions (broadcast chain,
-		// all-gather middle, reduce chain) depend on the incoming chunk.
-		in, out := x.Ins[a.RecvConn], x.Outs[a.SendConn]
-		if x.Phase == 0 {
-			if r := x.waitConn(p, in.CanRead, in.Readable(), spinBudget); r != Progressed {
-				if r == Stuck {
-					x.SpinAborts++
+// Pacer is the scheduler's side of a run of primitives (Runner.Run): what
+// Algorithm 1 does between two primitives of the collective it is running.
+type Pacer interface {
+	// Budget is the spin budget of the next primitive's connector waits
+	// (negative = unbounded).
+	Budget() sim.Duration
+	// Progressed is called after every primitive that completed with more
+	// of the sequence to follow, before the next one's Budget is asked.
+	Progressed()
+}
+
+// Runner runs an executor's primitives as a machine that returns each wait
+// instead of making it (sim.Stepper): the engine takes the primitive loop's
+// turns at the wake-ups of the process the Runner runs for, and resumes
+// that process only with an outcome. It holds what lives only while a
+// primitive is in flight, the running kernel's registers to the Executor's
+// saved context: one Runner serves every executor its owner runs, one at a
+// time, and nothing in it outlives a run.
+//
+// There is one state per wait of the primitive loop, and between two waits
+// a state does what a daemon written as blocking code would, in that
+// order: entry (abort check, the init copy's sleep, the copy) → action
+// (pick the primitive at the cursor) → connector wait (abort check, look,
+// wait within the spin budget; at every wake abort check and look again) →
+// recv (read, reduce or copy, then the sleep that prices it) → send (byte
+// counters, the transfer, then the write) → post (count, record, advance
+// the cursor; after the last primitive the copy-out's sleep and the copy).
+type Runner struct {
+	p      *sim.Process
+	x      *Executor
+	pacer  Pacer // nil: one primitive, then Progressed
+	budget sim.Duration
+	result StepResult
+
+	at, then     runState       // where the next turn picks up; where a connector wait goes once ready
+	pipelined    bool           // the action forwards what it receives: recv before send
+	reading      bool           // the connector wait is for a chunk to read, not a slot to write
+	conn         *mem.Connector // the connector waited on
+	cond         *sim.Cond      // what wakes that wait
+	deadline     sim.Time       // when the spin budget of that wait runs out
+	attemptStart sim.Time       // when this attempt at the action began
+	stage        Stage          // the stage at the cursor
+	a            *Action        // the action at the cursor
+	sent         segRange       // what the send in flight writes once it has crossed the wire
+	xfer         fabric.Xfer    // that send's transfer
+}
+
+// runState is where a Runner's next turn picks up.
+type runState uint8
+
+const (
+	atEntry     runState = iota // StepOnce's entry
+	atInitCopy                  // the init copy's sleep is over
+	atAction                    // start the primitive at the cursor
+	atCopied                    // a local copy's sleep is over
+	atConn                      // look at the connector a half needs: first, and after every wake without a budget
+	atSpin                      // still not ready: wait within the spin budget
+	atSpinWake                  // woken from that wait
+	atRecv                      // a chunk is there to read
+	atRecvDone                  // the recv half's sleep is over
+	atSend                      // a slot is free to write
+	atSending                   // the transfer is under way
+	atPost                      // the primitive is complete
+	atCopiedOut                 // the copy-out's sleep is over
+)
+
+// Run runs x's primitives from its cursor for process p, asking pacer for
+// each one's spin budget, until the sequence is complete (Done), a
+// connector wait outlasts its budget (Stuck) or the collective is aborted
+// (Aborted). It never returns Progressed.
+func (r *Runner) Run(p *sim.Process, x *Executor, pacer Pacer) StepResult {
+	return r.run(p, x, pacer, pacer.Budget())
+}
+
+func (r *Runner) run(p *sim.Process, x *Executor, pacer Pacer, budget sim.Duration) StepResult {
+	r.p, r.x, r.pacer, r.budget, r.at = p, x, pacer, budget, atEntry
+	p.Await(r)
+	return r.result
+}
+
+// end finishes the run with res.
+func (r *Runner) end(res StepResult) (sim.Wait, bool) {
+	if res == Stuck {
+		r.x.SpinAborts++
+	}
+	r.result = res
+	return sim.Wait{}, false
+}
+
+// await starts the wait for c to have a chunk to read (reading) or a slot
+// to write, going on to then once it has.
+func (r *Runner) await(c *mem.Connector, reading bool, then runState) {
+	r.conn, r.reading, r.then, r.at = c, reading, then, atConn
+	if r.cond = c.Writable(); reading {
+		r.cond = c.Readable()
+	}
+}
+
+func (r *Runner) ready() bool {
+	if r.reading {
+		return r.conn.CanRead()
+	}
+	return r.conn.CanWrite()
+}
+
+// sleep prices bytes of local reduce or copy work as the next wait.
+func (r *Runner) sleep(bytes int, then runState) (sim.Wait, bool) {
+	r.at = then
+	return sim.Wait{D: r.x.computeCost(bytes)}, true
+}
+
+// Next is the primitive loop's next turn (sim.Stepper).
+func (r *Runner) Next() (sim.Wait, bool) {
+	x := r.x
+	for {
+		switch r.at {
+		case atEntry:
+			if x.aborted() {
+				return r.end(Aborted)
+			}
+			r.at = atAction
+			if !x.Initialized {
+				r.at = atInitCopy
+				if bytes, ok := x.initCopy(false); ok {
+					return r.sleep(bytes, atInitCopy)
 				}
-				return r
 			}
-			x.recvHalf(p, a)
-			x.Phase = 1
-		}
-		if r := x.waitConn(p, out.CanWrite, out.Writable(), spinBudget); r != Progressed {
-			if r == Stuck {
-				x.SpinAborts++
-			}
-			return r
-		}
-		x.sendHalf(p, a)
-	default:
-		// send ∥ recv on distinct segments: send first so rings prime
-		// themselves (classic ring step posts its send before blocking
-		// on its receive).
-		if a.HasSend() && x.Phase == 0 {
-			out := x.Outs[a.SendConn]
-			if r := x.waitConn(p, out.CanWrite, out.Writable(), spinBudget); r != Progressed {
-				if r == Stuck {
-					x.SpinAborts++
+
+		case atInitCopy:
+			x.initCopy(true)
+			x.Initialized = true
+			r.at = atAction
+			if x.Seq.totalActions() == 0 {
+				// Single-rank collective: init (plus copy-out) is all.
+				x.Stage = x.Seq.NumStages()
+				x.Round = x.Seq.TotalRounds()
+				if bytes, ok := x.copyOut(false); ok {
+					return r.sleep(bytes, atCopiedOut)
 				}
-				return r
+				return r.end(Done)
 			}
-			x.sendHalf(p, a)
-			x.Phase = 1
-		}
-		if a.HasRecv() {
-			in := x.Ins[a.RecvConn]
-			if r := x.waitConn(p, in.CanRead, in.Readable(), spinBudget); r != Progressed {
-				if r == Stuck {
-					x.SpinAborts++
+
+		case atAction:
+			if x.Finished() {
+				return r.end(Done)
+			}
+			r.stage = x.Seq.stageAt(x.Stage)
+			a := &r.stage.Actions[x.Step]
+			r.a = a
+			r.attemptStart = r.p.Now()
+			r.pipelined = !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
+			switch {
+			case a.LocalCopy:
+				// Connector-free working-buffer copy; cannot block or stick.
+				return r.sleep(a.SendElems*x.Spec.Type.Size(), atCopied)
+			case r.pipelined && x.Phase == 0:
+				// recv → process → send: forwarding actions (broadcast chain,
+				// all-gather middle, reduce chain) depend on the incoming chunk.
+				r.await(x.Ins[a.RecvConn], true, atRecv)
+			case r.pipelined:
+				r.await(x.Outs[a.SendConn], false, atSend)
+			case a.HasSend() && x.Phase == 0:
+				// send ∥ recv on distinct segments: send first so rings prime
+				// themselves (classic ring step posts its send before blocking
+				// on its receive).
+				r.await(x.Outs[a.SendConn], false, atSend)
+			case a.HasRecv():
+				r.await(x.Ins[a.RecvConn], true, atRecv)
+			default:
+				r.at = atPost
+			}
+
+		case atCopied:
+			x.localCopy(r.a)
+			r.at = atPost
+
+		case atConn:
+			if x.aborted() {
+				return r.end(Aborted)
+			}
+			if r.ready() {
+				r.at = r.then
+				continue
+			}
+			if r.budget < 0 {
+				// Wait forever, the NCCL busy-wait mode; even there every
+				// wake re-polls AbortCheck, so a daemon blocked on a dead
+				// peer's connector unblocks as soon as the kill broadcast
+				// lands.
+				return sim.Wait{Cond: r.cond, Untimed: true}, true
+			}
+			r.deadline = r.p.Now().Add(r.budget)
+			r.at = atSpin
+
+		case atSpin:
+			remaining := r.deadline.Sub(r.p.Now())
+			if remaining <= 0 {
+				return r.end(Stuck)
+			}
+			r.at = atSpinWake
+			return sim.Wait{Cond: r.cond, D: remaining}, true
+
+		case atSpinWake:
+			if x.aborted() {
+				return r.end(Aborted)
+			}
+			switch {
+			case r.ready():
+				r.at = r.then
+			case r.p.TimedOut():
+				return r.end(Stuck)
+			default:
+				r.at = atSpin
+			}
+
+		case atRecv:
+			return r.sleep(x.recv(r.p.Engine(), r.a), atRecvDone)
+
+		case atRecvDone:
+			r.at = atPost
+			if r.pipelined {
+				x.Phase = 1
+				r.await(x.Outs[r.a.SendConn], false, atSend)
+			}
+
+		case atSend:
+			r.sent = x.beginSend(r.p, r.a, &r.xfer)
+			r.at = atSending
+
+		case atSending:
+			if w, again := r.xfer.Next(); again {
+				return w, true
+			}
+			out := x.Outs[r.a.SendConn]
+			if x.Spec.TimingOnly {
+				out.Write(r.p.Engine(), nil)
+			} else {
+				out.Write(r.p.Engine(), x.work().Slice(r.sent.Lo, r.sent.Hi))
+			}
+			r.at = atPost
+			if !r.pipelined {
+				x.Phase = 1
+				if r.a.HasRecv() {
+					r.await(x.Ins[r.a.RecvConn], true, atRecv)
 				}
-				return r
 			}
-			x.recvHalf(p, a)
+
+		case atPost:
+			if !x.complete(r) {
+				if bytes, ok := x.copyOut(false); ok {
+					return r.sleep(bytes, atCopiedOut)
+				}
+				return r.end(Done)
+			}
+			if r.pacer == nil {
+				return r.end(Progressed)
+			}
+			r.pacer.Progressed()
+			r.budget = r.pacer.Budget()
+			r.at = atEntry
+
+		case atCopiedOut:
+			x.copyOut(true)
+			return r.end(Done)
 		}
 	}
+}
 
+// complete books the primitive the Runner just finished and advances the
+// cursor past it; it reports whether the sequence has more.
+func (x *Executor) complete(r *Runner) (more bool) {
 	x.PrimsExecuted++
 	if x.Rec != nil {
 		// The span is the completing attempt's contiguous interval: a
@@ -422,33 +602,39 @@ func (x *Executor) StepOnce(p *sim.Process, spinBudget sim.Duration) StepResult 
 		// still holds the completed action's position — the same
 		// checkpoint the preempt/abort machinery freezes at.
 		x.Rec.RecordAction(trace.ActionSpan{
-			Start: attemptStart, End: p.Now(),
+			Start: r.attemptStart, End: r.p.Now(),
 			GPU: x.Spec.Ranks[x.Pos], Coll: x.RecColl,
-			Stage: x.Stage, Label: stage.Label,
+			Stage: x.Stage, Label: r.stage.Label,
 			Round: x.Round, Step: x.Step, Phase: x.Phase,
-			Transport: x.actionTransport(a), Job: x.Job,
+			Transport: x.actionTransport(r.a), Job: x.Job,
 		})
 	}
+	// A saved context restored wrong (a stale one, another collective's)
+	// would run a primitive twice or skip one; the data would be wrong far
+	// from here, so say it here.
+	done := [3]int32{int32(x.Stage) + 1, int32(x.Round), int32(x.Step)}
+	if last := x.last; slices.Compare(done[:], last[:]) <= 0 {
+		panic(fmt.Sprintf("prim: %v rank-pos %d completed stage %d round %d step %d after stage %d round %d step %d: the cursor went back",
+			x.Spec.Kind, x.Pos, x.Stage, x.Round, x.Step, last[0]-1, last[1], last[2]))
+	}
+	x.last = done
 	x.Phase = 0
 	x.Step++
-	if x.Step >= len(stage.Actions) {
+	if x.Step >= len(r.stage.Actions) {
 		x.Step = 0
 		x.Round++
-		if x.Round >= stage.Rounds {
+		if x.Round >= r.stage.Rounds {
 			x.Round = 0
 			x.Stage++
-			if x.Stage >= x.Seq.NumStages() {
-				x.copyOut(p)
-				return Done
-			}
+			return x.Stage < x.Seq.NumStages()
 		}
 	}
-	return Progressed
+	return true
 }
 
 // actionTransport is the wire class of the action's send half
 // (device-local for recv-only and copy actions).
-func (x *Executor) actionTransport(a Action) trace.Transport {
+func (x *Executor) actionTransport(a *Action) trace.Transport {
 	if a.LocalCopy || !a.HasSend() {
 		return trace.TransportLocal
 	}
@@ -456,11 +642,10 @@ func (x *Executor) actionTransport(a Action) trace.Transport {
 }
 
 // localCopy moves an action's block between working-buffer segments
-// (whole block, independent of chunk rounds), charging compute time.
-func (x *Executor) localCopy(p *sim.Process, a Action) {
-	bytes := a.SendElems * x.Spec.Type.Size()
-	p.Sleep(x.computeCost(bytes))
-	if x.Spec.TimingOnly || bytes == 0 {
+// (whole block, independent of chunk rounds) once its compute time is
+// charged.
+func (x *Executor) localCopy(a *Action) {
+	if x.Spec.TimingOnly || a.SendElems == 0 {
 		return
 	}
 	src := x.Seq.segs[a.SendSeg]
@@ -468,15 +653,15 @@ func (x *Executor) localCopy(p *sim.Process, a Action) {
 	copy(x.work().Slice(dst.Lo, dst.Lo+a.SendElems), x.work().Slice(src.Lo, src.Lo+a.SendElems))
 }
 
-// sendHalf transmits the current round's slice of the action's send
-// segment (clipped to the in-flight block in ragged sequences),
-// charging serialization and latency on the route through the
-// executor's network.
-func (x *Executor) sendHalf(p *sim.Process, a Action) {
-	sr := x.Seq.sendSlice(a, x.Round)
+// beginSend accounts the current round's slice of the action's send
+// segment (clipped to the in-flight block in ragged sequences) and arms
+// xfer to charge its serialization and latency on the route through the
+// executor's network; the slice is written to the connector once xfer is
+// over.
+func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRange {
+	sr := x.Seq.sendSlice(*a, x.Round)
 	bytes := sr.len() * x.Spec.Type.Size()
 	route := x.OutRoutes[a.SendConn]
-	out := x.Outs[a.SendConn]
 	x.BytesSent += bytes
 	x.BytesSentBy.add(route.Path.Transport, bytes)
 	if x.Rec != nil {
@@ -490,26 +675,21 @@ func (x *Executor) sendHalf(p *sim.Process, a Action) {
 			Job: x.Job,
 		})
 	}
-	x.Net.TransferJob(p, route, bytes, x.Job)
-	if x.Spec.TimingOnly {
-		out.Write(p.Engine(), nil)
-		return
-	}
-	out.Write(p.Engine(), x.work().Slice(sr.Lo, sr.Hi))
+	xfer.Begin(x.Net, p.Engine(), route, bytes, x.Job)
+	return sr
 }
 
-// recvHalf consumes a chunk and reduces or copies it into the action's
-// recv segment, charging compute time. The data moves before the sleep
-// that prices it, because the chunk is only valid until this process
-// yields (mem.Connector.Read). Nothing can tell: the segment belongs to
-// this executor, whose process is the one asleep, and a kill or abort
-// is only observed at StepOnce entry and in connector waits.
-func (x *Executor) recvHalf(p *sim.Process, a Action) {
-	chunk := x.Ins[a.RecvConn].Read(p.Engine())
-	sr := x.Seq.recvSlice(a, x.Round)
+// recv consumes a chunk and reduces or copies it into the action's recv
+// segment, and returns the bytes that price the work. The data moves
+// before the sleep that charges them, because the chunk is only valid
+// until the next wait (mem.Connector.Read). Nothing can tell: the segment
+// belongs to this executor, which is the one asleep, and a kill or abort is
+// only observed at a primitive's entry and in connector waits.
+func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
+	chunk := x.Ins[a.RecvConn].Read(e)
+	sr := x.Seq.recvSlice(*a, x.Round)
 	if x.Spec.TimingOnly {
-		p.Sleep(x.computeCost(sr.len() * x.Spec.Type.Size()))
-		return
+		return sr.len() * x.Spec.Type.Size()
 	}
 	dst := x.work().Slice(sr.Lo, sr.Hi)
 	if len(dst) != len(chunk) {
@@ -521,5 +701,5 @@ func (x *Executor) recvHalf(p *sim.Process, a Action) {
 	} else {
 		copy(dst, chunk)
 	}
-	p.Sleep(x.computeCost(len(chunk)))
+	return len(chunk)
 }

@@ -16,6 +16,7 @@ package prim
 
 import (
 	"fmt"
+	"strconv"
 
 	"dfccl/internal/mem"
 )
@@ -190,9 +191,38 @@ func (s Spec) Timing() Spec {
 // equality the registration layer enforces (every field that sameSpec
 // compares). Specs with equal fingerprints are interchangeable for
 // collective-ID assignment and communicator pooling.
+//
+// The text is fmt's "%d|%d|%d|%d|%d|%d|%d|%t|%v|%v" of Kind, Algo, Count,
+// Type, Op, Root, ChunkElems, TimingOnly, Ranks and Counts, built by hand:
+// every registration and pool lookup asks for it, and fmt reflects over
+// the two slices element by element.
 func (s Spec) Fingerprint() string {
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%t|%v|%v",
-		int(s.Kind), int(s.Algo), s.Count, int(s.Type), int(s.Op), s.Root, s.ChunkElems, s.TimingOnly, s.Ranks, s.Counts)
+	var buf [128]byte
+	b := buf[:0]
+	for _, v := range [...]int{int(s.Kind), int(s.Algo), s.Count, int(s.Type), int(s.Op), s.Root, s.ChunkElems} {
+		b = append(strconv.AppendInt(b, int64(v), 10), '|')
+	}
+	b = append(strconv.AppendBool(b, s.TimingOnly), '|')
+	b = append(appendInts(b, s.Ranks), '|', '[')
+	for i, row := range s.Counts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendInts(b, row)
+	}
+	return string(append(b, ']'))
+}
+
+// appendInts appends v as fmt's %v prints a []int: "[1 2 3]".
+func appendInts(b []byte, v []int) []byte {
+	b = append(b, '[')
+	for i, n := range v {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return append(b, ']')
 }
 
 func (s Spec) chunk() int {

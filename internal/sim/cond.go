@@ -47,7 +47,7 @@ func (c *Cond) removeWaiter(p *Process) {
 // ever arrives and no timed events remain, the engine declares deadlock.
 func (c *Cond) Wait(p *Process) {
 	p.mustRun()
-	c.enqueue(p)
+	p.engine.wait(p, Wait{Cond: c, Untimed: true})
 	p.park()
 }
 
@@ -55,12 +55,7 @@ func (c *Cond) Wait(p *Process) {
 // It reports true if the wait timed out without a signal.
 func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 	p.mustRun()
-	if d < 0 {
-		d = 0
-	}
-	p.timedOut = false
-	c.enqueue(p)
-	p.engine.schedule(p, p.engine.now.Add(d))
+	p.engine.wait(p, Wait{Cond: c, D: d})
 	p.park()
 	return p.timedOut
 }
@@ -75,10 +70,7 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 // among c's waiters, Again on the engine's stack, p resumed once. A signal
 // and a time-out both end a turn; Again is not told which.
 func (c *Cond) WaitWhile(p *Process, d Duration, r Repeater) {
-	p.mustRun()
-	p.rep, p.repCond = r, c
-	c.WaitTimeout(p, d)
-	p.endRepeat()
+	p.repeatWait(Wait{Cond: c, D: d}, r)
 }
 
 // Signal wakes one waiter (FIFO order) at the current virtual time.

@@ -13,15 +13,19 @@
 // WaitTimeout's timer moves the timer's entry to the new key, so a timer
 // that never fires costs nothing once its wait is over.
 //
-// A process is resumed when it has work, not when its wait ends. A loop
-// that polls (wake, look, find nothing, wait again) is written as one
-// repeating wait, Process.SleepWhile or Cond.WaitWhile, whose Repeater
-// says at every wake-up whether the turn is an empty one. The engine
-// dispatches each of those wake-ups as it would any other, under the same
-// (time, sequence number), and takes the empty turns itself: it queues the
-// next wait on the process's behalf and goes on to the next event without
-// switching coroutines. The timeline is the hand-written loop's, event for
-// event; only the switches that carried no work are gone.
+// A process is resumed when only its own body can go on, not whenever a
+// wait of its ends. Code whose work between two waits needs no stack of its
+// own is written as a machine that returns each wait instead of making it
+// (a Stepper: the primitive loop of a collective, a fabric transfer) and
+// handed to Process.Await; a loop that polls is the special case whose
+// every wait is the same (Process.SleepWhile, Cond.WaitWhile and a
+// Repeater). The engine dispatches each wake-up of such a process as it
+// would any other, under the same (time, sequence number), and takes the
+// turn itself, on Run's stack: it runs the machine's next step, makes the
+// wait that step asks for on the process's behalf, in the order the
+// blocking calls would have, and goes on to the next event without
+// switching coroutines. The timeline is the blocking code's, event for
+// event; only the switches are gone.
 //
 // The engine also provides the property the whole repository is built
 // around: if every live process is blocked on a condition and no timed
@@ -215,6 +219,21 @@ func (e *Engine) schedule(p *Process, at Time) {
 	}
 }
 
+// wait makes w for p short of parking. It is the one place a wait is
+// made, whoever asks: Sleep, Cond.Wait and Cond.WaitTimeout from p's body,
+// again on p's behalf. A condition's waiters are joined before the timer
+// takes its sequence number.
+func (e *Engine) wait(p *Process, w Wait) {
+	if c := w.Cond; c != nil {
+		p.timedOut = false
+		c.enqueue(p)
+		if w.Untimed {
+			return
+		}
+	}
+	e.schedule(p, e.now.Add(max(w.D, 0)))
+}
+
 // Spawn creates a process executing fn and schedules it to start at the
 // current virtual time. The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
@@ -238,7 +257,7 @@ type worker struct {
 	stop     func()
 	yield    func(struct{}) bool
 	p        *Process // the process whose body is running
-	panicked any      // what the body that just ended panicked with; on the way in, what p's Again did
+	panicked any      // what the body that just ended panicked with; on the way in, what a turn the engine took for p did
 	idle     *worker  // the next worker on Engine.idle
 }
 
@@ -306,8 +325,8 @@ func (e *Engine) Run() error {
 			p.cond = nil
 			p.timedOut = true
 		}
-		if p.rep != nil && e.again(p) {
-			continue // an empty turn of a repeating wait: p stays parked
+		if p.stepper != nil && e.again(p) {
+			continue // the engine took the turn and made the next wait: p stays parked
 		}
 		if err := e.step(p); err != nil {
 			return err
@@ -315,27 +334,22 @@ func (e *Engine) Run() error {
 	}
 }
 
-// again takes p's turn at a wake-up of its repeating wait, where step
-// would have resumed p. If the Repeater answers with another wait, again
-// does what the loop in p's body would have done next, in its order (re-join
-// the condition's waiters, queue the timer under the next sequence number)
-// and reports true: p stays parked. A panic in Again is p's own: p is
-// resumed to raise it on its own stack (endRepeat) and unwind its body.
+// again takes p's turn at a wake-up of the wait Await parked it in, where
+// step would have resumed p: it runs the Stepper's Next and, if that asks
+// for another wait, makes it as p's body would have and reports true: p
+// stays parked. A panic in Next is p's own: p is resumed to raise it on its
+// own stack (parkWith) and unwind its body.
 func (e *Engine) again(p *Process) (again bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.w.panicked, again = r, false
 		}
 	}()
-	d, again := p.rep.Again()
-	if !again {
-		return false
+	w, again := p.stepper.Next()
+	if again {
+		e.wait(p, w)
 	}
-	if c := p.repCond; c != nil {
-		c.enqueue(p)
-	}
-	e.schedule(p, e.now.Add(max(d, 0)))
-	return true
+	return again
 }
 
 func (e *Engine) stopIdle() {
@@ -428,14 +442,14 @@ func (e *Engine) LiveProcesses() int { return e.live }
 // Fingerprint returns a hash of the timeline so far: the (virtual time,
 // sequence number, spawn ordinal of the process) of every event
 // dispatched to a process, in dispatch order, whether the process was
-// resumed for it or the engine took an empty turn of its repeating wait.
+// resumed for it or the engine took the turn itself (Process.Await).
 // Two runs with equal fingerprints woke the same processes at the same
 // times in the same order, so a change that must not alter behaviour must
 // not alter this.
 func (e *Engine) Fingerprint() uint64 { return e.fp }
 
 // Resumes returns how many times a process coroutine has been resumed so
-// far. Every dispatch Fingerprint counts is either a resume or an empty
-// turn of a repeating wait that the engine took itself, so the two
-// together say how many of a run's events carried work.
+// far. Every dispatch Fingerprint counts is either a resume or a turn the
+// engine took itself for a process parked in Await, so the two together
+// say how many of a run's events needed a coroutine switch.
 func (e *Engine) Resumes() uint64 { return e.resumes }

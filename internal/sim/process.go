@@ -14,30 +14,68 @@ type Process struct {
 	prev, next *Process       // Engine's list of live processes
 	cond       *Cond          // the condition the process is blocked on, if any
 	ev         int            // 1 + the index of the process's event in Engine.queue, 0 while it has none
-	rep        Repeater       // the repeating wait the process is in, if any
-	repCond    *Cond          // the condition that wait re-joins at every turn; nil for SleepWhile
+	stepper    Stepper        // the machine whose turns the engine takes at p's wake-ups (Await), if any
+	rep        repeat         // the Stepper a SleepWhile or WaitWhile installs
 	done       bool
 	timedOut   bool
 }
 
-// Repeater is the body of a polling loop written as a repeating wait
-// (SleepWhile, WaitWhile). Again is one turn of that loop, taken by the
-// engine on the waiting process's behalf: it runs on Run's own stack at the
-// dispatch of the wake-up, exactly where the process would have been
-// resumed (the clock at the wake-up, a timed-out process already out of the
-// condition's waiters). Like the loop body it may read and change model
-// state, Signal, Broadcast, Spawn and record trace events. It must not
-// block: no process is running, and any Sleep or wait called from it
-// panics.
+// Wait is what a Stepper's turn asks the engine to do next on its process's
+// behalf. With a nil Cond it is a Sleep for D. With a Cond it is a
+// WaitTimeout on it for D or, when Untimed, a Wait: no timer is set, so a
+// process parked on a signal that never comes has no event queued and is
+// what Run's ErrDeadlock and BlockedProcesses report, exactly as if its
+// body had called Cond.Wait. A negative D is a zero one.
+type Wait struct {
+	Cond    *Cond
+	D       Duration
+	Untimed bool
+}
+
+// Stepper is code between waits, written as a machine that returns each
+// wait instead of making it. Next does the work due now and answers
+// (w, true), "wait for w, then call me again", or (_, false), "finished".
+// Process.Await runs the machine: the first Next on the process's own
+// stack, every later one by the engine, on Run's own stack, at the dispatch
+// of the wake-up, exactly where the process would have been resumed (the
+// clock at the wake-up, a timed-out process already out of the condition's
+// waiters, Process.TimedOut saying which it was). The engine then makes the
+// wait in the order the blocking calls do (join the condition's waiters,
+// then queue the timer under the next sequence number) and goes on to the
+// next event; the process's coroutine is resumed only when Next answers
+// false. Every event, sequence number and waiter position is the blocking
+// code's, so the timeline does not change; only the switches do.
 //
-// Again may answer (d, true), "nothing to do, wait again for d", only when
-// the turn the process would have taken is nothing but that next wait; the
-// engine then queues the wait and the process stays parked. False is
-// always safe: the process is resumed and the repeating wait returns.
-// Implement Again on state the caller already owns, so that passing it
+// A turn is ordinary simulation code: it may read and change model state,
+// Signal, Broadcast, Spawn and record trace events. It must not block: no
+// process is running, and any Sleep, wait or Await called from it panics.
+// A panic in Next is the waiting process's own: the process is resumed to
+// raise it on its own stack, and Run reports it like a panic of its body.
+// Implement Next on state the caller already owns, so that passing it
 // allocates nothing.
+type Stepper interface {
+	Next() (w Wait, again bool)
+}
+
+// Repeater is the body of a polling loop written as a repeating wait
+// (SleepWhile, WaitWhile): the Stepper whose every wait is on the same
+// condition, or is a sleep. Again is one turn of that loop, taken by the
+// engine on the waiting process's behalf on a Stepper's terms; it answers
+// (d, true), "wait again for d", or false, on which the process is resumed
+// and the repeating wait returns.
 type Repeater interface {
 	Again() (d Duration, again bool)
+}
+
+// repeat is a Repeater as the Stepper the engine runs.
+type repeat struct {
+	r    Repeater
+	cond *Cond // the condition every turn re-joins; nil for SleepWhile
+}
+
+func (r *repeat) Next() (Wait, bool) {
+	d, again := r.r.Again()
+	return Wait{Cond: r.cond, D: d}, again
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -56,7 +94,8 @@ func (p *Process) park() { p.w.yield(struct{}{}) }
 
 // mustRun panics unless p's own body is what is executing. Every wait
 // starts with it: a wait hands p's coroutine back to the engine, which the
-// engine's own stack (an Again) or another process's body cannot do.
+// engine's own stack (a turn it takes for p: a Stepper's Next, a Repeater's
+// Again) or another process's body cannot do.
 func (p *Process) mustRun() {
 	if p.engine.running != p {
 		panic(fmt.Sprintf("sim: process %q blocked outside its own body (inside an Again, or from another process)", p.name))
@@ -68,12 +107,44 @@ func (p *Process) mustRun() {
 // still giving same-time events scheduled earlier a chance to run.
 func (p *Process) Sleep(d Duration) {
 	p.mustRun()
-	if d < 0 {
-		d = 0
-	}
-	p.engine.schedule(p, p.engine.now.Add(d))
+	p.engine.wait(p, Wait{D: d})
 	p.park()
 }
+
+// Await runs the machine s to its end: p's body written as
+//
+//	for w, again := s.Next(); again; w, again = s.Next() {
+//		// p.Sleep(w.D), w.Cond.Wait(p) or w.Cond.WaitTimeout(p, w.D)
+//	}
+//
+// event for event, under the same sequence numbers, except that every Next
+// after the first runs on the engine's stack (see Stepper) and p itself is
+// resumed only once, when Next answers false.
+func (p *Process) Await(s Stepper) {
+	p.mustRun()
+	if w, again := s.Next(); again {
+		p.parkWith(w, s)
+	}
+}
+
+// parkWith makes the wait w and parks p with s installed to take the turns
+// at its wake-ups, until one answers false. If a turn panicked, the panic
+// is p's: the engine resumed p to raise it here, on p's own stack.
+func (p *Process) parkWith(w Wait, s Stepper) {
+	p.stepper = s
+	p.engine.wait(p, w)
+	p.park()
+	p.stepper = nil
+	if r := p.w.panicked; r != nil {
+		p.w.panicked = nil
+		panic(r)
+	}
+}
+
+// TimedOut reports, inside a Stepper's turn, whether the wait that just
+// ended was a wait on a condition that ran out of time without a signal:
+// what Cond.WaitTimeout would have returned.
+func (p *Process) TimedOut() bool { return p.timedOut }
 
 // SleepWhile is the polling loop
 //
@@ -85,20 +156,16 @@ func (p *Process) Sleep(d Duration) {
 // on the engine's stack (see Repeater) and p itself is resumed only once,
 // when Again answers false.
 func (p *Process) SleepWhile(d Duration, r Repeater) {
-	p.mustRun()
-	p.rep = r
-	p.Sleep(d)
-	p.endRepeat()
+	p.repeatWait(Wait{D: d}, r)
 }
 
-// endRepeat leaves a repeating wait. If Again panicked, the panic is p's:
-// the engine resumed p to raise it here, on p's own stack.
-func (p *Process) endRepeat() {
-	p.rep, p.repCond = nil, nil
-	if r := p.w.panicked; r != nil {
-		p.w.panicked = nil
-		panic(r)
-	}
+// repeatWait makes the first wait of a repeating one with r installed to
+// take the turns that follow.
+func (p *Process) repeatWait(w Wait, r Repeater) {
+	p.mustRun()
+	p.rep = repeat{r: r, cond: w.Cond}
+	p.parkWith(w, &p.rep)
+	p.rep = repeat{}
 }
 
 // Spawn starts a child process from within this process.
