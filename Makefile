@@ -60,6 +60,7 @@ loc:
 # before they yield.
 soak:
 	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
+	$(GO) test -count=200 -run 'TestExperiments/^(chaos|cluster|trace)$$' ./internal/bench
 	$(GO) test -race -count=50 ./internal/sim
 	$(GO) test -race -count=20 ./internal/mem ./internal/prim
 
@@ -109,26 +110,17 @@ cluster:
 	$(GO) run ./cmd/trainbench -fig cluster
 
 # smoke is the all-in-one gate: formatting, static checks (go vet), the
-# race-detector test pass, the godoc floor, the benchmark module's own
-# vet + tests, and a minimal-iteration pass through every cmd/* entry
-# point. The cmd/ pass takes a few seconds; test-race dominates
-# (~1 min). See TESTING.md.
+# race-detector test pass — which runs every experiment and gate at
+# reduced scale, as the rows of internal/bench's TestExperiments
+# (~2 min) — the godoc floor, the benchmark module's own vet + tests,
+# and a regeneration of the artifacts: the tuning table and BENCH.json
+# must come out as no-op diffs, trace.json and metrics.json (not
+# committed) byte-identical on the gate's own second run. See
+# TESTING.md.
 smoke: fmt vet build test-race doccheck benchcheck
-	$(GO) run ./cmd/overhead > /dev/null
-	$(GO) run ./cmd/dlprevent -iters 2 > /dev/null
-	$(GO) run ./cmd/dlprevent -lib nccl > /dev/null
-	$(GO) run ./cmd/collbench -fig 9 -iters 1 > /dev/null
-	$(GO) run ./cmd/deadlocksim -rounds 100 -filter "sq-free(1,8)" > /dev/null
-	$(GO) run ./cmd/trainbench -fig 11 -iters 1 > /dev/null
-	$(GO) run ./cmd/trainbench -fig moe -iters 2 -trials 1 > /dev/null
-	$(GO) run ./cmd/trainbench -fig zero -iters 2 -trials 1 > /dev/null
-	$(GO) run ./cmd/trainbench -fig a2a > /dev/null
-	$(GO) run ./cmd/trainbench -fig chaos > /dev/null
-	$(GO) run ./cmd/trainbench -fig ar > /dev/null
-	$(GO) run ./cmd/trainbench -fig cluster > /dev/null
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null
 	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)
 	@git diff --exit-code -- internal/tune/default_table.json $(BENCH) \
 		|| { echo "smoke: regenerated artifacts differ from the committed ones"; exit 1; }
-	@echo "smoke: all entry points OK"
+	@echo "smoke: OK"

@@ -80,5 +80,5 @@ func main() {
 	fmt.Println("disordered collectives with device synchronization completed deadlock-free")
 	fmt.Printf("voluntary daemon quits: gpu0=%d gpu1=%d (the quits let the syncs complete)\n", quits[0], quits[1])
 	fmt.Printf("virtual time: %v\n", lib.Now())
-	fmt.Println("(the same program against an NCCL-style library deadlocks; see cmd/dlprevent -lib nccl)")
+	fmt.Println("(the same program against an NCCL-style library deadlocks; see cmd/trainbench -fig sec61-nccl)")
 }

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+
 	"dfccl/internal/core"
 	"dfccl/internal/orch"
 	"dfccl/internal/sim"
@@ -8,58 +11,57 @@ import (
 	"dfccl/internal/train"
 )
 
-// AblationResult pairs a configuration label with a measured value.
-type AblationResult struct {
-	Label string
-	Value float64
-	Unit  string
-}
+// figAblations measures DESIGN.md's called-out design choices with
+// each switched the other way, one "label value" line per measurement.
+func figAblations(w io.Writer, _ Opts) error {
+	metric := func(label string, value float64) { fmt.Fprintf(w, "  %-28s %10.3f\n", label, value) }
 
-// AblationLazySave compares lazy context saving (only dirty contexts
-// are written back) against always-saving, under a preemption-heavy
-// disordered workload; it reports context saves and end-to-end time.
-func AblationLazySave() (lazy, always []AblationResult, err error) {
-	run := func(alwaysSave bool) ([]AblationResult, error) {
+	fmt.Fprintln(w, "lazy context saving (program 1, 5 iterations): context saves, elapsed ms")
+	for _, always := range []bool{false, true} {
 		cfg := core.DefaultConfig()
-		cfg.AlwaysSaveContext = alwaysSave
+		cfg.AlwaysSaveContext = always
 		res, err := sec61Run(cfg, 5, 7, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		label := "lazy"
-		if alwaysSave {
+		if always {
 			label = "always"
 		}
-		return []AblationResult{
-			{label + "-context-saves", float64(res.ContextSaves), "saves"},
-			{label + "-elapsed", float64(res.Elapsed) / 1e6, "ms"},
-		}, nil
+		metric(label+"-context-saves", float64(res.ContextSaves))
+		metric(label+"-elapsed", float64(res.Elapsed)/1e6)
 	}
-	if lazy, err = run(false); err != nil {
-		return
-	}
-	always, err = run(true)
-	return
-}
 
-// AblationQuitPeriod sweeps the daemon's voluntary-quit period under
-// the device-synchronization workload: shorter periods unblock syncs
-// faster but restart the daemon more often.
-func AblationQuitPeriod(periods []sim.Duration) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, qp := range periods {
+	// Shorter periods unblock device synchronizations sooner but restart
+	// the daemon more often.
+	fmt.Fprintln(w, "daemon quit period (program 2, 3 iterations): elapsed ms, voluntary quits")
+	for _, qp := range []sim.Duration{100 * sim.Microsecond, 200 * sim.Microsecond, 800 * sim.Microsecond} {
 		cfg := core.DefaultConfig()
 		cfg.QuitPeriod = qp
 		res, err := sec61Run(cfg, 3, 7, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out,
-			AblationResult{"quit=" + qp.String() + "-elapsed", float64(res.Elapsed) / 1e6, "ms"},
-			AblationResult{"quit=" + qp.String() + "-quits", float64(res.VoluntaryQuits), "quits"},
-		)
+		metric("quit="+qp.String()+"-elapsed", float64(res.Elapsed)/1e6)
+		metric("quit="+qp.String()+"-quits", float64(res.VoluntaryQuits))
 	}
-	return out, nil
+
+	fmt.Fprintln(w, "ordering policy (ResNet50 DP on 4×3090, 3 iterations): samples/s")
+	fifo, priority, err := AblationOrdering(3)
+	if err != nil {
+		return err
+	}
+	metric("fifo-samples/s", fifo)
+	metric("priority-samples/s", priority)
+
+	fmt.Fprintln(w, "batched SQE read (16×16 burst of tiny collectives on 2 GPUs): elapsed ms")
+	perEntry, batched, err := AblationBatchedSQERead()
+	if err != nil {
+		return err
+	}
+	metric("per-entry-ms", perEntry)
+	metric("batched-ms", batched)
+	return nil
 }
 
 // AblationOrdering compares FIFO against priority ordering on the

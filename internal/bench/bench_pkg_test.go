@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"dfccl/internal/core"
+	"dfccl/internal/fabric"
 	"dfccl/internal/prim"
+	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
 
@@ -203,9 +205,9 @@ func TestA2ASweepInvariants(t *testing.T) {
 	}
 }
 
-// TestA2AGate and TestContentionGate run the two sweeps behind
-// `trainbench -fig a2a` through the gates that command enforces, and
-// check each gate rejects a row set that breaks one of its claims.
+// TestA2AGate runs the first sweep behind `trainbench -fig a2a` through
+// the gate that row enforces, and checks the gate rejects a row set
+// that breaks one of its claims.
 func TestA2AGate(t *testing.T) {
 	rows, err := AllToAllAlgoSweep()
 	if err != nil {
@@ -232,16 +234,29 @@ func TestA2AGate(t *testing.T) {
 	}
 }
 
+// TestContentionGate checks ContentionGate rejects a row set that
+// breaks one of its claims. The measured sweep passing it is the a2a
+// row of TestExperiments (3 s, so it runs once); the rows here are made
+// up to have the sweep's shape: e2e grows with F, faster for the ring.
 func TestContentionGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the 4×4 bandwidth-dominated sweep takes ~4 s (~1 min under -race)")
-	}
-	crows, err := AllToAllContentionSweep([]float64{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
+	var crows []A2AContentionRow
+	for _, f := range []float64{1, 2, 4} {
+		for _, skew := range []string{"uniform", "hot-row"} {
+			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
+				unshared := 400 * sim.Microsecond
+				if algo == prim.AlgoHierarchical {
+					unshared = 300 * sim.Microsecond
+				}
+				crows = append(crows, A2AContentionRow{
+					Nodes: 4, GPUsPerNode: 4, Skew: skew, Oversub: f, Algo: algo,
+					E2E: unshared * sim.Duration(f) * sim.Duration(f), UnsharedE2E: unshared, BitIdentical: true,
+					Tiers: []fabric.TierUtil{{Tier: fabric.TierSpine, PeakUtil: 1, Saturated: 1}},
+				})
+			}
+		}
 	}
 	if err := ContentionGate(crows); err != nil {
-		t.Fatalf("ContentionGate on the sweep: %v", err)
+		t.Fatalf("ContentionGate on well-formed rows: %v", err)
 	}
 	if got := len(HierAdvantages(crows)); got != 6 {
 		t.Fatalf("advantage column has %d cells, want 2 skews × 3 factors", got)

@@ -1,33 +1,15 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"io"
 
 	"dfccl/internal/chaos"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
-
-// ChaosRow is one fault-injection scenario's outcome for the
-// `-fig chaos` gate.
-type ChaosRow struct {
-	// Name identifies the scenario.
-	Name string
-	// Report is the harness outcome (attempts, faults, trajectory,
-	// bit-identical verdict).
-	Report *chaos.Report
-	// WantReform requires a revive-driven re-formation; WantChange
-	// requires the committed trajectory to span a membership change.
-	WantReform, WantChange bool
-}
-
-// String renders the row for the trainbench output.
-func (r ChaosRow) String() string {
-	rep := r.Report
-	return fmt.Sprintf("%-28s attempts=%d kills=%d revives=%d typed-aborts=%d reforms=%d committed=%d bit-identical=%v",
-		r.Name, rep.Attempts, rep.KillsApplied, rep.RevivesApplied, rep.AbortedAttempts, rep.InterruptedAttempts, rep.Committed, rep.BitIdentical)
-}
 
 // chaosScenario is one fixed entry of the gate's fault matrix.
 type chaosScenario struct {
@@ -110,7 +92,17 @@ func chaosScenarios(iters int) []chaosScenario {
 	}
 }
 
-// Chaos runs the fault-injection gate: a fixed matrix of kill/revive
+// chaosMinIters is the smallest -iters at which every scheduled event
+// of every scenario lands before the last commit: the revive at 900µs
+// needs a fifth iteration to re-form the group in. TestChaosMinIters
+// holds it to the schedules.
+const chaosMinIters = 5
+
+// ErrTooFewIters rejects an -iters below what a row's fixed schedule
+// needs, before the row runs — it is not a failed gate.
+var ErrTooFewIters = errors.New("too few iterations")
+
+// figChaos runs the fault-injection gate: a fixed matrix of kill/revive
 // schedules against the elastic DP, MoE (ring and hierarchical
 // dispatch, count matrix gathered at runtime), and ZeRO workloads. It
 // returns an error — making `trainbench -fig chaos` exit non-zero —
@@ -120,22 +112,24 @@ func chaosScenarios(iters int) []chaosScenario {
 // membership trajectory, and the MoE scenarios commit iterations on
 // both sides of a membership change (routing survived the churn on
 // runtime-gathered counts).
-func Chaos(iters int) ([]ChaosRow, error) {
-	if iters < 4 {
-		iters = 4
+func figChaos(w io.Writer, o Opts) error {
+	if o.Iters < chaosMinIters {
+		return fmt.Errorf("%w: -iters %d, and the chaos schedules need ≥ %d for their last event to land mid-run",
+			ErrTooFewIters, o.Iters, chaosMinIters)
 	}
-	var rows []ChaosRow
-	for _, sc := range chaosScenarios(iters) {
+	fmt.Fprintf(w, "chaos gate: seeded kill/revive schedules against live elastic workloads (%d iterations each)\n", o.Iters)
+	for _, sc := range chaosScenarios(o.Iters) {
 		rep, err := chaos.Run(sc.cfg)
-		rows = append(rows, ChaosRow{Name: sc.name, Report: rep, WantReform: sc.wantReform, WantChange: sc.wantChange})
+		fmt.Fprintf(w, "  %-28s attempts=%d kills=%d revives=%d typed-aborts=%d reforms=%d committed=%d bit-identical=%v\n",
+			sc.name, rep.Attempts, rep.KillsApplied, rep.RevivesApplied, rep.AbortedAttempts, rep.InterruptedAttempts, rep.Committed, rep.BitIdentical)
 		if err != nil {
-			return rows, fmt.Errorf("bench: chaos %s: %w", sc.name, err)
+			return fmt.Errorf("bench: chaos %s: %w", sc.name, err)
 		}
 		if rep.Hang {
-			return rows, fmt.Errorf("bench: chaos %s: hang", sc.name)
+			return fmt.Errorf("bench: chaos %s: hang", sc.name)
 		}
 		if !rep.BitIdentical || rep.Committed != sc.cfg.Iterations {
-			return rows, fmt.Errorf("bench: chaos %s: committed %d/%d, bit-identical=%v",
+			return fmt.Errorf("bench: chaos %s: committed %d/%d, bit-identical=%v",
 				sc.name, rep.Committed, sc.cfg.Iterations, rep.BitIdentical)
 		}
 		wantKills := 0
@@ -145,19 +139,20 @@ func Chaos(iters int) ([]ChaosRow, error) {
 			}
 		}
 		if rep.KillsApplied != wantKills {
-			return rows, fmt.Errorf("bench: chaos %s: %d/%d kills applied", sc.name, rep.KillsApplied, wantKills)
+			return fmt.Errorf("bench: chaos %s: %d/%d kills applied", sc.name, rep.KillsApplied, wantKills)
 		}
 		if rep.AbortedAttempts < 1 || rep.TypedErrors < 1 {
-			return rows, fmt.Errorf("bench: chaos %s: kill never surfaced as a typed abort (%+v)", sc.name, rep)
+			return fmt.Errorf("bench: chaos %s: kill never surfaced as a typed abort (%+v)", sc.name, rep)
 		}
 		if sc.wantReform && rep.RevivesApplied < 1 {
-			return rows, fmt.Errorf("bench: chaos %s: revive never re-formed the group (%+v)", sc.name, rep)
+			return fmt.Errorf("bench: chaos %s: revive never re-formed the group (%+v)", sc.name, rep)
 		}
 		if sc.wantChange && !rep.MembershipChanged() {
-			return rows, fmt.Errorf("bench: chaos %s: committed trajectory never changed membership: %v", sc.name, rep.Trajectory)
+			return fmt.Errorf("bench: chaos %s: committed trajectory never changed membership: %v", sc.name, rep.Trajectory)
 		}
 	}
-	return rows, nil
+	fmt.Fprintln(w, "chaos gates passed: every fault a typed abort or clean re-form, zero hangs, all scenarios bit-identical to the fault-free reference")
+	return nil
 }
 
 // ChaosBenchCells prices the gate's fault matrix for the

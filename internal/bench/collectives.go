@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"dfccl/internal/core"
 	"dfccl/internal/mem"
@@ -214,44 +215,102 @@ func Fig9(iters int) (small, large Fig8Row, err error) {
 	return small, large, nil
 }
 
-// Sec21Row compares NCCL against CUDA-aware-MPI-style all-reduce.
-type Sec21Row struct {
-	Bytes            int
-	NCCLTime         sim.Duration
-	MPITime          sim.Duration
-	NCCLSpeedupRatio float64
+// printFig8 sweeps kind over cluster and prints the comparison table.
+func printFig8(w io.Writer, cluster *topo.Cluster, kind prim.Kind, minBytes, maxBytes, iters int) error {
+	rows, err := Fig8(cluster, kind, minBytes, maxBytes, iters)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%8s  %14s %14s  %14s %14s\n", "size", "nccl-bw(GB/s)", "dfccl-bw(GB/s)", "nccl-lat", "dfccl-lat")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%8s  %14.3f %14.3f  %14v %14v\n",
+			HumanBytes(r.Bytes), r.NCCL.AlgoBW, r.DFCCL.AlgoBW, r.NCCL.E2E, r.DFCCL.E2E)
+	}
+	return nil
 }
 
-// Sec21 reproduces the Sec. 2.1 motivation: NCCL overtakes host-staged
-// MPI beyond ~32KB, by up to ~6.7×.
-func Sec21(minBytes, maxBytes int) ([]Sec21Row, error) {
+// fig8a, fig8b and fig8c are the paper's three sweeps.
+func fig8a(w io.Writer, o Opts) error {
+	return printFig8(w, topo.Server3080Ti(8), prim.Broadcast, 512, 4<<20, o.Iters)
+}
+
+func fig8b(w io.Writer, o Opts) error {
+	return printFig8(w, topo.Server3090(8), prim.AllReduce, 512, 4<<20, o.Iters)
+}
+
+func fig8c(w io.Writer, o Opts) error {
+	return printFig8(w, topo.MultiNode3090(4), prim.AllReduce, 2<<10, 16<<20, o.Iters)
+}
+
+// collKinds are the collectives -coll names (by their prim.Kind
+// strings): the five the timing-only sweep can measure.
+var collKinds = []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter, prim.Broadcast, prim.Reduce}
+
+func parseKind(s string) (prim.Kind, error) {
+	for _, k := range collKinds {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("-coll %q: want one of %v", s, collKinds)
+}
+
+// fig8 is the custom sweep: -coll over -gpus 3090s (one server up to
+// eight, 8-GPU nodes beyond) from -min to -max bytes.
+func fig8(w io.Writer, o Opts) error {
+	kind, err := parseKind(o.Coll)
+	if err != nil {
+		return err
+	}
+	cluster := topo.Server3090(o.GPUs)
+	if o.GPUs > 8 {
+		cluster = topo.MultiNode3090((o.GPUs + 7) / 8)
+	}
+	return printFig8(w, cluster, kind, o.Min, o.Max, o.Iters)
+}
+
+func fig9(w io.Writer, o Opts) error {
+	small, large, err := Fig9(o.Iters)
+	if err != nil {
+		return err
+	}
+	for _, row := range []Fig8Row{small, large} {
+		fmt.Fprintf(w, "all-gather %s:\n  %v\n  %v\n", HumanBytes(row.Bytes), row.NCCL, row.DFCCL)
+	}
+	return nil
+}
+
+// figSec21 reproduces the Sec. 2.1 motivation on eight 3090s: the
+// all-reduce of a 32K–4M buffer over NCCL and over a host-staged
+// CUDA-aware-MPI-style implementation.
+func figSec21(w io.Writer, _ Opts) error {
 	cluster := topo.Server3090(8)
-	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	var rows []Sec21Row
-	for _, bytes := range SizeSweep(minBytes, maxBytes) {
+	ranks := seqRanks(8)
+	fmt.Fprintln(w, "all-reduce on 8×3090: NCCL vs host-staged CUDA-aware MPI")
+	fmt.Fprintf(w, "%8s  %14s %14s  %8s\n", "size", "nccl", "mpi", "speedup")
+	best := 0.0
+	for _, bytes := range SizeSweep(32<<10, 4<<20) {
 		cfg := CollConfig{Cluster: cluster, Kind: prim.AllReduce, Bytes: bytes, Iters: 3, Warmup: 1}
 		nres, err := MeasureNCCL(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e := sim.NewEngine()
-		count := bytes / 4
-		sendBufs := make([]*mem.Buffer, 8)
-		recvBufs := make([]*mem.Buffer, 8)
+		count := bytes / mem.Float32.Size()
+		sendBufs := make([]*mem.Buffer, len(ranks))
+		recvBufs := make([]*mem.Buffer, len(ranks))
 		for i := range sendBufs {
 			sendBufs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
 			recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
 		}
 		mpiEnd, err := ncclsim.MPIAllReduce(e, cluster, ranks, count, mem.Float32, mem.Sum, sendBufs, recvBufs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, Sec21Row{
-			Bytes:            bytes,
-			NCCLTime:         nres.E2E,
-			MPITime:          sim.Duration(mpiEnd),
-			NCCLSpeedupRatio: float64(mpiEnd) / float64(nres.E2E),
-		})
+		speedup := float64(mpiEnd) / float64(nres.E2E)
+		best = max(best, speedup)
+		fmt.Fprintf(w, "%8s  %14v %14v  %7.2fx\n", HumanBytes(bytes), nres.E2E, sim.Duration(mpiEnd), speedup)
 	}
-	return rows, nil
+	fmt.Fprintf(w, "max NCCL speedup over MPI: %.2fx   (paper: NCCL ahead beyond ~32KB, by up to 6.7x)\n", best)
+	return nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"dfccl/internal/fabric"
 	"dfccl/internal/prim"
@@ -50,16 +51,6 @@ func (r A2AContentionRow) String() string {
 	return fmt.Sprintf("%d×%d GPUs  %-8s F=%-3v %-13v e2e=%-12v unshared=%-12v ×%.2f  rdma=%-8s identical=%v",
 		r.Nodes, r.GPUsPerNode, r.Skew, r.Oversub, r.Algo, r.E2E, r.UnsharedE2E,
 		r.Slowdown(), HumanBytes(r.RDMABytes), r.BitIdentical)
-}
-
-// AllToAllContentionSweep runs the 4-node congestion sweep: for each
-// oversubscription factor and skew regime the same real-data AllToAllv
-// runs under the flat ring and the hierarchical algorithm on a shared
-// fabric (fabric.OversubConfig), with an isolated-path twin run giving
-// the congestion-blind prediction. ContentionGate enforces the sweep's
-// claims.
-func AllToAllContentionSweep(oversubs []float64) ([]A2AContentionRow, error) {
-	return contentionSweep(4, 4, oversubs)
 }
 
 // HierAdvantage is the hierarchical algorithm's edge over the ring
@@ -137,6 +128,46 @@ func ContentionGate(rows []A2AContentionRow) error {
 	return nil
 }
 
+// figA2A runs the algorithm sweep and the congestion sweep, each
+// through its gate.
+func figA2A(w io.Writer, _ Opts) error {
+	rows, err := AllToAllAlgoSweep()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "all-to-all algorithm sweep (real-data AllToAllv, ring vs hierarchical; bytes are total wire traffic incl. forwarding hops)")
+	for _, r := range rows {
+		fmt.Fprintln(w, "  "+r.String())
+	}
+	if err := A2AGate(rows); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "hierarchical outputs bit-identical to the ring on every shape; RDMA bytes strictly lower on multi-node shapes")
+
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "congestion sweep (shared fabric, leaf+spine oversubscription F; 4×4 GPUs, bandwidth-dominated blocks)")
+	crows, err := contentionSweep(4, 4, []float64{1, 2, 4})
+	if err != nil {
+		return err
+	}
+	for _, r := range crows {
+		fmt.Fprintln(w, "  "+r.String())
+		line := "      tiers:"
+		for _, t := range r.Tiers {
+			line += fmt.Sprintf("  %v peak=%.2f sat=%v", t.Tier, t.PeakUtil, t.Saturated)
+		}
+		fmt.Fprintln(w, line)
+	}
+	for _, a := range HierAdvantages(crows) {
+		fmt.Fprintln(w, "  "+a.String())
+	}
+	if err := ContentionGate(crows); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "contention gates passed: spine visible at F>1, inter-leader flows above isolated-sum, advantage monotone, outputs bit-identical")
+	return nil
+}
+
 // contentionScale multiplies the algorithm sweep's count matrices into
 // the bandwidth-dominated regime (uniform blocks of 48 KB), where the
 // spine is the bottleneck for both algorithms and the hierarchical
@@ -145,7 +176,11 @@ func ContentionGate(rows []A2AContentionRow) error {
 // forward critical path and contention only narrows the relative gap.
 const contentionScale = 256
 
-// contentionSweep is AllToAllContentionSweep over an explicit shape.
+// contentionSweep is the congestion sweep: for each oversubscription
+// factor and skew regime the same real-data AllToAllv runs under the
+// flat ring and the hierarchical algorithm on a shared fabric
+// (fabric.OversubConfig), with an isolated-path twin run giving the
+// congestion-blind prediction. ContentionGate enforces its claims.
 func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, error) {
 	var rows []A2AContentionRow
 	for _, f := range oversubs {

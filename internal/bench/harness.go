@@ -1,8 +1,3 @@
-// Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation (see DESIGN.md's per-experiment
-// index). It is shared by the cmd/ tools and the repository's
-// testing.B benchmarks, so numbers printed by both come from the same
-// code paths.
 package bench
 
 import (
@@ -71,11 +66,15 @@ func seqRanks(n int) []int {
 	return ranks
 }
 
-// SizeSweep returns the Fig. 8-style buffer sweep in bytes.
+// SizeSweep returns the Fig. 8-style buffer sweep in bytes: minBytes
+// (at least 1) doubled up to maxBytes.
 func SizeSweep(minBytes, maxBytes int) []int {
 	var out []int
 	for s := minBytes; s <= maxBytes; s *= 2 {
 		out = append(out, s)
+		if s > maxBytes/2 { // the next doubling may overflow
+			break
+		}
 	}
 	return out
 }

@@ -1,36 +1,25 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+
 	"dfccl/internal/core"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
 
-// PoolChurnResult reports communicator-pool behavior under open/close
-// churn of dynamic collective groups.
-type PoolChurnResult struct {
-	Cycles int
-	// Created is how many communicators were ever constructed; with
-	// Close returning them to the pool it stays at the number of
-	// distinct concurrently-live rank sets (here 1), independent of
-	// Cycles.
-	Created int
-	// Pooled is how many communicators sat in the pool at the end.
-	Pooled int
-	// Completed is the total collective runs completed across cycles.
-	Completed int
-}
-
-// PoolChurn opens, launches, awaits, and closes a fresh collective
+// poolChurn opens, launches, awaits, and closes a fresh collective
 // group per cycle over the same GPUs: the dynamic-groups lifecycle
 // that leaks communicators without Unregister. Each cycle uses a new
-// collective ID, so a flat Created count demonstrates end-to-end pool
-// recycling through Close.
-func PoolChurn(nGPUs, cycles int) (PoolChurnResult, error) {
+// collective ID, so a count of communicators ever created that stays
+// at the number of concurrently-live rank sets (here 1) whatever the
+// cycles demonstrates end-to-end pool recycling through Close.
+func poolChurn(w io.Writer, nGPUs, cycles int) error {
 	d := deploy(topo.Server3090(nGPUs), core.DefaultConfig())
 	ranks := seqRanks(nGPUs)
 	bar := sim.NewBarrier("bench.barrier", nGPUs)
-	res := PoolChurnResult{Cycles: cycles}
+	completed := 0
 	err := d.run("bench.pool", func(p *sim.Process, rc *core.RankContext) error {
 		for cy := 0; cy < cycles; cy++ {
 			coll, err := rc.Open(collSpec(4<<10, ranks), core.WithCollID(100+cy))
@@ -44,7 +33,7 @@ func PoolChurn(nGPUs, cycles int) (PoolChurnResult, error) {
 			if err := fut.Wait(p); err != nil {
 				return err
 			}
-			res.Completed++
+			completed++
 			if err := coll.Close(p); err != nil {
 				return err
 			}
@@ -56,9 +45,10 @@ func PoolChurn(nGPUs, cycles int) (PoolChurnResult, error) {
 		return nil
 	})
 	if err != nil {
-		return res, err
+		return err
 	}
-	res.Created = d.sys.CommsCreated()
-	res.Pooled = d.sys.CommsPooled()
-	return res, nil
+	fmt.Fprintln(w, "Communicator pool under open/close churn (v2 lifecycle):")
+	fmt.Fprintf(w, "  %d cycles × fresh collective group: %d communicator(s) created, %d pooled, %d runs completed\n",
+		cycles, d.sys.CommsCreated(), d.sys.CommsPooled(), completed)
+	return nil
 }

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 
 	"dfccl/internal/core"
 	"dfccl/internal/fabric"
@@ -75,6 +78,33 @@ func TraceFig() (*TraceResult, error) {
 	}
 	first.Summary = append(first.Summary, "determinism: second run byte-identical")
 	return first, nil
+}
+
+// figTrace writes the run's two artifacts into -out.
+func figTrace(w io.Writer, o Opts) error {
+	res, err := TraceFig()
+	if err != nil {
+		return err
+	}
+	dir := o.Out
+	if dir == "" {
+		dir = "."
+	}
+	tracePath := filepath.Join(dir, "trace.json")
+	metricsPath := filepath.Join(dir, "metrics.json")
+	if err := os.WriteFile(tracePath, res.TraceJSON, 0o644); err != nil {
+		return err
+	}
+	if err := os.WriteFile(metricsPath, res.MetricsJSON, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "flight-recorder gate (DP all-reduce + hierarchical MoE all-to-all + kill/reform/revive, 2×4 GPUs, oversubscribed fabric)")
+	for _, s := range res.Summary {
+		fmt.Fprintln(w, "  "+s)
+	}
+	fmt.Fprintf(w, "wrote %s (%d bytes) and %s (%d bytes); open trace.json in chrome://tracing or https://ui.perfetto.dev\n",
+		tracePath, len(res.TraceJSON), metricsPath, len(res.MetricsJSON))
+	return nil
 }
 
 // traceScenario executes the scenario once and checks every gate.
@@ -300,8 +330,7 @@ func traceScenario() (*TraceResult, error) {
 
 // TraceProbe runs one small single-node ring all-reduce with the given
 // recorder (nil = recording off) and returns its virtual end-to-end
-// latency. The root package's benchmarks loop it with b.ReportAllocs
-// to pin the nil-recorder launch path's host-side allocation count
+// latency. BenchmarkTraceProbe_* loop it with b.ReportAllocs to pin the nil-recorder launch path's host-side allocation count
 // next to the recorded path's, and TraceOverheadCells uses full cells
 // to pin the zero observer effect in virtual time.
 func TraceProbe(rec *trace.Recorder) (sim.Duration, error) {
@@ -316,8 +345,8 @@ func TraceProbe(rec *trace.Recorder) (sim.Duration, error) {
 // the recorder installed and reports the virtual-latency delta, which
 // must be exactly 0 — recording happens outside virtual time, so a
 // traced deployment measures bit-identically to an untraced one. (The
-// host-side cost of the nil-recorder path is pinned separately by the
-// root package's zero-allocation benchmark.)
+// host-side cost of the nil-recorder path is pinned separately, by
+// LaunchPathAllocCell and BenchmarkTraceProbe_NilRecorder.)
 func TraceOverheadCells() ([]BenchCell, error) {
 	var cells []BenchCell
 	for _, c := range []struct {

@@ -1,6 +1,11 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"dfccl/internal/sim"
+	"dfccl/internal/trace"
+)
 
 // TestTraceFig runs the full flight-recorder scenario: TraceFig itself
 // enforces the byte/span reconciliation, chaos-mark, and determinism
@@ -34,4 +39,39 @@ func TestTraceOverheadCells(t *testing.T) {
 			t.Errorf("%s/%s: trace overhead %dns, want 0", c.Kind, c.Algo, c.TraceOverheadNs)
 		}
 	}
+}
+
+// BenchmarkTraceProbe_NilRecorder pins the recording-free launch path:
+// with Config.Recorder nil every executor pays one nil check per
+// primitive and nothing else, so this benchmark's allocs/op is the
+// pre-recorder baseline — any growth here means the nil path started
+// allocating.
+func BenchmarkTraceProbe_NilRecorder(b *testing.B) {
+	b.ReportAllocs()
+	var e2e sim.Duration
+	var err error
+	for i := 0; i < b.N; i++ {
+		e2e, err = TraceProbe(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(e2e)/1000, "e2e-us")
+}
+
+// BenchmarkTraceProbe_WithRecorder is the same run with the flight
+// recorder installed: allocs/op rises (span/send appends), but e2e-us
+// must match the nil-recorder run exactly — recording happens outside
+// virtual time.
+func BenchmarkTraceProbe_WithRecorder(b *testing.B) {
+	b.ReportAllocs()
+	var e2e sim.Duration
+	var err error
+	for i := 0; i < b.N; i++ {
+		e2e, err = TraceProbe(&trace.Recorder{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(e2e)/1000, "e2e-us")
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"dfccl/internal/core"
@@ -14,13 +15,6 @@ import (
 	"dfccl/internal/topo"
 	"dfccl/internal/train"
 )
-
-// Fig10Row is one bar of the ResNet50 data-parallel comparison.
-type Fig10Row struct {
-	Server     string
-	Backend    string
-	Throughput float64
-}
 
 // newBackend builds the named orchestration backend over cluster on a
 // fresh engine: "dfccl" (default configuration), "oneflow-static" /
@@ -44,97 +38,77 @@ func newBackend(name string, cluster *topo.Cluster) (*sim.Engine, orch.Backend) 
 	}
 }
 
-// Fig10 runs ResNet50 data-parallel training on eight 3080Ti and eight
+// paperFig10 is the throughput the paper's Fig. 10 reports, samples/s.
+var paperFig10 = map[string]float64{
+	"3080ti/oneflow-static": 442.7, "3080ti/dfccl": 447.9, "3080ti/kungfu": 372.1, "3080ti/horovod": 366.2,
+	"3090/oneflow-static": 507.7, "3090/dfccl": 508.4, "3090/kungfu": 419.1, "3090/horovod": 415.6,
+}
+
+// fig10 runs ResNet50 data-parallel training on eight 3080Ti and eight
 // 3090 GPUs across the four methods of the paper's Fig. 10: OneFlow
 // static sorting, DFCCL, KungFu, and Horovod.
-func Fig10(iterations int) ([]Fig10Row, error) {
-	var rows []Fig10Row
-	servers := []struct {
+func fig10(w io.Writer, o Opts) error {
+	fmt.Fprintf(w, "ResNet50 data-parallel training throughput (samples/s, %d iterations)\n", o.Iters)
+	for _, sv := range []struct {
 		name    string
 		cluster func() *topo.Cluster
 		batch   int
 	}{
 		{"3080ti", func() *topo.Cluster { return topo.Server3080Ti(8) }, 48},
 		{"3090", func() *topo.Cluster { return topo.Server3090(8) }, 96},
-	}
-	for _, sv := range servers {
+	} {
 		for _, name := range []string{"oneflow-static", "dfccl", "kungfu", "horovod"} {
 			cluster := sv.cluster()
 			e, b := newBackend(name, cluster)
 			res, err := train.RunDP(e, cluster, b, train.DPConfig{
-				Model: train.ResNet50(), BatchPerGPU: sv.batch, Iterations: iterations,
+				Model: train.ResNet50(), BatchPerGPU: sv.batch, Iterations: o.Iters,
 			})
+			key := sv.name + "/" + name
 			if err != nil {
-				return nil, fmt.Errorf("fig10 %s/%s: %w", sv.name, name, err)
+				return fmt.Errorf("fig10 %s: %w", key, err)
 			}
-			rows = append(rows, Fig10Row{Server: sv.name, Backend: name, Throughput: res.Throughput})
+			fmt.Fprintf(w, "  %-24s %8.1f   (paper: %.1f)\n", key, res.Throughput, paperFig10[key])
 		}
 	}
-	return rows, nil
+	return nil
 }
 
-// Fig11Result carries the adaptive-vs-naive spin policy case study.
-type Fig11Result struct {
-	Policy     string
-	Throughput float64
-	// CtxSwitches[i] is the number of context switches of gradient
-	// collective i on GPU 0 over the measured iterations; QueueLens[i]
-	// is the task queue length after its last SQE fetch.
-	CtxSwitches []int
-	QueueLens   []int
-	MaxCtx      int
-	MaxQueueLen int
-}
-
-// Fig11 trains ResNet50 with DP on four 3090s under the naive fixed
+// fig11 trains ResNet50 with DP on four 3090s under the naive fixed
 // spin threshold (10,000, no adaptation) and under the adaptive policy
 // (100,000 initial at queue front, ×20 boost), reproducing the paper's
-// spike analysis. A straggler delay on GPU 2's launches recreates the
-// burst scenario described in Sec. 6.4.1.
-func Fig11(iterations int) (naive, adaptive Fig11Result, err error) {
-	run := func(policy core.SpinPolicy, name string) (Fig11Result, error) {
+// spike analysis: per policy, the most context switches any gradient
+// collective took on GPU 0 and the longest task queue after its last
+// SQE fetch. A straggler delay on GPU 2's launches recreates the burst
+// scenario described in Sec. 6.4.1.
+func fig11(w io.Writer, o Opts) error {
+	for _, c := range []struct {
+		name   string
+		policy core.SpinPolicy
+	}{{"naive-fixed-10k", core.NaiveSpinPolicy()}, {"adaptive", core.DefaultSpinPolicy()}} {
 		e := newEngine()
 		cluster := topo.Server3090(4)
 		cfg := core.DefaultConfig()
-		cfg.Spin = policy
+		cfg.Spin = c.policy
 		b := orch.NewDFCCL(e, cluster, cfg)
 		res, err := train.RunDP(e, cluster, b, train.DPConfig{
-			Model: train.ResNet50(), BatchPerGPU: 96, Iterations: iterations,
+			Model: train.ResNet50(), BatchPerGPU: 96, Iterations: o.Iters,
 			StragglerRank: 2, StragglerDelay: 3 * sim.Millisecond,
 		})
 		if err != nil {
-			return Fig11Result{}, err
+			return err
 		}
-		out := Fig11Result{Policy: name, Throughput: res.Throughput}
 		rc := b.Sys.Init(nil, 0)
+		maxCtx, maxQueueLen := 0, 0
 		for li := range train.ResNet50().Layers {
 			ctx, _, qlen := rc.TaskStats(li)
-			out.CtxSwitches = append(out.CtxSwitches, ctx)
-			out.QueueLens = append(out.QueueLens, qlen)
-			if ctx > out.MaxCtx {
-				out.MaxCtx = ctx
-			}
-			if qlen > out.MaxQueueLen {
-				out.MaxQueueLen = qlen
-			}
+			maxCtx, maxQueueLen = max(maxCtx, ctx), max(maxQueueLen, qlen)
 		}
-		return out, nil
+		fmt.Fprintf(w, "policy=%s throughput=%.1f samples/s  max-ctx-switches=%d  max-queue-len=%d\n",
+			c.name, res.Throughput, maxCtx, maxQueueLen)
 	}
-	naive, err = run(core.NaiveSpinPolicy(), "naive-fixed-10k")
-	if err != nil {
-		return
-	}
-	adaptive, err = run(core.DefaultSpinPolicy(), "adaptive")
-	return
-}
-
-// Fig12Row is one ViT training configuration.
-type Fig12Row struct {
-	Name       string
-	NCCL       float64 // static-sorted/manual NCCL throughput
-	DFCCL      float64
-	NCCLSeries []float64 // running-average throughput per iteration
-	DFCCLSer   []float64
+	fmt.Fprintln(w, "(paper: naive policy spikes to hundreds of context switches and queue length ~25,")
+	fmt.Fprintln(w, " dropping throughput from >500 to <100; the adaptive policy eliminates the spikes)")
+	return nil
 }
 
 // hybridCase is one hybrid-parallel configuration of Figs. 12-13.
@@ -164,58 +138,44 @@ func hybridPair(fig string, c hybridCase, iterations int) (nccl, dfccl *train.Re
 	return nccl, dfccl, err
 }
 
-// Fig12 runs the four ViT configurations of Fig. 12: DP on 8 GPUs,
+// fig12 runs the four ViT configurations of Fig. 12: DP on 8 GPUs,
 // TP on 8 GPUs, 3D hybrid (base) on 16 GPUs, 3D hybrid (large) on 16.
-func Fig12(iterations int) ([]Fig12Row, error) {
-	var rows []Fig12Row
+func fig12(w io.Writer, o Opts) error {
+	fmt.Fprintf(w, "ViT training throughput (samples/s, %d iterations)\n", o.Iters)
 	for _, c := range []hybridCase{
 		{"vit-base-dp8", 1, train.HybridConfig{Model: train.ViTBase(), TP: 1, DP: 8, PP: 1, MicrobatchSize: 128, NumMicrobatches: 1}},
 		{"vit-base-tp8", 1, train.HybridConfig{Model: train.ViTBase(), TP: 8, DP: 1, PP: 1, MicrobatchSize: 128, NumMicrobatches: 1}},
 		{"vit-base-3d16", 2, train.HybridConfig{Model: train.ViTBase(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 128, NumMicrobatches: 4}},
 		{"vit-large-3d16", 2, train.HybridConfig{Model: train.ViTLarge(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 128, NumMicrobatches: 4}},
 	} {
-		nccl, dfccl, err := hybridPair("fig12", c, iterations)
+		nccl, dfccl, err := hybridPair("fig12", c, o.Iters)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		samples := c.hybrid.SamplesPerIteration()
-		rows = append(rows, Fig12Row{
-			Name: c.name,
-			NCCL: nccl.Throughput, NCCLSeries: nccl.RunningThroughput(samples),
-			DFCCL: dfccl.Throughput, DFCCLSer: dfccl.RunningThroughput(samples),
-		})
+		fmt.Fprintf(w, "  %-16s nccl=%8.1f dfccl=%8.1f  (%+.1f%%; paper: within ±3%% to +8.6%%)\n",
+			c.name, nccl.Throughput, dfccl.Throughput, 100*(dfccl.Throughput-nccl.Throughput)/nccl.Throughput)
 	}
-	return rows, nil
+	return nil
 }
 
-// Fig13Row is one GPT-2 configuration: per-iteration time and its
-// coefficient of variation for both libraries.
-type Fig13Row struct {
-	Name              string
-	NCCLIterMS        float64
-	DFCCLIterMS       float64
-	NCCLCoV, DFCCLCoV float64
-}
-
-// Fig13 runs GPT-2 under 3D hybrid parallelism on 8 and 16 GPUs with
-// microbatch size 18, comparing per-iteration time and stability.
-func Fig13(iterations int) ([]Fig13Row, error) {
-	var rows []Fig13Row
+// fig13 runs GPT-2 under 3D hybrid parallelism on 8 and 16 GPUs with
+// microbatch size 18, comparing per-iteration time and its coefficient
+// of variation.
+func fig13(w io.Writer, o Opts) error {
+	fmt.Fprintf(w, "GPT-2 per-iteration training time (ms, %d iterations)\n", o.Iters)
 	for _, c := range []hybridCase{
 		{"gpt2-3d8", 1, train.HybridConfig{Model: train.GPT2(), TP: 2, DP: 2, PP: 2, MicrobatchSize: 18, NumMicrobatches: 4, JitterPct: 0.06, JitterSeed: 11}},
 		{"gpt2-3d16", 2, train.HybridConfig{Model: train.GPT2(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 18, NumMicrobatches: 4, JitterPct: 0.06, JitterSeed: 11}},
 	} {
-		nccl, dfccl, err := hybridPair("fig13", c, iterations)
+		nccl, dfccl, err := hybridPair("fig13", c, o.Iters)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, Fig13Row{
-			Name:       c.name,
-			NCCLIterMS: nccl.IterTimes.Mean() * 1000, NCCLCoV: nccl.IterTimes.CoV(),
-			DFCCLIterMS: dfccl.IterTimes.Mean() * 1000, DFCCLCoV: dfccl.IterTimes.CoV(),
-		})
+		ncclMS, dfcclMS := nccl.IterTimes.Mean()*1000, dfccl.IterTimes.Mean()*1000
+		fmt.Fprintf(w, "  %-12s nccl=%8.1fms (CoV %.1f%%)  dfccl=%8.1fms (CoV %.1f%%)  (%+.1f%%; paper: within ±4%%)\n",
+			c.name, ncclMS, 100*nccl.IterTimes.CoV(), dfcclMS, 100*dfccl.IterTimes.CoV(), 100*(dfcclMS-ncclMS)/ncclMS)
 	}
-	return rows, nil
+	return nil
 }
 
 // Sec61Result summarizes one deadlock-prevention testing program.
@@ -246,6 +206,39 @@ func Sec61Program1(lib string, iterations int, seed int64) (Sec61Result, error) 
 func Sec61Program2(iterations int, seed int64) (Sec61Result, error) {
 	ext, err := sec61Run(core.DefaultConfig(), iterations, seed, true)
 	return ext.Sec61Result, err
+}
+
+// figSec61, figSec61Sync and figSec61NCCL are the three command lines
+// of the Sec. 6.1 testing programs.
+func figSec61(w io.Writer, o Opts) error {
+	res, err := Sec61Program1("dfccl", o.Iters, o.Seed)
+	return printSec61(w, o, res, err)
+}
+
+func figSec61Sync(w io.Writer, o Opts) error {
+	res, err := Sec61Program2(o.Iters, o.Seed)
+	return printSec61(w, o, res, err)
+}
+
+func figSec61NCCL(w io.Writer, o Opts) error {
+	res, err := Sec61Program1("nccl", o.Iters, o.Seed)
+	return printSec61(w, o, res, err)
+}
+
+// printSec61 prints a testing program's outcome. A deadlock is a
+// result, not a failure: it is what the NCCL baseline is run to show.
+func printSec61(w io.Writer, o Opts, res Sec61Result, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "program %s, lib=%s, iters=%d\n", res.Program, res.Lib, o.Iters)
+	if res.Deadlocked {
+		fmt.Fprintln(w, "result: DEADLOCK detected (circular collective dependency)")
+		return nil
+	}
+	fmt.Fprintf(w, "result: all collectives completed (%d runs across GPUs)\n", res.Completed)
+	fmt.Fprintf(w, "preemptions: %d, voluntary daemon quits: %d\n", res.Preemptions, res.VoluntaryQuits)
+	return nil
 }
 
 func collSpec(count int, ranks []int) prim.Spec {
@@ -281,45 +274,41 @@ func sec61NCCLSingleQueue(orders [][]int, sizes []int) (Sec61Result, error) {
 	return Sec61Result{Program: "1", Lib: "nccl", Deadlocked: err != nil}, nil
 }
 
-// Table1Filtered runs only the Table 1 configurations whose name
-// contains substr (all of them when substr is empty) — the fast path
-// for smoke runs and for iterating on a single configuration. A
-// non-empty substr matching no configuration is an error, so a stale
-// filter cannot masquerade as a passing run.
-func Table1Filtered(rounds, bigConfigRounds int, substr string) ([]Table1Row, error) {
-	var rows []Table1Row
-	for _, cfg := range deadlocksim.Table1Configs(rounds) {
-		if substr != "" && !strings.Contains(cfg.Name, substr) {
+// figTable1 runs the Table 1 configurations whose name contains
+// -filter (all of them when it is empty): the filter selects what
+// runs, not just what prints, so one configuration is a fast pass —
+// e.g. -filter 'sq-3d(4,4,4)-dis1e-6' -iters 2000, 'sq-free(1,8)-dis1e-5'
+// at 8000, 'sync-free(32,64)-d4e-5-s4e-5' or '...-s8e-5' at 2000,
+// 'sync-free(32,128)-d4e-5-s4e-5' at 1000. The paper uses 32,000
+// rounds; the 3072-GPU (8,6,64) configurations are expensive and run
+// -big-rounds instead. A filter matching no configuration is an error,
+// so a stale filter cannot masquerade as a passing run.
+func figTable1(w io.Writer, o Opts) error {
+	matched := false
+	for _, cfg := range deadlocksim.Table1Configs(o.Iters) {
+		if !strings.Contains(cfg.Name, o.Filter) {
 			continue
 		}
-		if cfg.NumGPUs > 1000 && bigConfigRounds > 0 {
-			cfg.Rounds = bigConfigRounds
+		if !matched {
+			fmt.Fprintf(w, "%-44s %10s %10s\n", "configuration", "measured", "paper")
+			matched = true
+		}
+		if cfg.NumGPUs > 1000 && o.BigRounds > 0 {
+			cfg.Rounds = o.BigRounds
 		}
 		res, err := deadlocksim.Run(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, Table1Row{
-			Name:     cfg.Name,
-			Measured: res.Ratio(),
-			Paper:    paperTable1[cfg.Name],
-		})
+		fmt.Fprintf(w, "%-44s %9.2f%% %9.2f%%\n", cfg.Name, 100*res.Ratio(), 100*paperTable1[cfg.Name])
 	}
-	if substr != "" && len(rows) == 0 {
-		return nil, fmt.Errorf("bench: no Table 1 configuration matches %q", substr)
+	if !matched {
+		return fmt.Errorf("-filter %q matches no Table 1 configuration", o.Filter)
 	}
-	return rows, nil
+	return nil
 }
 
-// Table1Row pairs a measured deadlock ratio with the paper's value.
-type Table1Row struct {
-	Name     string
-	Measured float64
-	Paper    float64
-}
-
-// paperTable1 records the ratios the paper reports, for side-by-side
-// printing in EXPERIMENTS.md and cmd/deadlocksim.
+// paperTable1 records the ratios the paper reports.
 var paperTable1 = map[string]float64{
 	"sq-3d(4,4,4)-dis1e-7":                  0.0110,
 	"sq-3d(4,4,4)-dis1e-6":                  0.0997,

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 
 	"dfccl/internal/core"
 	"dfccl/internal/fabric"
@@ -243,14 +246,14 @@ const autoGateTolerance = 1.02
 // AutoAlgoGate is the `-fig ar` gate: for every (reduction kind, node
 // shape, payload) cell it measures ring, hierarchical, and auto, and
 // requires the auto pick to land on the per-cell winner within
-// tolerance with bit-identical outputs. Returns the rows and whether
-// every cell passed.
-func AutoAlgoGate() ([]AutoGateRow, bool, error) {
+// tolerance with bit-identical outputs. The rows come back with the
+// error too, so the figure can show which cell failed.
+func AutoAlgoGate() ([]AutoGateRow, error) {
 	kinds := []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter}
 	shapes := []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}}
 	sizes := []int{16, 1024, 4096}
 	var rows []AutoGateRow
-	ok := true
+	failed := 0
 	for _, shape := range shapes {
 		for _, kind := range kinds {
 			for _, size := range sizes {
@@ -264,15 +267,15 @@ func AutoAlgoGate() ([]AutoGateRow, bool, error) {
 				}
 				ringRow, ringOuts, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoRing)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				hierRow, _, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoHierarchical)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				autoRow, autoOuts, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoAuto)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				row := AutoGateRow{
 					Kind: kind, Nodes: shape.nodes, GPUsPerNode: shape.gpus, Elems: count,
@@ -280,12 +283,53 @@ func AutoAlgoGate() ([]AutoGateRow, bool, error) {
 					Resolved:     autoRow.Resolved,
 					BitIdentical: bytesEqual(ringOuts, autoOuts),
 				}
-				ok = ok && row.Pass()
+				if !row.Pass() {
+					failed++
+				}
 				rows = append(rows, row)
 			}
 		}
 	}
-	return rows, ok, nil
+	if failed > 0 {
+		return rows, fmt.Errorf("auto pick missed the per-cell winner (or outputs diverged) in %d of %d cells", failed, len(rows))
+	}
+	return rows, nil
+}
+
+func figAR(w io.Writer, _ Opts) error {
+	rows, err := AutoAlgoGate()
+	if len(rows) > 0 {
+		fmt.Fprintln(w, "auto-tuning gate (ring vs hierarchical vs auto; auto resolved from the committed tuning table)")
+	}
+	for _, r := range rows {
+		fmt.Fprintln(w, "  "+r.String())
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "auto gate passed: every auto pick matched the per-cell winner within tolerance, outputs bit-identical to the ring")
+	return nil
+}
+
+// figTune writes the sweep's table to -out.
+func figTune(w io.Writer, o Opts) error {
+	tbl, err := TuneSweep()
+	if err != nil {
+		return err
+	}
+	buf, err := tbl.Marshal()
+	if err != nil {
+		return err
+	}
+	path := o.Out
+	if path == "" {
+		path = "internal/tune/default_table.json"
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "tuning table regenerated: %d rows -> %s\n", len(tbl.Rows), path)
+	return nil
 }
 
 // CollBenchCells generates the full-collective half of the benchmark
@@ -359,4 +403,32 @@ func FullBenchMatrix() ([]BenchCell, error) {
 	cells = append(cells, collCells...)
 	cells = append(cells, traceCells...)
 	return append(cells, clusterCells...), nil
+}
+
+func figCollBench(w io.Writer, o Opts) error {
+	cells, err := FullBenchMatrix()
+	return writeCells(w, o.Out, cells, err)
+}
+
+func figA2ABench(w io.Writer, o Opts) error {
+	cells, err := A2ABenchMatrix()
+	return writeCells(w, o.Out, cells, err)
+}
+
+// writeCells writes benchmark cells as indented JSON to path, or to w
+// when path is empty.
+func writeCells(w io.Writer, path string, cells []BenchCell, err error) error {
+	if err != nil {
+		return err
+	}
+	buf, err := json.MarshalIndent(cells, "", "  ")
+	if err != nil {
+		return err
+	}
+	buf = append(buf, '\n')
+	if path == "" {
+		_, err = w.Write(buf)
+		return err
+	}
+	return os.WriteFile(path, buf, 0o644)
 }
