@@ -57,12 +57,16 @@ loc:
 # under the race detector. The data plane's run 20 times under it: mem's
 # kernels view bytes through unsafe (-race turns checkptr on), and
 # recycled connector chunks are only correct while readers consume
-# before they yield.
+# before they yield. The daemon kernel and the poller are machines held
+# to the blocking code they replaced; that oracle runs 200 times, and
+# core's whole suite 20 times under the race detector.
 soak:
 	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
 	$(GO) test -count=200 -run 'TestExperiments/^(chaos|cluster|trace)$$' ./internal/bench
+	$(GO) test -count=200 -run 'MatchesBlocking' ./internal/core
 	$(GO) test -race -count=50 ./internal/sim
 	$(GO) test -race -count=20 ./internal/mem ./internal/prim
+	$(GO) test -race -count=20 ./internal/core
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

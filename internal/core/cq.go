@@ -57,6 +57,7 @@ type CQ struct {
 	variant CQVariant
 	slots   int
 	pending []int
+	spare   []int // the array the last Drain returned, which the next one refills
 }
 
 // NewCQ builds a CQ of the given variant with the given slot count.
@@ -93,9 +94,14 @@ func (q *CQ) Push(collID int) bool {
 }
 
 // Drain removes and returns all available CQEs in completion order, nil
-// when there are none. The caller owns the returned slice.
+// when there are none. The returned slice is valid until the next Drain:
+// the two calls alternate between two arrays, so pushes cost no allocation
+// once both have grown (only the poller drains).
 func (q *CQ) Drain() []int {
+	if len(q.pending) == 0 {
+		return nil
+	}
 	out := q.pending
-	q.pending = nil
+	q.pending, q.spare = q.spare[:0], out
 	return out
 }

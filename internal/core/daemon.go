@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"dfccl/internal/cudasim"
@@ -10,144 +11,398 @@ import (
 	"dfccl/internal/trace"
 )
 
-// daemonBody is the daemon kernel (Sec. 4): DFCCL's core component. It
+// The daemon kernel's body and the CPU poller's, as a launch and Init
+// start them. The oracle test swaps in the blocking code the two machines
+// replaced (blocking_test.go).
+var (
+	daemonBody = (*RankContext).runDaemon
+	pollerBody = (*RankContext).runPoller
+)
+
+// daemon is the daemon kernel (Sec. 4): DFCCL's core component. It
 // fetches SQEs into the task queue, schedules collectives under the
 // stickiness-adjustment policy, executes their primitives in a
 // two-phase blocking manner with bounded spins, preempts stuck
 // collectives via context switch, writes CQEs for completed ones, and
 // voluntarily quits when idle or globally stuck so GPU synchronization
-// can complete.
+// can complete. It polls the SQ every IdlePollTime for as long as it
+// lives, as on the GPU.
 //
-// The kernel polls the SQ every IdlePollTime for as long as it lives, as
-// on the GPU. While its task queue is empty a scheduler pass that finds
-// the SQ empty too does nothing but count itself and pause again, so those
-// passes are the turns of one repeating wait (idleDaemon) that the engine
-// takes without resuming this process; it runs again when there is an SQE
-// to fetch or the quit period is up.
-func (r *RankContext) daemonBody(kc *cudasim.KernelCtx) {
-	p := kc.Process
-	cfg := &r.sys.Config
-	p.Sleep(DaemonStartup)
-	r.trace(p, -1, trace.EvStart)
+// Between two waits its whole state is the task queue and the
+// collectives' contexts, which the paper keeps in global memory, so it is
+// a machine (sim.Stepper) that the kernel's process Awaits: the engine
+// takes every turn on its own stack and resumes the process once, when the
+// instance ends. Each state is where Algorithm 1's loop, written as
+// blocking code, picks up after one of its waits, and does what that loop
+// does up to its next wait, in that order, so the events are the loop's.
+// The primitives of the task it runs are the rank's prim.Runner's, whose
+// waits the daemon hands on as its own (dRunning), the task being the
+// Runner's Pacer for what Algorithm 1 does between two primitives
+// (line 9). One daemon serves every instance its rank launches, one at a
+// time.
+type daemon struct {
+	r  *RankContext
+	p  *sim.Process // the running instance's
+	at dState
+	// ret is where a context load or save goes on once it is over.
+	ret dState
 
-	// Rebuild the task queue from contexts in global memory: work that
-	// survived a voluntary quit (shared memory is lost across quits;
-	// global-memory contexts are not — Sec. 4.5).
-	queue := r.rebuildQueue()
-	for _, t := range queue {
-		r.loadContext(p, t)
+	queue      []*collTask // the task queue; its array outlives instances
+	i          int         // the queue position the pass is at
+	t          *collTask   // the task the state works on
+	sqe        SQE         // the SQE being read
+	fetched    int         // SQEs fetched this pass
+	progressed bool        // a task progressed this pass
+	cqes       int         // CQEs the run's outcome has still to write
+	seen       uint32      // the states entered so far, for the oracle test's coverage table
+}
+
+// dState is where the daemon's next turn picks up.
+type dState uint8
+
+const (
+	dOff       dState = iota // no instance is running
+	dStart                   // an instance entered: its startup
+	dRebuild                 // rebuild the queue from the contexts in global memory
+	dLoadAll                 // load the rebuilt queue's contexts, one at a time
+	dPass                    // a scheduler pass: fetch SQEs per the ordering policy
+	dFetch                   // pop the next SQE, if there is room and one
+	dRead                    // the SQE's read is over
+	dParsed                  // its parse is over: queue its task
+	dSchedule                // sort the queue, set the spin thresholds
+	dTraverse                // execute the task at position i (Algorithm 1, lines 4-15)
+	dExecute                 // its context is loaded: start its primitives
+	dRunning                 // a wait of the Runner's is over (taken before the switch)
+	dRan                     // the run ended Done, Stuck or Aborted
+	dDrain                   // write the outcome's next CQE, if any
+	dPush                    // push it
+	dFull                    // the CQ was full: the pause for the poller is over
+	dPushed                  // its write is over
+	dCompleted               // the outcome's CQEs are written
+	dPreempted               // a stuck task's context is saved
+	dLoaded                  // a context load is over
+	dSaved                   // a context save is over
+	dIdle                    // the pass is over
+	dQuit                    // voluntary quit: save the queue's contexts, one at a time
+	dStates
+)
+
+// runDaemon is the daemon kernel's body.
+func (r *RankContext) runDaemon(kc *cudasim.KernelCtx) {
+	m := &r.daemon
+	// One daemon per rank serves every instance because stream order runs
+	// them one at a time: each is launched on the rank's one stream, where a
+	// kernel starts only once the one before it completed.
+	if m.at != dOff {
+		panic(fmt.Sprintf("core: rank %d: daemon kernel %s entered while another instance's run is live", r.Rank, kc.Name()))
 	}
+	m.p, m.at = kc.Process, dStart
+	kc.Process.Await(m)
+}
 
-	r.lastActivity = p.Now()
+func sleep(d sim.Duration) (sim.Wait, bool) { return sim.Wait{D: d}, true }
+
+// Next is the daemon's next turn (sim.Stepper).
+func (m *daemon) Next() (sim.Wait, bool) {
+	r := m.r
+	if m.at == dRunning {
+		// Most turns are the Runner's: hand its waits on without the switch.
+		if w, again := r.runner.Next(); again {
+			return w, true
+		}
+		m.at = dRan
+	}
+	cfg := &r.sys.Config
 	for {
-		r.Stats.SchedulerPass++
+		m.seen |= 1 << m.at
+		switch m.at {
+		case dStart:
+			m.at = dRebuild
+			return sleep(DaemonStartup)
 
-		// Fetch SQEs per the ordering policy.
-		fetched := r.fetchSQEs(p, &queue)
-		if fetched < 0 {
-			return // exiting SQE: final exit (dfcclDestroy)
-		}
-		if fetched > 0 {
-			r.lastActivity = p.Now()
-		}
-		if cfg.Order == OrderPriority {
-			slices.SortStableFunc(queue, func(a, b *collTask) int {
-				return cmp.Compare(b.group.Priority, a.group.Priority)
-			})
-		}
+		case dRebuild:
+			r.trace(m.p, -1, trace.EvStart)
+			// Rebuild the task queue from contexts in global memory: work
+			// that survived a voluntary quit (shared memory is lost across
+			// quits; global-memory contexts are not — Sec. 4.5).
+			m.queue, m.i, m.at = r.rebuildQueue(m.queue[:0]), 0, dLoadAll
 
-		// Set initial spin thresholds by queue position (largest at
-		// the front — Algorithm 1, line 3).
-		for pos, t := range queue {
-			t.spin = cfg.Spin.initialThreshold(pos)
-		}
+		case dLoadAll:
+			if m.i == len(m.queue) {
+				r.lastActivity = m.p.Now()
+				m.at = dPass
+				continue
+			}
+			m.t = m.queue[m.i]
+			m.i++
+			if w, ok := m.load(dLoadAll); ok {
+				return w, true
+			}
 
-		// Traverse the task queue and execute (Algorithm 1, lines 4-15).
-		progressed := false
-		for i := 0; i < len(queue); i++ {
-			t := queue[i]
+		case dPass:
+			r.Stats.SchedulerPass++
+			m.fetched, m.at = 0, dFetch
+			// FIFO: fetch only when the queue is empty or everything has
+			// been stuck past the backoff — empty the queue quickly.
+			if cfg.Order == OrderFIFO && len(m.queue) != 0 && m.p.Now().Sub(r.lastActivity) < cfg.FetchBackoff {
+				m.at = dSchedule
+			}
+
+		case dFetch:
+			ok := false
+			if len(m.queue) < cfg.TaskQueueCap {
+				m.sqe, ok = r.sq.TryPop(m.p.Engine())
+			}
+			if !ok {
+				m.at = dSchedule
+				continue
+			}
+			m.at = dRead
+			if cfg.BatchedSQERead && m.fetched > 0 {
+				return sleep(BatchedSQEExtraTime)
+			}
+			return sleep(ReadSQETime)
+
+		case dRead:
+			r.Stats.SQEsRead++
+			if m.sqe.Exit {
+				return m.exit() // the exiting SQE: final exit (dfcclDestroy)
+			}
+			m.t, m.at = r.tasks[m.sqe.CollID], dParsed
+			return sleep(ParseSQETime)
+
+		case dParsed:
+			m.at = dFetch
+			t := m.t
+			if t == nil {
+				// Stale SQE: after a voluntary quit, a restarted daemon
+				// rebuilds its queue from global-memory contexts without
+				// consuming pending SQEs, so an entry can surface after its
+				// collective already completed and was unregistered.
+				continue
+			}
+			if !t.inQueue {
+				t.inQueue = true
+				r.enqueueCounter++
+				t.enqueueSeq = r.enqueueCounter
+				m.queue = append(m.queue, t)
+			}
+			t.QueueLenAtLast = len(m.queue)
+			r.trace(m.p, t.ID(), trace.EvFetch)
+			m.fetched++
+
+		case dSchedule:
+			if m.fetched > 0 {
+				r.lastActivity = m.p.Now()
+			}
+			if cfg.Order == OrderPriority {
+				slices.SortStableFunc(m.queue, func(a, b *collTask) int {
+					return cmp.Compare(b.group.Priority, a.group.Priority)
+				})
+			}
+			// Set initial spin thresholds by queue position (largest at
+			// the front — Algorithm 1, line 3).
+			for pos, t := range m.queue {
+				t.spin = cfg.Spin.initialThreshold(pos)
+			}
+			m.i, m.progressed, m.at = 0, false, dTraverse
+
+		case dTraverse:
+			if m.i == len(m.queue) {
+				m.at = dIdle
+				continue
+			}
+			t := m.queue[m.i]
 			if !t.prepared {
 				if len(t.runs) == 0 {
 					// Nothing to do (a redundant SQE for an already-
 					// drained task): drop it so a later Unregister never
 					// leaves a dangling entry in the live queue.
 					t.inQueue = false
-					queue = append(queue[:i], queue[i+1:]...)
-					i--
+					m.queue = slices.Delete(m.queue, m.i, m.i+1)
 					continue
 				}
 				t.exec.Reset(t.runs[0].send, t.runs[0].recv)
-				t.prepared = true
-				t.dirty = true
+				t.prepared, t.dirty = true, true
 			}
 			if !t.execStarted {
 				t.execStarted = true
-				t.ExecStartedAt = p.Now()
+				t.ExecStartedAt = m.p.Now()
 			}
-			r.loadContext(p, t)
-			r.trace(p, t.ID(), trace.EvExecute)
-			done, prog := r.executeTask(p, t)
-			if prog {
-				progressed = true
+			m.t = t
+			if w, ok := m.load(dExecute); ok {
+				return w, true
 			}
-			if done {
-				// Completed runs leave the queue; more pending runs
-				// re-enter via their own SQEs already in flight.
-				if len(t.runs) == 0 {
-					t.inQueue = false
-					queue = append(queue[:i], queue[i+1:]...)
-					i--
+
+		case dExecute:
+			// Run the task's primitives until it completes or one exhausts
+			// its spin threshold (Algorithm 1, lines 6-15).
+			r.trace(m.p, m.t.ID(), trace.EvExecute)
+			m.t.progressed = false
+			r.runner.Start(m.p, m.t.exec, m.t)
+			if w, again := r.runner.Next(); again {
+				m.at = dRunning
+				m.seen |= 1 << dRunning
+				return w, true
+			}
+			m.at = dRan
+
+		case dRan:
+			t := m.t
+			switch r.runner.Result() {
+			case prim.Done:
+				t.runs = t.runs[1:]
+				t.prepared, t.dirty, t.execStarted = false, false, false
+				t.LastCompletedAt = m.p.Now()
+				t.Completions++
+				m.cqes, m.at = 1, dDrain
+			case prim.Stuck:
+				// Preempt: lazily save the dynamic context (only if the
+				// collective progressed since its last save) and switch.
+				r.Stats.Preemptions++
+				t.CtxSwitches++
+				if w, ok := m.save(dPreempted); ok {
+					return w, true
 				}
+			default: // prim.Aborted
+				// A rank loss killed the group (the executor observed it at
+				// a step/wait checkpoint, touching no connector state).
+				// Resolve every pending run to a CQE; the poller translates
+				// them into the group's typed error. The same drain runs on
+				// the lost rank's own daemon, so its futures resolve too.
+				m.cqes, m.at = len(t.runs), dDrain
+				t.runs = nil
+				t.prepared, t.dirty, t.execStarted = false, false, false
 			}
-		}
-		if progressed {
-			r.lastActivity = p.Now()
-			continue
-		}
 
-		// Nothing progressed anywhere. Quit voluntarily after the
-		// grace period so implicit/explicit GPU synchronization can
-		// complete and resources free up (Sec. 4.4); otherwise pause
-		// briefly and rescan.
-		if p.Now().Sub(r.lastActivity) >= cfg.QuitPeriod {
-			for _, t := range queue {
-				r.saveContext(p, t)
+		case dDrain:
+			m.at = dCompleted
+			if m.cqes > 0 {
+				m.cqes--
+				m.at = dPush
 			}
-			r.Stats.VoluntaryQuits++
-			r.trace(p, -1, trace.EvQuit)
-			// Wake the poller: it notices CQEs lag SQEs and will
-			// restart the daemon when appropriate.
-			r.pollerWake.Broadcast(p.Engine())
-			return
-		}
-		if len(queue) == 0 {
-			p.SleepWhile(IdlePollTime, (*idleDaemon)(r))
-		} else {
-			p.Sleep(IdlePollTime) // stuck, not idle: every pass retries the queue
+
+		case dPush:
+			if !r.cq.Push(m.t.ID()) {
+				// CQ full: wait for the poller to drain. Rare with default
+				// sizing; bounded wait keeps the daemon preemptible.
+				r.pollerWake.Broadcast(m.p.Engine())
+				m.at = dFull
+				return sleep(PollerInterval)
+			}
+			m.at = dPushed
+			return sleep(r.cq.WriteCost())
+
+		case dFull:
+			m.at = dPush
+
+		case dPushed:
+			r.Stats.CQEsWritten++
+			r.pollerWake.Broadcast(m.p.Engine())
+			m.at = dDrain
+
+		case dCompleted:
+			t := m.t
+			r.trace(m.p, t.ID(), trace.EvComplete)
+			m.progressed, m.at = true, dTraverse
+			// Completed runs leave the queue; more pending runs re-enter
+			// via their own SQEs already in flight.
+			if len(t.runs) == 0 {
+				t.inQueue = false
+				m.queue = slices.Delete(m.queue, m.i, m.i+1)
+			} else {
+				m.i++
+			}
+
+		case dPreempted:
+			r.trace(m.p, m.t.ID(), trace.EvPreempt)
+			m.progressed = m.progressed || m.t.progressed
+			m.i++
+			m.at = dTraverse
+
+		case dIdle:
+			if m.progressed {
+				r.lastActivity = m.p.Now()
+				m.at = dPass
+				continue
+			}
+			// Nothing progressed anywhere. Quit voluntarily after the
+			// grace period so implicit/explicit GPU synchronization can
+			// complete and resources free up (Sec. 4.4); otherwise pause
+			// briefly and rescan: an empty queue polls the SQ, a stuck one
+			// retries its tasks.
+			if m.p.Now().Sub(r.lastActivity) >= cfg.QuitPeriod {
+				m.i, m.at = 0, dQuit
+				continue
+			}
+			m.at = dPass
+			return sleep(IdlePollTime)
+
+		case dQuit:
+			if m.i == len(m.queue) {
+				r.Stats.VoluntaryQuits++
+				r.trace(m.p, -1, trace.EvQuit)
+				// Wake the poller: it notices CQEs lag SQEs and will
+				// restart the daemon when appropriate.
+				r.pollerWake.Broadcast(m.p.Engine())
+				return m.exit()
+			}
+			m.t = m.queue[m.i]
+			m.i++
+			if w, ok := m.save(dQuit); ok {
+				return w, true
+			}
+
+		case dLoaded:
+			r.Stats.ContextLoads++
+			m.t.resident = true
+			m.at = m.ret
+
+		case dSaved:
+			r.Stats.ContextSaves++
+			m.t.dirty = false
+			m.at = m.ret
 		}
 	}
 }
 
-// idleDaemon is the rank's daemon kernel pausing over an empty task queue.
-type idleDaemon RankContext
-
-// Again is one scheduler pass of the daemon over an empty task queue
-// (sim.Repeater). With an SQE to fetch or the quit period up, the pass is
-// real work and the daemon must run it; otherwise all it would do is count
-// itself and pause again.
-func (d *idleDaemon) Again() (sim.Duration, bool) {
-	r := (*RankContext)(d)
-	if r.sq.Len() > 0 || r.sys.Engine.Now().Sub(r.lastActivity) >= r.sys.Config.QuitPeriod {
-		return 0, false
-	}
-	r.Stats.SchedulerPass++
-	return IdlePollTime, true
+// exit ends the instance.
+func (m *daemon) exit() (sim.Wait, bool) {
+	m.at, m.p, m.t = dOff, nil, nil
+	return sim.Wait{}, false
 }
 
-// rebuildQueue reconstructs the task queue after a (re)start from the
-// persistent per-collective state, ordered by original enqueue order.
-func (r *RankContext) rebuildQueue() []*collTask {
-	var queue []*collTask
+// load stages m.t's context into an active slot, then goes on to then,
+// modeling the direct-mapped active-slot cache: loading is free when the
+// context is already resident.
+func (m *daemon) load(then dState) (sim.Wait, bool) {
+	if m.t.resident {
+		m.at = then
+		return sim.Wait{}, false
+	}
+	// Evict: with ActiveContextSlots slots, keep residency for the most
+	// recently used tasks only.
+	m.r.evictOldest(m.t)
+	m.at, m.ret = dLoaded, then
+	return sleep(LoadContextTime)
+}
+
+// save persists m.t's dynamic context, then goes on to then, lazily:
+// contexts that have not progressed since the last save are skipped
+// (Sec. 5).
+func (m *daemon) save(then dState) (sim.Wait, bool) {
+	if !m.t.dirty && !m.r.sys.Config.AlwaysSaveContext {
+		m.at = then
+		return sim.Wait{}, false
+	}
+	m.at, m.ret = dSaved, then
+	return sleep(SaveContextTime)
+}
+
+// rebuildQueue reconstructs the task queue, in queue's array, after a
+// (re)start from the persistent per-collective state, ordered by original
+// enqueue order.
+func (r *RankContext) rebuildQueue(queue []*collTask) []*collTask {
 	for _, t := range r.tasks {
 		if len(t.runs) > 0 {
 			t.inQueue = true
@@ -161,132 +416,6 @@ func (r *RankContext) rebuildQueue() []*collTask {
 		return cmp.Or(cmp.Compare(a.enqueueSeq, b.enqueueSeq), cmp.Compare(a.ID(), b.ID())) // never-fetched tasks tie at 0
 	})
 	return queue
-}
-
-// fetchSQEs pops SQEs into the task queue according to the ordering
-// policy. It returns the number fetched, or -1 when the exiting SQE was
-// read.
-func (r *RankContext) fetchSQEs(p *sim.Process, queue *[]*collTask) int {
-	cfg := &r.sys.Config
-	if cfg.Order == OrderFIFO {
-		// FIFO: fetch only when the queue is empty or everything has
-		// been stuck past the backoff — empty the queue quickly.
-		if len(*queue) != 0 && p.Now().Sub(r.lastActivity) < cfg.FetchBackoff {
-			return 0
-		}
-	}
-	fetched := 0
-	for len(*queue) < cfg.TaskQueueCap {
-		sqe, ok := r.sq.TryPop(p.Engine())
-		if !ok {
-			break
-		}
-		if cfg.BatchedSQERead && fetched > 0 {
-			p.Sleep(BatchedSQEExtraTime)
-		} else {
-			p.Sleep(ReadSQETime)
-		}
-		r.Stats.SQEsRead++
-		if sqe.Exit {
-			return -1
-		}
-		t := r.tasks[sqe.CollID]
-		p.Sleep(ParseSQETime)
-		if t == nil {
-			// Stale SQE: after a voluntary quit, a restarted daemon
-			// rebuilds its queue from global-memory contexts without
-			// consuming pending SQEs, so an entry can surface after its
-			// collective already completed and was unregistered.
-			continue
-		}
-		if !t.inQueue {
-			t.inQueue = true
-			r.enqueueCounter++
-			t.enqueueSeq = r.enqueueCounter
-			*queue = append(*queue, t)
-		}
-		t.QueueLenAtLast = len(*queue)
-		r.trace(p, t.ID(), trace.EvFetch)
-		fetched++
-	}
-	return fetched
-}
-
-// executeTask runs the scheduled collective's primitives until it
-// completes or a primitive exhausts its spin threshold, in which case
-// the collective is preempted (Algorithm 1, lines 6-15). It reports
-// (runCompleted, madeProgress). The daemon asks for the whole run, not a
-// primitive at a time: the rank's Runner takes the primitive loop's turns
-// on the engine's stack, with the task as its Pacer for what Algorithm 1
-// does between two primitives (line 9), and this process is resumed only
-// for the outcome.
-func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
-	t.progressed = false
-	switch r.runner.Run(p, t.exec, t) {
-	case prim.Done:
-		t.runs = t.runs[1:]
-		t.prepared = false
-		t.dirty = false
-		t.execStarted = false
-		t.LastCompletedAt = p.Now()
-		t.Completions++
-		r.writeCQE(p, t.ID())
-		r.trace(p, t.ID(), trace.EvComplete)
-		return true, true
-	case prim.Stuck:
-		// Preempt: lazily save the dynamic context (only if the
-		// collective progressed since its last save) and switch.
-		r.Stats.Preemptions++
-		t.CtxSwitches++
-		r.saveContext(p, t)
-		r.trace(p, t.ID(), trace.EvPreempt)
-		return false, t.progressed
-	default: // prim.Aborted
-		// A rank loss killed the group (the executor observed it at
-		// a step/wait checkpoint, touching no connector state).
-		// Resolve every pending run to a CQE; the poller translates
-		// them into the group's typed error. The same drain runs on
-		// the lost rank's own daemon, so its futures resolve too.
-		n := len(t.runs)
-		t.runs = nil
-		t.prepared = false
-		t.dirty = false
-		t.execStarted = false
-		for i := 0; i < n; i++ {
-			r.writeCQE(p, t.ID())
-		}
-		r.trace(p, t.ID(), trace.EvComplete)
-		return true, true
-	}
-}
-
-// writeCQE pushes a completion entry, charging the CQ variant's write
-// cost, and wakes the CPU poller.
-func (r *RankContext) writeCQE(p *sim.Process, collID int) {
-	for !r.cq.Push(collID) {
-		// CQ full: wait for the poller to drain. Rare with default
-		// sizing; bounded wait keeps the daemon preemptible.
-		r.pollerWake.Broadcast(p.Engine())
-		p.Sleep(PollerInterval)
-	}
-	p.Sleep(r.cq.WriteCost())
-	r.Stats.CQEsWritten++
-	r.pollerWake.Broadcast(p.Engine())
-}
-
-// loadContext stages a collective's context into an active slot,
-// modeling the direct-mapped active-slot cache: loading is free when
-// the context is already resident.
-func (r *RankContext) loadContext(p *sim.Process, t *collTask) {
-	if t.resident {
-		return
-	}
-	// Evict: with ActiveContextSlots slots, keep residency for the
-	// most recently used tasks only.
-	r.evictOldest(t)
-	p.Sleep(LoadContextTime)
-	r.Stats.ContextLoads++
-	t.resident = true
 }
 
 // evictOldest clears residency of other tasks beyond the slot budget.
@@ -324,18 +453,6 @@ func (r *RankContext) evictOldest(incoming *collTask) {
 	if fallback != nil {
 		fallback.resident = false
 	}
-}
-
-// saveContext persists the dynamic context of a preempted collective,
-// lazily: contexts that have not progressed since the last save are
-// skipped (Sec. 5).
-func (r *RankContext) saveContext(p *sim.Process, t *collTask) {
-	if !t.dirty && !r.sys.Config.AlwaysSaveContext {
-		return
-	}
-	p.Sleep(SaveContextTime)
-	r.Stats.ContextSaves++
-	t.dirty = false
 }
 
 // trace records a daemon scheduling event on the flight recorder.

@@ -92,6 +92,8 @@ type RankContext struct {
 	// runner runs the primitives of whichever collective the daemon has
 	// scheduled.
 	runner prim.Runner
+	daemon daemon
+	poller poller
 
 	tasks     map[int]*collTask
 	callbacks map[int][]Callback
@@ -154,9 +156,10 @@ func (s *System) Init(p *sim.Process, rank int) *RankContext {
 		pollerWake: sim.NewCond(fmt.Sprintf("gpu%d.pollerWake", rank)),
 		idleCond:   sim.NewCond(fmt.Sprintf("gpu%d.idle", rank)),
 	}
+	r.daemon.r, r.poller.r = r, r
 	r.stream = r.dev.NewStream()
 	s.ranks[rank] = r
-	p.Spawn(fmt.Sprintf("dfccl.poller.gpu%d", rank), r.pollerBody)
+	p.Spawn(fmt.Sprintf("dfccl.poller.gpu%d", rank), func(p *sim.Process) { pollerBody(r, p) })
 	return r
 }
 
@@ -310,11 +313,22 @@ func (r *RankContext) Destroy(p *sim.Process) {
 // ensureDaemon launches the daemon kernel if no live instance exists —
 // the event-driven start on SQE insertion and on CQE deficit.
 func (r *RankContext) ensureDaemon(p *sim.Process) {
+	if k := r.daemonKernel(); k != nil {
+		r.daemonInst = r.dev.Launch(p, r.stream, k)
+	}
+}
+
+// daemonKernel counts and returns the daemon kernel to launch, or nil when
+// a live instance exists or none is needed. The launcher pays
+// cudasim.LaunchOverhead, enqueues the kernel and only then records the
+// instance, so a second launcher within that wait launches a second one,
+// which the stream runs after the first.
+func (r *RankContext) daemonKernel() *cudasim.Kernel {
 	if r.finalExit && r.Outstanding() == 0 {
-		return
+		return nil
 	}
 	if r.daemonInst != nil && !r.daemonInst.Done() {
-		return
+		return nil
 	}
 	grid := 1
 	for _, t := range r.tasks {
@@ -322,32 +336,73 @@ func (r *RankContext) ensureDaemon(p *sim.Process) {
 			grid = t.group.Grid
 		}
 	}
-	k := &cudasim.Kernel{
+	r.Stats.DaemonStarts++
+	return &cudasim.Kernel{
 		Name: fmt.Sprintf("dfccl.daemon.gpu%d", r.Rank),
 		Grid: grid,
-		Body: r.daemonBody,
+		Body: func(kc *cudasim.KernelCtx) { daemonBody(r, kc) },
 	}
-	r.Stats.DaemonStarts++
-	r.daemonInst = r.dev.Launch(p, r.stream, k)
 }
 
-// pollerBody is the CPU poller thread: it drains the CQ, runs
-// callbacks, and restarts the daemon when completions lag submissions
-// (Sec. 4.4). It is event-driven with a modeled discovery latency
-// rather than a hot loop, so idle systems quiesce. While work is
-// outstanding it looks again at every wake of pollerWake and every guard
-// period; the looks that find an empty CQ and a live daemon are the turns
-// of one repeating wait (pollerGuard) that the engine takes without
-// resuming this process.
-func (r *RankContext) pollerBody(p *sim.Process) {
+// poller is the CPU poller thread: it drains the CQ, runs callbacks, and
+// restarts the daemon when completions lag submissions (Sec. 4.4). It is
+// event-driven with a modeled discovery latency rather than a hot loop,
+// so idle systems quiesce: with nothing outstanding it waits for
+// pollerWake alone; with work outstanding it also looks again every
+// pollerGuardTime, in case a signal raced with a drain.
+//
+// Like the daemon it is a machine its process Awaits, each state picking up
+// after one of the blocking loop's waits, and its process is resumed only
+// to exit. Callbacks therefore run in its turns, on the engine's stack.
+// They could not block before either (only a process's own body may wait),
+// and a panic in one is still the poller's.
+type poller struct {
+	r      *RankContext
+	at     pState
+	ids    []int           // what the last drain returned
+	i      int             // the next of them to call back
+	kernel *cudasim.Kernel // the daemon kernel being launched
+	seen   uint8           // the states entered so far, for the oracle test's coverage table
+}
+
+// pState is where the poller's next turn picks up.
+type pState uint8
+
+const (
+	pDrain     pState = iota // drain the CQ
+	pCallbacks               // call the next drained CQE back, if any
+	pCallback                // its callback's time is over: run it
+	pCheck                   // the idle hand-off and exit, or a relaunch and the guard
+	pLaunched                // the daemon's launch overhead is over: enqueue it
+	pStates
+)
+
+// runPoller is the poller thread's body.
+func (r *RankContext) runPoller(p *sim.Process) { p.Await(&r.poller) }
+
+// Next is the poller's next turn (sim.Stepper).
+func (m *poller) Next() (sim.Wait, bool) {
+	r := m.r
 	for {
-		ids := r.cq.Drain()
-		if len(ids) > 0 {
-			// Modeled CQ polling discovery latency.
-			p.Sleep(PollerInterval / 2)
-		}
-		for _, id := range ids {
-			p.Sleep(CallbackTime)
+		m.seen |= 1 << m.at
+		switch m.at {
+		case pDrain:
+			m.ids, m.i, m.at = r.cq.Drain(), 0, pCallbacks
+			if len(m.ids) > 0 {
+				return sleep(PollerInterval / 2) // modeled CQ polling discovery latency
+			}
+
+		case pCallbacks:
+			m.at = pCheck
+			if m.i < len(m.ids) {
+				m.at = pCallback
+				return sleep(CallbackTime)
+			}
+
+		case pCallback:
+			id := m.ids[m.i]
+			m.i++
+			m.at = pCallbacks
 			r.completed++
 			cbs := r.callbacks[id]
 			if len(cbs) == 0 {
@@ -358,50 +413,48 @@ func (r *RankContext) pollerBody(p *sim.Process) {
 			if cb != nil {
 				cb(r.completionErr(id))
 			}
-		}
-		if r.Outstanding() == 0 {
-			r.idleCond.Broadcast(p.Engine())
-			if r.destroyed {
-				if r.lost {
-					// A killed rank cannot Close its handles; release
-					// its registrations so group refcounts drop and
-					// survivors' last Close can recycle the
-					// communicator.
-					r.releaseAll()
+
+		case pCheck:
+			if r.Outstanding() == 0 {
+				r.idleCond.Broadcast(r.sys.Engine)
+				if r.destroyed {
+					if r.lost {
+						// A killed rank cannot Close its handles; release
+						// its registrations so group refcounts drop and
+						// survivors' last Close can recycle the
+						// communicator.
+						r.releaseAll()
+					}
+					return sim.Wait{}, false
 				}
-				return
+				m.at = pDrain
+				return sim.Wait{Cond: r.pollerWake, Untimed: true}, true
 			}
-			r.pollerWake.Wait(p)
-			continue
+			// Work is outstanding: make sure a daemon instance is alive
+			// (it may have voluntarily quit), then wait for the daemon's
+			// CQE signal.
+			if m.kernel = r.daemonKernel(); m.kernel != nil {
+				m.at = pLaunched
+				return sleep(cudasim.LaunchOverhead)
+			}
+			return m.guard()
+
+		case pLaunched:
+			r.daemonInst = r.dev.Enqueue(r.stream, m.kernel)
+			m.kernel = nil
+			return m.guard()
 		}
-		// Work is outstanding: make sure a daemon instance is alive
-		// (it may have voluntarily quit), then wait for the daemon's
-		// CQE signal, re-checking after a guard timeout in case a
-		// signal raced with the drain above.
-		r.ensureDaemon(p)
-		r.pollerWake.WaitWhile(p, pollerGuardTime, (*pollerGuard)(r))
 	}
+}
+
+// guard waits for the daemon's CQE signal, for at most pollerGuardTime.
+func (m *poller) guard() (sim.Wait, bool) {
+	m.at = pDrain
+	return sim.Wait{Cond: m.r.pollerWake, D: pollerGuardTime}, true
 }
 
 // pollerGuardTime bounds how long the poller trusts pollerWake alone.
 const pollerGuardTime = 50 * PollerInterval
-
-// pollerGuard is the rank's poller waiting for the daemon's CQE signal.
-type pollerGuard RankContext
-
-// Again is one pass of the poller's loop after a wake or a guard time-out
-// (sim.Repeater). The poller has something to do when the CQ holds an
-// entry, when nothing is outstanding any more (idle hand-off, exit), or
-// when the daemon is gone and must be relaunched, which needs the poller's
-// own process; otherwise the pass drains nothing, finds the daemon alive
-// and waits again.
-func (g *pollerGuard) Again() (sim.Duration, bool) {
-	r := (*RankContext)(g)
-	if len(r.cq.pending) > 0 || r.Outstanding() == 0 || r.daemonInst == nil || r.daemonInst.Done() {
-		return 0, false
-	}
-	return pollerGuardTime, true
-}
 
 // completionErr maps a drained CQE to the error its callback should
 // observe: the group's abort error when a rank loss killed it, else

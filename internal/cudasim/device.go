@@ -242,16 +242,17 @@ func (d *Device) hasIncompleteBefore(seq uint64) bool {
 // the launch overhead; execution is asynchronous. It returns a handle
 // the host can wait on.
 func (d *Device) Launch(p *sim.Process, s *Stream, k *Kernel) *KernelInstance {
+	p.Sleep(LaunchOverhead)
+	return d.Enqueue(s, k)
+}
+
+// Enqueue is the second half of Launch: it adds kernel k to stream s at no
+// host-side cost. Code that makes its waits as a machine (sim.Stepper)
+// launches with a wait of LaunchOverhead, then Enqueue.
+func (d *Device) Enqueue(s *Stream, k *Kernel) *KernelInstance {
 	if s.dev != d {
 		panic("cudasim: stream belongs to a different device")
 	}
-	p.Sleep(LaunchOverhead)
-	return d.enqueue(s, k)
-}
-
-// enqueue adds the kernel without host-side cost (used by the library
-// layers that account their own launch costs).
-func (d *Device) enqueue(s *Stream, k *Kernel) *KernelInstance {
 	d.launchSeq++
 	ki := &KernelInstance{
 		kernel:   k,

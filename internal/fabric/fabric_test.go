@@ -335,7 +335,7 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 // loopTransferJob is TransferJob as it was while the transferring process
 // re-predicted in its own body: woken by every join and finish, it accrued
 // progress and waited again. It is the reference TestRepredictMatchesLoop
-// holds the Repeater form to.
+// holds the machine (Xfer, Awaited) to.
 func loopTransferJob(n *Network, p *sim.Process, r Route, bytes, job int) {
 	if n.jobBytes == nil {
 		n.jobBytes = make(map[int]int64)

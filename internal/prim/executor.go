@@ -317,13 +317,17 @@ func (x *Executor) aborted() bool {
 // primitive runs on a Runner the executor keeps for the purpose, so p is
 // resumed once, with the outcome.
 func (x *Executor) StepOnce(p *sim.Process, spinBudget sim.Duration) StepResult {
-	if x.runner == nil {
-		x.runner = new(Runner)
+	r := x.runner
+	if r == nil {
+		r = new(Runner)
+		x.runner = r
 	}
-	return x.runner.run(p, x, nil, spinBudget)
+	r.start(p, x, nil, spinBudget)
+	p.Await(r)
+	return r.result
 }
 
-// Pacer is the scheduler's side of a run of primitives (Runner.Run): what
+// Pacer is the scheduler's side of a run of primitives (Runner.Start): what
 // Algorithm 1 does between two primitives of the collective it is running.
 type Pacer interface {
 	// Budget is the spin budget of the next primitive's connector waits
@@ -389,19 +393,23 @@ const (
 	atCopiedOut                 // the copy-out's sleep is over
 )
 
-// Run runs x's primitives from its cursor for process p, asking pacer for
-// each one's spin budget, until the sequence is complete (Done), a
-// connector wait outlasts its budget (Stuck) or the collective is aborted
-// (Aborted). It never returns Progressed.
-func (r *Runner) Run(p *sim.Process, x *Executor, pacer Pacer) StepResult {
-	return r.run(p, x, pacer, pacer.Budget())
+// Start arms r to run x's primitives from its cursor for process p, asking
+// pacer for each one's spin budget, until the sequence is complete (Done),
+// a connector wait outlasts its budget (Stuck) or the collective is aborted
+// (Aborted). The caller hands r's waits on as its own: it calls Next, at
+// once and then at every wake-up of p, until Next answers false, and then
+// reads Result. Next must not be called again before the next Start.
+func (r *Runner) Start(p *sim.Process, x *Executor, pacer Pacer) {
+	r.start(p, x, pacer, pacer.Budget())
 }
 
-func (r *Runner) run(p *sim.Process, x *Executor, pacer Pacer, budget sim.Duration) StepResult {
+func (r *Runner) start(p *sim.Process, x *Executor, pacer Pacer, budget sim.Duration) {
 	r.p, r.x, r.pacer, r.budget, r.at = p, x, pacer, budget, atEntry
-	p.Await(r)
-	return r.result
 }
+
+// Result is the outcome of the run Next just finished; under a Pacer never
+// Progressed.
+func (r *Runner) Result() StepResult { return r.result }
 
 // end finishes the run with res.
 func (r *Runner) end(res StepResult) (sim.Wait, bool) {

@@ -63,7 +63,15 @@ type machineOutcome struct {
 	StuckAt1    int // preemptions that froze a half-done action
 }
 
-// run drives c to its end, through the Runner (StepOnce, Runner.Run) or
+// awaitRun is a whole run under pacer with the Runner's waits made by p
+// itself: Start, Await, Result.
+func awaitRun(r *Runner, p *sim.Process, x *Executor, pacer Pacer) StepResult {
+	r.Start(p, x, pacer)
+	p.Await(r)
+	return r.Result()
+}
+
+// run drives c to its end, through the Runner (StepOnce, awaitRun) or
 // through the blocking code it replaced.
 func (c machineCase) run(blocking bool) machineOutcome {
 	var out machineOutcome
@@ -118,7 +126,7 @@ func (c machineCase) run(blocking bool) machineOutcome {
 					}
 				default:
 					pacer.budget = floor
-					res = runner.Run(p, x, pacer)
+					res = awaitRun(&runner, p, x, pacer)
 				}
 				out.Results[pos] = append(out.Results[pos], res)
 				switch res {
@@ -256,13 +264,13 @@ func TestMachineMatchesBlocking(t *testing.T) {
 		}
 	}
 	if stuckAt1 < 100 || aborted < 100 || boosts < 1000 {
-		t.Fatalf("%d preemptions at Phase 1, %d aborted ranks, %d paced primitives: the corpus does not exercise resumption, abort or Run's loop",
+		t.Fatalf("%d preemptions at Phase 1, %d aborted ranks, %d paced primitives: the corpus does not exercise resumption, abort or a paced run",
 			stuckAt1, aborted, boosts)
 	}
 }
 
 // TestStepAllocatesNothing: a primitive costs no allocation, stepped one
-// at a time through StepOnce or run by the sequence through Runner.Run;
+// at a time through StepOnce or run by the sequence through a Runner;
 // measured from inside the process that drives rank 0 of an 8-rank ring.
 func TestStepAllocatesNothing(t *testing.T) {
 	c := topo.Server3090(8)
@@ -289,9 +297,9 @@ func TestStepAllocatesNothing(t *testing.T) {
 			pacer := &boostPacer{floor: sim.Microsecond}
 			if n := testing.AllocsPerRun(500, func() {
 				pacer.budget = pacer.floor
-				runner.Run(p, x, pacer)
+				awaitRun(&runner, p, x, pacer)
 			}); n != 0 {
-				t.Errorf("%v allocations per Runner.Run, want 0", n)
+				t.Errorf("%v allocations per run through a Runner, want 0", n)
 			}
 			for x.StepOnce(p, -1) != Done {
 			}

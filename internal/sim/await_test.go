@@ -341,3 +341,90 @@ func TestMaxTimeDuringAwait(t *testing.T) {
 		t.Fatalf("interrupted: fingerprint %#x, end %v, %d turns; uninterrupted: %#x, %v, %d", gotFP, gotEnd, gotTurns, fp, end, turns)
 	}
 }
+
+// TestAwaitResumesOnce: 10 000 turns that ask for the same wait are
+// 10 000 dispatches and one resume.
+func TestAwaitResumesOnce(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("poller", func(p *Process) {
+		before := e.Resumes()
+		p.Await(&waits{w: Wait{D: 1}, left: 10001})
+		if got := e.Resumes() - before; got != 1 || p.Now() != 10000 {
+			t.Errorf("%d resumes by %v, want 1 by 10us", got, p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if e.Resumes() != 2 {
+		t.Fatalf("Resumes = %d for one process and one Await, want 2", e.Resumes())
+	}
+}
+
+// TestParkInsideAgainPanics: every turn but Await's first runs on the
+// engine's stack (Engine.again), where there is no coroutine to yield. A
+// wait called from it must panic before it touches the queue or a waiter
+// list, naming the process, and come back from Run like any other panic of
+// that process.
+func TestParkInsideAgainPanics(t *testing.T) {
+	var c Cond
+	for name, block := range map[string]func(p *Process){
+		"Sleep":       func(p *Process) { p.Sleep(1) },
+		"Wait":        func(p *Process) { c.Wait(p) },
+		"WaitTimeout": func(p *Process) { c.WaitTimeout(p, 1) },
+		"Await":       func(p *Process) { p.Await(&waits{w: Wait{D: 1}, left: 2}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			e.Spawn("peer", func(p *Process) { p.Sleep(10) })
+			e.Spawn("x", func(p *Process) {
+				turns := 0
+				p.Await(stepperFunc(func() (Wait, bool) {
+					if turns++; turns == 2 { // the first turn is on x's own stack
+						block(p)
+					}
+					return Wait{D: 1}, true
+				}))
+			})
+			err := e.Run()
+			want := `sim: process "x" panicked: sim: process "x" blocked outside its own body (inside a Stepper's turn, or from another process)`
+			if err == nil || err.Error() != want {
+				t.Fatalf("Run = %v\nwant %s", err, want)
+			}
+			checkQueue(t, e)
+			if e.LiveProcesses() != 1 || c.Waiters() != 0 {
+				t.Fatalf("%d live processes, %d waiters, want the peer alone", e.LiveProcesses(), c.Waiters())
+			}
+			if err := e.Run(); err != nil || e.Now() != 10 {
+				t.Fatalf("Run after the panic = %v at %v, want the peer to finish at 10ns", err, e.Now())
+			}
+		})
+	}
+}
+
+// BenchmarkEmptyTurn is the cost of one turn of a poll that finds nothing,
+// with 32 processes polling every nanosecond: as a loop in the body (a
+// Sleep round trip through the process's coroutine) and as an Await (the
+// engine takes the turn).
+func BenchmarkEmptyTurn(b *testing.B) {
+	for _, mode := range []string{"loop", "Await"} {
+		b.Run(mode, func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < 32; i++ {
+				s := &waits{w: Wait{D: 1}, left: b.N/32 + 2}
+				e.Spawn("poller", func(p *Process) {
+					if mode == "loop" {
+						loopAwait(p, s)
+					} else {
+						p.Await(s)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -60,19 +60,6 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 	return p.timedOut
 }
 
-// WaitWhile is the polling loop
-//
-//	for again := true; again; d, again = r.Again() {
-//		c.WaitTimeout(p, d)
-//	}
-//
-// on SleepWhile's terms: same events, same sequence numbers, same place
-// among c's waiters, Again on the engine's stack, p resumed once. A signal
-// and a time-out both end a turn; Again is not told which.
-func (c *Cond) WaitWhile(p *Process, d Duration, r Repeater) {
-	p.repeatWait(Wait{Cond: c, D: d}, r)
-}
-
 // Signal wakes one waiter (FIFO order) at the current virtual time.
 func (c *Cond) Signal(e *Engine) {
 	if len(c.waiters) == 0 {

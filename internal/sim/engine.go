@@ -16,10 +16,9 @@
 // A process is resumed when only its own body can go on, not whenever a
 // wait of its ends. Code whose work between two waits needs no stack of its
 // own is written as a machine that returns each wait instead of making it
-// (a Stepper: the primitive loop of a collective, a fabric transfer) and
-// handed to Process.Await; a loop that polls is the special case whose
-// every wait is the same (Process.SleepWhile, Cond.WaitWhile and a
-// Repeater). The engine dispatches each wake-up of such a process as it
+// (a Stepper: the primitive loop of a collective, a fabric transfer, the
+// DFCCL daemon kernel and CPU poller that poll around them) and handed to
+// Process.Await. The engine dispatches each wake-up of such a process as it
 // would any other, under the same (time, sequence number), and takes the
 // turn itself, on Run's stack: it runs the machine's next step, makes the
 // wait that step asks for on the process's behalf, in the order the

@@ -15,7 +15,6 @@ type Process struct {
 	cond       *Cond          // the condition the process is blocked on, if any
 	ev         int            // 1 + the index of the process's event in Engine.queue, 0 while it has none
 	stepper    Stepper        // the machine whose turns the engine takes at p's wake-ups (Await), if any
-	rep        repeat         // the Stepper a SleepWhile or WaitWhile installs
 	done       bool
 	timedOut   bool
 }
@@ -53,29 +52,13 @@ type Wait struct {
 // raise it on its own stack, and Run reports it like a panic of its body.
 // Implement Next on state the caller already owns, so that passing it
 // allocates nothing.
+//
+// A poll is a Stepper like any other: its empty turns cost a dispatch and
+// no switch. A machine may run another inside it by handing on the inner
+// one's waits until it is finished: DFCCL's daemon kernel hands on the
+// primitive loop's, which hands on a fabric transfer's.
 type Stepper interface {
 	Next() (w Wait, again bool)
-}
-
-// Repeater is the body of a polling loop written as a repeating wait
-// (SleepWhile, WaitWhile): the Stepper whose every wait is on the same
-// condition, or is a sleep. Again is one turn of that loop, taken by the
-// engine on the waiting process's behalf on a Stepper's terms; it answers
-// (d, true), "wait again for d", or false, on which the process is resumed
-// and the repeating wait returns.
-type Repeater interface {
-	Again() (d Duration, again bool)
-}
-
-// repeat is a Repeater as the Stepper the engine runs.
-type repeat struct {
-	r    Repeater
-	cond *Cond // the condition every turn re-joins; nil for SleepWhile
-}
-
-func (r *repeat) Next() (Wait, bool) {
-	d, again := r.r.Again()
-	return Wait{Cond: r.cond, D: d}, again
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -94,11 +77,11 @@ func (p *Process) park() { p.w.yield(struct{}{}) }
 
 // mustRun panics unless p's own body is what is executing. Every wait
 // starts with it: a wait hands p's coroutine back to the engine, which the
-// engine's own stack (a turn it takes for p: a Stepper's Next, a Repeater's
-// Again) or another process's body cannot do.
+// engine's own stack (a turn it takes for p, a Stepper's Next) or another
+// process's body cannot do.
 func (p *Process) mustRun() {
 	if p.engine.running != p {
-		panic(fmt.Sprintf("sim: process %q blocked outside its own body (inside an Again, or from another process)", p.name))
+		panic(fmt.Sprintf("sim: process %q blocked outside its own body (inside a Stepper's turn, or from another process)", p.name))
 	}
 }
 
@@ -145,28 +128,6 @@ func (p *Process) parkWith(w Wait, s Stepper) {
 // ended was a wait on a condition that ran out of time without a signal:
 // what Cond.WaitTimeout would have returned.
 func (p *Process) TimedOut() bool { return p.timedOut }
-
-// SleepWhile is the polling loop
-//
-//	for again := true; again; d, again = r.Again() {
-//		p.Sleep(d)
-//	}
-//
-// event for event, under the same sequence numbers, except that Again runs
-// on the engine's stack (see Repeater) and p itself is resumed only once,
-// when Again answers false.
-func (p *Process) SleepWhile(d Duration, r Repeater) {
-	p.repeatWait(Wait{D: d}, r)
-}
-
-// repeatWait makes the first wait of a repeating one with r installed to
-// take the turns that follow.
-func (p *Process) repeatWait(w Wait, r Repeater) {
-	p.mustRun()
-	p.rep = repeat{r: r, cond: w.Cond}
-	p.parkWith(w, &p.rep)
-	p.rep = repeat{}
-}
 
 // Spawn starts a child process from within this process.
 func (p *Process) Spawn(name string, fn func(p *Process)) *Process {
