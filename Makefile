@@ -59,9 +59,11 @@ loc:
 # recycled connector chunks are only correct while readers consume
 # before they yield. The daemon kernel and the poller are machines held
 # to the blocking code they replaced; that oracle runs 200 times, and
-# core's whole suite 20 times under the race detector.
+# core's whole suite 20 times under the race detector. The 40-seed
+# kill/requeue table at two jobs per GPU runs 20 times.
 soak:
 	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
+	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
 	$(GO) test -count=200 -run 'TestExperiments/^(chaos|cluster|trace)$$' ./internal/bench
 	$(GO) test -count=200 -run 'MatchesBlocking' ./internal/core
 	$(GO) test -race -count=50 ./internal/sim
@@ -117,11 +119,13 @@ cluster:
 # race-detector test pass — which runs every experiment and gate at
 # reduced scale, as the rows of internal/bench's TestExperiments
 # (~2 min) — the godoc floor, the benchmark module's own vet + tests,
-# and a regeneration of the artifacts: the tuning table and BENCH.json
+# 10 s of fuzzing the cluster kill path (FuzzClusterKills), and a
+# regeneration of the artifacts: the tuning table and BENCH.json
 # must come out as no-op diffs, trace.json and metrics.json (not
 # committed) byte-identical on the gate's own second run. See
 # TESTING.md.
 smoke: fmt vet build test-race doccheck benchcheck
+	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null
 	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"dfccl/internal/orch"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 	"dfccl/internal/train"
@@ -78,17 +77,6 @@ func moeBenchConfig(iters int) train.MoEConfig {
 	}
 }
 
-func commsCreated(b orch.Backend) int {
-	switch v := b.(type) {
-	case *orch.DFCCL:
-		return v.Sys.CommsCreated()
-	case interface{ CommsCreated() int }:
-		return v.CommsCreated()
-	default:
-		return 0
-	}
-}
-
 // MoE runs the Mixture-of-Experts expert-parallel scenario (top-2
 // skewed routing, AllToAllv dispatch/combine, dynamic expert groups,
 // dense-gradient all-reduce) on DFCCL and the NCCL baselines:
@@ -106,9 +94,7 @@ func MoE(iters, trials int) ([]MoERow, MoEDispatch, DeadlockTally, error) {
 		cluster := topo.Server3090(moeBenchRanks)
 		e, b := newBackend(name, cluster)
 		cfg := moeBenchConfig(iters)
-		// Dynamic groups need Deregister-capable backends (all three
-		// here are); churn is the point of the scenario.
-		cfg.DynamicGroups = true
+		cfg.DynamicGroups = true // churn is the point of the scenario
 		res, err := train.RunMoE(e, cluster, b, cfg)
 		if err != nil {
 			return nil, MoEDispatch{}, DeadlockTally{}, fmt.Errorf("moe %s: %w", name, err)
@@ -116,7 +102,7 @@ func MoE(iters, trials int) ([]MoERow, MoEDispatch, DeadlockTally, error) {
 		if name == "dfccl" {
 			raggedRes = res
 		}
-		rows = append(rows, MoERow{Backend: name, Throughput: res.Throughput, CommsCreated: commsCreated(b), A2ABytes: res.A2ABytes})
+		rows = append(rows, MoERow{Backend: name, Throughput: res.Throughput, CommsCreated: b.CommsCreated(), A2ABytes: res.A2ABytes})
 	}
 	if raggedRes == nil {
 		return nil, MoEDispatch{}, DeadlockTally{}, fmt.Errorf("moe: dfccl run missing from backend sweep")
@@ -253,7 +239,7 @@ func ZeRO(iters, trials int) ([]ZeRORow, DeadlockTally, error) {
 		if err != nil {
 			return nil, DeadlockTally{}, fmt.Errorf("zero stage 3 churn: %w", err)
 		}
-		rows = append(rows, ZeRORow{Stage: 3, Backend: "dfccl-churn", Throughput: res.Throughput, CommsCreated: commsCreated(b)})
+		rows = append(rows, ZeRORow{Stage: 3, Backend: "dfccl-churn", Throughput: res.Throughput, CommsCreated: b.CommsCreated()})
 	}
 	tally := DeadlockTally{Trials: trials}
 	for k := 0; k < trials; k++ {

@@ -154,7 +154,9 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 			js.join.Wait(p)
 		}
 		for _, r := range js.members {
-			d.load[r]--
+			if d.load[r]--; d.load[r] < 0 {
+				panic(fmt.Sprintf("cluster: job %d released a slot of rank %d it did not hold", js.spec.ID, r))
+			}
 		}
 		d.active--
 		if att.Err != nil {
@@ -309,6 +311,11 @@ func Run(cfg Config) (*Report, error) {
 				break
 			}
 			d.wake.Wait(p)
+		}
+		for r, n := range d.load {
+			if n != 0 {
+				panic(fmt.Sprintf("cluster: rank %d still holds %d slot(s) with no job running", r, n))
+			}
 		}
 		// Final teardown: destroy every surviving context so the
 		// pollers exit and the engine drains — the no-leak guarantee.

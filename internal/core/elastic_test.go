@@ -218,6 +218,108 @@ func TestNoGoroutineLeakOnMidFlightAbort(t *testing.T) {
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
+// TestReopenIDWhileLostRankDrains is the requeue regression at the core
+// layer: rank 1 dies while it runs collective 7 with rank 0 and a
+// co-tenant collective 8 with rank 2. As soon as both survivors have
+// closed their aborted handles — while the dead rank still holds its
+// registrations — they reopen ID 7 over {0, 2}. The open must succeed on
+// a communicator of its own, not return the old abort, and the
+// survivors' sum must be exact.
+func TestReopenIDWhileLostRankDrains(t *testing.T) {
+	const count, victim = 1 << 14, 1
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(60 * sim.Second)
+	sys := NewSystem(e, topo.Server3090(3), DefaultConfig())
+	var dead *Group // the aborted incarnation of collective 7
+	closed := newTestBarrier(2)
+	launch := func(p *sim.Process, coll *Collective, v float64) (*mem.Buffer, error) {
+		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s.Fill(v)
+		fut, err := coll.Launch(p, s, d)
+		if err != nil {
+			return nil, err
+		}
+		return d, fut.Wait(p)
+	}
+	e.Spawn("victim", func(p *sim.Process) {
+		rc := sys.Init(p, victim)
+		for _, o := range []struct {
+			id    int
+			ranks []int
+		}{{8, []int{1, 2}}, {7, []int{0, 1}}} {
+			coll, err := rc.Open(lifecycleSpec(count, o.ranks), WithCollID(o.id))
+			if err != nil {
+				t.Errorf("victim open %d: %v", o.id, err)
+				return
+			}
+			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			if err := coll.LaunchCB(p, s, mem.NewBuffer(mem.DeviceSpace, mem.Float64, count), nil); err != nil {
+				t.Errorf("victim launch %d: %v", o.id, err)
+			}
+		}
+	})
+	for _, rank := range []int{0, 2} {
+		e.Spawn("survivor", func(p *sim.Process) {
+			rc := sys.Init(p, rank)
+			first := []int{0, 1}
+			id := 7
+			if rank == 2 {
+				first, id = []int{1, 2}, 8
+			}
+			coll, err := rc.Open(lifecycleSpec(count, first), WithCollID(id))
+			if err != nil {
+				t.Errorf("rank %d open %d: %v", rank, id, err)
+				return
+			}
+			if rank == 0 {
+				dead = sys.groups[7]
+			}
+			if _, err := launch(p, coll, 1); !errors.Is(err, ErrRankLost) {
+				t.Errorf("rank %d first run: err = %v, want ErrRankLost", rank, err)
+			}
+			if err := coll.Close(p); err != nil {
+				t.Errorf("rank %d close: %v", rank, err)
+			}
+			closed.Wait(p)
+			if _, held := sys.rankAt(victim).tasks[7]; !held {
+				t.Error("the dead rank released collective 7 before the reopen; the test no longer covers the drain")
+			}
+			re, err := rc.Open(lifecycleSpec(count, []int{0, 2}), WithCollID(7))
+			if err != nil {
+				t.Errorf("rank %d reopen 7 over the survivors: %v", rank, err)
+				return
+			}
+			if g := sys.groups[7]; g == dead || g.comm == dead.comm {
+				t.Errorf("rank %d: reopened collective 7 shares the dead group's wiring", rank)
+			}
+			d, err := launch(p, re, float64(rank+1))
+			if err != nil {
+				t.Errorf("rank %d reopened run: %v", rank, err)
+			} else if got := d.Float64At(count - 1); got != 1+3 {
+				t.Errorf("rank %d reopened sum = %v, want 4", rank, got)
+			}
+			if err := re.Close(p); err != nil {
+				t.Errorf("rank %d close reopened: %v", rank, err)
+			}
+			rc.Destroy(p)
+		})
+	}
+	e.Spawn("chaos", func(p *sim.Process) {
+		p.Sleep(20 * sim.Microsecond)
+		sys.KillRank(victim)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v (blocked: %v)", err, e.BlockedProcesses())
+	}
+	if got := sys.NumRegistered(); got != 0 {
+		t.Errorf("NumRegistered = %d after teardown, want 0", got)
+	}
+	if got := sys.CommsPooled(); got != int(sys.CommsCreated()) {
+		t.Errorf("%d of %d communicators pooled after teardown", got, sys.CommsCreated())
+	}
+}
+
 // hierA2ASpec builds a hierarchical all-to-all spec over ranks.
 func hierA2ASpec(count int, ranks []int) prim.Spec {
 	return prim.Spec{Kind: prim.AllToAll, Count: count, Type: mem.Float64, Ranks: ranks, Algo: prim.AlgoHierarchical}

@@ -126,7 +126,15 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 	if grid <= 0 {
 		grid = DefaultCollectiveGrid
 	}
-	if g, ok := s.groups[collID]; ok {
+	g, ok := s.groups[collID]
+	if ok && g.aborted() && !s.heldLive(g) {
+		// Only lost ranks still hold the dead group, and their exiting
+		// pollers release it later. Detach it so the ID reopens on fresh
+		// wiring, never on the chunks the lost rank left in flight.
+		delete(s.groups, collID)
+		ok = false
+	}
+	if ok {
 		if g.aborted() {
 			return nil, g.abortErr
 		}
@@ -146,7 +154,7 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 	if len(s.groups) >= s.Config.MaxCollectives {
 		return nil, fmt.Errorf("core: collective context buffer full (%d collectives)", s.Config.MaxCollectives)
 	}
-	g := &Group{
+	g = &Group{
 		ID:       collID,
 		Spec:     spec,
 		Priority: priority,
@@ -162,9 +170,22 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 	return g, nil
 }
 
+// heldLive reports whether a live rank still holds a registration of g.
+func (s *System) heldLive(g *Group) bool {
+	for _, rank := range g.Spec.Ranks {
+		if rc := s.rankAt(rank); rc != nil && !rc.lost {
+			if t := rc.tasks[g.ID]; t != nil && t.group == g {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // unregister drops one rank's registration of a group; the last rank
-// out releases the communicator back to the pool and frees the
-// collective ID (including its auto-ID binding).
+// out releases the communicator back to the pool and, unless register
+// has detached the group, frees the collective ID (including its
+// auto-ID binding).
 func (s *System) unregister(g *Group) {
 	g.refs--
 	if g.refs > 0 {
@@ -178,6 +199,9 @@ func (s *System) unregister(g *Group) {
 		g.comm.wirings.DrainConnectors(s.Engine)
 	}
 	s.pool.release(g.comm)
+	if s.groups[g.ID] != g {
+		return
+	}
 	delete(s.groups, g.ID)
 	key := g.Spec.Fingerprint()
 	ids := s.autoIDs[key]

@@ -1,10 +1,10 @@
 // Package orch provides the communication backends the training
 // harness swaps between: DFCCL, and NCCL driven by the CPU
 // orchestration methods of Sec. 2.5 — OneFlow-style static sorting,
-// Horovod's dynamic central coordinator, KungFu's negotiated fixed
-// order, and BytePS-style intra-node coordination. All backends expose
-// the same asynchronous collective API so the training workloads of
-// Figs. 10-13 are backend-agnostic.
+// Horovod's dynamic central coordinator and KungFu's negotiated fixed
+// order — plus single-stream NCCL, the deadlock baseline of Fig. 1(c).
+// All backends expose the same asynchronous collective API so the
+// training workloads of Figs. 10-13 are backend-agnostic.
 package orch
 
 import (
@@ -25,85 +25,78 @@ import (
 // refused like any other spec mismatch.
 type Backend interface {
 	Name() string
-	// Register declares a collective. All ranks in spec.Ranks must
-	// register the same collID with the same spec.
-	Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int) error
+	// Register declares a collective whose runs on rank use the given
+	// buffers, so a workload writes real send data before each Launch
+	// and reads real results after Wait. With both buffers nil the runs
+	// use synthetic ones sized from the spec (enough for the timing-only
+	// training figures). All ranks in spec.Ranks must register the same
+	// collID with the same spec.
+	Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error
 	// Launch asynchronously starts the next run of collID on rank.
 	Launch(p *sim.Process, rank, collID int) error
 	// Wait blocks until every launched run of collID completed on rank.
 	Wait(p *sim.Process, rank, collID int)
 	// WaitAll blocks until all launched collectives completed on rank.
 	WaitAll(p *sim.Process, rank int)
+	// Deregister removes collID's registration from rank, so dynamic
+	// groups (MoE expert groups, ZeRO open/close churn) can be released
+	// mid-run. All launched runs must have completed (Wait first). When
+	// the last registered rank deregisters, the collective's backing
+	// resources are freed — for DFCCL, the group's communicator returns
+	// to the pool for reuse by groups opened later.
+	Deregister(p *sim.Process, rank, collID int) error
 	// Teardown releases rank resources; after all ranks tear down the
 	// backend quiesces.
 	Teardown(p *sim.Process, rank int)
-}
-
-// DataBackend is the optional extension for workloads that assert
-// numeric correctness: RegisterData binds a collective to caller-owned
-// buffers, so the workload writes real send data before each Launch
-// and reads real results after Wait. Backend.Register instead
-// allocates synthetic buffers sized from the spec (sufficient for the
-// timing-only training figures).
-type DataBackend interface {
-	Backend
-	// RegisterData declares a collective whose runs use the given
-	// caller-owned buffers on this rank.
-	RegisterData(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error
-}
-
-// DynamicBackend is the optional extension for workloads with dynamic
-// collective groups (MoE expert groups, ZeRO open/close churn):
-// Deregister releases a collective mid-run so its resources — for
-// DFCCL, the group's pooled communicator — can be reused by groups
-// opened later.
-type DynamicBackend interface {
-	Backend
-	// Deregister removes collID's registration from rank. All launched
-	// runs must have completed (Wait first). When the last registered
-	// rank deregisters, the collective's backing resources are freed.
-	Deregister(p *sim.Process, rank, collID int) error
+	// CommsCreated reports how many communicators the backend ever built.
+	CommsCreated() int
 }
 
 // collState tracks one collective's per-rank launch/completion counts.
 type collState struct {
 	spec     prim.Spec
-	priority int
 	launched map[int]int // rank -> runs launched
-	done     map[int]int // rank -> runs completed
+	done     map[int]int // rank -> runs completed (DFCCL's callbacks count them)
 	doneCond *sim.Cond
 }
 
-func newCollState(spec prim.Spec, priority int) *collState {
-	return &collState{
-		spec:     spec,
-		priority: priority,
-		launched: make(map[int]int),
-		done:     make(map[int]int),
-		doneCond: sim.NewCond("coll.done"),
-	}
-}
+type bufKey struct{ rank, collID int }
+type bufPair struct{ send, recv *mem.Buffer }
 
-// waitRank blocks until completions catch launches for rank.
-func (c *collState) waitRank(p *sim.Process, rank int) {
-	for c.done[rank] < c.launched[rank] {
-		c.doneCond.Wait(p)
-	}
-}
-
-// validateRegister rejects invalid specs and re-registrations of a live
-// collective ID under a different spec (fingerprint inequality covers
-// every spec field, including the AllToAllv count matrix).
-func validateRegister(colls map[int]*collState, collID int, spec prim.Spec) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	if existing, ok := colls[collID]; ok {
-		if existing.spec.Fingerprint() != spec.Fingerprint() {
-			return fmt.Errorf("orch: collective %d re-registered with different spec", collID)
+// register validates a registration of collID on rank against colls —
+// an invalid spec, or a live collective ID re-registered under a
+// different spec (fingerprint inequality covers every spec field,
+// including the algorithm and the AllToAllv count matrix), is refused —
+// creates the collective's state on its first registration, and returns
+// the buffers its runs use: the caller's, or synthetic ones sized from
+// the spec when both are nil.
+func register(colls map[int]*collState, rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (bufPair, error) {
+	if send == nil && recv == nil {
+		pos := posOf(spec, rank)
+		if pos < 0 {
+			return bufPair{}, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
 		}
+		sendCount, recvCount := prim.BufferCountsFor(spec, pos)
+		if spec.TimingOnly {
+			sendCount, recvCount = 0, 0
+		}
+		send = mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+		recv = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
 	}
-	return nil
+	if err := spec.Validate(); err != nil {
+		return bufPair{}, err
+	}
+	if c, ok := colls[collID]; !ok {
+		colls[collID] = &collState{
+			spec:     spec,
+			launched: make(map[int]int),
+			done:     make(map[int]int),
+			doneCond: sim.NewCond("coll.done"),
+		}
+	} else if c.spec.Fingerprint() != spec.Fingerprint() {
+		return bufPair{}, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
+	}
+	return bufPair{send, recv}, nil
 }
 
 // posOf returns rank's ring position within spec.Ranks, or -1.

@@ -16,18 +16,13 @@ import (
 // orchestration of launch order is needed — ranks may launch in any
 // order.
 type DFCCL struct {
-	Sys     *System
+	// Sys is the underlying deployment, for the rank contexts' statistics
+	// (Fig. 11 instrumentation).
+	Sys     *core.System
 	colls   map[int]*collState
 	handles map[bufKey]*core.Collective
 	bufs    map[bufKey]bufPair
 }
-
-// System aliases core.System so callers can reach the underlying rank
-// contexts for statistics (Fig. 11 instrumentation).
-type System = core.System
-
-type bufKey struct{ rank, collID int }
-type bufPair struct{ send, recv *mem.Buffer }
 
 // NewDFCCL builds a DFCCL backend over a cluster.
 func NewDFCCL(e *sim.Engine, c *topo.Cluster, cfg core.Config) *DFCCL {
@@ -43,44 +38,24 @@ func NewDFCCL(e *sim.Engine, c *topo.Cluster, cfg core.Config) *DFCCL {
 func (d *DFCCL) Name() string { return "dfccl" }
 
 // Register implements Backend: Open by explicit collective ID, keeping
-// the per-rank handle for Launch and Close. The run buffers are
-// synthetic, sized from the spec.
-func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int) error {
-	pos := posOf(spec, rank)
-	if pos < 0 {
-		return fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
-	}
-	sendCount, recvCount := prim.BufferCountsFor(spec, pos)
-	if spec.TimingOnly {
-		sendCount, recvCount = 0, 0
-	}
-	return d.RegisterData(p, rank, collID, spec, priority,
-		mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount),
-		mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount))
-}
-
-// RegisterData implements DataBackend: like Register, but runs use the
-// caller-owned buffers, so workloads can assert numeric results.
-func (d *DFCCL) RegisterData(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
-	if err := validateRegister(d.colls, collID, spec); err != nil {
+// the per-rank handle for Launch and Close.
+func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
+	bufs, err := register(d.colls, rank, collID, spec, send, recv)
+	if err != nil {
 		return err
 	}
-	if _, ok := d.colls[collID]; !ok {
-		d.colls[collID] = newCollState(spec, priority)
-	}
-	rc := d.Sys.Init(p, rank)
-	h, err := rc.Open(spec, core.WithCollID(collID), core.WithPriority(priority))
+	h, err := d.Sys.Init(p, rank).Open(spec, core.WithCollID(collID), core.WithPriority(priority))
 	if err != nil {
 		return err
 	}
 	d.handles[bufKey{rank, collID}] = h
-	d.bufs[bufKey{rank, collID}] = bufPair{send: send, recv: recv}
+	d.bufs[bufKey{rank, collID}] = bufs
 	return nil
 }
 
-// Deregister implements DynamicBackend: Close the rank's handle. When
-// the last participating rank deregisters, the group's communicator
-// returns to the system's pool for reuse by later dynamic groups.
+// Deregister implements Backend: Close the rank's handle. When the last
+// participating rank deregisters, the group's communicator returns to
+// the system's pool for reuse by later dynamic groups.
 func (d *DFCCL) Deregister(p *sim.Process, rank, collID int) error {
 	key := bufKey{rank, collID}
 	h := d.handles[key]
@@ -124,7 +99,9 @@ func (d *DFCCL) Launch(p *sim.Process, rank, collID int) error {
 // Wait implements Backend.
 func (d *DFCCL) Wait(p *sim.Process, rank, collID int) {
 	if c, ok := d.colls[collID]; ok {
-		c.waitRank(p, rank)
+		for c.done[rank] < c.launched[rank] {
+			c.doneCond.Wait(p)
+		}
 	}
 }
 
@@ -138,7 +115,6 @@ func (d *DFCCL) Teardown(p *sim.Process, rank int) {
 	d.Sys.Init(p, rank).Destroy(p)
 }
 
-// RankStats exposes the daemon statistics for a rank.
-func (d *DFCCL) RankStats(p *sim.Process, rank int) core.RankStats {
-	return d.Sys.Init(p, rank).Stats
-}
+// CommsCreated implements Backend: communicators the system's pool ever
+// built, flat under open/close churn because the pool recycles them.
+func (d *DFCCL) CommsCreated() int { return d.Sys.CommsCreated() }

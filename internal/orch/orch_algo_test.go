@@ -33,7 +33,6 @@ func TestBackendsRouteHierarchicalAllToAllv(t *testing.T) {
 		} else {
 			b = NewStaticSort(e, cluster)
 		}
-		db := b.(DataBackend)
 		ranks := []int{0, 1, 2, 3}
 		spec := prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: counts, Algo: prim.AlgoHierarchical}
 		recvs := make([]*mem.Buffer, n)
@@ -51,7 +50,7 @@ func TestBackendsRouteHierarchicalAllToAllv(t *testing.T) {
 						off++
 					}
 				}
-				if err := db.RegisterData(p, rank, 42, spec, 0, send, recv); err != nil {
+				if err := b.Register(p, rank, 42, spec, 0, send, recv); err != nil {
 					t.Errorf("%s register data: %v", which, err)
 					return
 				}
@@ -101,11 +100,11 @@ func TestRegisterRejectsAlgorithmMismatch(t *testing.T) {
 			b = NewStaticSort(e, cluster)
 		}
 		e.Spawn("drive", func(p *sim.Process) {
-			if err := b.Register(p, 0, 9, ringSpec, 0); err != nil {
+			if err := b.Register(p, 0, 9, ringSpec, 0, nil, nil); err != nil {
 				t.Errorf("%s register ring: %v", which, err)
 				return
 			}
-			if err := b.Register(p, 1, 9, hierSpec, 0); err == nil {
+			if err := b.Register(p, 1, 9, hierSpec, 0, nil, nil); err == nil {
 				t.Errorf("%s re-registered collective 9 under a different algorithm", which)
 			}
 			b.Teardown(p, 0)

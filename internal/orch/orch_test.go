@@ -27,7 +27,7 @@ func driveDP(t *testing.T, e *sim.Engine, b Backend, nRanks, nColl, iters int) s
 		rank := rank
 		e.Spawn("drive", func(p *sim.Process) {
 			for c := 0; c < nColl; c++ {
-				if err := b.Register(p, rank, c, spec2(1024, ranks), 0); err != nil {
+				if err := b.Register(p, rank, c, spec2(1024, ranks), 0, nil, nil); err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -53,7 +53,7 @@ func driveDP(t *testing.T, e *sim.Engine, b Backend, nRanks, nColl, iters int) s
 
 func TestAllBackendsCompleteDP(t *testing.T) {
 	times := map[string]sim.Time{}
-	for _, name := range []string{"static", "horovod", "kungfu", "byteps", "dfccl"} {
+	for _, name := range []string{"static", "horovod", "kungfu", "dfccl"} {
 		e := sim.NewEngine()
 		cluster := topo.Server3090(4)
 		var b Backend
@@ -64,8 +64,6 @@ func TestAllBackendsCompleteDP(t *testing.T) {
 			b = NewHorovod(e, cluster)
 		case "kungfu":
 			b = NewKungFu(e, cluster)
-		case "byteps":
-			b = NewBytePS(e, cluster)
 		case "dfccl":
 			b = NewDFCCL(e, cluster, core.DefaultConfig())
 		}
@@ -86,8 +84,8 @@ func TestBackendNames(t *testing.T) {
 	c := topo.Server3090(2)
 	names := map[string]bool{}
 	for _, b := range []Backend{
-		NewStaticSort(e, c), NewHorovod(e, c), NewKungFu(e, c),
-		NewBytePS(e, c), NewDFCCL(e, c, core.DefaultConfig()),
+		NewStaticSort(e, c), NewNCCLSingleStream(e, c), NewHorovod(e, c),
+		NewKungFu(e, c), NewDFCCL(e, c, core.DefaultConfig()),
 	} {
 		if b.Name() == "" || names[b.Name()] {
 			t.Fatalf("duplicate or empty backend name %q", b.Name())
@@ -101,11 +99,11 @@ func TestRegisterValidation(t *testing.T) {
 	c := topo.Server3090(2)
 	b := NewStaticSort(e, c)
 	e.Spawn("t", func(p *sim.Process) {
-		if err := b.Register(p, 0, 1, spec2(64, []int{0, 1}), 0); err != nil {
+		if err := b.Register(p, 0, 1, spec2(64, []int{0, 1}), 0, nil, nil); err != nil {
 			t.Errorf("register: %v", err)
 		}
 		// Conflicting re-registration must fail.
-		if err := b.Register(p, 1, 1, spec2(128, []int{0, 1}), 0); err == nil {
+		if err := b.Register(p, 1, 1, spec2(128, []int{0, 1}), 0, nil, nil); err == nil {
 			t.Error("conflicting registration accepted")
 		}
 		// Launch of unknown collective must fail.
@@ -122,14 +120,13 @@ func TestKungFuAdoptsRankZeroOrder(t *testing.T) {
 	e := sim.NewEngine()
 	c := topo.Server3090(2)
 	k := NewKungFu(e, c)
-	k.WaveGated = false
 	e.MaxTime = sim.Time(600 * sim.Second)
 	ranks := []int{0, 1}
 	for rank := 0; rank < 2; rank++ {
 		rank := rank
 		e.Spawn("kf", func(p *sim.Process) {
 			for c := 0; c < 3; c++ {
-				if err := k.Register(p, rank, c, spec2(256, ranks), 0); err != nil {
+				if err := k.Register(p, rank, c, spec2(256, ranks), 0, nil, nil); err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -187,10 +184,10 @@ func TestCommunicatorPerCollective(t *testing.T) {
 	b := NewStaticSort(e, c)
 	e.Spawn("t", func(p *sim.Process) {
 		ranks := []int{0, 1}
-		if err := b.Register(p, 0, 1, spec2(64, ranks), 0); err != nil {
+		if err := b.Register(p, 0, 1, spec2(64, ranks), 0, nil, nil); err != nil {
 			t.Errorf("register: %v", err)
 		}
-		if err := b.Register(p, 0, 2, spec2(64, ranks), 0); err != nil {
+		if err := b.Register(p, 0, 2, spec2(64, ranks), 0, nil, nil); err != nil {
 			t.Errorf("register: %v", err)
 		}
 	})
@@ -208,7 +205,7 @@ func TestDFCCLBackendStats(t *testing.T) {
 	d := NewDFCCL(e, cluster, core.DefaultConfig())
 	driveDP(t, e, d, 2, 3, 2)
 	// Stats must be reachable post-run (rank contexts kept).
-	s := d.RankStats(nil, 0)
+	s := d.Sys.Init(nil, 0).Stats
 	if s.CQEsWritten == 0 {
 		t.Fatalf("stats = %+v, want CQEs written", s)
 	}
@@ -230,7 +227,7 @@ func TestSingleStreamDeadlocksOnDisorder(t *testing.T) {
 			rank := rank
 			e.Spawn("drive", func(p *sim.Process) {
 				for c := 0; c < 2; c++ {
-					if err := b.Register(p, rank, c, spec2(4096, ranks), 0); err != nil {
+					if err := b.Register(p, rank, c, spec2(4096, ranks), 0, nil, nil); err != nil {
 						t.Errorf("register: %v", err)
 						return
 					}
@@ -259,10 +256,10 @@ func TestSingleStreamDeadlocksOnDisorder(t *testing.T) {
 	}
 }
 
-// TestDataBackendCarriesRealData checks the RegisterData path moves
-// caller-provided bytes through both the DFCCL backend and an
+// TestCallerBuffersCarryRealData checks that Register with caller-owned
+// buffers moves their bytes through both the DFCCL backend and an
 // NCCL-backed one, and that Deregister recycles DFCCL communicators.
-func TestDataBackendCarriesRealData(t *testing.T) {
+func TestCallerBuffersCarryRealData(t *testing.T) {
 	const n, count, cycles = 4, 64, 3
 	for _, which := range []string{"dfccl", "static"} {
 		which := which
@@ -274,14 +271,6 @@ func TestDataBackendCarriesRealData(t *testing.T) {
 			b = NewDFCCL(e, cluster, core.DefaultConfig())
 		} else {
 			b = NewStaticSort(e, cluster)
-		}
-		db, ok := b.(DataBackend)
-		if !ok {
-			t.Fatalf("%s does not implement DataBackend", which)
-		}
-		dyn, ok := b.(DynamicBackend)
-		if !ok {
-			t.Fatalf("%s does not implement DynamicBackend", which)
 		}
 		ranks := []int{0, 1, 2, 3}
 		recvs := make([]*mem.Buffer, n)
@@ -311,7 +300,7 @@ func TestDataBackendCarriesRealData(t *testing.T) {
 					recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
 					send.Fill(float64(rank + 1))
 					recvs[rank] = recv
-					if err := db.RegisterData(p, rank, collID, spec, 0, send, recv); err != nil {
+					if err := b.Register(p, rank, collID, spec, 0, send, recv); err != nil {
 						t.Errorf("register data: %v", err)
 						return
 					}
@@ -320,7 +309,7 @@ func TestDataBackendCarriesRealData(t *testing.T) {
 						return
 					}
 					b.Wait(p, rank, collID)
-					if err := dyn.Deregister(p, rank, collID); err != nil {
+					if err := b.Deregister(p, rank, collID); err != nil {
 						t.Errorf("deregister: %v", err)
 						return
 					}
@@ -338,18 +327,18 @@ func TestDataBackendCarriesRealData(t *testing.T) {
 			}
 		}
 		if which == "dfccl" {
-			if created := b.(*DFCCL).Sys.CommsCreated(); created != 1 {
+			if created := b.CommsCreated(); created != 1 {
 				t.Fatalf("dfccl created %d communicators across %d cycles, want 1 (pooled)", created, cycles)
 			}
 		}
 	}
 }
 
-// TestDataBackendAllToAllv runs a skewed variable-count all-to-all
-// through the DataBackend path of both the DFCCL and NCCL-backed
-// orchestrators: ragged caller-owned buffers (row/column sums of the
-// count matrix), verified numerically.
-func TestDataBackendAllToAllv(t *testing.T) {
+// TestRaggedAllToAllvOnCallerBuffers runs a skewed variable-count
+// all-to-all through both the DFCCL and NCCL-backed orchestrators:
+// ragged caller-owned buffers (row/column sums of the count matrix),
+// verified numerically.
+func TestRaggedAllToAllvOnCallerBuffers(t *testing.T) {
 	counts := [][]int{
 		{1, 12, 0},
 		{4, 2, 9},
@@ -366,7 +355,6 @@ func TestDataBackendAllToAllv(t *testing.T) {
 		} else {
 			b = NewStaticSort(e, cluster)
 		}
-		db := b.(DataBackend)
 		ranks := []int{0, 1, 2}
 		spec := prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: counts}
 		recvs := make([]*mem.Buffer, n)
@@ -384,7 +372,7 @@ func TestDataBackendAllToAllv(t *testing.T) {
 						off++
 					}
 				}
-				if err := db.RegisterData(p, rank, 42, spec, 0, send, recv); err != nil {
+				if err := b.Register(p, rank, 42, spec, 0, send, recv); err != nil {
 					t.Errorf("%s register data: %v", which, err)
 					return
 				}

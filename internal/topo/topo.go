@@ -113,18 +113,18 @@ type Cluster struct {
 	Links    LinkSpec
 }
 
-// NewCluster builds a cluster of n identical machines with gpusPerMachine
-// GPUs each, split into two PIX domains per machine (as in Table 2).
-func NewCluster(machines, gpusPerMachine int, model GPUModel, links LinkSpec) *Cluster {
-	if machines < 1 || gpusPerMachine < 1 {
+// NewCluster builds a cluster of identical machines with gpus GPUs
+// each, split into two PIX domains per machine (as in Table 2).
+func NewCluster(machines, gpus int, model GPUModel, links LinkSpec) *Cluster {
+	if machines < 1 || gpus < 1 {
 		panic("topo: cluster needs at least one machine and one GPU")
 	}
 	c := &Cluster{Links: links}
-	domainSize := (gpusPerMachine + 1) / 2
+	domainSize := (gpus + 1) / 2
 	rank := 0
 	for m := 0; m < machines; m++ {
 		mach := &Machine{Index: m, Model: model, DomainSize: domainSize}
-		for l := 0; l < gpusPerMachine; l++ {
+		for l := 0; l < gpus; l++ {
 			g := &GPU{
 				Rank:    rank,
 				Machine: m,

@@ -118,7 +118,7 @@ func RunDP(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg DPConfig) (
 				Type: mem.Float32, Op: mem.Sum, Ranks: ranks, TimingOnly: true,
 				Algo: cfg.Algo,
 			}
-			if err := b.Register(p, rank, li, spec, prio); err != nil {
+			if err := b.Register(p, rank, li, spec, prio, nil, nil); err != nil {
 				return err
 			}
 		}

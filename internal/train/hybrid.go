@@ -149,7 +149,7 @@ func runHybridRank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg Hy
 				Kind: prim.AllReduce, Count: l.TPCommElems * cfg.MicrobatchSize,
 				Type: mem.Float32, Op: mem.Sum, Ranks: tpGroup, TimingOnly: true,
 			}
-			if err := b.Register(p, rank, tpCollID(li), spec, 0); err != nil {
+			if err := b.Register(p, rank, tpCollID(li), spec, 0, nil, nil); err != nil {
 				return err
 			}
 		}
@@ -158,7 +158,7 @@ func runHybridRank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg Hy
 				Kind: prim.AllReduce, Count: l.GradElems/cfg.TP + 1,
 				Type: mem.Float32, Op: mem.Sum, Ranks: dpGroup, TimingOnly: true,
 			}
-			if err := b.Register(p, rank, dpCollID(li), spec, 0); err != nil {
+			if err := b.Register(p, rank, dpCollID(li), spec, 0, nil, nil); err != nil {
 				return err
 			}
 		}
@@ -181,7 +181,7 @@ func runHybridRank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg Hy
 			Kind: prim.Broadcast, Count: boundaryAct(boundary) * cfg.MicrobatchSize,
 			Type: mem.Float32, Root: 0, Ranks: []int{from, to}, TimingOnly: true,
 		}
-		return id, b.Register(p, rank, id, spec, 0)
+		return id, b.Register(p, rank, id, spec, 0, nil, nil)
 	}
 	var fwdIn, fwdOut, bwdIn, bwdOut = -1, -1, -1, -1
 	var err error

@@ -47,7 +47,6 @@ type MoEConfig struct {
 	// DynamicGroups opens the dispatch/combine collectives and the
 	// overloaded-expert subgroup fresh every iteration and closes them
 	// after — MoE's group churn, the load on the communicator pool.
-	// Requires a backend implementing orch.DynamicBackend.
 	DynamicGroups bool
 	// PaddedAllToAll dispatches over the fixed-capacity AllToAll: every
 	// (source, expert) block is padded to the worst-case token count, so
@@ -57,8 +56,7 @@ type MoEConfig struct {
 	// default (false) sends exactly the routed token counts per expert
 	// over AllToAllv; because the count matrix changes with the routing
 	// every iteration, that path opens and closes the dispatch/combine
-	// collectives each iteration and therefore requires a backend
-	// implementing orch.DynamicBackend even without DynamicGroups.
+	// collectives each iteration even without DynamicGroups.
 	PaddedAllToAll bool
 	// Algo selects the dispatch/combine all-to-all algorithm:
 	// prim.AlgoRing (default) or prim.AlgoHierarchical, which tiers the
@@ -181,21 +179,9 @@ const (
 // (A2ABytes) and a bit-exact fingerprint of the combined outputs
 // (OutputHash), so the AllToAllv and padded layouts can be compared:
 // identical hashes, strictly fewer bytes for AllToAllv under skew.
-// The backend must implement orch.DataBackend, plus orch.DynamicBackend
-// when DynamicGroups is set or the (default) AllToAllv path is used.
 func RunMoE(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg MoEConfig) (*Result, error) {
 	if err := cfg.validate(cluster); err != nil {
 		return nil, err
-	}
-	db, ok := b.(orch.DataBackend)
-	if !ok {
-		return nil, fmt.Errorf("train: backend %s cannot carry MoE data (no RegisterData)", b.Name())
-	}
-	var dyn orch.DynamicBackend
-	if cfg.DynamicGroups || !cfg.PaddedAllToAll {
-		if dyn, ok = b.(orch.DynamicBackend); !ok {
-			return nil, fmt.Errorf("train: backend %s cannot churn MoE groups (no Deregister)", b.Name())
-		}
 	}
 	n := cfg.Ranks
 	ranks := make([]int, n)
@@ -211,7 +197,7 @@ func RunMoE(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg MoEConfig)
 
 	bar := sim.NewBarrier("train.barrier", n)
 	res, err := runRanks(e, b, "train.moe", n, n*cfg.TokensPerRank*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
-		return runMoERank(p, db, dyn, cfg, rank, ranks, bar, res, outs)
+		return runMoERank(p, b, cfg, rank, ranks, bar, res, outs)
 	})
 	if err != nil {
 		return nil, err
@@ -270,8 +256,7 @@ func moeLayoutFor(cfg MoEConfig, rank int, tokCnt [][]int) moeLayout {
 	return l
 }
 
-func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cfg MoEConfig, rank int, ranks []int, bar *sim.Barrier, res *Result, outs [][]float64) error {
-	var b orch.Backend = db
+func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks []int, bar *sim.Barrier, res *Result, outs [][]float64) error {
 	n := cfg.Ranks
 	ept := cfg.ElemsPerToken
 	blockElems := cfg.capacitySlots() * ept
@@ -280,7 +265,7 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 	denseSend := mem.NewBuffer(mem.DeviceSpace, mem.Float64, cfg.DenseGradElems)
 	denseRecv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, cfg.DenseGradElems)
 	denseSpec := prim.Spec{Kind: prim.AllReduce, Count: cfg.DenseGradElems, Type: mem.Float64, Op: mem.Sum, Ranks: ranks}
-	if err := db.RegisterData(p, rank, moeCollDense, denseSpec, 0, denseSend, denseRecv); err != nil {
+	if err := b.Register(p, rank, moeCollDense, denseSpec, 0, denseSend, denseRecv); err != nil {
 		return err
 	}
 
@@ -294,7 +279,7 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 	countsSend := mem.NewBuffer(mem.DeviceSpace, mem.Float64, n)
 	countsRecv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, n*n)
 	countsSpec := prim.Spec{Kind: prim.AllGather, Count: n, Type: mem.Float64, Ranks: ranks}
-	if err := db.RegisterData(p, rank, moeCollCounts, countsSpec, 0, countsSend, countsRecv); err != nil {
+	if err := b.Register(p, rank, moeCollCounts, countsSpec, 0, countsSend, countsRecv); err != nil {
 		return err
 	}
 
@@ -316,10 +301,10 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 	// matrix is part of the spec.
 	perIter := cfg.DynamicGroups || !cfg.PaddedAllToAll
 	if cfg.PaddedAllToAll && !cfg.DynamicGroups {
-		if err := db.RegisterData(p, rank, dispatchID(0), padSpec, 0, dispatchSend, dispatchRecv); err != nil {
+		if err := b.Register(p, rank, dispatchID(0), padSpec, 0, dispatchSend, dispatchRecv); err != nil {
 			return err
 		}
-		if err := db.RegisterData(p, rank, combineID(0), padSpec, 0, combineSend, combineRecv); err != nil {
+		if err := b.Register(p, rank, combineID(0), padSpec, 0, combineSend, combineRecv); err != nil {
 			return err
 		}
 	}
@@ -386,10 +371,10 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 				dSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: elemCnt, Algo: cfg.Algo}
 				cSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: transpose(elemCnt), Algo: cfg.Algo}
 			}
-			if err := db.RegisterData(p, rank, dID, dSpec, 0, dispatchSend, dispatchRecv); err != nil {
+			if err := b.Register(p, rank, dID, dSpec, 0, dispatchSend, dispatchRecv); err != nil {
 				return err
 			}
-			if err := db.RegisterData(p, rank, cID, cSpec, 0, combineSend, combineRecv); err != nil {
+			if err := b.Register(p, rank, cID, cSpec, 0, combineSend, combineRecv); err != nil {
 				return err
 			}
 		}
@@ -496,7 +481,7 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 				send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
 				recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
 				send.Fill(float64(rank + 1 + it))
-				if err := db.RegisterData(p, rank, subID, subSpec, 0, send, recv); err != nil {
+				if err := b.Register(p, rank, subID, subSpec, 0, send, recv); err != nil {
 					return err
 				}
 				if err := b.Launch(p, rank, subID); err != nil {
@@ -507,7 +492,7 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 				if got := recv.Float64At(0); got != want {
 					return fmt.Errorf("train: moe rank %d iter %d subgroup sum = %v, want %v", rank, it, got, want)
 				}
-				if err := dyn.Deregister(p, rank, subID); err != nil {
+				if err := b.Deregister(p, rank, subID); err != nil {
 					return err
 				}
 			}
@@ -522,10 +507,10 @@ func runMoERank(p *sim.Process, db orch.DataBackend, dyn orch.DynamicBackend, cf
 		p.Sleep(OptimizerTime)
 
 		if perIter {
-			if err := dyn.Deregister(p, rank, dID); err != nil {
+			if err := b.Deregister(p, rank, dID); err != nil {
 				return err
 			}
-			if err := dyn.Deregister(p, rank, cID); err != nil {
+			if err := b.Deregister(p, rank, cID); err != nil {
 				return err
 			}
 			// Every rank must finish closing before the next iteration

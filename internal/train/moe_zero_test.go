@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dfccl/internal/core"
-	"dfccl/internal/mem"
 	"dfccl/internal/orch"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -89,7 +88,7 @@ func TestMoEPoolChurnFlat(t *testing.T) {
 		if _, err := RunMoE(e, cluster, b, cfg); err != nil {
 			t.Fatal(err)
 		}
-		return b.(*orch.DFCCL).Sys.CommsCreated()
+		return b.CommsCreated()
 	}
 	short, long := created(4), created(12)
 	if short != long {
@@ -168,7 +167,7 @@ func TestRunZeROChurnPoolFlat(t *testing.T) {
 		if _, err := RunZeRO(e, cluster, b, cfg); err != nil {
 			t.Fatal(err)
 		}
-		return b.(*orch.DFCCL).Sys.CommsCreated()
+		return b.CommsCreated()
 	}
 	short, long := created(2), created(6)
 	if short != long {
@@ -228,36 +227,6 @@ func TestRunMoERaggedMatchesPadded(t *testing.T) {
 		t.Fatalf("dispatch bytes: ragged=%d padded=%d; want 0 < ragged < padded", ragged.A2ABytes, padded.A2ABytes)
 	}
 }
-
-// TestRunMoERaggedNeedsDynamicBackend pins the contract: the AllToAllv
-// path re-registers per iteration, so a backend without Deregister is
-// rejected up front (the padded path on static groups still works).
-func TestRunMoERaggedNeedsDynamicBackend(t *testing.T) {
-	cfg := moeTestConfig(1)
-	e, cluster, _ := mkBackend(t, "dfccl", cfg.Ranks)
-	if _, err := RunMoE(e, cluster, staticOnlyBackend{inner: orch.NewStaticSort(e, cluster)}, cfg); err == nil {
-		t.Fatal("RunMoE accepted a non-dynamic backend for the AllToAllv path")
-	}
-}
-
-// staticOnlyBackend exposes exactly the Backend+DataBackend surface of
-// a real backend (no promoted Deregister), so the DynamicBackend type
-// assertion fails.
-type staticOnlyBackend struct{ inner *orch.StaticSort }
-
-func (s staticOnlyBackend) Name() string { return s.inner.Name() }
-func (s staticOnlyBackend) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int) error {
-	return s.inner.Register(p, rank, collID, spec, priority)
-}
-func (s staticOnlyBackend) RegisterData(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
-	return s.inner.RegisterData(p, rank, collID, spec, priority, send, recv)
-}
-func (s staticOnlyBackend) Launch(p *sim.Process, rank, collID int) error {
-	return s.inner.Launch(p, rank, collID)
-}
-func (s staticOnlyBackend) Wait(p *sim.Process, rank, collID int) { s.inner.Wait(p, rank, collID) }
-func (s staticOnlyBackend) WaitAll(p *sim.Process, rank int)      { s.inner.WaitAll(p, rank) }
-func (s staticOnlyBackend) Teardown(p *sim.Process, rank int)     { s.inner.Teardown(p, rank) }
 
 // TestRunMoEHierarchicalAlgo runs the MoE workload with the
 // topology-aware hierarchical dispatch/combine on a two-node cluster:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dfccl/internal/core"
+	"dfccl/internal/mem"
 	"dfccl/internal/orch"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -120,12 +121,12 @@ type recordingBackend struct {
 	specs map[int]prim.Spec
 }
 
-func (r *recordingBackend) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int) error {
+func (r *recordingBackend) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
 	if r.specs == nil {
 		r.specs = make(map[int]prim.Spec)
 	}
 	r.specs[collID] = spec
-	return r.Backend.Register(p, rank, collID, spec, priority)
+	return r.Backend.Register(p, rank, collID, spec, priority, send, recv)
 }
 
 func TestDPGradientShardingByTP(t *testing.T) {

@@ -116,8 +116,6 @@ func TestRunDPAllBackendsAgreeOnWork(t *testing.T) {
 			return e, cluster, orch.NewHorovod(e, cluster)
 		case "kungfu":
 			return e, cluster, orch.NewKungFu(e, cluster)
-		case "byteps":
-			return e, cluster, orch.NewBytePS(e, cluster)
 		default:
 			e2 := sim.NewEngine()
 			e2.MaxTime = sim.Time(600 * sim.Second)
@@ -125,7 +123,7 @@ func TestRunDPAllBackendsAgreeOnWork(t *testing.T) {
 		}
 	}
 	results := map[string]*Result{}
-	for _, name := range []string{"static", "horovod", "kungfu", "byteps", "dfccl"} {
+	for _, name := range []string{"static", "horovod", "kungfu", "dfccl"} {
 		e, cluster, b := mk(name)
 		res, err := RunDP(e, cluster, b, DPConfig{Model: smallModel(), BatchPerGPU: 8, Iterations: 3})
 		if err != nil {

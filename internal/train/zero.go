@@ -38,7 +38,6 @@ type ZeROConfig struct {
 	// Churn opens the iteration's per-layer collectives fresh each
 	// iteration and closes them after — the open/close load ZeRO's
 	// layer-granular communication puts on the communicator pool.
-	// Requires a backend implementing orch.DynamicBackend.
 	Churn bool
 	// Disorder permutes a rank's per-layer collective launch order
 	// within the gradient and gather phases (only safe with DFCCL; the
@@ -99,22 +98,10 @@ type zeroLayerState struct {
 // parameter shard and sharded momentum, and AllGathers rebuild the
 // full parameters. At the end the sharded run is compared bit-for-bit
 // against an unsharded single-node reference (parameters and momentum
-// shards); any divergence is returned as an error. The backend must
-// implement orch.DataBackend (and orch.DynamicBackend when Churn is
-// set).
+// shards); any divergence is returned as an error.
 func RunZeRO(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfig) (*Result, error) {
 	if err := cfg.validate(cluster); err != nil {
 		return nil, err
-	}
-	db, ok := b.(orch.DataBackend)
-	if !ok {
-		return nil, fmt.Errorf("train: backend %s cannot carry ZeRO data (no RegisterData)", b.Name())
-	}
-	var dyn orch.DynamicBackend
-	if cfg.Churn {
-		if dyn, ok = b.(orch.DynamicBackend); !ok {
-			return nil, fmt.Errorf("train: backend %s cannot churn ZeRO groups (no Deregister)", b.Name())
-		}
 	}
 	if cfg.LR == 0 {
 		cfg.LR = 0.5
@@ -124,12 +111,11 @@ func RunZeRO(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfi
 	}
 	bar := sim.NewBarrier("train.barrier", cfg.Ranks)
 	return runRanks(e, b, fmt.Sprintf("train.zero%d", cfg.Stage), cfg.Ranks, cfg.Ranks*cfg.BatchPerGPU*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
-		return runZeRORank(p, cluster, db, dyn, cfg, rank, bar, res)
+		return runZeRORank(p, cluster, b, cfg, rank, bar, res)
 	})
 }
 
-func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn orch.DynamicBackend, cfg ZeROConfig, rank int, bar *sim.Barrier, res *Result) error {
-	var b orch.Backend = db
+func runZeRORank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfig, rank int, bar *sim.Barrier, res *Result) error {
 	n := cfg.Ranks
 	ranks := make([]int, n)
 	for i := range ranks {
@@ -176,21 +162,21 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn
 			var gradSpec prim.Spec
 			if cfg.Stage == 1 {
 				gradSpec = prim.Spec{Kind: prim.AllReduce, Count: st.padded, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, Algo: cfg.Algo}
-				if err := db.RegisterData(p, rank, collID(it, li, zeroSlotGrad), gradSpec, 0, st.gradFull, st.gradSum); err != nil {
+				if err := b.Register(p, rank, collID(it, li, zeroSlotGrad), gradSpec, 0, st.gradFull, st.gradSum); err != nil {
 					return err
 				}
 			} else {
 				gradSpec = prim.Spec{Kind: prim.ReduceScatter, Count: st.padded, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, Algo: cfg.Algo}
-				if err := db.RegisterData(p, rank, collID(it, li, zeroSlotGrad), gradSpec, 0, st.gradFull, st.gradShard); err != nil {
+				if err := b.Register(p, rank, collID(it, li, zeroSlotGrad), gradSpec, 0, st.gradFull, st.gradShard); err != nil {
 					return err
 				}
 			}
 			agSpec := prim.Spec{Kind: prim.AllGather, Count: st.shardLen, Type: mem.Float64, Ranks: ranks, Algo: cfg.Algo}
-			if err := db.RegisterData(p, rank, collID(it, li, zeroSlotGather), agSpec, 0, st.paramShard, st.params); err != nil {
+			if err := b.Register(p, rank, collID(it, li, zeroSlotGather), agSpec, 0, st.paramShard, st.params); err != nil {
 				return err
 			}
 			if cfg.Stage == 3 {
-				if err := db.RegisterData(p, rank, collID(it, li, zeroSlotBwdAG), agSpec, 0, st.paramShard, st.params); err != nil {
+				if err := b.Register(p, rank, collID(it, li, zeroSlotBwdAG), agSpec, 0, st.paramShard, st.params); err != nil {
 					return err
 				}
 			}
@@ -203,7 +189,7 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn
 				if slot == zeroSlotBwdAG && cfg.Stage != 3 {
 					continue
 				}
-				if err := dyn.Deregister(p, rank, collID(it, li, slot)); err != nil {
+				if err := b.Deregister(p, rank, collID(it, li, slot)); err != nil {
 					return err
 				}
 			}
@@ -318,7 +304,7 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, db orch.DataBackend, dyn
 		for li, st := range layers {
 			agSpec := prim.Spec{Kind: prim.AllGather, Count: st.shardLen, Type: mem.Float64, Ranks: ranks, Algo: cfg.Algo}
 			id := zeroCollBase + 300_000 + li
-			if err := db.RegisterData(p, rank, id, agSpec, 0, st.paramShard, st.params); err != nil {
+			if err := b.Register(p, rank, id, agSpec, 0, st.paramShard, st.params); err != nil {
 				return err
 			}
 			if err := b.Launch(p, rank, id); err != nil {
