@@ -119,13 +119,15 @@ cluster:
 # race-detector test pass — which runs every experiment and gate at
 # reduced scale, as the rows of internal/bench's TestExperiments
 # (~2 min) — the godoc floor, the benchmark module's own vet + tests,
-# 10 s of fuzzing the cluster kill path (FuzzClusterKills), and a
+# 10 s of fuzzing the cluster kill path (FuzzClusterKills) and 10 s of
+# fuzzing Spec.Validate against the sequence builders (FuzzSequences), and a
 # regeneration of the artifacts: the tuning table and BENCH.json
 # must come out as no-op diffs, trace.json and metrics.json (not
 # committed) byte-identical on the gate's own second run. See
 # TESTING.md.
 smoke: fmt vet build test-race doccheck benchcheck
 	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null
 	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)

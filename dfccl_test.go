@@ -92,6 +92,24 @@ func TestFacadeDisorderedOrdersComplete(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnevenReduceScatter: every rank of a reduce-scatter
+// receives Count/N elements, so a Count that N does not divide has no
+// recv layout. Open refuses it rather than handing the daemon a
+// collective whose copy-out cannot fit.
+func TestOpenRejectsUnevenReduceScatter(t *testing.T) {
+	lib := dfccl.New(dfccl.Server3090(4))
+	lib.Go("rank", func(p *dfccl.Process) {
+		ctx := lib.Init(p, 0)
+		if _, err := ctx.Open(dfccl.ReduceScatter(10, dfccl.Float32, dfccl.Sum, 0, 1, 2, 3)); err == nil {
+			t.Error("Open accepted a 10-element reduce-scatter over 4 ranks")
+		}
+		ctx.Destroy(p)
+	})
+	if err := lib.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestFacadeTimeAdvances(t *testing.T) {
 	lib := dfccl.New(dfccl.Server3090(2))
 	lib.Go("sleeper", func(p *dfccl.Process) { p.Sleep(3 * dfccl.Millisecond) })

@@ -71,9 +71,6 @@ func NewCQ(v CQVariant, slots int) *CQ {
 	return &CQ{variant: v, slots: slots}
 }
 
-// Variant identifies the modeled design.
-func (q *CQ) Variant() CQVariant { return q.variant }
-
 // WriteCost is the GPU-side cost of inserting one CQE.
 func (q *CQ) WriteCost() sim.Duration { return cqWriteCost[q.variant] }
 

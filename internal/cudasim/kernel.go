@@ -40,9 +40,6 @@ type KernelInstance struct {
 // Done reports completion.
 func (k *KernelInstance) Done() bool { return k.done }
 
-// Started reports whether the kernel has begun executing.
-func (k *KernelInstance) Started() bool { return k.started }
-
 // Kernel returns the kernel definition.
 func (k *KernelInstance) Kernel() *Kernel { return k.kernel }
 
@@ -76,9 +73,6 @@ func (s *Stream) ID() int { return s.id }
 
 // Device returns the owning device.
 func (s *Stream) Device() *Device { return s.dev }
-
-// QueueLen returns the number of kernels waiting to start on the stream.
-func (s *Stream) QueueLen() int { return len(s.queue) }
 
 // Synchronize blocks the host process until all work currently enqueued
 // on this stream completes. Unlike DeviceSynchronize it does not suspend

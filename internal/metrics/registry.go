@@ -42,9 +42,6 @@ func (r *Registry) Counter(name string) int64 { return r.counters[name] }
 // SetGauge sets a gauge reading.
 func (r *Registry) SetGauge(name string, v float64) { r.gauges[name] = v }
 
-// Gauge reads a gauge (0 if absent).
-func (r *Registry) Gauge(name string) float64 { return r.gauges[name] }
-
 // Histogram returns the named sample series, creating it on first use.
 func (r *Registry) Histogram(name string) *Series {
 	h, ok := r.hists[name]

@@ -175,49 +175,3 @@ func (c *Comm) Launch(p *sim.Process, stream *cudasim.Stream, rank int, spec pri
 	}
 	return dev.Launch(p, stream, k)
 }
-
-// AllReduce launches an all-reduce over the communicator's ranks.
-func (c *Comm) AllReduce(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, op mem.ReduceOp, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllReduce, Count: count, Type: t, Op: op, Ranks: c.Ranks}, sendBuf, recvBuf)
-}
-
-// AllGather launches an all-gather (count = per-rank contribution).
-func (c *Comm) AllGather(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllGather, Count: count, Type: t, Ranks: c.Ranks}, sendBuf, recvBuf)
-}
-
-// ReduceScatter launches a reduce-scatter (count = total send elements).
-func (c *Comm) ReduceScatter(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, op mem.ReduceOp, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.ReduceScatter, Count: count, Type: t, Op: op, Ranks: c.Ranks}, sendBuf, recvBuf)
-}
-
-// Broadcast launches a broadcast from root (an index into Ranks).
-func (c *Comm) Broadcast(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, root int, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.Broadcast, Count: count, Type: t, Root: root, Ranks: c.Ranks}, sendBuf, recvBuf)
-}
-
-// Reduce launches a reduce to root (an index into Ranks).
-func (c *Comm) Reduce(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, op mem.ReduceOp, root int, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.Reduce, Count: count, Type: t, Op: op, Root: root, Ranks: c.Ranks}, sendBuf, recvBuf)
-}
-
-// AllToAll launches an all-to-all (count = per-peer block size; send
-// and recv buffers hold count×N elements each).
-func (c *Comm) AllToAll(p *sim.Process, stream *cudasim.Stream, rank, count int, t mem.DataType, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllToAll, Count: count, Type: t, Ranks: c.Ranks}, sendBuf, recvBuf)
-}
-
-// AllToAllv launches a variable-count all-to-all: counts[i][j] elements
-// flow from ring position i to position j, so this rank's send buffer
-// holds the row-i concatenation and its recv buffer the column-i
-// concatenation (i = the rank's position within Ranks). Every rank must
-// pass the same matrix.
-func (c *Comm) AllToAllv(p *sim.Process, stream *cudasim.Stream, rank int, counts [][]int, t mem.DataType, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllToAllv, Type: t, Ranks: c.Ranks, Counts: counts}, sendBuf, recvBuf)
-}
-
-// AllToAllvAlgo is AllToAllv with an explicit algorithm choice
-// (prim.AlgoRing or prim.AlgoHierarchical).
-func (c *Comm) AllToAllvAlgo(p *sim.Process, stream *cudasim.Stream, rank int, counts [][]int, t mem.DataType, algo prim.Algorithm, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
-	return c.Launch(p, stream, rank, prim.Spec{Kind: prim.AllToAllv, Type: t, Ranks: c.Ranks, Counts: counts, Algo: algo}, sendBuf, recvBuf)
-}

@@ -32,15 +32,15 @@ func TestAllFiveCollectivesThroughNCCL(t *testing.T) {
 				return s, r
 			}
 			s1, r1 := mk(32, 32, float64(rank+1))
-			k1 := comms[0].AllReduce(p, d.NewStream(), rank, 32, mem.Float64, mem.Sum, s1, r1)
+			k1 := comms[0].Launch(p, d.NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: 32, Type: mem.Float64, Op: mem.Sum}, s1, r1)
 			s2, r2 := mk(8, 8*n, float64(rank))
-			k2 := comms[1].AllGather(p, d.NewStream(), rank, 8, mem.Float64, s2, r2)
+			k2 := comms[1].Launch(p, d.NewStream(), rank, prim.Spec{Kind: prim.AllGather, Count: 8, Type: mem.Float64}, s2, r2)
 			s3, r3 := mk(8*n, 8, 2)
-			k3 := comms[2].ReduceScatter(p, d.NewStream(), rank, 8*n, mem.Float64, mem.Sum, s3, r3)
+			k3 := comms[2].Launch(p, d.NewStream(), rank, prim.Spec{Kind: prim.ReduceScatter, Count: 8 * n, Type: mem.Float64, Op: mem.Sum}, s3, r3)
 			s4, r4 := mk(16, 16, float64(100+rank))
-			k4 := comms[3].Broadcast(p, d.NewStream(), rank, 16, mem.Float64, 1, s4, r4)
+			k4 := comms[3].Launch(p, d.NewStream(), rank, prim.Spec{Kind: prim.Broadcast, Count: 16, Type: mem.Float64, Root: 1}, s4, r4)
 			s5, r5 := mk(16, 16, 3)
-			k5 := comms[4].Reduce(p, d.NewStream(), rank, 16, mem.Float64, mem.Sum, 2, s5, r5)
+			k5 := comms[4].Launch(p, d.NewStream(), rank, prim.Spec{Kind: prim.Reduce, Count: 16, Type: mem.Float64, Op: mem.Sum, Root: 2}, s5, r5)
 			for _, k := range []*cKernel{{k1}, {k2}, {k3}, {k4}, {k5}} {
 				k.i.Wait(p)
 			}
@@ -95,7 +95,7 @@ func TestLatencyScalesWithRingSize(t *testing.T) {
 			e.Spawn("h", func(p *sim.Process) {
 				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
 				r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-				comm.AllReduce(p, lib.Device(rank).NewStream(), rank, 64, mem.Float32, mem.Sum, s, r).Wait(p)
+				comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum}, s, r).Wait(p)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -118,7 +118,7 @@ func TestRDMAPathSlowerThanSHM(t *testing.T) {
 			e.Spawn("h", func(p *sim.Process) {
 				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1<<18)
 				r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1<<18)
-				comm.AllReduce(p, lib.Device(rank).NewStream(), rank, 1<<18, mem.Float32, mem.Sum, s, r).Wait(p)
+				comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: 1 << 18, Type: mem.Float32, Op: mem.Sum}, s, r).Wait(p)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -176,7 +176,7 @@ func TestCommHierarchicalAllToAllv(t *testing.T) {
 					off++
 				}
 			}
-			k := comm.AllToAllvAlgo(p, lib.Device(rank).NewStream(), rank, counts, mem.Float64, prim.AlgoHierarchical, send, recvs[rank])
+			k := comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Counts: counts, Algo: prim.AlgoHierarchical}, send, recvs[rank])
 			k.Wait(p)
 		})
 	}

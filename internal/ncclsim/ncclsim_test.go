@@ -7,6 +7,7 @@ import (
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/mem"
+	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
@@ -28,7 +29,7 @@ func allReduceOnce(t *testing.T, n, count int) sim.Time {
 			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
 			r := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
 			s.Fill(float64(rank + 1))
-			k := comm.AllReduce(p, lib.Device(rank).NewStream(), rank, count, mem.Float64, mem.Sum, s, r)
+			k := comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum}, s, r)
 			k.Wait(p)
 			want := float64(n*(n+1)) / 2
 			if got := r.Float64At(count - 1); got != want {
@@ -61,8 +62,8 @@ func TestConsistentOrderTwoCollectivesNoDeadlock(t *testing.T) {
 			}
 			s1, r1 := bufs()
 			s2, r2 := bufs()
-			kB := commB.AllReduce(p, st, rank, 256, mem.Float32, mem.Sum, s1, r1)
-			kA := commA.AllReduce(p, st, rank, 256, mem.Float32, mem.Sum, s2, r2)
+			kB := commB.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 256, Type: mem.Float32, Op: mem.Sum}, s1, r1)
+			kA := commA.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 256, Type: mem.Float32, Op: mem.Sum}, s2, r2)
 			kB.Wait(p)
 			kA.Wait(p)
 		})
@@ -83,7 +84,7 @@ func TestDisorderSingleQueueDeadlocks(t *testing.T) {
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) *cudasim.KernelInstance {
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
 		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		return comm.AllReduce(p, st, rank, 1024, mem.Float32, mem.Sum, s, r)
+		return comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
 		st := lib.Device(0).NewStream()
@@ -110,7 +111,7 @@ func TestDisorderMultiStreamSufficientResourcesOK(t *testing.T) {
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) *cudasim.KernelInstance {
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
 		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		return comm.AllReduce(p, st, rank, 1024, mem.Float32, mem.Sum, s, r)
+		return comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
 		d := lib.Device(0)
@@ -144,7 +145,7 @@ func TestDisorderMultiStreamResourceDepletionDeadlocks(t *testing.T) {
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) {
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
 		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		comm.AllReduce(p, st, rank, 1024, mem.Float32, mem.Sum, s, r)
+		comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
 		d := lib.Device(0)
@@ -171,7 +172,7 @@ func TestDisorderWithSyncDeadlocksDespiteResources(t *testing.T) {
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) {
 		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
 		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		comm.AllReduce(p, st, rank, 1024, mem.Float32, mem.Sum, s, r)
+		comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
 		d := lib.Device(0)
@@ -214,7 +215,7 @@ func TestEightGPURandomOrderSingleStreamDeadlocks(t *testing.T) {
 				count := 64 << ci // 256B..32KB of float32
 				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
 				r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
-				comms[ci].AllReduce(p, st, rank, count, mem.Float32, mem.Sum, s, r)
+				comms[ci].Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum}, s, r)
 			}
 		})
 	}

@@ -88,7 +88,7 @@ func TestAllToAllvCorrectness(t *testing.T) {
 	multiRound := 0
 	for _, tc := range cases {
 		tc := tc
-		if len(tc.counts) > 1 && vSpec(tc.counts, tc.chunk).SequenceFor(0).Rounds > 1 {
+		if len(tc.counts) > 1 && vSpec(tc.counts, tc.chunk).SequenceFor(0).TotalRounds() > 1 {
 			multiRound++
 		}
 		t.Run(tc.name, func(t *testing.T) {
@@ -286,8 +286,8 @@ func TestAllToAllSingleRankNoop(t *testing.T) {
 	}
 	for name, spec := range specs {
 		seq := spec.SequenceFor(0)
-		if seq.Rounds != 1 {
-			t.Errorf("%s: 1-rank Rounds = %d, want the explicit single no-op round", name, seq.Rounds)
+		if seq.TotalRounds() != 1 {
+			t.Errorf("%s: 1-rank Rounds = %d, want the explicit single no-op round", name, seq.TotalRounds())
 		}
 		if seq.NumPrimitives() != 0 {
 			t.Errorf("%s: 1-rank NumPrimitives = %d, want 0", name, seq.NumPrimitives())
@@ -407,7 +407,7 @@ func TestAllToAllvPrimitiveCounts(t *testing.T) {
 			}
 		}
 		seq := vSpec(m, 32).SequenceFor(0)
-		if got, want := len(seq.Actions), n*(n-1)/2; got != want {
+		if got, want := len(seq.Stages[0].Actions), n*(n-1)/2; got != want {
 			t.Fatalf("n=%d actions = %d, want %d", n, got, want)
 		}
 	}

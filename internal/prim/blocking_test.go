@@ -64,12 +64,11 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 }
 
 // blockingCopyOut moves results from the working buffer into the recv buffer
-// after the last round: a single segment (reduce-scatter) or a
-// concatenation of segments (all-to-all).
+// after the last round: a concatenation of segments.
 func (x *Executor) blockingCopyOut(p *sim.Process) {
-	if len(x.Seq.copyOutSegs) > 0 {
+	if len(x.Seq.copyOut) > 0 {
 		total := 0
-		for _, sg := range x.Seq.copyOutSegs {
+		for _, sg := range x.Seq.copyOut {
 			total += x.Seq.segs[sg].len()
 		}
 		p.Sleep(x.computeCost(total * x.Spec.Type.Size()))
@@ -77,7 +76,7 @@ func (x *Executor) blockingCopyOut(p *sim.Process) {
 			return
 		}
 		off := 0
-		for _, sg := range x.Seq.copyOutSegs {
+		for _, sg := range x.Seq.copyOut {
 			sr := x.Seq.segs[sg]
 			copy(x.RecvBuf.Slice(off, off+sr.len()), x.work().Slice(sr.Lo, sr.Hi))
 			off += sr.len()
@@ -85,23 +84,7 @@ func (x *Executor) blockingCopyOut(p *sim.Process) {
 		if off*x.Spec.Type.Size() != len(x.RecvBuf.Bytes()) {
 			panic(fmt.Sprintf("prim: %v copy-out covered %d elems, recv holds %d", x.Spec.Kind, off, x.RecvBuf.Len()))
 		}
-		return
 	}
-	if x.Seq.copyOutSeg < 0 {
-		return
-	}
-	sr := x.Seq.segs[x.Seq.copyOutSeg]
-	if x.Spec.TimingOnly {
-		p.Sleep(x.computeCost(sr.len() * x.Spec.Type.Size()))
-		return
-	}
-	src := x.work().Slice(sr.Lo, sr.Hi)
-	dst := x.RecvBuf.Bytes()
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("prim: copy-out size mismatch: seg=%d recv=%d", len(src), len(dst)))
-	}
-	p.Sleep(x.computeCost(len(src)))
-	copy(dst, src)
 }
 
 // blockingWaitConn spins (in simulated terms: waits) until ready() is true,
@@ -164,7 +147,7 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	if x.Finished() {
 		return Done
 	}
-	stage := x.Seq.stageAt(x.Stage)
+	stage := x.Seq.Stages[x.Stage]
 	a := stage.Actions[x.Step]
 	attemptStart := p.Now()
 	pipelined := !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
@@ -267,7 +250,7 @@ func (x *Executor) blockingLocalCopy(p *sim.Process, a Action) {
 }
 
 // blockingSendHalf transmits the current round's slice of the action's send
-// segment (clipped to the in-flight block in ragged sequences),
+// segment (clipped to the block the action moves),
 // charging serialization and latency on the route through the
 // executor's network.
 func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {

@@ -262,45 +262,30 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 }
 
 // copyOut moves results from the working buffer into the recv buffer
-// after the last round: a single segment (reduce-scatter) or a
-// concatenation of segments (all-to-all). Like initCopy it first reports
-// the bytes that price it, then (move) performs it.
+// after the last round: the concatenation of the sequence's copy-out
+// segments (one for reduce-scatter, one per origin for all-to-all). Like
+// initCopy it first reports the bytes that price it, then (move)
+// performs it.
 func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
-	if len(x.Seq.copyOutSegs) > 0 {
-		total := 0
-		for _, sg := range x.Seq.copyOutSegs {
-			total += x.Seq.segs[sg].len()
-		}
-		if !move || x.Spec.TimingOnly {
-			return total * x.Spec.Type.Size(), true
+	if len(x.Seq.copyOut) == 0 {
+		return 0, false
+	}
+	total := 0
+	for _, sg := range x.Seq.copyOut {
+		total += x.Seq.segs[sg].len()
+	}
+	if move && !x.Spec.TimingOnly {
+		if total != x.RecvBuf.Len() {
+			panic(fmt.Sprintf("prim: %v copy-out covers %d elems, recv holds %d", x.Spec.Kind, total, x.RecvBuf.Len()))
 		}
 		off := 0
-		for _, sg := range x.Seq.copyOutSegs {
+		for _, sg := range x.Seq.copyOut {
 			sr := x.Seq.segs[sg]
 			copy(x.RecvBuf.Slice(off, off+sr.len()), x.work().Slice(sr.Lo, sr.Hi))
 			off += sr.len()
 		}
-		if off*x.Spec.Type.Size() != len(x.RecvBuf.Bytes()) {
-			panic(fmt.Sprintf("prim: %v copy-out covered %d elems, recv holds %d", x.Spec.Kind, off, x.RecvBuf.Len()))
-		}
-		return total * x.Spec.Type.Size(), true
 	}
-	if x.Seq.copyOutSeg < 0 {
-		return 0, false
-	}
-	sr := x.Seq.segs[x.Seq.copyOutSeg]
-	if x.Spec.TimingOnly {
-		return sr.len() * x.Spec.Type.Size(), true
-	}
-	src := x.work().Slice(sr.Lo, sr.Hi)
-	dst := x.RecvBuf.Bytes()
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("prim: copy-out size mismatch: seg=%d recv=%d", len(src), len(dst)))
-	}
-	if move {
-		copy(dst, src)
-	}
-	return len(src), true
+	return total * x.Spec.Type.Size(), true
 }
 
 // aborted reports whether the owning runtime has flagged this
@@ -477,7 +462,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			if x.Finished() {
 				return r.end(Done)
 			}
-			r.stage = x.Seq.stageAt(x.Stage)
+			r.stage = x.Seq.Stages[x.Stage]
 			a := &r.stage.Actions[x.Step]
 			r.a = a
 			r.attemptStart = r.p.Now()
@@ -662,7 +647,7 @@ func (x *Executor) localCopy(a *Action) {
 }
 
 // beginSend accounts the current round's slice of the action's send
-// segment (clipped to the in-flight block in ragged sequences) and arms
+// segment (clipped to the block the action moves) and arms
 // xfer to charge its serialization and latency on the route through the
 // executor's network; the slice is written to the connector once xfer is
 // over.

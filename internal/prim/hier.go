@@ -12,15 +12,15 @@ package prim
 //                 node leader (the leader packs its own with local
 //                 copies), laid out as one contiguous aggregate per
 //                 destination node;
-//  3. inter-ring: the node leaders run the ragged-segment ring of
-//                 allToAllvSeq over the aggregates — the only phase
-//                 that touches RDMA, and an aggregate (a→b) crosses
+//  3. inter-ring: the node leaders run the flat ring's all-to-all
+//                 schedule over the aggregates — the only phase that
+//                 touches RDMA, and an aggregate (a→b) crosses
 //                 mod(b-a, M) leader hops instead of every block
 //                 circumnavigating the full flat ring;
 //  4. scatter:    the receiving leader forwards each block to its
 //                 final same-node destination over SHM.
 //
-// Every phase keeps the ragged ring's invariants: all participants of
+// Every phase keeps the ring's invariants: all participants of
 // a convoy run the same (action, round) schedule with per-action
 // element bounds, so zero-count peers still exchange empty chunks and
 // flow control stays uniform; the executor's (stage, round, step,
@@ -110,20 +110,6 @@ func (g NodeGrouping) crossNodes(a int) []int {
 	return out
 }
 
-// uniformCounts materializes the AllToAll count matrix (every block the
-// same size) so the hierarchical builder handles both variants through
-// one ragged path.
-func uniformCounts(n, count int) [][]int {
-	m := make([][]int, n)
-	for i := range m {
-		m[i] = make([]int, n)
-		for j := range m[i] {
-			m[i][j] = count
-		}
-	}
-	return m
-}
-
 // HierSequenceFor builds the hierarchical sequence for the participant
 // at ring position pos, given the node grouping. Spec validation must
 // have passed and s.Algo must be AlgoHierarchical; executors over
@@ -153,16 +139,13 @@ func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
 }
 
 // hierAllToAllSeq builds the hierarchical all-to-all(-v) sequence:
-// intra-node direct exchange, pack/gather-to-leader, the ragged
-// inter-leader ring over per-node aggregates, and scatter-from-leader.
+// intra-node direct exchange, pack/gather-to-leader, the flat ring
+// all-to-all schedule between the leaders over per-node aggregates, and
+// scatter-from-leader.
 func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	n := s.N()
-	cnt := s.Counts
-	if s.Kind == AllToAll {
-		cnt = uniformCounts(n, s.Count)
-	}
 	if n == 1 {
-		return noopCopySeq(cnt[0][0], s.chunk())
+		return noopCopySeq(s.count(0, 0), s.chunk())
 	}
 	a := g.NodeOf[pos]
 	group := g.Members[a]
@@ -191,22 +174,24 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	// Own send blocks, in send-buffer layout (the init-copy prefix).
 	own := make([]int, n)
 	for j := 0; j < n; j++ {
-		own[j] = addSeg(cnt[pos][j])
+		own[j] = addSeg(s.count(pos, j))
 	}
 	// Final blocks by origin, recv-buffer layout. Leaders read their
 	// cross-node blocks straight from the inbound aggregates instead,
 	// so their cross-node FIN slots are unused scratch.
 	fin := make([]int, n)
 	for o := 0; o < n; o++ {
-		fin[o] = addSeg(cnt[o][pos])
+		fin[o] = addSeg(s.count(o, pos))
 	}
 
 	// Leader-only staging: one contiguous aggregate per peer node, in
 	// (member, destination) order on the way out and (origin member,
 	// local member) order on the way in, with nested per-block
-	// sub-segments so convoys can address individual blocks.
+	// sub-segments so convoys can address individual blocks. The
+	// aggregates are the leader ring's blocks: outbound by destination
+	// node, inbound by origin node, then its two transit slots.
 	var agg [][]int                     // agg[x][y]: cross-node aggregate sizes
-	var gout, gin []int                 // parent segment per peer node (by node index)
+	var lring []int                     // leader-ring block -> seg
 	var goutSub, ginSub map[int][][]int // [node][member idx][peer idx] -> seg
 	if isLeader && M > 1 {
 		agg = make([][]int, M)
@@ -218,39 +203,38 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 				}
 				for _, i := range g.Members[x] {
 					for _, j := range g.Members[y] {
-						agg[x][y] += cnt[i][j]
+						agg[x][y] += s.count(i, j)
 					}
 				}
 			}
 		}
-		gout = make([]int, M)
-		gin = make([]int, M)
+		lring = make([]int, 2*M+2)
 		goutSub = make(map[int][][]int, M-1)
 		ginSub = make(map[int][][]int, M-1)
 		for _, b := range g.crossNodes(a) {
 			lo := cur
-			gout[b] = addSeg(agg[a][b])
+			lring[b] = addSeg(agg[a][b])
 			subs := make([][]int, m)
 			off := lo
 			for ii, i := range group {
 				subs[ii] = make([]int, len(g.Members[b]))
 				for jj, j := range g.Members[b] {
-					subs[ii][jj] = addSub(off, cnt[i][j])
-					off += cnt[i][j]
+					subs[ii][jj] = addSub(off, s.count(i, j))
+					off += s.count(i, j)
 				}
 			}
 			goutSub[b] = subs
 		}
 		for _, x := range g.crossNodes(a) {
 			lo := cur
-			gin[x] = addSeg(agg[x][a])
+			lring[M+x] = addSeg(agg[x][a])
 			subs := make([][]int, len(g.Members[x]))
 			off := lo
 			for ii, i := range g.Members[x] {
 				subs[ii] = make([]int, m)
 				for jj, j := range group {
-					subs[ii][jj] = addSub(off, cnt[i][j])
-					off += cnt[i][j]
+					subs[ii][jj] = addSub(off, s.count(i, j))
+					off += s.count(i, j)
 				}
 			}
 			ginSub[x] = subs
@@ -263,22 +247,20 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	// Intra-node direct exchange: one lockstep stage per ring offset
 	// within the group; rounds padded to the offset's largest block so
 	// every member stays step-matched (zero-count peers send empty
-	// chunks, as in the flat ragged ring).
+	// chunks, as in the flat ring).
 	for d := 1; d < m; d++ {
 		sp := group[(k+d)%m]
 		rp := group[(k-d+m)%m]
 		maxPair := 0
 		for kk := 0; kk < m; kk++ {
-			if c := cnt[group[kk]][group[(kk+d)%m]]; c > maxPair {
-				maxPair = c
-			}
+			maxPair = max(maxPair, s.count(group[kk], group[(kk+d)%m]))
 		}
 		stages = append(stages, Stage{
 			Label:  "intra",
 			Rounds: ceilDiv(maxPair, chunk),
 			Actions: []Action{{
-				SendSeg: own[sp], SendElems: cnt[pos][sp], SendConn: g.peerIdx(pos, sp),
-				RecvSeg: fin[rp], RecvElems: cnt[rp][pos], RecvConn: g.peerIdx(pos, rp),
+				SendSeg: own[sp], SendElems: s.count(pos, sp), SendConn: g.peerIdx(pos, sp),
+				RecvSeg: fin[rp], RecvElems: s.count(rp, pos), RecvConn: g.peerIdx(pos, rp),
 			}},
 		})
 	}
@@ -290,12 +272,12 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 			var acts []Action
 			for _, b := range g.crossNodes(a) {
 				for jj, j := range g.Members[b] {
-					if cnt[pos][j] == 0 {
+					if s.count(pos, j) == 0 {
 						continue
 					}
 					acts = append(acts, Action{
 						LocalCopy: true,
-						SendSeg:   own[j], SendElems: cnt[pos][j],
+						SendSeg:   own[j], SendElems: s.count(pos, j),
 						RecvSeg: goutSub[b][0][jj],
 					})
 				}
@@ -317,10 +299,8 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 			var acts []Action
 			for _, b := range g.crossNodes(a) {
 				for jj, j := range g.Members[b] {
-					c := cnt[sender][j]
-					if c > maxBlk {
-						maxBlk = c
-					}
+					c := s.count(sender, j)
+					maxBlk = max(maxBlk, c)
 					if pos == sender {
 						acts = append(acts, Action{
 							SendSeg: own[j], SendElems: c, SendConn: g.peerIdx(pos, leader),
@@ -336,56 +316,14 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 			}
 			stages = append(stages, Stage{Label: "gather", Rounds: ceilDiv(maxBlk, chunk), Actions: acts})
 		}
-		// Inter-leader ring: the allToAllvSeq store-and-forward schedule
-		// over the M×M aggregate matrix — distances st = 1..M-1, hop h
-		// of an aggregate forwarded at step (st, h), every leader
-		// sending and receiving one aggregate chunk per step.
+		// Inter-leader ring: the flat all-to-all schedule over the M×M
+		// aggregate matrix on the leader ring's endpoint.
 		if isLeader {
-			maxTransit, maxMoved := 0, 0
-			for st := 1; st < M; st++ {
-				for h := 1; h < st; h++ {
-					o := mod(a-h, M)
-					if l := agg[o][mod(o+st, M)]; l > maxTransit {
-						maxTransit = l
-					}
-				}
-			}
-			for x := 0; x < M; x++ {
-				for y := 0; y < M; y++ {
-					if x != y && agg[x][y] > maxMoved {
-						maxMoved = agg[x][y]
-					}
-				}
-			}
-			tr := [2]int{addSeg(maxTransit), addSeg(maxTransit)}
-			ring := g.ringIdx(pos)
-			var acts []Action
-			transit, lastTransit := 0, 0
-			for st := 1; st < M; st++ {
-				for h := 1; h <= st; h++ {
-					var act Action
-					so := mod(a-(h-1), M)
-					act.SendElems = agg[so][mod(so+st, M)]
-					act.SendConn = ring
-					if h == 1 {
-						act.SendSeg = gout[mod(a+st, M)]
-					} else {
-						act.SendSeg = tr[lastTransit]
-					}
-					ro := mod(a-h, M)
-					act.RecvElems = agg[ro][mod(ro+st, M)]
-					act.RecvConn = ring
-					if h == st {
-						act.RecvSeg = gin[ro]
-					} else {
-						act.RecvSeg = tr[transit]
-						lastTransit = transit
-						transit = 1 - transit
-					}
-					acts = append(acts, act)
-				}
-			}
-			stages = append(stages, Stage{Label: "inter-ring", Rounds: ceilDiv(maxMoved, chunk), Actions: acts})
+			r := ring{place: a, n: M, blk: lring, conn: g.ringIdx(pos)}
+			size := func(x, y int) int { return agg[x][y] }
+			transit, moved := r.allToAllBounds(size)
+			lring[2*M], lring[2*M+1] = addSeg(transit), addSeg(transit)
+			stages = append(stages, Stage{Label: "inter-ring", Rounds: ceilDiv(moved, chunk), Actions: r.allToAll(size)})
 		}
 		// Scatter-from-leader: one convoy per non-leader member; the
 		// leader sends each inbound cross-node block to its final
@@ -399,10 +337,8 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 			var acts []Action
 			for _, x := range g.crossNodes(a) {
 				for iIdx, i := range g.Members[x] {
-					c := cnt[i][dst]
-					if c > maxBlk {
-						maxBlk = c
-					}
+					c := s.count(i, dst)
+					maxBlk = max(maxBlk, c)
 					if isLeader {
 						acts = append(acts, Action{
 							SendSeg: ginSub[x][iIdx][tIdx], SendElems: c, SendConn: g.peerIdx(pos, dst),
@@ -424,27 +360,25 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	// from the own area, same-node blocks from FIN (intra stage), and
 	// cross-node blocks from FIN (non-leaders, scatter stage) or the
 	// inbound aggregates (leaders).
-	copyOutSegs := make([]int, n)
+	copyOut := make([]int, n)
 	for o := 0; o < n; o++ {
 		switch {
 		case o == pos:
-			copyOutSegs[o] = own[pos]
+			copyOut[o] = own[pos]
 		case isLeader && g.NodeOf[o] != a:
-			copyOutSegs[o] = ginSub[g.NodeOf[o]][g.local[o]][0]
+			copyOut[o] = ginSub[g.NodeOf[o]][g.local[o]][0]
 		default:
-			copyOutSegs[o] = fin[o]
+			copyOut[o] = fin[o]
 		}
 	}
 
 	return &Sequence{
+		Stages:         stages,
 		segs:           segs,
 		chunkElems:     chunk,
 		workLen:        cur,
 		initCopyOwnSeg: initCopyPrefix,
 		useScratch:     true,
-		copyOutSeg:     -1,
-		copyOutSegs:    copyOutSegs,
-		ragged:         true,
-		Stages:         stages,
+		copyOut:        copyOut,
 	}
 }

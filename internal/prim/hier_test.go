@@ -253,6 +253,7 @@ func TestHierRingEquivalenceProperty(t *testing.T) {
 		if hby.RDMA > rby.RDMA {
 			t.Fatalf("%s: hierarchical RDMA bytes %d > ring %d", name, hby.RDMA, rby.RDMA)
 		}
+		requirePeers(t, name, cluster, spec)
 	}
 }
 

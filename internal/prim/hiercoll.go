@@ -13,7 +13,7 @@ package prim
 //     broadcast of the full result. On one node the gather/ring/bcast
 //     tail degenerates to a mesh all-gather of the reduced shares.
 //   - all-gather:      intra-node mesh exchange of the per-rank
-//     blocks, a ragged ring all-gather of per-node aggregates between
+//     blocks, a flat ring all-gather of per-node aggregates between
 //     the leaders, and a scatter of the cross-node blocks from the
 //     leader to its members. Leaders stage blocks node-grouped in
 //     scratch so each node's aggregate is contiguous even when the
@@ -118,35 +118,16 @@ func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
 				}}})
 			}
 		}
-		// Inter-leader ring all-reduce over evenSegs(C, M) partials —
-		// the flat allReduceSeq schedule with the leader ring's
-		// endpoints; the only phase that touches RDMA.
+		// Inter-leader ring all-reduce over evenSegs(C, M) partials: the
+		// flat all-reduce schedule on the leader ring's endpoint, the
+		// only phase that touches RDMA.
 		if isLeader {
-			interView := evenSegs(C, M)
 			inter := make([]int, M)
-			for i, r := range interView {
+			for i, r := range evenSegs(C, M) {
 				inter[i] = addView(r)
 			}
-			ring := g.ringIdx(pos)
-			var acts []Action
-			for st := 0; st < M-1; st++ {
-				ss, rs := mod(a-st, M), mod(a-st-1, M)
-				acts = append(acts, Action{
-					SendSeg: inter[ss], SendElems: interView[ss].len(), SendConn: ring,
-					RecvSeg: inter[rs], RecvElems: interView[rs].len(), RecvConn: ring,
-					Reduce: true,
-				})
-			}
-			for st := 0; st < M-1; st++ {
-				ss, rs := mod(a+1-st, M), mod(a-st, M)
-				acts = append(acts, Action{
-					SendSeg: inter[ss], SendElems: interView[ss].len(), SendConn: ring,
-					RecvSeg: inter[rs], RecvElems: interView[rs].len(), RecvConn: ring,
-				})
-			}
-			stages = append(stages, Stage{
-				Label: "inter-ring", Rounds: ceilDiv(maxSegLen(interView), chunk), Actions: acts,
-			})
+			r := ring{place: a, n: M, blk: inter, conn: g.ringIdx(pos), segs: segs}
+			stages = append(stages, Stage{Label: "inter-ring", Rounds: r.rounds(chunk), Actions: r.allReduce()})
 		}
 		// Broadcast: the leader fans the fully reduced vector out to
 		// its members.
@@ -185,13 +166,11 @@ func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
 	}
 
 	return &Sequence{
+		Stages:         stages,
 		segs:           segs,
 		chunkElems:     chunk,
 		workLen:        C,
 		initCopyOwnSeg: initCopyWhole,
-		copyOutSeg:     -1,
-		ragged:         true,
-		Stages:         stages,
 	}
 }
 
@@ -251,35 +230,11 @@ func (s Spec) hierAllGatherSeq(pos int, g NodeGrouping) *Sequence {
 	}
 
 	if M > 1 {
-		// Ragged ring all-gather of per-node aggregates between the
-		// leaders: inject the own aggregate, then receive and forward
-		// each predecessor aggregate (pipelined), last hop no forward.
+		// Ring all-gather of per-node aggregates between the leaders:
+		// the flat all-gather schedule on the leader ring's endpoint.
 		if leaderLayout {
-			maxAgg := 0
-			for x := 0; x < M; x++ {
-				if l := segs[agg[x]].len(); l > maxAgg {
-					maxAgg = l
-				}
-			}
-			ring := g.ringIdx(pos)
-			acts := []Action{{
-				SendSeg: agg[a], SendElems: segs[agg[a]].len(), SendConn: ring,
-				RecvSeg: -1,
-			}}
-			for st := 1; st <= M-1; st++ {
-				x := mod(a-st, M)
-				act := Action{
-					SendSeg: agg[x], SendElems: segs[agg[x]].len(), SendConn: ring,
-					RecvSeg: agg[x], RecvElems: segs[agg[x]].len(), RecvConn: ring,
-				}
-				if st == M-1 {
-					act.SendSeg = -1
-				}
-				acts = append(acts, act)
-			}
-			stages = append(stages, Stage{
-				Label: "inter-ring", Rounds: ceilDiv(maxAgg, chunk), Actions: acts,
-			})
+			r := ring{place: a, n: M, blk: agg, conn: g.ringIdx(pos), segs: segs}
+			stages = append(stages, Stage{Label: "inter-ring", Rounds: r.rounds(chunk), Actions: r.allGather()})
 		}
 		// Scatter: the leader forwards every cross-node block to each
 		// of its members, in the canonical cross-node order.
@@ -307,22 +262,15 @@ func (s Spec) hierAllGatherSeq(pos int, g NodeGrouping) *Sequence {
 	}
 
 	seq := &Sequence{
-		segs:       segs,
-		chunkElems: chunk,
-		workLen:    n * C,
-		copyOutSeg: -1,
-		ragged:     true,
-		Stages:     stages,
+		Stages:         stages,
+		segs:           segs,
+		chunkElems:     chunk,
+		workLen:        n * C,
+		initCopyOwnSeg: blkOf[pos],
 	}
 	if leaderLayout {
 		seq.useScratch = true
-		seq.initCopyOwnSeg = blkOf[pos]
-		seq.copyOutSegs = make([]int, n)
-		for p := 0; p < n; p++ {
-			seq.copyOutSegs[p] = blkOf[p]
-		}
-	} else {
-		seq.initCopyOwnSeg = blkOf[pos]
+		seq.copyOut = blkOf
 	}
 	return seq
 }
@@ -373,14 +321,13 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 			})
 		}
 		return &Sequence{
+			Stages:         stages,
 			segs:           segs,
 			chunkElems:     chunk,
 			workLen:        C,
 			initCopyOwnSeg: initCopyWhole,
 			useScratch:     true,
-			copyOutSeg:     nat[pos],
-			ragged:         true,
-			Stages:         stages,
+			copyOut:        nat[pos : pos+1],
 		}
 	}
 
@@ -452,29 +399,12 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 		}
 	}
 
-	// Inter-leader ring reduce-scatter over the per-node aggregates:
-	// the flat reduceScatterSeq schedule (indices shifted so node a
-	// finishes holding aggregate a) on the leader ring's endpoints.
+	// Inter-leader ring reduce-scatter over the per-node aggregates: the
+	// flat reduce-scatter schedule (node a finishes holding aggregate a)
+	// on the leader ring's endpoint.
 	if isLeader {
-		maxAgg := 0
-		for x := 0; x < M; x++ {
-			if l := segs[agg[x]].len(); l > maxAgg {
-				maxAgg = l
-			}
-		}
-		ring := g.ringIdx(pos)
-		var acts []Action
-		for st := 0; st < M-1; st++ {
-			ss, rs := mod(a-st-1, M), mod(a-st-2, M)
-			acts = append(acts, Action{
-				SendSeg: agg[ss], SendElems: segs[agg[ss]].len(), SendConn: ring,
-				RecvSeg: agg[rs], RecvElems: segs[agg[rs]].len(), RecvConn: ring,
-				Reduce: true,
-			})
-		}
-		stages = append(stages, Stage{
-			Label: "inter-ring", Rounds: ceilDiv(maxAgg, chunk), Actions: acts,
-		})
+		r := ring{place: a, n: M, blk: agg, conn: g.ringIdx(pos), segs: segs}
+		stages = append(stages, Stage{Label: "inter-ring", Rounds: r.rounds(chunk), Actions: r.reduceScatter()})
 	}
 
 	// Scatter: the leader returns each member's fully reduced output
@@ -506,17 +436,16 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 	}
 
 	seq := &Sequence{
+		Stages:     stages,
 		segs:       segs,
 		chunkElems: chunk,
 		useScratch: true,
-		copyOutSeg: nat[pos],
-		ragged:     true,
-		Stages:     stages,
+		copyOut:    nat[pos : pos+1],
 	}
 	if isLeader {
 		seq.workLen = 2 * C
 		seq.initCopyOwnSeg = initCopyPrefix
-		seq.copyOutSeg = perm[pos]
+		seq.copyOut = perm[pos : pos+1]
 	} else {
 		seq.workLen = C
 		seq.initCopyOwnSeg = initCopyWhole

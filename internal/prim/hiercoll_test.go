@@ -124,6 +124,7 @@ func TestHierCollEquivalenceProperty(t *testing.T) {
 		if hby.RDMA > rby.RDMA {
 			t.Fatalf("%s: hierarchical RDMA bytes %d > ring %d", name, hby.RDMA, rby.RDMA)
 		}
+		requirePeers(t, name, cluster, spec)
 	}
 }
 

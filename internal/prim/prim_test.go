@@ -219,12 +219,12 @@ func TestPrimitiveCounts(t *testing.T) {
 	spec := Spec{Kind: AllReduce, Count: 1 << 20, Type: mem.Float32, Op: mem.Sum,
 		Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}, ChunkElems: 32768}
 	seq := spec.SequenceFor(0)
-	if got := len(seq.Actions); got != 14 { // 2*(8-1)
+	if got := len(seq.Stages[0].Actions); got != 14 { // 2*(8-1)
 		t.Fatalf("actions = %d, want 14", got)
 	}
 	// 1M elems / 8 segs = 131072 per seg; 131072/32768 = 4 rounds.
-	if seq.Rounds != 4 {
-		t.Fatalf("rounds = %d, want 4", seq.Rounds)
+	if seq.TotalRounds() != 4 {
+		t.Fatalf("rounds = %d, want 4", seq.TotalRounds())
 	}
 	if seq.NumPrimitives() != 56 {
 		t.Fatalf("prims = %d, want 56", seq.NumPrimitives())
@@ -337,11 +337,22 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: AllReduce, Count: -1, Ranks: []int{0}},
 		{Kind: AllReduce, Count: 4, Ranks: []int{0, 0}},
 		{Kind: Broadcast, Count: 4, Root: 5, Ranks: []int{0, 1}},
+		// Count/N per rank: 10 elements have no reduce-scatter over 4.
+		{Kind: ReduceScatter, Count: 10, Ranks: []int{0, 1, 2, 3}},
+		{Kind: Kind(7), Count: 4, Ranks: []int{0, 1}},
+		{Kind: Kind(-1), Count: 4, Ranks: []int{0, 1}},
+		{Kind: AllGather, Count: 4, Type: mem.DataType(4), Ranks: []int{0, 1}},
+		{Kind: AllReduce, Count: 4, Op: mem.ReduceOp(9), Ranks: []int{0, 1}},
+		{Kind: Reduce, Count: 4, Op: mem.ReduceOp(-1), Ranks: []int{0, 1}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid spec", i)
 		}
+	}
+	// The op is read only by the reducing kinds.
+	if err := (Spec{Kind: AllGather, Count: 4, Op: mem.ReduceOp(9), Ranks: []int{0, 1}}).Validate(); err != nil {
+		t.Errorf("all-gather with an unused op rejected: %v", err)
 	}
 	good := Spec{Kind: Reduce, Count: 4, Root: 1, Ranks: []int{3, 7}}
 	if err := good.Validate(); err != nil {

@@ -260,6 +260,18 @@ func (s Spec) Validate() error {
 	if len(s.Ranks) == 0 {
 		return fmt.Errorf("prim: spec has no ranks")
 	}
+	if s.Kind < AllReduce || s.Kind > AllToAllv {
+		return fmt.Errorf("prim: unknown kind %v", s.Kind)
+	}
+	if s.Type < mem.Float32 || s.Type > mem.Int64 {
+		return fmt.Errorf("prim: unknown data type %v", s.Type)
+	}
+	switch s.Kind {
+	case AllReduce, ReduceScatter, Reduce:
+		if s.Op < mem.Sum || s.Op > mem.Min {
+			return fmt.Errorf("prim: unknown reduction op %v", s.Op)
+		}
+	}
 	switch s.Algo {
 	case AlgoRing, AlgoAuto:
 		// The ring serves every kind; auto resolves to a supported
@@ -275,6 +287,10 @@ func (s Spec) Validate() error {
 	}
 	if s.Count < 0 {
 		return fmt.Errorf("prim: negative count %d", s.Count)
+	}
+	if s.Kind == ReduceScatter && s.Count%len(s.Ranks) != 0 {
+		// Every rank receives Count/N elements; a remainder has nowhere to go.
+		return fmt.Errorf("prim: reduce-scatter count %d is not a multiple of %d ranks", s.Count, len(s.Ranks))
 	}
 	if s.Root < 0 || s.Root >= len(s.Ranks) {
 		if s.Kind == Reduce || s.Kind == Broadcast {
@@ -330,6 +346,16 @@ func (s Spec) RecvCountsFor(pos int) []int {
 	return out
 }
 
+// count is the element count of the all-to-all block ring position i
+// sends to position j: the uniform Count of AllToAll, Counts[i][j] of
+// AllToAllv.
+func (s Spec) count(i, j int) int {
+	if s.Kind == AllToAll {
+		return s.Count
+	}
+	return s.Counts[i][j]
+}
+
 func sumInts(xs []int) int {
 	n := 0
 	for _, x := range xs {
@@ -351,18 +377,17 @@ type Action struct {
 	// Reduce selects reduce-into (true) vs copy-over (false) for the recv half.
 	Reduce bool
 	// SendElems / RecvElems bound the element count the action's halves
-	// move, counted from the segment start. They are consulted only in
-	// ragged (AllToAllv) sequences, where a transit slot is sized to the
-	// largest in-flight block and the block it currently carries may be
-	// shorter — including zero-length blocks for zero-count peers, which
-	// still exchange (empty) chunks so the uniform ring schedule keeps
-	// its flow-control token per step. Even sequences ignore them and
-	// move whole segments.
+	// move, counted from the segment start; every action carries them.
+	// They matter where a segment is longer than the block it carries —
+	// an all-to-all transit slot is sized to the largest in-flight block
+	// — and for zero-length blocks of zero-count peers, which still
+	// exchange (empty) chunks so the uniform ring schedule keeps its
+	// flow-control token per step.
 	SendElems, RecvElems int
 	// SendConn / RecvConn select which of the executor's send (recv)
 	// endpoints the action's halves use. Ring sequences have exactly one
 	// endpoint each (the ring successor / predecessor), so flat actions
-	// leave them 0; hierarchical sequences index the intra-node mesh and
+	// use 0; hierarchical sequences index the intra-node mesh and
 	// leader-ring endpoints.
 	SendConn, RecvConn int
 	// LocalCopy marks a connector-free action: copy SendElems elements
@@ -420,15 +445,15 @@ const (
 	initCopyPrefix = -3
 )
 
-// Stage is one phase of a multi-stage sequence: its action list runs
-// Rounds times (one chunk round per pass) before the next stage
-// starts. Flat ring sequences are single-stage and keep their actions
-// directly on the Sequence; the hierarchical all-to-all builds one
-// stage per intra-node exchange offset, gather convoy, leader-ring
-// schedule, and scatter convoy.
+// Stage is one phase of a sequence: its action list runs Rounds times
+// (one chunk round per pass) before the next stage starts. A flat ring
+// sequence is one unlabelled stage; the hierarchical builders make one
+// stage per intra-node exchange offset, convoy, and leader-ring
+// schedule.
 type Stage struct {
 	// Label names the phase for diagnostics and preemption tests
-	// ("intra", "pack", "gather", "inter-ring", "scatter").
+	// ("intra", "pack", "gather", "inter-ring", "scatter"; "" on the
+	// flat ring).
 	Label string
 	// Actions is the stage's per-round action list.
 	Actions []Action
@@ -436,19 +461,14 @@ type Stage struct {
 	Rounds int
 }
 
-// Sequence is the per-rank execution plan for one collective: the
-// primitive actions of one chunk round, the working-buffer segment
-// layout, and the number of chunk rounds needed to cover the data.
+// Sequence is the per-rank execution plan for one collective: its
+// stages, the working-buffer segment layout, and the init and copy-out
+// moves around them. The executor's dynamic context is a cursor over
+// the stages.
 type Sequence struct {
-	Actions []Action
-	segs    []segRange
-	// Rounds is how many times the action list runs (once per chunk).
-	Rounds int
-	// Stages, when non-nil, replaces the flat Actions/Rounds pair with
-	// an ordered list of phases, each with its own action list and
-	// round count — the hierarchical all-to-all representation. The
-	// executor's dynamic context then includes the stage index.
+	// Stages are the phases in execution order.
 	Stages []Stage
+	segs   []segRange
 	// chunkElems is the per-round slice width within each segment.
 	chunkElems int
 	// workLen is the element length of the working buffer.
@@ -459,27 +479,15 @@ type Sequence struct {
 	// useScratch: the working buffer is an internal scratch area rather
 	// than the user's recv buffer.
 	useScratch bool
-	// copyOutSeg: after the final round, copy segs[copyOutSeg] of the
-	// working buffer into the recv buffer (-1 = none).
-	copyOutSeg int
-	// copyOutSegs: after the final round, concatenate the listed
-	// working-buffer segments into the recv buffer in list order. Used
-	// when the result is scattered across the working buffer (all-to-
-	// all); takes precedence over copyOutSeg when non-empty.
-	copyOutSegs []int
-	// ragged: segments carry variable-length blocks (AllToAllv), so the
-	// executor slices each action by its SendElems/RecvElems bound
-	// instead of the full segment extent.
-	ragged bool
+	// copyOut: after the final round, concatenate the listed working-
+	// buffer segments into the recv buffer in list order (none: the
+	// working buffer is the recv buffer).
+	copyOut []int
 }
 
-// NumPrimitives returns the total primitive count across all rounds
-// (and, for multi-stage sequences, all stages) — the quantity the
-// paper's preemption analysis counts.
+// NumPrimitives returns the total primitive count across all stages and
+// rounds — the quantity the paper's preemption analysis counts.
 func (s *Sequence) NumPrimitives() int {
-	if s.Stages == nil {
-		return len(s.Actions) * s.Rounds
-	}
 	total := 0
 	for _, st := range s.Stages {
 		total += len(st.Actions) * st.Rounds
@@ -489,20 +497,11 @@ func (s *Sequence) NumPrimitives() int {
 
 // NumStages returns the stage count: 1 for flat ring sequences, the
 // phase count for hierarchical ones.
-func (s *Sequence) NumStages() int {
-	if s.Stages == nil {
-		return 1
-	}
-	return len(s.Stages)
-}
+func (s *Sequence) NumStages() int { return len(s.Stages) }
 
-// TotalRounds returns the summed round count across stages (equal to
-// Rounds for flat sequences) — the number of chunk-round passes the
-// executor makes end to end.
+// TotalRounds returns the summed round count across stages — the number
+// of chunk-round passes the executor makes end to end.
 func (s *Sequence) TotalRounds() int {
-	if s.Stages == nil {
-		return s.Rounds
-	}
 	total := 0
 	for _, st := range s.Stages {
 		total += st.Rounds
@@ -510,21 +509,9 @@ func (s *Sequence) TotalRounds() int {
 	return total
 }
 
-// stageAt returns stage i, wrapping the flat Actions/Rounds pair as the
-// implicit single stage of ring sequences.
-func (s *Sequence) stageAt(i int) Stage {
-	if s.Stages == nil {
-		return Stage{Actions: s.Actions, Rounds: s.Rounds}
-	}
-	return s.Stages[i]
-}
-
 // totalActions counts actions across stages (0 means the sequence is a
 // pure init-copy/copy-out, e.g. the single-rank no-op).
 func (s *Sequence) totalActions() int {
-	if s.Stages == nil {
-		return len(s.Actions)
-	}
 	total := 0
 	for _, st := range s.Stages {
 		total += len(st.Actions)
@@ -532,41 +519,18 @@ func (s *Sequence) totalActions() int {
 	return total
 }
 
-// roundSlice returns the element range of segment seg covered in round c
-// relative to the working buffer, clipped to the segment.
-func (s *Sequence) roundSlice(seg, c int) segRange {
-	sr := s.segs[seg]
-	lo := sr.Lo + c*s.chunkElems
-	hi := lo + s.chunkElems
-	if lo > sr.Hi {
-		lo = sr.Hi
-	}
-	if hi > sr.Hi {
-		hi = sr.Hi
-	}
-	return segRange{Lo: lo, Hi: hi}
-}
-
-// limitSlice is roundSlice additionally clipped to the first elems
-// elements of the segment — the ragged-sequence slicing rule. Both ends
-// of a transfer compute the block's chunking from the same block length
-// (the action's SendElems on one side, RecvElems on the other), so a
-// short block in an oversized transit slot still slices identically on
-// sender and receiver; rounds past the block's end yield empty slices,
-// which still move (zero-length) chunks through the connectors.
+// limitSlice returns the element range of segment seg covered in round c,
+// clipped to the first elems elements of the segment. Both ends of a
+// transfer compute the block's chunking from the same block length (the
+// action's SendElems on one side, RecvElems on the other), so a short
+// block in an oversized transit slot still slices identically on sender
+// and receiver; rounds past the block's end yield empty slices, which
+// still move (zero-length) chunks through the connectors.
 func (s *Sequence) limitSlice(seg, c, elems int) segRange {
-	sr := s.roundSlice(seg, c)
-	if !s.ragged {
-		return sr
-	}
-	limit := s.segs[seg].Lo + elems
-	if sr.Lo > limit {
-		sr.Lo = limit
-	}
-	if sr.Hi > limit {
-		sr.Hi = limit
-	}
-	return sr
+	lo := s.segs[seg].Lo
+	limit := lo + elems
+	lo += c * s.chunkElems
+	return segRange{Lo: min(lo, limit), Hi: min(lo+s.chunkElems, limit)}
 }
 
 // sendSlice returns the element range action a's send half moves in
@@ -640,80 +604,182 @@ func (s Spec) SequenceFor(pos int) *Sequence {
 		return s.broadcastSeq(pos, n)
 	case Reduce:
 		return s.reduceSeq(pos, n)
-	case AllToAll:
+	case AllToAll, AllToAllv:
 		return s.allToAllSeq(pos, n)
-	case AllToAllv:
-		return s.allToAllvSeq(pos, n)
 	default:
 		panic(fmt.Sprintf("prim: unknown kind %v", s.Kind))
 	}
 }
 
+// ring is one ring schedule seen from one of its n places: the flat
+// ring over the ranks on endpoint 0, or the hierarchical leader ring
+// over the per-node aggregates on a leader's ring endpoint. The
+// schedules move numbered blocks; blk maps them onto working-buffer
+// segments (nil: block b is segment b). A block is as long as its
+// segment in segs, except in allToAll, whose blocks are sized by the
+// caller.
+type ring struct {
+	place, n int
+	blk      []int
+	conn     int
+	segs     []segRange
+}
+
+// seg returns the working-buffer segment of block b.
+func (r ring) seg(b int) int {
+	if r.blk == nil {
+		return b
+	}
+	return r.blk[b]
+}
+
+// act is the step that sends block send and receives block recv (-1:
+// no such half) over the ring's endpoint, each half bounded by its
+// segment's length; reduce folds the received chunk into the block.
+func (r ring) act(send, recv int, reduce bool) Action {
+	a := Action{SendSeg: -1, RecvSeg: -1, Reduce: reduce, SendConn: r.conn, RecvConn: r.conn}
+	if send >= 0 {
+		a.SendSeg = r.seg(send)
+		a.SendElems = r.segs[a.SendSeg].len()
+	}
+	if recv >= 0 {
+		a.RecvSeg = r.seg(recv)
+		a.RecvElems = r.segs[a.RecvSeg].len()
+	}
+	return a
+}
+
+// rounds is the chunk-round count covering the longest of the n blocks.
+func (r ring) rounds(chunk int) int {
+	longest := 0
+	for b := 0; b < r.n; b++ {
+		longest = max(longest, r.segs[r.seg(b)].len())
+	}
+	return ceilDiv(longest, chunk)
+}
+
+// allReduce is a reduce-scatter phase — step st sends block place-st and
+// reduces block place-st-1 in — then an all-gather phase — step st sends
+// block place+1-st and receives block place-st.
+func (r ring) allReduce() []Action {
+	acts := make([]Action, 0, 2*(r.n-1))
+	for st := 0; st < r.n-1; st++ {
+		acts = append(acts, r.act(mod(r.place-st, r.n), mod(r.place-st-1, r.n), true))
+	}
+	for st := 0; st < r.n-1; st++ {
+		acts = append(acts, r.act(mod(r.place+1-st, r.n), mod(r.place-st, r.n), false))
+	}
+	return acts
+}
+
+// allGather sends the place's own block at step 0; steps 1..n-1 receive
+// block place-st and forward it, all but the last.
+func (r ring) allGather() []Action {
+	if r.n == 1 {
+		return nil
+	}
+	acts := make([]Action, r.n)
+	acts[0] = r.act(r.place, -1, false)
+	for st := 1; st < r.n; st++ {
+		b := mod(r.place-st, r.n)
+		fwd := b
+		if st == r.n-1 {
+			fwd = -1
+		}
+		acts[st] = r.act(fwd, b, false)
+	}
+	return acts
+}
+
+// reduceScatter is allReduce's reduce-scatter phase shifted one place,
+// so the place finishes holding block place (NCCL's reduce-scatter
+// output placement).
+func (r ring) reduceScatter() []Action {
+	acts := make([]Action, r.n-1)
+	for st := range acts {
+		acts[st] = r.act(mod(r.place-st-1, r.n), mod(r.place-st-2, r.n), true)
+	}
+	return acts
+}
+
+// allToAll is the store-and-forward exchange: block (i→j), size(i, j)
+// elements, travels mod(j-i, n) hops. The schedule runs distances
+// st = 1..n-1; within a distance, hop h of the block is forwarded at
+// step (st, h), so every step each place sends exactly one block chunk
+// and receives exactly one — uniform flow that keeps the bounded
+// connectors deadlock-free under in-order execution and resumable under
+// preemption. Blocks [0, n) are the place's outbound blocks by
+// destination, [n, 2n) its inbound ones by origin, and 2n, 2n+1 the two
+// transit slots it alternates between. Every action carries the size of
+// the block it moves, since a transit slot is generally longer than the
+// block it holds.
+func (r ring) allToAll(size func(i, j int) int) []Action {
+	n, p := r.n, r.place
+	acts := make([]Action, 0, n*(n-1)/2)
+	transit, last := 0, 0
+	for st := 1; st < n; st++ {
+		for h := 1; h <= st; h++ {
+			so, ro := mod(p-h+1, n), mod(p-h, n) // origins of the blocks sent and received
+			a := Action{
+				SendSeg: r.seg(2*n + last), SendElems: size(so, mod(so+st, n)), SendConn: r.conn,
+				RecvSeg: r.seg(n + ro), RecvElems: size(ro, mod(ro+st, n)), RecvConn: r.conn,
+			}
+			if h == 1 {
+				a.SendSeg = r.seg(mod(p+st, n)) // inject the own block st hops ahead
+			}
+			if h < st {
+				a.RecvSeg = r.seg(2*n + transit) // forwarded at the next step
+				last, transit = transit, 1-transit
+			}
+			acts = append(acts, a)
+		}
+	}
+	return acts
+}
+
+// allToAllBounds returns what sizes the exchange: the longest block the
+// place receives at a non-final hop (the length of its transit slots)
+// and the longest block that moves at all, which sets the round count —
+// equal on every place, so the schedule stays step-matched and shorter
+// blocks send empty chunks in their tail rounds.
+func (r ring) allToAllBounds(size func(i, j int) int) (transit, moved int) {
+	n := r.n
+	for st := 1; st < n; st++ {
+		for h := 1; h < st; h++ {
+			o := mod(r.place-h, n)
+			transit = max(transit, size(o, mod(o+st, n)))
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				moved = max(moved, size(i, j))
+			}
+		}
+	}
+	return transit, moved
+}
+
 func (s Spec) allReduceSeq(pos, n int) *Sequence {
-	segs := evenSegs(s.Count, n)
-	seq := &Sequence{
-		segs:           segs,
+	r := ring{place: pos, n: n, segs: evenSegs(s.Count, n)}
+	return &Sequence{
+		Stages:         []Stage{{Actions: r.allReduce(), Rounds: r.rounds(s.chunk())}},
+		segs:           r.segs,
 		chunkElems:     s.chunk(),
 		workLen:        s.Count,
 		initCopyOwnSeg: initCopyWhole, // copy whole send buffer into recv buffer
-		copyOutSeg:     -1,
 	}
-	maxSeg := 0
-	for _, sr := range segs {
-		if sr.len() > maxSeg {
-			maxSeg = sr.len()
-		}
-	}
-	seq.Rounds = ceilDiv(maxSeg, seq.chunkElems)
-	if n == 1 {
-		return seq
-	}
-	// Reduce-scatter phase: step s sends seg (pos-s), receives and
-	// reduces seg (pos-s-1).
-	for st := 0; st < n-1; st++ {
-		seq.Actions = append(seq.Actions, Action{
-			SendSeg: mod(pos-st, n),
-			RecvSeg: mod(pos-st-1, n),
-			Reduce:  true,
-		})
-	}
-	// All-gather phase: step s sends seg (pos+1-s), receives seg (pos-s).
-	for st := 0; st < n-1; st++ {
-		seq.Actions = append(seq.Actions, Action{
-			SendSeg: mod(pos+1-st, n),
-			RecvSeg: mod(pos-st, n),
-			Reduce:  false,
-		})
-	}
-	return seq
 }
 
 func (s Spec) allGatherSeq(pos, n int) *Sequence {
-	total := s.Count * n
-	segs := evenSegsFixed(s.Count, n)
-	seq := &Sequence{
-		segs:           segs,
+	r := ring{place: pos, n: n, segs: evenSegsFixed(s.Count, n)}
+	return &Sequence{
+		Stages:         []Stage{{Actions: r.allGather(), Rounds: r.rounds(s.chunk())}},
+		segs:           r.segs,
 		chunkElems:     s.chunk(),
-		workLen:        total,
+		workLen:        s.Count * n,
 		initCopyOwnSeg: pos,
-		copyOutSeg:     -1,
 	}
-	seq.Rounds = ceilDiv(s.Count, seq.chunkElems)
-	if n == 1 {
-		return seq
-	}
-	// Ring all-gather: step 0 sends the rank's own segment; steps
-	// 1..n-2 receive segment (pos-st) and forward it; step n-1
-	// receives the final segment without forwarding.
-	seq.Actions = append(seq.Actions, Action{SendSeg: pos, RecvSeg: -1})
-	for st := 1; st <= n-1; st++ {
-		a := Action{RecvSeg: mod(pos-st, n), SendSeg: mod(pos-st, n)}
-		if st == n-1 {
-			a.SendSeg = -1
-		}
-		seq.Actions = append(seq.Actions, a)
-	}
-	return seq
 }
 
 // evenSegsFixed builds n segments of exactly per elements each (used
@@ -727,100 +793,63 @@ func evenSegsFixed(per, n int) []segRange {
 }
 
 func (s Spec) reduceScatterSeq(pos, n int) *Sequence {
-	segs := evenSegs(s.Count, n)
-	seq := &Sequence{
-		segs:           segs,
+	r := ring{place: pos, n: n, segs: evenSegs(s.Count, n)}
+	return &Sequence{
+		Stages:         []Stage{{Actions: r.reduceScatter(), Rounds: r.rounds(s.chunk())}},
+		segs:           r.segs,
 		chunkElems:     s.chunk(),
 		workLen:        s.Count,
 		initCopyOwnSeg: initCopyWhole,
 		useScratch:     true,
-		copyOutSeg:     pos,
+		copyOut:        []int{pos},
 	}
-	maxSeg := 0
-	for _, sr := range segs {
-		if sr.len() > maxSeg {
-			maxSeg = sr.len()
-		}
-	}
-	seq.Rounds = ceilDiv(maxSeg, seq.chunkElems)
-	if n == 1 {
-		return seq
-	}
-	// Indices are shifted one position relative to the all-reduce
-	// reduce-scatter phase so rank r finishes holding seg[r], matching
-	// NCCL's reduce-scatter output placement.
-	for st := 0; st < n-1; st++ {
-		seq.Actions = append(seq.Actions, Action{
-			SendSeg: mod(pos-st-1, n),
-			RecvSeg: mod(pos-st-2, n),
-			Reduce:  true,
-		})
-	}
-	return seq
 }
 
-// allToAllSeq builds the ring all-to-all: every rank holds one Count-
-// element block per peer, and block (src=i, dst=j) travels (j-i) mod n
-// hops along the ring. The schedule runs distances st = 1..n-1; within
-// a distance, hop h of the block is forwarded at step (st, h), so every
-// step each rank sends exactly one block chunk and receives exactly
-// one — uniform flow that keeps the bounded connectors deadlock-free
-// under in-order execution and resumable under preemption.
+// allToAllSeq builds the ring all-to-all of both variants (AllToAll is
+// AllToAllv with every block Count elements long). Working-buffer
+// (scratch) layout, one segment per block of the ring schedule:
 //
-// Working-buffer (scratch) layout, in Count-element segments:
+//	[0, n)      own send blocks, block j sized count(pos, j)
+//	            (init copy of the send buffer — identical layout)
+//	[n, 2n)     received final blocks, block o sized count(o, pos)
+//	[2n, 2n+2)  two alternating transit slots
 //
-//	[0, n)      own send blocks (init copy of the send buffer)
-//	[n, 2n)     received final blocks, indexed by origin rank position
-//	[2n, 2n+2)  two alternating transit slots for blocks in flight
-//
-// The copy-out concatenates origin blocks 0..n-1 into the recv buffer;
-// the rank's own self block (src=dst=pos) comes straight from the own-
-// block area, which no action ever overwrites.
+// The copy-out concatenates origin blocks 0..n-1 — the rank's own self
+// block straight from the own-block area, which no action overwrites —
+// exactly the recv-buffer layout of BufferCountsFor.
 func (s Spec) allToAllSeq(pos, n int) *Sequence {
 	if n == 1 {
-		return noopCopySeq(s.Count, s.chunk())
+		return noopCopySeq(s.count(0, 0), s.chunk())
 	}
+	r := ring{place: pos, n: n}
+	transit, moved := r.allToAllBounds(s.count)
 	segs := make([]segRange, 2*n+2)
-	for i := range segs {
-		segs[i] = segRange{Lo: i * s.Count, Hi: (i + 1) * s.Count}
+	lo := 0
+	for b := range segs {
+		l := transit
+		switch {
+		case b < n:
+			l = s.count(pos, b)
+		case b < 2*n:
+			l = s.count(b-n, pos)
+		}
+		segs[b] = segRange{Lo: lo, Hi: lo + l}
+		lo += l
 	}
-	seq := &Sequence{
+	copyOut := make([]int, n)
+	for o := range copyOut {
+		copyOut[o] = n + o // final block from origin o
+	}
+	copyOut[pos] = pos // self block stays in the own area
+	return &Sequence{
+		Stages:         []Stage{{Actions: r.allToAll(s.count), Rounds: ceilDiv(moved, s.chunk())}},
 		segs:           segs,
 		chunkElems:     s.chunk(),
-		workLen:        (2*n + 2) * s.Count,
+		workLen:        lo,
 		initCopyOwnSeg: initCopyPrefix,
 		useScratch:     true,
-		copyOutSeg:     -1,
+		copyOut:        copyOut,
 	}
-	seq.Rounds = ceilDiv(s.Count, seq.chunkElems)
-	seq.copyOutSegs = make([]int, n)
-	for o := 0; o < n; o++ {
-		seq.copyOutSegs[o] = n + o // final block from origin o
-	}
-	seq.copyOutSegs[pos] = pos // self block stays in the own area
-	transit, lastTransit := 0, 0
-	for st := 1; st < n; st++ {
-		for h := 1; h <= st; h++ {
-			var a Action
-			if h == 1 {
-				// Inject the rank's own block destined st hops ahead.
-				a.SendSeg = mod(pos+st, n)
-			} else {
-				// Forward the block received at the previous step.
-				a.SendSeg = 2*n + lastTransit
-			}
-			if h == st {
-				// Final hop: the block originated st hops behind.
-				a.RecvSeg = n + mod(pos-st, n)
-			} else {
-				a.RecvSeg = 2*n + transit
-				lastTransit = transit
-				transit = 1 - transit
-			}
-			seq.Actions = append(seq.Actions, a)
-		}
-	}
-	return seq
 }
 
 // noopCopySeq is the explicit single-participant all-to-all(-v)
@@ -831,118 +860,12 @@ func (s Spec) allToAllSeq(pos, n int) *Sequence {
 // executor tolerating an empty action list across many rounds.
 func noopCopySeq(count, chunk int) *Sequence {
 	return &Sequence{
+		Stages:         []Stage{{Rounds: 1}},
 		segs:           []segRange{{Lo: 0, Hi: count}},
 		chunkElems:     chunk,
 		workLen:        count,
 		initCopyOwnSeg: initCopyWhole,
-		copyOutSeg:     -1,
-		Rounds:         1,
 	}
-}
-
-// allToAllvSeq builds the ragged-segment ring all-to-all: the same
-// store-and-forward schedule as allToAllSeq (distances st = 1..n-1, hop
-// h of a block forwarded at step (st, h), one block chunk sent and one
-// received per step), but block (src=i, dst=j) carries Counts[i][j]
-// elements instead of a uniform Count.
-//
-// Working-buffer (scratch) layout, as ragged segments:
-//
-//	[0, n)      own send blocks, block j sized Counts[pos][j]
-//	            (init copy of the send buffer — identical layout)
-//	[n, 2n)     received final blocks, block o sized Counts[o][pos]
-//	[2n, 2n+2)  two alternating transit slots, each sized to the
-//	            largest block this rank ever holds in flight
-//
-// Every action records the in-flight block's length (SendElems /
-// RecvElems), because a transit slot is generally larger than the block
-// it currently carries; the executor slices chunks against the block
-// length so sender and receiver agree even when the slot does not.
-// Rounds is derived from the largest travelling block in the whole
-// matrix — identical on every rank, which keeps the step-for-step ring
-// schedule aligned; shorter blocks simply send empty chunks in their
-// tail rounds. The copy-out concatenates origin blocks 0..n-1 (the
-// rank's own self block straight from the own-block area) with ragged
-// offsets, exactly the recv-buffer layout of RecvCountsFor.
-func (s Spec) allToAllvSeq(pos, n int) *Sequence {
-	cnt := s.Counts
-	if n == 1 {
-		return noopCopySeq(cnt[0][0], s.chunk())
-	}
-	// Largest block received at a non-final hop sizes this rank's
-	// transit slots; largest travelling block anywhere sets Rounds.
-	maxTransit, maxMoved := 0, 0
-	for st := 1; st < n; st++ {
-		for h := 1; h < st; h++ {
-			o := mod(pos-h, n)
-			if l := cnt[o][mod(o+st, n)]; l > maxTransit {
-				maxTransit = l
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && cnt[i][j] > maxMoved {
-				maxMoved = cnt[i][j]
-			}
-		}
-	}
-	segs := make([]segRange, 2*n+2)
-	lo := 0
-	for j := 0; j < n; j++ { // own blocks, send-buffer layout
-		segs[j] = segRange{Lo: lo, Hi: lo + cnt[pos][j]}
-		lo = segs[j].Hi
-	}
-	for o := 0; o < n; o++ { // final blocks by origin
-		segs[n+o] = segRange{Lo: lo, Hi: lo + cnt[o][pos]}
-		lo = segs[n+o].Hi
-	}
-	for t := 0; t < 2; t++ { // transit slots
-		segs[2*n+t] = segRange{Lo: lo, Hi: lo + maxTransit}
-		lo = segs[2*n+t].Hi
-	}
-	seq := &Sequence{
-		segs:           segs,
-		chunkElems:     s.chunk(),
-		workLen:        lo,
-		initCopyOwnSeg: initCopyPrefix,
-		useScratch:     true,
-		copyOutSeg:     -1,
-		ragged:         true,
-	}
-	seq.Rounds = ceilDiv(maxMoved, seq.chunkElems)
-	seq.copyOutSegs = make([]int, n)
-	for o := 0; o < n; o++ {
-		seq.copyOutSegs[o] = n + o // final block from origin o
-	}
-	seq.copyOutSegs[pos] = pos // self block stays in the own area
-	transit, lastTransit := 0, 0
-	for st := 1; st < n; st++ {
-		for h := 1; h <= st; h++ {
-			var a Action
-			sendOrig := mod(pos-(h-1), n) // origin of the block sent this step
-			a.SendElems = cnt[sendOrig][mod(sendOrig+st, n)]
-			if h == 1 {
-				// Inject the rank's own block destined st hops ahead.
-				a.SendSeg = mod(pos+st, n)
-			} else {
-				// Forward the block received at the previous step.
-				a.SendSeg = 2*n + lastTransit
-			}
-			recvOrig := mod(pos-h, n) // origin of the block received this step
-			a.RecvElems = cnt[recvOrig][mod(recvOrig+st, n)]
-			if h == st {
-				// Final hop: the block originated st hops behind.
-				a.RecvSeg = n + recvOrig
-			} else {
-				a.RecvSeg = 2*n + transit
-				lastTransit = transit
-				transit = 1 - transit
-			}
-			seq.Actions = append(seq.Actions, a)
-		}
-	}
-	return seq
 }
 
 // BufferCounts returns the required send/recv buffer element counts for
@@ -981,57 +904,41 @@ func BufferCountsFor(s Spec, pos int) (sendCount, recvCount int) {
 }
 
 func (s Spec) broadcastSeq(pos, n int) *Sequence {
-	seq := &Sequence{
-		segs:       []segRange{{Lo: 0, Hi: s.Count}},
-		chunkElems: s.chunk(),
-		workLen:    s.Count,
-		copyOutSeg: -1,
-	}
-	seq.Rounds = ceilDiv(s.Count, seq.chunkElems)
-	chainPos := mod(pos-s.Root, n)
-	if chainPos == 0 {
+	seq := s.chainSeq(mod(pos-s.Root, n), n, false)
+	seq.initCopyOwnSeg = initCopyNone
+	if pos == s.Root {
 		seq.initCopyOwnSeg = initCopyWhole // root copies its send buffer
-	} else {
-		seq.initCopyOwnSeg = initCopyNone
-	}
-	if n == 1 {
-		return seq
-	}
-	switch {
-	case chainPos == 0:
-		seq.Actions = append(seq.Actions, Action{SendSeg: 0, RecvSeg: -1})
-	case chainPos == n-1:
-		seq.Actions = append(seq.Actions, Action{SendSeg: -1, RecvSeg: 0})
-	default:
-		seq.Actions = append(seq.Actions, Action{SendSeg: 0, RecvSeg: 0})
 	}
 	return seq
 }
 
 func (s Spec) reduceSeq(pos, n int) *Sequence {
-	seq := &Sequence{
-		segs:       []segRange{{Lo: 0, Hi: s.Count}},
+	seq := s.chainSeq(mod(pos-s.Root-1, n), n, true) // root+1 first, root last
+	seq.initCopyOwnSeg = initCopyWhole               // everyone starts from its own send data
+	seq.useScratch = pos != s.Root
+	return seq
+}
+
+// chainSeq is the one-segment chain of the rooted kinds at chain place
+// chainPos: the first place only sends, the last only receives, and
+// every other receives and forwards, reducing in when reduce is set.
+// The caller sets the init copy.
+func (s Spec) chainSeq(chainPos, n int, reduce bool) *Sequence {
+	r := ring{n: 1, segs: []segRange{{Lo: 0, Hi: s.Count}}}
+	var acts []Action
+	switch {
+	case n == 1:
+	case chainPos == 0:
+		acts = []Action{r.act(0, -1, false)}
+	case chainPos == n-1:
+		acts = []Action{r.act(-1, 0, reduce)}
+	default:
+		acts = []Action{r.act(0, 0, reduce)}
+	}
+	return &Sequence{
+		Stages:     []Stage{{Actions: acts, Rounds: r.rounds(s.chunk())}},
+		segs:       r.segs,
 		chunkElems: s.chunk(),
 		workLen:    s.Count,
-		copyOutSeg: -1,
 	}
-	seq.Rounds = ceilDiv(s.Count, seq.chunkElems)
-	chainPos := mod(pos-s.Root-1, n) // root+1 first, root last
-	isRoot := pos == s.Root
-	seq.initCopyOwnSeg = initCopyWhole // everyone starts from its own send data
-	if !isRoot {
-		seq.useScratch = true
-	}
-	if n == 1 {
-		return seq
-	}
-	switch {
-	case chainPos == 0: // first in chain (root+1)
-		seq.Actions = append(seq.Actions, Action{SendSeg: 0, RecvSeg: -1})
-	case isRoot:
-		seq.Actions = append(seq.Actions, Action{SendSeg: -1, RecvSeg: 0, Reduce: true})
-	default:
-		seq.Actions = append(seq.Actions, Action{SendSeg: 0, RecvSeg: 0, Reduce: true})
-	}
-	return seq
 }
