@@ -62,7 +62,7 @@ loc:
 # core's whole suite 20 times under the race detector. The 40-seed
 # kill/requeue table at two jobs per GPU runs 20 times.
 soak:
-	$(GO) test -count=200 -run 'TraceFig|Chaos|Cluster' ./internal/...
+	$(GO) test -count=200 -run 'Chaos|Cluster' ./internal/...
 	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
 	$(GO) test -count=200 -run 'TestExperiments/^(chaos|cluster|trace)$$' ./internal/bench
 	$(GO) test -count=200 -run 'MatchesBlocking' ./internal/core
@@ -119,7 +119,8 @@ cluster:
 # race-detector test pass — which runs every experiment and gate at
 # reduced scale, as the rows of internal/bench's TestExperiments
 # (~2 min) — the godoc floor, the benchmark module's own vet + tests,
-# 10 s of fuzzing the cluster kill path (FuzzClusterKills) and 10 s of
+# 10 s of fuzzing the cluster kill path (FuzzClusterKills), 10 s of
+# fuzzing the trace generator's configs (FuzzGenerate) and 10 s of
 # fuzzing Spec.Validate against the sequence builders (FuzzSequences), and a
 # regeneration of the artifacts: the tuning table and BENCH.json
 # must come out as no-op diffs, trace.json and metrics.json (not
@@ -127,6 +128,7 @@ cluster:
 # TESTING.md.
 smoke: fmt vet build test-race doccheck benchcheck
 	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null

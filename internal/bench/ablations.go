@@ -90,14 +90,6 @@ func AblationOrdering(iterations int) (fifo, priority float64, err error) {
 	return
 }
 
-// sec61Ext is a Sec. 6.1 testing-program run with the extra counters
-// the ablations report; Sec61Result is its projection.
-type sec61Ext struct {
-	Sec61Result
-	ContextSaves int
-	Elapsed      sim.Duration
-}
-
 // sec61Workload draws the programs' seeded workload: a unique random
 // launch order per GPU over nColl all-reduces of 256B-32KB.
 func sec61Workload(nGPU, nColl int, seed int64) (orders [][]int, sizes []int) {
@@ -117,14 +109,14 @@ func sec61Workload(nGPU, nColl int, seed int64) (orders [][]int, sizes []int) {
 // configuration: eight GPUs launch eight all-reduces per iteration,
 // each GPU in its own order; withSync (program 2) inserts a device
 // synchronization after every launch.
-func sec61Run(cfg core.Config, iterations int, seed int64, withSync bool) (sec61Ext, error) {
+func sec61Run(cfg core.Config, iterations int, seed int64, withSync bool) (Sec61Result, error) {
 	const nGPU, nColl = 8, 8
 	orders, sizes := sec61Workload(nGPU, nColl, seed)
 	d := deploy(topo.Server3090(nGPU), cfg)
 	ranks := seqRanks(nGPU)
-	ext := sec61Ext{Sec61Result: Sec61Result{Program: "1", Lib: "dfccl"}}
+	res := Sec61Result{Program: "1", Lib: "dfccl"}
 	if withSync {
-		ext.Program = "2"
+		res.Program = "2"
 	}
 	err := d.run("sec61", func(p *sim.Process, rc *core.RankContext) error {
 		colls := make([]*core.Collective, nColl)
@@ -147,18 +139,18 @@ func sec61Run(cfg core.Config, iterations int, seed int64, withSync bool) (sec61
 			}
 			rc.WaitAll(p)
 		}
-		ext.Completed += rc.Completed()
-		ext.Preemptions += rc.Stats.Preemptions
-		ext.VoluntaryQuits += rc.Stats.VoluntaryQuits
-		ext.ContextSaves += rc.Stats.ContextSaves
+		res.Completed += rc.Completed()
+		res.Preemptions += rc.Stats.Preemptions
+		res.VoluntaryQuits += rc.Stats.VoluntaryQuits
+		res.ContextSaves += rc.Stats.ContextSaves
 		return nil
 	})
 	if err != nil && !stalled(err) {
-		return ext, err
+		return res, err
 	}
-	ext.Deadlocked = err != nil
-	ext.Elapsed = sim.Duration(d.e.Now())
-	return ext, nil
+	res.Deadlocked = err != nil
+	res.Elapsed = sim.Duration(d.e.Now())
+	return res, nil
 }
 
 // AblationBatchedSQERead compares per-entry SQE reads against the

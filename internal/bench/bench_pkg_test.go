@@ -8,6 +8,7 @@ import (
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
+	"dfccl/internal/train"
 )
 
 func TestMeasureBothLibsSmallAllReduce(t *testing.T) {
@@ -33,30 +34,35 @@ func TestMeasureBothLibsSmallAllReduce(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	small, large, err := Fig9(3)
+	cluster := topo.Server3090(8)
+	small, _, err := measureBoth(CollConfig{Cluster: cluster, Kind: prim.AllGather, Bytes: 4 << 10, Iters: 3, Warmup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nccl, dfccl, err := measureBoth(CollConfig{Cluster: cluster, Kind: prim.AllGather, Bytes: 4 << 20, Iters: 3, Warmup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Core shape of Fig. 9: at 4MB, DFCCL's core execution time is
 	// shorter than NCCL's (kernel startup amortized by the resident
 	// daemon kernel).
-	if large.DFCCL.CoreExec >= large.NCCL.CoreExec {
-		t.Errorf("4MB: dfccl core %v not below nccl core %v", large.DFCCL.CoreExec, large.NCCL.CoreExec)
+	if dfccl.CoreExec >= nccl.CoreExec {
+		t.Errorf("4MB: dfccl core %v not below nccl core %v", dfccl.CoreExec, nccl.CoreExec)
 	}
-	if small.DFCCL.E2E <= 0 || small.NCCL.E2E <= 0 {
-		t.Fatal("bad small-buffer latencies")
+	if small.E2E <= 0 || nccl.E2E <= 0 || dfccl.E2E <= 0 {
+		t.Fatal("bad latencies")
 	}
 }
 
 func TestSec61Programs(t *testing.T) {
-	nccl, err := Sec61Program1("nccl", 1, 7)
+	nccl, err := sec61NCCLSingleQueue(sec61Workload(8, 8, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !nccl.Deadlocked {
 		t.Fatal("NCCL single-queue disorder did not deadlock")
 	}
-	dfccl, err := Sec61Program1("dfccl", 2, 7)
+	dfccl, err := sec61Run(core.DefaultConfig(), 2, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func TestSec61Programs(t *testing.T) {
 	if dfccl.Preemptions == 0 {
 		t.Fatal("expected preemptions in program 1")
 	}
-	p2, err := Sec61Program2(1, 7)
+	p2, err := sec61Run(core.DefaultConfig(), 1, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,105 +87,111 @@ func TestSec61Programs(t *testing.T) {
 	}
 }
 
-func TestFig7Consistency(t *testing.T) {
-	r, err := Fig7()
+// e2e1KB measures one 1 KB all-reduce on eight 3090s under conf.
+func e2e1KB(t *testing.T, conf core.Config, iters int) sim.Duration {
+	t.Helper()
+	res, err := MeasureDFCCL(CollConfig{Cluster: topo.Server3090(8), Kind: prim.AllReduce, Bytes: 1 << 10, Iters: iters, Warmup: 1}, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.CQEOptimized >= r.CQEOptimizedRing || r.CQEOptimizedRing >= r.CQEVanillaRing {
-		t.Fatalf("CQ cost ordering wrong: %v %v %v", r.CQEOptimized, r.CQEOptimizedRing, r.CQEVanillaRing)
+	return res.E2E
+}
+
+func TestFig7Consistency(t *testing.T) {
+	vanilla := core.NewCQ(core.CQVanillaRing, 8).WriteCost()
+	ring := core.NewCQ(core.CQOptimizedRing, 8).WriteCost()
+	optimized := core.NewCQ(core.CQOptimized, 8).WriteCost()
+	if optimized >= ring || ring >= vanilla {
+		t.Fatalf("CQ cost ordering wrong: %v %v %v", optimized, ring, vanilla)
 	}
-	if r.MeasuredE2E < r.ReadSQE+r.Preparing+r.WriteCQE {
-		t.Fatalf("measured e2e %v below component sum", r.MeasuredE2E)
+	sum := core.ReadSQETime + core.ParseSQETime + core.LoadContextTime + optimized
+	if measured := e2e1KB(t, core.DefaultConfig(), 3); measured < sum {
+		t.Fatalf("measured e2e %v below component sum %v", measured, sum)
 	}
 }
 
 func TestFig7CQSweepOrdering(t *testing.T) {
-	m, err := Fig7CQSweep()
-	if err != nil {
-		t.Fatal(err)
+	e2e := map[core.CQVariant]sim.Duration{}
+	for _, v := range []core.CQVariant{core.CQVanillaRing, core.CQOptimized} {
+		conf := core.DefaultConfig()
+		conf.CQVariant = v
+		e2e[v] = e2e1KB(t, conf, 5)
 	}
-	if m[2] < m[0] { // vanilla (2) should not be faster than optimized (0)
-		t.Fatalf("vanilla CQ e2e %v faster than optimized %v", m[2], m[0])
-	}
-}
-
-func TestSizeSweepAndHumanBytes(t *testing.T) {
-	s := SizeSweep(512, 4096)
-	want := []int{512, 1024, 2048, 4096}
-	if len(s) != len(want) {
-		t.Fatalf("sweep = %v", s)
-	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("sweep = %v, want %v", s, want)
-		}
-	}
-	if HumanBytes(512) != "512B" || HumanBytes(4096) != "4K" || HumanBytes(4<<20) != "4M" {
-		t.Fatal("HumanBytes formatting wrong")
+	if e2e[core.CQVanillaRing] < e2e[core.CQOptimized] {
+		t.Fatalf("vanilla CQ e2e %v faster than optimized %v", e2e[core.CQVanillaRing], e2e[core.CQOptimized])
 	}
 }
 
-// TestMoEZeROScenarios smoke-tests the MoE and ZeRO harness entries at
+// TestMoEZeROScenarios smoke-tests the MoE and ZeRO scenarios at
 // minimal scale: numerics verify, DFCCL never deadlocks, the
 // single-stream baseline always does, and DFCCL's communicator count
 // stays below the baseline's churn growth.
 func TestMoEZeROScenarios(t *testing.T) {
-	moeRows, dispatch, moeTally, err := MoE(2, 2)
+	cfg := moeBenchConfig(2)
+	cfg.DynamicGroups = true
+	comms := map[string]int{}
+	var ragged *train.Result
+	for _, name := range []string{"dfccl", "nccl-staticsort", "nccl-singlestream"} {
+		res, b, err := runMoE(name, cfg)
+		if err != nil {
+			t.Fatalf("MoE %s: %v", name, err)
+		}
+		comms[name] = b.CommsCreated()
+		if ragged == nil {
+			ragged = res
+		}
+		if res.A2ABytes != ragged.A2ABytes {
+			t.Fatalf("%s moved %d alltoall bytes, want %d (payload is backend-independent)", name, res.A2ABytes, ragged.A2ABytes)
+		}
+	}
+	cfg.PaddedAllToAll = true
+	padded, _, err := runMoE("dfccl", cfg)
 	if err != nil {
-		t.Fatalf("MoE: %v", err)
+		t.Fatalf("MoE padded: %v", err)
 	}
-	if len(moeRows) != 3 {
-		t.Fatalf("MoE rows = %d, want 3", len(moeRows))
-	}
-	if !dispatch.BitIdentical {
+	if padded.OutputHash != ragged.OutputHash {
 		t.Fatal("AllToAllv combined outputs diverged from the padded reference")
 	}
-	if dispatch.RaggedBytes >= dispatch.PaddedBytes || dispatch.RaggedBytes == 0 {
+	if ragged.A2ABytes >= padded.A2ABytes || ragged.A2ABytes == 0 {
 		t.Fatalf("dispatch bytes: ragged=%d padded=%d; want 0 < ragged < padded under the skewed router",
-			dispatch.RaggedBytes, dispatch.PaddedBytes)
+			ragged.A2ABytes, padded.A2ABytes)
 	}
-	for _, r := range moeRows {
-		if r.A2ABytes != dispatch.RaggedBytes {
-			t.Fatalf("%s moved %d alltoall bytes, want %d (payload is backend-independent)", r.Backend, r.A2ABytes, dispatch.RaggedBytes)
+	if d, b := comms["dfccl"], comms["nccl-singlestream"]; d == 0 || b == 0 || d > b {
+		t.Fatalf("comms created: dfccl=%d baseline=%d; want pooled dfccl ≤ churned baseline", d, b)
+	}
+	for k := 0; k < 2; k++ {
+		cfg := moeBenchConfig(k + 1)
+		cfg.Disorder = true
+		if _, _, err := runMoE("dfccl", cfg); err != nil {
+			t.Fatalf("DFCCL deadlocked on disordered MoE trial %d: %v", k, err)
 		}
-	}
-	if moeTally.DFCCLDeadlocks != 0 {
-		t.Fatalf("DFCCL deadlocked %d/%d disordered MoE trials", moeTally.DFCCLDeadlocks, moeTally.Trials)
-	}
-	if moeTally.BaselineDeadlocks != moeTally.Trials {
-		t.Fatalf("single-stream NCCL deadlocked only %d/%d disordered MoE trials", moeTally.BaselineDeadlocks, moeTally.Trials)
-	}
-	var dfcclComms, baseComms int
-	for _, r := range moeRows {
-		switch r.Backend {
-		case "dfccl":
-			dfcclComms = r.CommsCreated
-		case "nccl-singlestream":
-			baseComms = r.CommsCreated
+		if _, _, err := runMoE("nccl-singlestream", cfg); err == nil {
+			t.Fatalf("single-stream NCCL survived disordered MoE trial %d", k)
 		}
-	}
-	if dfcclComms == 0 || baseComms == 0 || dfcclComms > baseComms {
-		t.Fatalf("comms created: dfccl=%d baseline=%d; want pooled dfccl ≤ churned baseline", dfcclComms, baseComms)
 	}
 
-	zeroRows, zeroTally, err := ZeRO(2, 1)
-	if err != nil {
-		t.Fatalf("ZeRO: %v", err)
+	zcfg := train.ZeROConfig{Model: zeroBenchModel(), Ranks: zeroBenchRanks, BatchPerGPU: 4, Iterations: 2}
+	for zcfg.Stage = 1; zcfg.Stage <= 3; zcfg.Stage++ {
+		for _, name := range []string{"dfccl", "nccl-staticsort"} {
+			if _, _, err := runZeRO(name, zcfg); err != nil {
+				t.Fatalf("ZeRO stage %d %s: %v", zcfg.Stage, name, err)
+			}
+		}
 	}
-	if len(zeroRows) != 7 { // 3 stages × 2 backends + churn row
-		t.Fatalf("ZeRO rows = %d, want 7", len(zeroRows))
+	zcfg.Stage, zcfg.Churn = 3, true
+	if _, _, err := runZeRO("dfccl", zcfg); err != nil {
+		t.Fatalf("ZeRO stage 3 churn: %v", err)
 	}
-	if zeroTally.DFCCLDeadlocks != 0 {
-		t.Fatalf("DFCCL deadlocked %d/%d disordered ZeRO trials", zeroTally.DFCCLDeadlocks, zeroTally.Trials)
+	if _, _, err := runZeRO("dfccl", zeroDisordered(0)); err != nil {
+		t.Fatalf("DFCCL deadlocked on the disordered ZeRO trial: %v", err)
 	}
-	if zeroTally.BaselineDeadlocks == 0 {
-		t.Fatal("single-stream NCCL survived every disordered ZeRO trial; scenario exercises nothing")
+	if _, _, err := runZeRO("nccl-singlestream", zeroDisordered(0)); err == nil {
+		t.Fatal("single-stream NCCL survived the disordered ZeRO trial; scenario exercises nothing")
 	}
 }
 
 // TestA2ASweepInvariants runs one cell of the all-to-all algorithm
-// sweep (2 nodes, hot-row skew) and pins the claims cmd/trainbench
+// sweep (2 nodes, hot-row skew) and pins the claims the a2a row
 // enforces across the full sweep: bit-identical outputs and strictly
 // fewer hierarchical RDMA bytes.
 func TestA2ASweepInvariants(t *testing.T) {
@@ -202,6 +214,22 @@ func TestA2ASweepInvariants(t *testing.T) {
 	}
 	if hierRow.E2E <= 0 || ringRow.E2E <= 0 {
 		t.Fatal("missing end-to-end timing")
+	}
+}
+
+func TestSizeSweepAndHumanBytes(t *testing.T) {
+	s := SizeSweep(512, 4096)
+	want := []int{512, 1024, 2048, 4096}
+	if len(s) != len(want) {
+		t.Fatalf("sweep = %v", s)
+	}
+	for i := range want {
+		if s[i] != want[i] {
+			t.Fatalf("sweep = %v, want %v", s, want)
+		}
+	}
+	if HumanBytes(512) != "512B" || HumanBytes(4096) != "4K" || HumanBytes(4<<20) != "4M" {
+		t.Fatal("HumanBytes formatting wrong")
 	}
 }
 
@@ -276,5 +304,49 @@ func TestContentionGate(t *testing.T) {
 			t.Fatal("ContentionGate accepted a run that never saturated the spine")
 		}
 		break
+	}
+}
+
+// TestGatesBite feeds the moe/zero deadlock-tally gate and the Sec. 6.1
+// check the outcomes their claims rule out, and the ones they allow.
+func TestGatesBite(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		trials, dfccl, base int
+		all, pass           bool
+	}{
+		{"moe: dfccl deadlocked on 1 of 5", 5, 1, 5, true, false},
+		{"moe: baseline deadlocked on only 4 of 5", 5, 0, 4, true, false},
+		{"zero: dfccl deadlocked on 1 of 5", 5, 1, 1, false, false},
+		{"zero: baseline survived all 5", 5, 0, 0, false, false},
+		{"moe: as claimed", 5, 0, 5, true, true},
+		{"zero: as claimed", 5, 0, 1, false, true},
+		{"no trials", 0, 0, 0, true, true},
+	} {
+		if err := deadlockGate(c.trials, c.dfccl, c.base, c.all); (err == nil) != c.pass {
+			t.Errorf("%s: deadlockGate = %v, want pass=%v", c.name, err, c.pass)
+		}
+	}
+
+	p1 := Sec61Result{Program: "1", Lib: "dfccl", Completed: 128, Preemptions: 3}
+	p2 := Sec61Result{Program: "2", Lib: "dfccl", Completed: 128, VoluntaryQuits: 5}
+	nccl := Sec61Result{Program: "1", Lib: "nccl", Deadlocked: true}
+	for _, c := range []struct {
+		name string
+		res  Sec61Result
+		pass bool
+	}{
+		{"program 1 as claimed", p1, true},
+		{"program 2 as claimed", p2, true},
+		{"nccl deadlocked as claimed", nccl, true},
+		{"dfccl deadlocked in program 1", Sec61Result{Program: "1", Lib: "dfccl", Deadlocked: true}, false},
+		{"nccl completed", Sec61Result{Program: "1", Lib: "nccl", Completed: 128}, false},
+		{"127 of 128 runs completed", Sec61Result{Program: "1", Lib: "dfccl", Completed: 127, Preemptions: 3}, false},
+		{"0 preemptions", Sec61Result{Program: "1", Lib: "dfccl", Completed: 128}, false},
+		{"0 voluntary quits", Sec61Result{Program: "2", Lib: "dfccl", Completed: 128, Preemptions: 3}, false},
+	} {
+		if err := c.res.check(2); (err == nil) != c.pass {
+			t.Errorf("%s: check = %v, want pass=%v", c.name, err, c.pass)
+		}
 	}
 }

@@ -107,7 +107,8 @@ var ErrTooFewIters = errors.New("too few iterations")
 // dispatch, count matrix gathered at runtime), and ZeRO workloads. It
 // returns an error — making `trainbench -fig chaos` exit non-zero —
 // unless every scheduled fault surfaces as a typed ErrRankLost abort
-// or a clean re-formation with zero hangs, every committed iteration
+// or a clean re-formation with zero hangs, a rerun of every scenario
+// reproduces its timeline fingerprint, every committed iteration
 // is bit-identical to the serial fault-free reference over its
 // membership trajectory, and the MoE scenarios commit iterations on
 // both sides of a membership change (routing survived the churn on
@@ -124,6 +125,9 @@ func figChaos(w io.Writer, o Opts) error {
 			sc.name, rep.Attempts, rep.KillsApplied, rep.RevivesApplied, rep.AbortedAttempts, rep.InterruptedAttempts, rep.Committed, rep.BitIdentical)
 		if err != nil {
 			return fmt.Errorf("bench: chaos %s: %w", sc.name, err)
+		}
+		if again, err := chaos.Run(sc.cfg); err != nil || again.Fingerprint != rep.Fingerprint {
+			return fmt.Errorf("bench: chaos %s: rerun gave timeline %#x (%v), first run %#x", sc.name, again.Fingerprint, err, rep.Fingerprint)
 		}
 		if rep.Hang {
 			return fmt.Errorf("bench: chaos %s: hang", sc.name)

@@ -53,6 +53,8 @@ const clusterOversub = 4
 //   - every job of every policy commits all iterations bit-identical to
 //     the pure solo reference AND to an actual solo re-run of the same
 //     spec on the same ranks — multi-tenancy changed timing, never data;
+//   - a rerun of every policy's trace reproduces its timeline
+//     fingerprint;
 //   - the bursty trace exhibits real contention (slot rejections > 0)
 //     and pool churn (communicators reused across MoE iteration groups);
 //   - the priority policy strictly beats FIFO on high-priority p99
@@ -70,11 +72,14 @@ func ClusterGate() ([]ClusterRow, error) {
 	var rows []ClusterRow
 	hiP99 := map[string]float64{}
 	for _, pol := range []cluster.Policy{cluster.FIFO{}, cluster.PriorityPolicy{}, cluster.BinPack{}} {
-		rep, err := cluster.Run(cluster.Config{
-			Cluster: cl, Jobs: jobs, Policy: pol, SlotsPerGPU: 1, Oversub: clusterOversub,
-		})
+		cfg := cluster.Config{Cluster: cl, Jobs: jobs, Policy: pol, SlotsPerGPU: 1, Oversub: clusterOversub}
+		rep, err := cluster.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster gate: policy %s: %w", pol.Name(), err)
+		}
+		if again, err := cluster.Run(cfg); err != nil || again.Fingerprint != rep.Fingerprint {
+			return nil, fmt.Errorf("cluster gate: policy %s: rerun gave timeline %#x (%v), first run %#x",
+				pol.Name(), again.Fingerprint, err, rep.Fingerprint)
 		}
 		for i := range rep.Jobs {
 			j := &rep.Jobs[i]

@@ -44,7 +44,7 @@ type Opts struct {
 func (o *Opts) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Iters, "iters", 0, "iterations: training iterations, measured runs per size (8*, 9), program repetitions (sec61*), rounds per configuration (table1); ≤ 0 = the row's default, ignored by rows without one")
 	fs.IntVar(&o.Trials, "trials", 5, "disordered schedules in the moe/zero deadlock tally")
-	fs.StringVar(&o.Out, "out", "", "output file of -fig a2abench/collbench (default stdout) and -fig tune (default internal/tune/default_table.json); output directory of -fig trace (default .)")
+	fs.StringVar(&o.Out, "out", "", "output file of -fig collbench (default stdout) and -fig tune (default internal/tune/default_table.json); output directory of -fig trace (default .)")
 	fs.Int64Var(&o.Seed, "seed", 7, "seed of the per-GPU launch orders of -fig sec61*")
 	fs.StringVar(&o.Filter, "filter", "", "-fig table1: run only the configurations whose name contains this")
 	fs.IntVar(&o.BigRounds, "big-rounds", 200, "-fig table1: rounds for the 3072-GPU configurations (0 = same as -iters)")
@@ -107,16 +107,15 @@ var Experiments = []Experiment{
 	{"12", "ViT under DP / TP / 3D-hybrid parallelism (paper Fig. 12)", 50, "-iters 1", fig12},
 	{"13", "GPT-2 under 3D-hybrid parallelism (paper Fig. 13)", 200, "-iters 1", fig13},
 	{"ablations", "lazy context saving, daemon quit period, FIFO vs priority ordering, batched SQE read (DESIGN.md's called-out design choices)", 0, "", figAblations},
-	{"moe", "MoE expert parallelism: all-to-all(v) dispatch/combine, dynamic expert groups, deadlock ratio vs NCCL; gate: all-to-all-v bit-identical to the padded reference with fewer bytes", 20, "-iters 2 -trials 1", figMoE},
-	{"zero", "ZeRO/FSDP sharded data parallelism, stages 1-3, stage-3 churn, deadlock ratio vs NCCL", 20, "-iters 2 -trials 1", figZeRO},
+	{"moe", "MoE expert parallelism: all-to-all(v) dispatch/combine, dynamic expert groups, deadlock ratio vs NCCL; gates: all-to-all-v bit-identical to the padded reference with fewer bytes, dfccl never deadlocks and nccl-singlestream always does", 20, "-iters 2 -trials 1", figMoE},
+	{"zero", "ZeRO/FSDP sharded data parallelism, stages 1-3, stage-3 churn, deadlock ratio vs NCCL; gate: dfccl never deadlocks, nccl-singlestream does", 20, "-iters 2 -trials 1", figZeRO},
 	{"a2a", "all-to-all algorithm sweep (ring vs hierarchical across node counts and skew) and shared-fabric congestion sweep; gates: bench.A2AGate, bench.ContentionGate", 0, "", figA2A},
-	{"a2abench", "all-to-all + chaos benchmark cells as JSON to -out (default stdout); a subset of collbench", 0, "-out a2abench.json", figA2ABench},
 	{"chaos", "fault-injection gate: seeded kill/revive schedules against live DP, MoE and ZeRO workloads", 6, "-iters 5", figChaos},
 	{"cluster", "multi-tenant cluster gate: bursty heterogeneous jobs under FIFO / priority / bin-packing admission (bench.ClusterGate)", 0, "", figCluster},
-	{"ar", "auto-tuning gate: ring vs hierarchical vs auto for all-reduce / all-gather / reduce-scatter (bench.AutoAlgoGate)", 0, "", figAR},
+	{"ar", "auto-tuning gate: ring vs hierarchical vs auto for all-reduce / all-gather / reduce-scatter", 0, "", figAR},
 	{"tune", "regenerate the auto-tuning table to -out (default internal/tune/default_table.json); a re-run is a no-op diff", 0, "-out default_table.json", figTune},
 	{"collbench", "the full benchmark matrix as JSON to -out (default stdout); `make bench` writes BENCH.json", 0, "-out BENCH.json", figCollBench},
-	{"trace", "flight-recorder gate: DP + hierarchical MoE + kill/reform/revive with the recorder installed; writes trace.json and metrics.json into -out (default .) (bench.TraceFig)", 0, "-out .", figTrace},
+	{"trace", "flight-recorder gate: DP + hierarchical MoE + kill/reform/revive with the recorder installed; writes trace.json and metrics.json into -out (default .)", 0, "-out .", figTrace},
 }
 
 // Names lists the -fig values, comma-separated.

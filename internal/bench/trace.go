@@ -39,52 +39,30 @@ const (
 	traceA2ACollID        = 2
 )
 
-// TraceResult is one trace-figure run's artifacts: the Chrome/Perfetto
-// trace, the canonical metrics dump, and a human-readable summary of
-// the reconciliation gates it passed.
-type TraceResult struct {
-	TraceJSON   []byte
-	MetricsJSON []byte
-	Summary     []string
-}
-
 // spanGate is one clean collective's expected span count on one GPU:
 // Completions × NumPrimitives, collected at Close time.
 type spanGate struct {
 	coll, gpu, want int
 }
 
-// TraceFig runs the flight-recorder scenario twice and returns its
-// artifacts, failing — the `trainbench -fig trace` exit gate — unless
-// every reconciliation holds: trace-derived byte totals exactly equal
-// the executors' per-transport accounting, span counts equal the
-// primitive counts (Completions × NumPrimitives per clean collective),
-// the chaos path left kill/abort/reform/revive marks, and the two runs
-// produced byte-identical JSON.
-func TraceFig() (*TraceResult, error) {
-	first, err := traceScenario()
-	if err != nil {
-		return nil, err
-	}
-	second, err := traceScenario()
-	if err != nil {
-		return nil, fmt.Errorf("bench: trace rerun: %w", err)
-	}
-	if !bytes.Equal(first.TraceJSON, second.TraceJSON) {
-		return nil, fmt.Errorf("bench: trace.json not deterministic: %d vs %d bytes", len(first.TraceJSON), len(second.TraceJSON))
-	}
-	if !bytes.Equal(first.MetricsJSON, second.MetricsJSON) {
-		return nil, fmt.Errorf("bench: metrics.json not deterministic: %d vs %d bytes", len(first.MetricsJSON), len(second.MetricsJSON))
-	}
-	first.Summary = append(first.Summary, "determinism: second run byte-identical")
-	return first, nil
-}
-
-// figTrace writes the run's two artifacts into -out.
+// figTrace runs the flight-recorder scenario twice and writes its
+// artifacts — the Chrome/Perfetto trace.json and the canonical
+// metrics.json — into -out, failing unless every reconciliation of
+// traceScenario holds and the two runs produced byte-identical JSON.
 func figTrace(w io.Writer, o Opts) error {
-	res, err := TraceFig()
+	traceJSON, metricsJSON, summary, err := traceScenario()
 	if err != nil {
 		return err
+	}
+	traceAgain, metricsAgain, _, err := traceScenario()
+	if err != nil {
+		return fmt.Errorf("bench: trace rerun: %w", err)
+	}
+	if !bytes.Equal(traceJSON, traceAgain) {
+		return fmt.Errorf("bench: trace.json not deterministic: %d vs %d bytes", len(traceJSON), len(traceAgain))
+	}
+	if !bytes.Equal(metricsJSON, metricsAgain) {
+		return fmt.Errorf("bench: metrics.json not deterministic: %d vs %d bytes", len(metricsJSON), len(metricsAgain))
 	}
 	dir := o.Out
 	if dir == "" {
@@ -92,23 +70,28 @@ func figTrace(w io.Writer, o Opts) error {
 	}
 	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
-	if err := os.WriteFile(tracePath, res.TraceJSON, 0o644); err != nil {
+	if err := os.WriteFile(tracePath, traceJSON, 0o644); err != nil {
 		return err
 	}
-	if err := os.WriteFile(metricsPath, res.MetricsJSON, 0o644); err != nil {
+	if err := os.WriteFile(metricsPath, metricsJSON, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "flight-recorder gate (DP all-reduce + hierarchical MoE all-to-all + kill/reform/revive, 2×4 GPUs, oversubscribed fabric)")
-	for _, s := range res.Summary {
+	for _, s := range append(summary, "determinism: second run byte-identical") {
 		fmt.Fprintln(w, "  "+s)
 	}
 	fmt.Fprintf(w, "wrote %s (%d bytes) and %s (%d bytes); open trace.json in chrome://tracing or https://ui.perfetto.dev\n",
-		tracePath, len(res.TraceJSON), metricsPath, len(res.MetricsJSON))
+		tracePath, len(traceJSON), metricsPath, len(metricsJSON))
 	return nil
 }
 
-// traceScenario executes the scenario once and checks every gate.
-func traceScenario() (*TraceResult, error) {
+// traceScenario executes the scenario once and checks every gate:
+// trace-derived byte totals exactly equal the executors' per-transport
+// accounting, span counts equal the primitive counts (Completions ×
+// NumPrimitives per clean collective), and the chaos path left
+// kill/abort/reform/revive marks. It returns the two artifacts and a
+// human-readable summary of the reconciliations.
+func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error) {
 	n := traceNodes * traceGPUs
 	cluster := topo.NewCluster(traceNodes, traceGPUs, topo.RTX3090, topo.DefaultLinks)
 	rec := &trace.Recorder{}
@@ -161,7 +144,7 @@ func traceScenario() (*TraceResult, error) {
 			p.Sleep(5 * sim.Microsecond)
 		}
 	})
-	err := d.run("trace", func(p *sim.Process, rc *core.RankContext) error {
+	err = d.run("trace", func(p *sim.Process, rc *core.RankContext) error {
 		rank := rc.Rank
 		ar, err := rc.Open(arSpec, core.WithCollID(traceARCollID))
 		if err != nil {
@@ -233,15 +216,15 @@ func traceScenario() (*TraceResult, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bench: trace scenario: %w", err)
+		return nil, nil, nil, fmt.Errorf("bench: trace scenario: %w", err)
 	}
 	for rank := 0; rank < n; rank++ {
 		if !killed[rank] {
-			return nil, fmt.Errorf("bench: rank %d never observed the kill", rank)
+			return nil, nil, nil, fmt.Errorf("bench: rank %d never observed the kill", rank)
 		}
 	}
 	if cleanIters < 1 {
-		return nil, fmt.Errorf("bench: no clean iterations before the kill")
+		return nil, nil, nil, fmt.Errorf("bench: no clean iterations before the kill")
 	}
 	rec.Sort()
 
@@ -250,14 +233,14 @@ func traceScenario() (*TraceResult, error) {
 	local, shm, rdma := rec.SendBytesBy()
 	totals := sys.BytesSentTotals()
 	if local != totals.Local || shm != totals.SHM || rdma != totals.RDMA {
-		return nil, fmt.Errorf("bench: byte reconciliation failed: trace (local %d, shm %d, rdma %d) vs accounting %+v",
+		return nil, nil, nil, fmt.Errorf("bench: byte reconciliation failed: trace (local %d, shm %d, rdma %d) vs accounting %+v",
 			local, shm, rdma, totals)
 	}
 
 	// Gate 2 — span-count reconciliation: one action span per executed
 	// primitive, system-wide and per clean collective per GPU.
 	if got, want := len(rec.Actions), sys.PrimsExecutedTotal(); got != want {
-		return nil, fmt.Errorf("bench: span count %d != primitives executed %d", got, want)
+		return nil, nil, nil, fmt.Errorf("bench: span count %d != primitives executed %d", got, want)
 	}
 	perCollGPU := make(map[[2]int]int)
 	for _, a := range rec.Actions {
@@ -265,7 +248,7 @@ func traceScenario() (*TraceResult, error) {
 	}
 	for _, g := range gates {
 		if got := perCollGPU[[2]int{g.coll, g.gpu}]; got != g.want {
-			return nil, fmt.Errorf("bench: coll %d gpu %d: %d spans, want Completions×NumPrimitives = %d",
+			return nil, nil, nil, fmt.Errorf("bench: coll %d gpu %d: %d spans, want Completions×NumPrimitives = %d",
 				g.coll, g.gpu, got, g.want)
 		}
 	}
@@ -281,40 +264,39 @@ func traceScenario() (*TraceResult, error) {
 		{trace.MarkReform, 2 * (n - 1)}, // each survivor re-forms both
 	} {
 		if got := rec.MarkCount(m.kind); got != m.want {
-			return nil, fmt.Errorf("bench: %v marks = %d, want %d", m.kind, got, m.want)
+			return nil, nil, nil, fmt.Errorf("bench: %v marks = %d, want %d", m.kind, got, m.want)
 		}
 	}
 	if rec.MarkCount(trace.MarkTunePick) == 0 {
-		return nil, fmt.Errorf("bench: no tune-pick marks despite AlgoAuto opens")
+		return nil, nil, nil, fmt.Errorf("bench: no tune-pick marks despite AlgoAuto opens")
 	}
 
 	// Gate 4 — fabric flow spans: the oversubscribed shared fabric must
 	// have priced transfers as flows on the recorder's timeline.
 	if len(rec.Flows) == 0 {
-		return nil, fmt.Errorf("bench: no fabric flow events on a shared fabric")
+		return nil, nil, nil, fmt.Errorf("bench: no fabric flow events on a shared fabric")
 	}
 
 	var tr bytes.Buffer
 	if err := rec.WriteChromeTrace(&tr); err != nil {
-		return nil, fmt.Errorf("bench: write trace: %w", err)
+		return nil, nil, nil, fmt.Errorf("bench: write trace: %w", err)
 	}
 	if !json.Valid(tr.Bytes()) {
-		return nil, fmt.Errorf("bench: trace.json is not valid JSON")
+		return nil, nil, nil, fmt.Errorf("bench: trace.json is not valid JSON")
 	}
 
 	reg := sys.Metrics()
 	lat := reg.Histogram("workload.iter_latency_ns")
 	lat.Samples = append(lat.Samples, iterLatency.Samples...)
-	metricsJSON, err := reg.DumpCanonical()
+	metricsJSON, err = reg.DumpCanonical()
 	if err != nil {
-		return nil, fmt.Errorf("bench: dump metrics: %w", err)
+		return nil, nil, nil, fmt.Errorf("bench: dump metrics: %w", err)
 	}
 	if !json.Valid(metricsJSON) {
-		return nil, fmt.Errorf("bench: metrics.json is not valid JSON")
+		return nil, nil, nil, fmt.Errorf("bench: metrics.json is not valid JSON")
 	}
 
-	res := &TraceResult{TraceJSON: tr.Bytes(), MetricsJSON: metricsJSON}
-	res.Summary = append(res.Summary,
+	summary = []string{
 		fmt.Sprintf("clean iterations before kill: %d; reformed iterations: %d over %d survivors", cleanIters, traceReformedIters, n-1),
 		fmt.Sprintf("bytes reconciled: local %d, shm %d, rdma %d", local, shm, rdma),
 		fmt.Sprintf("action spans reconciled: %d (= primitives executed)", len(rec.Actions)),
@@ -324,8 +306,8 @@ func traceScenario() (*TraceResult, error) {
 			rec.MarkCount(trace.MarkRevive), rec.MarkCount(trace.MarkTunePick)),
 		fmt.Sprintf("iteration latency: p50 %.0fns p95 %.0fns p99 %.0fns over %d samples",
 			iterLatency.Percentile(50), iterLatency.Percentile(95), iterLatency.Percentile(99), iterLatency.Len()),
-	)
-	return res, nil
+	}
+	return tr.Bytes(), metricsJSON, summary, nil
 }
 
 // TraceProbe runs one small single-node ring all-reduce with the given

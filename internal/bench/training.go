@@ -178,7 +178,8 @@ func fig13(w io.Writer, o Opts) error {
 	return nil
 }
 
-// Sec61Result summarizes one deadlock-prevention testing program.
+// Sec61Result summarizes one run of a deadlock-prevention testing
+// program, with the extra counters the ablations report.
 type Sec61Result struct {
 	Program        string
 	Lib            string
@@ -186,47 +187,54 @@ type Sec61Result struct {
 	Completed      int
 	Preemptions    int
 	VoluntaryQuits int
+	ContextSaves   int
+	Elapsed        sim.Duration
 }
 
-// Sec61Program1 runs the first testing program (eight GPUs, eight
-// all-reduces of 256B-32KB, unique random launch order per GPU,
-// iterations of the whole set) over DFCCL or the NCCL baseline.
-func Sec61Program1(lib string, iterations int, seed int64) (Sec61Result, error) {
-	if lib == "nccl" {
-		// Program 1 uses a single queue (stream) per GPU, the paper's
-		// Fig. 1(c) regime; the NCCL baseline deadlocks there.
-		return sec61NCCLSingleQueue(sec61Workload(8, 8, seed))
+// check is the Sec. 6.1 claim on a run of iters iterations: the NCCL
+// baseline deadlocks; DFCCL completes all 64 all-reduce runs of every
+// iteration (eight GPUs × eight collectives), preempting in program 1
+// and quitting the daemon voluntarily in program 2.
+func (r Sec61Result) check(iters int) error {
+	switch {
+	case r.Lib == "nccl":
+		if !r.Deadlocked {
+			return fmt.Errorf("program %s completed on single-queue NCCL: the disorder deadlocks nothing", r.Program)
+		}
+	case r.Deadlocked:
+		return fmt.Errorf("program %s deadlocked on DFCCL", r.Program)
+	case r.Completed != 64*iters:
+		return fmt.Errorf("program %s completed %d runs, want 64 × %d", r.Program, r.Completed, iters)
+	case r.Program == "1" && r.Preemptions == 0:
+		return fmt.Errorf("program 1 made no preemptions in %d iteration(s): the disorder never blocked a collective long enough", iters)
+	case r.Program == "2" && r.VoluntaryQuits == 0:
+		return fmt.Errorf("program 2 made no voluntary daemon quits: no device synchronization waited on the daemon")
 	}
-	ext, err := sec61Run(core.DefaultConfig(), iterations, seed, false)
-	return ext.Sec61Result, err
-}
-
-// Sec61Program2 inserts cudaDeviceSynchronize between the disordered
-// all-reduces (DFCCL only; NCCL deadlocks already in program 1).
-func Sec61Program2(iterations int, seed int64) (Sec61Result, error) {
-	ext, err := sec61Run(core.DefaultConfig(), iterations, seed, true)
-	return ext.Sec61Result, err
+	return nil
 }
 
 // figSec61, figSec61Sync and figSec61NCCL are the three command lines
-// of the Sec. 6.1 testing programs.
+// of the Sec. 6.1 testing programs: eight GPUs, eight all-reduces of
+// 256B-32KB, a unique random launch order per GPU, -iters iterations
+// of the whole set. Program 2 inserts cudaDeviceSynchronize after
+// every launch; the NCCL baseline runs program 1 on a single queue
+// (stream) per GPU, the paper's Fig. 1(c) regime, and deadlocks there.
 func figSec61(w io.Writer, o Opts) error {
-	res, err := Sec61Program1("dfccl", o.Iters, o.Seed)
+	res, err := sec61Run(core.DefaultConfig(), o.Iters, o.Seed, false)
 	return printSec61(w, o, res, err)
 }
 
 func figSec61Sync(w io.Writer, o Opts) error {
-	res, err := Sec61Program2(o.Iters, o.Seed)
+	res, err := sec61Run(core.DefaultConfig(), o.Iters, o.Seed, true)
 	return printSec61(w, o, res, err)
 }
 
 func figSec61NCCL(w io.Writer, o Opts) error {
-	res, err := Sec61Program1("nccl", o.Iters, o.Seed)
+	res, err := sec61NCCLSingleQueue(sec61Workload(8, 8, o.Seed))
 	return printSec61(w, o, res, err)
 }
 
-// printSec61 prints a testing program's outcome. A deadlock is a
-// result, not a failure: it is what the NCCL baseline is run to show.
+// printSec61 prints a testing program's outcome and checks it.
 func printSec61(w io.Writer, o Opts, res Sec61Result, err error) error {
 	if err != nil {
 		return err
@@ -234,11 +242,11 @@ func printSec61(w io.Writer, o Opts, res Sec61Result, err error) error {
 	fmt.Fprintf(w, "program %s, lib=%s, iters=%d\n", res.Program, res.Lib, o.Iters)
 	if res.Deadlocked {
 		fmt.Fprintln(w, "result: DEADLOCK detected (circular collective dependency)")
-		return nil
+	} else {
+		fmt.Fprintf(w, "result: all collectives completed (%d runs across GPUs)\n", res.Completed)
+		fmt.Fprintf(w, "preemptions: %d, voluntary daemon quits: %d\n", res.Preemptions, res.VoluntaryQuits)
 	}
-	fmt.Fprintf(w, "result: all collectives completed (%d runs across GPUs)\n", res.Completed)
-	fmt.Fprintf(w, "preemptions: %d, voluntary daemon quits: %d\n", res.Preemptions, res.VoluntaryQuits)
-	return nil
+	return res.check(o.Iters)
 }
 
 func collSpec(count int, ranks []int) prim.Spec {

@@ -201,40 +201,6 @@ func probeCell(nodes, gpus int, kind prim.Kind, count int) (ringE2E, hierE2E sim
 	return ringE2E, hierE2E, err
 }
 
-// AutoGateRow is one cell of the ring-vs-hierarchical-vs-auto gate.
-type AutoGateRow struct {
-	Kind               prim.Kind
-	Nodes, GPUsPerNode int
-	Elems              int
-	RingE2E, HierE2E   sim.Duration
-	AutoE2E            sim.Duration
-	// Resolved is the concrete algorithm AlgoAuto resolved to.
-	Resolved prim.Algorithm
-	// BitIdentical reports the auto run's outputs matched the ring
-	// reference byte for byte.
-	BitIdentical bool
-}
-
-// Winner is the faster concrete algorithm of the cell.
-func (r AutoGateRow) Winner() sim.Duration {
-	if r.HierE2E < r.RingE2E {
-		return r.HierE2E
-	}
-	return r.RingE2E
-}
-
-// Pass reports whether auto matched the per-cell winner within the
-// gate tolerance.
-func (r AutoGateRow) Pass() bool {
-	return r.BitIdentical && float64(r.AutoE2E) <= float64(r.Winner())*autoGateTolerance
-}
-
-// String renders the row as one gate-table line.
-func (r AutoGateRow) String() string {
-	return fmt.Sprintf("%-14v %d×%d GPUs %6d elems  ring=%-12v hier=%-12v auto=%-12v ->%-13v identical=%v pass=%v",
-		r.Kind, r.Nodes, r.GPUsPerNode, r.Elems, r.RingE2E, r.HierE2E, r.AutoE2E, r.Resolved, r.BitIdentical, r.Pass())
-}
-
 // autoGateTolerance is the slack the gate allows between the auto pick
 // and the per-cell winner: the sweep and the gate measure the same
 // deterministic cells, so auto should match the winner exactly
@@ -243,69 +209,51 @@ func (r AutoGateRow) String() string {
 // conservative (ring) side of the crossover.
 const autoGateTolerance = 1.02
 
-// AutoAlgoGate is the `-fig ar` gate: for every (reduction kind, node
-// shape, payload) cell it measures ring, hierarchical, and auto, and
-// requires the auto pick to land on the per-cell winner within
-// tolerance with bit-identical outputs. The rows come back with the
-// error too, so the figure can show which cell failed.
-func AutoAlgoGate() ([]AutoGateRow, error) {
-	kinds := []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter}
-	shapes := []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}}
-	sizes := []int{16, 1024, 4096}
-	var rows []AutoGateRow
-	failed := 0
-	for _, shape := range shapes {
-		for _, kind := range kinds {
-			for _, size := range sizes {
+// figAR is the auto-tuning gate: for every (reduction kind, node shape,
+// payload) cell it measures ring, hierarchical, and auto, and requires
+// the auto pick to land on the per-cell winner within tolerance with
+// outputs bit-identical to the ring's. Every cell is printed, so a
+// failing run shows which cells missed.
+func figAR(w io.Writer, _ Opts) error {
+	fmt.Fprintln(w, "auto-tuning gate (ring vs hierarchical vs auto; auto resolved from the committed tuning table)")
+	cells, failed := 0, 0
+	for _, shape := range []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}} {
+		for _, kind := range []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter} {
+			for _, size := range []int{16, 1024, 4096} {
 				n := shape.nodes * shape.gpus
 				count := size
 				if kind == prim.ReduceScatter {
 					count = ((size + n - 1) / n) * n
 				}
-				newCluster := func() *topo.Cluster {
-					return topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
+				run := func(algo prim.Algorithm) (CollRunRow, [][]byte, error) {
+					cluster := topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
+					return runKind(cluster, core.DefaultConfig(), kind, count, algo)
 				}
-				ringRow, ringOuts, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoRing)
+				ring, ringOuts, err := run(prim.AlgoRing)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				hierRow, _, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoHierarchical)
+				hier, _, err := run(prim.AlgoHierarchical)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				autoRow, autoOuts, err := runKind(newCluster(), core.DefaultConfig(), kind, count, prim.AlgoAuto)
+				auto, autoOuts, err := run(prim.AlgoAuto)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				row := AutoGateRow{
-					Kind: kind, Nodes: shape.nodes, GPUsPerNode: shape.gpus, Elems: count,
-					RingE2E: ringRow.E2E, HierE2E: hierRow.E2E, AutoE2E: autoRow.E2E,
-					Resolved:     autoRow.Resolved,
-					BitIdentical: bytesEqual(ringOuts, autoOuts),
-				}
-				if !row.Pass() {
+				identical := bytesEqual(ringOuts, autoOuts)
+				pass := identical && float64(auto.E2E) <= float64(min(ring.E2E, hier.E2E))*autoGateTolerance
+				fmt.Fprintf(w, "  %-14v %d×%d GPUs %6d elems  ring=%-12v hier=%-12v auto=%-12v ->%-13v identical=%v pass=%v\n",
+					kind, shape.nodes, shape.gpus, count, ring.E2E, hier.E2E, auto.E2E, auto.Resolved, identical, pass)
+				cells++
+				if !pass {
 					failed++
 				}
-				rows = append(rows, row)
 			}
 		}
 	}
 	if failed > 0 {
-		return rows, fmt.Errorf("auto pick missed the per-cell winner (or outputs diverged) in %d of %d cells", failed, len(rows))
-	}
-	return rows, nil
-}
-
-func figAR(w io.Writer, _ Opts) error {
-	rows, err := AutoAlgoGate()
-	if len(rows) > 0 {
-		fmt.Fprintln(w, "auto-tuning gate (ring vs hierarchical vs auto; auto resolved from the committed tuning table)")
-	}
-	for _, r := range rows {
-		fmt.Fprintln(w, "  "+r.String())
-	}
-	if err != nil {
-		return err
+		return fmt.Errorf("auto pick missed the per-cell winner (or outputs diverged) in %d of %d cells", failed, cells)
 	}
 	fmt.Fprintln(w, "auto gate passed: every auto pick matched the per-cell winner within tolerance, outputs bit-identical to the ring")
 	return nil
@@ -405,19 +353,10 @@ func FullBenchMatrix() ([]BenchCell, error) {
 	return append(cells, clusterCells...), nil
 }
 
+// figCollBench writes the matrix as indented JSON to -out, or to w
+// when -out is empty.
 func figCollBench(w io.Writer, o Opts) error {
 	cells, err := FullBenchMatrix()
-	return writeCells(w, o.Out, cells, err)
-}
-
-func figA2ABench(w io.Writer, o Opts) error {
-	cells, err := A2ABenchMatrix()
-	return writeCells(w, o.Out, cells, err)
-}
-
-// writeCells writes benchmark cells as indented JSON to path, or to w
-// when path is empty.
-func writeCells(w io.Writer, path string, cells []BenchCell, err error) error {
 	if err != nil {
 		return err
 	}
@@ -426,9 +365,9 @@ func writeCells(w io.Writer, path string, cells []BenchCell, err error) error {
 		return err
 	}
 	buf = append(buf, '\n')
-	if path == "" {
+	if o.Out == "" {
 		_, err = w.Write(buf)
 		return err
 	}
-	return os.WriteFile(path, buf, 0o644)
+	return os.WriteFile(o.Out, buf, 0o644)
 }

@@ -244,6 +244,9 @@ func (cfg *Config) validate() error {
 		if j.Iterations <= 0 {
 			return fmt.Errorf("cluster: job %d has %d iterations", j.ID, j.Iterations)
 		}
+		if j.Arrival < 0 {
+			return fmt.Errorf("cluster: job %d arrives at %v, before the run starts", j.ID, j.Arrival)
+		}
 		if _, err := j.workload(); err != nil {
 			return err
 		}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dfccl/internal/prim"
@@ -36,8 +38,15 @@ type GenConfig struct {
 	AutoAlgoFrac float64
 }
 
-// withDefaults fills unset fields.
-func (g GenConfig) withDefaults() GenConfig {
+// ErrGenConfig is the error Generate wraps when it rejects a config.
+var ErrGenConfig = errors.New("cluster: bad generator config")
+
+// withDefaults fills unset fields; it fails on a non-finite rate and on
+// a bound whose default would overflow.
+func (g GenConfig) withDefaults() (GenConfig, error) {
+	if math.IsNaN(g.Rate) || math.IsInf(g.Rate, 0) {
+		return g, fmt.Errorf("%w: rate %v", ErrGenConfig, g.Rate)
+	}
 	if g.Rate <= 0 {
 		g.Rate = 200
 	}
@@ -48,34 +57,49 @@ func (g GenConfig) withDefaults() GenConfig {
 		g.MinSize = 2
 	}
 	if g.MaxSize < g.MinSize {
+		if g.MinSize > math.MaxInt-2 {
+			return g, fmt.Errorf("%w: MinSize %d leaves no room for the default MaxSize", ErrGenConfig, g.MinSize)
+		}
 		g.MaxSize = g.MinSize + 2
 	}
 	if g.MinIters <= 0 {
 		g.MinIters = 1
 	}
 	if g.MaxIters < g.MinIters {
+		if g.MinIters > math.MaxInt-2 {
+			return g, fmt.Errorf("%w: MinIters %d leaves no room for the default MaxIters", ErrGenConfig, g.MinIters)
+		}
 		g.MaxIters = g.MinIters + 2
 	}
 	if len(g.Priorities) == 0 {
 		g.Priorities = []int{0, 1, 2}
 	}
-	return g
+	return g, nil
 }
 
 // Generate produces a deterministic Poisson arrival trace: same config,
-// same trace, bit for bit. Job IDs are 1..Jobs in arrival order.
+// same trace, bit for bit. Job IDs are 1..Jobs in arrival order. A
+// config it cannot honour — no jobs, a non-finite rate, a rate so low
+// the arrivals overflow sim.Duration, a bound whose default overflows —
+// is an error wrapping ErrGenConfig.
 func Generate(cfg GenConfig) ([]JobSpec, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Jobs <= 0 {
-		return nil, fmt.Errorf("cluster: Generate needs a positive job count, got %d", cfg.Jobs)
+		return nil, fmt.Errorf("%w: Generate needs a positive job count, got %d", ErrGenConfig, cfg.Jobs)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	jobs := make([]JobSpec, 0, cfg.Jobs)
 	var at sim.Duration
 	for i := 0; i < cfg.Jobs; i++ {
 		// Exponential inter-arrival with mean 1/Rate seconds.
-		gap := rng.ExpFloat64() / cfg.Rate
-		at += sim.Duration(gap * float64(sim.Second))
+		gap := rng.ExpFloat64() / cfg.Rate * float64(sim.Second)
+		if !(gap < math.MaxInt64) || sim.Duration(gap) > math.MaxInt64-at {
+			return nil, fmt.Errorf("%w: rate %v: job %d arrives after the last representable instant", ErrGenConfig, cfg.Rate, i+1)
+		}
+		at += sim.Duration(gap)
 		algo := prim.AlgoRing
 		if cfg.AutoAlgoFrac > 0 && rng.Float64() < cfg.AutoAlgoFrac {
 			algo = prim.AlgoAuto

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
+	"dfccl/internal/topo"
 )
 
 // TestGenerateDeterministic pins satellite 2's core property: the
@@ -56,7 +59,10 @@ func TestGenerateBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.withDefaults()
+			cfg, err := tc.cfg.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
 			jobs, err := Generate(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -132,14 +138,70 @@ func TestGenerateRate(t *testing.T) {
 	}
 }
 
-// TestGenerateRejectsBadConfig covers the error path.
+// TestGenerateRejectsBadConfig covers the error path: no jobs, and the
+// configs that used to come back as traces with arrivals running
+// backwards from −2⁶³ ns (a NaN or vanishing rate) or with sizes and
+// iteration counts wrapped past MaxInt (a default maximum overflowing).
+// Run refuses an arrival before the start.
 func TestGenerateRejectsBadConfig(t *testing.T) {
-	if _, err := Generate(GenConfig{Seed: 1, Jobs: 0}); err == nil {
-		t.Error("Generate with zero jobs succeeded")
+	for _, cfg := range []GenConfig{
+		{Seed: 1, Jobs: 0},
+		{Seed: 1, Jobs: -3},
+		{Seed: 1, Jobs: 4, Rate: math.NaN()},
+		{Seed: 1, Jobs: 4, Rate: math.Inf(1)},
+		{Seed: 1, Jobs: 4, Rate: 1e-300},
+		{Seed: 1, Jobs: 4, MinSize: math.MaxInt},
+		{Seed: 1, Jobs: 4, MinIters: math.MaxInt - 1},
+	} {
+		if jobs, err := Generate(cfg); !errors.Is(err, ErrGenConfig) {
+			t.Errorf("Generate(%+v) = %d jobs, %v; want ErrGenConfig", cfg, len(jobs), err)
+		}
 	}
-	if _, err := Generate(GenConfig{Seed: 1, Jobs: -3}); err == nil {
-		t.Error("Generate with negative jobs succeeded")
+	jobs := []JobSpec{{ID: 1, Kind: "dp", Size: 2, Iterations: 1, Arrival: -sim.Microsecond}}
+	if _, err := Run(Config{Cluster: topo.Server3090(2), Jobs: jobs}); err == nil || !strings.Contains(err.Error(), "before the run starts") {
+		t.Errorf("Run with a negative arrival: %v", err)
 	}
+}
+
+// FuzzGenerate holds Generate to its contract on any seed, job count
+// (at most 256), rate and size and iteration bounds: every input ends
+// in an ErrGenConfig or in a trace of IDs 1..Jobs whose sizes and
+// iteration counts lie within the bounds after defaults and whose
+// arrivals are non-negative and non-decreasing.
+//
+//	go test ./internal/cluster -run '^$' -fuzz FuzzGenerate -fuzztime 10s
+func FuzzGenerate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, jobs int, rate float64, minSize, maxSize, minIters, maxIters int) {
+		cfg := GenConfig{
+			Seed: seed, Jobs: min(jobs, 256), Rate: rate,
+			MinSize: minSize, MaxSize: maxSize, MinIters: minIters, MaxIters: maxIters,
+		}
+		trace, err := Generate(cfg)
+		if err != nil {
+			if !errors.Is(err, ErrGenConfig) {
+				t.Fatalf("Generate(%+v): untyped error %v", cfg, err)
+			}
+			return
+		}
+		want, err := cfg.withDefaults()
+		if err != nil || len(trace) != cfg.Jobs {
+			t.Fatalf("Generate(%+v) = %d jobs, but withDefaults says %v", cfg, len(trace), err)
+		}
+		var last sim.Duration
+		for i, j := range trace {
+			switch {
+			case j.ID != i+1:
+				t.Fatalf("job %d has ID %d", i, j.ID)
+			case j.Size < want.MinSize || j.Size > want.MaxSize:
+				t.Fatalf("job %d size %d outside [%d, %d]", j.ID, j.Size, want.MinSize, want.MaxSize)
+			case j.Iterations < want.MinIters || j.Iterations > want.MaxIters:
+				t.Fatalf("job %d iterations %d outside [%d, %d]", j.ID, j.Iterations, want.MinIters, want.MaxIters)
+			case j.Arrival < last:
+				t.Fatalf("job %d arrives at %v, before %v", j.ID, j.Arrival, last)
+			}
+			last = j.Arrival
+		}
+	})
 }
 
 // TestBurstyTrace pins the figure scenario's structure: deterministic

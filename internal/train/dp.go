@@ -73,11 +73,6 @@ type DPConfig struct {
 	Model       Model
 	BatchPerGPU int
 	Iterations  int
-	// Algo selects the gradient all-reduce algorithm: the zero value is
-	// the flat ring, prim.AlgoHierarchical the two-tier schedule, and
-	// prim.AlgoAuto the tuning-table pick (resolved per layer size at
-	// registration).
-	Algo prim.Algorithm
 	// Priority registers gradients with DFCCL priorities so collectives
 	// arriving later (shallower layers, needed first next iteration)
 	// preempt deeper ones — the paper's practical priority scheme.
@@ -116,7 +111,6 @@ func RunDP(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg DPConfig) (
 			spec := prim.Spec{
 				Kind: prim.AllReduce, Count: layer.GradElems,
 				Type: mem.Float32, Op: mem.Sum, Ranks: ranks, TimingOnly: true,
-				Algo: cfg.Algo,
 			}
 			if err := b.Register(p, rank, li, spec, prio, nil, nil); err != nil {
 				return err

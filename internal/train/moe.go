@@ -58,13 +58,6 @@ type MoEConfig struct {
 	// every iteration, that path opens and closes the dispatch/combine
 	// collectives each iteration even without DynamicGroups.
 	PaddedAllToAll bool
-	// Algo selects the dispatch/combine all-to-all algorithm:
-	// prim.AlgoRing (default) or prim.AlgoHierarchical, which tiers the
-	// exchange by the cluster topology (direct SHM intra-node, a leader
-	// ring of aggregated blocks over RDMA inter-node). Outputs are
-	// bit-identical either way; on multi-node clusters hierarchical
-	// moves strictly fewer inter-node bytes.
-	Algo prim.Algorithm
 }
 
 // moeTokenVal is the deterministic element value of token t of rank r
@@ -292,7 +285,7 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 		combineSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, blockElems*n)
 		combineRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, blockElems*n)
 	}
-	padSpec := prim.Spec{Kind: prim.AllToAll, Count: blockElems, Type: mem.Float64, Ranks: ranks, Algo: cfg.Algo}
+	padSpec := prim.Spec{Kind: prim.AllToAll, Count: blockElems, Type: mem.Float64, Ranks: ranks}
 
 	dispatchID := func(it int) int { return moeCollBase + it*moeCollStride + moeSlotDispatch }
 	combineID := func(it int) int { return moeCollBase + it*moeCollStride + moeSlotCombine }
@@ -368,8 +361,8 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 				combineSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, layout.recvElems)
 				combineRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, layout.sendElems)
 				elemCnt := scaleMatrix(tokCnt, ept)
-				dSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: elemCnt, Algo: cfg.Algo}
-				cSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: transpose(elemCnt), Algo: cfg.Algo}
+				dSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: elemCnt}
+				cSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: transpose(elemCnt)}
 			}
 			if err := b.Register(p, rank, dID, dSpec, 0, dispatchSend, dispatchRecv); err != nil {
 				return err

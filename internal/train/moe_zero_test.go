@@ -5,7 +5,6 @@ import (
 
 	"dfccl/internal/core"
 	"dfccl/internal/orch"
-	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
@@ -225,33 +224,5 @@ func TestRunMoERaggedMatchesPadded(t *testing.T) {
 	}
 	if ragged.A2ABytes == 0 || ragged.A2ABytes >= padded.A2ABytes {
 		t.Fatalf("dispatch bytes: ragged=%d padded=%d; want 0 < ragged < padded", ragged.A2ABytes, padded.A2ABytes)
-	}
-}
-
-// TestRunMoEHierarchicalAlgo runs the MoE workload with the
-// topology-aware hierarchical dispatch/combine on a two-node cluster:
-// the run's internal exact verification must pass, the combined-output
-// hash must match the flat-ring run bit for bit, and the payload
-// accounting must be identical (the algorithm changes routing, never
-// the semantic bytes).
-func TestRunMoEHierarchicalAlgo(t *testing.T) {
-	run := func(algo prim.Algorithm) *Result {
-		cfg := moeTestConfig(3)
-		e := sim.NewEngine()
-		e.MaxTime = sim.Time(600 * sim.Second)
-		cluster := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
-		cfg.Algo = algo
-		res, err := RunMoE(e, cluster, orch.NewDFCCL(e, cluster, core.DefaultConfig()), cfg)
-		if err != nil {
-			t.Fatalf("algo=%v: %v", algo, err)
-		}
-		return res
-	}
-	ring, hier := run(prim.AlgoRing), run(prim.AlgoHierarchical)
-	if ring.OutputHash != hier.OutputHash {
-		t.Fatalf("combined outputs diverged: ring hash %x, hierarchical hash %x", ring.OutputHash, hier.OutputHash)
-	}
-	if ring.A2ABytes != hier.A2ABytes {
-		t.Fatalf("semantic payload diverged: ring %d bytes, hierarchical %d", ring.A2ABytes, hier.A2ABytes)
 	}
 }

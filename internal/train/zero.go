@@ -24,17 +24,6 @@ type ZeROConfig struct {
 	// BatchPerGPU scales per-layer compute time.
 	BatchPerGPU int
 	Iterations  int
-	// LR and Momentum are the SGD-with-momentum hyperparameters; both
-	// default to 0.5, which keeps every update exact in float64 (and
-	// thus bit-for-bit comparable with the unsharded reference).
-	LR, Momentum float64
-	// Algo selects the algorithm of every ZeRO collective (the stage-1
-	// AllReduce, the stage-2/3 ReduceScatter, and the parameter
-	// AllGathers): zero value = flat ring, prim.AlgoHierarchical = the
-	// two-tier schedule, prim.AlgoAuto = the tuning-table pick. The
-	// end-of-run bit-for-bit comparison against the unsharded reference
-	// holds under every choice, because the run's arithmetic is exact.
-	Algo prim.Algorithm
 	// Churn opens the iteration's per-layer collectives fresh each
 	// iteration and closes them after — the open/close load ZeRO's
 	// layer-granular communication puts on the communicator pool.
@@ -70,6 +59,11 @@ func zeroInitParam(layer, i int) float64 {
 	return float64((layer*5 + i) % 17)
 }
 
+// zeroLR and zeroMomentum are the SGD-with-momentum hyperparameters:
+// 0.5 keeps every update exact in float64, and thus bit-for-bit
+// comparable with the unsharded reference.
+const zeroLR, zeroMomentum = 0.5, 0.5
+
 // ZeRO collective-ID space (kept below core.AutoCollIDBase and clear
 // of the MoE ranges).
 const (
@@ -102,12 +96,6 @@ type zeroLayerState struct {
 func RunZeRO(e *sim.Engine, cluster *topo.Cluster, b orch.Backend, cfg ZeROConfig) (*Result, error) {
 	if err := cfg.validate(cluster); err != nil {
 		return nil, err
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 0.5
-	}
-	if cfg.Momentum == 0 {
-		cfg.Momentum = 0.5
 	}
 	bar := sim.NewBarrier("train.barrier", cfg.Ranks)
 	return runRanks(e, b, fmt.Sprintf("train.zero%d", cfg.Stage), cfg.Ranks, cfg.Ranks*cfg.BatchPerGPU*cfg.Iterations, func(p *sim.Process, rank int, res *Result) error {
@@ -161,17 +149,17 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg ZeRO
 		for li, st := range layers {
 			var gradSpec prim.Spec
 			if cfg.Stage == 1 {
-				gradSpec = prim.Spec{Kind: prim.AllReduce, Count: st.padded, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, Algo: cfg.Algo}
+				gradSpec = prim.Spec{Kind: prim.AllReduce, Count: st.padded, Type: mem.Float64, Op: mem.Sum, Ranks: ranks}
 				if err := b.Register(p, rank, collID(it, li, zeroSlotGrad), gradSpec, 0, st.gradFull, st.gradSum); err != nil {
 					return err
 				}
 			} else {
-				gradSpec = prim.Spec{Kind: prim.ReduceScatter, Count: st.padded, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, Algo: cfg.Algo}
+				gradSpec = prim.Spec{Kind: prim.ReduceScatter, Count: st.padded, Type: mem.Float64, Op: mem.Sum, Ranks: ranks}
 				if err := b.Register(p, rank, collID(it, li, zeroSlotGrad), gradSpec, 0, st.gradFull, st.gradShard); err != nil {
 					return err
 				}
 			}
-			agSpec := prim.Spec{Kind: prim.AllGather, Count: st.shardLen, Type: mem.Float64, Ranks: ranks, Algo: cfg.Algo}
+			agSpec := prim.Spec{Kind: prim.AllGather, Count: st.shardLen, Type: mem.Float64, Ranks: ranks}
 			if err := b.Register(p, rank, collID(it, li, zeroSlotGather), agSpec, 0, st.paramShard, st.params); err != nil {
 				return err
 			}
@@ -262,8 +250,8 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg ZeRO
 				} else {
 					g = st.gradShard.Float64At(i)
 				}
-				st.momShard[i] = cfg.Momentum*st.momShard[i] + g
-				st.paramShard.SetFloat64(i, st.paramShard.Float64At(i)-cfg.LR*st.momShard[i])
+				st.momShard[i] = zeroMomentum*st.momShard[i] + g
+				st.paramShard.SetFloat64(i, st.paramShard.Float64At(i)-zeroLR*st.momShard[i])
 			}
 		}
 		p.Sleep(OptimizerTime)
@@ -302,7 +290,7 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg ZeRO
 	// Stage 3 leaves parameters sharded: gather once for verification.
 	if cfg.Stage == 3 {
 		for li, st := range layers {
-			agSpec := prim.Spec{Kind: prim.AllGather, Count: st.shardLen, Type: mem.Float64, Ranks: ranks, Algo: cfg.Algo}
+			agSpec := prim.Spec{Kind: prim.AllGather, Count: st.shardLen, Type: mem.Float64, Ranks: ranks}
 			id := zeroCollBase + 300_000 + li
 			if err := b.Register(p, rank, id, agSpec, 0, st.paramShard, st.params); err != nil {
 				return err
@@ -339,8 +327,8 @@ func verifyZeRORank(cfg ZeROConfig, rank int, layers []*zeroLayerState) error {
 				for r := 0; r < n; r++ {
 					g += zeroGrad(r, li, it, i)
 				}
-				mRef[i] = cfg.Momentum*mRef[i] + g
-				wRef[i] -= cfg.LR * mRef[i]
+				mRef[i] = zeroMomentum*mRef[i] + g
+				wRef[i] -= zeroLR * mRef[i]
 			}
 		}
 		for i := 0; i < st.padded; i++ {
