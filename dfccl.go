@@ -42,7 +42,6 @@ import (
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 	"dfccl/internal/trace"
-	"dfccl/internal/tune"
 )
 
 // Re-exported simulation types. Host code runs as simulated processes
@@ -94,10 +93,6 @@ type (
 	// topology-aware kinds, or AlgoAuto to defer the choice to the
 	// tuning table at Open time.
 	Algorithm = prim.Algorithm
-	// TuningTable is the algorithm auto-tuning table AlgoAuto resolves
-	// against; assign one to Config.Tuning to override the committed
-	// default.
-	TuningTable = tune.Table
 	// TransportBytes is a per-transport (local / SHM / RDMA) split of
 	// the wire traffic a collective's executor sent, reported through
 	// CollectiveStats.
@@ -193,11 +188,10 @@ const (
 	// ring on multi-node clusters. Available for the all-to-all
 	// variants, all-reduce, all-gather, and reduce-scatter.
 	AlgoHierarchical = prim.AlgoHierarchical
-	// AlgoAuto defers the ring-vs-hierarchical choice to the tuning
-	// table (Config.Tuning, defaulting to the committed artifact),
-	// keyed by kind, payload size, and the node shape the collective's
-	// rank set spans. Kinds without a hierarchical schedule always
-	// resolve to the ring.
+	// AlgoAuto defers the ring-vs-hierarchical choice to the committed
+	// tuning table (internal/tune/default_table.json), keyed by kind,
+	// payload size, and the node shape the collective's rank set spans.
+	// Kinds without a hierarchical schedule always resolve to the ring.
 	AlgoAuto = prim.AlgoAuto
 )
 

@@ -181,12 +181,8 @@ func Run(cfg Config) (*Report, error) {
 		cfg.MaxVirtual = 600 * sim.Second
 	}
 	rep := &Report{Workload: cfg.Workload}
-	if cfg.Iterations <= 0 || len(cfg.Ranks) == 0 {
-		rep.Err = fmt.Sprintf("chaos: bad config: %d iterations over %v", cfg.Iterations, cfg.Ranks)
-		return rep, errors.New(rep.Err)
-	}
 	tenant := workload.Tenant{Algo: cfg.Algo, Layers: cfg.Layers}
-	if _, err := workload.New(cfg.Workload, tenant); err != nil {
+	if err := cfg.validate(tenant); err != nil {
 		rep.Err = err.Error()
 		return rep, err
 	}
@@ -345,6 +341,32 @@ func Run(cfg Config) (*Report, error) {
 		return rep, errors.New(rep.Err)
 	}
 	return rep, nil
+}
+
+// validate checks a config before the engine starts, so a hostile one
+// ends in an error instead of a panic or a reported hang.
+func (cfg *Config) validate(tenant workload.Tenant) error {
+	if cfg.Cluster == nil {
+		return errors.New("chaos: nil Cluster")
+	}
+	if cfg.Iterations <= 0 || len(cfg.Ranks) == 0 {
+		return fmt.Errorf("chaos: bad config: %d iterations over %v", cfg.Iterations, cfg.Ranks)
+	}
+	if cfg.Algo < prim.AlgoRing || cfg.Algo > prim.AlgoAuto {
+		return fmt.Errorf("chaos: unknown algorithm %v", cfg.Algo)
+	}
+	seen := make(map[int]bool, len(cfg.Ranks))
+	for _, r := range cfg.Ranks {
+		if r < 0 || r >= cfg.Cluster.Size() {
+			return fmt.Errorf("chaos: rank %d out of range [0, %d)", r, cfg.Cluster.Size())
+		}
+		if seen[r] {
+			return fmt.Errorf("chaos: duplicate rank %d", r)
+		}
+		seen[r] = true
+	}
+	_, err := workload.New(cfg.Workload, tenant)
+	return err
 }
 
 // survivors returns the members of initial not currently lost.

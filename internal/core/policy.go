@@ -4,7 +4,6 @@ import (
 	"dfccl/internal/fabric"
 	"dfccl/internal/sim"
 	"dfccl/internal/trace"
-	"dfccl/internal/tune"
 )
 
 // SpinPolicy configures the spin-threshold half of the stickiness
@@ -124,8 +123,8 @@ type Config struct {
 	FetchBackoff sim.Duration
 	// TaskQueueCap bounds the per-block task queue.
 	TaskQueueCap int
-	// SQSlots / CQSlots size the queues.
-	SQSlots, CQSlots int
+	// CQSlots sizes the completion queue.
+	CQSlots int
 	// MaxCollectives sizes the collective context buffer.
 	MaxCollectives int
 	// AlwaysSaveContext disables the lazy-saving optimization (Sec. 5):
@@ -147,12 +146,6 @@ type Config struct {
 	// transaction, paying the full PCIe read cost once per batch and a
 	// small per-entry parse cost for the rest.
 	BatchedSQERead bool
-	// Tuning is the algorithm auto-tuning table specs opened with
-	// prim.AlgoAuto resolve against at Open time (keyed by kind,
-	// payload size, and the node shape the rank set spans). nil selects
-	// tune.Default(), the committed artifact regenerated by the sweep
-	// driver (bench.TuneSweep / `trainbench -fig tune`).
-	Tuning *tune.Table
 	// Network prices every transfer of the deployment. nil selects
 	// fabric.Unshared over the system's cluster — the legacy
 	// independent Path.TransferTime pricing, bit-identical to pre-fabric
@@ -173,7 +166,6 @@ func DefaultConfig() Config {
 		QuitPeriod:     200 * sim.Microsecond,
 		FetchBackoff:   20 * sim.Microsecond,
 		TaskQueueCap:   DefaultTaskQueueCap,
-		SQSlots:        4096,
 		CQSlots:        4096,
 		MaxCollectives: 1000,
 	}

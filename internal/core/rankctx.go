@@ -149,7 +149,7 @@ func (s *System) Init(p *sim.Process, rank int) *RankContext {
 		sys:        s,
 		Rank:       rank,
 		dev:        s.Devs[rank],
-		sq:         NewSQ(fmt.Sprintf("gpu%d.sq", rank), s.Config.SQSlots),
+		sq:         NewSQ(fmt.Sprintf("gpu%d.sq", rank), sqSlots),
 		cq:         NewCQ(s.Config.CQVariant, s.Config.CQSlots),
 		tasks:      make(map[int]*collTask),
 		callbacks:  make(map[int][]Callback),

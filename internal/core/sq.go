@@ -31,6 +31,9 @@ type SQ struct {
 	Submitted int
 }
 
+// sqSlots is the slot count of every rank's submission queue.
+const sqSlots = 4096
+
 // NewSQ creates a submission queue with the given slot count.
 func NewSQ(name string, cap int) *SQ {
 	if cap < 1 {

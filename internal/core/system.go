@@ -28,8 +28,8 @@ type System struct {
 	ranks  []*RankContext
 	groups map[int]*Group
 	pool   *commPool
-	// tuning memoizes the resolved auto-tuning table (Config.Tuning or
-	// the parsed embedded default) across Opens.
+	// tuning memoizes the parsed auto-tuning table, tune.Default(),
+	// across Opens.
 	tuning *tune.Table
 
 	// autoIDs maps a spec fingerprint to the collective IDs the system
@@ -232,14 +232,12 @@ func (s *System) autoCollID(r *RankContext, spec prim.Spec) int {
 }
 
 // resolveAlgo picks the concrete algorithm for a spec opened with
-// prim.AlgoAuto, consulting the deployment's tuning table (or the
-// committed default) with the node shape the spec's rank set spans.
+// prim.AlgoAuto, consulting the committed tuning table with the node
+// shape the spec's rank set spans.
 // The returned note describes the pick for the flight recorder.
 func (s *System) resolveAlgo(spec prim.Spec) (prim.Algorithm, string) {
 	if s.tuning == nil {
-		if s.tuning = s.Config.Tuning; s.tuning == nil {
-			s.tuning = tune.Default()
-		}
+		s.tuning = tune.Default()
 	}
 	return s.tuning.PickForExplained(s.Cluster, spec)
 }

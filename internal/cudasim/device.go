@@ -38,7 +38,6 @@ const PinnedAllocTime = 10 * sim.Microsecond
 type Device struct {
 	Rank   int
 	Model  topo.GPUModel
-	Mem    *mem.DeviceMemory
 	engine *sim.Engine
 
 	// MaxResidentBlocks bounds concurrently resident kernel blocks.
@@ -72,7 +71,6 @@ func NewDevice(e *sim.Engine, rank int, model topo.GPUModel) *Device {
 	d := &Device{
 		Rank:              rank,
 		Model:             model,
-		Mem:               mem.NewDeviceMemory(model.MemoryBytes),
 		engine:            e,
 		MaxResidentBlocks: model.NumSMs,
 		incomplete:        make(map[*KernelInstance]struct{}),

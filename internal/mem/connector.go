@@ -160,39 +160,3 @@ func (c *Connector) checkBytes() {
 			c.name, c.written, c.read, c.scrubbed))
 	}
 }
-
-// DeviceMemory tracks global-memory allocation on one simulated GPU.
-// It exists so workload-independent memory overheads (Sec. 6.2) can be
-// accounted and so resource-depletion scenarios are reproducible.
-type DeviceMemory struct {
-	Capacity int64
-	used     int64
-}
-
-// NewDeviceMemory returns an allocator with the given capacity in bytes.
-func NewDeviceMemory(capacity int64) *DeviceMemory {
-	return &DeviceMemory{Capacity: capacity}
-}
-
-// Used returns the currently allocated bytes.
-func (d *DeviceMemory) Used() int64 { return d.used }
-
-// Alloc reserves n bytes, reporting whether the allocation fit.
-func (d *DeviceMemory) Alloc(n int64) bool {
-	if n < 0 {
-		panic("mem: negative allocation")
-	}
-	if d.used+n > d.Capacity {
-		return false
-	}
-	d.used += n
-	return true
-}
-
-// Free releases n bytes.
-func (d *DeviceMemory) Free(n int64) {
-	if n < 0 || n > d.used {
-		panic(fmt.Sprintf("mem: bad free of %d (used %d)", n, d.used))
-	}
-	d.used -= n
-}

@@ -664,23 +664,3 @@ func TestConnectorByteConservation(t *testing.T) {
 		}
 	})
 }
-
-func TestDeviceMemoryAccounting(t *testing.T) {
-	d := NewDeviceMemory(100)
-	if !d.Alloc(60) || !d.Alloc(40) {
-		t.Fatal("allocations within capacity failed")
-	}
-	if d.Alloc(1) {
-		t.Fatal("over-capacity allocation succeeded")
-	}
-	d.Free(50)
-	if d.Used() != 50 {
-		t.Fatalf("used = %d, want 50", d.Used())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-free should panic")
-		}
-	}()
-	d.Free(60)
-}

@@ -86,18 +86,6 @@ func (s *Series) Percentile(p float64) float64 {
 	return sorted[rank-1]
 }
 
-// RunningMeans returns the paper's Fig. 12 metric: element i is the
-// mean of samples[0..i].
-func (s *Series) RunningMeans() []float64 {
-	out := make([]float64, len(s.Samples))
-	sum := 0.0
-	for i, v := range s.Samples {
-		sum += v
-		out[i] = sum / float64(i+1)
-	}
-	return out
-}
-
 // String is a one-line summary: sample count, mean, std, CoV.
 func (s *Series) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%.3f std=%.3f cov=%.2f%%", s.Name, s.Len(), s.Mean(), s.Std(), 100*s.CoV())
@@ -111,15 +99,6 @@ func AlgoBandwidth(bytes int, elapsed sim.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) / float64(elapsed) // bytes/ns == GB/s
-}
-
-// BusBandwidth converts algorithm bandwidth to bus bandwidth for an
-// all-reduce over n ranks (factor 2(n-1)/n), as NCCL-Tests reports.
-func BusBandwidth(algoBW float64, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return algoBW * 2 * float64(n-1) / float64(n)
 }
 
 // Throughput returns samples/second given total samples processed in

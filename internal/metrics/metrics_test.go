@@ -92,9 +92,6 @@ func TestRegistryCanonicalDump(t *testing.T) {
 	if r.Counter("core.launches") != 5 {
 		t.Fatalf("counter = %d, want 5", r.Counter("core.launches"))
 	}
-	if got := r.CounterNames(); len(got) != 2 || got[0] != "core.launches" || got[1] != "prim.bytes_shm" {
-		t.Fatalf("counter names = %v", got)
-	}
 	a, err := r.DumpCanonical()
 	if err != nil {
 		t.Fatal(err)
@@ -127,26 +124,12 @@ func TestRegistryCanonicalDump(t *testing.T) {
 	}
 }
 
-func TestRunningMeans(t *testing.T) {
-	s := &Series{Samples: []float64{1, 3, 5}}
-	got := s.RunningMeans()
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("running means = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestBandwidthHelpers(t *testing.T) {
 	// 1 GB in 1 second of virtual time = 1 GB/s.
 	if got := AlgoBandwidth(1<<30, sim.Second); math.Abs(got-1.0737) > 0.01 {
 		t.Fatalf("algo bw = %v, want ≈1.07 (GiB vs GB)", got)
 	}
-	if got := BusBandwidth(4, 8); got != 7 {
-		t.Fatalf("bus bw = %v, want 7 (factor 2*7/8)", got)
-	}
-	if BusBandwidth(4, 0) != 0 || AlgoBandwidth(100, 0) != 0 {
+	if AlgoBandwidth(100, 0) != 0 {
 		t.Fatal("degenerate inputs should yield 0")
 	}
 	if got := Throughput(100, 2*sim.Second); got != 50 {

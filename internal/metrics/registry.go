@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
 )
 
 // Registry is the process-wide metrics surface: named counters
@@ -50,16 +49,6 @@ func (r *Registry) Histogram(name string) *Series {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// CounterNames returns the sorted counter names.
-func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // histSummary is the canonical JSON shape of one histogram: sample

@@ -17,8 +17,6 @@ import (
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
-	"dfccl/internal/trace"
-	"dfccl/internal/tune"
 )
 
 // KernelStartup is the fixed in-kernel setup cost before primitives run
@@ -40,47 +38,20 @@ const DefaultChannels = 8
 type Lib struct {
 	Cluster *topo.Cluster
 	Devs    []*cudasim.Device
-	// Net prices every transfer the library's communicators issue. New
-	// wires fabric.Unshared (the legacy isolated-path pricing); use
-	// NewOnFabric to run the baseline over a shared congestion-aware
-	// network, so NCCL-vs-DFCCL comparisons can price both libraries on
-	// the same contended fabric.
-	Net *fabric.Network
-	// Tuning is the table prim.AlgoAuto launches resolve against; nil
-	// selects tune.Default(), the committed artifact.
-	Tuning *tune.Table
-	// rec, when set via SetRecorder, is threaded into every launched
-	// executor so the baseline's primitives land on the same flight
-	// recorder as DFCCL's for side-by-side timelines.
-	rec    *trace.Recorder
-	engine *sim.Engine
-	comms  int
+	// Net prices every transfer the library's communicators issue:
+	// fabric.Unshared, the isolated-path pricing.
+	Net   *fabric.Network
+	comms int
 }
 
 // New creates the library and one device per GPU in the cluster.
 func New(e *sim.Engine, c *topo.Cluster) *Lib {
-	return NewOnFabric(e, fabric.Unshared(c))
-}
-
-// NewOnFabric creates the library over an explicit fabric network; the
-// network's cluster supplies the devices and topology.
-func NewOnFabric(e *sim.Engine, net *fabric.Network) *Lib {
-	c := net.Cluster()
-	l := &Lib{Cluster: c, Net: net, engine: e}
+	l := &Lib{Cluster: c, Net: fabric.Unshared(c)}
 	for _, g := range c.GPUs {
 		l.Devs = append(l.Devs, cudasim.NewDevice(e, g.Rank, g.Model))
 	}
 	return l
 }
-
-// Engine returns the simulation engine.
-func (l *Lib) Engine() *sim.Engine { return l.engine }
-
-// SetRecorder installs a flight recorder: every subsequently launched
-// collective's executor records per-action spans and per-send byte
-// records into it (collective ID = the communicator's ID). nil
-// disables recording.
-func (l *Lib) SetRecorder(rec *trace.Recorder) { l.rec = rec }
 
 // CommsCreated reports how many communicators were ever constructed.
 // NCCL has no communicator pool, so under dynamic-group churn this
@@ -133,27 +104,14 @@ func (c *Comm) pos(rank int) int {
 // and returns the kernel instance. The host process pays the launch
 // overhead. The kernel busy-waits indefinitely (spin budget -1): if the
 // application creates circular collective dependency, the simulation
-// engine reports a global deadlock, as real NCCL would hang.
+// engine reports a global deadlock, as real NCCL would hang. The spec's
+// algorithm must be concrete: an NCCL-style call has no tuning table to
+// resolve prim.AlgoAuto against.
 func (c *Comm) Launch(p *sim.Process, stream *cudasim.Stream, rank int, spec prim.Spec, sendBuf, recvBuf *mem.Buffer) *cudasim.KernelInstance {
 	if len(spec.Ranks) == 0 {
 		spec.Ranks = c.Ranks
 	}
-	// AlgoAuto resolves here, at launch time: unlike DFCCL's registered
-	// groups, NCCL-style calls carry their spec per invocation, so the
-	// tuning table is consulted per launch (deterministically — every
-	// rank picks the same concrete algorithm for the same call).
-	if spec.Algo == prim.AlgoAuto {
-		tbl := c.lib.Tuning
-		if tbl == nil {
-			tbl = tune.Default()
-			c.lib.Tuning = tbl
-		}
-		spec.Algo = tbl.PickFor(c.lib.Cluster, spec)
-	}
 	x := c.wirings.ExecutorFor(c.lib.Cluster, spec, c.pos(rank), sendBuf, recvBuf)
-	if c.lib.rec != nil {
-		x.Rec, x.RecColl = c.lib.rec, c.id
-	}
 	c.calls++
 	dev := c.lib.Devs[rank]
 	k := &cudasim.Kernel{

@@ -71,8 +71,12 @@ func NewNCCLSingleStream(e *sim.Engine, c *topo.Cluster) *NCCL {
 // Name implements Backend.
 func (b *NCCL) Name() string { return b.name }
 
-// Register implements Backend.
+// Register implements Backend. The spec's algorithm must be concrete:
+// the NCCL runtime has no tuning table to resolve prim.AlgoAuto against.
 func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
+	if spec.Algo == prim.AlgoAuto {
+		return fmt.Errorf("orch: %s cannot run collective %d with %v: pick ring or hierarchical", b.name, collID, spec.Algo)
+	}
 	bufs, err := register(b.colls, rank, collID, spec, send, recv)
 	if err != nil {
 		return err

@@ -106,6 +106,12 @@ func TestRegisterValidation(t *testing.T) {
 		if err := b.Register(p, 1, 1, spec2(128, []int{0, 1}), 0, nil, nil); err == nil {
 			t.Error("conflicting registration accepted")
 		}
+		// The NCCL runtime has no tuning table to resolve AlgoAuto.
+		auto := spec2(64, []int{0, 1})
+		auto.Algo = prim.AlgoAuto
+		if err := b.Register(p, 0, 2, auto, 0, nil, nil); err == nil {
+			t.Error("AlgoAuto registration accepted")
+		}
 		// Launch of unknown collective must fail.
 		if err := b.Launch(p, 0, 99); err == nil {
 			t.Error("launch of unregistered collective accepted")

@@ -20,11 +20,13 @@ package prim
 //  4. scatter:    the receiving leader forwards each block to its
 //                 final same-node destination over SHM.
 //
-// Every phase keeps the ring's invariants: all participants of
-// a convoy run the same (action, round) schedule with per-action
-// element bounds, so zero-count peers still exchange empty chunks and
-// flow control stays uniform; the executor's (stage, round, step,
-// phase) dynamic context makes any point preemptible and resumable.
+// Every phase keeps the ring's invariants: both ends of each connector
+// are built from one description — a tier's mesh and convoy stages
+// inside a node, the ring value between the leaders — so they run the
+// same (action, round) schedule with per-action element bounds,
+// zero-count peers still exchange empty chunks and flow control stays
+// uniform; the executor's (stage, round, step, phase) dynamic context
+// makes any point preemptible and resumable.
 //
 // Degenerate cases are explicit: a single-node cluster yields only the
 // intra stages (no leader ring — the direct exchange *is* the
@@ -124,6 +126,10 @@ func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
 	if s.Algo != AlgoHierarchical {
 		panic(fmt.Sprintf("prim: HierSequenceFor on a %v spec", s.Algo))
 	}
+	if s.N() == 1 {
+		sendCount, _ := BufferCountsFor(s, 0)
+		return noopCopySeq(sendCount, s.chunk())
+	}
 	switch s.Kind {
 	case AllToAll, AllToAllv:
 		return s.hierAllToAllSeq(pos, g)
@@ -138,137 +144,192 @@ func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
 	}
 }
 
+// tier is one position's hierarchical sequence under construction: its
+// place in the node grouping, the working-buffer segments allocated so
+// far, and its stages. Its mesh and convoy stages are built from one
+// description that every member of the node reads, so the two ends of
+// each intra-node connector agree chunk for chunk by construction, as
+// the ring value makes them agree on the leader ring.
+type tier struct {
+	g NodeGrouping
+	// pos is the position, node its node, group the node's members
+	// (leader first), k its index in group, m the member count and
+	// nodes the node count.
+	pos, node   int
+	group       []int
+	k, m, nodes int
+	chunk       int
+	segs        []segRange
+	// cur is the allocation cursor: the working-buffer length.
+	cur    int
+	stages []Stage
+}
+
+func (s Spec) newTier(pos int, g NodeGrouping) *tier {
+	a := g.NodeOf[pos]
+	return &tier{g: g, pos: pos, node: a, group: g.Members[a], k: g.local[pos],
+		m: len(g.Members[a]), nodes: g.Nodes(), chunk: s.chunk()}
+}
+
+// alloc appends a segment of l elements at the end of the working buffer.
+func (t *tier) alloc(l int) int {
+	t.cur += l
+	return t.view(segRange{Lo: t.cur - l, Hi: t.cur})
+}
+
+// view registers a segment over already-allocated elements.
+func (t *tier) view(r segRange) int {
+	t.segs = append(t.segs, r)
+	return len(t.segs) - 1
+}
+
+func (t *tier) add(label string, rounds int, acts []Action) {
+	t.stages = append(t.stages, Stage{Label: label, Rounds: rounds, Actions: acts})
+}
+
+// ring is the leader ring seen from this (leader) position, over the
+// node aggregates blk.
+func (t *tier) ring(blk []int) ring {
+	return ring{place: t.node, n: t.nodes, blk: blk, conn: t.g.ringIdx(t.pos), segs: t.segs}
+}
+
+// mesh adds the direct-exchange stages d = 1..m-1: at offset d each
+// member sends to member k+d and receives from member k-d. segs names
+// the segments sent to position to and received from position from;
+// each half is as long as its segment, and rounds(d) is the same on
+// every member, so all of them stay step-matched.
+func (t *tier) mesh(label string, rounds func(d int) int, reduce bool, segs func(to, from int) (send, recv int)) {
+	for d := 1; d < t.m; d++ {
+		to, from := t.group[(t.k+d)%t.m], t.group[(t.k-d+t.m)%t.m]
+		send, recv := segs(to, from)
+		t.add(label, rounds(d), []Action{{
+			SendSeg: send, SendElems: t.segs[send].len(), SendConn: t.g.peerIdx(t.pos, to),
+			RecvSeg: recv, RecvElems: t.segs[recv].len(), RecvConn: t.g.peerIdx(t.pos, from),
+			Reduce: reduce,
+		}})
+	}
+}
+
+// move is one block of a convoy: the member index it travels from or to,
+// and the segment that holds it at this position.
+type move struct{ member, seg int }
+
+// convoy adds one leader↔member stage: up, each member sends its blocks
+// to the leader; down, the leader sends them to the members. The leader
+// takes every move in order, a member only its own, and a position with
+// no move gets no stage; each half is as long as its segment, and reduce
+// folds received chunks in.
+func (t *tier) convoy(label string, rounds int, up, reduce bool, moves []move) {
+	var acts []Action
+	for _, mv := range moves {
+		peer := t.group[0]
+		if t.k == 0 {
+			peer = t.group[mv.member]
+		} else if mv.member != t.k {
+			continue
+		}
+		a := Action{SendSeg: -1, RecvSeg: -1}
+		if l, conn := t.segs[mv.seg].len(), t.g.peerIdx(t.pos, peer); up == (t.k == 0) {
+			a.RecvSeg, a.RecvElems, a.RecvConn, a.Reduce = mv.seg, l, conn, reduce
+		} else {
+			a.SendSeg, a.SendElems, a.SendConn = mv.seg, l, conn
+		}
+		acts = append(acts, a)
+	}
+	if len(acts) > 0 {
+		t.add(label, rounds, acts)
+	}
+}
+
+// seq finishes the sequence over the allocated working buffer.
+func (t *tier) seq(initCopy int, scratch bool, copyOut []int) *Sequence {
+	return &Sequence{Stages: t.stages, segs: t.segs, chunkElems: t.chunk, workLen: t.cur,
+		initCopyOwnSeg: initCopy, useScratch: scratch, copyOut: copyOut}
+}
+
 // hierAllToAllSeq builds the hierarchical all-to-all(-v) sequence:
 // intra-node direct exchange, pack/gather-to-leader, the flat ring
 // all-to-all schedule between the leaders over per-node aggregates, and
 // scatter-from-leader.
 func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
-	n := s.N()
-	if n == 1 {
-		return noopCopySeq(s.count(0, 0), s.chunk())
-	}
-	a := g.NodeOf[pos]
-	group := g.Members[a]
-	m := len(group)
-	k := g.local[pos]
-	M := g.Nodes()
-	leader := group[0]
-	isLeader := k == 0
-	chunk := s.chunk()
-
-	// --- working-buffer layout ---
-	var segs []segRange
-	cur := 0
-	addSeg := func(l int) int {
-		segs = append(segs, segRange{Lo: cur, Hi: cur + l})
-		cur += l
-		return len(segs) - 1
-	}
-	// addSub registers a nested sub-range of an already-allocated
-	// region without advancing the allocation cursor.
-	addSub := func(lo, l int) int {
-		segs = append(segs, segRange{Lo: lo, Hi: lo + l})
-		return len(segs) - 1
-	}
+	t := s.newTier(pos, g)
+	n, a, M, leader := s.N(), t.node, t.nodes, t.k == 0
 
 	// Own send blocks, in send-buffer layout (the init-copy prefix).
 	own := make([]int, n)
-	for j := 0; j < n; j++ {
-		own[j] = addSeg(s.count(pos, j))
+	for j := range own {
+		own[j] = t.alloc(s.count(pos, j))
 	}
 	// Final blocks by origin, recv-buffer layout. Leaders read their
 	// cross-node blocks straight from the inbound aggregates instead,
 	// so their cross-node FIN slots are unused scratch.
 	fin := make([]int, n)
-	for o := 0; o < n; o++ {
-		fin[o] = addSeg(s.count(o, pos))
+	for o := range fin {
+		fin[o] = t.alloc(s.count(o, pos))
 	}
 
 	// Leader-only staging: one contiguous aggregate per peer node, in
 	// (member, destination) order on the way out and (origin member,
-	// local member) order on the way in, with nested per-block
-	// sub-segments so convoys can address individual blocks. The
-	// aggregates are the leader ring's blocks: outbound by destination
-	// node, inbound by origin node, then its two transit slots.
-	var agg [][]int                     // agg[x][y]: cross-node aggregate sizes
-	var lring []int                     // leader-ring block -> seg
-	var goutSub, ginSub map[int][][]int // [node][member idx][peer idx] -> seg
-	if isLeader && M > 1 {
+	// local member) order on the way in, with a view per block so
+	// convoys can address individual blocks. The aggregates are the
+	// leader ring's blocks: outbound by destination node, inbound by
+	// origin node, then its two transit slots.
+	var agg [][]int         // agg[x][y]: cross-node aggregate sizes
+	var lring []int         // leader-ring block -> seg
+	var gout, gin [][][]int // [node][member idx][peer idx] -> seg
+	aggregate := func(size int, src, dst []int) (int, [][]int) {
+		seg := t.alloc(size)
+		off := t.segs[seg].Lo
+		subs := make([][]int, len(src))
+		for ii, i := range src {
+			subs[ii] = make([]int, len(dst))
+			for jj, j := range dst {
+				subs[ii][jj] = t.view(segRange{Lo: off, Hi: off + s.count(i, j)})
+				off += s.count(i, j)
+			}
+		}
+		return seg, subs
+	}
+	if leader && M > 1 {
 		agg = make([][]int, M)
 		for x := range agg {
 			agg[x] = make([]int, M)
 			for y := range agg[x] {
-				if x == y {
-					continue
-				}
 				for _, i := range g.Members[x] {
 					for _, j := range g.Members[y] {
-						agg[x][y] += s.count(i, j)
+						if x != y {
+							agg[x][y] += s.count(i, j)
+						}
 					}
 				}
 			}
 		}
 		lring = make([]int, 2*M+2)
-		goutSub = make(map[int][][]int, M-1)
-		ginSub = make(map[int][][]int, M-1)
+		gout, gin = make([][][]int, M), make([][][]int, M)
 		for _, b := range g.crossNodes(a) {
-			lo := cur
-			lring[b] = addSeg(agg[a][b])
-			subs := make([][]int, m)
-			off := lo
-			for ii, i := range group {
-				subs[ii] = make([]int, len(g.Members[b]))
-				for jj, j := range g.Members[b] {
-					subs[ii][jj] = addSub(off, s.count(i, j))
-					off += s.count(i, j)
-				}
-			}
-			goutSub[b] = subs
+			lring[b], gout[b] = aggregate(agg[a][b], t.group, g.Members[b])
 		}
 		for _, x := range g.crossNodes(a) {
-			lo := cur
-			lring[M+x] = addSeg(agg[x][a])
-			subs := make([][]int, len(g.Members[x]))
-			off := lo
-			for ii, i := range g.Members[x] {
-				subs[ii] = make([]int, m)
-				for jj, j := range group {
-					subs[ii][jj] = addSub(off, s.count(i, j))
-					off += s.count(i, j)
-				}
-			}
-			ginSub[x] = subs
+			lring[M+x], gin[x] = aggregate(agg[x][a], g.Members[x], t.group)
 		}
 	}
 
-	// --- stages ---
-	var stages []Stage
-
-	// Intra-node direct exchange: one lockstep stage per ring offset
-	// within the group; rounds padded to the offset's largest block so
-	// every member stays step-matched (zero-count peers send empty
-	// chunks, as in the flat ring).
-	for d := 1; d < m; d++ {
-		sp := group[(k+d)%m]
-		rp := group[(k-d+m)%m]
+	// Intra-node direct exchange: one lockstep stage per offset within
+	// the group; rounds padded to the offset's largest block so every
+	// member stays step-matched (zero-count peers send empty chunks, as
+	// in the flat ring).
+	t.mesh("intra", func(d int) int {
 		maxPair := 0
-		for kk := 0; kk < m; kk++ {
-			maxPair = max(maxPair, s.count(group[kk], group[(kk+d)%m]))
+		for kk, i := range t.group {
+			maxPair = max(maxPair, s.count(i, t.group[(kk+d)%t.m]))
 		}
-		stages = append(stages, Stage{
-			Label:  "intra",
-			Rounds: ceilDiv(maxPair, chunk),
-			Actions: []Action{{
-				SendSeg: own[sp], SendElems: s.count(pos, sp), SendConn: g.peerIdx(pos, sp),
-				RecvSeg: fin[rp], RecvElems: s.count(rp, pos), RecvConn: g.peerIdx(pos, rp),
-			}},
-		})
-	}
+		return ceilDiv(maxPair, t.chunk)
+	}, false, func(to, from int) (int, int) { return own[to], fin[from] })
 
 	if M > 1 {
 		// Leader packs its own cross-node blocks into the outbound
 		// aggregates (local copies — no connector involved).
-		if isLeader {
+		if leader {
 			var acts []Action
 			for _, b := range g.crossNodes(a) {
 				for jj, j := range g.Members[b] {
@@ -278,81 +339,57 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 					acts = append(acts, Action{
 						LocalCopy: true,
 						SendSeg:   own[j], SendElems: s.count(pos, j),
-						RecvSeg: goutSub[b][0][jj],
+						RecvSeg: gout[b][0][jj],
 					})
 				}
 			}
 			if len(acts) > 0 {
-				stages = append(stages, Stage{Label: "pack", Rounds: 1, Actions: acts})
+				t.add("pack", 1, acts)
 			}
 		}
-		// Gather-to-leader: one convoy stage per non-leader member, in
-		// the canonical cross-node block order. Sender and leader build
-		// mirrored action lists from the same matrix row, so per-
-		// connector traffic matches action for action, chunk for chunk.
-		for sIdx := 1; sIdx < m; sIdx++ {
-			sender := group[sIdx]
-			if pos != sender && !isLeader {
-				continue
-			}
+		// Gather-to-leader: one convoy per non-leader member, in the
+		// canonical cross-node block order.
+		for sIdx := 1; sIdx < t.m; sIdx++ {
 			maxBlk := 0
-			var acts []Action
+			var moves []move
 			for _, b := range g.crossNodes(a) {
 				for jj, j := range g.Members[b] {
-					c := s.count(sender, j)
-					maxBlk = max(maxBlk, c)
-					if pos == sender {
-						acts = append(acts, Action{
-							SendSeg: own[j], SendElems: c, SendConn: g.peerIdx(pos, leader),
-							RecvSeg: -1,
-						})
-					} else {
-						acts = append(acts, Action{
-							SendSeg: -1,
-							RecvSeg: goutSub[b][sIdx][jj], RecvElems: c, RecvConn: g.peerIdx(pos, sender),
-						})
+					maxBlk = max(maxBlk, s.count(t.group[sIdx], j))
+					seg := own[j]
+					if leader {
+						seg = gout[b][sIdx][jj]
 					}
+					moves = append(moves, move{sIdx, seg})
 				}
 			}
-			stages = append(stages, Stage{Label: "gather", Rounds: ceilDiv(maxBlk, chunk), Actions: acts})
+			t.convoy("gather", ceilDiv(maxBlk, t.chunk), true, false, moves)
 		}
 		// Inter-leader ring: the flat all-to-all schedule over the M×M
 		// aggregate matrix on the leader ring's endpoint.
-		if isLeader {
-			r := ring{place: a, n: M, blk: lring, conn: g.ringIdx(pos)}
+		if leader {
+			r := t.ring(lring)
 			size := func(x, y int) int { return agg[x][y] }
 			transit, moved := r.allToAllBounds(size)
-			lring[2*M], lring[2*M+1] = addSeg(transit), addSeg(transit)
-			stages = append(stages, Stage{Label: "inter-ring", Rounds: ceilDiv(moved, chunk), Actions: r.allToAll(size)})
+			lring[2*M], lring[2*M+1] = t.alloc(transit), t.alloc(transit)
+			t.add("inter-ring", ceilDiv(moved, t.chunk), r.allToAll(size))
 		}
 		// Scatter-from-leader: one convoy per non-leader member; the
 		// leader sends each inbound cross-node block to its final
 		// destination, which writes it into its FIN layout.
-		for tIdx := 1; tIdx < m; tIdx++ {
-			dst := group[tIdx]
-			if pos != dst && !isLeader {
-				continue
-			}
+		for tIdx := 1; tIdx < t.m; tIdx++ {
 			maxBlk := 0
-			var acts []Action
+			var moves []move
 			for _, x := range g.crossNodes(a) {
 				for iIdx, i := range g.Members[x] {
-					c := s.count(i, dst)
-					maxBlk = max(maxBlk, c)
-					if isLeader {
-						acts = append(acts, Action{
-							SendSeg: ginSub[x][iIdx][tIdx], SendElems: c, SendConn: g.peerIdx(pos, dst),
-							RecvSeg: -1,
-						})
-					} else {
-						acts = append(acts, Action{
-							SendSeg: -1,
-							RecvSeg: fin[i], RecvElems: c, RecvConn: g.peerIdx(pos, leader),
-						})
+					maxBlk = max(maxBlk, s.count(i, t.group[tIdx]))
+					seg := fin[i]
+					if leader {
+						seg = gin[x][iIdx][tIdx]
 					}
+					moves = append(moves, move{tIdx, seg})
 				}
 			}
-			stages = append(stages, Stage{Label: "scatter", Rounds: ceilDiv(maxBlk, chunk), Actions: acts})
+			t.convoy("scatter", ceilDiv(maxBlk, t.chunk), false, false, moves)
 		}
 	}
 
@@ -361,24 +398,15 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	// cross-node blocks from FIN (non-leaders, scatter stage) or the
 	// inbound aggregates (leaders).
 	copyOut := make([]int, n)
-	for o := 0; o < n; o++ {
+	for o := range copyOut {
 		switch {
 		case o == pos:
 			copyOut[o] = own[pos]
-		case isLeader && g.NodeOf[o] != a:
-			copyOut[o] = ginSub[g.NodeOf[o]][g.local[o]][0]
+		case leader && g.NodeOf[o] != a:
+			copyOut[o] = gin[g.NodeOf[o]][g.local[o]][0]
 		default:
 			copyOut[o] = fin[o]
 		}
 	}
-
-	return &Sequence{
-		Stages:         stages,
-		segs:           segs,
-		chunkElems:     chunk,
-		workLen:        cur,
-		initCopyOwnSeg: initCopyPrefix,
-		useScratch:     true,
-		copyOut:        copyOut,
-	}
+	return t.seq(initCopyPrefix, true, copyOut)
 }

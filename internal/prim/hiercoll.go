@@ -36,142 +36,57 @@ package prim
 // never more than the flat ring's RDMA traffic, strictly less whenever
 // a node holds more than one rank.
 
-// maxSegLen returns the largest element length among the ranges.
-func maxSegLen(rs []segRange) int {
-	max := 0
-	for _, r := range rs {
-		if r.len() > max {
-			max = r.len()
-		}
-	}
-	return max
-}
-
 // hierAllReduceSeq builds the two-level all-reduce. The working buffer
 // is the user's recv buffer; every segment is an overlapping view of
 // the natural [0, Count) layout, so no scratch or copy-out is needed.
 func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
-	n := s.N()
-	if n == 1 {
-		return noopCopySeq(s.Count, s.chunk())
-	}
-	chunk := s.chunk()
+	t := s.newTier(pos, g)
 	C := s.Count
-	a := g.NodeOf[pos]
-	group := g.Members[a]
-	m := len(group)
-	k := g.local[pos]
-	M := g.Nodes()
-	isLeader := k == 0
-
-	var segs []segRange
-	addView := func(r segRange) int {
-		segs = append(segs, r)
-		return len(segs) - 1
-	}
 	// Node-local shares: the intra-node reduce-scatter's partition.
-	memberView := evenSegs(C, m)
-	member := make([]int, m)
-	for i, r := range memberView {
-		member[i] = addView(r)
+	// Share 0 is the longest.
+	member := make([]int, t.m)
+	for i, r := range evenSegs(C, t.m) {
+		member[i] = t.alloc(r.len())
 	}
-	whole := addView(segRange{Lo: 0, Hi: C})
+	whole := t.view(segRange{Lo: 0, Hi: C})
+	rounds := ceilDiv(t.segs[member[0]].len(), t.chunk)
+	intraRounds := func(int) int { return rounds }
 
-	var stages []Stage
-	// Intra-node reduce-scatter: one direct-exchange stage per mesh
-	// offset. Member k always sends its *original* copy of share
-	// (k+d) — only share k is ever reduced into — so after all offsets
-	// share k holds the node-wide reduction.
-	intraRounds := ceilDiv(maxSegLen(memberView), chunk)
-	for d := 1; d < m; d++ {
-		sk := (k + d) % m
-		rp := group[(k-d+m)%m]
-		stages = append(stages, Stage{
-			Label:  "intra-rs",
-			Rounds: intraRounds,
-			Actions: []Action{{
-				SendSeg: member[sk], SendElems: memberView[sk].len(), SendConn: g.peerIdx(pos, group[sk]),
-				RecvSeg: member[k], RecvElems: memberView[k].len(), RecvConn: g.peerIdx(pos, rp),
-				Reduce: true,
-			}},
-		})
-	}
-
-	if M > 1 {
-		// Gather: every member hands its node-reduced share to the
-		// leader (overwrite — the leader's contribution is already in
-		// it), assembling the full node partial at the leader.
-		if m > 1 {
-			if isLeader {
-				var acts []Action
-				for sIdx := 1; sIdx < m; sIdx++ {
-					acts = append(acts, Action{
-						SendSeg: -1,
-						RecvSeg: member[sIdx], RecvElems: memberView[sIdx].len(), RecvConn: g.peerIdx(pos, group[sIdx]),
-					})
-				}
-				stages = append(stages, Stage{Label: "gather", Rounds: intraRounds, Actions: acts})
-			} else {
-				stages = append(stages, Stage{Label: "gather", Rounds: intraRounds, Actions: []Action{{
-					SendSeg: member[k], SendElems: memberView[k].len(), SendConn: g.peerIdx(pos, group[0]),
-					RecvSeg: -1,
-				}}})
-			}
-		}
-		// Inter-leader ring all-reduce over evenSegs(C, M) partials: the
-		// flat all-reduce schedule on the leader ring's endpoint, the
-		// only phase that touches RDMA.
-		if isLeader {
-			inter := make([]int, M)
-			for i, r := range evenSegs(C, M) {
-				inter[i] = addView(r)
-			}
-			r := ring{place: a, n: M, blk: inter, conn: g.ringIdx(pos), segs: segs}
-			stages = append(stages, Stage{Label: "inter-ring", Rounds: r.rounds(chunk), Actions: r.allReduce()})
-		}
-		// Broadcast: the leader fans the fully reduced vector out to
-		// its members.
-		if m > 1 {
-			bRounds := ceilDiv(C, chunk)
-			if isLeader {
-				var acts []Action
-				for tIdx := 1; tIdx < m; tIdx++ {
-					acts = append(acts, Action{
-						SendSeg: whole, SendElems: C, SendConn: g.peerIdx(pos, group[tIdx]),
-						RecvSeg: -1,
-					})
-				}
-				stages = append(stages, Stage{Label: "bcast", Rounds: bRounds, Actions: acts})
-			} else {
-				stages = append(stages, Stage{Label: "bcast", Rounds: bRounds, Actions: []Action{{
-					SendSeg: -1,
-					RecvSeg: whole, RecvElems: C, RecvConn: g.peerIdx(pos, group[0]),
-				}}})
-			}
-		}
-	} else {
+	// Intra-node reduce-scatter: member k always sends its *original*
+	// copy of share (k+d) — only share k is ever reduced into — so after
+	// all offsets share k holds the node-wide reduction.
+	t.mesh("intra-rs", intraRounds, true, func(to, _ int) (int, int) { return member[g.local[to]], member[t.k] })
+	if t.nodes == 1 {
 		// Single node: mesh all-gather of the reduced shares — member k
 		// fans its (final) share k out while collecting the others.
-		for d := 1; d < m; d++ {
-			fk := (k - d + m) % m
-			stages = append(stages, Stage{
-				Label:  "intra-ag",
-				Rounds: intraRounds,
-				Actions: []Action{{
-					SendSeg: member[k], SendElems: memberView[k].len(), SendConn: g.peerIdx(pos, group[(k+d)%m]),
-					RecvSeg: member[fk], RecvElems: memberView[fk].len(), RecvConn: g.peerIdx(pos, group[fk]),
-				}},
-			})
+		t.mesh("intra-ag", intraRounds, false, func(_, from int) (int, int) { return member[t.k], member[g.local[from]] })
+		return t.seq(initCopyWhole, false, nil)
+	}
+	// Gather: every member hands its node-reduced share to the leader
+	// (overwrite — the leader's contribution is already in it),
+	// assembling the full node partial at the leader; the rounds cover
+	// share 0, which never moves.
+	var gather, bcast []move
+	for i := 1; i < t.m; i++ {
+		gather = append(gather, move{i, member[i]})
+		bcast = append(bcast, move{i, whole})
+	}
+	t.convoy("gather", rounds, true, false, gather)
+	// Inter-leader ring all-reduce over evenSegs(C, M) partials: the
+	// flat all-reduce schedule on the leader ring's endpoint, the only
+	// phase that touches RDMA.
+	if t.k == 0 {
+		inter := make([]int, t.nodes)
+		for i, r := range evenSegs(C, t.nodes) {
+			inter[i] = t.view(r)
 		}
+		r := t.ring(inter)
+		t.add("inter-ring", r.rounds(t.chunk), r.allReduce())
 	}
-
-	return &Sequence{
-		Stages:         stages,
-		segs:           segs,
-		chunkElems:     chunk,
-		workLen:        C,
-		initCopyOwnSeg: initCopyWhole,
-	}
+	// Broadcast: the leader fans the fully reduced vector out to its
+	// members.
+	t.convoy("bcast", ceilDiv(C, t.chunk), false, false, bcast)
+	return t.seq(initCopyWhole, false, nil)
 }
 
 // hierAllGatherSeq builds the two-level all-gather. Non-leaders (and
@@ -180,275 +95,140 @@ func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
 // so each node's aggregate is one contiguous segment for the ragged
 // inter-leader ring, then copies out in ring order.
 func (s Spec) hierAllGatherSeq(pos int, g NodeGrouping) *Sequence {
-	n := s.N()
-	if n == 1 {
-		return noopCopySeq(s.Count, s.chunk())
-	}
-	chunk := s.chunk()
+	t := s.newTier(pos, g)
 	C := s.Count
-	a := g.NodeOf[pos]
-	group := g.Members[a]
-	m := len(group)
-	k := g.local[pos]
-	M := g.Nodes()
-	leaderLayout := g.IsLeader(pos) && M > 1
-
-	var segs []segRange
-	blkOf := make([]int, n) // seg index of ring position p's block
-	agg := make([]int, M)   // leader layout: node x's contiguous aggregate
+	leaderLayout := t.k == 0 && t.nodes > 1
+	blkOf := make([]int, s.N()) // seg index of ring position p's block
+	agg := make([]int, t.nodes) // leader layout: node x's contiguous aggregate
 	if leaderLayout {
-		cur := 0
-		for x := 0; x < M; x++ {
-			lo := cur
-			for _, p := range g.Members[x] {
-				segs = append(segs, segRange{Lo: cur, Hi: cur + C})
-				blkOf[p] = len(segs) - 1
-				cur += C
+		for x, members := range g.Members {
+			lo := t.cur
+			for _, p := range members {
+				blkOf[p] = t.alloc(C)
 			}
-			segs = append(segs, segRange{Lo: lo, Hi: cur})
-			agg[x] = len(segs) - 1
+			agg[x] = t.view(segRange{Lo: lo, Hi: t.cur})
 		}
 	} else {
-		for p, r := range evenSegsFixed(C, n) {
-			segs = append(segs, r)
-			blkOf[p] = p
+		for p := range blkOf {
+			blkOf[p] = t.alloc(C)
 		}
 	}
+	rounds := ceilDiv(C, t.chunk)
 
-	var stages []Stage
 	// Intra-node mesh exchange of the per-rank blocks.
-	for d := 1; d < m; d++ {
-		fp := group[(k-d+m)%m]
-		stages = append(stages, Stage{
-			Label:  "intra",
-			Rounds: ceilDiv(C, chunk),
-			Actions: []Action{{
-				SendSeg: blkOf[pos], SendElems: C, SendConn: g.peerIdx(pos, group[(k+d)%m]),
-				RecvSeg: blkOf[fp], RecvElems: C, RecvConn: g.peerIdx(pos, fp),
-			}},
-		})
-	}
-
-	if M > 1 {
+	t.mesh("intra", func(int) int { return rounds }, false, func(_, from int) (int, int) { return blkOf[pos], blkOf[from] })
+	if t.nodes > 1 {
 		// Ring all-gather of per-node aggregates between the leaders:
 		// the flat all-gather schedule on the leader ring's endpoint.
 		if leaderLayout {
-			r := ring{place: a, n: M, blk: agg, conn: g.ringIdx(pos), segs: segs}
-			stages = append(stages, Stage{Label: "inter-ring", Rounds: r.rounds(chunk), Actions: r.allGather()})
+			r := t.ring(agg)
+			t.add("inter-ring", r.rounds(t.chunk), r.allGather())
 		}
-		// Scatter: the leader forwards every cross-node block to each
-		// of its members, in the canonical cross-node order.
-		if m > 1 {
-			var acts []Action
-			for _, x := range g.crossNodes(a) {
-				for _, i := range g.Members[x] {
-					if leaderLayout {
-						for tIdx := 1; tIdx < m; tIdx++ {
-							acts = append(acts, Action{
-								SendSeg: blkOf[i], SendElems: C, SendConn: g.peerIdx(pos, group[tIdx]),
-								RecvSeg: -1,
-							})
-						}
-					} else {
-						acts = append(acts, Action{
-							SendSeg: -1,
-							RecvSeg: blkOf[i], RecvElems: C, RecvConn: g.peerIdx(pos, group[0]),
-						})
-					}
+		// Scatter: the leader forwards every cross-node block to each of
+		// its members, in the canonical cross-node order.
+		var moves []move
+		for _, x := range g.crossNodes(t.node) {
+			for _, i := range g.Members[x] {
+				for tIdx := 1; tIdx < t.m; tIdx++ {
+					moves = append(moves, move{tIdx, blkOf[i]})
 				}
 			}
-			stages = append(stages, Stage{Label: "scatter", Rounds: ceilDiv(C, chunk), Actions: acts})
 		}
-	}
-
-	seq := &Sequence{
-		Stages:         stages,
-		segs:           segs,
-		chunkElems:     chunk,
-		workLen:        n * C,
-		initCopyOwnSeg: blkOf[pos],
+		t.convoy("scatter", rounds, false, false, moves)
 	}
 	if leaderLayout {
-		seq.useScratch = true
-		seq.copyOut = blkOf
+		return t.seq(blkOf[pos], true, blkOf)
 	}
-	return seq
+	return t.seq(blkOf[pos], false, nil)
 }
 
 // hierReduceScatterSeq builds the two-level reduce-scatter over the
 // natural evenSegs(Count, N) output partition (position p's output is
 // segment p, as in the flat ring).
 func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
-	n := s.N()
-	if n == 1 {
-		return noopCopySeq(s.Count, s.chunk())
-	}
-	chunk := s.chunk()
-	C := s.Count
-	a := g.NodeOf[pos]
-	group := g.Members[a]
-	m := len(group)
-	k := g.local[pos]
-	M := g.Nodes()
-	isLeader := k == 0
-	gview := evenSegs(C, n)
-	maxG := maxSegLen(gview)
-
-	var segs []segRange
+	t := s.newTier(pos, g)
+	n, leader := s.N(), t.k == 0
 	nat := make([]int, n) // natural-layout view of position p's segment
-	for p, r := range gview {
-		segs = append(segs, r)
-		nat[p] = p
+	for p, r := range evenSegs(s.Count, n) {
+		nat[p] = t.alloc(r.len())
 	}
+	size := func(p int) int { return t.segs[nat[p]].len() }
+	rounds := ceilDiv(size(0), t.chunk) // segment 0 is the longest
 
-	var stages []Stage
-	if M == 1 {
+	if t.nodes == 1 {
 		// Single node: direct mesh exchange — member k sends its
 		// original copy of each peer's output segment and reduces the
 		// peers' copies of its own.
-		rounds := ceilDiv(maxG, chunk)
-		for d := 1; d < m; d++ {
-			sp := group[(k+d)%m]
-			rp := group[(k-d+m)%m]
-			stages = append(stages, Stage{
-				Label:  "intra-rs",
-				Rounds: rounds,
-				Actions: []Action{{
-					SendSeg: nat[sp], SendElems: gview[sp].len(), SendConn: g.peerIdx(pos, sp),
-					RecvSeg: nat[pos], RecvElems: gview[pos].len(), RecvConn: g.peerIdx(pos, rp),
-					Reduce: true,
-				}},
-			})
-		}
-		return &Sequence{
-			Stages:         stages,
-			segs:           segs,
-			chunkElems:     chunk,
-			workLen:        C,
-			initCopyOwnSeg: initCopyWhole,
-			useScratch:     true,
-			copyOut:        nat[pos : pos+1],
-		}
+		t.mesh("intra-rs", func(int) int { return rounds }, true, func(to, _ int) (int, int) { return nat[to], nat[pos] })
+		return t.seq(initCopyWhole, true, nat[pos:pos+1])
 	}
 
 	// Multi-node. Leaders additionally stage a node-grouped permutation
 	// of the full vector in [C, 2C): node x's members' segments made
 	// contiguous so the inter-leader ring reduce-scatters whole per-node
-	// aggregates.
-	perm := make([]int, n) // leader layout: permuted view of position p's segment
-	agg := make([]int, M)  // leader layout: node x's contiguous aggregate
-	var permOrder []int    // positions in permuted (node-grouped) order
-	for x := 0; x < M; x++ {
-		permOrder = append(permOrder, g.Members[x]...)
+	// aggregates. held is where this position keeps the segments it
+	// moves in the convoys: the permuted layout on the leader, the
+	// natural one on a member.
+	perm := make([]int, n)      // leader layout: permuted view of position p's segment
+	agg := make([]int, t.nodes) // leader layout: node x's contiguous aggregate
+	var permOrder []int         // positions in permuted (node-grouped) order
+	for _, members := range g.Members {
+		permOrder = append(permOrder, members...)
 	}
-	if isLeader {
-		cur := C
-		for x := 0; x < M; x++ {
-			lo := cur
-			for _, p := range g.Members[x] {
-				segs = append(segs, segRange{Lo: cur, Hi: cur + gview[p].len()})
-				perm[p] = len(segs) - 1
-				cur += gview[p].len()
+	held := nat
+	if leader {
+		held = perm
+		for x, members := range g.Members {
+			lo := t.cur
+			for _, p := range members {
+				perm[p] = t.alloc(size(p))
 			}
-			segs = append(segs, segRange{Lo: lo, Hi: cur})
-			agg[x] = len(segs) - 1
+			agg[x] = t.view(segRange{Lo: lo, Hi: t.cur})
 		}
 		// Pack: stage the leader's own contribution into the permuted
 		// layout with connector-free local copies.
 		var acts []Action
 		for _, p := range permOrder {
-			if gview[p].len() == 0 {
+			if size(p) == 0 {
 				continue
 			}
 			acts = append(acts, Action{
 				LocalCopy: true,
-				SendSeg:   nat[p], SendElems: gview[p].len(),
+				SendSeg:   nat[p], SendElems: size(p),
 				RecvSeg: perm[p],
 			})
 		}
 		if len(acts) > 0 {
-			stages = append(stages, Stage{Label: "pack", Rounds: 1, Actions: acts})
+			t.add("pack", 1, acts)
 		}
 	}
 
 	// Gather: every member funnels its whole vector to the leader, in
 	// the leader's permuted order, reduced into the permuted layout.
-	if m > 1 {
-		rounds := ceilDiv(maxG, chunk)
-		if isLeader {
-			var acts []Action
-			for sIdx := 1; sIdx < m; sIdx++ {
-				for _, p := range permOrder {
-					acts = append(acts, Action{
-						SendSeg: -1,
-						RecvSeg: perm[p], RecvElems: gview[p].len(), RecvConn: g.peerIdx(pos, group[sIdx]),
-						Reduce: true,
-					})
-				}
-			}
-			stages = append(stages, Stage{Label: "gather", Rounds: rounds, Actions: acts})
-		} else {
-			var acts []Action
-			for _, p := range permOrder {
-				acts = append(acts, Action{
-					SendSeg: nat[p], SendElems: gview[p].len(), SendConn: g.peerIdx(pos, group[0]),
-					RecvSeg: -1,
-				})
-			}
-			stages = append(stages, Stage{Label: "gather", Rounds: rounds, Actions: acts})
+	var gather, scatter []move
+	maxMember := size(t.group[0])
+	for i := 1; i < t.m; i++ {
+		for _, p := range permOrder {
+			gather = append(gather, move{i, held[p]})
 		}
+		scatter = append(scatter, move{i, held[t.group[i]]})
+		maxMember = max(maxMember, size(t.group[i]))
 	}
+	t.convoy("gather", rounds, true, true, gather)
 
 	// Inter-leader ring reduce-scatter over the per-node aggregates: the
 	// flat reduce-scatter schedule (node a finishes holding aggregate a)
 	// on the leader ring's endpoint.
-	if isLeader {
-		r := ring{place: a, n: M, blk: agg, conn: g.ringIdx(pos), segs: segs}
-		stages = append(stages, Stage{Label: "inter-ring", Rounds: r.rounds(chunk), Actions: r.reduceScatter()})
+	if leader {
+		r := t.ring(agg)
+		t.add("inter-ring", r.rounds(t.chunk), r.reduceScatter())
 	}
-
 	// Scatter: the leader returns each member's fully reduced output
 	// segment from the permuted layout.
-	if m > 1 {
-		maxMember := 0
-		for _, p := range group {
-			if l := gview[p].len(); l > maxMember {
-				maxMember = l
-			}
-		}
-		rounds := ceilDiv(maxMember, chunk)
-		if isLeader {
-			var acts []Action
-			for tIdx := 1; tIdx < m; tIdx++ {
-				t := group[tIdx]
-				acts = append(acts, Action{
-					SendSeg: perm[t], SendElems: gview[t].len(), SendConn: g.peerIdx(pos, t),
-					RecvSeg: -1,
-				})
-			}
-			stages = append(stages, Stage{Label: "scatter", Rounds: rounds, Actions: acts})
-		} else {
-			stages = append(stages, Stage{Label: "scatter", Rounds: rounds, Actions: []Action{{
-				SendSeg: -1,
-				RecvSeg: nat[pos], RecvElems: gview[pos].len(), RecvConn: g.peerIdx(pos, group[0]),
-			}}})
-		}
+	t.convoy("scatter", ceilDiv(maxMember, t.chunk), false, false, scatter)
+	initCopy := initCopyWhole
+	if leader {
+		initCopy = initCopyPrefix
 	}
-
-	seq := &Sequence{
-		Stages:     stages,
-		segs:       segs,
-		chunkElems: chunk,
-		useScratch: true,
-		copyOut:    nat[pos : pos+1],
-	}
-	if isLeader {
-		seq.workLen = 2 * C
-		seq.initCopyOwnSeg = initCopyPrefix
-		seq.copyOut = perm[pos : pos+1]
-	} else {
-		seq.workLen = C
-		seq.initCopyOwnSeg = initCopyWhole
-	}
-	return seq
+	return t.seq(initCopy, true, held[pos:pos+1])
 }

@@ -1,0 +1,84 @@
+package prim
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+
+	"dfccl/internal/topo"
+)
+
+// pinnedSchedules is the FNV-64a hash of every sequence schedulesHash
+// builds. It changes only when a builder changes a schedule: after a
+// deliberate schedule change, re-record it from the failure message.
+const pinnedSchedules = 0xaf00e3480b94ab91
+
+// schedulesHash builds, over a grid of trials seeded rank sets per shape, every position's Sequence for
+// all seven kinds on the ring and (where supported) hierarchically, and
+// hashes their %+v. The grid spans 1–4 nodes × 1–4 GPUs, seeded rank
+// subsets in seeded order, Count 0–299 (reduce-scatter rounded down to a
+// multiple of N), chunk 0–39 (0: the default) and all-to-all-v matrices
+// with zero entries. It returns the hash and the sequence count.
+func schedulesHash(seed int64, trials int) (uint64, int) {
+	h := fnv.New64a()
+	rng := rand.New(rand.NewSource(seed))
+	built := 0
+	for nodes := 1; nodes <= 4; nodes++ {
+		for gpus := 1; gpus <= 4; gpus++ {
+			c := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
+			total := nodes * gpus
+			for trial := 0; trial < trials; trial++ {
+				n := 1 + rng.Intn(total)
+				ranks := rng.Perm(total)[:n]
+				g := GroupByNode(c, ranks)
+				for kind := AllReduce; kind <= AllToAllv; kind++ {
+					spec := Spec{Kind: kind, Count: rng.Intn(300), ChunkElems: rng.Intn(40), Ranks: ranks, Root: rng.Intn(n)}
+					switch kind {
+					case ReduceScatter:
+						spec.Count -= spec.Count % n
+					case AllToAllv:
+						spec.Count = 0
+						spec.Counts = make([][]int, n)
+						for i := range spec.Counts {
+							spec.Counts[i] = make([]int, n)
+							for j := range spec.Counts[i] {
+								if rng.Intn(3) > 0 {
+									spec.Counts[i][j] = rng.Intn(60)
+								}
+							}
+						}
+					}
+					for _, algo := range []Algorithm{AlgoRing, AlgoHierarchical} {
+						spec.Algo = algo
+						if spec.Validate() != nil {
+							continue
+						}
+						for pos := range ranks {
+							var seq *Sequence
+							if algo == AlgoHierarchical {
+								seq = spec.HierSequenceFor(pos, g)
+							} else {
+								seq = spec.SequenceFor(pos)
+							}
+							fmt.Fprintf(h, "%v %v %d: %+v\n", kind, algo, pos, seq)
+							built++
+						}
+					}
+				}
+			}
+		}
+	}
+	return h.Sum64(), built
+}
+
+// TestSchedulesPinned holds every built schedule to the recorded hash:
+// checkPeers proves that the two ends of each connector agree, this
+// proves that the schedule itself did not move.
+func TestSchedulesPinned(t *testing.T) {
+	got, built := schedulesHash(30, 20)
+	if got != pinnedSchedules {
+		t.Fatalf("%d sequences hash to %#x, pinned %#x: a builder changed a schedule "+
+			"(if deliberately, set pinnedSchedules to %#x)", built, got, uint64(pinnedSchedules), got)
+	}
+}

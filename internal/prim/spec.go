@@ -74,7 +74,7 @@ const (
 	// reduce-scatter; Reduce and Broadcast remain ring/chain-only.
 	AlgoHierarchical
 	// AlgoAuto resolves to a concrete algorithm (ring or hierarchical)
-	// at Open/Launch time from the runtime's tuning table, keyed by
+	// at Open time from the runtime's tuning table, keyed by
 	// (kind, payload size, node shape). Valid on every kind — kinds
 	// without a hierarchical variant always resolve to the ring. An
 	// unresolved AlgoAuto never reaches a sequence builder.
@@ -171,7 +171,7 @@ type Spec struct {
 	// the flat ring; AlgoHierarchical (all-to-all variants, all-reduce,
 	// all-gather, reduce-scatter) tiers the exchange by node topology;
 	// AlgoAuto is resolved to one of the two from the tuning table at
-	// Open/Launch time, before the spec is registered. Two
+	// Open time, before the spec is registered. Two
 	// registrations of the same collective ID must agree on it —
 	// sameSpec and Fingerprint treat the algorithm as part of the
 	// collective's identity, because ring and hierarchical executors

@@ -35,9 +35,8 @@ func (t Transport) String() string {
 
 // GPUModel describes a GPU SKU.
 type GPUModel struct {
-	Name        string
-	MemoryBytes int64
-	NumSMs      int
+	Name   string
+	NumSMs int
 	// SharedMemPerSM is the shared memory available per SM in bytes.
 	SharedMemPerSM int
 	// CopyBandwidth is the device-local memory bandwidth in bytes/sec
@@ -47,8 +46,8 @@ type GPUModel struct {
 
 // Predefined GPU models for the paper's two server types.
 var (
-	RTX3080Ti = GPUModel{Name: "RTX3080Ti", MemoryBytes: 12 << 30, NumSMs: 80, SharedMemPerSM: 100 << 10, CopyBandwidth: 350e9}
-	RTX3090   = GPUModel{Name: "RTX3090", MemoryBytes: 24 << 30, NumSMs: 82, SharedMemPerSM: 100 << 10, CopyBandwidth: 380e9}
+	RTX3080Ti = GPUModel{Name: "RTX3080Ti", NumSMs: 80, SharedMemPerSM: 100 << 10, CopyBandwidth: 350e9}
+	RTX3090   = GPUModel{Name: "RTX3090", NumSMs: 82, SharedMemPerSM: 100 << 10, CopyBandwidth: 380e9}
 )
 
 // Path describes the communication characteristics between two GPUs.

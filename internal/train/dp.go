@@ -40,18 +40,6 @@ type Result struct {
 	OutputHash uint64
 }
 
-// RunningThroughput returns the Fig. 12 metric: element i is the mean
-// throughput over iterations 0..i.
-func (r *Result) RunningThroughput(samplesPerIter int) []float64 {
-	out := make([]float64, r.IterTimes.Len())
-	sum := 0.0
-	for i, t := range r.IterTimes.Samples {
-		sum += t
-		out[i] = float64(samplesPerIter) * float64(i+1) / sum
-	}
-	return out
-}
-
 // runRanks runs body once per rank 0..n-1 on backend b, drives the
 // simulation to completion (sim.Engine.RunRanks gives the error
 // contract), and closes the run's Result: total virtual time and the

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dfccl/internal/metrics"
-
 	"dfccl/internal/core"
 	"dfccl/internal/orch"
 	"dfccl/internal/sim"
@@ -237,15 +235,5 @@ func TestTPCommSlowsThroughput(t *testing.T) {
 	dpThroughput := run(1, 4)
 	if tpThroughput >= dpThroughput {
 		t.Fatalf("TP %.1f should be slower than DP %.1f", tpThroughput, dpThroughput)
-	}
-}
-
-func TestRunningThroughput(t *testing.T) {
-	r := &Result{IterTimes: &metrics.Series{Samples: []float64{2, 2, 2}}}
-	rt := r.RunningThroughput(100)
-	for _, v := range rt {
-		if v != 50 {
-			t.Fatalf("running throughput = %v, want 50", rt)
-		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package tune holds DFCCL's algorithm auto-tuning table: the
 // committed artifact mapping (collective kind, payload size, cluster
 // shape) to the primitive-sequence algorithm that measured fastest, and
-// the picker that resolves prim.AlgoAuto against it at Open/Launch
-// time.
+// the picker that resolves prim.AlgoAuto against it at Open time.
 //
 // The table is a list of crossover rows, one per (kind, node shape,
 // fabric): below the crossover the flat ring wins (fewer stages, no
@@ -172,20 +171,14 @@ func (t *Table) Pick(kind prim.Kind, elems, nodes, gpusPerNode int) prim.Algorit
 	return prim.AlgoHierarchical
 }
 
-// PickFor resolves a spec's AlgoAuto on a concrete cluster: the node
-// shape is derived from the spec's rank set (the node count the ranks
-// actually span, and the largest per-node contingent), so a collective
-// over a subset of the cluster is tuned for the shape it runs on, not
-// the shape of the whole machine room.
-func (t *Table) PickFor(c *topo.Cluster, spec prim.Spec) prim.Algorithm {
-	algo, _ := t.PickForExplained(c, spec)
-	return algo
-}
-
-// PickForExplained resolves like PickFor and additionally returns a
-// short human-readable note — the shape the picker saw and the
-// algorithm it chose, e.g. "all-reduce elems=4096 shape=2x4 ->
-// hierarchical" — for the flight recorder's tune-pick marks.
+// PickForExplained resolves a spec's AlgoAuto on a concrete cluster:
+// the node shape is derived from the spec's rank set (the node count the
+// ranks actually span, and the largest per-node contingent), so a
+// collective over a subset of the cluster is tuned for the shape it runs
+// on, not the shape of the whole machine room. It also returns a short
+// human-readable note — the shape the picker saw and the algorithm it
+// chose, e.g. "all-reduce elems=4096 shape=2x4 -> hierarchical" — for
+// the flight recorder's tune-pick marks.
 func (t *Table) PickForExplained(c *topo.Cluster, spec prim.Spec) (prim.Algorithm, string) {
 	g := prim.GroupByNode(c, spec.Ranks)
 	gpn := 1

@@ -163,25 +163,26 @@ func TestElemsFor(t *testing.T) {
 	}
 }
 
-// TestPickForSubsetShape verifies PickFor tunes for the shape the rank
-// set actually spans, not the whole cluster: on a two-node machine the
-// committed table sends a cross-node all-reduce hierarchical and a
-// single-node one (same cluster, node-local ranks) to the ring.
+// TestPickForSubsetShape verifies PickForExplained tunes for the shape
+// the rank set actually spans, not the whole cluster: on a two-node
+// machine the committed table sends a cross-node all-reduce
+// hierarchical and a single-node one (same cluster, node-local ranks)
+// to the ring.
 func TestPickForSubsetShape(t *testing.T) {
 	tbl := tune.Default()
 	cluster := topo.MultiNode3090(2)
 	cross := prim.Spec{Kind: prim.AllReduce, Count: 64, Ranks: []int{0, 1, 8, 9}}
-	if got := tbl.PickFor(cluster, cross); got != prim.AlgoHierarchical {
-		t.Errorf("cross-node all-reduce: PickFor = %v, want hierarchical", got)
+	if got, _ := tbl.PickForExplained(cluster, cross); got != prim.AlgoHierarchical {
+		t.Errorf("cross-node all-reduce: PickForExplained = %v, want hierarchical", got)
 	}
 	local := prim.Spec{Kind: prim.AllReduce, Count: 64, Ranks: []int{0, 1, 2, 3}}
-	if got := tbl.PickFor(cluster, local); got != prim.AlgoRing {
-		t.Errorf("node-local all-reduce: PickFor = %v, want ring", got)
+	if got, _ := tbl.PickForExplained(cluster, local); got != prim.AlgoRing {
+		t.Errorf("node-local all-reduce: PickForExplained = %v, want ring", got)
 	}
 	// Reduce-scatter measured ring-favoured everywhere.
 	rs := prim.Spec{Kind: prim.ReduceScatter, Count: 64, Ranks: []int{0, 1, 8, 9}}
-	if got := tbl.PickFor(cluster, rs); got != prim.AlgoRing {
-		t.Errorf("reduce-scatter: PickFor = %v, want ring", got)
+	if got, _ := tbl.PickForExplained(cluster, rs); got != prim.AlgoRing {
+		t.Errorf("reduce-scatter: PickForExplained = %v, want ring", got)
 	}
 }
 
