@@ -46,9 +46,12 @@ benchcheck:
 	$(GO) test -C benchmark .
 
 # loc prints the non-test Go line count each PR reports the delta of in
-# CHANGES.md (the benchmark module is not counted).
+# CHANGES.md (the benchmark module is not counted). It counts the
+# working tree: tracked and untracked-but-not-ignored files that exist,
+# so a file not yet added counts and a deleted one does not.
 loc:
-	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' \
+		| while read -r f; do if [ -f "$$f" ]; then cat "$$f"; fi; done | wc -l
 
 # soak reruns the fault-path and flight-recorder tests 200 times: the
 # kill / abort / requeue paths must be deterministic on every run, not

@@ -195,13 +195,13 @@ func TestMoEZeROScenarios(t *testing.T) {
 // enforces across the full sweep: bit-identical outputs and strictly
 // fewer hierarchical RDMA bytes.
 func TestA2ASweepInvariants(t *testing.T) {
-	cluster := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
-	counts := a2aCounts(4, "hot-row")
-	ringRow, ringOuts, err := runA2A(cluster, counts, prim.AlgoRing)
+	c := cell{shape: shape{2, 2}, kind: prim.AllToAllv, counts: a2aCounts(4, "hot-row", 1), algo: prim.AlgoRing}
+	ringRow, ringOuts, err := measure(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hierRow, hierOuts, err := runA2A(cluster, counts, prim.AlgoHierarchical)
+	c.algo = prim.AlgoHierarchical
+	hierRow, hierOuts, err := measure(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,75 +233,85 @@ func TestSizeSweepAndHumanBytes(t *testing.T) {
 	}
 }
 
-// TestA2AGate runs the first sweep behind `trainbench -fig a2a` through
-// the gate that row enforces, and checks the gate rejects a row set
-// that breaks one of its claims.
+// TestA2AGate runs the algorithm sweep behind `trainbench -fig a2a`
+// through a2aGate, and checks the gate rejects a row set that breaks
+// one of its claims.
 func TestA2AGate(t *testing.T) {
-	rows, err := AllToAllAlgoSweep()
+	rows, err := a2aSweep(benchShapes, []float64{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := A2AGate(rows); err != nil {
-		t.Fatalf("A2AGate on the sweep: %v", err)
+	if err := a2aGate(rows); err != nil {
+		t.Fatalf("a2aGate on the algorithm sweep: %v", err)
 	}
 	for i, r := range rows {
-		if r.Algo != prim.AlgoHierarchical || r.Nodes < 2 {
+		if r.algo != prim.AlgoHierarchical || r.nodes < 2 {
 			continue
 		}
-		bad := append([]A2ARow(nil), rows...)
-		bad[i].RDMABytes = 1 << 40
-		if A2AGate(bad) == nil {
-			t.Fatal("A2AGate accepted hierarchical RDMA bytes above the ring's")
+		bad := append([]a2aRow(nil), rows...)
+		bad[i].run.RDMABytes = 1 << 40
+		if a2aGate(bad) == nil {
+			t.Fatal("a2aGate accepted hierarchical RDMA bytes above the ring's")
 		}
 		bad[i] = r
-		bad[i].BitIdentical = false
-		if A2AGate(bad) == nil {
-			t.Fatal("A2AGate accepted diverged outputs")
+		bad[i].identical = false
+		if a2aGate(bad) == nil {
+			t.Fatal("a2aGate accepted diverged outputs")
 		}
 		break
 	}
 }
 
-// TestContentionGate checks ContentionGate rejects a row set that
-// breaks one of its claims. The measured sweep passing it is the a2a
-// row of TestExperiments (3 s, so it runs once); the rows here are made
-// up to have the sweep's shape: e2e grows with F, faster for the ring.
+// TestContentionGate checks a2aGate rejects a congestion-sweep row set
+// that breaks one of its claims. The measured sweep passing it is the
+// a2a row of TestExperiments (3 s, so it runs once); the rows here are
+// made up to have the sweep's shape: e2e grows with F, faster for the
+// ring, which also moves more RDMA bytes.
 func TestContentionGate(t *testing.T) {
-	var crows []A2AContentionRow
+	var rows []a2aRow
 	for _, f := range []float64{1, 2, 4} {
-		for _, skew := range []string{"uniform", "hot-row"} {
+		for _, skew := range a2aSkews {
+			var ring CollRunRow
 			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
-				unshared := 400 * sim.Microsecond
+				unshared, rdma := 400*sim.Microsecond, 90
 				if algo == prim.AlgoHierarchical {
-					unshared = 300 * sim.Microsecond
+					unshared, rdma = 300*sim.Microsecond, 72
 				}
-				crows = append(crows, A2AContentionRow{
-					Nodes: 4, GPUsPerNode: 4, Skew: skew, Oversub: f, Algo: algo,
-					E2E: unshared * sim.Duration(f) * sim.Duration(f), UnsharedE2E: unshared, BitIdentical: true,
+				run := CollRunRow{
+					E2E: unshared * sim.Duration(f) * sim.Duration(f), RDMABytes: rdma,
 					Tiers: []fabric.TierUtil{{Tier: fabric.TierSpine, PeakUtil: 1, Saturated: 1}},
+				}
+				if algo == prim.AlgoRing {
+					ring = run
+				}
+				rows = append(rows, a2aRow{
+					cell: cell{shape: shape{4, 4}, kind: prim.AllToAllv, algo: algo, oversub: f},
+					skew: skew, run: run, ring: ring, unshared: unshared, identical: true,
 				})
 			}
 		}
 	}
-	if err := ContentionGate(crows); err != nil {
-		t.Fatalf("ContentionGate on well-formed rows: %v", err)
+	if err := a2aGate(rows); err != nil {
+		t.Fatalf("a2aGate on well-formed rows: %v", err)
 	}
-	if got := len(HierAdvantages(crows)); got != 6 {
-		t.Fatalf("advantage column has %d cells, want 2 skews × 3 factors", got)
-	}
-	for i, r := range crows {
-		if r.Algo != prim.AlgoHierarchical || r.Oversub != 4 {
+	for i, r := range rows {
+		if r.algo != prim.AlgoHierarchical || r.oversub != 4 {
 			continue
 		}
-		bad := append([]A2AContentionRow(nil), crows...)
-		bad[i].E2E = bad[i].UnsharedE2E // spine invisible, and advantage no longer monotone
-		if ContentionGate(bad) == nil {
-			t.Fatal("ContentionGate accepted a contended run no slower than its isolated-sum prediction")
-		}
-		bad[i] = r
-		bad[i].Tiers = nil
-		if ContentionGate(bad) == nil {
-			t.Fatal("ContentionGate accepted a run that never saturated the spine")
+		for _, m := range []struct {
+			claim  string
+			mutate func(*a2aRow)
+		}{
+			{"a contended run no slower than its isolated-sum prediction", func(r *a2aRow) { r.run.E2E = r.unshared }},
+			{"a run that never saturated the spine", func(r *a2aRow) { r.run.Tiers = nil }},
+			{"contended hierarchical RDMA bytes as high as the ring's", func(r *a2aRow) { r.run.RDMABytes = r.ring.RDMABytes }},
+			{"an advantage that shrank as F grew", func(r *a2aRow) { r.run.E2E = r.ring.E2E }},
+		} {
+			bad := append([]a2aRow(nil), rows...)
+			m.mutate(&bad[i])
+			if a2aGate(bad) == nil {
+				t.Errorf("a2aGate accepted %s", m.claim)
+			}
 		}
 		break
 	}

@@ -183,17 +183,14 @@ func LaunchPathAllocCell() (BenchCell, error) {
 	if err != nil {
 		return BenchCell{}, err
 	}
-	q := (int(allocs) + allocQuantum/2) / allocQuantum * allocQuantum
-	e2e, err := TraceProbe(nil)
+	row, _, err := measure(traceProbeCell)
 	if err != nil {
 		return BenchCell{}, err
 	}
-	return BenchCell{
-		Figure: "launchpath", Nodes: 1, GPUsPerNode: 3,
-		Algo: "ring", Fabric: "unshared",
-		E2ENs: int64(e2e), Workload: "traceprobe-nilrecorder",
-		AllocsPerOp: q,
-	}, nil
+	b := traceProbeCell.benchCell("launchpath", row)
+	b.Workload = "traceprobe-nilrecorder"
+	b.AllocsPerOp = (int(allocs) + allocQuantum/2) / allocQuantum * allocQuantum
+	return b, nil
 }
 
 // ClusterBenchCells runs the cluster gate and flattens its rows into

@@ -214,18 +214,23 @@ func parseKind(s string) (prim.Kind, error) {
 	return 0, fmt.Errorf("-coll %q: want one of %v", s, collKinds)
 }
 
-// fig8 is the custom sweep: -coll over -gpus 3090s (one server up to
-// eight, 8-GPU nodes beyond) from -min to -max bytes.
+// fig8Cluster is -fig 8's deployment of gpus 3090s: one server up to
+// eight, 8-GPU nodes beyond.
+func fig8Cluster(gpus int) *topo.Cluster {
+	if gpus > 8 {
+		return topo.MultiNode3090((gpus + 7) / 8)
+	}
+	return topo.Server3090(gpus)
+}
+
+// fig8 is the custom sweep: -coll over fig8Cluster(-gpus) from -min to
+// -max bytes.
 func fig8(w io.Writer, o Opts) error {
 	kind, err := parseKind(o.Coll)
 	if err != nil {
 		return err
 	}
-	cluster := topo.Server3090(o.GPUs)
-	if o.GPUs > 8 {
-		cluster = topo.MultiNode3090((o.GPUs + 7) / 8)
-	}
-	return printFig8(w, cluster, kind, o.Min, o.Max, o.Iters)
+	return printFig8(w, fig8Cluster(o.GPUs), kind, o.Min, o.Max, o.Iters)
 }
 
 // fig9 runs the all-gather small/large case study (4KB and 4MB on

@@ -23,6 +23,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"dfccl/internal/mem"
+	"dfccl/internal/prim"
 )
 
 // Opts are cmd/trainbench's flags, as a row sees them: Iters is
@@ -68,8 +71,19 @@ func (o Opts) check() error {
 	case o.Min > o.Max:
 		return fmt.Errorf("-min %d is above -max %d", o.Min, o.Max)
 	}
-	if _, err := parseKind(o.Coll); err != nil {
+	kind, err := parseKind(o.Coll)
+	if err != nil || kind != prim.ReduceScatter {
 		return err
+	}
+	// A reduce-scatter gives every rank an equal share of the count. The
+	// count truncates bytes/4, so a -min that is not a multiple of 4 can
+	// pass at -min and fail at a doubling: every swept size is checked.
+	n := fig8Cluster(o.GPUs).Size()
+	for _, b := range SizeSweep(o.Min, o.Max) {
+		if count := b / mem.Float32.Size(); count%n != 0 {
+			return fmt.Errorf("-gpus %d: -coll reduce-scatter needs each buffer's float32 count to divide among the %d ranks, and %s holds %d",
+				o.GPUs, n, HumanBytes(b), count)
+		}
 	}
 	return nil
 }
@@ -109,7 +123,7 @@ var Experiments = []Experiment{
 	{"ablations", "lazy context saving, daemon quit period, FIFO vs priority ordering, batched SQE read (DESIGN.md's called-out design choices)", 0, "", figAblations},
 	{"moe", "MoE expert parallelism: all-to-all(v) dispatch/combine, dynamic expert groups, deadlock ratio vs NCCL; gates: all-to-all-v bit-identical to the padded reference with fewer bytes, dfccl never deadlocks and nccl-singlestream always does", 20, "-iters 2 -trials 1", figMoE},
 	{"zero", "ZeRO/FSDP sharded data parallelism, stages 1-3, stage-3 churn, deadlock ratio vs NCCL; gate: dfccl never deadlocks, nccl-singlestream does", 20, "-iters 2 -trials 1", figZeRO},
-	{"a2a", "all-to-all algorithm sweep (ring vs hierarchical across node counts and skew) and shared-fabric congestion sweep; gates: bench.A2AGate, bench.ContentionGate", 0, "", figA2A},
+	{"a2a", "all-to-all algorithm sweep (ring vs hierarchical across node counts and skew) and shared-fabric congestion sweep, both through one gate: outputs bit-identical, hierarchical RDMA bytes below the ring's, and on oversubscribed fabrics spine contention visible and the hierarchical advantage monotone", 0, "", figA2A},
 	{"chaos", "fault-injection gate: seeded kill/revive schedules against live DP, MoE and ZeRO workloads", 6, "-iters 5", figChaos},
 	{"cluster", "multi-tenant cluster gate: bursty heterogeneous jobs under FIFO / priority / bin-packing admission (bench.ClusterGate)", 0, "", figCluster},
 	{"ar", "auto-tuning gate: ring vs hierarchical vs auto for all-reduce / all-gather / reduce-scatter", 0, "", figAR},

@@ -44,6 +44,19 @@ var slowRows = []string{"12", "a2a"}
 // once those are done.
 var aloneRows = []string{"cluster", "collbench"}
 
+// committed names the artifact each regenerating row writes, relative
+// to this package: the file its Smoke -out gets must equal the
+// committed one byte for byte, allocs_per_op aside (the race detector's
+// own allocations move it; `make smoke` regenerates without -race and
+// pins it).
+var committed = map[string]string{
+	"tune":      filepath.Join("..", "tune", "default_table.json"),
+	"collbench": filepath.Join("..", "..", "BENCH.json"),
+}
+
+// allocsField matches BENCH.json's allocs_per_op value.
+var allocsField = regexp.MustCompile(`"allocs_per_op": \d+`)
+
 // TestExperiments runs every row at its Smoke arguments: the gate must
 // pass and the figure must be, byte for byte, what the golden file
 // holds. The goldens of the rows that were command lines before the
@@ -59,6 +72,12 @@ func TestExperiments(t *testing.T) {
 			golden, err := filepath.Abs(filepath.Join("testdata", "golden", e.Name+".txt"))
 			if err != nil {
 				t.Fatal(err)
+			}
+			artifact, regenerates := committed[e.Name]
+			if regenerates {
+				if artifact, err = filepath.Abs(artifact); err != nil {
+					t.Fatal(err)
+				}
 			}
 			switch {
 			case strings.Contains(e.Smoke, "-out "):
@@ -76,6 +95,21 @@ func TestExperiments(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("trainbench -fig %s %s differs from %s\n--- got\n%s--- want\n%s", e.Name, e.Smoke, golden, got, want)
+			}
+			if !regenerates {
+				return
+			}
+			wrote, err := os.ReadFile(filepath.Base(artifact))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err = os.ReadFile(artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(allocsField.ReplaceAll(wrote, nil), allocsField.ReplaceAll(want, nil)) {
+				t.Errorf("trainbench -fig %s %s wrote a %s that differs from the committed %s; after a deliberate change regenerate it with `make bench` / `make tune`",
+					e.Name, e.Smoke, filepath.Base(artifact), artifact)
 			}
 		})
 	}
@@ -136,16 +170,20 @@ func TestDocsListEveryRow(t *testing.T) {
 }
 
 // TestOptsRejected: a flag value no row can run with is an error naming
-// the flag, and -iters 0 is the row's default. At the parent these were
-// a hang (-min 0 doubles 0 forever), a panic (-gpus 0), a divide by
-// zero (-iters 0) and failed gates, so a command line that is still
-// running after 2 s takes the test binary down instead of stalling it.
+// the flag, and -iters 0 is the row's default. Unchecked, these were a
+// hang (-min 0 doubles 0 forever), panics (-gpus 0, and a reduce-scatter
+// count the ranks do not divide), a divide by zero (-iters 0) and failed
+// gates, so a command line that is still running after 2 s takes the
+// test binary down instead of stalling it.
 func TestOptsRejected(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-fig 8 -min 0", "-min 0"},
 		{"-fig 8 -min 2048 -max 1024", "-max 1024"},
 		{"-fig 8 -gpus 0", "-gpus 0"},
 		{"-fig 8 -coll all-to-all", "-coll"},
+		{"-fig 8 -coll reduce-scatter -gpus 6", "-gpus 6"},
+		{"-fig 8 -coll reduce-scatter -gpus 3 -min 4 -max 8", "-gpus 3"},
+		{"-fig 8 -coll reduce-scatter -gpus 3 -min 13 -max 52", "-gpus 3"}, // 3, 6, then 13 elements
 		{"-fig moe -trials -1", "-trials -1"},
 		{"-fig table1 -iters 10 -filter no-such-config", "-filter"},
 		{"-fig chaos -iters 1", "-iters 1"},

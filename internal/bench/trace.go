@@ -310,15 +310,20 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 	return tr.Bytes(), metricsJSON, summary, nil
 }
 
-// TraceProbe runs one small single-node ring all-reduce with the given
-// recorder (nil = recording off) and returns its virtual end-to-end
-// latency. BenchmarkTraceProbe_* loop it with b.ReportAllocs to pin the nil-recorder launch path's host-side allocation count
-// next to the recorded path's, and TraceOverheadCells uses full cells
-// to pin the zero observer effect in virtual time.
+// traceProbeCell is the launch-path probe: one small single-node ring
+// all-reduce.
+var traceProbeCell = cell{shape: shape{1, 4}, kind: prim.AllReduce, count: 256, algo: prim.AlgoRing}
+
+// TraceProbe runs traceProbeCell with the given recorder (nil =
+// recording off) and returns its virtual end-to-end latency.
+// BenchmarkTraceProbe_* loop it with b.ReportAllocs to pin the
+// nil-recorder launch path's host-side allocation count next to the
+// recorded path's, and TraceOverheadCells uses full cells to pin the
+// zero observer effect in virtual time.
 func TraceProbe(rec *trace.Recorder) (sim.Duration, error) {
-	cfg := core.DefaultConfig()
-	cfg.Recorder = rec
-	row, _, err := runKind(topo.NewCluster(1, 4, topo.RTX3090, topo.DefaultLinks), cfg, prim.AllReduce, 256, prim.AlgoRing)
+	c := traceProbeCell
+	c.rec = rec
+	row, _, err := measure(c)
 	return row.E2E, err
 }
 
@@ -331,41 +336,30 @@ func TraceProbe(rec *trace.Recorder) (sim.Duration, error) {
 // LaunchPathAllocCell and BenchmarkTraceProbe_NilRecorder.)
 func TraceOverheadCells() ([]BenchCell, error) {
 	var cells []BenchCell
-	for _, c := range []struct {
-		kind  prim.Kind
-		algo  prim.Algorithm
-		elems int
-	}{
-		{prim.AllReduce, prim.AlgoRing, 1024},
-		{prim.AllReduce, prim.AlgoHierarchical, 1024},
-		{prim.AllToAll, prim.AlgoHierarchical, 96},
+	for _, c := range []cell{
+		{shape: shape{2, 4}, kind: prim.AllReduce, count: 1024, algo: prim.AlgoRing},
+		{shape: shape{2, 4}, kind: prim.AllReduce, count: 1024, algo: prim.AlgoHierarchical},
+		{shape: shape{2, 4}, kind: prim.AllToAll, count: 96, algo: prim.AlgoHierarchical},
 	} {
-		newCluster := func() *topo.Cluster {
-			return topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
-		}
-		plain, _, err := runKind(newCluster(), core.DefaultConfig(), c.kind, c.elems, c.algo)
+		plain, _, err := measure(c)
 		if err != nil {
 			return nil, err
 		}
-		rec := &trace.Recorder{}
-		cfg := core.DefaultConfig()
-		cfg.Recorder = rec
-		traced, _, err := runKind(newCluster(), cfg, c.kind, c.elems, c.algo)
+		c.rec = &trace.Recorder{}
+		traced, _, err := measure(c)
 		if err != nil {
 			return nil, err
 		}
-		if len(rec.Actions) == 0 || len(rec.Sends) == 0 {
+		if len(c.rec.Actions) == 0 || len(c.rec.Sends) == 0 {
 			return nil, fmt.Errorf("bench: traced %v/%v run recorded nothing", c.kind, c.algo)
 		}
 		delta := int64(traced.E2E) - int64(plain.E2E)
 		if delta != 0 {
 			return nil, fmt.Errorf("bench: tracing perturbed %v/%v: %dns overhead", c.kind, c.algo, delta)
 		}
-		cells = append(cells, BenchCell{
-			Figure: "traceoverhead", Nodes: 2, GPUsPerNode: 4,
-			Kind: c.kind.String(), Elems: c.elems, Algo: fmt.Sprint(c.algo),
-			Fabric: "unshared", E2ENs: int64(traced.E2E), TraceOverheadNs: delta,
-		})
+		b := c.benchCell("traceoverhead", traced)
+		b.TraceOverheadNs = delta
+		cells = append(cells, b)
 	}
 	return cells, nil
 }
