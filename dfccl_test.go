@@ -121,66 +121,138 @@ func TestFacadeTimeAdvances(t *testing.T) {
 	}
 }
 
-// TestRelaunchAllocationBudget holds the launch path to an allocation
-// budget: one AllReduce(1024) over 8 ranks, opened once and relaunched
-// in lock-step, may cost at most 5 heap allocations per rank-launch
-// (4.07 measured: the run request and the callback RankContext.Run
-// queues, Launch's completion closure, the future with its condition
-// inside, and the odd daemon restart). A CQ that allocates its pending
-// list again after every drain is one more (5.07), and so is a condition
-// allocated per future; a chunk buffer allocated per connector Write —
-// 14 a rank-launch here — puts it above 20.
-func TestRelaunchAllocationBudget(t *testing.T) {
-	const n, count, warm, measured = 8, 1024, 10, 50
+// relaunchMallocs runs one AllReduce(1024) over 8 ranks, opened once and
+// launched in lock-step: every rank pauses for gap, makes one launch with
+// launch and waits for it, launches times. It returns the heap
+// allocations the whole simulation made and the daemon starts of all
+// ranks.
+func relaunchMallocs(t *testing.T, launches int, gap dfccl.Duration, launch func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error) (mallocs uint64, starts int) {
+	t.Helper()
+	const n, count = 8, 1024
 	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	// mallocs runs the whole simulation with the given launches per rank
-	// and returns the heap allocations it made.
-	mallocs := func(launches int) uint64 {
-		lib := dfccl.New(dfccl.Server3090(n))
-		lib.SetTimeLimit(10 * dfccl.Second)
-		for rank := 0; rank < n; rank++ {
-			send := dfccl.NewBuffer(dfccl.Float32, count)
-			recv := dfccl.NewBuffer(dfccl.Float32, count)
-			send.Fill(float64(rank + 1))
-			lib.Go("rank", func(p *dfccl.Process) {
-				ctx := lib.Init(p, rank)
-				coll, err := ctx.Open(dfccl.AllReduce(count, dfccl.Float32, dfccl.Sum, ranks...), dfccl.WithCollID(1))
-				if err != nil {
-					t.Errorf("open: %v", err)
+	lib := dfccl.New(dfccl.Server3090(n))
+	lib.SetTimeLimit(10 * dfccl.Second)
+	for rank := 0; rank < n; rank++ {
+		send := dfccl.NewBuffer(dfccl.Float32, count)
+		recv := dfccl.NewBuffer(dfccl.Float32, count)
+		send.Fill(float64(rank + 1))
+		lib.Go("rank", func(p *dfccl.Process) {
+			ctx := lib.Init(p, rank)
+			coll, err := ctx.Open(dfccl.AllReduce(count, dfccl.Float32, dfccl.Sum, ranks...), dfccl.WithCollID(1))
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			for i := 0; i < launches; i++ {
+				p.Sleep(gap)
+				if err := launch(p, ctx, coll, send, recv); err != nil {
+					t.Errorf("launch %d: %v", i, err)
 					return
 				}
-				for i := 0; i < launches; i++ {
-					fut, err := coll.Launch(p, send, recv)
-					if err == nil {
-						err = fut.Wait(p)
-					}
-					if err != nil {
-						t.Errorf("launch %d: %v", i, err)
-						return
-					}
-				}
-				if got := recv.Float64At(count - 1); got != n*(n+1)/2 {
-					t.Errorf("rank %d: sum = %v, want %d", rank, got, n*(n+1)/2)
-				}
-				if err := coll.Close(p); err != nil {
-					t.Errorf("close: %v", err)
-				}
-				ctx.Destroy(p)
-			})
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := lib.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+			}
+			if got := recv.Float64At(count - 1); got != n*(n+1)/2 {
+				t.Errorf("rank %d: sum = %v, want %d", rank, got, n*(n+1)/2)
+			}
+			if err := coll.Close(p); err != nil {
+				t.Errorf("close: %v", err)
+			}
+			starts += ctx.Stats.DaemonStarts
+			ctx.Destroy(p)
+		})
 	}
-	// Set-up (Init, Open, the first launches' connector buffers) is in
-	// both runs and cancels.
-	perLaunch := float64(mallocs(warm+measured)-mallocs(warm)) / (measured * n)
-	t.Logf("%.2f allocations per rank-launch", perLaunch)
-	if perLaunch > 5 {
-		t.Errorf("%.2f allocations per rank-launch, budget 5", perLaunch)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := lib.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, starts
+}
+
+// futureLaunch launches with Launch and waits for the future.
+func futureLaunch(p *dfccl.Process, _ *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error {
+	fut, err := coll.Launch(p, send, recv)
+	if err == nil {
+		err = fut.Wait(p)
+	}
+	return err
+}
+
+// callbackLaunch launches with LaunchCB and a callback made once, and
+// waits for the rank to go idle.
+func callbackLaunch() func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error {
+	var runErr error
+	cb := func(err error) { runErr = err }
+	return func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error {
+		if err := coll.LaunchCB(p, send, recv, cb); err != nil {
+			return err
+		}
+		ctx.WaitAll(p)
+		return runErr
+	}
+}
+
+// TestRelaunchAllocationBudget holds the launch path to an allocation
+// budget: one AllReduce(1024) over 8 ranks, opened once and relaunched
+// in lock-step, may cost at most 1.1 heap allocations per rank-launch
+// with Launch (1.00 measured: the Future, with its condition inside) and
+// 0.1 with LaunchCB (0.00). Mutants it catches: a launch FIFO re-sliced
+// from the front, so that every append reallocates its array, adds 1 to
+// both (two such FIFOs, the run queue and a callback map, added 2); a
+// closure per Launch adds 1 to Launch, and so do a CQ that allocates its
+// pending list again after every drain and a condition allocated per
+// future; a chunk buffer allocated per connector Write adds 14. Under
+// -race the detector's own allocations move the counts by up to 0.1, so
+// the budgets there are 1.2 and 0.2, still below every mutant.
+func TestRelaunchAllocationBudget(t *testing.T) {
+	const n, warm, measured = 8, 10, 50
+	for _, c := range []struct {
+		name               string
+		launch             func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error
+		budget, raceBudget float64
+	}{
+		{"Launch", futureLaunch, 1.1, 1.2},
+		{"LaunchCB", callbackLaunch(), 0.1, 0.2},
+	} {
+		budget := c.budget
+		if raceEnabled {
+			budget = c.raceBudget
+		}
+		// Set-up (Init, Open, the first launches' connector buffers) is in
+		// both runs and cancels.
+		long, _ := relaunchMallocs(t, warm+measured, 0, c.launch)
+		short, _ := relaunchMallocs(t, warm, 0, c.launch)
+		perLaunch := (float64(long) - float64(short)) / (measured * n)
+		t.Logf("%s: %.2f allocations per rank-launch", c.name, perLaunch)
+		if perLaunch > budget {
+			t.Errorf("%s: %.2f allocations per rank-launch, budget %g", c.name, perLaunch, budget)
+		}
+	}
+}
+
+// TestDaemonRestartAllocationBudget pins what a daemon restart allocates:
+// launches spaced 1 ms apart, past the 200 µs quit period, find the
+// daemon quit every time, so each one relaunches the kernel. A restart
+// costs 10 heap allocations (the kernel instance with its named done
+// condition, and the named process that runs the kernel body), and the
+// budget is 10.5. A daemon kernel built again per restart, its name and
+// its body closure, adds 2.
+func TestDaemonRestartAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations for the process each restart starts vary by ±0.4")
+	}
+	const warm, measured = 4, 20
+	launch := callbackLaunch()
+	long, longStarts := relaunchMallocs(t, warm+measured, dfccl.Millisecond, launch)
+	short, shortStarts := relaunchMallocs(t, warm, dfccl.Millisecond, launch)
+	restarts := longStarts - shortStarts
+	if restarts != measured*8 {
+		t.Fatalf("%d daemon restarts over %d spaced rank-launches, want one each", restarts, measured*8)
+	}
+	perRestart := (float64(long) - float64(short)) / float64(restarts)
+	t.Logf("%.2f allocations per daemon restart", perRestart)
+	if perRestart > 10.5 {
+		t.Errorf("%.2f allocations per daemon restart, budget 10.5", perRestart)
 	}
 }

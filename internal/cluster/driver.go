@@ -48,9 +48,10 @@ type driver struct {
 	wake      *sim.Cond
 	otherErr  error
 
-	// lostBuf and pendingBuf back what view and pendingView hand the
-	// policy, rewritten at every admission pass.
+	// lostBuf, nicBuf and pendingBuf back what view and pendingView hand
+	// the policy, rewritten at every admission pass.
 	lostBuf    []bool
+	nicBuf     []float64
 	pendingBuf []Pending
 }
 
@@ -70,12 +71,13 @@ func (d *driver) view() View {
 	for r := range d.load {
 		d.lostBuf = append(d.lostBuf, d.sys.RankLost(r))
 	}
+	d.nicBuf = d.net.NICLoad(d.nicBuf)
 	return View{
 		Load:      d.load,
 		Slots:     d.cfg.SlotsPerGPU,
 		Lost:      d.lostBuf,
 		MachineOf: d.machineOf,
-		NICLoad:   d.net.NICLoad(),
+		NICLoad:   d.nicBuf,
 		Now:       d.e.Now(),
 	}
 }

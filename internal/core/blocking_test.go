@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"dfccl/internal/cudasim"
@@ -59,7 +58,7 @@ func (r *RankContext) blockingDaemonBody(kc *cudasim.KernelCtx) {
 		for i := 0; i < len(queue); i++ {
 			t := queue[i]
 			if !t.prepared {
-				if len(t.runs) == 0 {
+				if !t.pending() {
 					// Nothing to do (a redundant SQE for an already-
 					// drained task): drop it so a later Unregister never
 					// leaves a dangling entry in the live queue.
@@ -68,7 +67,7 @@ func (r *RankContext) blockingDaemonBody(kc *cudasim.KernelCtx) {
 					i--
 					continue
 				}
-				t.exec.Reset(t.runs[0].send, t.runs[0].recv)
+				t.exec.Reset(t.runs[t.cur].send, t.runs[t.cur].recv)
 				t.prepared = true
 				t.dirty = true
 			}
@@ -85,7 +84,7 @@ func (r *RankContext) blockingDaemonBody(kc *cudasim.KernelCtx) {
 			if done {
 				// Completed runs leave the queue; more pending runs
 				// re-enter via their own SQEs already in flight.
-				if len(t.runs) == 0 {
+				if !t.pending() {
 					t.inQueue = false
 					queue = append(queue[:i], queue[i+1:]...)
 					i--
@@ -179,7 +178,7 @@ func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
 	p.Await(&r.runner)
 	switch r.runner.Result() {
 	case prim.Done:
-		t.runs = t.runs[1:]
+		t.cur++
 		t.prepared = false
 		t.dirty = false
 		t.execStarted = false
@@ -202,8 +201,8 @@ func (r *RankContext) executeTask(p *sim.Process, t *collTask) (bool, bool) {
 		// Resolve every pending run to a CQE; the poller translates
 		// them into the group's typed error. The same drain runs on
 		// the lost rank's own daemon, so its futures resolve too.
-		n := len(t.runs)
-		t.runs = nil
+		n := len(t.runs) - t.cur
+		t.cur = len(t.runs)
 		t.prepared = false
 		t.dirty = false
 		t.execStarted = false
@@ -257,8 +256,10 @@ func (r *RankContext) saveContext(p *sim.Process, t *collTask) {
 }
 
 // blockingPollerBody is the CPU poller as blocking code, the reference for
-// the poller machine: as it was, but for its name and the guard written as
-// the loop of WaitTimeouts it was documented to equal.
+// the poller machine: as it was, but for its name, the guard written as
+// the loop of WaitTimeouts it was documented to equal, and each CQE
+// delivered by the machine's own deliver, so the oracle checks the real
+// pop of the launch FIFO.
 func (r *RankContext) blockingPollerBody(p *sim.Process) {
 	for {
 		ids := r.cq.Drain()
@@ -268,16 +269,7 @@ func (r *RankContext) blockingPollerBody(p *sim.Process) {
 		}
 		for _, id := range ids {
 			p.Sleep(CallbackTime)
-			r.completed++
-			cbs := r.callbacks[id]
-			if len(cbs) == 0 {
-				panic(fmt.Sprintf("core: CQE for collective %d with no recorded callback", id))
-			}
-			cb := cbs[0]
-			r.callbacks[id] = cbs[1:]
-			if cb != nil {
-				cb(r.completionErr(id))
-			}
+			r.deliver(id)
 		}
 		if r.Outstanding() == 0 {
 			r.idleCond.Broadcast(p.Engine())

@@ -186,7 +186,7 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 	if !ok {
 		return fmt.Errorf("core: collective %d not registered on rank %d", c.id, c.r.Rank)
 	}
-	return checkBufferSizes(t.group.Spec, t.group.posOf[c.r.Rank], send, recv)
+	return t.checkBuffers(send, recv)
 }
 
 // Launch submits one asynchronous run of the collective and returns a
@@ -195,9 +195,7 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 // + primitive execution).
 func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, error) {
 	f := newFuture(c.r.sys.Engine, 1)
-	if err := c.LaunchCB(p, send, recv, func(err error) {
-		f.completeOne(c.r.CoreExecTime(c.id), err)
-	}); err != nil {
+	if err := c.submit(p, launch{send: send, recv: recv, fut: f}); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -206,10 +204,15 @@ func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, er
 // LaunchCB submits one asynchronous run with a completion callback —
 // the paper's dfcclRun* style on a handle. cb may be nil.
 func (c *Collective) LaunchCB(p *sim.Process, send, recv *mem.Buffer, cb Callback) error {
+	return c.submit(p, launch{send: send, recv: recv, cb: cb})
+}
+
+// submit submits one run of the collective on its rank.
+func (c *Collective) submit(p *sim.Process, l launch) error {
 	if c.closed {
 		return fmt.Errorf("core: collective %d launched after Close on rank %d", c.id, c.r.Rank)
 	}
-	return c.r.Run(p, c.id, send, recv, cb)
+	return c.r.submit(p, c.id, l)
 }
 
 // CollectiveStats are per-handle scheduling statistics on this rank.
@@ -490,10 +493,7 @@ func Batch(p *sim.Process, items ...BatchItem) (*Future, error) {
 	}
 	f := newFuture(items[0].C.r.sys.Engine, len(items))
 	for _, it := range items {
-		it := it
-		if err := it.C.LaunchCB(p, it.Send, it.Recv, func(err error) {
-			f.completeOne(it.C.r.CoreExecTime(it.C.id), err)
-		}); err != nil {
+		if err := it.C.submit(p, launch{send: it.Send, recv: it.Recv, fut: f}); err != nil {
 			// Unreachable after preflight; surface it rather than hang.
 			return nil, err
 		}

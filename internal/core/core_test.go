@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -544,15 +545,22 @@ func TestSpinPolicyGradientAndBoost(t *testing.T) {
 func TestCommunicatorPoolReuse(t *testing.T) {
 	c4 := topo.Server3090(4)
 	pool := newCommPool(fabric.Unshared(c4))
-	a := pool.acquire([]int{0, 1, 2}, "a")
+	a := pool.acquire([]int{0, 1, 2}, 1)
 	pool.release(a)
-	b := pool.acquire([]int{2, 1, 0}, "b") // same set, different order
+	b := pool.acquire([]int{2, 1, 0}, 2) // same set, different order
 	if a != b {
 		t.Fatal("pool did not reuse released communicator for same rank set")
 	}
-	c := pool.acquire([]int{0, 1}, "c")
+	c := pool.acquire([]int{0, 1}, 3)
 	if c == a {
 		t.Fatal("pool reused communicator across different rank sets")
+	}
+	// The free-list key is the sorted set as fmt.Sprint prints it.
+	for _, ranks := range [][]int{{3, 10, 2, 0}, {7}, {}} {
+		want := fmt.Sprint(slices.Sorted(slices.Values(ranks)))
+		if got := string(pool.rankKey(ranks)); got != want {
+			t.Errorf("rankKey(%v) = %q, want %q", ranks, got, want)
+		}
 	}
 	if pool.Created() != 2 {
 		t.Fatalf("created = %d, want 2", pool.Created())

@@ -214,7 +214,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 			}
 			t := m.queue[m.i]
 			if !t.prepared {
-				if len(t.runs) == 0 {
+				if !t.pending() {
 					// Nothing to do (a redundant SQE for an already-
 					// drained task): drop it so a later Unregister never
 					// leaves a dangling entry in the live queue.
@@ -222,7 +222,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 					m.queue = slices.Delete(m.queue, m.i, m.i+1)
 					continue
 				}
-				t.exec.Reset(t.runs[0].send, t.runs[0].recv)
+				t.exec.Reset(t.runs[t.cur].send, t.runs[t.cur].recv)
 				t.prepared, t.dirty = true, true
 			}
 			if !t.execStarted {
@@ -251,7 +251,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 			t := m.t
 			switch r.runner.Result() {
 			case prim.Done:
-				t.runs = t.runs[1:]
+				t.cur++
 				t.prepared, t.dirty, t.execStarted = false, false, false
 				t.LastCompletedAt = m.p.Now()
 				t.Completions++
@@ -270,8 +270,8 @@ func (m *daemon) Next() (sim.Wait, bool) {
 				// Resolve every pending run to a CQE; the poller translates
 				// them into the group's typed error. The same drain runs on
 				// the lost rank's own daemon, so its futures resolve too.
-				m.cqes, m.at = len(t.runs), dDrain
-				t.runs = nil
+				m.cqes, m.at = len(t.runs)-t.cur, dDrain
+				t.cur = len(t.runs)
 				t.prepared, t.dirty, t.execStarted = false, false, false
 			}
 
@@ -307,7 +307,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 			m.progressed, m.at = true, dTraverse
 			// Completed runs leave the queue; more pending runs re-enter
 			// via their own SQEs already in flight.
-			if len(t.runs) == 0 {
+			if !t.pending() {
 				t.inQueue = false
 				m.queue = slices.Delete(m.queue, m.i, m.i+1)
 			} else {
@@ -404,7 +404,7 @@ func (m *daemon) save(then dState) (sim.Wait, bool) {
 // enqueue order.
 func (r *RankContext) rebuildQueue(queue []*collTask) []*collTask {
 	for _, t := range r.tasks {
-		if len(t.runs) > 0 {
+		if t.pending() {
 			t.inQueue = true
 			queue = append(queue, t)
 		} else {

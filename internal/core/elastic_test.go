@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -317,6 +318,156 @@ func TestReopenIDWhileLostRankDrains(t *testing.T) {
 	}
 	if got := sys.CommsPooled(); got != int(sys.CommsCreated()) {
 		t.Errorf("%d of %d communicators pooled after teardown", got, sys.CommsCreated())
+	}
+}
+
+// TestLaunchFIFOResolvesInOrderUnderKill: each survivor queues five
+// launches of one four-rank handle — Launch, LaunchCB, a two-run Batch of
+// the same handle, LaunchCB, Launch — that cannot finish while rank 3
+// has launched nothing, so all six records sit in the task's launch FIFO
+// when rank 3 is killed. Every future and callback must resolve exactly
+// once, in launch order, with the typed *RankLostError; Close must then
+// succeed, and once rank 3 is revived a re-Open of the same rank set must
+// reuse the communicator and sum exactly.
+func TestLaunchFIFOResolvesInOrderUnderKill(t *testing.T) {
+	const n, count, victim, id = 4, 1 << 10, 3, 1
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(60 * sim.Second)
+	sys := NewSystem(e, topo.Server3090(n), DefaultConfig())
+	ranks := allRanks(n)
+	closed, reopen := newTestBarrier(n), newTestBarrier(n)
+	var comm *communicator // collective 1's before the kill
+	// lost checks that err is the kill's typed error.
+	lost := func(rank int, what string, err error) {
+		var rle *RankLostError
+		if !errors.As(err, &rle) || rle.CollID != id || len(rle.Lost) != 1 || rle.Lost[0] != victim {
+			t.Errorf("rank %d %s: err = %v, want *RankLostError for coll %d lost [%d]", rank, what, err, id, victim)
+		}
+	}
+	// run launches coll once with real data and checks the sum.
+	run := func(p *sim.Process, coll *Collective, rank int) {
+		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s.Fill(float64(rank + 1))
+		fut, err := coll.Launch(p, s, d)
+		if err == nil {
+			err = fut.Wait(p)
+		}
+		if err != nil {
+			t.Errorf("rank %d reopened run: %v", rank, err)
+		} else if got := d.Float64At(count - 1); got != 1+2+3+4 {
+			t.Errorf("rank %d reopened sum = %v, want 10", rank, got)
+		}
+		if err := coll.Close(p); err != nil {
+			t.Errorf("rank %d close reopened: %v", rank, err)
+		}
+	}
+	for rank := 0; rank < victim; rank++ {
+		e.Spawn("survivor", func(p *sim.Process) {
+			rc := sys.Init(p, rank)
+			coll, err := rc.Open(lifecycleSpec(count, ranks), WithCollID(id))
+			if err != nil {
+				t.Errorf("rank %d open: %v", rank, err)
+				return
+			}
+			comm = sys.groups[id].comm
+			buf := func() *mem.Buffer { return mem.NewBuffer(mem.DeviceSpace, mem.Float64, count) }
+			var futs [3]*Future // Launch, Batch, Launch
+			var calls [2]int    // the two LaunchCBs' callbacks
+			// callback is the i-th LaunchCB's: by then exactly the first i+1
+			// futures, and the i callbacks before it, have resolved.
+			callback := func(i int) Callback {
+				return func(err error) {
+					calls[i]++
+					lost(rank, fmt.Sprintf("callback %d", i), err)
+					for j, f := range futs {
+						if f.Done() != (j <= i) {
+							t.Errorf("rank %d: callback %d ran with future %d Done = %v", rank, i, j, f.Done())
+						}
+					}
+					if i > 0 && calls[i-1] != 1 {
+						t.Errorf("rank %d: callback %d ran before callback %d", rank, i, i-1)
+					}
+				}
+			}
+			if futs[0], err = coll.Launch(p, buf(), buf()); err == nil {
+				err = coll.LaunchCB(p, buf(), buf(), callback(0))
+			}
+			if err == nil {
+				futs[1], err = Batch(p, BatchItem{coll, buf(), buf()}, BatchItem{coll, buf(), buf()})
+			}
+			if err == nil {
+				err = coll.LaunchCB(p, buf(), buf(), callback(1))
+			}
+			if err == nil {
+				futs[2], err = coll.Launch(p, buf(), buf())
+			}
+			if err != nil {
+				t.Errorf("rank %d launch: %v", rank, err)
+				return
+			}
+			for i, f := range futs {
+				lost(rank, fmt.Sprintf("future %d", i), f.Wait(p))
+			}
+			rc.WaitAll(p)
+			for i, f := range futs {
+				if f.pending != 0 {
+					t.Errorf("rank %d: future %d resolved %d times for %d runs", rank, i, f.total-f.pending, f.total)
+				}
+			}
+			if calls != [2]int{1, 1} {
+				t.Errorf("rank %d: callbacks ran %v times, want once each", rank, calls)
+			}
+			if err := coll.Close(p); err != nil {
+				t.Errorf("rank %d close after the kill: %v", rank, err)
+			}
+			closed.Wait(p)
+			reopen.Wait(p)
+			re, err := rc.Open(lifecycleSpec(count, ranks), WithCollID(id))
+			if err != nil {
+				t.Errorf("rank %d reopen: %v", rank, err)
+				return
+			}
+			run(p, re, rank)
+			rc.Destroy(p)
+		})
+	}
+	e.Spawn("victim", func(p *sim.Process) {
+		if _, err := sys.Init(p, victim).Open(lifecycleSpec(count, ranks), WithCollID(id)); err != nil {
+			t.Errorf("victim open: %v", err)
+		}
+	})
+	e.Spawn("chaos", func(p *sim.Process) {
+		p.Sleep(100 * sim.Microsecond)
+		for rank := 0; rank < victim; rank++ {
+			if tk := sys.ranks[rank].tasks[id]; len(tk.runs) != 6 || tk.cur != 0 {
+				t.Errorf("rank %d: %d launches queued, %d done at the kill; want 6 and 0", rank, len(tk.runs), tk.cur)
+			}
+		}
+		sys.KillRank(victim)
+		closed.Wait(p)
+		if err := sys.ReviveRank(victim); err != nil {
+			t.Errorf("revive: %v", err)
+		}
+		created, reused := sys.CommsCreated(), sys.CommsReused()
+		rc := sys.Init(p, victim)
+		re, err := rc.Open(lifecycleSpec(count, ranks), WithCollID(id))
+		if err != nil {
+			t.Errorf("victim reopen: %v", err)
+			return
+		}
+		if sys.groups[id].comm != comm || sys.CommsCreated() != created || sys.CommsReused() != reused+1 {
+			t.Errorf("reopen built a communicator (created %d → %d, reused %d → %d)", created, sys.CommsCreated(), reused, sys.CommsReused())
+		}
+		reopen.Wait(p)
+		run(p, re, victim)
+		rc.Destroy(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v (blocked: %v)", err, e.BlockedProcesses())
+	}
+	if got := e.LiveProcesses(); got != 0 {
+		t.Errorf("LiveProcesses = %d after teardown, want 0", got)
 	}
 }
 

@@ -416,7 +416,7 @@ func TestSameSpecComparesTimingOnly(t *testing.T) {
 	}
 }
 
-// TestNilBufferLaunchErrors pins the checkBufferSizes fix: launching a
+// TestNilBufferLaunchErrors pins collTask.checkBuffers: launching a
 // non-timing collective with nil buffers returns an error instead of
 // dereferencing nil.
 func TestNilBufferLaunchErrors(t *testing.T) {

@@ -210,7 +210,9 @@ func TestDaemonReentryPanics(t *testing.T) {
 	sys.Engine.Spawn("app", func(p *sim.Process) {
 		r := sys.Init(p, 0)
 		for i := 0; i < 2; i++ {
-			r.dev.Launch(p, r.dev.NewStream(), r.daemonKernel())
+			k := r.kernel
+			k.Grid = r.daemonKernel()
+			r.dev.Launch(p, r.dev.NewStream(), &k)
 		}
 	})
 	err := sys.Engine.Run()

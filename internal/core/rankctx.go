@@ -21,20 +21,32 @@ import (
 // unusable", not "no data moved".
 type Callback func(err error)
 
-// runReq is one pending invocation of a registered collective: the
-// buffers for this run. Callbacks are matched FIFO on the CPU side.
-type runReq struct {
+// launch is one run of a registered collective, from the launch that
+// submits it to the poller's delivery of its CQE: the buffers the daemon
+// runs it on, and what its completion resolves — the future of Launch or
+// Batch, or the callback of LaunchCB and Run (which may be nil).
+type launch struct {
 	send, recv *mem.Buffer
+	cb         Callback
+	fut        *Future
 }
 
-// collTask is the daemon-kernel-side state of one registered collective
-// on one GPU: its executor (whose Round/Step/Phase fields are the
-// dynamic context), pending runs, spin state, and statistics.
+// collTask is the state of one registered collective on one GPU: its
+// launch FIFO, its executor (whose Round/Step/Phase fields are the
+// dynamic context), spin state, and statistics.
 type collTask struct {
 	group *Group
 	exec  *prim.Executor
-	runs  []runReq
-	// prepared marks that exec has been Reset for runs[0].
+	// runs is the launch FIFO, in launch order, over one reused array.
+	// runs[cur:] are the daemon's to run, runs[cur] next; runs[:cur] are
+	// done, and the poller pops each from the front as it delivers its
+	// CQE.
+	runs []launch
+	cur  int
+	// sendCount and recvCount are the buffer lengths a launch must bring
+	// (set at Open unless the spec is timing-only).
+	sendCount, recvCount int
+	// prepared marks that exec has been Reset for runs[cur].
 	prepared bool
 	// inQueue marks presence in the daemon's task queue.
 	inQueue bool
@@ -66,6 +78,29 @@ type collTask struct {
 // ID returns the collective ID.
 func (t *collTask) ID() int { return t.group.ID }
 
+// pending reports whether the task has a run for the daemon to do.
+func (t *collTask) pending() bool { return t.cur < len(t.runs) }
+
+// checkBuffers validates a launch's buffers against the lengths the
+// task's position in the spec requires (AllToAllv sizes differ per rank:
+// row/column sums of the count matrix).
+func (t *collTask) checkBuffers(sendBuf, recvBuf *mem.Buffer) error {
+	spec := &t.group.Spec
+	if spec.TimingOnly {
+		return nil
+	}
+	if sendBuf == nil || recvBuf == nil {
+		return fmt.Errorf("core: %v launched with nil buffer(s); non-timing collectives need real send/recv buffers", spec.Kind)
+	}
+	if sendBuf.Len() != t.sendCount {
+		return fmt.Errorf("core: %v send buffer has %d elems, want %d", spec.Kind, sendBuf.Len(), t.sendCount)
+	}
+	if recvBuf.Len() != t.recvCount {
+		return fmt.Errorf("core: %v recv buffer has %d elems, want %d", spec.Kind, recvBuf.Len(), t.recvCount)
+	}
+	return nil
+}
+
 // Budget is the spin budget of the task's next primitive (prim.Pacer).
 func (t *collTask) Budget() sim.Duration { return budget(t.spin) }
 
@@ -79,8 +114,9 @@ func (t *collTask) Progressed() {
 }
 
 // RankContext is the per-GPU DFCCL context created by Init: the SQ/CQ
-// pair, the callback map, the poller thread, and the daemon kernel
-// management (Fig. 4).
+// pair, the registered tasks with their launch FIFOs (the paper's
+// callback map), the poller thread, and the daemon kernel management
+// (Fig. 4).
 type RankContext struct {
 	sys  *System
 	Rank int
@@ -95,9 +131,11 @@ type RankContext struct {
 	daemon daemon
 	poller poller
 
-	tasks     map[int]*collTask
-	callbacks map[int][]Callback
+	tasks map[int]*collTask
 
+	// kernel is the daemon kernel, built once; each launch sets its grid
+	// and the instance keeps a copy.
+	kernel     cudasim.Kernel
 	daemonInst *cudasim.KernelInstance
 	// lastActivity is when the live daemon instance last fetched an SQE or
 	// made progress; the quit period and the FIFO fetch backoff count
@@ -152,11 +190,14 @@ func (s *System) Init(p *sim.Process, rank int) *RankContext {
 		sq:         NewSQ(fmt.Sprintf("gpu%d.sq", rank), sqSlots),
 		cq:         NewCQ(s.Config.CQVariant, s.Config.CQSlots),
 		tasks:      make(map[int]*collTask),
-		callbacks:  make(map[int][]Callback),
 		pollerWake: sim.NewCond(fmt.Sprintf("gpu%d.pollerWake", rank)),
 		idleCond:   sim.NewCond(fmt.Sprintf("gpu%d.idle", rank)),
 	}
 	r.daemon.r, r.poller.r = r, r
+	r.kernel = cudasim.Kernel{
+		Name: fmt.Sprintf("dfccl.daemon.gpu%d", rank),
+		Body: func(kc *cudasim.KernelCtx) { daemonBody(r, kc) },
+	}
 	r.stream = r.dev.NewStream()
 	s.ranks[rank] = r
 	p.Spawn(fmt.Sprintf("dfccl.poller.gpu%d", rank), func(p *sim.Process) { pollerBody(r, p) })
@@ -175,25 +216,21 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	if _, dup := r.tasks[collID]; dup {
 		return fmt.Errorf("core: collective %d already registered on rank %d", collID, r.Rank)
 	}
-	inSet := false
-	for _, rank := range spec.Ranks {
-		if rank == r.Rank {
-			inSet = true
-			break
-		}
-	}
-	if !inSet {
+	pos := slices.Index(spec.Ranks, r.Rank)
+	if pos < 0 {
 		return fmt.Errorf("core: rank %d not in devSet of collective %d", r.Rank, collID)
 	}
 	g, err := r.sys.register(spec, collID, priority, grid, job)
 	if err != nil {
 		return err
 	}
-	pos := g.posOf[r.Rank]
 	t := &collTask{
 		group:  g,
 		exec:   g.comm.wirings.ExecutorFor(r.sys.Cluster, g.Spec, pos, nil, nil),
 		policy: &r.sys.Config.Spin,
+	}
+	if !g.Spec.TimingOnly {
+		t.sendCount, t.recvCount = prim.BufferCountsFor(g.Spec, pos)
 	}
 	// The abort hook is how a rank loss reaches the daemon: the
 	// executor polls it at every step entry and connector-wait wakeup.
@@ -217,23 +254,27 @@ func (r *RankContext) Unregister(collID int) error {
 	if !ok {
 		return fmt.Errorf("core: collective %d not registered on rank %d", collID, r.Rank)
 	}
-	if len(t.runs) > 0 || len(r.callbacks[collID]) > 0 {
+	if len(t.runs) > 0 {
 		return fmt.Errorf("core: collective %d has %d outstanding run(s) on rank %d; wait for completion before Close/Unregister",
-			collID, len(r.callbacks[collID]), r.Rank)
+			collID, len(t.runs), r.Rank)
 	}
 	r.sys.retireExec(t.exec)
 	delete(r.tasks, collID)
-	delete(r.callbacks, collID)
 	r.sys.unregister(t.group)
 	return nil
 }
 
 // Run invokes an open collective by ID — dfcclRun*, the layer under
-// (*Collective).LaunchCB. It is asynchronous
-// and non-blocking: the SQE is inserted, the callback is recorded in
-// the callback map, and the daemon kernel is started if necessary
-// (event-driven starting, Sec. 4.4).
+// (*Collective).LaunchCB. It is asynchronous and non-blocking: see
+// submit.
 func (r *RankContext) Run(p *sim.Process, collID int, sendBuf, recvBuf *mem.Buffer, cb Callback) error {
+	return r.submit(p, collID, launch{send: sendBuf, recv: recvBuf, cb: cb})
+}
+
+// submit validates a launch, records it at the back of the collective's
+// launch FIFO, inserts its SQE, and starts the daemon kernel if
+// necessary (event-driven starting, Sec. 4.4).
+func (r *RankContext) submit(p *sim.Process, collID int, l launch) error {
 	if r.lost {
 		// The rank's own departure is a rank-lost condition too: callers
 		// running on a killed rank see the same typed error survivors do.
@@ -251,35 +292,14 @@ func (r *RankContext) Run(p *sim.Process, collID int, sendBuf, recvBuf *mem.Buff
 		// than queueing a run that could only abort.
 		return task.group.abortErr
 	}
-	if err := checkBufferSizes(task.group.Spec, task.group.posOf[r.Rank], sendBuf, recvBuf); err != nil {
+	if err := task.checkBuffers(l.send, l.recv); err != nil {
 		return err
 	}
-	task.runs = append(task.runs, runReq{send: sendBuf, recv: recvBuf})
-	r.callbacks[collID] = append(r.callbacks[collID], cb)
+	task.runs = append(task.runs, l)
 	r.submitted++
 	r.sq.Push(p, SQE{CollID: collID})
 	r.ensureDaemon(p)
 	r.pollerWake.Broadcast(p.Engine())
-	return nil
-}
-
-// checkBufferSizes validates a launch's buffers against the spec's
-// per-position requirements (AllToAllv sizes differ per rank: row/
-// column sums of the count matrix).
-func checkBufferSizes(spec prim.Spec, pos int, sendBuf, recvBuf *mem.Buffer) error {
-	if spec.TimingOnly {
-		return nil
-	}
-	if sendBuf == nil || recvBuf == nil {
-		return fmt.Errorf("core: %v launched with nil buffer(s); non-timing collectives need real send/recv buffers", spec.Kind)
-	}
-	wantSend, wantRecv := prim.BufferCountsFor(spec, pos)
-	if sendBuf.Len() != wantSend {
-		return fmt.Errorf("core: %v send buffer has %d elems, want %d", spec.Kind, sendBuf.Len(), wantSend)
-	}
-	if recvBuf.Len() != wantRecv {
-		return fmt.Errorf("core: %v recv buffer has %d elems, want %d", spec.Kind, recvBuf.Len(), wantRecv)
-	}
 	return nil
 }
 
@@ -313,22 +333,23 @@ func (r *RankContext) Destroy(p *sim.Process) {
 // ensureDaemon launches the daemon kernel if no live instance exists —
 // the event-driven start on SQE insertion and on CQE deficit.
 func (r *RankContext) ensureDaemon(p *sim.Process) {
-	if k := r.daemonKernel(); k != nil {
-		r.daemonInst = r.dev.Launch(p, r.stream, k)
+	if grid := r.daemonKernel(); grid > 0 {
+		p.Sleep(cudasim.LaunchOverhead)
+		r.enqueueDaemon(grid)
 	}
 }
 
-// daemonKernel counts and returns the daemon kernel to launch, or nil when
-// a live instance exists or none is needed. The launcher pays
-// cudasim.LaunchOverhead, enqueues the kernel and only then records the
-// instance, so a second launcher within that wait launches a second one,
-// which the stream runs after the first.
-func (r *RankContext) daemonKernel() *cudasim.Kernel {
+// daemonKernel counts a daemon start and returns the grid to launch the
+// daemon kernel at, or 0 when a live instance exists or none is needed.
+// The launcher pays cudasim.LaunchOverhead, enqueues the kernel at that
+// grid and only then records the instance, so a second launcher within
+// that wait launches a second one, which the stream runs after the first.
+func (r *RankContext) daemonKernel() int {
 	if r.finalExit && r.Outstanding() == 0 {
-		return nil
+		return 0
 	}
 	if r.daemonInst != nil && !r.daemonInst.Done() {
-		return nil
+		return 0
 	}
 	grid := 1
 	for _, t := range r.tasks {
@@ -337,11 +358,14 @@ func (r *RankContext) daemonKernel() *cudasim.Kernel {
 		}
 	}
 	r.Stats.DaemonStarts++
-	return &cudasim.Kernel{
-		Name: fmt.Sprintf("dfccl.daemon.gpu%d", r.Rank),
-		Grid: grid,
-		Body: func(kc *cudasim.KernelCtx) { daemonBody(r, kc) },
-	}
+	return grid
+}
+
+// enqueueDaemon enqueues the daemon kernel at grid on the rank's stream
+// and records the instance, which keeps its own copy of the kernel.
+func (r *RankContext) enqueueDaemon(grid int) {
+	r.kernel.Grid = grid
+	r.daemonInst = r.dev.Enqueue(r.stream, &r.kernel)
 }
 
 // poller is the CPU poller thread: it drains the CQ, runs callbacks, and
@@ -357,12 +381,12 @@ func (r *RankContext) daemonKernel() *cudasim.Kernel {
 // They could not block before either (only a process's own body may wait),
 // and a panic in one is still the poller's.
 type poller struct {
-	r      *RankContext
-	at     pState
-	ids    []int           // what the last drain returned
-	i      int             // the next of them to call back
-	kernel *cudasim.Kernel // the daemon kernel being launched
-	seen   uint8           // the states entered so far, for the oracle test's coverage table
+	r    *RankContext
+	at   pState
+	ids  []int // what the last drain returned
+	i    int   // the next of them to call back
+	grid int   // the grid of the daemon kernel being launched
+	seen uint8 // the states entered so far, for the oracle test's coverage table
 }
 
 // pState is where the poller's next turn picks up.
@@ -403,16 +427,7 @@ func (m *poller) Next() (sim.Wait, bool) {
 			id := m.ids[m.i]
 			m.i++
 			m.at = pCallbacks
-			r.completed++
-			cbs := r.callbacks[id]
-			if len(cbs) == 0 {
-				panic(fmt.Sprintf("core: CQE for collective %d with no recorded callback", id))
-			}
-			cb := cbs[0]
-			r.callbacks[id] = cbs[1:]
-			if cb != nil {
-				cb(r.completionErr(id))
-			}
+			r.deliver(id)
 
 		case pCheck:
 			if r.Outstanding() == 0 {
@@ -433,15 +448,14 @@ func (m *poller) Next() (sim.Wait, bool) {
 			// Work is outstanding: make sure a daemon instance is alive
 			// (it may have voluntarily quit), then wait for the daemon's
 			// CQE signal.
-			if m.kernel = r.daemonKernel(); m.kernel != nil {
+			if m.grid = r.daemonKernel(); m.grid > 0 {
 				m.at = pLaunched
 				return sleep(cudasim.LaunchOverhead)
 			}
 			return m.guard()
 
 		case pLaunched:
-			r.daemonInst = r.dev.Enqueue(r.stream, m.kernel)
-			m.kernel = nil
+			r.enqueueDaemon(m.grid)
 			return m.guard()
 		}
 	}
@@ -456,17 +470,32 @@ func (m *poller) guard() (sim.Wait, bool) {
 // pollerGuardTime bounds how long the poller trusts pollerWake alone.
 const pollerGuardTime = 50 * PollerInterval
 
-// completionErr maps a drained CQE to the error its callback should
-// observe: the group's abort error when a rank loss killed it, else
-// nil. Runs on the poller between CQE drain and callback delivery, so
-// the task is still registered (Unregister refuses while callbacks are
-// outstanding).
-func (r *RankContext) completionErr(id int) error {
+// deliver is the poller's delivery of one drained CQE (Fig. 4, step 7):
+// it pops the front of the collective's launch FIFO, the oldest launch
+// the daemon has done, and resolves its future or calls its callback
+// with the run's error: the group's typed abort error when a rank loss
+// killed it, else nil. The task is still registered, as Unregister
+// refuses while its FIFO holds a launch; the pop comes first, so a
+// callback may Close the handle.
+func (r *RankContext) deliver(id int) {
+	r.completed++
 	t := r.tasks[id]
-	if t == nil || t.group.abortErr == nil {
-		return nil
+	if t == nil || t.cur == 0 {
+		panic(fmt.Sprintf("core: CQE for collective %d with no launch done", id))
 	}
-	return t.group.abortErr
+	l := t.runs[0]
+	t.runs = slices.Delete(t.runs, 0, 1)
+	t.cur--
+	var err error
+	if t.group.abortErr != nil {
+		err = t.group.abortErr
+	}
+	switch {
+	case l.fut != nil:
+		l.fut.completeOne(r.CoreExecTime(id), err)
+	case l.cb != nil:
+		l.cb(err)
+	}
 }
 
 // releaseAll drops every registration this rank still holds —
@@ -479,7 +508,6 @@ func (r *RankContext) releaseAll() {
 		t := r.tasks[id]
 		r.sys.retireExec(t.exec)
 		delete(r.tasks, id)
-		delete(r.callbacks, id)
 		r.sys.unregister(t.group)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/fabric"
@@ -98,8 +99,6 @@ type Group struct {
 	// ever run on its own group's communicator.
 	Job  int
 	comm *communicator
-	// posOf maps global rank -> ring position.
-	posOf map[int]int
 	// refs counts ranks currently registered; when the last rank
 	// unregisters, the group is dropped and its communicator returns to
 	// the pool.
@@ -160,11 +159,7 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 		Priority: priority,
 		Grid:     grid,
 		Job:      job,
-		comm:     s.pool.acquire(spec.Ranks, fmt.Sprintf("coll%d", collID)),
-		posOf:    make(map[int]int, len(spec.Ranks)),
-	}
-	for i, r := range spec.Ranks {
-		g.posOf[r] = i
+		comm:     s.pool.acquire(spec.Ranks, collID),
 	}
 	s.groups[collID] = g
 	return g, nil
@@ -306,7 +301,7 @@ func (s *System) KillRank(rank int) bool {
 	// so the order of these broadcasts is part of the virtual timeline.
 	for _, id := range slices.Sorted(maps.Keys(s.groups)) {
 		g := s.groups[id]
-		if _, in := g.posOf[rank]; !in {
+		if !slices.Contains(g.Spec.Ranks, rank) {
 			continue
 		}
 		if g.abortErr == nil {
@@ -409,33 +404,48 @@ type commPool struct {
 	free    map[string][]*communicator
 	created int
 	reused  int
+	// sorted and key are rankKey's scratch, so that an acquire the free
+	// list serves allocates nothing.
+	sorted []int
+	key    []byte
 }
 
 func newCommPool(net *fabric.Network) *commPool {
 	return &commPool{net: net, free: make(map[string][]*communicator)}
 }
 
-func rankKey(ranks []int) string {
-	ks := append([]int(nil), ranks...)
-	sort.Ints(ks)
-	return fmt.Sprint(ks)
+// rankKey writes the free-list key of a rank set, its sorted ranks as
+// fmt.Sprint prints them ("[0 1 2]"), over the pool's scratch.
+func (cp *commPool) rankKey(ranks []int) []byte {
+	cp.sorted = append(cp.sorted[:0], ranks...)
+	slices.Sort(cp.sorted)
+	cp.key = append(cp.key[:0], '[')
+	for i, r := range cp.sorted {
+		if i > 0 {
+			cp.key = append(cp.key, ' ')
+		}
+		cp.key = strconv.AppendInt(cp.key, int64(r), 10)
+	}
+	cp.key = append(cp.key, ']')
+	return cp.key
 }
 
 // acquire returns a communicator over the given ranks, reusing a
-// released one with the same rank set when available.
-func (cp *commPool) acquire(ranks []int, tag string) *communicator {
-	key := rankKey(ranks)
-	if frees := cp.free[key]; len(frees) > 0 {
+// released one with the same rank set when available. A new one's
+// wiring is tagged with the collective it is built for.
+func (cp *commPool) acquire(ranks []int, collID int) *communicator {
+	key := cp.rankKey(ranks)
+	if frees := cp.free[string(key)]; len(frees) > 0 {
 		c := frees[len(frees)-1]
-		cp.free[key] = frees[:len(frees)-1]
+		cp.free[c.key] = frees[:len(frees)-1]
 		c.inUse = true
 		cp.reused++
 		return c
 	}
 	cp.created++
 	return &communicator{
-		key:     key,
-		wirings: prim.NewWirings(cp.net, tag),
+		key:     string(key),
+		wirings: prim.NewWirings(cp.net, fmt.Sprintf("coll%d", collID)),
 		inUse:   true,
 	}
 }

@@ -253,7 +253,7 @@ func (d *Device) Enqueue(s *Stream, k *Kernel) *KernelInstance {
 	}
 	d.launchSeq++
 	ki := &KernelInstance{
-		kernel:   k,
+		kernel:   *k,
 		seq:      d.launchSeq,
 		stream:   s,
 		doneCond: sim.NewCond(fmt.Sprintf("gpu%d.%s.done", d.Rank, k.Name)),

@@ -23,9 +23,11 @@ type KernelCtx struct {
 	Instance *KernelInstance
 }
 
-// KernelInstance is one launched execution of a kernel.
+// KernelInstance is one launched execution of a kernel. It keeps its own
+// copy of the kernel, so a launcher may reuse one Kernel for every launch
+// and change it between them.
 type KernelInstance struct {
-	kernel  *Kernel
+	kernel  Kernel
 	seq     uint64
 	stream  *Stream
 	started bool
@@ -40,8 +42,8 @@ type KernelInstance struct {
 // Done reports completion.
 func (k *KernelInstance) Done() bool { return k.done }
 
-// Kernel returns the kernel definition.
-func (k *KernelInstance) Kernel() *Kernel { return k.kernel }
+// Kernel returns the kernel definition as launched.
+func (k *KernelInstance) Kernel() *Kernel { return &k.kernel }
 
 // Wait blocks the host process until the kernel completes.
 func (k *KernelInstance) Wait(p *sim.Process) {

@@ -426,17 +426,21 @@ func (n *Network) JobBytes() map[int]int64 {
 
 // NICLoad returns, per machine, the bytes accrued so far on that
 // machine's NIC-tier links (tx + rx). It is the load signal the cluster
-// driver's bin-packing admission policy sorts on. Nil when the network
-// is unshared or single-machine (no NIC links exist).
-func (n *Network) NICLoad() []float64 {
+// driver's bin-packing admission policy sorts on. The loads are written
+// over buf's array, which the caller owns and may pass again on its next
+// call. Nil when the network is unshared or single-machine (no NIC links
+// exist).
+func (n *Network) NICLoad(buf []float64) []float64 {
 	if !n.shared || n.nicTx == nil {
 		return nil
 	}
-	out := make([]float64, len(n.nicTx))
-	for m := range n.nicTx {
-		if n.nicTx[m] != nil {
-			out[m] = n.nicTx[m].bytes + n.nicRx[m].bytes
+	buf = buf[:0]
+	for m, tx := range n.nicTx {
+		load := 0.0
+		if tx != nil {
+			load = tx.bytes + n.nicRx[m].bytes
 		}
+		buf = append(buf, load)
 	}
-	return out
+	return buf
 }
