@@ -8,7 +8,6 @@ import (
 	"dfccl/internal/core"
 	"dfccl/internal/deadlocksim"
 	"dfccl/internal/mem"
-	"dfccl/internal/ncclsim"
 	"dfccl/internal/orch"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -256,23 +255,22 @@ func collSpec(count int, ranks []int) prim.Spec {
 	}
 }
 
-// sec61NCCLSingleQueue launches the eight disordered all-reduces on a
-// single stream per GPU over the NCCL baseline; the engine reports the
-// deadlock.
+// sec61NCCLSingleQueue launches the eight disordered all-reduces on the
+// single-stream NCCL backend; the engine reports the deadlock.
 func sec61NCCLSingleQueue(orders [][]int, sizes []int) (Sec61Result, error) {
 	nGPU := len(orders)
-	e := newEngine()
-	lib := ncclsim.New(e, topo.Server3090(nGPU))
+	e, b := newBackend("nccl-singlestream", topo.Server3090(nGPU))
 	ranks := seqRanks(nGPU)
-	comms := make([]*ncclsim.Comm, len(sizes))
-	for i := range comms {
-		comms[i] = lib.NewComm(ranks)
-	}
 	err := e.RunRanks("sec61.nccl", nGPU, func(p *sim.Process, rank int) error {
-		st := lib.Device(rank).NewStream()
-		send, recv := zeroBuf(), zeroBuf()
+		for c, size := range sizes {
+			if err := b.Register(p, rank, c, collSpec(size, ranks), 0, nil, nil); err != nil {
+				return err
+			}
+		}
 		for _, c := range orders[rank] {
-			comms[c].Launch(p, st, rank, collSpec(sizes[c], ranks), send, recv)
+			if err := b.Launch(p, rank, c); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

@@ -255,23 +255,3 @@ func TestOversizedGridPanics(t *testing.T) {
 		t.Fatal("expected panic error for oversized grid")
 	}
 }
-
-func TestIncompleteKernelNames(t *testing.T) {
-	e := sim.NewEngine()
-	d := newTestDevice(e)
-	d.MaxResidentBlocks = 1
-	hold := sim.NewCond("hold")
-	e.Spawn("host", func(p *sim.Process) {
-		d.Launch(p, d.NewStream(), &Kernel{Name: "running", Grid: 1, Body: func(kc *KernelCtx) { hold.Wait(kc.Process) }})
-		d.Launch(p, d.NewStream(), &Kernel{Name: "starved", Grid: 1, Body: func(kc *KernelCtx) {}})
-		p.Sleep(1)
-		names := d.IncompleteKernelNames()
-		if len(names) != 2 || names[0] != "running(running)" || names[1] != "starved(queued)" {
-			t.Errorf("names = %v", names)
-		}
-		hold.Broadcast(p.Engine())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}

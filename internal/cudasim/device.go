@@ -20,7 +20,6 @@ package cudasim
 
 import (
 	"fmt"
-	"sort"
 
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
@@ -287,23 +286,4 @@ func (d *Device) AllocPinned(p *sim.Process, t mem.DataType, count int) *mem.Buf
 	d.Synchronize(p)
 	p.Sleep(PinnedAllocTime)
 	return mem.NewBuffer(mem.PinnedSpace, t, count)
-}
-
-// IncompleteKernelNames lists incomplete kernels sorted by launch order,
-// for deadlock reports.
-func (d *Device) IncompleteKernelNames() []string {
-	ks := make([]*KernelInstance, 0, len(d.incomplete))
-	for k := range d.incomplete {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].seq < ks[j].seq })
-	names := make([]string, len(ks))
-	for i, k := range ks {
-		state := "queued"
-		if k.started {
-			state = "running"
-		}
-		names[i] = fmt.Sprintf("%s(%s)", k.kernel.Name, state)
-	}
-	return names
 }

@@ -207,22 +207,22 @@ func TestStallAgreesWithCycleDetection(t *testing.T) {
 	// the final graph must be cycle-free.
 	for seed := int64(0); seed < 40; seed++ {
 		cfg := twoGPUConfig(SingleQueue, 30, 0.05, 0, 1, seed)
-		deadlocked, simulated, g := DebugRound(cfg, 50)
+		deadlocked, simulated, g := debugRound(cfg, 50)
 		if !simulated {
 			continue
 		}
-		if deadlocked != g.Deadlocked() {
-			t.Fatalf("seed %d (single-queue): stall=%v but cycle=%v", seed, deadlocked, g.Deadlocked())
+		if deadlocked != g.deadlocked() {
+			t.Fatalf("seed %d (single-queue): stall=%v but cycle=%v", seed, deadlocked, g.deadlocked())
 		}
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		cfg := twoGPUConfig(Synchronization, 60, 0.03, 0.03, 1, seed)
-		deadlocked, simulated, g := DebugRound(cfg, 50)
+		deadlocked, simulated, g := debugRound(cfg, 50)
 		if !simulated {
 			continue
 		}
-		if deadlocked != g.Deadlocked() {
-			t.Fatalf("seed %d (sync): stall=%v but cycle=%v", seed, deadlocked, g.Deadlocked())
+		if deadlocked != g.deadlocked() {
+			t.Fatalf("seed %d (sync): stall=%v but cycle=%v", seed, deadlocked, g.deadlocked())
 		}
 	}
 }
@@ -235,12 +235,12 @@ func TestMultiGroupCrossValidation(t *testing.T) {
 			Groups: groups, CollsPerGroup: colls, NumGPUs: 8,
 			DisorderProb: 0.02, SyncProb: 0.02, Rounds: 1, Seed: seed,
 		}
-		deadlocked, simulated, g := DebugRound(cfg, 100)
+		deadlocked, simulated, g := debugRound(cfg, 100)
 		if !simulated {
 			continue
 		}
-		if deadlocked != g.Deadlocked() {
-			t.Fatalf("seed %d: stall=%v cycle=%v", seed, deadlocked, g.Deadlocked())
+		if deadlocked != g.deadlocked() {
+			t.Fatalf("seed %d: stall=%v cycle=%v", seed, deadlocked, g.deadlocked())
 		}
 	}
 }
@@ -346,11 +346,11 @@ func TestStallCycleAgreementProperty(t *testing.T) {
 			DisorderProb:  dis, SyncProb: sync,
 			Rounds: 1, Seed: seed,
 		}
-		deadlocked, simulated, g := DebugRound(cfg, 60)
+		deadlocked, simulated, g := debugRound(cfg, 60)
 		if !simulated {
 			return true
 		}
-		return deadlocked == g.Deadlocked()
+		return deadlocked == g.deadlocked()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package deadlocksim
 
-import "dfccl/internal/detect"
-
 // Table1Configs returns the paper's Table 1 rows, scaled to the given
 // number of rounds (the paper uses 32,000; tests and quick benches use
 // fewer). The 3072-GPU (8,6,64) rows are the most expensive; callers
@@ -56,44 +54,4 @@ func Table1Configs(rounds int) []Config {
 	add(mkFree("sync-free(32,128)-d4e-5-s4e-5", 28, 5, 4, 10, 128, 400, 1200, Synchronization, 4e-5, 4e-5))
 
 	return cfgs
-}
-
-// DebugRound plays a single round (forcing simulation by retrying until
-// a round is not skipped, up to maxTries) and returns whether it
-// deadlocked plus a dependency-graph snapshot in the paper's Sec. 2.4
-// format, for cross-validating stall detection against cycle detection.
-func DebugRound(cfg Config, maxTries int) (deadlocked bool, simulated bool, g *detect.Graph) {
-	s := newSim(cfg)
-	for try := 0; try < maxTries; try++ {
-		deadlocked = s.roundDeadlocks()
-		if !s.skippedLast {
-			return deadlocked, true, s.snapshot()
-		}
-	}
-	return false, false, detect.NewGraph()
-}
-
-// snapshot converts the round's final state into a dependency graph.
-func (s *sim) snapshot() *detect.Graph {
-	g := detect.NewGraph()
-	for c := 0; c < s.numColls; c++ {
-		if s.success[c] {
-			for _, m := range s.members[c] {
-				g.Set(c, int(m), detect.Successful)
-			}
-			continue
-		}
-		executed := make(map[int32]bool, len(s.execOn[c]))
-		for _, m := range s.execOn[c] {
-			executed[m] = true
-		}
-		for _, m := range s.members[c] {
-			if executed[m] {
-				g.Set(c, int(m), detect.Executing)
-			} else {
-				g.Set(c, int(m), detect.Invoked)
-			}
-		}
-	}
-	return g
 }

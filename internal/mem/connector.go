@@ -65,9 +65,6 @@ func NewConnector(name string, slots int) *Connector {
 // Name returns the diagnostic name.
 func (c *Connector) Name() string { return c.name }
 
-// Cap returns the slot count.
-func (c *Connector) Cap() int { return len(c.slots) }
-
 // Pending returns the number of written-but-unread chunks.
 func (c *Connector) Pending() int { return int(c.tail - c.head) }
 

@@ -59,9 +59,6 @@ type TransportBytes struct {
 	Local, SHM, RDMA int
 }
 
-// Total sums the per-transport counters.
-func (t TransportBytes) Total() int { return t.Local + t.SHM + t.RDMA }
-
 // Add accumulates another split into this one.
 func (t *TransportBytes) Add(o TransportBytes) {
 	t.Local += o.Local
