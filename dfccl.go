@@ -102,6 +102,9 @@ type (
 	// the collective ID and the departed ranks, and matches
 	// errors.Is(err, ErrRankLost). Recover with (*Collective).Reform.
 	RankLostError = core.RankLostError
+	// RankRangeError is the typed refusal of an Open whose spec names a
+	// rank outside the cluster; nothing is registered.
+	RankRangeError = core.RankRangeError
 
 	// FabricNetwork prices the deployment's transfers: assign one to
 	// Config.Network. UnsharedFabric gives the legacy isolated-path

@@ -10,8 +10,26 @@ import (
 	"dfccl/internal/trace"
 )
 
-// OpenOption configures Open. Options compose left to right.
-type OpenOption func(*openOpts)
+// OpenOption configures Open. Options compose left to right. An option
+// is a small value, one setting of one field, so passing options to Open
+// allocates nothing.
+type OpenOption struct {
+	field  optField
+	n      int
+	counts [][]int
+}
+
+// optField names the setting an OpenOption makes.
+type optField uint8
+
+const (
+	optCollID optField = iota + 1
+	optPriority
+	optGrid
+	optCounts
+	optAlgo
+	optJob
+)
 
 type openOpts struct {
 	collID   int
@@ -24,29 +42,41 @@ type openOpts struct {
 	job      int
 }
 
+// apply makes option's setting on o.
+func (o *openOpts) apply(opt OpenOption) {
+	switch opt.field {
+	case optCollID:
+		o.collID, o.hasID = opt.n, true
+	case optPriority:
+		o.priority = opt.n
+	case optGrid:
+		o.grid = opt.n
+	case optCounts:
+		o.counts = opt.counts
+	case optAlgo:
+		o.algo, o.hasAlgo = prim.Algorithm(opt.n), true
+	case optJob:
+		o.job = opt.n
+	}
+}
+
 // WithCollID pins the collective to an explicit ID, as the paper's
 // dfcclRegister* API does. All participating ranks must open the same
 // ID with the same spec. Without this option the system derives a
 // deterministic ID from the spec, matching the i-th open of a given
 // spec across ranks (which requires ranks to open identical specs in
 // the same per-spec order — use WithCollID when they do not).
-func WithCollID(id int) OpenOption {
-	return func(o *openOpts) { o.collID = id; o.hasID = true }
-}
+func WithCollID(id int) OpenOption { return OpenOption{field: optCollID, n: id} }
 
 // WithPriority sets the scheduling priority used by the daemon's
 // priority ordering policy (higher runs first). The first rank to open
 // a collective fixes its priority.
-func WithPriority(priority int) OpenOption {
-	return func(o *openOpts) { o.priority = priority }
-}
+func WithPriority(priority int) OpenOption { return OpenOption{field: optPriority, n: priority} }
 
 // WithGrid sets the number of thread blocks the collective's kernel
 // needs; the daemon kernel's grid is the maximum over registered
 // collectives. The first rank to open a collective fixes its grid.
-func WithGrid(blocks int) OpenOption {
-	return func(o *openOpts) { o.grid = blocks }
-}
+func WithGrid(blocks int) OpenOption { return OpenOption{field: optGrid, n: blocks} }
 
 // WithCounts sets the AllToAllv per-peer count matrix on the opened
 // spec: counts[i][j] elements flow from ranks-position i to position j.
@@ -60,7 +90,7 @@ func WithCounts(counts [][]int) OpenOption {
 	for i, row := range counts {
 		cp[i] = append([]int(nil), row...)
 	}
-	return func(o *openOpts) { o.counts = cp }
+	return OpenOption{field: optCounts, counts: cp}
 }
 
 // WithJob tags the collective with the tenant job it belongs to (job
@@ -70,9 +100,7 @@ func WithCounts(counts [][]int) OpenOption {
 // identity: every participating rank must open the same job, and a
 // collective ID can never be shared across jobs — the per-job isolation
 // that keeps one tenant's data out of another's communicator.
-func WithJob(job int) OpenOption {
-	return func(o *openOpts) { o.job = job }
-}
+func WithJob(job int) OpenOption { return OpenOption{field: optJob, n: job} }
 
 // WithAlgorithm selects the primitive-sequence algorithm of the opened
 // collective (prim.AlgoRing — the default — or prim.AlgoHierarchical
@@ -81,9 +109,7 @@ func WithJob(job int) OpenOption {
 // spec's identity, so a re-registration under a different one is
 // refused, and Open rejects unknown algorithms or kinds the algorithm
 // does not support at validation.
-func WithAlgorithm(a prim.Algorithm) OpenOption {
-	return func(o *openOpts) { o.algo = a; o.hasAlgo = true }
-}
+func WithAlgorithm(a prim.Algorithm) OpenOption { return OpenOption{field: optAlgo, n: int(a)} }
 
 // Collective is a typed handle to one registered collective on one
 // rank: the unit of the v2 API. It is obtained from Open, launched
@@ -107,8 +133,8 @@ func (r *RankContext) Open(spec prim.Spec, opts ...OpenOption) (*Collective, err
 		return nil, fmt.Errorf("core: rank %d context destroyed", r.Rank)
 	}
 	var o openOpts
-	for _, fn := range opts {
-		fn(&o)
+	for _, opt := range opts {
+		o.apply(opt)
 	}
 	if o.counts != nil {
 		spec.Counts = o.counts
@@ -118,9 +144,15 @@ func (r *RankContext) Open(spec prim.Spec, opts ...OpenOption) (*Collective, err
 	}
 	// Validation runs after options apply, since WithCounts completes an
 	// AllToAllv spec and WithAlgorithm can select an unsupported
-	// (kind, algorithm) pair.
+	// (kind, algorithm) pair. Ranks outside the cluster are refused here,
+	// before anything (the tuning table, the pool) looks them up.
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	for _, rank := range spec.Ranks {
+		if size := r.sys.Cluster.Size(); rank < 0 || rank >= size {
+			return nil, &RankRangeError{Rank: rank, Size: size}
+		}
 	}
 	// AlgoAuto resolves to a concrete algorithm before registration, so
 	// the group's spec — and everything keyed on it: fingerprint-derived

@@ -31,3 +31,17 @@ func (e *RankLostError) Error() string {
 
 // Unwrap ties the typed error to the ErrRankLost sentinel.
 func (e *RankLostError) Unwrap() error { return ErrRankLost }
+
+// RankRangeError reports that Open was given a spec naming a rank the
+// cluster does not have. Open refuses it before registering anything.
+type RankRangeError struct {
+	// Rank is the first rank of the spec outside the cluster.
+	Rank int
+	// Size is the cluster's GPU count: valid ranks are [0, Size).
+	Size int
+}
+
+// Error formats the refusal for diagnostics.
+func (e *RankRangeError) Error() string {
+	return fmt.Sprintf("core: rank %d out of range for a %d-GPU cluster", e.Rank, e.Size)
+}

@@ -216,7 +216,7 @@ func TestDaemonReentryPanics(t *testing.T) {
 		}
 	})
 	err := sys.Engine.Run()
-	want := fmt.Sprintf("core: rank 0: daemon kernel %s entered while another instance's run is live", "gpu0/dfccl.daemon.gpu0#2")
+	want := fmt.Sprintf("core: rank 0: daemon kernel %s entered while another instance's run is live", "dfccl.daemon.gpu0")
 	if err == nil || !strings.HasSuffix(err.Error(), want) {
 		t.Fatalf("Run = %v, want the second instance's panic %q", err, want)
 	}

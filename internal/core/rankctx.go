@@ -151,10 +151,10 @@ type RankContext struct {
 	submitted int
 	completed int
 
-	pollerWake *sim.Cond
+	pollerWake sim.Cond
 	// idleCond is broadcast when completed catches up to submitted;
 	// WaitAll blocks on it.
-	idleCond *sim.Cond
+	idleCond sim.Cond
 
 	enqueueCounter uint64
 
@@ -184,14 +184,12 @@ func (s *System) Init(p *sim.Process, rank int) *RankContext {
 		return s.ranks[rank]
 	}
 	r := &RankContext{
-		sys:        s,
-		Rank:       rank,
-		dev:        s.Devs[rank],
-		sq:         NewSQ(fmt.Sprintf("gpu%d.sq", rank), sqSlots),
-		cq:         NewCQ(s.Config.CQVariant, s.Config.CQSlots),
-		tasks:      make(map[int]*collTask),
-		pollerWake: sim.NewCond(fmt.Sprintf("gpu%d.pollerWake", rank)),
-		idleCond:   sim.NewCond(fmt.Sprintf("gpu%d.idle", rank)),
+		sys:   s,
+		Rank:  rank,
+		dev:   s.Devs[rank],
+		sq:    NewSQ(fmt.Sprintf("gpu%d.sq", rank), sqSlots),
+		cq:    NewCQ(s.Config.CQVariant, s.Config.CQSlots),
+		tasks: make(map[int]*collTask),
 	}
 	r.daemon.r, r.poller.r = r, r
 	r.kernel = cudasim.Kernel{
@@ -234,7 +232,7 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	}
 	// The abort hook is how a rank loss reaches the daemon: the
 	// executor polls it at every step entry and connector-wait wakeup.
-	t.exec.AbortCheck = g.aborted
+	t.exec.AbortCheck = g.abortCheck
 	t.exec.Job = g.Job
 	if rec := r.sys.Config.Recorder; rec != nil {
 		t.exec.Rec, t.exec.RecColl = rec, collID
@@ -443,7 +441,7 @@ func (m *poller) Next() (sim.Wait, bool) {
 					return sim.Wait{}, false
 				}
 				m.at = pDrain
-				return sim.Wait{Cond: r.pollerWake, Untimed: true}, true
+				return sim.Wait{Cond: &r.pollerWake, Untimed: true}, true
 			}
 			// Work is outstanding: make sure a daemon instance is alive
 			// (it may have voluntarily quit), then wait for the daemon's
@@ -464,7 +462,7 @@ func (m *poller) Next() (sim.Wait, bool) {
 // guard waits for the daemon's CQE signal, for at most pollerGuardTime.
 func (m *poller) guard() (sim.Wait, bool) {
 	m.at = pDrain
-	return sim.Wait{Cond: m.r.pollerWake, D: pollerGuardTime}, true
+	return sim.Wait{Cond: &m.r.pollerWake, D: pollerGuardTime}, true
 }
 
 // pollerGuardTime bounds how long the poller trusts pollerWake alone.

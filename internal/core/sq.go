@@ -17,14 +17,19 @@ type SQE struct {
 // thread) multi-consumer (daemon kernel blocks) ring buffer in
 // page-locked host memory. The simulation runs one consumer process per
 // daemon kernel, so SPMC reduces to SPSC here, but the ring-buffer
-// semantics — fixed capacity, producer blocking when full — are
+// semantics — bounded capacity, producer blocking when full — are
 // preserved because they matter for backpressure behaviour.
+//
+// The ring's array starts at sqInitialSlots and doubles, up to the
+// bound, only when the backlog fills it: a rank that never has more than
+// a few launches pending never pays for the bound's slots.
 type SQ struct {
 	name       string
 	slots      []SQE
+	bound      int
 	head, tail uint64
-	writable   *sim.Cond
-	inserted   *sim.Cond
+	writable   sim.Cond
+	inserted   sim.Cond
 
 	// Submitted counts SQEs ever inserted (for the "CQEs fewer than
 	// SQEs" daemon-restart rule).
@@ -34,33 +39,49 @@ type SQ struct {
 // sqSlots is the slot count of every rank's submission queue.
 const sqSlots = 4096
 
+// sqInitialSlots is the array an SQ starts with, before its backlog
+// grows it.
+const sqInitialSlots = 16
+
 // NewSQ creates a submission queue with the given slot count.
 func NewSQ(name string, cap int) *SQ {
 	if cap < 1 {
 		panic("core: SQ needs at least one slot")
 	}
 	return &SQ{
-		name:     name,
-		slots:    make([]SQE, cap),
-		writable: sim.NewCond(name + ".writable"),
-		inserted: sim.NewCond(name + ".inserted"),
+		name:  name,
+		slots: make([]SQE, min(cap, sqInitialSlots)),
+		bound: cap,
 	}
 }
 
 // Len returns the number of pending SQEs.
 func (q *SQ) Len() int { return int(q.tail - q.head) }
 
-// Push inserts an SQE, blocking the producer while the ring is full.
-// It charges the CPU-side SQE write cost.
+// Push inserts an SQE, blocking the producer while the ring holds its
+// bound. It charges the CPU-side SQE write cost.
 func (q *SQ) Push(p *sim.Process, e SQE) {
-	for q.tail-q.head >= uint64(len(q.slots)) {
+	for q.Len() >= q.bound {
 		q.writable.Wait(p)
 	}
 	p.Sleep(SQEWriteTime)
+	if q.Len() == len(q.slots) && len(q.slots) < q.bound {
+		q.grow()
+	}
 	q.slots[q.tail%uint64(len(q.slots))] = e
 	q.tail++
 	q.Submitted++
 	q.inserted.Signal(p.Engine())
+}
+
+// grow doubles the ring's array, up to the bound, keeping the pending
+// SQEs at the positions head and tail name in the larger ring.
+func (q *SQ) grow() {
+	slots := make([]SQE, min(2*len(q.slots), q.bound))
+	for i := q.head; i != q.tail; i++ {
+		slots[i%uint64(len(slots))] = q.slots[i%uint64(len(q.slots))]
+	}
+	q.slots = slots
 }
 
 // TryPop removes the oldest SQE without blocking. The daemon charges
@@ -77,8 +98,8 @@ func (q *SQ) TryPop(e *sim.Engine) (SQE, bool) {
 
 // Inserted returns the condition signalled on each insertion; the
 // event-driven daemon start hooks onto it.
-func (q *SQ) Inserted() *sim.Cond { return q.inserted }
+func (q *SQ) Inserted() *sim.Cond { return &q.inserted }
 
 func (q *SQ) String() string {
-	return fmt.Sprintf("%s[%d/%d]", q.name, q.Len(), len(q.slots))
+	return fmt.Sprintf("%s[%d/%d]", q.name, q.Len(), q.bound)
 }

@@ -109,19 +109,20 @@ type Group struct {
 	// poller translates into this typed error; new launches are
 	// rejected with it synchronously.
 	abortErr *RankLostError
+	// abortCheck is aborted, bound once when the group is created: the
+	// abort hook every member's executor shares.
+	abortCheck func() bool
 }
 
 // aborted reports whether a rank loss has killed this group.
 func (g *Group) aborted() bool { return g.abortErr != nil }
 
-// Register registers a collective with the system, creating the group
+// register registers a collective with the system, creating the group
 // on first call and validating consistency on subsequent calls from
 // other ranks (every participant registers the same collective ID with
-// the same spec, as with dfcclRegister*).
+// the same spec, as with dfcclRegister*). The spec is valid: Open, its
+// one caller, has validated it.
 func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Group, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if grid <= 0 {
 		grid = DefaultCollectiveGrid
 	}
@@ -161,6 +162,7 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 		Job:      job,
 		comm:     s.pool.acquire(spec.Ranks, collID),
 	}
+	g.abortCheck = g.aborted
 	s.groups[collID] = g
 	return g, nil
 }

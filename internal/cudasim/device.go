@@ -20,6 +20,7 @@ package cudasim
 
 import (
 	"fmt"
+	"slices"
 
 	"dfccl/internal/mem"
 	"dfccl/internal/sim"
@@ -158,7 +159,7 @@ func (d *Device) tryDispatch() {
 			if d.residentBlocks+k.kernel.Grid > d.MaxResidentBlocks {
 				continue // resource depletion: not enough free slots
 			}
-			s.queue = s.queue[1:]
+			s.queue = slices.Delete(s.queue, 0, 1) // keeps the array for the next launch
 			d.start(k)
 			started = true
 		}
@@ -195,9 +196,9 @@ func (d *Device) start(k *KernelInstance) {
 	d.residentBlocks += k.kernel.Grid
 	k.started = true
 	k.StartedAt = d.engine.Now()
-	name := fmt.Sprintf("gpu%d/%s#%d", d.Rank, k.kernel.Name, k.seq)
-	d.engine.Spawn(name, func(p *sim.Process) {
-		k.kernel.Body(&KernelCtx{Process: p, Dev: d, Instance: k})
+	d.engine.Spawn(k.kernel.Name, func(p *sim.Process) {
+		k.ctx = KernelCtx{Process: p, Dev: d, Instance: k}
+		k.kernel.Body(&k.ctx)
 		d.complete(k)
 	})
 }
@@ -251,12 +252,7 @@ func (d *Device) Enqueue(s *Stream, k *Kernel) *KernelInstance {
 		panic("cudasim: stream belongs to a different device")
 	}
 	d.launchSeq++
-	ki := &KernelInstance{
-		kernel:   *k,
-		seq:      d.launchSeq,
-		stream:   s,
-		doneCond: sim.NewCond(fmt.Sprintf("gpu%d.%s.done", d.Rank, k.Name)),
-	}
+	ki := &KernelInstance{kernel: *k, seq: d.launchSeq, stream: s}
 	d.incomplete[ki] = struct{}{}
 	s.queue = append(s.queue, ki)
 	d.KernelsLaunched++

@@ -25,7 +25,9 @@ type KernelCtx struct {
 
 // KernelInstance is one launched execution of a kernel. It keeps its own
 // copy of the kernel, so a launcher may reuse one Kernel for every launch
-// and change it between them.
+// and change it between them, and holds what its run needs by value: a
+// launch allocates the instance, and starting it the process and the
+// body's closure.
 type KernelInstance struct {
 	kernel  Kernel
 	seq     uint64
@@ -36,7 +38,8 @@ type KernelInstance struct {
 	StartedAt   sim.Time
 	CompletedAt sim.Time
 
-	doneCond *sim.Cond
+	doneCond sim.Cond
+	ctx      KernelCtx // what the body is passed
 }
 
 // Done reports completion.

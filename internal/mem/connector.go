@@ -20,8 +20,13 @@ import (
 // last, so a steady stream of equal-sized chunks allocates nothing. See
 // Read for the lifetime this gives a chunk.
 type Connector struct {
-	name  string
-	slots [][]byte
+	// name is the connector's name or, when kind is set, the tag of a
+	// wiring's edge from rank from to rank to, which Name formats only
+	// when asked.
+	name     string
+	kind     string
+	from, to int
+	slots    [][]byte
 	// head counts consumed chunks, tail counts produced chunks;
 	// tail-head is the number of readable slots.
 	head, tail uint64
@@ -37,8 +42,8 @@ type Connector struct {
 	// Whenever nothing is pending, written == read + scrubbed.
 	written, read, scrubbed uint64
 
-	readable *sim.Cond // signalled on write
-	writable *sim.Cond // signalled on read
+	readable sim.Cond // signalled on write
+	writable sim.Cond // signalled on read
 
 	// Owner is the collective ID currently holding this connector, or
 	// -1 when free. The daemon kernel uses it to keep other collectives
@@ -53,17 +58,26 @@ func NewConnector(name string, slots int) *Connector {
 	if slots < 1 {
 		panic("mem: connector needs at least one slot")
 	}
-	return &Connector{
-		name:     name,
-		slots:    make([][]byte, slots),
-		readable: sim.NewCond(name + ".readable"),
-		writable: sim.NewCond(name + ".writable"),
-		Owner:    -1,
-	}
+	return &Connector{name: name, slots: make([][]byte, slots), Owner: -1}
+}
+
+// NewEdgeConnector creates the connector of a wiring's edge from rank
+// from to rank to, named "<tag>.<kind><from>-><to>": the connector of
+// NewEdgeConnector("coll3", "conn", 0, 1, slots) is "coll3.conn0->1".
+// Building it formats nothing; Name does.
+func NewEdgeConnector(tag, kind string, from, to, slots int) *Connector {
+	c := NewConnector(tag, slots)
+	c.kind, c.from, c.to = kind, from, to
+	return c
 }
 
 // Name returns the diagnostic name.
-func (c *Connector) Name() string { return c.name }
+func (c *Connector) Name() string {
+	if c.kind == "" {
+		return c.name
+	}
+	return fmt.Sprintf("%s.%s%d->%d", c.name, c.kind, c.from, c.to)
+}
 
 // Pending returns the number of written-but-unread chunks.
 func (c *Connector) Pending() int { return int(c.tail - c.head) }
@@ -80,7 +94,7 @@ func (c *Connector) CanRead() bool { return c.tail > c.head }
 // semantics of staging data into mapped transfer memory.
 func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 	if !c.CanWrite() {
-		panic(fmt.Sprintf("mem: connector %s overrun", c.name))
+		panic(fmt.Sprintf("mem: connector %s overrun", c.Name()))
 	}
 	buf := c.spare
 	c.spare = nil
@@ -104,7 +118,7 @@ func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 // memory. A caller that needs the data later copies it out first.
 func (c *Connector) Read(e *sim.Engine) []byte {
 	if !c.CanRead() {
-		panic(fmt.Sprintf("mem: connector %s underrun", c.name))
+		panic(fmt.Sprintf("mem: connector %s underrun", c.Name()))
 	}
 	chunk := c.slots[c.head%uint64(len(c.slots))]
 	c.slots[c.head%uint64(len(c.slots))] = nil
@@ -116,10 +130,10 @@ func (c *Connector) Read(e *sim.Engine) []byte {
 }
 
 // Readable returns the condition signalled when a chunk arrives.
-func (c *Connector) Readable() *sim.Cond { return c.readable }
+func (c *Connector) Readable() *sim.Cond { return &c.readable }
 
 // Writable returns the condition signalled when a slot frees up.
-func (c *Connector) Writable() *sim.Cond { return c.writable }
+func (c *Connector) Writable() *sim.Cond { return &c.writable }
 
 // Drain discards all in-flight chunks and releases ownership, waking
 // any writer blocked on a full ring. This is the abort path for
@@ -143,7 +157,7 @@ func (c *Connector) Drain(e *sim.Engine) {
 // violated connector ownership of a preempted collective.
 func (c *Connector) Reset() {
 	if c.Pending() != 0 {
-		panic(fmt.Sprintf("mem: resetting connector %s with %d in-flight chunks", c.name, c.Pending()))
+		panic(fmt.Sprintf("mem: resetting connector %s with %d in-flight chunks", c.Name(), c.Pending()))
 	}
 	c.checkBytes()
 	c.Owner = -1
@@ -154,6 +168,6 @@ func (c *Connector) Reset() {
 func (c *Connector) checkBytes() {
 	if c.written != c.read+c.scrubbed {
 		panic(fmt.Sprintf("mem: connector %s lost bytes: written %d != read %d + scrubbed %d",
-			c.name, c.written, c.read, c.scrubbed))
+			c.Name(), c.written, c.read, c.scrubbed))
 	}
 }

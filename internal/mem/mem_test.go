@@ -426,6 +426,17 @@ func TestConnectorFIFO(t *testing.T) {
 	}
 }
 
+// TestEdgeConnectorName: a wiring's connector formats its name only when
+// asked, to the text the wirings always gave it.
+func TestEdgeConnectorName(t *testing.T) {
+	if got := NewEdgeConnector("coll3.hier", "mesh", 4, 12, 2).Name(); got != "coll3.hier.mesh4->12" {
+		t.Errorf("Name = %q, want coll3.hier.mesh4->12", got)
+	}
+	if got := NewConnector("probe", 2).Name(); got != "probe" {
+		t.Errorf("Name = %q, want probe", got)
+	}
+}
+
 func TestConnectorBackpressure(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewConnector("c", 2)

@@ -115,7 +115,7 @@ func (c *Comm) Launch(p *sim.Process, stream *cudasim.Stream, rank int, spec pri
 	c.calls++
 	dev := c.lib.Devs[rank]
 	k := &cudasim.Kernel{
-		Name: fmt.Sprintf("nccl.%v.c%d.%d", spec.Kind, c.id, c.calls),
+		Name: fmt.Sprintf("gpu%d/nccl.%v.c%d.%d", rank, spec.Kind, c.id, c.calls),
 		Grid: c.Channels,
 		Body: func(kc *cudasim.KernelCtx) {
 			kc.Sleep(KernelStartup)

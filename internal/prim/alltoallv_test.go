@@ -267,6 +267,9 @@ func TestAllToAllvBufferCountsFor(t *testing.T) {
 	spec := vSpec([][]int{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}, 4)
 	wantSend := []int{6, 15, 24}  // row sums
 	wantRecv := []int{12, 15, 18} // column sums
+	if n := testing.AllocsPerRun(10, func() { BufferCountsFor(spec, 1) }); n != 0 {
+		t.Errorf("BufferCountsFor allocates %v times, want 0: the sums are taken in place", n)
+	}
 	for pos := 0; pos < 3; pos++ {
 		s, r := BufferCountsFor(spec, pos)
 		if s != wantSend[pos] || r != wantRecv[pos] {

@@ -358,6 +358,11 @@ func TestSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
+	// The rank named is the first one to repeat an earlier rank.
+	dup := Spec{Kind: AllReduce, Count: 4, Ranks: []int{5, 2, 9, 2, 5}}
+	if err := dup.Validate(); err == nil || err.Error() != "prim: duplicate rank 2" {
+		t.Errorf("Validate(ranks %v) = %v, want prim: duplicate rank 2", dup.Ranks, err)
+	}
 }
 
 // Property: ring all-reduce over random float64 data matches a direct

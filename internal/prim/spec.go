@@ -16,6 +16,7 @@ package prim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"dfccl/internal/mem"
@@ -297,12 +298,12 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("prim: root %d out of range for %d ranks", s.Root, len(s.Ranks))
 		}
 	}
-	seen := make(map[int]struct{}, len(s.Ranks))
-	for _, r := range s.Ranks {
-		if _, dup := seen[r]; dup {
+	// The first rank that repeats an earlier one, found in place: a
+	// registration validates its spec on every Open.
+	for i, r := range s.Ranks {
+		if slices.Contains(s.Ranks[:i], r) {
 			return fmt.Errorf("prim: duplicate rank %d", r)
 		}
-		seen[r] = struct{}{}
 	}
 	// Count-vector sum rules: AllToAllv carries a full N×N matrix (so
 	// every rank's send counts are a row and its recv counts a column
@@ -328,22 +329,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("prim: Counts matrix is only valid for all-to-all-v (kind %v)", s.Kind)
 	}
 	return nil
-}
-
-// SendCountsFor returns the per-peer element counts ring position pos
-// sends (row pos of the AllToAllv Counts matrix).
-func (s Spec) SendCountsFor(pos int) []int {
-	return append([]int(nil), s.Counts[pos]...)
-}
-
-// RecvCountsFor returns the per-peer element counts ring position pos
-// receives (column pos of the AllToAllv Counts matrix).
-func (s Spec) RecvCountsFor(pos int) []int {
-	out := make([]int, len(s.Counts))
-	for i, row := range s.Counts {
-		out[i] = row[pos]
-	}
-	return out
 }
 
 // count is the element count of the all-to-all block ring position i
@@ -897,10 +882,13 @@ func BufferCounts(s Spec) (sendCount, recvCount int) {
 // and the recv buffer the sum of column pos (blocks from each origin,
 // in ring order).
 func BufferCountsFor(s Spec, pos int) (sendCount, recvCount int) {
-	if s.Kind == AllToAllv {
-		return sumInts(s.SendCountsFor(pos)), sumInts(s.RecvCountsFor(pos))
+	if s.Kind != AllToAllv {
+		return BufferCounts(s)
 	}
-	return BufferCounts(s)
+	for _, row := range s.Counts {
+		recvCount += row[pos]
+	}
+	return sumInts(s.Counts[pos]), recvCount
 }
 
 func (s Spec) broadcastSeq(pos, n int) *Sequence {

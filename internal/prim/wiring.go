@@ -1,7 +1,6 @@
 package prim
 
 import (
-	"fmt"
 	"slices"
 
 	"dfccl/internal/fabric"
@@ -53,7 +52,7 @@ func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Wiring {
 	routes := make([]fabric.Route, n)
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
-		conns[i] = mem.NewConnector(fmt.Sprintf("%s.conn%d->%d", tag, spec.Ranks[i], spec.Ranks[next]), ConnectorSlots)
+		conns[i] = mem.NewEdgeConnector(tag, "conn", spec.Ranks[i], spec.Ranks[next], ConnectorSlots)
 		routes[i] = net.RouteBetween(spec.Ranks[i], spec.Ranks[next])
 	}
 	// One-element windows onto the shared arrays: building an executor
@@ -91,7 +90,7 @@ func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
 				if x == y {
 					continue
 				}
-				conn := mem.NewConnector(fmt.Sprintf("%s.mesh%d->%d", tag, ranks[x], ranks[y]), ConnectorSlots)
+				conn := mem.NewEdgeConnector(tag, "mesh", ranks[x], ranks[y], ConnectorSlots)
 				w.outs[x][g.peerIdx(x, y)] = conn
 				w.ins[y][g.peerIdx(y, x)] = conn
 				w.outRoutes[x][g.peerIdx(x, y)] = net.RouteBetween(ranks[x], ranks[y])
@@ -101,7 +100,7 @@ func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
 	if M := g.Nodes(); M > 1 {
 		for a := 0; a < M; a++ {
 			la, lb := g.Leader(a), g.Leader((a+1)%M)
-			conn := mem.NewConnector(fmt.Sprintf("%s.lring%d->%d", tag, ranks[la], ranks[lb]), ConnectorSlots)
+			conn := mem.NewEdgeConnector(tag, "lring", ranks[la], ranks[lb], ConnectorSlots)
 			w.outs[la][g.ringIdx(la)] = conn
 			w.ins[lb][g.ringIdx(lb)] = conn
 			w.outRoutes[la][g.ringIdx(la)] = net.RouteBetween(ranks[la], ranks[lb])
