@@ -32,8 +32,9 @@ ci: fmt vet build test
 
 # doccheck fails if any exported identifier in the root package,
 # internal/prim, internal/orch, internal/fabric, internal/tune,
-# internal/trace, or internal/metrics lacks a doc comment (go/ast-based,
-# no external linters; see cmd/doccheck).
+# internal/trace, internal/metrics, internal/cudasim, internal/core, or
+# internal/sim lacks a doc comment (go/ast-based, no external linters;
+# see cmd/doccheck).
 doccheck:
 	$(GO) run ./cmd/doccheck
 

@@ -1,9 +1,10 @@
 // Command doccheck enforces the repository's godoc floor: every
 // exported identifier in the audited packages (the root dfccl package,
-// internal/prim, internal/orch, internal/fabric, and internal/tune)
-// must carry a doc comment. It
-// parses the source with go/ast — no external linters — and exits
-// non-zero listing each undocumented identifier as file:line.
+// internal/prim, internal/orch, internal/fabric, internal/tune,
+// internal/trace, internal/metrics, internal/cudasim, internal/core and
+// internal/sim) must carry a doc comment. It parses the source with
+// go/ast — no external linters — and exits non-zero listing each
+// undocumented identifier as file:line.
 //
 // An identifier counts as documented if its own declaration has a doc
 // comment, or (for grouped const/var/type specs) the enclosing group
@@ -23,7 +24,7 @@ import (
 
 // auditedDirs are the packages whose exported surface must be fully
 // documented. Relative to the repository root (the working directory).
-var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics"}
+var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim"}
 
 func main() {
 	var missing []string

@@ -295,7 +295,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewBuffer allocates a simulated device buffer of count elements.
 func NewBuffer(t DataType, count int) *Buffer {
-	return mem.NewBuffer(mem.DeviceSpace, t, count)
+	return mem.NewBuffer(t, count)
 }
 
 // Library is a DFCCL deployment over a simulated cluster plus the

@@ -104,6 +104,48 @@ func TestOpenRejectsRanksOutsideCluster(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsGridOverDeviceCapacity: a grid no member's device can
+// hold is refused at Open, before registration, instead of surfacing as
+// a panic when the daemon kernel is launched at it. A grid of exactly
+// the device's SM count still runs.
+func TestOpenRejectsGridOverDeviceCapacity(t *testing.T) {
+	lib := dfccl.New(dfccl.Server3090(2))
+	lib.SetTimeLimit(dfccl.Second)
+	sys := lib.System()
+	sms := sys.Device(0).MaxResidentBlocks
+	for rank := 0; rank < 2; rank++ {
+		lib.Go("rank", func(p *dfccl.Process) {
+			ctx := lib.Init(p, rank)
+			if rank == 0 {
+				registered := sys.NumRegistered()
+				if _, err := ctx.Open(dfccl.AllReduce(16, dfccl.Float32, dfccl.Sum, 0, 1), dfccl.WithGrid(100000)); err == nil {
+					t.Errorf("Open accepted a grid of 100000 blocks on a %d-SM device", sms)
+				}
+				if sys.NumRegistered() != registered {
+					t.Errorf("the refused Open left %d groups, want %d", sys.NumRegistered(), registered)
+				}
+			}
+			coll, err := ctx.Open(dfccl.AllReduce(16, dfccl.Float32, dfccl.Sum, 0, 1), dfccl.WithCollID(1), dfccl.WithGrid(sms))
+			if err != nil {
+				t.Errorf("open at grid %d: %v", sms, err)
+				return
+			}
+			send, recv := dfccl.NewBuffer(dfccl.Float32, 16), dfccl.NewBuffer(dfccl.Float32, 16)
+			send.Fill(float64(rank + 1))
+			if err := futureLaunch(p, ctx, coll, send, recv); err != nil {
+				t.Errorf("launch at grid %d: %v", sms, err)
+			}
+			if got := recv.Float64At(0); got != 3 {
+				t.Errorf("rank %d: sum = %v, want 3", rank, got)
+			}
+			ctx.Destroy(p)
+		})
+	}
+	if err := lib.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestFacadeTimeAdvances(t *testing.T) {
 	lib := dfccl.New(dfccl.Server3090(2))
 	lib.Go("sleeper", func(p *dfccl.Process) { p.Sleep(3 * dfccl.Millisecond) })

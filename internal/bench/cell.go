@@ -122,8 +122,8 @@ func measure(c cell) (CollRunRow, [][]byte, error) {
 			row.Resolved = coll.Spec().Algo
 		}
 		sendCount, recvCount := prim.BufferCountsFor(coll.Spec(), rank)
-		send := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-		recv := mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		send := mem.NewBuffer(spec.Type, sendCount)
+		recv := mem.NewBuffer(spec.Type, recvCount)
 		if spec.Kind == prim.AllToAllv {
 			off := 0
 			for dst, count := range spec.Counts[rank] {

@@ -273,8 +273,8 @@ func figSec21(w io.Writer, _ Opts) error {
 		sendBufs := make([]*mem.Buffer, len(ranks))
 		recvBufs := make([]*mem.Buffer, len(ranks))
 		for i := range sendBufs {
-			sendBufs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
-			recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
+			sendBufs[i] = mem.NewBuffer(mem.Float32, count)
+			recvBufs[i] = mem.NewBuffer(mem.Float32, count)
 		}
 		mpiEnd, err := ncclsim.MPIAllReduce(e, cluster, ranks, count, mem.Float32, mem.Sum, sendBufs, recvBufs)
 		if err != nil {

@@ -95,4 +95,4 @@ func HumanBytes(b int) string {
 func newSeededRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // zeroBuf returns an empty buffer for timing-only collectives.
-func zeroBuf() *mem.Buffer { return mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0) }
+func zeroBuf() *mem.Buffer { return mem.NewBuffer(mem.Float32, 0) }

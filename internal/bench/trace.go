@@ -132,7 +132,7 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 	// filled returns a send buffer of count elements holding rank's
 	// benchCollVal pattern.
 	filled := func(rank, count int) *mem.Buffer {
-		b := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		b := mem.NewBuffer(mem.Float64, count)
 		fillCollVal(rank, b)
 		return b
 	}
@@ -155,8 +155,8 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 			return fmt.Errorf("rank %d open a2a: %w", rank, err)
 		}
 		arS, aS := filled(rank, traceARElems), filled(rank, traceA2AElems*n)
-		arR := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceARElems)
-		aR := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*n)
+		arR := mem.NewBuffer(mem.Float64, traceARElems)
+		aR := mem.NewBuffer(mem.Float64, traceA2AElems*n)
 		start.Wait(p)
 		iters := 0
 		for {
@@ -194,7 +194,7 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 		}
 		sn := n - 1
 		aS2 := filled(rank, traceA2AElems*sn)
-		aR2 := mem.NewBuffer(mem.DeviceSpace, mem.Float64, traceA2AElems*sn)
+		aR2 := mem.NewBuffer(mem.Float64, traceA2AElems*sn)
 		for j := 0; j < traceReformedIters; j++ {
 			if err := runIter(p, ar2, a2a2, arS, arR, aS2, aR2); err != nil {
 				return fmt.Errorf("rank %d reformed iter %d: %w", rank, j, err)

@@ -75,7 +75,8 @@ func WithPriority(priority int) OpenOption { return OpenOption{field: optPriorit
 
 // WithGrid sets the number of thread blocks the collective's kernel
 // needs; the daemon kernel's grid is the maximum over registered
-// collectives. The first rank to open a collective fixes its grid.
+// collectives. The first rank to open a collective fixes its grid. Open
+// refuses a grid larger than a member rank's device holds.
 func WithGrid(blocks int) OpenOption { return OpenOption{field: optGrid, n: blocks} }
 
 // WithCounts sets the AllToAllv per-peer count matrix on the opened
@@ -145,13 +146,18 @@ func (r *RankContext) Open(spec prim.Spec, opts ...OpenOption) (*Collective, err
 	// Validation runs after options apply, since WithCounts completes an
 	// AllToAllv spec and WithAlgorithm can select an unsupported
 	// (kind, algorithm) pair. Ranks outside the cluster are refused here,
-	// before anything (the tuning table, the pool) looks them up.
+	// before anything (the tuning table, the pool) looks them up, and so
+	// is a grid some member's device cannot hold: the daemon kernel
+	// launched at it could never start.
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	for _, rank := range spec.Ranks {
 		if size := r.sys.Cluster.Size(); rank < 0 || rank >= size {
 			return nil, &RankRangeError{Rank: rank, Size: size}
+		}
+		if capacity := r.sys.Devs[rank].MaxResidentBlocks; o.grid > capacity {
+			return nil, fmt.Errorf("core: grid %d exceeds rank %d's device capacity of %d blocks", o.grid, rank, capacity)
 		}
 	}
 	// AlgoAuto resolves to a concrete algorithm before registration, so

@@ -26,8 +26,8 @@ func TestResumeAcrossVoluntaryQuit(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s := mem.NewBuffer(mem.Float64, count)
+		d := mem.NewBuffer(mem.Float64, count)
 		s.Fill(3)
 		result = d
 		if err := coll.LaunchCB(p, s, d, nil); err != nil {
@@ -48,8 +48,8 @@ func TestResumeAcrossVoluntaryQuit(t *testing.T) {
 		// Arrive long after rank 0's daemon has given up and quit
 		// (several quit periods).
 		p.Sleep(5 * sim.Millisecond)
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s := mem.NewBuffer(mem.Float64, count)
+		d := mem.NewBuffer(mem.Float64, count)
 		s.Fill(4)
 		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
@@ -83,8 +83,8 @@ func TestManyCollectivesSmallCQ(t *testing.T) {
 			return
 		}
 		for i := 0; i < burst; i++ {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
+			s := mem.NewBuffer(mem.Float32, 64)
+			d := mem.NewBuffer(mem.Float32, 64)
 			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 				return
@@ -117,8 +117,8 @@ func TestRegistrationBeyondContextBuffer(t *testing.T) {
 			t.Error("registration beyond MaxCollectives accepted")
 		}
 		// The registered ones still work.
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
+		s := mem.NewBuffer(mem.Float32, 32)
+		d := mem.NewBuffer(mem.Float32, 32)
 		if err := first.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
@@ -144,8 +144,8 @@ func TestTimingOnlyMatchesDataPathSchedule(t *testing.T) {
 			if timingOnly {
 				n = 0
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, n)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, n)
+			s := mem.NewBuffer(mem.Float32, n)
+			d := mem.NewBuffer(mem.Float32, n)
 			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 			}
@@ -168,8 +168,8 @@ func TestDaemonGridUsesLargestRegistered(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
+		s := mem.NewBuffer(mem.Float32, 64)
+		d := mem.NewBuffer(mem.Float32, 64)
 		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 			return
@@ -199,8 +199,8 @@ func TestDeterministicEndToEnd(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				for c := 0; c < 4; c++ {
 					id := (c + r.Rank + i) % 4 // rank-dependent order
-					s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256<<id)
-					d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256<<id)
+					s := mem.NewBuffer(mem.Float32, 256<<id)
+					d := mem.NewBuffer(mem.Float32, 256<<id)
 					if err := colls[id].LaunchCB(p, s, d, nil); err != nil {
 						t.Errorf("run: %v", err)
 						return
@@ -243,8 +243,8 @@ func TestFIFOFetchBackoff(t *testing.T) {
 			p.Sleep(200 * sim.Microsecond)
 		}
 		for _, coll := range colls {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+			s := mem.NewBuffer(mem.Float32, 1024)
+			d := mem.NewBuffer(mem.Float32, 1024)
 			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
 				return

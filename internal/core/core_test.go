@@ -55,8 +55,8 @@ func TestSingleAllReduceCompletes(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s := mem.NewBuffer(mem.Float64, count)
+		d := mem.NewBuffer(mem.Float64, count)
 		s.Fill(float64(r.Rank + 1))
 		results[r.Rank] = d
 		var completed bool
@@ -102,24 +102,24 @@ func TestAllCollectiveKindsThroughDFCCL(t *testing.T) {
 		bcC := open(12, prim.Spec{Kind: prim.Broadcast, Count: 64, Root: 2})
 		rdC := open(13, prim.Spec{Kind: prim.Reduce, Count: 64, Op: mem.Sum, Root: 1})
 
-		agS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
+		agS := mem.NewBuffer(mem.Float64, 16)
 		agS.Fill(float64(r.Rank))
-		ag[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16*n)
+		ag[r.Rank] = mem.NewBuffer(mem.Float64, 16*n)
 		check(agC.LaunchCB(p, agS, ag[r.Rank], nil))
 
-		rsS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16*n)
+		rsS := mem.NewBuffer(mem.Float64, 16*n)
 		rsS.Fill(2)
-		rs[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
+		rs[r.Rank] = mem.NewBuffer(mem.Float64, 16)
 		check(rsC.LaunchCB(p, rsS, rs[r.Rank], nil))
 
-		bcS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
+		bcS := mem.NewBuffer(mem.Float64, 64)
 		bcS.Fill(float64(100 + r.Rank))
-		bc[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
+		bc[r.Rank] = mem.NewBuffer(mem.Float64, 64)
 		check(bcC.LaunchCB(p, bcS, bc[r.Rank], nil))
 
-		rdS := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
+		rdS := mem.NewBuffer(mem.Float64, 64)
 		rdS.Fill(3)
-		rd[r.Rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
+		rd[r.Rank] = mem.NewBuffer(mem.Float64, 64)
 		check(rdC.LaunchCB(p, rdS, rd[r.Rank], nil))
 	})
 	for rank := 0; rank < n; rank++ {
@@ -167,8 +167,8 @@ func TestDisorderedInvocationNoDeadlock(t *testing.T) {
 		for it := 0; it < iters; it++ {
 			for _, c := range orders[r.Rank] {
 				count := 64 << c
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
-				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
+				s := mem.NewBuffer(mem.Float32, count)
+				d := mem.NewBuffer(mem.Float32, count)
 				s.Fill(1)
 				if err := colls[c].LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("run: %v", err)
@@ -212,9 +212,9 @@ func TestDeviceSyncBetweenCollectivesNoDeadlock(t *testing.T) {
 			order = []int{1, 0}
 		}
 		mk := func() (*mem.Buffer, *mem.Buffer) {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
+			s := mem.NewBuffer(mem.Float32, 512)
 			s.Fill(1)
-			return s, mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
+			return s, mem.NewBuffer(mem.Float32, 512)
 		}
 		s1, d1 := mk()
 		if err := colls[order[0]].LaunchCB(p, s1, d1, nil); err != nil {
@@ -249,8 +249,8 @@ func TestRepeatedRunsOfRegisteredCollective(t *testing.T) {
 			return
 		}
 		for it := 0; it < iters; it++ {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 128)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 128)
+			s := mem.NewBuffer(mem.Float64, 128)
+			d := mem.NewBuffer(mem.Float64, 128)
 			s.Fill(float64(it))
 			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run: %v", err)
@@ -283,8 +283,8 @@ func TestPipelinedRunsWithoutWait(t *testing.T) {
 		}
 		for i := 0; i < burst; i++ {
 			i := i
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
+			s := mem.NewBuffer(mem.Float64, 64)
+			d := mem.NewBuffer(mem.Float64, 64)
 			s.Fill(float64(i))
 			rank := r.Rank
 			if err := coll.LaunchCB(p, s, d, func(error) { order[rank] = append(order[rank], i) }); err != nil {
@@ -317,8 +317,8 @@ func TestCQVariantsAllDeliver(t *testing.T) {
 				return
 			}
 			for i := 0; i < 5; i++ {
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
-				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
+				s := mem.NewBuffer(mem.Float32, 32)
+				d := mem.NewBuffer(mem.Float32, 32)
 				if err := coll.LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("%v run: %v", v, err)
 					return
@@ -409,13 +409,13 @@ func TestRegistrationValidation(t *testing.T) {
 			t.Error("duplicate registration accepted")
 		}
 		// Unregistered collective cannot run.
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
+		s := mem.NewBuffer(mem.Float32, 64)
+		d := mem.NewBuffer(mem.Float32, 64)
 		if err := r.Run(p, 99, s, d, nil); err == nil {
 			t.Error("run of unregistered collective accepted")
 		}
 		// Wrong buffer sizes must fail.
-		bad := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 32)
+		bad := mem.NewBuffer(mem.Float32, 32)
 		if err := c1.LaunchCB(p, bad, d, nil); err == nil {
 			t.Error("run with undersized send buffer accepted")
 		}
@@ -434,8 +434,8 @@ func TestRegistrationValidation(t *testing.T) {
 			}
 		}
 		// Both ranks must run collective 2 so neither hangs.
-		s2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 128)
-		d2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 128)
+		s2 := mem.NewBuffer(mem.Float32, 128)
+		d2 := mem.NewBuffer(mem.Float32, 128)
 		if err := c2.LaunchCB(p, s2, d2, nil); err != nil {
 			t.Errorf("run 2: %v", err)
 		}
@@ -456,8 +456,8 @@ func TestDynamicRegistrationDuringRuntime(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
+		s := mem.NewBuffer(mem.Float32, 64)
+		d := mem.NewBuffer(mem.Float32, 64)
 		if err := c1.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
@@ -467,8 +467,8 @@ func TestDynamicRegistrationDuringRuntime(t *testing.T) {
 			t.Errorf("dynamic register: %v", err)
 			return
 		}
-		s2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 16)
-		d2 := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 16*n)
+		s2 := mem.NewBuffer(mem.Float32, 16)
+		d2 := mem.NewBuffer(mem.Float32, 16*n)
 		if err := c2.LaunchCB(p, s2, d2, nil); err != nil {
 			t.Errorf("run dynamic: %v", err)
 		}
@@ -487,8 +487,8 @@ func TestDaemonQuitsWhenIdle(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
+		s := mem.NewBuffer(mem.Float32, 64)
+		d := mem.NewBuffer(mem.Float32, 64)
 		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
@@ -590,7 +590,7 @@ func TestPriorityOrderingPrefersHighPriority(t *testing.T) {
 		}
 		rank := r.Rank
 		mk := func() (*mem.Buffer, *mem.Buffer) {
-			return mem.NewBuffer(mem.DeviceSpace, mem.Float32, 4096), mem.NewBuffer(mem.DeviceSpace, mem.Float32, 4096)
+			return mem.NewBuffer(mem.Float32, 4096), mem.NewBuffer(mem.Float32, 4096)
 		}
 		s1, d1 := mk()
 		s2, d2 := mk()
@@ -632,8 +632,8 @@ func TestDisjointGroupsProgressIndependently(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
+		s := mem.NewBuffer(mem.Float32, 256)
+		d := mem.NewBuffer(mem.Float32, 256)
 		if err := coll.LaunchCB(p, s, d, nil); err != nil {
 			t.Errorf("run: %v", err)
 		}
@@ -678,8 +678,8 @@ func TestOverlappingGroupsFreeGroupingStyle(t *testing.T) {
 		// Unique per-rank order: rotate by rank.
 		for i := range mine {
 			id := mine[(i+r.Rank)%len(mine)]
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 512)
+			s := mem.NewBuffer(mem.Float32, 512)
+			d := mem.NewBuffer(mem.Float32, 512)
 			if err := colls[id].LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("run %d: %v", id, err)
 			}

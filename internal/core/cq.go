@@ -32,6 +32,8 @@ var cqWriteCost = [...]sim.Duration{
 	CQVanillaRing:   6900 * sim.Nanosecond,
 }
 
+// String names the variant: "optimized", "optimized-ring" or
+// "vanilla-ring".
 func (v CQVariant) String() string {
 	switch v {
 	case CQOptimized:

@@ -41,8 +41,8 @@ func TestKillRankAbortsInFlightAndReforms(t *testing.T) {
 				t.Errorf("rank %d open: %v", rank, err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			s := mem.NewBuffer(mem.Float64, count)
+			d := mem.NewBuffer(mem.Float64, count)
 			s.Fill(float64(rank + 1))
 			fut, err := coll.Launch(p, s, d)
 			if err != nil {
@@ -177,8 +177,8 @@ func TestNoGoroutineLeakOnMidFlightAbort(t *testing.T) {
 				t.Errorf("rank %d open: %v", rank, err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			s := mem.NewBuffer(mem.Float64, count)
+			d := mem.NewBuffer(mem.Float64, count)
 			s.Fill(1)
 			fut, err := coll.Launch(p, s, d)
 			if err != nil {
@@ -234,8 +234,8 @@ func TestReopenIDWhileLostRankDrains(t *testing.T) {
 	var dead *Group // the aborted incarnation of collective 7
 	closed := newTestBarrier(2)
 	launch := func(p *sim.Process, coll *Collective, v float64) (*mem.Buffer, error) {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s := mem.NewBuffer(mem.Float64, count)
+		d := mem.NewBuffer(mem.Float64, count)
 		s.Fill(v)
 		fut, err := coll.Launch(p, s, d)
 		if err != nil {
@@ -254,8 +254,8 @@ func TestReopenIDWhileLostRankDrains(t *testing.T) {
 				t.Errorf("victim open %d: %v", o.id, err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			if err := coll.LaunchCB(p, s, mem.NewBuffer(mem.DeviceSpace, mem.Float64, count), nil); err != nil {
+			s := mem.NewBuffer(mem.Float64, count)
+			if err := coll.LaunchCB(p, s, mem.NewBuffer(mem.Float64, count), nil); err != nil {
 				t.Errorf("victim launch %d: %v", o.id, err)
 			}
 		}
@@ -346,8 +346,8 @@ func TestLaunchFIFOResolvesInOrderUnderKill(t *testing.T) {
 	}
 	// run launches coll once with real data and checks the sum.
 	run := func(p *sim.Process, coll *Collective, rank int) {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s := mem.NewBuffer(mem.Float64, count)
+		d := mem.NewBuffer(mem.Float64, count)
 		s.Fill(float64(rank + 1))
 		fut, err := coll.Launch(p, s, d)
 		if err == nil {
@@ -371,7 +371,7 @@ func TestLaunchFIFOResolvesInOrderUnderKill(t *testing.T) {
 				return
 			}
 			comm = sys.groups[id].comm
-			buf := func() *mem.Buffer { return mem.NewBuffer(mem.DeviceSpace, mem.Float64, count) }
+			buf := func() *mem.Buffer { return mem.NewBuffer(mem.Float64, count) }
 			var futs [3]*Future // Launch, Batch, Launch
 			var calls [2]int    // the two LaunchCBs' callbacks
 			// callback is the i-th LaunchCB's: by then exactly the first i+1
@@ -493,8 +493,8 @@ func runHierOnce(t *testing.T, sys *System, ranks []int, count int, tag string) 
 				t.Errorf("%s rank %d open: %v", tag, rank, err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*len(ranks))
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*len(ranks))
+			s := mem.NewBuffer(mem.Float64, count*len(ranks))
+			d := mem.NewBuffer(mem.Float64, count*len(ranks))
 			for i := 0; i < s.Len(); i++ {
 				s.SetFloat64(i, float64(rank*1000+i))
 			}
@@ -555,8 +555,8 @@ func TestPoolReformationRegression(t *testing.T) {
 					t.Errorf("cycle %d rank %d open: %v", cy, rank, err)
 					return
 				}
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*len(full))
-				d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*len(full))
+				s := mem.NewBuffer(mem.Float64, count*len(full))
+				d := mem.NewBuffer(mem.Float64, count*len(full))
 				s.Fill(float64(rank))
 				fut, err := coll.Launch(p, s, d)
 				if err != nil {
@@ -584,8 +584,8 @@ func TestPoolReformationRegression(t *testing.T) {
 					t.Errorf("cycle %d rank %d reform: %v", cy, rank, err)
 					return
 				}
-				s2 := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*len(survivors))
-				d2 := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*len(survivors))
+				s2 := mem.NewBuffer(mem.Float64, count*len(survivors))
+				d2 := mem.NewBuffer(mem.Float64, count*len(survivors))
 				s2.Fill(float64(rank))
 				fut2, err := re.Launch(p, s2, d2)
 				if err != nil {

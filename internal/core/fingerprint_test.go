@@ -26,8 +26,8 @@ func TestTimelineFingerprint(t *testing.T) {
 			t.Errorf("open: %v", err)
 			return
 		}
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+		s := mem.NewBuffer(mem.Float32, 1024)
+		d := mem.NewBuffer(mem.Float32, 1024)
 		for it := 0; it < 20; it++ {
 			if err := coll.LaunchCB(p, s, d, nil); err != nil {
 				t.Errorf("launch: %v", err)
@@ -53,8 +53,8 @@ func TestTimelineFingerprint(t *testing.T) {
 				t.Errorf("open: %v", err)
 				return
 			}
-			send[c] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64<<c)
-			recv[c] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64<<c)
+			send[c] = mem.NewBuffer(mem.Float32, 64<<c)
+			recv[c] = mem.NewBuffer(mem.Float32, 64<<c)
 		}
 		for it := 0; it < 3; it++ {
 			for _, c := range orders[r.Rank] {

@@ -43,8 +43,8 @@ func runHierPermuted(t *testing.T, prime string, order []int, counts [][]int) (p
 				if prime == "hier" {
 					// Run the exchange so the fabric is actually wired
 					// and used for the creation order.
-					send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
-					recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
+					send := mem.NewBuffer(mem.Float64, 16)
+					recv := mem.NewBuffer(mem.Float64, 16)
 					fut, err := c.Launch(p, send, recv)
 					if err != nil {
 						t.Errorf("prime launch: %v", err)
@@ -68,8 +68,8 @@ func runHierPermuted(t *testing.T, prime string, order []int, counts [][]int) (p
 				return
 			}
 			sendN, recvN := prim.BufferCountsFor(spec, pos)
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendN)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvN)
+			send := mem.NewBuffer(mem.Float64, sendN)
+			recv := mem.NewBuffer(mem.Float64, recvN)
 			send.Fill(float64(pos + 1))
 			fut, err := coll.Launch(p, send, recv)
 			if err != nil {

@@ -51,8 +51,8 @@ func TestIdleDaemonAndPollerTimeline(t *testing.T) {
 					return
 				}
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
+			s := mem.NewBuffer(mem.Float32, 256)
+			d := mem.NewBuffer(mem.Float32, 256)
 			launch := func(c *Collective) {
 				err := c.LaunchCB(p, s, d, func(err error) {
 					out.Done[r.Rank] = append(out.Done[r.Rank], p.Now())

@@ -60,8 +60,8 @@ func TestCommPoolReuse(t *testing.T) {
 					t.Errorf("cycle %d open: %v", cy, err)
 					return
 				}
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-				d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+				s := mem.NewBuffer(mem.Float64, count)
+				d := mem.NewBuffer(mem.Float64, count)
 				s.Fill(1)
 				fut, err := coll.Launch(p, s, d)
 				if err != nil {
@@ -154,8 +154,8 @@ func TestCloseLifecycle(t *testing.T) {
 				t.Errorf("open: %v", err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 32)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 32)
+			s := mem.NewBuffer(mem.Float64, 32)
+			d := mem.NewBuffer(mem.Float64, 32)
 			fut, err := coll.Launch(p, s, d)
 			if err != nil {
 				t.Errorf("launch: %v", err)
@@ -220,8 +220,8 @@ func TestCloseWithOutstandingRunsErrors(t *testing.T) {
 				t.Errorf("open: %v", err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 512)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 512)
+			s := mem.NewBuffer(mem.Float64, 512)
+			d := mem.NewBuffer(mem.Float64, 512)
 			fut, err := coll.Launch(p, s, d)
 			if err != nil {
 				t.Errorf("launch: %v", err)
@@ -266,8 +266,8 @@ func TestFutureCarriesCoreExecTime(t *testing.T) {
 				t.Errorf("open: %v", err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 4096)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 4096)
+			s := mem.NewBuffer(mem.Float64, 4096)
+			d := mem.NewBuffer(mem.Float64, 4096)
 			fut, err := coll.Launch(p, s, d)
 			if err != nil {
 				t.Errorf("launch: %v", err)
@@ -329,8 +329,8 @@ func TestBatchJoinedFuture(t *testing.T) {
 				}
 				items = append(items, BatchItem{
 					C:    coll,
-					Send: mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64),
-					Recv: mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64),
+					Send: mem.NewBuffer(mem.Float64, 64),
+					Recv: mem.NewBuffer(mem.Float64, 64),
 				})
 			}
 			fut, err := Batch(p, items...)
@@ -372,8 +372,8 @@ func TestBatchValidatesBeforeSubmitting(t *testing.T) {
 			t.Errorf("open: %v", err)
 			return
 		}
-		ok := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
-		bad := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 3)
+		ok := mem.NewBuffer(mem.Float64, 64)
+		bad := mem.NewBuffer(mem.Float64, 3)
 		if _, err := Batch(p,
 			BatchItem{C: good, Send: ok, Recv: ok},
 			BatchItem{C: good, Send: bad, Recv: ok},
@@ -505,8 +505,8 @@ func TestClosedHandleReportsZeroStats(t *testing.T) {
 				t.Errorf("reopen: %v", err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 64)
+			s := mem.NewBuffer(mem.Float64, 64)
+			d := mem.NewBuffer(mem.Float64, 64)
 			fut, err := succ.Launch(p, s, d)
 			if err != nil {
 				t.Errorf("launch: %v", err)

@@ -104,7 +104,7 @@ func (c oracleCase) run(t *testing.T, blocking bool) (out oracleOutcome, daemonS
 				t.Errorf("%s: open: %v", c.name, err)
 				return
 			}
-			send[i], recv[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count), mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
+			send[i], recv[i] = mem.NewBuffer(mem.Float32, count), mem.NewBuffer(mem.Float32, count)
 			send[i].Fill(float64(r.Rank + i))
 			out.Prims = append(out.Prims, 0)
 			out.Recv = append(out.Recv, nil)

@@ -102,6 +102,7 @@ const (
 	OrderPriority
 )
 
+// String names the policy: "fifo" or "priority".
 func (o OrderPolicy) String() string {
 	if o == OrderPriority {
 		return "priority"

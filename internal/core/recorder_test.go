@@ -45,8 +45,8 @@ func TestTracingUnderFaults(t *testing.T) {
 				t.Errorf("rank %d open: %v", rank, err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			s := mem.NewBuffer(mem.Float64, count)
+			d := mem.NewBuffer(mem.Float64, count)
 			s.Fill(float64(rank + 1))
 			fut, err := coll.Launch(p, s, d)
 			if err != nil {

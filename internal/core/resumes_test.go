@@ -29,8 +29,8 @@ func TestResumesPerRankLaunch(t *testing.T) {
 				t.Errorf("open: %v", err)
 				return
 			}
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+			s := mem.NewBuffer(mem.Float32, 1024)
+			d := mem.NewBuffer(mem.Float32, 1024)
 			for it := 0; it < launches; it++ {
 				if err := coll.LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("launch: %v", err)

@@ -100,6 +100,7 @@ func (q *SQ) TryPop(e *sim.Engine) (SQE, bool) {
 // event-driven daemon start hooks onto it.
 func (q *SQ) Inserted() *sim.Cond { return &q.inserted }
 
+// String renders the queue as name[pending/bound].
 func (q *SQ) String() string {
 	return fmt.Sprintf("%s[%d/%d]", q.name, q.Len(), q.bound)
 }

@@ -1,6 +1,8 @@
 package cudasim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -62,7 +64,7 @@ func TestQueuedKernelsDispatchDeterministically(t *testing.T) {
 				name := string(rune('a' + i))
 				last = d.Launch(p, d.NewStream(), &Kernel{Name: name, Grid: 2, Body: func(kc *KernelCtx) {
 					kc.Sleep(10 * sim.Microsecond)
-					order = append(order, kc.Instance.Kernel().Name)
+					order = append(order, name)
 				}})
 			}
 			last.Wait(p)
@@ -89,8 +91,8 @@ func TestQueuedKernelsDispatchDeterministically(t *testing.T) {
 	}
 }
 
-// Property: total kernels completed equals kernels launched for any
-// random mix of grid sizes that fits the device.
+// Property: every launched kernel's body runs and completes, leaving the
+// device idle, for any random mix of grid sizes that fits the device.
 func TestAllLaunchedKernelsComplete(t *testing.T) {
 	f := func(grids []uint8) bool {
 		e := sim.NewEngine()
@@ -99,43 +101,118 @@ func TestAllLaunchedKernelsComplete(t *testing.T) {
 		if n > 40 {
 			n = 40
 		}
+		ran := 0
 		e.Spawn("host", func(p *sim.Process) {
 			for i := 0; i < n; i++ {
 				grid := int(grids[i])%16 + 1
 				d.Launch(p, d.NewStream(), &Kernel{Name: "k", Grid: grid, Body: func(kc *KernelCtx) {
 					kc.Sleep(sim.Duration(grid) * sim.Microsecond)
+					ran++
 				}})
 			}
 		})
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return d.KernelsCompleted == n && d.FreeBlocks() == d.MaxResidentBlocks
+		return ran == n && d.residentBlocks == 0 && len(d.incomplete) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestWaitTimeoutOnKernel exercises the host-side bounded wait.
-func TestWaitTimeoutOnKernel(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDevice(e, 0, topo.RTX3090)
-	e.Spawn("host", func(p *sim.Process) {
-		k := d.Launch(p, d.NewStream(), &Kernel{Name: "slow", Grid: 1, Body: func(kc *KernelCtx) {
-			kc.Sleep(100 * sim.Microsecond)
-		}})
-		if !k.WaitTimeout(p, 10*sim.Microsecond) {
-			t.Error("expected timeout on slow kernel")
+// TestRandomSchedulesKeepDeviceRules drives random launch schedules over
+// several streams, with grids up to the device's capacity and
+// synchronizations from spawned host processes, and checks the device
+// rules at every kernel start and every Synchronize return: resident
+// blocks stay within capacity, a stream's kernels never overlap, a
+// kernel launched behind an active synchronization point starts only
+// once every kernel launched before that point has completed,
+// Synchronize returns only then too, and every kernel completes.
+func TestRandomSchedulesKeepDeviceRules(t *testing.T) {
+	type launched struct {
+		stream, grid   int
+		behind         int // kernels launched before the latest sync point active at launch
+		started, ended bool
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := sim.NewEngine()
+		d := NewDevice(e, 0, topo.RTX3090)
+		d.MaxResidentBlocks = 1 + rng.Intn(8)
+		streams := make([]*Stream, 1+rng.Intn(4))
+		for i := range streams {
+			streams[i] = d.NewStream()
 		}
-		if k.WaitTimeout(p, 200*sim.Microsecond) {
-			t.Error("unexpected timeout after kernel completion window")
+		var ks []*launched
+		var active []int // kernels launched before each waiting Synchronize
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 		}
-		if !k.Done() {
-			t.Error("kernel should be done")
+		allEndedBefore := func(n int) bool {
+			for _, k := range ks[:n] {
+				if !k.ended {
+					return false
+				}
+			}
+			return true
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+		e.Spawn("host", func(p *sim.Process) {
+			for op := 0; op < 30; op++ {
+				switch r := rng.Intn(10); {
+				case r < 6:
+					k := &launched{stream: rng.Intn(len(streams)), grid: 1 + rng.Intn(d.MaxResidentBlocks)}
+					dur := sim.Duration(rng.Intn(20)) * sim.Microsecond
+					i := len(ks)
+					d.Launch(p, streams[k.stream], &Kernel{Name: "k", Grid: k.grid, Body: func(kc *KernelCtx) {
+						resident := k.grid
+						for j, o := range ks {
+							if o.started && !o.ended {
+								resident += o.grid
+								if o.stream == k.stream {
+									fail("kernel %d started while kernel %d of its stream runs", i, j)
+								}
+							}
+						}
+						if resident > d.MaxResidentBlocks {
+							fail("kernel %d started with %d blocks resident, capacity %d", i, resident, d.MaxResidentBlocks)
+						}
+						if !allEndedBefore(k.behind) {
+							fail("kernel %d started before the %d kernels ahead of its sync point completed", i, k.behind)
+						}
+						k.started = true
+						kc.Sleep(dur)
+						k.ended = true
+					}})
+					for _, n := range active {
+						k.behind = max(k.behind, n)
+					}
+					ks = append(ks, k)
+				case r < 8:
+					p.Spawn("sync", func(sp *sim.Process) {
+						n := len(ks)
+						active = append(active, n)
+						d.Synchronize(sp)
+						i := slices.Index(active, n)
+						active = slices.Delete(active, i, i+1)
+						if !allEndedBefore(n) {
+							fail("Synchronize returned before the %d kernels launched ahead of it completed", n)
+						}
+					})
+				default:
+					p.Sleep(sim.Duration(rng.Intn(10)) * sim.Microsecond)
+				}
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if !allEndedBefore(len(ks)) {
+			fail("not every kernel completed")
+		}
+		if t.Failed() {
+			return
+		}
 	}
 }

@@ -9,18 +9,13 @@ type Kernel struct {
 	Name string
 	// Grid is the number of blocks the kernel occupies while resident.
 	Grid int
-	// Exclusive marks legacy default-stream semantics: the kernel waits
-	// for the whole device and blocks all later kernels while running.
-	Exclusive bool
-	Body      func(kc *KernelCtx)
+	Body func(kc *KernelCtx)
 }
 
-// KernelCtx is passed to a kernel body; it carries the sim process and
-// the device the kernel runs on.
+// KernelCtx is passed to a kernel body; it carries the sim process the
+// kernel runs as.
 type KernelCtx struct {
 	*sim.Process
-	Dev      *Device
-	Instance *KernelInstance
 }
 
 // KernelInstance is one launched execution of a kernel. It keeps its own
@@ -29,11 +24,10 @@ type KernelCtx struct {
 // launch allocates the instance, and starting it the process and the
 // body's closure.
 type KernelInstance struct {
-	kernel  Kernel
-	seq     uint64
-	stream  *Stream
-	started bool
-	done    bool
+	kernel Kernel
+	seq    uint64
+	stream *Stream
+	done   bool
 
 	StartedAt   sim.Time
 	CompletedAt sim.Time
@@ -55,51 +49,12 @@ func (k *KernelInstance) Wait(p *sim.Process) {
 	}
 }
 
-// WaitTimeout blocks until completion or timeout; reports true on timeout.
-func (k *KernelInstance) WaitTimeout(p *sim.Process, d sim.Duration) bool {
-	for !k.done {
-		if k.doneCond.WaitTimeout(p, d) {
-			return !k.done
-		}
-	}
-	return false
-}
-
 // Stream is a CUDA stream: commands issued to it execute in FIFO order;
-// commands in different (non-default) streams may run concurrently.
+// commands in different streams may run concurrently.
 type Stream struct {
 	dev   *Device
-	id    int
-	queue []*KernelInstance
-}
-
-// ID returns the stream index on its device (0 = default stream).
-func (s *Stream) ID() int { return s.id }
-
-// Device returns the owning device.
-func (s *Stream) Device() *Device { return s.dev }
-
-// Synchronize blocks the host process until all work currently enqueued
-// on this stream completes. Unlike DeviceSynchronize it does not suspend
-// the device.
-func (s *Stream) Synchronize(p *sim.Process) {
-	if len(s.queue) == 0 {
-		// Find the most recently launched incomplete kernel of this
-		// stream among running kernels.
-		var last *KernelInstance
-		for k := range s.dev.incomplete {
-			if k.stream == s && (last == nil || k.seq > last.seq) {
-				last = k
-			}
-		}
-		if last == nil {
-			return
-		}
-		last.Wait(p)
-		s.Synchronize(p)
-		return
-	}
-	last := s.queue[len(s.queue)-1]
-	last.Wait(p)
-	s.Synchronize(p)
+	queue []*KernelInstance // launched, not yet started
+	// running is set while one of the stream's kernels executes; the
+	// next waits for it to complete.
+	running bool
 }

@@ -36,32 +36,6 @@ import (
 	"unsafe"
 )
 
-// Space identifies where a buffer lives.
-type Space int
-
-const (
-	// DeviceSpace is GPU global memory.
-	DeviceSpace Space = iota
-	// HostSpace is ordinary pageable host memory.
-	HostSpace
-	// PinnedSpace is page-locked host memory; allocating it performs
-	// implicit GPU synchronization (Sec. 2.3 of the paper).
-	PinnedSpace
-)
-
-func (s Space) String() string {
-	switch s {
-	case DeviceSpace:
-		return "device"
-	case HostSpace:
-		return "host"
-	case PinnedSpace:
-		return "pinned"
-	default:
-		return fmt.Sprintf("Space(%d)", int(s))
-	}
-}
-
 // DataType is the element type of a collective buffer.
 type DataType int
 
@@ -128,24 +102,23 @@ func (o ReduceOp) String() string {
 // this repository actually move and reduce these bytes, so functional
 // correctness (not just timing) is testable.
 type Buffer struct {
-	Space Space
-	Type  DataType
-	data  []byte
+	Type DataType
+	data []byte
 }
 
-// NewBuffer allocates a buffer of count elements of type t in space s.
-func NewBuffer(s Space, t DataType, count int) *Buffer {
+// NewBuffer allocates a buffer of count elements of type t.
+func NewBuffer(t DataType, count int) *Buffer {
 	if count < 0 {
 		panic("mem: negative element count")
 	}
-	return &Buffer{Space: s, Type: t, data: make([]byte, count*t.Size())}
+	return &Buffer{Type: t, data: make([]byte, count*t.Size())}
 }
 
 // Clone returns a new buffer holding a copy of b's bytes. Unlike
 // NewBuffer followed by a copy, the new memory is written once: it is
 // never zeroed first.
 func (b *Buffer) Clone() *Buffer {
-	return &Buffer{Space: b.Space, Type: b.Type, data: bytes.Clone(b.data)}
+	return &Buffer{Type: b.Type, data: bytes.Clone(b.data)}
 }
 
 // Len returns the number of elements.

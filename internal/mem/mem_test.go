@@ -15,7 +15,7 @@ import (
 
 func TestBufferRoundTrip(t *testing.T) {
 	for _, dt := range []DataType{Float32, Float64, Int32, Int64} {
-		b := NewBuffer(DeviceSpace, dt, 16)
+		b := NewBuffer(dt, 16)
 		if b.Len() != 16 {
 			t.Fatalf("%v: Len = %d, want 16", dt, b.Len())
 		}
@@ -31,7 +31,7 @@ func TestBufferRoundTrip(t *testing.T) {
 }
 
 func TestBufferFillAndSlice(t *testing.T) {
-	b := NewBuffer(HostSpace, Float32, 8)
+	b := NewBuffer(Float32, 8)
 	b.Fill(2.5)
 	raw := b.Slice(2, 4)
 	if len(raw) != 2*4 {
@@ -54,8 +54,8 @@ func TestReduceOps(t *testing.T) {
 		{Min, 3, 4, 3},
 	}
 	for _, c := range cases {
-		dst := NewBuffer(DeviceSpace, Float64, 1)
-		src := NewBuffer(DeviceSpace, Float64, 1)
+		dst := NewBuffer(Float64, 1)
+		src := NewBuffer(Float64, 1)
 		dst.SetFloat64(0, c.a)
 		src.SetFloat64(0, c.b)
 		Reduce(c.op, Float64, dst.Bytes(), src.Bytes())
@@ -84,8 +84,8 @@ func TestReduceSumProperty(t *testing.T) {
 		if n > 128 {
 			n = 128
 		}
-		dst := NewBuffer(DeviceSpace, Float64, n)
-		src := NewBuffer(DeviceSpace, Float64, n)
+		dst := NewBuffer(Float64, n)
+		src := NewBuffer(Float64, n)
 		for i := 0; i < n; i++ {
 			dst.SetFloat64(i, xs[i])
 			src.SetFloat64(i, ys[i])

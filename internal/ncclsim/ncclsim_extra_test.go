@@ -26,8 +26,8 @@ func TestAllFiveCollectivesThroughNCCL(t *testing.T) {
 		e.Spawn("host", func(p *sim.Process) {
 			d := lib.Device(rank)
 			mk := func(sc, rc int, fill float64) (*mem.Buffer, *mem.Buffer) {
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sc)
-				r := mem.NewBuffer(mem.DeviceSpace, mem.Float64, rc)
+				s := mem.NewBuffer(mem.Float64, sc)
+				r := mem.NewBuffer(mem.Float64, rc)
 				s.Fill(fill)
 				return s, r
 			}
@@ -93,8 +93,8 @@ func TestLatencyScalesWithRingSize(t *testing.T) {
 		for rank := 0; rank < n; rank++ {
 			rank := rank
 			e.Spawn("h", func(p *sim.Process) {
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
-				r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 64)
+				s := mem.NewBuffer(mem.Float32, 64)
+				r := mem.NewBuffer(mem.Float32, 64)
 				comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum}, s, r).Wait(p)
 			})
 		}
@@ -116,8 +116,8 @@ func TestRDMAPathSlowerThanSHM(t *testing.T) {
 		for _, rank := range ranks {
 			rank := rank
 			e.Spawn("h", func(p *sim.Process) {
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1<<18)
-				r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1<<18)
+				s := mem.NewBuffer(mem.Float32, 1<<18)
+				r := mem.NewBuffer(mem.Float32, 1<<18)
 				comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: 1 << 18, Type: mem.Float32, Op: mem.Sum}, s, r).Wait(p)
 			})
 		}
@@ -167,8 +167,8 @@ func TestCommHierarchicalAllToAllv(t *testing.T) {
 	for rank := 0; rank < n; rank++ {
 		rank := rank
 		e.Spawn("host", func(p *sim.Process) {
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, rowSum(rank))
-			recvs[rank] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, colSum(rank))
+			send := mem.NewBuffer(mem.Float64, rowSum(rank))
+			recvs[rank] = mem.NewBuffer(mem.Float64, colSum(rank))
 			off := 0
 			for dst := 0; dst < n; dst++ {
 				for i := 0; i < counts[rank][dst]; i++ {

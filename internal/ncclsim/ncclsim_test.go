@@ -26,8 +26,8 @@ func allReduceOnce(t *testing.T, n, count int) sim.Time {
 	for i := 0; i < n; i++ {
 		rank := i
 		e.Spawn("host", func(p *sim.Process) {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			r := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			s := mem.NewBuffer(mem.Float64, count)
+			r := mem.NewBuffer(mem.Float64, count)
 			s.Fill(float64(rank + 1))
 			k := comm.Launch(p, lib.Device(rank).NewStream(), rank, prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum}, s, r)
 			k.Wait(p)
@@ -58,7 +58,7 @@ func TestConsistentOrderTwoCollectivesNoDeadlock(t *testing.T) {
 		e.Spawn("host", func(p *sim.Process) {
 			st := lib.Device(rank).NewStream()
 			bufs := func() (*mem.Buffer, *mem.Buffer) {
-				return mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256), mem.NewBuffer(mem.DeviceSpace, mem.Float32, 256)
+				return mem.NewBuffer(mem.Float32, 256), mem.NewBuffer(mem.Float32, 256)
 			}
 			s1, r1 := bufs()
 			s2, r2 := bufs()
@@ -82,8 +82,8 @@ func TestDisorderSingleQueueDeadlocks(t *testing.T) {
 	lib := New(e, c)
 	commA, commB := lib.NewComm([]int{0, 1}), lib.NewComm([]int{0, 1})
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) *cudasim.KernelInstance {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+		s := mem.NewBuffer(mem.Float32, 1024)
+		r := mem.NewBuffer(mem.Float32, 1024)
 		return comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
@@ -109,8 +109,8 @@ func TestDisorderMultiStreamSufficientResourcesOK(t *testing.T) {
 	lib := New(e, c)
 	commA, commB := lib.NewComm([]int{0, 1}), lib.NewComm([]int{0, 1})
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) *cudasim.KernelInstance {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+		s := mem.NewBuffer(mem.Float32, 1024)
+		r := mem.NewBuffer(mem.Float32, 1024)
 		return comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
@@ -143,8 +143,8 @@ func TestDisorderMultiStreamResourceDepletionDeadlocks(t *testing.T) {
 	}
 	commA, commB := lib.NewComm([]int{0, 1}), lib.NewComm([]int{0, 1})
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+		s := mem.NewBuffer(mem.Float32, 1024)
+		r := mem.NewBuffer(mem.Float32, 1024)
 		comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
@@ -170,8 +170,8 @@ func TestDisorderWithSyncDeadlocksDespiteResources(t *testing.T) {
 	lib := New(e, c)
 	commA, commB := lib.NewComm([]int{0, 1}), lib.NewComm([]int{0, 1})
 	launch := func(p *sim.Process, comm *Comm, st *cudasim.Stream, rank int) {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-		r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+		s := mem.NewBuffer(mem.Float32, 1024)
+		r := mem.NewBuffer(mem.Float32, 1024)
 		comm.Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum}, s, r)
 	}
 	e.Spawn("host0", func(p *sim.Process) {
@@ -213,8 +213,8 @@ func TestEightGPURandomOrderSingleStreamDeadlocks(t *testing.T) {
 			st := lib.Device(rank).NewStream()
 			for _, ci := range order {
 				count := 64 << ci // 256B..32KB of float32
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
-				r := mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
+				s := mem.NewBuffer(mem.Float32, count)
+				r := mem.NewBuffer(mem.Float32, count)
 				comms[ci].Launch(p, st, rank, prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum}, s, r)
 			}
 		})
@@ -244,8 +244,8 @@ func TestMPIComparison(t *testing.T) {
 	sendBufs := make([]*mem.Buffer, 8)
 	recvBufs := make([]*mem.Buffer, 8)
 	for i := range sendBufs {
-		sendBufs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
-		recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float32, count)
+		sendBufs[i] = mem.NewBuffer(mem.Float32, count)
+		recvBufs[i] = mem.NewBuffer(mem.Float32, count)
 		sendBufs[i].Fill(1)
 	}
 	mpiTime, err := MPIAllReduce(e, c, ranks, count, mem.Float32, mem.Sum, sendBufs, recvBufs)

@@ -80,8 +80,8 @@ func register(colls map[int]*collState, rank, collID int, spec prim.Spec, send, 
 		if spec.TimingOnly {
 			sendCount, recvCount = 0, 0
 		}
-		send = mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-		recv = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		send = mem.NewBuffer(spec.Type, sendCount)
+		recv = mem.NewBuffer(spec.Type, recvCount)
 	}
 	if err := spec.Validate(); err != nil {
 		return bufPair{}, err

@@ -40,8 +40,8 @@ func TestBackendsRouteHierarchicalAllToAllv(t *testing.T) {
 			rank := rank
 			e.Spawn("drive", func(p *sim.Process) {
 				sendN, recvN := prim.BufferCountsFor(spec, rank)
-				send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendN)
-				recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvN)
+				send := mem.NewBuffer(mem.Float64, sendN)
+				recv := mem.NewBuffer(mem.Float64, recvN)
 				recvs[rank] = recv
 				off := 0
 				for dst := 0; dst < n; dst++ {

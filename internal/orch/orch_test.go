@@ -302,8 +302,8 @@ func TestCallerBuffersCarryRealData(t *testing.T) {
 				for cy := 0; cy < cycles; cy++ {
 					collID := 10 + cy
 					spec := prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: ranks}
-					send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-					recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+					send := mem.NewBuffer(mem.Float64, count)
+					recv := mem.NewBuffer(mem.Float64, count)
 					send.Fill(float64(rank + 1))
 					recvs[rank] = recv
 					if err := b.Register(p, rank, collID, spec, 0, send, recv); err != nil {
@@ -368,8 +368,8 @@ func TestRaggedAllToAllvOnCallerBuffers(t *testing.T) {
 			rank := rank
 			e.Spawn("drive", func(p *sim.Process) {
 				sendN, recvN := prim.BufferCountsFor(spec, rank)
-				send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendN)
-				recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvN)
+				send := mem.NewBuffer(mem.Float64, sendN)
+				recv := mem.NewBuffer(mem.Float64, recvN)
 				recvs[rank] = recv
 				off := 0
 				for dst := 0; dst < n; dst++ {

@@ -30,9 +30,9 @@ func victimTrajectory(t *testing.T, c *topo.Cluster, spec Spec, victim int) []ab
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+		s := mem.NewBuffer(spec.Type, sendCount)
 		fillV(spec.Counts, i, s)
-		execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount))
+		execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(spec.Type, recvCount))
 	}
 	var traj []abortState
 	e := sim.NewEngine()
@@ -104,9 +104,9 @@ func TestHierAbortCheckpointTable(t *testing.T) {
 				dead := false
 				for i := 0; i < n; i++ {
 					sendCount, recvCount := BufferCountsFor(spec, i)
-					s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+					s := mem.NewBuffer(spec.Type, sendCount)
 					fillV(spec.Counts, i, s)
-					execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount))
+					execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(spec.Type, recvCount))
 					if i != victim {
 						execs[i].AbortCheck = func() bool { return dead }
 					}

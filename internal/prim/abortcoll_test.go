@@ -21,9 +21,9 @@ func collVictimTrajectory(t *testing.T, c *topo.Cluster, spec Spec, victim int) 
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+		s := mem.NewBuffer(spec.Type, sendCount)
 		fillColl(i, s)
-		execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount))
+		execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(spec.Type, recvCount))
 	}
 	var traj []abortState
 	e := sim.NewEngine()
@@ -96,9 +96,9 @@ func TestHierCollAbortCheckpointTable(t *testing.T) {
 					dead := false
 					for i := 0; i < n; i++ {
 						sendCount, recvCount := BufferCountsFor(spec, i)
-						s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+						s := mem.NewBuffer(spec.Type, sendCount)
 						fillColl(i, s)
-						execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount))
+						execs[i] = fab.ExecutorFor(c, spec, i, s, mem.NewBuffer(spec.Type, recvCount))
 						if i != victim {
 							execs[i].AbortCheck = func() bool { return dead }
 						}

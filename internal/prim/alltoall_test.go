@@ -127,8 +127,8 @@ func TestAllToAllPreemptAndResume(t *testing.T) {
 	recvs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*n)
-		recvs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, count*n)
+		s := mem.NewBuffer(mem.Float64, count*n)
+		recvs[i] = mem.NewBuffer(mem.Float64, count*n)
 		for dst := 0; dst < n; dst++ {
 			for j := 0; j < count; j++ {
 				s.SetFloat64(dst*count+j, sendVal(i, dst, j))

@@ -202,8 +202,8 @@ func TestAllToAllvPreemptAndResume(t *testing.T) {
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendCount)
-		recvs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvCount)
+		s := mem.NewBuffer(mem.Float64, sendCount)
+		recvs[i] = mem.NewBuffer(mem.Float64, recvCount)
 		fillV(counts, i, s)
 		execs[i] = ring.ExecutorFor(c, spec, i, s, recvs[i])
 	}
@@ -296,8 +296,8 @@ func TestAllToAllSingleRankNoop(t *testing.T) {
 			t.Errorf("%s: 1-rank NumPrimitives = %d, want 0", name, seq.NumPrimitives())
 		}
 		ring := BuildRingOn(fabric.Unshared(c), spec, "solo")
-		send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 100)
-		recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 100)
+		send := mem.NewBuffer(mem.Float64, 100)
+		recv := mem.NewBuffer(mem.Float64, 100)
 		for i := 0; i < 100; i++ {
 			send.SetFloat64(i, float64(i+1))
 		}
@@ -334,9 +334,9 @@ func wireBytes(t *testing.T, spec Spec, fill func(rank int, b *mem.Buffer)) int 
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+		s := mem.NewBuffer(spec.Type, sendCount)
 		fill(spec.Ranks[i], s)
-		execs[i] = ring.ExecutorFor(c, spec, i, s, mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount))
+		execs[i] = ring.ExecutorFor(c, spec, i, s, mem.NewBuffer(spec.Type, recvCount))
 		x := execs[i]
 		e.Spawn("rank", func(p *sim.Process) {
 			for x.StepOnce(p, -1) != Done {

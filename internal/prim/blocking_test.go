@@ -267,7 +267,7 @@ func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {
 		x.Rec.RecordSend(trace.Send{
 			At: p.Now(), GPU: x.Spec.Ranks[x.Pos], Coll: x.RecColl,
 			Stage: x.Stage, Round: x.Round, Step: x.Step,
-			Transport: TraceTransport(route.Path.Transport), Bytes: bytes,
+			Transport: route.Path.Transport, Bytes: bytes,
 			Job: x.Job,
 		})
 	}

@@ -77,19 +77,6 @@ func (t *TransportBytes) add(tr topo.Transport, n int) {
 	}
 }
 
-// TraceTransport maps a topo transport onto the flight recorder's
-// transport enum (trace sits below topo and cannot import it).
-func TraceTransport(tr topo.Transport) trace.Transport {
-	switch tr {
-	case topo.TransportSHM:
-		return trace.TransportSHM
-	case topo.TransportRDMA:
-		return trace.TransportRDMA
-	default:
-		return trace.TransportLocal
-	}
-}
-
 // Executor runs one rank's primitive sequence for one collective. Its
 // exported position fields (Stage, Round, Step, Phase) are the dynamic
 // context of Sec. 4.2: saving and restoring them across preemptions
@@ -624,11 +611,11 @@ func (x *Executor) complete(r *Runner) (more bool) {
 
 // actionTransport is the wire class of the action's send half
 // (device-local for recv-only and copy actions).
-func (x *Executor) actionTransport(a *Action) trace.Transport {
+func (x *Executor) actionTransport(a *Action) topo.Transport {
 	if a.LocalCopy || !a.HasSend() {
-		return trace.TransportLocal
+		return topo.TransportLocal
 	}
-	return TraceTransport(x.OutRoutes[a.SendConn].Path.Transport)
+	return x.OutRoutes[a.SendConn].Path.Transport
 }
 
 // localCopy moves an action's block between working-buffer segments
@@ -661,7 +648,7 @@ func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRa
 		x.Rec.RecordSend(trace.Send{
 			At: p.Now(), GPU: x.Spec.Ranks[x.Pos], Coll: x.RecColl,
 			Stage: x.Stage, Round: x.Round, Step: x.Step,
-			Transport: TraceTransport(route.Path.Transport), Bytes: bytes,
+			Transport: route.Path.Transport, Bytes: bytes,
 			Job: x.Job,
 		})
 	}

@@ -23,8 +23,8 @@ func runPriced(t *testing.T, net *fabric.Network, spec Spec, fill func(pos int, 
 	wirings := NewWirings(net, "fp")
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-		recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		s := mem.NewBuffer(spec.Type, sendCount)
+		recvBufs[i] = mem.NewBuffer(spec.Type, recvCount)
 		fill(i, s)
 		execs[i] = wirings.ExecutorFor(c, spec, i, s, recvBufs[i])
 		x := execs[i]
@@ -139,8 +139,8 @@ func TestConcurrentLeaderRingInterference(t *testing.T) {
 			recvs[ri] = make([]*mem.Buffer, 2)
 			for i := 0; i < 2; i++ {
 				sendCount, recvCount := BufferCountsFor(spec, i)
-				s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-				recvs[ri][i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+				s := mem.NewBuffer(spec.Type, sendCount)
+				recvs[ri][i] = mem.NewBuffer(spec.Type, recvCount)
 				fill(i, s)
 				x := ring.ExecutorFor(net.Cluster(), spec, i, s, recvs[ri][i])
 				e.Spawn("rank", func(p *sim.Process) {

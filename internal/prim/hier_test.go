@@ -29,8 +29,8 @@ func runHier(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *mem
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-		recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		s := mem.NewBuffer(spec.Type, sendCount)
+		recvBufs[i] = mem.NewBuffer(spec.Type, recvCount)
 		fill(i, s)
 		execs[i] = fab.ExecutorFor(c, spec, i, s, recvBufs[i])
 		x := execs[i]
@@ -58,8 +58,8 @@ func runRingRef(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(ringSpec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, ringSpec.Type, sendCount)
-		recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, ringSpec.Type, recvCount)
+		s := mem.NewBuffer(ringSpec.Type, sendCount)
+		recvBufs[i] = mem.NewBuffer(ringSpec.Type, recvCount)
 		fill(i, s)
 		execs[i] = ring.ExecutorFor(c, ringSpec, i, s, recvBufs[i])
 		x := execs[i]
@@ -388,8 +388,8 @@ func TestHierPreemptAndResume(t *testing.T) {
 			execs := make([]*Executor, n)
 			for i := 0; i < n; i++ {
 				sendCount, recvCount := BufferCountsFor(spec, i)
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendCount)
-				recvs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvCount)
+				s := mem.NewBuffer(mem.Float64, sendCount)
+				recvs[i] = mem.NewBuffer(mem.Float64, recvCount)
 				fillV(counts, i, s)
 				execs[i] = fab.ExecutorFor(c, spec, i, s, recvs[i])
 			}

@@ -93,8 +93,8 @@ func (c machineCase) run(blocking bool) machineOutcome {
 		var send *mem.Buffer
 		if !c.spec.TimingOnly {
 			sendCount, recvCount := BufferCountsFor(c.spec, pos)
-			send = mem.NewBuffer(mem.DeviceSpace, c.spec.Type, sendCount)
-			recvs[pos] = mem.NewBuffer(mem.DeviceSpace, c.spec.Type, recvCount)
+			send = mem.NewBuffer(c.spec.Type, sendCount)
+			recvs[pos] = mem.NewBuffer(c.spec.Type, recvCount)
 			for i := 0; i < sendCount; i++ {
 				send.SetFloat64(i, float64(1+pos*1000+i%97))
 			}
@@ -278,7 +278,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 	ring := BuildRingOn(fabric.Unshared(c), spec, "alloc")
 	e := sim.NewEngine()
 	for pos := 0; pos < spec.N(); pos++ {
-		x := ring.ExecutorFor(c, spec, pos, mem.NewBuffer(mem.DeviceSpace, spec.Type, spec.Count), mem.NewBuffer(mem.DeviceSpace, spec.Type, spec.Count))
+		x := ring.ExecutorFor(c, spec, pos, mem.NewBuffer(spec.Type, spec.Count), mem.NewBuffer(spec.Type, spec.Count))
 		if pos > 0 {
 			e.Spawn("peer", func(p *sim.Process) {
 				for x.StepOnce(p, -1) != Done {
@@ -319,7 +319,7 @@ func TestCursorInvariant(t *testing.T) {
 	ring := BuildRingOn(fabric.Unshared(c), spec, "cursor")
 	e := sim.NewEngine()
 	for pos := 0; pos < 2; pos++ {
-		x := ring.ExecutorFor(c, spec, pos, mem.NewBuffer(mem.DeviceSpace, spec.Type, 64), mem.NewBuffer(mem.DeviceSpace, spec.Type, 64))
+		x := ring.ExecutorFor(c, spec, pos, mem.NewBuffer(spec.Type, 64), mem.NewBuffer(spec.Type, 64))
 		e.Spawn(fmt.Sprintf("rank%d", pos), func(p *sim.Process) {
 			for x.StepOnce(p, -1) != Done {
 			}
@@ -351,7 +351,7 @@ func BenchmarkRingPrimitive(b *testing.B) {
 		e := sim.NewEngine()
 		execs := make([]*Executor, spec.N())
 		for pos := range execs {
-			x := ring.ExecutorFor(c, spec, pos, mem.NewBuffer(mem.DeviceSpace, spec.Type, 1024), mem.NewBuffer(mem.DeviceSpace, spec.Type, 1024))
+			x := ring.ExecutorFor(c, spec, pos, mem.NewBuffer(spec.Type, 1024), mem.NewBuffer(spec.Type, 1024))
 			execs[pos] = x
 			e.Spawn("exec", func(p *sim.Process) {
 				for x.StepOnce(p, -1) != Done {

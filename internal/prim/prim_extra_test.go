@@ -25,8 +25,8 @@ func runWithPreemption(t *testing.T, spec Spec, fill func(rank int, b *mem.Buffe
 	recvs := make([]*mem.Buffer, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-		recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		s := mem.NewBuffer(spec.Type, sendCount)
+		recvs[i] = mem.NewBuffer(spec.Type, recvCount)
 		fill(spec.Ranks[i], s)
 		x := ring.ExecutorFor(c, spec, i, s, recvs[i])
 		jitter := sim.Duration(7*(i+1)) * sim.Microsecond
@@ -111,8 +111,8 @@ func TestAllGatherProperty(t *testing.T) {
 		ring := BuildRingOn(fabric.Unshared(c), spec, "q")
 		recvs := make([]*mem.Buffer, n)
 		for i := 0; i < n; i++ {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, per)
-			recvs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, per*n)
+			s := mem.NewBuffer(mem.Float64, per)
+			recvs[i] = mem.NewBuffer(mem.Float64, per*n)
 			for j := 0; j < per; j++ {
 				s.SetFloat64(j, float64(i*1000+j))
 			}
@@ -163,8 +163,8 @@ func TestTimingOnlyScheduleEquivalence(t *testing.T) {
 				if timingOnly {
 					bufCount = 0
 				}
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, bufCount)
-				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, bufCount)
+				s := mem.NewBuffer(mem.Float32, bufCount)
+				d := mem.NewBuffer(mem.Float32, bufCount)
 				x := ring.ExecutorFor(c, spec, i, s, d)
 				e.Spawn("r", func(p *sim.Process) {
 					for x.StepOnce(p, -1) != Done {
@@ -201,8 +201,8 @@ func TestExecutorResetReusesConnectors(t *testing.T) {
 		e := sim.NewEngine()
 		results := make([]*mem.Buffer, 2)
 		for i := 0; i < 2; i++ {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			d := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			s := mem.NewBuffer(mem.Float64, count)
+			d := mem.NewBuffer(mem.Float64, count)
 			s.Fill(float64(it + i))
 			results[i] = d
 			x := execs[i]

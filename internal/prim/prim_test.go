@@ -23,8 +23,8 @@ func runCollective(t *testing.T, c *topo.Cluster, spec Spec, fill func(rank int,
 	recvBufs := make([]*mem.Buffer, n)
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
-		sendBufs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
-		recvBufs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, recvCount)
+		sendBufs[i] = mem.NewBuffer(spec.Type, sendCount)
+		recvBufs[i] = mem.NewBuffer(spec.Type, recvCount)
 		fill(spec.Ranks[i], sendBufs[i])
 	}
 	for i := 0; i < n; i++ {
@@ -237,8 +237,8 @@ func TestSpinBudgetAbortsWhenPeerAbsent(t *testing.T) {
 	c := topo.Server3090(2)
 	spec := Spec{Kind: AllReduce, Count: 100, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1}, ChunkElems: 10}
 	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
-	send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 100)
-	recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 100)
+	send := mem.NewBuffer(mem.Float32, 100)
+	recv := mem.NewBuffer(mem.Float32, 100)
 	x := ring.ExecutorFor(c, spec, 0, send, recv)
 	e := sim.NewEngine()
 	var results []StepResult
@@ -279,8 +279,8 @@ func TestPreemptAndResumeMidCollective(t *testing.T) {
 	bufs := make([][2]*mem.Buffer, 2)
 	execs := make([]*Executor, 2)
 	for i := 0; i < 2; i++ {
-		s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-		r := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+		s := mem.NewBuffer(mem.Float64, count)
+		r := mem.NewBuffer(mem.Float64, count)
 		for j := 0; j < count; j++ {
 			s.SetFloat64(j, float64((i+1)*(j+1)))
 		}
@@ -395,8 +395,8 @@ func TestAllReduceSumProperty(t *testing.T) {
 		ring := BuildRingOn(fabric.Unshared(c), spec, "q")
 		recvs := make([]*mem.Buffer, n)
 		for i := 0; i < n; i++ {
-			s := mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
-			recvs[i] = mem.NewBuffer(mem.DeviceSpace, mem.Float64, count)
+			s := mem.NewBuffer(mem.Float64, count)
+			recvs[i] = mem.NewBuffer(mem.Float64, count)
 			for j := 0; j < count; j++ {
 				s.SetFloat64(j, seedData[j]*float64(i+1))
 			}

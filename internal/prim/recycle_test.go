@@ -51,8 +51,8 @@ func TestBackedUpRingsStayExact(t *testing.T) {
 	e := sim.NewEngine()
 	deepest := 0
 	for i := 0; i < n; i++ {
-		s := mem.NewBuffer(mem.DeviceSpace, spec.Type, count)
-		recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, count)
+		s := mem.NewBuffer(spec.Type, count)
+		recvs[i] = mem.NewBuffer(spec.Type, count)
 		fill(i, s)
 		x := ring.ExecutorFor(c, spec, i, s, recvs[i])
 		x.ComputeBW = 1e9 // reducing a chunk takes longer than sending one
@@ -100,8 +100,8 @@ func TestPooledWiringServesLargerChunks(t *testing.T) {
 		e := sim.NewEngine()
 		recvs := make([]*mem.Buffer, n)
 		for i := 0; i < n; i++ {
-			s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sz.count)
-			recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, sz.count)
+			s := mem.NewBuffer(spec.Type, sz.count)
+			recvs[i] = mem.NewBuffer(spec.Type, sz.count)
 			fill(i, s)
 			x := ws.ExecutorFor(c, spec, i, s, recvs[i])
 			e.Spawn("rank", func(p *sim.Process) {
@@ -150,9 +150,9 @@ func TestScratchStartsAsTheInitCopy(t *testing.T) {
 		e := sim.NewEngine()
 		recvs := make([]*mem.Buffer, n)
 		for i, x := range execs {
-			s := mem.NewBuffer(mem.DeviceSpace, spec.Type, sendCount)
+			s := mem.NewBuffer(spec.Type, sendCount)
 			fill(i, s)
-			recvs[i] = mem.NewBuffer(mem.DeviceSpace, spec.Type, count/n)
+			recvs[i] = mem.NewBuffer(spec.Type, count/n)
 			x.Reset(s, recvs[i])
 			e.Spawn("rank", func(p *sim.Process) {
 				for x.StepOnce(p, -1) != Done {

@@ -161,7 +161,7 @@ func (w *Wiring) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvB
 	}
 	// A scratch the init copy overwrites whole is made by that copy.
 	if seq.useScratch && !spec.TimingOnly && seq.initCopyOwnSeg != initCopyWhole {
-		x.scratch = mem.NewBuffer(mem.DeviceSpace, spec.Type, seq.workLen)
+		x.scratch = mem.NewBuffer(spec.Type, seq.workLen)
 	}
 	return x
 }

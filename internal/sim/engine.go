@@ -50,6 +50,7 @@ const (
 	Second               = 1000 * Millisecond
 )
 
+// String renders d in the largest unit it reaches: ns, us, ms or s.
 func (d Duration) String() string {
 	switch {
 	case d < Microsecond:
@@ -72,6 +73,7 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
+// String renders t as the Duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
 // ErrDeadlock is returned by Run when no event can make progress while

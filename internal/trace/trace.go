@@ -7,9 +7,10 @@
 // Perfetto. Tracing is opt-in via core.Config.Recorder and costs
 // nothing when disabled.
 //
-// The package deliberately imports only internal/sim and the standard
-// library, so every layer above it (prim, fabric, core, chaos, bench)
-// can feed the same recorder without import cycles.
+// The package deliberately imports only internal/sim, internal/topo (for
+// the transport tiers) and the standard library, so every layer above it
+// (prim, fabric, core, chaos, bench) can feed the same recorder without
+// import cycles.
 package trace
 
 import (
@@ -19,6 +20,7 @@ import (
 	"sort"
 
 	"dfccl/internal/sim"
+	"dfccl/internal/topo"
 )
 
 // Kind classifies a daemon event.
@@ -68,34 +70,6 @@ type Event struct {
 	Kind Kind
 }
 
-// Transport mirrors topo.Transport without importing it (trace sits
-// below topo in the dependency order): the wire class a primitive's
-// send half used.
-type Transport uint8
-
-const (
-	// TransportLocal is an intra-GPU (self) copy.
-	TransportLocal Transport = iota
-	// TransportSHM is an intra-node shared-memory hop.
-	TransportSHM
-	// TransportRDMA is an inter-node network hop.
-	TransportRDMA
-)
-
-// String names the transport tier.
-func (t Transport) String() string {
-	switch t {
-	case TransportLocal:
-		return "local"
-	case TransportSHM:
-		return "shm"
-	case TransportRDMA:
-		return "rdma"
-	default:
-		return fmt.Sprintf("Transport(%d)", int(t))
-	}
-}
-
 // ActionSpan is one completed primitive action of an executor: the
 // contiguous virtual-time interval in which the action's completing
 // attempt ran, carrying the full dynamic-context cursor (stage label,
@@ -109,7 +83,7 @@ type ActionSpan struct {
 	Round      int
 	Step       int
 	Phase      int // phase cursor at completion
-	Transport  Transport
+	Transport  topo.Transport
 	Job        int // owning tenant job ID (0 = untagged single-job run)
 }
 
@@ -124,9 +98,22 @@ type Send struct {
 	Stage     int
 	Round     int
 	Step      int
-	Transport Transport
+	Transport topo.Transport
 	Bytes     int
 	Job       int // owning tenant job ID (0 = untagged single-job run)
+}
+
+// transportName is the trace's name of a transport tier in the Chrome
+// export: "local", "shm" or "rdma".
+func transportName(t topo.Transport) string {
+	switch t {
+	case topo.TransportSHM:
+		return "shm"
+	case topo.TransportRDMA:
+		return "rdma"
+	default:
+		return "local"
+	}
 }
 
 // FlowEventKind classifies a fabric flow event.
@@ -376,11 +363,11 @@ func (r *Recorder) CountByKind() map[Kind]int {
 func (r *Recorder) SendBytesBy() (local, shm, rdma int) {
 	for _, s := range r.Sends {
 		switch s.Transport {
-		case TransportLocal:
+		case topo.TransportLocal:
 			local += s.Bytes
-		case TransportSHM:
+		case topo.TransportSHM:
 			shm += s.Bytes
-		case TransportRDMA:
+		case topo.TransportRDMA:
 			rdma += s.Bytes
 		}
 	}
@@ -503,7 +490,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			label = "ring"
 		}
 		args := map[string]any{
-			"stage": a.Stage, "phase": a.Phase, "transport": a.Transport.String(),
+			"stage": a.Stage, "phase": a.Phase, "transport": transportName(a.Transport),
 		}
 		if a.Job != 0 {
 			args["job"] = a.Job
@@ -519,7 +506,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	for _, s := range r.Sends {
 		evs = append(evs, chromeEvent{
-			Name: fmt.Sprintf("send %dB %s", s.Bytes, s.Transport),
+			Name: fmt.Sprintf("send %dB %s", s.Bytes, transportName(s.Transport)),
 			Cat:  "send", Ph: "i",
 			TS:  usec(s.At),
 			PID: s.GPU, TID: s.Coll,

@@ -47,8 +47,8 @@ func runTraced(t *testing.T) *trace.Recorder {
 				p.Sleep(2 * sim.Millisecond)
 			}
 			for _, c := range order {
-				s := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
-				d := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 1024)
+				s := mem.NewBuffer(mem.Float32, 1024)
+				d := mem.NewBuffer(mem.Float32, 1024)
 				if err := colls[c].LaunchCB(p, s, d, nil); err != nil {
 					t.Errorf("run: %v", err)
 					return
@@ -242,11 +242,25 @@ func TestKindStrings(t *testing.T) {
 			t.Fatalf("mark %d.String() = %q, want %q", int(k), k.String(), want)
 		}
 	}
-	for k, want := range map[trace.Transport]string{
-		trace.TransportLocal: "local", trace.TransportSHM: "shm", trace.TransportRDMA: "rdma",
+}
+
+// TestChromeTransportNames: records carry topo's transport, and the
+// export names its tiers "local", "shm" and "rdma".
+func TestChromeTransportNames(t *testing.T) {
+	for tr, want := range map[topo.Transport]string{
+		topo.TransportLocal: "local", topo.TransportSHM: "shm", topo.TransportRDMA: "rdma",
 	} {
-		if k.String() != want {
-			t.Fatalf("transport %d.String() = %q, want %q", int(k), k.String(), want)
+		rec := &trace.Recorder{}
+		rec.RecordAction(trace.ActionSpan{Start: 1, End: 2, Transport: tr})
+		rec.RecordSend(trace.Send{At: 1, Transport: tr, Bytes: 8})
+		var buf bytes.Buffer
+		if err := rec.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{`"transport":"` + want + `"`, `"send 8B ` + want + `"`} {
+			if !strings.Contains(buf.String(), s) {
+				t.Errorf("%v: export lacks %s:\n%s", tr, s, buf.String())
+			}
 		}
 	}
 }

@@ -255,8 +255,8 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 	blockElems := cfg.capacitySlots() * ept
 
 	// Persistent dense-gradient all-reduce over all ranks.
-	denseSend := mem.NewBuffer(mem.DeviceSpace, mem.Float64, cfg.DenseGradElems)
-	denseRecv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, cfg.DenseGradElems)
+	denseSend := mem.NewBuffer(mem.Float64, cfg.DenseGradElems)
+	denseRecv := mem.NewBuffer(mem.Float64, cfg.DenseGradElems)
 	denseSpec := prim.Spec{Kind: prim.AllReduce, Count: cfg.DenseGradElems, Type: mem.Float64, Op: mem.Sum, Ranks: ranks}
 	if err := b.Register(p, rank, moeCollDense, denseSpec, 0, denseSend, denseRecv); err != nil {
 		return err
@@ -269,8 +269,8 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 	// and what lets routing survive membership churn (a re-formed group
 	// just gathers rows over the new rank set). Counts are small
 	// integers, carried exactly in Float64 on every backend.
-	countsSend := mem.NewBuffer(mem.DeviceSpace, mem.Float64, n)
-	countsRecv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, n*n)
+	countsSend := mem.NewBuffer(mem.Float64, n)
+	countsRecv := mem.NewBuffer(mem.Float64, n*n)
 	countsSpec := prim.Spec{Kind: prim.AllGather, Count: n, Type: mem.Float64, Ranks: ranks}
 	if err := b.Register(p, rank, moeCollCounts, countsSpec, 0, countsSend, countsRecv); err != nil {
 		return err
@@ -280,10 +280,10 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 	// allocates per iteration because the routed counts change.
 	var dispatchSend, dispatchRecv, combineSend, combineRecv *mem.Buffer
 	if cfg.PaddedAllToAll {
-		dispatchSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, blockElems*n)
-		dispatchRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, blockElems*n)
-		combineSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, blockElems*n)
-		combineRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, blockElems*n)
+		dispatchSend = mem.NewBuffer(mem.Float64, blockElems*n)
+		dispatchRecv = mem.NewBuffer(mem.Float64, blockElems*n)
+		combineSend = mem.NewBuffer(mem.Float64, blockElems*n)
+		combineRecv = mem.NewBuffer(mem.Float64, blockElems*n)
 	}
 	padSpec := prim.Spec{Kind: prim.AllToAll, Count: blockElems, Type: mem.Float64, Ranks: ranks}
 
@@ -356,10 +356,10 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 				// dispatch, so its count matrix is the transpose — which
 				// makes the combine send layout equal the dispatch recv
 				// layout and vice versa.
-				dispatchSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, layout.sendElems)
-				dispatchRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, layout.recvElems)
-				combineSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, layout.recvElems)
-				combineRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, layout.sendElems)
+				dispatchSend = mem.NewBuffer(mem.Float64, layout.sendElems)
+				dispatchRecv = mem.NewBuffer(mem.Float64, layout.recvElems)
+				combineSend = mem.NewBuffer(mem.Float64, layout.recvElems)
+				combineRecv = mem.NewBuffer(mem.Float64, layout.sendElems)
 				elemCnt := scaleMatrix(tokCnt, ept)
 				dSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: elemCnt}
 				cSpec = prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: transpose(elemCnt)}
@@ -471,8 +471,8 @@ func runMoERank(p *sim.Process, b orch.Backend, cfg MoEConfig, rank int, ranks [
 			if rank == pair[0] || rank == pair[1] {
 				subID := moeCollBase + it*moeCollStride + moeSlotSubgroup
 				subSpec := prim.Spec{Kind: prim.AllReduce, Count: 16, Type: mem.Float64, Op: mem.Sum, Ranks: pair}
-				send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
-				recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, 16)
+				send := mem.NewBuffer(mem.Float64, 16)
+				recv := mem.NewBuffer(mem.Float64, 16)
 				send.Fill(float64(rank + 1 + it))
 				if err := b.Register(p, rank, subID, subSpec, 0, send, recv); err != nil {
 					return err

@@ -123,11 +123,11 @@ func runZeRORank(p *sim.Process, cluster *topo.Cluster, b orch.Backend, cfg ZeRO
 		st := &zeroLayerState{
 			padded:     padded,
 			shardLen:   padded / n,
-			params:     mem.NewBuffer(mem.DeviceSpace, mem.Float64, padded),
-			paramShard: mem.NewBuffer(mem.DeviceSpace, mem.Float64, padded/n),
-			gradFull:   mem.NewBuffer(mem.DeviceSpace, mem.Float64, padded),
-			gradSum:    mem.NewBuffer(mem.DeviceSpace, mem.Float64, padded),
-			gradShard:  mem.NewBuffer(mem.DeviceSpace, mem.Float64, padded/n),
+			params:     mem.NewBuffer(mem.Float64, padded),
+			paramShard: mem.NewBuffer(mem.Float64, padded/n),
+			gradFull:   mem.NewBuffer(mem.Float64, padded),
+			gradSum:    mem.NewBuffer(mem.Float64, padded),
+			gradShard:  mem.NewBuffer(mem.Float64, padded/n),
 			momShard:   make([]float64, padded/n),
 		}
 		for i := 0; i < padded; i++ {

@@ -135,8 +135,8 @@ func (x *exchange) open(rc *core.RankContext, t Tenant, slot int, spec prim.Spec
 	}
 	x.ops = append(x.ops, op{
 		h:    h,
-		send: mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendLen),
-		recv: mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvLen),
+		send: mem.NewBuffer(mem.Float64, sendLen),
+		recv: mem.NewBuffer(mem.Float64, recvLen),
 	})
 	return nil
 }
