@@ -34,7 +34,8 @@ ci: fmt vet build test
 # internal/prim, internal/orch, internal/fabric, internal/tune,
 # internal/trace, internal/metrics, internal/cudasim, internal/core, or
 # internal/sim lacks a doc comment (go/ast-based, no external linters;
-# see cmd/doccheck).
+# see cmd/doccheck), or if the newest CHANGES.md entry is longer than
+# 1 500 characters.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

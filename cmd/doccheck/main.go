@@ -9,7 +9,11 @@
 // An identifier counts as documented if its own declaration has a doc
 // comment, or (for grouped const/var/type specs) the enclosing group
 // does — matching the standard godoc attachment rules. Test files are
-// skipped. Run it as `make doccheck`; `make smoke` includes it.
+// skipped.
+//
+// It also holds the changelog to its length cap: the newest entry of
+// CHANGES.md, its last line, must be at most 1 500 characters. Run it as
+// `make doccheck`; `make smoke` includes it.
 package main
 
 import (
@@ -20,13 +24,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"unicode/utf8"
 )
 
 // auditedDirs are the packages whose exported surface must be fully
 // documented. Relative to the repository root (the working directory).
 var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim"}
 
+// changesCap is the most characters the newest CHANGES.md entry may
+// hold: what one reader takes in at once.
+const changesCap = 1500
+
 func main() {
+	if err := checkChanges("CHANGES.md"); err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(1)
+	}
 	var missing []string
 	for _, dir := range auditedDirs {
 		m, err := checkDir(dir)
@@ -44,6 +57,22 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("doccheck: all exported identifiers documented")
+}
+
+// checkChanges reports an error when the newest entry of the changelog
+// at path, its last non-blank line, is longer than changesCap
+// characters.
+func checkChanges(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	text := strings.TrimRight(string(data), " \t\n")
+	newest := text[strings.LastIndexByte(text, '\n')+1:]
+	if n := utf8.RuneCountInString(newest); n > changesCap {
+		return fmt.Errorf("%s: the newest entry is %d characters, over the cap of %d", path, n, changesCap)
+	}
+	return nil
 }
 
 // checkDir parses every non-test .go file in dir and returns one

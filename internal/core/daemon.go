@@ -49,7 +49,7 @@ type daemon struct {
 
 	queue      []*collTask // the task queue; its array outlives instances
 	i          int         // the queue position the pass is at
-	t          *collTask   // the task the state works on
+	t          *collTask   // the task the state works on, nil between tasks
 	sqe        SQE         // the SQE being read
 	fetched    int         // SQEs fetched this pass
 	progressed bool        // a task progressed this pass
@@ -130,7 +130,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 		case dLoadAll:
 			if m.i == len(m.queue) {
 				r.lastActivity = m.p.Now()
-				m.at = dPass
+				m.t, m.at = nil, dPass
 				continue
 			}
 			m.t = m.queue[m.i]
@@ -190,6 +190,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 			t.QueueLenAtLast = len(m.queue)
 			r.trace(m.p, t.ID(), trace.EvFetch)
 			m.fetched++
+			m.t = nil
 
 		case dSchedule:
 			if m.fetched > 0 {
@@ -313,10 +314,12 @@ func (m *daemon) Next() (sim.Wait, bool) {
 			} else {
 				m.i++
 			}
+			m.t = nil
 
 		case dPreempted:
 			r.trace(m.p, m.t.ID(), trace.EvPreempt)
 			m.progressed = m.progressed || m.t.progressed
+			m.t = nil
 			m.i++
 			m.at = dTraverse
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
+	"dfccl/internal/trace"
 )
 
 // testBarrier synchronizes n simulated processes (local copy of the
@@ -621,5 +623,135 @@ func TestCrossJobRegisterRefused(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestRecycledTasksRunLikeNew runs AllReduce → uneven AllToAllv →
+// ReduceScatter → a smaller AllReduce, each opened, launched once and
+// closed on every rank of an 8-rank set that alternates two nodes, on
+// the ring and hierarchically. Every Open after the first few is served
+// by a task some rank's Close released, whose executor last ran another
+// plan, so the test checks what a recycled task must reproduce: outputs
+// byte-exact against the closed form, each new handle's Stats at zero,
+// and BytesSentTotals and PrimsExecutedTotal equal to the flight
+// recorder's sums. The free list ends holding at most the peak number
+// of tasks registered at once, one per rank.
+func TestRecycledTasksRunLikeNew(t *testing.T) {
+	ranks := []int{0, 4, 1, 5, 2, 6, 3, 7}
+	n := len(ranks)
+	val := func(rank, i int) float64 { return float64((rank*7+i*3)%11 + 1) }
+	block := func(i, j, k int) float64 { return float64(i*1000 + j*10 + k) }
+	counts := make([][]int, n)
+	for i := range counts {
+		counts[i] = make([]int, n)
+		for j := range counts[i] {
+			counts[i][j] = (i + 2*j) % 5
+		}
+	}
+	specs := []prim.Spec{
+		{Kind: prim.AllReduce, Count: 96, Type: mem.Float64, Op: mem.Sum, Ranks: ranks},
+		{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: counts, ChunkElems: 2},
+		{Kind: prim.ReduceScatter, Count: 6 * n, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, ChunkElems: 4},
+		{Kind: prim.AllReduce, Count: 40, Type: mem.Float64, Op: mem.Sum, Ranks: ranks},
+	}
+	// fill writes position pos's send buffer and returns the recv buffer
+	// its run must produce.
+	fill := func(spec prim.Spec, pos int, send *mem.Buffer) *mem.Buffer {
+		sendCount, recvCount := prim.BufferCountsFor(spec, pos)
+		want := mem.NewBuffer(spec.Type, recvCount)
+		switch spec.Kind {
+		case prim.AllToAllv:
+			for j, off := 0, 0; j < n; j++ {
+				for k := 0; k < counts[pos][j]; k++ {
+					send.SetFloat64(off+k, block(pos, j, k))
+				}
+				off += counts[pos][j]
+			}
+			for i, off := 0, 0; i < n; i++ {
+				for k := 0; k < counts[i][pos]; k++ {
+					want.SetFloat64(off+k, block(i, pos, k))
+				}
+				off += counts[i][pos]
+			}
+		default:
+			for i := 0; i < sendCount; i++ {
+				send.SetFloat64(i, val(ranks[pos], i))
+			}
+			for k := 0; k < recvCount; k++ {
+				i := k
+				if spec.Kind == prim.ReduceScatter {
+					i += pos * recvCount
+				}
+				sum := 0.0
+				for _, r := range ranks {
+					sum += val(r, i)
+				}
+				want.SetFloat64(k, sum)
+			}
+		}
+		return want
+	}
+	for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
+		e := sim.NewEngine()
+		e.MaxTime = sim.Time(60 * sim.Second)
+		rec := &trace.Recorder{}
+		cfg := DefaultConfig()
+		cfg.Recorder = rec
+		sys := NewSystem(e, topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks), cfg)
+		for pos, rank := range ranks {
+			e.Spawn("recycle", func(p *sim.Process) {
+				rc := sys.Init(p, rank)
+				defer rc.Destroy(p)
+				for _, spec := range specs {
+					c, err := rc.Open(spec, WithAlgorithm(algo))
+					if err != nil {
+						t.Errorf("%v rank %d open %v: %v", algo, rank, spec.Kind, err)
+						return
+					}
+					st := c.Stats()
+					if st.NumPrimitives == 0 {
+						t.Errorf("%v rank %d %v: no primitives", algo, rank, spec.Kind)
+					}
+					st.NumPrimitives, st.Fabric = 0, nil
+					if !reflect.DeepEqual(st, CollectiveStats{}) {
+						t.Errorf("%v rank %d %v: a new handle's Stats = %+v, want zero", algo, rank, spec.Kind, st)
+					}
+					sendCount, recvCount := prim.BufferCountsFor(spec, pos)
+					send, recv := mem.NewBuffer(spec.Type, sendCount), mem.NewBuffer(spec.Type, recvCount)
+					want := fill(spec, pos, send)
+					fut, err := c.Launch(p, send, recv)
+					if err == nil {
+						err = fut.Wait(p)
+					}
+					if err != nil {
+						t.Errorf("%v rank %d %v: %v", algo, rank, spec.Kind, err)
+						return
+					}
+					if !bytes.Equal(recv.Bytes(), want.Bytes()) {
+						t.Errorf("%v rank %d %v: recv differs from the closed form", algo, rank, spec.Kind)
+					}
+					if err := c.Close(p); err != nil {
+						t.Errorf("%v rank %d close: %v", algo, rank, err)
+					}
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("%v: Run: %v", algo, err)
+		}
+		local, shm, rdma := rec.SendBytesBy()
+		if totals := sys.BytesSentTotals(); local != totals.Local || shm != totals.SHM || rdma != totals.RDMA {
+			t.Errorf("%v: trace bytes (local %d, shm %d, rdma %d) != accounting %+v", algo, local, shm, rdma, totals)
+		}
+		if got, want := len(rec.Actions), sys.PrimsExecutedTotal(); got != want || got == 0 {
+			t.Errorf("%v: %d action spans, PrimsExecutedTotal %d", algo, got, want)
+		}
+		free := 0
+		for task := sys.freeTasks; task != nil; task = task.next {
+			free++
+		}
+		if free == 0 || free > n {
+			t.Errorf("%v: %d tasks on the free list, want 1..%d", algo, free, n)
+		}
 	}
 }

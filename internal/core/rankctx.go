@@ -33,10 +33,14 @@ type launch struct {
 
 // collTask is the state of one registered collective on one GPU: its
 // launch FIFO, its executor (whose Round/Step/Phase fields are the
-// dynamic context), spin state, and statistics.
+// dynamic context), spin state, and statistics. A task Close released
+// serves a later registration from the System's free list, keeping
+// the executor (with its plan and scratch) and the FIFO's array.
 type collTask struct {
 	group *Group
 	exec  *prim.Executor
+	// next links the System's free list of retired tasks.
+	next *collTask
 	// runs is the launch FIFO, in launch order, over one reused array.
 	// runs[cur:] are the daemon's to run, runs[cur] next; runs[:cur] are
 	// done, and the poller pops each from the front as it delivers its
@@ -222,11 +226,9 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	if err != nil {
 		return err
 	}
-	t := &collTask{
-		group:  g,
-		exec:   g.comm.wirings.ExecutorFor(r.sys.Cluster, g.Spec, pos, nil, nil),
-		policy: &r.sys.Config.Spin,
-	}
+	t := r.sys.takeTask()
+	*t = collTask{group: g, exec: t.exec, runs: t.runs[:0], policy: &r.sys.Config.Spin}
+	g.comm.wirings.Rebuild(t.exec, r.sys.Cluster, g.Spec, pos)
 	if !g.Spec.TimingOnly {
 		t.sendCount, t.recvCount = prim.BufferCountsFor(g.Spec, pos)
 	}
@@ -256,10 +258,21 @@ func (r *RankContext) Unregister(collID int) error {
 		return fmt.Errorf("core: collective %d has %d outstanding run(s) on rank %d; wait for completion before Close/Unregister",
 			collID, len(t.runs), r.Rank)
 	}
-	r.sys.retireExec(t.exec)
-	delete(r.tasks, collID)
-	r.sys.unregister(t.group)
+	r.release(t)
 	return nil
+}
+
+// release drops one of the rank's registrations, which has no launch
+// left: it retires the executor's counters, unregisters the rank from
+// the group and recycles the task, unless the daemon may still reach
+// it — a task in its queue, or the one it is working on.
+func (r *RankContext) release(t *collTask) {
+	r.sys.retireExec(t.exec)
+	delete(r.tasks, t.group.ID)
+	r.sys.unregister(t.group)
+	if !t.inQueue && r.daemon.t != t {
+		r.sys.freeTask(t)
+	}
 }
 
 // Run invokes an open collective by ID — dfcclRun*, the layer under
@@ -503,10 +516,7 @@ func (r *RankContext) releaseAll() {
 	// Sorted: the last rank out of a group scrubs and pools its
 	// communicator, which wakes processes and orders the free lists.
 	for _, id := range slices.Sorted(maps.Keys(r.tasks)) {
-		t := r.tasks[id]
-		r.sys.retireExec(t.exec)
-		delete(r.tasks, id)
-		r.sys.unregister(t.group)
+		r.release(r.tasks[id])
 	}
 }
 

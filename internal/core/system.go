@@ -32,6 +32,10 @@ type System struct {
 	// tuning memoizes the parsed auto-tuning table, tune.Default(),
 	// across Opens.
 	tuning *tune.Table
+	// freeTasks is the free list of tasks Close released, linked
+	// through collTask.next; a registration takes one before it makes
+	// one, so the list holds at most the peak number of registrations.
+	freeTasks *collTask
 
 	// autoIDs maps a spec fingerprint to the collective IDs the system
 	// has assigned for it (in allocation order); nextAutoID is the next
@@ -154,6 +158,11 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 	if len(s.groups) >= s.Config.MaxCollectives {
 		return nil, fmt.Errorf("core: collective context buffer full (%d collectives)", s.Config.MaxCollectives)
 	}
+	for _, rc := range s.ranks {
+		if rc != nil && !rc.lost && rc.tasks[collID] != nil {
+			panic(fmt.Sprintf("core: invariant new-group-unheld: rank %d still holds a task of collective %d as its group is created", rc.Rank, collID))
+		}
+	}
 	g = &Group{
 		ID:       collID,
 		Spec:     spec,
@@ -179,6 +188,32 @@ func (s *System) heldLive(g *Group) bool {
 	return false
 }
 
+// takeTask returns a task for a registration to fill: a retired one
+// off the free list, or a new one.
+func (s *System) takeTask() *collTask {
+	t := s.freeTasks
+	if t == nil {
+		return &collTask{exec: new(prim.Executor)}
+	}
+	s.freeTasks, t.next = t.next, nil
+	for _, rc := range s.ranks {
+		if rc != nil && (rc.tasks[t.group.ID] == t || rc.daemon.t == t) {
+			panic(fmt.Sprintf("core: invariant free-task-unreachable: rank %d still reaches a freed task of collective %d", rc.Rank, t.group.ID))
+		}
+	}
+	return t
+}
+
+// freeTask puts a released task on the free list. It drops the
+// buffers of the task's last launch, so the list pins no user memory.
+func (s *System) freeTask(t *collTask) {
+	if len(t.runs) != 0 || t.inQueue {
+		panic(fmt.Sprintf("core: invariant free-task-idle: collective %d freed with %d launch(es), in queue %v", t.group.ID, len(t.runs), t.inQueue))
+	}
+	t.exec.SendBuf, t.exec.RecvBuf = nil, nil
+	t.next, s.freeTasks = s.freeTasks, t
+}
+
 // unregister drops one rank's registration of a group; the last rank
 // out releases the communicator back to the pool and, unless register
 // has detached the group, frees the collective ID (including its
@@ -200,6 +235,9 @@ func (s *System) unregister(g *Group) {
 		return
 	}
 	delete(s.groups, g.ID)
+	if g.ID < AutoCollIDBase {
+		return // autoCollID assigns no ID below the base
+	}
 	key := g.Spec.Fingerprint()
 	ids := s.autoIDs[key]
 	for i, id := range ids {

@@ -121,6 +121,18 @@ func (b *Buffer) Clone() *Buffer {
 	return &Buffer{Type: b.Type, data: bytes.Clone(b.data)}
 }
 
+// Reshape makes b, in place, a buffer of count elements of type t when
+// its memory holds them, and reports whether it did. The elements keep
+// whatever bytes were there.
+func (b *Buffer) Reshape(t DataType, count int) bool {
+	n := count * t.Size()
+	if count < 0 || n > cap(b.data) {
+		return false
+	}
+	b.Type, b.data = t, b.data[:n]
+	return true
+}
+
 // Len returns the number of elements.
 func (b *Buffer) Len() int { return len(b.data) / b.Type.Size() }
 

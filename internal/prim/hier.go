@@ -35,6 +35,7 @@ package prim
 
 import (
 	"fmt"
+	"slices"
 
 	"dfccl/internal/topo"
 )
@@ -120,38 +121,40 @@ func (g NodeGrouping) crossNodes(a int) []int {
 // file; all-reduce, all-gather, and reduce-scatter use the two-level
 // reduction schedules of hiercoll.go over the same wiring.
 func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	if s.Algo != AlgoHierarchical {
-		panic(fmt.Sprintf("prim: HierSequenceFor on a %v spec", s.Algo))
-	}
+	return s.build(new(Sequence), pos, g)
+}
+
+// hierSeq builds the hierarchical plan into q (Spec.build).
+func (s Spec) hierSeq(q *Sequence, pos int, g NodeGrouping) {
 	if s.N() == 1 {
 		sendCount, _ := BufferCountsFor(s, 0)
-		return noopCopySeq(sendCount, s.chunk())
+		q.noopCopy(sendCount)
+		return
 	}
+	t := s.newTier(q, pos, g)
 	switch s.Kind {
 	case AllToAll, AllToAllv:
-		return s.hierAllToAllSeq(pos, g)
+		s.hierAllToAllSeq(t)
 	case AllReduce:
-		return s.hierAllReduceSeq(pos, g)
+		s.hierAllReduceSeq(t)
 	case AllGather:
-		return s.hierAllGatherSeq(pos, g)
+		s.hierAllGatherSeq(t)
 	case ReduceScatter:
-		return s.hierReduceScatterSeq(pos, g)
+		s.hierReduceScatterSeq(t)
 	default:
 		panic(fmt.Sprintf("prim: no hierarchical sequence for kind %v", s.Kind))
 	}
 }
 
 // tier is one position's hierarchical sequence under construction: its
-// place in the node grouping, the working-buffer segments allocated so
-// far, and its stages. Its mesh and convoy stages are built from one
-// description that every member of the node reads, so the two ends of
-// each intra-node connector agree chunk for chunk by construction, as
-// the ring value makes them agree on the leader ring.
+// place in the node grouping and the plan it appends to, whose workLen
+// is the allocation cursor. Its mesh and convoy stages are built from
+// one description that every member of the node reads, so the two ends
+// of each intra-node connector agree chunk for chunk by construction,
+// as the ring value makes them agree on the leader ring.
 type tier struct {
 	g NodeGrouping
+	q *Sequence
 	// pos is the position, node its node, group the node's members
 	// (leader first), k its index in group, m the member count and
 	// nodes the node count.
@@ -159,38 +162,33 @@ type tier struct {
 	group       []int
 	k, m, nodes int
 	chunk       int
-	segs        []segRange
-	// cur is the allocation cursor: the working-buffer length.
-	cur    int
-	stages []Stage
 }
 
-func (s Spec) newTier(pos int, g NodeGrouping) *tier {
+func (s Spec) newTier(q *Sequence, pos int, g NodeGrouping) *tier {
 	a := g.NodeOf[pos]
-	return &tier{g: g, pos: pos, node: a, group: g.Members[a], k: g.local[pos],
+	return &tier{g: g, q: q, pos: pos, node: a, group: g.Members[a], k: g.local[pos],
 		m: len(g.Members[a]), nodes: g.Nodes(), chunk: s.chunk()}
 }
 
 // alloc appends a segment of l elements at the end of the working buffer.
 func (t *tier) alloc(l int) int {
-	t.cur += l
-	return t.view(segRange{Lo: t.cur - l, Hi: t.cur})
+	t.q.workLen += l
+	return t.view(segRange{Lo: t.q.workLen - l, Hi: t.q.workLen})
 }
 
 // view registers a segment over already-allocated elements.
 func (t *tier) view(r segRange) int {
-	t.segs = append(t.segs, r)
-	return len(t.segs) - 1
+	t.q.segs = append(t.q.segs, r)
+	return len(t.q.segs) - 1
 }
 
-func (t *tier) add(label string, rounds int, acts []Action) {
-	t.stages = append(t.stages, Stage{Label: label, Rounds: rounds, Actions: acts})
-}
+// segLen is the element length of segment seg.
+func (t *tier) segLen(seg int) int { return t.q.segs[seg].len() }
 
 // ring is the leader ring seen from this (leader) position, over the
 // node aggregates blk.
 func (t *tier) ring(blk []int) ring {
-	return ring{place: t.node, n: t.nodes, blk: blk, conn: t.g.ringIdx(t.pos), segs: t.segs}
+	return ring{place: t.node, n: t.nodes, blk: blk, conn: t.g.ringIdx(t.pos), segs: t.q.segs}
 }
 
 // mesh adds the direct-exchange stages d = 1..m-1: at offset d each
@@ -202,11 +200,12 @@ func (t *tier) mesh(label string, rounds func(d int) int, reduce bool, segs func
 	for d := 1; d < t.m; d++ {
 		to, from := t.group[(t.k+d)%t.m], t.group[(t.k-d+t.m)%t.m]
 		send, recv := segs(to, from)
-		t.add(label, rounds(d), []Action{{
-			SendSeg: send, SendElems: t.segs[send].len(), SendConn: t.g.peerIdx(t.pos, to),
-			RecvSeg: recv, RecvElems: t.segs[recv].len(), RecvConn: t.g.peerIdx(t.pos, from),
+		st := t.q.stage(label, rounds(d))
+		st.Actions = append(st.Actions, Action{
+			SendSeg: send, SendElems: t.segLen(send), SendConn: t.g.peerIdx(t.pos, to),
+			RecvSeg: recv, RecvElems: t.segLen(recv), RecvConn: t.g.peerIdx(t.pos, from),
 			Reduce: reduce,
-		}})
+		})
 	}
 }
 
@@ -220,7 +219,7 @@ type move struct{ member, seg int }
 // no move gets no stage; each half is as long as its segment, and reduce
 // folds received chunks in.
 func (t *tier) convoy(label string, rounds int, up, reduce bool, moves []move) {
-	var acts []Action
+	st := t.q.stage(label, rounds)
 	for _, mv := range moves {
 		peer := t.group[0]
 		if t.k == 0 {
@@ -229,30 +228,27 @@ func (t *tier) convoy(label string, rounds int, up, reduce bool, moves []move) {
 			continue
 		}
 		a := Action{SendSeg: -1, RecvSeg: -1}
-		if l, conn := t.segs[mv.seg].len(), t.g.peerIdx(t.pos, peer); up == (t.k == 0) {
+		if l, conn := t.segLen(mv.seg), t.g.peerIdx(t.pos, peer); up == (t.k == 0) {
 			a.RecvSeg, a.RecvElems, a.RecvConn, a.Reduce = mv.seg, l, conn, reduce
 		} else {
 			a.SendSeg, a.SendElems, a.SendConn = mv.seg, l, conn
 		}
-		acts = append(acts, a)
+		st.Actions = append(st.Actions, a)
 	}
-	if len(acts) > 0 {
-		t.add(label, rounds, acts)
-	}
+	t.q.dropEmpty()
 }
 
-// seq finishes the sequence over the allocated working buffer.
-func (t *tier) seq(initCopy int, scratch bool, copyOut []int) *Sequence {
-	return &Sequence{Stages: t.stages, segs: t.segs, chunkElems: t.chunk, workLen: t.cur,
-		initCopyOwnSeg: initCopy, useScratch: scratch, copyOut: copyOut}
+// finish sets the plan's init copy and working buffer.
+func (t *tier) finish(initCopy int, scratch bool) {
+	t.q.initCopyOwnSeg, t.q.useScratch = initCopy, scratch
 }
 
 // hierAllToAllSeq builds the hierarchical all-to-all(-v) sequence:
 // intra-node direct exchange, pack/gather-to-leader, the flat ring
 // all-to-all schedule between the leaders over per-node aggregates, and
 // scatter-from-leader.
-func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
-	t := s.newTier(pos, g)
+func (s Spec) hierAllToAllSeq(t *tier) {
+	pos, g := t.pos, t.g
 	n, a, M, leader := s.N(), t.node, t.nodes, t.k == 0
 
 	// Own send blocks, in send-buffer layout (the init-copy prefix).
@@ -279,7 +275,7 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	var gout, gin [][][]int // [node][member idx][peer idx] -> seg
 	aggregate := func(size int, src, dst []int) (int, [][]int) {
 		seg := t.alloc(size)
-		off := t.segs[seg].Lo
+		off := t.q.segs[seg].Lo
 		subs := make([][]int, len(src))
 		for ii, i := range src {
 			subs[ii] = make([]int, len(dst))
@@ -330,22 +326,20 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 		// Leader packs its own cross-node blocks into the outbound
 		// aggregates (local copies — no connector involved).
 		if leader {
-			var acts []Action
+			st := t.q.stage("pack", 1)
 			for _, b := range g.crossNodes(a) {
 				for jj, j := range g.Members[b] {
 					if s.count(pos, j) == 0 {
 						continue
 					}
-					acts = append(acts, Action{
+					st.Actions = append(st.Actions, Action{
 						LocalCopy: true,
 						SendSeg:   own[j], SendElems: s.count(pos, j),
 						RecvSeg: gout[b][0][jj],
 					})
 				}
 			}
-			if len(acts) > 0 {
-				t.add("pack", 1, acts)
-			}
+			t.q.dropEmpty()
 		}
 		// Gather-to-leader: one convoy per non-leader member, in the
 		// canonical cross-node block order.
@@ -371,7 +365,8 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 			size := func(x, y int) int { return agg[x][y] }
 			transit, moved := r.allToAllBounds(size)
 			lring[2*M], lring[2*M+1] = t.alloc(transit), t.alloc(transit)
-			t.add("inter-ring", ceilDiv(moved, t.chunk), r.allToAll(size))
+			st := t.q.stage("inter-ring", ceilDiv(moved, t.chunk))
+			st.Actions = r.allToAll(st.Actions, size)
 		}
 		// Scatter-from-leader: one convoy per non-leader member; the
 		// leader sends each inbound cross-node block to its final
@@ -397,16 +392,17 @@ func (s Spec) hierAllToAllSeq(pos int, g NodeGrouping) *Sequence {
 	// from the own area, same-node blocks from FIN (intra stage), and
 	// cross-node blocks from FIN (non-leaders, scatter stage) or the
 	// inbound aggregates (leaders).
-	copyOut := make([]int, n)
-	for o := range copyOut {
+	copyOut := slices.Grow(t.q.copyOut, n)
+	for o := 0; o < n; o++ {
 		switch {
 		case o == pos:
-			copyOut[o] = own[pos]
+			copyOut = append(copyOut, own[pos])
 		case leader && g.NodeOf[o] != a:
-			copyOut[o] = gin[g.NodeOf[o]][g.local[o]][0]
+			copyOut = append(copyOut, gin[g.NodeOf[o]][g.local[o]][0])
 		default:
-			copyOut[o] = fin[o]
+			copyOut = append(copyOut, fin[o])
 		}
 	}
-	return t.seq(initCopyPrefix, true, copyOut)
+	t.q.copyOut = copyOut
+	t.finish(initCopyPrefix, true)
 }

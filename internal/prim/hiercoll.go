@@ -1,5 +1,7 @@
 package prim
 
+import "slices"
+
 // Hierarchical (topology-aware) reduction collectives: two-level
 // schedules for all-reduce, all-gather, and reduce-scatter over the
 // same NodeGrouping and BuildHierFabricOn wiring as the hierarchical all-to-all
@@ -39,28 +41,28 @@ package prim
 // hierAllReduceSeq builds the two-level all-reduce. The working buffer
 // is the user's recv buffer; every segment is an overlapping view of
 // the natural [0, Count) layout, so no scratch or copy-out is needed.
-func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
-	t := s.newTier(pos, g)
-	C := s.Count
+func (s Spec) hierAllReduceSeq(t *tier) {
+	g, C := t.g, s.Count
 	// Node-local shares: the intra-node reduce-scatter's partition.
 	// Share 0 is the longest.
 	member := make([]int, t.m)
-	for i, r := range evenSegs(C, t.m) {
-		member[i] = t.alloc(r.len())
+	for i := range member {
+		member[i] = t.alloc(evenSeg(C, t.m, i).len())
 	}
 	whole := t.view(segRange{Lo: 0, Hi: C})
-	rounds := ceilDiv(t.segs[member[0]].len(), t.chunk)
+	rounds := ceilDiv(t.segLen(member[0]), t.chunk)
 	intraRounds := func(int) int { return rounds }
 
 	// Intra-node reduce-scatter: member k always sends its *original*
 	// copy of share (k+d) — only share k is ever reduced into — so after
 	// all offsets share k holds the node-wide reduction.
 	t.mesh("intra-rs", intraRounds, true, func(to, _ int) (int, int) { return member[g.local[to]], member[t.k] })
+	t.finish(initCopyWhole, false) // the working buffer is the recv buffer
 	if t.nodes == 1 {
 		// Single node: mesh all-gather of the reduced shares — member k
 		// fans its (final) share k out while collecting the others.
 		t.mesh("intra-ag", intraRounds, false, func(_, from int) (int, int) { return member[t.k], member[g.local[from]] })
-		return t.seq(initCopyWhole, false, nil)
+		return
 	}
 	// Gather: every member hands its node-reduced share to the leader
 	// (overwrite — the leader's contribution is already in it),
@@ -77,16 +79,16 @@ func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
 	// phase that touches RDMA.
 	if t.k == 0 {
 		inter := make([]int, t.nodes)
-		for i, r := range evenSegs(C, t.nodes) {
-			inter[i] = t.view(r)
+		for i := range inter {
+			inter[i] = t.view(evenSeg(C, t.nodes, i))
 		}
 		r := t.ring(inter)
-		t.add("inter-ring", r.rounds(t.chunk), r.allReduce())
+		st := t.q.stage("inter-ring", r.rounds(t.chunk))
+		st.Actions = r.allReduce(st.Actions)
 	}
 	// Broadcast: the leader fans the fully reduced vector out to its
 	// members.
 	t.convoy("bcast", ceilDiv(C, t.chunk), false, false, bcast)
-	return t.seq(initCopyWhole, false, nil)
 }
 
 // hierAllGatherSeq builds the two-level all-gather. Non-leaders (and
@@ -94,19 +96,20 @@ func (s Spec) hierAllReduceSeq(pos int, g NodeGrouping) *Sequence {
 // layout; a multi-node leader stages blocks in scratch grouped by node
 // so each node's aggregate is one contiguous segment for the ragged
 // inter-leader ring, then copies out in ring order.
-func (s Spec) hierAllGatherSeq(pos int, g NodeGrouping) *Sequence {
-	t := s.newTier(pos, g)
-	C := s.Count
+func (s Spec) hierAllGatherSeq(t *tier) {
+	g, pos, C := t.g, t.pos, s.Count
 	leaderLayout := t.k == 0 && t.nodes > 1
-	blkOf := make([]int, s.N()) // seg index of ring position p's block
+	// blkOf[p] is the seg index of ring position p's block: the leader
+	// layout's copy-out, so it is built in the plan's copy-out array.
+	blkOf := slices.Grow(t.q.copyOut, s.N())[:s.N()]
 	agg := make([]int, t.nodes) // leader layout: node x's contiguous aggregate
 	if leaderLayout {
 		for x, members := range g.Members {
-			lo := t.cur
+			lo := t.q.workLen
 			for _, p := range members {
 				blkOf[p] = t.alloc(C)
 			}
-			agg[x] = t.view(segRange{Lo: lo, Hi: t.cur})
+			agg[x] = t.view(segRange{Lo: lo, Hi: t.q.workLen})
 		}
 	} else {
 		for p := range blkOf {
@@ -122,7 +125,8 @@ func (s Spec) hierAllGatherSeq(pos int, g NodeGrouping) *Sequence {
 		// the flat all-gather schedule on the leader ring's endpoint.
 		if leaderLayout {
 			r := t.ring(agg)
-			t.add("inter-ring", r.rounds(t.chunk), r.allGather())
+			st := t.q.stage("inter-ring", r.rounds(t.chunk))
+			st.Actions = r.allGather(st.Actions)
 		}
 		// Scatter: the leader forwards every cross-node block to each of
 		// its members, in the canonical cross-node order.
@@ -137,22 +141,25 @@ func (s Spec) hierAllGatherSeq(pos int, g NodeGrouping) *Sequence {
 		t.convoy("scatter", rounds, false, false, moves)
 	}
 	if leaderLayout {
-		return t.seq(blkOf[pos], true, blkOf)
+		t.q.copyOut = blkOf
+		t.finish(blkOf[pos], true)
+		return
 	}
-	return t.seq(blkOf[pos], false, nil)
+	t.finish(blkOf[pos], false)
 }
 
 // hierReduceScatterSeq builds the two-level reduce-scatter over the
 // natural evenSegs(Count, N) output partition (position p's output is
 // segment p, as in the flat ring).
-func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
-	t := s.newTier(pos, g)
-	n, leader := s.N(), t.k == 0
-	nat := make([]int, n) // natural-layout view of position p's segment
-	for p, r := range evenSegs(s.Count, n) {
-		nat[p] = t.alloc(r.len())
+func (s Spec) hierReduceScatterSeq(t *tier) {
+	g, pos, n, leader := t.g, t.pos, s.N(), t.k == 0
+	// nat is the natural-layout view of position p's segment, built in
+	// the plan's copy-out array, which ends up holding one of them.
+	nat := slices.Grow(t.q.copyOut, n)[:n]
+	for p := range nat {
+		nat[p] = t.alloc(evenSeg(s.Count, n, p).len())
 	}
-	size := func(p int) int { return t.segs[nat[p]].len() }
+	size := func(p int) int { return t.segLen(nat[p]) }
 	rounds := ceilDiv(size(0), t.chunk) // segment 0 is the longest
 
 	if t.nodes == 1 {
@@ -160,7 +167,9 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 		// original copy of each peer's output segment and reduces the
 		// peers' copies of its own.
 		t.mesh("intra-rs", func(int) int { return rounds }, true, func(to, _ int) (int, int) { return nat[to], nat[pos] })
-		return t.seq(initCopyWhole, true, nat[pos:pos+1])
+		t.finish(initCopyWhole, true)
+		t.q.copyOut = append(nat[:0], nat[pos])
+		return
 	}
 
 	// Multi-node. Leaders additionally stage a node-grouped permutation
@@ -179,28 +188,26 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 	if leader {
 		held = perm
 		for x, members := range g.Members {
-			lo := t.cur
+			lo := t.q.workLen
 			for _, p := range members {
 				perm[p] = t.alloc(size(p))
 			}
-			agg[x] = t.view(segRange{Lo: lo, Hi: t.cur})
+			agg[x] = t.view(segRange{Lo: lo, Hi: t.q.workLen})
 		}
 		// Pack: stage the leader's own contribution into the permuted
 		// layout with connector-free local copies.
-		var acts []Action
+		st := t.q.stage("pack", 1)
 		for _, p := range permOrder {
 			if size(p) == 0 {
 				continue
 			}
-			acts = append(acts, Action{
+			st.Actions = append(st.Actions, Action{
 				LocalCopy: true,
 				SendSeg:   nat[p], SendElems: size(p),
 				RecvSeg: perm[p],
 			})
 		}
-		if len(acts) > 0 {
-			t.add("pack", 1, acts)
-		}
+		t.q.dropEmpty()
 	}
 
 	// Gather: every member funnels its whole vector to the leader, in
@@ -221,7 +228,8 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 	// on the leader ring's endpoint.
 	if leader {
 		r := t.ring(agg)
-		t.add("inter-ring", r.rounds(t.chunk), r.reduceScatter())
+		st := t.q.stage("inter-ring", r.rounds(t.chunk))
+		st.Actions = r.reduceScatter(st.Actions)
 	}
 	// Scatter: the leader returns each member's fully reduced output
 	// segment from the permuted layout.
@@ -230,5 +238,6 @@ func (s Spec) hierReduceScatterSeq(pos int, g NodeGrouping) *Sequence {
 	if leader {
 		initCopy = initCopyPrefix
 	}
-	return t.seq(initCopy, true, held[pos:pos+1])
+	t.finish(initCopy, true)
+	t.q.copyOut = append(nat[:0], held[pos])
 }

@@ -450,6 +450,11 @@ type Stage struct {
 // stages, the working-buffer segment layout, and the init and copy-out
 // moves around them. The executor's dynamic context is a cursor over
 // the stages.
+//
+// A plan is built by appending into a Sequence's slices, so a plan
+// rebuilt over an old one reuses its arrays. A built plan has no nil
+// slices: one rebuilt over another's storage is reflect.DeepEqual to
+// the same plan built over an empty Sequence.
 type Sequence struct {
 	// Stages are the phases in execution order.
 	Stages []Stage
@@ -530,21 +535,15 @@ func (s *Sequence) recvSlice(a Action, c int) segRange {
 	return s.limitSlice(a.RecvSeg, c, a.RecvElems)
 }
 
-// evenSegs splits count elements into n contiguous near-equal segments.
-func evenSegs(count, n int) []segRange {
-	segs := make([]segRange, n)
-	base := count / n
-	rem := count % n
-	lo := 0
-	for i := 0; i < n; i++ {
-		l := base
-		if i < rem {
-			l++
-		}
-		segs[i] = segRange{Lo: lo, Hi: lo + l}
-		lo += l
+// evenSeg is segment i of count elements split into n contiguous
+// near-equal segments, the longer ones first.
+func evenSeg(count, n, i int) segRange {
+	base, rem := count/n, count%n
+	lo := i*base + min(i, rem)
+	if i < rem {
+		return segRange{Lo: lo, Hi: lo + base + 1}
 	}
-	return segs
+	return segRange{Lo: lo, Hi: lo + base}
 }
 
 func ceilDiv(a, b int) int {
@@ -565,34 +564,84 @@ func mod(a, n int) int { return ((a % n) + n) % n }
 // need the cluster's node grouping and different wiring: build their
 // executors over a BuildHierFabricOn wiring, which calls HierSequenceFor.
 func (s Spec) SequenceFor(pos int) *Sequence {
+	return s.build(new(Sequence), pos, NodeGrouping{})
+}
+
+// build rebuilds q in place as the plan of the participant at position
+// pos: the flat ring's, or, given the node grouping of a hierarchical
+// wiring, the hierarchical one. The plan is appended into q's slices
+// over their old arrays; SequenceFor and HierSequenceFor run it over an
+// empty Sequence.
+func (s Spec) build(q *Sequence, pos int, g NodeGrouping) *Sequence {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	if s.Algo == AlgoHierarchical {
+	hier := g.Nodes() > 0
+	switch {
+	case hier && s.Algo != AlgoHierarchical:
+		panic(fmt.Sprintf("prim: HierSequenceFor on a %v spec", s.Algo))
+	case s.Algo == AlgoHierarchical && !hier:
 		panic("prim: hierarchical sequences need node grouping; build executors over a BuildHierFabricOn wiring")
-	}
-	if s.Algo == AlgoAuto {
+	case s.Algo == AlgoAuto:
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")
 	}
-	if pos < 0 || pos >= s.N() {
-		panic(fmt.Sprintf("prim: position %d out of range (n=%d)", pos, s.N()))
-	}
 	n := s.N()
-	switch s.Kind {
-	case AllReduce:
-		return s.allReduceSeq(pos, n)
-	case AllGather:
-		return s.allGatherSeq(pos, n)
-	case ReduceScatter:
-		return s.reduceScatterSeq(pos, n)
-	case Broadcast:
-		return s.broadcastSeq(pos, n)
-	case Reduce:
-		return s.reduceSeq(pos, n)
-	case AllToAll, AllToAllv:
-		return s.allToAllSeq(pos, n)
+	if pos < 0 || pos >= n {
+		panic(fmt.Sprintf("prim: position %d out of range (n=%d)", pos, n))
+	}
+	*q = Sequence{Stages: q.Stages[:0], segs: q.segs[:0], copyOut: q.copyOut[:0], chunkElems: s.chunk()}
+	switch {
+	case hier:
+		s.hierSeq(q, pos, g)
+	case s.Kind == AllReduce:
+		s.allReduceSeq(q, pos, n)
+	case s.Kind == AllGather:
+		s.allGatherSeq(q, pos, n)
+	case s.Kind == ReduceScatter:
+		s.reduceScatterSeq(q, pos, n)
+	case s.Kind == Broadcast:
+		s.broadcastSeq(q, pos, n)
+	case s.Kind == Reduce:
+		s.reduceSeq(q, pos, n)
+	case s.Kind == AllToAll || s.Kind == AllToAllv:
+		s.allToAllSeq(q, pos, n)
 	default:
 		panic(fmt.Sprintf("prim: unknown kind %v", s.Kind))
+	}
+	for i := range q.Stages {
+		if q.Stages[i].Actions == nil {
+			q.Stages[i].Actions = []Action{}
+		}
+	}
+	if q.copyOut == nil {
+		q.copyOut = []int{}
+	}
+	return q
+}
+
+// stage appends a stage to q, its action list empty over the array the
+// stage at that index held before, and returns it for the caller to
+// append the actions to (before the next stage is appended).
+func (q *Sequence) stage(label string, rounds int) *Stage {
+	i := len(q.Stages)
+	q.Stages = slices.Grow(q.Stages, 1)[:i+1]
+	st := &q.Stages[i]
+	st.Label, st.Rounds, st.Actions = label, rounds, st.Actions[:0]
+	return st
+}
+
+// dropEmpty removes the last stage if it has no actions.
+func (q *Sequence) dropEmpty() {
+	if i := len(q.Stages) - 1; len(q.Stages[i].Actions) == 0 {
+		q.Stages = q.Stages[:i]
+	}
+}
+
+// evenSegs appends the n evenSeg segments of count elements to q.
+func (q *Sequence) evenSegs(count, n int) {
+	q.segs = slices.Grow(q.segs, n)
+	for i := 0; i < n; i++ {
+		q.segs = append(q.segs, evenSeg(count, n, i))
 	}
 }
 
@@ -646,8 +695,8 @@ func (r ring) rounds(chunk int) int {
 // allReduce is a reduce-scatter phase — step st sends block place-st and
 // reduces block place-st-1 in — then an all-gather phase — step st sends
 // block place+1-st and receives block place-st.
-func (r ring) allReduce() []Action {
-	acts := make([]Action, 0, 2*(r.n-1))
+func (r ring) allReduce(acts []Action) []Action {
+	acts = slices.Grow(acts, 2*(r.n-1))
 	for st := 0; st < r.n-1; st++ {
 		acts = append(acts, r.act(mod(r.place-st, r.n), mod(r.place-st-1, r.n), true))
 	}
@@ -659,19 +708,18 @@ func (r ring) allReduce() []Action {
 
 // allGather sends the place's own block at step 0; steps 1..n-1 receive
 // block place-st and forward it, all but the last.
-func (r ring) allGather() []Action {
+func (r ring) allGather(acts []Action) []Action {
 	if r.n == 1 {
-		return nil
+		return acts
 	}
-	acts := make([]Action, r.n)
-	acts[0] = r.act(r.place, -1, false)
+	acts = append(slices.Grow(acts, r.n), r.act(r.place, -1, false))
 	for st := 1; st < r.n; st++ {
 		b := mod(r.place-st, r.n)
 		fwd := b
 		if st == r.n-1 {
 			fwd = -1
 		}
-		acts[st] = r.act(fwd, b, false)
+		acts = append(acts, r.act(fwd, b, false))
 	}
 	return acts
 }
@@ -679,10 +727,10 @@ func (r ring) allGather() []Action {
 // reduceScatter is allReduce's reduce-scatter phase shifted one place,
 // so the place finishes holding block place (NCCL's reduce-scatter
 // output placement).
-func (r ring) reduceScatter() []Action {
-	acts := make([]Action, r.n-1)
-	for st := range acts {
-		acts[st] = r.act(mod(r.place-st-1, r.n), mod(r.place-st-2, r.n), true)
+func (r ring) reduceScatter(acts []Action) []Action {
+	acts = slices.Grow(acts, r.n-1)
+	for st := 0; st < r.n-1; st++ {
+		acts = append(acts, r.act(mod(r.place-st-1, r.n), mod(r.place-st-2, r.n), true))
 	}
 	return acts
 }
@@ -698,9 +746,9 @@ func (r ring) reduceScatter() []Action {
 // transit slots it alternates between. Every action carries the size of
 // the block it moves, since a transit slot is generally longer than the
 // block it holds.
-func (r ring) allToAll(size func(i, j int) int) []Action {
+func (r ring) allToAll(acts []Action, size func(i, j int) int) []Action {
 	n, p := r.n, r.place
-	acts := make([]Action, 0, n*(n-1)/2)
+	acts = slices.Grow(acts, n*(n-1)/2)
 	transit, last := 0, 0
 	for st := 1; st < n; st++ {
 		for h := 1; h <= st; h++ {
@@ -745,49 +793,38 @@ func (r ring) allToAllBounds(size func(i, j int) int) (transit, moved int) {
 	return transit, moved
 }
 
-func (s Spec) allReduceSeq(pos, n int) *Sequence {
-	r := ring{place: pos, n: n, segs: evenSegs(s.Count, n)}
-	return &Sequence{
-		Stages:         []Stage{{Actions: r.allReduce(), Rounds: r.rounds(s.chunk())}},
-		segs:           r.segs,
-		chunkElems:     s.chunk(),
-		workLen:        s.Count,
-		initCopyOwnSeg: initCopyWhole, // copy whole send buffer into recv buffer
-	}
+func (s Spec) allReduceSeq(q *Sequence, pos, n int) {
+	q.evenSegs(s.Count, n)
+	r := ring{place: pos, n: n, segs: q.segs}
+	st := q.stage("", r.rounds(q.chunkElems))
+	st.Actions = r.allReduce(st.Actions)
+	q.workLen = s.Count
+	q.initCopyOwnSeg = initCopyWhole // copy whole send buffer into recv buffer
 }
 
-func (s Spec) allGatherSeq(pos, n int) *Sequence {
-	r := ring{place: pos, n: n, segs: evenSegsFixed(s.Count, n)}
-	return &Sequence{
-		Stages:         []Stage{{Actions: r.allGather(), Rounds: r.rounds(s.chunk())}},
-		segs:           r.segs,
-		chunkElems:     s.chunk(),
-		workLen:        s.Count * n,
-		initCopyOwnSeg: pos,
-	}
-}
-
-// evenSegsFixed builds n segments of exactly per elements each (used
-// when every rank contributes the same count, as in all-gather).
-func evenSegsFixed(per, n int) []segRange {
-	segs := make([]segRange, n)
+// allGatherSeq lays out n segments of exactly Count elements each, one
+// per rank's contribution.
+func (s Spec) allGatherSeq(q *Sequence, pos, n int) {
+	q.segs = slices.Grow(q.segs, n)
 	for i := 0; i < n; i++ {
-		segs[i] = segRange{Lo: i * per, Hi: (i + 1) * per}
+		q.segs = append(q.segs, segRange{Lo: i * s.Count, Hi: (i + 1) * s.Count})
 	}
-	return segs
+	r := ring{place: pos, n: n, segs: q.segs}
+	st := q.stage("", r.rounds(q.chunkElems))
+	st.Actions = r.allGather(st.Actions)
+	q.workLen = s.Count * n
+	q.initCopyOwnSeg = pos
 }
 
-func (s Spec) reduceScatterSeq(pos, n int) *Sequence {
-	r := ring{place: pos, n: n, segs: evenSegs(s.Count, n)}
-	return &Sequence{
-		Stages:         []Stage{{Actions: r.reduceScatter(), Rounds: r.rounds(s.chunk())}},
-		segs:           r.segs,
-		chunkElems:     s.chunk(),
-		workLen:        s.Count,
-		initCopyOwnSeg: initCopyWhole,
-		useScratch:     true,
-		copyOut:        []int{pos},
-	}
+func (s Spec) reduceScatterSeq(q *Sequence, pos, n int) {
+	q.evenSegs(s.Count, n)
+	r := ring{place: pos, n: n, segs: q.segs}
+	st := q.stage("", r.rounds(q.chunkElems))
+	st.Actions = r.reduceScatter(st.Actions)
+	q.workLen = s.Count
+	q.initCopyOwnSeg = initCopyWhole
+	q.useScratch = true
+	q.copyOut = append(q.copyOut, pos)
 }
 
 // allToAllSeq builds the ring all-to-all of both variants (AllToAll is
@@ -802,15 +839,16 @@ func (s Spec) reduceScatterSeq(pos, n int) *Sequence {
 // The copy-out concatenates origin blocks 0..n-1 — the rank's own self
 // block straight from the own-block area, which no action overwrites —
 // exactly the recv-buffer layout of BufferCountsFor.
-func (s Spec) allToAllSeq(pos, n int) *Sequence {
+func (s Spec) allToAllSeq(q *Sequence, pos, n int) {
 	if n == 1 {
-		return noopCopySeq(s.count(0, 0), s.chunk())
+		q.noopCopy(s.count(0, 0))
+		return
 	}
 	r := ring{place: pos, n: n}
 	transit, moved := r.allToAllBounds(s.count)
-	segs := make([]segRange, 2*n+2)
+	q.segs = slices.Grow(q.segs, 2*n+2)
 	lo := 0
-	for b := range segs {
+	for b := 0; b < 2*n+2; b++ {
 		l := transit
 		switch {
 		case b < n:
@@ -818,39 +856,32 @@ func (s Spec) allToAllSeq(pos, n int) *Sequence {
 		case b < 2*n:
 			l = s.count(b-n, pos)
 		}
-		segs[b] = segRange{Lo: lo, Hi: lo + l}
+		q.segs = append(q.segs, segRange{Lo: lo, Hi: lo + l})
 		lo += l
 	}
-	copyOut := make([]int, n)
-	for o := range copyOut {
-		copyOut[o] = n + o // final block from origin o
+	q.copyOut = slices.Grow(q.copyOut, n)
+	for o := 0; o < n; o++ {
+		q.copyOut = append(q.copyOut, n+o) // final block from origin o
 	}
-	copyOut[pos] = pos // self block stays in the own area
-	return &Sequence{
-		Stages:         []Stage{{Actions: r.allToAll(s.count), Rounds: ceilDiv(moved, s.chunk())}},
-		segs:           segs,
-		chunkElems:     s.chunk(),
-		workLen:        lo,
-		initCopyOwnSeg: initCopyPrefix,
-		useScratch:     true,
-		copyOut:        copyOut,
-	}
+	q.copyOut[pos] = pos // self block stays in the own area
+	st := q.stage("", ceilDiv(moved, q.chunkElems))
+	st.Actions = r.allToAll(st.Actions, s.count)
+	q.workLen = lo
+	q.initCopyOwnSeg = initCopyPrefix
+	q.useScratch = true
 }
 
-// noopCopySeq is the explicit single-participant all-to-all(-v)
-// sequence: a one-round local copy (recv = send) with no ring actions.
-// The init copy performs the data movement; Rounds is pinned to 1 —
-// rather than the chunk-count a ring exchange would need — so the
-// degenerate case is visibly "one no-op round", not an accident of the
-// executor tolerating an empty action list across many rounds.
-func noopCopySeq(count, chunk int) *Sequence {
-	return &Sequence{
-		Stages:         []Stage{{Rounds: 1}},
-		segs:           []segRange{{Lo: 0, Hi: count}},
-		chunkElems:     chunk,
-		workLen:        count,
-		initCopyOwnSeg: initCopyWhole,
-	}
+// noopCopy is the explicit single-participant all-to-all(-v) sequence:
+// a one-round local copy (recv = send) with no ring actions. The init
+// copy performs the data movement; Rounds is pinned to 1 — rather than
+// the chunk-count a ring exchange would need — so the degenerate case
+// is visibly "one no-op round", not an accident of the executor
+// tolerating an empty action list across many rounds.
+func (q *Sequence) noopCopy(count int) {
+	q.stage("", 1)
+	q.segs = append(q.segs, segRange{Lo: 0, Hi: count})
+	q.workLen = count
+	q.initCopyOwnSeg = initCopyWhole
 }
 
 // BufferCounts returns the required send/recv buffer element counts for
@@ -891,42 +922,36 @@ func BufferCountsFor(s Spec, pos int) (sendCount, recvCount int) {
 	return sumInts(s.Counts[pos]), recvCount
 }
 
-func (s Spec) broadcastSeq(pos, n int) *Sequence {
-	seq := s.chainSeq(mod(pos-s.Root, n), n, false)
-	seq.initCopyOwnSeg = initCopyNone
+func (s Spec) broadcastSeq(q *Sequence, pos, n int) {
+	s.chainSeq(q, mod(pos-s.Root, n), n, false)
+	q.initCopyOwnSeg = initCopyNone
 	if pos == s.Root {
-		seq.initCopyOwnSeg = initCopyWhole // root copies its send buffer
+		q.initCopyOwnSeg = initCopyWhole // root copies its send buffer
 	}
-	return seq
 }
 
-func (s Spec) reduceSeq(pos, n int) *Sequence {
-	seq := s.chainSeq(mod(pos-s.Root-1, n), n, true) // root+1 first, root last
-	seq.initCopyOwnSeg = initCopyWhole               // everyone starts from its own send data
-	seq.useScratch = pos != s.Root
-	return seq
+func (s Spec) reduceSeq(q *Sequence, pos, n int) {
+	s.chainSeq(q, mod(pos-s.Root-1, n), n, true) // root+1 first, root last
+	q.initCopyOwnSeg = initCopyWhole             // everyone starts from its own send data
+	q.useScratch = pos != s.Root
 }
 
 // chainSeq is the one-segment chain of the rooted kinds at chain place
 // chainPos: the first place only sends, the last only receives, and
 // every other receives and forwards, reducing in when reduce is set.
 // The caller sets the init copy.
-func (s Spec) chainSeq(chainPos, n int, reduce bool) *Sequence {
-	r := ring{n: 1, segs: []segRange{{Lo: 0, Hi: s.Count}}}
-	var acts []Action
+func (s Spec) chainSeq(q *Sequence, chainPos, n int, reduce bool) {
+	q.segs = append(q.segs, segRange{Lo: 0, Hi: s.Count})
+	r := ring{n: 1, segs: q.segs}
+	st := q.stage("", r.rounds(q.chunkElems))
 	switch {
 	case n == 1:
 	case chainPos == 0:
-		acts = []Action{r.act(0, -1, false)}
+		st.Actions = append(st.Actions, r.act(0, -1, false))
 	case chainPos == n-1:
-		acts = []Action{r.act(-1, 0, reduce)}
+		st.Actions = append(st.Actions, r.act(-1, 0, reduce))
 	default:
-		acts = []Action{r.act(0, 0, reduce)}
+		st.Actions = append(st.Actions, r.act(0, 0, reduce))
 	}
-	return &Sequence{
-		Stages:     []Stage{{Actions: acts, Rounds: r.rounds(s.chunk())}},
-		segs:       r.segs,
-		chunkElems: s.chunk(),
-		workLen:    s.Count,
-	}
+	q.workLen = s.Count
 }

@@ -141,29 +141,51 @@ func (w *Wiring) DrainConnectors(e *sim.Engine) {
 // GPU compute bandwidth. The executor shares the wiring's endpoint and
 // route slices; it must not write to them.
 func (w *Wiring) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
-	var seq *Sequence
-	if w.grouping.Nodes() > 0 {
-		seq = spec.HierSequenceFor(pos, w.grouping)
-	} else {
-		seq = spec.SequenceFor(pos)
+	x := new(Executor)
+	w.build(x, c, spec, pos)
+	x.SendBuf, x.RecvBuf = sendBuf, recvBuf
+	return x
+}
+
+// build makes x, in place, the executor ExecutorFor makes without
+// buffers. It keeps what x owns, rebuilt: the plan, appended over the
+// old plan's arrays, the scratch buffer and the Runner.
+func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int) {
+	seq, scratch, runner := x.Seq, x.scratch, x.runner
+	if seq == nil {
+		seq = new(Sequence)
 	}
-	x := &Executor{
+	spec.build(seq, pos, w.grouping)
+	if runner != nil {
+		*runner = Runner{}
+	}
+	*x = Executor{
 		Spec:      spec,
 		Pos:       pos,
 		Seq:       seq,
-		SendBuf:   sendBuf,
-		RecvBuf:   recvBuf,
 		Ins:       w.ins[pos],
 		Outs:      w.outs[pos],
 		OutRoutes: w.outRoutes[pos],
 		Net:       w.net,
 		ComputeBW: c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth,
+		runner:    runner,
 	}
-	// A scratch the init copy overwrites whole is made by that copy.
-	if seq.useScratch && !spec.TimingOnly && seq.initCopyOwnSeg != initCopyWhole {
+	if !seq.useScratch || spec.TimingOnly {
+		x.scratch = scratch // kept for a later plan; this one never reads it
+		return
+	}
+	// A scratch the init copy overwrites whole is made by that copy, or
+	// reused as it is; any other starts cleared, as a new one would.
+	whole := seq.initCopyOwnSeg == initCopyWhole
+	switch {
+	case scratch != nil && scratch.Reshape(spec.Type, seq.workLen):
+		if !whole {
+			clear(scratch.Bytes())
+		}
+		x.scratch = scratch
+	case !whole:
 		x.scratch = mem.NewBuffer(spec.Type, seq.workLen)
 	}
-	return x
 }
 
 // Wirings is a communicator's connector wiring: one Wiring per
@@ -190,6 +212,20 @@ func NewWirings(net *fabric.Network, tag string) *Wirings {
 // ExecutorFor builds the executor for spec's participant at ring
 // position pos over the wiring spec's algorithm needs.
 func (ws *Wirings) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
+	return ws.wiringFor(spec).ExecutorFor(c, spec, pos, sendBuf, recvBuf)
+}
+
+// Rebuild makes x, in place, the executor ExecutorFor builds without
+// buffers, reusing the plan storage, scratch buffer and Runner x owns.
+// Everything else — buffers, dynamic context, statistics, AbortCheck,
+// Rec, RecColl and Job — starts as in a new executor.
+func (ws *Wirings) Rebuild(x *Executor, c *topo.Cluster, spec Spec, pos int) {
+	ws.wiringFor(spec).build(x, c, spec, pos)
+}
+
+// wiringFor returns the wiring spec's algorithm needs over its rank
+// order, building it on first use or when the order changed.
+func (ws *Wirings) wiringFor(spec Spec) *Wiring {
 	slot := &ws.ring
 	if spec.Algo == AlgoHierarchical {
 		slot = &ws.hier
@@ -201,7 +237,7 @@ func (ws *Wirings) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, rec
 			*slot = BuildRingOn(ws.net, spec, ws.tag)
 		}
 	}
-	return (*slot).ExecutorFor(c, spec, pos, sendBuf, recvBuf)
+	return *slot
 }
 
 // each visits the wirings built so far.

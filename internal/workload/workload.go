@@ -317,9 +317,11 @@ func (w *moe) Iter(p *sim.Process, rc *core.RankContext, members []int, pos, it 
 	if err := w.counts.run(p); err != nil {
 		return 0, err
 	}
-	counts := make([][]int, n)
+	// The rows share one backing array. The matrix is fresh per
+	// iteration: the dispatch group's spec keeps it.
+	counts, cells := make([][]int, n), make([]int, n*n)
 	for i := 0; i < n; i++ {
-		counts[i] = make([]int, n)
+		counts[i] = cells[i*n : (i+1)*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			toks := int(gather.recv.Float64At(i*n + j))
 			if want := tokens(w.t.Job, members[i], members[j], it); toks != want {
