@@ -1,8 +1,9 @@
 // Command doccheck enforces the repository's godoc floor: every
 // exported identifier in the audited packages (the root dfccl package,
 // internal/prim, internal/orch, internal/fabric, internal/tune,
-// internal/trace, internal/metrics, internal/cudasim, internal/core and
-// internal/sim) must carry a doc comment. It parses the source with
+// internal/trace, internal/metrics, internal/cudasim, internal/core,
+// internal/sim, internal/mem, internal/topo and internal/cluster) must
+// carry a doc comment. It parses the source with
 // go/ast — no external linters — and exits non-zero listing each
 // undocumented identifier as file:line.
 //
@@ -29,7 +30,7 @@ import (
 
 // auditedDirs are the packages whose exported surface must be fully
 // documented. Relative to the repository root (the working directory).
-var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim"}
+var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim", "internal/mem", "internal/topo", "internal/cluster"}
 
 // changesCap is the most characters the newest CHANGES.md entry may
 // hold: what one reader takes in at once.

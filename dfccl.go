@@ -253,7 +253,8 @@ func AllToAllv(t DataType, devSet ...int) Spec {
 // Batch submits several collective runs at once and returns a joined
 // future that resolves when all of them complete. Items may target
 // different collectives (typically on the same rank); all items are
-// validated before anything is submitted.
+// validated before anything is submitted. As with Launch, every item's
+// buffers belong to its run until the future resolves.
 func Batch(p *Process, items ...BatchItem) (*Future, error) {
 	return core.Batch(p, items...)
 }

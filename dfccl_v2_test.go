@@ -1,6 +1,7 @@
 package dfccl_test
 
 import (
+	"strings"
 	"testing"
 
 	"dfccl"
@@ -377,6 +378,71 @@ func TestV2AllToAllv(t *testing.T) {
 					t.Fatalf("pos %d block from %d elem %d = %v, want %v", pos, src, i, got, want)
 				}
 				off++
+			}
+		}
+	}
+}
+
+// TestLaunchRejectsBufferOfAnotherType: a buffer whose element type is
+// not the spec's is refused by Launch, LaunchCB and Batch with an error
+// naming both types, where it used to run and corrupt the result (float64
+// ones summed as float32 came back as 65536 instead of 4). A launch with
+// the right buffers still completes exactly afterwards.
+func TestLaunchRejectsBufferOfAnotherType(t *testing.T) {
+	const n, count = 4, 8
+	lib := dfccl.New(dfccl.Server3090(n))
+	lib.SetTimeLimit(30 * dfccl.Second)
+	ranks := []int{0, 1, 2, 3}
+	results := make([]*dfccl.Buffer, n)
+	for rank := 0; rank < n; rank++ {
+		rank := rank
+		lib.Go("rank", func(p *dfccl.Process) {
+			ctx := lib.Init(p, rank)
+			defer ctx.Destroy(p)
+			coll, err := ctx.Open(dfccl.AllReduce(count, dfccl.Float32, dfccl.Sum, ranks...))
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			f32, f64 := dfccl.NewBuffer(dfccl.Float32, count), dfccl.NewBuffer(dfccl.Float64, count)
+			f32.Fill(1)
+			f64.Fill(1)
+			refused := func(how string, err error) {
+				if err == nil || !strings.Contains(err.Error(), "float64") || !strings.Contains(err.Error(), "float32") {
+					t.Errorf("rank %d %s: %v, want an error naming float64 and float32", rank, how, err)
+				}
+			}
+			_, err = coll.Launch(p, f64, dfccl.NewBuffer(dfccl.Float32, count))
+			refused("Launch, float64 send", err)
+			_, err = coll.Launch(p, f32, dfccl.NewBuffer(dfccl.Float64, count))
+			refused("Launch, float64 recv", err)
+			refused("LaunchCB, float64 send", coll.LaunchCB(p, f64, dfccl.NewBuffer(dfccl.Float32, count), nil))
+			_, err = dfccl.Batch(p,
+				dfccl.BatchItem{C: coll, Send: f32, Recv: dfccl.NewBuffer(dfccl.Float32, count)},
+				dfccl.BatchItem{C: coll, Send: f32, Recv: dfccl.NewBuffer(dfccl.Float64, count)})
+			refused("Batch, float64 recv in the second item", err)
+			recv := dfccl.NewBuffer(dfccl.Float32, count)
+			fut, err := coll.Launch(p, f32, recv)
+			if err != nil {
+				t.Errorf("rank %d launch: %v", rank, err)
+				return
+			}
+			if err := fut.Wait(p); err != nil {
+				t.Errorf("rank %d wait: %v", rank, err)
+			}
+			results[rank] = recv
+			if err := coll.Close(p); err != nil {
+				t.Errorf("rank %d close: %v", rank, err)
+			}
+		})
+	}
+	if err := lib.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for rank, recv := range results {
+		for i := 0; recv != nil && i < count; i++ {
+			if got := recv.Float64At(i); got != n {
+				t.Fatalf("rank %d elem %d = %v, want %d", rank, i, got, n)
 			}
 		}
 	}

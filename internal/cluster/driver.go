@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dfccl/internal/core"
 	"dfccl/internal/fabric"
@@ -42,9 +43,10 @@ type driver struct {
 	machineOf []int
 	pending   []*jobState
 	load      []int
-	active    int // admitted jobs currently holding slots
-	arrivals  int // jobs not yet released by the injector
-	finished  int // jobs done or failed
+	placed    []*jobState // admitted jobs currently holding slots
+	held      []int       // checkLoad's recount of load
+	arrivals  int         // jobs not yet released by the injector
+	finished  int         // jobs done or failed
 	wake      *sim.Cond
 	otherErr  error
 
@@ -127,9 +129,10 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 	for _, r := range ranks {
 		d.load[r]++
 	}
-	d.active++
 	js.members = append([]int(nil), ranks...)
 	js.res.Ranks = js.members
+	d.placed = append(d.placed, js)
+	d.checkLoad()
 	att := workload.NewAttempt(js.members, js.spec.Iterations, js.spec.compute(), &js.progress, d.stopped)
 	js.running = len(ranks)
 	for pos, rank := range ranks {
@@ -156,11 +159,10 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 			js.join.Wait(p)
 		}
 		for _, r := range js.members {
-			if d.load[r]--; d.load[r] < 0 {
-				panic(fmt.Sprintf("cluster: job %d released a slot of rank %d it did not hold", js.spec.ID, r))
-			}
+			d.load[r]--
 		}
-		d.active--
+		d.placed = slices.DeleteFunc(d.placed, func(o *jobState) bool { return o == js })
+		d.checkLoad()
 		if att.Err != nil {
 			d.fail(att.Err)
 		}
@@ -187,6 +189,24 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 		}
 		d.wake.Broadcast(p.Engine())
 	})
+}
+
+// checkLoad panics unless every rank's load is the number of running
+// jobs placed on it: a slot taken or given back twice, or by the wrong
+// job, would skew admission long before a negative or leftover load
+// showed it.
+func (d *driver) checkLoad() {
+	clear(d.held)
+	for _, js := range d.placed {
+		for _, r := range js.members {
+			d.held[r]++
+		}
+	}
+	for r, n := range d.load {
+		if n != d.held[r] {
+			panic(fmt.Sprintf("cluster: invariant load-matches-placements: rank %d has load %d, %d running job(s) placed on it", r, n, d.held[r]))
+		}
+	}
 }
 
 // attemptCap bounds requeues so a livelock becomes a failure.
@@ -240,6 +260,8 @@ func Run(cfg Config) (*Report, error) {
 		net:      net,
 		rep:      rep,
 		load:     make([]int, cfg.Cluster.Size()),
+		placed:   make([]*jobState, 0, cfg.Cluster.Size()*cfg.SlotsPerGPU),
+		held:     make([]int, cfg.Cluster.Size()),
 		arrivals: len(cfg.Jobs),
 		wake:     sim.NewCond("cluster.wake"),
 	}
@@ -298,7 +320,7 @@ func Run(cfg Config) (*Report, error) {
 			if d.otherErr == nil {
 				d.tryAdmit(p)
 			}
-			if d.active == 0 && len(d.pending) > 0 && d.arrivals == 0 {
+			if len(d.placed) == 0 && len(d.pending) > 0 && d.arrivals == 0 {
 				// Nothing running, nothing arriving, nothing placeable:
 				// the remaining queue can never be served (e.g. kills
 				// shrank the cluster below the head job's size).
@@ -309,15 +331,10 @@ func Run(cfg Config) (*Report, error) {
 				d.pending = nil
 				d.fail(errors.New("cluster: pending jobs can never be placed"))
 			}
-			if d.active == 0 && (d.finished >= len(cfg.Jobs) || (d.otherErr != nil && d.arrivals == 0)) {
+			if len(d.placed) == 0 && (d.finished >= len(cfg.Jobs) || (d.otherErr != nil && d.arrivals == 0)) {
 				break
 			}
 			d.wake.Wait(p)
-		}
-		for r, n := range d.load {
-			if n != 0 {
-				panic(fmt.Sprintf("cluster: rank %d still holds %d slot(s) with no job running", r, n))
-			}
 		}
 		// Final teardown: destroy every surviving context so the
 		// pollers exit and the engine drains — the no-leak guarantee.

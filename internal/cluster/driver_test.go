@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,5 +210,25 @@ func TestPoolChurnAcrossTenants(t *testing.T) {
 	}
 	if rep.PoolCreated == 0 {
 		t.Error("no communicators created")
+	}
+}
+
+// TestLoadMatchesPlacements: checkLoad accepts a load that counts the
+// running placements and panics by name on one that does not — a slot
+// taken by no running job, or given back by the wrong one.
+func TestLoadMatchesPlacements(t *testing.T) {
+	d := &driver{load: []int{1, 0, 2}, held: make([]int, 3)}
+	d.placed = []*jobState{{members: []int{0, 2}}, {members: []int{2}}}
+	d.checkLoad()
+	for _, load := range [][]int{{1, 1, 2}, {0, 0, 2}, {1, 0, 1}} {
+		d.load = load
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "load-matches-placements") {
+					t.Fatalf("load %v: recovered %v, want the load-matches-placements panic", load, r)
+				}
+			}()
+			d.checkLoad()
+		}()
 	}
 }

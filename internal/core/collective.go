@@ -231,6 +231,11 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 // Future that resolves when the daemon kernel completes it. The future
 // carries the run's core-execution time (Fig. 9's preparing overheads
 // + primitive execution).
+//
+// Both buffers belong to the run until it resolves, as in NCCL: the run
+// may read the send buffer and write the recv buffer at any point up to
+// then, so neither may be written (nor the recv buffer read) before. A
+// buffer whose element type or length is not the spec's is refused.
 func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, error) {
 	f := newFuture(c.r.sys.Engine, 1)
 	if err := c.submit(p, launch{send: send, recv: recv, fut: f}); err != nil {
@@ -240,7 +245,8 @@ func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, er
 }
 
 // LaunchCB submits one asynchronous run with a completion callback —
-// the paper's dfcclRun* style on a handle. cb may be nil.
+// the paper's dfcclRun* style on a handle. cb may be nil. The buffers
+// belong to the run until the callback is called, as for Launch.
 func (c *Collective) LaunchCB(p *sim.Process, send, recv *mem.Buffer, cb Callback) error {
 	return c.submit(p, launch{send: send, recv: recv, cb: cb})
 }
@@ -509,7 +515,9 @@ type BatchItem struct {
 // validated before anything is submitted, so a bad item is rejected
 // with no partial batch in flight. The items' submission order is the
 // slice order — DFCCL's daemon resolves any cross-rank disorder, so
-// ranks may batch the same collectives in different orders.
+// ranks may batch the same collectives in different orders. Every
+// item's buffers belong to its run until the joined future resolves, as
+// for Launch.
 //
 // Submission is not transactional beyond that preflight: SQ inserts
 // can block when the submission queue is full, and if another process

@@ -85,9 +85,9 @@ func (t *collTask) ID() int { return t.group.ID }
 // pending reports whether the task has a run for the daemon to do.
 func (t *collTask) pending() bool { return t.cur < len(t.runs) }
 
-// checkBuffers validates a launch's buffers against the lengths the
-// task's position in the spec requires (AllToAllv sizes differ per rank:
-// row/column sums of the count matrix).
+// checkBuffers validates a launch's buffers against the element type of
+// the spec and the lengths the task's position in it requires (AllToAllv
+// sizes differ per rank: row/column sums of the count matrix).
 func (t *collTask) checkBuffers(sendBuf, recvBuf *mem.Buffer) error {
 	spec := &t.group.Spec
 	if spec.TimingOnly {
@@ -95,6 +95,12 @@ func (t *collTask) checkBuffers(sendBuf, recvBuf *mem.Buffer) error {
 	}
 	if sendBuf == nil || recvBuf == nil {
 		return fmt.Errorf("core: %v launched with nil buffer(s); non-timing collectives need real send/recv buffers", spec.Kind)
+	}
+	if sendBuf.Type != spec.Type {
+		return fmt.Errorf("core: %v send buffer holds %v, want %v", spec.Kind, sendBuf.Type, spec.Type)
+	}
+	if recvBuf.Type != spec.Type {
+		return fmt.Errorf("core: %v recv buffer holds %v, want %v", spec.Kind, recvBuf.Type, spec.Type)
 	}
 	if sendBuf.Len() != t.sendCount {
 		return fmt.Errorf("core: %v send buffer has %d elems, want %d", spec.Kind, sendBuf.Len(), t.sendCount)

@@ -40,9 +40,13 @@ import (
 type DataType int
 
 const (
+	// Float32 is the 4-byte IEEE 754 float.
 	Float32 DataType = iota
+	// Float64 is the 8-byte IEEE 754 float.
 	Float64
+	// Int32 is the 4-byte two's-complement integer.
 	Int32
+	// Int64 is the 8-byte two's-complement integer.
 	Int64
 )
 
@@ -58,6 +62,7 @@ func (t DataType) Size() int {
 	}
 }
 
+// String returns the Go name of the element type ("float32", …).
 func (t DataType) String() string {
 	switch t {
 	case Float32:
@@ -77,12 +82,17 @@ func (t DataType) String() string {
 type ReduceOp int
 
 const (
+	// Sum adds the elements (integers wrap around).
 	Sum ReduceOp = iota
+	// Prod multiplies the elements (integers wrap around).
 	Prod
+	// Max keeps the larger element.
 	Max
+	// Min keeps the smaller element.
 	Min
 )
 
+// String returns the lowercase name of the operation ("sum", …).
 func (o ReduceOp) String() string {
 	switch o {
 	case Sum:

@@ -9,8 +9,9 @@ import (
 )
 
 // The executor as it was while the process running it made every wait
-// itself: StepOnce and its six helpers, unchanged but for their names. It
-// is the reference TestMachineMatchesBlocking holds the Runner to.
+// itself: StepOnce and its six helpers, unchanged but for their names and
+// for the seeded plan's init copy, reduce and in-place copy-out. It is the
+// reference TestMachineMatchesBlocking holds the Runner to.
 
 // blockingInitialize performs the sequence's init copy, charging compute time.
 func (x *Executor) blockingInitialize(p *sim.Process) {
@@ -54,10 +55,19 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 		sr := x.Seq.segs[x.Seq.initCopyOwnSeg]
 		dst := x.work().Slice(sr.Lo, sr.Hi)
 		src := x.SendBuf.Bytes()
+		price := len(src) // a seeded plan still pays for the whole send buffer
+		if x.Seq.seeded {
+			// The send buffer is one working buffer per segment, back to back.
+			work := len(x.work().Bytes())
+			if len(src) != len(x.Seq.segs)*work || work != x.Seq.workLen*x.Spec.Type.Size() {
+				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, work, len(src)))
+			}
+			src = src[x.Seq.initCopyOwnSeg*work : (x.Seq.initCopyOwnSeg+1)*work]
+		}
 		if len(dst) != len(src) {
 			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
-		p.Sleep(x.computeCost(len(src)))
+		p.Sleep(x.computeCost(price))
 		copy(dst, src)
 	}
 	x.Initialized = true
@@ -72,8 +82,8 @@ func (x *Executor) blockingCopyOut(p *sim.Process) {
 			total += x.Seq.segs[sg].len()
 		}
 		p.Sleep(x.computeCost(total * x.Spec.Type.Size()))
-		if x.Spec.TimingOnly {
-			return
+		if x.Spec.TimingOnly || !x.Seq.useScratch {
+			return // the recv buffer is the working buffer: the segment is in place
 		}
 		off := 0
 		for _, sg := range x.Seq.copyOut {
@@ -298,6 +308,12 @@ func (x *Executor) blockingRecvHalf(p *sim.Process, a Action) {
 			x.Spec.Kind, x.Pos, x.Stage, x.Round, x.Step, len(chunk), len(dst)))
 	}
 	if a.Reduce {
+		if x.Seq.seeded && len(dst) > 0 {
+			// Seed the slice with the rank's own contribution first.
+			size := x.Spec.Type.Size()
+			lo := (a.RecvSeg*x.Seq.workLen + x.Round*x.Seq.chunkElems) * size
+			copy(dst, x.SendBuf.Bytes()[lo:lo+len(dst)])
+		}
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)
 	} else {
 		copy(dst, chunk)

@@ -234,12 +234,24 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 		}
 	default: // own contribution into its working-buffer segment
 		sr := x.Seq.segs[x.Seq.initCopyOwnSeg]
+		own := src
+		if x.Seq.seeded {
+			// Only the segment's seed moves; the copy is still priced at
+			// the whole send buffer, which the run reads by the end.
+			size, work := x.Spec.Type.Size(), len(x.work().Bytes())
+			if sendLen := len(x.Seq.segs) * x.Seq.workLen * size; len(src) != sendLen || work != x.Seq.workLen*size {
+				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d, want %d and %d",
+					x.Spec.Kind, work, len(src), x.Seq.workLen*size, sendLen))
+			}
+			sd := x.Seq.seed(x.Seq.initCopyOwnSeg)
+			own = src[sd.Lo*size : sd.Hi*size]
+		}
 		dst := x.work().Slice(sr.Lo, sr.Hi)
-		if len(dst) != len(src) {
-			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(src)))
+		if len(dst) != len(own) {
+			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(own)))
 		}
 		if move {
-			copy(dst, src)
+			copy(dst, own)
 		}
 	}
 	return len(src), true
@@ -249,7 +261,9 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 // after the last round: the concatenation of the sequence's copy-out
 // segments (one for reduce-scatter, one per origin for all-to-all). Like
 // initCopy it first reports the bytes that price it, then (move)
-// performs it.
+// performs it. A working buffer that is the recv buffer (the flat
+// reduce-scatter's) already holds its one segment in place: the copy-out
+// is priced and moves nothing.
 func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
 	if len(x.Seq.copyOut) == 0 {
 		return 0, false
@@ -258,7 +272,7 @@ func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
 	for _, sg := range x.Seq.copyOut {
 		total += x.Seq.segs[sg].len()
 	}
-	if move && !x.Spec.TimingOnly {
+	if move && x.Seq.useScratch && !x.Spec.TimingOnly {
 		if total != x.RecvBuf.Len() {
 			panic(fmt.Sprintf("prim: %v copy-out covers %d elems, recv holds %d", x.Spec.Kind, total, x.RecvBuf.Len()))
 		}
@@ -657,11 +671,13 @@ func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRa
 }
 
 // recv consumes a chunk and reduces or copies it into the action's recv
-// segment, and returns the bytes that price the work. The data moves
-// before the sleep that charges them, because the chunk is only valid
-// until the next wait (mem.Connector.Read). Nothing can tell: the segment
-// belongs to this executor, which is the one asleep, and a kill or abort is
-// only observed at a primitive's entry and in connector waits.
+// segment (in a seeded plan, a reduce first copies the segment's own
+// contribution in from the send buffer), and returns the bytes that price
+// the work. The data moves before the sleep that charges them, because
+// the chunk is only valid until the next wait (mem.Connector.Read).
+// Nothing can tell: the segment belongs to this executor, which is the
+// one asleep, and a kill or abort is only observed at a primitive's entry
+// and in connector waits.
 func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
 	chunk := x.Ins[a.RecvConn].Read(e)
 	sr := x.Seq.recvSlice(*a, x.Round)
@@ -674,6 +690,12 @@ func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
 			x.Spec.Kind, x.Pos, x.Stage, x.Round, x.Step, len(chunk), len(dst)))
 	}
 	if a.Reduce {
+		if x.Seq.seeded {
+			// The segment's own contribution, straight from the send buffer.
+			size := x.Spec.Type.Size()
+			own := (x.Seq.seed(a.RecvSeg).Lo + sr.Lo - x.Seq.segs[a.RecvSeg].Lo) * size
+			copy(dst, x.SendBuf.Bytes()[own:own+len(dst)])
+		}
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)
 	} else {
 		copy(dst, chunk)

@@ -86,13 +86,34 @@ func requirePeers(t *testing.T, name string, c *topo.Cluster, spec Spec) {
 }
 
 // checkBuffers checks that position pos's init copy and copy-out fit the
-// send and recv buffers BufferCountsFor sizes.
+// send and recv buffers BufferCountsFor sizes. A seeded plan's seeds
+// tile [0, sendCount) exactly, in segment order, each as long as its
+// segment, and its init copy moves one segment's seed; a copy-out from a
+// working buffer that is the recv buffer names segments already in place.
 func checkBuffers(spec Spec, pos int, seq *Sequence) error {
 	sendCount, recvCount := BufferCountsFor(spec, pos)
+	own := sendCount // what the init copy moves
+	if seq.seeded {
+		if seq.useScratch || seq.initCopyOwnSeg < 0 {
+			return fmt.Errorf("pos %d: seeded plan with scratch %t, init copy %d", pos, seq.useScratch, seq.initCopyOwnSeg)
+		}
+		end := 0
+		for i, sr := range seq.segs {
+			sd := seq.seed(i)
+			if sd.Lo != end || sd.len() != sr.len() {
+				return fmt.Errorf("pos %d: seed %d is %v after %d, segment %v", pos, i, sd, end, sr)
+			}
+			end = sd.Hi
+		}
+		if end != sendCount {
+			return fmt.Errorf("pos %d: seeds cover %d of a %d-element send buffer", pos, end, sendCount)
+		}
+		own = seq.seed(seq.initCopyOwnSeg).len()
+	}
 	switch ic := seq.initCopyOwnSeg; {
 	case ic == initCopyWhole && seq.workLen != sendCount,
 		ic == initCopyPrefix && seq.workLen < sendCount,
-		ic >= 0 && seq.segs[ic].len() != sendCount:
+		ic >= 0 && seq.segs[ic].len() != own:
 		return fmt.Errorf("pos %d: init copy %d of a %d-element send buffer into a %d-element working buffer",
 			pos, ic, sendCount, seq.workLen)
 	}
@@ -100,6 +121,9 @@ func checkBuffers(spec Spec, pos int, seq *Sequence) error {
 	if len(seq.copyOut) > 0 {
 		out = 0
 		for _, sg := range seq.copyOut {
+			if sr := seq.segs[sg]; !seq.useScratch && sr.Lo != out {
+				return fmt.Errorf("pos %d: copy-out of segment %v onto recv element %d of the same buffer", pos, sr, out)
+			}
 			out += seq.segs[sg].len()
 		}
 	} else if seq.useScratch {

@@ -128,45 +128,53 @@ func TestPooledWiringServesLargerChunks(t *testing.T) {
 	}
 }
 
-// TestScratchStartsAsTheInitCopy: a reduce-scatter's scratch is
-// overwritten whole by the init copy, so it is not allocated ahead of
-// the first run but made by that copy. The first and the relaunched run
-// (which copies into the scratch it then has) are both exact, and a
-// send buffer of the wrong size is still refused on either.
+// relaunch runs one collective over execs (every position, in order) with
+// fresh send buffers of sendCount elements filled by fill and recv
+// buffers BufferCountsFor sizes, and returns the recv buffers and the
+// engine's error.
+func relaunch(execs []*Executor, sendCount int, fill func(rank int, b *mem.Buffer)) ([]*mem.Buffer, error) {
+	e := sim.NewEngine()
+	recvs := make([]*mem.Buffer, len(execs))
+	for i, x := range execs {
+		s := mem.NewBuffer(x.Spec.Type, sendCount)
+		fill(i, s)
+		_, recvCount := BufferCountsFor(x.Spec, i)
+		recvs[i] = mem.NewBuffer(x.Spec.Type, recvCount)
+		x.Reset(s, recvs[i])
+		e.Spawn("rank", func(p *sim.Process) {
+			for x.StepOnce(p, -1) != Done {
+			}
+		})
+	}
+	return recvs, e.Run()
+}
+
+// TestScratchStartsAsTheInitCopy: a reduce's non-root works in a
+// scratch the init copy overwrites whole, so it is not allocated ahead
+// of the first run but made by that copy. The first and the relaunched
+// runs (which copy into the scratch they then have) are both exact, and
+// a send buffer of the wrong size is still refused on either.
 func TestScratchStartsAsTheInitCopy(t *testing.T) {
-	const n, count = 4, 4 * 50
+	const n, count, root = 4, 200, 2
 	c := topo.Server3090(n)
-	spec := Spec{Kind: ReduceScatter, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3}, ChunkElems: 16}
+	spec := Spec{Kind: Reduce, Count: count, Type: mem.Float32, Op: mem.Sum, Root: root, Ranks: []int{0, 1, 2, 3}, ChunkElems: 16}
 	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
 	execs := make([]*Executor, n)
 	for i := range execs {
 		execs[i] = ring.ExecutorFor(c, spec, i, nil, nil)
-		if execs[i].scratch != nil {
-			t.Fatal("scratch allocated before the first run")
+		if execs[i].Seq.useScratch != (i != root) || execs[i].scratch != nil {
+			t.Fatalf("pos %d: scratch %t, allocated %t before the first run", i, execs[i].Seq.useScratch, execs[i].scratch != nil)
 		}
 	}
-	run := func(shift int, sendCount int) error {
+	run := func(shift, sendCount int) error {
 		fill, want := sumPattern(n, shift)
-		e := sim.NewEngine()
-		recvs := make([]*mem.Buffer, n)
-		for i, x := range execs {
-			s := mem.NewBuffer(spec.Type, sendCount)
-			fill(i, s)
-			recvs[i] = mem.NewBuffer(spec.Type, count/n)
-			x.Reset(s, recvs[i])
-			e.Spawn("rank", func(p *sim.Process) {
-				for x.StepOnce(p, -1) != Done {
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
+		recvs, err := relaunch(execs, sendCount, fill)
+		if err != nil {
 			return err
 		}
-		for r := 0; r < n; r++ {
-			for j := 0; j < count/n; j++ {
-				if got, w := recvs[r].Float64At(j), want(r*count/n+j); got != w {
-					t.Fatalf("shift %d: rank %d elem %d = %v, want %v", shift, r, j, got, w)
-				}
+		for j := 0; j < count; j++ {
+			if got, w := recvs[root].Float64At(j), want(j); got != w {
+				t.Fatalf("shift %d: root elem %d = %v, want %v", shift, j, got, w)
 			}
 		}
 		return nil
@@ -179,7 +187,45 @@ func TestScratchStartsAsTheInitCopy(t *testing.T) {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
 	}
+	for i, x := range execs {
+		if x.Seq.useScratch && (x.scratch == nil || x.scratch.Len() != count) {
+			t.Fatalf("pos %d: no %d-element scratch after three runs", i, count)
+		}
+	}
 	if err := run(0, count+1); err == nil || !strings.Contains(err.Error(), "init copy size mismatch") {
+		t.Fatalf("long send buffer on a relaunch: %v, want an init copy size mismatch", err)
+	}
+}
+
+// TestReduceScatterRefusesMisSizedSend: the flat reduce-scatter, which
+// reads each block's own contribution from the send buffer as it goes,
+// still refuses a short send buffer on the first run and a long one on a
+// relaunch by name, before any slice of it is read.
+func TestReduceScatterRefusesMisSizedSend(t *testing.T) {
+	const n, count = 4, 4 * 50
+	c := topo.Server3090(n)
+	spec := Spec{Kind: ReduceScatter, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3}, ChunkElems: 16}
+	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
+	execs := make([]*Executor, n)
+	for i := range execs {
+		execs[i] = ring.ExecutorFor(c, spec, i, nil, nil)
+	}
+	fill, want := sumPattern(n, 1)
+	if _, err := relaunch(execs, count-1, fill); err == nil || !strings.Contains(err.Error(), "init copy size mismatch") {
+		t.Fatalf("short send buffer on the first run: %v, want an init copy size mismatch", err)
+	}
+	recvs, err := relaunch(execs, count, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		for j := 0; j < count/n; j++ {
+			if got, w := recvs[r].Float64At(j), want(r*count/n+j); got != w {
+				t.Fatalf("rank %d elem %d = %v, want %v", r, j, got, w)
+			}
+		}
+	}
+	if _, err := relaunch(execs, count+1, fill); err == nil || !strings.Contains(err.Error(), "init copy size mismatch") {
 		t.Fatalf("long send buffer on a relaunch: %v, want an init copy size mismatch", err)
 	}
 }

@@ -463,15 +463,23 @@ type Sequence struct {
 	chunkElems int
 	// workLen is the element length of the working buffer.
 	workLen int
-	// initCopyOwnSeg: at init, copy the send buffer into segs[seg] of
-	// the working buffer, or one of the initCopy* sentinels.
+	// initCopyOwnSeg: at init, copy the send buffer (only seed(seg) of
+	// it, in a seeded plan) into segs[seg] of the working buffer, or one
+	// of the initCopy* sentinels.
 	initCopyOwnSeg int
 	// useScratch: the working buffer is an internal scratch area rather
 	// than the user's recv buffer.
 	useScratch bool
+	// seeded: the plan works in a recv buffer too short to hold the
+	// whole send vector. Each segment's own contribution is its seed, a
+	// range of the send buffer, which a reduce into the segment copies
+	// in just before it folds the chunk in; the init copy copies only
+	// initCopyOwnSeg's seed.
+	seeded bool
 	// copyOut: after the final round, concatenate the listed working-
 	// buffer segments into the recv buffer in list order (none: the
-	// working buffer is the recv buffer).
+	// working buffer is the recv buffer; a seeded plan's one segment is
+	// already in place, so its copy-out is priced and moves nothing).
 	copyOut []int
 }
 
@@ -507,6 +515,13 @@ func (s *Sequence) totalActions() int {
 		total += len(st.Actions)
 	}
 	return total
+}
+
+// seed is segment b's own contribution in a seeded plan: the send buffer
+// holds one working buffer's worth per segment, in segment order, so the
+// seeds tile it.
+func (s *Sequence) seed(b int) segRange {
+	return segRange{Lo: b * s.workLen, Hi: (b + 1) * s.workLen}
 }
 
 // limitSlice returns the element range of segment seg covered in round c,
@@ -816,14 +831,25 @@ func (s Spec) allGatherSeq(q *Sequence, pos, n int) {
 	q.initCopyOwnSeg = pos
 }
 
+// reduceScatterSeq works in the recv buffer: its n blocks are all views
+// of the recv buffer's Count/n elements, and block b's own contribution
+// is its seed, send range seed(b). The views never hold two blocks at
+// once, since a ring block is touched once per chunk round and the rounds
+// run outermost: step 0 sends the block the init copy seeded, which is
+// never received into, every later step sends the block the step before
+// reduced, and a reduce copies its block's own slice in from the send
+// buffer first. The copy-out of block pos onto itself moves nothing.
 func (s Spec) reduceScatterSeq(q *Sequence, pos, n int) {
-	q.evenSegs(s.Count, n)
+	q.segs = slices.Grow(q.segs, n)
+	for i := 0; i < n; i++ {
+		q.segs = append(q.segs, segRange{Lo: 0, Hi: s.Count / n})
+	}
 	r := ring{place: pos, n: n, segs: q.segs}
 	st := q.stage("", r.rounds(q.chunkElems))
 	st.Actions = r.reduceScatter(st.Actions)
-	q.workLen = s.Count
-	q.initCopyOwnSeg = initCopyWhole
-	q.useScratch = true
+	q.workLen = s.Count / n
+	q.initCopyOwnSeg = mod(pos-1, n) // the block step 0 sends
+	q.seeded = true
 	q.copyOut = append(q.copyOut, pos)
 }
 

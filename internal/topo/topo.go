@@ -20,6 +20,8 @@ const (
 	TransportRDMA
 )
 
+// String returns the short transport label ("LOC", "SHM", "RDMA") the
+// traces and reports print.
 func (t Transport) String() string {
 	switch t {
 	case TransportLocal:
