@@ -127,8 +127,9 @@ cluster:
 # (~2 min) — the godoc floor, the benchmark module's own vet + tests,
 # 10 s of fuzzing the cluster kill path (FuzzClusterKills), 10 s of
 # fuzzing the trace generator's configs (FuzzGenerate), 10 s of fuzzing
-# Spec.Validate against the sequence builders (FuzzSequences) and 10 s
-# of fuzzing chaos.Run's configs (FuzzChaos), and a
+# Spec.Validate against the sequence builders (FuzzSequences), 10 s of
+# fuzzing chaos.Run's configs (FuzzChaos) and 10 s of fuzzing connectors
+# sharing one chunk staging pool (FuzzChunks), and a
 # regeneration of the artifacts: the tuning table and BENCH.json
 # must come out as no-op diffs, trace.json and metrics.json (not
 # committed) byte-identical on the gate's own second run. See
@@ -138,6 +139,7 @@ smoke: fmt vet build test-race doccheck benchcheck
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
 	$(GO) test -run '^$$' -fuzz FuzzChaos -fuzztime 10s ./internal/chaos
+	$(GO) test -run '^$$' -fuzz FuzzChunks -fuzztime 10s ./internal/mem
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null
 	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)

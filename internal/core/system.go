@@ -9,6 +9,7 @@ import (
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/fabric"
+	"dfccl/internal/mem"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -419,31 +420,35 @@ func (s *System) CommsReused() int { return s.pool.Reused() }
 
 // CommsPooled reports how many released communicators are currently
 // available for reuse.
-func (s *System) CommsPooled() int {
-	n := 0
-	for _, frees := range s.pool.free {
-		n += len(frees)
-	}
-	return n
-}
+func (s *System) CommsPooled() int { return s.pool.pooled }
 
 // communicator owns the connector wiring for one registered
-// collective; the pool hands one out per collective so concurrently
-// executing collectives never share connectors (which would corrupt a
-// preempted collective's in-flight chunks). The wiring prices every
-// transfer on the system-wide fabric, so collectives on different
-// communicators contend with each other when it is Shared.
+// collective. The wiring prices every transfer on the system-wide
+// fabric, so collectives on different communicators contend with each
+// other when it is Shared.
 type communicator struct {
 	key     string // rankKey of its rank set: the pool's free list it returns to
 	wirings *prim.Wirings
-	inUse   bool
+	// inUse is set while a live group holds the communicator. The pool
+	// hands each one to at most one group at a time, and a group's
+	// collective is its only user, so no other collective ever touches
+	// a preempted collective's connectors (Sec. 4.5: the daemon
+	// "prevents other collectives from using preempted, uncompleted
+	// collective's connectors"), and its in-flight chunks survive until
+	// it resumes.
+	inUse bool
 }
 
 type commPool struct {
-	net     *fabric.Network
-	free    map[string][]*communicator
-	created int
-	reused  int
+	net *fabric.Network
+	// chunks is the staging pool every communicator's connectors share.
+	chunks mem.Chunks
+	free   map[string][]*communicator
+	// created counts communicators ever built, inUse those a group
+	// holds and pooled those on the free lists; created = inUse +
+	// pooled always (invariant comms-accounted).
+	created, inUse, pooled int
+	reused                 int
 	// sorted and key are rankKey's scratch, so that an acquire the free
 	// list serves allocates nothing.
 	sorted []int
@@ -475,25 +480,49 @@ func (cp *commPool) rankKey(ranks []int) []byte {
 // wiring is tagged with the collective it is built for.
 func (cp *commPool) acquire(ranks []int, collID int) *communicator {
 	key := cp.rankKey(ranks)
+	var c *communicator
 	if frees := cp.free[string(key)]; len(frees) > 0 {
-		c := frees[len(frees)-1]
+		c = frees[len(frees)-1]
 		cp.free[c.key] = frees[:len(frees)-1]
-		c.inUse = true
+		cp.pooled--
 		cp.reused++
-		return c
+	} else {
+		c = &communicator{
+			key:     string(key),
+			wirings: prim.NewWirings(&cp.chunks, cp.net, fmt.Sprintf("coll%d", collID)),
+		}
+		cp.created++
 	}
-	cp.created++
-	return &communicator{
-		key:     string(key),
-		wirings: prim.NewWirings(cp.net, fmt.Sprintf("coll%d", collID)),
-		inUse:   true,
-	}
+	cp.account(c, true)
+	return c
 }
 
-// release returns a communicator to the pool.
+// release returns a communicator to the pool. Its connectors must be
+// empty (prim.Wirings.Reset panics otherwise): their chunks come from
+// the system-wide staging pool, so a stale one would pin shared memory
+// and reach the next owner.
 func (cp *commPool) release(c *communicator) {
-	c.inUse = false
+	c.wirings.Reset()
 	cp.free[c.key] = append(cp.free[c.key], c)
+	cp.pooled++
+	cp.account(c, false)
+}
+
+// account moves c into or out of use. It panics if c already was in
+// that state — a communicator handed out, or released, twice — or if
+// not every communicator ever created is then either in use or pooled.
+func (cp *commPool) account(c *communicator, inUse bool) {
+	was := c.inUse
+	c.inUse = inUse
+	if inUse {
+		cp.inUse++
+	} else {
+		cp.inUse--
+	}
+	if was == inUse || cp.created != cp.inUse+cp.pooled {
+		panic(fmt.Sprintf("core: invariant comms-accounted: communicator %s set in use %v twice, or created %d != in use %d + pooled %d",
+			c.key, inUse, cp.created, cp.inUse, cp.pooled))
+	}
 }
 
 // Created reports how many communicators were ever constructed, for

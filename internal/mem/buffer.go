@@ -13,19 +13,23 @@
 //     the host cannot view that way takes the same loop through decoded
 //     copies. Integers reduce natively and wrap around in two's
 //     complement.
-//   - A Connector recycles chunk memory: Write stages into the buffer
-//     Read freed last. The price is a lifetime on what Read returns —
-//     valid until the caller next yields to the engine — because the
-//     writer that reuses the memory can only run once the reader has
-//     yielded. Readers therefore consume a chunk before they sleep.
-//   - A connector keeps one spare buffer, not every buffer it ever
-//     freed: a ring in steady state alternates Read and Write, so one
-//     is what gets reused, while keeping all of them pins a backed-up
-//     ring's full depth on every connector of a pooled communicator
-//     (measured on the benchmark's disorder_preempt workload, whose
-//     rings back up to all eight slots: peak RSS 23.5 MB before
-//     recycling, 28.0 MB keeping everything, 24.2–24.7 MB with one
-//     spare and the same allocation counts).
+//   - Connectors stage chunks in a Chunks pool — a free list of buffers
+//     per power-of-two capacity class — that every connector of one
+//     simulation shares: Write takes a buffer, Read and Drain give it
+//     back, so a buffer any Read frees serves the next Write anywhere.
+//     The price is a lifetime on what Read returns — valid until the
+//     caller next yields to the engine — because no other process, and
+//     so no other writer, can run before the reader yields. Readers
+//     therefore consume a chunk before they sleep.
+//   - A pool makes a buffer only when its class's free list is empty,
+//     so it holds at most the peak number of chunks of each class that
+//     were in flight at once. One spare per connector allocated again
+//     on every burst deeper than a slot; keeping every buffer per
+//     connector pinned a backed-up ring's full depth on each one (peak
+//     RSS on the benchmark's disorder_preempt workload: 24.2–24.7 MB
+//     with one spare, 28.0 MB keeping everything per connector, 22.3 MB
+//     with the shared pool, which also cuts its allocated bytes from
+//     4.67 to 1.00 MB per unit).
 package mem
 
 import (

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dfccl/internal/sim"
 )
@@ -16,9 +17,11 @@ import (
 // the peer even if the writer is preempted immediately afterwards, and
 // regardless of whether the reader is currently scheduled.
 //
-// Chunk memory is recycled: Write stages into the buffer Read freed
-// last, so a steady stream of equal-sized chunks allocates nothing. See
-// Read for the lifetime this gives a chunk.
+// Chunk memory comes from the connector's Chunks pool, which every
+// connector of one simulation shares: Write stages into a buffer some
+// Read or Drain returned, so a steady stream of chunks allocates
+// nothing, however the rings that carry it back up. See Read for the
+// lifetime this gives a chunk.
 type Connector struct {
 	// name is the connector's name or, when kind is set, the tag of a
 	// wiring's edge from rank from to rank to, which Name formats only
@@ -31,12 +34,9 @@ type Connector struct {
 	// tail-head is the number of readable slots.
 	head, tail uint64
 
-	// spare is the chunk buffer freed most recently, kept for the next
-	// Write. One is all that is kept: a ring in steady state alternates
-	// Read and Write, and keeping every buffer ever freed would pin a
-	// backed-up ring's full depth (Cap chunks) on every connector of a
-	// pooled communicator for as long as the pool lives.
-	spare []byte
+	// pool supplies the buffers Write stages into and takes back the
+	// ones Read and Drain free.
+	pool *Chunks
 
 	// Bytes staged by Write, handed out by Read, and discarded by Drain.
 	// Whenever nothing is pending, written == read + scrubbed.
@@ -44,29 +44,28 @@ type Connector struct {
 
 	readable sim.Cond // signalled on write
 	writable sim.Cond // signalled on read
-
-	// Owner is the collective ID currently holding this connector, or
-	// -1 when free. The daemon kernel uses it to keep other collectives
-	// from corrupting a preempted collective's in-flight chunks
-	// (Sec. 4.5 "prevents other collectives from using preempted,
-	// uncompleted collective's connectors").
-	Owner int
 }
 
-// NewConnector creates a connector with the given number of ring slots.
+// NewConnector creates a connector with the given number of ring slots
+// and a Chunks pool of its own.
 func NewConnector(name string, slots int) *Connector {
+	return newConnector(new(Chunks), name, slots)
+}
+
+func newConnector(pool *Chunks, name string, slots int) *Connector {
 	if slots < 1 {
 		panic("mem: connector needs at least one slot")
 	}
-	return &Connector{name: name, slots: make([][]byte, slots), Owner: -1}
+	return &Connector{name: name, slots: make([][]byte, slots), pool: pool}
 }
 
 // NewEdgeConnector creates the connector of a wiring's edge from rank
-// from to rank to, named "<tag>.<kind><from>-><to>": the connector of
-// NewEdgeConnector("coll3", "conn", 0, 1, slots) is "coll3.conn0->1".
-// Building it formats nothing; Name does.
-func NewEdgeConnector(tag, kind string, from, to, slots int) *Connector {
-	c := NewConnector(tag, slots)
+// from to rank to, staging its chunks in pool, named
+// "<tag>.<kind><from>-><to>": the connector of NewEdgeConnector(pool,
+// "coll3", "conn", 0, 1, slots) is "coll3.conn0->1". Building it
+// formats nothing; Name does.
+func NewEdgeConnector(pool *Chunks, tag, kind string, from, to, slots int) *Connector {
+	c := newConnector(pool, tag, slots)
 	c.kind, c.from, c.to = kind, from, to
 	return c
 }
@@ -96,12 +95,7 @@ func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 	if !c.CanWrite() {
 		panic(fmt.Sprintf("mem: connector %s overrun", c.Name()))
 	}
-	buf := c.spare
-	c.spare = nil
-	if cap(buf) < len(chunk) {
-		buf = make([]byte, len(chunk))
-	}
-	buf = buf[:len(chunk)]
+	buf := c.pool.take(len(chunk))
 	copy(buf, chunk)
 	c.slots[c.tail%uint64(len(c.slots))] = buf
 	c.tail++
@@ -112,10 +106,12 @@ func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 // Read consumes the oldest chunk. The caller must have checked CanRead.
 //
 // The returned bytes are valid until the caller next yields to the
-// engine (Sleep, a Cond wait, returning from the process body): the
-// slot is free from this instant, and the next Write — which can only
-// run once the caller has yielded — stages its chunk into the same
-// memory. A caller that needs the data later copies it out first.
+// engine (Sleep, a Cond wait, returning from the process body) or
+// itself writes to a connector on the same pool: the buffer is back in
+// the pool from this instant, and the next Write anywhere in the
+// simulation may stage its chunk into the same memory. No other process
+// can run before the caller yields. A caller that needs the data later
+// copies it out first.
 func (c *Connector) Read(e *sim.Engine) []byte {
 	if !c.CanRead() {
 		panic(fmt.Sprintf("mem: connector %s underrun", c.Name()))
@@ -124,7 +120,7 @@ func (c *Connector) Read(e *sim.Engine) []byte {
 	c.slots[c.head%uint64(len(c.slots))] = nil
 	c.head++
 	c.read += uint64(len(chunk))
-	c.spare = chunk
+	c.pool.put(chunk)
 	c.writable.Broadcast(e)
 	return chunk
 }
@@ -135,39 +131,88 @@ func (c *Connector) Readable() *sim.Cond { return &c.readable }
 // Writable returns the condition signalled when a slot frees up.
 func (c *Connector) Writable() *sim.Cond { return &c.writable }
 
-// Drain discards all in-flight chunks and releases ownership, waking
-// any writer blocked on a full ring. This is the abort path for
-// elastic membership: when a rank is lost mid-collective, chunks it
-// deposited (or never consumed) are garbage to the next owner, so the
-// pool scrubs the connector before reuse instead of tripping the
-// Reset in-flight panic.
+// Drain discards all in-flight chunks, returning their buffers to the
+// pool, and wakes any writer blocked on a full ring. This is the abort
+// path for elastic membership: when a rank is lost mid-collective,
+// chunks it deposited (or never consumed) are garbage to the next
+// owner, so the communicator pool scrubs the connector before reuse
+// instead of tripping Reset's in-flight panic.
 func (c *Connector) Drain(e *sim.Engine) {
 	for i, chunk := range c.slots {
 		c.scrubbed += uint64(len(chunk))
+		c.pool.put(chunk)
 		c.slots[i] = nil
 	}
 	c.head = c.tail
-	c.Owner = -1
 	c.checkBytes()
 	c.writable.Broadcast(e)
 }
 
-// Reset clears the connector for reuse by a new collective. It panics
-// if in-flight chunks remain, which would indicate the daemon kernel
-// violated connector ownership of a preempted collective.
+// Reset checks that the connector is fit for a new collective: it
+// panics if chunks are still in flight — a stale chunk would pin pool
+// memory and reach the next owner — or if a byte went missing.
 func (c *Connector) Reset() {
 	if c.Pending() != 0 {
-		panic(fmt.Sprintf("mem: resetting connector %s with %d in-flight chunks", c.Name(), c.Pending()))
+		panic(fmt.Sprintf("mem: invariant reset-connector-empty: connector %s has %d in-flight chunks", c.Name(), c.Pending()))
 	}
 	c.checkBytes()
-	c.Owner = -1
 }
 
 // checkBytes asserts the byte-conservation invariant of an empty ring:
 // every byte written was either read or scrubbed.
 func (c *Connector) checkBytes() {
 	if c.written != c.read+c.scrubbed {
-		panic(fmt.Sprintf("mem: connector %s lost bytes: written %d != read %d + scrubbed %d",
+		panic(fmt.Sprintf("mem: invariant connector-bytes-conserved: connector %s lost bytes: written %d != read %d + scrubbed %d",
 			c.Name(), c.written, c.read, c.scrubbed))
 	}
+}
+
+// Chunks is a staging pool for connector chunks: a free list of chunk
+// buffers per power-of-two capacity class. Connectors that share a pool
+// share its buffers, so a buffer any Read frees serves the next Write
+// on any of them. A pool keeps every buffer it is given back and frees
+// none, but it only makes a buffer when its class's free list is empty:
+// it holds at most the peak number of chunks of each class that were in
+// flight at once. The zero value is an empty pool.
+type Chunks struct {
+	// free[k] holds buffers of capacity 1<<k.
+	free [bits.UintSize][][]byte
+	made int
+}
+
+// Made reports how many buffers the pool has made: over all classes,
+// the sum of the most chunks of a class ever in flight at once.
+func (p *Chunks) Made() int { return p.made }
+
+// take returns an n-byte buffer: a free one of n's class, or a new one
+// with that class's capacity. Zero-byte chunks (a timing-only
+// collective's) need no memory.
+func (p *Chunks) take(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	k := bits.Len(uint(n - 1))
+	free := p.free[k]
+	if len(free) == 0 {
+		p.made++
+		return make([]byte, n, 1<<k)
+	}
+	buf := free[len(free)-1]
+	free[len(free)-1] = nil
+	p.free[k] = free[:len(free)-1]
+	return buf[:n]
+}
+
+// put returns a buffer take made to its class's free list. The list's
+// storage is made once, on the class's first put, so that a cold run
+// does not pay for its growth from empty.
+func (p *Chunks) put(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	k := bits.Len(uint(cap(buf))) - 1
+	if p.free[k] == nil {
+		p.free[k] = make([][]byte, 0, 16)
+	}
+	p.free[k] = append(p.free[k], buf)
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dfccl/internal/sim"
 )
@@ -429,7 +431,7 @@ func TestConnectorFIFO(t *testing.T) {
 // TestEdgeConnectorName: a wiring's connector formats its name only when
 // asked, to the text the wirings always gave it.
 func TestEdgeConnectorName(t *testing.T) {
-	if got := NewEdgeConnector("coll3.hier", "mesh", 4, 12, 2).Name(); got != "coll3.hier.mesh4->12" {
+	if got := NewEdgeConnector(new(Chunks), "coll3.hier", "mesh", 4, 12, 2).Name(); got != "coll3.hier.mesh4->12" {
 		t.Errorf("Name = %q, want coll3.hier.mesh4->12", got)
 	}
 	if got := NewConnector("probe", 2).Name(); got != "probe" {
@@ -537,8 +539,8 @@ func TestConnectorResetGuard(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset with in-flight chunks should panic")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invariant reset-connector-empty") {
+			t.Fatalf("Reset with in-flight chunks: recovered %v, want the reset-connector-empty panic", r)
 		}
 	}()
 	c.Reset()
@@ -554,22 +556,24 @@ func inProcess(t *testing.T, body func(p *sim.Process)) {
 	}
 }
 
-// retained is the chunk memory a connector holds on to, in bytes.
-func retained(c *Connector) int {
-	n := cap(c.spare)
-	for _, s := range c.slots {
-		n += cap(s)
+// pooled returns the buffers on p's free lists.
+func pooled(p *Chunks) [][]byte {
+	var all [][]byte
+	for _, free := range p.free {
+		all = append(all, free...)
 	}
-	return n
+	return all
 }
 
 // TestConnectorRecyclesChunks: a steady stream of equal-sized chunks
-// allocates nothing, at ring depth one and with a standing backlog. One
-// allocation per Write (the make coming back) reads as 1 here.
+// allocates nothing, at ring depth one and with a standing backlog, and
+// across two connectors on one pool, where the chunk A's Read frees is
+// the very buffer B's Write stages into. One allocation per Write (the
+// make coming back) reads as 1 here.
 func TestConnectorRecyclesChunks(t *testing.T) {
+	chunk := bytes.Repeat([]byte{7}, 4096)
 	for _, backlog := range []int{0, 3} {
 		c := NewConnector("c", 8)
-		chunk := bytes.Repeat([]byte{7}, 4096)
 		inProcess(t, func(p *sim.Process) {
 			e := p.Engine()
 			for i := 0; i <= backlog; i++ { // the stream's working set
@@ -587,39 +591,83 @@ func TestConnectorRecyclesChunks(t *testing.T) {
 			}
 		})
 	}
+	pool := new(Chunks)
+	a := NewEdgeConnector(pool, "t", "conn", 0, 1, 8)
+	b := NewEdgeConnector(pool, "t", "conn", 1, 2, 8)
+	inProcess(t, func(p *sim.Process) {
+		e := p.Engine()
+		a.Write(e, chunk)
+		freed := a.Read(e)
+		b.Write(e, chunk)
+		if unsafe.SliceData(b.slots[0]) != unsafe.SliceData(freed) {
+			t.Error("B's Write did not stage into the buffer A's Read freed")
+		}
+		b.Read(e)
+		allocs := testing.AllocsPerRun(100, func() {
+			a.Write(e, chunk)
+			a.Read(e)
+			b.Write(e, chunk)
+			if got := b.Read(e); !bytes.Equal(got, chunk) {
+				t.Error("two connectors: chunk corrupted")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("two connectors: %v allocations per round, want 0", allocs)
+		}
+	})
 }
 
-// TestConnectorRetentionIsBounded: however deep the ring backed up, an
-// empty connector keeps at most the one buffer freed last — after the
-// backlog is read out and after Drain discards it.
+// TestConnectorRetentionIsBounded: however deep rings back up, a shared
+// pool keeps at most the peak number of chunks held at once — whether
+// they come back by Read or by Drain, which returns the very buffers it
+// scrubs.
 func TestConnectorRetentionIsBounded(t *testing.T) {
-	const size = 1000
+	const size, class = 1000, 1024
 	chunk := make([]byte, size)
 	inProcess(t, func(p *sim.Process) {
 		e := p.Engine()
-		c := NewConnector("c", 8)
-		fill := func() {
-			for c.CanWrite() {
+		pool := new(Chunks)
+		a := NewEdgeConnector(pool, "t", "conn", 0, 1, 8)
+		b := NewEdgeConnector(pool, "t", "conn", 1, 0, 8)
+		fill := func(c *Connector, n int) {
+			for i := 0; i < n; i++ {
 				c.Write(e, chunk)
 			}
-			if got := retained(c); got < 8*size {
-				t.Fatalf("full ring retains %d bytes, want >= %d", got, 8*size)
+		}
+		check := func(when string, want int) {
+			t.Helper()
+			bufs := pooled(pool)
+			if len(bufs) != want {
+				t.Errorf("%s: pool holds %d chunks, want the peak held at once, %d", when, len(bufs), want)
+			}
+			for _, buf := range bufs {
+				if cap(buf) != class {
+					t.Errorf("%s: pooled buffer of capacity %d, want %d", when, cap(buf), class)
+				}
 			}
 		}
-		fill()
-		for c.CanRead() {
-			c.Read(e)
+		fill(a, 8)
+		for a.CanRead() {
+			a.Read(e)
 		}
-		if got := retained(c); got != size {
-			t.Errorf("after the backlog drained: %d bytes retained, want one chunk (%d)", got, size)
+		check("after A's backlog drained", 8)
+		fill(b, 8) // served by A's chunks
+		check("with B full", 0)
+		fill(a, 4) // 12 held at once: four more are made
+		scrubbed := [][]byte{b.slots[0], b.slots[7]}
+		b.Drain(e)
+		a.Drain(e)
+		check("after Drain", 12)
+		for _, buf := range scrubbed {
+			if !slices.ContainsFunc(pooled(pool), func(p []byte) bool { return unsafe.SliceData(p) == unsafe.SliceData(buf) }) {
+				t.Error("Drain did not return a scrubbed chunk to the pool")
+			}
 		}
-		fill()
-		c.Drain(e)
-		if got := retained(c); got > size {
-			t.Errorf("after Drain: %d bytes retained, want at most one chunk (%d)", got, size)
-		}
-		if c.Pending() != 0 || !c.CanWrite() {
-			t.Errorf("Drain left pending=%d", c.Pending())
+		fill(a, 8)
+		fill(b, 4)
+		check("refilled to the peak", 0)
+		if a.Pending() != 8 || b.Pending() != 4 {
+			t.Errorf("pending %d/%d, want 8/4", a.Pending(), b.Pending())
 		}
 	})
 }

@@ -42,6 +42,8 @@ type Lib struct {
 	// fabric.Unshared, the isolated-path pricing.
 	Net   *fabric.Network
 	comms int
+	// chunks is the staging pool every communicator's connectors share.
+	chunks mem.Chunks
 }
 
 // New creates the library and one device per GPU in the cluster.
@@ -86,7 +88,7 @@ func (l *Lib) NewComm(ranks []int) *Comm {
 	l.comms++
 	return &Comm{
 		lib: l, id: l.comms, Ranks: append([]int(nil), ranks...), Channels: DefaultChannels,
-		wirings: prim.NewWirings(l.Net, fmt.Sprintf("comm%d", l.comms)),
+		wirings: prim.NewWirings(&l.chunks, l.Net, fmt.Sprintf("comm%d", l.comms)),
 	}
 }
 

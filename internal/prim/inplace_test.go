@@ -138,7 +138,7 @@ func TestReduceScatterProperty(t *testing.T) {
 					ranks := []int{0, 4, 1, 5, 2, 6, 3, 7}[:n]
 					spec := Spec{Kind: ReduceScatter, Count: count, Type: typ, Op: op, Ranks: ranks, ChunkElems: chunk}
 					name := fmt.Sprintf("n=%d %v %v chunk=%d", n, typ, op, chunk)
-					ws := NewWirings(fabric.Unshared(c), "rs")
+					ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "rs")
 					execs := make([]*Executor, n)
 					sends, recvs, origs := make([]*mem.Buffer, n), make([]*mem.Buffer, n), make([][]byte, n)
 					all := make([]int, n)
@@ -223,7 +223,7 @@ func TestReduceScatterNeedsNoScratch(t *testing.T) {
 	const n, count = 8, 1 << 20
 	c := topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
 	spec := Spec{Kind: ReduceScatter, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}}
-	ws := NewWirings(fabric.Unshared(c), "rs")
+	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "rs")
 	sends, recvs := make([]*mem.Buffer, n), make([]*mem.Buffer, n)
 	for i := range sends {
 		sends[i], recvs[i] = mem.NewBuffer(spec.Type, count), mem.NewBuffer(spec.Type, count/n)
@@ -268,7 +268,7 @@ func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 			if spec.Validate() != nil {
 				continue
 			}
-			ws := NewWirings(fabric.Unshared(c), "send")
+			ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "send")
 			e := sim.NewEngine()
 			sends, origs := make([]*mem.Buffer, len(ranks)), make([][]byte, len(ranks))
 			for i := range ranks {

@@ -21,7 +21,7 @@ import (
 // buffers BufferCountsFor sizes.
 func checkPeers(c *topo.Cluster, spec Spec) error {
 	spec = spec.Timing()
-	ws := NewWirings(fabric.Unshared(c), "peers")
+	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "peers")
 	sent := map[*mem.Connector][]int{}
 	recvd := map[*mem.Connector][]int{}
 	for pos := range spec.Ranks {

@@ -55,7 +55,7 @@ func rebuildCorpus(c *topo.Cluster) []plan {
 					if chunk == 3 {
 						pos = n - 1 // a member, for n > 2
 					}
-					plans = append(plans, plan{spec, NewWirings(fabric.Unshared(c), "rebuild"), pos})
+					plans = append(plans, plan{spec, NewWirings(new(mem.Chunks), fabric.Unshared(c), "rebuild"), pos})
 				}
 			}
 		}

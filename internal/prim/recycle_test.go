@@ -36,35 +36,98 @@ func sumPattern(n, shift int) (fill func(rank int, b *mem.Buffer), want func(i i
 // than the wire. A switched-out reader lets its ring back up to all
 // ConnectorSlots; once it is back, its writer refills each slot it
 // frees while the reader is still inside recvHalf's compute sleep, and
-// with recycled chunk memory that refill lands in the very buffer the
+// with pooled chunk memory that refill lands in the very buffer the
 // reader was just handed. The sums are only exact if the reader has
 // reduced the chunk before it sleeps (mem.Connector.Read's lifetime
 // contract): reduce after the sleep and this test fails.
 func TestBackedUpRingsStayExact(t *testing.T) {
-	const n, count = 8, 8 * 64 * 6
+	spec := backedUpSpec
+	ring := BuildRingOn(fabric.Unshared(topo.Server3090(spec.N())), spec, "t")
+	if r := runBackedUp(t, spec, ring); r.deepest != ConnectorSlots {
+		t.Fatalf("rings backed up to %d of %d slots: the schedule no longer exercises the case", r.deepest, ConnectorSlots)
+	}
+}
+
+// TestBackedUpRingsShareOnePool is TestBackedUpRingsStayExact with two
+// such all-reduces on two communicators' wirings over one staging pool,
+// as every communicator of a System shares one. Each rank starts the
+// second as soon as its part of the first is done, while slower ranks
+// are still reading and reducing the first's chunks, so a buffer one
+// ring's reader frees may be restaged by a writer on the other ring
+// during the reader's compute sleep. Both sums stay exact, and the pool
+// made fewer buffers than the two rings ever held at once between them,
+// which is only possible if some buffer carried chunks of both.
+func TestBackedUpRingsShareOnePool(t *testing.T) {
+	spec := backedUpSpec
+	net := fabric.Unshared(topo.Server3090(spec.N()))
+	chunks := new(mem.Chunks)
+	a := NewWirings(chunks, net, "a").wiringFor(spec)
+	b := NewWirings(chunks, net, "b").wiringFor(spec)
+	r := runBackedUp(t, spec, a, b)
+	if r.deepest != ConnectorSlots || !r.overlapped {
+		t.Fatalf("rings backed up to %d of %d slots, collectives overlapped %t: the schedule no longer exercises the case", r.deepest, ConnectorSlots, r.overlapped)
+	}
+	// A ring's chunks all come from the pool, so it made at least the
+	// most either ring held.
+	if m := chunks.Made(); m < max(r.held[0], r.held[1]) || m >= r.held[0]+r.held[1] {
+		t.Fatalf("the pool made %d buffers for rings that held %v at most: the rings do not share it, or no chunk was restaged across them", m, r.held)
+	}
+}
+
+// backedUpSpec is the all-reduce runBackedUp drives: 8 ranks, 48
+// chunks of 64 elements per rank.
+var backedUpSpec = Spec{Kind: AllReduce, Count: 8 * 64 * 6, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}, ChunkElems: 64}
+
+// backedUp is what runBackedUp saw between steps: the deepest any
+// connector backed up, the most chunks each ring held at once, and
+// whether a rank started a collective while another was still in the
+// one before.
+type backedUp struct {
+	deepest    int
+	held       []int
+	overlapped bool
+}
+
+// runBackedUp runs spec over the rings in order on every rank — a rank
+// starts ring j+1 once its part of ring j is done, collective j on
+// sumPattern's shift j — with reducers slower than the wire and the
+// daemon's switch-out of a Stuck rank, and checks every sum exactly.
+func runBackedUp(t *testing.T, spec Spec, rings ...*Wiring) backedUp {
+	t.Helper()
+	n, count := spec.N(), spec.Count
 	c := topo.Server3090(n)
-	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	spec := Spec{Kind: AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: ranks, ChunkElems: 64}
-	ring := BuildRingOn(fabric.Unshared(c), spec, "t")
-	fill, want := sumPattern(n, 0)
-	recvs := make([]*mem.Buffer, n)
 	e := sim.NewEngine()
-	deepest := 0
+	r := backedUp{held: make([]int, len(rings))}
+	recvs := make([][]*mem.Buffer, len(rings))
+	done := make([]int, len(rings)) // ranks done with each ring
 	for i := 0; i < n; i++ {
-		s := mem.NewBuffer(spec.Type, count)
-		recvs[i] = mem.NewBuffer(spec.Type, count)
-		fill(i, s)
-		x := ring.ExecutorFor(c, spec, i, s, recvs[i])
-		x.ComputeBW = 1e9 // reducing a chunk takes longer than sending one
+		execs := make([]*Executor, len(rings))
+		for j, ring := range rings {
+			fill, _ := sumPattern(n, j)
+			s := mem.NewBuffer(spec.Type, count)
+			recvs[j] = append(recvs[j], mem.NewBuffer(spec.Type, count))
+			fill(i, s)
+			execs[j] = ring.ExecutorFor(c, spec, i, s, recvs[j][i])
+			execs[j].ComputeBW = 1e9 // reducing a chunk takes longer than sending one
+		}
 		e.Spawn("rank", func(p *sim.Process) {
-			for {
-				r := x.StepOnce(p, 500*sim.Nanosecond)
-				deepest = max(deepest, x.Outs[0].Pending())
-				switch r {
-				case Done:
-					return
-				case Stuck:
-					p.Sleep(sim.Duration(20+15*i) * sim.Microsecond)
+			for j, x := range execs {
+				if j > 0 && done[j-1] < n {
+					r.overlapped = true
+				}
+				for {
+					res := x.StepOnce(p, 500*sim.Nanosecond)
+					r.deepest = max(r.deepest, x.Outs[0].Pending())
+					inFlight := 0
+					rings[j].each(func(conn *mem.Connector) { inFlight += conn.Pending() })
+					r.held[j] = max(r.held[j], inFlight)
+					if res == Done {
+						done[j]++
+						break
+					}
+					if res == Stuck {
+						p.Sleep(sim.Duration(20+15*i) * sim.Microsecond)
+					}
 				}
 			}
 		})
@@ -72,16 +135,17 @@ func TestBackedUpRingsStayExact(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if deepest != ConnectorSlots {
-		t.Fatalf("rings backed up to %d of %d slots: the schedule no longer exercises the case", deepest, ConnectorSlots)
-	}
-	for r := 0; r < n; r++ {
-		for i := 0; i < count; i++ {
-			if got := recvs[r].Float64At(i); got != want(i) {
-				t.Fatalf("rank %d elem %d = %v, want %v", r, i, got, want(i))
+	for j := range rings {
+		_, want := sumPattern(n, j)
+		for rank := 0; rank < n; rank++ {
+			for i := 0; i < count; i++ {
+				if got := recvs[j][rank].Float64At(i); got != want(i) {
+					t.Fatalf("collective %d rank %d elem %d = %v, want %v", j, rank, i, got, want(i))
+				}
 			}
 		}
 	}
+	return r
 }
 
 // TestPooledWiringServesLargerChunks reuses one communicator's wiring
@@ -92,7 +156,7 @@ func TestBackedUpRingsStayExact(t *testing.T) {
 func TestPooledWiringServesLargerChunks(t *testing.T) {
 	const n = 4
 	c := topo.Server3090(n)
-	ws := NewWirings(fabric.Unshared(c), "t")
+	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "t")
 	fill, want := sumPattern(n, 0)
 	var first *Wiring
 	for _, sz := range []struct{ count, chunk int }{{64, 4}, {4096, 512}, {100, 7}, {4096, 1024}} {

@@ -44,16 +44,21 @@ func newWiring(net *fabric.Network, ranks []int) *Wiring {
 // order — connector i carries chunks from ring position i to position
 // i+1 (mod n) — pricing transfers on net's fabric (net's cluster
 // supplies the topology; fabric.Unshared gives independent,
-// contention-free pricing).
+// contention-free pricing). The ring stages its chunks in a pool of its
+// own; a Wirings builds its rings on the pool it was given.
 func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Wiring {
-	n := spec.N()
-	w := newWiring(net, spec.Ranks)
+	return buildRing(new(mem.Chunks), net, spec.Ranks, tag)
+}
+
+func buildRing(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string) *Wiring {
+	n := len(ranks)
+	w := newWiring(net, ranks)
 	conns := make([]*mem.Connector, n)
 	routes := make([]fabric.Route, n)
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
-		conns[i] = mem.NewEdgeConnector(tag, "conn", spec.Ranks[i], spec.Ranks[next], ConnectorSlots)
-		routes[i] = net.RouteBetween(spec.Ranks[i], spec.Ranks[next])
+		conns[i] = mem.NewEdgeConnector(chunks, tag, "conn", ranks[i], ranks[next], ConnectorSlots)
+		routes[i] = net.RouteBetween(ranks[i], ranks[next])
 	}
 	// One-element windows onto the shared arrays: building an executor
 	// allocates no endpoint slices.
@@ -70,8 +75,13 @@ func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Wiring {
 // order: a full mesh of SHM connectors between same-node members (so
 // intra-node blocks and leader convoys are direct, single-hop
 // transfers) plus one ring over the node leaders (the only RDMA
-// wiring), pricing transfers on net's fabric like BuildRingOn.
+// wiring), pricing transfers on net's fabric and staging chunks in a
+// pool of its own like BuildRingOn.
 func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
+	return buildHier(new(mem.Chunks), net, ranks, tag)
+}
+
+func buildHier(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string) *Wiring {
 	g := GroupByNode(net.Cluster(), ranks)
 	w := newWiring(net, ranks)
 	w.grouping = g
@@ -90,7 +100,7 @@ func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
 				if x == y {
 					continue
 				}
-				conn := mem.NewEdgeConnector(tag, "mesh", ranks[x], ranks[y], ConnectorSlots)
+				conn := mem.NewEdgeConnector(chunks, tag, "mesh", ranks[x], ranks[y], ConnectorSlots)
 				w.outs[x][g.peerIdx(x, y)] = conn
 				w.ins[y][g.peerIdx(y, x)] = conn
 				w.outRoutes[x][g.peerIdx(x, y)] = net.RouteBetween(ranks[x], ranks[y])
@@ -100,7 +110,7 @@ func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
 	if M := g.Nodes(); M > 1 {
 		for a := 0; a < M; a++ {
 			la, lb := g.Leader(a), g.Leader((a+1)%M)
-			conn := mem.NewEdgeConnector(tag, "lring", ranks[la], ranks[lb], ConnectorSlots)
+			conn := mem.NewEdgeConnector(chunks, tag, "lring", ranks[la], ranks[lb], ConnectorSlots)
 			w.outs[la][g.ringIdx(la)] = conn
 			w.ins[lb][g.ringIdx(lb)] = conn
 			w.outRoutes[la][g.ringIdx(la)] = net.RouteBetween(ranks[la], ranks[lb])
@@ -197,16 +207,19 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int) {
 // wiring and pricing would silently misclassify cross-node traffic as
 // SHM).
 type Wirings struct {
+	chunks     *mem.Chunks
 	net        *fabric.Network
 	tag        string
 	ring, hier *Wiring
 }
 
-// NewWirings returns an empty wiring set whose connectors will be
-// priced on net and named <tag>.conn…, <tag>.hier.mesh… and
-// <tag>.hier.lring….
-func NewWirings(net *fabric.Network, tag string) *Wirings {
-	return &Wirings{net: net, tag: tag}
+// NewWirings returns an empty wiring set whose connectors will stage
+// their chunks in chunks, be priced on net and be named <tag>.conn…,
+// <tag>.hier.mesh… and <tag>.hier.lring…. Every communicator of a
+// simulation passes the same pool, so a chunk any of them frees serves
+// the next Write on any other.
+func NewWirings(chunks *mem.Chunks, net *fabric.Network, tag string) *Wirings {
+	return &Wirings{chunks: chunks, net: net, tag: tag}
 }
 
 // ExecutorFor builds the executor for spec's participant at ring
@@ -232,9 +245,9 @@ func (ws *Wirings) wiringFor(spec Spec) *Wiring {
 	}
 	if *slot == nil || !slices.Equal((*slot).ranks, spec.Ranks) {
 		if spec.Algo == AlgoHierarchical {
-			*slot = BuildHierFabricOn(ws.net, spec.Ranks, ws.tag+".hier")
+			*slot = buildHier(ws.chunks, ws.net, spec.Ranks, ws.tag+".hier")
 		} else {
-			*slot = BuildRingOn(ws.net, spec, ws.tag)
+			*slot = buildRing(ws.chunks, ws.net, spec.Ranks, ws.tag)
 		}
 	}
 	return *slot
@@ -259,4 +272,11 @@ func (ws *Wirings) WakeAll(e *sim.Engine) {
 // wiring is empty.
 func (ws *Wirings) DrainConnectors(e *sim.Engine) {
 	ws.each(func(w *Wiring) { w.DrainConnectors(e) })
+}
+
+// Reset checks that every connector built so far is empty and has lost
+// no byte (mem.Connector.Reset), as a released communicator's must be:
+// a stale chunk would pin pooled memory and reach the next owner.
+func (ws *Wirings) Reset() {
+	ws.each(func(w *Wiring) { w.each((*mem.Connector).Reset) })
 }
