@@ -168,7 +168,10 @@ func TestPerJobTraceAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	byJob := rec.SendBytesByJob()
+	byJob := map[int]int{} // the recorded send halves per job; 0 is untagged
+	for _, s := range rec.Sends {
+		byJob[s.Job] += s.Bytes
+	}
 	for _, id := range []int{1, 2} {
 		if byJob[id] <= 0 {
 			t.Errorf("recorder attributed no send bytes to job %d: %v", id, byJob)

@@ -62,7 +62,7 @@ func TestSQFIFOProperty(t *testing.T) {
 			for len(got) < n {
 				sqe, ok := q.TryPop(p.Engine())
 				if !ok {
-					if q.Inserted().WaitTimeout(p, 10*sim.Microsecond) && q.Len() == 0 && len(got) < n {
+					if q.inserted.WaitTimeout(p, 10*sim.Microsecond) && q.Len() == 0 && len(got) < n {
 						// Producer may be blocked on a full ring that we
 						// just drained; keep polling.
 					}

@@ -96,10 +96,6 @@ func (q *SQ) TryPop(e *sim.Engine) (SQE, bool) {
 	return sqe, true
 }
 
-// Inserted returns the condition signalled on each insertion; the
-// event-driven daemon start hooks onto it.
-func (q *SQ) Inserted() *sim.Cond { return &q.inserted }
-
 // String renders the queue as name[pending/bound].
 func (q *SQ) String() string {
 	return fmt.Sprintf("%s[%d/%d]", q.name, q.Len(), q.bound)

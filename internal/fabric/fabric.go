@@ -27,7 +27,7 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -142,13 +142,12 @@ type TierUtil struct {
 // the GPU outward (shm, sys, nic, leaf, spine). Tiers with no links are
 // omitted.
 func TierSummary(stats []LinkStat, horizon sim.Duration) []TierUtil {
-	byTier := make(map[Tier]*TierUtil)
+	byTier := make([]TierUtil, 0, TierSpine+1) // indexed by tier
 	for _, s := range stats {
-		tu := byTier[s.Tier]
-		if tu == nil {
-			tu = &TierUtil{Tier: s.Tier}
-			byTier[s.Tier] = tu
+		for int(s.Tier) >= len(byTier) {
+			byTier = append(byTier, TierUtil{Tier: Tier(len(byTier))})
 		}
+		tu := &byTier[s.Tier]
 		tu.Links++
 		tu.Bytes += s.Bytes
 		if u := s.Utilization(horizon); u > tu.PeakUtil {
@@ -158,12 +157,7 @@ func TierSummary(stats []LinkStat, horizon sim.Duration) []TierUtil {
 			tu.Saturated = s.Saturated
 		}
 	}
-	out := make([]TierUtil, 0, len(byTier))
-	for _, tu := range byTier {
-		out = append(out, *tu)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tier < out[j].Tier })
-	return out
+	return slices.DeleteFunc(byTier, func(tu TierUtil) bool { return tu.Links == 0 })
 }
 
 // Route is the priced path of one transfer: the endpoint-to-endpoint
@@ -313,20 +307,23 @@ func (n *Network) build() {
 	n.nicRx = make([]*Link, machines)
 	for _, m := range c.Machines {
 		// One SHM pool per PCIe domain, sized by its GPU population.
-		perDomain := make(map[int]int)
+		perDomain := make([]int, 0, 4) // GPUs by domain; a constant cap keeps it on the stack
 		for _, g := range m.GPUs {
+			for g.Domain >= len(perDomain) {
+				perDomain = append(perDomain, 0)
+			}
 			perDomain[g.Domain]++
 		}
-		domains := make([]int, 0, len(perDomain))
-		for d := range perDomain {
-			domains = append(domains, d)
-		}
-		sort.Ints(domains)
-		for _, d := range domains {
-			cap := float64(perDomain[d]) * c.Links.SHMSameDomainBW / cfg.SHMOversub
+		domains := 0
+		for d, gpus := range perDomain {
+			if gpus == 0 {
+				continue
+			}
+			domains++
+			cap := float64(gpus) * c.Links.SHMSameDomainBW / cfg.SHMOversub
 			n.shm[[2]int{m.Index, d}] = n.addLink(fmt.Sprintf("shm/m%d.d%d", m.Index, d), TierSHM, cap)
 		}
-		if len(domains) > 1 {
+		if domains > 1 {
 			n.sys[m.Index] = n.addLink(fmt.Sprintf("sys/m%d", m.Index),
 				TierSys, 2*c.Links.SHMCrossDomainBW/cfg.SHMOversub)
 		}

@@ -81,7 +81,7 @@ func TestRegistryCanonicalDump(t *testing.T) {
 		r.AddCounter("core.launches", 3)
 		r.AddCounter("core.launches", 2)
 		r.SetCounter("prim.bytes_shm", 4096)
-		r.SetGauge("fabric.leaf.saturated_ns", 123)
+		r.gauges["fabric.leaf.saturated_ns"] = 123
 		h := r.Histogram("iter_ns")
 		for _, v := range []float64{50, 10, 30, 20, 40} {
 			h.Add(v)

@@ -38,9 +38,6 @@ func (r *Registry) AddCounter(name string, delta int64) { r.counters[name] += de
 // Counter reads a counter (0 if absent).
 func (r *Registry) Counter(name string) int64 { return r.counters[name] }
 
-// SetGauge sets a gauge reading.
-func (r *Registry) SetGauge(name string, v float64) { r.gauges[name] = v }
-
 // Histogram returns the named sample series, creating it on first use.
 func (r *Registry) Histogram(name string) *Series {
 	h, ok := r.hists[name]

@@ -410,7 +410,7 @@ func TestAllToAllvPrimitiveCounts(t *testing.T) {
 			}
 		}
 		seq := vSpec(m, 32).SequenceFor(0)
-		if got, want := len(seq.Stages[0].Actions), n*(n-1)/2; got != want {
+		if got, want := seq.Stages[0].Len(), n*(n-1)/2; got != want {
 			t.Fatalf("n=%d actions = %d, want %d", n, got, want)
 		}
 	}

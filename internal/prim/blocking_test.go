@@ -146,7 +146,7 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	}
 	if !x.Initialized {
 		x.blockingInitialize(p)
-		if x.Seq.totalActions() == 0 {
+		if x.Seq.NumPrimitives() == 0 {
 			// Single-rank collective: init (plus copy-out) is all.
 			x.Stage = x.Seq.NumStages()
 			x.Round = x.Seq.TotalRounds()
@@ -157,8 +157,8 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	if x.Finished() {
 		return Done
 	}
-	stage := x.Seq.Stages[x.Stage]
-	a := stage.Actions[x.Step]
+	stage := &x.Seq.Stages[x.Stage]
+	a := stage.Action(x.Step)
 	attemptStart := p.Now()
 	pipelined := !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
 
@@ -231,7 +231,7 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	}
 	x.Phase = 0
 	x.Step++
-	if x.Step >= len(stage.Actions) {
+	if x.Step >= stage.Len() {
 		x.Step = 0
 		x.Round++
 		if x.Round >= stage.Rounds {

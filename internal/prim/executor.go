@@ -351,8 +351,8 @@ type Runner struct {
 	cond         *sim.Cond      // what wakes that wait
 	deadline     sim.Time       // when the spin budget of that wait runs out
 	attemptStart sim.Time       // when this attempt at the action began
-	stage        Stage          // the stage at the cursor
-	a            *Action        // the action at the cursor
+	stage        *Stage         // the stage at the cursor
+	a            Action         // the action at the cursor
 	sent         segRange       // what the send in flight writes once it has crossed the wire
 	xfer         fabric.Xfer    // that send's transfer
 }
@@ -446,7 +446,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			x.initCopy(true)
 			x.Initialized = true
 			r.at = atAction
-			if x.Seq.totalActions() == 0 {
+			if x.Seq.NumPrimitives() == 0 {
 				// Single-rank collective: init (plus copy-out) is all.
 				x.Stage = x.Seq.NumStages()
 				x.Round = x.Seq.TotalRounds()
@@ -460,9 +460,9 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			if x.Finished() {
 				return r.end(Done)
 			}
-			r.stage = x.Seq.Stages[x.Stage]
-			a := &r.stage.Actions[x.Step]
-			r.a = a
+			r.stage = &x.Seq.Stages[x.Stage]
+			r.a = r.stage.Action(x.Step)
+			a := &r.a
 			r.attemptStart = r.p.Now()
 			r.pipelined = !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
 			switch {
@@ -487,7 +487,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			}
 
 		case atCopied:
-			x.localCopy(r.a)
+			x.localCopy(&r.a)
 			r.at = atPost
 
 		case atConn:
@@ -530,7 +530,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			}
 
 		case atRecv:
-			return r.sleep(x.recv(r.p.Engine(), r.a), atRecvDone)
+			return r.sleep(x.recv(r.p.Engine(), &r.a), atRecvDone)
 
 		case atRecvDone:
 			r.at = atPost
@@ -540,7 +540,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			}
 
 		case atSend:
-			r.sent = x.beginSend(r.p, r.a, &r.xfer)
+			r.sent = x.beginSend(r.p, &r.a, &r.xfer)
 			r.at = atSending
 
 		case atSending:
@@ -597,7 +597,7 @@ func (x *Executor) complete(r *Runner) (more bool) {
 			GPU: x.Spec.Ranks[x.Pos], Coll: x.RecColl,
 			Stage: x.Stage, Label: r.stage.Label,
 			Round: x.Round, Step: x.Step, Phase: x.Phase,
-			Transport: x.actionTransport(r.a), Job: x.Job,
+			Transport: x.actionTransport(&r.a), Job: x.Job,
 		})
 	}
 	// A saved context restored wrong (a stale one, another collective's)
@@ -611,7 +611,7 @@ func (x *Executor) complete(r *Runner) (more bool) {
 	x.last = done
 	x.Phase = 0
 	x.Step++
-	if x.Step >= len(r.stage.Actions) {
+	if x.Step >= r.stage.Len() {
 		x.Step = 0
 		x.Round++
 		if x.Round >= r.stage.Rounds {

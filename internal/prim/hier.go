@@ -116,7 +116,7 @@ func (g NodeGrouping) crossNodes(a int) []int {
 // HierSequenceFor builds the hierarchical sequence for the participant
 // at ring position pos, given the node grouping. Spec validation must
 // have passed and s.Algo must be AlgoHierarchical; executors over
-// these sequences need the matching BuildHierFabricOn wiring. The all-to-all
+// these sequences need the matching hierarchical wiring. The all-to-all
 // variants use the four-phase gather/ring/scatter schedule of this
 // file; all-reduce, all-gather, and reduce-scatter use the two-level
 // reduction schedules of hiercoll.go over the same wiring.
@@ -201,7 +201,7 @@ func (t *tier) mesh(label string, rounds func(d int) int, reduce bool, segs func
 		to, from := t.group[(t.k+d)%t.m], t.group[(t.k-d+t.m)%t.m]
 		send, recv := segs(to, from)
 		st := t.q.stage(label, rounds(d))
-		st.Actions = append(st.Actions, Action{
+		st.actions = append(st.actions, Action{
 			SendSeg: send, SendElems: t.segLen(send), SendConn: t.g.peerIdx(t.pos, to),
 			RecvSeg: recv, RecvElems: t.segLen(recv), RecvConn: t.g.peerIdx(t.pos, from),
 			Reduce: reduce,
@@ -233,7 +233,7 @@ func (t *tier) convoy(label string, rounds int, up, reduce bool, moves []move) {
 		} else {
 			a.SendSeg, a.SendElems, a.SendConn = mv.seg, l, conn
 		}
-		st.Actions = append(st.Actions, a)
+		st.actions = append(st.actions, a)
 	}
 	t.q.dropEmpty()
 }
@@ -332,7 +332,7 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 					if s.count(pos, j) == 0 {
 						continue
 					}
-					st.Actions = append(st.Actions, Action{
+					st.actions = append(st.actions, Action{
 						LocalCopy: true,
 						SendSeg:   own[j], SendElems: s.count(pos, j),
 						RecvSeg: gout[b][0][jj],
@@ -361,12 +361,10 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 		// Inter-leader ring: the flat all-to-all schedule over the M×M
 		// aggregate matrix on the leader ring's endpoint.
 		if leader {
-			r := t.ring(lring)
-			size := func(x, y int) int { return agg[x][y] }
-			transit, moved := r.allToAllBounds(size)
+			h := hops{place: a, n: M, conn: g.ringIdx(pos), blk: lring, counts: agg}
+			transit, moved := h.bounds()
 			lring[2*M], lring[2*M+1] = t.alloc(transit), t.alloc(transit)
-			st := t.q.stage("inter-ring", ceilDiv(moved, t.chunk))
-			st.Actions = r.allToAll(st.Actions, size)
+			t.q.stage("inter-ring", ceilDiv(moved, t.chunk)).hops = h
 		}
 		// Scatter-from-leader: one convoy per non-leader member; the
 		// leader sends each inbound cross-node block to its final

@@ -4,7 +4,7 @@ import "slices"
 
 // Hierarchical (topology-aware) reduction collectives: two-level
 // schedules for all-reduce, all-gather, and reduce-scatter over the
-// same NodeGrouping and BuildHierFabricOn wiring as the hierarchical all-to-all
+// same NodeGrouping and hierarchical wiring as the hierarchical all-to-all
 // (hier.go) — a full SHM mesh inside each node plus one unidirectional
 // inter-leader RDMA ring.
 //
@@ -84,7 +84,7 @@ func (s Spec) hierAllReduceSeq(t *tier) {
 		}
 		r := t.ring(inter)
 		st := t.q.stage("inter-ring", r.rounds(t.chunk))
-		st.Actions = r.allReduce(st.Actions)
+		st.actions = r.allReduce(st.actions)
 	}
 	// Broadcast: the leader fans the fully reduced vector out to its
 	// members.
@@ -126,7 +126,7 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 		if leaderLayout {
 			r := t.ring(agg)
 			st := t.q.stage("inter-ring", r.rounds(t.chunk))
-			st.Actions = r.allGather(st.Actions)
+			st.actions = r.allGather(st.actions)
 		}
 		// Scatter: the leader forwards every cross-node block to each of
 		// its members, in the canonical cross-node order.
@@ -201,7 +201,7 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 			if size(p) == 0 {
 				continue
 			}
-			st.Actions = append(st.Actions, Action{
+			st.actions = append(st.actions, Action{
 				LocalCopy: true,
 				SendSeg:   nat[p], SendElems: size(p),
 				RecvSeg: perm[p],
@@ -229,7 +229,7 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 	if leader {
 		r := t.ring(agg)
 		st := t.q.stage("inter-ring", r.rounds(t.chunk))
-		st.Actions = r.reduceScatter(st.Actions)
+		st.actions = r.reduceScatter(st.actions)
 	}
 	// Scatter: the leader returns each member's fully reduced output
 	// segment from the permuted layout.

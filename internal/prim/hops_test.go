@@ -1,0 +1,200 @@
+package prim
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"dfccl/internal/topo"
+)
+
+// allToAll is the all-to-all hop schedule as a list, the reference a
+// generated stage (hops.action) is held to: every step in order, with the
+// two transit slots' alternation kept as state instead of computed. Block
+// (i→j), size(i, j) elements, travels mod(j-i, n) hops; distance st's hop
+// h is step (st, h).
+func (r ring) allToAll(acts []Action, size func(i, j int) int) []Action {
+	n, p := r.n, r.place
+	transit, last := 0, 0
+	for st := 1; st < n; st++ {
+		for h := 1; h <= st; h++ {
+			so, ro := mod(p-h+1, n), mod(p-h, n) // origins of the blocks sent and received
+			a := Action{
+				SendSeg: r.seg(2*n + last), SendElems: size(so, mod(so+st, n)), SendConn: r.conn,
+				RecvSeg: r.seg(n + ro), RecvElems: size(ro, mod(ro+st, n)), RecvConn: r.conn,
+			}
+			if h == 1 {
+				a.SendSeg = r.seg(mod(p+st, n)) // inject the own block st hops ahead
+			}
+			if h < st {
+				a.RecvSeg = r.seg(2*n + transit) // forwarded at the next step
+				last, transit = transit, 1-transit
+			}
+			acts = append(acts, a)
+		}
+	}
+	return acts
+}
+
+// sameActions reports whether st's actions are want, reading them in
+// rng's shuffled order, as a context restored after a preemption reads
+// the step it stopped at without the steps before it.
+func sameActions(st *Stage, want []Action, rng *rand.Rand) error {
+	if st.Len() != len(want) {
+		return fmt.Errorf("%d actions, want %d", st.Len(), len(want))
+	}
+	order := make([]int, len(want))
+	for k := range order {
+		order[k] = k
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, k := range order {
+		if got := st.Action(k); got != want[k] {
+			return fmt.Errorf("action %d = %+v, want %+v", k, got, want[k])
+		}
+	}
+	return nil
+}
+
+// checkHops holds every generated stage of seq to the list allToAll
+// makes from the same ring parameters.
+func checkHops(seq *Sequence, rng *rand.Rand) error {
+	for si := range seq.Stages {
+		st := &seq.Stages[si]
+		h := st.hops
+		if h.n == 0 {
+			continue
+		}
+		want := ring{place: h.place, n: h.n, blk: h.blk, conn: h.conn}.allToAll(nil, h.size)
+		if err := sameActions(st, want, rng); err != nil {
+			return fmt.Errorf("stage %d %q: %v", si, st.Label, err)
+		}
+	}
+	return nil
+}
+
+// a2avCounts is an n×n all-to-all-v matrix with entries 0–9 and, for
+// n > 2, a zero row and a zero column.
+func a2avCounts(rng *rand.Rand, n int) [][]int {
+	m := make([][]int, n)
+	for i := range m {
+		m[i] = make([]int, n)
+		for j := range m[i] {
+			m[i][j] = rng.Intn(10)
+		}
+	}
+	if n > 2 {
+		clear(m[rng.Intn(n)])
+		col := rng.Intn(n)
+		for _, row := range m {
+			row[col] = 0
+		}
+	}
+	return m
+}
+
+// TestHopsMatchList holds the flat all-to-all's generated stage, for
+// every place of n = 1…64 ranks, uniform and all-to-all-v, to the list
+// the reference builder makes from the spec.
+func TestHopsMatchList(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var want []Action
+	for n := 1; n <= 64; n++ {
+		ranks := rng.Perm(n)
+		for _, spec := range []Spec{
+			{Kind: AllToAll, Count: n % 4, ChunkElems: 3, Ranks: ranks},
+			{Kind: AllToAllv, Counts: a2avCounts(rng, n), ChunkElems: 3, Ranks: ranks},
+		} {
+			for pos := range n {
+				seq := spec.SequenceFor(pos)
+				want = ring{place: pos, n: n}.allToAll(want[:0], spec.count)
+				if err := sameActions(&seq.Stages[0], want, rng); err != nil {
+					t.Fatalf("%v n=%d pos %d: %v", spec.Kind, n, pos, err)
+				}
+				if got := seq.NumPrimitives(); got != len(want)*seq.Stages[0].Rounds {
+					t.Fatalf("%v n=%d pos %d: %d primitives, want %d", spec.Kind, n, pos, got, len(want)*seq.Stages[0].Rounds)
+				}
+			}
+		}
+	}
+}
+
+// TestHierHopsMatchList holds every leader's inter-ring stage, on 2–8
+// nodes of 1–3 GPUs in shuffled rank order, to the list the reference
+// builder makes over the aggregate sizes summed here from the spec.
+func TestHierHopsMatchList(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	checked := 0
+	for nodes := 2; nodes <= 8; nodes++ {
+		for gpus := 1; gpus <= 3; gpus++ {
+			c := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
+			ranks := rng.Perm(nodes * gpus)
+			n := len(ranks)
+			g := GroupByNode(c, ranks)
+			for _, spec := range []Spec{
+				{Kind: AllToAll, Algo: AlgoHierarchical, Count: 1 + n%3, ChunkElems: 4, Ranks: ranks},
+				{Kind: AllToAllv, Algo: AlgoHierarchical, Counts: a2avCounts(rng, n), ChunkElems: 4, Ranks: ranks},
+			} {
+				M := g.Nodes()
+				agg := func(x, y int) int {
+					sum := 0
+					for _, i := range g.Members[x] {
+						for _, j := range g.Members[y] {
+							sum += spec.count(i, j)
+						}
+					}
+					return sum
+				}
+				for x := range M {
+					pos := g.Leader(x)
+					seq := spec.HierSequenceFor(pos, g)
+					var st *Stage
+					for i := range seq.Stages {
+						if seq.Stages[i].Label == "inter-ring" {
+							st = &seq.Stages[i]
+						}
+					}
+					if st == nil {
+						t.Fatalf("%v %d×%d leader %d: no inter-ring stage", spec.Kind, nodes, gpus, pos)
+					}
+					want := ring{place: x, n: M, blk: st.hops.blk, conn: g.ringIdx(pos)}.allToAll(nil, agg)
+					if err := sameActions(st, want, rng); err != nil {
+						t.Fatalf("%v %d×%d leader %d: %v", spec.Kind, nodes, gpus, pos, err)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no inter-ring stage checked")
+	}
+}
+
+// TestAllToAllPlanIsSmall: a rank's all-to-all plan is O(n), not the
+// n(n-1)/2 hops (about 2 MiB at 256 ranks), and an all-to-all rebuilt
+// over a recycled one allocates nothing.
+func TestAllToAllPlanIsSmall(t *testing.T) {
+	const n = 256
+	rng := rand.New(rand.NewSource(3))
+	for _, spec := range []Spec{
+		{Kind: AllToAll, Count: 4, Ranks: rng.Perm(n)},
+		{Kind: AllToAllv, Counts: a2avCounts(rng, n), Ranks: rng.Perm(n)},
+	} {
+		const builds = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for pos := range builds {
+			spec.SequenceFor(pos)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / builds; got >= 64<<10 {
+			t.Errorf("%v: a %d-rank plan allocates %d bytes, budget 64 KiB", spec.Kind, n, got)
+		}
+		q := spec.SequenceFor(0)
+		if allocs := testing.AllocsPerRun(10, func() { spec.build(q, 1, NodeGrouping{}) }); allocs != 0 {
+			t.Errorf("%v: rebuilding a %d-rank plan over a recycled one allocates %v times", spec.Kind, n, allocs)
+		}
+	}
+}

@@ -12,13 +12,14 @@ import (
 )
 
 // checkPeers builds every position's TimingOnly executor over one wiring
-// (BuildRingOn for a ring spec, BuildHierFabricOn for a hierarchical one)
+// (a Wirings, which builds the ring or the hierarchical fabric)
 // and checks that the sequences agree where they meet: for each
 // connector, the ordered chunk lengths its writer sends (stages × rounds ×
 // actions) equal the ones its reader receives. It also checks that every
 // segment lies in the working buffer, that every action's bounds lie
-// inside its segments, and that the init copy and copy-out fit the
-// buffers BufferCountsFor sizes.
+// inside its segments, that the init copy and copy-out fit the
+// buffers BufferCountsFor sizes, and that every generated all-to-all
+// stage gives the reference list's actions (checkHops).
 func checkPeers(c *topo.Cluster, spec Spec) error {
 	spec = spec.Timing()
 	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "peers")
@@ -33,8 +34,10 @@ func checkPeers(c *topo.Cluster, spec Spec) error {
 			}
 		}
 		fits := func(seg, elems int) bool { return elems >= 0 && elems <= seq.segs[seg].len() }
-		for si, st := range seq.Stages {
-			for ai, a := range st.Actions {
+		for si := range seq.Stages {
+			st := &seq.Stages[si]
+			for ai := range st.Len() {
+				a := st.Action(ai)
 				if a.HasSend() && !fits(a.SendSeg, a.SendElems) || a.HasRecv() && !fits(a.RecvSeg, a.RecvElems) ||
 					a.LocalCopy && !fits(a.RecvSeg, a.SendElems) {
 					return fmt.Errorf("pos %d stage %d action %d %v: bounds %d/%d exceed segments %v/%v",
@@ -42,7 +45,8 @@ func checkPeers(c *topo.Cluster, spec Spec) error {
 				}
 			}
 			for r := 0; r < st.Rounds; r++ {
-				for _, a := range st.Actions {
+				for k := range st.Len() {
+					a := st.Action(k)
 					if a.LocalCopy {
 						continue
 					}
@@ -59,6 +63,9 @@ func checkPeers(c *topo.Cluster, spec Spec) error {
 		}
 		if err := checkBuffers(spec, pos, seq); err != nil {
 			return err
+		}
+		if err := checkHops(seq, rand.New(rand.NewSource(int64(pos)))); err != nil {
+			return fmt.Errorf("pos %d: %v", pos, err)
 		}
 	}
 	for conn, lens := range sent {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dfccl/internal/topo"
@@ -16,7 +17,7 @@ const pinnedSchedules = 0x1bd6128fceb61a68
 
 // schedulesHash builds, over a grid of trials seeded rank sets per shape, every position's Sequence for
 // all seven kinds on the ring and (where supported) hierarchically, and
-// hashes their %+v. The grid spans 1–4 nodes × 1–4 GPUs, seeded rank
+// hashes their listed rendering. The grid spans 1–4 nodes × 1–4 GPUs, seeded rank
 // subsets in seeded order, Count 0–299 (reduce-scatter rounded down to a
 // multiple of N), chunk 0–39 (0: the default) and all-to-all-v matrices
 // with zero entries. It returns the hash and the sequence count.
@@ -61,7 +62,7 @@ func schedulesHash(seed int64, trials int) (uint64, int) {
 							} else {
 								seq = spec.SequenceFor(pos)
 							}
-							fmt.Fprintf(h, "%v %v %d: %+v\n", kind, algo, pos, seq)
+							fmt.Fprintf(h, "%v %v %d: %+v\n", kind, algo, pos, listed(seq))
 							built++
 						}
 					}
@@ -70,6 +71,55 @@ func schedulesHash(seed int64, trials int) (uint64, int) {
 		}
 	}
 	return h.Sum64(), built
+}
+
+// listedPlan is a Sequence with every stage's actions listed, generated
+// ones included: its %+v renders a plan as the Sequence's own %+v did
+// when every stage was a list, so the pinned hash spans both forms. Its
+// fields mirror Sequence's, in order.
+type listedPlan struct {
+	Stages         []listedStage
+	segs           []segRange
+	chunkElems     int
+	workLen        int
+	initCopyOwnSeg int
+	useScratch     bool
+	seeded         bool
+	copyOut        []int
+}
+
+type listedStage struct {
+	Label   string
+	Actions []Action
+	Rounds  int
+}
+
+func listed(q *Sequence) *listedPlan {
+	p := &listedPlan{Stages: []listedStage{}, segs: q.segs, chunkElems: q.chunkElems, workLen: q.workLen,
+		initCopyOwnSeg: q.initCopyOwnSeg, useScratch: q.useScratch, seeded: q.seeded, copyOut: q.copyOut}
+	for i := range q.Stages {
+		st := &q.Stages[i]
+		acts := []Action{}
+		for k := range st.Len() {
+			acts = append(acts, st.Action(k))
+		}
+		p.Stages = append(p.Stages, listedStage{st.Label, acts, st.Rounds})
+	}
+	return p
+}
+
+// TestListedPlanMirrorsSequence keeps listedPlan in step with Sequence:
+// a field added to one and not the other would drop out of the hash.
+func TestListedPlanMirrorsSequence(t *testing.T) {
+	seq, lp := reflect.TypeOf(Sequence{}), reflect.TypeOf(listedPlan{})
+	if seq.NumField() != lp.NumField() {
+		t.Fatalf("Sequence has %d fields, listedPlan %d", seq.NumField(), lp.NumField())
+	}
+	for i := range seq.NumField() {
+		if seq.Field(i).Name != lp.Field(i).Name {
+			t.Fatalf("field %d: Sequence.%s, listedPlan.%s", i, seq.Field(i).Name, lp.Field(i).Name)
+		}
+	}
 }
 
 // TestSchedulesPinned holds every built schedule to the recorded hash:

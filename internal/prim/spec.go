@@ -16,6 +16,7 @@ package prim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -430,20 +431,40 @@ const (
 	initCopyPrefix = -3
 )
 
-// Stage is one phase of a sequence: its action list runs Rounds times
+// Stage is one phase of a sequence: its Len actions run Rounds times
 // (one chunk round per pass) before the next stage starts. A flat ring
 // sequence is one unlabelled stage; the hierarchical builders make one
 // stage per intra-node exchange offset, convoy, and leader-ring
-// schedule.
+// schedule. A stage lists its actions, except the all-to-all's hop
+// schedule, which Action computes from the cursor: its n(n-1)/2 actions
+// would make the plans of n ranks O(n³) bytes.
 type Stage struct {
 	// Label names the phase for diagnostics and preemption tests
 	// ("intra", "pack", "gather", "inter-ring", "scatter"; "" on the
 	// flat ring).
 	Label string
-	// Actions is the stage's per-round action list.
-	Actions []Action
-	// Rounds is how many times the action list runs (one chunk each).
+	// actions is a listed stage's per-round action list.
+	actions []Action
+	// Rounds is how many times the actions run (one chunk each).
 	Rounds int
+	// hops generates the actions of an all-to-all stage (hops.n > 0).
+	hops hops
+}
+
+// Len returns the stage's action count per round.
+func (st *Stage) Len() int {
+	if st.hops.n > 0 {
+		return st.hops.n * (st.hops.n - 1) / 2
+	}
+	return len(st.actions)
+}
+
+// Action returns the stage's action k, 0 ≤ k < Len().
+func (st *Stage) Action(k int) Action {
+	if st.hops.n > 0 {
+		return st.hops.action(k)
+	}
+	return st.actions[k]
 }
 
 // Sequence is the per-rank execution plan for one collective: its
@@ -484,11 +505,13 @@ type Sequence struct {
 }
 
 // NumPrimitives returns the total primitive count across all stages and
-// rounds — the quantity the paper's preemption analysis counts.
+// rounds — the quantity the paper's preemption analysis counts. Every
+// stage runs at least once, so 0 means a pure init copy and copy-out
+// (the single-rank no-op).
 func (s *Sequence) NumPrimitives() int {
 	total := 0
-	for _, st := range s.Stages {
-		total += len(st.Actions) * st.Rounds
+	for i := range s.Stages {
+		total += s.Stages[i].Len() * s.Stages[i].Rounds
 	}
 	return total
 }
@@ -503,16 +526,6 @@ func (s *Sequence) TotalRounds() int {
 	total := 0
 	for _, st := range s.Stages {
 		total += st.Rounds
-	}
-	return total
-}
-
-// totalActions counts actions across stages (0 means the sequence is a
-// pure init-copy/copy-out, e.g. the single-rank no-op).
-func (s *Sequence) totalActions() int {
-	total := 0
-	for _, st := range s.Stages {
-		total += len(st.Actions)
 	}
 	return total
 }
@@ -577,7 +590,7 @@ func mod(a, n int) int { return ((a % n) + n) % n }
 // position pos within s.Ranks, using the Ring algorithm and Simple
 // protocol (the configuration the paper evaluates). Hierarchical specs
 // need the cluster's node grouping and different wiring: build their
-// executors over a BuildHierFabricOn wiring, which calls HierSequenceFor.
+// executors with a Wirings, which builds their wiring and sequences.
 func (s Spec) SequenceFor(pos int) *Sequence {
 	return s.build(new(Sequence), pos, NodeGrouping{})
 }
@@ -596,7 +609,7 @@ func (s Spec) build(q *Sequence, pos int, g NodeGrouping) *Sequence {
 	case hier && s.Algo != AlgoHierarchical:
 		panic(fmt.Sprintf("prim: HierSequenceFor on a %v spec", s.Algo))
 	case s.Algo == AlgoHierarchical && !hier:
-		panic("prim: hierarchical sequences need node grouping; build executors over a BuildHierFabricOn wiring")
+		panic("prim: hierarchical sequences need node grouping; build executors with a Wirings")
 	case s.Algo == AlgoAuto:
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")
 	}
@@ -623,31 +636,31 @@ func (s Spec) build(q *Sequence, pos int, g NodeGrouping) *Sequence {
 	default:
 		panic(fmt.Sprintf("prim: unknown kind %v", s.Kind))
 	}
-	for i := range q.Stages {
-		if q.Stages[i].Actions == nil {
-			q.Stages[i].Actions = []Action{}
-		}
-	}
 	if q.copyOut == nil {
 		q.copyOut = []int{}
 	}
 	return q
 }
 
-// stage appends a stage to q, its action list empty over the array the
-// stage at that index held before, and returns it for the caller to
-// append the actions to (before the next stage is appended).
+// stage appends a stage to q, its action list empty (never nil) over the
+// array the stage at that index held before, and returns it for the
+// caller to append the actions to (before the next stage is appended) or
+// to set its hops.
 func (q *Sequence) stage(label string, rounds int) *Stage {
 	i := len(q.Stages)
 	q.Stages = slices.Grow(q.Stages, 1)[:i+1]
 	st := &q.Stages[i]
-	st.Label, st.Rounds, st.Actions = label, rounds, st.Actions[:0]
+	acts := st.actions[:0]
+	if acts == nil {
+		acts = []Action{}
+	}
+	*st = Stage{Label: label, actions: acts, Rounds: rounds}
 	return st
 }
 
 // dropEmpty removes the last stage if it has no actions.
 func (q *Sequence) dropEmpty() {
-	if i := len(q.Stages) - 1; len(q.Stages[i].Actions) == 0 {
+	if i := len(q.Stages) - 1; q.Stages[i].Len() == 0 {
 		q.Stages = q.Stages[:i]
 	}
 }
@@ -665,8 +678,7 @@ func (q *Sequence) evenSegs(count, n int) {
 // over the per-node aggregates on a leader's ring endpoint. The
 // schedules move numbered blocks; blk maps them onto working-buffer
 // segments (nil: block b is segment b). A block is as long as its
-// segment in segs, except in allToAll, whose blocks are sized by the
-// caller.
+// segment in segs.
 type ring struct {
 	place, n int
 	blk      []int
@@ -750,58 +762,90 @@ func (r ring) reduceScatter(acts []Action) []Action {
 	return acts
 }
 
-// allToAll is the store-and-forward exchange: block (i→j), size(i, j)
-// elements, travels mod(j-i, n) hops. The schedule runs distances
-// st = 1..n-1; within a distance, hop h of the block is forwarded at
-// step (st, h), so every step each place sends exactly one block chunk
-// and receives exactly one — uniform flow that keeps the bounded
-// connectors deadlock-free under in-order execution and resumable under
-// preemption. Blocks [0, n) are the place's outbound blocks by
-// destination, [n, 2n) its inbound ones by origin, and 2n, 2n+1 the two
-// transit slots it alternates between. Every action carries the size of
-// the block it moves, since a transit slot is generally longer than the
-// block it holds.
-func (r ring) allToAll(acts []Action, size func(i, j int) int) []Action {
-	n, p := r.n, r.place
-	acts = slices.Grow(acts, n*(n-1)/2)
-	transit, last := 0, 0
-	for st := 1; st < n; st++ {
-		for h := 1; h <= st; h++ {
-			so, ro := mod(p-h+1, n), mod(p-h, n) // origins of the blocks sent and received
-			a := Action{
-				SendSeg: r.seg(2*n + last), SendElems: size(so, mod(so+st, n)), SendConn: r.conn,
-				RecvSeg: r.seg(n + ro), RecvElems: size(ro, mod(ro+st, n)), RecvConn: r.conn,
-			}
-			if h == 1 {
-				a.SendSeg = r.seg(mod(p+st, n)) // inject the own block st hops ahead
-			}
-			if h < st {
-				a.RecvSeg = r.seg(2*n + transit) // forwarded at the next step
-				last, transit = transit, 1-transit
-			}
-			acts = append(acts, a)
-		}
-	}
-	return acts
+// hops is the all-to-all's store-and-forward exchange seen from one of
+// the n places of a ring: the flat ring's or the hierarchical leader
+// ring's, whose endpoint is conn and whose blocks map onto working-buffer
+// segments through blk (nil: block b is segment b). Block (i→j),
+// size(i, j) elements, travels mod(j-i, n) hops. The schedule runs
+// distances st = 1..n-1; within a distance, hop h of the block is
+// forwarded at step (st, h), so every step each place sends exactly one
+// block chunk and receives exactly one — uniform flow that keeps the
+// bounded connectors deadlock-free under in-order execution and
+// resumable under preemption. Blocks [0, n) are the place's outbound
+// blocks by destination, [n, 2n) its inbound ones by origin, and 2n,
+// 2n+1 the two transit slots it alternates between. Every action
+// carries the size of the block it moves, since a transit slot is
+// generally longer than the block it holds.
+//
+// The stage holds hops by value and computes each action from its step
+// index: every field is final once the plan is built.
+type hops struct {
+	place, n, conn int
+	blk            []int
+	// count is every block's length when counts is nil; otherwise block
+	// (i→j) is counts[i][j] elements long.
+	count  int
+	counts [][]int
 }
 
-// allToAllBounds returns what sizes the exchange: the longest block the
-// place receives at a non-final hop (the length of its transit slots)
-// and the longest block that moves at all, which sets the round count —
-// equal on every place, so the schedule stays step-matched and shorter
-// blocks send empty chunks in their tail rounds.
-func (r ring) allToAllBounds(size func(i, j int) int) (transit, moved int) {
-	n := r.n
+func (g hops) seg(b int) int {
+	if g.blk == nil {
+		return b
+	}
+	return g.blk[b]
+}
+
+func (g hops) size(i, j int) int {
+	if g.counts == nil {
+		return g.count
+	}
+	return g.counts[i][j]
+}
+
+// action is step k = st(st-1)/2 + h-1, hop h of distance st. The f
+// forwarded hops (h < st) before it alternate between the transit
+// slots, so it receives a forwarded block into slot f mod 2 and
+// forwards the one the forwarded hop before it received, from slot
+// (f-1) mod 2.
+func (g hops) action(k int) Action {
+	n, p := g.n, g.place
+	if k < 0 || k >= n*(n-1)/2 {
+		panic(fmt.Sprintf("prim: all-to-all step %d of %d", k, n*(n-1)/2))
+	}
+	st := int((1 + math.Sqrt(float64(1+8*k))) / 2) // exact while 1+8k < 2^52
+	h := k - st*(st-1)/2 + 1
+	f := (st-1)*(st-2)/2 + h - 1
+	so, ro := mod(p-h+1, n), mod(p-h, n) // origins of the blocks sent and received
+	a := Action{
+		SendSeg: g.seg(2*n + (f+1)%2), SendElems: g.size(so, mod(so+st, n)), SendConn: g.conn,
+		RecvSeg: g.seg(n + ro), RecvElems: g.size(ro, mod(ro+st, n)), RecvConn: g.conn,
+	}
+	if h == 1 {
+		a.SendSeg = g.seg(mod(p+st, n)) // inject the own block st hops ahead
+	}
+	if h < st {
+		a.RecvSeg = g.seg(2*n + f%2) // forwarded at the next step
+	}
+	return a
+}
+
+// bounds returns what sizes the exchange: the longest block the place
+// receives at a non-final hop (the length of its transit slots) and the
+// longest block that moves at all, which sets the round count — equal
+// on every place, so the schedule stays step-matched and shorter blocks
+// send empty chunks in their tail rounds.
+func (g hops) bounds() (transit, moved int) {
+	n := g.n
 	for st := 1; st < n; st++ {
 		for h := 1; h < st; h++ {
-			o := mod(r.place-h, n)
-			transit = max(transit, size(o, mod(o+st, n)))
+			o := mod(g.place-h, n)
+			transit = max(transit, g.size(o, mod(o+st, n)))
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
-				moved = max(moved, size(i, j))
+				moved = max(moved, g.size(i, j))
 			}
 		}
 	}
@@ -812,7 +856,7 @@ func (s Spec) allReduceSeq(q *Sequence, pos, n int) {
 	q.evenSegs(s.Count, n)
 	r := ring{place: pos, n: n, segs: q.segs}
 	st := q.stage("", r.rounds(q.chunkElems))
-	st.Actions = r.allReduce(st.Actions)
+	st.actions = r.allReduce(st.actions)
 	q.workLen = s.Count
 	q.initCopyOwnSeg = initCopyWhole // copy whole send buffer into recv buffer
 }
@@ -826,7 +870,7 @@ func (s Spec) allGatherSeq(q *Sequence, pos, n int) {
 	}
 	r := ring{place: pos, n: n, segs: q.segs}
 	st := q.stage("", r.rounds(q.chunkElems))
-	st.Actions = r.allGather(st.Actions)
+	st.actions = r.allGather(st.actions)
 	q.workLen = s.Count * n
 	q.initCopyOwnSeg = pos
 }
@@ -846,7 +890,7 @@ func (s Spec) reduceScatterSeq(q *Sequence, pos, n int) {
 	}
 	r := ring{place: pos, n: n, segs: q.segs}
 	st := q.stage("", r.rounds(q.chunkElems))
-	st.Actions = r.reduceScatter(st.Actions)
+	st.actions = r.reduceScatter(st.actions)
 	q.workLen = s.Count / n
 	q.initCopyOwnSeg = mod(pos-1, n) // the block step 0 sends
 	q.seeded = true
@@ -870,8 +914,8 @@ func (s Spec) allToAllSeq(q *Sequence, pos, n int) {
 		q.noopCopy(s.count(0, 0))
 		return
 	}
-	r := ring{place: pos, n: n}
-	transit, moved := r.allToAllBounds(s.count)
+	g := hops{place: pos, n: n, count: s.Count, counts: s.Counts} // a valid spec sets one of the two
+	transit, moved := g.bounds()
 	q.segs = slices.Grow(q.segs, 2*n+2)
 	lo := 0
 	for b := 0; b < 2*n+2; b++ {
@@ -890,8 +934,7 @@ func (s Spec) allToAllSeq(q *Sequence, pos, n int) {
 		q.copyOut = append(q.copyOut, n+o) // final block from origin o
 	}
 	q.copyOut[pos] = pos // self block stays in the own area
-	st := q.stage("", ceilDiv(moved, q.chunkElems))
-	st.Actions = r.allToAll(st.Actions, s.count)
+	q.stage("", ceilDiv(moved, q.chunkElems)).hops = g
 	q.workLen = lo
 	q.initCopyOwnSeg = initCopyPrefix
 	q.useScratch = true
@@ -973,11 +1016,11 @@ func (s Spec) chainSeq(q *Sequence, chainPos, n int, reduce bool) {
 	switch {
 	case n == 1:
 	case chainPos == 0:
-		st.Actions = append(st.Actions, r.act(0, -1, false))
+		st.actions = append(st.actions, r.act(0, -1, false))
 	case chainPos == n-1:
-		st.Actions = append(st.Actions, r.act(-1, 0, reduce))
+		st.actions = append(st.actions, r.act(-1, 0, reduce))
 	default:
-		st.Actions = append(st.Actions, r.act(0, 0, reduce))
+		st.actions = append(st.actions, r.act(0, 0, reduce))
 	}
 	q.workLen = s.Count
 }

@@ -12,7 +12,7 @@ import (
 // Wiring is the connector wiring of one collective over one rank order:
 // every ring position's recv and send endpoints plus the routes that
 // price its sends. A flat ring (BuildRingOn) gives each position one
-// endpoint each way; the hierarchical fabric (BuildHierFabricOn) gives
+// endpoint each way; the hierarchical fabric (buildHier) gives
 // it a full mesh to its same-node peers and, on node leaders, the
 // leader ring. Every connector is exactly one position's send endpoint.
 type Wiring struct {
@@ -71,16 +71,11 @@ func buildRing(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string)
 	return w
 }
 
-// BuildHierFabricOn creates the AlgoHierarchical wiring for a rank
-// order: a full mesh of SHM connectors between same-node members (so
-// intra-node blocks and leader convoys are direct, single-hop
-// transfers) plus one ring over the node leaders (the only RDMA
-// wiring), pricing transfers on net's fabric and staging chunks in a
-// pool of its own like BuildRingOn.
-func BuildHierFabricOn(net *fabric.Network, ranks []int, tag string) *Wiring {
-	return buildHier(new(mem.Chunks), net, ranks, tag)
-}
-
+// buildHier creates the AlgoHierarchical wiring for a rank order: a
+// full mesh of SHM connectors between same-node members (so intra-node
+// blocks and leader convoys are direct, single-hop transfers) plus one
+// ring over the node leaders (the only RDMA wiring), pricing transfers
+// on net's fabric and staging its chunks in the pool chunks.
 func buildHier(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string) *Wiring {
 	g := GroupByNode(net.Cluster(), ranks)
 	w := newWiring(net, ranks)

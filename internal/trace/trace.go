@@ -374,17 +374,6 @@ func (r *Recorder) SendBytesBy() (local, shm, rdma int) {
 	return local, shm, rdma
 }
 
-// SendBytesByJob sums the recorded send halves per tenant job ID — the
-// trace-derived side of per-tenant byte attribution. Job 0 collects
-// sends from untagged (single-job) collectives.
-func (r *Recorder) SendBytesByJob() map[int]int {
-	out := make(map[int]int)
-	for _, s := range r.Sends {
-		out[s.Job] += s.Bytes
-	}
-	return out
-}
-
 // MarkCount tallies marks of one kind.
 func (r *Recorder) MarkCount(kind MarkKind) int {
 	n := 0

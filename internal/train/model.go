@@ -47,24 +47,6 @@ type Model struct {
 	Layers []Layer
 }
 
-// TotalParams returns the total gradient element count.
-func (m Model) TotalParams() int {
-	total := 0
-	for _, l := range m.Layers {
-		total += l.GradElems
-	}
-	return total
-}
-
-// ComputePerSample returns the summed fwd+bwd compute per sample.
-func (m Model) ComputePerSample() sim.Duration {
-	var total sim.Duration
-	for _, l := range m.Layers {
-		total += l.FwdPerSample + l.BwdPerSample
-	}
-	return total
-}
-
 // SpeedFactor converts reference-GPU compute time to the given model's
 // (RTX 3090 = 1.0; the 3080Ti is ≈16% slower per sample, consistent
 // with the paper's Fig. 10 throughput ratios).
@@ -149,7 +131,3 @@ func ViTLarge() Model { return transformer("vit-large", 24, 1024, 197, 13000, 2*
 // GPT2 is the CodeParrot-style GPT-2 of Fig. 13: 12 blocks, hidden 768,
 // sequence 1024, ≈124M parameters, ≈25ms/sample.
 func GPT2() Model { return transformer("gpt2", 12, 768, 1024, 25000, 32768*768+1024*768) }
-
-// TinyModel is a 4-block miniature transformer used by tests and
-// debugging tools.
-func TinyModel() Model { return transformer("tiny", 4, 64, 16, 400, 2*64*16) }

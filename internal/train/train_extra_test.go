@@ -18,7 +18,7 @@ func TestJitterIsDeterministic(t *testing.T) {
 		cluster := topo.Server3090(4)
 		b := orch.NewStaticSort(e, cluster)
 		res, err := RunHybrid(e, cluster, b, HybridConfig{
-			Model: TinyModel(), TP: 2, DP: 2, PP: 1,
+			Model: smallModel(), TP: 2, DP: 2, PP: 1,
 			MicrobatchSize: 4, NumMicrobatches: 2, Iterations: 4,
 			JitterPct: 0.05, JitterSeed: 42,
 		})
@@ -38,7 +38,7 @@ func TestJitterProducesVariance(t *testing.T) {
 	cluster := topo.Server3090(2)
 	b := orch.NewStaticSort(e, cluster)
 	res, err := RunHybrid(e, cluster, b, HybridConfig{
-		Model: TinyModel(), TP: 1, DP: 2, PP: 1,
+		Model: smallModel(), TP: 1, DP: 2, PP: 1,
 		MicrobatchSize: 8, NumMicrobatches: 1, Iterations: 10,
 		JitterPct: 0.05, JitterSeed: 7,
 	})
@@ -54,7 +54,7 @@ func TestJitterProducesVariance(t *testing.T) {
 	cluster2 := topo.Server3090(2)
 	b2 := orch.NewStaticSort(e2, cluster2)
 	res2, err := RunHybrid(e2, cluster2, b2, HybridConfig{
-		Model: TinyModel(), TP: 1, DP: 2, PP: 1,
+		Model: smallModel(), TP: 1, DP: 2, PP: 1,
 		MicrobatchSize: 8, NumMicrobatches: 1, Iterations: 10,
 	})
 	if err != nil {
@@ -79,7 +79,7 @@ func TestHybridPipelineOnlyPP(t *testing.T) {
 			b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
 		}
 		res, err := RunHybrid(e, cluster, b, HybridConfig{
-			Model: TinyModel(), TP: 1, DP: 1, PP: 4,
+			Model: smallModel(), TP: 1, DP: 1, PP: 4,
 			MicrobatchSize: 4, NumMicrobatches: 4, Iterations: 2,
 		})
 		if err != nil {
@@ -100,7 +100,7 @@ func TestMoreMicrobatchesImprovePipelineUtilization(t *testing.T) {
 		cluster := topo.Server3090(4)
 		b := orch.NewStaticSort(e, cluster)
 		res, err := RunHybrid(e, cluster, b, HybridConfig{
-			Model: TinyModel(), TP: 1, DP: 1, PP: 4,
+			Model: smallModel(), TP: 1, DP: 1, PP: 4,
 			MicrobatchSize: mbSize, NumMicrobatches: mbs, Iterations: 3,
 		})
 		if err != nil {

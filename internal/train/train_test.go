@@ -10,24 +10,42 @@ import (
 	"dfccl/internal/topo"
 )
 
+// totalParams is m's gradient element count.
+func totalParams(m Model) int {
+	total := 0
+	for _, l := range m.Layers {
+		total += l.GradElems
+	}
+	return total
+}
+
+// computePerSample is m's summed fwd+bwd compute per sample.
+func computePerSample(m Model) sim.Duration {
+	var total sim.Duration
+	for _, l := range m.Layers {
+		total += l.FwdPerSample + l.BwdPerSample
+	}
+	return total
+}
+
 func TestModelShapes(t *testing.T) {
 	r := ResNet50()
-	if got := r.TotalParams(); got < 24_000_000 || got > 27_000_000 {
+	if got := totalParams(r); got < 24_000_000 || got > 27_000_000 {
 		t.Fatalf("resnet50 params = %d, want ≈25.5M", got)
 	}
 	if len(r.Layers) != 54 {
 		t.Fatalf("resnet50 layers = %d, want 54", len(r.Layers))
 	}
 	vb, vl := ViTBase(), ViTLarge()
-	if vb.TotalParams() >= vl.TotalParams() {
+	if totalParams(vb) >= totalParams(vl) {
 		t.Fatal("ViT-Large should have more parameters than ViT-Base")
 	}
-	if vb.ComputePerSample() >= vl.ComputePerSample() {
+	if computePerSample(vb) >= computePerSample(vl) {
 		t.Fatal("ViT-Large should cost more compute per sample")
 	}
 	g := GPT2()
-	if g.TotalParams() < 100_000_000 {
-		t.Fatalf("gpt2 params = %d, want >100M", g.TotalParams())
+	if totalParams(g) < 100_000_000 {
+		t.Fatalf("gpt2 params = %d, want >100M", totalParams(g))
 	}
 	for _, l := range vb.Layers[1 : len(vb.Layers)-1] {
 		if l.TPCommElems == 0 {
@@ -79,8 +97,9 @@ func TestStageSplit(t *testing.T) {
 	}
 }
 
-// smallModel keeps driver tests fast.
-func smallModel() Model { return TinyModel() }
+// smallModel is a 4-block miniature transformer that keeps driver tests
+// fast.
+func smallModel() Model { return transformer("tiny", 4, 64, 16, 400, 2*64*16) }
 
 func TestRunDPWithDFCCL(t *testing.T) {
 	e := sim.NewEngine()
