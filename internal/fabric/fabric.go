@@ -27,6 +27,7 @@ package fabric
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"dfccl/internal/sim"
@@ -80,14 +81,15 @@ type Link struct {
 	Tier Tier
 	// Capacity is the pool's total bandwidth in bytes/second.
 	Capacity float64
+	idx      int // position in Network.links
 
 	// Accounting, accumulated by advance().
 	bytes     float64      // bytes carried so far
 	busy      sim.Duration // time with at least one active flow
 	saturated sim.Duration // time with the full capacity allocated
 
-	// Live solver state (valid between recompute calls).
-	nflows       int     // active flows crossing the link
+	// Live solver state (valid between recompute calls, zero while idle).
+	nflows       int     // active flows crossing the link, kept by join and remove
 	alloc        float64 // total rate allocated across those flows
 	saturatedNow bool    // alloc reached capacity at last solve
 
@@ -246,6 +248,7 @@ type Network struct {
 	routes map[[2]int]Route
 
 	flows  []*flow
+	busy   []*Link   // the links carrying a flow, in construction order
 	spare  []*Xfer   // finished TransferJob records, reused by the next ones
 	change *sim.Cond // broadcast on every flow join/leave
 	lastAt sim.Time  // last time flow progress was accrued
@@ -291,7 +294,7 @@ func Shared(c *topo.Cluster, cfg Config) *Network {
 
 // addLink registers a pool and returns it.
 func (n *Network) addLink(name string, tier Tier, capacity float64) *Link {
-	l := &Link{Name: name, Tier: tier, Capacity: capacity}
+	l := &Link{Name: name, Tier: tier, Capacity: capacity, idx: len(n.links)}
 	n.links = append(n.links, l)
 	return l
 }
@@ -347,6 +350,7 @@ func (n *Network) build() {
 		n.spine = n.addLink("spine", TierSpine,
 			float64(machines)*c.Links.RDMABW/(cfg.LeafOversub*cfg.SpineOversub))
 	}
+	n.busy = make([]*Link, 0, len(n.links))
 }
 
 // Cluster returns the cluster the network was built from.
@@ -414,11 +418,10 @@ func (n *Network) Snapshot() []LinkStat {
 // Unlike link byte counters it is accrued on both shared and unshared
 // networks, so per-tenant attribution works under either pricing model.
 func (n *Network) JobBytes() map[int]int64 {
-	out := make(map[int]int64, len(n.jobBytes))
-	for job, b := range n.jobBytes {
-		out[job] = b
+	if n.jobBytes == nil {
+		return map[int]int64{}
 	}
-	return out
+	return maps.Clone(n.jobBytes)
 }
 
 // NICLoad returns, per machine, the bytes accrued so far on that

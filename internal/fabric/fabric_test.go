@@ -289,13 +289,17 @@ func TestTierSummary(t *testing.T) {
 // recompute itself panics if a link is over-committed or a flow is left
 // without a rate; the test adds the half it cannot afford on every solve:
 // the rates are max-min fair, so every flow runs at its path's cap or
-// crosses a link the solve left saturated.
+// crosses a link the solve left saturated. It also holds join and remove to
+// the busy links the solve walks: exactly the links of the live flows, in
+// construction order, and every other link idle with nothing allocated.
 func TestRecomputeInvariantHolds(t *testing.T) {
 	n := Shared(topo.MultiNode3090(4), OversubConfig(4))
 	size := n.Cluster().Size()
 	for seq := 0; seq < 1000; seq++ {
 		rng := rand.New(rand.NewSource(int64(seq)))
-		n.flows = n.flows[:0]
+		for len(n.flows) > 0 {
+			n.remove(n.flows[0])
+		}
 		for step := 0; step < 48; step++ {
 			if len(n.flows) > 0 && rng.Intn(3) == 0 {
 				n.remove(n.flows[rng.Intn(len(n.flows))])
@@ -303,9 +307,22 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 				a := rng.Intn(size)
 				b := (a + 1 + rng.Intn(size-1)) % size
 				r := n.RouteBetween(a, b)
-				n.flows = append(n.flows, &flow{route: r, remaining: 1 << 20, cap: r.Path.Bandwidth})
+				n.join(&flow{route: r, remaining: 1 << 20, cap: r.Path.Bandwidth})
 			}
 			n.recompute()
+			var busy []*Link
+			for _, l := range n.links {
+				crossed := slices.ContainsFunc(n.flows, func(f *flow) bool { return crosses(f, l) })
+				if crossed {
+					busy = append(busy, l)
+				} else if l.nflows != 0 || l.alloc != 0 || l.saturatedNow {
+					t.Fatalf("sequence %d step %d: idle link %s has %d flows, %.0f B/s allocated, saturated %v",
+						seq, step, l.Name, l.nflows, l.alloc, l.saturatedNow)
+				}
+			}
+			if !slices.Equal(n.busy, busy) {
+				t.Fatalf("sequence %d step %d: busy links %v, want those of the live flows %v", seq, step, linkNames(n.busy), linkNames(busy))
+			}
 			for _, f := range n.flows {
 				bottlenecked := f.rate == f.cap
 				for _, l := range f.route.Links {
@@ -323,13 +340,22 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 	// with less than that cannot carry.
 	thin := &Network{shared: true}
 	l := thin.addLink("thin", TierSpine, 0.5)
-	thin.flows = []*flow{{route: Route{Links: []*Link{l}}, remaining: 1, cap: 10}}
+	thin.join(&flow{route: Route{Links: []*Link{l}}, remaining: 1, cap: 10})
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "link thin") {
 			t.Fatalf("recompute over an over-committed link: recovered %v, want a panic naming it", r)
 		}
 	}()
 	thin.recompute()
+}
+
+// linkNames names links for failure messages.
+func linkNames(links []*Link) []string {
+	var names []string
+	for _, l := range links {
+		names = append(names, l.Name)
+	}
+	return names
 }
 
 // loopTransferJob is TransferJob as it was while the transferring process
@@ -350,7 +376,7 @@ func loopTransferJob(n *Network, p *sim.Process, r Route, bytes, job int) {
 		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowStart, Bytes: bytes, Job: job})
 	}
 	n.advance(e.Now())
-	n.flows = append(n.flows, f)
+	n.join(f)
 	n.recompute()
 	n.change.Broadcast(e)
 	for {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dfccl/internal/sim"
 	"dfccl/internal/trace"
@@ -81,7 +82,7 @@ func (x *Xfer) Next() (sim.Wait, bool) {
 			n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowStart, Bytes: x.bytes, Job: f.job})
 		}
 		n.advance(e.Now())
-		n.flows = append(n.flows, f)
+		n.join(f)
 		n.recompute()
 		n.change.Broadcast(e)
 		x.at = xferFlowing
@@ -140,20 +141,35 @@ func (f *flow) eta() sim.Duration {
 	return sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
 }
 
-// remove drops a finished flow from the active set.
+// join adds a flow to the active set and its links to the busy ones.
+func (n *Network) join(f *flow) {
+	n.flows = append(n.flows, f)
+	for _, l := range f.route.Links {
+		if l.nflows++; l.nflows == 1 {
+			i, _ := slices.BinarySearchFunc(n.busy, l.idx, func(b *Link, idx int) int { return b.idx - idx })
+			n.busy = slices.Insert(n.busy, i, l)
+		}
+	}
+}
+
+// remove drops a finished flow from the active set. A link it leaves
+// without flows leaves the busy ones with nothing allocated.
 func (n *Network) remove(f *flow) {
-	for i, g := range n.flows {
-		if g == f {
-			n.flows = append(n.flows[:i], n.flows[i+1:]...)
-			return
+	i := slices.Index(n.flows, f)
+	n.flows = slices.Delete(n.flows, i, i+1)
+	for _, l := range f.route.Links {
+		if l.nflows--; l.nflows == 0 {
+			n.busy = slices.DeleteFunc(n.busy, func(b *Link) bool { return b == l })
+			l.alloc, l.saturatedNow = 0, false
 		}
 	}
 }
 
 // advance accrues progress for every active flow from the last
-// accounting instant to now at the rates of the last solve, updating
-// per-link byte/busy/saturated counters. It must run before any change
-// to the flow set (and after every wakeup, before remaining is read).
+// accounting instant to now at the rates of the last solve, updating the
+// busy links' byte/busy/saturated counters in construction order. It must
+// run before any change to the flow set (and after every wakeup, before
+// remaining is read), so the busy links are those of the last solve.
 func (n *Network) advance(now sim.Time) {
 	prev := n.lastAt
 	dt := now.Sub(n.lastAt)
@@ -172,17 +188,15 @@ func (n *Network) advance(now sim.Time) {
 			l.bytes += moved
 		}
 	}
-	for _, l := range n.links {
-		if l.nflows > 0 {
-			l.busy += dt
-			if l.saturatedNow {
-				l.saturated += dt
-				if n.rec != nil {
-					// One interval per accounting window; adjacent
-					// windows of a continuously saturated link appear as
-					// abutting spans on the link's trace track.
-					n.rec.RecordSat(trace.SatSpan{Start: prev, End: now, Link: l.Name, Tier: l.Tier.String()})
-				}
+	for _, l := range n.busy {
+		l.busy += dt
+		if l.saturatedNow {
+			l.saturated += dt
+			if n.rec != nil {
+				// One interval per accounting window; adjacent windows of
+				// a continuously saturated link appear as abutting spans
+				// on the link's trace track.
+				n.rec.RecordSat(trace.SatSpan{Start: prev, End: now, Link: l.Name, Tier: l.Tier.String()})
 			}
 		}
 	}
@@ -192,29 +206,25 @@ func (n *Network) advance(now sim.Time) {
 // progressive filling: repeatedly find the bottleneck — the link whose
 // equal share among its unfrozen flows is smallest — and freeze its
 // flows at that share (flows whose own Path.Bandwidth cap binds first
-// freeze at their cap). Iteration is in deterministic slice order, so
-// identical flow sets always solve to identical rates.
+// freeze at their cap). It touches only the busy links, in construction
+// order, and the bottleneck is the first of them to reach the least share.
+// Iteration is in deterministic slice order, so identical flow sets always
+// solve to identical rates.
 func (n *Network) recompute() {
-	for _, l := range n.links {
-		l.nflows, l.alloc = 0, 0
-		l.avail, l.live = l.Capacity, 0
-		l.saturatedNow = false
+	for _, l := range n.busy {
+		l.alloc, l.avail, l.live = 0, l.Capacity, l.nflows
 	}
 	for _, f := range n.flows {
 		f.prevRate = f.rate
 		f.rate, f.frozen = 0, false
-		for _, l := range f.route.Links {
-			l.nflows++
-			l.live++
-		}
 	}
 	unfrozen := len(n.flows)
 	for unfrozen > 0 {
-		minShare := math.Inf(1)
-		for _, l := range n.links {
+		minShare, bottleneck := math.Inf(1), (*Link)(nil)
+		for _, l := range n.busy {
 			if l.live > 0 {
 				if s := l.avail / float64(l.live); s < minShare {
-					minShare = s
+					minShare, bottleneck = s, l
 				}
 			}
 		}
@@ -229,13 +239,6 @@ func (n *Network) recompute() {
 		if capped {
 			continue // shares may have grown; re-find the bottleneck
 		}
-		var bottleneck *Link
-		for _, l := range n.links {
-			if l.live > 0 && l.avail/float64(l.live) == minShare {
-				bottleneck = l
-				break
-			}
-		}
 		for _, f := range n.flows {
 			if !f.frozen && crosses(f, bottleneck) {
 				n.freeze(f, minShare)
@@ -243,14 +246,14 @@ func (n *Network) recompute() {
 			}
 		}
 	}
-	for _, l := range n.links {
+	for _, l := range n.busy {
 		// What the solve promises, whatever the flow set: every flow
 		// frozen at a rate, and no link handing out more than it has.
 		if l.live != 0 || l.alloc > l.Capacity*(1+1e-9) {
 			panic(fmt.Sprintf("fabric: link %s after recompute: %d flows unfrozen, %.0f of %.0f B/s allocated",
 				l.Name, l.live, l.alloc, l.Capacity))
 		}
-		l.saturatedNow = l.nflows > 0 && l.alloc >= l.Capacity*(1-1e-9)
+		l.saturatedNow = l.alloc >= l.Capacity*(1-1e-9)
 	}
 	if n.rec != nil {
 		// recompute always runs right after advance(now), so n.lastAt is

@@ -308,8 +308,18 @@ func reduce[T number](op ReduceOp, dst, src []T) {
 	dst = dst[:len(src)]
 	switch op {
 	case Sum:
-		for i, s := range src {
-			dst[i] += s
+		// Four at a time: one at a time, the loop ran up to twice as slow
+		// in binaries that placed it across a 64-byte line.
+		n := len(src) &^ 3
+		for i := 0; i < n; i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			d[0] += s[0]
+			d[1] += s[1]
+			d[2] += s[2]
+			d[3] += s[3]
+		}
+		for i := n; i < len(src); i++ {
+			dst[i] += src[i]
 		}
 	case Prod:
 		for i, s := range src {

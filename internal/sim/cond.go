@@ -82,7 +82,7 @@ func (c *Cond) Broadcast(e *Engine) {
 func (c *Cond) wake(e *Engine, p *Process) {
 	p.cond = nil
 	p.timedOut = false
-	e.schedule(p, e.now) // takes over the slot of a pending timeout
+	e.schedule(p, e.now) // a pending timeout's slot stays behind, kept
 }
 
 // Waiters returns the number of processes currently blocked on c.

@@ -8,10 +8,11 @@
 // coroutine whose body returned runs the next spawned process. Processes
 // advance virtual time by sleeping or by waiting on conditions; the engine
 // orders all wakeups on a priority queue keyed by (virtual time, sequence
-// number), which makes every run bit-for-bit reproducible. The queue holds
-// one entry per process, the wakeup it is parked on: a signal that beats a
-// WaitTimeout's timer moves the timer's entry to the new key, so a timer
-// that never fires costs nothing once its wait is over.
+// number), which makes every run bit-for-bit reproducible. A wakeup at the
+// current instant joins a FIFO lane instead, drained in the same order. The
+// heap holds one slot per process: a signal that beats a WaitTimeout's timer
+// leaves the timer's slot kept, for the next timer to re-key in place, so a
+// timer that never fires costs nothing once its wait is over.
 //
 // A process is resumed when only its own body can go on, not whenever a
 // wait of its ends. Code whose work between two waits needs no stack of its
@@ -95,11 +96,12 @@ func (a event) before(b event) bool {
 }
 
 // eventQueue is a binary min-heap ordered by (at, seq) that holds at most
-// one event per process: the wakeup the process is parked on. Each entry's
-// position is kept in its process (Process.ev), so the wake of a timed
-// waiter re-keys the waiter's pending timer in place instead of leaving a
-// cancelled one behind, and the heap is never deeper than the live
-// processes are many, however many timers were set and never fired.
+// one slot per process. Each slot's position is kept in its process
+// (Process.ev), so a process's next timer re-keys its slot in place instead
+// of leaving a cancelled one behind, and the heap is never deeper than the
+// live processes are many, however many timers were set and never fired. A
+// slot holds the process's event while its seq is the process's (Process.seq);
+// otherwise it is kept: the process was woken through the lane.
 //
 // Events sit in the array by value, so a sift compares without leaving it;
 // it moves a hole and writes Process.ev only for the entries that move.
@@ -163,6 +165,23 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// remove drops the slot at i.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	gone, last := h[i], h[n]
+	h[n] = event{}
+	*q = h[:n]
+	gone.p.ev = 0
+	switch {
+	case i == n:
+	case last.before(gone):
+		h[:n].up(i, last)
+	default:
+		h[:n].down(i, last)
+	}
+}
+
 // Engine is a discrete-event simulation driver. It is not safe for
 // concurrent use; all interaction happens from the goroutine that calls
 // Run plus the process coroutines the engine itself resumes.
@@ -170,6 +189,8 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
+	lane    []event // events at now, in seq order from lane[next]; empty once drained
+	next    int
 	live    int      // processes spawned and not yet finished
 	head    *Process // the live processes, linked through Process.prev/next
 	idle    *worker  // coroutines whose body returned, linked through worker.idle
@@ -195,25 +216,33 @@ const (
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	// 64 events cover a whole one-shot run of a few ranks, which would
-	// otherwise grow the queue 1-2-4-...-64 on every fresh engine.
-	return &Engine{queue: make(eventQueue, 0, 64), fp: fnvOffset}
+	// otherwise grow the queue 1-2-4-...-64 on every fresh engine; 32 hold
+	// the widest instant of the benchmarked workloads. One array backs both.
+	buf := make([]event, 96)
+	return &Engine{queue: buf[:0:64], lane: buf[64:64], fp: fnvOffset}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// schedule queues p's wakeup, the one event p has. A process that already
-// has one is a timed waiter being woken at now. Its timer is due no
-// earlier, so the entry takes the new key and moves up; unless the timer
-// is due at this very instant: then the time stays, the sequence number
-// grows, and the entry moves down.
+// schedule queues p's wakeup, the one event p has: its seq becomes p's, so
+// whatever p had queued before is stale. An event at now is due after all
+// queued so far and the lane holds only now, so it is appended there; a
+// timed waiter woken at now thus leaves its timer's slot kept. A later timer
+// re-keys the slot in place: up if due before the old key, else down.
 func (e *Engine) schedule(p *Process, at Time) {
 	e.seq++
+	p.seq = e.seq
 	ev := event{at: at, seq: e.seq, p: p}
 	switch i := p.ev - 1; {
+	case at == e.now:
+		if e.next > 0 && len(e.lane) == cap(e.lane) {
+			e.lane, e.next = e.lane[:copy(e.lane, e.lane[e.next:])], 0
+		}
+		e.lane = append(e.lane, ev)
 	case i < 0:
 		e.queue.push(ev)
-	case at < e.queue[i].at:
+	case ev.before(e.queue[i]):
 		e.queue.up(i, ev)
 	default:
 		e.queue.down(i, ev)
@@ -299,22 +328,33 @@ func (e *Engine) Run() error {
 	// them); idle ones would be unreachable goroutines from here on.
 	defer e.stopIdle()
 	for {
-		if len(e.queue) == 0 {
+		var ev event
+		if len(e.lane) != 0 && (len(e.queue) == 0 || e.lane[e.next].before(e.queue[0])) {
+			if e.MaxTime != 0 && e.now > e.MaxTime {
+				return ErrTimeLimit
+			}
+			ev, e.lane[e.next] = e.lane[e.next], event{} // release the *Process reference
+			if e.next++; e.next == len(e.lane) {
+				e.lane, e.next = e.lane[:0], 0
+			}
+		} else if len(e.queue) == 0 {
 			if e.live == 0 {
 				return nil
 			}
 			// Every remaining live process must be blocked on a
 			// condition with no timeout: a global deadlock.
 			return ErrDeadlock
-		}
-		ev := e.queue[0]
-		p := ev.p
-		if e.MaxTime != 0 && ev.at > e.MaxTime {
-			// The event stays queued: Run again under a higher
-			// MaxTime picks up exactly here.
+		} else if ev = e.queue[0]; ev.seq == ev.p.seq && e.MaxTime != 0 && ev.at > e.MaxTime {
+			// The event stays queued: Run again under a higher MaxTime
+			// picks up exactly here.
 			return ErrTimeLimit
+		} else {
+			e.queue.pop()
 		}
-		e.queue.pop()
+		p := ev.p
+		if ev.seq != p.seq {
+			continue // a kept slot, or a timer at now that a signal beat
+		}
 		e.now = ev.at
 		e.fp = (e.fp ^ uint64(ev.at)) * fnvPrime
 		e.fp = (e.fp ^ ev.seq) * fnvPrime
@@ -403,8 +443,11 @@ func (e *Engine) step(p *Process) error {
 	if !p.done {
 		return nil
 	}
-	if p.ev != 0 {
-		panic(fmt.Sprintf("sim: process %q ended with an event still queued", p.name))
+	if i := p.ev - 1; i >= 0 {
+		if e.queue[i].seq == p.seq {
+			panic(fmt.Sprintf("sim: process %q ended with an event still queued", p.name))
+		}
+		e.queue.remove(i) // a kept slot
 	}
 	w.p, p.w = nil, nil
 	w.idle, e.idle = e.idle, w

@@ -674,14 +674,28 @@ func TestRunSpawnRun(t *testing.T) {
 }
 
 // checkQueue asserts what the event queue promises between any two
-// dispatches: a heap in (at, seq) order holding exactly the one pending
-// event of every process that has one, each entry's position recorded in
-// its process, and so never more entries than live processes.
+// dispatches. The heap is in (at, seq) order and holds at most one slot per
+// live process, each slot's position recorded in its process, and so never
+// more slots than live processes. The lane holds events at now in rising
+// seq order from its head, and is reset once drained. An entry is live when
+// its seq is its process's and stale when older: a kept slot, or a timer at
+// now that a signal beat. Every live process has at most one live event, and
+// all but the one executing, if any, have one or are blocked on a condition.
 func checkQueue(t *testing.T, e *Engine) {
 	t.Helper()
 	q := e.queue
 	if len(q) > e.live {
-		t.Fatalf("queue holds %d events for %d live processes", len(q), e.live)
+		t.Fatalf("queue holds %d slots for %d live processes", len(q), e.live)
+	}
+	events := make([]int, e.spawned) // live events per process, by spawn ordinal
+	entry := func(where string, i int, ev event) {
+		t.Helper()
+		switch {
+		case ev.p.done || ev.seq > ev.p.seq:
+			t.Fatalf("%s[%d] = (%v, %d) belongs to %s, which is done or whose latest event is %d", where, i, ev.at, ev.seq, ev.p.name, ev.p.seq)
+		case ev.seq == ev.p.seq:
+			events[ev.p.ord]++
+		}
 	}
 	for i, ev := range q {
 		if ev.p.ev != i+1 {
@@ -690,19 +704,39 @@ func checkQueue(t *testing.T, e *Engine) {
 		if i > 0 && ev.before(q[(i-1)/2]) {
 			t.Fatalf("queue[%d] = (%v, %d) is due before its parent (%v, %d)", i, ev.at, ev.seq, q[(i-1)/2].at, q[(i-1)/2].seq)
 		}
+		entry("queue", i, ev)
 	}
-	queued := 0
+	if len(e.lane) > 0 && e.next >= len(e.lane) || len(e.lane) == 0 && e.next != 0 {
+		t.Fatalf("lane of %d events has its head at %d", len(e.lane), e.next)
+	}
+	for i := e.next; i < len(e.lane); i++ {
+		ev := e.lane[i]
+		if ev.at != e.now || i > e.next && ev.seq <= e.lane[i-1].seq {
+			t.Fatalf("lane[%d] = (%v, %d) at %v after seq %d", i, ev.at, ev.seq, e.now, e.lane[max(i-1, 0)].seq)
+		}
+		entry("lane", i, ev)
+	}
+	queued, awake := 0, 0
 	for p := e.head; p != nil; p = p.next {
+		if events[p.ord] > 1 {
+			t.Fatalf("%s has %d live events", p.name, events[p.ord])
+		}
+		if events[p.ord] == 0 && p.cond == nil {
+			awake++
+		}
 		if p.ev == 0 {
 			continue
 		}
 		queued++
 		if p.ev > len(q) || q[p.ev-1].p != p {
-			t.Fatalf("%s records position %d, which is not its event", p.name, p.ev-1)
+			t.Fatalf("%s records position %d, which is not its slot", p.name, p.ev-1)
 		}
 	}
 	if queued != len(q) {
-		t.Fatalf("queue holds %d events, live processes record %d", len(q), queued)
+		t.Fatalf("queue holds %d slots, live processes record %d", len(q), queued)
+	}
+	if awake > 1 {
+		t.Fatalf("%d processes are neither queued nor blocked on a condition", awake)
 	}
 }
 
@@ -754,10 +788,10 @@ func TestQueueHoldsOnlyLiveEvents(t *testing.T) {
 	})
 }
 
-// TestTimerRekeyEdgeCases: waking a timed waiter re-keys its queued timer
-// to (now, next seq). Every case checks the queue after each wake and
-// pins the dispatch order, which is FIFO by sequence number within an
-// instant whatever position the re-keyed entry started from.
+// TestTimerRekeyEdgeCases: waking a timed waiter queues (now, next seq) in
+// the lane and leaves its timer's slot kept where it sits. Every case checks
+// the queue after each wake and pins the dispatch order, which is FIFO by
+// sequence number within an instant whatever position the kept slot holds.
 func TestTimerRekeyEdgeCases(t *testing.T) {
 	// run spawns the named bodies in order and returns the order in
 	// which they logged.
@@ -780,8 +814,8 @@ func TestTimerRekeyEdgeCases(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if e.LiveProcesses() != 0 || len(e.queue) != 0 {
-			t.Fatalf("%d live processes and %d queued events after Run", e.LiveProcesses(), len(e.queue))
+		if e.LiveProcesses() != 0 || len(e.queue) != 0 || len(e.lane) != 0 {
+			t.Fatalf("%d live processes, %d slots and %d lane events after Run", e.LiveProcesses(), len(e.queue), len(e.lane))
 		}
 		return order
 	}
@@ -809,9 +843,8 @@ func TestTimerRekeyEdgeCases(t *testing.T) {
 
 	t.Run("deadline equals now", func(t *testing.T) {
 		// At t=10 the queue holds, by seq: s, eight timers, eight
-		// sleepers. s broadcasts: the timers keep their time and take
-		// later seqs, so every sleeper runs before any waiter. A re-key
-		// that only sifted up would leave waiters above sleepers.
+		// sleepers. s broadcasts: the wakes take later seqs, so every
+		// sleeper runs before any waiter, and the timers, kept, never fire.
 		var c Cond
 		procs := []proc{{"s", func(p *Process, e *Engine, log func(string)) {
 			p.Sleep(10)
@@ -881,8 +914,20 @@ func TestTimerRekeyEdgeCases(t *testing.T) {
 			p.Sleep(3)
 			c.Broadcast(e)
 			checkQueue(t, e)
-			if len(e.queue) != 64 {
-				t.Errorf("%d events queued for 64 woken waiters", len(e.queue))
+			// Every timer's slot stays in the heap, kept; the wakes are
+			// the lane, in waiter order.
+			if len(e.queue) != 64 || len(e.lane)-e.next != 64 {
+				t.Errorf("%d slots and %d lane events for 64 woken waiters", len(e.queue), len(e.lane)-e.next)
+			}
+			for i, ev := range e.queue {
+				if ev.seq == ev.p.seq {
+					t.Errorf("queue[%d]: %s's timer still holds its event", i, ev.p.name)
+				}
+			}
+			for i, ev := range e.lane[e.next:] {
+				if want := fmt.Sprintf("w%d", i); ev.p.name != want || ev.at != 3 {
+					t.Errorf("lane[%d] = %s at %v, want %s at 3ns", i, ev.p.name, ev.at, want)
+				}
 			}
 		}})
 		expect(t, run(t, procs...), want...)
@@ -920,8 +965,9 @@ func TestTimerRekeyEdgeCases(t *testing.T) {
 
 	t.Run("root and last leaf", func(t *testing.T) {
 		// Ten timers with s running: signal whichever sits in the last
-		// slot (it climbs the whole heap), then the root (it stays),
-		// then the rest.
+		// slot, then the root, then the rest. Each keeps its slot where
+		// it is and joins the lane's tail; each body then ends and takes
+		// its slot out, wherever the others' removals left it.
 		conds := make([]Cond, 10)
 		var waiters []*Process
 		e := NewEngine()
@@ -945,24 +991,31 @@ func TestTimerRekeyEdgeCases(t *testing.T) {
 			}
 			signal := func(i int) {
 				want = append(want, waiters[i].name)
+				slot := waiters[i].ev
 				conds[i].Signal(e)
 				checkQueue(t, e)
+				if tail := e.lane[len(e.lane)-1]; waiters[i].ev != slot || tail.p != waiters[i] {
+					t.Errorf("woken %s sits at %d with %s last in the lane, want its slot kept at %d and its wake last", waiters[i].name, waiters[i].ev-1, tail.p.name, slot-1)
+				}
 			}
 			signal(leaf)
-			if waiters[leaf].ev != 1 {
-				t.Errorf("the woken last leaf sits at %d, want the root", waiters[leaf].ev-1)
-			}
 			signal(root)
 			for i := 1; i < len(waiters); i++ {
 				if i != leaf {
 					signal(i)
 				}
 			}
+			if len(e.queue) != 10 || len(e.lane)-e.next != 10 {
+				t.Errorf("%d slots and %d lane events after ten wakes, want 10 kept and 10 queued", len(e.queue), len(e.lane)-e.next)
+			}
 		})
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		expect(t, order, want...)
+		if len(e.queue) != 0 {
+			t.Fatalf("%d slots left after every body ended", len(e.queue))
+		}
 	})
 }
 
