@@ -142,7 +142,7 @@ func (r *RankContext) fetchSQEs(p *sim.Process, queue *[]*collTask) int {
 		if sqe.Exit {
 			return -1
 		}
-		t := r.tasks[sqe.CollID]
+		t := r.task(sqe.CollID)
 		p.Sleep(ParseSQETime)
 		if t == nil {
 			// Stale SQE: after a voluntary quit, a restarted daemon

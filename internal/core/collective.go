@@ -197,10 +197,7 @@ func (c *Collective) Rank() int { return c.r.Rank }
 // closed check matters because collective IDs are reusable after a
 // full close: a stale handle must not report a successor's spec.
 func (c *Collective) Spec() prim.Spec {
-	if c.closed {
-		return prim.Spec{}
-	}
-	if t, ok := c.r.tasks[c.id]; ok {
+	if t := c.r.task(c.id); t != nil && !c.closed {
 		return t.group.Spec
 	}
 	return prim.Spec{}
@@ -220,8 +217,8 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 	if c.r.destroyed {
 		return fmt.Errorf("core: rank %d context destroyed", c.r.Rank)
 	}
-	t, ok := c.r.tasks[c.id]
-	if !ok {
+	t := c.r.task(c.id)
+	if t == nil {
 		return fmt.Errorf("core: collective %d not registered on rank %d", c.id, c.r.Rank)
 	}
 	return t.checkBuffers(send, recv)
@@ -298,11 +295,8 @@ type CollectiveStats struct {
 // zero value after Close (IDs are reusable after a full close, so a
 // stale handle must not report a successor's statistics).
 func (c *Collective) Stats() CollectiveStats {
-	if c.closed {
-		return CollectiveStats{}
-	}
-	t, ok := c.r.tasks[c.id]
-	if !ok {
+	t := c.r.task(c.id)
+	if t == nil || c.closed {
 		return CollectiveStats{}
 	}
 	return CollectiveStats{
@@ -342,11 +336,8 @@ func (c *Collective) Close(p *sim.Process) error {
 // LostRanks returns the departed ranks that killed this collective's
 // group, ascending; nil while the group is healthy (or after Close).
 func (c *Collective) LostRanks() []int {
-	if c.closed {
-		return nil
-	}
-	t, ok := c.r.tasks[c.id]
-	if !ok || t.group.abortErr == nil {
+	t := c.r.task(c.id)
+	if t == nil || c.closed || t.group.abortErr == nil {
 		return nil
 	}
 	return append([]int(nil), t.group.abortErr.Lost...)
@@ -367,8 +358,8 @@ func (c *Collective) Reform(p *sim.Process) (*Collective, error) {
 	if c.closed {
 		return nil, fmt.Errorf("core: collective %d reformed after Close on rank %d", c.id, c.r.Rank)
 	}
-	t, ok := c.r.tasks[c.id]
-	if !ok {
+	t := c.r.task(c.id)
+	if t == nil {
 		return nil, fmt.Errorf("core: collective %d not registered on rank %d", c.id, c.r.Rank)
 	}
 	g := t.group

@@ -175,8 +175,8 @@ func TestDaemonGridUsesLargestRegistered(t *testing.T) {
 			return
 		}
 		r.WaitAll(p)
-		if r.daemonInst == nil || r.daemonInst.Kernel().Grid != r.tasks[1].group.Grid {
-			t.Errorf("daemon grid = %v, want group grid %d", r.daemonInst.Kernel().Grid, r.tasks[1].group.Grid)
+		if r.daemonInst == nil || r.daemonInst.Kernel().Grid != r.task(1).group.Grid {
+			t.Errorf("daemon grid = %v, want group grid %d", r.daemonInst.Kernel().Grid, r.task(1).group.Grid)
 		}
 	})
 }

@@ -168,7 +168,7 @@ func (m *daemon) Next() (sim.Wait, bool) {
 			if m.sqe.Exit {
 				return m.exit() // the exiting SQE: final exit (dfcclDestroy)
 			}
-			m.t, m.at = r.tasks[m.sqe.CollID], dParsed
+			m.t, m.at = r.task(m.sqe.CollID), dParsed
 			return sleep(ParseSQETime)
 
 		case dParsed:
@@ -404,7 +404,8 @@ func (m *daemon) save(then dState) (sim.Wait, bool) {
 
 // rebuildQueue reconstructs the task queue, in queue's array, after a
 // (re)start from the persistent per-collective state, ordered by original
-// enqueue order.
+// enqueue order, then by collective ID: the stable sort keeps r.tasks'
+// order among never-fetched tasks, which tie at 0.
 func (r *RankContext) rebuildQueue(queue []*collTask) []*collTask {
 	for _, t := range r.tasks {
 		if t.pending() {
@@ -415,9 +416,7 @@ func (r *RankContext) rebuildQueue(queue []*collTask) []*collTask {
 		}
 		t.resident = false
 	}
-	slices.SortFunc(queue, func(a, b *collTask) int {
-		return cmp.Or(cmp.Compare(a.enqueueSeq, b.enqueueSeq), cmp.Compare(a.ID(), b.ID())) // never-fetched tasks tie at 0
-	})
+	slices.SortStableFunc(queue, func(a, b *collTask) int { return cmp.Compare(a.enqueueSeq, b.enqueueSeq) })
 	return queue
 }
 
@@ -433,29 +432,24 @@ func (r *RankContext) evictOldest(incoming *collTask) {
 		return
 	}
 	// Direct-mapped eviction: slot index = collID % slots; evict the
-	// task sharing the incoming task's slot, else the lowest-ID
-	// resident task (deterministic).
+	// lowest-ID resident task sharing the incoming task's slot, else the
+	// lowest-ID resident task. r.tasks is in ID order, so each is the
+	// first the scan meets.
 	slot := incoming.ID() % ActiveContextSlots
-	var fallback *collTask
-	var conflict *collTask
+	var victim *collTask
 	for _, t := range r.tasks {
 		if !t.resident || t == incoming {
 			continue
 		}
-		if t.ID()%ActiveContextSlots == slot && (conflict == nil || t.ID() < conflict.ID()) {
-			conflict = t
+		if victim == nil {
+			victim = t
 		}
-		if fallback == nil || t.ID() < fallback.ID() {
-			fallback = t
+		if t.ID()%ActiveContextSlots == slot {
+			victim = t
+			break
 		}
 	}
-	if conflict != nil {
-		conflict.resident = false
-		return
-	}
-	if fallback != nil {
-		fallback.resident = false
-	}
+	victim.resident = false
 }
 
 // trace records a daemon scheduling event on the flight recorder.

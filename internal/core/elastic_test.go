@@ -274,7 +274,7 @@ func TestReopenIDWhileLostRankDrains(t *testing.T) {
 				return
 			}
 			if rank == 0 {
-				dead = sys.groups[7]
+				dead = sys.group(7)
 			}
 			if _, err := launch(p, coll, 1); !errors.Is(err, ErrRankLost) {
 				t.Errorf("rank %d first run: err = %v, want ErrRankLost", rank, err)
@@ -283,7 +283,7 @@ func TestReopenIDWhileLostRankDrains(t *testing.T) {
 				t.Errorf("rank %d close: %v", rank, err)
 			}
 			closed.Wait(p)
-			if _, held := sys.rankAt(victim).tasks[7]; !held {
+			if sys.rankAt(victim).task(7) == nil {
 				t.Error("the dead rank released collective 7 before the reopen; the test no longer covers the drain")
 			}
 			re, err := rc.Open(lifecycleSpec(count, []int{0, 2}), WithCollID(7))
@@ -291,7 +291,7 @@ func TestReopenIDWhileLostRankDrains(t *testing.T) {
 				t.Errorf("rank %d reopen 7 over the survivors: %v", rank, err)
 				return
 			}
-			if g := sys.groups[7]; g == dead || g.comm == dead.comm {
+			if g := sys.group(7); g == dead || g.comm == dead.comm {
 				t.Errorf("rank %d: reopened collective 7 shares the dead group's wiring", rank)
 			}
 			d, err := launch(p, re, float64(rank+1))
@@ -370,7 +370,7 @@ func TestLaunchFIFOResolvesInOrderUnderKill(t *testing.T) {
 				t.Errorf("rank %d open: %v", rank, err)
 				return
 			}
-			comm = sys.groups[id].comm
+			comm = sys.group(id).comm
 			buf := func() *mem.Buffer { return mem.NewBuffer(mem.Float64, count) }
 			var futs [3]*Future // Launch, Batch, Launch
 			var calls [2]int    // the two LaunchCBs' callbacks
@@ -440,7 +440,7 @@ func TestLaunchFIFOResolvesInOrderUnderKill(t *testing.T) {
 	e.Spawn("chaos", func(p *sim.Process) {
 		p.Sleep(100 * sim.Microsecond)
 		for rank := 0; rank < victim; rank++ {
-			if tk := sys.ranks[rank].tasks[id]; len(tk.runs) != 6 || tk.cur != 0 {
+			if tk := sys.ranks[rank].task(id); len(tk.runs) != 6 || tk.cur != 0 {
 				t.Errorf("rank %d: %d launches queued, %d done at the kill; want 6 and 0", rank, len(tk.runs), tk.cur)
 			}
 		}
@@ -456,7 +456,7 @@ func TestLaunchFIFOResolvesInOrderUnderKill(t *testing.T) {
 			t.Errorf("victim reopen: %v", err)
 			return
 		}
-		if sys.groups[id].comm != comm || sys.CommsCreated() != created || sys.CommsReused() != reused+1 {
+		if sys.group(id).comm != comm || sys.CommsCreated() != created || sys.CommsReused() != reused+1 {
 			t.Errorf("reopen built a communicator (created %d → %d, reused %d → %d)", created, sys.CommsCreated(), reused, sys.CommsReused())
 		}
 		reopen.Wait(p)

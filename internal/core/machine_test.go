@@ -111,7 +111,7 @@ func (c oracleCase) run(t *testing.T, blocking bool) (out oracleOutcome, daemonS
 		}
 		execs, first := make([]*prim.Executor, c.colls), len(out.Prims)-c.colls
 		for i, coll := range colls {
-			execs[i] = r.tasks[coll.ID()].exec
+			execs[i] = r.task(coll.ID()).exec
 		}
 		defer func() {
 			for i, x := range execs {

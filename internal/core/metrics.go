@@ -19,20 +19,37 @@ type retiredStats struct {
 	rank       RankStats
 }
 
-// retireExec folds a dropped executor's counters into the system
-// aggregates. Every path that deletes a collTask must call it.
-func (s *System) retireExec(x *prim.Executor) {
-	s.retired.prims += x.PrimsExecuted
-	s.retired.spinAborts += x.SpinAborts
-	s.retired.bytes.Add(x.BytesSentBy)
+// addExec folds an executor's counters in. Every path that deletes a
+// collTask must fold its executor into System.retired.
+func (st *retiredStats) addExec(x *prim.Executor) {
+	st.prims += x.PrimsExecuted
+	st.spinAborts += x.SpinAborts
+	st.bytes.Add(x.BytesSentBy)
 }
 
-// retireRank folds a revived rank context's counters into the system
-// aggregates (its executors were already retired by releaseAll).
-func (s *System) retireRank(r *RankContext) {
-	s.retired.submitted += r.submitted
-	s.retired.completed += r.completed
-	s.retired.rank.add(r.Stats)
+// addRank folds a rank context's own counters in; ReviveRank folds the
+// revived one's into System.retired (releaseAll has folded its
+// executors).
+func (st *retiredStats) addRank(r *RankContext) {
+	st.submitted += r.submitted
+	st.completed += r.completed
+	st.rank.add(r.Stats)
+}
+
+// totals returns the system-wide sums: the retired counters plus every
+// live rank context's and executor's.
+func (s *System) totals() retiredStats {
+	tot := s.retired
+	for _, rc := range s.ranks {
+		if rc == nil {
+			continue
+		}
+		tot.addRank(rc)
+		for _, t := range rc.tasks {
+			tot.addExec(t.exec)
+		}
+	}
+	return tot
 }
 
 // add accumulates another rank's daemon statistics.
@@ -51,35 +68,13 @@ func (st *RankStats) add(o RankStats) {
 // transport: every live executor's BytesSentBy plus the retired
 // aggregates. This is the accounting side of the byte-reconciliation
 // gate — the flight recorder's summed Sends must equal it exactly.
-func (s *System) BytesSentTotals() prim.TransportBytes {
-	total := s.retired.bytes
-	for _, rc := range s.ranks {
-		if rc == nil {
-			continue
-		}
-		for _, t := range rc.tasks {
-			total.Add(t.exec.BytesSentBy)
-		}
-	}
-	return total
-}
+func (s *System) BytesSentTotals() prim.TransportBytes { return s.totals().bytes }
 
 // PrimsExecutedTotal returns the system-wide count of executed
 // primitives (live plus retired executors) — the span-count side of
 // the reconciliation gate: the recorder must hold exactly this many
 // action spans.
-func (s *System) PrimsExecutedTotal() int {
-	n := s.retired.prims
-	for _, rc := range s.ranks {
-		if rc == nil {
-			continue
-		}
-		for _, t := range rc.tasks {
-			n += t.exec.PrimsExecuted
-		}
-	}
-	return n
-}
+func (s *System) PrimsExecutedTotal() int { return s.totals().prims }
 
 // Metrics assembles the process-wide metrics registry from the
 // counters core, prim, and fabric already keep: launch/completion and
@@ -90,25 +85,10 @@ func (s *System) PrimsExecutedTotal() int {
 // (metrics.Registry.DumpCanonical).
 func (s *System) Metrics() *metrics.Registry {
 	reg := metrics.NewRegistry()
-	submitted, completed := s.retired.submitted, s.retired.completed
-	rs := s.retired.rank
-	prims, spin := s.retired.prims, s.retired.spinAborts
-	bytes := s.retired.bytes
-	for _, rc := range s.ranks {
-		if rc == nil {
-			continue
-		}
-		submitted += rc.submitted
-		completed += rc.completed
-		rs.add(rc.Stats)
-		for _, t := range rc.tasks {
-			prims += t.exec.PrimsExecuted
-			spin += t.exec.SpinAborts
-			bytes.Add(t.exec.BytesSentBy)
-		}
-	}
-	reg.SetCounter("core.launches", int64(submitted))
-	reg.SetCounter("core.completions", int64(completed))
+	tot := s.totals()
+	rs := tot.rank
+	reg.SetCounter("core.launches", int64(tot.submitted))
+	reg.SetCounter("core.completions", int64(tot.completed))
 	reg.SetCounter("core.daemon_starts", int64(rs.DaemonStarts))
 	reg.SetCounter("core.voluntary_quits", int64(rs.VoluntaryQuits))
 	reg.SetCounter("core.sqes_read", int64(rs.SQEsRead))
@@ -123,11 +103,11 @@ func (s *System) Metrics() *metrics.Registry {
 	reg.SetCounter("core.tune_picks", int64(s.tunePicks))
 	reg.SetCounter("core.comms_created", int64(s.pool.Created()))
 	reg.SetCounter("core.comms_reused", int64(s.pool.Reused()))
-	reg.SetCounter("prim.prims_executed", int64(prims))
-	reg.SetCounter("prim.spin_aborts", int64(spin))
-	reg.SetCounter("prim.bytes_local", int64(bytes.Local))
-	reg.SetCounter("prim.bytes_shm", int64(bytes.SHM))
-	reg.SetCounter("prim.bytes_rdma", int64(bytes.RDMA))
+	reg.SetCounter("prim.prims_executed", int64(tot.prims))
+	reg.SetCounter("prim.spin_aborts", int64(tot.spinAborts))
+	reg.SetCounter("prim.bytes_local", int64(tot.bytes.Local))
+	reg.SetCounter("prim.bytes_shm", int64(tot.bytes.SHM))
+	reg.SetCounter("prim.bytes_rdma", int64(tot.bytes.RDMA))
 	for _, l := range s.net.Snapshot() {
 		prefix := "fabric." + l.Tier.String() + "."
 		reg.AddCounter(prefix+"links", 1)

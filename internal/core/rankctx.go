@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"dfccl/internal/cudasim"
@@ -125,8 +125,8 @@ func (t *collTask) Progressed() {
 
 // RankContext is the per-GPU DFCCL context created by Init: the SQ/CQ
 // pair, the registered tasks with their launch FIFOs (the paper's
-// callback map), the poller thread, and the daemon kernel management
-// (Fig. 4).
+// callback map) in a table ordered by collective ID, the poller thread,
+// and the daemon kernel management (Fig. 4).
 type RankContext struct {
 	sys  *System
 	Rank int
@@ -141,7 +141,9 @@ type RankContext struct {
 	daemon daemon
 	poller poller
 
-	tasks map[int]*collTask
+	// tasks holds the registered tasks in ascending collective-ID order,
+	// so every scan of them runs in that order; task looks one up.
+	tasks []*collTask
 
 	// kernel is the daemon kernel, built once; each launch sets its grid
 	// and the instance keeps a copy.
@@ -194,12 +196,15 @@ func (s *System) Init(p *sim.Process, rank int) *RankContext {
 		return s.ranks[rank]
 	}
 	r := &RankContext{
-		sys:   s,
-		Rank:  rank,
-		dev:   s.Devs[rank],
-		sq:    NewSQ(fmt.Sprintf("gpu%d.sq", rank), sqSlots),
-		cq:    NewCQ(s.Config.CQVariant, s.Config.CQSlots),
-		tasks: make(map[int]*collTask),
+		sys:  s,
+		Rank: rank,
+		dev:  s.Devs[rank],
+		sq:   NewSQ(fmt.Sprintf("gpu%d.sq", rank), sqSlots),
+		cq:   NewCQ(s.Config.CQVariant, s.Config.CQSlots),
+		// Capacity 8 holds the collectives a rank of every benchmark
+		// workload keeps open at once (disorder_preempt's eight the most),
+		// so registrations never regrow the table.
+		tasks: make([]*collTask, 0, 8),
 	}
 	r.daemon.r, r.poller.r = r, r
 	r.kernel = cudasim.Kernel{
@@ -221,7 +226,8 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	// Per-rank validations run before the system-level register so a
 	// failed call never leaves behind a refs==0 group holding a
 	// communicator that no Unregister can ever release.
-	if _, dup := r.tasks[collID]; dup {
+	i, dup := r.taskAt(collID)
+	if dup {
 		return fmt.Errorf("core: collective %d already registered on rank %d", collID, r.Rank)
 	}
 	pos := slices.Index(spec.Ranks, r.Rank)
@@ -245,7 +251,7 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 	if rec := r.sys.Config.Recorder; rec != nil {
 		t.exec.Rec, t.exec.RecColl = rec, collID
 	}
-	r.tasks[collID] = t
+	r.tasks = slices.Insert(r.tasks, i, t)
 	g.refs++
 	return nil
 }
@@ -256,8 +262,8 @@ func (r *RankContext) register(spec prim.Spec, collID, priority, grid, job int) 
 // unregisters, the group's communicator returns to the pool.
 // Unregistering with outstanding runs is an error.
 func (r *RankContext) Unregister(collID int) error {
-	t, ok := r.tasks[collID]
-	if !ok {
+	t := r.task(collID)
+	if t == nil {
 		return fmt.Errorf("core: collective %d not registered on rank %d", collID, r.Rank)
 	}
 	if len(t.runs) > 0 {
@@ -273,8 +279,9 @@ func (r *RankContext) Unregister(collID int) error {
 // the group and recycles the task, unless the daemon may still reach
 // it — a task in its queue, or the one it is working on.
 func (r *RankContext) release(t *collTask) {
-	r.sys.retireExec(t.exec)
-	delete(r.tasks, t.group.ID)
+	r.sys.retired.addExec(t.exec)
+	i, _ := r.taskAt(t.group.ID)
+	r.tasks = slices.Delete(r.tasks, i, i+1)
 	r.sys.unregister(t.group)
 	if !t.inQueue && r.daemon.t != t {
 		r.sys.freeTask(t)
@@ -300,8 +307,8 @@ func (r *RankContext) submit(p *sim.Process, collID int, l launch) error {
 	if r.destroyed {
 		return fmt.Errorf("core: rank %d context destroyed", r.Rank)
 	}
-	task, ok := r.tasks[collID]
-	if !ok {
+	task := r.task(collID)
+	if task == nil {
 		return fmt.Errorf("core: collective %d not registered on rank %d", collID, r.Rank)
 	}
 	if task.group.aborted() {
@@ -370,9 +377,7 @@ func (r *RankContext) daemonKernel() int {
 	}
 	grid := 1
 	for _, t := range r.tasks {
-		if t.group.Grid > grid {
-			grid = t.group.Grid
-		}
+		grid = max(grid, t.group.Grid)
 	}
 	r.Stats.DaemonStarts++
 	return grid
@@ -496,7 +501,7 @@ const pollerGuardTime = 50 * PollerInterval
 // callback may Close the handle.
 func (r *RankContext) deliver(id int) {
 	r.completed++
-	t := r.tasks[id]
+	t := r.task(id)
 	if t == nil || t.cur == 0 {
 		panic(fmt.Sprintf("core: CQE for collective %d with no launch done", id))
 	}
@@ -519,11 +524,25 @@ func (r *RankContext) deliver(id int) {
 // idempotent cleanup for killed ranks, run by the exiting poller and
 // by ReviveRank (whichever comes first).
 func (r *RankContext) releaseAll() {
-	// Sorted: the last rank out of a group scrubs and pools its
+	// In ID order: the last rank out of a group scrubs and pools its
 	// communicator, which wakes processes and orders the free lists.
-	for _, id := range slices.Sorted(maps.Keys(r.tasks)) {
-		r.release(r.tasks[id])
+	for len(r.tasks) > 0 {
+		r.release(r.tasks[0])
 	}
+}
+
+// taskAt returns where collective id's task is in r.tasks, or would go,
+// and whether it is there.
+func (r *RankContext) taskAt(id int) (int, bool) {
+	return slices.BinarySearchFunc(r.tasks, id, func(t *collTask, id int) int { return cmp.Compare(t.group.ID, id) })
+}
+
+// task returns the rank's task of collective id, or nil.
+func (r *RankContext) task(id int) *collTask {
+	if i, ok := r.taskAt(id); ok {
+		return r.tasks[i]
+	}
+	return nil
 }
 
 // Lost reports whether this rank has been killed (KillRank).
@@ -541,8 +560,8 @@ func (r *RankContext) DeviceSynchronize(p *sim.Process) {
 // CoreExecTime returns the most recent run's core execution time for a
 // collective: from its first scheduling in the daemon to completion.
 func (r *RankContext) CoreExecTime(collID int) sim.Duration {
-	t, ok := r.tasks[collID]
-	if !ok || t.Completions == 0 {
+	t := r.task(collID)
+	if t == nil || t.Completions == 0 {
 		return 0
 	}
 	return t.LastCompletedAt.Sub(t.ExecStartedAt)
@@ -552,8 +571,8 @@ func (r *RankContext) CoreExecTime(collID int) sim.Duration {
 // switches, completions, task queue length at last fetch) for the
 // Fig. 11 instrumentation.
 func (r *RankContext) TaskStats(collID int) (ctxSwitches, completions, queueLen int) {
-	t, ok := r.tasks[collID]
-	if !ok {
+	t := r.task(collID)
+	if t == nil {
 		return 0, 0, 0
 	}
 	return t.CtxSwitches, t.Completions, t.QueueLenAtLast

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"strconv"
 
 	"dfccl/internal/cudasim"
@@ -18,8 +17,9 @@ import (
 )
 
 // System is a DFCCL deployment across a cluster: one simulated device
-// and one RankContext per GPU, a shared registry of collective groups,
-// and the communicator pool that owns ring connectors.
+// and one RankContext per GPU, a shared registry of collective groups
+// ordered by collective ID, and the communicator pool that owns ring
+// connectors.
 type System struct {
 	Engine  *sim.Engine
 	Cluster *topo.Cluster
@@ -28,7 +28,7 @@ type System struct {
 
 	net    *fabric.Network
 	ranks  []*RankContext
-	groups map[int]*Group
+	groups []*Group // ascending by ID; groupAt finds one
 	pool   *commPool
 	// tuning memoizes the parsed auto-tuning table, tune.Default(),
 	// across Opens.
@@ -73,7 +73,6 @@ func NewSystem(e *sim.Engine, c *topo.Cluster, cfg Config) *System {
 		Config:     cfg,
 		net:        net,
 		ranks:      make([]*RankContext, c.Size()),
-		groups:     make(map[int]*Group),
 		pool:       newCommPool(net),
 		autoIDs:    make(map[string][]int),
 		nextAutoID: AutoCollIDBase,
@@ -131,15 +130,16 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 	if grid <= 0 {
 		grid = DefaultCollectiveGrid
 	}
-	g, ok := s.groups[collID]
-	if ok && g.aborted() && !s.heldLive(g) {
+	i, ok := s.groupAt(collID)
+	if ok && s.groups[i].aborted() && !s.heldLive(s.groups[i]) {
 		// Only lost ranks still hold the dead group, and their exiting
 		// pollers release it later. Detach it so the ID reopens on fresh
 		// wiring, never on the chunks the lost rank left in flight.
-		delete(s.groups, collID)
+		s.groups = slices.Delete(s.groups, i, i+1)
 		ok = false
 	}
 	if ok {
+		g := s.groups[i]
 		if g.aborted() {
 			return nil, g.abortErr
 		}
@@ -160,11 +160,11 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 		return nil, fmt.Errorf("core: collective context buffer full (%d collectives)", s.Config.MaxCollectives)
 	}
 	for _, rc := range s.ranks {
-		if rc != nil && !rc.lost && rc.tasks[collID] != nil {
+		if rc != nil && !rc.lost && rc.task(collID) != nil {
 			panic(fmt.Sprintf("core: invariant new-group-unheld: rank %d still holds a task of collective %d as its group is created", rc.Rank, collID))
 		}
 	}
-	g = &Group{
+	g := &Group{
 		ID:       collID,
 		Spec:     spec,
 		Priority: priority,
@@ -173,15 +173,21 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 		comm:     s.pool.acquire(spec.Ranks, collID),
 	}
 	g.abortCheck = g.aborted
-	s.groups[collID] = g
+	s.groups = slices.Insert(s.groups, i, g)
 	return g, nil
+}
+
+// groupAt returns where collective id's group is in s.groups, or would
+// go, and whether it is there.
+func (s *System) groupAt(id int) (int, bool) {
+	return slices.BinarySearchFunc(s.groups, id, func(g *Group, id int) int { return cmp.Compare(g.ID, id) })
 }
 
 // heldLive reports whether a live rank still holds a registration of g.
 func (s *System) heldLive(g *Group) bool {
 	for _, rank := range g.Spec.Ranks {
 		if rc := s.rankAt(rank); rc != nil && !rc.lost {
-			if t := rc.tasks[g.ID]; t != nil && t.group == g {
+			if t := rc.task(g.ID); t != nil && t.group == g {
 				return true
 			}
 		}
@@ -198,7 +204,7 @@ func (s *System) takeTask() *collTask {
 	}
 	s.freeTasks, t.next = t.next, nil
 	for _, rc := range s.ranks {
-		if rc != nil && (rc.tasks[t.group.ID] == t || rc.daemon.t == t) {
+		if rc != nil && (rc.task(t.group.ID) == t || rc.daemon.t == t) {
 			panic(fmt.Sprintf("core: invariant free-task-unreachable: rank %d still reaches a freed task of collective %d", rc.Rank, t.group.ID))
 		}
 	}
@@ -232,10 +238,11 @@ func (s *System) unregister(g *Group) {
 		g.comm.wirings.DrainConnectors(s.Engine)
 	}
 	s.pool.release(g.comm)
-	if s.groups[g.ID] != g {
+	i, ok := s.groupAt(g.ID)
+	if !ok || s.groups[i] != g {
 		return
 	}
-	delete(s.groups, g.ID)
+	s.groups = slices.Delete(s.groups, i, i+1)
 	if g.ID < AutoCollIDBase {
 		return // autoCollID assigns no ID below the base
 	}
@@ -257,7 +264,7 @@ func (s *System) unregister(g *Group) {
 func (s *System) autoCollID(r *RankContext, spec prim.Spec) int {
 	key := spec.Fingerprint()
 	for _, id := range s.autoIDs[key] {
-		if _, open := r.tasks[id]; !open {
+		if r.task(id) == nil {
 			return id
 		}
 	}
@@ -337,11 +344,10 @@ func (s *System) KillRank(rank int) bool {
 		rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkKill, GPU: rank, Coll: -1})
 	}
 	e := s.Engine
-	// Wakeups are scheduled in sorted collective-ID and ring-position
-	// order: the engine breaks same-instant ties by schedule sequence,
-	// so the order of these broadcasts is part of the virtual timeline.
-	for _, id := range slices.Sorted(maps.Keys(s.groups)) {
-		g := s.groups[id]
+	// Wakeups are scheduled in collective-ID and ring-position order:
+	// the engine breaks same-instant ties by schedule sequence, so the
+	// order of these broadcasts is part of the virtual timeline.
+	for _, g := range s.groups {
 		if !slices.Contains(g.Spec.Ranks, rank) {
 			continue
 		}
@@ -351,8 +357,8 @@ func (s *System) KillRank(rank int) bool {
 			if rec != nil {
 				rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkAbort, GPU: rank, Coll: g.ID, Note: "rank lost"})
 			}
-		} else {
-			g.abortErr.Lost = insertSorted(g.abortErr.Lost, rank)
+		} else if i, dup := slices.BinarySearch(g.abortErr.Lost, rank); !dup {
+			g.abortErr.Lost = slices.Insert(g.abortErr.Lost, i, rank)
 		}
 		// Wake daemons blocked on the group's connectors so the abort
 		// is observed immediately instead of after the spin budget.
@@ -385,26 +391,13 @@ func (s *System) ReviveRank(rank int) error {
 		return fmt.Errorf("core: rank %d still draining %d aborted run(s)", rank, rc.Outstanding())
 	}
 	rc.releaseAll()
-	s.retireRank(rc)
+	s.retired.addRank(rc)
 	s.ranks[rank] = nil
 	s.revives++
 	if rec := s.Config.Recorder; rec != nil {
 		rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkRevive, GPU: rank, Coll: -1})
 	}
 	return nil
-}
-
-// insertSorted adds v to an ascending slice, keeping order and
-// uniqueness.
-func insertSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }
 
 // NumRegistered returns the number of registered collectives.

@@ -8,9 +8,12 @@
 package orch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dfccl/internal/mem"
+	"dfccl/internal/ncclsim"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 )
@@ -52,11 +55,14 @@ type Backend interface {
 	CommsCreated() int
 }
 
-// collState tracks one collective's per-rank launch/completion counts.
+// collState tracks one collective's registrations and per-rank runs.
 type collState struct {
+	id       int
 	spec     prim.Spec
-	launched map[int]int // rank -> runs launched
-	done     map[int]int // rank -> runs completed (DFCCL's callbacks count them)
+	regs     int           // ranks registered; the last Deregister drops the state
+	comm     *ncclsim.Comm // NCCL's communicator for the collective
+	launched map[int]int   // rank -> runs launched
+	done     map[int]int   // rank -> runs completed (DFCCL's callbacks count them)
 	doneCond *sim.Cond
 }
 
@@ -67,14 +73,14 @@ type bufPair struct{ send, recv *mem.Buffer }
 // an invalid spec, or a live collective ID re-registered under a
 // different spec (fingerprint inequality covers every spec field,
 // including the algorithm and the AllToAllv count matrix), is refused —
-// creates the collective's state on its first registration, and returns
-// the buffers its runs use: the caller's, or synthetic ones sized from
-// the spec when both are nil.
-func register(colls map[int]*collState, rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (bufPair, error) {
+// creates the collective's state on its first registration (the caller
+// counts the rank in regs), and returns it with the buffers its runs
+// use: the caller's, or synthetic ones sized from the spec if both nil.
+func register(colls *[]*collState, rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (*collState, bufPair, error) {
 	if send == nil && recv == nil {
-		pos := posOf(spec, rank)
+		pos := slices.Index(spec.Ranks, rank)
 		if pos < 0 {
-			return bufPair{}, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
+			return nil, bufPair{}, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
 		}
 		sendCount, recvCount := prim.BufferCountsFor(spec, pos)
 		if spec.TimingOnly {
@@ -84,27 +90,38 @@ func register(colls map[int]*collState, rank, collID int, spec prim.Spec, send, 
 		recv = mem.NewBuffer(spec.Type, recvCount)
 	}
 	if err := spec.Validate(); err != nil {
-		return bufPair{}, err
+		return nil, bufPair{}, err
 	}
-	if c, ok := colls[collID]; !ok {
-		colls[collID] = &collState{
+	i, ok := slices.BinarySearchFunc(*colls, collID, byID)
+	if !ok {
+		*colls = slices.Insert(*colls, i, &collState{
+			id:       collID,
 			spec:     spec,
 			launched: make(map[int]int),
 			done:     make(map[int]int),
 			doneCond: sim.NewCond("coll.done"),
-		}
-	} else if c.spec.Fingerprint() != spec.Fingerprint() {
-		return bufPair{}, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
+		})
+	} else if (*colls)[i].spec.Fingerprint() != spec.Fingerprint() {
+		return nil, bufPair{}, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
 	}
-	return bufPair{send, recv}, nil
+	return (*colls)[i], bufPair{send, recv}, nil
 }
 
-// posOf returns rank's ring position within spec.Ranks, or -1.
-func posOf(spec prim.Spec, rank int) int {
-	for i, r := range spec.Ranks {
-		if r == rank {
-			return i
-		}
+// deregister drops one rank's registration of collID, and its state
+// from colls with the last.
+func deregister(colls *[]*collState, collID int) {
+	i, _ := slices.BinarySearchFunc(*colls, collID, byID)
+	if (*colls)[i].regs--; (*colls)[i].regs == 0 {
+		*colls = slices.Delete(*colls, i, i+1)
 	}
-	return -1
 }
+
+// find returns collID's state in colls (ascending by ID), or nil.
+func find(colls []*collState, collID int) *collState {
+	if i, ok := slices.BinarySearchFunc(colls, collID, byID); ok {
+		return colls[i]
+	}
+	return nil
+}
+
+func byID(c *collState, id int) int { return cmp.Compare(c.id, id) }

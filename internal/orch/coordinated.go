@@ -2,6 +2,7 @@ package orch
 
 import (
 	"fmt"
+	"slices"
 
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -36,27 +37,27 @@ const (
 // dominant term in Horovod's and KungFu's Fig. 10 throughput gap.
 type coordinated struct {
 	*NCCL
-	proc        string              // process-name prefix
-	announced   map[int]map[int]int // collID -> rank -> runs announced
-	changed     *sim.Cond           // announcements changed; the release rule re-checks
-	launchersOn map[int]bool
-	tornDown    map[int]bool
+	proc        string         // process-name prefix
+	announced   map[bufKey]int // runs announced
+	changed     *sim.Cond      // announcements changed; the release rule re-checks
+	launchersOn []bool         // by rank
+	tornDown    []bool         // by rank
 }
 
 func newCoordinated(e *sim.Engine, c *topo.Cluster, proc string) coordinated {
 	return coordinated{
 		NCCL:        newNCCL(e, c, "nccl-"+proc, false),
 		proc:        proc,
-		announced:   make(map[int]map[int]int),
+		announced:   make(map[bufKey]int),
 		changed:     sim.NewCond(proc + ".changed"),
-		launchersOn: make(map[int]bool),
-		tornDown:    make(map[int]bool),
+		launchersOn: make([]bool, c.Size()),
+		tornDown:    make([]bool, c.Size()),
 	}
 }
 
 // registered refuses a launch of a collective no rank registered.
 func (c *coordinated) registered(collID int) error {
-	if _, ok := c.colls[collID]; !ok {
+	if find(c.colls, collID) == nil {
 		return fmt.Errorf("orch: collective %d not registered", collID)
 	}
 	return nil
@@ -65,10 +66,7 @@ func (c *coordinated) registered(collID int) error {
 // announce records one more ready run of collID on rank, starts the
 // rank's launcher on its first announcement and wakes the release rule.
 func (c *coordinated) announce(p *sim.Process, rank, collID int, launcher func(p *sim.Process, rank int)) {
-	if c.announced[collID] == nil {
-		c.announced[collID] = make(map[int]int)
-	}
-	c.announced[collID][rank]++
+	c.announced[bufKey{rank, collID}]++
 	if !c.launchersOn[rank] {
 		c.launchersOn[rank] = true
 		p.Spawn(fmt.Sprintf("%s.launcher.%d", c.proc, rank), func(lp *sim.Process) { launcher(lp, rank) })
@@ -82,14 +80,14 @@ func (c *coordinated) launch(p *sim.Process, rank, collID int) {
 	if err := c.NCCL.Launch(p, rank, collID); err != nil {
 		panic(err)
 	}
-	c.colls[collID].doneCond.Broadcast(p.Engine())
+	find(c.colls, collID).doneCond.Broadcast(p.Engine())
 }
 
 // Wait implements Backend: block until every announced run of collID
 // has been launched on rank, then until the kernel completes.
 func (c *coordinated) Wait(p *sim.Process, rank, collID int) {
-	cs := c.colls[collID]
-	for cs.launched[rank] < c.announced[collID][rank] {
+	cs := find(c.colls, collID)
+	for cs.launched[rank] < c.announced[bufKey{rank, collID}] {
 		cs.doneCond.Wait(p)
 	}
 	c.NCCL.Wait(p, rank, collID)
@@ -97,9 +95,9 @@ func (c *coordinated) Wait(p *sim.Process, rank, collID int) {
 
 // WaitAll implements Backend.
 func (c *coordinated) WaitAll(p *sim.Process, rank int) {
-	for _, collID := range c.collIDs() {
-		if c.announced[collID][rank] > 0 {
-			c.Wait(p, rank, collID)
+	for _, cs := range slices.Clone(c.colls) { // as NCCL.WaitAll
+		if c.announced[bufKey{rank, cs.id}] > 0 {
+			c.Wait(p, rank, cs.id)
 		}
 	}
 }
@@ -135,7 +133,7 @@ func (h *Horovod) Launch(p *sim.Process, rank, collID int) error {
 		return err
 	}
 	p.Sleep(AnnounceCost)
-	if h.announced[collID] == nil {
+	if !slices.Contains(h.firstSeen, collID) {
 		if len(h.firstSeen) == 0 {
 			p.Spawn("horovod.coordinator", h.coordinator) // the first announcement of all
 		}
@@ -159,7 +157,7 @@ func (h *Horovod) coordinator(p *sim.Process) {
 			}
 			if h.waveAnnounced(h.queuedRun[collID]) {
 				h.queuedRun[collID]++
-				for _, r := range h.colls[collID].spec.Ranks {
+				for _, r := range find(h.colls, collID).spec.Ranks {
 					h.launchQ[r] = append(h.launchQ[r], collID)
 				}
 				h.launchCond.Broadcast(p.Engine())
@@ -179,9 +177,9 @@ func (h *Horovod) coordinator(p *sim.Process) {
 // announced at least wave+1 times on each of its ranks — the whole
 // training step's negotiation has arrived.
 func (h *Horovod) waveAnnounced(wave int) bool {
-	for collID, c := range h.colls {
+	for _, c := range h.colls {
 		for _, r := range c.spec.Ranks {
-			if h.announced[collID][r] <= wave {
+			if h.announced[bufKey{r, c.id}] <= wave {
 				return false
 			}
 		}
@@ -189,16 +187,15 @@ func (h *Horovod) waveAnnounced(wave int) bool {
 	return true
 }
 
+// allTornDown reports whether some rank has torn down and every rank
+// with a launcher has.
 func (h *Horovod) allTornDown() bool {
-	if len(h.tornDown) == 0 {
-		return false
-	}
-	for r := range h.launchersOn {
-		if !h.tornDown[r] {
+	for r, on := range h.launchersOn {
+		if on && !h.tornDown[r] {
 			return false
 		}
 	}
-	return true
+	return slices.Contains(h.tornDown, true)
 }
 
 // launcher launches coordinator-released collectives in broadcast order.
@@ -253,7 +250,7 @@ func (k *KungFu) Launch(p *sim.Process, rank, collID int) error {
 	if !k.launchersOn[rank] {
 		p.Sleep(kungfuNegotiation) // the rank's first announcement adopts the order
 	}
-	if rank == 0 && k.announced[collID][0] == 0 {
+	if rank == 0 && k.announced[bufKey{0, collID}] == 0 {
 		k.order = append(k.order, collID)
 	}
 	k.announce(p, rank, collID, k.launcher)
@@ -287,9 +284,9 @@ func (k *KungFu) nextLaunchable(rank int) (int, bool) {
 		return 0, false
 	}
 	collID := k.order[k.nextIdx[rank]%len(k.order)]
-	wave := k.colls[collID].launched[rank]
-	for id := range k.colls {
-		if k.announced[id][rank] <= wave {
+	wave := find(k.colls, collID).launched[rank]
+	for _, c := range k.colls {
+		if k.announced[bufKey{rank, c.id}] <= wave {
 			return 0, false
 		}
 	}

@@ -19,7 +19,7 @@ type DFCCL struct {
 	// Sys is the underlying deployment, for the rank contexts' statistics
 	// (Fig. 11 instrumentation).
 	Sys     *core.System
-	colls   map[int]*collState
+	colls   []*collState
 	handles map[bufKey]*core.Collective
 	bufs    map[bufKey]bufPair
 }
@@ -28,7 +28,6 @@ type DFCCL struct {
 func NewDFCCL(e *sim.Engine, c *topo.Cluster, cfg core.Config) *DFCCL {
 	return &DFCCL{
 		Sys:     core.NewSystem(e, c, cfg),
-		colls:   make(map[int]*collState),
 		handles: make(map[bufKey]*core.Collective),
 		bufs:    make(map[bufKey]bufPair),
 	}
@@ -40,7 +39,7 @@ func (d *DFCCL) Name() string { return "dfccl" }
 // Register implements Backend: Open by explicit collective ID, keeping
 // the per-rank handle for Launch and Close.
 func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
-	bufs, err := register(d.colls, rank, collID, spec, send, recv)
+	c, bufs, err := register(&d.colls, rank, collID, spec, send, recv)
 	if err != nil {
 		return err
 	}
@@ -48,6 +47,7 @@ func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, prior
 	if err != nil {
 		return err
 	}
+	c.regs++ // Open refuses a second registration on the rank
 	d.handles[bufKey{rank, collID}] = h
 	d.bufs[bufKey{rank, collID}] = bufs
 	return nil
@@ -67,20 +67,15 @@ func (d *DFCCL) Deregister(p *sim.Process, rank, collID int) error {
 	}
 	delete(d.handles, key)
 	delete(d.bufs, key)
-	for k := range d.handles {
-		if k.collID == collID {
-			return nil
-		}
-	}
-	delete(d.colls, collID)
+	deregister(&d.colls, collID)
 	return nil
 }
 
 // Launch implements Backend: an asynchronous handle launch with a
 // completion callback.
 func (d *DFCCL) Launch(p *sim.Process, rank, collID int) error {
-	c, ok := d.colls[collID]
-	if !ok {
+	c := find(d.colls, collID)
+	if c == nil {
 		return fmt.Errorf("orch: collective %d not registered", collID)
 	}
 	h := d.handles[bufKey{rank, collID}]
@@ -98,7 +93,7 @@ func (d *DFCCL) Launch(p *sim.Process, rank, collID int) error {
 
 // Wait implements Backend.
 func (d *DFCCL) Wait(p *sim.Process, rank, collID int) {
-	if c, ok := d.colls[collID]; ok {
+	if c := find(d.colls, collID); c != nil {
 		for c.done[rank] < c.launched[rank] {
 			c.doneCond.Wait(p)
 		}

@@ -2,7 +2,6 @@ package orch
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"dfccl/internal/cudasim"
@@ -28,8 +27,7 @@ type NCCL struct {
 	singleStream bool
 
 	lib   *ncclsim.Lib
-	colls map[int]*collState
-	comms map[int]*ncclsim.Comm
+	colls []*collState
 	strms map[bufKey]*cudasim.Stream
 	bufs  map[bufKey]bufPair
 	kerns map[bufKey]*cudasim.KernelInstance // most recent launch
@@ -40,8 +38,6 @@ func newNCCL(e *sim.Engine, c *topo.Cluster, name string, singleStream bool) *NC
 		name:         name,
 		singleStream: singleStream,
 		lib:          ncclsim.New(e, c),
-		colls:        make(map[int]*collState),
-		comms:        make(map[int]*ncclsim.Comm),
 		strms:        make(map[bufKey]*cudasim.Stream),
 		bufs:         make(map[bufKey]bufPair),
 		kerns:        make(map[bufKey]*cudasim.KernelInstance),
@@ -77,16 +73,19 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 	if spec.Algo == prim.AlgoAuto {
 		return fmt.Errorf("orch: %s cannot run collective %d with %v: pick ring or hierarchical", b.name, collID, spec.Algo)
 	}
-	bufs, err := register(b.colls, rank, collID, spec, send, recv)
+	c, bufs, err := register(&b.colls, rank, collID, spec, send, recv)
 	if err != nil {
 		return err
 	}
-	if b.comms[collID] == nil {
-		b.comms[collID] = b.lib.NewComm(spec.Ranks)
+	if c.comm == nil {
+		c.comm = b.lib.NewComm(spec.Ranks)
 	}
 	sk := b.streamKey(rank, collID)
 	if !b.singleStream || b.strms[sk] == nil {
 		b.strms[sk] = b.lib.Device(rank).NewStream()
+	}
+	if _, again := b.bufs[bufKey{rank, collID}]; !again {
+		c.regs++
 	}
 	b.bufs[bufKey{rank, collID}] = bufs
 	return nil
@@ -115,13 +114,7 @@ func (b *NCCL) Deregister(p *sim.Process, rank, collID int) error {
 	delete(b.bufs, key)
 	delete(b.strms, key) // a single stream stays: the rank's other collectives use it
 	delete(b.kerns, key)
-	for k := range b.bufs {
-		if k.collID == collID {
-			return nil
-		}
-	}
-	delete(b.colls, collID)
-	delete(b.comms, collID)
+	deregister(&b.colls, collID)
 	return nil
 }
 
@@ -130,8 +123,8 @@ func (b *NCCL) Deregister(p *sim.Process, rank, collID int) error {
 // per-(rank, collective) stream; in single-stream mode every collective
 // of the rank serializes.
 func (b *NCCL) Launch(p *sim.Process, rank, collID int) error {
-	c, ok := b.colls[collID]
-	if !ok {
+	c := find(b.colls, collID)
+	if c == nil {
 		return fmt.Errorf("orch: collective %d not registered", collID)
 	}
 	key := bufKey{rank, collID}
@@ -141,7 +134,7 @@ func (b *NCCL) Launch(p *sim.Process, rank, collID int) error {
 		// deregistered (or never registered) it.
 		return fmt.Errorf("orch: collective %d not registered on rank %d", collID, rank)
 	}
-	b.kerns[key] = b.comms[collID].Launch(p, b.strms[b.streamKey(rank, collID)], rank, c.spec, bufs.send, bufs.recv)
+	b.kerns[key] = c.comm.Launch(p, b.strms[b.streamKey(rank, collID)], rank, c.spec, bufs.send, bufs.recv)
 	c.launched[rank]++
 	return nil
 }
@@ -154,18 +147,15 @@ func (b *NCCL) Wait(p *sim.Process, rank, collID int) {
 	}
 }
 
-// WaitAll implements Backend, waiting in ascending collective-ID order
-// so the simulation stays deterministic.
+// WaitAll implements Backend, waiting for the collectives registered on
+// entry (a wait yields to other ranks' Register/Deregister) by ID.
 func (b *NCCL) WaitAll(p *sim.Process, rank int) {
-	for _, collID := range b.collIDs() {
-		if b.colls[collID].launched[rank] > 0 {
-			b.Wait(p, rank, collID)
+	for _, c := range slices.Clone(b.colls) {
+		if c.launched[rank] > 0 {
+			b.Wait(p, rank, c.id)
 		}
 	}
 }
-
-// collIDs returns the registered collective IDs in ascending order.
-func (b *NCCL) collIDs() []int { return slices.Sorted(maps.Keys(b.colls)) }
 
 // Teardown implements Backend: NCCL holds no per-rank process to stop.
 func (b *NCCL) Teardown(p *sim.Process, rank int) {}

@@ -200,7 +200,7 @@ func TestCommunicatorPerCollective(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if b.comms[1] == b.comms[2] {
+	if find(b.colls, 1).comm == find(b.colls, 2).comm {
 		t.Fatal("collectives share a communicator")
 	}
 }

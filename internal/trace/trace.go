@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dfccl/internal/sim"
@@ -556,13 +557,14 @@ func (r *Recorder) fabricEvents() []chromeEvent {
 			}
 		}
 	}
+	names := r.satLinkNames()
 	for _, s := range r.Sats {
 		evs = append(evs, chromeEvent{
 			Name: "saturated " + s.Link,
 			Cat:  "saturation", Ph: "X",
 			TS:  usec(s.Start),
 			Dur: usec(s.End - s.Start),
-			PID: FabricPID, TID: r.linkTID(s.Link),
+			PID: FabricPID, TID: linkTIDBase + sort.SearchStrings(names, s.Link),
 			Args: map[string]any{"tier": s.Tier},
 		})
 	}
@@ -572,26 +574,14 @@ func (r *Recorder) fabricEvents() []chromeEvent {
 // linkTIDBase offsets saturation-span thread IDs above any flow ID.
 const linkTIDBase = 1 << 24
 
-// linkTID maps a link name to its deterministic saturation-track
-// thread ID: linkTIDBase + the link's index among the sorted distinct
-// link names seen in Sats.
-func (r *Recorder) linkTID(link string) int {
-	names := r.satLinkNames()
-	return linkTIDBase + sort.SearchStrings(names, link)
-}
-
 // satLinkNames returns the sorted distinct link names in Sats.
 func (r *Recorder) satLinkNames() []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, s := range r.Sats {
-		if !seen[s.Link] {
-			seen[s.Link] = true
-			names = append(names, s.Link)
-		}
+	names := make([]string, len(r.Sats))
+	for i, s := range r.Sats {
+		names[i] = s.Link
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // metadataEvents names the tracks: GPU processes, the fabric and
@@ -603,20 +593,16 @@ func (r *Recorder) metadataEvents() []chromeEvent {
 			PID: pid, TID: tid, Args: map[string]any{"name": name},
 		}
 	}
-	gpus := make(map[int]bool)
+	gpus := make([]int, 0, len(r.Events)+len(r.Actions))
 	for _, e := range r.Events {
-		gpus[e.GPU] = true
+		gpus = append(gpus, e.GPU)
 	}
 	for _, a := range r.Actions {
-		gpus[a.GPU] = true
+		gpus = append(gpus, a.GPU)
 	}
-	ids := make([]int, 0, len(gpus))
-	for g := range gpus {
-		ids = append(ids, g)
-	}
-	sort.Ints(ids)
+	slices.Sort(gpus)
 	var evs []chromeEvent
-	for _, g := range ids {
+	for _, g := range slices.Compact(gpus) {
 		evs = append(evs, meta(g, 0, "process_name", fmt.Sprintf("GPU %d", g)))
 	}
 	if len(r.Flows) > 0 || len(r.Sats) > 0 {
