@@ -66,7 +66,10 @@ loc:
 # before they yield. The daemon kernel and the poller are machines held
 # to the blocking code they replaced; that oracle runs 200 times, and
 # core's whole suite 20 times under the race detector. The 40-seed
-# kill/requeue table at two jobs per GPU runs 20 times.
+# kill/requeue table at two jobs per GPU runs 20 times. A fabric flow is
+# woken only when a solve changes its rate: the transfer machine's oracle
+# and the layer's invariant tests run 200 times, fabric's whole suite 20
+# times under the race detector.
 soak:
 	$(GO) test -count=200 -run 'Chaos|Cluster' ./internal/...
 	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
@@ -75,6 +78,8 @@ soak:
 	$(GO) test -race -count=50 ./internal/sim
 	$(GO) test -race -count=20 ./internal/mem ./internal/prim
 	$(GO) test -race -count=20 ./internal/core
+	$(GO) test -count=200 -run 'RepredictMatchesLoop|JoinWakesOnlyReratedFlows|FlowDueInvariant|XferBeginUnheld' ./internal/fabric
+	$(GO) test -race -count=20 ./internal/fabric
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

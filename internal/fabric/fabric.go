@@ -10,10 +10,11 @@
 // A transfer becomes a flow that holds capacity on every link of its
 // route; concurrently-active flows share each link max-min fairly
 // (progressive filling), and whenever a flow joins or finishes the fair
-// shares are re-solved and every in-flight flow's remaining bytes are
-// re-scheduled at its new rate, by the engine on the transfer's behalf (an
-// Xfer is a sim.Stepper): whoever is transferring is resumed only once the
-// transfer is over. A transfer's duration therefore
+// shares are re-solved and each in-flight flow whose rate the solve changed
+// is woken to re-schedule its remaining bytes at its new rate; a flow whose
+// rate held keeps the completion it predicted. The engine does that on the
+// transfer's behalf (an Xfer is a sim.Stepper): whoever is transferring is
+// resumed only once the transfer is over. A transfer's duration therefore
 // depends on who else is on the wire — the congestion behavior the
 // independent Path.TransferTime pricing cannot express.
 //
@@ -248,10 +249,9 @@ type Network struct {
 	routes map[[2]int]Route
 
 	flows  []*flow
-	busy   []*Link   // the links carrying a flow, in construction order
-	spare  []*Xfer   // finished TransferJob records, reused by the next ones
-	change *sim.Cond // broadcast on every flow join/leave
-	lastAt sim.Time  // last time flow progress was accrued
+	busy   []*Link  // the links carrying a flow, in construction order
+	spare  []*Xfer  // finished TransferJob records, reused by the next ones
+	lastAt sim.Time // last time flow progress was accrued
 
 	rec     *trace.Recorder // nil = no flow/saturation recording
 	flowSeq int             // last assigned flow ID
@@ -273,7 +273,6 @@ func Unshared(c *topo.Cluster) *Network {
 	return &Network{
 		cluster: c,
 		routes:  make(map[[2]int]Route),
-		change:  sim.NewCond("fabric.unshared"),
 	}
 }
 
@@ -286,7 +285,6 @@ func Shared(c *topo.Cluster, cfg Config) *Network {
 		shared:  true,
 		shm:     make(map[[2]int]*Link),
 		routes:  make(map[[2]int]Route),
-		change:  sim.NewCond("fabric.shared"),
 	}
 	n.build()
 	return n

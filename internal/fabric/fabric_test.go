@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -309,7 +310,7 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 				r := n.RouteBetween(a, b)
 				n.join(&flow{route: r, remaining: 1 << 20, cap: r.Path.Bandwidth})
 			}
-			n.recompute()
+			n.recompute(nil) // no flow is waited on
 			var busy []*Link
 			for _, l := range n.links {
 				crossed := slices.ContainsFunc(n.flows, func(f *flow) bool { return crosses(f, l) })
@@ -346,7 +347,7 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 			t.Fatalf("recompute over an over-committed link: recovered %v, want a panic naming it", r)
 		}
 	}()
-	thin.recompute()
+	thin.recompute(nil)
 }
 
 // linkNames names links for failure messages.
@@ -358,55 +359,86 @@ func linkNames(links []*Link) []string {
 	return names
 }
 
-// loopTransferJob is TransferJob as it was while the transferring process
-// re-predicted in its own body: woken by every join and finish, it accrued
-// progress and waited again. It is the reference TestRepredictMatchesLoop
-// holds the machine (Xfer, Awaited) to.
-func loopTransferJob(n *Network, p *sim.Process, r Route, bytes, job int) {
+// blockingTransfer is TransferJob written as blocking code: the
+// transferring process sleeps its latency, joins, and waits on a condition
+// with a timer at its predicted completion, re-predicting after every
+// wake-up until its bytes are gone. With wakeAll nil it waits on its flow's
+// own condition, which only a solve that changes its rate signals: the
+// model TransferJob runs. With a wakeAll condition, broadcast after every
+// join and finish, every flow re-predicts at every join and finish: the
+// model before a flow was woken only by a rate change. It returns how many
+// completions the flow predicted.
+func blockingTransfer(n *Network, p *sim.Process, r Route, bytes, job int, wakeAll *sim.Cond) (predictions int) {
 	if n.jobBytes == nil {
 		n.jobBytes = make(map[int]int64)
 	}
 	n.jobBytes[job] += int64(bytes)
 	p.Sleep(sim.Duration(r.Path.Latency))
 	e := p.Engine()
-	f := &flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
+	f := &flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job, size: float64(bytes)}
 	if n.rec != nil {
 		n.flowSeq++
 		f.id = n.flowSeq
 		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowStart, Bytes: bytes, Job: job})
 	}
+	wait := &f.rerated
+	if wakeAll != nil {
+		wait = wakeAll
+	}
 	n.advance(e.Now())
 	n.join(f)
-	n.recompute()
-	n.change.Broadcast(e)
+	n.recompute(e)
+	if wakeAll != nil {
+		wakeAll.Broadcast(e)
+	}
 	for {
 		n.advance(e.Now())
 		if f.remaining <= 0 {
 			break
 		}
-		wait := sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
-		n.change.WaitTimeout(p, wait)
+		predictions++
+		wait.WaitTimeout(p, sim.Duration(math.Ceil(f.remaining/f.rate*1e9)))
 	}
 	n.remove(f)
-	n.recompute()
-	n.change.Broadcast(e)
+	n.recompute(e)
+	if wakeAll != nil {
+		wakeAll.Broadcast(e)
+	}
 	if n.rec != nil {
 		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowEnd, Job: f.job})
 	}
+	return predictions
 }
+
+// transferModel names how a run of TestRepredictMatchesLoop transfers.
+type transferModel int
+
+const (
+	viaMachine transferModel = iota // TransferJob: an Xfer, Awaited
+	viaLoop                         // blockingTransfer, woken by rate changes
+	viaWakeAll                      // blockingTransfer, woken by every join and finish
+)
 
 // TestRepredictMatchesLoop runs 1 000 seeded programs of up to ten
 // processes, each making up to three transfers at drawn instants over
 // drawn routes of four 8-GPU machines behind a 4:1 tapered leaf and spine,
-// once through loopTransferJob and once through TransferJob. Start times
-// and sizes come from small sets, so joins and finishes keep falling on
-// the same nanosecond. Everything observable must be equal: when each
-// transfer finished, the link counters, the recorded flow and saturation
-// events, the per-job bytes and the engine's timeline. What differs is who
-// ran: with the transfer as a machine the engine runs (Xfer) a transferring
-// process is resumed for its start delay and its completion, and never
-// between the start of its transfer and its flow's finish. The test fails
-// when a flow's turn forgets to advance the flows before it re-predicts.
+// through TransferJob and through its blocking loop (blockingTransfer
+// without wakeAll). Start times and sizes come from small sets, so joins
+// and finishes keep falling on the same nanosecond. Everything observable
+// must be equal: when each transfer finished, the link counters, the
+// recorded flow and saturation events, the per-job bytes and the engine's
+// timeline. What differs is who ran: with the transfer as a machine the
+// engine runs (Xfer) a transferring process is resumed for its start delay
+// and its completion, and never between the start of its transfer and its
+// flow's finish. The test fails when a flow's turn forgets to advance the
+// flows before it re-predicts.
+//
+// The same programs also run with every flow woken by every join and
+// finish (blockingTransfer with wakeAll), the model before a flow was woken
+// only by a change of its rate. A skipped re-prediction may move a finish
+// by the nanosecond its ceil rounded, so each finish may differ from that
+// model by at most the predictions its process's flows skipped so far, in
+// ns; the link counters by the programs' total of them, or float rounding.
 func TestRepredictMatchesLoop(t *testing.T) {
 	type outcome struct {
 		finished    []sim.Time
@@ -416,10 +448,17 @@ func TestRepredictMatchesLoop(t *testing.T) {
 		fingerprint uint64
 		resumes     uint64
 	}
-	run := func(seed int64, transfer func(n *Network, p *sim.Process, r Route, bytes, job int)) (out outcome, wantResumes uint64) {
+	type program struct {
+		out         outcome
+		predictions []int // per transfer, in the order of finished
+		first       []int // per transfer, the index of its process's first
+		wantResumes uint64
+	}
+	run := func(seed int64, model transferModel) (pr program) {
 		rng := rand.New(rand.NewSource(seed))
 		n := Shared(topo.MultiNode3090(4), OversubConfig(4))
-		n.SetRecorder(&out.rec)
+		n.SetRecorder(&pr.out.rec)
+		wakeAll := sim.NewCond("wake-all")
 		size := n.Cluster().Size()
 		e := sim.NewEngine()
 		e.MaxTime = sim.Time(sim.Second) // a flow that never drains fails the run, not the suite's timeout
@@ -439,14 +478,25 @@ func TestRepredictMatchesLoop(t *testing.T) {
 					job:   rng.Intn(3),
 				}
 			}
-			wantResumes += 1 + 2*uint64(len(xfers))
-			first := len(out.finished)
-			out.finished = append(out.finished, make([]sim.Time, len(xfers))...)
+			pr.wantResumes += 1 + 2*uint64(len(xfers))
+			first := len(pr.out.finished)
+			for range xfers {
+				pr.first = append(pr.first, first)
+			}
+			pr.out.finished = append(pr.out.finished, make([]sim.Time, len(xfers))...)
+			pr.predictions = append(pr.predictions, make([]int, len(xfers))...)
 			e.Spawn(fmt.Sprintf("p%d", proc), func(p *sim.Process) {
 				for i, x := range xfers {
 					p.Sleep(x.delay)
-					transfer(n, p, x.route, x.bytes, x.job)
-					out.finished[first+i] = p.Now()
+					switch model {
+					case viaMachine:
+						n.TransferJob(p, x.route, x.bytes, x.job)
+					case viaLoop:
+						pr.predictions[first+i] = blockingTransfer(n, p, x.route, x.bytes, x.job, nil)
+					case viaWakeAll:
+						pr.predictions[first+i] = blockingTransfer(n, p, x.route, x.bytes, x.job, wakeAll)
+					}
+					pr.out.finished[first+i] = p.Now()
 				}
 			})
 		}
@@ -456,34 +506,186 @@ func TestRepredictMatchesLoop(t *testing.T) {
 		if len(n.flows) != 0 {
 			t.Fatalf("seed %d: %d flows left on the network", seed, len(n.flows))
 		}
-		out.links, out.jobBytes = n.Snapshot(), n.JobBytes()
-		out.fingerprint, out.resumes = e.Fingerprint(), e.Resumes()
-		return out, wantResumes
+		pr.out.links, pr.out.jobBytes = n.Snapshot(), n.JobBytes()
+		pr.out.fingerprint, pr.out.resumes = e.Fingerprint(), e.Resumes()
+		return pr
 	}
-	sameInstant, saved := 0, uint64(0)
+	sameInstant, saved, skipped, moved, transfers, most := 0, uint64(0), 0, 0, 0, sim.Duration(0)
 	for seed := int64(0); seed < 1000; seed++ {
-		want, _ := run(seed, loopTransferJob)
-		got, wantResumes := run(seed, (*Network).TransferJob)
-		if got.resumes != wantResumes {
-			t.Fatalf("seed %d: %d resumes, want %d: one per start delay and completion", seed, got.resumes, wantResumes)
+		want := run(seed, viaLoop)
+		got := run(seed, viaMachine)
+		if got.out.resumes != got.wantResumes {
+			t.Fatalf("seed %d: %d resumes, want %d: one per start delay and completion", seed, got.out.resumes, got.wantResumes)
 		}
-		saved += want.resumes - got.resumes
-		got.resumes = want.resumes
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: TransferJob and the loop it replaced disagree:\n got %+v\nwant %+v", seed, got, want)
+		saved += want.out.resumes - got.out.resumes
+		got.out.resumes = want.out.resumes
+		if !reflect.DeepEqual(got.out, want.out) {
+			t.Fatalf("seed %d: TransferJob and its blocking loop disagree:\n got %+v\nwant %+v", seed, got.out, want.out)
 		}
-		ends := slices.Sorted(slices.Values(want.finished))
+		ends := slices.Sorted(slices.Values(want.out.finished))
 		if len(slices.Compact(ends)) < len(ends) {
 			sameInstant++
 		}
+
+		all := run(seed, viaWakeAll)
+		if !maps.Equal(all.out.jobBytes, want.out.jobBytes) {
+			t.Fatalf("seed %d: per-job bytes %v, %v when every flow is woken", seed, want.out.jobBytes, all.out.jobBytes)
+		}
+		bound, total := sim.Duration(0), sim.Duration(0)
+		for i, end := range want.out.finished {
+			if want.first[i] == i {
+				bound = 0
+			}
+			skip := all.predictions[i] - want.predictions[i]
+			bound += sim.Duration(max(skip, 0))
+			total += sim.Duration(max(skip, 0))
+			skipped += skip
+			transfers++
+			if d := end.Sub(all.out.finished[i]); d != 0 {
+				moved, most = moved+1, max(most, d, -d)
+				if d < -bound || d > bound {
+					t.Fatalf("seed %d: transfer %d finished at %v, %v when every flow is woken: %d ns apart, %d predictions skipped",
+						seed, i, end, all.out.finished[i], d, bound)
+				}
+			}
+		}
+		for i, l := range want.out.links {
+			a := all.out.links[i]
+			near(t, fmt.Sprintf("seed %d: %s busy", seed, l.Name), l.Busy, a.Busy, total)
+			near(t, fmt.Sprintf("seed %d: %s saturated", seed, l.Name), l.Saturated, a.Saturated, total)
+			if tol := 1e-9*a.Bytes + l.Capacity*float64(total)/1e9; math.Abs(l.Bytes-a.Bytes) > tol {
+				t.Fatalf("seed %d: %s carried %.3f B, %.3f B when every flow is woken (±%.3f)", seed, l.Name, l.Bytes, a.Bytes, tol)
+			}
+		}
 	}
-	if sameInstant < 100 || saved < 10000 {
-		t.Fatalf("%d of 1000 programs finish two transfers in one nanosecond, %d resumes saved: the corpus does not exercise re-prediction", sameInstant, saved)
+	t.Logf("%d of %d finishes moved against waking every flow, by at most %v; %d re-predictions skipped", moved, transfers, most, skipped)
+	if sameInstant < 100 || saved < 10000 || skipped < 10000 {
+		t.Fatalf("%d of 1000 programs finish two transfers in one nanosecond, %d resumes saved, %d re-predictions skipped: the corpus does not exercise re-prediction",
+			sameInstant, saved, skipped)
 	}
 }
 
+// turnCounter is a transfer Awaited through a wrapper that counts the
+// engine's turns for it.
+type turnCounter struct {
+	x     Xfer
+	turns int
+}
+
+func (c *turnCounter) Next() (sim.Wait, bool) {
+	c.turns++
+	return c.x.Next()
+}
+
+// TestJoinWakesOnlyReratedFlows: A (m0→m1) and B (m2→m3) run alone at
+// line rate; C joins halfway and leaves before them. A flow takes three
+// turns of its own (latency, join, completion). On links disjoint from
+// both (m1→m0), C's join and finish change no rate, and neither A nor B
+// takes an extra turn. Sharing A's NIC (m0→m2), C halves A's rate at its
+// join and restores it at its finish: A takes exactly those two extra
+// turns, B none.
+func TestJoinWakesOnlyReratedFlows(t *testing.T) {
+	const bytes = 620000 // 100µs at the 6.2 GB/s RDMA path
+	for _, tc := range []struct {
+		name         string
+		c            [2]int
+		turnsA, endA sim.Duration
+	}{
+		{"disjoint", [2]int{1, 0}, 3, 109 * sim.Microsecond},
+		{"shared", [2]int{0, 2}, 5, 119 * sim.Microsecond}, // C's 62 kB at half rate costs A 10µs
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := Shared(topo.NewCluster(4, 1, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+			e := sim.NewEngine()
+			var a, b, c turnCounter
+			var endA, endB sim.Time
+			transfer := func(tc *turnCounter, from, to, size int, end *sim.Time) func(p *sim.Process) {
+				return func(p *sim.Process) {
+					tc.x.Begin(n, e, n.RouteBetween(from, to), size, 0)
+					p.Await(tc)
+					if end != nil {
+						*end = p.Now()
+					}
+				}
+			}
+			e.Spawn("A", transfer(&a, 0, 1, bytes, &endA))
+			e.Spawn("B", transfer(&b, 2, 3, bytes, &endB))
+			e.Spawn("C", func(p *sim.Process) {
+				p.Sleep(50 * sim.Microsecond)
+				transfer(&c, tc.c[0], tc.c[1], bytes/10, nil)(p)
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if a.turns != int(tc.turnsA) || b.turns != 3 || c.turns != 3 {
+				t.Fatalf("turns A %d, B %d, C %d; want %d, 3, 3", a.turns, b.turns, c.turns, tc.turnsA)
+			}
+			near(t, "A's end", sim.Duration(endA), tc.endA, 2)
+			near(t, "B's end", sim.Duration(endB), 109*sim.Microsecond, 1)
+		})
+	}
+}
+
+// TestFlowDueInvariant breaks the rule that a solve which changes a flow's
+// rate wakes it: a saboteur halfway through a lone flow accrues its
+// progress and then changes its rate behind its back. A rate cut leaves
+// bytes at the predicted completion, found by the flow's turn there; a
+// rate rise drains the flow long before it, found by the accounting that
+// carries it past its end.
+func TestFlowDueInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		factor float64
+		detail string
+	}{
+		{0.5, "left at its predicted completion"},
+		{2, "past its end"},
+	} {
+		n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+		e := sim.NewEngine()
+		e.Spawn("flow", func(p *sim.Process) { n.Transfer(p, n.RouteBetween(0, 1), 620000) })
+		e.Spawn("saboteur", func(p *sim.Process) {
+			p.Sleep(50 * sim.Microsecond)
+			n.advance(p.Now())
+			n.flows[0].rate *= tc.factor
+		})
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "fabric: flow-due") || !strings.Contains(err.Error(), tc.detail) {
+			t.Fatalf("rate ×%v behind the flow's back: Run: %v; want a flow-due panic (%s)", tc.factor, err, tc.detail)
+		}
+	}
+}
+
+// TestXferBeginUnheld re-arms a transfer whose flow is still on the wire,
+// waited on by the process moving it: Begin panics naming the invariant,
+// before it touches the transfer, which then finishes on time. (Without
+// the check the re-armed flow corrupts the network's flow set, and the
+// run spins at one instant, so the test fails from inside the process.)
+func TestXferBeginUnheld(t *testing.T) {
+	n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+	e := sim.NewEngine()
+	var x Xfer
+	var end sim.Time
+	e.Spawn("flow", func(p *sim.Process) {
+		x.Begin(n, e, n.RouteBetween(0, 1), 620000, 0)
+		p.Await(&x)
+		end = p.Now()
+	})
+	e.Spawn("reuser", func(p *sim.Process) {
+		p.Sleep(50 * sim.Microsecond)
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "fabric: xfer-begin-unheld") {
+				t.Fatalf("Begin on a transfer in flight: recovered %v, want a panic naming xfer-begin-unheld", r)
+			}
+		}()
+		x.Begin(n, e, n.RouteBetween(1, 0), 1, 0)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	near(t, "the transfer's end", sim.Duration(end), 109*sim.Microsecond, 1)
+}
+
 // BenchmarkFlowEvent is the host cost of one small transfer (a join and a
-// finish, each re-solving the rates and re-predicting every flow) while 64
+// finish, each re-solving the rates and waking the flows it re-rates) while 64
 // long transfers cross the same 4:1 tapered spine.
 func BenchmarkFlowEvent(b *testing.B) {
 	n := Shared(topo.MultiNode3090(4), OversubConfig(4))

@@ -14,13 +14,16 @@ import (
 // leaves. It is part of the Xfer that moves it.
 type flow struct {
 	route     Route
-	remaining float64 // bytes left to move
-	cap       float64 // per-flow rate ceiling (the route's Path.Bandwidth)
-	rate      float64 // current max-min fair rate, set by recompute
-	frozen    bool    // scratch for one water-filling solve
-	id        int     // recorder flow ID (0 when recording is off)
-	prevRate  float64 // rate before the last solve (rate-change detection)
-	job       int     // owning tenant job ID (0 = untagged)
+	remaining float64  // bytes left to move
+	cap       float64  // per-flow rate ceiling (the route's Path.Bandwidth)
+	rate      float64  // current max-min fair rate, set by recompute
+	frozen    bool     // scratch for one water-filling solve
+	id        int      // recorder flow ID (0 when recording is off)
+	prevRate  float64  // rate before the last solve (rate-change detection)
+	job       int      // owning tenant job ID (0 = untagged)
+	size      float64  // bytes at the start, the scale of remaining's float residue
+	due       sim.Time // completion predicted at rate; MaxInt64 once a solve changed rate
+	rerated   sim.Cond // signalled by a solve that changes rate
 }
 
 // Xfer is one transfer as a machine that returns its waits instead of
@@ -28,11 +31,14 @@ type flow struct {
 // waits Next asks for, a process by Awaiting it (TransferJob), another
 // machine by handing each wait on (the executor's send). Between two waits
 // Next does what a transferring process would: price the first sleep; join
-// the network's flows and re-solve the rates; at every join, finish or
-// predicted completion accrue progress and predict again; leave and
-// re-solve. The engine takes those turns, so a process runs again only
-// once its transfer is over. An Xfer is reusable after Next answers false
-// and must stay where it is until then: the network points into it.
+// the network's flows and re-solve the rates; at every solve that changes
+// its rate, and at its predicted completion, accrue progress and predict
+// again; leave and re-solve. A solve that leaves its rate alone leaves its
+// prediction standing. The engine takes those turns, so a process runs
+// again only once its transfer is over. An Xfer is reusable after Next
+// answers false and must stay where it is until then: the network points
+// into it, and its wait is on the flow's own condition. Begin panics
+// (xfer-begin-unheld) on an Xfer whose flow is still waited on.
 type Xfer struct {
 	net    *Network
 	engine *sim.Engine
@@ -47,15 +53,18 @@ type xferState uint8
 const (
 	xferStart   xferState = iota // nothing done yet
 	xferJoin                     // the latency has passed: join the flows
-	xferFlowing                  // a join, a finish or the predicted completion woke the flow
+	xferFlowing                  // a rate change or the predicted completion woke the flow
 	xferDone                     // an independently priced transfer has slept its time
 )
 
 // Begin arms x to move bytes over route r on n, attributed to tenant job
 // ID job, in a simulation driven by e.
 func (x *Xfer) Begin(n *Network, e *sim.Engine, r Route, bytes, job int) {
+	if x.flow.rerated.Waiters() != 0 {
+		panic("fabric: xfer-begin-unheld: Begin on a transfer whose flow is still waited on")
+	}
 	x.net, x.engine, x.bytes, x.at = n, e, bytes, xferStart
-	x.flow = flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job}
+	x.flow = flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job, size: float64(bytes)}
 }
 
 // Next is the transfer's next turn (sim.Stepper).
@@ -83,22 +92,26 @@ func (x *Xfer) Next() (sim.Wait, bool) {
 		}
 		n.advance(e.Now())
 		n.join(f)
-		n.recompute()
-		n.change.Broadcast(e)
+		n.recompute(e)
 		x.at = xferFlowing
 	case xferFlowing:
 		n.advance(e.Now())
+		if e.Now() >= f.due && f.remaining > f.slack() {
+			panic(fmt.Sprintf("fabric: flow-due: flow %d has %g B left at its predicted completion %v (%g B/s)",
+				f.id, f.remaining, f.due, f.rate))
+		}
 	case xferDone:
 		return sim.Wait{}, false
 	}
 	if f.remaining > 0 {
-		// Wait until the predicted completion at the current rate; a rate
-		// change broadcasts, and the flow re-predicts at once.
-		return sim.Wait{Cond: n.change, D: f.eta()}, true
+		// Wait until the predicted completion at the current rate; a solve
+		// that changes the rate signals, and the flow re-predicts at once.
+		d := f.eta()
+		f.due = e.Now().Add(d)
+		return sim.Wait{Cond: &f.rerated, D: d}, true
 	}
 	n.remove(f)
-	n.recompute()
-	n.change.Broadcast(e)
+	n.recompute(e)
 	if n.rec != nil {
 		n.rec.RecordFlow(trace.FlowEvent{At: e.Now(), ID: f.id, Kind: trace.FlowEnd, Job: f.job})
 	}
@@ -112,9 +125,11 @@ func (x *Xfer) Next() (sim.Wait, bool) {
 // the independent pricing. Otherwise the transfer
 // becomes a flow: it serializes at its max-min fair share of every link
 // on the route, re-solved each time any flow joins or finishes, so its
-// duration depends on concurrent traffic. (Even without contention the
-// shared pricing rounds serialization up to whole nanoseconds, where
-// the independent pricing truncates — durations may differ by 1ns.)
+// duration depends on concurrent traffic: it completes when the bytes it
+// had left at its last rate change run out at that rate. (Even without
+// contention the shared pricing rounds serialization up to whole
+// nanoseconds, where the independent pricing truncates — durations may
+// differ by 1ns.)
 func (n *Network) Transfer(p *sim.Process, r Route, bytes int) {
 	n.TransferJob(p, r, bytes, 0)
 }
@@ -140,6 +155,12 @@ func (n *Network) TransferJob(p *sim.Process, r Route, bytes, job int) {
 func (f *flow) eta() sim.Duration {
 	return sim.Duration(math.Ceil(f.remaining / f.rate * 1e9))
 }
+
+// slack is the most bytes a flow may have left at its predicted
+// completion, or be carried past its end (flow-due): what its rate moves in
+// one nanosecond, the ceil of its prediction, plus the float residue of
+// taking its progress off its size window by window.
+func (f *flow) slack() float64 { return (f.rate + f.size) * 1e-9 }
 
 // join adds a flow to the active set and its links to the busy ones.
 func (n *Network) join(f *flow) {
@@ -169,7 +190,8 @@ func (n *Network) remove(f *flow) {
 // accounting instant to now at the rates of the last solve, updating the
 // busy links' byte/busy/saturated counters in construction order. It must
 // run before any change to the flow set (and after every wakeup, before
-// remaining is read), so the busy links are those of the last solve.
+// remaining is read), so the busy links are those of the last solve. A
+// flow carried more than its slack past its end missed a wake (flow-due).
 func (n *Network) advance(now sim.Time) {
 	prev := n.lastAt
 	dt := now.Sub(n.lastAt)
@@ -180,7 +202,11 @@ func (n *Network) advance(now sim.Time) {
 	sec := float64(dt) / 1e9
 	for _, f := range n.flows {
 		moved := f.rate * sec
-		if moved > f.remaining {
+		if over := moved - f.remaining; over > 0 {
+			if over > f.slack() {
+				panic(fmt.Sprintf("fabric: flow-due: flow %d carried %g B past its end at %v (%g B/s): its completion was not its turn",
+					f.id, over, now, f.rate))
+			}
 			moved = f.remaining
 		}
 		f.remaining -= moved
@@ -209,8 +235,10 @@ func (n *Network) advance(now sim.Time) {
 // freeze at their cap). It touches only the busy links, in construction
 // order, and the bottleneck is the first of them to reach the least share.
 // Iteration is in deterministic slice order, so identical flow sets always
-// solve to identical rates.
-func (n *Network) recompute() {
+// solve to identical rates. Then, in one pass in join order, it signals
+// each flow whose rate changed (its turn re-predicts at once) and records
+// the new rate; every other flow keeps its predicted completion.
+func (n *Network) recompute(e *sim.Engine) {
 	for _, l := range n.busy {
 		l.alloc, l.avail, l.live = 0, l.Capacity, l.nflows
 	}
@@ -255,14 +283,17 @@ func (n *Network) recompute() {
 		}
 		l.saturatedNow = l.alloc >= l.Capacity*(1-1e-9)
 	}
-	if n.rec != nil {
-		// recompute always runs right after advance(now), so n.lastAt is
-		// the solve instant. A flow's first solve (prevRate 0) records
-		// its initial allocation.
-		for _, f := range n.flows {
-			if f.rate != f.prevRate {
-				n.rec.RecordFlow(trace.FlowEvent{At: n.lastAt, ID: f.id, Kind: trace.FlowRate, Rate: f.rate, Job: f.job})
-			}
+	for _, f := range n.flows {
+		if f.rate == f.prevRate {
+			continue
+		}
+		f.due = math.MaxInt64
+		f.rerated.Signal(e)
+		if n.rec != nil {
+			// recompute always runs right after advance(now), so n.lastAt
+			// is the solve instant. A flow's first solve (prevRate 0)
+			// records its initial allocation.
+			n.rec.RecordFlow(trace.FlowEvent{At: n.lastAt, ID: f.id, Kind: trace.FlowRate, Rate: f.rate, Job: f.job})
 		}
 	}
 }
