@@ -33,10 +33,10 @@ ci: fmt vet build test
 # doccheck fails if any exported identifier in the root package,
 # internal/prim, internal/orch, internal/fabric, internal/tune,
 # internal/trace, internal/metrics, internal/cudasim, internal/core,
-# internal/sim, internal/mem, internal/topo, or internal/cluster lacks a
-# doc comment (go/ast-based, no external linters;
-# see cmd/doccheck), or if the newest CHANGES.md entry is longer than
-# 1 500 characters.
+# internal/sim, internal/mem, internal/topo, internal/cluster,
+# internal/chaos, internal/ncclsim, or internal/train lacks a doc
+# comment (go/ast-based, no external linters; see cmd/doccheck), or if
+# the newest CHANGES.md entry is longer than 1 500 characters.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

@@ -2,8 +2,9 @@
 // exported identifier in the audited packages (the root dfccl package,
 // internal/prim, internal/orch, internal/fabric, internal/tune,
 // internal/trace, internal/metrics, internal/cudasim, internal/core,
-// internal/sim, internal/mem, internal/topo and internal/cluster) must
-// carry a doc comment. It parses the source with
+// internal/sim, internal/mem, internal/topo, internal/cluster,
+// internal/chaos, internal/ncclsim and internal/train) must carry a doc
+// comment. It parses the source with
 // go/ast — no external linters — and exits non-zero listing each
 // undocumented identifier as file:line.
 //
@@ -30,7 +31,7 @@ import (
 
 // auditedDirs are the packages whose exported surface must be fully
 // documented. Relative to the repository root (the working directory).
-var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim", "internal/mem", "internal/topo", "internal/cluster"}
+var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim", "internal/mem", "internal/topo", "internal/cluster", "internal/chaos", "internal/ncclsim", "internal/train"}
 
 // changesCap is the most characters the newest CHANGES.md entry may
 // hold: what one reader takes in at once.

@@ -84,14 +84,15 @@ type (
 	// CollectiveStats are per-handle scheduling statistics.
 	CollectiveStats = core.CollectiveStats
 	// OpenOption configures Open (WithPriority, WithCollID, WithGrid,
-	// WithCounts, WithAlgorithm).
+	// WithJob).
 	OpenOption = core.OpenOption
 	// BatchItem is one launch in a Batch.
 	BatchItem = core.BatchItem
 	// Algorithm selects the primitive-sequence algorithm of a
-	// collective: AlgoRing (default), AlgoHierarchical for the
-	// topology-aware kinds, or AlgoAuto to defer the choice to the
-	// tuning table at Open time.
+	// collective through Spec.Algo: AlgoRing (default),
+	// AlgoHierarchical for the topology-aware kinds, or AlgoAuto to
+	// defer the choice to the tuning table at Open time. All ranks must
+	// open the same algorithm; unknown algorithms are rejected at Open.
 	Algorithm = prim.Algorithm
 	// TransportBytes is a per-transport (local / SHM / RDMA) split of
 	// the wire traffic a collective's executor sent, reported through
@@ -111,8 +112,8 @@ type (
 	// model (the default); SharedFabric makes concurrent transfers
 	// contend max-min fairly for per-tier link capacity.
 	FabricNetwork = fabric.Network
-	// FabricConfig shapes a shared fabric: machines per leaf switch and
-	// the per-tier oversubscription factors.
+	// FabricConfig shapes a shared fabric: the oversubscription factor
+	// of its leaf and spine tiers.
 	FabricConfig = fabric.Config
 	// LinkStat is one fabric link's cumulative counters (bytes carried,
 	// busy and saturated time), reported through CollectiveStats.Fabric.
@@ -146,11 +147,8 @@ var (
 	// domains, NICs, leaf and spine switches) and makes concurrent
 	// transfers share link capacity max-min fairly.
 	SharedFabric = fabric.Shared
-	// DefaultFabricConfig is a full-bisection fabric (no
-	// oversubscription), two machines per leaf.
-	DefaultFabricConfig = fabric.DefaultConfig
 	// OversubFabricConfig sets the leaf and spine oversubscription
-	// factors to f (1 = full bisection; >1 tapers core capacity).
+	// factor to f (1 = full bisection; >1 tapers core capacity).
 	OversubFabricConfig = fabric.OversubConfig
 	// FabricTierSummary folds per-link stats into one row per tier over
 	// a time horizon.
@@ -165,15 +163,6 @@ var (
 	WithCollID = core.WithCollID
 	// WithGrid sets the thread blocks the collective's kernel needs.
 	WithGrid = core.WithGrid
-	// WithCounts supplies the AllToAllv per-peer count matrix:
-	// counts[i][j] elements flow from devSet position i to position j.
-	WithCounts = core.WithCounts
-	// WithAlgorithm selects the collective's primitive-sequence
-	// algorithm (AlgoRing, AlgoHierarchical for the kinds with a
-	// two-tier schedule, or AlgoAuto to let the tuning table decide).
-	// All ranks must open the same algorithm; unknown algorithms are
-	// rejected at Open.
-	WithAlgorithm = core.WithAlgorithm
 	// WithJob tags the collective with its owning tenant job ID for
 	// per-job isolation in the communicator pool and per-tenant
 	// attribution of recorded spans, sends, and fabric flows (0 — the
@@ -181,7 +170,7 @@ var (
 	WithJob = core.WithJob
 )
 
-// Collective algorithms selectable with WithAlgorithm.
+// Collective algorithms, selected by Spec.Algo.
 const (
 	// AlgoRing is the flat topology-blind ring (the default).
 	AlgoRing = prim.AlgoRing
@@ -241,11 +230,10 @@ func AllToAll(count int, t DataType, devSet ...int) Spec {
 // AllToAllv builds the spec of a variable-count all-to-all over devSet:
 // block sizes come from a per-peer count matrix instead of a uniform
 // count, so skewed exchanges (MoE dispatch under a hot expert) move
-// exactly the routed elements with no capacity padding. Supply the
-// matrix with the WithCounts option at Open (or by assigning
-// Spec.Counts directly): counts[i][j] elements flow from devSet
-// position i to position j. Position i's send buffer is the row-i
-// concatenation, its recv buffer the column-i concatenation.
+// exactly the routed elements with no capacity padding. Assign the
+// matrix to Spec.Counts before Open: counts[i][j] elements flow from
+// devSet position i to position j. Position i's send buffer is the
+// row-i concatenation, its recv buffer the column-i concatenation.
 func AllToAllv(t DataType, devSet ...int) Spec {
 	return Spec{Kind: prim.AllToAllv, Type: t, Ranks: devSet}
 }

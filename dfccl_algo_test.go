@@ -17,6 +17,12 @@ var algoTestCounts = [][]int{
 	{1, 0, 6, 7, 2, 4},
 }
 
+// with returns spec with its AllToAllv count matrix and algorithm set.
+func with(spec dfccl.Spec, counts [][]int, algo dfccl.Algorithm) dfccl.Spec {
+	spec.Counts, spec.Algo = counts, algo
+	return spec
+}
+
 // runV2AllToAllv runs one AllToAllv over the facade on a 2-node
 // cluster with the given algorithm, returning per-rank recv buffers
 // and the summed per-transport wire bytes.
@@ -42,9 +48,7 @@ func runV2AllToAllv(t *testing.T, algo dfccl.Algorithm) ([]*dfccl.Buffer, dfccl.
 		pos := pos
 		lib.Go("rank", func(p *dfccl.Process) {
 			ctx := lib.Init(p, ranks[pos])
-			coll, err := ctx.Open(
-				dfccl.AllToAllv(dfccl.Float64, ranks...),
-				dfccl.WithCounts(counts), dfccl.WithAlgorithm(algo))
+			coll, err := ctx.Open(with(dfccl.AllToAllv(dfccl.Float64, ranks...), counts, algo))
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return
@@ -80,7 +84,7 @@ func runV2AllToAllv(t *testing.T, algo dfccl.Algorithm) ([]*dfccl.Buffer, dfccl.
 	return recvs, wire
 }
 
-// TestV2WithAlgorithmHierarchical drives WithAlgorithm end to end on a
+// TestV2WithAlgorithmHierarchical drives Spec.Algo end to end on a
 // two-node cluster: the hierarchical exchange must deliver the exact
 // ragged layout, bit-identical to the ring run, while moving strictly
 // fewer RDMA bytes — the facade-level acceptance check.
@@ -110,7 +114,7 @@ func TestV2WithAlgorithmHierarchical(t *testing.T) {
 }
 
 // TestV2WithAlgorithmNegativePaths pins the registration-layer
-// contract of WithAlgorithm: unknown algorithms and unsupported
+// contract of Spec.Algo: unknown algorithms and unsupported
 // (kind, algorithm) pairs are rejected at Open, a live collective ID
 // cannot be re-registered under a different algorithm, and auto-ID
 // assignment treats the algorithm as part of the spec's identity.
@@ -122,47 +126,34 @@ func TestV2WithAlgorithmNegativePaths(t *testing.T) {
 		ctx0 := lib.Init(p, 0)
 		ctx1 := lib.Init(p, 1)
 		// Unknown algorithm value: rejected at Open.
-		if _, err := ctx0.Open(
-			dfccl.AllToAllv(dfccl.Float64, 0, 1),
-			dfccl.WithCounts(counts), dfccl.WithAlgorithm(dfccl.Algorithm(42))); err == nil {
+		if _, err := ctx0.Open(with(dfccl.AllToAllv(dfccl.Float64, 0, 1), counts, dfccl.Algorithm(42))); err == nil {
 			t.Error("Open accepted an unknown algorithm")
 		}
 		// The rooted kinds have no hierarchical builder.
-		if _, err := ctx0.Open(
-			dfccl.Broadcast(64, dfccl.Float64, 0, 0, 1),
-			dfccl.WithAlgorithm(dfccl.AlgoHierarchical)); err == nil {
+		if _, err := ctx0.Open(with(dfccl.Broadcast(64, dfccl.Float64, 0, 0, 1), nil, dfccl.AlgoHierarchical)); err == nil {
 			t.Error("Open accepted a hierarchical broadcast")
 		}
-		if _, err := ctx0.Open(
-			dfccl.Reduce(64, dfccl.Float64, dfccl.Sum, 0, 0, 1),
-			dfccl.WithAlgorithm(dfccl.AlgoHierarchical)); err == nil {
+		if _, err := ctx0.Open(with(dfccl.Reduce(64, dfccl.Float64, dfccl.Sum, 0, 0, 1), nil, dfccl.AlgoHierarchical)); err == nil {
 			t.Error("Open accepted a hierarchical reduce")
 		}
 		// Re-registering the same collective ID under a different
 		// algorithm is a spec mismatch.
-		ringColl, err := ctx0.Open(
-			dfccl.AllToAllv(dfccl.Float64, 0, 1),
-			dfccl.WithCounts(counts), dfccl.WithCollID(7))
+		ringColl, err := ctx0.Open(with(dfccl.AllToAllv(dfccl.Float64, 0, 1), counts, dfccl.AlgoRing), dfccl.WithCollID(7))
 		if err != nil {
 			t.Errorf("open ring: %v", err)
 			return
 		}
-		if _, err := ctx1.Open(
-			dfccl.AllToAllv(dfccl.Float64, 0, 1),
-			dfccl.WithCounts(counts), dfccl.WithCollID(7),
-			dfccl.WithAlgorithm(dfccl.AlgoHierarchical)); err == nil {
+		if _, err := ctx1.Open(with(dfccl.AllToAllv(dfccl.Float64, 0, 1), counts, dfccl.AlgoHierarchical), dfccl.WithCollID(7)); err == nil {
 			t.Error("collective 7 re-registered with a different algorithm")
 		}
 		// Auto-ID assignment distinguishes algorithms: the same matrix
 		// opened ring vs hierarchical yields distinct collectives.
-		autoRing, err := ctx1.Open(dfccl.AllToAllv(dfccl.Float64, 0, 1), dfccl.WithCounts(counts))
+		autoRing, err := ctx1.Open(with(dfccl.AllToAllv(dfccl.Float64, 0, 1), counts, dfccl.AlgoRing))
 		if err != nil {
 			t.Errorf("open auto ring: %v", err)
 			return
 		}
-		autoHier, err := ctx1.Open(
-			dfccl.AllToAllv(dfccl.Float64, 0, 1),
-			dfccl.WithCounts(counts), dfccl.WithAlgorithm(dfccl.AlgoHierarchical))
+		autoHier, err := ctx1.Open(with(dfccl.AllToAllv(dfccl.Float64, 0, 1), counts, dfccl.AlgoHierarchical))
 		if err != nil {
 			t.Errorf("open auto hierarchical: %v", err)
 			return
@@ -197,9 +188,7 @@ func runV2AllReduce(t *testing.T, algo dfccl.Algorithm) dfccl.TransportBytes {
 		pos := pos
 		lib.Go("rank", func(p *dfccl.Process) {
 			ctx := lib.Init(p, ranks[pos])
-			coll, err := ctx.Open(
-				dfccl.AllReduce(count, dfccl.Float64, dfccl.Sum, ranks...),
-				dfccl.WithAlgorithm(algo))
+			coll, err := ctx.Open(with(dfccl.AllReduce(count, dfccl.Float64, dfccl.Sum, ranks...), nil, algo))
 			if err != nil {
 				t.Errorf("open(%v): %v", algo, err)
 				return

@@ -294,8 +294,8 @@ func TestV2AllToAll(t *testing.T) {
 }
 
 // TestV2AllToAllv drives the variable-count all-to-all through the
-// full DFCCL stack: the AllToAllv builder plus the WithCounts option
-// carrying a skewed count matrix, per-rank ragged buffer sizing, and
+// full DFCCL stack: the AllToAllv builder plus Spec.Counts carrying a
+// skewed count matrix, per-rank ragged buffer sizing, and
 // the wrong-size / missing-counts error paths.
 func TestV2AllToAllv(t *testing.T) {
 	counts := [][]int{
@@ -330,9 +330,9 @@ func TestV2AllToAllv(t *testing.T) {
 			if _, err := ctx.Open(dfccl.AllToAllv(dfccl.Float64, 0, 1, 2, 3)); err == nil {
 				t.Error("Open accepted an AllToAllv spec with no counts")
 			}
-			coll, err := ctx.Open(
-				dfccl.AllToAllv(dfccl.Float64, 0, 1, 2, 3),
-				dfccl.WithCounts(counts), dfccl.WithCollID(77))
+			spec := dfccl.AllToAllv(dfccl.Float64, 0, 1, 2, 3)
+			spec.Counts = counts
+			coll, err := ctx.Open(spec, dfccl.WithCollID(77))
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return

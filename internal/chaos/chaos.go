@@ -70,6 +70,16 @@ type Event struct {
 // Schedule is a time-ordered fault script.
 type Schedule []Event
 
+// The run's fixed shape: the DP gradient-tensor count, the
+// per-iteration compute sleep, which gives scheduled faults a window to
+// land mid-iteration, and the virtual-time bound that turns any hang
+// into a reported failure.
+const (
+	layers     = 3
+	compute    = 150 * sim.Microsecond
+	maxVirtual = 600 * sim.Second
+)
+
 // Config describes one chaos run.
 type Config struct {
 	// Workload selects the training loop: "dp", "moe", "zero", or
@@ -89,14 +99,6 @@ type Config struct {
 	Algo prim.Algorithm
 	// Schedule is the fault script.
 	Schedule Schedule
-	// Layers is the DP gradient-tensor count (default 3).
-	Layers int
-	// Compute is the per-iteration compute sleep, giving scheduled
-	// faults a window to land mid-iteration (default 150µs).
-	Compute sim.Duration
-	// MaxVirtual bounds the run's virtual time so any hang becomes a
-	// reported failure (default 600 virtual seconds).
-	MaxVirtual sim.Duration
 	// Recorder, when non-nil, is installed as the run's flight recorder
 	// (core.Config.Recorder): daemon events, executor spans, byte
 	// records, and kill/abort/reform/revive marks from the fault script
@@ -141,7 +143,7 @@ type Report struct {
 	// Fingerprint is the engine's timeline hash after the run
 	// (sim.Engine.Fingerprint): equal configs must reproduce it.
 	Fingerprint uint64
-	// Hang is set when the run deadlocked, exceeded MaxVirtual, or
+	// Hang is set when the run deadlocked, exceeded 600 virtual seconds, or
 	// livelocked past the attempt cap.
 	Hang bool
 	// Err holds the first fatal non-typed failure ("" on success).
@@ -171,24 +173,15 @@ func (r *Report) MembershipChanged() bool {
 // error, or output divergence) — callers gating on chaos can bubble it
 // directly.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Layers <= 0 {
-		cfg.Layers = 3
-	}
-	if cfg.Compute <= 0 {
-		cfg.Compute = 150 * sim.Microsecond
-	}
-	if cfg.MaxVirtual <= 0 {
-		cfg.MaxVirtual = 600 * sim.Second
-	}
 	rep := &Report{Workload: cfg.Workload}
-	tenant := workload.Tenant{Algo: cfg.Algo, Layers: cfg.Layers}
+	tenant := workload.Tenant{Algo: cfg.Algo, Layers: layers}
 	if err := cfg.validate(tenant); err != nil {
 		rep.Err = err.Error()
 		return rep, err
 	}
 
 	e := sim.NewEngine()
-	e.MaxTime = sim.Time(cfg.MaxVirtual)
+	e.MaxTime = sim.Time(maxVirtual)
 	ccfg := core.DefaultConfig()
 	ccfg.Recorder = cfg.Recorder
 	sys := core.NewSystem(e, cfg.Cluster, ccfg)
@@ -272,7 +265,7 @@ func Run(cfg Config) (*Report, error) {
 				break
 			}
 			interrupted = false
-			att := workload.NewAttempt(members, cfg.Iterations, cfg.Compute, &prog, stop)
+			att := workload.NewAttempt(members, cfg.Iterations, compute, &prog, stop)
 			running = len(members)
 			for pos, rank := range members {
 				pos, rank := pos, rank

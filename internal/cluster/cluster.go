@@ -115,9 +115,6 @@ type Config struct {
 	Oversub float64
 	// Kills is the fault schedule.
 	Kills []KillEvent
-	// MaxVirtual bounds the run's virtual time so any hang becomes a
-	// reported failure (default 600 virtual seconds).
-	MaxVirtual sim.Duration
 	// Recorder, when non-nil, is installed as the run's flight
 	// recorder: per-job action spans, sends, and fabric flow events all
 	// land on one timeline.
@@ -184,7 +181,7 @@ type Report struct {
 	// Fingerprint is the engine's timeline hash after the run
 	// (sim.Engine.Fingerprint): equal configs must reproduce it.
 	Fingerprint uint64
-	// Hang is set when the run deadlocked, exceeded MaxVirtual, or
+	// Hang is set when the run deadlocked, exceeded 600 virtual seconds, or
 	// livelocked past the attempt cap.
 	Hang bool
 	// Err holds the first fatal failure ("" on success).

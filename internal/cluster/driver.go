@@ -103,8 +103,8 @@ func (d *driver) tryAdmit(p *sim.Process) {
 			return
 		}
 		if idx < 0 || idx >= len(d.pending) || len(ranks) != d.pending[idx].spec.Size {
-			d.fail(fmt.Errorf("cluster: policy %s returned invalid admission (idx %d, %d ranks for job of size %d)",
-				d.cfg.Policy.Name(), idx, len(ranks), d.pending[idx].spec.Size))
+			d.fail(fmt.Errorf("cluster: policy %s returned invalid admission (idx %d of %d pending, %d ranks)",
+				d.cfg.Policy.Name(), idx, len(d.pending), len(ranks)))
 			return
 		}
 		js := d.pending[idx]
@@ -212,9 +212,13 @@ func (d *driver) checkLoad() {
 // attemptCap bounds requeues so a livelock becomes a failure.
 func (d *driver) attemptCap() int { return 3 + len(d.cfg.Kills) }
 
+// maxVirtual bounds a run's virtual time so any hang becomes a reported
+// failure.
+const maxVirtual = 600 * sim.Second
+
 // newSystem builds the engine, fabric, and DFCCL deployment a cluster
 // run — multi-tenant or solo — executes on.
-func newSystem(cl *topo.Cluster, oversub float64, maxVirtual sim.Duration, rec *trace.Recorder) (*sim.Engine, *fabric.Network, *core.System) {
+func newSystem(cl *topo.Cluster, oversub float64, rec *trace.Recorder) (*sim.Engine, *fabric.Network, *core.System) {
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(maxVirtual)
 	var net *fabric.Network
@@ -239,9 +243,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.SlotsPerGPU <= 0 {
 		cfg.SlotsPerGPU = 2
 	}
-	if cfg.MaxVirtual <= 0 {
-		cfg.MaxVirtual = 600 * sim.Second
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = FIFO{}
 	}
@@ -251,7 +252,7 @@ func Run(cfg Config) (*Report, error) {
 		return rep, err
 	}
 
-	e, net, sys := newSystem(cfg.Cluster, cfg.Oversub, cfg.MaxVirtual, cfg.Recorder)
+	e, net, sys := newSystem(cfg.Cluster, cfg.Oversub, cfg.Recorder)
 
 	d := &driver{
 		cfg:      cfg,
@@ -389,7 +390,7 @@ func SoloHashes(cl *topo.Cluster, spec JobSpec, ranks []int, oversub float64) ([
 	if _, err := spec.workload(); err != nil {
 		return nil, err
 	}
-	e, _, sys := newSystem(cl, oversub, 600*sim.Second, nil)
+	e, _, sys := newSystem(cl, oversub, nil)
 
 	var pr workload.Progress
 	att := workload.NewAttempt(ranks, spec.Iterations, spec.compute(), &pr, nil)

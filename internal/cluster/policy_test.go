@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dfccl/internal/sim"
@@ -264,5 +265,31 @@ func TestUnplaceablePendingFails(t *testing.T) {
 	}
 	if !rep.Jobs[1].Failed {
 		t.Error("stranded job 2 not marked failed")
+	}
+}
+
+// outOfRange admits an index one past the pending queue.
+type outOfRange struct{}
+
+func (outOfRange) Name() string { return "out-of-range" }
+
+func (outOfRange) Admit(pending []Pending, _ View) (int, []int, bool) {
+	return len(pending), []int{0, 1}, true
+}
+
+// TestInvalidAdmissionIndexFails: a policy that returns an index past
+// the queue is a typed failure naming the policy, not a panic of the
+// admission process.
+func TestInvalidAdmissionIndexFails(t *testing.T) {
+	jobs := []JobSpec{{ID: 1, Kind: "dp", Size: 2, Iterations: 1, Arrival: 0}}
+	rep, err := Run(Config{Cluster: topo.Server3090(2), Jobs: jobs, Policy: outOfRange{}})
+	if err == nil {
+		t.Fatal("Run accepted an out-of-range admission")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "out-of-range") || strings.Contains(msg, "panicked") {
+		t.Fatalf("error %q does not name the policy or reports a panic", msg)
+	}
+	if rep.Hang {
+		t.Fatalf("driver hung instead of failing cleanly: %q", rep.Err)
 	}
 }

@@ -14,9 +14,8 @@ import (
 // is a small value, one setting of one field, so passing options to Open
 // allocates nothing.
 type OpenOption struct {
-	field  optField
-	n      int
-	counts [][]int
+	field optField
+	n     int
 }
 
 // optField names the setting an OpenOption makes.
@@ -26,8 +25,6 @@ const (
 	optCollID optField = iota + 1
 	optPriority
 	optGrid
-	optCounts
-	optAlgo
 	optJob
 )
 
@@ -36,9 +33,6 @@ type openOpts struct {
 	hasID    bool
 	priority int
 	grid     int
-	counts   [][]int
-	algo     prim.Algorithm
-	hasAlgo  bool
 	job      int
 }
 
@@ -51,10 +45,6 @@ func (o *openOpts) apply(opt OpenOption) {
 		o.priority = opt.n
 	case optGrid:
 		o.grid = opt.n
-	case optCounts:
-		o.counts = opt.counts
-	case optAlgo:
-		o.algo, o.hasAlgo = prim.Algorithm(opt.n), true
 	case optJob:
 		o.job = opt.n
 	}
@@ -79,21 +69,6 @@ func WithPriority(priority int) OpenOption { return OpenOption{field: optPriorit
 // refuses a grid larger than a member rank's device holds.
 func WithGrid(blocks int) OpenOption { return OpenOption{field: optGrid, n: blocks} }
 
-// WithCounts sets the AllToAllv per-peer count matrix on the opened
-// spec: counts[i][j] elements flow from ranks-position i to position j.
-// Every participating rank opens the same full matrix (the shared view
-// is what makes the cross-rank send/recv count agreement structural);
-// the matrix is deep-copied, so the caller may reuse its slices. Only
-// valid with an AllToAllv spec — Open rejects other kinds at
-// validation.
-func WithCounts(counts [][]int) OpenOption {
-	cp := make([][]int, len(counts))
-	for i, row := range counts {
-		cp[i] = append([]int(nil), row...)
-	}
-	return OpenOption{field: optCounts, counts: cp}
-}
-
 // WithJob tags the collective with the tenant job it belongs to (job
 // IDs are positive; 0 — the default — means untagged). The tag flows
 // through the executor into recorded action spans, sends, and fabric
@@ -102,15 +77,6 @@ func WithCounts(counts [][]int) OpenOption {
 // collective ID can never be shared across jobs — the per-job isolation
 // that keeps one tenant's data out of another's communicator.
 func WithJob(job int) OpenOption { return OpenOption{field: optJob, n: job} }
-
-// WithAlgorithm selects the primitive-sequence algorithm of the opened
-// collective (prim.AlgoRing — the default — or prim.AlgoHierarchical
-// for the topology-aware all-to-all variants). Every participating
-// rank must open the same algorithm: the algorithm is part of the
-// spec's identity, so a re-registration under a different one is
-// refused, and Open rejects unknown algorithms or kinds the algorithm
-// does not support at validation.
-func WithAlgorithm(a prim.Algorithm) OpenOption { return OpenOption{field: optAlgo, n: int(a)} }
 
 // Collective is a typed handle to one registered collective on one
 // rank: the unit of the v2 API. It is obtained from Open, launched
@@ -137,18 +103,10 @@ func (r *RankContext) Open(spec prim.Spec, opts ...OpenOption) (*Collective, err
 	for _, opt := range opts {
 		o.apply(opt)
 	}
-	if o.counts != nil {
-		spec.Counts = o.counts
-	}
-	if o.hasAlgo {
-		spec.Algo = o.algo
-	}
-	// Validation runs after options apply, since WithCounts completes an
-	// AllToAllv spec and WithAlgorithm can select an unsupported
-	// (kind, algorithm) pair. Ranks outside the cluster are refused here,
-	// before anything (the tuning table, the pool) looks them up, and so
-	// is a grid some member's device cannot hold: the daemon kernel
-	// launched at it could never start.
+	// Ranks outside the cluster are refused here, before anything (the
+	// tuning table, the pool) looks them up, and so is a grid some
+	// member's device cannot hold: the daemon kernel launched at it
+	// could never start.
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

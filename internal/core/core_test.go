@@ -411,7 +411,7 @@ func TestRegistrationValidation(t *testing.T) {
 		// Unregistered collective cannot run.
 		s := mem.NewBuffer(mem.Float32, 64)
 		d := mem.NewBuffer(mem.Float32, 64)
-		if err := r.Run(p, 99, s, d, nil); err == nil {
+		if err := r.submit(p, 99, launch{send: s, recv: d}); err == nil {
 			t.Error("run of unregistered collective accepted")
 		}
 		// Wrong buffer sizes must fail.

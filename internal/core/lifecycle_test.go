@@ -703,7 +703,8 @@ func TestRecycledTasksRunLikeNew(t *testing.T) {
 				rc := sys.Init(p, rank)
 				defer rc.Destroy(p)
 				for _, spec := range specs {
-					c, err := rc.Open(spec, WithAlgorithm(algo))
+					spec.Algo = algo
+					c, err := rc.Open(spec)
 					if err != nil {
 						t.Errorf("%v rank %d open %v: %v", algo, rank, spec.Kind, err)
 						return

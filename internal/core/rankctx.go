@@ -288,13 +288,6 @@ func (r *RankContext) release(t *collTask) {
 	}
 }
 
-// Run invokes an open collective by ID — dfcclRun*, the layer under
-// (*Collective).LaunchCB. It is asynchronous and non-blocking: see
-// submit.
-func (r *RankContext) Run(p *sim.Process, collID int, sendBuf, recvBuf *mem.Buffer, cb Callback) error {
-	return r.submit(p, collID, launch{send: sendBuf, recv: recvBuf, cb: cb})
-}
-
 // submit validates a launch, records it at the back of the collective's
 // launch FIFO, inserts its SQE, and starts the daemon kernel if
 // necessary (event-driven starting, Sec. 4.4).

@@ -176,56 +176,25 @@ type Route struct {
 	Links []*Link
 }
 
+// machinesPerLeaf groups machines under leaf switches: machine m
+// attaches to leaf m/machinesPerLeaf.
+const machinesPerLeaf = 2
+
 // Config parameterizes the shared link graph built by Shared.
 type Config struct {
-	// MachinesPerLeaf groups machines under leaf switches; machine m
-	// attaches to leaf m/MachinesPerLeaf. Non-positive selects 2.
-	MachinesPerLeaf int
-	// LeafOversub divides each leaf's uplink capacity: a leaf serving k
-	// machines uplinks k×RDMABW/LeafOversub. Values below 1 become 1
-	// (non-blocking).
-	LeafOversub float64
-	// SpineOversub further divides the spine pool: with M machines the
-	// spine carries M×RDMABW/(LeafOversub×SpineOversub) — tapering
-	// compounds per tier, as in a fat-tree built from fixed-radix
-	// switches. Heavy taper can push a pool below a single path's line
-	// rate, in which case even an uncontended flow is held to the pool
-	// (a blocking core). Values below 1 become 1.
-	SpineOversub float64
-	// SHMOversub divides the intra-node pools (PCIe-domain and
-	// inter-socket) the same way. Values below 1 become 1.
-	SHMOversub float64
+	// Oversub tapers the switch tiers. A leaf serving k machines
+	// uplinks k×RDMABW/Oversub; with M machines the spine carries
+	// M×RDMABW/Oversub² — tapering compounds per tier, as in a fat-tree
+	// built from fixed-radix switches. Heavy taper can push a pool below
+	// a single path's line rate, in which case even an uncontended flow
+	// is held to the pool (a blocking core). Values below 1 become 1
+	// (non-blocking). The intra-node pools are never tapered.
+	Oversub float64
 }
 
-// DefaultConfig returns a non-blocking fabric: two machines per leaf,
-// no oversubscription anywhere.
-func DefaultConfig() Config {
-	return Config{MachinesPerLeaf: 2, LeafOversub: 1, SpineOversub: 1, SHMOversub: 1}
-}
-
-// OversubConfig returns DefaultConfig with both the leaf and spine
-// tapered by factor f — "the" oversubscription factor of the sweeps.
-func OversubConfig(f float64) Config {
-	cfg := DefaultConfig()
-	cfg.LeafOversub, cfg.SpineOversub = f, f
-	return cfg
-}
-
-func (cfg Config) normalized() Config {
-	if cfg.MachinesPerLeaf <= 0 {
-		cfg.MachinesPerLeaf = 2
-	}
-	if cfg.LeafOversub < 1 {
-		cfg.LeafOversub = 1
-	}
-	if cfg.SpineOversub < 1 {
-		cfg.SpineOversub = 1
-	}
-	if cfg.SHMOversub < 1 {
-		cfg.SHMOversub = 1
-	}
-	return cfg
-}
+// OversubConfig returns the fabric with both the leaf and spine tapered
+// by factor f — "the" oversubscription factor of the sweeps.
+func OversubConfig(f float64) Config { return Config{Oversub: f} }
 
 // Network prices transfers over a cluster, either independently
 // (Unshared) or against a shared-link capacity graph (Shared). One
@@ -233,7 +202,7 @@ func (cfg Config) normalized() Config {
 // happens from simulated processes, which the engine serializes.
 type Network struct {
 	cluster *topo.Cluster
-	cfg     Config
+	oversub float64 // Config.Oversub, at least 1
 	shared  bool
 
 	links []*Link // all links, in deterministic construction order
@@ -277,11 +246,11 @@ func Unshared(c *topo.Cluster) *Network {
 }
 
 // Shared returns a network whose transfers contend on the cluster's
-// link graph under cfg's oversubscription factors.
+// link graph under cfg's oversubscription factor.
 func Shared(c *topo.Cluster, cfg Config) *Network {
 	n := &Network{
 		cluster: c,
-		cfg:     cfg.normalized(),
+		oversub: max(cfg.Oversub, 1),
 		shared:  true,
 		shm:     make(map[[2]int]*Link),
 		routes:  make(map[[2]int]Route),
@@ -299,9 +268,9 @@ func (n *Network) addLink(name string, tier Tier, capacity float64) *Link {
 
 // build derives the link graph from the cluster description.
 func (n *Network) build() {
-	c, cfg := n.cluster, n.cfg
+	c := n.cluster
 	machines := len(c.Machines)
-	leaves := (machines + cfg.MachinesPerLeaf - 1) / cfg.MachinesPerLeaf
+	leaves := (machines + machinesPerLeaf - 1) / machinesPerLeaf
 
 	n.sys = make([]*Link, machines)
 	n.nicTx = make([]*Link, machines)
@@ -321,12 +290,12 @@ func (n *Network) build() {
 				continue
 			}
 			domains++
-			cap := float64(gpus) * c.Links.SHMSameDomainBW / cfg.SHMOversub
+			cap := float64(gpus) * c.Links.SHMSameDomainBW
 			n.shm[[2]int{m.Index, d}] = n.addLink(fmt.Sprintf("shm/m%d.d%d", m.Index, d), TierSHM, cap)
 		}
 		if domains > 1 {
 			n.sys[m.Index] = n.addLink(fmt.Sprintf("sys/m%d", m.Index),
-				TierSys, 2*c.Links.SHMCrossDomainBW/cfg.SHMOversub)
+				TierSys, 2*c.Links.SHMCrossDomainBW)
 		}
 		if machines > 1 {
 			n.nicTx[m.Index] = n.addLink(fmt.Sprintf("nic-tx/m%d", m.Index), TierNIC, c.Links.RDMABW)
@@ -337,16 +306,13 @@ func (n *Network) build() {
 		n.leafUp = make([]*Link, leaves)
 		n.leafDown = make([]*Link, leaves)
 		for l := 0; l < leaves; l++ {
-			under := cfg.MachinesPerLeaf
-			if rem := machines - l*cfg.MachinesPerLeaf; rem < under {
-				under = rem
-			}
-			cap := float64(under) * c.Links.RDMABW / cfg.LeafOversub
+			under := min(machinesPerLeaf, machines-l*machinesPerLeaf)
+			cap := float64(under) * c.Links.RDMABW / n.oversub
 			n.leafUp[l] = n.addLink(fmt.Sprintf("leaf-up/l%d", l), TierLeaf, cap)
 			n.leafDown[l] = n.addLink(fmt.Sprintf("leaf-down/l%d", l), TierLeaf, cap)
 		}
 		n.spine = n.addLink("spine", TierSpine,
-			float64(machines)*c.Links.RDMABW/(cfg.LeafOversub*cfg.SpineOversub))
+			float64(machines)*c.Links.RDMABW/(n.oversub*n.oversub))
 	}
 	n.busy = make([]*Link, 0, len(n.links))
 }
@@ -359,7 +325,7 @@ func (n *Network) Cluster() *topo.Cluster { return n.cluster }
 func (n *Network) Contended() bool { return n.shared }
 
 // leafOf returns the leaf switch index of a machine.
-func (n *Network) leafOf(machine int) int { return machine / n.cfg.MachinesPerLeaf }
+func (n *Network) leafOf(machine int) int { return machine / machinesPerLeaf }
 
 // RouteBetween returns the priced route from rank a to rank b,
 // including the shared links the transfer crosses (none under Unshared

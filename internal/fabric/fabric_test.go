@@ -108,7 +108,7 @@ func TestTaperedPoolCapsLoneFlow(t *testing.T) {
 // after A leaves B speeds back up.
 func TestFlowJoinRescheduled(t *testing.T) {
 	c := topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks)
-	n := Shared(c, DefaultConfig())
+	n := Shared(c, OversubConfig(1))
 	const bytes = 620000 // 100µs at the 6.2 GB/s RDMA path
 	r := n.RouteBetween(0, 1)
 	e := sim.NewEngine()
@@ -149,23 +149,29 @@ func TestFlowJoinRescheduled(t *testing.T) {
 
 // TestSpineSaturationPoint sweeps concurrent cross-leaf flows over an
 // oversubscribed spine and asserts the saturation knee, inference-sim
-// style: per-flow completion matches min(pathBW, spineCap/flows)
-// analytically, and the spine's saturated-time counter turns on exactly
-// when the aggregate demand reaches the pool.
+// style: per-flow completion matches the analytic bottleneck share
+// min(pathBW, spineCap/flows, leafCap/flows-per-leaf), and the spine's
+// saturated-time counter turns on exactly when the aggregate demand
+// reaches the pool.
 func TestSpineSaturationPoint(t *testing.T) {
 	const bytes = 1 << 20
 	links := topo.DefaultLinks
-	cfg := Config{MachinesPerLeaf: 1, LeafOversub: 1, SpineOversub: 2, SHMOversub: 1}
-	// 4 single-GPU machines, one per leaf: spine = 4×RDMA/2 = 2×RDMA.
-	spineCap := 4 * links.RDMABW / 2
+	// 4 single-GPU machines, two per leaf. Taper √2 per tier: each leaf
+	// uplinks 2×RDMA/√2 = √2×RDMA, the spine carries 4×RDMA/2 = 2×RDMA.
+	f := math.Sqrt2
+	leafCap := 2 * links.RDMABW / f
+	spineCap := 4 * links.RDMABW / (f * f)
+	// Flows start on alternating leaves, so the first two share no leaf
+	// link and nf flows put ⌈nf/2⌉ on the busiest one.
+	srcs := []int{0, 2, 1, 3}
 	for nf := 1; nf <= 4; nf++ {
 		c := topo.NewCluster(4, 1, topo.RTX3090, links)
-		n := Shared(c, cfg)
+		n := Shared(c, OversubConfig(f))
 		e := sim.NewEngine()
 		ends := make([]sim.Time, nf)
 		for i := 0; i < nf; i++ {
 			i := i
-			src, dst := i, (i+2)%4 // always cross-leaf
+			src, dst := srcs[i], (srcs[i]+2)%4 // always cross-leaf
 			e.Spawn("flow", func(p *sim.Process) {
 				n.Transfer(p, n.RouteBetween(src, dst), bytes)
 				ends[i] = p.Now()
@@ -174,11 +180,10 @@ func TestSpineSaturationPoint(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		rate := math.Min(links.RDMABW, spineCap/float64(nf))
+		rate := min(links.RDMABW, spineCap/float64(nf), leafCap/float64((nf+1)/2))
 		want := sim.Duration(links.RDMALat) + sim.Duration(math.Ceil(bytes/rate*1e9))
-		for i, end := range ends {
+		for _, end := range ends {
 			near(t, "flow completion", sim.Duration(end), want, 3)
-			_ = i
 		}
 		var spine LinkStat
 		for _, s := range n.Snapshot() {
@@ -201,7 +206,7 @@ func TestSpineSaturationPoint(t *testing.T) {
 // TestRouteLinksByTier pins the link composition of each route class.
 func TestRouteLinksByTier(t *testing.T) {
 	c := topo.NewCluster(4, 8, topo.RTX3090, topo.DefaultLinks)
-	n := Shared(c, DefaultConfig()) // leaves {m0,m1}, {m2,m3}
+	n := Shared(c, OversubConfig(1)) // leaves {m0,m1}, {m2,m3}
 	tiersOf := func(a, b int) []string {
 		var out []string
 		for _, l := range n.RouteBetween(a, b).Links {
@@ -595,7 +600,7 @@ func TestJoinWakesOnlyReratedFlows(t *testing.T) {
 		{"shared", [2]int{0, 2}, 5, 119 * sim.Microsecond}, // C's 62 kB at half rate costs A 10µs
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := Shared(topo.NewCluster(4, 1, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+			n := Shared(topo.NewCluster(4, 1, topo.RTX3090, topo.DefaultLinks), OversubConfig(1))
 			e := sim.NewEngine()
 			var a, b, c turnCounter
 			var endA, endB sim.Time
@@ -640,7 +645,7 @@ func TestFlowDueInvariant(t *testing.T) {
 		{0.5, "left at its predicted completion"},
 		{2, "past its end"},
 	} {
-		n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+		n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), OversubConfig(1))
 		e := sim.NewEngine()
 		e.Spawn("flow", func(p *sim.Process) { n.Transfer(p, n.RouteBetween(0, 1), 620000) })
 		e.Spawn("saboteur", func(p *sim.Process) {
@@ -660,7 +665,7 @@ func TestFlowDueInvariant(t *testing.T) {
 // the check the re-armed flow corrupts the network's flow set, and the
 // run spins at one instant, so the test fails from inside the process.)
 func TestXferBeginUnheld(t *testing.T) {
-	n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+	n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), OversubConfig(1))
 	e := sim.NewEngine()
 	var x Xfer
 	var end sim.Time

@@ -70,18 +70,23 @@ type bufKey struct{ rank, collID int }
 type bufPair struct{ send, recv *mem.Buffer }
 
 // register validates a registration of collID on rank against colls —
-// an invalid spec, or a live collective ID re-registered under a
-// different spec (fingerprint inequality covers every spec field,
-// including the algorithm and the AllToAllv count matrix), is refused —
-// creates the collective's state on its first registration (the caller
-// counts the rank in regs), and returns it with the buffers its runs
-// use: the caller's, or synthetic ones sized from the spec if both nil.
-func register(colls *[]*collState, rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (*collState, bufPair, error) {
+// an invalid spec, a rank outside the spec's ranks, or a live
+// collective ID re-registered under a different spec (fingerprint
+// inequality covers every spec field, including the algorithm and the
+// AllToAllv count matrix), is refused — and returns the collective's
+// state with the buffers its runs use: the caller's, or synthetic ones
+// sized from the spec if both nil. On the collective's first
+// registration the state is new and not yet in colls: the caller adds
+// it with commit once its own registration holds.
+func register(colls []*collState, rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (*collState, bufPair, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, bufPair{}, err
+	}
+	pos := slices.Index(spec.Ranks, rank)
+	if pos < 0 {
+		return nil, bufPair{}, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
+	}
 	if send == nil && recv == nil {
-		pos := slices.Index(spec.Ranks, rank)
-		if pos < 0 {
-			return nil, bufPair{}, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
-		}
 		sendCount, recvCount := prim.BufferCountsFor(spec, pos)
 		if spec.TimingOnly {
 			sendCount, recvCount = 0, 0
@@ -89,22 +94,28 @@ func register(colls *[]*collState, rank, collID int, spec prim.Spec, send, recv 
 		send = mem.NewBuffer(spec.Type, sendCount)
 		recv = mem.NewBuffer(spec.Type, recvCount)
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, bufPair{}, err
-	}
-	i, ok := slices.BinarySearchFunc(*colls, collID, byID)
-	if !ok {
-		*colls = slices.Insert(*colls, i, &collState{
+	c := find(colls, collID)
+	if c == nil {
+		c = &collState{
 			id:       collID,
 			spec:     spec,
 			launched: make(map[int]int),
 			done:     make(map[int]int),
 			doneCond: sim.NewCond("coll.done"),
-		})
-	} else if (*colls)[i].spec.Fingerprint() != spec.Fingerprint() {
+		}
+	} else if c.spec.Fingerprint() != spec.Fingerprint() {
 		return nil, bufPair{}, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
 	}
-	return (*colls)[i], bufPair{send, recv}, nil
+	return c, bufPair{send, recv}, nil
+}
+
+// commit counts one rank's registration of c, adding c to colls with
+// the first.
+func commit(colls *[]*collState, c *collState) {
+	if c.regs++; c.regs == 1 {
+		i, _ := slices.BinarySearchFunc(*colls, c.id, byID)
+		*colls = slices.Insert(*colls, i, c)
+	}
 }
 
 // deregister drops one rank's registration of collID, and its state

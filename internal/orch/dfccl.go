@@ -39,7 +39,7 @@ func (d *DFCCL) Name() string { return "dfccl" }
 // Register implements Backend: Open by explicit collective ID, keeping
 // the per-rank handle for Launch and Close.
 func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
-	c, bufs, err := register(&d.colls, rank, collID, spec, send, recv)
+	c, bufs, err := register(d.colls, rank, collID, spec, send, recv)
 	if err != nil {
 		return err
 	}
@@ -47,7 +47,7 @@ func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, prior
 	if err != nil {
 		return err
 	}
-	c.regs++ // Open refuses a second registration on the rank
+	commit(&d.colls, c) // Open refuses a second registration on the rank
 	d.handles[bufKey{rank, collID}] = h
 	d.bufs[bufKey{rank, collID}] = bufs
 	return nil

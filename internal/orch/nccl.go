@@ -73,7 +73,7 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 	if spec.Algo == prim.AlgoAuto {
 		return fmt.Errorf("orch: %s cannot run collective %d with %v: pick ring or hierarchical", b.name, collID, spec.Algo)
 	}
-	c, bufs, err := register(&b.colls, rank, collID, spec, send, recv)
+	c, bufs, err := register(b.colls, rank, collID, spec, send, recv)
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 		b.strms[sk] = b.lib.Device(rank).NewStream()
 	}
 	if _, again := b.bufs[bufKey{rank, collID}]; !again {
-		c.regs++
+		commit(&b.colls, c)
 	}
 	b.bufs[bufKey{rank, collID}] = bufs
 	return nil

@@ -122,6 +122,63 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusals: every backend refuses a rank outside the
+// spec's ranks, also one that brings its own buffers, and a refused
+// registration leaves no state behind — on DFCCL, an ID whose Open the
+// full collective buffer refused stays free for any spec.
+func TestRegisterRefusals(t *testing.T) {
+	for _, name := range []string{"static", "singlestream", "horovod", "kungfu", "dfccl"} {
+		t.Run(name, func(t *testing.T) {
+			e := sim.NewEngine()
+			cluster := topo.Server3090(4)
+			var b Backend
+			switch name {
+			case "static":
+				b = NewStaticSort(e, cluster)
+			case "singlestream":
+				b = NewNCCLSingleStream(e, cluster)
+			case "horovod":
+				b = NewHorovod(e, cluster)
+			case "kungfu":
+				b = NewKungFu(e, cluster)
+			case "dfccl":
+				cfg := core.DefaultConfig()
+				cfg.MaxCollectives = 1
+				b = NewDFCCL(e, cluster, cfg)
+			}
+			e.Spawn("t", func(p *sim.Process) {
+				pair := []int{0, 1}
+				send, recv := mem.NewBuffer(mem.Float32, 64), mem.NewBuffer(mem.Float32, 64)
+				if err := b.Register(p, 2, 1, spec2(64, pair), 0, send, recv); err == nil {
+					t.Error("non-member rank with its own buffers accepted")
+				}
+				if err := b.Register(p, 2, 1, spec2(64, pair), 0, nil, nil); err == nil {
+					t.Error("non-member rank accepted")
+				}
+				if err := b.Register(p, 0, 1, spec2(64, pair), 0, nil, nil); err != nil {
+					t.Errorf("register 1 after refusals: %v", err)
+				}
+				defer b.Teardown(p, 0)
+				if _, ok := b.(*DFCCL); !ok {
+					return
+				}
+				if err := b.Register(p, 0, 2, spec2(64, pair), 0, nil, nil); err == nil {
+					t.Error("register 2 accepted past a full collective buffer")
+				}
+				if err := b.Deregister(p, 0, 1); err != nil {
+					t.Errorf("deregister 1: %v", err)
+				}
+				if err := b.Register(p, 0, 2, spec2(128, pair), 0, nil, nil); err != nil {
+					t.Errorf("register 2 with a new spec after its refusal: %v", err)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestKungFuAdoptsRankZeroOrder(t *testing.T) {
 	e := sim.NewEngine()
 	c := topo.Server3090(2)

@@ -93,7 +93,7 @@ func TestFabricPricingEquivalenceCorpus(t *testing.T) {
 		for _, algo := range []Algorithm{AlgoRing, AlgoHierarchical} {
 			spec := Spec{Kind: AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: counts, ChunkElems: chunk, Algo: algo}
 			unshRecv, _, _ := runPriced(t, fabric.Unshared(cluster), spec, fill)
-			sharedRecv, _, _ := runPriced(t, fabric.Shared(cluster, fabric.DefaultConfig()), spec, fill)
+			sharedRecv, _, _ := runPriced(t, fabric.Shared(cluster, fabric.OversubConfig(1)), spec, fill)
 			sameBufs(t, name+"-shared", unshRecv, sharedRecv)
 			checkV(t, counts, 0, unshRecv[0])
 		}

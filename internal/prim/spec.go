@@ -161,7 +161,9 @@ type Spec struct {
 	// j's recvcounts[i] — holds by construction: position i's send
 	// counts are row i and its recv counts are column i, so row and
 	// column sums are consistent across ranks by definition. Per-rank
-	// buffer sizes follow from the same sums via BufferCountsFor.
+	// buffer sizes follow from the same sums via BufferCountsFor. Open
+	// keeps the caller's matrix, not a copy, so it must not be mutated
+	// while the collective is open.
 	Counts [][]int
 	// TimingOnly runs the collective as a pure performance model: all
 	// scheduling, connector flow control, and time charging behave

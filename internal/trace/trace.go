@@ -257,9 +257,10 @@ func (r *Recorder) RecordMark(m Mark) { r.Marks = append(r.Marks, m) }
 //
 // The sorts are stable, so records that compare equal keep their
 // append order. Appends from the single-threaded virtual clock are
-// already time-ordered; the sort pins the tie-break among same-instant
-// records, which is where run-to-run nondeterminism (map iteration in
-// abort fan-out, for example) would otherwise leak into the JSON.
+// already time-ordered, except action spans: they are recorded when
+// they complete, so the sort orders them by start time. Among
+// same-instant records it fixes the order by the keys above rather than
+// by which process the engine ran first.
 func (r *Recorder) Sort() {
 	sort.SliceStable(r.Events, func(i, j int) bool {
 		a, b := r.Events[i], r.Events[j]

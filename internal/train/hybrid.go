@@ -64,13 +64,6 @@ func (c HybridConfig) stageLayers(stage int) (lo, hi int) {
 	return
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Collective ID spaces. IDs must be unique per (layer, group): there
 // is one TP collective per layer per TP group, one DP collective per
 // layer per DP group, and one activation transfer per boundary per
