@@ -69,7 +69,9 @@ loc:
 # kill/requeue table at two jobs per GPU runs 20 times. A fabric flow is
 # woken only when a solve changes its rate: the transfer machine's oracle
 # and the layer's invariant tests run 200 times, fabric's whole suite 20
-# times under the race detector.
+# times under the race detector. Connectors lend chunks of the writer's
+# memory until it settles them: the model packages run 20 times with the
+# lent-chunk-stable invariant built in (-tags lentcheck).
 soak:
 	$(GO) test -count=200 -run 'Chaos|Cluster' ./internal/...
 	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
@@ -80,6 +82,7 @@ soak:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -count=200 -run 'RepredictMatchesLoop|JoinWakesOnlyReratedFlows|FlowDueInvariant|XferBeginUnheld' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/fabric
+	$(GO) test -tags lentcheck -count=20 ./internal/...
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric
@@ -134,17 +137,19 @@ cluster:
 # fuzzing the trace generator's configs (FuzzGenerate), 10 s of fuzzing
 # Spec.Validate against the sequence builders (FuzzSequences), 10 s of
 # fuzzing chaos.Run's configs (FuzzChaos) and 10 s of fuzzing connectors
-# sharing one chunk staging pool (FuzzChunks), and a
-# regeneration of the artifacts: the tuning table and BENCH.json
-# must come out as no-op diffs, trace.json and metrics.json (not
-# committed) byte-identical on the gate's own second run. See
-# TESTING.md.
+# sharing one chunk staging pool (FuzzChunks), the data plane's and the
+# fault paths' tests with the lent-chunk-stable invariant built in
+# (-tags lentcheck), and a regeneration of the artifacts: the tuning
+# table and BENCH.json must come out as no-op diffs, trace.json and
+# metrics.json (not committed) byte-identical on the gate's own second
+# run. See TESTING.md.
 smoke: fmt vet build test-race doccheck benchcheck
 	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
 	$(GO) test -run '^$$' -fuzz FuzzChaos -fuzztime 10s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzChunks -fuzztime 10s ./internal/mem
+	$(GO) test -tags lentcheck ./internal/prim ./internal/cluster ./internal/chaos
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null
 	$(GO) run ./cmd/trainbench -fig collbench -out $(BENCH)

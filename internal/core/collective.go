@@ -189,8 +189,12 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 //
 // Both buffers belong to the run until it resolves, as in NCCL: the run
 // may read the send buffer and write the recv buffer at any point up to
-// then, so neither may be written (nor the recv buffer read) before. A
-// buffer whose element type or length is not the spec's is refused.
+// then, so neither may be written (nor the recv buffer read) before. The
+// flat ring all-reduce and reduce-scatter read each block's own
+// contribution from the send buffer until their last reduce-scatter
+// step, and a run lends chunks of its recv buffer to its peers until it
+// resolves. A buffer whose element type or length is not the spec's is
+// refused.
 func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, error) {
 	f := newFuture(c.r.sys.Engine, 1)
 	if err := c.submit(p, launch{send: send, recv: recv, fut: f}); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -113,6 +114,100 @@ func TestKillRankAbortsInFlightAndReforms(t *testing.T) {
 	}
 	if !sys.RankLost(victim) {
 		t.Fatalf("RankLost(%d) = false after kill", victim)
+	}
+}
+
+// TestKillWithLentChunksUnread kills a rank while chunks it lent are
+// still unread in its send connector and at once overwrites both of the
+// dead rank's buffers, as a process that died and whose memory was
+// reused would. No survivor reads those chunks: the kill aborts the group
+// before any of them reads again. The survivors Reform, rerun the
+// all-reduce over the same buffers, and hold the three-rank sum bit for
+// bit; lentcheck builds also see every chunk read intact.
+func TestKillWithLentChunksUnread(t *testing.T) {
+	const n, count, victim = 4, 1 << 12, 1
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(60 * sim.Second)
+	sys := NewSystem(e, topo.Server3090(n), DefaultConfig())
+	spec := lifecycleSpec(count, []int{0, 1, 2, 3})
+	spec.ChunkElems = 64
+	value := func(rank, i int) float64 { return float64((rank+1)*(i%97) - 40) }
+	sends, recvs := make([]*mem.Buffer, n), make([]*mem.Buffer, n)
+	reformed := make([]bool, n)
+	for rank := 0; rank < n; rank++ {
+		sends[rank], recvs[rank] = mem.NewBuffer(mem.Float64, count), mem.NewBuffer(mem.Float64, count)
+		for i := 0; i < count; i++ {
+			sends[rank].SetFloat64(i, value(rank, i))
+		}
+		e.Spawn("rank", func(p *sim.Process) {
+			rc := sys.Init(p, rank)
+			coll, err := rc.Open(spec, WithCollID(7))
+			if err != nil {
+				t.Errorf("rank %d open: %v", rank, err)
+				return
+			}
+			fut, err := coll.Launch(p, sends[rank], recvs[rank])
+			if err != nil {
+				t.Errorf("rank %d launch: %v", rank, err)
+				return
+			}
+			if err := fut.Wait(p); !errors.Is(err, ErrRankLost) {
+				t.Errorf("rank %d wait: err = %v, want ErrRankLost", rank, err)
+			}
+			if rank == victim {
+				return
+			}
+			re, err := coll.Reform(p)
+			if err != nil {
+				t.Errorf("rank %d reform: %v", rank, err)
+				return
+			}
+			if fut, err = re.Launch(p, sends[rank], recvs[rank]); err == nil {
+				err = fut.Wait(p)
+			}
+			if err != nil {
+				t.Errorf("rank %d reformed run: %v", rank, err)
+				return
+			}
+			reformed[rank] = true
+			if err := re.Close(p); err != nil {
+				t.Errorf("rank %d close: %v", rank, err)
+			}
+			rc.Destroy(p)
+		})
+	}
+	e.Spawn("chaos", func(p *sim.Process) {
+		for {
+			if rc := sys.rankAt(victim); rc != nil {
+				if task := rc.task(7); task != nil && task.exec.Outs[0].Lent() > 0 {
+					break
+				}
+			}
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		sys.KillRank(victim)
+		sends[victim].Fill(math.NaN())
+		recvs[victim].Fill(math.Inf(-1))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v (blocked: %v)", err, e.BlockedProcesses())
+	}
+	for rank := 0; rank < n; rank++ {
+		if rank == victim {
+			continue
+		}
+		if !reformed[rank] {
+			t.Fatalf("rank %d did not finish its reformed run", rank)
+		}
+		for i := 0; i < count; i++ {
+			want := 0.0
+			for _, r := range []int{0, 2, 3} {
+				want += value(r, i)
+			}
+			if got := recvs[rank].Float64At(i); got != want {
+				t.Fatalf("rank %d element %d = %v after the reform, want %v", rank, i, got, want)
+			}
+		}
 	}
 }
 

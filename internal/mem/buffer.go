@@ -8,22 +8,26 @@
 // The package moves and reduces real bytes, so it is written to do that
 // at memory speed and to allocate nothing per chunk:
 //
-//   - Reduce runs one straight-line loop per (operation, element type)
-//     over the bytes viewed in place as []float32, []int64, …; a slice
-//     the host cannot view that way takes the same loop through decoded
-//     copies. Integers reduce natively and wrap around in two's
+//   - ReduceInto (dst = a op b; Reduce is dst = dst op src) runs one
+//     straight-line loop per (operation, element type), four elements at
+//     a time, over the bytes viewed in place as []float32, []int64, …; a
+//     slice the host cannot view that way takes the same loop through
+//     decoded copies. Integers reduce natively and wrap around in two's
 //     complement.
-//   - Connectors stage chunks in a Chunks pool — a free list of buffers
-//     per power-of-two capacity class — that every connector of one
-//     simulation shares: Write takes a buffer, Read and Drain give it
-//     back, so a buffer any Read frees serves the next Write anywhere.
+//   - Connectors lend chunks: Write keeps a view of the writer's memory,
+//     and the one copy per hop is the reader's. A writer about to
+//     overwrite memory it lent calls Settle, which stages the unread
+//     chunks there into a Chunks pool — a free list of buffers per
+//     power-of-two capacity class — that every connector of one
+//     simulation shares: Read and Drain give a staged chunk's buffer
+//     back, so a buffer any Read frees serves the next Settle anywhere.
 //     The price is a lifetime on what Read returns — valid until the
 //     caller next yields to the engine — because no other process, and
 //     so no other writer, can run before the reader yields. Readers
 //     therefore consume a chunk before they sleep.
 //   - A pool makes a buffer only when its class's free list is empty,
-//     so it holds at most the peak number of chunks of each class that
-//     were in flight at once. One spare per connector allocated again
+//     so it holds at most the peak number of staged chunks of each class
+//     that were in flight at once. One spare per connector allocated again
 //     on every burst deeper than a slot; keeping every buffer per
 //     connector pinned a backed-up ring's full depth on each one (peak
 //     RSS on the benchmark's disorder_preempt workload: 24.2–24.7 MB
@@ -207,9 +211,17 @@ type number interface {
 	float32 | float64 | int32 | int64
 }
 
-// Reduce applies op element-wise over src into dst (dst = dst op src).
-// Both slices must hold whole elements of type t in little-endian byte
-// order, the format of Buffer.
+// Reduce applies op element-wise over src into dst (dst = dst op src):
+// ReduceInto(op, t, dst, dst, src).
+func Reduce(op ReduceOp, t DataType, dst, src []byte) {
+	ReduceInto(op, t, dst, dst, src)
+}
+
+// ReduceInto applies op element-wise over a and b into dst (dst = a op b),
+// bit for bit what copying a into dst and then Reduce(op, t, dst, b)
+// gives. All three slices must hold the same whole number of elements of
+// type t in little-endian byte order, the format of Buffer; dst may be a
+// itself, but must not otherwise overlap a or b.
 //
 // Every element type reduces in its own arithmetic:
 //
@@ -217,52 +229,53 @@ type number interface {
 //     type. For Float32 that is bit for bit what computing in float64
 //     and rounding once gives: float64 carries more than twice float32's
 //     precision, which makes the double rounding of + and × innocuous.
-//   - Max and Min keep dst only where dst > src (dst < src) holds, so a
-//     NaN on either side selects src, and the selected operand's bits
-//     are stored as they are.
+//   - Max and Min keep a only where a > b (a < b) holds, so a NaN on
+//     either side selects b, and the selected operand's bits are stored
+//     as they are.
 //   - Int32 and Int64 are two's complement: Sum and Prod wrap around on
 //     overflow and every result is exact — there is no detour through
 //     float64, which cannot hold integers beyond 2^53.
-func Reduce(op ReduceOp, t DataType, dst, src []byte) {
+func ReduceInto(op ReduceOp, t DataType, dst, a, b []byte) {
 	sz := t.Size()
-	if len(dst) != len(src) || len(dst)%sz != 0 {
-		panic(fmt.Sprintf("mem: Reduce size mismatch: dst=%d src=%d elem=%d", len(dst), len(src), sz))
+	if len(dst) != len(a) || len(dst) != len(b) || len(dst)%sz != 0 {
+		panic(fmt.Sprintf("mem: Reduce size mismatch: dst=%d a=%d b=%d elem=%d", len(dst), len(a), len(b), sz))
 	}
 	switch t {
 	case Float32:
-		reduceBytes[float32](op, dst, src)
+		reduceBytes[float32](op, dst, a, b)
 	case Float64:
-		reduceBytes[float64](op, dst, src)
+		reduceBytes[float64](op, dst, a, b)
 	case Int32:
-		reduceBytes[int32](op, dst, src)
+		reduceBytes[int32](op, dst, a, b)
 	case Int64:
-		reduceBytes[int64](op, dst, src)
+		reduceBytes[int64](op, dst, a, b)
 	}
 }
 
-// reduceBytes runs the typed kernel over dst and src in place where the
-// host can address them as []T, and otherwise — a big-endian machine or
-// a slice that does not start on a T boundary — block by block through
+// reduceBytes runs the typed kernel over dst, a and b in place where the
+// host can address all three as []T, and otherwise — a big-endian machine
+// or a slice that does not start on a T boundary — block by block through
 // decoded copies, so both routes share the one kernel.
-func reduceBytes[T number](op ReduceOp, dst, src []byte) {
+func reduceBytes[T number](op ReduceOp, dst, a, b []byte) {
 	dv, dok := view[T](dst)
-	sv, sok := view[T](src)
-	if dok && sok {
-		reduce(op, dv, sv)
+	av, aok := view[T](a)
+	bv, bok := view[T](b)
+	if dok && aok && bok {
+		reduce(op, dv, av, bv)
 		return
 	}
-	var d, s [256]T
-	sz := int(unsafe.Sizeof(d[0]))
+	var x, y [256]T
+	sz := int(unsafe.Sizeof(x[0]))
 	for len(dst) > 0 {
-		n := min(len(dst)/sz, len(d))
+		n := min(len(dst)/sz, len(x))
 		for i := 0; i < n; i++ {
-			d[i], s[i] = load[T](dst[i*sz:]), load[T](src[i*sz:])
+			x[i], y[i] = load[T](a[i*sz:]), load[T](b[i*sz:])
 		}
-		reduce(op, d[:n], s[:n])
+		reduce(op, x[:n], x[:n], y[:n])
 		for i := 0; i < n; i++ {
-			store(dst[i*sz:], d[i])
+			store(dst[i*sz:], x[i])
 		}
-		dst, src = dst[n*sz:], src[n*sz:]
+		dst, a, b = dst[n*sz:], a[n*sz:], b[n*sz:]
 	}
 }
 
@@ -303,41 +316,54 @@ func view[T number](b []byte) (v []T, ok bool) {
 	return unsafe.Slice((*T)(p), len(b)/int(unsafe.Sizeof(z))), true
 }
 
-// reduce is the kernel: one straight-line loop per (op, T).
-func reduce[T number](op ReduceOp, dst, src []T) {
-	dst = dst[:len(src)]
+// reduce is the kernel: one straight-line loop per (op, T), four
+// elements at a time. One at a time, the Sum loop ran up to twice as slow
+// in binaries that placed it across a 64-byte line.
+func reduce[T number](op ReduceOp, dst, a, b []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	n := len(dst) &^ 3
 	switch op {
 	case Sum:
-		// Four at a time: one at a time, the loop ran up to twice as slow
-		// in binaries that placed it across a 64-byte line.
-		n := len(src) &^ 3
 		for i := 0; i < n; i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			d[0] += s[0]
-			d[1] += s[1]
-			d[2] += s[2]
-			d[3] += s[3]
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = x[0]+y[0], x[1]+y[1], x[2]+y[2], x[3]+y[3]
 		}
-		for i := n; i < len(src); i++ {
-			dst[i] += src[i]
+		for i := n; i < len(dst); i++ {
+			dst[i] = a[i] + b[i]
 		}
 	case Prod:
-		for i, s := range src {
-			dst[i] *= s
+		for i := 0; i < n; i += 4 {
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = x[0]*y[0], x[1]*y[1], x[2]*y[2], x[3]*y[3]
+		}
+		for i := n; i < len(dst); i++ {
+			dst[i] = a[i] * b[i]
 		}
 	case Max:
-		for i, s := range src {
-			if !(dst[i] > s) {
-				dst[i] = s
-			}
+		for i := 0; i < n; i += 4 {
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = keep(x[0] > y[0], x[0], y[0]), keep(x[1] > y[1], x[1], y[1]), keep(x[2] > y[2], x[2], y[2]), keep(x[3] > y[3], x[3], y[3])
+		}
+		for i := n; i < len(dst); i++ {
+			dst[i] = keep(a[i] > b[i], a[i], b[i])
 		}
 	case Min:
-		for i, s := range src {
-			if !(dst[i] < s) {
-				dst[i] = s
-			}
+		for i := 0; i < n; i += 4 {
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = keep(x[0] < y[0], x[0], y[0]), keep(x[1] < y[1], x[1], y[1]), keep(x[2] < y[2], x[2], y[2]), keep(x[3] < y[3], x[3], y[3])
+		}
+		for i := n; i < len(dst); i++ {
+			dst[i] = keep(a[i] < b[i], a[i], b[i])
 		}
 	default:
 		panic("mem: unknown op")
 	}
+}
+
+// keep is x where c holds, else y.
+func keep[T number](c bool, x, y T) T {
+	if c {
+		return x
+	}
+	return y
 }

@@ -2,7 +2,9 @@ package mem
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/bits"
+	"unsafe"
 
 	"dfccl/internal/sim"
 )
@@ -17,11 +19,14 @@ import (
 // the peer even if the writer is preempted immediately afterwards, and
 // regardless of whether the reader is currently scheduled.
 //
-// Chunk memory comes from the connector's Chunks pool, which every
-// connector of one simulation shares: Write stages into a buffer some
-// Read or Drain returned, so a steady stream of chunks allocates
-// nothing, however the rings that carry it back up. See Read for the
-// lifetime this gives a chunk.
+// A chunk is lent, not copied: Write keeps a view of the writer's memory,
+// and the writer keeps those bytes as they are until the chunk is read or
+// it calls Settle, which stages the chunks it is about to overwrite into
+// buffers of the connector's Chunks pool. Every connector of one
+// simulation shares the pool: a staged chunk's buffer goes back to it on
+// Read or Drain, so a steady stream of chunks allocates nothing, however
+// the rings that carry it back up. See Read for the lifetime this gives a
+// chunk.
 type Connector struct {
 	// name is the connector's name or, when kind is set, the tag of a
 	// wiring's edge from rank from to rank to, which Name formats only
@@ -33,12 +38,18 @@ type Connector struct {
 	// head counts consumed chunks, tail counts produced chunks;
 	// tail-head is the number of readable slots.
 	head, tail uint64
+	// lent has bit i set while slot i holds a view of the writer's
+	// memory rather than a pool buffer.
+	lent uint64
+	// sums[i] is the FNV-64a of slot i's chunk at Write: the invariant
+	// lent-chunk-stable, checked at Read, in lentcheck builds only.
+	sums []uint64
 
-	// pool supplies the buffers Write stages into and takes back the
+	// pool supplies the buffers Settle stages into and takes back the
 	// ones Read and Drain free.
 	pool *Chunks
 
-	// Bytes staged by Write, handed out by Read, and discarded by Drain.
+	// Bytes written by Write, handed out by Read, and discarded by Drain.
 	// Whenever nothing is pending, written == read + scrubbed.
 	written, read, scrubbed uint64
 
@@ -53,8 +64,8 @@ func NewConnector(name string, slots int) *Connector {
 }
 
 func newConnector(pool *Chunks, name string, slots int) *Connector {
-	if slots < 1 {
-		panic("mem: connector needs at least one slot")
+	if slots < 1 || slots > 64 {
+		panic("mem: connector needs one to 64 slots")
 	}
 	return &Connector{name: name, slots: make([][]byte, slots), pool: pool}
 }
@@ -81,6 +92,10 @@ func (c *Connector) Name() string {
 // Pending returns the number of written-but-unread chunks.
 func (c *Connector) Pending() int { return int(c.tail - c.head) }
 
+// Lent returns the number of pending chunks that are still lent, not
+// staged.
+func (c *Connector) Lent() int { return bits.OnesCount64(c.lent) }
+
 // CanWrite reports whether a slot is free for the producer.
 func (c *Connector) CanWrite() bool { return c.tail-c.head < uint64(len(c.slots)) }
 
@@ -89,38 +104,86 @@ func (c *Connector) CanRead() bool { return c.tail > c.head }
 
 // Write deposits a chunk into the next slot. The caller must have
 // checked CanWrite; Write panics otherwise, because a real ring buffer
-// overrun would corrupt data. The chunk is copied, matching the
-// semantics of staging data into mapped transfer memory.
+// overrun would corrupt data. The chunk is lent, not copied: the slot
+// keeps a view of the caller's memory, which the caller must not change
+// until the chunk is read or Settle has staged it.
 func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 	if !c.CanWrite() {
 		panic(fmt.Sprintf("mem: connector %s overrun", c.Name()))
 	}
-	buf := c.pool.take(len(chunk))
-	copy(buf, chunk)
-	c.slots[c.tail%uint64(len(c.slots))] = buf
+	i := c.tail % uint64(len(c.slots))
+	if len(chunk) == 0 {
+		// A zero-length view still has capacity: stored as it is, Read
+		// would hand the writer's memory to the pool.
+		chunk = nil
+	} else {
+		c.lent |= 1 << i
+	}
+	if lentChecking {
+		if c.sums == nil {
+			c.sums = make([]uint64, len(c.slots))
+		}
+		c.sums[i] = fnv64a(chunk)
+	}
+	c.slots[i] = chunk
 	c.tail++
 	c.written += uint64(len(chunk))
 	c.readable.Broadcast(e)
+}
+
+// Settle stages every unread lent chunk that overlaps dst into a buffer of
+// the pool, so that the writer may overwrite dst; Settle(nil) stages all
+// of them. The writer settles before each write into memory it may have
+// lent, and settles everything before it hands its memory back to its
+// owner.
+func (c *Connector) Settle(dst []byte) {
+	d := uintptr(unsafe.Pointer(unsafe.SliceData(dst)))
+	for lent := c.lent; lent != 0; lent &= lent - 1 {
+		i := bits.TrailingZeros64(lent)
+		chunk := c.slots[i] // never empty: Write stores those as nil
+		if p := uintptr(unsafe.Pointer(&chunk[0])); dst != nil && (p >= d+uintptr(len(dst)) || d >= p+uintptr(len(chunk))) {
+			continue // no overlap
+		}
+		buf := c.pool.take(len(chunk))
+		copy(buf, chunk)
+		c.slots[i] = buf
+		c.lent &^= 1 << i
+	}
+}
+
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Read consumes the oldest chunk. The caller must have checked CanRead.
 //
 // The returned bytes are valid until the caller next yields to the
 // engine (Sleep, a Cond wait, returning from the process body) or
-// itself writes to a connector on the same pool: the buffer is back in
-// the pool from this instant, and the next Write anywhere in the
-// simulation may stage its chunk into the same memory. No other process
-// can run before the caller yields. A caller that needs the data later
-// copies it out first.
+// itself writes to a connector on the same pool: a staged chunk's buffer
+// is back in the pool from this instant, and the next Settle anywhere in
+// the simulation may stage its chunk into the same memory; a lent chunk
+// is the writer's memory, which the writer may overwrite once it runs.
+// No other process can run before the caller yields. A caller that needs
+// the data later copies it out first.
 func (c *Connector) Read(e *sim.Engine) []byte {
 	if !c.CanRead() {
 		panic(fmt.Sprintf("mem: connector %s underrun", c.Name()))
 	}
-	chunk := c.slots[c.head%uint64(len(c.slots))]
-	c.slots[c.head%uint64(len(c.slots))] = nil
+	i := c.head % uint64(len(c.slots))
+	chunk := c.slots[i]
+	if lentChecking && fnv64a(chunk) != c.sums[i] {
+		panic(fmt.Sprintf("mem: invariant lent-chunk-stable: connector %s: the %d-byte chunk of slot %d changed between Write and Read",
+			c.Name(), len(chunk), i))
+	}
+	c.slots[i] = nil
 	c.head++
 	c.read += uint64(len(chunk))
-	c.pool.put(chunk)
+	if c.lent&(1<<i) == 0 {
+		c.pool.put(chunk) // a lent chunk is the writer's
+	}
+	c.lent &^= 1 << i
 	c.writable.Broadcast(e)
 	return chunk
 }
@@ -131,18 +194,21 @@ func (c *Connector) Readable() *sim.Cond { return &c.readable }
 // Writable returns the condition signalled when a slot frees up.
 func (c *Connector) Writable() *sim.Cond { return &c.writable }
 
-// Drain discards all in-flight chunks, returning their buffers to the
-// pool, and wakes any writer blocked on a full ring. This is the abort
-// path for elastic membership: when a rank is lost mid-collective,
-// chunks it deposited (or never consumed) are garbage to the next
-// owner, so the communicator pool scrubs the connector before reuse
-// instead of tripping Reset's in-flight panic.
+// Drain discards all in-flight chunks, returning the staged ones' buffers
+// to the pool, and wakes any writer blocked on a full ring. This is the
+// abort path for elastic membership: when a rank is lost mid-collective,
+// chunks it deposited (or never consumed) are garbage to the next owner,
+// so the communicator pool scrubs the connector before reuse instead of
+// tripping Reset's in-flight panic.
 func (c *Connector) Drain(e *sim.Engine) {
 	for i, chunk := range c.slots {
 		c.scrubbed += uint64(len(chunk))
-		c.pool.put(chunk)
+		if c.lent&(1<<i) == 0 {
+			c.pool.put(chunk)
+		}
 		c.slots[i] = nil
 	}
+	c.lent = 0
 	c.head = c.tail
 	c.checkBytes()
 	c.writable.Broadcast(e)
@@ -169,11 +235,12 @@ func (c *Connector) checkBytes() {
 
 // Chunks is a staging pool for connector chunks: a free list of chunk
 // buffers per power-of-two capacity class. Connectors that share a pool
-// share its buffers, so a buffer any Read frees serves the next Write
+// share its buffers, so a buffer any Read frees serves the next Settle
 // on any of them. A pool keeps every buffer it is given back and frees
 // none, but it only makes a buffer when its class's free list is empty:
-// it holds at most the peak number of chunks of each class that were in
-// flight at once. The zero value is an empty pool.
+// it holds at most the peak number of staged chunks of each class that
+// were in flight at once. Lent chunks are never its buffers. The zero
+// value is an empty pool.
 type Chunks struct {
 	// free[k] holds buffers of capacity 1<<k.
 	free [bits.UintSize][][]byte
@@ -181,7 +248,7 @@ type Chunks struct {
 }
 
 // Made reports how many buffers the pool has made: over all classes,
-// the sum of the most chunks of a class ever in flight at once.
+// the sum of the most staged chunks of a class ever in flight at once.
 func (p *Chunks) Made() int { return p.made }
 
 // take returns an n-byte buffer: a free one of n's class, or a new one

@@ -336,6 +336,68 @@ func TestReduceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReduceIntoMatchesReduce holds the three-operand form to the
+// two-operand one, bit for bit — NaN payloads and −0 included — for all
+// 16 (op, type) kernels: dst = a op b must be what copying a into dst and
+// reducing b in leaves, with dst, a and b each at every element offset
+// 0–7 of their allocation (every word alignment), each one byte off its
+// alignment in turn (the decoded-block route), and with dst being a
+// itself. Nothing outside dst is written.
+func TestReduceIntoMatchesReduce(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, dt := range []DataType{Float32, Float64, Int32, Int64} {
+		for _, op := range []ReduceOp{Sum, Prod, Max, Min} {
+			sz := dt.Size()
+			a, b := oracleData(rng, op, dt, 1001)
+			want := bytes.Clone(a)
+			Reduce(op, dt, want, b)
+			// at returns a copy of src placed off bytes into a fresh
+			// allocation of 0xa5 bytes, with room on either side.
+			at := func(src []byte, off int) (whole, part []byte) {
+				whole = bytes.Repeat([]byte{0xa5}, len(src)+8*sz+1)
+				return whole, append(whole[:off], src...)[off:]
+			}
+			check := func(what string, offD, offA, offB int, alias bool) {
+				wholeA, pa := at(a, offA)
+				_, pb := at(b, offB)
+				wholeD, pd := wholeA, pa
+				if alias {
+					offD = offA
+				} else {
+					wholeD, pd = at(make([]byte, len(a)), offD)
+				}
+				ReduceInto(op, dt, pd, pa, pb)
+				if !bytes.Equal(pd, want) {
+					for i := 0; i < len(want); i += sz {
+						if g, w := word(dt, pd[i:]), word(dt, want[i:]); g != w {
+							t.Fatalf("%v/%v %s: element %d: %#x op %#x = %#x, Reduce gives %#x",
+								dt, op, what, i/sz, word(dt, a[i:]), word(dt, b[i:]), g, w)
+						}
+					}
+				}
+				if !alias && (!bytes.Equal(pa, a) || !bytes.Equal(pb, b)) {
+					t.Fatalf("%v/%v %s: an operand was written", dt, op, what)
+				}
+				for i, c := range wholeD {
+					if (i < offD || i >= offD+len(pd)) && c != 0xa5 {
+						t.Fatalf("%v/%v %s: wrote byte %d outside dst", dt, op, what, i)
+					}
+				}
+			}
+			for off := 0; off < 8; off++ {
+				offD, offA, offB := off*sz, (3*off)%8*sz, (5*off)%8*sz
+				name := fmt.Sprintf("elements %d/%d/%d", offD/sz, offA/sz, offB/sz)
+				check(name, offD, offA, offB, false)
+				check(name+" dst misaligned", offD+1, offA, offB, false)
+				check(name+" a misaligned", offD, offA+1, offB, false)
+				check(name+" b misaligned", offD, offA, offB+1, false)
+				check(name+" dst is a", 0, offA, offB, true)
+				check(name+" dst is a, misaligned", 0, offA+1, offB, true)
+			}
+		}
+	}
+}
+
 // TestReduceIntegersAreNative pins what the float64 detour got wrong:
 // integer reductions are exact and wrap around in two's complement.
 func TestReduceIntegersAreNative(t *testing.T) {
@@ -497,20 +559,38 @@ func TestConnectorPersistentVisibility(t *testing.T) {
 	}
 }
 
-func TestConnectorWriteCopies(t *testing.T) {
-	e := sim.NewEngine()
-	c := NewConnector("c", 1)
-	src := []byte{1}
-	e.Spawn("p", func(p *sim.Process) {
-		c.Write(p.Engine(), src)
-		src[0] = 99 // mutate after write; the chunk must be unaffected
-		if got := c.Read(p.Engine()); got[0] != 1 {
-			t.Errorf("chunk aliased caller memory: %v", got)
+// TestConnectorWriteLends: a written chunk is a view of the writer's
+// memory until it is read or settled. Settle stages exactly the unread
+// lent chunks that overlap the range it is given, after which the writer
+// may overwrite that range; Settle(nil) stages the rest.
+func TestConnectorWriteLends(t *testing.T) {
+	inProcess(t, func(p *sim.Process) {
+		e := p.Engine()
+		c := NewConnector("c", 4)
+		src := []byte{1, 2, 3, 4}
+		c.Write(e, src[:1])
+		if got := c.Read(e); &got[0] != &src[0] || len(pooled(c.pool)) != 0 {
+			t.Errorf("read a copy of a lent chunk, or the writer's memory went to the pool")
+		}
+		src[0] = 99
+		c.Write(e, src[0:2])
+		c.Write(e, src[2:4])
+		c.Settle(src[1:2]) // overlaps the first chunk only
+		if c.lent != 1<<2 {
+			t.Errorf("lent slots %b after settling the first chunk, want 100", c.lent)
+		}
+		clear(src[0:2])
+		c.Settle(nil)
+		clear(src)
+		for i, want := range [][]byte{{99, 2}, {3, 4}} {
+			if got := c.Read(e); !bytes.Equal(got, want) {
+				t.Errorf("chunk %d read %v after Settle, want %v", i, got, want)
+			}
+		}
+		if c.lent != 0 || len(pooled(c.pool)) != 2 {
+			t.Errorf("lent %b, pooled %d after reading both staged chunks, want 0 and 2", c.lent, len(pooled(c.pool)))
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestConnectorOverrunPanics(t *testing.T) {
@@ -565,11 +645,19 @@ func pooled(p *Chunks) [][]byte {
 	return all
 }
 
-// TestConnectorRecyclesChunks: a steady stream of equal-sized chunks
-// allocates nothing, at ring depth one and with a standing backlog, and
-// across two connectors on one pool, where the chunk A's Read frees is
-// the very buffer B's Write stages into. One allocation per Write (the
-// make coming back) reads as 1 here.
+// stage writes chunk to c and stages it at once, as a writer that
+// overwrites its memory right after each write does.
+func stage(e *sim.Engine, c *Connector, chunk []byte) {
+	c.Write(e, chunk)
+	c.Settle(nil)
+}
+
+// TestConnectorRecyclesChunks: a steady stream of equal-sized staged
+// chunks allocates nothing, at ring depth one and with a standing
+// backlog, and across two connectors on one pool, where the chunk A's
+// Read frees is the very buffer B's Settle stages into. One allocation
+// per chunk (the make coming back) reads as 1 here. Lent chunks never
+// reach the pool.
 func TestConnectorRecyclesChunks(t *testing.T) {
 	chunk := bytes.Repeat([]byte{7}, 4096)
 	for _, backlog := range []int{0, 3} {
@@ -577,11 +665,11 @@ func TestConnectorRecyclesChunks(t *testing.T) {
 		inProcess(t, func(p *sim.Process) {
 			e := p.Engine()
 			for i := 0; i <= backlog; i++ { // the stream's working set
-				c.Write(e, chunk)
+				stage(e, c, chunk)
 			}
 			c.Read(e)
 			allocs := testing.AllocsPerRun(100, func() {
-				c.Write(e, chunk)
+				stage(e, c, chunk)
 				if got := c.Read(e); !bytes.Equal(got, chunk) {
 					t.Errorf("backlog %d: chunk corrupted", backlog)
 				}
@@ -596,23 +684,31 @@ func TestConnectorRecyclesChunks(t *testing.T) {
 	b := NewEdgeConnector(pool, "t", "conn", 1, 2, 8)
 	inProcess(t, func(p *sim.Process) {
 		e := p.Engine()
-		a.Write(e, chunk)
+		stage(e, a, chunk)
 		freed := a.Read(e)
-		b.Write(e, chunk)
+		stage(e, b, chunk)
 		if unsafe.SliceData(b.slots[0]) != unsafe.SliceData(freed) {
-			t.Error("B's Write did not stage into the buffer A's Read freed")
+			t.Error("B's Settle did not stage into the buffer A's Read freed")
 		}
 		b.Read(e)
 		allocs := testing.AllocsPerRun(100, func() {
-			a.Write(e, chunk)
+			stage(e, a, chunk)
 			a.Read(e)
-			b.Write(e, chunk)
+			stage(e, b, chunk)
 			if got := b.Read(e); !bytes.Equal(got, chunk) {
 				t.Error("two connectors: chunk corrupted")
 			}
 		})
 		if allocs != 0 {
 			t.Errorf("two connectors: %v allocations per round, want 0", allocs)
+		}
+		for range 3 {
+			a.Write(e, chunk)
+		}
+		a.Drain(e)
+		b.Write(e, chunk)
+		if got := b.Read(e); unsafe.SliceData(got) != unsafe.SliceData(chunk) || len(pooled(pool)) != 1 || pool.Made() != 1 {
+			t.Errorf("lent chunks: read a copy, or the pool holds %d buffers and made %d, want the one staged buffer", len(pooled(pool)), pool.Made())
 		}
 	})
 }
@@ -631,7 +727,7 @@ func TestConnectorRetentionIsBounded(t *testing.T) {
 		b := NewEdgeConnector(pool, "t", "conn", 1, 0, 8)
 		fill := func(c *Connector, n int) {
 			for i := 0; i < n; i++ {
-				c.Write(e, chunk)
+				stage(e, c, chunk)
 			}
 		}
 		check := func(when string, want int) {

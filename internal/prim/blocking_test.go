@@ -9,8 +9,10 @@ import (
 )
 
 // The executor as it was while the process running it made every wait
-// itself: StepOnce and its six helpers, unchanged but for their names and
-// for the seeded plan's init copy, reduce and in-place copy-out. It is the
+// itself: StepOnce and its six helpers, unchanged but for their names, for
+// the seeded plan's init copy, reduce and in-place copy-out, and for a
+// send that stages its chunk right after the write, so the reference
+// copies every chunk as Write did before chunks were lent. It is the
 // reference TestMachineMatchesBlocking holds the Runner to.
 
 // blockingInitialize performs the sequence's init copy, charging compute time.
@@ -57,12 +59,13 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 		src := x.SendBuf.Bytes()
 		price := len(src) // a seeded plan still pays for the whole send buffer
 		if x.Seq.seeded {
-			// The send buffer is one working buffer per segment, back to back.
-			work := len(x.work().Bytes())
-			if len(src) != len(x.Seq.segs)*work || work != x.Seq.workLen*x.Spec.Type.Size() {
+			// The seeds tile the send buffer.
+			size, work := x.Spec.Type.Size(), len(x.work().Bytes())
+			if len(src) != x.Seq.seed(len(x.Seq.segs)-1).Hi*size || work != x.Seq.workLen*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, work, len(src)))
 			}
-			src = src[x.Seq.initCopyOwnSeg*work : (x.Seq.initCopyOwnSeg+1)*work]
+			sd := x.Seq.seed(x.Seq.initCopyOwnSeg)
+			src = src[sd.Lo*size : sd.Hi*size]
 		}
 		if len(dst) != len(src) {
 			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(src)))
@@ -286,7 +289,10 @@ func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {
 		out.Write(p.Engine(), nil)
 		return
 	}
+	// Staged at once: the reference copies every chunk, as Write did
+	// before chunks were lent.
 	out.Write(p.Engine(), x.work().Slice(sr.Lo, sr.Hi))
+	out.Settle(nil)
 }
 
 // blockingRecvHalf consumes a chunk and reduces or copies it into the action's
@@ -311,7 +317,7 @@ func (x *Executor) blockingRecvHalf(p *sim.Process, a Action) {
 		if x.Seq.seeded && len(dst) > 0 {
 			// Seed the slice with the rank's own contribution first.
 			size := x.Spec.Type.Size()
-			lo := (a.RecvSeg*x.Seq.workLen + x.Round*x.Seq.chunkElems) * size
+			lo := (x.Seq.seed(a.RecvSeg).Lo + x.Round*x.Seq.chunkElems) * size
 			copy(dst, x.SendBuf.Bytes()[lo:lo+len(dst)])
 		}
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)

@@ -222,6 +222,7 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 		if move && fresh {
 			x.scratch = x.SendBuf.Clone()
 		} else if move {
+			x.settle(x.work().Bytes())
 			copy(x.work().Bytes(), src)
 		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
@@ -230,6 +231,7 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 			panic(fmt.Sprintf("prim: %v init prefix copy overflow: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
 		if move {
+			x.settle(dst[:len(src)])
 			copy(dst[:len(src)], src)
 		}
 	default: // own contribution into its working-buffer segment
@@ -239,7 +241,7 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 			// Only the segment's seed moves; the copy is still priced at
 			// the whole send buffer, which the run reads by the end.
 			size, work := x.Spec.Type.Size(), len(x.work().Bytes())
-			if sendLen := len(x.Seq.segs) * x.Seq.workLen * size; len(src) != sendLen || work != x.Seq.workLen*size {
+			if sendLen := x.Seq.seed(len(x.Seq.segs)-1).Hi * size; len(src) != sendLen || work != x.Seq.workLen*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d, want %d and %d",
 					x.Spec.Kind, work, len(src), x.Seq.workLen*size, sendLen))
 			}
@@ -251,6 +253,7 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(own)))
 		}
 		if move {
+			x.settle(dst)
 			copy(dst, own)
 		}
 	}
@@ -394,10 +397,14 @@ func (r *Runner) start(p *sim.Process, x *Executor, pacer Pacer, budget sim.Dura
 // Progressed.
 func (r *Runner) Result() StepResult { return r.result }
 
-// end finishes the run with res.
+// end finishes the run with res. A run that is over, Done or Aborted,
+// first stages every chunk it lent, so its owner may reuse the buffers as
+// soon as it resolves.
 func (r *Runner) end(res StepResult) (sim.Wait, bool) {
 	if res == Stuck {
 		r.x.SpinAborts++
+	} else if res != Progressed {
+		r.x.settle(nil)
 	}
 	r.result = res
 	return sim.Wait{}, false
@@ -640,8 +647,17 @@ func (x *Executor) localCopy(a *Action) {
 		return
 	}
 	src := x.Seq.segs[a.SendSeg]
-	dst := x.Seq.segs[a.RecvSeg]
-	copy(x.work().Slice(dst.Lo, dst.Lo+a.SendElems), x.work().Slice(src.Lo, src.Lo+a.SendElems))
+	dst := x.work().Slice(x.Seq.segs[a.RecvSeg].Lo, x.Seq.segs[a.RecvSeg].Lo+a.SendElems)
+	x.settle(dst)
+	copy(dst, x.work().Slice(src.Lo, src.Lo+a.SendElems))
+}
+
+// settle stages the unread chunks x lent out of dst (nil: every one) on
+// its send endpoints, before x overwrites dst (mem.Connector.Settle).
+func (x *Executor) settle(dst []byte) {
+	for _, c := range x.Outs {
+		c.Settle(dst)
+	}
 }
 
 // beginSend accounts the current round's slice of the action's send
@@ -671,33 +687,36 @@ func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRa
 }
 
 // recv consumes a chunk and reduces or copies it into the action's recv
-// segment (in a seeded plan, a reduce first copies the segment's own
-// contribution in from the send buffer), and returns the bytes that price
-// the work. The data moves before the sleep that charges them, because
-// the chunk is only valid until the next wait (mem.Connector.Read).
-// Nothing can tell: the segment belongs to this executor, which is the
-// one asleep, and a kill or abort is only observed at a primitive's entry
-// and in connector waits.
+// segment (in a seeded plan, a reduce folds the chunk into the segment's
+// own contribution, read straight from the send buffer), and returns the
+// bytes that price the work. The data moves before the sleep that charges
+// them, because the chunk is only valid until the next wait
+// (mem.Connector.Read). Nothing can tell: the segment belongs to this
+// executor, which is the one asleep, and a kill or abort is only observed
+// at a primitive's entry and in connector waits. The chunks x lent out of
+// the segment are staged before the Read, whose chunk is back in the pool
+// already: staged after it, one could land in the chunk's memory.
 func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
-	chunk := x.Ins[a.RecvConn].Read(e)
 	sr := x.Seq.recvSlice(*a, x.Round)
 	if x.Spec.TimingOnly {
+		x.Ins[a.RecvConn].Read(e)
 		return sr.len() * x.Spec.Type.Size()
 	}
 	dst := x.work().Slice(sr.Lo, sr.Hi)
+	x.settle(dst)
+	chunk := x.Ins[a.RecvConn].Read(e)
 	if len(dst) != len(chunk) {
 		panic(fmt.Sprintf("prim: %v rank-pos %d stage %d round %d step %d: chunk %dB vs segment slice %dB",
 			x.Spec.Kind, x.Pos, x.Stage, x.Round, x.Step, len(chunk), len(dst)))
 	}
-	if a.Reduce {
-		if x.Seq.seeded {
-			// The segment's own contribution, straight from the send buffer.
-			size := x.Spec.Type.Size()
-			own := (x.Seq.seed(a.RecvSeg).Lo + sr.Lo - x.Seq.segs[a.RecvSeg].Lo) * size
-			copy(dst, x.SendBuf.Bytes()[own:own+len(dst)])
-		}
+	switch {
+	case a.Reduce && x.Seq.seeded:
+		size := x.Spec.Type.Size()
+		own := (x.Seq.seed(a.RecvSeg).Lo + sr.Lo - x.Seq.segs[a.RecvSeg].Lo) * size
+		mem.ReduceInto(x.Spec.Op, x.Spec.Type, dst, x.SendBuf.Bytes()[own:own+len(dst)], chunk)
+	case a.Reduce:
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)
-	} else {
+	default:
 		copy(dst, chunk)
 	}
 	return len(chunk)

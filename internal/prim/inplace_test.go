@@ -3,6 +3,8 @@ package prim
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -297,5 +299,101 @@ func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 	}
 	if checked != 12 {
 		t.Fatalf("checked %d kind × algorithm pairs, want 12", checked)
+	}
+}
+
+// TestNoKindWritesItsSendBuffer runs 300 valid specs drawn from
+// FuzzSequences' space — every kind, ring and hierarchical, 1–3 nodes × 1–4 GPUs,
+// seeded rank orders, counts, chunks, types, ops, roots and all-to-all-v
+// matrices — with real data, each rank on a 1 µs spin budget that
+// switches it out whenever a peer is slow. An FNV-64a hash of every send
+// buffer is the same after the run as before. Where every position's
+// send and recv buffers are the same size, the spec runs again in place,
+// each rank's send buffer also its recv buffer (the one case a run may
+// write it), and every defined result is bit-identical to the first
+// run's.
+func TestNoKindWritesItsSendBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	hash := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	ran, inPlace := 0, 0
+	for tries := 0; ran < 300; tries++ {
+		if tries == 3000 {
+			t.Fatalf("%d of %d drawn specs are valid: the draw no longer covers the space", ran, tries)
+		}
+		kind, counts := Kind(rng.Intn(7)), int64(-1)
+		if kind == AllToAllv {
+			counts = rng.Int63n(32)
+		}
+		c, spec := fuzzSpec(int8(kind), int8(rng.Intn(3)), uint8(rng.Intn(3)), uint8(rng.Intn(4)), rng.Int63(),
+			uint8(rng.Intn(12)), int16(rng.Intn(256)), int8(rng.Intn(40)), int8(rng.Intn(4)), int8(rng.Intn(4)),
+			int8(rng.Intn(3)), counts)
+		if spec.Validate() != nil {
+			continue
+		}
+		n := spec.N()
+		sends, recvs, sums := make([]*mem.Buffer, n), make([]*mem.Buffer, n), make([]uint64, n)
+		square := true
+		for i := range sends {
+			sendCount, recvCount := BufferCountsFor(spec, i)
+			sends[i] = mem.NewBuffer(spec.Type, sendCount)
+			for j := range sendCount {
+				sends[i].SetFloat64(j, float64(rng.Intn(7)-3))
+			}
+			sums[i], recvs[i] = hash(sends[i].Bytes()), garbage(spec.Type, recvCount)
+			square = square && sendCount == recvCount
+		}
+		runSwitched(t, c, spec, sends, recvs)
+		for i, b := range sends {
+			if hash(b.Bytes()) != sums[i] {
+				t.Fatalf("%+v: position %d's send buffer was written", spec, i)
+			}
+		}
+		ran++
+		if !square {
+			continue
+		}
+		same := make([]*mem.Buffer, n)
+		for i, b := range sends {
+			same[i] = b.Clone()
+		}
+		runSwitched(t, c, spec, same, same)
+		for i := range same {
+			if (spec.Kind != Reduce || i == spec.Root) && !bytes.Equal(same[i].Bytes(), recvs[i].Bytes()) {
+				t.Fatalf("%+v: position %d in place differs from the run with two buffers", spec, i)
+			}
+		}
+		inPlace++
+	}
+	if inPlace < 100 {
+		t.Fatalf("%d of %d specs ran in place: the draw no longer covers the space", inPlace, ran)
+	}
+}
+
+// runSwitched runs spec over a fresh wiring with the given buffers, every
+// rank stepping on a 1 µs spin budget and sleeping a few microseconds
+// whenever it comes back Stuck.
+func runSwitched(t *testing.T, c *topo.Cluster, spec Spec, sends, recvs []*mem.Buffer) {
+	t.Helper()
+	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "p")
+	e := sim.NewEngine()
+	for i := range sends {
+		x := ws.ExecutorFor(c, spec, i, sends[i], recvs[i])
+		e.Spawn("rank", func(p *sim.Process) {
+			for {
+				switch x.StepOnce(p, sim.Microsecond) {
+				case Done:
+					return
+				case Stuck:
+					p.Sleep(sim.Duration(1+i%3) * sim.Microsecond)
+				}
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("%+v: %v", spec, err)
 	}
 }

@@ -156,44 +156,50 @@ func checkBuffers(spec Spec, pos int, seq *Sequence) error {
 //	go test -run '^$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
 func FuzzSequences(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, algo int8, nodes, gpus uint8, perm int64, ranks uint8, count int16, chunk, typ, op, root int8, counts int64) {
-		machines, perNode := upTo(nodes, 3), upTo(gpus, 4)
-		total := machines * perNode
-		n := upTo(ranks, total)
-		spec := Spec{
-			Kind: Kind(kind), Algo: Algorithm(algo), Count: int(count % 256), ChunkElems: int(chunk),
-			Type: mem.DataType(typ), Op: mem.ReduceOp(op), Root: int(root),
-			Ranks: rand.New(rand.NewSource(perm)).Perm(total)[:n],
-		}
-		if spec.Algo == AlgoAuto {
-			spec.Algo = AlgoRing // the runtime resolves auto before building a sequence
-		}
-		if counts >= 0 {
-			rng := rand.New(rand.NewSource(counts))
-			spec.Counts = make([][]int, n)
-			for i := range spec.Counts {
-				spec.Counts[i] = make([]int, n)
-				for j := range spec.Counts[i] {
-					spec.Counts[i][j] = rng.Intn(41)
-				}
-			}
-			if counts&1 != 0 {
-				clear(spec.Counts[rng.Intn(n)])
-			}
-			if counts&2 != 0 {
-				col := rng.Intn(n)
-				for _, row := range spec.Counts {
-					row[col] = 0
-				}
-			}
-		}
+		c, spec := fuzzSpec(kind, algo, nodes, gpus, perm, ranks, count, chunk, typ, op, root, counts)
 		if spec.Validate() != nil {
 			return
 		}
-		c := topo.NewCluster(machines, perNode, topo.RTX3090, topo.DefaultLinks)
 		if err := checkPeers(c, spec); err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
 	})
+}
+
+// fuzzSpec is the cluster and spec a FuzzSequences input names; the spec
+// may be invalid.
+func fuzzSpec(kind, algo int8, nodes, gpus uint8, perm int64, ranks uint8, count int16, chunk, typ, op, root int8, counts int64) (*topo.Cluster, Spec) {
+	machines, perNode := upTo(nodes, 3), upTo(gpus, 4)
+	total := machines * perNode
+	n := upTo(ranks, total)
+	spec := Spec{
+		Kind: Kind(kind), Algo: Algorithm(algo), Count: int(count % 256), ChunkElems: int(chunk),
+		Type: mem.DataType(typ), Op: mem.ReduceOp(op), Root: int(root),
+		Ranks: rand.New(rand.NewSource(perm)).Perm(total)[:n],
+	}
+	if spec.Algo == AlgoAuto {
+		spec.Algo = AlgoRing // the runtime resolves auto before building a sequence
+	}
+	if counts >= 0 {
+		rng := rand.New(rand.NewSource(counts))
+		spec.Counts = make([][]int, n)
+		for i := range spec.Counts {
+			spec.Counts[i] = make([]int, n)
+			for j := range spec.Counts[i] {
+				spec.Counts[i][j] = rng.Intn(41)
+			}
+		}
+		if counts&1 != 0 {
+			clear(spec.Counts[rng.Intn(n)])
+		}
+		if counts&2 != 0 {
+			col := rng.Intn(n)
+			for _, row := range spec.Counts {
+				row[col] = 0
+			}
+		}
+	}
+	return topo.NewCluster(machines, perNode, topo.RTX3090, topo.DefaultLinks), spec
 }
 
 // upTo maps v onto 1..k, leaving 1..k as they are.

@@ -35,11 +35,13 @@ func sumPattern(n, shift int) (fill func(rank int, b *mem.Buffer), want func(i i
 // comes back Stuck is switched out for a while — with reducers slower
 // than the wire. A switched-out reader lets its ring back up to all
 // ConnectorSlots; once it is back, its writer refills each slot it
-// frees while the reader is still inside recvHalf's compute sleep, and
-// with pooled chunk memory that refill lands in the very buffer the
-// reader was just handed. The sums are only exact if the reader has
-// reduced the chunk before it sleeps (mem.Connector.Read's lifetime
-// contract): reduce after the sleep and this test fails.
+// frees while the reader is still inside recv's compute sleep, and
+// overwrites the memory of its own unread chunks, which it must stage
+// first: with pooled chunk memory that staging can land in the very
+// buffer the reader was just handed. The sums are only exact if the
+// reader has reduced the chunk before it sleeps (mem.Connector.Read's
+// lifetime contract) and the writer settles before it overwrites: reduce
+// after the sleep, or skip a settle, and this test fails.
 func TestBackedUpRingsStayExact(t *testing.T) {
 	spec := backedUpSpec
 	ring := BuildRingOn(fabric.Unshared(topo.Server3090(spec.N())), spec, "t")
@@ -54,23 +56,27 @@ func TestBackedUpRingsStayExact(t *testing.T) {
 // second as soon as its part of the first is done, while slower ranks
 // are still reading and reducing the first's chunks, so a buffer one
 // ring's reader frees may be restaged by a writer on the other ring
-// during the reader's compute sleep. Both sums stay exact, and the pool
-// made fewer buffers than the two rings ever held at once between them,
-// which is only possible if some buffer carried chunks of both.
+// during the reader's compute sleep. Both sums stay exact. The pool holds
+// only settled chunks: it made some, but fewer than one ring held in
+// flight at once, since lent chunks are not its buffers. And it made
+// fewer than the same two runs make on a pool each (the schedule does
+// not depend on the pools), which is only possible if some buffer
+// carried chunks of both.
 func TestBackedUpRingsShareOnePool(t *testing.T) {
 	spec := backedUpSpec
 	net := fabric.Unshared(topo.Server3090(spec.N()))
-	chunks := new(mem.Chunks)
-	a := NewWirings(chunks, net, "a").wiringFor(spec)
-	b := NewWirings(chunks, net, "b").wiringFor(spec)
-	r := runBackedUp(t, spec, a, b)
+	run := func(pa, pb *mem.Chunks) backedUp {
+		return runBackedUp(t, spec, NewWirings(pa, net, "a").wiringFor(spec), NewWirings(pb, net, "b").wiringFor(spec))
+	}
+	shared, ownA, ownB := new(mem.Chunks), new(mem.Chunks), new(mem.Chunks)
+	r := run(shared, shared)
 	if r.deepest != ConnectorSlots || !r.overlapped {
 		t.Fatalf("rings backed up to %d of %d slots, collectives overlapped %t: the schedule no longer exercises the case", r.deepest, ConnectorSlots, r.overlapped)
 	}
-	// A ring's chunks all come from the pool, so it made at least the
-	// most either ring held.
-	if m := chunks.Made(); m < max(r.held[0], r.held[1]) || m >= r.held[0]+r.held[1] {
-		t.Fatalf("the pool made %d buffers for rings that held %v at most: the rings do not share it, or no chunk was restaged across them", m, r.held)
+	run(ownA, ownB)
+	if m := shared.Made(); m == 0 || m >= min(r.held[0], r.held[1]) || m >= ownA.Made()+ownB.Made() {
+		t.Fatalf("the shared pool made %d buffers, the rings held %v chunks at most, a pool each made %d and %d: no chunk was staged, lent chunks took pool buffers, or no buffer was restaged across the rings",
+			m, r.held, ownA.Made(), ownB.Made())
 	}
 }
 

@@ -493,11 +493,11 @@ type Sequence struct {
 	// useScratch: the working buffer is an internal scratch area rather
 	// than the user's recv buffer.
 	useScratch bool
-	// seeded: the plan works in a recv buffer too short to hold the
-	// whole send vector. Each segment's own contribution is its seed, a
-	// range of the send buffer, which a reduce into the segment copies
-	// in just before it folds the chunk in; the init copy copies only
-	// initCopyOwnSeg's seed.
+	// seeded: each segment's own contribution is its seed, a range of the
+	// send buffer, which a reduce into the segment reads straight from
+	// the send buffer as it folds the chunk in; the init copy copies only
+	// initCopyOwnSeg's seed. The recv buffer then never holds the whole
+	// send vector, which the reduce-scatter's is too short for.
 	seeded bool
 	// copyOut: after the final round, concatenate the listed working-
 	// buffer segments into the recv buffer in list order (none: the
@@ -533,10 +533,13 @@ func (s *Sequence) TotalRounds() int {
 }
 
 // seed is segment b's own contribution in a seeded plan: the send buffer
-// holds one working buffer's worth per segment, in segment order, so the
-// seeds tile it.
+// holds every segment's, in segment order, so the seeds tile it.
 func (s *Sequence) seed(b int) segRange {
-	return segRange{Lo: b * s.workLen, Hi: (b + 1) * s.workLen}
+	lo := 0
+	for _, sr := range s.segs[:b] {
+		lo += sr.len()
+	}
+	return segRange{Lo: lo, Hi: lo + s.segs[b].len()}
 }
 
 // limitSlice returns the element range of segment seg covered in round c,
@@ -860,7 +863,8 @@ func (s Spec) allReduceSeq(q *Sequence, pos, n int) {
 	st := q.stage("", r.rounds(q.chunkElems))
 	st.actions = r.allReduce(st.actions)
 	q.workLen = s.Count
-	q.initCopyOwnSeg = initCopyWhole // copy whole send buffer into recv buffer
+	q.initCopyOwnSeg = pos // the block step 0 sends
+	q.seeded = true
 }
 
 // allGatherSeq lays out n segments of exactly Count elements each, one
