@@ -1,7 +1,7 @@
 GO ?= go
 BENCH := BENCH.json
 
-.PHONY: all fmt vet build test test-race ci smoke doccheck benchcheck loc soak bench tune chaos trace cluster
+.PHONY: all fmt vet build test test-race ci smoke doccheck detcheck benchcheck loc soak bench tune chaos trace cluster
 
 all: ci
 
@@ -39,6 +39,14 @@ ci: fmt vet build test
 # the newest CHANGES.md entry is longer than 1 500 characters.
 doccheck:
 	$(GO) run ./cmd/doccheck
+
+# detcheck type-checks every non-test package of the module (cmd/
+# included, benchmark/ not) and fails on any range over a map: Go
+# randomizes map iteration order, and the simulation's outputs must
+# come out bit for bit the same on every run. It is a test behind the
+# detcheck build tag (detcheck_test.go), so `go test ./...` skips it.
+detcheck:
+	$(GO) test -tags detcheck -run TestNoMapRange -count=1 .
 
 # benchcheck vets and tests the host-time benchmark. benchmark/ is a
 # module of its own (benchmark/go.mod), so `go build ./...` and
@@ -132,7 +140,8 @@ cluster:
 # smoke is the all-in-one gate: formatting, static checks (go vet), the
 # race-detector test pass — which runs every experiment and gate at
 # reduced scale, as the rows of internal/bench's TestExperiments
-# (~2 min) — the godoc floor, the benchmark module's own vet + tests,
+# (~2 min) — the godoc floor, the map-range scan, the benchmark
+# module's own vet + tests,
 # 10 s of fuzzing the cluster kill path (FuzzClusterKills), 10 s of
 # fuzzing the trace generator's configs (FuzzGenerate), 10 s of fuzzing
 # Spec.Validate against the sequence builders (FuzzSequences), 10 s of
@@ -143,7 +152,7 @@ cluster:
 # table and BENCH.json must come out as no-op diffs, trace.json and
 # metrics.json (not committed) byte-identical on the gate's own second
 # run. See TESTING.md.
-smoke: fmt vet build test-race doccheck benchcheck
+smoke: fmt vet build test-race doccheck detcheck benchcheck
 	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim

@@ -21,10 +21,12 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -77,32 +79,38 @@ func checkChanges(path string) error {
 	return nil
 }
 
-// checkDir parses every non-test .go file in dir and returns one
-// "file:line: ident" entry per undocumented exported identifier.
+// checkDir parses every non-test .go file in dir, those a build tag
+// leaves out included, in name order, and returns one "file:line:
+// ident" entry per undocumented exported identifier.
 func checkDir(dir string) ([]string, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
+	names := append(slices.Clone(bp.GoFiles), bp.IgnoredGoFiles...)
+	slices.Sort(names)
+	fset := token.NewFileSet()
 	var missing []string
 	report := func(pos token.Pos, name string) {
 		p := fset.Position(pos)
 		missing = append(missing, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(p.Filename), p.Line, name))
 	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Name.IsExported() && d.Doc == nil {
-						report(d.Pos(), funcLabel(d))
-					}
-				case *ast.GenDecl:
-					checkGenDecl(d, report)
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && d.Doc == nil {
+					report(d.Pos(), funcLabel(d))
 				}
+			case *ast.GenDecl:
+				checkGenDecl(d, report)
 			}
 		}
 	}

@@ -116,16 +116,16 @@ type (
 	// of its leaf and spine tiers.
 	FabricConfig = fabric.Config
 	// LinkStat is one fabric link's cumulative counters (bytes carried,
-	// busy and saturated time), reported through CollectiveStats.Fabric.
+	// busy and saturated time), as listed by the deployment's network:
+	// lib.System().Network().Snapshot(). Metrics sums them per tier.
 	LinkStat = fabric.LinkStat
 	// TierUtil aggregates LinkStats per fabric tier; build it with
 	// FabricTierSummary.
 	TierUtil = fabric.TierUtil
 
-	// MetricsRegistry is the process-wide metrics registry
-	// (counters/gauges/histograms) returned by (*Library).Metrics;
-	// DumpCanonical serializes it as deterministic JSON.
-	MetricsRegistry = metrics.Registry
+	// Counters is the snapshot of named process-wide counters returned
+	// by (*Library).Metrics; it marshals as canonical JSON (sorted keys).
+	Counters = core.Counters
 	// MetricsSeries is an append-only sample series with nearest-rank
 	// percentiles, for workload-level latency recording.
 	MetricsSeries = metrics.Series
@@ -325,12 +325,11 @@ func (l *Library) Now() Duration { return Duration(l.engine.Now()) }
 // that need device handles or daemon statistics.
 func (l *Library) System() *core.System { return l.sys }
 
-// Metrics snapshots the deployment's process-wide metrics registry:
+// Metrics snapshots the deployment's process-wide counters:
 // launch/completion and daemon lifecycle counters, elastic-membership
 // and tuning-pick counts, per-transport wire bytes, and per-tier
-// fabric utilization. Serialize it with DumpCanonical for a
-// deterministic artifact.
-func (l *Library) Metrics() *MetricsRegistry { return l.sys.Metrics() }
+// fabric utilization (the "fabric.<tier>.*" sums of LinkStat).
+func (l *Library) Metrics() Counters { return l.sys.Metrics() }
 
 // KillRank removes a rank mid-run: every group it participates in
 // aborts (in-flight launches resolve with a RankLostError on all

@@ -8,8 +8,9 @@ import (
 
 // runFabricA2A runs one 4-leader AllToAll (one rank per machine on a
 // 4-node cluster, so the ring's middle hops cross the spine) under the
-// given network and returns the recv buffers and the virtual end time.
-func runFabricA2A(t *testing.T, shared bool, oversub float64) ([]*dfccl.Buffer, dfccl.Duration, dfccl.CollectiveStats) {
+// given network and returns the recv buffers, the virtual end time and
+// the network's per-link counters.
+func runFabricA2A(t *testing.T, shared bool, oversub float64) ([]*dfccl.Buffer, dfccl.Duration, []dfccl.LinkStat) {
 	t.Helper()
 	const count = 65536
 	c := dfccl.MultiNode3090(4)
@@ -21,7 +22,6 @@ func runFabricA2A(t *testing.T, shared bool, oversub float64) ([]*dfccl.Buffer, 
 	lib.SetTimeLimit(10 * dfccl.Second)
 	ranks := []int{0, 8, 16, 24}
 	results := make([]*dfccl.Buffer, len(ranks))
-	var stats dfccl.CollectiveStats
 	for i, rank := range ranks {
 		i, rank := i, rank
 		lib.Go("rank", func(p *dfccl.Process) {
@@ -46,9 +46,6 @@ func runFabricA2A(t *testing.T, shared bool, oversub float64) ([]*dfccl.Buffer, 
 				t.Errorf("wait: %v", err)
 				return
 			}
-			if i == 0 {
-				stats = coll.Stats()
-			}
 			if err := coll.Close(p); err != nil {
 				t.Errorf("close: %v", err)
 			}
@@ -58,19 +55,18 @@ func runFabricA2A(t *testing.T, shared bool, oversub float64) ([]*dfccl.Buffer, 
 	if err := lib.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return results, lib.Now(), stats
+	return results, lib.Now(), lib.System().Network().Snapshot()
 }
 
 // TestFabricThroughFacade drives the congestion-aware fabric through
 // the public API: the same cross-spine AllToAll priced on the default
 // (unshared) network and on a 2:1-oversubscribed shared fabric. The
 // shared run must be slower (its two spine-crossing flows contend),
-// data must be bit-identical either way, and CollectiveStats.Fabric
-// must surface the per-link counters with the spine visible in the
-// tier summary.
+// data must be bit-identical either way, and the network's link
+// snapshot must show the spine in the tier summary.
 func TestFabricThroughFacade(t *testing.T) {
-	base, baseEnd, baseStats := runFabricA2A(t, false, 0)
-	shared, sharedEnd, sharedStats := runFabricA2A(t, true, 2)
+	base, baseEnd, baseLinks := runFabricA2A(t, false, 0)
+	shared, sharedEnd, sharedLinks := runFabricA2A(t, true, 2)
 
 	if sharedEnd <= baseEnd {
 		t.Fatalf("shared fabric end %v not above unshared %v: spine contention invisible", sharedEnd, baseEnd)
@@ -86,14 +82,14 @@ func TestFabricThroughFacade(t *testing.T) {
 			}
 		}
 	}
-	if len(baseStats.Fabric) != 0 {
-		t.Fatalf("unshared fabric reported %d link stats, want 0", len(baseStats.Fabric))
+	if len(baseLinks) != 0 {
+		t.Fatalf("unshared fabric reported %d link stats, want 0", len(baseLinks))
 	}
-	if len(sharedStats.Fabric) == 0 {
+	if len(sharedLinks) == 0 {
 		t.Fatal("shared fabric reported no link stats")
 	}
 	spine := false
-	for _, tu := range dfccl.FabricTierSummary(sharedStats.Fabric, dfccl.Duration(sharedEnd)) {
+	for _, tu := range dfccl.FabricTierSummary(sharedLinks, dfccl.Duration(sharedEnd)) {
 		if tu.Tier.String() == "spine" && tu.Bytes > 0 && tu.Saturated > 0 {
 			spine = true
 		}

@@ -98,8 +98,8 @@ func ClusterGate() ([]ClusterRow, error) {
 		if rep.PoolReused == 0 {
 			return nil, fmt.Errorf("cluster gate: policy %s: no communicator-pool reuse under churn", pol.Name())
 		}
-		all := rep.LatencySeries("all", nil)
-		hiS := rep.LatencySeries("hi", hi)
+		all := rep.LatencySeries(nil)
+		hiS := rep.LatencySeries(hi)
 		row := ClusterRow{
 			Policy: rep.Policy, Jobs: len(rep.Jobs),
 			Admissions: rep.Admissions, Requeues: rep.Requeues, Rejections: rep.Rejections,

@@ -6,7 +6,6 @@ import (
 
 	"dfccl/internal/core"
 	"dfccl/internal/mem"
-	"dfccl/internal/metrics"
 	"dfccl/internal/ncclsim"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -109,12 +108,15 @@ func (m *collMeter) result(lib string, err error) (CollResult, error) {
 		return CollResult{}, fmt.Errorf("bench: %s %v/%s: %w", lib, cfg.Kind, HumanBytes(cfg.Bytes), err)
 	}
 	e2e := m.e2eSum / sim.Duration(m.measured)
-	return CollResult{
+	res := CollResult{
 		Lib: lib, Kind: cfg.Kind, GPUs: n, Bytes: cfg.Bytes,
 		E2E:      e2e,
 		CoreExec: m.coreSum / sim.Duration(m.measured*n),
-		AlgoBW:   metrics.AlgoBandwidth(cfg.Bytes, e2e),
-	}, nil
+	}
+	if e2e > 0 {
+		res.AlgoBW = float64(cfg.Bytes) / float64(e2e) // bytes/ns == GB/s
+	}
+	return res, nil
 }
 
 // MeasureNCCL runs the collective over the NCCL baseline.

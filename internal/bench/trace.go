@@ -285,16 +285,17 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 		return nil, nil, nil, fmt.Errorf("bench: trace.json is not valid JSON")
 	}
 
-	reg := sys.Metrics()
-	lat := reg.Histogram("workload.iter_latency_ns")
-	lat.Samples = append(lat.Samples, iterLatency.Samples...)
-	metricsJSON, err = reg.DumpCanonical()
+	metricsJSON, err = json.MarshalIndent(traceMetrics{
+		Counters: sys.Metrics(),
+		Histograms: map[string]histSummary{"workload.iter_latency_ns": {
+			N: iterLatency.Len(), Mean: iterLatency.Mean(), P50: iterLatency.Percentile(50),
+			P95: iterLatency.Percentile(95), P99: iterLatency.Percentile(99), Max: iterLatency.Percentile(100),
+		}},
+	}, "", "  ")
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bench: dump metrics: %w", err)
 	}
-	if !json.Valid(metricsJSON) {
-		return nil, nil, nil, fmt.Errorf("bench: metrics.json is not valid JSON")
-	}
+	metricsJSON = append(metricsJSON, '\n')
 
 	summary = []string{
 		fmt.Sprintf("clean iterations before kill: %d; reformed iterations: %d over %d survivors", cleanIters, traceReformedIters, n-1),
@@ -308,6 +309,25 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 			iterLatency.Percentile(50), iterLatency.Percentile(95), iterLatency.Percentile(99), iterLatency.Len()),
 	}
 	return tr.Bytes(), metricsJSON, summary, nil
+}
+
+// traceMetrics is the shape of metrics.json: the deployment's counters
+// plus histogram summaries of the workload's own series. encoding/json
+// sorts map keys, so the bytes are canonical.
+type traceMetrics struct {
+	Counters   core.Counters          `json:"counters"`
+	Histograms map[string]histSummary `json:"histograms"`
+}
+
+// histSummary is one histogram in metrics.json: sample count plus
+// nearest-rank percentiles, all observed values.
+type histSummary struct {
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
+	P99  float64 `json:"p99"`
+	Max  float64 `json:"max"`
 }
 
 // traceProbeCell is the launch-path probe: one small single-node ring

@@ -206,8 +206,8 @@ func (r *Report) Ok() bool {
 // LatencySeries collects Done-Arrival sojourn times (in virtual ns)
 // over the jobs matching pred (nil = all) into a metrics series, so
 // callers report p50/p99 distributions instead of single-run means.
-func (r *Report) LatencySeries(name string, pred func(*JobResult) bool) *metrics.Series {
-	s := &metrics.Series{Name: name}
+func (r *Report) LatencySeries(pred func(*JobResult) bool) *metrics.Series {
+	s := &metrics.Series{}
 	for i := range r.Jobs {
 		j := &r.Jobs[i]
 		if pred == nil || pred(j) {

@@ -145,7 +145,7 @@ func TestPriorityBeatsFIFOUnderBurst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		p99[pol.Name()] = rep.LatencySeries("lat", hi).Percentile(99)
+		p99[pol.Name()] = rep.LatencySeries(hi).Percentile(99)
 	}
 	if p99["priority"] >= p99["fifo"] {
 		t.Fatalf("high-priority p99 under priority policy (%v) not better than FIFO (%v)",

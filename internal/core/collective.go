@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -245,12 +244,6 @@ type CollectiveStats struct {
 	// Completions × NumPrimitives absent aborts, less on a collective
 	// killed mid-run.
 	PrimsExecuted int
-	// Fabric is a snapshot of the shared network's per-link counters
-	// (bytes carried, busy/saturated time) at Stats time. The fabric is
-	// system-wide, so the snapshot reflects all traffic, not just this
-	// collective's. Empty under the default Unshared pricing, which has
-	// no shared links.
-	Fabric []fabric.LinkStat
 }
 
 // Stats returns this collective's per-rank scheduling statistics; the
@@ -270,7 +263,6 @@ func (c *Collective) Stats() CollectiveStats {
 		BytesSentBy:    t.exec.BytesSentBy,
 		NumPrimitives:  t.exec.Seq.NumPrimitives(),
 		PrimsExecuted:  t.exec.PrimsExecuted,
-		Fabric:         c.r.sys.Network().Snapshot(),
 	}
 }
 

@@ -392,8 +392,8 @@ func TestBatchValidatesBeforeSubmitting(t *testing.T) {
 	}
 }
 
-// TestSameSpecComparesTimingOnly pins the sameSpec fix: re-registering
-// an ID with only TimingOnly flipped must be rejected.
+// TestSameSpecComparesTimingOnly pins Spec.Same's TimingOnly case:
+// re-registering an ID with only TimingOnly flipped must be rejected.
 func TestSameSpecComparesTimingOnly(t *testing.T) {
 	e := sim.NewEngine()
 	sys := NewSystem(e, topo.Server3090(2), DefaultConfig())
@@ -713,7 +713,7 @@ func TestRecycledTasksRunLikeNew(t *testing.T) {
 					if st.NumPrimitives == 0 {
 						t.Errorf("%v rank %d %v: no primitives", algo, rank, spec.Kind)
 					}
-					st.NumPrimitives, st.Fabric = 0, nil
+					st.NumPrimitives = 0
 					if !reflect.DeepEqual(st, CollectiveStats{}) {
 						t.Errorf("%v rank %d %v: a new handle's Stats = %+v, want zero", algo, rank, spec.Kind, st)
 					}

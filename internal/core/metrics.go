@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dfccl/internal/metrics"
-	"dfccl/internal/prim"
-)
+import "dfccl/internal/prim"
 
 // retiredStats accumulates the counters of executors and rank contexts
 // that have been dropped — Unregister/Close, a killed rank's
@@ -76,44 +73,52 @@ func (s *System) BytesSentTotals() prim.TransportBytes { return s.totals().bytes
 // action spans.
 func (s *System) PrimsExecutedTotal() int { return s.totals().prims }
 
-// Metrics assembles the process-wide metrics registry from the
-// counters core, prim, and fabric already keep: launch/completion and
-// daemon lifecycle totals, elastic-membership and tuning counts,
-// communicator-pool behavior, per-transport wire bytes, and per-tier
-// fabric utilization. It is a snapshot — call it again for fresh
-// numbers. The registry dumps as deterministic canonical JSON
-// (metrics.Registry.DumpCanonical).
-func (s *System) Metrics() *metrics.Registry {
-	reg := metrics.NewRegistry()
+// Counters is a snapshot of the deployment's process-wide counters,
+// keyed by name: "core.launches", "prim.bytes_shm",
+// "fabric.<tier>.busy_ns" and so on. encoding/json sorts map keys, so
+// it marshals as canonical JSON.
+type Counters map[string]int64
+
+// Counter reads one counter (0 if absent).
+func (c Counters) Counter(name string) int64 { return c[name] }
+
+// Metrics snapshots the counters core, prim, and fabric already keep:
+// launch/completion and daemon lifecycle totals, elastic-membership and
+// tuning counts, communicator-pool behavior, per-transport wire bytes,
+// and per-tier fabric utilization summed over the tier's links. Call it
+// again for fresh numbers.
+func (s *System) Metrics() Counters {
 	tot := s.totals()
 	rs := tot.rank
-	reg.SetCounter("core.launches", int64(tot.submitted))
-	reg.SetCounter("core.completions", int64(tot.completed))
-	reg.SetCounter("core.daemon_starts", int64(rs.DaemonStarts))
-	reg.SetCounter("core.voluntary_quits", int64(rs.VoluntaryQuits))
-	reg.SetCounter("core.sqes_read", int64(rs.SQEsRead))
-	reg.SetCounter("core.cqes_written", int64(rs.CQEsWritten))
-	reg.SetCounter("core.preemptions", int64(rs.Preemptions))
-	reg.SetCounter("core.context_loads", int64(rs.ContextLoads))
-	reg.SetCounter("core.context_saves", int64(rs.ContextSaves))
-	reg.SetCounter("core.kills", int64(s.kills))
-	reg.SetCounter("core.revives", int64(s.revives))
-	reg.SetCounter("core.aborts", int64(s.aborts))
-	reg.SetCounter("core.reforms", int64(s.reforms))
-	reg.SetCounter("core.tune_picks", int64(s.tunePicks))
-	reg.SetCounter("core.comms_created", int64(s.pool.Created()))
-	reg.SetCounter("core.comms_reused", int64(s.pool.Reused()))
-	reg.SetCounter("prim.prims_executed", int64(tot.prims))
-	reg.SetCounter("prim.spin_aborts", int64(tot.spinAborts))
-	reg.SetCounter("prim.bytes_local", int64(tot.bytes.Local))
-	reg.SetCounter("prim.bytes_shm", int64(tot.bytes.SHM))
-	reg.SetCounter("prim.bytes_rdma", int64(tot.bytes.RDMA))
+	c := Counters{
+		"core.launches":        int64(tot.submitted),
+		"core.completions":     int64(tot.completed),
+		"core.daemon_starts":   int64(rs.DaemonStarts),
+		"core.voluntary_quits": int64(rs.VoluntaryQuits),
+		"core.sqes_read":       int64(rs.SQEsRead),
+		"core.cqes_written":    int64(rs.CQEsWritten),
+		"core.preemptions":     int64(rs.Preemptions),
+		"core.context_loads":   int64(rs.ContextLoads),
+		"core.context_saves":   int64(rs.ContextSaves),
+		"core.kills":           int64(s.kills),
+		"core.revives":         int64(s.revives),
+		"core.aborts":          int64(s.aborts),
+		"core.reforms":         int64(s.reforms),
+		"core.tune_picks":      int64(s.tunePicks),
+		"core.comms_created":   int64(s.pool.Created()),
+		"core.comms_reused":    int64(s.pool.Reused()),
+		"prim.prims_executed":  int64(tot.prims),
+		"prim.spin_aborts":     int64(tot.spinAborts),
+		"prim.bytes_local":     int64(tot.bytes.Local),
+		"prim.bytes_shm":       int64(tot.bytes.SHM),
+		"prim.bytes_rdma":      int64(tot.bytes.RDMA),
+	}
 	for _, l := range s.net.Snapshot() {
 		prefix := "fabric." + l.Tier.String() + "."
-		reg.AddCounter(prefix+"links", 1)
-		reg.AddCounter(prefix+"bytes", int64(l.Bytes))
-		reg.AddCounter(prefix+"busy_ns", int64(l.Busy))
-		reg.AddCounter(prefix+"saturated_ns", int64(l.Saturated))
+		c[prefix+"links"]++
+		c[prefix+"bytes"] += int64(l.Bytes)
+		c[prefix+"busy_ns"] += int64(l.Busy)
+		c[prefix+"saturated_ns"] += int64(l.Saturated)
 	}
-	return reg
+	return c
 }

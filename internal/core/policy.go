@@ -151,9 +151,9 @@ type Config struct {
 	// fabric.Unshared over the system's cluster — the legacy
 	// independent Path.TransferTime pricing, bit-identical to pre-fabric
 	// behavior. Pass fabric.Shared to make concurrent transfers contend
-	// for link capacity (and surface per-link counters through
-	// CollectiveStats.Fabric). The network's cluster must be the one
-	// given to NewSystem.
+	// for link capacity (and keep per-link counters: Network().Snapshot(),
+	// or the "fabric.*" sums of Metrics). The network's cluster must be
+	// the one given to NewSystem.
 	Network *fabric.Network
 }
 

@@ -143,7 +143,7 @@ func (s *System) register(spec prim.Spec, collID, priority, grid, job int) (*Gro
 		if g.aborted() {
 			return nil, g.abortErr
 		}
-		if !sameSpec(g.Spec, spec) {
+		if !g.Spec.Same(spec) {
 			return nil, fmt.Errorf("core: collective %d re-registered with a different spec", collID)
 		}
 		if g.Job != job {
@@ -283,18 +283,6 @@ func (s *System) resolveAlgo(spec prim.Spec) (prim.Algorithm, string) {
 		s.tuning = tune.Default()
 	}
 	return s.tuning.PickForExplained(s.Cluster, spec)
-}
-
-// sameSpec reports whether two specs are interchangeable for
-// registration purposes: every field the registration layer enforces,
-// including the AllToAllv count matrix (two variable-count collectives
-// with different routing must not share a registration).
-func sameSpec(a, b prim.Spec) bool {
-	if a.Kind != b.Kind || a.Algo != b.Algo || a.Count != b.Count || a.Type != b.Type || a.Op != b.Op || a.Root != b.Root ||
-		a.TimingOnly != b.TimingOnly || a.ChunkElems != b.ChunkElems {
-		return false
-	}
-	return slices.Equal(a.Ranks, b.Ranks) && slices.EqualFunc(a.Counts, b.Counts, slices.Equal[[]int])
 }
 
 // rankAt returns the rank context if Init has created one, else nil.

@@ -201,7 +201,7 @@ func (b *Buffer) SetFloat64(i int, v float64) {
 
 // Fill sets every element to v.
 func (b *Buffer) Fill(v float64) {
-	for i := 0; i < b.Len(); i++ {
+	for i := range b.Len() {
 		b.SetFloat64(i, v)
 	}
 }

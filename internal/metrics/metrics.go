@@ -1,20 +1,16 @@
-// Package metrics provides the small statistics toolkit the benchmark
-// harness uses: running series, mean/stddev/coefficient-of-variation,
-// and bandwidth computation for collective sweeps.
+// Package metrics provides the sample series the benchmark harness
+// summarizes: mean, stddev, coefficient of variation and nearest-rank
+// percentiles.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-
-	"dfccl/internal/sim"
 )
 
 // Series accumulates per-iteration samples (e.g. iteration times or
 // throughputs).
 type Series struct {
-	Name    string
 	Samples []float64
 }
 
@@ -84,28 +80,4 @@ func (s *Series) Percentile(p float64) float64 {
 		rank = 1
 	}
 	return sorted[rank-1]
-}
-
-// String is a one-line summary: sample count, mean, std, CoV.
-func (s *Series) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%.3f std=%.3f cov=%.2f%%", s.Name, s.Len(), s.Mean(), s.Std(), 100*s.CoV())
-}
-
-// AlgoBandwidth returns algorithm bandwidth in GB/s for a collective
-// moving `bytes` of payload completed in elapsed virtual time, the
-// NCCL-Tests metric of Fig. 8.
-func AlgoBandwidth(bytes int, elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(bytes) / float64(elapsed) // bytes/ns == GB/s
-}
-
-// Throughput returns samples/second given total samples processed in
-// elapsed virtual time.
-func Throughput(samples int, elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(samples) / (float64(elapsed) / float64(sim.Second))
 }

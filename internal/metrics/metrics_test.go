@@ -1,17 +1,13 @@
 package metrics
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
-
-	"dfccl/internal/sim"
 )
 
 func TestSeriesBasics(t *testing.T) {
-	s := &Series{Name: "x"}
+	s := &Series{}
 	if s.Mean() != 0 || s.Std() != 0 || s.CoV() != 0 {
 		t.Fatal("empty series should report zeros")
 	}
@@ -72,68 +68,6 @@ func TestPercentileReturnsObservedSample(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRegistryCanonicalDump(t *testing.T) {
-	mk := func() *Registry {
-		r := NewRegistry()
-		r.AddCounter("core.launches", 3)
-		r.AddCounter("core.launches", 2)
-		r.SetCounter("prim.bytes_shm", 4096)
-		r.gauges["fabric.leaf.saturated_ns"] = 123
-		h := r.Histogram("iter_ns")
-		for _, v := range []float64{50, 10, 30, 20, 40} {
-			h.Add(v)
-		}
-		return r
-	}
-	r := mk()
-	if r.Counter("core.launches") != 5 {
-		t.Fatalf("counter = %d, want 5", r.Counter("core.launches"))
-	}
-	a, err := r.DumpCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			N   int     `json:"n"`
-			P50 float64 `json:"p50"`
-			Max float64 `json:"max"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(a, &parsed); err != nil {
-		t.Fatalf("dump is not valid JSON: %v", err)
-	}
-	if parsed.Counters["prim.bytes_shm"] != 4096 {
-		t.Fatalf("counters = %v", parsed.Counters)
-	}
-	if h := parsed.Histograms["iter_ns"]; h.N != 5 || h.P50 != 30 || h.Max != 50 {
-		t.Fatalf("histogram summary = %+v", h)
-	}
-	// Determinism: an independently built identical registry dumps the
-	// same bytes.
-	b, err := mk().DumpCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("canonical dumps differ:\n%s\n%s", a, b)
-	}
-}
-
-func TestBandwidthHelpers(t *testing.T) {
-	// 1 GB in 1 second of virtual time = 1 GB/s.
-	if got := AlgoBandwidth(1<<30, sim.Second); math.Abs(got-1.0737) > 0.01 {
-		t.Fatalf("algo bw = %v, want ≈1.07 (GiB vs GB)", got)
-	}
-	if AlgoBandwidth(100, 0) != 0 {
-		t.Fatal("degenerate inputs should yield 0")
-	}
-	if got := Throughput(100, 2*sim.Second); got != 50 {
-		t.Fatalf("throughput = %v, want 50", got)
 	}
 }
 

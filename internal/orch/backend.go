@@ -71,9 +71,9 @@ type bufPair struct{ send, recv *mem.Buffer }
 
 // register validates a registration of collID on rank against colls —
 // an invalid spec, a rank outside the spec's ranks, or a live
-// collective ID re-registered under a different spec (fingerprint
-// inequality covers every spec field, including the algorithm and the
-// AllToAllv count matrix), is refused — and returns the collective's
+// collective ID re-registered under a different spec (Spec.Same
+// compares every spec field, including the algorithm and the AllToAllv
+// count matrix), is refused — and returns the collective's
 // state with the buffers its runs use: the caller's, or synthetic ones
 // sized from the spec if both nil. On the collective's first
 // registration the state is new and not yet in colls: the caller adds
@@ -103,7 +103,7 @@ func register(colls []*collState, rank, collID int, spec prim.Spec, send, recv *
 			done:     make(map[int]int),
 			doneCond: sim.NewCond("coll.done"),
 		}
-	} else if c.spec.Fingerprint() != spec.Fingerprint() {
+	} else if !c.spec.Same(spec) {
 		return nil, bufPair{}, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
 	}
 	return c, bufPair{send, recv}, nil

@@ -73,6 +73,10 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 	if spec.Algo == prim.AlgoAuto {
 		return fmt.Errorf("orch: %s cannot run collective %d with %v: pick ring or hierarchical", b.name, collID, spec.Algo)
 	}
+	key := bufKey{rank, collID}
+	if _, ok := b.bufs[key]; ok {
+		return fmt.Errorf("orch: collective %d already registered on rank %d", collID, rank)
+	}
 	c, bufs, err := register(b.colls, rank, collID, spec, send, recv)
 	if err != nil {
 		return err
@@ -84,10 +88,8 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 	if !b.singleStream || b.strms[sk] == nil {
 		b.strms[sk] = b.lib.Device(rank).NewStream()
 	}
-	if _, again := b.bufs[bufKey{rank, collID}]; !again {
-		commit(&b.colls, c)
-	}
-	b.bufs[bufKey{rank, collID}] = bufs
+	commit(&b.colls, c)
+	b.bufs[key] = bufs
 	return nil
 }
 

@@ -10,6 +10,21 @@ import (
 	"dfccl/internal/topo"
 )
 
+// newBackend builds the backend a test names; cfg configures DFCCL.
+func newBackend(name string, e *sim.Engine, c *topo.Cluster, cfg core.Config) Backend {
+	switch name {
+	case "static":
+		return NewStaticSort(e, c)
+	case "singlestream":
+		return NewNCCLSingleStream(e, c)
+	case "horovod":
+		return NewHorovod(e, c)
+	case "kungfu":
+		return NewKungFu(e, c)
+	}
+	return NewDFCCL(e, c, cfg)
+}
+
 func spec2(count int, ranks []int) prim.Spec {
 	return prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: ranks, TimingOnly: true}
 }
@@ -55,18 +70,7 @@ func TestAllBackendsCompleteDP(t *testing.T) {
 	times := map[string]sim.Time{}
 	for _, name := range []string{"static", "horovod", "kungfu", "dfccl"} {
 		e := sim.NewEngine()
-		cluster := topo.Server3090(4)
-		var b Backend
-		switch name {
-		case "static":
-			b = NewStaticSort(e, cluster)
-		case "horovod":
-			b = NewHorovod(e, cluster)
-		case "kungfu":
-			b = NewKungFu(e, cluster)
-		case "dfccl":
-			b = NewDFCCL(e, cluster, core.DefaultConfig())
-		}
+		b := newBackend(name, e, topo.Server3090(4), core.DefaultConfig())
 		times[name] = driveDP(t, e, b, 4, 6, 3)
 	}
 	// Coordinated backends pay negotiation/enforcement costs: they
@@ -123,29 +127,17 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 // TestRegisterRefusals: every backend refuses a rank outside the
-// spec's ranks, also one that brings its own buffers, and a refused
+// spec's ranks, also one that brings its own buffers, and a second
+// registration of a live collective on the same rank, and a refused
 // registration leaves no state behind — on DFCCL, an ID whose Open the
 // full collective buffer refused stays free for any spec.
 func TestRegisterRefusals(t *testing.T) {
 	for _, name := range []string{"static", "singlestream", "horovod", "kungfu", "dfccl"} {
 		t.Run(name, func(t *testing.T) {
 			e := sim.NewEngine()
-			cluster := topo.Server3090(4)
-			var b Backend
-			switch name {
-			case "static":
-				b = NewStaticSort(e, cluster)
-			case "singlestream":
-				b = NewNCCLSingleStream(e, cluster)
-			case "horovod":
-				b = NewHorovod(e, cluster)
-			case "kungfu":
-				b = NewKungFu(e, cluster)
-			case "dfccl":
-				cfg := core.DefaultConfig()
-				cfg.MaxCollectives = 1
-				b = NewDFCCL(e, cluster, cfg)
-			}
+			cfg := core.DefaultConfig()
+			cfg.MaxCollectives = 1
+			b := newBackend(name, e, topo.Server3090(4), cfg)
 			e.Spawn("t", func(p *sim.Process) {
 				pair := []int{0, 1}
 				send, recv := mem.NewBuffer(mem.Float32, 64), mem.NewBuffer(mem.Float32, 64)
@@ -159,6 +151,9 @@ func TestRegisterRefusals(t *testing.T) {
 					t.Errorf("register 1 after refusals: %v", err)
 				}
 				defer b.Teardown(p, 0)
+				if err := b.Register(p, 0, 1, spec2(64, pair), 0, nil, nil); err == nil {
+					t.Error("second registration of 1 on rank 0 accepted")
+				}
 				if _, ok := b.(*DFCCL); !ok {
 					return
 				}
@@ -174,6 +169,57 @@ func TestRegisterRefusals(t *testing.T) {
 			})
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSecondRegisterKeepsRunsSerial: rank 0 of a 2-GPU float32
+// all-reduce (ranks sending 1 and 2) launches, registers the
+// collective again, and launches again; rank 1 launches twice. The
+// second registration is refused, so rank 0's runs stay serialized on
+// one stream and every recv element is 3. A backend that accepted it
+// with a fresh stream let the two runs overlap on the same connectors.
+func TestSecondRegisterKeepsRunsSerial(t *testing.T) {
+	const count = 64 << 10
+	for _, name := range []string{"static", "singlestream", "horovod", "kungfu", "dfccl"} {
+		t.Run(name, func(t *testing.T) {
+			e := sim.NewEngine()
+			b := newBackend(name, e, topo.Server3090(2), core.DefaultConfig())
+			spec := prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1}}
+			recvs := make([]*mem.Buffer, 2)
+			for rank := range 2 {
+				e.Spawn("rank", func(p *sim.Process) {
+					defer b.Teardown(p, rank)
+					send, recv := mem.NewBuffer(mem.Float32, count), mem.NewBuffer(mem.Float32, count)
+					send.Fill(float64(rank + 1))
+					recvs[rank] = recv
+					if err := b.Register(p, rank, 1, spec, 0, send, recv); err != nil {
+						t.Errorf("rank %d register: %v", rank, err)
+						return
+					}
+					for run := range 2 {
+						if err := b.Launch(p, rank, 1); err != nil {
+							t.Errorf("rank %d launch %d: %v", rank, run, err)
+						}
+						if rank == 0 && run == 0 {
+							if err := b.Register(p, rank, 1, spec, 0, send, recv); err == nil {
+								t.Error("second registration on rank 0 accepted")
+							}
+						}
+					}
+					b.WaitAll(p, rank)
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for rank, recv := range recvs {
+				for i := range count {
+					if v := recv.Float64At(i); v != 3 {
+						t.Fatalf("rank %d recv[%d] = %v, want 3", rank, i, v)
+					}
+				}
 			}
 		})
 	}

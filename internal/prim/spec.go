@@ -177,7 +177,7 @@ type Spec struct {
 	// AlgoAuto is resolved to one of the two from the tuning table at
 	// Open time, before the spec is registered. Two
 	// registrations of the same collective ID must agree on it —
-	// sameSpec and Fingerprint treat the algorithm as part of the
+	// Same and Fingerprint treat the algorithm as part of the
 	// collective's identity, because ring and hierarchical executors
 	// use incompatible wiring.
 	Algo Algorithm
@@ -191,10 +191,21 @@ func (s Spec) Timing() Spec {
 	return s
 }
 
-// Fingerprint returns a string that identifies the spec up to the
-// equality the registration layer enforces (every field that sameSpec
-// compares). Specs with equal fingerprints are interchangeable for
-// collective-ID assignment and communicator pooling.
+// Same reports whether two specs are interchangeable for registration,
+// collective-ID assignment and communicator pooling: every field is
+// equal, including the algorithm and the AllToAllv count matrix (two
+// variable-count collectives with different routing must not share a
+// registration). It holds exactly when the Fingerprints are equal, and
+// allocates nothing.
+func (s Spec) Same(o Spec) bool {
+	return s.Kind == o.Kind && s.Algo == o.Algo && s.Count == o.Count && s.Type == o.Type && s.Op == o.Op &&
+		s.Root == o.Root && s.ChunkElems == o.ChunkElems && s.TimingOnly == o.TimingOnly &&
+		slices.Equal(s.Ranks, o.Ranks) && slices.EqualFunc(s.Counts, o.Counts, slices.Equal[[]int])
+}
+
+// Fingerprint returns a string that identifies the spec up to Same:
+// specs with equal fingerprints are interchangeable, so it keys the
+// collective-ID assignment that maps specs to IDs.
 //
 // The text is fmt's "%d|%d|%d|%d|%d|%d|%d|%t|%v|%v" of Kind, Algo, Count,
 // Type, Op, Root, ChunkElems, TimingOnly, Ranks and Counts, built by hand:

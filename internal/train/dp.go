@@ -45,13 +45,15 @@ type Result struct {
 // contract), and closes the run's Result: total virtual time and the
 // throughput of samples over it.
 func runRanks(e *sim.Engine, b orch.Backend, name string, n, samples int, body func(p *sim.Process, rank int, res *Result) error) (*Result, error) {
-	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{Name: b.Name()}}
+	res := &Result{Backend: b.Name(), IterTimes: &metrics.Series{}}
 	err := e.RunRanks(name, n, func(p *sim.Process, rank int) error { return body(p, rank, res) })
 	if err != nil {
 		return nil, fmt.Errorf("train: %s: %w", b.Name(), err)
 	}
 	res.Elapsed = sim.Duration(e.Now())
-	res.Throughput = metrics.Throughput(samples, res.Elapsed)
+	if res.Elapsed > 0 {
+		res.Throughput = float64(samples) / (float64(res.Elapsed) / float64(sim.Second))
+	}
 	return res, nil
 }
 
