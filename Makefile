@@ -79,7 +79,10 @@ loc:
 # and the layer's invariant tests run 200 times, fabric's whole suite 20
 # times under the race detector. Connectors lend chunks of the writer's
 # memory until it settles them: the model packages run 20 times with the
-# lent-chunk-stable invariant built in (-tags lentcheck).
+# lent-chunk-stable invariant built in (-tags lentcheck). The all-to-all
+# forwards through two scratch transit slots it settles before each
+# receive: the test that catches a missed settle there runs 200 times,
+# and 50 times under the tag beside the kill in mid all-to-all.
 soak:
 	$(GO) test -count=200 -run 'Chaos|Cluster' ./internal/...
 	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
@@ -91,6 +94,8 @@ soak:
 	$(GO) test -count=200 -run 'RepredictMatchesLoop|JoinWakesOnlyReratedFlows|FlowDueInvariant|XferBeginUnheld' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/fabric
 	$(GO) test -tags lentcheck -count=20 ./internal/...
+	$(GO) test -count=200 -run 'TestAllToAllNeedsOnlyTransit' ./internal/prim
+	$(GO) test -tags lentcheck -count=50 -run 'TestAllToAllNeedsOnlyTransit|TestAllToAllKillMidRun' ./internal/prim ./internal/core
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

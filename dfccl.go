@@ -37,7 +37,6 @@ import (
 	"dfccl/internal/core"
 	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
-	"dfccl/internal/metrics"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -106,6 +105,10 @@ type (
 	// RankRangeError is the typed refusal of an Open whose spec names a
 	// rank outside the cluster; nothing is registered.
 	RankRangeError = core.RankRangeError
+	// BufferOverlapError is the typed refusal of an all-to-all(v) launch
+	// whose send and recv buffers overlap: it writes final blocks into
+	// recv while it still sends own blocks from send.
+	BufferOverlapError = core.BufferOverlapError
 
 	// FabricNetwork prices the deployment's transfers: assign one to
 	// Config.Network. UnsharedFabric gives the legacy isolated-path
@@ -126,9 +129,6 @@ type (
 	// Counters is the snapshot of named process-wide counters returned
 	// by (*Library).Metrics; it marshals as canonical JSON (sorted keys).
 	Counters = core.Counters
-	// MetricsSeries is an append-only sample series with nearest-rank
-	// percentiles, for workload-level latency recording.
-	MetricsSeries = metrics.Series
 )
 
 // ErrRankLost is the sentinel matched by errors.Is when a launch fails

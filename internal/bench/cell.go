@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"dfccl/internal/core"
@@ -125,11 +127,12 @@ func measure(c cell) (CollRunRow, [][]byte, error) {
 		send := mem.NewBuffer(spec.Type, sendCount)
 		recv := mem.NewBuffer(spec.Type, recvCount)
 		if spec.Kind == prim.AllToAllv {
-			off := 0
+			// Filled through its bytes: spec.Type is float64.
+			raw := send.Bytes()
 			for dst, count := range spec.Counts[rank] {
 				for i := 0; i < count; i++ {
-					send.SetFloat64(off, float64(100000*rank+1000*dst+i+1))
-					off++
+					binary.LittleEndian.PutUint64(raw, math.Float64bits(float64(100000*rank+1000*dst+i+1)))
+					raw = raw[8:]
 				}
 			}
 		} else {

@@ -192,8 +192,12 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 // flat ring all-reduce and reduce-scatter read each block's own
 // contribution from the send buffer until their last reduce-scatter
 // step, and a run lends chunks of its recv buffer to its peers until it
-// resolves. A buffer whose element type or length is not the spec's is
-// refused.
+// resolves. The all-to-all(v) sends its own blocks straight from the
+// send buffer and writes each final block into the recv buffer as it
+// arrives, so an aborted one may leave recv partly written, and one
+// whose send and recv buffers overlap is refused with a
+// *BufferOverlapError (every other kind may run in place). A buffer
+// whose element type or length is not the spec's is refused.
 func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, error) {
 	f := newFuture(c.r.sys.Engine, 1)
 	if err := c.submit(p, launch{send: send, recv: recv, fut: f}); err != nil {

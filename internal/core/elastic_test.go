@@ -211,6 +211,111 @@ func TestKillWithLentChunksUnread(t *testing.T) {
 	}
 }
 
+// TestAllToAllKillMidRun kills a rank halfway through a real-data flat
+// all-to-all, whose executors send own blocks straight from the send
+// buffer, forward blocks through scratch transit slots and land final
+// blocks in the recv buffer, once the victim has chunks lent and unread;
+// the dead rank's buffers are overwritten at once. Every survivor's run
+// resolves with the group's RankLostError; the survivors Reform, launch
+// over new buffers sized for the smaller group and hold the closed form
+// bit for bit. lentcheck builds also see every chunk read intact.
+func TestAllToAllKillMidRun(t *testing.T) {
+	const n, count, victim = 5, 512, 2
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(60 * sim.Second)
+	sys := NewSystem(e, topo.Server3090(n), DefaultConfig())
+	spec := prim.Spec{Kind: prim.AllToAll, Count: count, Type: mem.Float64, Ranks: []int{0, 1, 2, 3, 4}, ChunkElems: 64}
+	survivors := []int{0, 1, 3, 4}
+	value := func(src, dst, i int) float64 { return float64(10000*src + 100*dst + i%97) }
+	fill := func(rank int, peers []int) *mem.Buffer {
+		b := mem.NewBuffer(mem.Float64, count*len(peers))
+		for j, dst := range peers {
+			for i := 0; i < count; i++ {
+				b.SetFloat64(j*count+i, value(rank, dst, i))
+			}
+		}
+		return b
+	}
+	sends, recvs := make([]*mem.Buffer, n), make([]*mem.Buffer, n)
+	reformed := make([]*mem.Buffer, n)
+	for rank := 0; rank < n; rank++ {
+		sends[rank], recvs[rank] = fill(rank, spec.Ranks), mem.NewBuffer(mem.Float64, count*n)
+		e.Spawn("rank", func(p *sim.Process) {
+			rc := sys.Init(p, rank)
+			coll, err := rc.Open(spec, WithCollID(7))
+			if err != nil {
+				t.Errorf("rank %d open: %v", rank, err)
+				return
+			}
+			fut, err := coll.Launch(p, sends[rank], recvs[rank])
+			if err != nil {
+				t.Errorf("rank %d launch: %v", rank, err)
+				return
+			}
+			err = fut.Wait(p)
+			if rank == victim {
+				return
+			}
+			var rle *RankLostError
+			if !errors.As(err, &rle) || rle.CollID != 7 || len(rle.Lost) != 1 || rle.Lost[0] != victim {
+				t.Errorf("rank %d wait: err = %v, want the RankLostError of collective 7 losing rank %d", rank, err, victim)
+				return
+			}
+			re, err := coll.Reform(p)
+			if err != nil {
+				t.Errorf("rank %d reform: %v", rank, err)
+				return
+			}
+			send, recv := fill(rank, survivors), mem.NewBuffer(mem.Float64, count*len(survivors))
+			if fut, err = re.Launch(p, send, recv); err == nil {
+				err = fut.Wait(p)
+			}
+			if err != nil {
+				t.Errorf("rank %d reformed run: %v", rank, err)
+				return
+			}
+			reformed[rank] = recv
+			if err := re.Close(p); err != nil {
+				t.Errorf("rank %d close: %v", rank, err)
+			}
+			rc.Destroy(p)
+		})
+	}
+	e.Spawn("chaos", func(p *sim.Process) {
+		for {
+			if rc := sys.rankAt(victim); rc != nil {
+				x := rc.task(7).exec
+				if 2*x.PrimsExecuted >= x.Seq.NumPrimitives() && x.Outs[0].Lent() > 0 {
+					break
+				}
+				if x.PrimsExecuted == x.Seq.NumPrimitives() {
+					t.Error("the victim finished without a chunk lent past halfway")
+					return
+				}
+			}
+			p.Sleep(10 * sim.Nanosecond) // a chunk stays lent for well under 100 ns
+		}
+		sys.KillRank(victim)
+		sends[victim].Fill(math.NaN())
+		recvs[victim].Fill(math.Inf(-1))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v (blocked: %v)", err, e.BlockedProcesses())
+	}
+	for _, rank := range survivors {
+		if reformed[rank] == nil {
+			t.Fatalf("rank %d did not finish its reformed run", rank)
+		}
+		for o, src := range survivors {
+			for i := 0; i < count; i++ {
+				if got, want := reformed[rank].Float64At(o*count+i), value(src, rank, i); got != want {
+					t.Fatalf("rank %d element %d of the block from rank %d = %v after the reform, want %v", rank, i, src, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestOpenOverLostRankRefused pins the registration fast-path: a new
 // open whose rank set contains a killed rank fails with the typed
 // error, and succeeds again after ReviveRank + Init.

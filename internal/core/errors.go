@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"dfccl/internal/prim"
 )
 
 // ErrRankLost is the sentinel matched by errors.Is when a collective
@@ -31,6 +33,23 @@ func (e *RankLostError) Error() string {
 
 // Unwrap ties the typed error to the ErrRankLost sentinel.
 func (e *RankLostError) Unwrap() error { return ErrRankLost }
+
+// BufferOverlapError reports a launch whose send and recv buffers share
+// memory, of a kind that cannot run in place (prim.Kind.InPlace): an
+// all-to-all(v) lands final blocks in the recv buffer while it still
+// sends own blocks from the send buffer. Launch, LaunchCB and Batch
+// refuse it before anything is submitted.
+type BufferOverlapError struct {
+	// CollID is the collective whose launch was refused.
+	CollID int
+	// Kind is its kind.
+	Kind prim.Kind
+}
+
+// Error formats the refusal for diagnostics.
+func (e *BufferOverlapError) Error() string {
+	return fmt.Sprintf("core: %v collective %d launched with overlapping send and recv buffers", e.Kind, e.CollID)
+}
 
 // RankRangeError reports that Open was given a spec naming a rank the
 // cluster does not have. Open refuses it before registering anything.

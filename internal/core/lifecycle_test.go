@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -384,6 +385,72 @@ func TestBatchValidatesBeforeSubmitting(t *testing.T) {
 		}
 		if rc.Outstanding() != 0 {
 			t.Errorf("Outstanding = %d after rejected batch, want 0 (nothing may be submitted)", rc.Outstanding())
+		}
+		rc.Destroy(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestAllToAllRefusesOverlap: an all-to-all(v) writes final blocks into
+// its recv buffer while it still sends own blocks from its send buffer,
+// so Launch, LaunchCB and Batch refuse one whose two buffers overlap with
+// a *BufferOverlapError and submit nothing. Empty buffers overlap nothing
+// (a rank whose row and column of the count matrix are zero), a
+// timing-only run has no bytes to overlap, and every other kind may run
+// in place.
+func TestAllToAllRefusesOverlap(t *testing.T) {
+	e := sim.NewEngine()
+	sys := NewSystem(e, topo.Server3090(2), DefaultConfig())
+	ranks := []int{0, 1}
+	e.Spawn("overlap", func(p *sim.Process) {
+		rc := sys.Init(p, 0)
+		a2a, err := rc.Open(prim.Spec{Kind: prim.AllToAll, Count: 8, Type: mem.Float64, Ranks: ranks}, WithCollID(1))
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		same := mem.NewBuffer(mem.Float64, 16)
+		refused := func(how string, err error) {
+			var ov *BufferOverlapError
+			if !errors.As(err, &ov) || ov.CollID != 1 || ov.Kind != prim.AllToAll {
+				t.Errorf("%s in place: err = %v, want a BufferOverlapError for all-to-all 1", how, err)
+			}
+		}
+		_, err = a2a.Launch(p, same, same)
+		refused("Launch", err)
+		refused("LaunchCB", a2a.LaunchCB(p, same, same, nil))
+		_, err = Batch(p, BatchItem{C: a2a, Send: same, Recv: same})
+		refused("Batch", err)
+		if rc.Outstanding() != 0 {
+			t.Errorf("Outstanding = %d after refused launches, want 0", rc.Outstanding())
+		}
+
+		empty := mem.NewBuffer(mem.Float64, 0)
+		v, err := rc.Open(prim.Spec{Kind: prim.AllToAllv, Type: mem.Float64, Ranks: ranks, Counts: [][]int{{0, 0}, {0, 5}}}, WithCollID(2))
+		if err != nil {
+			t.Errorf("open v: %v", err)
+			return
+		}
+		timing, err := rc.Open(prim.Spec{Kind: prim.AllToAll, Count: 8, Type: mem.Float64, Ranks: ranks}.Timing(), WithCollID(3))
+		if err != nil {
+			t.Errorf("open timing: %v", err)
+			return
+		}
+		ar, err := rc.Open(lifecycleSpec(16, ranks), WithCollID(4))
+		if err != nil {
+			t.Errorf("open all-reduce: %v", err)
+			return
+		}
+		for _, ok := range []struct {
+			c    *Collective
+			buf  *mem.Buffer
+			what string
+		}{{v, empty, "empty all-to-all-v buffers"}, {timing, same, "a timing-only all-to-all"}, {ar, same, "an all-reduce"}} {
+			if err := ok.c.preflight(ok.buf, ok.buf); err != nil {
+				t.Errorf("%s in place: %v, want accepted", ok.what, err)
+			}
 		}
 		rc.Destroy(p)
 	})

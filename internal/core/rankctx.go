@@ -87,7 +87,8 @@ func (t *collTask) pending() bool { return t.cur < len(t.runs) }
 
 // checkBuffers validates a launch's buffers against the element type of
 // the spec and the lengths the task's position in it requires (AllToAllv
-// sizes differ per rank: row/column sums of the count matrix).
+// sizes differ per rank: row/column sums of the count matrix), and
+// refuses overlapping buffers to a kind that cannot run in place.
 func (t *collTask) checkBuffers(sendBuf, recvBuf *mem.Buffer) error {
 	spec := &t.group.Spec
 	if spec.TimingOnly {
@@ -107,6 +108,9 @@ func (t *collTask) checkBuffers(sendBuf, recvBuf *mem.Buffer) error {
 	}
 	if recvBuf.Len() != t.recvCount {
 		return fmt.Errorf("core: %v recv buffer has %d elems, want %d", spec.Kind, recvBuf.Len(), t.recvCount)
+	}
+	if !spec.Kind.InPlace() && sendBuf.Overlaps(recvBuf) {
+		return &BufferOverlapError{CollID: t.group.ID, Kind: spec.Kind}
 	}
 	return nil
 }

@@ -154,6 +154,16 @@ func (b *Buffer) Reshape(t DataType, count int) bool {
 // Len returns the number of elements.
 func (b *Buffer) Len() int { return len(b.data) / b.Type.Size() }
 
+// Overlaps reports whether b and o share a byte of memory; an empty
+// buffer shares none.
+func (b *Buffer) Overlaps(o *Buffer) bool {
+	if len(b.data) == 0 || len(o.data) == 0 {
+		return false
+	}
+	p, q := uintptr(unsafe.Pointer(&b.data[0])), uintptr(unsafe.Pointer(&o.data[0]))
+	return p < q+uintptr(len(o.data)) && q < p+uintptr(len(b.data))
+}
+
 // Bytes returns the raw backing bytes (shared, not a copy).
 func (b *Buffer) Bytes() []byte { return b.data }
 
@@ -164,36 +174,34 @@ func (b *Buffer) Slice(lo, hi int) []byte {
 }
 
 // Float64At decodes element i as a float64 regardless of the element type.
+// One switch on the type both sizes and decodes the element.
 func (b *Buffer) Float64At(i int) float64 {
-	sz := b.Type.Size()
-	raw := b.data[i*sz : (i+1)*sz]
 	switch b.Type {
 	case Float32:
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(raw)))
+		return float64(math.Float32frombits(binary.LittleEndian.Uint32(b.data[4*i : 4*i+4])))
 	case Float64:
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		return math.Float64frombits(binary.LittleEndian.Uint64(b.data[8*i : 8*i+8]))
 	case Int32:
-		return float64(int32(binary.LittleEndian.Uint32(raw)))
+		return float64(int32(binary.LittleEndian.Uint32(b.data[4*i : 4*i+4])))
 	case Int64:
-		return float64(int64(binary.LittleEndian.Uint64(raw)))
+		return float64(int64(binary.LittleEndian.Uint64(b.data[8*i : 8*i+8])))
 	default:
 		panic("mem: unknown type")
 	}
 }
 
 // SetFloat64 encodes v into element i, converting to the element type.
+// One switch on the type both sizes and encodes the element.
 func (b *Buffer) SetFloat64(i int, v float64) {
-	sz := b.Type.Size()
-	raw := b.data[i*sz : (i+1)*sz]
 	switch b.Type {
 	case Float32:
-		binary.LittleEndian.PutUint32(raw, math.Float32bits(float32(v)))
+		binary.LittleEndian.PutUint32(b.data[4*i:4*i+4], math.Float32bits(float32(v)))
 	case Float64:
-		binary.LittleEndian.PutUint64(raw, math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b.data[8*i:8*i+8], math.Float64bits(v))
 	case Int32:
-		binary.LittleEndian.PutUint32(raw, uint32(int32(v)))
+		binary.LittleEndian.PutUint32(b.data[4*i:4*i+4], uint32(int32(v)))
 	case Int64:
-		binary.LittleEndian.PutUint64(raw, uint64(int64(v)))
+		binary.LittleEndian.PutUint64(b.data[8*i:8*i+8], uint64(int64(v)))
 	default:
 		panic("mem: unknown type")
 	}

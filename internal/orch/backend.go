@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dfccl/internal/core"
 	"dfccl/internal/mem"
 	"dfccl/internal/ncclsim"
 	"dfccl/internal/prim"
@@ -70,10 +71,12 @@ type bufKey struct{ rank, collID int }
 type bufPair struct{ send, recv *mem.Buffer }
 
 // register validates a registration of collID on rank against colls —
-// an invalid spec, a rank outside the spec's ranks, or a live
-// collective ID re-registered under a different spec (Spec.Same
-// compares every spec field, including the algorithm and the AllToAllv
-// count matrix), is refused — and returns the collective's
+// an invalid spec, a rank outside the spec's ranks, a live collective
+// ID re-registered under a different spec (Spec.Same compares every
+// spec field, including the algorithm and the AllToAllv count matrix),
+// or overlapping buffers for a kind that cannot run in place
+// (core.BufferOverlapError, which every backend's runs would otherwise
+// corrupt) is refused — and returns the collective's
 // state with the buffers its runs use: the caller's, or synthetic ones
 // sized from the spec if both nil. On the collective's first
 // registration the state is new and not yet in colls: the caller adds
@@ -93,6 +96,9 @@ func register(colls []*collState, rank, collID int, spec prim.Spec, send, recv *
 		}
 		send = mem.NewBuffer(spec.Type, sendCount)
 		recv = mem.NewBuffer(spec.Type, recvCount)
+	}
+	if !spec.TimingOnly && !spec.Kind.InPlace() && send != nil && recv != nil && send.Overlaps(recv) {
+		return nil, bufPair{}, &core.BufferOverlapError{CollID: collID, Kind: spec.Kind}
 	}
 	c := find(colls, collID)
 	if c == nil {

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"errors"
 	"testing"
 
 	"dfccl/internal/core"
@@ -146,6 +147,11 @@ func TestRegisterRefusals(t *testing.T) {
 				}
 				if err := b.Register(p, 2, 1, spec2(64, pair), 0, nil, nil); err == nil {
 					t.Error("non-member rank accepted")
+				}
+				a2a := prim.Spec{Kind: prim.AllToAll, Count: 32, Type: mem.Float32, Ranks: pair}
+				var ov *core.BufferOverlapError
+				if err := b.Register(p, 0, 1, a2a, 0, send, send); !errors.As(err, &ov) {
+					t.Errorf("all-to-all in place: %v, want a BufferOverlapError", err)
 				}
 				if err := b.Register(p, 0, 1, spec2(64, pair), 0, nil, nil); err != nil {
 					t.Errorf("register 1 after refusals: %v", err)

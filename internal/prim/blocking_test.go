@@ -10,9 +10,10 @@ import (
 
 // The executor as it was while the process running it made every wait
 // itself: StepOnce and its six helpers, unchanged but for their names, for
-// the seeded plan's init copy, reduce and in-place copy-out, and for a
-// send that stages its chunk right after the write, so the reference
-// copies every chunk as Write did before chunks were lent. It is the
+// the seeded plan's init copy, reduce and in-place copy-out, for segments
+// that live in the send, recv or scratch buffer, and for a send that
+// stages its chunk right after the write, so the reference copies every
+// chunk as Write did before chunks were lent. It is the
 // reference TestMachineMatchesBlocking holds the Runner to.
 
 // blockingInitialize performs the sequence's init copy, charging compute time.
@@ -31,10 +32,10 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 		src := x.SendBuf.Bytes()
 		// A scratch this copy overwrites whole is not allocated (and
 		// zeroed) ahead of its first run: it starts life as the copy.
-		fresh := x.Seq.useScratch && x.scratch == nil
+		fresh := x.Seq.work == inScratch && x.scratch == nil
 		workBytes := x.Seq.workLen * x.Spec.Type.Size()
 		if !fresh {
-			workBytes = len(x.work().Bytes())
+			workBytes = len(x.buf(x.Seq.work).Bytes())
 		}
 		if workBytes != len(src) {
 			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
@@ -43,24 +44,25 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 		if fresh {
 			x.scratch = x.SendBuf.Clone()
 		} else {
-			copy(x.work().Bytes(), src)
+			copy(x.buf(x.Seq.work).Bytes(), src)
 		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
 		src := x.SendBuf.Bytes()
-		dst := x.work().Bytes()
+		dst := x.buf(x.Seq.work).Bytes()
 		if len(dst) < len(src) {
 			panic(fmt.Sprintf("prim: %v init prefix copy overflow: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
 		p.Sleep(x.computeCost(len(src)))
 		copy(dst[:len(src)], src)
+	case initCopyInPlace: // the own blocks are read from the send buffer
+		p.Sleep(x.computeCost(len(x.SendBuf.Bytes())))
 	default: // own contribution into its working-buffer segment
-		sr := x.Seq.segs[x.Seq.initCopyOwnSeg]
-		dst := x.work().Slice(sr.Lo, sr.Hi)
+		dst := x.elems(x.Seq.initCopyOwnSeg, x.Seq.segs[x.Seq.initCopyOwnSeg])
 		src := x.SendBuf.Bytes()
 		price := len(src) // a seeded plan still pays for the whole send buffer
 		if x.Seq.seeded {
 			// The seeds tile the send buffer.
-			size, work := x.Spec.Type.Size(), len(x.work().Bytes())
+			size, work := x.Spec.Type.Size(), len(x.buf(x.Seq.work).Bytes())
 			if len(src) != x.Seq.seed(len(x.Seq.segs)-1).Hi*size || work != x.Seq.workLen*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, work, len(src)))
 			}
@@ -85,13 +87,15 @@ func (x *Executor) blockingCopyOut(p *sim.Process) {
 			total += x.Seq.segs[sg].len()
 		}
 		p.Sleep(x.computeCost(total * x.Spec.Type.Size()))
-		if x.Spec.TimingOnly || !x.Seq.useScratch {
-			return // the recv buffer is the working buffer: the segment is in place
+		if x.Spec.TimingOnly {
+			return
 		}
 		off := 0
 		for _, sg := range x.Seq.copyOut {
 			sr := x.Seq.segs[sg]
-			copy(x.RecvBuf.Slice(off, off+sr.len()), x.work().Slice(sr.Lo, sr.Hi))
+			if x.Seq.home(sg) != inRecv || sr.Lo != off { // else in place already
+				copy(x.RecvBuf.Slice(off, off+sr.len()), x.elems(sg, sr))
+			}
 			off += sr.len()
 		}
 		if off*x.Spec.Type.Size() != len(x.RecvBuf.Bytes()) {
@@ -249,17 +253,17 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	return Progressed
 }
 
-// blockingLocalCopy moves an action's block between working-buffer segments
-// (whole block, independent of chunk rounds), charging compute time.
+// blockingLocalCopy moves an action's block between segments (whole
+// block, independent of chunk rounds), charging compute time.
 func (x *Executor) blockingLocalCopy(p *sim.Process, a Action) {
 	bytes := a.SendElems * x.Spec.Type.Size()
 	p.Sleep(x.computeCost(bytes))
 	if x.Spec.TimingOnly || bytes == 0 {
 		return
 	}
-	src := x.Seq.segs[a.SendSeg]
-	dst := x.Seq.segs[a.RecvSeg]
-	copy(x.work().Slice(dst.Lo, dst.Lo+a.SendElems), x.work().Slice(src.Lo, src.Lo+a.SendElems))
+	src, dst := x.Seq.segs[a.SendSeg], x.Seq.segs[a.RecvSeg]
+	src.Hi, dst.Hi = src.Lo+a.SendElems, dst.Lo+a.SendElems
+	copy(x.elems(a.RecvSeg, dst), x.elems(a.SendSeg, src))
 }
 
 // blockingSendHalf transmits the current round's slice of the action's send
@@ -291,7 +295,7 @@ func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {
 	}
 	// Staged at once: the reference copies every chunk, as Write did
 	// before chunks were lent.
-	out.Write(p.Engine(), x.work().Slice(sr.Lo, sr.Hi))
+	out.Write(p.Engine(), x.elems(a.SendSeg, sr))
 	out.Settle(nil)
 }
 
@@ -308,7 +312,7 @@ func (x *Executor) blockingRecvHalf(p *sim.Process, a Action) {
 		p.Sleep(x.computeCost(sr.len() * x.Spec.Type.Size()))
 		return
 	}
-	dst := x.work().Slice(sr.Lo, sr.Hi)
+	dst := x.elems(a.RecvSeg, sr)
 	if len(dst) != len(chunk) {
 		panic(fmt.Sprintf("prim: %v rank-pos %d stage %d round %d step %d: chunk %dB vs segment slice %dB",
 			x.Spec.Kind, x.Pos, x.Stage, x.Round, x.Step, len(chunk), len(dst)))

@@ -165,12 +165,21 @@ type Executor struct {
 	BytesSentBy TransportBytes
 }
 
-// work returns the working buffer the sequence operates on.
-func (x *Executor) work() *mem.Buffer {
-	if x.Seq.useScratch {
+// buf returns the buffer h names.
+func (x *Executor) buf(h home) *mem.Buffer {
+	switch h {
+	case inSend:
+		return x.SendBuf
+	case inScratch:
 		return x.scratch
 	}
 	return x.RecvBuf
+}
+
+// elems returns the bytes of r, a range of segment seg, in the buffer the
+// segment lives in.
+func (x *Executor) elems(seg int, r segRange) []byte {
+	return x.buf(x.Seq.home(seg)).Slice(r.Lo, r.Hi)
 }
 
 // Reset prepares the executor for a fresh run of the same collective
@@ -211,10 +220,10 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 	case initCopyWhole: // whole send buffer into the working buffer
 		// A scratch this copy overwrites whole is not allocated (and
 		// zeroed) ahead of its first run: it starts life as the copy.
-		fresh := x.Seq.useScratch && x.scratch == nil
+		fresh := x.Seq.work == inScratch && x.scratch == nil
 		workBytes := x.Seq.workLen * x.Spec.Type.Size()
 		if !fresh {
-			workBytes = len(x.work().Bytes())
+			workBytes = len(x.buf(x.Seq.work).Bytes())
 		}
 		if workBytes != len(src) {
 			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
@@ -222,11 +231,12 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 		if move && fresh {
 			x.scratch = x.SendBuf.Clone()
 		} else if move {
-			x.settle(x.work().Bytes())
-			copy(x.work().Bytes(), src)
+			dst := x.buf(x.Seq.work).Bytes()
+			x.settle(dst)
+			copy(dst, src)
 		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
-		dst := x.work().Bytes()
+		dst := x.buf(x.Seq.work).Bytes()
 		if len(dst) < len(src) {
 			panic(fmt.Sprintf("prim: %v init prefix copy overflow: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
@@ -234,13 +244,14 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 			x.settle(dst[:len(src)])
 			copy(dst[:len(src)], src)
 		}
+	case initCopyInPlace: // the own blocks are the send buffer's
 	default: // own contribution into its working-buffer segment
 		sr := x.Seq.segs[x.Seq.initCopyOwnSeg]
 		own := src
 		if x.Seq.seeded {
 			// Only the segment's seed moves; the copy is still priced at
 			// the whole send buffer, which the run reads by the end.
-			size, work := x.Spec.Type.Size(), len(x.work().Bytes())
+			size, work := x.Spec.Type.Size(), len(x.buf(x.Seq.work).Bytes())
 			if sendLen := x.Seq.seed(len(x.Seq.segs)-1).Hi * size; len(src) != sendLen || work != x.Seq.workLen*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d, want %d and %d",
 					x.Spec.Kind, work, len(src), x.Seq.workLen*size, sendLen))
@@ -248,7 +259,7 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 			sd := x.Seq.seed(x.Seq.initCopyOwnSeg)
 			own = src[sd.Lo*size : sd.Hi*size]
 		}
-		dst := x.work().Slice(sr.Lo, sr.Hi)
+		dst := x.elems(x.Seq.initCopyOwnSeg, sr)
 		if len(dst) != len(own) {
 			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(own)))
 		}
@@ -260,13 +271,12 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 	return len(src), true
 }
 
-// copyOut moves results from the working buffer into the recv buffer
-// after the last round: the concatenation of the sequence's copy-out
-// segments (one for reduce-scatter, one per origin for all-to-all). Like
-// initCopy it first reports the bytes that price it, then (move)
-// performs it. A working buffer that is the recv buffer (the flat
-// reduce-scatter's) already holds its one segment in place: the copy-out
-// is priced and moves nothing.
+// copyOut moves results into the recv buffer after the last round: the
+// concatenation of the sequence's copy-out segments (one for
+// reduce-scatter, one per origin for all-to-all). Like initCopy it first
+// reports the bytes that price it, then (move) performs it. It is priced
+// whole, but a segment already at its place in the recv buffer (the flat
+// reduce-scatter's one, the all-to-all's final blocks) moves nothing.
 func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
 	if len(x.Seq.copyOut) == 0 {
 		return 0, false
@@ -275,14 +285,18 @@ func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
 	for _, sg := range x.Seq.copyOut {
 		total += x.Seq.segs[sg].len()
 	}
-	if move && x.Seq.useScratch && !x.Spec.TimingOnly {
+	if move && !x.Spec.TimingOnly {
 		if total != x.RecvBuf.Len() {
 			panic(fmt.Sprintf("prim: %v copy-out covers %d elems, recv holds %d", x.Spec.Kind, total, x.RecvBuf.Len()))
 		}
 		off := 0
 		for _, sg := range x.Seq.copyOut {
 			sr := x.Seq.segs[sg]
-			copy(x.RecvBuf.Slice(off, off+sr.len()), x.work().Slice(sr.Lo, sr.Hi))
+			if x.Seq.home(sg) != inRecv || sr.Lo != off {
+				dst := x.RecvBuf.Slice(off, off+sr.len())
+				x.settle(dst)
+				copy(dst, x.elems(sg, sr))
+			}
 			off += sr.len()
 		}
 	}
@@ -558,7 +572,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			if x.Spec.TimingOnly {
 				out.Write(r.p.Engine(), nil)
 			} else {
-				out.Write(r.p.Engine(), x.work().Slice(r.sent.Lo, r.sent.Hi))
+				out.Write(r.p.Engine(), x.elems(r.a.SendSeg, r.sent))
 			}
 			r.at = atPost
 			if !r.pipelined {
@@ -639,17 +653,17 @@ func (x *Executor) actionTransport(a *Action) topo.Transport {
 	return x.OutRoutes[a.SendConn].Path.Transport
 }
 
-// localCopy moves an action's block between working-buffer segments
-// (whole block, independent of chunk rounds) once its compute time is
-// charged.
+// localCopy moves an action's block between segments (whole block,
+// independent of chunk rounds) once its compute time is charged.
 func (x *Executor) localCopy(a *Action) {
 	if x.Spec.TimingOnly || a.SendElems == 0 {
 		return
 	}
-	src := x.Seq.segs[a.SendSeg]
-	dst := x.work().Slice(x.Seq.segs[a.RecvSeg].Lo, x.Seq.segs[a.RecvSeg].Lo+a.SendElems)
-	x.settle(dst)
-	copy(dst, x.work().Slice(src.Lo, src.Lo+a.SendElems))
+	src, dst := x.Seq.segs[a.SendSeg], x.Seq.segs[a.RecvSeg]
+	src.Hi, dst.Hi = src.Lo+a.SendElems, dst.Lo+a.SendElems
+	d := x.elems(a.RecvSeg, dst)
+	x.settle(d)
+	copy(d, x.elems(a.SendSeg, src))
 }
 
 // settle stages the unread chunks x lent out of dst (nil: every one) on
@@ -702,7 +716,7 @@ func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
 		x.Ins[a.RecvConn].Read(e)
 		return sr.len() * x.Spec.Type.Size()
 	}
-	dst := x.work().Slice(sr.Lo, sr.Hi)
+	dst := x.elems(a.RecvSeg, sr)
 	x.settle(dst)
 	chunk := x.Ins[a.RecvConn].Read(e)
 	if len(dst) != len(chunk) {

@@ -238,11 +238,6 @@ func (t *tier) convoy(label string, rounds int, up, reduce bool, moves []move) {
 	t.q.dropEmpty()
 }
 
-// finish sets the plan's init copy and working buffer.
-func (t *tier) finish(initCopy int, scratch bool) {
-	t.q.initCopyOwnSeg, t.q.useScratch = initCopy, scratch
-}
-
 // hierAllToAllSeq builds the hierarchical all-to-all(-v) sequence:
 // intra-node direct exchange, pack/gather-to-leader, the flat ring
 // all-to-all schedule between the leaders over per-node aggregates, and
@@ -251,25 +246,21 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 	pos, g := t.pos, t.g
 	n, a, M, leader := s.N(), t.node, t.nodes, t.k == 0
 
-	// Own send blocks, in send-buffer layout (the init-copy prefix).
-	own := make([]int, n)
-	for j := range own {
-		own[j] = t.alloc(s.count(pos, j))
-	}
-	// Final blocks by origin, recv-buffer layout. Leaders read their
-	// cross-node blocks straight from the inbound aggregates instead,
-	// so their cross-node FIN slots are unused scratch.
-	fin := make([]int, n)
-	for o := range fin {
-		fin[o] = t.alloc(s.count(o, pos))
-	}
+	// Segment j is the own block to position j, read in place from the
+	// send buffer, and segment n+o the final block from position o,
+	// received in place into the recv buffer. Leaders take their
+	// cross-node final blocks from the inbound aggregates at the copy-out
+	// instead, so no action writes their cross-node final segments.
+	s.blocksInPlace(t.q, pos)
+	t.q.initCopyOwnSeg, t.q.work = initCopyInPlace, inScratch
 
-	// Leader-only staging: one contiguous aggregate per peer node, in
-	// (member, destination) order on the way out and (origin member,
-	// local member) order on the way in, with a view per block so
-	// convoys can address individual blocks. The aggregates are the
-	// leader ring's blocks: outbound by destination node, inbound by
-	// origin node, then its two transit slots.
+	// Leader-only staging, the whole scratch (a member has none): one
+	// contiguous aggregate per peer node, in (member, destination) order
+	// on the way out and (origin member, local member) order on the way
+	// in, with a view per block so convoys can address individual
+	// blocks. The aggregates are the leader ring's blocks: outbound by
+	// destination node, inbound by origin node, then its two transit
+	// slots.
 	var agg [][]int         // agg[x][y]: cross-node aggregate sizes
 	var lring []int         // leader-ring block -> seg
 	var gout, gin [][][]int // [node][member idx][peer idx] -> seg
@@ -320,7 +311,7 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 			maxPair = max(maxPair, s.count(i, t.group[(kk+d)%t.m]))
 		}
 		return ceilDiv(maxPair, t.chunk)
-	}, false, func(to, from int) (int, int) { return own[to], fin[from] })
+	}, false, func(to, from int) (int, int) { return to, n + from })
 
 	if M > 1 {
 		// Leader packs its own cross-node blocks into the outbound
@@ -334,7 +325,7 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 					}
 					st.actions = append(st.actions, Action{
 						LocalCopy: true,
-						SendSeg:   own[j], SendElems: s.count(pos, j),
+						SendSeg:   j, SendElems: s.count(pos, j),
 						RecvSeg: gout[b][0][jj],
 					})
 				}
@@ -349,7 +340,7 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 			for _, b := range g.crossNodes(a) {
 				for jj, j := range g.Members[b] {
 					maxBlk = max(maxBlk, s.count(t.group[sIdx], j))
-					seg := own[j]
+					seg := j
 					if leader {
 						seg = gout[b][sIdx][jj]
 					}
@@ -368,14 +359,14 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 		}
 		// Scatter-from-leader: one convoy per non-leader member; the
 		// leader sends each inbound cross-node block to its final
-		// destination, which writes it into its FIN layout.
+		// destination, which receives it in place in its recv buffer.
 		for tIdx := 1; tIdx < t.m; tIdx++ {
 			maxBlk := 0
 			var moves []move
 			for _, x := range g.crossNodes(a) {
 				for iIdx, i := range g.Members[x] {
 					maxBlk = max(maxBlk, s.count(i, t.group[tIdx]))
-					seg := fin[i]
+					seg := n + i
 					if leader {
 						seg = gin[x][iIdx][tIdx]
 					}
@@ -387,20 +378,19 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 	}
 
 	// Copy-out: origin blocks 0..n-1 in order. The self block comes
-	// from the own area, same-node blocks from FIN (intra stage), and
-	// cross-node blocks from FIN (non-leaders, scatter stage) or the
-	// inbound aggregates (leaders).
+	// from the send buffer and a leader's cross-node blocks from the
+	// inbound aggregates; every other block (intra stage, and a
+	// non-leader's scatter stage) is already in place in recv.
 	copyOut := slices.Grow(t.q.copyOut, n)
 	for o := 0; o < n; o++ {
 		switch {
 		case o == pos:
-			copyOut = append(copyOut, own[pos])
+			copyOut = append(copyOut, pos)
 		case leader && g.NodeOf[o] != a:
 			copyOut = append(copyOut, gin[g.NodeOf[o]][g.local[o]][0])
 		default:
-			copyOut = append(copyOut, fin[o])
+			copyOut = append(copyOut, n+o)
 		}
 	}
 	t.q.copyOut = copyOut
-	t.finish(initCopyPrefix, true)
 }

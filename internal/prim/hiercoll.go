@@ -57,7 +57,7 @@ func (s Spec) hierAllReduceSeq(t *tier) {
 	// copy of share (k+d) — only share k is ever reduced into — so after
 	// all offsets share k holds the node-wide reduction.
 	t.mesh("intra-rs", intraRounds, true, func(to, _ int) (int, int) { return member[g.local[to]], member[t.k] })
-	t.finish(initCopyWhole, false) // the working buffer is the recv buffer
+	t.q.initCopyOwnSeg = initCopyWhole // the working buffer is the recv buffer
 	if t.nodes == 1 {
 		// Single node: mesh all-gather of the reduced shares — member k
 		// fans its (final) share k out while collecting the others.
@@ -104,6 +104,7 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 	blkOf := slices.Grow(t.q.copyOut, s.N())[:s.N()]
 	agg := make([]int, t.nodes) // leader layout: node x's contiguous aggregate
 	if leaderLayout {
+		t.q.work = inScratch
 		for x, members := range g.Members {
 			lo := t.q.workLen
 			for _, p := range members {
@@ -142,10 +143,8 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 	}
 	if leaderLayout {
 		t.q.copyOut = blkOf
-		t.finish(blkOf[pos], true)
-		return
 	}
-	t.finish(blkOf[pos], false)
+	t.q.initCopyOwnSeg = blkOf[pos]
 }
 
 // hierReduceScatterSeq builds the two-level reduce-scatter over the
@@ -153,6 +152,7 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 // segment p, as in the flat ring).
 func (s Spec) hierReduceScatterSeq(t *tier) {
 	g, pos, n, leader := t.g, t.pos, s.N(), t.k == 0
+	t.q.work = inScratch
 	// nat is the natural-layout view of position p's segment, built in
 	// the plan's copy-out array, which ends up holding one of them.
 	nat := slices.Grow(t.q.copyOut, n)[:n]
@@ -167,7 +167,7 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 		// original copy of each peer's output segment and reduces the
 		// peers' copies of its own.
 		t.mesh("intra-rs", func(int) int { return rounds }, true, func(to, _ int) (int, int) { return nat[to], nat[pos] })
-		t.finish(initCopyWhole, true)
+		t.q.initCopyOwnSeg = initCopyWhole
 		t.q.copyOut = append(nat[:0], nat[pos])
 		return
 	}
@@ -234,10 +234,9 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 	// Scatter: the leader returns each member's fully reduced output
 	// segment from the permuted layout.
 	t.convoy("scatter", ceilDiv(maxMember, t.chunk), false, false, scatter)
-	initCopy := initCopyWhole
+	t.q.initCopyOwnSeg = initCopyWhole
 	if leader {
-		initCopy = initCopyPrefix
+		t.q.initCopyOwnSeg = initCopyPrefix
 	}
-	t.finish(initCopy, true)
 	t.q.copyOut = append(nat[:0], held[pos])
 }

@@ -253,9 +253,108 @@ func TestReduceScatterNeedsNoScratch(t *testing.T) {
 	}
 }
 
+// TestAllToAllNeedsOnlyTransit: the flat all-to-all and all-to-all-v read
+// their own blocks from the send buffer and receive their final blocks
+// into the recv buffer, so an executor's scratch is exactly its two
+// transit slots, each as long as the longest block that passes through
+// its place on the way to another (block i→j passes the places strictly
+// between i and j along the ring). For n = 1…16 ranks in seeded orders,
+// uniform counts (zero among them) and ragged ones with a zero row and a
+// zero column, each rank on a 1 µs spin budget, switched out for 1–3 µs
+// when it sticks, and every third one slow (its predecessor runs ahead,
+// so chunks lent out of a transit slot are still unread when the slot
+// is received into again), a run leaves every send buffer byte-identical
+// and the closed form in every recv buffer, and ends at the virtual time
+// the blocking reference ends at.
+func TestAllToAllNeedsOnlyTransit(t *testing.T) {
+	c := topo.NewCluster(4, 4, topo.RTX3090, topo.DefaultLinks)
+	rng := rand.New(rand.NewSource(49))
+	for n := 1; n <= 16; n++ {
+		counts := make([][]int, n)
+		for i := range counts {
+			counts[i] = make([]int, n)
+			for j := range counts[i] {
+				if i != n/2 && j != n/3 {
+					counts[i][j] = rng.Intn(50)
+				}
+			}
+		}
+		for _, spec := range []Spec{{Kind: AllToAll, Count: n % 5 * 3}, {Kind: AllToAllv, Counts: counts}} {
+			spec.Type, spec.Ranks, spec.ChunkElems = mem.Float32, rng.Perm(16)[:n], 1+rng.Intn(16)
+			name := fmt.Sprintf("%v n=%d chunk=%d", spec.Kind, n, spec.ChunkElems)
+			var end [2]sim.Time
+			for k, blocking := range []bool{false, true} {
+				ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "a2a")
+				e := sim.NewEngine()
+				execs := make([]*Executor, n)
+				sends, recvs, origs := make([]*mem.Buffer, n), make([]*mem.Buffer, n), make([][]byte, n)
+				for pos := range execs {
+					sendCount, recvCount := BufferCountsFor(spec, pos)
+					sends[pos], recvs[pos] = mem.NewBuffer(spec.Type, sendCount), garbage(spec.Type, recvCount)
+					for i := range sendCount {
+						sends[pos].SetFloat64(i, float64(1000*pos+i))
+					}
+					origs[pos] = bytes.Clone(sends[pos].Bytes())
+					x := ws.ExecutorFor(c, spec, pos, sends[pos], recvs[pos])
+					step := (*Executor).StepOnce
+					if blocking {
+						step = (*Executor).blockingStepOnce
+					}
+					e.Spawn("rank", func(p *sim.Process) {
+						for {
+							switch step(x, p, sim.Microsecond) {
+							case Done:
+								return
+							case Stuck:
+								p.Sleep(sim.Duration(1+pos%3) * sim.Microsecond)
+							case Progressed:
+								if pos%3 == 1 {
+									p.Sleep(2 * sim.Microsecond) // a slow rank
+								}
+							}
+						}
+					})
+					execs[pos] = x
+				}
+				if err := e.Run(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				end[k] = e.Now()
+				for pos, x := range execs {
+					transit := 0
+					for i := range n {
+						for j := range n {
+							if h := mod(pos-i, n); h > 0 && h < mod(j-i, n) {
+								transit = max(transit, spec.count(i, j))
+							}
+						}
+					}
+					got := 0
+					if x.scratch != nil {
+						got = x.scratch.Len()
+					}
+					switch {
+					case got != 2*transit:
+						t.Fatalf("%s: position %d has a %d-element scratch, want two %d-element transit slots", name, pos, got, transit)
+					case !bytes.Equal(sends[pos].Bytes(), origs[pos]):
+						t.Fatalf("%s: position %d's send buffer was written", name, pos)
+					case !bytes.Equal(recvs[pos].Bytes(), a2aWant(spec, sends, pos)):
+						t.Fatalf("%s: position %d's recv buffer is not the closed form", name, pos)
+					}
+				}
+			}
+			if end[0] != end[1] {
+				t.Fatalf("%s: the run ends at %v, the blocking reference at %v", name, end[0], end[1])
+			}
+		}
+	}
+}
+
 // TestRunsLeaveSendBuffersAlone: every kind, on the ring and (where it
 // has one) the hierarchical schedule, leaves every send buffer
-// bit-identical, however long the run reads it.
+// bit-identical, however long the run reads it. Both all-to-all kinds,
+// which send their own blocks straight from the send buffer on both
+// algorithms, also end with the closed form in recv.
 func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 	c := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
 	ranks := []int{0, 2, 1, 3}
@@ -272,15 +371,15 @@ func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 			}
 			ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "send")
 			e := sim.NewEngine()
-			sends, origs := make([]*mem.Buffer, len(ranks)), make([][]byte, len(ranks))
+			sends, recvs, origs := make([]*mem.Buffer, len(ranks)), make([]*mem.Buffer, len(ranks)), make([][]byte, len(ranks))
 			for i := range ranks {
 				sendCount, recvCount := BufferCountsFor(spec, i)
-				sends[i] = mem.NewBuffer(spec.Type, sendCount)
+				sends[i], recvs[i] = mem.NewBuffer(spec.Type, sendCount), garbage(spec.Type, recvCount)
 				for j := 0; j < sendCount; j++ {
 					sends[i].SetFloat64(j, float64(100*i+j))
 				}
 				origs[i] = bytes.Clone(sends[i].Bytes())
-				x := ws.ExecutorFor(c, spec, i, sends[i], garbage(spec.Type, recvCount))
+				x := ws.ExecutorFor(c, spec, i, sends[i], recvs[i])
 				e.Spawn("rank", func(p *sim.Process) {
 					for x.StepOnce(p, -1) != Done {
 					}
@@ -292,6 +391,9 @@ func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 			for i := range ranks {
 				if !bytes.Equal(sends[i].Bytes(), origs[i]) {
 					t.Fatalf("%v %v: position %d's send buffer was written", kind, algo, i)
+				}
+				if !kind.InPlace() && !bytes.Equal(recvs[i].Bytes(), a2aWant(spec, sends, i)) {
+					t.Fatalf("%v %v: position %d's recv buffer is not the closed form", kind, algo, i)
 				}
 			}
 			checked++
@@ -307,11 +409,13 @@ func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 // seeded rank orders, counts, chunks, types, ops, roots and all-to-all-v
 // matrices — with real data, each rank on a 1 µs spin budget that
 // switches it out whenever a peer is slow. An FNV-64a hash of every send
-// buffer is the same after the run as before. Where every position's
-// send and recv buffers are the same size, the spec runs again in place,
-// each rank's send buffer also its recv buffer (the one case a run may
-// write it), and every defined result is bit-identical to the first
-// run's.
+// buffer is the same after the run as before, and an all-to-all(v),
+// which reads its send buffer and writes its recv buffer in place, ends
+// with the closed form in recv (a2aWant), on both algorithms. Where
+// every position's send and recv buffers are the same size and the kind
+// may run in place (Kind.InPlace), the spec runs again in place, each
+// rank's send buffer also its recv buffer (the one case a run may write
+// it), and every defined result is bit-identical to the first run's.
 func TestNoKindWritesItsSendBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	hash := func(b []byte) uint64 {
@@ -320,6 +424,7 @@ func TestNoKindWritesItsSendBuffer(t *testing.T) {
 		return h.Sum64()
 	}
 	ran, inPlace := 0, 0
+	a2a := map[Algorithm]int{}
 	for tries := 0; ran < 300; tries++ {
 		if tries == 3000 {
 			t.Fatalf("%d of %d drawn specs are valid: the draw no longer covers the space", ran, tries)
@@ -351,8 +456,15 @@ func TestNoKindWritesItsSendBuffer(t *testing.T) {
 			if hash(b.Bytes()) != sums[i] {
 				t.Fatalf("%+v: position %d's send buffer was written", spec, i)
 			}
+			if !spec.Kind.InPlace() && !bytes.Equal(recvs[i].Bytes(), a2aWant(spec, sends, i)) {
+				t.Fatalf("%+v: position %d's recv buffer is not the closed form", spec, i)
+			}
 		}
 		ran++
+		if !spec.Kind.InPlace() {
+			a2a[spec.Algo]++
+			continue
+		}
 		if !square {
 			continue
 		}
@@ -368,9 +480,25 @@ func TestNoKindWritesItsSendBuffer(t *testing.T) {
 		}
 		inPlace++
 	}
-	if inPlace < 100 {
-		t.Fatalf("%d of %d specs ran in place: the draw no longer covers the space", inPlace, ran)
+	if inPlace < 100 || a2a[AlgoRing] < 20 || a2a[AlgoHierarchical] < 20 {
+		t.Fatalf("%d of %d specs ran in place, %d all-to-alls on the ring and %d hierarchical: the draw no longer covers the space",
+			inPlace, ran, a2a[AlgoRing], a2a[AlgoHierarchical])
 	}
+}
+
+// a2aWant is the closed form of position pos's all-to-all(v) output:
+// the block every origin o sends to pos, read from o's send buffer, in
+// origin order.
+func a2aWant(spec Spec, sends []*mem.Buffer, pos int) []byte {
+	var want []byte
+	for o, send := range sends {
+		lo := 0
+		for j := range pos {
+			lo += spec.count(o, j)
+		}
+		want = append(want, send.Slice(lo, lo+spec.count(o, pos))...)
+	}
+	return want
 }
 
 // runSwitched runs spec over a fresh wiring with the given buffers, every

@@ -16,10 +16,11 @@ import (
 // and checks that the sequences agree where they meet: for each
 // connector, the ordered chunk lengths its writer sends (stages × rounds ×
 // actions) equal the ones its reader receives. It also checks that every
-// segment lies in the working buffer, that every action's bounds lie
-// inside its segments, that the init copy and copy-out fit the
-// buffers BufferCountsFor sizes, and that every generated all-to-all
-// stage gives the reference list's actions (checkHops).
+// action's bounds lie inside its segments, that no action writes a
+// segment of the send buffer, that the segments, init copy and copy-out
+// fit the buffers BufferCountsFor sizes (checkBuffers), and that every
+// generated all-to-all stage gives the reference list's actions
+// (checkHops).
 func checkPeers(c *topo.Cluster, spec Spec) error {
 	spec = spec.Timing()
 	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "peers")
@@ -28,11 +29,6 @@ func checkPeers(c *topo.Cluster, spec Spec) error {
 	for pos := range spec.Ranks {
 		x := ws.ExecutorFor(c, spec, pos, nil, nil)
 		seq := x.Seq
-		for _, sr := range seq.segs {
-			if sr.Lo < 0 || sr.Lo > sr.Hi || sr.Hi > seq.workLen {
-				return fmt.Errorf("pos %d: segment %v outside the %d-element working buffer", pos, sr, seq.workLen)
-			}
-		}
 		fits := func(seg, elems int) bool { return elems >= 0 && elems <= seq.segs[seg].len() }
 		for si := range seq.Stages {
 			st := &seq.Stages[si]
@@ -42,6 +38,9 @@ func checkPeers(c *topo.Cluster, spec Spec) error {
 					a.LocalCopy && !fits(a.RecvSeg, a.SendElems) {
 					return fmt.Errorf("pos %d stage %d action %d %v: bounds %d/%d exceed segments %v/%v",
 						pos, si, ai, a, a.SendElems, a.RecvElems, seq.segs[max(a.SendSeg, 0)], seq.segs[max(a.RecvSeg, 0)])
+				}
+				if a.HasRecv() && seq.home(a.RecvSeg) == inSend {
+					return fmt.Errorf("pos %d stage %d action %d %v writes segment %v of the send buffer", pos, si, ai, a, seq.segs[a.RecvSeg])
 				}
 			}
 			for r := 0; r < st.Rounds; r++ {
@@ -92,17 +91,28 @@ func requirePeers(t *testing.T, name string, c *topo.Cluster, spec Spec) {
 	}
 }
 
-// checkBuffers checks that position pos's init copy and copy-out fit the
-// send and recv buffers BufferCountsFor sizes. A seeded plan's seeds
-// tile [0, sendCount) exactly, in segment order, each as long as its
-// segment, and its init copy moves one segment's seed; a copy-out from a
-// working buffer that is the recv buffer names segments already in place.
+// checkBuffers checks that position pos's segments, init copy and
+// copy-out fit the send and recv buffers BufferCountsFor sizes and the
+// plan's working buffer: the recv buffer, whose length workLen then is,
+// or a scratch of workLen elements. A seeded plan's seeds tile [0,
+// sendCount) exactly, in segment order, each as long as its segment, and
+// its init copy moves one segment's seed; a copy-out of a recv segment
+// names one already in place.
 func checkBuffers(spec Spec, pos int, seq *Sequence) error {
 	sendCount, recvCount := BufferCountsFor(spec, pos)
+	if seq.work == inRecv && seq.workLen != recvCount {
+		return fmt.Errorf("pos %d: a %d-element working buffer in a %d-element recv buffer", pos, seq.workLen, recvCount)
+	}
+	for i, sr := range seq.segs {
+		size := [...]int{inSend: sendCount, inRecv: recvCount, inScratch: seq.workLen}[seq.home(i)]
+		if sr.Lo < 0 || sr.Lo > sr.Hi || sr.Hi > size {
+			return fmt.Errorf("pos %d: segment %d %v outside its %d-element buffer %d", pos, i, sr, size, seq.home(i))
+		}
+	}
 	own := sendCount // what the init copy moves
 	if seq.seeded {
-		if seq.useScratch || seq.initCopyOwnSeg < 0 {
-			return fmt.Errorf("pos %d: seeded plan with scratch %t, init copy %d", pos, seq.useScratch, seq.initCopyOwnSeg)
+		if seq.work != inRecv || seq.initCopyOwnSeg < 0 {
+			return fmt.Errorf("pos %d: seeded plan with working buffer %d, init copy %d", pos, seq.work, seq.initCopyOwnSeg)
 		}
 		end := 0
 		for i, sr := range seq.segs {
@@ -128,12 +138,12 @@ func checkBuffers(spec Spec, pos int, seq *Sequence) error {
 	if len(seq.copyOut) > 0 {
 		out = 0
 		for _, sg := range seq.copyOut {
-			if sr := seq.segs[sg]; !seq.useScratch && sr.Lo != out {
+			if sr := seq.segs[sg]; seq.home(sg) == inRecv && sr.Lo != out {
 				return fmt.Errorf("pos %d: copy-out of segment %v onto recv element %d of the same buffer", pos, sr, out)
 			}
 			out += seq.segs[sg].len()
 		}
-	} else if seq.useScratch {
+	} else if seq.work == inScratch {
 		return nil // the result stays in scratch (a reduce's non-root)
 	}
 	if out != recvCount {

@@ -87,7 +87,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			x.Stage, x.Round, x.Step, x.Phase, x.Initialized = 1, 2, 3, 1, true
 			x.PrimsExecuted, x.SpinAborts, x.BytesSent, x.BytesSentBy = 4, 5, 6, TransportBytes{7, 8, 9}
 			x.AbortCheck, x.RecColl, x.Job = func() bool { return true }, 10, 11
-			if x.Seq.useScratch && x.scratch == nil {
+			if x.Seq.work == inScratch && x.scratch == nil {
 				x.scratch = mem.NewBuffer(a.spec.Type, x.Seq.workLen) // as the first run's init copy leaves it
 			}
 			if x.scratch != nil {
@@ -99,7 +99,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			if !reflect.DeepEqual(x.Seq, fresh.Seq) {
 				t.Fatalf("%v built over %v:\n got %+v\nwant %+v", b, a, x.Seq, fresh.Seq)
 			}
-			if x.scratch != nil && fresh.Seq.useScratch && !fresh.Spec.TimingOnly {
+			if x.scratch != nil && fresh.Seq.work == inScratch && !fresh.Spec.TimingOnly {
 				rebuilt++
 				switch {
 				case fresh.scratch != nil && (x.scratch.Type != fresh.scratch.Type || !bytes.Equal(x.scratch.Bytes(), fresh.scratch.Bytes())):

@@ -232,8 +232,8 @@ func TestScratchStartsAsTheInitCopy(t *testing.T) {
 	execs := make([]*Executor, n)
 	for i := range execs {
 		execs[i] = ring.ExecutorFor(c, spec, i, nil, nil)
-		if execs[i].Seq.useScratch != (i != root) || execs[i].scratch != nil {
-			t.Fatalf("pos %d: scratch %t, allocated %t before the first run", i, execs[i].Seq.useScratch, execs[i].scratch != nil)
+		if (execs[i].Seq.work == inScratch) != (i != root) || execs[i].scratch != nil {
+			t.Fatalf("pos %d: working buffer %d, scratch allocated %t before the first run", i, execs[i].Seq.work, execs[i].scratch != nil)
 		}
 	}
 	run := func(shift, sendCount int) error {
@@ -258,7 +258,7 @@ func TestScratchStartsAsTheInitCopy(t *testing.T) {
 		}
 	}
 	for i, x := range execs {
-		if x.Seq.useScratch && (x.scratch == nil || x.scratch.Len() != count) {
+		if x.Seq.work == inScratch && (x.scratch == nil || x.scratch.Len() != count) {
 			t.Fatalf("pos %d: no %d-element scratch after three runs", i, count)
 		}
 	}

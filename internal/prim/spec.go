@@ -119,6 +119,12 @@ func (k Kind) String() string {
 	}
 }
 
+// InPlace reports whether a run of the kind may be given one buffer as
+// both its send and its recv buffer. The all-to-all variants may not:
+// they land final blocks in the recv buffer while own blocks still wait
+// in the send buffer to be sent.
+func (k Kind) InPlace() bool { return k != AllToAll && k != AllToAllv }
+
 // DefaultChunkElems is the Simple-protocol chunk granularity in elements
 // (128 KiB of float32, matching NCCL's default slice sizing closely
 // enough for curve shapes).
@@ -364,14 +370,14 @@ func sumInts(xs []int) int {
 }
 
 // Action is one primitive: a fused subset of {send, recv, reduce, copy}.
-// SendSeg / RecvSeg name the working-buffer segment the action touches;
+// SendSeg / RecvSeg name the plan segment the action touches;
 // -1 means the action has no send (or recv) half. When Reduce is false a
 // received chunk overwrites the segment slice (copy); when true it is
 // reduced into it.
 type Action struct {
-	// SendSeg is the working-buffer segment the send half reads (-1 = none).
+	// SendSeg is the segment the send half reads (-1 = none).
 	SendSeg int
-	// RecvSeg is the working-buffer segment the recv half writes (-1 = none).
+	// RecvSeg is the segment the recv half writes (-1 = none).
 	RecvSeg int
 	// Reduce selects reduce-into (true) vs copy-over (false) for the recv half.
 	Reduce bool
@@ -391,8 +397,8 @@ type Action struct {
 	SendConn, RecvConn int
 	// LocalCopy marks a connector-free action: copy SendElems elements
 	// from the start of segment SendSeg to the start of segment RecvSeg
-	// within the working buffer (the hierarchical leader packing its own
-	// cross-node blocks into the aggregate staging area). LocalCopy
+	// (the hierarchical leader packing its own cross-node blocks from the
+	// send buffer into the aggregate staging area). LocalCopy
 	// actions charge compute time, never touch a connector, and can
 	// therefore never be Stuck.
 	LocalCopy bool
@@ -425,7 +431,20 @@ func (a Action) String() string {
 	}
 }
 
-// segRange is an element range [Lo, Hi) within the working buffer.
+// home names the buffer a segment lives in (Sequence.home).
+type home uint8
+
+const (
+	// inRecv is the user's recv buffer.
+	inRecv home = iota
+	// inSend is the user's send buffer, which no action writes.
+	inSend
+	// inScratch is the executor's scratch buffer.
+	inScratch
+)
+
+// segRange is an element range [Lo, Hi) within the buffer its segment
+// lives in.
 type segRange struct{ Lo, Hi int }
 
 func (r segRange) len() int { return r.Hi - r.Lo }
@@ -439,9 +458,13 @@ const (
 	// initCopyNone performs no init copy.
 	initCopyNone = -2
 	// initCopyPrefix copies the whole send buffer into the leading
-	// elements of a (longer) working buffer — the all-to-all layout,
-	// whose working buffer also holds in-flight and received blocks.
+	// elements of a (longer) working buffer — the hierarchical
+	// reduce-scatter leader's, which also stages a permuted copy.
 	initCopyPrefix = -3
+	// initCopyInPlace moves nothing: the plan's own blocks are segments
+	// of the send buffer (the all-to-all's). It is still priced at the
+	// whole send buffer, which the run reads by the end.
+	initCopyInPlace = -4
 )
 
 // Stage is one phase of a sequence: its Len actions run Rounds times
@@ -481,9 +504,9 @@ func (st *Stage) Action(k int) Action {
 }
 
 // Sequence is the per-rank execution plan for one collective: its
-// stages, the working-buffer segment layout, and the init and copy-out
-// moves around them. The executor's dynamic context is a cursor over
-// the stages.
+// stages, the segment layout over the send, recv and scratch buffers,
+// and the init and copy-out moves around them. The executor's dynamic
+// context is a cursor over the stages.
 //
 // A plan is built by appending into a Sequence's slices, so a plan
 // rebuilt over an old one reuses its arrays. A built plan has no nil
@@ -501,19 +524,26 @@ type Sequence struct {
 	// it, in a seeded plan) into segs[seg] of the working buffer, or one
 	// of the initCopy* sentinels.
 	initCopyOwnSeg int
-	// useScratch: the working buffer is an internal scratch area rather
-	// than the user's recv buffer.
-	useScratch bool
+	// work is the working buffer: the recv buffer, or a scratch of
+	// workLen elements the executor owns.
+	work home
+	// inPlace: segments [0, inPlace) are blocks of the send buffer and
+	// [inPlace, 2·inPlace) blocks of the recv buffer, each buffer tiled
+	// in order (the all-to-all's own and final blocks); every other
+	// segment lies in the working buffer. (A home stored in each
+	// segRange made it 24 bytes, not 16: +6 % allocated bytes per unit
+	// on the benchmark's fabric_contended.)
+	inPlace int
 	// seeded: each segment's own contribution is its seed, a range of the
 	// send buffer, which a reduce into the segment reads straight from
 	// the send buffer as it folds the chunk in; the init copy copies only
 	// initCopyOwnSeg's seed. The recv buffer then never holds the whole
 	// send vector, which the reduce-scatter's is too short for.
 	seeded bool
-	// copyOut: after the final round, concatenate the listed working-
-	// buffer segments into the recv buffer in list order (none: the
-	// working buffer is the recv buffer; a seeded plan's one segment is
-	// already in place, so its copy-out is priced and moves nothing).
+	// copyOut: after the final round, concatenate the listed segments
+	// into the recv buffer in list order (none: the working buffer is
+	// the recv buffer). A segment already at its place in the recv
+	// buffer moves nothing, but the copy-out is priced whole.
 	copyOut []int
 }
 
@@ -551,6 +581,17 @@ func (s *Sequence) seed(b int) segRange {
 		lo += sr.len()
 	}
 	return segRange{Lo: lo, Hi: lo + s.segs[b].len()}
+}
+
+// home returns the buffer segment seg lives in.
+func (s *Sequence) home(seg int) home {
+	switch {
+	case seg < s.inPlace:
+		return inSend
+	case seg < 2*s.inPlace:
+		return inRecv
+	}
+	return s.work
 }
 
 // limitSlice returns the element range of segment seg covered in round c,
@@ -915,17 +956,20 @@ func (s Spec) reduceScatterSeq(q *Sequence, pos, n int) {
 }
 
 // allToAllSeq builds the ring all-to-all of both variants (AllToAll is
-// AllToAllv with every block Count elements long). Working-buffer
-// (scratch) layout, one segment per block of the ring schedule:
+// AllToAllv with every block Count elements long). One segment per block
+// of the ring schedule, each in the buffer it lives in:
 //
-//	[0, n)      own send blocks, block j sized count(pos, j)
-//	            (init copy of the send buffer — identical layout)
-//	[n, 2n)     received final blocks, block o sized count(o, pos)
-//	[2n, 2n+2)  two alternating transit slots
+//	[0, n)      own blocks, block j sized count(pos, j): the send
+//	            buffer's layout, read in place (nothing is copied in)
+//	[n, 2n)     final blocks, block o sized count(o, pos): the recv
+//	            buffer's layout, received in place
+//	[2n, 2n+2)  two alternating transit slots: the whole scratch
 //
-// The copy-out concatenates origin blocks 0..n-1 — the rank's own self
-// block straight from the own-block area, which no action overwrites —
-// exactly the recv-buffer layout of BufferCountsFor.
+// The copy-out concatenates origin blocks 0..n-1, exactly the recv
+// layout of BufferCountsFor: the final blocks are already there, so only
+// the self block moves, once, from the send buffer. Final blocks land in
+// recv while own blocks are still being sent, so the two buffers must
+// not overlap (Kind.InPlace).
 func (s Spec) allToAllSeq(q *Sequence, pos, n int) {
 	if n == 1 {
 		q.noopCopy(s.count(0, 0))
@@ -934,27 +978,35 @@ func (s Spec) allToAllSeq(q *Sequence, pos, n int) {
 	g := hops{place: pos, n: n, count: s.Count, counts: s.Counts} // a valid spec sets one of the two
 	transit, moved := g.bounds()
 	q.segs = slices.Grow(q.segs, 2*n+2)
-	lo := 0
-	for b := 0; b < 2*n+2; b++ {
-		l := transit
-		switch {
-		case b < n:
-			l = s.count(pos, b)
-		case b < 2*n:
-			l = s.count(b-n, pos)
-		}
-		q.segs = append(q.segs, segRange{Lo: lo, Hi: lo + l})
-		lo += l
-	}
+	s.blocksInPlace(q, pos)
+	q.segs = append(q.segs, segRange{Lo: 0, Hi: transit}, segRange{Lo: transit, Hi: 2 * transit})
 	q.copyOut = slices.Grow(q.copyOut, n)
 	for o := 0; o < n; o++ {
 		q.copyOut = append(q.copyOut, n+o) // final block from origin o
 	}
-	q.copyOut[pos] = pos // self block stays in the own area
+	q.copyOut[pos] = pos // the self block, from the send buffer
 	q.stage("", ceilDiv(moved, q.chunkElems)).hops = g
-	q.workLen = lo
-	q.initCopyOwnSeg = initCopyPrefix
-	q.useScratch = true
+	q.workLen = 2 * transit
+	q.initCopyOwnSeg = initCopyInPlace
+	q.work = inScratch
+}
+
+// blocksInPlace lays out the first 2n segments of position pos's empty
+// all-to-all plan q: n blocks tiling the send buffer, block j sized
+// count(pos, j), then n tiling the recv buffer, block o sized count(o,
+// pos).
+func (s Spec) blocksInPlace(q *Sequence, pos int) {
+	n := s.N()
+	send, recv := 0, 0
+	for j := 0; j < n; j++ {
+		q.segs = append(q.segs, segRange{Lo: send, Hi: send + s.count(pos, j)})
+		send = q.segs[j].Hi
+	}
+	for o := 0; o < n; o++ {
+		q.segs = append(q.segs, segRange{Lo: recv, Hi: recv + s.count(o, pos)})
+		recv = q.segs[n+o].Hi
+	}
+	q.inPlace = n
 }
 
 // noopCopy is the explicit single-participant all-to-all(-v) sequence:
@@ -1019,7 +1071,9 @@ func (s Spec) broadcastSeq(q *Sequence, pos, n int) {
 func (s Spec) reduceSeq(q *Sequence, pos, n int) {
 	s.chainSeq(q, mod(pos-s.Root-1, n), n, true) // root+1 first, root last
 	q.initCopyOwnSeg = initCopyWhole             // everyone starts from its own send data
-	q.useScratch = pos != s.Root
+	if pos != s.Root {
+		q.work = inScratch
+	}
 }
 
 // chainSeq is the one-segment chain of the rooted kinds at chain place

@@ -175,7 +175,7 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int) {
 		ComputeBW: c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth,
 		runner:    runner,
 	}
-	if !seq.useScratch || spec.TimingOnly {
+	if seq.work != inScratch || spec.TimingOnly {
 		x.scratch = scratch // kept for a later plan; this one never reads it
 		return
 	}
