@@ -150,8 +150,11 @@ cluster:
 # 10 s of fuzzing the cluster kill path (FuzzClusterKills), 10 s of
 # fuzzing the trace generator's configs (FuzzGenerate), 10 s of fuzzing
 # Spec.Validate against the sequence builders (FuzzSequences), 10 s of
-# fuzzing chaos.Run's configs (FuzzChaos) and 10 s of fuzzing connectors
-# sharing one chunk staging pool (FuzzChunks), the data plane's and the
+# fuzzing chaos.Run's configs (FuzzChaos), 10 s of fuzzing connectors
+# sharing one chunk staging pool (FuzzChunks) and 10 s of fuzzing
+# deadlocksim's configs, each valid one held to the NCCL baseline
+# (FuzzDecisionModels; one worker, since every deadlocked replay leaves
+# its engine's processes parked for good), the data plane's and the
 # fault paths' tests with the lent-chunk-stable invariant built in
 # (-tags lentcheck), and a regeneration of the artifacts: the tuning
 # table and BENCH.json must come out as no-op diffs, trace.json and
@@ -163,6 +166,7 @@ smoke: fmt vet build test-race doccheck detcheck benchcheck
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
 	$(GO) test -run '^$$' -fuzz FuzzChaos -fuzztime 10s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzChunks -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzDecisionModels -fuzztime 10s -parallel 1 ./internal/deadlocksim
 	$(GO) test -tags lentcheck ./internal/prim ./internal/cluster ./internal/chaos
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null

@@ -226,7 +226,6 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 	if cleanIters < 1 {
 		return nil, nil, nil, fmt.Errorf("bench: no clean iterations before the kill")
 	}
-	rec.Sort()
 
 	// Gate 1 — byte reconciliation: the recorder's summed Sends must
 	// exactly equal the executors' per-transport accounting.

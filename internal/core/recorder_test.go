@@ -96,7 +96,6 @@ func TestTracingUnderFaults(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v (blocked: %v)", err, e.BlockedProcesses())
 	}
-	rec.Sort()
 
 	// Chaos marks: one kill, one revive, an abort naming the collective.
 	if got := rec.MarkCount(trace.MarkKill); got != 1 {

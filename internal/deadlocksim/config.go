@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Model selects the deadlock decision model.
@@ -16,7 +17,8 @@ type Model int
 
 const (
 	// SingleQueue: each GPU executes one collective at a time in
-	// invocation order (Fig. 1(c) semantics).
+	// invocation order (Fig. 1(c) semantics). It plays as the
+	// synchronization model with a sync after every collective.
 	SingleQueue Model = iota
 	// Synchronization: unlimited concurrent execution, but randomly
 	// issued GPU synchronization suspends a GPU until its executing
@@ -61,13 +63,24 @@ func (c Config) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("deadlocksim: rounds = %d", c.Rounds)
 	}
+	if !(c.DisorderProb >= 0 && c.DisorderProb <= 1 && c.SyncProb >= 0 && c.SyncProb <= 1) {
+		return fmt.Errorf("deadlocksim: disorder probability %v and sync probability %v must lie in [0,1]", c.DisorderProb, c.SyncProb)
+	}
 	for gi, g := range c.Groups {
 		if len(g) == 0 {
 			return fmt.Errorf("deadlocksim: group %d empty", gi)
 		}
-		for _, gpu := range g {
+		if c.CollsPerGroup[gi] < 0 {
+			return fmt.Errorf("deadlocksim: group %d has %d collectives", gi, c.CollsPerGroup[gi])
+		}
+		for i, gpu := range g {
 			if gpu < 0 || gpu >= c.NumGPUs {
 				return fmt.Errorf("deadlocksim: group %d references GPU %d (have %d)", gi, gpu, c.NumGPUs)
+			}
+			// A GPU listed twice could never bring the group's
+			// collectives to their member count.
+			if slices.Contains(g[:i], gpu) {
+				return fmt.Errorf("deadlocksim: group %d lists GPU %d twice", gi, gpu)
 			}
 		}
 	}
@@ -151,10 +164,6 @@ type Result struct {
 
 // Ratio returns the deadlock ratio.
 func (r Result) Ratio() float64 { return float64(r.Deadlocks) / float64(r.Rounds) }
-
-func (r Result) String() string {
-	return fmt.Sprintf("%s: %d/%d rounds deadlocked (%.2f%%)", r.Config.Name, r.Deadlocks, r.Rounds, 100*r.Ratio())
-}
 
 // binomial samples the number of successes out of n trials with
 // probability p, using a Poisson approximation for the small-p regime

@@ -23,11 +23,10 @@ type sim struct {
 	totalEvts int
 
 	// Per-round buffers.
-	seqs      [][]int32 // with disorder applied (and syncs, sync model)
-	execCount []int32
-	success   []bool
-	head      []int32
-	// sync-model state
+	seqs        [][]int32 // with disorder applied and syncs inserted
+	execCount   []int32
+	success     []bool
+	head        []int32
 	suspended   []bool
 	barrierRem  []int32
 	skippedLast bool
@@ -37,50 +36,33 @@ type sim struct {
 
 func newSim(cfg Config) *sim {
 	s := &sim{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	// Assign global collective IDs group by group, then build a global
-	// total order by interleaving groups round-robin — every GPU that
-	// follows its subsequence of this order is "consistent".
-	var groupCollIDs [][]int32
+	// Assign global collective IDs group by group, then walk a global
+	// total order that interleaves the groups round-robin, appending
+	// each collective to its members' canonical sequences — every GPU
+	// that follows its subsequence of this order is "consistent".
+	first := make([]int32, len(cfg.CollsPerGroup))
+	most := 0
 	for gi, n := range cfg.CollsPerGroup {
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(s.numColls)
-			s.members = append(s.members, toInt32(cfg.Groups[gi]))
-			s.numColls++
+		first[gi] = int32(s.numColls)
+		m := toInt32(cfg.Groups[gi])
+		for range n {
+			s.members = append(s.members, m)
 		}
-		groupCollIDs = append(groupCollIDs, ids)
-	}
-	var globalOrder []int32
-	for pos := 0; ; pos++ {
-		emitted := false
-		for _, ids := range groupCollIDs {
-			if pos < len(ids) {
-				globalOrder = append(globalOrder, ids[pos])
-				emitted = true
-			}
-		}
-		if !emitted {
-			break
-		}
-	}
-	// Per-GPU canonical subsequences.
-	inGroup := make([]map[int]bool, cfg.NumGPUs)
-	for g := range inGroup {
-		inGroup[g] = make(map[int]bool)
-	}
-	for ci, mem := range s.members {
-		for _, g := range mem {
-			inGroup[g][ci] = true
-		}
+		s.numColls += n
+		most = max(most, n)
 	}
 	s.canonical = make([][]int32, cfg.NumGPUs)
-	for g := 0; g < cfg.NumGPUs; g++ {
-		for _, c := range globalOrder {
-			if inGroup[g][int(c)] {
-				s.canonical[g] = append(s.canonical[g], c)
+	for pos := range most {
+		for gi, n := range cfg.CollsPerGroup {
+			if pos < n {
+				for _, g := range cfg.Groups[gi] {
+					s.canonical[g] = append(s.canonical[g], first[gi]+int32(pos))
+				}
 			}
 		}
-		s.totalEvts += len(s.canonical[g])
+	}
+	for _, seq := range s.canonical {
+		s.totalEvts += len(seq)
 	}
 	s.seqs = make([][]int32, cfg.NumGPUs)
 	s.execCount = make([]int32, s.numColls)
@@ -137,17 +119,14 @@ func (s *sim) roundDeadlocks() bool {
 	}
 	s.skippedLast = false
 	s.buildRoundSequences(disorders, syncs)
-	switch s.cfg.Model {
-	case SingleQueue:
-		return s.playSingleQueue()
-	default:
-		return s.playSync()
-	}
+	return s.play()
 }
 
 // buildRoundSequences materializes the per-GPU event sequences for a
 // round: canonical subsequences, k disorder swaps at random positions,
-// and m sync insertions (sync model).
+// then m sync insertions at random positions (sync model) or a sync
+// after every collective (single-queue model, which draws nothing for
+// them).
 func (s *sim) buildRoundSequences(disorders, syncs int) {
 	// Reset buffers.
 	for i := range s.execCount {
@@ -177,27 +156,38 @@ func (s *sim) buildRoundSequences(disorders, syncs int) {
 		}
 		seq[i], seq[j] = seq[j], seq[i]
 	}
-	// Syncs: insert after random events.
-	if syncs > 0 {
-		type ins struct{ g, pos int }
-		places := make([]ins, 0, syncs)
-		for k := 0; k < syncs; k++ {
-			g, i := s.randomEvent()
-			places = append(places, ins{g, i})
-		}
-		sort.Slice(places, func(a, b int) bool {
-			if places[a].g != places[b].g {
-				return places[a].g < places[b].g
+	if s.cfg.Model == SingleQueue {
+		// A single-queue GPU cannot go on until its running collective
+		// succeeds: a sync right after each one.
+		for g, seq := range s.seqs {
+			n := len(seq)
+			seq = append(seq, seq...)
+			for i := n - 1; i >= 0; i-- {
+				seq[2*i], seq[2*i+1] = seq[i], syncMark
 			}
-			return places[a].pos > places[b].pos // insert back-to-front
-		})
-		for _, pl := range places {
-			seq := s.seqs[pl.g]
-			seq = append(seq, 0)
-			copy(seq[pl.pos+2:], seq[pl.pos+1:])
-			seq[pl.pos+1] = syncMark
-			s.seqs[pl.g] = seq
+			s.seqs[g] = seq
 		}
+		return
+	}
+	// Syncs: insert after random events.
+	type ins struct{ g, pos int }
+	places := make([]ins, 0, syncs)
+	for k := 0; k < syncs; k++ {
+		g, i := s.randomEvent()
+		places = append(places, ins{g, i})
+	}
+	sort.Slice(places, func(a, b int) bool {
+		if places[a].g != places[b].g {
+			return places[a].g < places[b].g
+		}
+		return places[a].pos > places[b].pos // insert back-to-front
+	})
+	for _, pl := range places {
+		seq := s.seqs[pl.g]
+		seq = append(seq, 0)
+		copy(seq[pl.pos+2:], seq[pl.pos+1:])
+		seq[pl.pos+1] = syncMark
+		s.seqs[pl.g] = seq
 	}
 }
 
@@ -214,61 +204,11 @@ func (s *sim) randomEvent() (gpu, pos int) {
 	panic("deadlocksim: event index out of range")
 }
 
-// playSingleQueue runs the single-queue decision model to fixpoint.
-// Each GPU executes the head collective of its sequence; a collective
-// succeeds when executing on every member; stalled fixpoint = deadlock.
-func (s *sim) playSingleQueue() bool {
-	work := make([]int32, 0, s.cfg.NumGPUs)
-	inWork := make([]bool, s.cfg.NumGPUs)
-	for g := 0; g < s.cfg.NumGPUs; g++ {
-		work = append(work, int32(g))
-		inWork[g] = true
-	}
-	headExec := make([]bool, s.cfg.NumGPUs)
-	remaining := 0
-	for g := range s.seqs {
-		remaining += len(s.seqs[g])
-	}
-	for len(work) > 0 {
-		g := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[g] = false
-		for int(s.head[g]) < len(s.seqs[g]) {
-			c := s.seqs[g][s.head[g]]
-			if s.success[c] {
-				s.head[g]++
-				headExec[g] = false
-				remaining--
-				continue
-			}
-			if !headExec[g] {
-				headExec[g] = true
-				s.execCount[c]++
-				s.execOn[c] = append(s.execOn[c], g)
-				if int(s.execCount[c]) == len(s.members[c]) {
-					s.success[c] = true
-					for _, m := range s.members[c] {
-						if !inWork[m] {
-							work = append(work, m)
-							inWork[m] = true
-						}
-					}
-					// Re-process this GPU from the same head.
-					headExec[g] = false
-					continue
-				}
-			}
-			break // head is executing, waiting for peers
-		}
-	}
-	return remaining > 0
-}
-
-// playSync runs the synchronization decision model to fixpoint: GPUs
+// play runs a round to fixpoint and reports whether it stalled: GPUs
 // execute every collective immediately on invocation (infinite
 // resources) unless suspended by a sync event, which blocks the GPU
 // until all its executing-but-unsuccessful collectives succeed.
-func (s *sim) playSync() bool {
+func (s *sim) play() bool {
 	work := make([]int32, 0, s.cfg.NumGPUs)
 	inWork := make([]bool, s.cfg.NumGPUs)
 	for g := 0; g < s.cfg.NumGPUs; g++ {
@@ -313,17 +253,16 @@ func (s *sim) playSync() bool {
 			s.execOn[c] = append(s.execOn[c], g)
 			s.notDone[g]++
 			if int(s.execCount[c]) == len(s.members[c]) {
-				s.completeSync(c, inWork, &work)
+				s.complete(c, inWork, &work)
 			}
 		}
 	}
 	return remaining > 0
 }
 
-// completeSync marks c successful and credits every member's barrier
-// and not-done accounting, waking suspended members whose barriers
-// empty.
-func (s *sim) completeSync(c int32, inWork []bool, work *[]int32) {
+// complete marks c successful and credits every member's barrier and
+// not-done accounting, waking suspended members whose barriers empty.
+func (s *sim) complete(c int32, inWork []bool, work *[]int32) {
 	s.success[c] = true
 	for _, g := range s.execOn[c] {
 		s.notDone[g]--

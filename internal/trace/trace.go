@@ -225,8 +225,13 @@ type Recorder struct {
 	Marks   []Mark
 }
 
-// Record appends a daemon scheduling event.
+// Record appends a daemon scheduling event. Events come from the one
+// virtual clock, so they arrive in nondecreasing At, the order Spans
+// pairs them in; an earlier one panics.
 func (r *Recorder) Record(at sim.Time, gpu, coll int, kind Kind) {
+	if n := len(r.Events); n > 0 && at < r.Events[n-1].At {
+		panic(fmt.Sprintf("trace: event at %v recorded after one at %v", at, r.Events[n-1].At))
+	}
 	r.Events = append(r.Events, Event{At: at, GPU: gpu, Coll: coll, Kind: kind})
 }
 
@@ -244,112 +249,6 @@ func (r *Recorder) RecordSat(s SatSpan) { r.Sats = append(r.Sats, s) }
 
 // RecordMark appends a membership or tuning mark.
 func (r *Recorder) RecordMark(m Mark) { r.Marks = append(r.Marks, m) }
-
-// Sort brings every stream into its documented canonical order so
-// exports are byte-deterministic across runs:
-//
-//	Events:  (At, GPU, Coll, Kind)
-//	Actions: (Start, GPU, Coll, Stage, Round, Step)
-//	Sends:   (At, GPU, Coll, Stage, Round, Step)
-//	Flows:   (At, ID, Kind)
-//	Sats:    (Start, Link, End)
-//	Marks:   (At, Kind, GPU, Coll, Note)
-//
-// The sorts are stable, so records that compare equal keep their
-// append order. Appends from the single-threaded virtual clock are
-// already time-ordered, except action spans: they are recorded when
-// they complete, so the sort orders them by start time. Among
-// same-instant records it fixes the order by the keys above rather than
-// by which process the engine ran first.
-func (r *Recorder) Sort() {
-	sort.SliceStable(r.Events, func(i, j int) bool {
-		a, b := r.Events[i], r.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.GPU != b.GPU {
-			return a.GPU < b.GPU
-		}
-		if a.Coll != b.Coll {
-			return a.Coll < b.Coll
-		}
-		return a.Kind < b.Kind
-	})
-	sort.SliceStable(r.Actions, func(i, j int) bool {
-		a, b := r.Actions[i], r.Actions[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.GPU != b.GPU {
-			return a.GPU < b.GPU
-		}
-		if a.Coll != b.Coll {
-			return a.Coll < b.Coll
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		return a.Step < b.Step
-	})
-	sort.SliceStable(r.Sends, func(i, j int) bool {
-		a, b := r.Sends[i], r.Sends[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.GPU != b.GPU {
-			return a.GPU < b.GPU
-		}
-		if a.Coll != b.Coll {
-			return a.Coll < b.Coll
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		return a.Step < b.Step
-	})
-	sort.SliceStable(r.Flows, func(i, j int) bool {
-		a, b := r.Flows[i], r.Flows[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Kind < b.Kind
-	})
-	sort.SliceStable(r.Sats, func(i, j int) bool {
-		a, b := r.Sats[i], r.Sats[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Link != b.Link {
-			return a.Link < b.Link
-		}
-		return a.End < b.End
-	})
-	sort.SliceStable(r.Marks, func(i, j int) bool {
-		a, b := r.Marks[i], r.Marks[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.GPU != b.GPU {
-			return a.GPU < b.GPU
-		}
-		if a.Coll != b.Coll {
-			return a.Coll < b.Coll
-		}
-		return a.Note < b.Note
-	})
-}
 
 // CountByKind tallies daemon events per kind.
 func (r *Recorder) CountByKind() map[Kind]int {
@@ -458,10 +357,9 @@ func usec(t sim.Time) float64 { return float64(t) / 1000 }
 // spans as complete events with per-action spans nested inside by time
 // containment), a fabric pseudo-process carrying flow spans and
 // link-saturation spans, and a control pseudo-process carrying
-// membership/tuning marks as instants. The recorder is Sort()ed first,
-// so the output is byte-deterministic for a deterministic run.
+// membership/tuning marks as instants. Records keep the order the run
+// appended them in, so a deterministic run exports the same bytes.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	r.Sort()
 	var evs []chromeEvent
 	for _, s := range r.Spans() {
 		name := fmt.Sprintf("coll %d", s.Coll)

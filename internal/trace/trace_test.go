@@ -179,7 +179,7 @@ func TestChromeFlowRateLabel(t *testing.T) {
 }
 
 // TestChromeTraceDeterministic regenerates the export and requires
-// byte-identical output — the documented stable sort at work.
+// byte-identical output.
 func TestChromeTraceDeterministic(t *testing.T) {
 	rec := runTraced(t)
 	var a, b bytes.Buffer
@@ -194,35 +194,18 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSortCanonicalOrder shuffles same-instant records and checks Sort
-// restores the documented (time, GPU, coll, kind) order.
-func TestSortCanonicalOrder(t *testing.T) {
+// TestEventsAppendInTimeOrder: Spans pairs execute and preempt events in
+// append order, so an event earlier than the last one recorded panics.
+func TestEventsAppendInTimeOrder(t *testing.T) {
 	rec := &trace.Recorder{}
-	rec.Record(10, 1, 5, trace.EvComplete)
-	rec.Record(10, 0, 7, trace.EvFetch)
-	rec.Record(10, 0, 3, trace.EvFetch)
-	rec.Record(5, 9, 9, trace.EvStart)
-	rec.RecordMark(trace.Mark{At: 2, Kind: trace.MarkAbort, Coll: 4})
-	rec.RecordMark(trace.Mark{At: 2, Kind: trace.MarkAbort, Coll: 1})
-	rec.RecordMark(trace.Mark{At: 2, Kind: trace.MarkKill, GPU: 3})
-	rec.Sort()
-	want := []trace.Event{
-		{At: 5, GPU: 9, Coll: 9, Kind: trace.EvStart},
-		{At: 10, GPU: 0, Coll: 3, Kind: trace.EvFetch},
-		{At: 10, GPU: 0, Coll: 7, Kind: trace.EvFetch},
-		{At: 10, GPU: 1, Coll: 5, Kind: trace.EvComplete},
-	}
-	for i, w := range want {
-		if rec.Events[i] != w {
-			t.Fatalf("Events[%d] = %+v, want %+v", i, rec.Events[i], w)
+	rec.Record(5, 0, 1, trace.EvExecute)
+	rec.Record(5, 1, 1, trace.EvExecute)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an event at 4 after one at 5 was accepted")
 		}
-	}
-	if rec.Marks[0].Kind != trace.MarkKill {
-		t.Fatalf("marks not sorted by kind at equal time: %+v", rec.Marks)
-	}
-	if rec.Marks[1].Coll != 1 || rec.Marks[2].Coll != 4 {
-		t.Fatalf("abort marks not sorted by coll: %+v", rec.Marks)
-	}
+	}()
+	rec.Record(4, 0, 1, trace.EvPreempt)
 }
 
 func TestKindStrings(t *testing.T) {
