@@ -265,7 +265,7 @@ func (c *Collective) Stats() CollectiveStats {
 		LastCoreExec:   c.r.CoreExecTime(c.id),
 		BytesSent:      t.exec.BytesSent,
 		BytesSentBy:    t.exec.BytesSentBy,
-		NumPrimitives:  t.exec.Seq.NumPrimitives(),
+		NumPrimitives:  t.exec.NumPrimitives(),
 		PrimsExecuted:  t.exec.PrimsExecuted,
 	}
 }

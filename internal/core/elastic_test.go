@@ -285,10 +285,10 @@ func TestAllToAllKillMidRun(t *testing.T) {
 		for {
 			if rc := sys.rankAt(victim); rc != nil {
 				x := rc.task(7).exec
-				if 2*x.PrimsExecuted >= x.Seq.NumPrimitives() && x.Outs[0].Lent() > 0 {
+				if 2*x.PrimsExecuted >= x.NumPrimitives() && x.Outs[0].Lent() > 0 {
 					break
 				}
-				if x.PrimsExecuted == x.Seq.NumPrimitives() {
+				if x.PrimsExecuted == x.NumPrimitives() {
 					t.Error("the victim finished without a chunk lent past halfway")
 					return
 				}

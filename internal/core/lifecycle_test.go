@@ -823,3 +823,73 @@ func TestRecycledTasksRunLikeNew(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSharedPlanPerShape: a collective's ranks read one plan. Opening
+// a 32-rank flat all-reduce on all 32 ranks of a fresh System builds it
+// once, and a second collective of that shape, open at the same time on
+// a second communicator, reads it too; after every rank closes, a reopen
+// of the same shape on a pooled communicator reads that plan again,
+// building none, and a reopen of another shape builds one new plan,
+// which all 32 read.
+func TestOneSharedPlanPerShape(t *testing.T) {
+	const n = 32
+	e := sim.NewEngine()
+	sys := NewSystem(e, topo.NewCluster(4, 8, topo.RTX3090, topo.DefaultLinks), DefaultConfig())
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	e.Spawn("driver", func(p *sim.Process) {
+		rcs := make([]*RankContext, n)
+		for rank := range rcs {
+			rcs[rank] = sys.Init(p, rank)
+		}
+		// open registers spec on every rank under id and returns the plan
+		// they read, failing unless it is one (nil if an Open failed).
+		open := func(spec prim.Spec, id int) *prim.Sequence {
+			var plan *prim.Sequence
+			for _, rc := range rcs {
+				if _, err := rc.Open(spec, WithCollID(id)); err != nil {
+					t.Errorf("open %d on rank %d: %v", id, rc.Rank, err)
+					return nil
+				}
+				if seq := rc.task(id).exec.Seq; plan == nil {
+					plan = seq
+				} else if seq != plan {
+					t.Errorf("collective %d: rank %d reads a plan of its own", id, rc.Rank)
+				}
+			}
+			return plan
+		}
+		closeAll := func(id int) {
+			for _, rc := range rcs {
+				if err := rc.Unregister(id); err != nil {
+					t.Errorf("close %d on rank %d: %v", id, rc.Rank, err)
+				}
+			}
+		}
+		first := open(lifecycleSpec(4096, ranks), 1)
+		if twin := open(lifecycleSpec(4096, ranks), 4); first == nil || twin != first {
+			t.Error("a second communicator built its own plan of the same shape")
+		}
+		closeAll(4)
+		closeAll(1)
+		if again := open(lifecycleSpec(4096, ranks), 2); first == nil || again != first {
+			t.Error("a pooled reopen of the same shape built a new plan")
+		}
+		closeAll(2)
+		if other := open(lifecycleSpec(2048, ranks), 3); other == first {
+			t.Error("a reopen of another shape read the old shape's plan")
+		}
+		closeAll(3)
+		for _, rc := range rcs {
+			rc.Destroy(p)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := sys.CommsCreated(); got != 2 {
+		t.Fatalf("CommsCreated = %d, want the two pooled communicators", got)
+	}
+}

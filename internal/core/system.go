@@ -424,7 +424,10 @@ type commPool struct {
 	net *fabric.Network
 	// chunks is the staging pool every communicator's connectors share.
 	chunks mem.Chunks
-	free   map[string][]*communicator
+	// plans is the registry every communicator's flat plans are shared
+	// through.
+	plans prim.Plans
+	free  map[string][]*communicator
 	// created counts communicators ever built, inUse those a group
 	// holds and pooled those on the free lists; created = inUse +
 	// pooled always (invariant comms-accounted).
@@ -470,7 +473,7 @@ func (cp *commPool) acquire(ranks []int, collID int) *communicator {
 	} else {
 		c = &communicator{
 			key:     string(key),
-			wirings: prim.NewWirings(&cp.chunks, cp.net, fmt.Sprintf("coll%d", collID)),
+			wirings: prim.NewWirings(&cp.chunks, &cp.plans, cp.net, fmt.Sprintf("coll%d", collID)),
 		}
 		cp.created++
 	}

@@ -44,6 +44,9 @@ type Lib struct {
 	comms int
 	// chunks is the staging pool every communicator's connectors share.
 	chunks mem.Chunks
+	// plans is the registry every communicator's flat plans are shared
+	// through.
+	plans prim.Plans
 }
 
 // New creates the library and one device per GPU in the cluster.
@@ -88,7 +91,7 @@ func (l *Lib) NewComm(ranks []int) *Comm {
 	l.comms++
 	return &Comm{
 		lib: l, id: l.comms, Ranks: append([]int(nil), ranks...), Channels: DefaultChannels,
-		wirings: prim.NewWirings(&l.chunks, l.Net, fmt.Sprintf("comm%d", l.comms)),
+		wirings: prim.NewWirings(&l.chunks, &l.plans, l.Net, fmt.Sprintf("comm%d", l.comms)),
 	}
 }
 

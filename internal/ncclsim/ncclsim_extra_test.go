@@ -196,3 +196,47 @@ func TestCommHierarchicalAllToAllv(t *testing.T) {
 		}
 	}
 }
+
+// TestBackToBackLaunchesOfTwoShapes: two all-reduces of different counts
+// launched back to back on one Comm, every rank enqueuing the second
+// before the first has run, give exact bytes. The second's plan replaces
+// the first's in the communicator's wiring while the first launch's
+// kernels still read the first.
+func TestBackToBackLaunchesOfTwoShapes(t *testing.T) {
+	const n = 4
+	e := sim.NewEngine()
+	lib := New(e, topo.Server3090(n))
+	comm := lib.NewComm([]int{0, 1, 2, 3})
+	counts := []int{24, 40}
+	recvs := make([][]*mem.Buffer, n)
+	for rank := 0; rank < n; rank++ {
+		e.Spawn("host", func(p *sim.Process) {
+			stream := lib.Device(rank).NewStream()
+			var kernels []interface{ Wait(*sim.Process) }
+			for _, count := range counts {
+				s, r := mem.NewBuffer(mem.Float64, count), mem.NewBuffer(mem.Float64, count)
+				for i := range count {
+					s.SetFloat64(i, float64(1000*rank+i))
+				}
+				recvs[rank] = append(recvs[rank], r)
+				spec := prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, ChunkElems: 4}
+				kernels = append(kernels, comm.Launch(p, stream, rank, spec, s, r))
+			}
+			for _, k := range kernels {
+				k.Wait(p)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for rank, rs := range recvs {
+		for c, r := range rs {
+			for i := range counts[c] {
+				if got, want := r.Float64At(i), float64(1000*(0+1+2+3)+n*i); got != want {
+					t.Fatalf("rank %d launch %d elem %d = %v, want %v", rank, c, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -88,7 +88,7 @@ func TestHierAbortCheckpointTable(t *testing.T) {
 				visited[[2]int{st.Stage, st.Round}] = true
 			}
 			seq := spec.HierSequenceFor(victim, GroupByNode(c, spec.Ranks))
-			for sIdx, stage := range seq.Stages {
+			for sIdx, stage := range seq.Stages(victim) {
 				for r := 0; r < stage.Rounds; r++ {
 					if !visited[[2]int{sIdx, r}] {
 						t.Fatalf("trajectory never visits stage %d (%s) round %d", sIdx, stage.Label, r)
@@ -148,7 +148,7 @@ func TestHierAbortCheckpointTable(t *testing.T) {
 						if after := snapState(x); after != before {
 							t.Errorf("kill@%d survivor %d: abort moved checkpoint %+v -> %+v", kill, i, before, after)
 						}
-						if x.Stage > x.Seq.NumStages() {
+						if x.Stage > x.Seq.NumStages(x.Pos) {
 							t.Errorf("kill@%d survivor %d: stage %d out of range", kill, i, x.Stage)
 						}
 					})

@@ -106,11 +106,11 @@ func TestAllToAllPrimitiveCounts(t *testing.T) {
 		}
 		spec := Spec{Kind: AllToAll, Count: 128, Type: mem.Float32, Ranks: ranks, ChunkElems: 32}
 		seq := spec.SequenceFor(0)
-		if got, want := seq.Stages[0].Len(), n*(n-1)/2; got != want {
+		if got, want := seq.Stages(0)[0].Len(), n*(n-1)/2; got != want {
 			t.Fatalf("n=%d actions = %d, want %d", n, got, want)
 		}
-		if seq.TotalRounds() != 4 {
-			t.Fatalf("n=%d rounds = %d, want 4", n, seq.TotalRounds())
+		if seq.TotalRounds(0) != 4 {
+			t.Fatalf("n=%d rounds = %d, want 4", n, seq.TotalRounds(0))
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestAllToAllvCorrectness(t *testing.T) {
 	multiRound := 0
 	for _, tc := range cases {
 		tc := tc
-		if len(tc.counts) > 1 && vSpec(tc.counts, tc.chunk).SequenceFor(0).TotalRounds() > 1 {
+		if len(tc.counts) > 1 && vSpec(tc.counts, tc.chunk).SequenceFor(0).TotalRounds(0) > 1 {
 			multiRound++
 		}
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,11 +289,11 @@ func TestAllToAllSingleRankNoop(t *testing.T) {
 	}
 	for name, spec := range specs {
 		seq := spec.SequenceFor(0)
-		if seq.TotalRounds() != 1 {
-			t.Errorf("%s: 1-rank Rounds = %d, want the explicit single no-op round", name, seq.TotalRounds())
+		if seq.TotalRounds(0) != 1 {
+			t.Errorf("%s: 1-rank Rounds = %d, want the explicit single no-op round", name, seq.TotalRounds(0))
 		}
-		if seq.NumPrimitives() != 0 {
-			t.Errorf("%s: 1-rank NumPrimitives = %d, want 0", name, seq.NumPrimitives())
+		if seq.NumPrimitives(0) != 0 {
+			t.Errorf("%s: 1-rank NumPrimitives = %d, want 0", name, seq.NumPrimitives(0))
 		}
 		ring := BuildRingOn(fabric.Unshared(c), spec, "solo")
 		send := mem.NewBuffer(mem.Float64, 100)
@@ -410,7 +410,7 @@ func TestAllToAllvPrimitiveCounts(t *testing.T) {
 			}
 		}
 		seq := vSpec(m, 32).SequenceFor(0)
-		if got, want := seq.Stages[0].Len(), n*(n-1)/2; got != want {
+		if got, want := seq.Stages(0)[0].Len(), n*(n-1)/2; got != want {
 			t.Fatalf("n=%d actions = %d, want %d", n, got, want)
 		}
 	}

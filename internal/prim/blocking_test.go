@@ -18,24 +18,26 @@ import (
 
 // blockingInitialize performs the sequence's init copy, charging compute time.
 func (x *Executor) blockingInitialize(p *sim.Process) {
+	q, pos := x.Seq, x.Pos
+	ownSeg, work := q.ownSeg(pos), x.work
 	if x.Spec.TimingOnly {
-		if x.Seq.initCopyOwnSeg != initCopyNone {
+		if ownSeg != initCopyNone {
 			sendCount, _ := BufferCountsFor(x.Spec, x.Pos)
 			p.Sleep(x.computeCost(sendCount * x.Spec.Type.Size()))
 		}
 		x.Initialized = true
 		return
 	}
-	switch x.Seq.initCopyOwnSeg {
+	switch ownSeg {
 	case initCopyNone:
 	case initCopyWhole: // whole send buffer into the working buffer
 		src := x.SendBuf.Bytes()
 		// A scratch this copy overwrites whole is not allocated (and
 		// zeroed) ahead of its first run: it starts life as the copy.
-		fresh := x.Seq.work == inScratch && x.scratch == nil
-		workBytes := x.Seq.workLen * x.Spec.Type.Size()
+		fresh := work == inScratch && x.scratch == nil
+		workBytes := q.workLen(pos) * x.Spec.Type.Size()
 		if !fresh {
-			workBytes = len(x.buf(x.Seq.work).Bytes())
+			workBytes = len(x.buf(work).Bytes())
 		}
 		if workBytes != len(src) {
 			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
@@ -44,11 +46,11 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 		if fresh {
 			x.scratch = x.SendBuf.Clone()
 		} else {
-			copy(x.buf(x.Seq.work).Bytes(), src)
+			copy(x.buf(work).Bytes(), src)
 		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
 		src := x.SendBuf.Bytes()
-		dst := x.buf(x.Seq.work).Bytes()
+		dst := x.buf(work).Bytes()
 		if len(dst) < len(src) {
 			panic(fmt.Sprintf("prim: %v init prefix copy overflow: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
@@ -57,16 +59,16 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 	case initCopyInPlace: // the own blocks are read from the send buffer
 		p.Sleep(x.computeCost(len(x.SendBuf.Bytes())))
 	default: // own contribution into its working-buffer segment
-		dst := x.elems(x.Seq.initCopyOwnSeg, x.Seq.segs[x.Seq.initCopyOwnSeg])
+		dst := x.elems(ownSeg, x.seg(ownSeg))
 		src := x.SendBuf.Bytes()
 		price := len(src) // a seeded plan still pays for the whole send buffer
-		if x.Seq.seeded {
+		if q.seeded {
 			// The seeds tile the send buffer.
-			size, work := x.Spec.Type.Size(), len(x.buf(x.Seq.work).Bytes())
-			if len(src) != x.Seq.seed(len(x.Seq.segs)-1).Hi*size || work != x.Seq.workLen*size {
-				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, work, len(src)))
+			size, workBytes := x.Spec.Type.Size(), len(x.buf(work).Bytes())
+			if len(src) != q.seed(pos, len(x.lay.segs)-1).Hi*size || workBytes != q.workLen(pos)*size {
+				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
 			}
-			sd := x.Seq.seed(x.Seq.initCopyOwnSeg)
+			sd := q.seed(pos, ownSeg)
 			src = src[sd.Lo*size : sd.Hi*size]
 		}
 		if len(dst) != len(src) {
@@ -81,19 +83,21 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 // blockingCopyOut moves results from the working buffer into the recv buffer
 // after the last round: a concatenation of segments.
 func (x *Executor) blockingCopyOut(p *sim.Process) {
-	if len(x.Seq.copyOut) > 0 {
+	q, pos := x.Seq, x.Pos
+	if outs := q.outs(pos); outs > 0 {
 		total := 0
-		for _, sg := range x.Seq.copyOut {
-			total += x.Seq.segs[sg].len()
+		for i := range outs {
+			total += x.seg(q.out(pos, i)).len()
 		}
 		p.Sleep(x.computeCost(total * x.Spec.Type.Size()))
 		if x.Spec.TimingOnly {
 			return
 		}
 		off := 0
-		for _, sg := range x.Seq.copyOut {
-			sr := x.Seq.segs[sg]
-			if x.Seq.home(sg) != inRecv || sr.Lo != off { // else in place already
+		for i := range outs {
+			sg := q.out(pos, i)
+			sr := x.seg(sg)
+			if x.home(sg) != inRecv || sr.Lo != off { // else in place already
 				copy(x.RecvBuf.Slice(off, off+sr.len()), x.elems(sg, sr))
 			}
 			off += sr.len()
@@ -153,10 +157,10 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	}
 	if !x.Initialized {
 		x.blockingInitialize(p)
-		if x.Seq.NumPrimitives() == 0 {
+		if x.NumPrimitives() == 0 {
 			// Single-rank collective: init (plus copy-out) is all.
-			x.Stage = x.Seq.NumStages()
-			x.Round = x.Seq.TotalRounds()
+			x.Stage = x.Seq.NumStages(x.Pos)
+			x.Round = x.Seq.TotalRounds(x.Pos)
 			x.blockingCopyOut(p)
 			return Done
 		}
@@ -164,8 +168,8 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 	if x.Finished() {
 		return Done
 	}
-	stage := &x.Seq.Stages[x.Stage]
-	a := stage.Action(x.Step)
+	stage := &x.Seq.Stages(x.Pos)[x.Stage]
+	a := stage.Action(x.Pos, x.Step)
 	attemptStart := p.Now()
 	pipelined := !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
 
@@ -244,7 +248,7 @@ func (x *Executor) blockingStepOnce(p *sim.Process, spinBudget sim.Duration) Ste
 		if x.Round >= stage.Rounds {
 			x.Round = 0
 			x.Stage++
-			if x.Stage >= x.Seq.NumStages() {
+			if x.Stage >= x.Seq.NumStages(x.Pos) {
 				x.blockingCopyOut(p)
 				return Done
 			}
@@ -261,7 +265,7 @@ func (x *Executor) blockingLocalCopy(p *sim.Process, a Action) {
 	if x.Spec.TimingOnly || bytes == 0 {
 		return
 	}
-	src, dst := x.Seq.segs[a.SendSeg], x.Seq.segs[a.RecvSeg]
+	src, dst := x.seg(a.SendSeg), x.seg(a.RecvSeg)
 	src.Hi, dst.Hi = src.Lo+a.SendElems, dst.Lo+a.SendElems
 	copy(x.elems(a.RecvSeg, dst), x.elems(a.SendSeg, src))
 }
@@ -271,7 +275,7 @@ func (x *Executor) blockingLocalCopy(p *sim.Process, a Action) {
 // charging serialization and latency on the route through the
 // executor's network.
 func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {
-	sr := x.Seq.sendSlice(a, x.Round)
+	sr := x.slice(a.SendSeg, x.Round, a.SendElems)
 	bytes := sr.len() * x.Spec.Type.Size()
 	route := x.OutRoutes[a.SendConn]
 	out := x.Outs[a.SendConn]
@@ -307,7 +311,7 @@ func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {
 // is only observed at StepOnce entry and in connector waits.
 func (x *Executor) blockingRecvHalf(p *sim.Process, a Action) {
 	chunk := x.Ins[a.RecvConn].Read(p.Engine())
-	sr := x.Seq.recvSlice(a, x.Round)
+	sr := x.slice(a.RecvSeg, x.Round, a.RecvElems)
 	if x.Spec.TimingOnly {
 		p.Sleep(x.computeCost(sr.len() * x.Spec.Type.Size()))
 		return
@@ -321,7 +325,7 @@ func (x *Executor) blockingRecvHalf(p *sim.Process, a Action) {
 		if x.Seq.seeded && len(dst) > 0 {
 			// Seed the slice with the rank's own contribution first.
 			size := x.Spec.Type.Size()
-			lo := (x.Seq.seed(a.RecvSeg).Lo + x.Round*x.Seq.chunkElems) * size
+			lo := (x.Seq.seed(x.Pos, a.RecvSeg).Lo + x.Round*x.Seq.chunkElems) * size
 			copy(dst, x.SendBuf.Bytes()[lo:lo+len(dst)])
 		}
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)

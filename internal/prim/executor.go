@@ -88,7 +88,9 @@ func (t *TransportBytes) add(tr topo.Transport, n int) {
 type Executor struct {
 	Spec Spec
 	Pos  int // position within Spec.Ranks
-	Seq  *Sequence
+	// Seq is the collective's plan, shared with every other position's
+	// executor and read at Pos; the executor never writes it.
+	Seq *Sequence
 
 	// SendBuf and RecvBuf are the user's local buffers (Fig. 5).
 	SendBuf, RecvBuf *mem.Buffer
@@ -147,6 +149,10 @@ type Executor struct {
 	Job int
 
 	scratch *mem.Buffer
+	// lay and work are what every primitive reads at Pos: its layout of
+	// Seq and its working buffer (Sequence.work).
+	lay  *layout
+	work home
 	// runner runs StepOnce's primitives; callers that drive a Runner of
 	// their own never make one.
 	runner *Runner
@@ -179,8 +185,45 @@ func (x *Executor) buf(h home) *mem.Buffer {
 // elems returns the bytes of r, a range of segment seg, in the buffer the
 // segment lives in.
 func (x *Executor) elems(seg int, r segRange) []byte {
-	return x.buf(x.Seq.home(seg)).Slice(r.Lo, r.Hi)
+	return x.buf(x.home(seg)).Slice(r.Lo, r.Hi)
 }
+
+// home returns the buffer segment seg lives in.
+func (x *Executor) home(seg int) home {
+	switch inPlace := x.lay.inPlace; {
+	case seg < inPlace:
+		return inSend
+	case seg < 2*inPlace:
+		return inRecv
+	}
+	return x.work
+}
+
+// seg returns segment i of the executor's position.
+func (x *Executor) seg(i int) segRange {
+	if x.lay.segs == nil {
+		return x.Seq.countedSeg(x.Pos, i)
+	}
+	return x.lay.segs[i]
+}
+
+// slice returns the element range of segment seg covered in round c,
+// clipped to the first elems elements of the segment: an action's
+// SendElems for its send half, RecvElems for its recv half. Both ends of
+// a transfer compute the block's chunking from the same block length, so
+// a short block in an oversized transit slot still slices identically on
+// sender and receiver; rounds past the block's end yield empty slices,
+// which still move (zero-length) chunks through the connectors.
+func (x *Executor) slice(seg, c, elems int) segRange {
+	lo, chunk := x.seg(seg).Lo, x.Seq.chunkElems
+	limit := lo + elems
+	lo += c * chunk
+	return segRange{Lo: min(lo, limit), Hi: min(lo+chunk, limit)}
+}
+
+// NumPrimitives returns the primitive count of one run at the executor's
+// position (Sequence.NumPrimitives).
+func (x *Executor) NumPrimitives() int { return x.Seq.NumPrimitives(x.Pos) }
 
 // Reset prepares the executor for a fresh run of the same collective
 // (a new invocation via dfcclRun*), possibly with different buffers —
@@ -194,7 +237,7 @@ func (x *Executor) Reset(sendBuf, recvBuf *mem.Buffer) {
 
 // Finished reports completion of all stages and rounds.
 func (x *Executor) Finished() bool {
-	return x.Initialized && x.Stage >= x.Seq.NumStages()
+	return x.Initialized && x.Stage >= len(x.lay.Stages)
 }
 
 func (x *Executor) computeCost(bytes int) sim.Duration {
@@ -208,7 +251,9 @@ func (x *Executor) computeCost(bytes int) sim.Duration {
 // priced by (ok false when the sequence has none) and, once the sleep that
 // charges them is over (move), performs it.
 func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
-	if x.Seq.initCopyOwnSeg == initCopyNone {
+	q, pos := x.Seq, x.Pos
+	ownSeg, work := q.ownSeg(pos), x.work
+	if ownSeg == initCopyNone {
 		return 0, false
 	}
 	if x.Spec.TimingOnly {
@@ -216,14 +261,14 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 		return sendCount * x.Spec.Type.Size(), true
 	}
 	src := x.SendBuf.Bytes()
-	switch x.Seq.initCopyOwnSeg {
+	switch ownSeg {
 	case initCopyWhole: // whole send buffer into the working buffer
 		// A scratch this copy overwrites whole is not allocated (and
 		// zeroed) ahead of its first run: it starts life as the copy.
-		fresh := x.Seq.work == inScratch && x.scratch == nil
-		workBytes := x.Seq.workLen * x.Spec.Type.Size()
+		fresh := work == inScratch && x.scratch == nil
+		workBytes := q.workLen(pos) * x.Spec.Type.Size()
 		if !fresh {
-			workBytes = len(x.buf(x.Seq.work).Bytes())
+			workBytes = len(x.buf(work).Bytes())
 		}
 		if workBytes != len(src) {
 			panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
@@ -231,12 +276,12 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 		if move && fresh {
 			x.scratch = x.SendBuf.Clone()
 		} else if move {
-			dst := x.buf(x.Seq.work).Bytes()
+			dst := x.buf(work).Bytes()
 			x.settle(dst)
 			copy(dst, src)
 		}
 	case initCopyPrefix: // whole send buffer into the working-buffer prefix
-		dst := x.buf(x.Seq.work).Bytes()
+		dst := x.buf(work).Bytes()
 		if len(dst) < len(src) {
 			panic(fmt.Sprintf("prim: %v init prefix copy overflow: work=%d send=%d", x.Spec.Kind, len(dst), len(src)))
 		}
@@ -246,20 +291,19 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 		}
 	case initCopyInPlace: // the own blocks are the send buffer's
 	default: // own contribution into its working-buffer segment
-		sr := x.Seq.segs[x.Seq.initCopyOwnSeg]
 		own := src
-		if x.Seq.seeded {
+		if q.seeded {
 			// Only the segment's seed moves; the copy is still priced at
 			// the whole send buffer, which the run reads by the end.
-			size, work := x.Spec.Type.Size(), len(x.buf(x.Seq.work).Bytes())
-			if sendLen := x.Seq.seed(len(x.Seq.segs)-1).Hi * size; len(src) != sendLen || work != x.Seq.workLen*size {
+			size, workBytes := x.Spec.Type.Size(), len(x.buf(work).Bytes())
+			if sendLen := q.seed(pos, len(x.lay.segs)-1).Hi * size; len(src) != sendLen || workBytes != q.workLen(pos)*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d, want %d and %d",
-					x.Spec.Kind, work, len(src), x.Seq.workLen*size, sendLen))
+					x.Spec.Kind, workBytes, len(src), q.workLen(pos)*size, sendLen))
 			}
-			sd := x.Seq.seed(x.Seq.initCopyOwnSeg)
+			sd := q.seed(pos, ownSeg)
 			own = src[sd.Lo*size : sd.Hi*size]
 		}
-		dst := x.elems(x.Seq.initCopyOwnSeg, sr)
+		dst := x.elems(ownSeg, x.seg(ownSeg))
 		if len(dst) != len(own) {
 			panic(fmt.Sprintf("prim: %v init seg copy size mismatch: seg=%d send=%d", x.Spec.Kind, len(dst), len(own)))
 		}
@@ -278,21 +322,24 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 // whole, but a segment already at its place in the recv buffer (the flat
 // reduce-scatter's one, the all-to-all's final blocks) moves nothing.
 func (x *Executor) copyOut(move bool) (bytes int, ok bool) {
-	if len(x.Seq.copyOut) == 0 {
+	q, pos := x.Seq, x.Pos
+	outs := q.outs(pos)
+	if outs == 0 {
 		return 0, false
 	}
 	total := 0
-	for _, sg := range x.Seq.copyOut {
-		total += x.Seq.segs[sg].len()
+	for i := range outs {
+		total += x.seg(q.out(pos, i)).len()
 	}
 	if move && !x.Spec.TimingOnly {
 		if total != x.RecvBuf.Len() {
 			panic(fmt.Sprintf("prim: %v copy-out covers %d elems, recv holds %d", x.Spec.Kind, total, x.RecvBuf.Len()))
 		}
 		off := 0
-		for _, sg := range x.Seq.copyOut {
-			sr := x.Seq.segs[sg]
-			if x.Seq.home(sg) != inRecv || sr.Lo != off {
+		for i := range outs {
+			sg := q.out(pos, i)
+			sr := x.seg(sg)
+			if x.home(sg) != inRecv || sr.Lo != off {
 				dst := x.RecvBuf.Slice(off, off+sr.len())
 				x.settle(dst)
 				copy(dst, x.elems(sg, sr))
@@ -467,10 +514,10 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			x.initCopy(true)
 			x.Initialized = true
 			r.at = atAction
-			if x.Seq.NumPrimitives() == 0 {
+			if x.NumPrimitives() == 0 {
 				// Single-rank collective: init (plus copy-out) is all.
-				x.Stage = x.Seq.NumStages()
-				x.Round = x.Seq.TotalRounds()
+				x.Stage = x.Seq.NumStages(x.Pos)
+				x.Round = x.Seq.TotalRounds(x.Pos)
 				if bytes, ok := x.copyOut(false); ok {
 					return r.sleep(bytes, atCopiedOut)
 				}
@@ -481,8 +528,8 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			if x.Finished() {
 				return r.end(Done)
 			}
-			r.stage = &x.Seq.Stages[x.Stage]
-			r.a = r.stage.Action(x.Step)
+			r.stage = &x.lay.Stages[x.Stage]
+			r.stage.action(x.Pos, x.Step, &r.a)
 			a := &r.a
 			r.attemptStart = r.p.Now()
 			r.pipelined = !a.LocalCopy && a.HasSend() && a.HasRecv() && a.SendSeg == a.RecvSeg
@@ -638,7 +685,7 @@ func (x *Executor) complete(r *Runner) (more bool) {
 		if x.Round >= r.stage.Rounds {
 			x.Round = 0
 			x.Stage++
-			return x.Stage < x.Seq.NumStages()
+			return x.Stage < len(x.lay.Stages)
 		}
 	}
 	return true
@@ -659,7 +706,7 @@ func (x *Executor) localCopy(a *Action) {
 	if x.Spec.TimingOnly || a.SendElems == 0 {
 		return
 	}
-	src, dst := x.Seq.segs[a.SendSeg], x.Seq.segs[a.RecvSeg]
+	src, dst := x.seg(a.SendSeg), x.seg(a.RecvSeg)
 	src.Hi, dst.Hi = src.Lo+a.SendElems, dst.Lo+a.SendElems
 	d := x.elems(a.RecvSeg, dst)
 	x.settle(d)
@@ -680,7 +727,7 @@ func (x *Executor) settle(dst []byte) {
 // executor's network; the slice is written to the connector once xfer is
 // over.
 func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRange {
-	sr := x.Seq.sendSlice(*a, x.Round)
+	sr := x.slice(a.SendSeg, x.Round, a.SendElems)
 	bytes := sr.len() * x.Spec.Type.Size()
 	route := x.OutRoutes[a.SendConn]
 	x.BytesSent += bytes
@@ -711,7 +758,7 @@ func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRa
 // the segment are staged before the Read, whose chunk is back in the pool
 // already: staged after it, one could land in the chunk's memory.
 func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
-	sr := x.Seq.recvSlice(*a, x.Round)
+	sr := x.slice(a.RecvSeg, x.Round, a.RecvElems)
 	if x.Spec.TimingOnly {
 		x.Ins[a.RecvConn].Read(e)
 		return sr.len() * x.Spec.Type.Size()
@@ -726,7 +773,7 @@ func (x *Executor) recv(e *sim.Engine, a *Action) (bytes int) {
 	switch {
 	case a.Reduce && x.Seq.seeded:
 		size := x.Spec.Type.Size()
-		own := (x.Seq.seed(a.RecvSeg).Lo + sr.Lo - x.Seq.segs[a.RecvSeg].Lo) * size
+		own := (x.Seq.seed(x.Pos, a.RecvSeg).Lo + sr.Lo - x.seg(a.RecvSeg).Lo) * size
 		mem.ReduceInto(x.Spec.Op, x.Spec.Type, dst, x.SendBuf.Bytes()[own:own+len(dst)], chunk)
 	case a.Reduce:
 		mem.Reduce(x.Spec.Op, x.Spec.Type, dst, chunk)

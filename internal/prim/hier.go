@@ -113,48 +113,50 @@ func (g NodeGrouping) crossNodes(a int) []int {
 	return out
 }
 
-// HierSequenceFor builds the hierarchical sequence for the participant
-// at ring position pos, given the node grouping. Spec validation must
-// have passed and s.Algo must be AlgoHierarchical; executors over
-// these sequences need the matching hierarchical wiring. The all-to-all
-// variants use the four-phase gather/ring/scatter schedule of this
-// file; all-reduce, all-gather, and reduce-scatter use the two-level
-// reduction schedules of hiercoll.go over the same wiring.
+// HierSequenceFor returns the hierarchical plan of s's collective,
+// given the node grouping, which the participant at ring position pos
+// runs at its own position. Spec validation must have passed and s.Algo
+// must be AlgoHierarchical; executors over these plans need the matching
+// hierarchical wiring. The all-to-all variants use the four-phase
+// gather/ring/scatter schedule of this file; all-reduce, all-gather, and
+// reduce-scatter use the two-level reduction schedules of hiercoll.go
+// over the same wiring.
 func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
-	return s.build(new(Sequence), pos, g)
+	return s.build(g).has(pos)
 }
 
-// hierSeq builds the hierarchical plan into q (Spec.build).
-func (s Spec) hierSeq(q *Sequence, pos int, g NodeGrouping) {
-	if s.N() == 1 {
-		sendCount, _ := BufferCountsFor(s, 0)
-		q.noopCopy(sendCount)
-		return
-	}
-	t := s.newTier(q, pos, g)
-	switch s.Kind {
-	case AllToAll, AllToAllv:
-		s.hierAllToAllSeq(t)
-	case AllReduce:
-		s.hierAllReduceSeq(t)
-	case AllGather:
-		s.hierAllGatherSeq(t)
-	case ReduceScatter:
-		s.hierReduceScatterSeq(t)
-	default:
-		panic(fmt.Sprintf("prim: no hierarchical sequence for kind %v", s.Kind))
+// hierSeq builds the hierarchical plan's layouts, one per position, of
+// two or more (Spec.build).
+func (s Spec) hierSeq(q *Sequence, g NodeGrouping) {
+	q.lays = make([]layout, q.n)
+	for pos := range q.lays {
+		a := g.NodeOf[pos]
+		t := &tier{g: g, q: &q.lays[pos], pos: pos, node: a, group: g.Members[a], k: g.local[pos],
+			m: len(g.Members[a]), nodes: g.Nodes(), chunk: s.chunk()}
+		switch s.Kind {
+		case AllToAll, AllToAllv:
+			s.hierAllToAllSeq(t)
+		case AllReduce:
+			s.hierAllReduceSeq(t)
+		case AllGather:
+			s.hierAllGatherSeq(t)
+		case ReduceScatter:
+			s.hierReduceScatterSeq(t)
+		default:
+			panic(fmt.Sprintf("prim: no hierarchical sequence for kind %v", s.Kind))
+		}
 	}
 }
 
-// tier is one position's hierarchical sequence under construction: its
-// place in the node grouping and the plan it appends to, whose workLen
+// tier is one position's hierarchical layout under construction: its
+// place in the node grouping and the layout it appends to, whose workLen
 // is the allocation cursor. Its mesh and convoy stages are built from
 // one description that every member of the node reads, so the two ends
 // of each intra-node connector agree chunk for chunk by construction,
 // as the ring value makes them agree on the leader ring.
 type tier struct {
 	g NodeGrouping
-	q *Sequence
+	q *layout
 	// pos is the position, node its node, group the node's members
 	// (leader first), k its index in group, m the member count and
 	// nodes the node count.
@@ -162,12 +164,6 @@ type tier struct {
 	group       []int
 	k, m, nodes int
 	chunk       int
-}
-
-func (s Spec) newTier(q *Sequence, pos int, g NodeGrouping) *tier {
-	a := g.NodeOf[pos]
-	return &tier{g: g, q: q, pos: pos, node: a, group: g.Members[a], k: g.local[pos],
-		m: len(g.Members[a]), nodes: g.Nodes(), chunk: s.chunk()}
 }
 
 // alloc appends a segment of l elements at the end of the working buffer.
@@ -185,10 +181,11 @@ func (t *tier) view(r segRange) int {
 // segLen is the element length of segment seg.
 func (t *tier) segLen(seg int) int { return t.q.segs[seg].len() }
 
-// ring is the leader ring seen from this (leader) position, over the
-// node aggregates blk.
-func (t *tier) ring(blk []int) ring {
-	return ring{place: t.node, n: t.nodes, blk: blk, conn: t.g.ringIdx(t.pos), segs: t.q.segs}
+// ring is the leader ring running sc, seen from this (leader) position,
+// over the node aggregates blk. It reads block lengths from the segments
+// allocated so far: a layout allocates none after its ring stage.
+func (t *tier) ring(sc sched, blk []int) ring {
+	return ring{sched: sc, pinned: true, place: t.node, n: t.nodes, blk: blk, conn: t.g.ringIdx(t.pos), segs: t.q.segs}
 }
 
 // mesh adds the direct-exchange stages d = 1..m-1: at offset d each
@@ -251,8 +248,8 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 	// received in place into the recv buffer. Leaders take their
 	// cross-node final blocks from the inbound aggregates at the copy-out
 	// instead, so no action writes their cross-node final segments.
-	s.blocksInPlace(t.q, pos)
-	t.q.initCopyOwnSeg, t.q.work = initCopyInPlace, inScratch
+	t.q.segs = s.blocksInPlace(t.q.segs, pos)
+	t.q.initCopyOwnSeg, t.q.work, t.q.inPlace = initCopyInPlace, inScratch, n
 
 	// Leader-only staging, the whole scratch (a member has none): one
 	// contiguous aggregate per peer node, in (member, destination) order
@@ -352,10 +349,11 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 		// Inter-leader ring: the flat all-to-all schedule over the M×M
 		// aggregate matrix on the leader ring's endpoint.
 		if leader {
-			h := hops{place: a, n: M, conn: g.ringIdx(pos), blk: lring, counts: agg}
-			transit, moved := h.bounds()
+			h := t.ring(schedHops, lring)
+			h.counts = slices.Concat(agg...)
+			transit := h.transit(a)
 			lring[2*M], lring[2*M+1] = t.alloc(transit), t.alloc(transit)
-			t.q.stage("inter-ring", ceilDiv(moved, t.chunk)).hops = h
+			t.q.stage("inter-ring", ceilDiv(h.moved(), t.chunk)).ring = h
 		}
 		// Scatter-from-leader: one convoy per non-leader member; the
 		// leader sends each inbound cross-node block to its final
@@ -381,7 +379,7 @@ func (s Spec) hierAllToAllSeq(t *tier) {
 	// from the send buffer and a leader's cross-node blocks from the
 	// inbound aggregates; every other block (intra stage, and a
 	// non-leader's scatter stage) is already in place in recv.
-	copyOut := slices.Grow(t.q.copyOut, n)
+	copyOut := make([]int, 0, n)
 	for o := 0; o < n; o++ {
 		switch {
 		case o == pos:

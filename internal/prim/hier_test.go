@@ -308,17 +308,17 @@ func TestHierSingleNodeDegenerate(t *testing.T) {
 	g := GroupByNode(topo.Server3090(4), spec.Ranks)
 	for pos := 0; pos < 4; pos++ {
 		seq := spec.HierSequenceFor(pos, g)
-		if got, want := seq.NumStages(), 3; got != want {
+		if got, want := seq.NumStages(pos), 3; got != want {
 			t.Fatalf("pos %d: NumStages = %d, want %d (one intra stage per offset)", pos, got, want)
 		}
-		for _, st := range seq.Stages {
+		for _, st := range seq.Stages(pos) {
 			if st.Label != "intra" {
 				t.Fatalf("pos %d: unexpected %q stage on a single-node cluster", pos, st.Label)
 			}
 		}
 		// Rounds per offset d = ceil(max block at that offset / chunk):
 		// offsets carry max blocks 9, 33, 8 under chunk 8 -> 2+5+1.
-		if got, want := seq.TotalRounds(), 8; got != want {
+		if got, want := seq.TotalRounds(pos), 8; got != want {
 			t.Fatalf("pos %d: TotalRounds = %d, want %d", pos, got, want)
 		}
 	}
@@ -402,7 +402,7 @@ func TestHierPreemptAndResume(t *testing.T) {
 					case Done:
 						return
 					case Stuck:
-						stalled[px.Seq.Stages[px.Stage].Label] = true
+						stalled[px.Seq.Stages(px.Pos)[px.Stage].Label] = true
 						p.Sleep(40 * sim.Microsecond)
 					}
 				}

@@ -1,7 +1,5 @@
 package prim
 
-import "slices"
-
 // Hierarchical (topology-aware) reduction collectives: two-level
 // schedules for all-reduce, all-gather, and reduce-scatter over the
 // same NodeGrouping and hierarchical wiring as the hierarchical all-to-all
@@ -82,9 +80,7 @@ func (s Spec) hierAllReduceSeq(t *tier) {
 		for i := range inter {
 			inter[i] = t.view(evenSeg(C, t.nodes, i))
 		}
-		r := t.ring(inter)
-		st := t.q.stage("inter-ring", r.rounds(t.chunk))
-		st.actions = r.allReduce(st.actions)
+		t.q.ringStage("inter-ring", t.ring(schedAllReduce, inter), t.chunk)
 	}
 	// Broadcast: the leader fans the fully reduced vector out to its
 	// members.
@@ -100,8 +96,8 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 	g, pos, C := t.g, t.pos, s.Count
 	leaderLayout := t.k == 0 && t.nodes > 1
 	// blkOf[p] is the seg index of ring position p's block: the leader
-	// layout's copy-out, so it is built in the plan's copy-out array.
-	blkOf := slices.Grow(t.q.copyOut, s.N())[:s.N()]
+	// layout's copy-out.
+	blkOf := make([]int, s.N())
 	agg := make([]int, t.nodes) // leader layout: node x's contiguous aggregate
 	if leaderLayout {
 		t.q.work = inScratch
@@ -125,9 +121,7 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 		// Ring all-gather of per-node aggregates between the leaders:
 		// the flat all-gather schedule on the leader ring's endpoint.
 		if leaderLayout {
-			r := t.ring(agg)
-			st := t.q.stage("inter-ring", r.rounds(t.chunk))
-			st.actions = r.allGather(st.actions)
+			t.q.ringStage("inter-ring", t.ring(schedAllGather, agg), t.chunk)
 		}
 		// Scatter: the leader forwards every cross-node block to each of
 		// its members, in the canonical cross-node order.
@@ -153,9 +147,8 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 func (s Spec) hierReduceScatterSeq(t *tier) {
 	g, pos, n, leader := t.g, t.pos, s.N(), t.k == 0
 	t.q.work = inScratch
-	// nat is the natural-layout view of position p's segment, built in
-	// the plan's copy-out array, which ends up holding one of them.
-	nat := slices.Grow(t.q.copyOut, n)[:n]
+	// nat is the natural-layout view of position p's segment.
+	nat := make([]int, n)
 	for p := range nat {
 		nat[p] = t.alloc(evenSeg(s.Count, n, p).len())
 	}
@@ -168,7 +161,7 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 		// peers' copies of its own.
 		t.mesh("intra-rs", func(int) int { return rounds }, true, func(to, _ int) (int, int) { return nat[to], nat[pos] })
 		t.q.initCopyOwnSeg = initCopyWhole
-		t.q.copyOut = append(nat[:0], nat[pos])
+		t.q.copyOut = []int{nat[pos]}
 		return
 	}
 
@@ -227,9 +220,7 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 	// flat reduce-scatter schedule (node a finishes holding aggregate a)
 	// on the leader ring's endpoint.
 	if leader {
-		r := t.ring(agg)
-		st := t.q.stage("inter-ring", r.rounds(t.chunk))
-		st.actions = r.reduceScatter(st.actions)
+		t.q.ringStage("inter-ring", t.ring(schedReduceScatter, agg), t.chunk)
 	}
 	// Scatter: the leader returns each member's fully reduced output
 	// segment from the permuted layout.
@@ -238,5 +229,5 @@ func (s Spec) hierReduceScatterSeq(t *tier) {
 	if leader {
 		t.q.initCopyOwnSeg = initCopyPrefix
 	}
-	t.q.copyOut = append(nat[:0], held[pos])
+	t.q.copyOut = []int{held[pos]}
 }

@@ -187,10 +187,10 @@ func TestHierCollSingleNodeDegenerate(t *testing.T) {
 		g := GroupByNode(cluster, spec.Ranks)
 		for pos := 0; pos < 4; pos++ {
 			seq := spec.HierSequenceFor(pos, g)
-			if got, want := seq.NumStages(), len(tc.wantLabels); got != want {
+			if got, want := seq.NumStages(pos), len(tc.wantLabels); got != want {
 				t.Fatalf("%v pos %d: NumStages = %d, want %d", tc.kind, pos, got, want)
 			}
-			for i, st := range seq.Stages {
+			for i, st := range seq.Stages(pos) {
 				if st.Label != tc.wantLabels[i] {
 					t.Fatalf("%v pos %d: stage %d = %q, want %q", tc.kind, pos, i, st.Label, tc.wantLabels[i])
 				}
@@ -218,9 +218,9 @@ func TestHierCollOneRank(t *testing.T) {
 		}
 		g := GroupByNode(cluster, spec.Ranks)
 		seq := spec.HierSequenceFor(0, g)
-		if seq.NumPrimitives() != 0 || seq.TotalRounds() != 1 {
+		if seq.NumPrimitives(0) != 0 || seq.TotalRounds(0) != 1 {
 			t.Fatalf("%v: 1-rank sequence has %d primitives over %d rounds, want 0 over 1",
-				kind, seq.NumPrimitives(), seq.TotalRounds())
+				kind, seq.NumPrimitives(0), seq.TotalRounds(0))
 		}
 		recv, execs := runHier(t, cluster, spec, fillColl)
 		checkColl(t, fmt.Sprint(kind), spec, 0, recv[0])

@@ -12,8 +12,9 @@ import (
 )
 
 // checkPeers builds every position's TimingOnly executor over one wiring
-// (a Wirings, which builds the ring or the hierarchical fabric)
-// and checks that the sequences agree where they meet: for each
+// (a Wirings, which builds the ring or the hierarchical fabric), checks
+// that they all read one plan, built once, and that the positions agree
+// where they meet: for each
 // connector, the ordered chunk lengths its writer sends (stages × rounds ×
 // actions) equal the ones its reader receives. It also checks that every
 // action's bounds lie inside its segments, that no action writes a
@@ -23,47 +24,54 @@ import (
 // (checkHops).
 func checkPeers(c *topo.Cluster, spec Spec) error {
 	spec = spec.Timing()
-	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "peers")
+	ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "peers")
 	sent := map[*mem.Connector][]int{}
 	recvd := map[*mem.Connector][]int{}
+	var seq *Sequence
 	for pos := range spec.Ranks {
 		x := ws.ExecutorFor(c, spec, pos, nil, nil)
-		seq := x.Seq
-		fits := func(seg, elems int) bool { return elems >= 0 && elems <= seq.segs[seg].len() }
-		for si := range seq.Stages {
-			st := &seq.Stages[si]
+		if pos == 0 {
+			seq = x.Seq
+		} else if x.Seq != seq {
+			return fmt.Errorf("pos %d reads a plan of its own", pos)
+		}
+		segs := segsOf(seq, pos)
+		fits := func(seg, elems int) bool { return elems >= 0 && elems <= segs[seg].len() }
+		stages := seq.Stages(pos)
+		for si := range stages {
+			st := &stages[si]
 			for ai := range st.Len() {
-				a := st.Action(ai)
+				a := st.Action(pos, ai)
 				if a.HasSend() && !fits(a.SendSeg, a.SendElems) || a.HasRecv() && !fits(a.RecvSeg, a.RecvElems) ||
 					a.LocalCopy && !fits(a.RecvSeg, a.SendElems) {
 					return fmt.Errorf("pos %d stage %d action %d %v: bounds %d/%d exceed segments %v/%v",
-						pos, si, ai, a, a.SendElems, a.RecvElems, seq.segs[max(a.SendSeg, 0)], seq.segs[max(a.RecvSeg, 0)])
+						pos, si, ai, a, a.SendElems, a.RecvElems, segs[max(a.SendSeg, 0)], segs[max(a.RecvSeg, 0)])
 				}
-				if a.HasRecv() && seq.home(a.RecvSeg) == inSend {
-					return fmt.Errorf("pos %d stage %d action %d %v writes segment %v of the send buffer", pos, si, ai, a, seq.segs[a.RecvSeg])
+				if a.HasRecv() && x.home(a.RecvSeg) == inSend {
+					return fmt.Errorf("pos %d stage %d action %d %v writes segment %v of the send buffer", pos, si, ai, a, segs[a.RecvSeg])
 				}
 			}
 			for r := 0; r < st.Rounds; r++ {
 				for k := range st.Len() {
-					a := st.Action(k)
+					a := st.Action(pos, k)
 					if a.LocalCopy {
 						continue
 					}
 					if a.HasSend() {
 						out := x.Outs[a.SendConn]
-						sent[out] = append(sent[out], seq.sendSlice(a, r).len())
+						sent[out] = append(sent[out], x.slice(a.SendSeg, r, a.SendElems).len())
 					}
 					if a.HasRecv() {
 						in := x.Ins[a.RecvConn]
-						recvd[in] = append(recvd[in], seq.recvSlice(a, r).len())
+						recvd[in] = append(recvd[in], x.slice(a.RecvSeg, r, a.RecvElems).len())
 					}
 				}
 			}
 		}
-		if err := checkBuffers(spec, pos, seq); err != nil {
+		if err := checkBuffers(spec, x); err != nil {
 			return err
 		}
-		if err := checkHops(seq, rand.New(rand.NewSource(int64(pos)))); err != nil {
+		if err := checkHops(seq, pos, rand.New(rand.NewSource(int64(pos)))); err != nil {
 			return fmt.Errorf("pos %d: %v", pos, err)
 		}
 	}
@@ -91,32 +99,35 @@ func requirePeers(t *testing.T, name string, c *topo.Cluster, spec Spec) {
 	}
 }
 
-// checkBuffers checks that position pos's segments, init copy and
+// checkBuffers checks that executor x's segments, init copy and
 // copy-out fit the send and recv buffers BufferCountsFor sizes and the
 // plan's working buffer: the recv buffer, whose length workLen then is,
 // or a scratch of workLen elements. A seeded plan's seeds tile [0,
 // sendCount) exactly, in segment order, each as long as its segment, and
 // its init copy moves one segment's seed; a copy-out of a recv segment
 // names one already in place.
-func checkBuffers(spec Spec, pos int, seq *Sequence) error {
+func checkBuffers(spec Spec, x *Executor) error {
+	pos, seq := x.Pos, x.Seq
 	sendCount, recvCount := BufferCountsFor(spec, pos)
-	if seq.work == inRecv && seq.workLen != recvCount {
-		return fmt.Errorf("pos %d: a %d-element working buffer in a %d-element recv buffer", pos, seq.workLen, recvCount)
+	segs, work, workLen := segsOf(seq, pos), seq.work(pos), seq.workLen(pos)
+	if work == inRecv && workLen != recvCount {
+		return fmt.Errorf("pos %d: a %d-element working buffer in a %d-element recv buffer", pos, workLen, recvCount)
 	}
-	for i, sr := range seq.segs {
-		size := [...]int{inSend: sendCount, inRecv: recvCount, inScratch: seq.workLen}[seq.home(i)]
+	for i, sr := range segs {
+		size := [...]int{inSend: sendCount, inRecv: recvCount, inScratch: workLen}[x.home(i)]
 		if sr.Lo < 0 || sr.Lo > sr.Hi || sr.Hi > size {
-			return fmt.Errorf("pos %d: segment %d %v outside its %d-element buffer %d", pos, i, sr, size, seq.home(i))
+			return fmt.Errorf("pos %d: segment %d %v outside its %d-element buffer %d", pos, i, sr, size, x.home(i))
 		}
 	}
 	own := sendCount // what the init copy moves
+	ownSeg := seq.ownSeg(pos)
 	if seq.seeded {
-		if seq.work != inRecv || seq.initCopyOwnSeg < 0 {
-			return fmt.Errorf("pos %d: seeded plan with working buffer %d, init copy %d", pos, seq.work, seq.initCopyOwnSeg)
+		if work != inRecv || ownSeg < 0 {
+			return fmt.Errorf("pos %d: seeded plan with working buffer %d, init copy %d", pos, work, ownSeg)
 		}
 		end := 0
-		for i, sr := range seq.segs {
-			sd := seq.seed(i)
+		for i, sr := range segs {
+			sd := seq.seed(pos, i)
 			if sd.Lo != end || sd.len() != sr.len() {
 				return fmt.Errorf("pos %d: seed %d is %v after %d, segment %v", pos, i, sd, end, sr)
 			}
@@ -125,25 +136,26 @@ func checkBuffers(spec Spec, pos int, seq *Sequence) error {
 		if end != sendCount {
 			return fmt.Errorf("pos %d: seeds cover %d of a %d-element send buffer", pos, end, sendCount)
 		}
-		own = seq.seed(seq.initCopyOwnSeg).len()
+		own = seq.seed(pos, ownSeg).len()
 	}
-	switch ic := seq.initCopyOwnSeg; {
-	case ic == initCopyWhole && seq.workLen != sendCount,
-		ic == initCopyPrefix && seq.workLen < sendCount,
-		ic >= 0 && seq.segs[ic].len() != own:
+	switch ic := ownSeg; {
+	case ic == initCopyWhole && workLen != sendCount,
+		ic == initCopyPrefix && workLen < sendCount,
+		ic >= 0 && segs[ic].len() != own:
 		return fmt.Errorf("pos %d: init copy %d of a %d-element send buffer into a %d-element working buffer",
-			pos, ic, sendCount, seq.workLen)
+			pos, ic, sendCount, workLen)
 	}
-	out := seq.workLen
-	if len(seq.copyOut) > 0 {
+	out := workLen
+	if outs := seq.outs(pos); outs > 0 {
 		out = 0
-		for _, sg := range seq.copyOut {
-			if sr := seq.segs[sg]; seq.home(sg) == inRecv && sr.Lo != out {
+		for i := range outs {
+			sg := seq.out(pos, i)
+			if sr := segs[sg]; x.home(sg) == inRecv && sr.Lo != out {
 				return fmt.Errorf("pos %d: copy-out of segment %v onto recv element %d of the same buffer", pos, sr, out)
 			}
-			out += seq.segs[sg].len()
+			out += segs[sg].len()
 		}
-	} else if seq.work == inScratch {
+	} else if work == inScratch {
 		return nil // the result stays in scratch (a reduce's non-root)
 	}
 	if out != recvCount {

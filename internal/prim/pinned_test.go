@@ -10,21 +10,28 @@ import (
 	"dfccl/internal/topo"
 )
 
-// pinnedSchedules is the FNV-64a hash of every sequence schedulesHash
-// builds. It changes only when a builder changes a schedule: after a
+// pinnedSchedules is the FNV-64a hash of every position's plan
+// schedulesHash renders. It changes only when a builder changes a schedule: after a
 // deliberate schedule change, re-record it from the failure message.
 const pinnedSchedules = 0xf918d2c02b1eed2e
 
-// schedulesHash builds, over a grid of trials seeded rank sets per shape, every position's Sequence for
-// all seven kinds on the ring and (where supported) hierarchically, and
-// hashes their listed rendering. The grid spans 1–4 nodes × 1–4 GPUs, seeded rank
-// subsets in seeded order, Count 0–299 (reduce-scatter rounded down to a
-// multiple of N), chunk 0–39 (0: the default) and all-to-all-v matrices
-// with zero entries. It returns the hash and the sequence count.
-func schedulesHash(seed int64, trials int) (uint64, int) {
-	h := fnv.New64a()
+// pinnedPlans is the same hash over the %#v rendering, which spells out
+// every field of every action — element bounds and endpoints too, which
+// Action.String, and so pinnedSchedules, leaves out. It was recorded from
+// the per-position plans before plans were shared.
+const pinnedPlans = 0x72508156b2adc134
+
+// schedulesHash builds, over a grid of trials seeded rank sets per shape,
+// the plan of all seven kinds on the ring and (where supported)
+// hierarchically, and hashes its listed rendering at every position, in
+// %+v (schedules) and %#v (plans). The grid spans 1–4 nodes × 1–4 GPUs,
+// seeded rank subsets in seeded order, Count 0–299 (reduce-scatter
+// rounded down to a multiple of N), chunk 0–39 (0: the default) and
+// all-to-all-v matrices with zero entries. It returns the two hashes and
+// the count of positions rendered.
+func schedulesHash(seed int64, trials int) (schedules, plans uint64, built int) {
+	h, hp := fnv.New64a(), fnv.New64a()
 	rng := rand.New(rand.NewSource(seed))
-	built := 0
 	for nodes := 1; nodes <= 4; nodes++ {
 		for gpus := 1; gpus <= 4; gpus++ {
 			c := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
@@ -55,14 +62,16 @@ func schedulesHash(seed int64, trials int) (uint64, int) {
 						if spec.Validate() != nil {
 							continue
 						}
+						var seq *Sequence
+						if algo == AlgoHierarchical {
+							seq = spec.HierSequenceFor(0, g)
+						} else {
+							seq = spec.SequenceFor(0)
+						}
 						for pos := range ranks {
-							var seq *Sequence
-							if algo == AlgoHierarchical {
-								seq = spec.HierSequenceFor(pos, g)
-							} else {
-								seq = spec.SequenceFor(pos)
-							}
-							fmt.Fprintf(h, "%v %v %d: %+v\n", kind, algo, pos, listed(seq))
+							lp := listed(seq, pos)
+							fmt.Fprintf(h, "%v %v %d: %+v\n", kind, algo, pos, lp)
+							fmt.Fprintf(hp, "%v %v %d: %#v\n", kind, algo, pos, lp)
 							built++
 						}
 					}
@@ -70,13 +79,15 @@ func schedulesHash(seed int64, trials int) (uint64, int) {
 			}
 		}
 	}
-	return h.Sum64(), built
+	return h.Sum64(), hp.Sum64(), built
 }
 
-// listedPlan is a Sequence with every stage's actions listed, generated
-// ones included: its %+v renders a plan as the Sequence's own %+v did
-// when every stage was a list, so the pinned hash spans both forms. Its
-// fields mirror Sequence's, in order.
+// listedPlan is one position's plan with every stage's actions listed,
+// generated ones included, and the position rules applied: its %+v
+// renders a plan as a per-position Sequence's own %+v did when every
+// plan was one position's and every stage a list, so the pinned hash
+// spans both forms and holds every position's actions, segments, init
+// copy and copy-out to what the per-position plans had.
 type listedPlan struct {
 	Stages         []listedStage
 	segs           []segRange
@@ -95,41 +106,81 @@ type listedStage struct {
 	Rounds  int
 }
 
-func listed(q *Sequence) *listedPlan {
-	p := &listedPlan{Stages: []listedStage{}, segs: q.segs, chunkElems: q.chunkElems, workLen: q.workLen,
-		initCopyOwnSeg: q.initCopyOwnSeg, work: q.work, inPlace: q.inPlace, seeded: q.seeded, copyOut: q.copyOut}
-	for i := range q.Stages {
-		st := &q.Stages[i]
+// segsOf lists position pos's segments of plan q, a flat all-to-all-v's
+// computed (countedSeg).
+func segsOf(q *Sequence, pos int) []segRange {
+	if segs := q.lay(pos).segs; segs != nil {
+		return segs
+	}
+	segs := make([]segRange, 2*q.n+2)
+	for i := range segs {
+		segs[i] = q.countedSeg(pos, i)
+	}
+	return segs
+}
+
+// listed projects plan q at position pos: its layout, with the segments,
+// working length, init copy, working buffer and copy-out read through
+// their accessors (segsOf, workLen, ownSeg, work, outs and out) and the
+// stages through Stage.Action.
+func listed(q *Sequence, pos int) *listedPlan {
+	p := &listedPlan{Stages: []listedStage{}, segs: segsOf(q, pos), chunkElems: q.chunkElems, workLen: q.workLen(pos),
+		initCopyOwnSeg: q.ownSeg(pos), work: q.work(pos), inPlace: q.lay(pos).inPlace, seeded: q.seeded, copyOut: []int{}}
+	for i := range q.outs(pos) {
+		p.copyOut = append(p.copyOut, q.out(pos, i))
+	}
+	stages := q.Stages(pos)
+	for i := range stages {
+		st := &stages[i]
 		acts := []Action{}
 		for k := range st.Len() {
-			acts = append(acts, st.Action(k))
+			acts = append(acts, st.Action(pos, k))
 		}
 		p.Stages = append(p.Stages, listedStage{st.Label, acts, st.Rounds})
 	}
 	return p
 }
 
-// TestListedPlanMirrorsSequence keeps listedPlan in step with Sequence:
-// a field added to one and not the other would drop out of the hash.
+// TestListedPlanMirrorsSequence keeps listed in step with what a position
+// reads of a plan: listedPlan has a field for every field of layout and
+// every field of Sequence but the shape the plan serves and where it
+// keeps its layouts and the all-to-all-v's transit lengths, and no
+// other. A field added to either and not projected would drop out of the
+// hash; the fields a position rule rewrites (segs, workLen,
+// initCopyOwnSeg, work, copyOut) listed reads through their accessors.
 func TestListedPlanMirrorsSequence(t *testing.T) {
-	seq, lp := reflect.TypeOf(Sequence{}), reflect.TypeOf(listedPlan{})
-	if seq.NumField() != lp.NumField() {
-		t.Fatalf("Sequence has %d fields, listedPlan %d", seq.NumField(), lp.NumField())
+	shape := map[string]bool{"kind": true, "algo": true, "n": true, "count": true, "root": true, "counts": true,
+		"transit": true, "lays": true, "one": true, "stage": true}
+	want := map[string]bool{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(layout{}), reflect.TypeOf(Sequence{})} {
+		for i := range typ.NumField() {
+			if name := typ.Field(i).Name; !shape[name] {
+				want[name] = true
+			}
+		}
 	}
-	for i := range seq.NumField() {
-		if seq.Field(i).Name != lp.Field(i).Name {
-			t.Fatalf("field %d: Sequence.%s, listedPlan.%s", i, seq.Field(i).Name, lp.Field(i).Name)
+	lp := reflect.TypeOf(listedPlan{})
+	if lp.NumField() != len(want) {
+		t.Fatalf("listedPlan has %d fields, a position reads %d: %v", lp.NumField(), len(want), want)
+	}
+	for i := range lp.NumField() {
+		if name := lp.Field(i).Name; !want[name] {
+			t.Fatalf("listedPlan.%s is no field of layout or Sequence", name)
 		}
 	}
 }
 
-// TestSchedulesPinned holds every built schedule to the recorded hash:
+// TestSchedulesPinned holds every built schedule to the recorded hashes:
 // checkPeers proves that the two ends of each connector agree, this
 // proves that the schedule itself did not move.
 func TestSchedulesPinned(t *testing.T) {
-	got, built := schedulesHash(30, 20)
+	got, gotPlans, built := schedulesHash(30, 20)
 	if got != pinnedSchedules {
 		t.Fatalf("%d sequences hash to %#x, pinned %#x: a builder changed a schedule "+
 			"(if deliberately, set pinnedSchedules to %#x)", built, got, uint64(pinnedSchedules), got)
+	}
+	if gotPlans != pinnedPlans {
+		t.Fatalf("%d sequences' fields hash to %#x, pinned %#x: a builder changed an action's bounds or endpoints "+
+			"(if deliberately, set pinnedPlans to %#x)", built, gotPlans, uint64(pinnedPlans), gotPlans)
 	}
 }

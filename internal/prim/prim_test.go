@@ -219,15 +219,15 @@ func TestPrimitiveCounts(t *testing.T) {
 	spec := Spec{Kind: AllReduce, Count: 1 << 20, Type: mem.Float32, Op: mem.Sum,
 		Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}, ChunkElems: 32768}
 	seq := spec.SequenceFor(0)
-	if got := seq.Stages[0].Len(); got != 14 { // 2*(8-1)
+	if got := seq.Stages(0)[0].Len(); got != 14 { // 2*(8-1)
 		t.Fatalf("actions = %d, want 14", got)
 	}
 	// 1M elems / 8 segs = 131072 per seg; 131072/32768 = 4 rounds.
-	if seq.TotalRounds() != 4 {
-		t.Fatalf("rounds = %d, want 4", seq.TotalRounds())
+	if seq.TotalRounds(0) != 4 {
+		t.Fatalf("rounds = %d, want 4", seq.TotalRounds(0))
 	}
-	if seq.NumPrimitives() != 56 {
-		t.Fatalf("prims = %d, want 56", seq.NumPrimitives())
+	if seq.NumPrimitives(0) != 56 {
+		t.Fatalf("prims = %d, want 56", seq.NumPrimitives(0))
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dfccl/internal/fabric"
 	"dfccl/internal/mem"
+	"dfccl/internal/sim"
 	"dfccl/internal/topo"
 )
 
@@ -55,7 +58,7 @@ func rebuildCorpus(c *topo.Cluster) []plan {
 					if chunk == 3 {
 						pos = n - 1 // a member, for n > 2
 					}
-					plans = append(plans, plan{spec, NewWirings(new(mem.Chunks), fabric.Unshared(c), "rebuild"), pos})
+					plans = append(plans, plan{spec, NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "rebuild"), pos})
 				}
 			}
 		}
@@ -65,10 +68,9 @@ func rebuildCorpus(c *topo.Cluster) []plan {
 
 // TestRebuildMatchesFresh holds the in-place rebuild, over every ordered
 // pair (A, B) of the corpus, to a fresh build of B: A's used executor
-// rebuilt as B's is B's new executor. Its plan, built over A's, is
-// reflect.DeepEqual to B's built over an empty Sequence, and its scratch
-// holds what a new one holds: zeroes, or, for a scratch the init copy
-// overwrites whole, none or any bytes of the right length.
+// rebuilt as B's is B's new executor. It reads the very plan B's reads,
+// and its scratch holds what a new one holds: zeroes, or, for a scratch
+// the init copy overwrites whole, none or any bytes of the right length.
 func TestRebuildMatchesFresh(t *testing.T) {
 	c := topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
 	plans := rebuildCorpus(c)
@@ -87,8 +89,8 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			x.Stage, x.Round, x.Step, x.Phase, x.Initialized = 1, 2, 3, 1, true
 			x.PrimsExecuted, x.SpinAborts, x.BytesSent, x.BytesSentBy = 4, 5, 6, TransportBytes{7, 8, 9}
 			x.AbortCheck, x.RecColl, x.Job = func() bool { return true }, 10, 11
-			if x.Seq.work == inScratch && x.scratch == nil {
-				x.scratch = mem.NewBuffer(a.spec.Type, x.Seq.workLen) // as the first run's init copy leaves it
+			if x.Seq.work(a.pos) == inScratch && x.scratch == nil {
+				x.scratch = mem.NewBuffer(a.spec.Type, x.Seq.workLen(a.pos)) // as the first run's init copy leaves it
 			}
 			if x.scratch != nil {
 				for i := range x.scratch.Bytes() {
@@ -96,18 +98,18 @@ func TestRebuildMatchesFresh(t *testing.T) {
 				}
 			}
 			b.ws.Rebuild(x, c, b.spec, b.pos)
-			if !reflect.DeepEqual(x.Seq, fresh.Seq) {
-				t.Fatalf("%v built over %v:\n got %+v\nwant %+v", b, a, x.Seq, fresh.Seq)
+			if x.Seq != fresh.Seq {
+				t.Fatalf("%v built over %v reads a plan of its own", b, a)
 			}
-			if x.scratch != nil && fresh.Seq.work == inScratch && !fresh.Spec.TimingOnly {
+			if x.scratch != nil && fresh.Seq.work(b.pos) == inScratch && !fresh.Spec.TimingOnly {
 				rebuilt++
 				switch {
 				case fresh.scratch != nil && (x.scratch.Type != fresh.scratch.Type || !bytes.Equal(x.scratch.Bytes(), fresh.scratch.Bytes())):
 					t.Fatalf("%v over %v: scratch %v %d bytes, want cleared %v %d bytes", b, a,
 						x.scratch.Type, len(x.scratch.Bytes()), fresh.scratch.Type, len(fresh.scratch.Bytes()))
-				case fresh.scratch == nil && (x.scratch.Type != b.spec.Type || x.scratch.Len() != fresh.Seq.workLen):
+				case fresh.scratch == nil && (x.scratch.Type != b.spec.Type || x.scratch.Len() != fresh.Seq.workLen(b.pos)):
 					t.Fatalf("%v over %v: scratch %v × %d, want %v × %d for the init copy", b, a,
-						x.scratch.Type, x.scratch.Len(), b.spec.Type, fresh.Seq.workLen)
+						x.scratch.Type, x.scratch.Len(), b.spec.Type, fresh.Seq.workLen(b.pos))
 				}
 			}
 			got, wantX := *x, *fresh
@@ -119,5 +121,165 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	}
 	if rebuilt == 0 {
 		t.Fatal("no pair rebuilt a scratch buffer")
+	}
+}
+
+// render is plan q's listed rendering at every position.
+func render(q *Sequence) string {
+	var b strings.Builder
+	for pos := range q.n {
+		fmt.Fprintf(&b, "%d: %#v\n", pos, listed(q, pos))
+	}
+	return b.String()
+}
+
+// TestPlansAreNeverRewritten: a plan, once built, is read and never
+// written. On one Wirings, every position's executors are built for a
+// spec A, then — while they have not run yet, as an earlier launch's may
+// still be running — for a spec B of another shape, then for A again;
+// all of them run to Done with exact results. A's plan renders byte for
+// byte as it did before B's plan was built and before anything ran;
+// every position of a spec
+// reads one plan; a reopen of the same shape reads the plan the wiring
+// keeps, and one of another shape, or over a changed count matrix, a
+// plan of its own.
+func TestPlansAreNeverRewritten(t *testing.T) {
+	c := topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
+	ranks := []int{0, 4, 1, 5, 2, 6, 3, 7}
+	coll := func(kind Kind, count int, algo Algorithm) Spec {
+		return Spec{Kind: kind, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, ChunkElems: 5, Algo: algo}
+	}
+	countsA := [][]int{{0, 3, 1, 4, 1, 5, 9, 2}, {6, 5, 3, 5, 8, 9, 7, 9}, {3, 2, 3, 8, 4, 6, 2, 6}, {4, 3, 3, 8, 3, 2, 7, 9},
+		{5, 0, 2, 8, 8, 4, 1, 9}, {7, 1, 6, 9, 3, 9, 9, 3}, {7, 5, 1, 0, 5, 8, 2, 0}, {9, 7, 4, 9, 4, 4, 5, 9}}
+	countsB := [][]int{{2, 7, 1, 8, 2, 8, 1, 8}, {2, 8, 4, 5, 9, 0, 4, 5}, {2, 3, 5, 3, 6, 0, 2, 8}, {7, 4, 7, 1, 3, 5, 2, 6},
+		{6, 2, 4, 9, 7, 7, 5, 7}, {2, 4, 7, 0, 9, 3, 6, 9}, {9, 9, 5, 9, 5, 7, 4, 9}, {6, 6, 9, 6, 7, 6, 2, 7}}
+	for _, tc := range []struct{ a, b Spec }{
+		{coll(AllReduce, 24, AlgoRing), coll(AllReduce, 40, AlgoRing)},
+		{coll(ReduceScatter, 48, AlgoRing), coll(AllGather, 7, AlgoRing)},
+		{coll(AllReduce, 24, AlgoHierarchical), coll(ReduceScatter, 32, AlgoHierarchical)},
+		{coll(AllGather, 6, AlgoHierarchical), coll(AllGather, 9, AlgoHierarchical)},
+		{vSpec(countsA, 4), vSpec(countsB, 4)},
+		{hierSpec(countsA, 4), hierSpec(countsB, 4)},
+	} {
+		a, b := tc.a, tc.b
+		a.Ranks, b.Ranks = ranks, ranks
+		if a.Counts != nil { // this test changes it
+			a.Counts = slices.Clone(a.Counts)
+			for i := range a.Counts {
+				a.Counts[i] = slices.Clone(a.Counts[i])
+			}
+		}
+		name := fmt.Sprintf("%v/%v -> %v", a.Kind, a.Algo, b.Kind)
+		ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "immut")
+		var runs [][]*Executor
+		var recvs [][]*mem.Buffer
+		open := func(spec Spec) *Sequence {
+			execs := make([]*Executor, spec.N())
+			bufs := make([]*mem.Buffer, spec.N())
+			for pos := range execs {
+				sendCount, recvCount := BufferCountsFor(spec, pos)
+				send := mem.NewBuffer(spec.Type, sendCount)
+				if spec.Kind == AllToAllv {
+					fillV(spec.Counts, pos, send)
+				} else {
+					fillColl(pos, send)
+				}
+				bufs[pos] = mem.NewBuffer(spec.Type, recvCount)
+				execs[pos] = ws.ExecutorFor(c, spec, pos, send, bufs[pos])
+				if execs[pos].Seq != execs[0].Seq {
+					t.Fatalf("%s: position %d of %v reads a plan of its own", name, pos, spec.Kind)
+				}
+			}
+			runs, recvs = append(runs, execs), append(recvs, bufs)
+			return execs[0].Seq
+		}
+		planA := open(a)
+		before := render(planA)
+		if again := open(a); again != planA {
+			t.Fatalf("%s: a same-shape reopen built a plan of its own", name)
+		}
+		planB := open(b)
+		if planB == planA {
+			t.Fatalf("%s: B reads A's plan", name)
+		}
+		if open(a) == planA {
+			t.Fatalf("%s: the wiring kept A's plan across B's", name)
+		}
+		for i, execs := range runs {
+			e := sim.NewEngine()
+			for _, x := range execs {
+				e.Spawn("rank", func(p *sim.Process) {
+					for x.StepOnce(p, -1) != Done {
+					}
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatalf("%s: run %d: %v", name, i, err)
+			}
+			for pos, recv := range recvs[i] {
+				switch spec := execs[0].Spec; {
+				case spec.Kind != AllToAllv:
+					checkColl(t, name, spec, pos, recv)
+				case i == 2:
+					checkV(t, countsB, pos, recv)
+				default:
+					checkV(t, countsA, pos, recv)
+				}
+			}
+		}
+		if a.Counts != nil {
+			// Closed, a collective's count matrix is the caller's again: a
+			// plan keeps a copy of its own, so the change shows in no plan,
+			// and a reopen over the changed matrix gets a new one.
+			planA = runs[3][0].Seq
+			a.Counts[1][2]++
+			if ws.ExecutorFor(c, a, 0, nil, nil).Seq == planA {
+				t.Fatalf("%s: a reopen over a changed count matrix read the old plan", name)
+			}
+		}
+		if after := render(runs[0][0].Seq); after != before {
+			t.Fatalf("%s: A's plan changed:\nbefore %s\nafter  %s", name, before, after)
+		}
+	}
+}
+
+// TestPlansHoldWhatWiringsHold: Wirings sharing one Plans share the plan
+// of a flat shape across communicators, and the registry holds a plan
+// exactly while some wiring does — no more plans than wirings.
+func TestPlansHoldWhatWiringsHold(t *testing.T) {
+	c := topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
+	plans := new(Plans)
+	ws := []*Wirings{
+		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "a"),
+		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "b"),
+	}
+	a := Spec{Kind: AllReduce, Count: 24, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 4, 1, 5}}
+	b := Spec{Kind: AllToAllv, Type: mem.Float32, Ranks: []int{5, 1, 4, 0}, Counts: [][]int{{1, 2, 0, 3}, {4, 0, 5, 6}, {0, 7, 8, 9}, {1, 0, 2, 0}}}
+	plan := func(w *Wirings, s Spec) *Sequence { return w.ExecutorFor(c, s, 1, nil, nil).Seq }
+	for _, step := range []struct {
+		w       int
+		s       Spec
+		same    int // the wiring whose plan it must read, or -1 for a new one
+		holding int
+	}{
+		{0, a, -1, 1},
+		{1, a, 0, 1}, // another communicator, the same shape: the same plan
+		{0, b, -1, 2},
+		{1, b, 0, 1}, // a reverses rank order: a flat plan knows none
+		{1, a, -1, 2},
+	} {
+		var want, other *Sequence
+		if step.same >= 0 {
+			want = ws[step.same].ring.plan
+		}
+		if r := ws[1-step.w].ring; r != nil {
+			other = r.plan
+		}
+		if got := plan(ws[step.w], step.s); want != nil && got != want || want == nil && got == other {
+			t.Fatalf("%v on wirings %d: plan %p, the other wirings' %p, want theirs: %t", step.s.Kind, step.w, got, other, want != nil)
+		}
+		if len(plans.held) != step.holding {
+			t.Fatalf("%v on wirings %d: registry holds %d plans, want %d", step.s.Kind, step.w, len(plans.held), step.holding)
+		}
 	}
 }

@@ -66,7 +66,7 @@ func TestBackedUpRingsShareOnePool(t *testing.T) {
 	spec := backedUpSpec
 	net := fabric.Unshared(topo.Server3090(spec.N()))
 	run := func(pa, pb *mem.Chunks) backedUp {
-		return runBackedUp(t, spec, NewWirings(pa, net, "a").wiringFor(spec), NewWirings(pb, net, "b").wiringFor(spec))
+		return runBackedUp(t, spec, NewWirings(pa, new(Plans), net, "a").wiringFor(spec), NewWirings(pb, new(Plans), net, "b").wiringFor(spec))
 	}
 	shared, ownA, ownB := new(mem.Chunks), new(mem.Chunks), new(mem.Chunks)
 	r := run(shared, shared)
@@ -162,7 +162,7 @@ func runBackedUp(t *testing.T, spec Spec, rings ...*Wiring) backedUp {
 func TestPooledWiringServesLargerChunks(t *testing.T) {
 	const n = 4
 	c := topo.Server3090(n)
-	ws := NewWirings(new(mem.Chunks), fabric.Unshared(c), "t")
+	ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "t")
 	fill, want := sumPattern(n, 0)
 	var first *Wiring
 	for _, sz := range []struct{ count, chunk int }{{64, 4}, {4096, 512}, {100, 7}, {4096, 1024}} {
@@ -232,8 +232,8 @@ func TestScratchStartsAsTheInitCopy(t *testing.T) {
 	execs := make([]*Executor, n)
 	for i := range execs {
 		execs[i] = ring.ExecutorFor(c, spec, i, nil, nil)
-		if (execs[i].Seq.work == inScratch) != (i != root) || execs[i].scratch != nil {
-			t.Fatalf("pos %d: working buffer %d, scratch allocated %t before the first run", i, execs[i].Seq.work, execs[i].scratch != nil)
+		if work := execs[i].Seq.work(i); (work == inScratch) != (i != root) || execs[i].scratch != nil {
+			t.Fatalf("pos %d: working buffer %d, scratch allocated %t before the first run", i, work, execs[i].scratch != nil)
 		}
 	}
 	run := func(shift, sendCount int) error {
@@ -258,7 +258,7 @@ func TestScratchStartsAsTheInitCopy(t *testing.T) {
 		}
 	}
 	for i, x := range execs {
-		if x.Seq.work == inScratch && (x.scratch == nil || x.scratch.Len() != count) {
+		if x.Seq.work(i) == inScratch && (x.scratch == nil || x.scratch.Len() != count) {
 			t.Fatalf("pos %d: no %d-element scratch after three runs", i, count)
 		}
 	}

@@ -467,13 +467,13 @@ const (
 	initCopyInPlace = -4
 )
 
-// Stage is one phase of a sequence: its Len actions run Rounds times
-// (one chunk round per pass) before the next stage starts. A flat ring
-// sequence is one unlabelled stage; the hierarchical builders make one
-// stage per intra-node exchange offset, convoy, and leader-ring
-// schedule. A stage lists its actions, except the all-to-all's hop
-// schedule, which Action computes from the cursor: its n(n-1)/2 actions
-// would make the plans of n ranks O(n³) bytes.
+// Stage is one phase of a plan: its Len actions run Rounds times (one
+// chunk round per pass) before the next stage starts. A flat ring plan
+// is one unlabelled stage; the hierarchical builders make one stage per
+// intra-node exchange offset, convoy, and leader-ring schedule. A ring
+// stage holds its ring by value and computes each action from the place
+// the reading position has on it; only the hierarchical intra-node and
+// convoy stages, one position's each, list their actions.
 type Stage struct {
 	// Label names the phase for diagnostics and preemption tests
 	// ("intra", "pack", "gather", "inter-ring", "scatter"; "" on the
@@ -483,49 +483,91 @@ type Stage struct {
 	actions []Action
 	// Rounds is how many times the actions run (one chunk each).
 	Rounds int
-	// hops generates the actions of an all-to-all stage (hops.n > 0).
-	hops hops
+	// ring generates the actions of a ring stage (ring.n > 0).
+	ring ring
 }
 
-// Len returns the stage's action count per round.
+// Len returns the stage's action count per round, the same at every
+// position that reads the stage.
 func (st *Stage) Len() int {
-	if st.hops.n > 0 {
-		return st.hops.n * (st.hops.n - 1) / 2
+	if st.ring.n > 0 {
+		return st.ring.len()
 	}
 	return len(st.actions)
 }
 
-// Action returns the stage's action k, 0 ≤ k < Len().
-func (st *Stage) Action(k int) Action {
-	if st.hops.n > 0 {
-		return st.hops.action(k)
-	}
-	return st.actions[k]
+// Action returns the stage's action k, 0 ≤ k < Len(), as the participant
+// at position pos runs it.
+func (st *Stage) Action(pos, k int) Action {
+	var a Action
+	st.action(pos, k, &a)
+	return a
 }
 
-// Sequence is the per-rank execution plan for one collective: its
-// stages, the segment layout over the send, recv and scratch buffers,
-// and the init and copy-out moves around them. The executor's dynamic
-// context is a cursor over the stages.
+// action sets *a to Action(pos, k), building a ring stage's in place: the
+// executor computes one per primitive.
+func (st *Stage) action(pos, k int, a *Action) {
+	if st.ring.n > 0 {
+		st.ring.action(st.ring.at(pos), k, a)
+	} else {
+		*a = st.actions[k]
+	}
+}
+
+// Sequence is the execution plan of one collective: its stages, the
+// segment layout over the send, recv and scratch buffers, and the init
+// and copy-out moves around them. It is built once, never written again,
+// and read by every participant at its own position; the executor's
+// dynamic context is a cursor over the stages of its position.
 //
-// A plan is built by appending into a Sequence's slices, so a plan
-// rebuilt over an old one reuses its arrays. A built plan has no nil
-// slices: one rebuilt over another's storage is reflect.DeepEqual to
-// the same plan built over an empty Sequence.
+// A flat plan is one layout, and what differs between positions is
+// computed from the position as it is read: a stage's actions
+// (Stage.Action), the init copy (ownSeg: block pos or pos-1, or whether
+// pos is the broadcast's root), the working buffer (work: scratch on a
+// Reduce's non-root), the copy-out (out: the reduce-scatter's block pos,
+// the all-to-all's self block), and the all-to-all-v's segments and
+// working length (countedSeg, workLen: row and column pos of Counts,
+// and the transit slots they size). A hierarchical position's schedule depends
+// on its role and node: that plan keeps one layout per position.
 type Sequence struct {
+	// kind, algo, n, count, root and chunkElems are the shape the plan was
+	// built for (serves), and counts an all-to-all-v's Counts, row-major,
+	// the plan's own copy.
+	kind           Kind
+	algo           Algorithm
+	n, count, root int
+	chunkElems     int
+	counts         []int
+	// seeded: each segment's own contribution is its seed, a range of the
+	// send buffer, which a reduce into the segment reads straight from
+	// the send buffer as it folds the chunk in; the init copy copies only
+	// the own segment's seed. The recv buffer then never holds the whole
+	// send vector, which the reduce-scatter's is too short for.
+	seeded bool
+	// transit is an all-to-all-v's transit slot length at each position.
+	transit []int
+	// lays is a hierarchical plan's layout of each position; every
+	// position of a flat plan reads one, whose one stage is stage.
+	lays  []layout
+	one   layout
+	stage [1]Stage
+}
+
+// layout is a plan as one position reads it (every position, in a flat
+// plan).
+type layout struct {
 	// Stages are the phases in execution order.
 	Stages []Stage
-	segs   []segRange
-	// chunkElems is the per-round slice width within each segment.
-	chunkElems int
+	// segs are the segments; a flat all-to-all-v lists none (countedSeg).
+	segs []segRange
 	// workLen is the element length of the working buffer.
 	workLen int
 	// initCopyOwnSeg: at init, copy the send buffer (only seed(seg) of
 	// it, in a seeded plan) into segs[seg] of the working buffer, or one
-	// of the initCopy* sentinels.
+	// of the initCopy* sentinels. Sequence.ownSeg reads it.
 	initCopyOwnSeg int
 	// work is the working buffer: the recv buffer, or a scratch of
-	// workLen elements the executor owns.
+	// workLen elements the executor owns. Sequence.work reads it.
 	work home
 	// inPlace: segments [0, inPlace) are blocks of the send buffer and
 	// [inPlace, 2·inPlace) blocks of the recv buffer, each buffer tiled
@@ -534,90 +576,168 @@ type Sequence struct {
 	// segRange made it 24 bytes, not 16: +6 % allocated bytes per unit
 	// on the benchmark's fabric_contended.)
 	inPlace int
-	// seeded: each segment's own contribution is its seed, a range of the
-	// send buffer, which a reduce into the segment reads straight from
-	// the send buffer as it folds the chunk in; the init copy copies only
-	// initCopyOwnSeg's seed. The recv buffer then never holds the whole
-	// send vector, which the reduce-scatter's is too short for.
-	seeded bool
 	// copyOut: after the final round, concatenate the listed segments
 	// into the recv buffer in list order (none: the working buffer is
 	// the recv buffer). A segment already at its place in the recv
-	// buffer moves nothing, but the copy-out is priced whole.
+	// buffer moves nothing, but the copy-out is priced whole. A flat
+	// plan lists none: Sequence.outs and out give its.
 	copyOut []int
 }
 
-// NumPrimitives returns the total primitive count across all stages and
-// rounds — the quantity the paper's preemption analysis counts. Every
-// stage runs at least once, so 0 means a pure init copy and copy-out
-// (the single-rank no-op).
-func (s *Sequence) NumPrimitives() int {
-	total := 0
-	for i := range s.Stages {
-		total += s.Stages[i].Len() * s.Stages[i].Rounds
+// lay returns the layout position pos reads.
+func (q *Sequence) lay(pos int) *layout {
+	if q.lays == nil {
+		return &q.one
+	}
+	return &q.lays[pos]
+}
+
+// Stages returns the stages position pos runs, in execution order.
+func (q *Sequence) Stages(pos int) []Stage { return q.lay(pos).Stages }
+
+// NumPrimitives returns position pos's total primitive count across all
+// stages and rounds — the quantity the paper's preemption analysis
+// counts. Every stage runs at least once, so 0 means a pure init copy
+// and copy-out (the single-rank no-op).
+func (q *Sequence) NumPrimitives(pos int) int {
+	stages, total := q.Stages(pos), 0
+	for i := range stages {
+		total += stages[i].Len() * stages[i].Rounds
 	}
 	return total
 }
 
-// NumStages returns the stage count: 1 for flat ring sequences, the
-// phase count for hierarchical ones.
-func (s *Sequence) NumStages() int { return len(s.Stages) }
+// NumStages returns position pos's stage count: 1 for flat ring plans,
+// the phase count for hierarchical ones.
+func (q *Sequence) NumStages(pos int) int { return len(q.Stages(pos)) }
 
-// TotalRounds returns the summed round count across stages — the number
-// of chunk-round passes the executor makes end to end.
-func (s *Sequence) TotalRounds() int {
+// TotalRounds returns the summed round count across position pos's
+// stages — the number of chunk-round passes its executor makes end to
+// end.
+func (q *Sequence) TotalRounds(pos int) int {
 	total := 0
-	for _, st := range s.Stages {
+	for _, st := range q.Stages(pos) {
 		total += st.Rounds
 	}
 	return total
 }
 
-// seed is segment b's own contribution in a seeded plan: the send buffer
-// holds every segment's, in segment order, so the seeds tile it.
-func (s *Sequence) seed(b int) segRange {
+// ownSeg returns position pos's init copy: the working-buffer segment its
+// send buffer (its seed, in a seeded plan) goes to, or an initCopy*
+// sentinel. On the flat ring that is the block step 0 sends, and only a
+// broadcast's root copies.
+func (q *Sequence) ownSeg(pos int) int {
+	if q.algo != AlgoHierarchical {
+		switch {
+		case q.kind == AllReduce, q.kind == AllGather:
+			return pos
+		case q.kind == ReduceScatter:
+			return mod(pos-1, q.n)
+		case q.kind == Broadcast && pos != q.root:
+			return initCopyNone
+		}
+	}
+	return q.lay(pos).initCopyOwnSeg
+}
+
+// work returns position pos's working buffer; a flat Reduce's non-roots
+// reduce in a scratch, the root in its recv buffer.
+func (q *Sequence) work(pos int) home {
+	if q.algo != AlgoHierarchical && q.kind == Reduce && pos != q.root {
+		return inScratch
+	}
+	return q.lay(pos).work
+}
+
+// outs returns the segment count of position pos's copy-out: the flat
+// reduce-scatter's one, the flat all-to-all's n, or the listed ones.
+func (q *Sequence) outs(pos int) int {
+	switch {
+	case q.algo == AlgoHierarchical:
+		return len(q.lay(pos).copyOut)
+	case q.kind == ReduceScatter:
+		return 1
+	case !q.kind.InPlace() && q.n > 1:
+		return q.n
+	}
+	return 0
+}
+
+// out returns segment i of position pos's copy-out. On the flat ring the
+// reduce-scatter's one segment is block pos, and the all-to-all
+// concatenates the final blocks by origin, but for the self block, which
+// comes from the send buffer.
+func (q *Sequence) out(pos, i int) int {
+	switch {
+	case q.algo == AlgoHierarchical:
+		return q.lay(pos).copyOut[i]
+	case q.kind == ReduceScatter, i == pos:
+		return pos
+	}
+	return q.n + i
+}
+
+// countedSeg is segment i of position pos of a flat all-to-all-v, which
+// lists none: its own blocks tile row pos of counts, its final blocks
+// column pos, and its two transit slots follow.
+func (q *Sequence) countedSeg(pos, i int) segRange {
+	n, lo := q.n, 0
+	switch {
+	case i < n:
+		for j := range i {
+			lo += q.counts[pos*n+j]
+		}
+		return segRange{Lo: lo, Hi: lo + q.counts[pos*n+i]}
+	case i < 2*n:
+		for o := range i - n {
+			lo += q.counts[o*n+pos]
+		}
+		return segRange{Lo: lo, Hi: lo + q.counts[(i-n)*n+pos]}
+	}
+	t := q.transit[pos]
+	return segRange{Lo: (i - 2*n) * t, Hi: (i - 2*n + 1) * t}
+}
+
+// workLen returns the element length of position pos's working buffer.
+func (q *Sequence) workLen(pos int) int {
+	if q.transit == nil {
+		return q.lay(pos).workLen
+	}
+	return 2 * q.transit[pos]
+}
+
+// seed is segment b's own contribution in a seeded plan, which lists
+// its segments: the send buffer holds every segment's, in segment order,
+// so the seeds tile it.
+func (q *Sequence) seed(pos, b int) segRange {
+	segs := q.lay(pos).segs
 	lo := 0
-	for _, sr := range s.segs[:b] {
+	for _, sr := range segs[:b] {
 		lo += sr.len()
 	}
-	return segRange{Lo: lo, Hi: lo + s.segs[b].len()}
+	return segRange{Lo: lo, Hi: lo + segs[b].len()}
 }
 
-// home returns the buffer segment seg lives in.
-func (s *Sequence) home(seg int) home {
-	switch {
-	case seg < s.inPlace:
-		return inSend
-	case seg < 2*s.inPlace:
-		return inRecv
+// serves reports whether the plan is s's: s has the shape it was built
+// for. A plan depends on the ranks only through their count (each Wiring,
+// which keeps a plan, is one rank order's), and not on the element type,
+// the reduction or TimingOnly.
+func (q *Sequence) serves(s Spec) bool {
+	return q.kind == s.Kind && q.algo == s.Algo && q.n == s.N() && q.count == s.Count && q.root == s.Root &&
+		q.chunkElems == s.chunk() && q.sameCounts(s.Counts)
+}
+
+// sameCounts reports whether m is the plan's count matrix.
+func (q *Sequence) sameCounts(m [][]int) bool {
+	if len(q.counts) != len(m)*len(m) {
+		return false
 	}
-	return s.work
-}
-
-// limitSlice returns the element range of segment seg covered in round c,
-// clipped to the first elems elements of the segment. Both ends of a
-// transfer compute the block's chunking from the same block length (the
-// action's SendElems on one side, RecvElems on the other), so a short
-// block in an oversized transit slot still slices identically on sender
-// and receiver; rounds past the block's end yield empty slices, which
-// still move (zero-length) chunks through the connectors.
-func (s *Sequence) limitSlice(seg, c, elems int) segRange {
-	lo := s.segs[seg].Lo
-	limit := lo + elems
-	lo += c * s.chunkElems
-	return segRange{Lo: min(lo, limit), Hi: min(lo+s.chunkElems, limit)}
-}
-
-// sendSlice returns the element range action a's send half moves in
-// round c.
-func (s *Sequence) sendSlice(a Action, c int) segRange {
-	return s.limitSlice(a.SendSeg, c, a.SendElems)
-}
-
-// recvSlice returns the element range action a's recv half fills in
-// round c.
-func (s *Sequence) recvSlice(a Action, c int) segRange {
-	return s.limitSlice(a.RecvSeg, c, a.RecvElems)
+	for i, row := range m {
+		if !slices.Equal(row, q.counts[i*len(m):(i+1)*len(m)]) {
+			return false
+		}
+	}
+	return true
 }
 
 // evenSeg is segment i of count elements split into n contiguous
@@ -641,23 +761,43 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-func mod(a, n int) int { return ((a % n) + n) % n }
-
-// SequenceFor builds the primitive sequence for the participant at
-// position pos within s.Ranks, using the Ring algorithm and Simple
-// protocol (the configuration the paper evaluates). Hierarchical specs
-// need the cluster's node grouping and different wiring: build their
-// executors with a Wirings, which builds their wiring and sequences.
-func (s Spec) SequenceFor(pos int) *Sequence {
-	return s.build(new(Sequence), pos, NodeGrouping{})
+// mod is a mod n, in [0, n). Ring arithmetic stays within a turn of
+// that range, where it takes compares instead of two divisions: every
+// primitive computes its action with it.
+func mod(a, n int) int {
+	switch {
+	case a >= n:
+		a -= n
+	case a < 0:
+		a += n
+	}
+	if a < 0 || a >= n {
+		return ((a % n) + n) % n
+	}
+	return a
 }
 
-// build rebuilds q in place as the plan of the participant at position
-// pos: the flat ring's, or, given the node grouping of a hierarchical
-// wiring, the hierarchical one. The plan is appended into q's slices
-// over their old arrays; SequenceFor and HierSequenceFor run it over an
-// empty Sequence.
-func (s Spec) build(q *Sequence, pos int, g NodeGrouping) *Sequence {
+// SequenceFor returns the flat-ring plan of s's collective, which the
+// participant at position pos reads at its own, as every participant
+// does, using the Ring algorithm and Simple protocol (the configuration
+// the paper evaluates). Hierarchical specs
+// need the cluster's node grouping and different wiring: build their
+// executors with a Wirings, which builds their wiring and plans.
+func (s Spec) SequenceFor(pos int) *Sequence {
+	return s.build(NodeGrouping{}).has(pos)
+}
+
+// has panics unless pos is a position of the plan, and returns the plan.
+func (q *Sequence) has(pos int) *Sequence {
+	if pos < 0 || pos >= q.n {
+		panic(fmt.Sprintf("prim: position %d out of range (n=%d)", pos, q.n))
+	}
+	return q
+}
+
+// build builds s's plan: the flat ring's, or, given the node grouping of
+// a hierarchical wiring, the hierarchical one.
+func (s Spec) build(g NodeGrouping) *Sequence {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -671,91 +811,126 @@ func (s Spec) build(q *Sequence, pos int, g NodeGrouping) *Sequence {
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")
 	}
 	n := s.N()
-	if pos < 0 || pos >= n {
-		panic(fmt.Sprintf("prim: position %d out of range (n=%d)", pos, n))
+	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk()}
+	if s.Counts != nil {
+		// The caller may change its count matrix once the collective
+		// closes: the plan keeps a copy, and room for a flat
+		// all-to-all-v's transit lengths.
+		q.counts = make([]int, 0, n*n+n)
+		for _, row := range s.Counts {
+			q.counts = append(q.counts, row...)
+		}
 	}
-	*q = Sequence{Stages: q.Stages[:0], segs: q.segs[:0], copyOut: q.copyOut[:0], chunkElems: s.chunk()}
+	l := &q.one
+	l.Stages = q.stage[:0] // a flat plan's one stage is the plan's own
 	switch {
+	case n == 1 && (hier || !s.Kind.InPlace()):
+		sendCount, _ := BufferCountsFor(s, 0)
+		l.noopCopy(sendCount)
+		return q
 	case hier:
-		s.hierSeq(q, pos, g)
-	case s.Kind == AllReduce:
-		s.allReduceSeq(q, pos, n)
-	case s.Kind == AllGather:
-		s.allGatherSeq(q, pos, n)
-	case s.Kind == ReduceScatter:
-		s.reduceScatterSeq(q, pos, n)
-	case s.Kind == Broadcast:
-		s.broadcastSeq(q, pos, n)
-	case s.Kind == Reduce:
-		s.reduceSeq(q, pos, n)
-	case s.Kind == AllToAll || s.Kind == AllToAllv:
-		s.allToAllSeq(q, pos, n)
+		s.hierSeq(q, g)
+		return q
+	case !s.Kind.InPlace():
+		s.allToAllSeq(q)
+		return q
+	}
+	switch s.Kind {
+	case AllReduce:
+		s.ringSeq(l, schedAllReduce, n)
+		q.seeded = true
+	case AllGather:
+		s.ringSeq(l, schedAllGather, n)
+	case ReduceScatter:
+		s.ringSeq(l, schedReduceScatter, n)
+		q.seeded = true
+	case Broadcast:
+		s.chainSeq(l, n, s.Root, false) // the root copies its send buffer (ownSeg)
+	case Reduce:
+		s.chainSeq(l, n, s.Root+1, true) // root+1 first, root last; non-roots reduce in scratch (work)
 	default:
 		panic(fmt.Sprintf("prim: unknown kind %v", s.Kind))
-	}
-	if q.copyOut == nil {
-		q.copyOut = []int{}
 	}
 	return q
 }
 
-// stage appends a stage to q, its action list empty (never nil) over the
-// array the stage at that index held before, and returns it for the
-// caller to append the actions to (before the next stage is appended) or
-// to set its hops.
-func (q *Sequence) stage(label string, rounds int) *Stage {
-	i := len(q.Stages)
-	q.Stages = slices.Grow(q.Stages, 1)[:i+1]
-	st := &q.Stages[i]
-	acts := st.actions[:0]
-	if acts == nil {
-		acts = []Action{}
-	}
-	*st = Stage{Label: label, actions: acts, Rounds: rounds}
-	return st
+// stage appends a stage to l and returns it for the caller to append
+// the actions to (before the next stage is appended) or to set its ring.
+func (l *layout) stage(label string, rounds int) *Stage {
+	l.Stages = append(l.Stages, Stage{Label: label, Rounds: rounds})
+	return &l.Stages[len(l.Stages)-1]
+}
+
+// ringStage appends a stage running r, one round per chunk of its
+// longest block.
+func (l *layout) ringStage(label string, r ring, chunk int) {
+	l.stage(label, r.rounds(chunk)).ring = r
 }
 
 // dropEmpty removes the last stage if it has no actions.
-func (q *Sequence) dropEmpty() {
-	if i := len(q.Stages) - 1; q.Stages[i].Len() == 0 {
-		q.Stages = q.Stages[:i]
+func (l *layout) dropEmpty() {
+	if i := len(l.Stages) - 1; l.Stages[i].Len() == 0 {
+		l.Stages = l.Stages[:i]
 	}
 }
 
-// evenSegs appends the n evenSeg segments of count elements to q.
-func (q *Sequence) evenSegs(count, n int) {
-	q.segs = slices.Grow(q.segs, n)
-	for i := 0; i < n; i++ {
-		q.segs = append(q.segs, evenSeg(count, n, i))
-	}
-}
+// sched names the schedule a ring stage runs.
+type sched uint8
 
-// ring is one ring schedule seen from one of its n places: the flat
-// ring over the ranks on endpoint 0, or the hierarchical leader ring
-// over the per-node aggregates on a leader's ring endpoint. The
-// schedules move numbered blocks; blk maps them onto working-buffer
-// segments (nil: block b is segment b). A block is as long as its
-// segment in segs.
+const (
+	schedAllReduce sched = iota
+	schedAllGather
+	schedReduceScatter
+	schedChain // the rooted kinds' chain
+	schedHops  // the all-to-all's store-and-forward exchange
+)
+
+// ring is one ring schedule: the flat ring over the ranks on endpoint 0,
+// or the hierarchical leader ring over the per-node aggregates on a
+// leader's ring endpoint. The schedules move numbered blocks; blk maps
+// them onto working-buffer segments (nil: block b is segment b). A block
+// is as long as its segment in segs, an all-to-all block as size says.
+// A stage holds its ring by value and computes action k at a place from
+// the cursor: every field is final once the plan is built.
 type ring struct {
+	sched sched
+	// reduce: a chain's receiving places fold the chunks in.
+	reduce bool
+	// pinned: the stage is one hierarchical leader's, read at place.
+	// Otherwise position pos reads it at place mod(pos-place, n): place is
+	// the position at place 0 (a chain's first, 0 on the other schedules).
+	pinned   bool
 	place, n int
-	blk      []int
 	conn     int
+	blk      []int
 	segs     []segRange
+	// count is every all-to-all block's length when counts is nil;
+	// otherwise block (i→j) is counts[i·n+j] elements long.
+	count  int
+	counts []int
+}
+
+// at returns the place position pos reads the ring at.
+func (r *ring) at(pos int) int {
+	if r.pinned {
+		return r.place
+	}
+	return mod(pos-r.place, r.n)
 }
 
 // seg returns the working-buffer segment of block b.
-func (r ring) seg(b int) int {
+func (r *ring) seg(b int) int {
 	if r.blk == nil {
 		return b
 	}
 	return r.blk[b]
 }
 
-// act is the step that sends block send and receives block recv (-1:
-// no such half) over the ring's endpoint, each half bounded by its
+// act sets *a to the step that sends block send and receives block recv
+// (-1: no such half) over the ring's endpoint, each half bounded by its
 // segment's length; reduce folds the received chunk into the block.
-func (r ring) act(send, recv int, reduce bool) Action {
-	a := Action{SendSeg: -1, RecvSeg: -1, Reduce: reduce, SendConn: r.conn, RecvConn: r.conn}
+func (r *ring) act(a *Action, send, recv int, reduce bool) {
+	*a = Action{SendSeg: -1, RecvSeg: -1, Reduce: reduce, SendConn: r.conn, RecvConn: r.conn}
 	if send >= 0 {
 		a.SendSeg = r.seg(send)
 		a.SendElems = r.segs[a.SendSeg].len()
@@ -764,11 +939,10 @@ func (r ring) act(send, recv int, reduce bool) Action {
 		a.RecvSeg = r.seg(recv)
 		a.RecvElems = r.segs[a.RecvSeg].len()
 	}
-	return a
 }
 
 // rounds is the chunk-round count covering the longest of the n blocks.
-func (r ring) rounds(chunk int) int {
+func (r *ring) rounds(chunk int) int {
 	longest := 0
 	for b := 0; b < r.n; b++ {
 		longest = max(longest, r.segs[r.seg(b)].len())
@@ -776,96 +950,99 @@ func (r ring) rounds(chunk int) int {
 	return ceilDiv(longest, chunk)
 }
 
-// allReduce is a reduce-scatter phase — step st sends block place-st and
-// reduces block place-st-1 in — then an all-gather phase — step st sends
-// block place+1-st and receives block place-st.
-func (r ring) allReduce(acts []Action) []Action {
-	acts = slices.Grow(acts, 2*(r.n-1))
-	for st := 0; st < r.n-1; st++ {
-		acts = append(acts, r.act(mod(r.place-st, r.n), mod(r.place-st-1, r.n), true))
-	}
-	for st := 0; st < r.n-1; st++ {
-		acts = append(acts, r.act(mod(r.place+1-st, r.n), mod(r.place-st, r.n), false))
-	}
-	return acts
-}
-
-// allGather sends the place's own block at step 0; steps 1..n-1 receive
-// block place-st and forward it, all but the last.
-func (r ring) allGather(acts []Action) []Action {
-	if r.n == 1 {
-		return acts
-	}
-	acts = append(slices.Grow(acts, r.n), r.act(r.place, -1, false))
-	for st := 1; st < r.n; st++ {
-		b := mod(r.place-st, r.n)
-		fwd := b
-		if st == r.n-1 {
-			fwd = -1
+// len returns the schedule's action count per round.
+func (r *ring) len() int {
+	n := r.n
+	switch r.sched {
+	case schedAllReduce:
+		return 2 * (n - 1)
+	case schedAllGather:
+		if n == 1 {
+			return 0
 		}
-		acts = append(acts, r.act(fwd, b, false))
+		return n
+	case schedReduceScatter:
+		return n - 1
+	case schedChain:
+		return min(n-1, 1)
 	}
-	return acts
+	return n * (n - 1) / 2
 }
 
-// reduceScatter is allReduce's reduce-scatter phase shifted one place,
-// so the place finishes holding block place (NCCL's reduce-scatter
-// output placement).
-func (r ring) reduceScatter(acts []Action) []Action {
-	acts = slices.Grow(acts, r.n-1)
-	for st := 0; st < r.n-1; st++ {
-		acts = append(acts, r.act(mod(r.place-st-1, r.n), mod(r.place-st-2, r.n), true))
+// action sets *a to step k at place p:
+//   - all-reduce: a reduce-scatter phase — step st sends block p-st and
+//     reduces block p-st-1 in — then an all-gather phase — step st sends
+//     block p+1-st and receives block p-st;
+//   - all-gather: step 0 sends the place's own block; steps 1..n-1
+//     receive block p-st and forward it, all but the last;
+//   - reduce-scatter: the all-reduce's reduce-scatter phase shifted one
+//     place, so the place finishes holding block p (NCCL's
+//     reduce-scatter output placement);
+//   - chain: the one block; the first place only sends, the last only
+//     receives, and every other receives and forwards;
+//   - all-to-all: hop.
+func (r *ring) action(p, k int, a *Action) {
+	n := r.n
+	switch r.sched {
+	case schedAllReduce:
+		if k < n-1 {
+			r.act(a, mod(p-k, n), mod(p-k-1, n), true)
+		} else {
+			k -= n - 1
+			r.act(a, mod(p+1-k, n), mod(p-k, n), false)
+		}
+	case schedAllGather:
+		switch b := mod(p-k, n); k {
+		case 0:
+			r.act(a, p, -1, false)
+		case n - 1:
+			r.act(a, -1, b, false)
+		default:
+			r.act(a, b, b, false)
+		}
+	case schedReduceScatter:
+		r.act(a, mod(p-k-1, n), mod(p-k-2, n), true)
+	case schedChain:
+		switch p {
+		case 0:
+			r.act(a, 0, -1, false)
+		case n - 1:
+			r.act(a, -1, 0, r.reduce)
+		default:
+			r.act(a, 0, 0, r.reduce)
+		}
+	default:
+		r.hop(p, k, a)
 	}
-	return acts
 }
 
-// hops is the all-to-all's store-and-forward exchange seen from one of
-// the n places of a ring: the flat ring's or the hierarchical leader
-// ring's, whose endpoint is conn and whose blocks map onto working-buffer
-// segments through blk (nil: block b is segment b). Block (i→j),
-// size(i, j) elements, travels mod(j-i, n) hops. The schedule runs
-// distances st = 1..n-1; within a distance, hop h of the block is
-// forwarded at step (st, h), so every step each place sends exactly one
-// block chunk and receives exactly one — uniform flow that keeps the
-// bounded connectors deadlock-free under in-order execution and
-// resumable under preemption. Blocks [0, n) are the place's outbound
+// size is the length of the all-to-all's block (i→j).
+func (r *ring) size(i, j int) int {
+	if r.counts == nil {
+		return r.count
+	}
+	return r.counts[i*r.n+j]
+}
+
+// hop is step k of the all-to-all's store-and-forward exchange at place
+// p. Block (i→j), size(i, j) elements, travels mod(j-i, n) hops. The
+// schedule runs distances st = 1..n-1; within a distance, hop h of the
+// block is forwarded at step (st, h), so every step each place sends
+// exactly one block chunk and receives exactly one — uniform flow that
+// keeps the bounded connectors deadlock-free under in-order execution
+// and resumable under preemption. Blocks [0, n) are the place's outbound
 // blocks by destination, [n, 2n) its inbound ones by origin, and 2n,
-// 2n+1 the two transit slots it alternates between. Every action
-// carries the size of the block it moves, since a transit slot is
-// generally longer than the block it holds.
+// 2n+1 the two transit slots it alternates between. Every action carries
+// the size of the block it moves, since a transit slot is generally
+// longer than the block it holds. Its n(n-1)/2 actions are computed, not
+// listed: listed, the plans of n ranks would be O(n³) bytes.
 //
-// The stage holds hops by value and computes each action from its step
-// index: every field is final once the plan is built.
-type hops struct {
-	place, n, conn int
-	blk            []int
-	// count is every block's length when counts is nil; otherwise block
-	// (i→j) is counts[i][j] elements long.
-	count  int
-	counts [][]int
-}
-
-func (g hops) seg(b int) int {
-	if g.blk == nil {
-		return b
-	}
-	return g.blk[b]
-}
-
-func (g hops) size(i, j int) int {
-	if g.counts == nil {
-		return g.count
-	}
-	return g.counts[i][j]
-}
-
-// action is step k = st(st-1)/2 + h-1, hop h of distance st. The f
-// forwarded hops (h < st) before it alternate between the transit
-// slots, so it receives a forwarded block into slot f mod 2 and
-// forwards the one the forwarded hop before it received, from slot
-// (f-1) mod 2.
-func (g hops) action(k int) Action {
-	n, p := g.n, g.place
+// Step k = st(st-1)/2 + h-1 is hop h of distance st. The f forwarded
+// hops (h < st) before it alternate between the transit slots, so it
+// receives a forwarded block into slot f mod 2 and forwards the one the
+// forwarded hop before it received, from slot (f-1) mod 2.
+func (r *ring) hop(p, k int, a *Action) {
+	n := r.n
 	if k < 0 || k >= n*(n-1)/2 {
 		panic(fmt.Sprintf("prim: all-to-all step %d of %d", k, n*(n-1)/2))
 	}
@@ -873,86 +1050,83 @@ func (g hops) action(k int) Action {
 	h := k - st*(st-1)/2 + 1
 	f := (st-1)*(st-2)/2 + h - 1
 	so, ro := mod(p-h+1, n), mod(p-h, n) // origins of the blocks sent and received
-	a := Action{
-		SendSeg: g.seg(2*n + (f+1)%2), SendElems: g.size(so, mod(so+st, n)), SendConn: g.conn,
-		RecvSeg: g.seg(n + ro), RecvElems: g.size(ro, mod(ro+st, n)), RecvConn: g.conn,
+	*a = Action{
+		SendSeg: r.seg(2*n + (f+1)%2), SendElems: r.size(so, mod(so+st, n)), SendConn: r.conn,
+		RecvSeg: r.seg(n + ro), RecvElems: r.size(ro, mod(ro+st, n)), RecvConn: r.conn,
 	}
 	if h == 1 {
-		a.SendSeg = g.seg(mod(p+st, n)) // inject the own block st hops ahead
+		a.SendSeg = r.seg(mod(p+st, n)) // inject the own block st hops ahead
 	}
 	if h < st {
-		a.RecvSeg = g.seg(2*n + f%2) // forwarded at the next step
+		a.RecvSeg = r.seg(2*n + f%2) // forwarded at the next step
 	}
-	return a
 }
 
-// bounds returns what sizes the exchange: the longest block the place
-// receives at a non-final hop (the length of its transit slots) and the
-// longest block that moves at all, which sets the round count — equal
-// on every place, so the schedule stays step-matched and shorter blocks
-// send empty chunks in their tail rounds.
-func (g hops) bounds() (transit, moved int) {
-	n := g.n
+// transit returns the longest block place p receives at a non-final hop:
+// the length of its transit slots.
+func (r *ring) transit(p int) int {
+	n, transit := r.n, 0
 	for st := 1; st < n; st++ {
 		for h := 1; h < st; h++ {
-			o := mod(g.place-h, n)
-			transit = max(transit, g.size(o, mod(o+st, n)))
+			o := mod(p-h, n)
+			transit = max(transit, r.size(o, mod(o+st, n)))
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+	return transit
+}
+
+// moved returns the longest block that moves at all, which sets the
+// round count — the same on every place, so the schedule stays
+// step-matched and shorter blocks send empty chunks in their tail rounds.
+func (r *ring) moved() int {
+	moved := 0
+	for i := 0; i < r.n; i++ {
+		for j := 0; j < r.n; j++ {
 			if i != j {
-				moved = max(moved, g.size(i, j))
+				moved = max(moved, r.size(i, j))
 			}
 		}
 	}
-	return transit, moved
+	return moved
 }
 
-func (s Spec) allReduceSeq(q *Sequence, pos, n int) {
-	q.evenSegs(s.Count, n)
-	r := ring{place: pos, n: n, segs: q.segs}
-	st := q.stage("", r.rounds(q.chunkElems))
-	st.actions = r.allReduce(st.actions)
-	q.workLen = s.Count
-	q.initCopyOwnSeg = pos // the block step 0 sends
-	q.seeded = true
-}
-
-// allGatherSeq lays out n segments of exactly Count elements each, one
-// per rank's contribution.
-func (s Spec) allGatherSeq(q *Sequence, pos, n int) {
-	q.segs = slices.Grow(q.segs, n)
-	for i := 0; i < n; i++ {
-		q.segs = append(q.segs, segRange{Lo: i * s.Count, Hi: (i + 1) * s.Count})
+// ringSeq lays out a flat ring kind's n blocks, block b on ring place b,
+// over a working buffer that ends where the last block does: the
+// all-reduce's evenSegs of Count, the all-gather's Count-element
+// contributions, and the reduce-scatter's views of the recv buffer's
+// Count/n elements. A reduce-scatter block b's own contribution is its
+// seed, send range seed(b), and the views never hold two blocks at
+// once, since a ring block is touched once per chunk round and the
+// rounds run outermost: step 0 sends the block the init copy seeded,
+// which is never received into, every later step sends the block the
+// step before reduced, and a reduce copies its block's own slice in
+// from the send buffer first. The copy-out of block pos onto itself
+// moves nothing.
+func (s Spec) ringSeq(l *layout, sc sched, n int) {
+	l.segs = make([]segRange, n)
+	for b := range l.segs {
+		switch sc {
+		case schedAllReduce:
+			l.segs[b] = evenSeg(s.Count, n, b)
+		case schedAllGather:
+			l.segs[b] = segRange{Lo: b * s.Count, Hi: (b + 1) * s.Count}
+		default:
+			l.segs[b] = segRange{Hi: s.Count / n}
+		}
 	}
-	r := ring{place: pos, n: n, segs: q.segs}
-	st := q.stage("", r.rounds(q.chunkElems))
-	st.actions = r.allGather(st.actions)
-	q.workLen = s.Count * n
-	q.initCopyOwnSeg = pos
+	l.workLen = l.segs[n-1].Hi
+	l.ringStage("", ring{sched: sc, n: n, segs: l.segs}, s.chunk())
 }
 
-// reduceScatterSeq works in the recv buffer: its n blocks are all views
-// of the recv buffer's Count/n elements, and block b's own contribution
-// is its seed, send range seed(b). The views never hold two blocks at
-// once, since a ring block is touched once per chunk round and the rounds
-// run outermost: step 0 sends the block the init copy seeded, which is
-// never received into, every later step sends the block the step before
-// reduced, and a reduce copies its block's own slice in from the send
-// buffer first. The copy-out of block pos onto itself moves nothing.
-func (s Spec) reduceScatterSeq(q *Sequence, pos, n int) {
-	q.segs = slices.Grow(q.segs, n)
-	for i := 0; i < n; i++ {
-		q.segs = append(q.segs, segRange{Lo: 0, Hi: s.Count / n})
-	}
-	r := ring{place: pos, n: n, segs: q.segs}
-	st := q.stage("", r.rounds(q.chunkElems))
-	st.actions = r.reduceScatter(st.actions)
-	q.workLen = s.Count / n
-	q.initCopyOwnSeg = mod(pos-1, n) // the block step 0 sends
-	q.seeded = true
-	q.copyOut = append(q.copyOut, pos)
+// chainSeq is the one-segment chain of the rooted kinds whose first place
+// is position first: every place receives the block from the one before
+// and forwards it, reducing in when reduce is set. Every position starts
+// from its whole send buffer, but a broadcast's non-roots (ownSeg).
+func (s Spec) chainSeq(l *layout, n, first int, reduce bool) {
+	l.segs = []segRange{{Lo: 0, Hi: s.Count}}
+	l.stage("", ceilDiv(s.Count, s.chunk())).ring = ring{sched: schedChain, reduce: reduce, place: first, n: n, segs: l.segs}
+	l.workLen = s.Count
+	l.initCopyOwnSeg = initCopyWhole
 }
 
 // allToAllSeq builds the ring all-to-all of both variants (AllToAll is
@@ -969,57 +1143,53 @@ func (s Spec) reduceScatterSeq(q *Sequence, pos, n int) {
 // layout of BufferCountsFor: the final blocks are already there, so only
 // the self block moves, once, from the send buffer. Final blocks land in
 // recv while own blocks are still being sent, so the two buffers must
-// not overlap (Kind.InPlace).
-func (s Spec) allToAllSeq(q *Sequence, pos, n int) {
-	if n == 1 {
-		q.noopCopy(s.count(0, 0))
+// not overlap (Kind.InPlace). Every position has the uniform all-to-all's
+// segments, listed; the all-to-all-v's are computed from counts and a
+// transit length per position (countedSeg).
+func (s Spec) allToAllSeq(q *Sequence) {
+	n, l := q.n, &q.one
+	r := ring{sched: schedHops, n: n, count: s.Count, counts: q.counts} // a valid spec sets one of the two
+	l.stage("", ceilDiv(r.moved(), q.chunkElems)).ring = r
+	l.initCopyOwnSeg, l.work, l.inPlace = initCopyInPlace, inScratch, n
+	if s.Kind == AllToAllv {
+		q.transit = q.counts[n*n : n*n+n]
+		for pos := range q.transit {
+			q.transit[pos] = r.transit(pos)
+		}
 		return
 	}
-	g := hops{place: pos, n: n, count: s.Count, counts: s.Counts} // a valid spec sets one of the two
-	transit, moved := g.bounds()
-	q.segs = slices.Grow(q.segs, 2*n+2)
-	s.blocksInPlace(q, pos)
-	q.segs = append(q.segs, segRange{Lo: 0, Hi: transit}, segRange{Lo: transit, Hi: 2 * transit})
-	q.copyOut = slices.Grow(q.copyOut, n)
-	for o := 0; o < n; o++ {
-		q.copyOut = append(q.copyOut, n+o) // final block from origin o
-	}
-	q.copyOut[pos] = pos // the self block, from the send buffer
-	q.stage("", ceilDiv(moved, q.chunkElems)).hops = g
-	q.workLen = 2 * transit
-	q.initCopyOwnSeg = initCopyInPlace
-	q.work = inScratch
+	transit := r.transit(0)
+	l.segs = append(s.blocksInPlace(make([]segRange, 0, 2*n+2), 0), segRange{Lo: 0, Hi: transit}, segRange{Lo: transit, Hi: 2 * transit})
+	l.workLen = 2 * transit
 }
 
-// blocksInPlace lays out the first 2n segments of position pos's empty
-// all-to-all plan q: n blocks tiling the send buffer, block j sized
-// count(pos, j), then n tiling the recv buffer, block o sized count(o,
-// pos).
-func (s Spec) blocksInPlace(q *Sequence, pos int) {
-	n := s.N()
-	send, recv := 0, 0
+// blocksInPlace appends position pos's first 2n all-to-all segments to
+// segs: n blocks tiling the send buffer, block j sized count(pos, j),
+// then n tiling the recv buffer, block o sized count(o, pos).
+func (s Spec) blocksInPlace(segs []segRange, pos int) []segRange {
+	n, send, recv := s.N(), 0, 0
 	for j := 0; j < n; j++ {
-		q.segs = append(q.segs, segRange{Lo: send, Hi: send + s.count(pos, j)})
-		send = q.segs[j].Hi
+		segs = append(segs, segRange{Lo: send, Hi: send + s.count(pos, j)})
+		send = segs[len(segs)-1].Hi
 	}
 	for o := 0; o < n; o++ {
-		q.segs = append(q.segs, segRange{Lo: recv, Hi: recv + s.count(o, pos)})
-		recv = q.segs[n+o].Hi
+		segs = append(segs, segRange{Lo: recv, Hi: recv + s.count(o, pos)})
+		recv = segs[len(segs)-1].Hi
 	}
-	q.inPlace = n
+	return segs
 }
 
-// noopCopy is the explicit single-participant all-to-all(-v) sequence:
-// a one-round local copy (recv = send) with no ring actions. The init
-// copy performs the data movement; Rounds is pinned to 1 — rather than
-// the chunk-count a ring exchange would need — so the degenerate case
-// is visibly "one no-op round", not an accident of the executor
-// tolerating an empty action list across many rounds.
-func (q *Sequence) noopCopy(count int) {
-	q.stage("", 1)
-	q.segs = append(q.segs, segRange{Lo: 0, Hi: count})
-	q.workLen = count
-	q.initCopyOwnSeg = initCopyWhole
+// noopCopy makes l the explicit single-participant layout of the
+// all-to-all variants and every hierarchical kind: a one-round local
+// copy (recv = send) with no ring actions. The init copy performs the
+// data movement; Rounds is pinned to 1 — rather than the chunk-count a
+// ring exchange would need — so the degenerate case is visibly "one
+// no-op round", not an accident of the executor tolerating an empty
+// action list across many rounds.
+func (l *layout) noopCopy(count int) {
+	l.stage("", 1)
+	l.segs = []segRange{{Lo: 0, Hi: count}}
+	l.workLen, l.initCopyOwnSeg = count, initCopyWhole
 }
 
 // BufferCounts returns the required send/recv buffer element counts for
@@ -1058,40 +1228,4 @@ func BufferCountsFor(s Spec, pos int) (sendCount, recvCount int) {
 		recvCount += row[pos]
 	}
 	return sumInts(s.Counts[pos]), recvCount
-}
-
-func (s Spec) broadcastSeq(q *Sequence, pos, n int) {
-	s.chainSeq(q, mod(pos-s.Root, n), n, false)
-	q.initCopyOwnSeg = initCopyNone
-	if pos == s.Root {
-		q.initCopyOwnSeg = initCopyWhole // root copies its send buffer
-	}
-}
-
-func (s Spec) reduceSeq(q *Sequence, pos, n int) {
-	s.chainSeq(q, mod(pos-s.Root-1, n), n, true) // root+1 first, root last
-	q.initCopyOwnSeg = initCopyWhole             // everyone starts from its own send data
-	if pos != s.Root {
-		q.work = inScratch
-	}
-}
-
-// chainSeq is the one-segment chain of the rooted kinds at chain place
-// chainPos: the first place only sends, the last only receives, and
-// every other receives and forwards, reducing in when reduce is set.
-// The caller sets the init copy.
-func (s Spec) chainSeq(q *Sequence, chainPos, n int, reduce bool) {
-	q.segs = append(q.segs, segRange{Lo: 0, Hi: s.Count})
-	r := ring{n: 1, segs: q.segs}
-	st := q.stage("", r.rounds(q.chunkElems))
-	switch {
-	case n == 1:
-	case chainPos == 0:
-		st.actions = append(st.actions, r.act(0, -1, false))
-	case chainPos == n-1:
-		st.actions = append(st.actions, r.act(-1, 0, reduce))
-	default:
-		st.actions = append(st.actions, r.act(0, 0, reduce))
-	}
-	q.workLen = s.Count
 }

@@ -27,6 +27,12 @@ type Wiring struct {
 	outRoutes [][]fabric.Route
 	// net is the fabric the wiring's transfers are priced on.
 	net *fabric.Network
+	// plan is the plan of the last collective shape the wiring served:
+	// every executor of a spec of that shape reads it. A spec of another
+	// shape gets another plan, never this one rebuilt, since an executor
+	// made for an earlier spec (an earlier launch's) may still be reading
+	// it.
+	plan *Sequence
 }
 
 func newWiring(net *fabric.Network, ranks []int) *Wiring {
@@ -141,26 +147,32 @@ func (w *Wiring) DrainConnectors(e *sim.Engine) {
 }
 
 // ExecutorFor builds the executor for ring position pos over the
-// wiring's endpoints — running spec's flat-ring sequence on a ring, its
-// hierarchical sequence on a hierarchical fabric — with the cluster's
-// GPU compute bandwidth. The executor shares the wiring's endpoint and
-// route slices; it must not write to them.
+// wiring's endpoints — running spec's flat-ring plan on a ring, its
+// hierarchical plan on a hierarchical fabric — with the cluster's GPU
+// compute bandwidth. The executor shares the wiring's endpoint and route
+// slices and its plan with the other positions' executors; it must not
+// write to them.
 func (w *Wiring) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
 	x := new(Executor)
-	w.build(x, c, spec, pos)
+	w.build(x, c, spec, pos, nil)
 	x.SendBuf, x.RecvBuf = sendBuf, recvBuf
 	return x
 }
 
 // build makes x, in place, the executor ExecutorFor makes without
-// buffers. It keeps what x owns, rebuilt: the plan, appended over the
-// old plan's arrays, the scratch buffer and the Runner.
-func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int) {
-	seq, scratch, runner := x.Seq, x.scratch, x.runner
-	if seq == nil {
-		seq = new(Sequence)
+// buffers, reading the wiring's plan, or, if spec has another shape, the
+// one plans has, or a new one, which it keeps from then on (it panics on
+// an invalid spec, as building a plan does). It keeps what x owns,
+// reset: the scratch buffer and the Runner.
+func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int, plans *Plans) {
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
-	spec.build(seq, pos, w.grouping)
+	if w.plan == nil || !w.plan.serves(spec) {
+		w.plan = plans.swap(w.plan, spec, w.grouping)
+	}
+	seq := w.plan.has(pos)
+	scratch, runner := x.scratch, x.runner
 	if runner != nil {
 		*runner = Runner{}
 	}
@@ -173,24 +185,110 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int) {
 		OutRoutes: w.outRoutes[pos],
 		Net:       w.net,
 		ComputeBW: c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth,
+		lay:       seq.lay(pos),
+		work:      seq.work(pos),
 		runner:    runner,
 	}
-	if seq.work != inScratch || spec.TimingOnly {
+	if x.work != inScratch || spec.TimingOnly {
 		x.scratch = scratch // kept for a later plan; this one never reads it
 		return
 	}
 	// A scratch the init copy overwrites whole is made by that copy, or
 	// reused as it is; any other starts cleared, as a new one would.
-	whole := seq.initCopyOwnSeg == initCopyWhole
-	switch {
-	case scratch != nil && scratch.Reshape(spec.Type, seq.workLen):
+	whole := seq.ownSeg(pos) == initCopyWhole
+	switch workLen := seq.workLen(pos); {
+	case scratch != nil && scratch.Reshape(spec.Type, workLen):
 		if !whole {
 			clear(scratch.Bytes())
 		}
 		x.scratch = scratch
 	case !whole:
-		x.scratch = mem.NewBuffer(spec.Type, seq.workLen)
+		x.scratch = mem.NewBuffer(spec.Type, workLen)
 	}
+}
+
+// Plans lets the Wirings of one simulation share their flat plans: a
+// flat plan is a function of its shape alone, so every wiring that needs
+// a shape reads the one plan of it any wiring holds. A plan is
+// registered while a wiring holds it, so Plans holds no more plans than
+// there are wirings. The zero value is ready to use.
+type Plans struct {
+	held map[planKey]heldPlan
+}
+
+// planKey is what a flat plan's shape is registered under. A plan found
+// under it must still serve the spec: two count matrices may hash alike,
+// and then the later plan goes unregistered, held by its wiring alone.
+type planKey struct {
+	kind                  Kind
+	n, count, root, chunk int
+	counts                uint64 // FNV-1a of an all-to-all-v's Counts
+}
+
+// key is the planKey of the flat plan q.
+func (q *Sequence) key() planKey {
+	k := keyOf(Spec{Kind: q.kind, Count: q.count, Root: q.root, ChunkElems: q.chunkElems}, q.n)
+	k.counts = hashInts(k.counts, q.counts)
+	return k
+}
+
+// heldPlan is a registered plan and the count of wirings holding it.
+type heldPlan struct {
+	q     *Sequence
+	wires int
+}
+
+func keyOf(s Spec, n int) planKey {
+	k := planKey{kind: s.Kind, n: n, count: s.Count, root: s.Root, chunk: s.chunk(), counts: 14695981039346656037}
+	for _, row := range s.Counts {
+		k.counts = hashInts(k.counts, row)
+	}
+	return k
+}
+
+// hashInts folds v into the FNV-1a hash h.
+func hashInts(h uint64, v []int) uint64 {
+	for _, c := range v {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+// swap returns the plan for spec of a wiring that held old: the
+// registered plan of spec's shape, or a new one, which it registers. A
+// hierarchical plan depends on the wiring's node grouping too, and a
+// wiring outside a Wirings (ps nil) shares nothing: theirs are built
+// for the wiring alone.
+func (ps *Plans) swap(old *Sequence, spec Spec, g NodeGrouping) *Sequence {
+	if ps == nil || g.Nodes() > 0 {
+		return spec.build(g)
+	}
+	if old != nil {
+		k := old.key()
+		switch h := ps.held[k]; {
+		case h.q != old: // unregistered
+		case h.wires == 1:
+			delete(ps.held, k)
+		default:
+			h.wires--
+			ps.held[k] = h
+		}
+	}
+	k := keyOf(spec, spec.N())
+	h, ok := ps.held[k]
+	switch {
+	case ok && h.q.serves(spec):
+		h.wires++
+	case ok:
+		return spec.build(g)
+	default:
+		if ps.held == nil {
+			ps.held = make(map[planKey]heldPlan)
+		}
+		h = heldPlan{q: spec.build(g), wires: 1}
+	}
+	ps.held[k] = h
+	return h.q
 }
 
 // Wirings is a communicator's connector wiring: one Wiring per
@@ -203,6 +301,7 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int) {
 // SHM).
 type Wirings struct {
 	chunks     *mem.Chunks
+	plans      *Plans
 	net        *fabric.Network
 	tag        string
 	ring, hier *Wiring
@@ -210,25 +309,31 @@ type Wirings struct {
 
 // NewWirings returns an empty wiring set whose connectors will stage
 // their chunks in chunks, be priced on net and be named <tag>.conn…,
-// <tag>.hier.mesh… and <tag>.hier.lring…. Every communicator of a
-// simulation passes the same pool, so a chunk any of them frees serves
-// the next Write on any other.
-func NewWirings(chunks *mem.Chunks, net *fabric.Network, tag string) *Wirings {
-	return &Wirings{chunks: chunks, net: net, tag: tag}
+// <tag>.hier.mesh… and <tag>.hier.lring…, and whose flat plans are
+// shared through plans. Every communicator of a simulation passes the
+// same pool and registry, so a chunk any of them frees serves the next
+// Write on any other, and a plan any of them holds serves every other
+// collective of its shape.
+func NewWirings(chunks *mem.Chunks, plans *Plans, net *fabric.Network, tag string) *Wirings {
+	return &Wirings{chunks: chunks, plans: plans, net: net, tag: tag}
 }
 
 // ExecutorFor builds the executor for spec's participant at ring
 // position pos over the wiring spec's algorithm needs.
 func (ws *Wirings) ExecutorFor(c *topo.Cluster, spec Spec, pos int, sendBuf, recvBuf *mem.Buffer) *Executor {
-	return ws.wiringFor(spec).ExecutorFor(c, spec, pos, sendBuf, recvBuf)
+	x := new(Executor)
+	ws.Rebuild(x, c, spec, pos)
+	x.SendBuf, x.RecvBuf = sendBuf, recvBuf
+	return x
 }
 
 // Rebuild makes x, in place, the executor ExecutorFor builds without
-// buffers, reusing the plan storage, scratch buffer and Runner x owns.
+// buffers, reusing the scratch buffer and Runner x owns. It reads the
+// plan ExecutorFor would: the wiring's, if spec has its shape.
 // Everything else — buffers, dynamic context, statistics, AbortCheck,
 // Rec, RecColl and Job — starts as in a new executor.
 func (ws *Wirings) Rebuild(x *Executor, c *topo.Cluster, spec Spec, pos int) {
-	ws.wiringFor(spec).build(x, c, spec, pos)
+	ws.wiringFor(spec).build(x, c, spec, pos, ws.plans)
 }
 
 // wiringFor returns the wiring spec's algorithm needs over its rank
@@ -238,11 +343,14 @@ func (ws *Wirings) wiringFor(spec Spec) *Wiring {
 	if spec.Algo == AlgoHierarchical {
 		slot = &ws.hier
 	}
-	if *slot == nil || !slices.Equal((*slot).ranks, spec.Ranks) {
+	if old := *slot; old == nil || !slices.Equal(old.ranks, spec.Ranks) {
 		if spec.Algo == AlgoHierarchical {
 			*slot = buildHier(ws.chunks, ws.net, spec.Ranks, ws.tag+".hier")
 		} else {
 			*slot = buildRing(ws.chunks, ws.net, spec.Ranks, ws.tag)
+			if old != nil {
+				(*slot).plan = old.plan // a flat plan knows no rank order
+			}
 		}
 	}
 	return *slot
