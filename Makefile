@@ -77,8 +77,12 @@ loc:
 # kill/requeue table at two jobs per GPU runs 20 times. A fabric flow is
 # woken only when a solve changes its rate: the transfer machine's oracle
 # and the layer's invariant tests run 200 times, fabric's whole suite 20
-# times under the race detector. Connectors lend chunks of the writer's
-# memory until it settles them: the model packages run 20 times with the
+# times under the race detector. Every race run is a process of its own:
+# the race runtime's memory grows with each count a test binary runs
+# while the live heap stays flat (~450 MB a count for prim, ~240 MB for
+# fabric, ~130 MB for sim), so 20 or 50 counts in one process need
+# gigabytes. Connectors lend chunks of the writer's memory until it
+# settles them: the model packages run 20 times with the
 # lent-chunk-stable invariant built in (-tags lentcheck). The all-to-all
 # forwards through two scratch transit slots it settles before each
 # receive: the test that catches a missed settle there runs 200 times,
@@ -88,11 +92,10 @@ soak:
 	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
 	$(GO) test -count=200 -run 'TestExperiments/^(chaos|cluster|trace)$$' ./internal/bench
 	$(GO) test -count=200 -run 'MatchesBlocking' ./internal/core
-	$(GO) test -race -count=50 ./internal/sim
-	$(GO) test -race -count=20 ./internal/mem ./internal/prim
-	$(GO) test -race -count=20 ./internal/core
+	for i in $$(seq 50); do $(GO) test -race -count=1 ./internal/sim || exit 1; done
+	for i in $$(seq 20); do $(GO) test -race -count=1 ./internal/mem ./internal/prim ./internal/core || exit 1; done
 	$(GO) test -count=200 -run 'RepredictMatchesLoop|JoinWakesOnlyReratedFlows|FlowDueInvariant|XferBeginUnheld' ./internal/fabric
-	$(GO) test -race -count=20 ./internal/fabric
+	for i in $$(seq 20); do $(GO) test -race -count=1 ./internal/fabric || exit 1; done
 	$(GO) test -tags lentcheck -count=20 ./internal/...
 	$(GO) test -count=200 -run 'TestAllToAllNeedsOnlyTransit' ./internal/prim
 	$(GO) test -tags lentcheck -count=50 -run 'TestAllToAllNeedsOnlyTransit|TestAllToAllKillMidRun' ./internal/prim ./internal/core

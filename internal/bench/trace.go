@@ -230,15 +230,15 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 	// Gate 1 — byte reconciliation: the recorder's summed Sends must
 	// exactly equal the executors' per-transport accounting.
 	local, shm, rdma := rec.SendBytesBy()
-	totals := sys.BytesSentTotals()
-	if local != totals.Local || shm != totals.SHM || rdma != totals.RDMA {
-		return nil, nil, nil, fmt.Errorf("bench: byte reconciliation failed: trace (local %d, shm %d, rdma %d) vs accounting %+v",
-			local, shm, rdma, totals)
+	counters := sys.Metrics()
+	if int64(local) != counters["prim.bytes_local"] || int64(shm) != counters["prim.bytes_shm"] || int64(rdma) != counters["prim.bytes_rdma"] {
+		return nil, nil, nil, fmt.Errorf("bench: byte reconciliation failed: trace (local %d, shm %d, rdma %d) vs accounting %v",
+			local, shm, rdma, counters)
 	}
 
 	// Gate 2 — span-count reconciliation: one action span per executed
 	// primitive, system-wide and per clean collective per GPU.
-	if got, want := len(rec.Actions), sys.PrimsExecutedTotal(); got != want {
+	if got, want := int64(len(rec.Actions)), counters["prim.prims_executed"]; got != want {
 		return nil, nil, nil, fmt.Errorf("bench: span count %d != primitives executed %d", got, want)
 	}
 	perCollGPU := make(map[[2]int]int)
@@ -285,7 +285,7 @@ func traceScenario() (traceJSON, metricsJSON []byte, summary []string, err error
 	}
 
 	metricsJSON, err = json.MarshalIndent(traceMetrics{
-		Counters: sys.Metrics(),
+		Counters: counters,
 		Histograms: map[string]histSummary{"workload.iter_latency_ns": {
 			N: iterLatency.Len(), Mean: iterLatency.Mean(), P50: iterLatency.Percentile(50),
 			P95: iterLatency.Percentile(95), P99: iterLatency.Percentile(99), Max: iterLatency.Percentile(100),

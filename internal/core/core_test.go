@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -544,7 +543,7 @@ func TestSpinPolicyGradientAndBoost(t *testing.T) {
 
 func TestCommunicatorPoolReuse(t *testing.T) {
 	c4 := topo.Server3090(4)
-	pool := newCommPool(fabric.Unshared(c4))
+	pool := &commPool{net: fabric.Unshared(c4)}
 	a := pool.acquire([]int{0, 1, 2}, 1)
 	pool.release(a)
 	b := pool.acquire([]int{2, 1, 0}, 2) // same set, different order
@@ -555,15 +554,20 @@ func TestCommunicatorPoolReuse(t *testing.T) {
 	if c == a {
 		t.Fatal("pool reused communicator across different rank sets")
 	}
-	// The free-list key is the sorted set as fmt.Sprint prints it.
-	for _, ranks := range [][]int{{3, 10, 2, 0}, {7}, {}} {
-		want := fmt.Sprint(slices.Sorted(slices.Values(ranks)))
-		if got := string(pool.rankKey(ranks)); got != want {
-			t.Errorf("rankKey(%v) = %q, want %q", ranks, got, want)
-		}
-	}
 	if pool.Created() != 2 {
 		t.Fatalf("created = %d, want 2", pool.Created())
+	}
+	// A set's released communicators come back newest first, whatever
+	// else was released in between.
+	d := pool.acquire([]int{1, 0, 2}, 4)
+	pool.release(b)
+	pool.release(d)
+	pool.release(c)
+	if got := pool.acquire([]int{0, 2, 1}, 5); got != d {
+		t.Fatal("pool did not hand back the most recently released communicator of the set")
+	}
+	if got := pool.acquire([]int{0, 1, 2}, 6); got != b || len(pool.free) != 1 {
+		t.Fatalf("pool handed back another communicator than the set's older one, or holds %d, want 1", len(pool.free))
 	}
 }
 

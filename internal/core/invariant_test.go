@@ -36,7 +36,7 @@ func TestCQOccupancyInvariant(t *testing.T) {
 // keeps created = in use + pooled through acquire and release.
 func TestCommPoolInvariants(t *testing.T) {
 	c4 := topo.Server3090(4)
-	pool := newCommPool(fabric.Unshared(c4))
+	pool := &commPool{net: fabric.Unshared(c4)}
 	spec := prim.Spec{Kind: prim.AllReduce, Count: 64, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3}, ChunkElems: 16}
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -56,8 +56,8 @@ func TestCommPoolInvariants(t *testing.T) {
 	pool.release(a)
 	pool.release(b)
 	a, b = pool.acquire(spec.Ranks, 3), pool.acquire(spec.Ranks, 4)
-	if a == b || pool.created != 2 || pool.inUse != 2 || pool.pooled != 0 {
-		t.Fatalf("reacquired the same communicator %t; created %d, in use %d, pooled %d; want 2, 2, 0", a == b, pool.created, pool.inUse, pool.pooled)
+	if a == b || pool.created != 2 || pool.inUse != 2 || len(pool.free) != 0 {
+		t.Fatalf("reacquired the same communicator %t; created %d, in use %d, pooled %d; want 2, 2, 0", a == b, pool.created, pool.inUse, len(pool.free))
 	}
 	pool.release(a)
 	mustPanic("comms-accounted", func() { pool.release(a) })

@@ -652,6 +652,63 @@ func TestAutoCollIDConvergence(t *testing.T) {
 	}
 }
 
+// TestAutoIDsDropClosedSpecs: autoIDs keeps an entry for a spec only
+// while an auto-assigned ID of it is open. Closing every group of a spec
+// drops its entry, the other spec's stays, on its own copy of the ranks,
+// and a reopen of the closed spec gets the next fresh ID.
+func TestAutoIDsDropClosedSpecs(t *testing.T) {
+	e := sim.NewEngine()
+	sys := NewSystem(e, topo.Server3090(2), DefaultConfig())
+	ranks := []int{0, 1}
+	e.Spawn("autoid", func(p *sim.Process) {
+		rcs := []*RankContext{sys.Init(p, 0), sys.Init(p, 1)}
+		// open opens spec on both ranks and returns the ID they share.
+		open := func(spec prim.Spec) int {
+			id := -1
+			for _, rc := range rcs {
+				c, err := rc.Open(spec)
+				if err != nil || id >= 0 && c.ID() != id {
+					t.Errorf("open on rank %d: %v, or an ID of its own", rc.Rank, err)
+					return -1
+				}
+				id = c.ID()
+			}
+			return id
+		}
+		closeAll := func(id int) {
+			for _, rc := range rcs {
+				if err := rc.Unregister(id); err != nil {
+					t.Errorf("close %d on rank %d: %v", id, rc.Rank, err)
+				}
+			}
+		}
+		a1, a2, b := open(lifecycleSpec(64, ranks)), open(lifecycleSpec(64, ranks)), open(lifecycleSpec(128, ranks))
+		if len(sys.autoIDs) != 2 || len(sys.autoIDs[0].ids) != 2 {
+			t.Errorf("autoIDs = %+v, want two specs, the first with two IDs", sys.autoIDs)
+		}
+		closeAll(a1)
+		closeAll(a2)
+		if len(sys.autoIDs) != 1 || !sys.autoIDs[0].spec.Same(lifecycleSpec(128, ranks)) ||
+			&sys.autoIDs[0].spec.Ranks[0] == &ranks[0] {
+			t.Errorf("autoIDs = %+v after the 64-element spec closed, want only the 128-element one's, on a copy", sys.autoIDs)
+		}
+		closeAll(b)
+		if len(sys.autoIDs) != 0 {
+			t.Errorf("autoIDs = %+v after every group closed, want none", sys.autoIDs)
+		}
+		next := sys.nextAutoID
+		if id := open(lifecycleSpec(64, ranks)); id != next {
+			t.Errorf("a reopen of a closed spec got ID %d, want the next fresh one %d", id, next)
+		}
+		for _, rc := range rcs {
+			rc.Destroy(p)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // TestCrossJobRegisterRefused pins the multi-tenant ownership check:
 // once job 1 registers a collective ID, a rank acting for job 2 cannot
 // join that group — Open fails with the ownership error instead of
@@ -808,11 +865,12 @@ func TestRecycledTasksRunLikeNew(t *testing.T) {
 			t.Fatalf("%v: Run: %v", algo, err)
 		}
 		local, shm, rdma := rec.SendBytesBy()
-		if totals := sys.BytesSentTotals(); local != totals.Local || shm != totals.SHM || rdma != totals.RDMA {
-			t.Errorf("%v: trace bytes (local %d, shm %d, rdma %d) != accounting %+v", algo, local, shm, rdma, totals)
+		m := sys.Metrics()
+		if int64(local) != m["prim.bytes_local"] || int64(shm) != m["prim.bytes_shm"] || int64(rdma) != m["prim.bytes_rdma"] {
+			t.Errorf("%v: trace bytes (local %d, shm %d, rdma %d) != accounting %v", algo, local, shm, rdma, m)
 		}
-		if got, want := len(rec.Actions), sys.PrimsExecutedTotal(); got != want || got == 0 {
-			t.Errorf("%v: %d action spans, PrimsExecutedTotal %d", algo, got, want)
+		if got, want := int64(len(rec.Actions)), m["prim.prims_executed"]; got != want || got == 0 {
+			t.Errorf("%v: %d action spans, prim.prims_executed %d", algo, got, want)
 		}
 		free := 0
 		for task := sys.freeTasks; task != nil; task = task.next {

@@ -61,18 +61,6 @@ func (st *RankStats) add(o RankStats) {
 	st.SchedulerPass += o.SchedulerPass
 }
 
-// BytesSentTotals returns the system-wide wire-byte split by
-// transport: every live executor's BytesSentBy plus the retired
-// aggregates. This is the accounting side of the byte-reconciliation
-// gate — the flight recorder's summed Sends must equal it exactly.
-func (s *System) BytesSentTotals() prim.TransportBytes { return s.totals().bytes }
-
-// PrimsExecutedTotal returns the system-wide count of executed
-// primitives (live plus retired executors) — the span-count side of
-// the reconciliation gate: the recorder must hold exactly this many
-// action spans.
-func (s *System) PrimsExecutedTotal() int { return s.totals().prims }
-
 // Counters is a snapshot of the deployment's process-wide counters,
 // keyed by name: "core.launches", "prim.bytes_shm",
 // "fabric.<tier>.busy_ns" and so on. encoding/json sorts map keys, so

@@ -165,12 +165,12 @@ func TestTracingUnderFaults(t *testing.T) {
 	// Reconciliation survives the abort: the recorder and the executors'
 	// byte accounting agree exactly, span-for-primitive.
 	local, shm, rdma := rec.SendBytesBy()
-	totals := sys.BytesSentTotals()
-	if local != totals.Local || shm != totals.SHM || rdma != totals.RDMA {
-		t.Errorf("trace bytes (local %d, shm %d, rdma %d) != accounting %+v",
-			local, shm, rdma, totals)
+	m := sys.Metrics()
+	if int64(local) != m["prim.bytes_local"] || int64(shm) != m["prim.bytes_shm"] || int64(rdma) != m["prim.bytes_rdma"] {
+		t.Errorf("trace bytes (local %d, shm %d, rdma %d) != accounting %v",
+			local, shm, rdma, m)
 	}
-	if got, want := len(rec.Actions), sys.PrimsExecutedTotal(); got != want {
-		t.Errorf("action spans = %d, want PrimsExecutedTotal %d", got, want)
+	if got, want := int64(len(rec.Actions)), m["prim.prims_executed"]; got != want {
+		t.Errorf("action spans = %d, want prim.prims_executed %d", got, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"dfccl/internal/cudasim"
 	"dfccl/internal/fabric"
@@ -38,10 +37,10 @@ type System struct {
 	// one, so the list holds at most the peak number of registrations.
 	freeTasks *collTask
 
-	// autoIDs maps a spec fingerprint to the collective IDs the system
-	// has assigned for it (in allocation order); nextAutoID is the next
-	// system-assigned ID.
-	autoIDs    map[string][]int
+	// autoIDs lists, per spec, the collective IDs the system has
+	// assigned for it and not yet freed; an entry goes with its last ID.
+	// nextAutoID is the next system-assigned ID.
+	autoIDs    []specIDs
 	nextAutoID int
 
 	// Always-on lifecycle counters (plain increments on cold paths, in
@@ -73,8 +72,7 @@ func NewSystem(e *sim.Engine, c *topo.Cluster, cfg Config) *System {
 		Config:     cfg,
 		net:        net,
 		ranks:      make([]*RankContext, c.Size()),
-		pool:       newCommPool(net),
-		autoIDs:    make(map[string][]int),
+		pool:       &commPool{net: net},
 		nextAutoID: AutoCollIDBase,
 	}
 	for _, g := range c.GPUs {
@@ -246,14 +244,29 @@ func (s *System) unregister(g *Group) {
 	if g.ID < AutoCollIDBase {
 		return // autoCollID assigns no ID below the base
 	}
-	key := g.Spec.Fingerprint()
-	ids := s.autoIDs[key]
-	for i, id := range ids {
-		if id == g.ID {
-			s.autoIDs[key] = append(ids[:i], ids[i+1:]...)
-			break
-		}
+	a := s.autoIDsOf(g.Spec)
+	if a < 0 {
+		return
 	}
+	ids := &s.autoIDs[a].ids
+	if i := slices.Index(*ids, g.ID); i >= 0 {
+		*ids = slices.Delete(*ids, i, i+1)
+	}
+	if len(*ids) == 0 {
+		s.autoIDs = slices.Delete(s.autoIDs, a, a+1)
+	}
+}
+
+// specIDs are the collective IDs the system assigned for one spec, in
+// allocation order; spec is its own copy, found by Same.
+type specIDs struct {
+	spec prim.Spec
+	ids  []int
+}
+
+// autoIDsOf returns the index of spec's entry in autoIDs, or -1.
+func (s *System) autoIDsOf(spec prim.Spec) int {
+	return slices.IndexFunc(s.autoIDs, func(a specIDs) bool { return a.spec.Same(spec) })
 }
 
 // autoCollID assigns a deterministic collective ID for a spec opened
@@ -262,15 +275,24 @@ func (s *System) unregister(g *Group) {
 // open identical specs in the same per-spec order therefore converge
 // on the same IDs without coordination.
 func (s *System) autoCollID(r *RankContext, spec prim.Spec) int {
-	key := spec.Fingerprint()
-	for _, id := range s.autoIDs[key] {
+	a := s.autoIDsOf(spec)
+	if a < 0 {
+		spec.Ranks = slices.Clone(spec.Ranks)
+		spec.Counts = slices.Clone(spec.Counts)
+		for i, row := range spec.Counts {
+			spec.Counts[i] = slices.Clone(row)
+		}
+		a = len(s.autoIDs)
+		s.autoIDs = append(s.autoIDs, specIDs{spec: spec})
+	}
+	for _, id := range s.autoIDs[a].ids {
 		if r.task(id) == nil {
 			return id
 		}
 	}
 	id := s.nextAutoID
 	s.nextAutoID++
-	s.autoIDs[key] = append(s.autoIDs[key], id)
+	s.autoIDs[a].ids = append(s.autoIDs[a].ids, id)
 	return id
 }
 
@@ -401,14 +423,14 @@ func (s *System) CommsReused() int { return s.pool.Reused() }
 
 // CommsPooled reports how many released communicators are currently
 // available for reuse.
-func (s *System) CommsPooled() int { return s.pool.pooled }
+func (s *System) CommsPooled() int { return len(s.pool.free) }
 
 // communicator owns the connector wiring for one registered
 // collective. The wiring prices every transfer on the system-wide
 // fabric, so collectives on different communicators contend with each
 // other when it is Shared.
 type communicator struct {
-	key     string // rankKey of its rank set: the pool's free list it returns to
+	ranks   []int // its rank set, sorted: the acquires a free one serves
 	wirings *prim.Wirings
 	// inUse is set while a live group holds the communicator. The pool
 	// hands each one to at most one group at a time, and a group's
@@ -424,59 +446,40 @@ type commPool struct {
 	net *fabric.Network
 	// chunks is the staging pool every communicator's connectors share.
 	chunks mem.Chunks
-	// plans is the registry every communicator's flat plans are shared
+	// plans is the registry every communicator's plans are shared
 	// through.
 	plans prim.Plans
-	free  map[string][]*communicator
-	// created counts communicators ever built, inUse those a group
-	// holds and pooled those on the free lists; created = inUse +
-	// pooled always (invariant comms-accounted).
-	created, inUse, pooled int
-	reused                 int
-	// sorted and key are rankKey's scratch, so that an acquire the free
-	// list serves allocates nothing.
+	// free lists the released communicators, oldest first.
+	free []*communicator
+	// created counts communicators ever built and inUse those a group
+	// holds; created = inUse + len(free) always (invariant
+	// comms-accounted).
+	created, inUse int
+	reused         int
+	// sorted is acquire's scratch, so that an acquire the free list
+	// serves allocates nothing.
 	sorted []int
-	key    []byte
 }
 
-func newCommPool(net *fabric.Network) *commPool {
-	return &commPool{net: net, free: make(map[string][]*communicator)}
-}
-
-// rankKey writes the free-list key of a rank set, its sorted ranks as
-// fmt.Sprint prints them ("[0 1 2]"), over the pool's scratch.
-func (cp *commPool) rankKey(ranks []int) []byte {
+// acquire returns a communicator over the given ranks, reusing the
+// most recently released one with the same rank set when available. A
+// new one's wiring is tagged with the collective it is built for.
+func (cp *commPool) acquire(ranks []int, collID int) *communicator {
 	cp.sorted = append(cp.sorted[:0], ranks...)
 	slices.Sort(cp.sorted)
-	cp.key = append(cp.key[:0], '[')
-	for i, r := range cp.sorted {
-		if i > 0 {
-			cp.key = append(cp.key, ' ')
+	for i := len(cp.free) - 1; i >= 0; i-- {
+		if c := cp.free[i]; slices.Equal(c.ranks, cp.sorted) {
+			cp.free = slices.Delete(cp.free, i, i+1)
+			cp.reused++
+			cp.account(c, true)
+			return c
 		}
-		cp.key = strconv.AppendInt(cp.key, int64(r), 10)
 	}
-	cp.key = append(cp.key, ']')
-	return cp.key
-}
-
-// acquire returns a communicator over the given ranks, reusing a
-// released one with the same rank set when available. A new one's
-// wiring is tagged with the collective it is built for.
-func (cp *commPool) acquire(ranks []int, collID int) *communicator {
-	key := cp.rankKey(ranks)
-	var c *communicator
-	if frees := cp.free[string(key)]; len(frees) > 0 {
-		c = frees[len(frees)-1]
-		cp.free[c.key] = frees[:len(frees)-1]
-		cp.pooled--
-		cp.reused++
-	} else {
-		c = &communicator{
-			key:     string(key),
-			wirings: prim.NewWirings(&cp.chunks, &cp.plans, cp.net, fmt.Sprintf("coll%d", collID)),
-		}
-		cp.created++
+	c := &communicator{
+		ranks:   slices.Clone(cp.sorted),
+		wirings: prim.NewWirings(&cp.chunks, &cp.plans, cp.net, fmt.Sprintf("coll%d", collID)),
 	}
+	cp.created++
 	cp.account(c, true)
 	return c
 }
@@ -487,8 +490,7 @@ func (cp *commPool) acquire(ranks []int, collID int) *communicator {
 // and reach the next owner.
 func (cp *commPool) release(c *communicator) {
 	c.wirings.Reset()
-	cp.free[c.key] = append(cp.free[c.key], c)
-	cp.pooled++
+	cp.free = append(cp.free, c)
 	cp.account(c, false)
 }
 
@@ -503,9 +505,9 @@ func (cp *commPool) account(c *communicator, inUse bool) {
 	} else {
 		cp.inUse--
 	}
-	if was == inUse || cp.created != cp.inUse+cp.pooled {
-		panic(fmt.Sprintf("core: invariant comms-accounted: communicator %s set in use %v twice, or created %d != in use %d + pooled %d",
-			c.key, inUse, cp.created, cp.inUse, cp.pooled))
+	if was == inUse || cp.created != cp.inUse+len(cp.free) {
+		panic(fmt.Sprintf("core: invariant comms-accounted: communicator %v set in use %v twice, or created %d != in use %d + pooled %d",
+			c.ranks, inUse, cp.created, cp.inUse, len(cp.free)))
 	}
 }
 

@@ -9,36 +9,16 @@ import (
 	"dfccl/internal/mem"
 )
 
-// TestFingerprintMatchesSprintf: Fingerprint builds by hand, byte for byte,
-// the string fmt used to print, so collective IDs and pool keys derived
-// from it do not move.
-func TestFingerprintMatchesSprintf(t *testing.T) {
-	specs := []Spec{
-		{},
-		{Kind: AllReduce, Count: 1024, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3}},
-		{Kind: Broadcast, Algo: AlgoHierarchical, Count: 7, Type: mem.Float64, Op: mem.Max, Root: 2, Ranks: []int{5, 3, 11}, ChunkElems: 64, TimingOnly: true},
-		{Kind: Reduce, Count: -1, Root: -3, Ranks: []int{-2}, ChunkElems: -8},
-		{Kind: AllToAllv, Ranks: []int{0, 1}, Counts: [][]int{{1, 2}, {3, 4}}},
-		{Kind: AllToAllv, Ranks: []int{}, Counts: [][]int{}},
-		{Kind: AllToAllv, Ranks: []int{4}, Counts: [][]int{nil}},
-		{Kind: AllToAllv, Ranks: []int{0, 1, 2}, Counts: [][]int{{}, {7}, nil, {1, 22, 333, 4444}}},
-		{Kind: AllToAllv, Algo: AlgoAuto, Ranks: make([]int, 100), Counts: [][]int{make([]int, 100), make([]int, 100)}},
-	}
-	for _, s := range specs {
-		want := fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%t|%v|%v",
-			int(s.Kind), int(s.Algo), s.Count, int(s.Type), int(s.Op), s.Root, s.ChunkElems, s.TimingOnly, s.Ranks, s.Counts)
-		if got := s.Fingerprint(); got != want {
-			t.Errorf("Fingerprint = %q\n     Sprintf = %q", got, want)
-		}
-	}
-}
-
-// TestSameMatchesFingerprint: a.Same(b) holds exactly when the
-// fingerprints are equal — over random pairs drawn from a small space
-// (so some collide), a spec and its deep copy, nil against empty
-// slices, and a change of each single field — and Same allocates
+// TestSameMatchesFingerprint: a.Same(b) holds exactly when the specs
+// print alike, every field in fmt's %v — over random pairs drawn from a
+// small space (so some collide), a spec and its deep copy, nil against
+// empty slices, and a change of each single field — and Same allocates
 // nothing.
 func TestSameMatchesFingerprint(t *testing.T) {
+	fingerprint := func(s Spec) string {
+		return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%t|%v|%v",
+			int(s.Kind), int(s.Algo), s.Count, int(s.Type), int(s.Op), s.Root, s.ChunkElems, s.TimingOnly, s.Ranks, s.Counts)
+	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	ints := func(n int) []int {
 		if n == 0 && rng.IntN(2) == 0 {
@@ -108,8 +88,8 @@ func TestSameMatchesFingerprint(t *testing.T) {
 	}
 	check := func(a, b Spec) {
 		t.Helper()
-		if same, fp := a.Same(b), a.Fingerprint() == b.Fingerprint(); same != fp {
-			t.Fatalf("Same = %v but fingerprints equal = %v:\n%q\n%q", same, fp, a.Fingerprint(), b.Fingerprint())
+		if same, fp := a.Same(b), fingerprint(a) == fingerprint(b); same != fp {
+			t.Fatalf("Same = %v but fingerprints equal = %v:\n%q\n%q", same, fp, fingerprint(a), fingerprint(b))
 		}
 	}
 	for range 2000 {

@@ -467,10 +467,10 @@ func TestHierValidate(t *testing.T) {
 			t.Errorf("case %d: valid %v %v spec rejected: %v", i, s.Algo, s.Kind, err)
 		}
 	}
-	// Fingerprints must distinguish algorithms (re-registration safety).
+	// Same must distinguish algorithms (re-registration safety).
 	ring := vSpec([][]int{{0, 3}, {2, 0}}, 4)
-	if ring.Fingerprint() == good[0].Fingerprint() {
-		t.Error("ring and hierarchical specs share a fingerprint")
+	if ring.Same(good[0]) {
+		t.Error("ring and hierarchical specs are the Same")
 	}
 	// An unresolved AlgoAuto must never reach a sequence builder.
 	auto := Spec{Kind: AllReduce, Count: 8, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}, Algo: AlgoAuto}

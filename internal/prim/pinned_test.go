@@ -149,7 +149,7 @@ func listed(q *Sequence, pos int) *listedPlan {
 // hash; the fields a position rule rewrites (segs, workLen,
 // initCopyOwnSeg, work, copyOut) listed reads through their accessors.
 func TestListedPlanMirrorsSequence(t *testing.T) {
-	shape := map[string]bool{"kind": true, "algo": true, "n": true, "count": true, "root": true, "counts": true,
+	shape := map[string]bool{"kind": true, "algo": true, "n": true, "count": true, "root": true, "counts": true, "nodeOf": true,
 		"transit": true, "lays": true, "one": true, "stage": true}
 	want := map[string]bool{}
 	for _, typ := range []reflect.Type{reflect.TypeOf(layout{}), reflect.TypeOf(Sequence{})} {

@@ -283,3 +283,35 @@ func TestPlansHoldWhatWiringsHold(t *testing.T) {
 		}
 	}
 }
+
+// TestHierPlansShared: two Wirings on one Plans over one rank order share
+// one hierarchical plan; an order that puts the positions on other nodes
+// reads another, and a permuted order that groups them alike reads the
+// first again. Once the last holder of a plan swaps it away, the
+// registry no longer holds it.
+func TestHierPlansShared(t *testing.T) {
+	c := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
+	plans := new(Plans)
+	ws := []*Wirings{
+		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "a"),
+		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "b"),
+	}
+	hier := func(count int, ranks ...int) Spec {
+		return Spec{Kind: AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: ranks, Algo: AlgoHierarchical}
+	}
+	plan := func(w *Wirings, s Spec) *Sequence { return w.ExecutorFor(c, s, 1, nil, nil).Seq }
+	q := plan(ws[0], hier(24, 0, 1, 2, 3))
+	if plan(ws[1], hier(24, 0, 1, 2, 3)) != q {
+		t.Fatal("a second wiring over the same rank order built its own hierarchical plan")
+	}
+	if p := plan(ws[1], hier(24, 0, 2, 1, 3)); p == q || len(plans.held) != 2 {
+		t.Fatalf("an order on other nodes read the first plan %t; registry holds %d plans, want 2", p == q, len(plans.held))
+	}
+	if plan(ws[1], hier(24, 1, 0, 3, 2)) != q || len(plans.held) != 1 || plans.held[0].wires != 2 {
+		t.Fatalf("an order grouped alike did not read the first plan, or the registry holds %+v, want it alone, twice", plans.held)
+	}
+	r := plan(ws[0], hier(40, 0, 1, 2, 3))
+	if plan(ws[1], hier(40, 1, 0, 3, 2)) != r || len(plans.held) != 1 || plans.held[0].q != r {
+		t.Fatalf("registry holds %+v after both wirings left the first plan, want only the new one", plans.held)
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"dfccl/internal/mem"
 )
@@ -183,9 +182,8 @@ type Spec struct {
 	// AlgoAuto is resolved to one of the two from the tuning table at
 	// Open time, before the spec is registered. Two
 	// registrations of the same collective ID must agree on it —
-	// Same and Fingerprint treat the algorithm as part of the
-	// collective's identity, because ring and hierarchical executors
-	// use incompatible wiring.
+	// Same treats the algorithm as part of the collective's identity,
+	// because ring and hierarchical executors use incompatible wiring.
 	Algo Algorithm
 }
 
@@ -197,53 +195,15 @@ func (s Spec) Timing() Spec {
 	return s
 }
 
-// Same reports whether two specs are interchangeable for registration,
-// collective-ID assignment and communicator pooling: every field is
-// equal, including the algorithm and the AllToAllv count matrix (two
-// variable-count collectives with different routing must not share a
-// registration). It holds exactly when the Fingerprints are equal, and
-// allocates nothing.
+// Same reports whether two specs are interchangeable for registration
+// and collective-ID assignment: every field is equal, including the
+// algorithm and the AllToAllv count matrix (two variable-count
+// collectives with different routing must not share a registration).
+// It allocates nothing.
 func (s Spec) Same(o Spec) bool {
 	return s.Kind == o.Kind && s.Algo == o.Algo && s.Count == o.Count && s.Type == o.Type && s.Op == o.Op &&
 		s.Root == o.Root && s.ChunkElems == o.ChunkElems && s.TimingOnly == o.TimingOnly &&
 		slices.Equal(s.Ranks, o.Ranks) && slices.EqualFunc(s.Counts, o.Counts, slices.Equal[[]int])
-}
-
-// Fingerprint returns a string that identifies the spec up to Same:
-// specs with equal fingerprints are interchangeable, so it keys the
-// collective-ID assignment that maps specs to IDs.
-//
-// The text is fmt's "%d|%d|%d|%d|%d|%d|%d|%t|%v|%v" of Kind, Algo, Count,
-// Type, Op, Root, ChunkElems, TimingOnly, Ranks and Counts, built by hand:
-// every registration and pool lookup asks for it, and fmt reflects over
-// the two slices element by element.
-func (s Spec) Fingerprint() string {
-	var buf [128]byte
-	b := buf[:0]
-	for _, v := range [...]int{int(s.Kind), int(s.Algo), s.Count, int(s.Type), int(s.Op), s.Root, s.ChunkElems} {
-		b = append(strconv.AppendInt(b, int64(v), 10), '|')
-	}
-	b = append(strconv.AppendBool(b, s.TimingOnly), '|')
-	b = append(appendInts(b, s.Ranks), '|', '[')
-	for i, row := range s.Counts {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = appendInts(b, row)
-	}
-	return string(append(b, ']'))
-}
-
-// appendInts appends v as fmt's %v prints a []int: "[1 2 3]".
-func appendInts(b []byte, v []int) []byte {
-	b = append(b, '[')
-	for i, n := range v {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(n), 10)
-	}
-	return append(b, ']')
 }
 
 func (s Spec) chunk() int {
@@ -531,13 +491,15 @@ func (st *Stage) action(pos, k int, a *Action) {
 // on its role and node: that plan keeps one layout per position.
 type Sequence struct {
 	// kind, algo, n, count, root and chunkElems are the shape the plan was
-	// built for (serves), and counts an all-to-all-v's Counts, row-major,
-	// the plan's own copy.
+	// built for (serves), counts an all-to-all-v's Counts, row-major,
+	// the plan's own copy, and nodeOf a hierarchical plan's node grouping
+	// (NodeGrouping.NodeOf, which no one writes once it is made).
 	kind           Kind
 	algo           Algorithm
 	n, count, root int
 	chunkElems     int
 	counts         []int
+	nodeOf         []int
 	// seeded: each segment's own contribution is its seed, a range of the
 	// send buffer, which a reduce into the segment reads straight from
 	// the send buffer as it folds the chunk in; the init copy copies only
@@ -718,13 +680,13 @@ func (q *Sequence) seed(pos, b int) segRange {
 	return segRange{Lo: lo, Hi: lo + segs[b].len()}
 }
 
-// serves reports whether the plan is s's: s has the shape it was built
-// for. A plan depends on the ranks only through their count (each Wiring,
-// which keeps a plan, is one rank order's), and not on the element type,
-// the reduction or TimingOnly.
-func (q *Sequence) serves(s Spec) bool {
+// serves reports whether the plan is s's over the node grouping g: s
+// has the shape it was built for, and g its grouping (none, on the flat
+// ring). A plan depends on the ranks only through their count and
+// grouping, and not on the element type, the reduction or TimingOnly.
+func (q *Sequence) serves(s Spec, g NodeGrouping) bool {
 	return q.kind == s.Kind && q.algo == s.Algo && q.n == s.N() && q.count == s.Count && q.root == s.Root &&
-		q.chunkElems == s.chunk() && q.sameCounts(s.Counts)
+		q.chunkElems == s.chunk() && q.sameCounts(s.Counts) && slices.Equal(q.nodeOf, g.NodeOf)
 }
 
 // sameCounts reports whether m is the plan's count matrix.
@@ -811,7 +773,7 @@ func (s Spec) build(g NodeGrouping) *Sequence {
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")
 	}
 	n := s.N()
-	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk()}
+	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk(), nodeOf: g.NodeOf}
 	if s.Counts != nil {
 		// The caller may change its count matrix once the collective
 		// closes: the plan keeps a copy, and room for a flat

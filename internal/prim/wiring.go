@@ -168,7 +168,7 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int, plans *
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	if w.plan == nil || !w.plan.serves(spec) {
+	if w.plan == nil || !w.plan.serves(spec, w.grouping) {
 		w.plan = plans.swap(w.plan, spec, w.grouping)
 	}
 	seq := w.plan.has(pos)
@@ -207,95 +207,50 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int, plans *
 	}
 }
 
-// Plans lets the Wirings of one simulation share their flat plans: a
-// flat plan is a function of its shape alone, so every wiring that needs
-// a shape reads the one plan of it any wiring holds. A plan is
-// registered while a wiring holds it, so Plans holds no more plans than
-// there are wirings. The zero value is ready to use.
+// Plans lets the Wirings of one simulation share their plans: a plan is
+// a function of its shape and node grouping alone (serves), so every
+// wiring that needs one reads the plan any wiring holds. A plan is held
+// while a wiring holds it, so Plans holds no more plans than there are
+// wirings, and a lookup scans them. The zero value is ready to use.
 type Plans struct {
-	held map[planKey]heldPlan
+	held []heldPlan
 }
 
-// planKey is what a flat plan's shape is registered under. A plan found
-// under it must still serve the spec: two count matrices may hash alike,
-// and then the later plan goes unregistered, held by its wiring alone.
-type planKey struct {
-	kind                  Kind
-	n, count, root, chunk int
-	counts                uint64 // FNV-1a of an all-to-all-v's Counts
-}
-
-// key is the planKey of the flat plan q.
-func (q *Sequence) key() planKey {
-	k := keyOf(Spec{Kind: q.kind, Count: q.count, Root: q.root, ChunkElems: q.chunkElems}, q.n)
-	k.counts = hashInts(k.counts, q.counts)
-	return k
-}
-
-// heldPlan is a registered plan and the count of wirings holding it.
+// heldPlan is a held plan and the count of wirings holding it.
 type heldPlan struct {
 	q     *Sequence
 	wires int
 }
 
-func keyOf(s Spec, n int) planKey {
-	k := planKey{kind: s.Kind, n: n, count: s.Count, root: s.Root, chunk: s.chunk(), counts: 14695981039346656037}
-	for _, row := range s.Counts {
-		k.counts = hashInts(k.counts, row)
-	}
-	return k
-}
-
-// hashInts folds v into the FNV-1a hash h.
-func hashInts(h uint64, v []int) uint64 {
-	for _, c := range v {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
-
-// swap returns the plan for spec of a wiring that held old: the
-// registered plan of spec's shape, or a new one, which it registers. A
-// hierarchical plan depends on the wiring's node grouping too, and a
-// wiring outside a Wirings (ps nil) shares nothing: theirs are built
-// for the wiring alone.
+// swap returns the plan for spec over the node grouping g of a wiring
+// that held old: the held plan that serves them, or a new one, which it
+// holds from then on. A wiring outside a Wirings (ps nil) shares
+// nothing: its plans are built for it alone.
 func (ps *Plans) swap(old *Sequence, spec Spec, g NodeGrouping) *Sequence {
-	if ps == nil || g.Nodes() > 0 {
+	if ps == nil {
 		return spec.build(g)
 	}
-	if old != nil {
-		k := old.key()
-		switch h := ps.held[k]; {
-		case h.q != old: // unregistered
-		case h.wires == 1:
-			delete(ps.held, k)
-		default:
-			h.wires--
-			ps.held[k] = h
+	if i := slices.IndexFunc(ps.held, func(h heldPlan) bool { return h.q == old }); i >= 0 {
+		if ps.held[i].wires--; ps.held[i].wires == 0 {
+			ps.held = slices.Delete(ps.held, i, i+1)
 		}
 	}
-	k := keyOf(spec, spec.N())
-	h, ok := ps.held[k]
-	switch {
-	case ok && h.q.serves(spec):
-		h.wires++
-	case ok:
-		return spec.build(g)
-	default:
-		if ps.held == nil {
-			ps.held = make(map[planKey]heldPlan)
+	for i := range ps.held {
+		if h := &ps.held[i]; h.q.serves(spec, g) {
+			h.wires++
+			return h.q
 		}
-		h = heldPlan{q: spec.build(g), wires: 1}
 	}
-	ps.held[k] = h
-	return h.q
+	q := spec.build(g)
+	ps.held = append(ps.held, heldPlan{q: q, wires: 1})
+	return q
 }
 
 // Wirings is a communicator's connector wiring: one Wiring per
 // algorithm family, built when a collective first needs it and kept
 // across the communicator's pooled lifetimes. A wiring is rebuilt when
 // a collective arrives over a different rank ORDER: communicator pools
-// key by sorted rank set, and a wiring inherited across a permutation
+// match by sorted rank set, and a wiring inherited across a permutation
 // would map ring positions to the wrong machines (its per-transport
 // wiring and pricing would silently misclassify cross-node traffic as
 // SHM).
@@ -309,8 +264,8 @@ type Wirings struct {
 
 // NewWirings returns an empty wiring set whose connectors will stage
 // their chunks in chunks, be priced on net and be named <tag>.conn…,
-// <tag>.hier.mesh… and <tag>.hier.lring…, and whose flat plans are
-// shared through plans. Every communicator of a simulation passes the
+// <tag>.hier.mesh… and <tag>.hier.lring…, and whose plans are shared
+// through plans. Every communicator of a simulation passes the
 // same pool and registry, so a chunk any of them frees serves the next
 // Write on any other, and a plan any of them holds serves every other
 // collective of its shape.
@@ -348,9 +303,9 @@ func (ws *Wirings) wiringFor(spec Spec) *Wiring {
 			*slot = buildHier(ws.chunks, ws.net, spec.Ranks, ws.tag+".hier")
 		} else {
 			*slot = buildRing(ws.chunks, ws.net, spec.Ranks, ws.tag)
-			if old != nil {
-				(*slot).plan = old.plan // a flat plan knows no rank order
-			}
+		}
+		if old != nil {
+			(*slot).plan = old.plan // still held: build swaps it if it no longer serves
 		}
 	}
 	return *slot
