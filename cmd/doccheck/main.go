@@ -1,17 +1,15 @@
 // Command doccheck enforces the repository's godoc floor: every
-// exported identifier in the audited packages (the root dfccl package,
-// internal/prim, internal/orch, internal/fabric, internal/tune,
-// internal/trace, internal/metrics, internal/cudasim, internal/core,
-// internal/sim, internal/mem, internal/topo, internal/cluster,
-// internal/chaos, internal/ncclsim and internal/train) must carry a doc
-// comment. It parses the source with
-// go/ast — no external linters — and exits non-zero listing each
-// undocumented identifier as file:line.
+// exported identifier in every package of the module must carry a doc
+// comment. It walks the module from the working directory, skipping
+// testdata, directories Go ignores (named with a leading "." or "_") and
+// nested modules (benchmark/), parses the source with go/ast — no
+// external linters — and exits non-zero listing each undocumented
+// identifier as file:line.
 //
 // An identifier counts as documented if its own declaration has a doc
 // comment, or (for grouped const/var/type specs) the enclosing group
-// does — matching the standard godoc attachment rules. Test files are
-// skipped.
+// does — matching the standard godoc attachment rules. Test files, and
+// methods of unexported types (godoc does not show them), are skipped.
 //
 // It also holds the changelog to its length cap: the newest entry of
 // CHANGES.md, its last line, must be at most 1 500 characters. Run it as
@@ -24,16 +22,13 @@ import (
 	"go/build"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"unicode/utf8"
 )
-
-// auditedDirs are the packages whose exported surface must be fully
-// documented. Relative to the repository root (the working directory).
-var auditedDirs = []string{".", "internal/prim", "internal/orch", "internal/fabric", "internal/tune", "internal/trace", "internal/metrics", "internal/cudasim", "internal/core", "internal/sim", "internal/mem", "internal/topo", "internal/cluster", "internal/chaos", "internal/ncclsim", "internal/train"}
 
 // changesCap is the most characters the newest CHANGES.md entry may
 // hold: what one reader takes in at once.
@@ -45,13 +40,21 @@ func main() {
 		os.Exit(1)
 	}
 	var missing []string
-	for _, dir := range auditedDirs {
-		m, err := checkDir(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
+		_, modErr := os.Stat(filepath.Join(dir, "go.mod")) // below the root: a module of its own
+		if dir != "." && (modErr == nil || d.Name() == "testdata" || strings.ContainsAny(d.Name()[:1], "._")) {
+			return filepath.SkipDir
+		}
+		m, err := checkDir(dir)
 		missing = append(missing, m...)
+		return err
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
 	}
 	if len(missing) > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d exported identifier(s) lack doc comments:\n", len(missing))
@@ -81,10 +84,13 @@ func checkChanges(path string) error {
 
 // checkDir parses every non-test .go file in dir, those a build tag
 // leaves out included, in name order, and returns one "file:line:
-// ident" entry per undocumented exported identifier.
+// ident" entry per undocumented exported identifier; a directory
+// without Go files has none.
 func checkDir(dir string) ([]string, error) {
 	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
+	if _, ok := err.(*build.NoGoError); ok {
+		return nil, nil
+	} else if err != nil {
 		return nil, err
 	}
 	names := append(slices.Clone(bp.GoFiles), bp.IgnoredGoFiles...)
@@ -106,8 +112,8 @@ func checkDir(dir string) ([]string, error) {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Name.IsExported() && d.Doc == nil {
-					report(d.Pos(), funcLabel(d))
+				if label, shown := funcLabel(d); shown && d.Name.IsExported() && d.Doc == nil {
+					report(d.Pos(), label)
 				}
 			case *ast.GenDecl:
 				checkGenDecl(d, report)
@@ -118,19 +124,20 @@ func checkDir(dir string) ([]string, error) {
 }
 
 // funcLabel renders a function or method name, including the receiver
-// type for methods.
-func funcLabel(d *ast.FuncDecl) string {
+// type for methods, and reports whether godoc shows it: not a method of
+// an unexported type.
+func funcLabel(d *ast.FuncDecl) (string, bool) {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return d.Name.Name
+		return d.Name.Name, true
 	}
 	recv := d.Recv.List[0].Type
 	if star, ok := recv.(*ast.StarExpr); ok {
 		recv = star.X
 	}
 	if id, ok := recv.(*ast.Ident); ok {
-		return fmt.Sprintf("(%s).%s", id.Name, d.Name.Name)
+		return fmt.Sprintf("(%s).%s", id.Name, d.Name.Name), id.IsExported()
 	}
-	return d.Name.Name
+	return d.Name.Name, true
 }
 
 // checkGenDecl audits a const/var/type declaration. A spec inside a

@@ -29,6 +29,7 @@ type CollResult struct {
 	AlgoBW float64
 }
 
+// String renders the result as one aligned table line.
 func (r CollResult) String() string {
 	return fmt.Sprintf("%-7s %-14v %2d GPUs %8s  e2e=%-12v core=%-12v bw=%.3f GB/s",
 		r.Lib, r.Kind, r.GPUs, HumanBytes(r.Bytes), r.E2E, r.CoreExec, r.AlgoBW)

@@ -232,11 +232,10 @@ type CollectiveStats struct {
 	QueueLenAtLast int
 	// LastCoreExec is the most recent run's core-execution time.
 	LastCoreExec sim.Duration
-	// BytesSent is the cumulative wire traffic this rank's executor
-	// wrote across all runs, store-and-forward hops included.
-	BytesSent int
-	// BytesSentBy splits BytesSent by transport (SHM vs RDMA vs
-	// device-local) — what the hierarchical-vs-ring comparisons pin.
+	// BytesSentBy is the cumulative wire traffic this rank's executor
+	// wrote across all runs, store-and-forward hops included, by
+	// transport (SHM vs RDMA vs device-local) — what the
+	// hierarchical-vs-ring comparisons pin.
 	BytesSentBy prim.TransportBytes
 	// NumPrimitives is the per-run primitive count of this rank's
 	// schedule (actions × rounds, summed over stages): the flight
@@ -263,7 +262,6 @@ func (c *Collective) Stats() CollectiveStats {
 		Completions:    t.Completions,
 		QueueLenAtLast: t.QueueLenAtLast,
 		LastCoreExec:   c.r.CoreExecTime(c.id),
-		BytesSent:      t.exec.BytesSent,
 		BytesSentBy:    t.exec.BytesSentBy,
 		NumPrimitives:  t.exec.NumPrimitives(),
 		PrimsExecuted:  t.exec.PrimsExecuted,

@@ -92,8 +92,8 @@ func TestSQFIFOProperty(t *testing.T) {
 
 // Property: an SQ whose backlog grows its ring through several doublings
 // behaves as a bounded FIFO slice. A producer pushes seeded IDs while a
-// consumer pops seeded bursts at seeded instants; the popped IDs, Len and
-// Submitted match a reference slice after every operation, the ring's
+// consumer pops seeded bursts at seeded instants; the popped IDs and Len
+// match a reference slice after every operation, the ring's
 // array never exceeds the bound, and Push blocks exactly when the SQ
 // holds its bound: a push finds room and takes SQEWriteTime, or finds it
 // full and returns only after a pop.
@@ -111,9 +111,9 @@ func TestSQGrowthMatchesReference(t *testing.T) {
 		pops, blocked, grown := 0, 0, len(q.slots)
 		// The processes report with Errorf and stop at the first failure.
 		check := func(at string) bool {
-			if q.Len() != len(ref) || q.Submitted != pops+len(ref) || len(q.slots) > bound {
-				t.Errorf("seed %d, bound %d, %s: Len %d, Submitted %d, %d slots; reference holds %d after %d pops",
-					seed, bound, at, q.Len(), q.Submitted, len(q.slots), len(ref), pops)
+			if q.Len() != len(ref) || len(q.slots) > bound {
+				t.Errorf("seed %d, bound %d, %s: Len %d, %d slots; reference holds %d after %d pops",
+					seed, bound, at, q.Len(), len(q.slots), len(ref), pops)
 				return false
 			}
 			grown = max(grown, len(q.slots))

@@ -30,10 +30,6 @@ type SQ struct {
 	head, tail uint64
 	writable   sim.Cond
 	inserted   sim.Cond
-
-	// Submitted counts SQEs ever inserted (for the "CQEs fewer than
-	// SQEs" daemon-restart rule).
-	Submitted int
 }
 
 // sqSlots is the slot count of every rank's submission queue.
@@ -70,7 +66,6 @@ func (q *SQ) Push(p *sim.Process, e SQE) {
 	}
 	q.slots[q.tail%uint64(len(q.slots))] = e
 	q.tail++
-	q.Submitted++
 	q.inserted.Signal(p.Engine())
 }
 

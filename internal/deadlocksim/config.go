@@ -26,6 +26,7 @@ const (
 	Synchronization
 )
 
+// String is the model's short name: "single-queue" or "sync".
 func (m Model) String() string {
 	if m == Synchronization {
 		return "sync"

@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"dfccl/internal/core"
+	"dfccl/internal/cudasim"
 	"dfccl/internal/mem"
 	"dfccl/internal/ncclsim"
 	"dfccl/internal/prim"
@@ -56,38 +57,64 @@ type Backend interface {
 	CommsCreated() int
 }
 
-// collState tracks one collective's registrations and per-rank runs.
+// collState is one registered collective: its spec, and one record
+// per member rank in spec.Ranks order. Everything a backend knows
+// about the collective lives here, so it goes when the last rank
+// deregisters.
 type collState struct {
 	id       int
 	spec     prim.Spec
 	regs     int           // ranks registered; the last Deregister drops the state
 	comm     *ncclsim.Comm // NCCL's communicator for the collective
-	launched map[int]int   // rank -> runs launched
-	done     map[int]int   // rank -> runs completed (DFCCL's callbacks count them)
+	released int           // Horovod: runs the coordinator released
+	members  []member      // by position in spec.Ranks
 	doneCond *sim.Cond
 }
 
-type bufKey struct{ rank, collID int }
-type bufPair struct{ send, recv *mem.Buffer }
+// member is one rank's registration of a collective. Deregister only
+// turns it off: a rank that registers again while the collective lives
+// on its peers keeps counting runs, since its runs pair with theirs by
+// count.
+type member struct {
+	on         bool // registered
+	send, recv *mem.Buffer
+	// announced counts runs the rank asked for, launched those started
+	// on the runtime, done those DFCCL's callbacks completed.
+	announced, launched, done int
+	handle                    *core.Collective        // DFCCL's
+	stream                    *cudasim.Stream         // NCCL's
+	kern                      *cudasim.KernelInstance // NCCL's most recent launch
+}
 
-// register validates a registration of collID on rank against colls —
-// an invalid spec, a rank outside the spec's ranks, a live collective
-// ID re-registered under a different spec (Spec.Same compares every
-// spec field, including the algorithm and the AllToAllv count matrix),
-// or overlapping buffers for a kind that cannot run in place
-// (core.BufferOverlapError, which every backend's runs would otherwise
-// corrupt) is refused — and returns the collective's
-// state with the buffers its runs use: the caller's, or synthetic ones
-// sized from the spec if both nil. On the collective's first
-// registration the state is new and not yet in colls: the caller adds
-// it with commit once its own registration holds.
-func register(colls []*collState, rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (*collState, bufPair, error) {
+// member returns rank's record, or nil if rank is not in the spec.
+func (c *collState) member(rank int) *member {
+	if pos := slices.Index(c.spec.Ranks, rank); pos >= 0 {
+		return &c.members[pos]
+	}
+	return nil
+}
+
+// registry holds the registered collectives, ascending by ID.
+type registry struct{ colls []*collState }
+
+// register validates a registration of collID on rank — an invalid
+// spec, a rank outside the spec's ranks, a live collective ID
+// re-registered under a different spec (Spec.Same compares every spec
+// field, including the algorithm and the AllToAllv count matrix), a
+// second registration on the rank, or overlapping buffers for a kind
+// that cannot run in place (core.BufferOverlapError, which every
+// backend's runs would otherwise corrupt) is refused — and returns the
+// collective's state and the rank's record holding the buffers its runs
+// use: the caller's, or synthetic ones sized from the spec if both nil.
+// The record stays off, and a new state out of the registry, until the
+// caller commits them once the rest of its registration holds.
+func (g *registry) register(rank, collID int, spec prim.Spec, send, recv *mem.Buffer) (*collState, *member, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, bufPair{}, err
+		return nil, nil, err
 	}
 	pos := slices.Index(spec.Ranks, rank)
 	if pos < 0 {
-		return nil, bufPair{}, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
+		return nil, nil, fmt.Errorf("orch: rank %d not in devSet of collective %d", rank, collID)
 	}
 	if send == nil && recv == nil {
 		sendCount, recvCount := prim.BufferCountsFor(spec, pos)
@@ -98,45 +125,58 @@ func register(colls []*collState, rank, collID int, spec prim.Spec, send, recv *
 		recv = mem.NewBuffer(spec.Type, recvCount)
 	}
 	if !spec.TimingOnly && !spec.Kind.InPlace() && send != nil && recv != nil && send.Overlaps(recv) {
-		return nil, bufPair{}, &core.BufferOverlapError{CollID: collID, Kind: spec.Kind}
+		return nil, nil, &core.BufferOverlapError{CollID: collID, Kind: spec.Kind}
 	}
-	c := find(colls, collID)
-	if c == nil {
-		c = &collState{
-			id:       collID,
-			spec:     spec,
-			launched: make(map[int]int),
-			done:     make(map[int]int),
-			doneCond: sim.NewCond("coll.done"),
-		}
-	} else if !c.spec.Same(spec) {
-		return nil, bufPair{}, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
+	c := g.find(collID)
+	switch {
+	case c == nil:
+		c = &collState{id: collID, spec: spec, members: make([]member, len(spec.Ranks)), doneCond: sim.NewCond("coll.done")}
+	case !c.spec.Same(spec):
+		return nil, nil, fmt.Errorf("orch: collective %d re-registered with different spec", collID)
+	case c.members[pos].on:
+		return nil, nil, fmt.Errorf("orch: collective %d already registered on rank %d", collID, rank)
 	}
-	return c, bufPair{send, recv}, nil
+	m := &c.members[pos]
+	m.send, m.recv = send, recv
+	return c, m, nil
 }
 
-// commit counts one rank's registration of c, adding c to colls with
-// the first.
-func commit(colls *[]*collState, c *collState) {
+// commit turns m, a record of c, on, adding c to the registry with the
+// first.
+func (g *registry) commit(c *collState, m *member) {
+	m.on = true
 	if c.regs++; c.regs == 1 {
-		i, _ := slices.BinarySearchFunc(*colls, c.id, byID)
-		*colls = slices.Insert(*colls, i, c)
+		i, _ := slices.BinarySearchFunc(g.colls, c.id, byID)
+		g.colls = slices.Insert(g.colls, i, c)
 	}
 }
 
-// deregister drops one rank's registration of collID, and its state
-// from colls with the last.
-func deregister(colls *[]*collState, collID int) {
-	i, _ := slices.BinarySearchFunc(*colls, collID, byID)
-	if (*colls)[i].regs--; (*colls)[i].regs == 0 {
-		*colls = slices.Delete(*colls, i, i+1)
+// deregister turns m, a record of c, off, dropping c with the last.
+func (g *registry) deregister(c *collState, m *member) {
+	m.on = false
+	if c.regs--; c.regs == 0 {
+		i, _ := slices.BinarySearchFunc(g.colls, c.id, byID)
+		g.colls = slices.Delete(g.colls, i, i+1)
 	}
 }
 
-// find returns collID's state in colls (ascending by ID), or nil.
-func find(colls []*collState, collID int) *collState {
-	if i, ok := slices.BinarySearchFunc(colls, collID, byID); ok {
-		return colls[i]
+// lookup returns collID's state and rank's record, or the error a
+// launch or deregistration of a collective not registered there gets.
+func (g *registry) lookup(rank, collID int) (*collState, *member, error) {
+	c := g.find(collID)
+	if c == nil {
+		return nil, nil, fmt.Errorf("orch: collective %d not registered", collID)
+	}
+	if m := c.member(rank); m != nil && m.on {
+		return c, m, nil
+	}
+	return nil, nil, fmt.Errorf("orch: collective %d not registered on rank %d", collID, rank)
+}
+
+// find returns collID's state, or nil.
+func (g *registry) find(collID int) *collState {
+	if i, ok := slices.BinarySearchFunc(g.colls, collID, byID); ok {
+		return g.colls[i]
 	}
 	return nil
 }

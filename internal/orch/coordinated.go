@@ -8,11 +8,11 @@ import (
 	"dfccl/internal/topo"
 )
 
-// AnnounceCost models a rank's readiness message to the coordinator.
-const AnnounceCost = 20 * sim.Microsecond
-
 // Calibrated orchestration costs.
 const (
+	// announceCost models a rank's readiness message to Horovod's
+	// coordinator.
+	announceCost = 20 * sim.Microsecond
 	// horovodCycle is the coordinator's negotiation cycle (Horovod's
 	// HOROVOD_CYCLE_TIME).
 	horovodCycle = 5 * sim.Millisecond
@@ -37,69 +37,49 @@ const (
 // dominant term in Horovod's and KungFu's Fig. 10 throughput gap.
 type coordinated struct {
 	*NCCL
-	proc        string         // process-name prefix
-	announced   map[bufKey]int // runs announced
-	changed     *sim.Cond      // announcements changed; the release rule re-checks
-	launchersOn []bool         // by rank
-	tornDown    []bool         // by rank
+	proc      string     // process-name prefix
+	changed   *sim.Cond  // announcements changed; the release rule re-checks
+	launchers []launcher // by rank
+	// order is the collectives in the order the release rule walks them;
+	// the last rank's Deregister drops a collective from it.
+	order []*collState
+}
+
+// launcher is one rank's launcher process.
+type launcher struct {
+	on, tornDown bool
+	queue        []*collState // Horovod: released runs, in broadcast order
+	next         int          // KungFu: the rank's position in the order
 }
 
 func newCoordinated(e *sim.Engine, c *topo.Cluster, proc string) coordinated {
 	return coordinated{
-		NCCL:        newNCCL(e, c, "nccl-"+proc, false),
-		proc:        proc,
-		announced:   make(map[bufKey]int),
-		changed:     sim.NewCond(proc + ".changed"),
-		launchersOn: make([]bool, c.Size()),
-		tornDown:    make([]bool, c.Size()),
+		NCCL:      newNCCL(e, c, "nccl-"+proc, false),
+		proc:      proc,
+		changed:   sim.NewCond(proc + ".changed"),
+		launchers: make([]launcher, c.Size()),
 	}
 }
 
-// registered refuses a launch of a collective no rank registered.
-func (c *coordinated) registered(collID int) error {
-	if find(c.colls, collID) == nil {
-		return fmt.Errorf("orch: collective %d not registered", collID)
-	}
-	return nil
-}
-
-// announce records one more ready run of collID on rank, starts the
-// rank's launcher on its first announcement and wakes the release rule.
-func (c *coordinated) announce(p *sim.Process, rank, collID int, launcher func(p *sim.Process, rank int)) {
-	c.announced[bufKey{rank, collID}]++
-	if !c.launchersOn[rank] {
-		c.launchersOn[rank] = true
-		p.Spawn(fmt.Sprintf("%s.launcher.%d", c.proc, rank), func(lp *sim.Process) { launcher(lp, rank) })
+// announce records one more ready run of m on rank, starts the rank's
+// launcher on its first announcement and wakes the release rule.
+func (c *coordinated) announce(p *sim.Process, rank int, m *member, loop func(p *sim.Process, rank int)) {
+	m.announced++
+	if l := &c.launchers[rank]; !l.on {
+		l.on = true
+		p.Spawn(fmt.Sprintf("%s.launcher.%d", c.proc, rank), func(lp *sim.Process) { loop(lp, rank) })
 	}
 	c.changed.Broadcast(p.Engine())
 }
 
-// launch is a launcher's launch of a released run; it wakes the rank's
-// waiters, which wait for the launch before the kernel.
-func (c *coordinated) launch(p *sim.Process, rank, collID int) {
-	if err := c.NCCL.Launch(p, rank, collID); err != nil {
-		panic(err)
+// Deregister implements Backend; the last rank's also drops the
+// collective from the release order.
+func (c *coordinated) Deregister(p *sim.Process, rank, collID int) error {
+	if err := c.NCCL.Deregister(p, rank, collID); err != nil {
+		return err
 	}
-	find(c.colls, collID).doneCond.Broadcast(p.Engine())
-}
-
-// Wait implements Backend: block until every announced run of collID
-// has been launched on rank, then until the kernel completes.
-func (c *coordinated) Wait(p *sim.Process, rank, collID int) {
-	cs := find(c.colls, collID)
-	for cs.launched[rank] < c.announced[bufKey{rank, collID}] {
-		cs.doneCond.Wait(p)
-	}
-	c.NCCL.Wait(p, rank, collID)
-}
-
-// WaitAll implements Backend.
-func (c *coordinated) WaitAll(p *sim.Process, rank int) {
-	for _, cs := range slices.Clone(c.colls) { // as NCCL.WaitAll
-		if c.announced[bufKey{rank, cs.id}] > 0 {
-			c.Wait(p, rank, cs.id)
-		}
-	}
+	c.order = slices.DeleteFunc(c.order, func(cs *collState) bool { return cs.regs == 0 })
+	return nil
 }
 
 // Horovod is the dynamic centralized coordination baseline (Sec. 2.5):
@@ -107,39 +87,32 @@ func (c *coordinated) WaitAll(p *sim.Process, rank int) {
 // cycle broadcasts the list of collectives ready on *all* ranks; ranks
 // then launch in the broadcast order. Negotiation delays collective
 // launch relative to readiness, which is where its throughput gap in
-// Fig. 10 comes from.
+// Fig. 10 comes from. Its release order is first-announcement order.
 type Horovod struct {
 	coordinated
-	queuedRun  map[int]int   // collID -> runs handed to launchers
-	firstSeen  []int         // collIDs in first-announcement order
-	launchQ    map[int][]int // rank -> collIDs pending launch
-	launchCond *sim.Cond
+	launchCond *sim.Cond // runs released
 }
 
 // NewHorovod builds the Horovod-style coordinated backend.
 func NewHorovod(e *sim.Engine, c *topo.Cluster) *Horovod {
-	return &Horovod{
-		coordinated: newCoordinated(e, c, "horovod"),
-		queuedRun:   make(map[int]int),
-		launchQ:     make(map[int][]int),
-		launchCond:  sim.NewCond("horovod.launch"),
-	}
+	return &Horovod{coordinated: newCoordinated(e, c, "horovod"), launchCond: sim.NewCond("horovod.launch")}
 }
 
 // Launch implements Backend: announce readiness; the coordinator
 // decides when the collective actually starts.
 func (h *Horovod) Launch(p *sim.Process, rank, collID int) error {
-	if err := h.registered(collID); err != nil {
+	c, m, err := h.lookup(rank, collID)
+	if err != nil {
 		return err
 	}
-	p.Sleep(AnnounceCost)
-	if !slices.Contains(h.firstSeen, collID) {
-		if len(h.firstSeen) == 0 {
-			p.Spawn("horovod.coordinator", h.coordinator) // the first announcement of all
-		}
-		h.firstSeen = append(h.firstSeen, collID)
+	p.Sleep(announceCost)
+	if !slices.ContainsFunc(h.launchers, func(l launcher) bool { return l.on }) {
+		p.Spawn("horovod.coordinator", h.coordinator) // the first announcement of all
 	}
-	h.announce(p, rank, collID, h.launcher)
+	if !slices.Contains(h.order, c) {
+		h.order = append(h.order, c)
+	}
+	h.announce(p, rank, m, h.launchLoop)
 	return nil
 }
 
@@ -151,14 +124,14 @@ func (h *Horovod) coordinator(p *sim.Process) {
 	for !h.allTornDown() {
 		p.Sleep(horovodCycle)
 		released := 0
-		for _, collID := range h.firstSeen {
+		for _, c := range h.order {
 			if released == horovodReleasesPerCycle {
 				break
 			}
-			if h.waveAnnounced(h.queuedRun[collID]) {
-				h.queuedRun[collID]++
-				for _, r := range find(h.colls, collID).spec.Ranks {
-					h.launchQ[r] = append(h.launchQ[r], collID)
+			if h.waveAnnounced(c.released) {
+				c.released++
+				for _, r := range c.spec.Ranks {
+					h.launchers[r].queue = append(h.launchers[r].queue, c)
 				}
 				h.launchCond.Broadcast(p.Engine())
 				released++
@@ -178,8 +151,8 @@ func (h *Horovod) coordinator(p *sim.Process) {
 // training step's negotiation has arrived.
 func (h *Horovod) waveAnnounced(wave int) bool {
 	for _, c := range h.colls {
-		for _, r := range c.spec.Ranks {
-			if h.announced[bufKey{r, c.id}] <= wave {
+		for i := range c.members {
+			if c.members[i].announced <= wave {
 				return false
 			}
 		}
@@ -190,32 +163,36 @@ func (h *Horovod) waveAnnounced(wave int) bool {
 // allTornDown reports whether some rank has torn down and every rank
 // with a launcher has.
 func (h *Horovod) allTornDown() bool {
-	for r, on := range h.launchersOn {
-		if on && !h.tornDown[r] {
+	some := false
+	for _, l := range h.launchers {
+		if l.on && !l.tornDown {
 			return false
 		}
+		some = some || l.tornDown
 	}
-	return slices.Contains(h.tornDown, true)
+	return some
 }
 
-// launcher launches coordinator-released collectives in broadcast order.
-func (h *Horovod) launcher(p *sim.Process, rank int) {
+// launchLoop is rank's launcher: it launches coordinator-released
+// collectives in broadcast order.
+func (h *Horovod) launchLoop(p *sim.Process, rank int) {
+	l := &h.launchers[rank]
 	for {
-		for len(h.launchQ[rank]) == 0 {
-			if h.tornDown[rank] {
+		for len(l.queue) == 0 {
+			if l.tornDown {
 				return
 			}
 			h.launchCond.Wait(p)
 		}
-		collID := h.launchQ[rank][0]
-		h.launchQ[rank] = h.launchQ[rank][1:]
-		h.launch(p, rank, collID)
+		c := l.queue[0]
+		l.queue = l.queue[1:]
+		h.start(p, rank, c, c.member(rank))
 	}
 }
 
 // Teardown implements Backend.
 func (h *Horovod) Teardown(p *sim.Process, rank int) {
-	h.tornDown[rank] = true
+	h.launchers[rank].tornDown = true
 	h.launchCond.Broadcast(p.Engine())
 	h.changed.Broadcast(p.Engine())
 }
@@ -225,76 +202,82 @@ func (h *Horovod) Teardown(p *sim.Process, rank int) {
 // training step via gather/broadcast, after which decentralized
 // schedulers enforce that order on every rank. Each enforced launch
 // pays a window-synchronization delay, the source of its Fig. 10 gap.
+// The adopted order is rank 0's first-announcement order, and each rank
+// follows it less the collectives the rank is not in. Non-claim: a
+// collective rank 0 is not in never enters the order, so KungFu never
+// launches it.
 type KungFu struct {
 	coordinated
-	// order is the adopted collective order (rank 0's first-iteration
-	// announcement order).
-	order   []int
-	nextIdx map[int]int // rank -> position in order (mod len)
 }
 
 // NewKungFu builds the KungFu-style backend.
 func NewKungFu(e *sim.Engine, c *topo.Cluster) *KungFu {
-	return &KungFu{
-		coordinated: newCoordinated(e, c, "kungfu"),
-		nextIdx:     make(map[int]int),
-	}
+	return &KungFu{coordinated: newCoordinated(e, c, "kungfu")}
 }
 
 // Launch implements Backend: announce readiness. Rank 0's announcement
 // order during the initial step becomes the enforced global order.
 func (k *KungFu) Launch(p *sim.Process, rank, collID int) error {
-	if err := k.registered(collID); err != nil {
+	c, m, err := k.lookup(rank, collID)
+	if err != nil {
 		return err
 	}
-	if !k.launchersOn[rank] {
+	if !k.launchers[rank].on {
 		p.Sleep(kungfuNegotiation) // the rank's first announcement adopts the order
 	}
-	if rank == 0 && k.announced[bufKey{0, collID}] == 0 {
-		k.order = append(k.order, collID)
+	if rank == 0 && !slices.Contains(k.order, c) {
+		k.order = append(k.order, c)
 	}
-	k.announce(p, rank, collID, k.launcher)
+	k.announce(p, rank, m, k.launchLoop)
 	return nil
 }
 
-// launcher enforces the adopted order on one rank: it launches the
-// collective at the rank's current order position as soon as the rank
-// has announced the whole step's set, paying the enforcement delay.
-func (k *KungFu) launcher(p *sim.Process, rank int) {
+// launchLoop is rank's launcher, enforcing the adopted order: it
+// launches the collective at the rank's order position as soon as the
+// rank has announced the whole step's set, paying the enforcement
+// delay.
+func (k *KungFu) launchLoop(p *sim.Process, rank int) {
+	l := &k.launchers[rank]
 	for {
-		collID, ok := k.nextLaunchable(rank)
-		if !ok {
-			if k.tornDown[rank] {
+		c := k.nextLaunchable(rank)
+		if c == nil {
+			if l.tornDown {
 				return
 			}
 			k.changed.Wait(p)
 			continue
 		}
 		p.Sleep(kungfuWindowSync)
-		k.launch(p, rank, collID)
-		k.nextIdx[rank]++
+		k.start(p, rank, c, c.member(rank))
+		l.next++
 		k.changed.Broadcast(p.Engine())
 	}
 }
 
-// nextLaunchable returns the collective at rank's order position if the
-// rank has announced its next run, and that of every other collective.
-func (k *KungFu) nextLaunchable(rank int) (int, bool) {
-	if len(k.order) == 0 {
-		return 0, false
-	}
-	collID := k.order[k.nextIdx[rank]%len(k.order)]
-	wave := find(k.colls, collID).launched[rank]
-	for _, c := range k.colls {
-		if k.announced[bufKey{rank, c.id}] <= wave {
-			return 0, false
+// nextLaunchable moves rank's order position past collectives the rank
+// is not in and returns the collective there if the rank has announced
+// its next run, and that of every other collective it is in; else nil.
+func (k *KungFu) nextLaunchable(rank int) *collState {
+	l := &k.launchers[rank]
+	for range k.order {
+		c := k.order[l.next%len(k.order)]
+		m := c.member(rank)
+		if m == nil {
+			l.next++
+			continue
 		}
+		for _, o := range k.colls {
+			if om := o.member(rank); om != nil && om.announced <= m.launched {
+				return nil
+			}
+		}
+		return c
 	}
-	return collID, true
+	return nil
 }
 
 // Teardown implements Backend.
 func (k *KungFu) Teardown(p *sim.Process, rank int) {
-	k.tornDown[rank] = true
+	k.launchers[rank].tornDown = true
 	k.changed.Broadcast(p.Engine())
 }

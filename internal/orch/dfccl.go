@@ -1,8 +1,6 @@
 package orch
 
 import (
-	"fmt"
-
 	"dfccl/internal/core"
 	"dfccl/internal/mem"
 	"dfccl/internal/prim"
@@ -18,19 +16,13 @@ import (
 type DFCCL struct {
 	// Sys is the underlying deployment, for the rank contexts' statistics
 	// (Fig. 11 instrumentation).
-	Sys     *core.System
-	colls   []*collState
-	handles map[bufKey]*core.Collective
-	bufs    map[bufKey]bufPair
+	Sys *core.System
+	registry
 }
 
 // NewDFCCL builds a DFCCL backend over a cluster.
 func NewDFCCL(e *sim.Engine, c *topo.Cluster, cfg core.Config) *DFCCL {
-	return &DFCCL{
-		Sys:     core.NewSystem(e, c, cfg),
-		handles: make(map[bufKey]*core.Collective),
-		bufs:    make(map[bufKey]bufPair),
-	}
+	return &DFCCL{Sys: core.NewSystem(e, c, cfg)}
 }
 
 // Name implements Backend.
@@ -39,17 +31,14 @@ func (d *DFCCL) Name() string { return "dfccl" }
 // Register implements Backend: Open by explicit collective ID, keeping
 // the per-rank handle for Launch and Close.
 func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priority int, send, recv *mem.Buffer) error {
-	c, bufs, err := register(d.colls, rank, collID, spec, send, recv)
+	c, m, err := d.register(rank, collID, spec, send, recv)
 	if err != nil {
 		return err
 	}
-	h, err := d.Sys.Init(p, rank).Open(spec, core.WithCollID(collID), core.WithPriority(priority))
-	if err != nil {
+	if m.handle, err = d.Sys.Init(p, rank).Open(spec, core.WithCollID(collID), core.WithPriority(priority)); err != nil {
 		return err
 	}
-	commit(&d.colls, c) // Open refuses a second registration on the rank
-	d.handles[bufKey{rank, collID}] = h
-	d.bufs[bufKey{rank, collID}] = bufs
+	d.commit(c, m)
 	return nil
 }
 
@@ -57,44 +46,36 @@ func (d *DFCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, prior
 // participating rank deregisters, the group's communicator returns to
 // the system's pool for reuse by later dynamic groups.
 func (d *DFCCL) Deregister(p *sim.Process, rank, collID int) error {
-	key := bufKey{rank, collID}
-	h := d.handles[key]
-	if h == nil {
-		return fmt.Errorf("orch: collective %d not registered on rank %d", collID, rank)
-	}
-	if err := h.Close(p); err != nil {
+	c, m, err := d.lookup(rank, collID)
+	if err != nil {
 		return err
 	}
-	delete(d.handles, key)
-	delete(d.bufs, key)
-	deregister(&d.colls, collID)
+	if err := m.handle.Close(p); err != nil {
+		return err
+	}
+	d.deregister(c, m)
 	return nil
 }
 
 // Launch implements Backend: an asynchronous handle launch with a
 // completion callback.
 func (d *DFCCL) Launch(p *sim.Process, rank, collID int) error {
-	c := find(d.colls, collID)
-	if c == nil {
-		return fmt.Errorf("orch: collective %d not registered", collID)
+	c, m, err := d.lookup(rank, collID)
+	if err != nil {
+		return err
 	}
-	h := d.handles[bufKey{rank, collID}]
-	if h == nil {
-		return fmt.Errorf("orch: collective %d not registered on rank %d", collID, rank)
-	}
-	bufs := d.bufs[bufKey{rank, collID}]
-	c.launched[rank]++
+	m.launched++
 	e := p.Engine()
-	return h.LaunchCB(p, bufs.send, bufs.recv, func(error) {
-		c.done[rank]++
+	return m.handle.LaunchCB(p, m.send, m.recv, func(error) {
+		m.done++
 		c.doneCond.Broadcast(e)
 	})
 }
 
 // Wait implements Backend.
 func (d *DFCCL) Wait(p *sim.Process, rank, collID int) {
-	if c := find(d.colls, collID); c != nil {
-		for c.done[rank] < c.launched[rank] {
+	if c, m, err := d.lookup(rank, collID); err == nil {
+		for m.done < m.launched {
 			c.doneCond.Wait(p)
 		}
 	}

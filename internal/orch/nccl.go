@@ -21,27 +21,22 @@ import (
 // rule in front of it.
 type NCCL struct {
 	name string
-	// singleStream shares one stream per rank across all collectives
-	// (NCCL's default-queue regime); the rank's stream is keyed by
-	// collective ID -1.
-	singleStream bool
-
-	lib   *ncclsim.Lib
-	colls []*collState
-	strms map[bufKey]*cudasim.Stream
-	bufs  map[bufKey]bufPair
-	kerns map[bufKey]*cudasim.KernelInstance // most recent launch
+	lib  *ncclsim.Lib
+	// streams holds each rank's one stream in single-stream mode (NCCL's
+	// default-queue regime), shared by all of the rank's collectives;
+	// nil otherwise.
+	streams []*cudasim.Stream
+	registry
 }
 
 func newNCCL(e *sim.Engine, c *topo.Cluster, name string, singleStream bool) *NCCL {
-	return &NCCL{
-		name:         name,
-		singleStream: singleStream,
-		lib:          ncclsim.New(e, c),
-		strms:        make(map[bufKey]*cudasim.Stream),
-		bufs:         make(map[bufKey]bufPair),
-		kerns:        make(map[bufKey]*cudasim.KernelInstance),
+	b := &NCCL{name: name, lib: ncclsim.New(e, c)}
+	if singleStream {
+		for rank := range c.Size() {
+			b.streams = append(b.streams, b.lib.Device(rank).NewStream())
+		}
 	}
+	return b
 }
 
 // NewStaticSort builds the OneFlow-style baseline: the framework
@@ -73,32 +68,20 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 	if spec.Algo == prim.AlgoAuto {
 		return fmt.Errorf("orch: %s cannot run collective %d with %v: pick ring or hierarchical", b.name, collID, spec.Algo)
 	}
-	key := bufKey{rank, collID}
-	if _, ok := b.bufs[key]; ok {
-		return fmt.Errorf("orch: collective %d already registered on rank %d", collID, rank)
-	}
-	c, bufs, err := register(b.colls, rank, collID, spec, send, recv)
+	c, m, err := b.register(rank, collID, spec, send, recv)
 	if err != nil {
 		return err
 	}
 	if c.comm == nil {
 		c.comm = b.lib.NewComm(spec.Ranks)
 	}
-	sk := b.streamKey(rank, collID)
-	if !b.singleStream || b.strms[sk] == nil {
-		b.strms[sk] = b.lib.Device(rank).NewStream()
+	if b.streams != nil {
+		m.stream = b.streams[rank]
+	} else {
+		m.stream = b.lib.Device(rank).NewStream()
 	}
-	commit(&b.colls, c)
-	b.bufs[key] = bufs
+	b.commit(c, m)
 	return nil
-}
-
-// streamKey keys the stream a launch of collID on rank uses.
-func (b *NCCL) streamKey(rank, collID int) bufKey {
-	if b.singleStream {
-		return bufKey{rank, -1}
-	}
-	return bufKey{rank, collID}
 }
 
 // Deregister implements Backend: drop a rank's registration; the last
@@ -106,17 +89,14 @@ func (b *NCCL) streamKey(rank, collID int) bufKey {
 // dropped communicator is garbage, and the next dynamic group builds a
 // new one — the recreation cost DFCCL's pool avoids.
 func (b *NCCL) Deregister(p *sim.Process, rank, collID int) error {
-	key := bufKey{rank, collID}
-	if _, ok := b.bufs[key]; !ok {
-		return fmt.Errorf("orch: collective %d not registered on rank %d", collID, rank)
+	c, m, err := b.lookup(rank, collID)
+	if err != nil {
+		return err
 	}
-	if k := b.kerns[key]; k != nil && !k.Done() {
+	if m.kern != nil && !m.kern.Done() {
 		return fmt.Errorf("orch: collective %d still running on rank %d", collID, rank)
 	}
-	delete(b.bufs, key)
-	delete(b.strms, key) // a single stream stays: the rank's other collectives use it
-	delete(b.kerns, key)
-	deregister(&b.colls, collID)
+	b.deregister(c, m)
 	return nil
 }
 
@@ -125,27 +105,37 @@ func (b *NCCL) Deregister(p *sim.Process, rank, collID int) error {
 // per-(rank, collective) stream; in single-stream mode every collective
 // of the rank serializes.
 func (b *NCCL) Launch(p *sim.Process, rank, collID int) error {
-	c := find(b.colls, collID)
-	if c == nil {
-		return fmt.Errorf("orch: collective %d not registered", collID)
+	c, m, err := b.lookup(rank, collID)
+	if err != nil {
+		return err
 	}
-	key := bufKey{rank, collID}
-	bufs, ok := b.bufs[key]
-	if !ok {
-		// The collective survives on other ranks but this rank has
-		// deregistered (or never registered) it.
-		return fmt.Errorf("orch: collective %d not registered on rank %d", collID, rank)
-	}
-	b.kerns[key] = c.comm.Launch(p, b.strms[b.streamKey(rank, collID)], rank, c.spec, bufs.send, bufs.recv)
-	c.launched[rank]++
+	m.announced++
+	b.start(p, rank, c, m)
 	return nil
 }
 
-// Wait implements Backend: completion is observed lazily, through the
-// kernel handle of the most recent launch.
+// start launches rank's next announced run of c on the runtime and
+// wakes the rank's waiters, which wait for the launch before the kernel.
+func (b *NCCL) start(p *sim.Process, rank int, c *collState, m *member) {
+	m.kern = c.comm.Launch(p, m.stream, rank, c.spec, m.send, m.recv)
+	m.launched++
+	c.doneCond.Broadcast(p.Engine())
+}
+
+// Wait implements Backend: block until every run of collID announced on
+// rank has started (a release rule may hold runs back), then observe
+// completion lazily, through the kernel handle of the most recent
+// launch.
 func (b *NCCL) Wait(p *sim.Process, rank, collID int) {
-	if k := b.kerns[bufKey{rank, collID}]; k != nil {
-		k.Wait(p)
+	c, m, err := b.lookup(rank, collID)
+	if err != nil {
+		return
+	}
+	for m.launched < m.announced {
+		c.doneCond.Wait(p)
+	}
+	if m.kern != nil {
+		m.kern.Wait(p)
 	}
 }
 
@@ -153,7 +143,7 @@ func (b *NCCL) Wait(p *sim.Process, rank, collID int) {
 // entry (a wait yields to other ranks' Register/Deregister) by ID.
 func (b *NCCL) WaitAll(p *sim.Process, rank int) {
 	for _, c := range slices.Clone(b.colls) {
-		if c.launched[rank] > 0 {
+		if m := c.member(rank); m != nil && m.announced > 0 {
 			b.Wait(p, rank, c.id)
 		}
 	}

@@ -2,6 +2,7 @@ package orch
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dfccl/internal/core"
@@ -265,14 +266,12 @@ func TestKungFuAdoptsRankZeroOrder(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	want := []int{2, 0, 1}
-	if len(k.order) != 3 {
-		t.Fatalf("order = %v", k.order)
+	var got []int
+	for _, c := range k.order {
+		got = append(got, c.id)
 	}
-	for i := range want {
-		if k.order[i] != want[i] {
-			t.Fatalf("adopted order = %v, want %v", k.order, want)
-		}
+	if want := []int{2, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("adopted order = %v, want %v", got, want)
 	}
 }
 
@@ -309,7 +308,7 @@ func TestCommunicatorPerCollective(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if find(b.colls, 1).comm == find(b.colls, 2).comm {
+	if b.find(1).comm == b.find(2).comm {
 		t.Fatal("collectives share a communicator")
 	}
 }
@@ -391,20 +390,7 @@ func TestCallerBuffersCarryRealData(t *testing.T) {
 		recvs := make([]*mem.Buffer, n)
 		// Cycle barrier: all ranks must deregister (returning the
 		// communicator to DFCCL's pool) before any rank reopens.
-		arrived, gen := 0, 0
-		barCond := sim.NewCond("test.bar")
-		bar := func(p *sim.Process) {
-			g := gen
-			arrived++
-			if arrived == n {
-				arrived, gen = 0, gen+1
-				barCond.Broadcast(p.Engine())
-				return
-			}
-			for g == gen {
-				barCond.Wait(p)
-			}
-		}
+		bar := barrier(n)
 		for rank := 0; rank < n; rank++ {
 			rank := rank
 			e.Spawn("drive", func(p *sim.Process) {
@@ -513,6 +499,125 @@ func TestRaggedAllToAllvOnCallerBuffers(t *testing.T) {
 					off++
 				}
 			}
+		}
+	}
+}
+
+// TestRegistrationStateGoesWithIt runs three scripts on every backend,
+// each of float64 all-reduces of rank+1 whose sums are checked. In
+// "reuse", ranks 0 and 1 register collective 7, launch it, wait and
+// deregister it, meet at a barrier, and then do all of that again;
+// "rejoin" is the same without the barrier, so a rank may register
+// again while its peer still holds the collective. In "subgroup", ranks
+// 0-2 register collective 0 and ranks 0 and 1 also collective 1 over
+// {0, 1}, before any launches. Counts and order entries kept by (rank,
+// ID) apart from the registration outlive it: Horovod then deadlocks or
+// panics on "reuse" and "rejoin", and KungFu panics in a launcher. A
+// rank's run count restarted while its peer's goes on deadlocks Horovod
+// on "rejoin". KungFu holding rank 2 to announcements of a collective
+// it is not in deadlocks on "subgroup".
+func TestRegistrationStateGoesWithIt(t *testing.T) {
+	const count = 256
+	specs := map[int]prim.Spec{
+		0: {Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1, 2}},
+		1: {Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}},
+		7: {Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: []int{0, 1}},
+	}
+	// run registers rank's collectives among ids, launches each once,
+	// waits for all and checks every sum.
+	run := func(t *testing.T, p *sim.Process, b Backend, rank int, ids ...int) {
+		recvs := map[int]*mem.Buffer{}
+		for _, id := range ids {
+			if !slices.Contains(specs[id].Ranks, rank) {
+				continue
+			}
+			send, recv := mem.NewBuffer(mem.Float64, count), mem.NewBuffer(mem.Float64, count)
+			send.Fill(float64(rank + 1))
+			if err := b.Register(p, rank, id, specs[id], 0, send, recv); err != nil {
+				t.Errorf("rank %d register %d: %v", rank, id, err)
+				return
+			}
+			recvs[id] = recv
+		}
+		for _, id := range ids {
+			if recvs[id] != nil {
+				if err := b.Launch(p, rank, id); err != nil {
+					t.Errorf("rank %d launch %d: %v", rank, id, err)
+					return
+				}
+			}
+		}
+		b.WaitAll(p, rank)
+		for _, id := range ids {
+			want := 0
+			for _, r := range specs[id].Ranks {
+				want += r + 1
+			}
+			if recv := recvs[id]; recv != nil && recv.Float64At(count-1) != float64(want) {
+				t.Errorf("rank %d collective %d recv = %v, want %d", rank, id, recv.Float64At(count-1), want)
+			}
+		}
+	}
+	scripts := []struct {
+		name  string
+		ranks int
+		body  func(t *testing.T, p *sim.Process, b Backend, rank int, bar func(*sim.Process))
+	}{
+		{"reuse", 2, func(t *testing.T, p *sim.Process, b Backend, rank int, bar func(*sim.Process)) {
+			for range 2 {
+				run(t, p, b, rank, 7)
+				if err := b.Deregister(p, rank, 7); err != nil {
+					t.Errorf("rank %d deregister: %v", rank, err)
+				}
+				bar(p)
+			}
+		}},
+		{"rejoin", 2, func(t *testing.T, p *sim.Process, b Backend, rank int, _ func(*sim.Process)) {
+			for range 2 {
+				run(t, p, b, rank, 7)
+				if err := b.Deregister(p, rank, 7); err != nil {
+					t.Errorf("rank %d deregister: %v", rank, err)
+				}
+			}
+		}},
+		{"subgroup", 3, func(t *testing.T, p *sim.Process, b Backend, rank int, _ func(*sim.Process)) {
+			run(t, p, b, rank, 0, 1)
+		}},
+	}
+	for _, s := range scripts {
+		for _, name := range []string{"static", "singlestream", "horovod", "kungfu", "dfccl"} {
+			t.Run(s.name+"/"+name, func(t *testing.T) {
+				e := sim.NewEngine()
+				e.MaxTime = sim.Time(600 * sim.Second)
+				b := newBackend(name, e, topo.Server3090(s.ranks), core.DefaultConfig())
+				bar := barrier(s.ranks)
+				for rank := range s.ranks {
+					e.Spawn("rank", func(p *sim.Process) {
+						defer b.Teardown(p, rank)
+						s.body(t, p, b, rank, bar)
+					})
+				}
+				if err := e.Run(); err != nil {
+					t.Fatalf("%v (blocked: %v)", err, e.BlockedProcesses())
+				}
+			})
+		}
+	}
+}
+
+// barrier returns a cyclic barrier of n processes.
+func barrier(n int) func(p *sim.Process) {
+	arrived, gen := 0, 0
+	cond := sim.NewCond("test.bar")
+	return func(p *sim.Process) {
+		g := gen
+		if arrived++; arrived == n {
+			arrived, gen = 0, gen+1
+			cond.Broadcast(p.Engine())
+			return
+		}
+		for g == gen {
+			cond.Wait(p)
 		}
 	}
 }

@@ -17,7 +17,7 @@ type abortState struct {
 }
 
 func snapState(x *Executor) abortState {
-	return abortState{x.Stage, x.Round, x.Step, x.Phase, x.BytesSent}
+	return abortState{x.Stage, x.Round, x.Step, x.Phase, x.BytesSentBy.Total()}
 }
 
 // victimTrajectory runs the hierarchical exchange fault-free and

@@ -348,7 +348,7 @@ func wireBytes(t *testing.T, spec Spec, fill func(rank int, b *mem.Buffer)) int 
 	}
 	total := 0
 	for _, x := range execs {
-		total += x.BytesSent
+		total += x.BytesSentBy.Total()
 	}
 	return total
 }

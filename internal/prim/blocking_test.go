@@ -279,7 +279,6 @@ func (x *Executor) blockingSendHalf(p *sim.Process, a Action) {
 	bytes := sr.len() * x.Spec.Type.Size()
 	route := x.OutRoutes[a.SendConn]
 	out := x.Outs[a.SendConn]
-	x.BytesSent += bytes
 	x.BytesSentBy.add(route.Path.Transport, bytes)
 	if x.Rec != nil {
 		// Recorded at the same point BytesSentBy accrues, so summing

@@ -66,6 +66,9 @@ func (t *TransportBytes) Add(o TransportBytes) {
 	t.RDMA += o.RDMA
 }
 
+// Total is the bytes sent over all transports.
+func (t TransportBytes) Total() int { return t.Local + t.SHM + t.RDMA }
+
 func (t *TransportBytes) add(tr topo.Transport, n int) {
 	switch tr {
 	case topo.TransportSHM:
@@ -160,14 +163,13 @@ type Executor struct {
 	// Stats.
 	PrimsExecuted int
 	SpinAborts    int
-	// BytesSent counts the wire bytes this executor wrote to its send
-	// connectors across all runs — observed ring traffic, including
-	// store-and-forward forwarding hops, accumulated in TimingOnly mode
-	// too (the chunks are merely empty). It is what padding actually
-	// costs: a padded all-to-all pays for its zero tails on every hop.
-	BytesSent int
-	// BytesSentBy splits BytesSent by the transport of the path each
-	// chunk was sent over (SHM vs RDMA vs device-local).
+	// BytesSentBy counts the wire bytes this executor wrote to its send
+	// connectors across all runs, by the transport of the path each
+	// chunk was sent over (SHM vs RDMA vs device-local) — observed ring
+	// traffic, including store-and-forward forwarding hops, accumulated
+	// in TimingOnly mode too (the chunks are merely empty). Its Total is
+	// what padding actually costs: a padded all-to-all pays for its zero
+	// tails on every hop.
 	BytesSentBy TransportBytes
 }
 
@@ -730,7 +732,6 @@ func (x *Executor) beginSend(p *sim.Process, a *Action, xfer *fabric.Xfer) segRa
 	sr := x.slice(a.SendSeg, x.Round, a.SendElems)
 	bytes := sr.len() * x.Spec.Type.Size()
 	route := x.OutRoutes[a.SendConn]
-	x.BytesSent += bytes
 	x.BytesSentBy.add(route.Path.Transport, bytes)
 	if x.Rec != nil {
 		// Recorded at the same point BytesSentBy accrues, so summing

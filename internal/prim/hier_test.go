@@ -343,10 +343,10 @@ func TestHierSingleNodeDegenerate(t *testing.T) {
 	}
 	total := 0
 	for _, x := range execs {
-		total += x.BytesSent
+		total += x.BytesSentBy.Total()
 	}
 	if want := direct * 8; total != want {
-		t.Fatalf("single-node hierarchical BytesSent = %d, want single-hop %d", total, want)
+		t.Fatalf("single-node hierarchical bytes sent = %d, want single-hop %d", total, want)
 	}
 }
 

@@ -224,7 +224,7 @@ func TestHierCollOneRank(t *testing.T) {
 		}
 		recv, execs := runHier(t, cluster, spec, fillColl)
 		checkColl(t, fmt.Sprint(kind), spec, 0, recv[0])
-		if got := execs[0].BytesSent; got != 0 {
+		if got := execs[0].BytesSentBy.Total(); got != 0 {
 			t.Fatalf("%v: 1-rank collective sent %d wire bytes, want 0", kind, got)
 		}
 	}

@@ -87,7 +87,7 @@ func TestRebuildMatchesFresh(t *testing.T) {
 			fresh := fresh[i]
 			x := a.ws.ExecutorFor(c, a.spec, a.pos, mem.NewBuffer(mem.Float32, 1), nil)
 			x.Stage, x.Round, x.Step, x.Phase, x.Initialized = 1, 2, 3, 1, true
-			x.PrimsExecuted, x.SpinAborts, x.BytesSent, x.BytesSentBy = 4, 5, 6, TransportBytes{7, 8, 9}
+			x.PrimsExecuted, x.SpinAborts, x.BytesSentBy = 4, 5, TransportBytes{7, 8, 9}
 			x.AbortCheck, x.RecColl, x.Job = func() bool { return true }, 10, 11
 			if x.Seq.work(a.pos) == inScratch && x.scratch == nil {
 				x.scratch = mem.NewBuffer(a.spec.Type, x.Seq.workLen(a.pos)) // as the first run's init copy leaves it
