@@ -53,12 +53,13 @@ benchcheck:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
 
-# loc prints the non-test Go line count each PR reports the delta of in
-# CHANGES.md (the benchmark module is not counted). It counts the
-# working tree: tracked and untracked-but-not-ignored files that exist,
-# so a file not yet added counts and a deleted one does not.
+# loc prints the non-test line count, Go and assembly, each PR reports
+# the delta of in CHANGES.md (the benchmark module is not counted), so
+# code moved into a .s file still counts. It counts the working tree:
+# tracked and untracked-but-not-ignored files that exist, so a file not
+# yet added counts and a deleted one does not.
 loc:
-	@git ls-files -co --exclude-standard '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' \
+	@git ls-files -co --exclude-standard '*.go' '*.s' | grep -v '_test.go$$' | grep -v '^benchmark/' \
 		| while read -r f; do if [ -f "$$f" ]; then cat "$$f"; fi; done | wc -l
 
 # soak reruns the fault-path and flight-recorder tests 200 times: the
@@ -142,7 +143,10 @@ trace:
 cluster:
 	$(GO) run ./cmd/trainbench -fig cluster
 
-# smoke is the all-in-one gate: formatting, static checks (go vet), the
+# smoke is the all-in-one gate: formatting, static checks (go vet, and
+# go vet for arm64, which fails on a symbol only amd64 defines), the
+# generic reduction kernels' tests (-tags purego: mem and prim without
+# the SSE2 kernels, as every other architecture runs them), the
 # race-detector test pass — which runs every experiment and gate at
 # reduced scale, as the rows of internal/bench's TestExperiments
 # (~2 min) — the godoc floor, the map-range scan, the benchmark
@@ -161,6 +165,8 @@ cluster:
 # metrics.json (not committed) byte-identical on the gate's own second
 # run. See TESTING.md.
 smoke: fmt vet build test-race doccheck detcheck benchcheck
+	GOARCH=arm64 $(GO) vet ./...
+	$(GO) test -tags purego ./internal/mem ./internal/prim
 	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim

@@ -2,6 +2,8 @@ package cudasim
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dfccl/internal/sim"
@@ -179,5 +181,46 @@ func TestOversizedGridPanics(t *testing.T) {
 	})
 	if err := e.Run(); err == nil {
 		t.Fatal("expected panic error for oversized grid")
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if nothing.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+func TestStreamDestroy(t *testing.T) {
+	e := sim.NewEngine()
+	d := newTestDevice(e)
+	s1, s2, s3 := d.NewStream(), d.NewStream(), d.NewStream()
+	e.Spawn("host", func(p *sim.Process) {
+		d.Launch(p, s2, &Kernel{Name: "running", Grid: 1, Body: func(kc *KernelCtx) { spin(kc, 10*sim.Microsecond) }})
+		if msg := panicMessage(s2.Destroy); !strings.Contains(msg, "stream-destroy-busy") {
+			t.Errorf("Destroy on a running stream panicked with %q, want stream-destroy-busy", msg)
+		}
+		k := d.Enqueue(s2, &Kernel{Name: "queued", Grid: 1, Body: func(kc *KernelCtx) {}})
+		if msg := panicMessage(s2.Destroy); !strings.Contains(msg, "stream-destroy-busy") {
+			t.Errorf("Destroy on a stream with a queued kernel panicked with %q, want stream-destroy-busy", msg)
+		}
+		k.Wait(p)
+		s2.Destroy()
+		if msg := panicMessage(s2.Destroy); !strings.Contains(msg, "stream-destroyed") {
+			t.Errorf("a second Destroy panicked with %q, want stream-destroyed", msg)
+		}
+		if msg := panicMessage(func() { d.Enqueue(s2, &Kernel{Name: "late", Grid: 1}) }); msg == "" {
+			t.Error("a launch on a destroyed stream did not panic")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if d.Streams() != 2 || d.streams[0] != s1 || d.streams[1] != s3 {
+		t.Fatalf("streams after destroying the second of three: %d, want the first and third in order", d.Streams())
 	}
 }

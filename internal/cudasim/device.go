@@ -72,6 +72,26 @@ func (d *Device) NewStream() *Stream {
 	return s
 }
 
+// Streams returns how many streams the device holds: made, not destroyed.
+func (d *Device) Streams() int { return len(d.streams) }
+
+// Destroy releases s, the analogue of cudaStreamDestroy: its device no
+// longer visits it when it dispatches, and the other streams keep their
+// creation order. It panics on a stream with a kernel running or queued
+// (stream-destroy-busy) and on one destroyed before (stream-destroyed).
+func (s *Stream) Destroy() {
+	if s.running || len(s.queue) > 0 {
+		panic("cudasim: stream-destroy-busy: Destroy on a stream with a kernel running or queued")
+	}
+	d := s.dev
+	if d == nil {
+		panic("cudasim: stream-destroyed: Destroy on a stream destroyed before")
+	}
+	i := slices.Index(d.streams, s)
+	d.streams = slices.Delete(d.streams, i, i+1)
+	s.dev = nil
+}
+
 // dispatch starts, in stream creation order, every stream head that may
 // legally run: its stream is idle, it was launched before every active
 // synchronization point, and its blocks fit. One pass suffices, since a
@@ -138,7 +158,7 @@ func (d *Device) Launch(p *sim.Process, s *Stream, k *Kernel) *KernelInstance {
 // kernel could never start.
 func (d *Device) Enqueue(s *Stream, k *Kernel) *KernelInstance {
 	if s.dev != d {
-		panic("cudasim: stream belongs to a different device")
+		panic("cudasim: stream belongs to a different device, or was destroyed")
 	}
 	if k.Grid > d.MaxResidentBlocks {
 		panic(fmt.Sprintf("cudasim: kernel %s grid %d exceeds device capacity %d",

@@ -8,12 +8,15 @@
 // The package moves and reduces real bytes, so it is written to do that
 // at memory speed and to allocate nothing per chunk:
 //
-//   - ReduceInto (dst = a op b; Reduce is dst = dst op src) runs one
-//     straight-line loop per (operation, element type), four elements at
-//     a time, over the bytes viewed in place as []float32, []int64, …; a
-//     slice the host cannot view that way takes the same loop through
-//     decoded copies. Integers reduce natively and wrap around in two's
-//     complement.
+//   - ReduceInto (dst = a op b; Reduce is dst = dst op src) runs, on
+//     amd64, an SSE2 kernel over all but the last few bytes for each
+//     (operation, element type) pair SSE2 computes exactly as Go does
+//     (reduce_amd64.s; the purego build tag leaves it out). The generic
+//     kernel does the rest, and every pair elsewhere: one straight-line
+//     loop per pair, four elements at a time, over the bytes viewed in
+//     place as []float32, []int64, …; a slice the host cannot view that
+//     way takes the same loop through decoded copies. Integers reduce
+//     natively and wrap around in two's complement.
 //   - Connectors lend chunks: Write keeps a view of the writer's memory,
 //     and the one copy per hop is the reader's. A writer about to
 //     overwrite memory it lent calls Settle, which stages the unread
@@ -243,11 +246,16 @@ func Reduce(op ReduceOp, t DataType, dst, src []byte) {
 //   - Int32 and Int64 are two's complement: Sum and Prod wrap around on
 //     overflow and every result is exact — there is no detour through
 //     float64, which cannot hold integers beyond 2^53.
+//
+// The vector kernel, where the pair has one, gives the generic kernel's
+// result bit for bit, except which NaN a Sum or Prod of two NaNs keeps.
 func ReduceInto(op ReduceOp, t DataType, dst, a, b []byte) {
 	sz := t.Size()
 	if len(dst) != len(a) || len(dst) != len(b) || len(dst)%sz != 0 {
 		panic(fmt.Sprintf("mem: Reduce size mismatch: dst=%d a=%d b=%d elem=%d", len(dst), len(a), len(b), sz))
 	}
+	n := vector(op, t, dst, a, b) // at any alignment
+	dst, a, b = dst[n:], a[n:], b[n:]
 	switch t {
 	case Float32:
 		reduceBytes[float32](op, dst, a, b)
@@ -324,7 +332,7 @@ func view[T number](b []byte) (v []T, ok bool) {
 	return unsafe.Slice((*T)(p), len(b)/int(unsafe.Sizeof(z))), true
 }
 
-// reduce is the kernel: one straight-line loop per (op, T), four
+// reduce is the generic kernel: one straight-line loop per (op, T), four
 // elements at a time. One at a time, the Sum loop ran up to twice as slow
 // in binaries that placed it across a 64-byte line.
 func reduce[T number](op ReduceOp, dst, a, b []T) {

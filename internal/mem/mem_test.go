@@ -208,12 +208,19 @@ func sameResult(op ReduceOp, t DataType, dst, src, ref, got uint64) bool {
 	if t != Float32 && t != Float64 {
 		return false
 	}
-	dQuiet, dNaN := quietNaN(t, dst)
-	sQuiet, sNaN := quietNaN(t, src)
 	if op == Sum || op == Prod {
-		return dNaN && sNaN && (got == dQuiet || got == sQuiet)
+		return eitherNaN(t, dst, src, got)
 	}
+	_, sNaN := quietNaN(t, src)
 	return t == Float32 && sNaN && got == src
+}
+
+// eitherNaN reports whether float elements x and y are both NaNs and got
+// is one of them, quieted: what Sum or Prod of two NaNs may give.
+func eitherNaN(t DataType, x, y, got uint64) bool {
+	xQuiet, xNaN := quietNaN(t, x)
+	yQuiet, yNaN := quietNaN(t, y)
+	return xNaN && yNaN && (got == xQuiet || got == yQuiet)
 }
 
 // oracleData returns two equal-length element arrays for (op, t): every
@@ -440,7 +447,7 @@ func TestReduceIntegersAreNative(t *testing.T) {
 
 func BenchmarkReduce(b *testing.B) {
 	for _, dt := range []DataType{Float32, Float64, Int32, Int64} {
-		for _, op := range []ReduceOp{Sum, Max} {
+		for _, op := range []ReduceOp{Sum, Prod, Max, Min} {
 			b.Run(dt.String()+"/"+op.String(), func(b *testing.B) {
 				dst, src := make([]byte, 128<<10), make([]byte, 128<<10)
 				b.SetBytes(int64(len(dst)))

@@ -84,17 +84,22 @@ func (b *NCCL) Register(p *sim.Process, rank, collID int, spec prim.Spec, priori
 	return nil
 }
 
-// Deregister implements Backend: drop a rank's registration; the last
+// Deregister implements Backend: drop a rank's registration and destroy
+// its stream (not the rank's shared one in single-stream mode); the last
 // rank out drops the communicator. NCCL has no communicator pool: the
 // dropped communicator is garbage, and the next dynamic group builds a
-// new one — the recreation cost DFCCL's pool avoids.
+// new one — the recreation cost DFCCL's pool avoids. A run announced
+// and not yet launched, or launched and not done, refuses it.
 func (b *NCCL) Deregister(p *sim.Process, rank, collID int) error {
 	c, m, err := b.lookup(rank, collID)
 	if err != nil {
 		return err
 	}
-	if m.kern != nil && !m.kern.Done() {
+	if m.launched < m.announced || m.kern != nil && !m.kern.Done() {
 		return fmt.Errorf("orch: collective %d still running on rank %d", collID, rank)
+	}
+	if b.streams == nil {
+		m.stream.Destroy()
 	}
 	b.deregister(c, m)
 	return nil

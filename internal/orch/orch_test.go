@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dfccl/internal/core"
+	"dfccl/internal/cudasim"
 	"dfccl/internal/mem"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
@@ -618,6 +619,66 @@ func barrier(n int) func(p *sim.Process) {
 		}
 		for g == gen {
 			cond.Wait(p)
+		}
+	}
+}
+
+// TestDeregisterDestroysStream: an NCCL registration's stream goes with
+// it, so register/launch/deregister cycles leave every device with the
+// streams it started with (in single-stream mode, the rank's own), on
+// every NCCL-backed backend. A run announced and not yet done refuses
+// the deregistration: a coordinated backend would launch it later.
+func TestDeregisterDestroysStream(t *testing.T) {
+	for _, name := range []string{"static", "singlestream", "horovod", "kungfu"} {
+		e := sim.NewEngine()
+		b := newBackend(name, e, topo.Server3090(2), core.DefaultConfig())
+		var lib *NCCL
+		switch b := b.(type) {
+		case *NCCL:
+			lib = b
+		case *Horovod:
+			lib = b.NCCL
+		case *KungFu:
+			lib = b.NCCL
+		}
+		devs := []*cudasim.Device{lib.lib.Device(0), lib.lib.Device(1)}
+		base := []int{devs[0].Streams(), devs[1].Streams()}
+		e.Spawn("t", func(p *sim.Process) {
+			defer b.Teardown(p, 1)
+			defer b.Teardown(p, 0)
+			for i := range 1000 {
+				for rank := range 2 {
+					if err := b.Register(p, rank, i%3, spec2(64, []int{0, 1}), 0, nil, nil); err != nil {
+						t.Errorf("%s: register: %v", name, err)
+						return
+					}
+				}
+				for rank := range 2 {
+					if err := b.Launch(p, rank, i%3); err != nil {
+						t.Errorf("%s: launch: %v", name, err)
+						return
+					}
+				}
+				if err := b.Deregister(p, 0, i%3); err == nil {
+					t.Errorf("%s: deregistered a collective with a run not done", name)
+					return
+				}
+				for rank := range 2 {
+					b.Wait(p, rank, i%3)
+					if err := b.Deregister(p, rank, i%3); err != nil {
+						t.Errorf("%s: deregister: %v", name, err)
+						return
+					}
+				}
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: %v (blocked: %v)", name, err, e.BlockedProcesses())
+		}
+		for rank, d := range devs {
+			if got := d.Streams(); got != base[rank] {
+				t.Errorf("%s: device %d holds %d streams after 1 000 cycles, %d before", name, rank, got, base[rank])
+			}
 		}
 	}
 }
