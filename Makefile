@@ -67,7 +67,8 @@ loc:
 # most of them. The engine's coroutine hand-off is the one piece of real
 # cross-goroutine state in the tree, so its own tests also run 50 times
 # under the race detector. The data plane's run 20 times under it: mem's
-# kernels view bytes through unsafe (-race turns checkptr on), and
+# generic kernels view bytes through unsafe (-race turns checkptr on;
+# race builds leave the SSE2 kernels out, so every access is seen), and
 # recycled connector chunks are only correct while readers consume
 # before they yield. The daemon kernel and the poller are machines held
 # to the blocking code they replaced; that oracle runs 200 times, and
@@ -145,11 +146,10 @@ cluster:
 
 # smoke is the all-in-one gate: formatting, static checks (go vet, and
 # go vet for arm64, which fails on a symbol only amd64 defines), the
-# generic reduction kernels' tests (-tags purego: mem and prim without
-# the SSE2 kernels, as every other architecture runs them), the
 # race-detector test pass — which runs every experiment and gate at
 # reduced scale, as the rows of internal/bench's TestExperiments
-# (~2 min) — the godoc floor, the map-range scan, the benchmark
+# (~2 min), and mem's generic reduction loop without the SSE2 kernels,
+# which race builds leave out — the godoc floor, the map-range scan, the benchmark
 # module's own vet + tests,
 # 10 s of fuzzing the cluster kill path (FuzzClusterKills), 10 s of
 # fuzzing the trace generator's configs (FuzzGenerate), 10 s of fuzzing
@@ -166,7 +166,6 @@ cluster:
 # run. See TESTING.md.
 smoke: fmt vet build test-race doccheck detcheck benchcheck
 	GOARCH=arm64 $(GO) vet ./...
-	$(GO) test -tags purego ./internal/mem ./internal/prim
 	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim

@@ -226,7 +226,6 @@ type Network struct {
 	flowSeq int             // last assigned flow ID
 
 	jobBytes map[int]int64 // per-tenant byte attribution, keyed by job ID
-	untagged int64         // job 0's bytes, kept out of jobBytes
 }
 
 // SetRecorder attaches a flight recorder: flow lifecycle events
@@ -383,28 +382,10 @@ func (n *Network) Snapshot() []LinkStat {
 // Unlike link byte counters it is accrued on both shared and unshared
 // networks, so per-tenant attribution works under either pricing model.
 func (n *Network) JobBytes() map[int]int64 {
-	out := maps.Clone(n.jobBytes)
-	if out == nil {
-		out = map[int]int64{}
-	}
-	if n.untagged > 0 {
-		out[0] = n.untagged
-	}
-	return out
-}
-
-// attribute adds bytes to job's total. Untagged bytes (job 0), which
-// every transfer outside a cluster moves, go to a plain field, so a
-// single-job simulation writes no map per transfer.
-func (n *Network) attribute(job, bytes int) {
-	if job == 0 {
-		n.untagged += int64(bytes)
-		return
-	}
 	if n.jobBytes == nil {
-		n.jobBytes = make(map[int]int64)
+		return map[int]int64{}
 	}
-	n.jobBytes[job] += int64(bytes)
+	return maps.Clone(n.jobBytes)
 }
 
 // NICLoad returns, per machine, the bytes accrued so far on that

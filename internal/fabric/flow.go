@@ -73,7 +73,10 @@ func (x *Xfer) Next() (sim.Wait, bool) {
 	switch x.at {
 	case xferStart:
 		if x.bytes > 0 {
-			n.attribute(f.job, x.bytes)
+			if n.jobBytes == nil {
+				n.jobBytes = make(map[int]int64)
+			}
+			n.jobBytes[f.job] += int64(x.bytes)
 		}
 		if !n.shared || len(f.route.Links) == 0 || x.bytes == 0 {
 			x.at = xferDone

@@ -9,14 +9,13 @@
 // at memory speed and to allocate nothing per chunk:
 //
 //   - ReduceInto (dst = a op b; Reduce is dst = dst op src) runs, on
-//     amd64, an SSE2 kernel over all but the last few bytes for each
-//     (operation, element type) pair SSE2 computes exactly as Go does
-//     (reduce_amd64.s; the purego build tag leaves it out). The generic
-//     kernel does the rest, and every pair elsewhere: one straight-line
-//     loop per pair, four elements at a time, over the bytes viewed in
-//     place as []float32, []int64, …; a slice the host cannot view that
-//     way takes the same loop through decoded copies. Integers reduce
-//     natively and wrap around in two's complement.
+//     amd64, an SSE2 kernel over all but the last few bytes of a float32
+//     or float64 Sum (reduce_amd64.s; race builds leave it out). The
+//     generic kernel does the rest, and every other pair: one
+//     straight-line loop per pair, four elements at a time, over the
+//     bytes viewed in place as []float32, []int64, …; a slice the host
+//     cannot view that way takes the same loop through decoded copies.
+//     Integers reduce natively and wrap around in two's complement.
 //   - Connectors lend chunks: Write keeps a view of the writer's memory,
 //     and the one copy per hop is the reader's. A writer about to
 //     overwrite memory it lent calls Settle, which stages the unread
@@ -248,7 +247,7 @@ func Reduce(op ReduceOp, t DataType, dst, src []byte) {
 //     float64, which cannot hold integers beyond 2^53.
 //
 // The vector kernel, where the pair has one, gives the generic kernel's
-// result bit for bit, except which NaN a Sum or Prod of two NaNs keeps.
+// result bit for bit, except which NaN a Sum of two NaNs keeps.
 func ReduceInto(op ReduceOp, t DataType, dst, a, b []byte) {
 	sz := t.Size()
 	if len(dst) != len(a) || len(dst) != len(b) || len(dst)%sz != 0 {

@@ -447,7 +447,7 @@ func TestReduceIntegersAreNative(t *testing.T) {
 
 func BenchmarkReduce(b *testing.B) {
 	for _, dt := range []DataType{Float32, Float64, Int32, Int64} {
-		for _, op := range []ReduceOp{Sum, Prod, Max, Min} {
+		for _, op := range []ReduceOp{Sum, Max} {
 			b.Run(dt.String()+"/"+op.String(), func(b *testing.B) {
 				dst, src := make([]byte, 128<<10), make([]byte, 128<<10)
 				b.SetBytes(int64(len(dst)))

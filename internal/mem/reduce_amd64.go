@@ -1,52 +1,24 @@
-//go:build !purego
+//go:build !race
 
 package mem
 
 import "unsafe"
 
-// The SSE2 kernels (reduce_amd64.s), one for each (op, type) pair that
-// SSE2 computes exactly as the generic loop does. Each reduces
-// dst = a op b over the first n bytes and returns how many bytes it
-// covered: all but a tail shorter than 16 bytes. SSE2 is part of the
-// amd64 baseline, so nothing is detected at run time.
-//
-//   - ADDP*, MULP*: one IEEE operation per element, as in Go.
-//   - MAXP*, MINP*: the first source where it compares greater (less),
-//     else the second: keep(a > b, a, b), NaN and ±0 included.
-//   - PADDL, PADDQ: two's-complement addition, wrapping as Go's does.
-//
-// Integer Max, Min and Prod need SSE4.1 (PMAXSD, PMINSD, PMULLD) or
-// AVX-512 (64-bit), so they have none here.
+// The SSE2 kernels (reduce_amd64.s), one for each Sum the benchmarks and
+// workloads run: float32 (ADDPS) and float64 (ADDPD). Each reduces
+// dst = a + b over the first n bytes with one IEEE addition per element,
+// as the generic loop does, and returns how many bytes it covered: all
+// but a tail shorter than 16 bytes. SSE2 is part of the amd64 baseline,
+// so nothing is detected at run time. Race builds leave the kernels out
+// (reduce_other.go): neither the race detector nor checkptr sees inside
+// assembly, so -race checks the generic loop, which views bytes through
+// unsafe.
 
 //go:noescape
 func addps(dst, a, b *byte, n int) int
 
 //go:noescape
-func mulps(dst, a, b *byte, n int) int
-
-//go:noescape
-func maxps(dst, a, b *byte, n int) int
-
-//go:noescape
-func minps(dst, a, b *byte, n int) int
-
-//go:noescape
 func addpd(dst, a, b *byte, n int) int
-
-//go:noescape
-func mulpd(dst, a, b *byte, n int) int
-
-//go:noescape
-func maxpd(dst, a, b *byte, n int) int
-
-//go:noescape
-func minpd(dst, a, b *byte, n int) int
-
-//go:noescape
-func paddl(dst, a, b *byte, n int) int
-
-//go:noescape
-func paddq(dst, a, b *byte, n int) int
 
 // vector reduces dst = a op b through (op, t)'s SSE2 kernel, where the
 // pair has one, and returns how many bytes it covered: all but a tail
@@ -54,41 +26,15 @@ func paddq(dst, a, b *byte, n int) int
 // so a slice off its element alignment takes them too.
 func vector(op ReduceOp, t DataType, dst, a, b []byte) int {
 	n := len(dst)
-	if n < 16 {
+	if op != Sum || n < 16 {
 		return 0
 	}
 	d, x, y := unsafe.SliceData(dst), unsafe.SliceData(a), unsafe.SliceData(b)
 	switch t {
 	case Float32:
-		switch op {
-		case Sum:
-			return addps(d, x, y, n)
-		case Prod:
-			return mulps(d, x, y, n)
-		case Max:
-			return maxps(d, x, y, n)
-		case Min:
-			return minps(d, x, y, n)
-		}
+		return addps(d, x, y, n)
 	case Float64:
-		switch op {
-		case Sum:
-			return addpd(d, x, y, n)
-		case Prod:
-			return mulpd(d, x, y, n)
-		case Max:
-			return maxpd(d, x, y, n)
-		case Min:
-			return minpd(d, x, y, n)
-		}
-	case Int32:
-		if op == Sum {
-			return paddl(d, x, y, n)
-		}
-	case Int64:
-		if op == Sum {
-			return paddq(d, x, y, n)
-		}
+		return addpd(d, x, y, n)
 	}
 	return 0
 }

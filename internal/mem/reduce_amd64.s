@@ -1,4 +1,4 @@
-//go:build !purego
+//go:build !race
 
 #include "textflag.h"
 
@@ -59,36 +59,6 @@ TEXT ·addps(SB), NOSPLIT, $0-40
 	MOVQ AX, ret+32(FP)
 	RET
 
-// func mulps(dst, a, b *byte, n int) int
-TEXT ·mulps(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVUPS, MULPS)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func maxps(dst, a, b *byte, n int) int
-TEXT ·maxps(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVUPS, MAXPS)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func minps(dst, a, b *byte, n int) int
-TEXT ·minps(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVUPS, MINPS)
-	MOVQ AX, ret+32(FP)
-	RET
-
 // func addpd(dst, a, b *byte, n int) int
 TEXT ·addpd(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
@@ -96,55 +66,5 @@ TEXT ·addpd(SB), NOSPLIT, $0-40
 	MOVQ b+16(FP), DX
 	MOVQ n+24(FP), CX
 	PACKED(MOVUPD, ADDPD)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func mulpd(dst, a, b *byte, n int) int
-TEXT ·mulpd(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVUPD, MULPD)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func maxpd(dst, a, b *byte, n int) int
-TEXT ·maxpd(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVUPD, MAXPD)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func minpd(dst, a, b *byte, n int) int
-TEXT ·minpd(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVUPD, MINPD)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func paddl(dst, a, b *byte, n int) int
-TEXT ·paddl(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVOU, PADDL)
-	MOVQ AX, ret+32(FP)
-	RET
-
-// func paddq(dst, a, b *byte, n int) int
-TEXT ·paddq(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	PACKED(MOVOU, PADDQ)
 	MOVQ AX, ret+32(FP)
 	RET

@@ -1,11 +1,9 @@
-//go:build !purego
+//go:build !race
 
 package mem
 
 // vectorized lists the pairs with an SSE2 kernel.
 var vectorized = map[DataType][]ReduceOp{
-	Float32: {Sum, Prod, Max, Min},
-	Float64: {Sum, Prod, Max, Min},
-	Int32:   {Sum},
-	Int64:   {Sum},
+	Float32: {Sum},
+	Float64: {Sum},
 }
