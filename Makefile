@@ -158,7 +158,8 @@ cluster:
 # sharing one chunk staging pool (FuzzChunks) and 10 s of fuzzing
 # deadlocksim's configs, each valid one held to the NCCL baseline
 # (FuzzDecisionModels; one worker, since every deadlocked replay leaves
-# its engine's processes parked for good), the data plane's and the
+# its engine's processes parked for good), each minimising a new input
+# for at most 1 s (Go's default 60 s stalled a 10 s run), the data plane's and the
 # fault paths' tests with the lent-chunk-stable invariant built in
 # (-tags lentcheck), and a regeneration of the artifacts: the tuning
 # table and BENCH.json must come out as no-op diffs, trace.json and
@@ -166,12 +167,12 @@ cluster:
 # run. See TESTING.md.
 smoke: fmt vet build test-race doccheck detcheck benchcheck
 	GOARCH=arm64 $(GO) vet ./...
-	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s ./internal/prim
-	$(GO) test -run '^$$' -fuzz FuzzChaos -fuzztime 10s ./internal/chaos
-	$(GO) test -run '^$$' -fuzz FuzzChunks -fuzztime 10s ./internal/mem
-	$(GO) test -run '^$$' -fuzz FuzzDecisionModels -fuzztime 10s -parallel 1 ./internal/deadlocksim
+	$(GO) test -run '^$$' -fuzz FuzzClusterKills -fuzztime 10s -fuzzminimizetime 1s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s -fuzzminimizetime 1s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzSequences -fuzztime 10s -fuzzminimizetime 1s ./internal/prim
+	$(GO) test -run '^$$' -fuzz FuzzChaos -fuzztime 10s -fuzzminimizetime 1s ./internal/chaos
+	$(GO) test -run '^$$' -fuzz FuzzChunks -fuzztime 10s -fuzzminimizetime 1s ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzDecisionModels -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/deadlocksim
 	$(GO) test -tags lentcheck ./internal/prim ./internal/cluster ./internal/chaos
 	$(GO) run ./cmd/trainbench -fig tune
 	$(GO) run ./cmd/trainbench -fig trace > /dev/null

@@ -65,7 +65,7 @@ func (x *Executor) blockingInitialize(p *sim.Process) {
 		if q.seeded {
 			// The seeds tile the send buffer.
 			size, workBytes := x.Spec.Type.Size(), len(x.buf(work).Bytes())
-			if len(src) != q.seed(pos, len(x.lay.segs)-1).Hi*size || workBytes != q.workLen(pos)*size {
+			if len(src) != q.seed(pos, len(x.role.segs)-1).Hi*size || workBytes != q.workLen(pos)*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d", x.Spec.Kind, workBytes, len(src)))
 			}
 			sd := q.seed(pos, ownSeg)

@@ -121,6 +121,8 @@ type Executor struct {
 	// 1 = send half complete, awaiting recv half.
 	Phase       int
 	Initialized bool
+	// work is the working buffer every primitive reads (Sequence.work).
+	work home
 
 	// last is (Stage+1, Round, Step) of the primitive that completed last
 	// since Reset, zero when none has: every completed primitive must lie
@@ -152,10 +154,10 @@ type Executor struct {
 	Job int
 
 	scratch *mem.Buffer
-	// lay and work are what every primitive reads at Pos: its layout of
-	// Seq and its working buffer (Sequence.work).
-	lay  *layout
-	work home
+	// part and role are what every primitive reads at Pos: its part of
+	// Seq and its role's table in it (Sequence.read).
+	part *part
+	role *role
 	// runner runs StepOnce's primitives; callers that drive a Runner of
 	// their own never make one.
 	runner *Runner
@@ -192,7 +194,7 @@ func (x *Executor) elems(seg int, r segRange) []byte {
 
 // home returns the buffer segment seg lives in.
 func (x *Executor) home(seg int) home {
-	switch inPlace := x.lay.inPlace; {
+	switch inPlace := x.role.inPlace; {
 	case seg < inPlace:
 		return inSend
 	case seg < 2*inPlace:
@@ -203,10 +205,10 @@ func (x *Executor) home(seg int) home {
 
 // seg returns segment i of the executor's position.
 func (x *Executor) seg(i int) segRange {
-	if x.lay.segs == nil {
+	if x.role.segs == nil {
 		return x.Seq.countedSeg(x.Pos, i)
 	}
-	return x.lay.segs[i]
+	return x.role.segs[i]
 }
 
 // slice returns the element range of segment seg covered in round c,
@@ -239,7 +241,16 @@ func (x *Executor) Reset(sendBuf, recvBuf *mem.Buffer) {
 
 // Finished reports completion of all stages and rounds.
 func (x *Executor) Finished() bool {
-	return x.Initialized && x.Stage >= len(x.lay.Stages)
+	return x.Initialized && x.part.stage(x.member(), x.Stage) == nil
+}
+
+// member returns the executor's member index in its part: 0 for the
+// leader, as for every position of a flat plan.
+func (x *Executor) member() int {
+	if x.role == &x.part.lead {
+		return 0
+	}
+	return x.Seq.g.local[x.Pos]
 }
 
 func (x *Executor) computeCost(bytes int) sim.Duration {
@@ -298,7 +309,7 @@ func (x *Executor) initCopy(move bool) (bytes int, ok bool) {
 			// Only the segment's seed moves; the copy is still priced at
 			// the whole send buffer, which the run reads by the end.
 			size, workBytes := x.Spec.Type.Size(), len(x.buf(work).Bytes())
-			if sendLen := q.seed(pos, len(x.lay.segs)-1).Hi * size; len(src) != sendLen || workBytes != q.workLen(pos)*size {
+			if sendLen := q.seed(pos, len(x.role.segs)-1).Hi * size; len(src) != sendLen || workBytes != q.workLen(pos)*size {
 				panic(fmt.Sprintf("prim: %v init copy size mismatch: work=%d send=%d, want %d and %d",
 					x.Spec.Kind, workBytes, len(src), q.workLen(pos)*size, sendLen))
 			}
@@ -516,7 +527,7 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			x.initCopy(true)
 			x.Initialized = true
 			r.at = atAction
-			if x.NumPrimitives() == 0 {
+			if x.Seq.n == 1 {
 				// Single-rank collective: init (plus copy-out) is all.
 				x.Stage = x.Seq.NumStages(x.Pos)
 				x.Round = x.Seq.TotalRounds(x.Pos)
@@ -527,10 +538,9 @@ func (r *Runner) Next() (sim.Wait, bool) {
 			}
 
 		case atAction:
-			if x.Finished() {
+			if r.stage = x.part.stage(x.member(), x.Stage); r.stage == nil {
 				return r.end(Done)
 			}
-			r.stage = &x.lay.Stages[x.Stage]
 			r.stage.action(x.Pos, x.Step, &r.a)
 			a := &r.a
 			r.attemptStart = r.p.Now()
@@ -681,13 +691,13 @@ func (x *Executor) complete(r *Runner) (more bool) {
 	x.last = done
 	x.Phase = 0
 	x.Step++
-	if x.Step >= r.stage.Len() {
+	if x.Step >= r.stage.count(x.member()) {
 		x.Step = 0
 		x.Round++
 		if x.Round >= r.stage.Rounds {
 			x.Round = 0
 			x.Stage++
-			return x.Stage < len(x.lay.Stages)
+			return x.part.stage(x.member(), x.Stage) != nil
 		}
 	}
 	return true

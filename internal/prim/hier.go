@@ -5,37 +5,29 @@ package prim
 // 56 Gb/s RDMA between nodes. AlgoHierarchical splits the exchange
 // accordingly:
 //
-//  1. intra:      same-node blocks move directly between the two GPUs
-//                 over per-pair SHM connectors (one hop each), as a
-//                 lockstep offset schedule within the node group;
+//  1. intra: same-node blocks move directly between the two GPUs over
+//     per-pair SHM connectors, a lockstep offset schedule in the node;
 //  2. pack/gather: every rank's cross-node blocks are gathered to its
-//                 node leader (the leader packs its own with local
-//                 copies), laid out as one contiguous aggregate per
-//                 destination node;
-//  3. inter-ring: the node leaders run the flat ring's all-to-all
-//                 schedule over the aggregates — the only phase that
-//                 touches RDMA, and an aggregate (a→b) crosses
-//                 mod(b-a, M) leader hops instead of every block
-//                 circumnavigating the full flat ring;
-//  4. scatter:    the receiving leader forwards each block to its
-//                 final same-node destination over SHM.
+//     node leader (which packs its own with local copies), one
+//     contiguous aggregate per destination node;
+//  3. inter-ring: the leaders run the flat ring's all-to-all over the
+//     aggregates — the only RDMA phase; an aggregate (a→b) crosses
+//     mod(b-a, M) leader hops instead of the full flat ring;
+//  4. scatter: the receiving leader forwards each block to its final
+//     same-node destination over SHM.
 //
-// Every phase keeps the ring's invariants: both ends of each connector
-// are built from one description — a tier's mesh and convoy stages
-// inside a node, the ring value between the leaders — so they run the
-// same (action, round) schedule with per-action element bounds,
-// zero-count peers still exchange empty chunks and flow control stays
-// uniform; the executor's (stage, round, step, phase) dynamic context
-// makes any point preemptible and resumable.
-//
-// Degenerate cases are explicit: a single-node cluster yields only the
-// intra stages (no leader ring — the direct exchange *is* the
-// algorithm), and a single rank yields the same no-op copy sequence as
-// the flat ring.
+// A plan is one part per node, read by role: the leader runs every
+// stage, a member the mesh stages and the convoys carrying its blocks.
+// Both ends of each connector read one description — a hop inside a node,
+// the ring value between the leaders — so they run the same (action,
+// round) schedule with per-action element bounds, zero-count peers still
+// exchange empty chunks and flow control stays uniform; the executor's
+// (stage, round, step, phase) context makes any point preemptible. A
+// single node yields only the intra stages, a single rank the flat ring's
+// no-op copy.
 
 import (
 	"fmt"
-	"slices"
 
 	"dfccl/internal/topo"
 )
@@ -125,17 +117,27 @@ func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
 	return s.build(g).has(pos)
 }
 
-// hierSeq builds the hierarchical plan's layouts, one per position, of
-// two or more (Spec.build).
-func (s Spec) hierSeq(q *Sequence, g NodeGrouping) {
-	q.lays = make([]layout, q.n)
-	for pos := range q.lays {
-		a := g.NodeOf[pos]
-		t := &tier{g: g, q: &q.lays[pos], pos: pos, node: a, group: g.Members[a], k: g.local[pos],
-			m: len(g.Members[a]), nodes: g.Nodes(), chunk: s.chunk()}
+// hierSeq builds the hierarchical plan's parts, one per node, of two or
+// more positions (Spec.build).
+func (s Spec) hierSeq(q *Sequence) {
+	g, M := q.g, q.g.Nodes()
+	var agg []int // the all-to-all's cross-node aggregate sizes, M×M
+	if !s.Kind.InPlace() && M > 1 {
+		agg = make([]int, M*M)
+		for pos, x := range g.NodeOf {
+			for j, y := range g.NodeOf {
+				if x != y {
+					agg[x*M+y] += s.count(pos, j)
+				}
+			}
+		}
+	}
+	q.parts = make([]part, M)
+	for a := range q.parts {
+		t := &tier{q: q, p: &q.parts[a], node: a, group: g.Members[a], m: len(g.Members[a]), nodes: M, chunk: q.chunkElems}
 		switch s.Kind {
 		case AllToAll, AllToAllv:
-			s.hierAllToAllSeq(t)
+			s.hierAllToAllSeq(t, agg)
 		case AllReduce:
 			s.hierAllReduceSeq(t)
 		case AllGather:
@@ -148,247 +150,269 @@ func (s Spec) hierSeq(q *Sequence, g NodeGrouping) {
 	}
 }
 
-// tier is one position's hierarchical layout under construction: its
-// place in the node grouping and the layout it appends to, whose workLen
-// is the allocation cursor. Its mesh and convoy stages are built from
-// one description that every member of the node reads, so the two ends
-// of each intra-node connector agree chunk for chunk by construction,
-// as the ring value makes them agree on the leader ring.
+// tier builds node's part p of a hierarchical plan: group is its members
+// (leader first), m their count and nodes the node count.
 type tier struct {
-	g NodeGrouping
-	q *layout
-	// pos is the position, node its node, group the node's members
-	// (leader first), k its index in group, m the member count and
-	// nodes the node count.
-	pos, node   int
-	group       []int
-	k, m, nodes int
-	chunk       int
+	q               *Sequence
+	p               *part
+	node            int
+	group           []int
+	m, nodes, chunk int
 }
 
 // alloc appends a segment of l elements at the end of the working buffer.
-func (t *tier) alloc(l int) int {
-	t.q.workLen += l
-	return t.view(segRange{Lo: t.q.workLen - l, Hi: t.q.workLen})
+func (r *role) alloc(l int) int {
+	r.workLen += l
+	return r.view(segRange{Lo: r.workLen - l, Hi: r.workLen})
 }
 
 // view registers a segment over already-allocated elements.
-func (t *tier) view(r segRange) int {
-	t.q.segs = append(t.q.segs, r)
-	return len(t.q.segs) - 1
+func (r *role) view(sr segRange) int {
+	r.segs = append(r.segs, sr)
+	return len(r.segs) - 1
 }
 
-// segLen is the element length of segment seg.
-func (t *tier) segLen(seg int) int { return t.q.segs[seg].len() }
-
-// ring is the leader ring running sc, seen from this (leader) position,
-// over the node aggregates blk. It reads block lengths from the segments
-// allocated so far: a layout allocates none after its ring stage.
+// ring is the leader ring running sc over the node aggregates blk, read
+// at the leader's node's place, on its ring endpoint, with the segments
+// the leader has allocated so far.
 func (t *tier) ring(sc sched, blk []int) ring {
-	return ring{sched: sc, pinned: true, place: t.node, n: t.nodes, blk: blk, conn: t.g.ringIdx(t.pos), segs: t.q.segs}
+	return ring{sched: sc, nodeOf: t.q.g.NodeOf, n: t.nodes, blk: blk, conn: t.q.g.ringIdx(t.group[0]), segs: t.p.lead.segs}
 }
 
-// mesh adds the direct-exchange stages d = 1..m-1: at offset d each
-// member sends to member k+d and receives from member k-d. segs names
-// the segments sent to position to and received from position from;
-// each half is as long as its segment, and rounds(d) is the same on
-// every member, so all of them stay step-matched.
-func (t *tier) mesh(label string, rounds func(d int) int, reduce bool, segs func(to, from int) (send, recv int)) {
+// mesh adds the direct-exchange stages d = 1..m-1, at which member k
+// exchanges with members k+d and k-d as op says, for rounds(d) rounds.
+func (t *tier) mesh(label string, rounds func(d int) int, op hopOp) {
 	for d := 1; d < t.m; d++ {
-		to, from := t.group[(t.k+d)%t.m], t.group[(t.k-d+t.m)%t.m]
-		send, recv := segs(to, from)
-		st := t.q.stage(label, rounds(d))
-		st.actions = append(st.actions, Action{
-			SendSeg: send, SendElems: t.segLen(send), SendConn: t.g.peerIdx(t.pos, to),
-			RecvSeg: recv, RecvElems: t.segLen(recv), RecvConn: t.g.peerIdx(t.pos, from),
-			Reduce: reduce,
-		})
+		t.p.addStage(label, rounds(d)).hop = &hop{q: t.q, node: t.node, op: op, d: d}
 	}
 }
 
-// move is one block of a convoy: the member index it travels from or to,
-// and the segment that holds it at this position.
-type move struct{ member, seg int }
+// convoy adds a stage moving h.moves between the leader and its members
+// (or within the leader, opPack). The leader takes every move in order;
+// the m-1 members each take a row of per moves (hop.at), unless h names
+// the one member whose moves they all are (base, per). A convoy with no
+// moves is no stage.
+func (t *tier) convoy(label string, rounds int, h hop) {
+	if len(h.moves) == 0 {
+		return
+	}
+	if h.base == 0 {
+		h.base, h.per = 1, len(h.moves)/max(t.m-1, 1)
+	}
+	h.q, h.node = t.q, t.node
+	t.p.addStage(label, rounds).hop = &h
+}
 
-// convoy adds one leader↔member stage: up, each member sends its blocks
-// to the leader; down, the leader sends them to the members. The leader
-// takes every move in order, a member only its own, and a position with
-// no move gets no stage; each half is as long as its segment, and reduce
-// folds received chunks in.
-func (t *tier) convoy(label string, rounds int, up, reduce bool, moves []move) {
-	st := t.q.stage(label, rounds)
-	for _, mv := range moves {
-		peer := t.group[0]
-		if t.k == 0 {
-			peer = t.group[mv.member]
-		} else if mv.member != t.k {
-			continue
-		}
-		a := Action{SendSeg: -1, RecvSeg: -1}
-		if l, conn := t.segLen(mv.seg), t.g.peerIdx(t.pos, peer); up == (t.k == 0) {
-			a.RecvSeg, a.RecvElems, a.RecvConn, a.Reduce = mv.seg, l, conn, reduce
+// hopOp is what a hop stage does: at a mesh offset d each member k sends
+// to member k+d and receives from k-d — meshScatter sends block k+d and
+// folds k-d's copy of its own block in (a reduce-scatter), meshGather
+// sends its own block and receives block k-d, meshBlocks sends its block
+// for k+d and receives k-d's for it (the all-to-all); opPack is the
+// leader's local copies, opUp and opDown a convoy to the leader and from
+// it.
+type hopOp uint8
+
+const (
+	meshScatter hopOp = iota
+	meshGather
+	meshBlocks
+	opPack
+	opUp
+	opDown
+)
+
+// hop is a stage within one node of a hierarchical plan, which every
+// position of the node reads by its role, computing its actions from its
+// member index k: a mesh stage's peers, endpoints and blocks from k, the
+// offset d and its role's table (role.blk), a convoy's from the one
+// move list both ends read.
+type hop struct {
+	q    *Sequence
+	node int
+	op   hopOp
+	d    int
+	// reduce: an up convoy's leader folds the received chunks in.
+	reduce bool
+	// moves are a pack's or convoy's, in the order the leader takes them;
+	// member base+r takes row r of them, per moves (member-major, or, if
+	// across, member-minor: every rows-th move from r).
+	moves     []move
+	base, per int
+	across    bool
+}
+
+// move is one block of a convoy: the segment that holds it at the leader
+// and the one that holds it at the member (a pack copies the leader's own
+// block memb into lead).
+type move struct{ lead, memb int }
+
+// has reports whether member k > 0 runs the stage: every mesh offset,
+// and the convoys that carry its blocks (a nil hop is a leader ring's).
+func (h *hop) has(k int) bool {
+	return h != nil && (h.op < opPack || h.op > opPack && k >= h.base && k < h.base+len(h.moves)/h.per)
+}
+
+// count returns the stage's action count per round at member k.
+func (h *hop) count(k int) int {
+	switch {
+	case h.op < opPack:
+		return 1
+	case k == 0:
+		return len(h.moves)
+	}
+	return h.per
+}
+
+// at returns the segment member k moves as its convoy action i, and the
+// endpoint it moves it on: the leader takes every move in order, a member
+// its row.
+func (h *hop) at(k, i int) (seg, conn int) {
+	rows := len(h.moves) / h.per
+	switch {
+	case k > 0 && h.across:
+		return h.moves[i*rows+k-h.base].memb, 0
+	case k > 0:
+		return h.moves[(k-h.base)*h.per+i].memb, 0
+	case h.across:
+		return h.moves[i].lead, h.base + i%rows - 1
+	}
+	return h.moves[i].lead, h.base + i/h.per - 1
+}
+
+// action sets *a to the stage's action i at position pos; each half is
+// as long as its segment at pos.
+func (h *hop) action(pos, i int, a *Action) {
+	q := h.q
+	_, r, k := q.read(pos)
+	elems := func(seg int) int { return q.seg(r, pos, seg).len() }
+	switch h.op {
+	case opPack:
+		mv := h.moves[i]
+		*a = Action{LocalCopy: true, SendSeg: mv.memb, SendElems: elems(mv.memb), RecvSeg: mv.lead}
+	case opUp, opDown:
+		seg, conn := h.at(k, i)
+		if (h.op == opUp) == (k == 0) {
+			*a = Action{SendSeg: -1, RecvSeg: seg, RecvElems: elems(seg), RecvConn: conn, Reduce: h.reduce}
 		} else {
-			a.SendSeg, a.SendElems, a.SendConn = mv.seg, l, conn
+			*a = Action{SendSeg: seg, SendElems: elems(seg), SendConn: conn, RecvSeg: -1}
 		}
-		st.actions = append(st.actions, a)
+	default:
+		group := q.g.Members[h.node]
+		m := len(group)
+		to, from := group[(k+h.d)%m], group[(k-h.d+m)%m]
+		send, recv := blockSeg(r.blk, to), blockSeg(r.blk, pos)
+		switch h.op {
+		case meshGather:
+			send, recv = blockSeg(r.blk, pos), blockSeg(r.blk, from)
+		case meshBlocks:
+			send, recv = to, q.n+from
+		}
+		*a = Action{SendSeg: send, SendElems: elems(send), SendConn: q.g.peerIdx(pos, to),
+			RecvSeg: recv, RecvElems: elems(recv), RecvConn: q.g.peerIdx(pos, from), Reduce: h.op == meshScatter}
 	}
-	t.q.dropEmpty()
 }
 
-// hierAllToAllSeq builds the hierarchical all-to-all(-v) sequence:
-// intra-node direct exchange, pack/gather-to-leader, the flat ring
-// all-to-all schedule between the leaders over per-node aggregates, and
-// scatter-from-leader.
-func (s Spec) hierAllToAllSeq(t *tier) {
-	pos, g := t.pos, t.g
-	n, a, M, leader := s.N(), t.node, t.nodes, t.k == 0
+// hierAllToAllSeq builds node t's part of the hierarchical all-to-all(-v)
+// sequence: intra-node direct exchange, pack/gather-to-leader, the flat
+// ring all-to-all schedule between the leaders over per-node aggregates
+// (agg, M×M), and scatter-from-leader.
+func (s Spec) hierAllToAllSeq(t *tier, agg []int) {
+	g, lead := t.q.g, &t.p.lead
+	n, a, M, leader := t.q.n, t.node, t.nodes, t.group[0]
 
 	// Segment j is the own block to position j, read in place from the
-	// send buffer, and segment n+o the final block from position o,
-	// received in place into the recv buffer. Leaders take their
-	// cross-node final blocks from the inbound aggregates at the copy-out
-	// instead, so no action writes their cross-node final segments.
-	t.q.segs = s.blocksInPlace(t.q.segs, pos)
-	t.q.initCopyOwnSeg, t.q.work, t.q.inPlace = initCopyInPlace, inScratch, n
-
-	// Leader-only staging, the whole scratch (a member has none): one
-	// contiguous aggregate per peer node, in (member, destination) order
-	// on the way out and (origin member, local member) order on the way
-	// in, with a view per block so convoys can address individual
-	// blocks. The aggregates are the leader ring's blocks: outbound by
-	// destination node, inbound by origin node, then its two transit
-	// slots.
-	var agg [][]int         // agg[x][y]: cross-node aggregate sizes
-	var lring []int         // leader-ring block -> seg
-	var gout, gin [][][]int // [node][member idx][peer idx] -> seg
-	aggregate := func(size int, src, dst []int) (int, [][]int) {
-		seg := t.alloc(size)
-		off := t.q.segs[seg].Lo
-		subs := make([][]int, len(src))
-		for ii, i := range src {
-			subs[ii] = make([]int, len(dst))
-			for jj, j := range dst {
-				subs[ii][jj] = t.view(segRange{Lo: off, Hi: off + s.count(i, j)})
-				off += s.count(i, j)
-			}
-		}
-		return seg, subs
+	// send buffer, segment n+o the final block from position o, received
+	// in place in the recv buffer: an all-to-all-v member computes its own
+	// (countedSeg). A leader's cross-node final blocks stay in its
+	// inbound aggregates until the copy-out.
+	t.p.memb = &role{initCopyOwnSeg: initCopyInPlace, work: inScratch, inPlace: n, ownOut: true}
+	if s.Kind == AllToAll {
+		t.p.memb.segs = s.blocksInPlace(make([]segRange, 0, 2*n), leader)
 	}
-	if leader && M > 1 {
-		agg = make([][]int, M)
-		for x := range agg {
-			agg[x] = make([]int, M)
-			for y := range agg[x] {
-				for _, i := range g.Members[x] {
-					for _, j := range g.Members[y] {
-						if x != y {
-							agg[x][y] += s.count(i, j)
-						}
-					}
-				}
-			}
-		}
-		lring = make([]int, 2*M+2)
-		gout, gin = make([][][]int, M), make([][][]int, M)
-		for _, b := range g.crossNodes(a) {
-			lring[b], gout[b] = aggregate(agg[a][b], t.group, g.Members[b])
-		}
-		for _, x := range g.crossNodes(a) {
-			lring[M+x], gin[x] = aggregate(agg[x][a], g.Members[x], t.group)
-		}
-	}
+	*lead = *t.p.memb
 
-	// Intra-node direct exchange: one lockstep stage per offset within
-	// the group; rounds padded to the offset's largest block so every
-	// member stays step-matched (zero-count peers send empty chunks, as
-	// in the flat ring).
+	// Intra-node direct exchange, one lockstep stage per offset, its
+	// rounds padded to the offset's largest block (zero-count peers send
+	// empty chunks, as in the flat ring).
 	t.mesh("intra", func(d int) int {
 		maxPair := 0
 		for kk, i := range t.group {
 			maxPair = max(maxPair, s.count(i, t.group[(kk+d)%t.m]))
 		}
 		return ceilDiv(maxPair, t.chunk)
-	}, false, func(to, from int) (int, int) { return to, n + from })
-
-	if M > 1 {
-		// Leader packs its own cross-node blocks into the outbound
-		// aggregates (local copies — no connector involved).
-		if leader {
-			st := t.q.stage("pack", 1)
-			for _, b := range g.crossNodes(a) {
-				for jj, j := range g.Members[b] {
-					if s.count(pos, j) == 0 {
-						continue
-					}
-					st.actions = append(st.actions, Action{
-						LocalCopy: true,
-						SendSeg:   j, SendElems: s.count(pos, j),
-						RecvSeg: gout[b][0][jj],
-					})
-				}
-			}
-			t.q.dropEmpty()
-		}
-		// Gather-to-leader: one convoy per non-leader member, in the
-		// canonical cross-node block order.
-		for sIdx := 1; sIdx < t.m; sIdx++ {
-			maxBlk := 0
-			var moves []move
-			for _, b := range g.crossNodes(a) {
-				for jj, j := range g.Members[b] {
-					maxBlk = max(maxBlk, s.count(t.group[sIdx], j))
-					seg := j
-					if leader {
-						seg = gout[b][sIdx][jj]
-					}
-					moves = append(moves, move{sIdx, seg})
-				}
-			}
-			t.convoy("gather", ceilDiv(maxBlk, t.chunk), true, false, moves)
-		}
-		// Inter-leader ring: the flat all-to-all schedule over the M×M
-		// aggregate matrix on the leader ring's endpoint.
-		if leader {
-			h := t.ring(schedHops, lring)
-			h.counts = slices.Concat(agg...)
-			transit := h.transit(a)
-			lring[2*M], lring[2*M+1] = t.alloc(transit), t.alloc(transit)
-			t.q.stage("inter-ring", ceilDiv(h.moved(), t.chunk)).ring = h
-		}
-		// Scatter-from-leader: one convoy per non-leader member; the
-		// leader sends each inbound cross-node block to its final
-		// destination, which receives it in place in its recv buffer.
-		for tIdx := 1; tIdx < t.m; tIdx++ {
-			maxBlk := 0
-			var moves []move
-			for _, x := range g.crossNodes(a) {
-				for iIdx, i := range g.Members[x] {
-					maxBlk = max(maxBlk, s.count(i, t.group[tIdx]))
-					seg := n + i
-					if leader {
-						seg = gin[x][iIdx][tIdx]
-					}
-					moves = append(moves, move{tIdx, seg})
-				}
-			}
-			t.convoy("scatter", ceilDiv(maxBlk, t.chunk), false, false, moves)
-		}
+	}, meshBlocks)
+	if M == 1 {
+		return
 	}
 
-	// Copy-out: origin blocks 0..n-1 in order. The self block comes
-	// from the send buffer and a leader's cross-node blocks from the
-	// inbound aggregates; every other block (intra stage, and a
-	// non-leader's scatter stage) is already in place in recv.
-	copyOut := make([]int, 0, n)
-	for o := 0; o < n; o++ {
-		switch {
-		case o == pos:
-			copyOut = append(copyOut, pos)
-		case leader && g.NodeOf[o] != a:
-			copyOut = append(copyOut, gin[g.NodeOf[o]][g.local[o]][0])
-		default:
-			copyOut = append(copyOut, n+o)
+	// The leader's staging, the whole scratch: the leader ring's blocks,
+	// one aggregate to each other node, in (member, destination) order,
+	// then one from each, in (origin, member) order, each followed by a
+	// view per block for the convoys, then its two transit slots.
+	lead.segs = s.blocksInPlace(make([]segRange, 0, 2*n+2*M+2*t.m*(n-t.m)), leader)
+	lead.ownOut = false
+	lring := make([]int, 2*M+2) // leader-ring block -> seg
+	aggregate := func(size int, src, dst []int) int {
+		seg := lead.alloc(size)
+		off := lead.segs[seg].Lo
+		for _, i := range src {
+			for _, j := range dst {
+				lead.view(segRange{Lo: off, Hi: off + s.count(i, j)})
+				off += s.count(i, j)
+			}
+		}
+		return seg
+	}
+	for _, b := range g.crossNodes(a) {
+		lring[b] = aggregate(agg[a*M+b], t.group, g.Members[b])
+	}
+	for _, x := range g.crossNodes(a) {
+		lring[M+x] = aggregate(agg[x*M+a], g.Members[x], t.group)
+	}
+	// out(b, ii, jj) views member ii's block to the jj-th member of node
+	// b, in(x, jj, ii) the jj-th member of node x's block to member ii.
+	out := func(b, ii, jj int) int { return lring[b] + 1 + ii*len(g.Members[b]) + jj }
+	in := func(x, jj, ii int) int { return lring[M+x] + 1 + jj*t.m + ii }
+
+	// Member ii's cross-node blocks, in canonical order: up[ii] into the
+	// outbound aggregates (the leader packs its own nonzero ones with
+	// local copies), down[ii] from the inbound ones into its recv buffer;
+	// one convoy each way per member, covering its longest block.
+	up, down := make([][]move, t.m), make([][]move, t.m)
+	upLen, downLen := make([]int, t.m), make([]int, t.m)
+	for _, x := range g.crossNodes(a) {
+		for jj, j := range g.Members[x] {
+			for ii, i := range t.group {
+				if ii > 0 || s.count(i, j) > 0 {
+					up[ii] = append(up[ii], move{out(x, ii, jj), j})
+				}
+				down[ii] = append(down[ii], move{in(x, jj, ii), n + j})
+				upLen[ii], downLen[ii] = max(upLen[ii], s.count(i, j)), max(downLen[ii], s.count(j, i))
+			}
 		}
 	}
-	t.q.copyOut = copyOut
+	t.convoy("pack", 1, hop{op: opPack, moves: up[0]})
+	for ii := 1; ii < t.m; ii++ {
+		t.convoy("gather", ceilDiv(upLen[ii], t.chunk), hop{op: opUp, moves: up[ii], base: ii, per: len(up[ii])})
+	}
+	// The inter-leader ring: the flat all-to-all over the aggregates.
+	h := t.ring(schedHops, lring)
+	h.counts = agg
+	transit := h.transit(a)
+	lring[2*M], lring[2*M+1] = lead.alloc(transit), lead.alloc(transit)
+	t.p.addStage("inter-ring", ceilDiv(h.moved(), t.chunk)).ring = h
+	for ii := 1; ii < t.m; ii++ {
+		t.convoy("scatter", ceilDiv(downLen[ii], t.chunk), hop{op: opDown, moves: down[ii], base: ii, per: len(down[ii])})
+	}
+
+	// The leader's copy-out: origin blocks 0..n-1, its own from the send
+	// buffer and the cross-node ones from the inbound aggregates.
+	lead.copyOut = make([]int, n)
+	for o := range lead.copyOut {
+		lead.copyOut[o] = n + o
+		if x := g.NodeOf[o]; x != a {
+			lead.copyOut[o] = in(x, g.local[o], 0)
+		}
+	}
+	lead.copyOut[leader] = leader
 }

@@ -106,13 +106,18 @@ type listedStage struct {
 	Rounds  int
 }
 
-// segsOf lists position pos's segments of plan q, a flat all-to-all-v's
-// computed (countedSeg).
+// segsOf lists position pos's segments of plan q, an all-to-all-v's
+// computed (countedSeg): its own and final blocks, and on the flat ring
+// its two transit slots.
 func segsOf(q *Sequence, pos int) []segRange {
-	if segs := q.lay(pos).segs; segs != nil {
-		return segs
+	_, r, _ := q.read(pos)
+	if r.segs != nil {
+		return r.segs
 	}
-	segs := make([]segRange, 2*q.n+2)
+	segs := make([]segRange, 2*q.n, 2*q.n+2)
+	if q.transit != nil {
+		segs = segs[:2*q.n+2]
+	}
 	for i := range segs {
 		segs[i] = q.countedSeg(pos, i)
 	}
@@ -124,8 +129,9 @@ func segsOf(q *Sequence, pos int) []segRange {
 // their accessors (segsOf, workLen, ownSeg, work, outs and out) and the
 // stages through Stage.Action.
 func listed(q *Sequence, pos int) *listedPlan {
+	_, r, _ := q.read(pos)
 	p := &listedPlan{Stages: []listedStage{}, segs: segsOf(q, pos), chunkElems: q.chunkElems, workLen: q.workLen(pos),
-		initCopyOwnSeg: q.ownSeg(pos), work: q.work(pos), inPlace: q.lay(pos).inPlace, seeded: q.seeded, copyOut: []int{}}
+		initCopyOwnSeg: q.ownSeg(pos), work: q.work(pos), inPlace: r.inPlace, seeded: q.seeded, copyOut: []int{}}
 	for i := range q.outs(pos) {
 		p.copyOut = append(p.copyOut, q.out(pos, i))
 	}
@@ -142,17 +148,19 @@ func listed(q *Sequence, pos int) *listedPlan {
 }
 
 // TestListedPlanMirrorsSequence keeps listed in step with what a position
-// reads of a plan: listedPlan has a field for every field of layout and
-// every field of Sequence but the shape the plan serves and where it
-// keeps its layouts and the all-to-all-v's transit lengths, and no
-// other. A field added to either and not projected would drop out of the
-// hash; the fields a position rule rewrites (segs, workLen,
+// reads of a plan: listedPlan has a field for every field of role, part
+// and Sequence but the shape the plan serves, where it keeps its parts,
+// their role tables and the all-to-all-v's transit lengths, and the two
+// role rules the accessors apply (blk, which Stage.Action, ownSeg and
+// out map blocks through, and ownOut, which outs and out read), and no
+// other. A field added to any of them and not projected would drop out
+// of the hash; the fields a position rule rewrites (segs, workLen,
 // initCopyOwnSeg, work, copyOut) listed reads through their accessors.
 func TestListedPlanMirrorsSequence(t *testing.T) {
-	shape := map[string]bool{"kind": true, "algo": true, "n": true, "count": true, "root": true, "counts": true, "nodeOf": true,
-		"transit": true, "lays": true, "one": true, "stage": true}
+	shape := map[string]bool{"kind": true, "algo": true, "n": true, "count": true, "root": true, "counts": true, "g": true,
+		"transit": true, "parts": true, "flat": true, "stage": true, "lead": true, "memb": true, "blk": true, "ownOut": true}
 	want := map[string]bool{}
-	for _, typ := range []reflect.Type{reflect.TypeOf(layout{}), reflect.TypeOf(Sequence{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(role{}), reflect.TypeOf(part{}), reflect.TypeOf(Sequence{})} {
 		for i := range typ.NumField() {
 			if name := typ.Field(i).Name; !shape[name] {
 				want[name] = true
@@ -165,7 +173,7 @@ func TestListedPlanMirrorsSequence(t *testing.T) {
 	}
 	for i := range lp.NumField() {
 		if name := lp.Field(i).Name; !want[name] {
-			t.Fatalf("listedPlan.%s is no field of layout or Sequence", name)
+			t.Fatalf("listedPlan.%s is no field of role, part or Sequence", name)
 		}
 	}
 }

@@ -216,26 +216,6 @@ func (s Spec) chunk() int {
 // N returns the number of participants.
 func (s Spec) N() int { return len(s.Ranks) }
 
-// Bytes returns the total semantic payload size of the operation:
-// Count elements for the uniform kinds, Count×N² for AllToAll (Count
-// is the per-peer block size, so the exchange carries N² blocks), and
-// the full Counts matrix sum for AllToAllv — the two all-to-all
-// variants therefore report directly comparable totals.
-func (s Spec) Bytes() int {
-	switch s.Kind {
-	case AllToAll:
-		return s.Count * s.N() * s.N() * s.Type.Size()
-	case AllToAllv:
-		total := 0
-		for _, row := range s.Counts {
-			total += sumInts(row)
-		}
-		return total * s.Type.Size()
-	default:
-		return s.Count * s.Type.Size()
-	}
-}
-
 // Validate checks structural invariants.
 func (s Spec) Validate() error {
 	if len(s.Ranks) == 0 {
@@ -425,35 +405,43 @@ const (
 	// of the send buffer (the all-to-all's). It is still priced at the
 	// whole send buffer, which the run reads by the end.
 	initCopyInPlace = -4
+	// initCopyOwn copies into the position's own block (ownSeg).
+	initCopyOwn = -5
 )
 
 // Stage is one phase of a plan: its Len actions run Rounds times (one
 // chunk round per pass) before the next stage starts. A flat ring plan
-// is one unlabelled stage; the hierarchical builders make one stage per
-// intra-node exchange offset, convoy, and leader-ring schedule. A ring
-// stage holds its ring by value and computes each action from the place
-// the reading position has on it; only the hierarchical intra-node and
-// convoy stages, one position's each, list their actions.
+// is one unlabelled stage; the hierarchical builders make one per
+// intra-node exchange offset, pack, convoy and leader-ring schedule. No
+// stage lists its actions: it computes them from the reading position.
 type Stage struct {
 	// Label names the phase for diagnostics and preemption tests
 	// ("intra", "pack", "gather", "inter-ring", "scatter"; "" on the
 	// flat ring).
 	Label string
-	// actions is a listed stage's per-round action list.
-	actions []Action
 	// Rounds is how many times the actions run (one chunk each).
 	Rounds int
-	// ring generates the actions of a ring stage (ring.n > 0).
+	// member is whose actions Len counts: 0 (the leader) in a plan, k in
+	// the copies Sequence.Stages gives member k.
+	member int
+	// ring generates a ring stage's actions (ring.n > 0), hop a node's
+	// other stages'; the single participant's stage has neither.
 	ring ring
+	hop  *hop
 }
 
-// Len returns the stage's action count per round, the same at every
-// position that reads the stage.
-func (st *Stage) Len() int {
-	if st.ring.n > 0 {
+// Len returns the stage's action count per round.
+func (st *Stage) Len() int { return st.count(st.member) }
+
+// count returns the stage's action count per round at member k.
+func (st *Stage) count(k int) int {
+	switch {
+	case st.ring.n > 0:
 		return st.ring.len()
+	case st.hop == nil:
+		return 0
 	}
-	return len(st.actions)
+	return st.hop.count(k)
 }
 
 // Action returns the stage's action k, 0 ≤ k < Len(), as the participant
@@ -464,13 +452,13 @@ func (st *Stage) Action(pos, k int) Action {
 	return a
 }
 
-// action sets *a to Action(pos, k), building a ring stage's in place: the
-// executor computes one per primitive.
+// action sets *a to Action(pos, k), building it in place: the executor
+// computes one per primitive.
 func (st *Stage) action(pos, k int, a *Action) {
 	if st.ring.n > 0 {
 		st.ring.action(st.ring.at(pos), k, a)
 	} else {
-		*a = st.actions[k]
+		st.hop.action(pos, k, a)
 	}
 }
 
@@ -480,91 +468,132 @@ func (st *Stage) action(pos, k int, a *Action) {
 // and read by every participant at its own position; the executor's
 // dynamic context is a cursor over the stages of its position.
 //
-// A flat plan is one layout, and what differs between positions is
-// computed from the position as it is read: a stage's actions
-// (Stage.Action), the init copy (ownSeg: block pos or pos-1, or whether
-// pos is the broadcast's root), the working buffer (work: scratch on a
-// Reduce's non-root), the copy-out (out: the reduce-scatter's block pos,
-// the all-to-all's self block), and the all-to-all-v's segments and
-// working length (countedSeg, workLen: row and column pos of Counts,
-// and the transit slots they size). A hierarchical position's schedule depends
-// on its role and node: that plan keeps one layout per position.
+// A plan is one part per node (a flat plan one part), read by role: the
+// leader, as every flat position, runs all its stages, a member those
+// hop.has gives it, each role with a table of its own. What differs within a
+// role is computed from the position: the actions (Stage.Action), the
+// init copy (ownSeg), the working buffer (work), the copy-out (out), and
+// the all-to-all-v's segments and working length (countedSeg, workLen).
 type Sequence struct {
 	// kind, algo, n, count, root and chunkElems are the shape the plan was
-	// built for (serves), counts an all-to-all-v's Counts, row-major,
-	// the plan's own copy, and nodeOf a hierarchical plan's node grouping
-	// (NodeGrouping.NodeOf, which no one writes once it is made).
+	// built for (serves), counts an all-to-all-v's Counts, row-major, the
+	// plan's own copy, and g a hierarchical plan's node grouping (the
+	// wiring's, which no one writes once it is made).
 	kind           Kind
 	algo           Algorithm
 	n, count, root int
 	chunkElems     int
 	counts         []int
-	nodeOf         []int
+	g              NodeGrouping
 	// seeded: each segment's own contribution is its seed, a range of the
 	// send buffer, which a reduce into the segment reads straight from
 	// the send buffer as it folds the chunk in; the init copy copies only
 	// the own segment's seed. The recv buffer then never holds the whole
 	// send vector, which the reduce-scatter's is too short for.
 	seeded bool
-	// transit is an all-to-all-v's transit slot length at each position.
+	// transit is a flat all-to-all-v's transit slot length at each
+	// position.
 	transit []int
-	// lays is a hierarchical plan's layout of each position; every
-	// position of a flat plan reads one, whose one stage is stage.
-	lays  []layout
-	one   layout
+	// parts are the parts by node; a flat plan's is flat, with stage.
+	parts []part
+	flat  [1]part
 	stage [1]Stage
 }
 
-// layout is a plan as one position reads it (every position, in a flat
-// plan).
-type layout struct {
-	// Stages are the phases in execution order.
+// part is one node's share of a plan: its leader's stages and the tables
+// of the two roles (a flat plan has only the leader's).
+type part struct {
 	Stages []Stage
-	// segs are the segments; a flat all-to-all-v lists none (countedSeg).
+	lead   role
+	memb   *role
+}
+
+// role is the segment table of one role of a part.
+type role struct {
+	// segs are the segments (none: the all-to-all-v's, countedSeg).
 	segs []segRange
+	// blk maps blocks onto segments for the hops, ownSeg and out.
+	blk []int
 	// workLen is the element length of the working buffer.
 	workLen int
 	// initCopyOwnSeg: at init, copy the send buffer (only seed(seg) of
 	// it, in a seeded plan) into segs[seg] of the working buffer, or one
-	// of the initCopy* sentinels. Sequence.ownSeg reads it.
+	// of the initCopy* sentinels (ownSeg).
 	initCopyOwnSeg int
 	// work is the working buffer: the recv buffer, or a scratch of
-	// workLen elements the executor owns. Sequence.work reads it.
+	// workLen elements the executor owns (work).
 	work home
+	// ownOut: the copy-out is computed (out), not copyOut.
+	ownOut bool
 	// inPlace: segments [0, inPlace) are blocks of the send buffer and
 	// [inPlace, 2·inPlace) blocks of the recv buffer, each buffer tiled
 	// in order (the all-to-all's own and final blocks); every other
-	// segment lies in the working buffer. (A home stored in each
-	// segRange made it 24 bytes, not 16: +6 % allocated bytes per unit
-	// on the benchmark's fabric_contended.)
+	// segment lies in the working buffer.
 	inPlace int
 	// copyOut: after the final round, concatenate the listed segments
 	// into the recv buffer in list order (none: the working buffer is
 	// the recv buffer). A segment already at its place in the recv
-	// buffer moves nothing, but the copy-out is priced whole. A flat
-	// plan lists none: Sequence.outs and out give its.
+	// buffer moves nothing, but the copy-out is priced whole.
 	copyOut []int
 }
 
-// lay returns the layout position pos reads.
-func (q *Sequence) lay(pos int) *layout {
-	if q.lays == nil {
-		return &q.one
+// read returns position pos's part, its role's table and its member
+// index k (0: the leader, as every position of a flat plan is).
+func (q *Sequence) read(pos int) (p *part, r *role, k int) {
+	p = &q.parts[0]
+	if q.g.NodeOf != nil {
+		p, k = &q.parts[q.g.NodeOf[pos]], q.g.local[pos]
 	}
-	return &q.lays[pos]
+	if k > 0 {
+		return p, p.memb, k
+	}
+	return p, &p.lead, 0
 }
 
-// Stages returns the stages position pos runs, in execution order.
-func (q *Sequence) Stages(pos int) []Stage { return q.lay(pos).Stages }
+// stage returns the i-th stage member k runs, nil past its last.
+func (p *part) stage(k, i int) *Stage {
+	if k == 0 { // the leader runs them all
+		if i < len(p.Stages) {
+			return &p.Stages[i]
+		}
+		return nil
+	}
+	for j := range p.Stages {
+		if st := &p.Stages[j]; st.hop.has(k) {
+			if i == 0 {
+				return st
+			}
+			i--
+		}
+	}
+	return nil
+}
+
+// Stages returns the stages position pos runs, in execution order (a
+// member's are copies that count its actions).
+func (q *Sequence) Stages(pos int) []Stage {
+	p, _, k := q.read(pos)
+	if k == 0 {
+		return p.Stages
+	}
+	var stages []Stage
+	for _, st := range p.Stages {
+		if st.hop.has(k) {
+			st.member = k
+			stages = append(stages, st)
+		}
+	}
+	return stages
+}
 
 // NumPrimitives returns position pos's total primitive count across all
 // stages and rounds — the quantity the paper's preemption analysis
 // counts. Every stage runs at least once, so 0 means a pure init copy
 // and copy-out (the single-rank no-op).
 func (q *Sequence) NumPrimitives(pos int) int {
-	stages, total := q.Stages(pos), 0
-	for i := range stages {
-		total += stages[i].Len() * stages[i].Rounds
+	total := 0
+	for _, st := range q.Stages(pos) {
+		total += st.Len() * st.Rounds
 	}
 	return total
 }
@@ -586,62 +615,71 @@ func (q *Sequence) TotalRounds(pos int) int {
 
 // ownSeg returns position pos's init copy: the working-buffer segment its
 // send buffer (its seed, in a seeded plan) goes to, or an initCopy*
-// sentinel. On the flat ring that is the block step 0 sends, and only a
-// broadcast's root copies.
+// sentinel. Its own block is block pos (pos-1 on the flat
+// reduce-scatter, the block step 0 sends), and only a broadcast's root
+// copies.
 func (q *Sequence) ownSeg(pos int) int {
-	if q.algo != AlgoHierarchical {
-		switch {
-		case q.kind == AllReduce, q.kind == AllGather:
-			return pos
-		case q.kind == ReduceScatter:
-			return mod(pos-1, q.n)
-		case q.kind == Broadcast && pos != q.root:
-			return initCopyNone
-		}
+	_, r, _ := q.read(pos)
+	switch {
+	case q.kind == Broadcast && pos != q.root:
+		return initCopyNone
+	case r.initCopyOwnSeg != initCopyOwn:
+		return r.initCopyOwnSeg
+	case q.kind == ReduceScatter:
+		return mod(pos-1, q.n)
 	}
-	return q.lay(pos).initCopyOwnSeg
+	return blockSeg(r.blk, pos)
 }
 
-// work returns position pos's working buffer; a flat Reduce's non-roots
+// work returns position pos's working buffer; a Reduce's non-roots
 // reduce in a scratch, the root in its recv buffer.
 func (q *Sequence) work(pos int) home {
-	if q.algo != AlgoHierarchical && q.kind == Reduce && pos != q.root {
+	if q.kind == Reduce && pos != q.root {
 		return inScratch
 	}
-	return q.lay(pos).work
+	_, r, _ := q.read(pos)
+	return r.work
 }
 
-// outs returns the segment count of position pos's copy-out: the flat
-// reduce-scatter's one, the flat all-to-all's n, or the listed ones.
+// outs returns the segment count of position pos's copy-out: the
+// reduce-scatter's one, the all-to-all's n, or the listed ones.
 func (q *Sequence) outs(pos int) int {
-	switch {
-	case q.algo == AlgoHierarchical:
-		return len(q.lay(pos).copyOut)
+	switch _, r, _ := q.read(pos); {
+	case !r.ownOut:
+		return len(r.copyOut)
 	case q.kind == ReduceScatter:
 		return 1
-	case !q.kind.InPlace() && q.n > 1:
-		return q.n
 	}
-	return 0
+	return q.n
 }
 
-// out returns segment i of position pos's copy-out. On the flat ring the
-// reduce-scatter's one segment is block pos, and the all-to-all
-// concatenates the final blocks by origin, but for the self block, which
-// comes from the send buffer.
+// out returns segment i of position pos's copy-out. The reduce-scatter's
+// one segment is block pos, and the all-to-all concatenates the final
+// blocks by origin, but for the self block, which comes from the send
+// buffer.
 func (q *Sequence) out(pos, i int) int {
-	switch {
-	case q.algo == AlgoHierarchical:
-		return q.lay(pos).copyOut[i]
-	case q.kind == ReduceScatter, i == pos:
+	switch _, r, _ := q.read(pos); {
+	case !r.ownOut:
+		return r.copyOut[i]
+	case q.kind == ReduceScatter:
+		return blockSeg(r.blk, pos)
+	case i == pos:
 		return pos
 	}
 	return q.n + i
 }
 
-// countedSeg is segment i of position pos of a flat all-to-all-v, which
+// seg returns segment i of position pos, which reads table r.
+func (q *Sequence) seg(r *role, pos, i int) segRange {
+	if r.segs == nil {
+		return q.countedSeg(pos, i)
+	}
+	return r.segs[i]
+}
+
+// countedSeg is segment i of position pos of an all-to-all-v whose role
 // lists none: its own blocks tile row pos of counts, its final blocks
-// column pos, and its two transit slots follow.
+// column pos, and a flat plan's two transit slots follow.
 func (q *Sequence) countedSeg(pos, i int) segRange {
 	n, lo := q.n, 0
 	switch {
@@ -663,17 +701,17 @@ func (q *Sequence) countedSeg(pos, i int) segRange {
 // workLen returns the element length of position pos's working buffer.
 func (q *Sequence) workLen(pos int) int {
 	if q.transit == nil {
-		return q.lay(pos).workLen
+		_, r, _ := q.read(pos)
+		return r.workLen
 	}
 	return 2 * q.transit[pos]
 }
 
-// seed is segment b's own contribution in a seeded plan, which lists
-// its segments: the send buffer holds every segment's, in segment order,
-// so the seeds tile it.
+// seed is segment b's own contribution in a seeded plan, a flat one,
+// the same at every position: the send buffer holds every segment's, in
+// segment order, so the seeds tile it.
 func (q *Sequence) seed(pos, b int) segRange {
-	segs := q.lay(pos).segs
-	lo := 0
+	segs, lo := q.parts[0].lead.segs, 0
 	for _, sr := range segs[:b] {
 		lo += sr.len()
 	}
@@ -686,7 +724,7 @@ func (q *Sequence) seed(pos, b int) segRange {
 // grouping, and not on the element type, the reduction or TimingOnly.
 func (q *Sequence) serves(s Spec, g NodeGrouping) bool {
 	return q.kind == s.Kind && q.algo == s.Algo && q.n == s.N() && q.count == s.Count && q.root == s.Root &&
-		q.chunkElems == s.chunk() && q.sameCounts(s.Counts) && slices.Equal(q.nodeOf, g.NodeOf)
+		q.chunkElems == s.chunk() && q.sameCounts(s.Counts) && slices.Equal(q.g.NodeOf, g.NodeOf)
 }
 
 // sameCounts reports whether m is the plan's count matrix.
@@ -773,7 +811,7 @@ func (s Spec) build(g NodeGrouping) *Sequence {
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")
 	}
 	n := s.N()
-	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk(), nodeOf: g.NodeOf}
+	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk(), g: g}
 	if s.Counts != nil {
 		// The caller may change its count matrix once the collective
 		// closes: the plan keeps a copy, and room for a flat
@@ -783,15 +821,16 @@ func (s Spec) build(g NodeGrouping) *Sequence {
 			q.counts = append(q.counts, row...)
 		}
 	}
-	l := &q.one
-	l.Stages = q.stage[:0] // a flat plan's one stage is the plan's own
+	q.parts = q.flat[:]
+	p := &q.parts[0]
+	p.Stages = q.stage[:0] // a flat plan's one stage is the plan's own
 	switch {
 	case n == 1 && (hier || !s.Kind.InPlace()):
 		sendCount, _ := BufferCountsFor(s, 0)
-		l.noopCopy(sendCount)
+		p.noopCopy(sendCount)
 		return q
 	case hier:
-		s.hierSeq(q, g)
+		s.hierSeq(q)
 		return q
 	case !s.Kind.InPlace():
 		s.allToAllSeq(q)
@@ -799,41 +838,34 @@ func (s Spec) build(g NodeGrouping) *Sequence {
 	}
 	switch s.Kind {
 	case AllReduce:
-		s.ringSeq(l, schedAllReduce, n)
+		s.ringSeq(p, schedAllReduce, n)
 		q.seeded = true
 	case AllGather:
-		s.ringSeq(l, schedAllGather, n)
+		s.ringSeq(p, schedAllGather, n)
 	case ReduceScatter:
-		s.ringSeq(l, schedReduceScatter, n)
+		s.ringSeq(p, schedReduceScatter, n)
 		q.seeded = true
 	case Broadcast:
-		s.chainSeq(l, n, s.Root, false) // the root copies its send buffer (ownSeg)
+		s.chainSeq(p, n, s.Root, false) // the root copies its send buffer (ownSeg)
 	case Reduce:
-		s.chainSeq(l, n, s.Root+1, true) // root+1 first, root last; non-roots reduce in scratch (work)
+		s.chainSeq(p, n, s.Root+1, true) // root+1 first, root last; non-roots reduce in scratch (work)
 	default:
 		panic(fmt.Sprintf("prim: unknown kind %v", s.Kind))
 	}
 	return q
 }
 
-// stage appends a stage to l and returns it for the caller to append
-// the actions to (before the next stage is appended) or to set its ring.
-func (l *layout) stage(label string, rounds int) *Stage {
-	l.Stages = append(l.Stages, Stage{Label: label, Rounds: rounds})
-	return &l.Stages[len(l.Stages)-1]
+// addStage appends a stage to p and returns it for the caller to set its
+// ring or hop.
+func (p *part) addStage(label string, rounds int) *Stage {
+	p.Stages = append(p.Stages, Stage{Label: label, Rounds: rounds})
+	return &p.Stages[len(p.Stages)-1]
 }
 
 // ringStage appends a stage running r, one round per chunk of its
 // longest block.
-func (l *layout) ringStage(label string, r ring, chunk int) {
-	l.stage(label, r.rounds(chunk)).ring = r
-}
-
-// dropEmpty removes the last stage if it has no actions.
-func (l *layout) dropEmpty() {
-	if i := len(l.Stages) - 1; l.Stages[i].Len() == 0 {
-		l.Stages = l.Stages[:i]
-	}
+func (p *part) ringStage(label string, r ring, chunk int) {
+	p.addStage(label, r.rounds(chunk)).ring = r
 }
 
 // sched names the schedule a ring stage runs.
@@ -858,10 +890,10 @@ type ring struct {
 	sched sched
 	// reduce: a chain's receiving places fold the chunks in.
 	reduce bool
-	// pinned: the stage is one hierarchical leader's, read at place.
-	// Otherwise position pos reads it at place mod(pos-place, n): place is
-	// the position at place 0 (a chain's first, 0 on the other schedules).
-	pinned   bool
+	// Position pos reads the ring at place nodeOf[pos] on a leader ring,
+	// and at place mod(pos-place, n) otherwise: place is the position at
+	// place 0 (a chain's first, 0 on the other schedules).
+	nodeOf   []int
 	place, n int
 	conn     int
 	blk      []int
@@ -874,18 +906,22 @@ type ring struct {
 
 // at returns the place position pos reads the ring at.
 func (r *ring) at(pos int) int {
-	if r.pinned {
-		return r.place
+	if r.nodeOf != nil {
+		return r.nodeOf[pos]
 	}
 	return mod(pos-r.place, r.n)
 }
 
 // seg returns the working-buffer segment of block b.
-func (r *ring) seg(b int) int {
-	if r.blk == nil {
+func (r *ring) seg(b int) int { return blockSeg(r.blk, b) }
+
+// blockSeg returns the segment of block b under the map blk (nil: block
+// b is segment b).
+func blockSeg(blk []int, b int) int {
+	if blk == nil {
 		return b
 	}
-	return r.blk[b]
+	return blk[b]
 }
 
 // act sets *a to the step that sends block send and receives block recv
@@ -1064,7 +1100,8 @@ func (r *ring) moved() int {
 // step before reduced, and a reduce copies its block's own slice in
 // from the send buffer first. The copy-out of block pos onto itself
 // moves nothing.
-func (s Spec) ringSeq(l *layout, sc sched, n int) {
+func (s Spec) ringSeq(p *part, sc sched, n int) {
+	l := &p.lead
 	l.segs = make([]segRange, n)
 	for b := range l.segs {
 		switch sc {
@@ -1076,17 +1113,18 @@ func (s Spec) ringSeq(l *layout, sc sched, n int) {
 			l.segs[b] = segRange{Hi: s.Count / n}
 		}
 	}
-	l.workLen = l.segs[n-1].Hi
-	l.ringStage("", ring{sched: sc, n: n, segs: l.segs}, s.chunk())
+	l.workLen, l.initCopyOwnSeg, l.ownOut = l.segs[n-1].Hi, initCopyOwn, sc == schedReduceScatter
+	p.ringStage("", ring{sched: sc, n: n, segs: l.segs}, s.chunk())
 }
 
 // chainSeq is the one-segment chain of the rooted kinds whose first place
 // is position first: every place receives the block from the one before
 // and forwards it, reducing in when reduce is set. Every position starts
 // from its whole send buffer, but a broadcast's non-roots (ownSeg).
-func (s Spec) chainSeq(l *layout, n, first int, reduce bool) {
+func (s Spec) chainSeq(p *part, n, first int, reduce bool) {
+	l := &p.lead
 	l.segs = []segRange{{Lo: 0, Hi: s.Count}}
-	l.stage("", ceilDiv(s.Count, s.chunk())).ring = ring{sched: schedChain, reduce: reduce, place: first, n: n, segs: l.segs}
+	p.addStage("", ceilDiv(s.Count, s.chunk())).ring = ring{sched: schedChain, reduce: reduce, place: first, n: n, segs: l.segs}
 	l.workLen = s.Count
 	l.initCopyOwnSeg = initCopyWhole
 }
@@ -1102,17 +1140,17 @@ func (s Spec) chainSeq(l *layout, n, first int, reduce bool) {
 //	[2n, 2n+2)  two alternating transit slots: the whole scratch
 //
 // The copy-out concatenates origin blocks 0..n-1, exactly the recv
-// layout of BufferCountsFor: the final blocks are already there, so only
-// the self block moves, once, from the send buffer. Final blocks land in
-// recv while own blocks are still being sent, so the two buffers must
-// not overlap (Kind.InPlace). Every position has the uniform all-to-all's
-// segments, listed; the all-to-all-v's are computed from counts and a
-// transit length per position (countedSeg).
+// layout of BufferCountsFor: only the self block moves, from the send
+// buffer. Final blocks land in recv while own blocks are still being
+// sent, so the two buffers must not overlap (Kind.InPlace). The uniform
+// all-to-all's segments are listed, the all-to-all-v's computed
+// (countedSeg).
 func (s Spec) allToAllSeq(q *Sequence) {
-	n, l := q.n, &q.one
+	n, p := q.n, &q.parts[0]
+	l := &p.lead
 	r := ring{sched: schedHops, n: n, count: s.Count, counts: q.counts} // a valid spec sets one of the two
-	l.stage("", ceilDiv(r.moved(), q.chunkElems)).ring = r
-	l.initCopyOwnSeg, l.work, l.inPlace = initCopyInPlace, inScratch, n
+	p.addStage("", ceilDiv(r.moved(), q.chunkElems)).ring = r
+	l.initCopyOwnSeg, l.work, l.inPlace, l.ownOut = initCopyInPlace, inScratch, n, true
 	if s.Kind == AllToAllv {
 		q.transit = q.counts[n*n : n*n+n]
 		for pos := range q.transit {
@@ -1141,17 +1179,14 @@ func (s Spec) blocksInPlace(segs []segRange, pos int) []segRange {
 	return segs
 }
 
-// noopCopy makes l the explicit single-participant layout of the
-// all-to-all variants and every hierarchical kind: a one-round local
-// copy (recv = send) with no ring actions. The init copy performs the
-// data movement; Rounds is pinned to 1 — rather than the chunk-count a
-// ring exchange would need — so the degenerate case is visibly "one
-// no-op round", not an accident of the executor tolerating an empty
-// action list across many rounds.
-func (l *layout) noopCopy(count int) {
-	l.stage("", 1)
-	l.segs = []segRange{{Lo: 0, Hi: count}}
-	l.workLen, l.initCopyOwnSeg = count, initCopyWhole
+// noopCopy makes p the explicit single-participant plan of the
+// all-to-all variants and every hierarchical kind: one round of no
+// actions, the init copy (recv = send) moving the data — visibly "one
+// no-op round", not the executor tolerating empty rounds.
+func (p *part) noopCopy(count int) {
+	p.addStage("", 1)
+	p.lead.segs = []segRange{{Lo: 0, Hi: count}}
+	p.lead.workLen, p.lead.initCopyOwnSeg = count, initCopyWhole
 }
 
 // BufferCounts returns the required send/recv buffer element counts for

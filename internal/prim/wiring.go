@@ -185,10 +185,10 @@ func (w *Wiring) build(x *Executor, c *topo.Cluster, spec Spec, pos int, plans *
 		OutRoutes: w.outRoutes[pos],
 		Net:       w.net,
 		ComputeBW: c.GPUs[spec.Ranks[pos]].Model.CopyBandwidth,
-		lay:       seq.lay(pos),
 		work:      seq.work(pos),
 		runner:    runner,
 	}
+	x.part, x.role, _ = seq.read(pos)
 	if x.work != inScratch || spec.TimingOnly {
 		x.scratch = scratch // kept for a later plan; this one never reads it
 		return
