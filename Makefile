@@ -86,6 +86,11 @@ loc:
 # forwards through two scratch transit slots it settles before each
 # receive: the test that catches a missed settle there runs 200 times,
 # and 50 times under the tag beside the kill in mid all-to-all.
+# Communicators borrow their connectors from one pool per system: the
+# churn test over shifting rank sets with kills, which checks that no
+# connector is held twice or held while pooled, runs 200 times, and 200
+# times with the lent-chunk-stable invariant built in (the race loop
+# above runs it 20 times under the race detector, a process a count).
 soak:
 	$(GO) test -count=200 -run 'Chaos|Cluster' ./internal/...
 	$(GO) test -count=20 -run 'TestChurnKillsCommitAtTwoSlots' ./internal/cluster
@@ -98,6 +103,8 @@ soak:
 	$(GO) test -tags lentcheck -count=20 ./internal/...
 	$(GO) test -count=200 -run 'TestAllToAllNeedsOnlyTransit' ./internal/prim
 	$(GO) test -tags lentcheck -count=50 -run 'TestAllToAllNeedsOnlyTransit|TestAllToAllKillMidRun' ./internal/prim ./internal/core
+	$(GO) test -count=200 -run 'TestConnectorPoolChurn|TestConns' ./internal/core ./internal/mem
+	$(GO) test -tags lentcheck -count=200 -run 'TestConnectorPoolChurn' ./internal/core
 
 # bench regenerates the machine-readable perf-trajectory snapshot
 # (BENCH.json): the all-to-all size × algorithm × shape × fabric

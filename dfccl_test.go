@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dfccl"
@@ -303,18 +304,23 @@ func TestDaemonRestartAllocationBudget(t *testing.T) {
 // launch is set launches each once and waits for it, then closes them
 // all, and sleeps 1 ms so that every rank has closed before any opens
 // again: the last Close of a round returns the round's communicators to
-// the pool, and the next round's Opens take them back. It returns the
-// heap allocations and the bytes the whole simulation allocated, and the
-// communicators it built.
-func lifecycleMallocs(t *testing.T, rounds, opens int, launch bool) (mallocs, bytes uint64, comms int) {
+// the pool, and the next round's Opens take them back. If shift is set,
+// rank r sits round r out, so that every round opens over a rank set
+// no earlier round did. It returns the heap allocations and the bytes
+// the whole simulation allocated, and the communicators it built.
+func lifecycleMallocs(t *testing.T, rounds, opens int, launch, shift bool) (mallocs, bytes uint64, comms int) {
 	t.Helper()
 	const count = 1024
 	lib := dfccl.New(dfccl.MultiNode3090(2))
 	lib.SetTimeLimit(10 * dfccl.Second)
 	n := lib.System().Cluster.Size()
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
+	ranks := make([][]int, max(rounds, 1))
+	for r := range ranks {
+		for i := 0; i < n; i++ {
+			if !shift || i != r%n {
+				ranks[r] = append(ranks[r], i)
+			}
+		}
 	}
 	for rank := 0; rank < n; rank++ {
 		send := dfccl.NewBuffer(dfccl.Float32, count)
@@ -324,9 +330,13 @@ func lifecycleMallocs(t *testing.T, rounds, opens int, launch bool) (mallocs, by
 		lib.Go("rank", func(p *dfccl.Process) {
 			ctx := lib.Init(p, rank)
 			for r := 0; r < rounds; r++ {
+				if !slices.Contains(ranks[r], rank) {
+					p.Sleep(dfccl.Millisecond)
+					continue
+				}
 				for i := range colls {
 					var err error
-					if colls[i], err = ctx.Open(dfccl.AllReduce(count, dfccl.Float32, dfccl.Sum, ranks...), dfccl.WithCollID(1+i), dfccl.WithPriority(1)); err != nil {
+					if colls[i], err = ctx.Open(dfccl.AllReduce(count, dfccl.Float32, dfccl.Sum, ranks[r]...), dfccl.WithCollID(1+i), dfccl.WithPriority(1)); err != nil {
 						t.Errorf("open: %v", err)
 						return
 					}
@@ -339,6 +349,9 @@ func lifecycleMallocs(t *testing.T, rounds, opens int, launch bool) (mallocs, by
 						t.Errorf("launch: %v", err)
 						return
 					}
+					if got, want := recv.Float64At(count-1), float64(len(ranks[r])); got != want {
+						t.Errorf("rank %d: sum = %v, want %v", rank, got, want)
+					}
 				}
 				for _, c := range colls {
 					if err := c.Close(p); err != nil {
@@ -346,9 +359,6 @@ func lifecycleMallocs(t *testing.T, rounds, opens int, launch bool) (mallocs, by
 					}
 				}
 				p.Sleep(dfccl.Millisecond)
-			}
-			if got := recv.Float64At(count - 1); launch && got != float64(n) {
-				t.Errorf("rank %d: sum = %v, want %d", rank, got, n)
 			}
 			ctx.Destroy(p)
 		})
@@ -371,6 +381,10 @@ func lifecycleMallocs(t *testing.T, rounds, opens int, launch bool) (mallocs, by
 //     rank's share of the group. The task, its executor, plan and launch
 //     FIFO come from the free list the last round's Closes filled. The
 //     budget is 5.9.
+//   - The same cycle over a rank set no earlier round used costs 5.9:
+//     its communicator is new, but its connectors are the ones the last
+//     round's Closes gave back to the connector pool (8.0 when each
+//     communicator built its own). The budget is 7.
 //   - A cold Open, one whose communicator is built for it, costs 6.4
 //     with its Close: the registration, and the rank's share of the
 //     group and of the ring's connectors. Ranks open in turn, so all but
@@ -386,12 +400,14 @@ func lifecycleMallocs(t *testing.T, rounds, opens int, launch bool) (mallocs, by
 // map in Spec.Validate's duplicate-rank check adds 6 (16 ranks put its
 // buckets on the heap, and Open validates twice: itself and through the
 // plan builder); a task Close does not recycle adds 7 to the pooled
-// cycle and 5.6 to the cold Open. The counts under -race are within
+// cycle and 5.6 to the cold Open; a communicator that builds its
+// connectors, pooled ones idle, adds 2 to the reopen (a connector and
+// its slots per rank). The counts under -race are within
 // 0.35 of these, so the budgets hold and the mutants fail there too.
 func TestOpenCloseAllocationBudget(t *testing.T) {
 	const n, warm, measured = 16, 2, 20
-	long, _, comms := lifecycleMallocs(t, warm+measured, 1, true)
-	short, _, _ := lifecycleMallocs(t, warm, 1, true)
+	long, _, comms := lifecycleMallocs(t, warm+measured, 1, true, false)
+	short, _, _ := lifecycleMallocs(t, warm, 1, true, false)
 	if comms != 1 {
 		t.Fatalf("%d communicators built over %d rounds, want 1 from the pool", comms, warm+measured)
 	}
@@ -401,11 +417,27 @@ func TestOpenCloseAllocationBudget(t *testing.T) {
 		t.Errorf("%.2f allocations per rank per pooled Open → Launch → Close, budget 5.9", perCycle)
 	}
 
+	// Reopens over a new rank set: every round misses the communicator
+	// pool, and its communicator takes the connectors the last round's
+	// Closes gave back.
+	// The n rank sets that leave one rank out are all new to the pool.
+	const shifted = 12
+	long, _, comms = lifecycleMallocs(t, warm+shifted, 1, true, true)
+	short, _, _ = lifecycleMallocs(t, warm, 1, true, true)
+	if comms != warm+shifted {
+		t.Fatalf("%d communicators built over %d rounds on rank sets that shift, want one each", comms, warm+shifted)
+	}
+	perReopen := (float64(long) - float64(short)) / (shifted * (n - 1))
+	t.Logf("%.2f allocations per rank per Open → Launch → Close over a new rank set", perReopen)
+	if perReopen > 7 {
+		t.Errorf("%.2f allocations per rank per Open → Launch → Close over a new rank set, budget 7", perReopen)
+	}
+
 	// Cold Opens: one round, opening more collectives at once, each on a
 	// communicator of its own.
 	const few, many = 2, 22
-	long, _, comms = lifecycleMallocs(t, 1, many, false)
-	short, _, _ = lifecycleMallocs(t, 1, few, false)
+	long, _, comms = lifecycleMallocs(t, 1, many, false, false)
+	short, _, _ = lifecycleMallocs(t, 1, few, false, false)
 	if comms != many {
 		t.Fatalf("%d communicators built for %d open collectives, want one each", comms, many)
 	}
@@ -417,7 +449,7 @@ func TestOpenCloseAllocationBudget(t *testing.T) {
 
 	// Init: a deployment whose ranks only Init and Destroy, less one whose
 	// ranks do nothing at all.
-	_, withInit, _ := lifecycleMallocs(t, 0, 0, false)
+	_, withInit, _ := lifecycleMallocs(t, 0, 0, false, false)
 	lib := dfccl.New(dfccl.MultiNode3090(2))
 	for rank := 0; rank < n; rank++ {
 		lib.Go("rank", func(p *dfccl.Process) {})

@@ -428,7 +428,9 @@ func (s *System) CommsPooled() int { return len(s.pool.free) }
 // communicator owns the connector wiring for one registered
 // collective. The wiring prices every transfer on the system-wide
 // fabric, so collectives on different communicators contend with each
-// other when it is Shared.
+// other when it is Shared. Its connectors are borrowed from the pool's
+// conns while a group holds it; a free communicator keeps its wiring's
+// endpoint arrays, routes and plan, but no connector.
 type communicator struct {
 	ranks   []int // its rank set, sorted: the acquires a free one serves
 	wirings *prim.Wirings
@@ -444,8 +446,11 @@ type communicator struct {
 
 type commPool struct {
 	net *fabric.Network
-	// chunks is the staging pool every communicator's connectors share.
+	// chunks is the staging pool every communicator's connectors share,
+	// and conns the pool of idle connectors they borrow theirs from: a
+	// communicator holds connectors only while a group does.
 	chunks mem.Chunks
+	conns  mem.Conns
 	// plans is the registry every communicator's plans are shared
 	// through.
 	plans prim.Plans
@@ -462,14 +467,16 @@ type commPool struct {
 }
 
 // acquire returns a communicator over the given ranks, reusing the
-// most recently released one with the same rank set when available. A
-// new one's wiring is tagged with the collective it is built for.
+// most recently released one with the same rank set when available,
+// which takes its connectors again. A new one's wiring is tagged with
+// the collective it is built for.
 func (cp *commPool) acquire(ranks []int, collID int) *communicator {
 	cp.sorted = append(cp.sorted[:0], ranks...)
 	slices.Sort(cp.sorted)
 	for i := len(cp.free) - 1; i >= 0; i-- {
 		if c := cp.free[i]; slices.Equal(c.ranks, cp.sorted) {
 			cp.free = slices.Delete(cp.free, i, i+1)
+			c.wirings.TakeAgain()
 			cp.reused++
 			cp.account(c, true)
 			return c
@@ -477,19 +484,21 @@ func (cp *commPool) acquire(ranks []int, collID int) *communicator {
 	}
 	c := &communicator{
 		ranks:   slices.Clone(cp.sorted),
-		wirings: prim.NewWirings(&cp.chunks, &cp.plans, cp.net, fmt.Sprintf("coll%d", collID)),
+		wirings: prim.NewWirings(&cp.chunks, &cp.conns, &cp.plans, cp.net, fmt.Sprintf("coll%d", collID)),
 	}
 	cp.created++
 	cp.account(c, true)
 	return c
 }
 
-// release returns a communicator to the pool. Its connectors must be
-// empty (prim.Wirings.Reset panics otherwise): their chunks come from
-// the system-wide staging pool, so a stale one would pin shared memory
-// and reach the next owner.
+// release returns a communicator to the pool and its connectors to the
+// connector pool. Its connectors must be empty (prim.Wirings.Reset
+// panics otherwise): their chunks come from the system-wide staging
+// pool, so a stale one would pin shared memory and reach the next owner
+// (the next edge the connector pool hands it to).
 func (cp *commPool) release(c *communicator) {
 	c.wirings.Reset()
+	c.wirings.GiveBack()
 	cp.free = append(cp.free, c)
 	cp.account(c, false)
 }

@@ -689,6 +689,42 @@ func TestXferBeginUnheld(t *testing.T) {
 	near(t, "the transfer's end", sim.Duration(end), 109*sim.Microsecond, 1)
 }
 
+// TestXferBeginArmsAFreshFlow: Begin sets the flow's fields one by one,
+// not from a literal, so it must still leave every field but the
+// condition (unwaited, which Begin checks) as a new flow would have it,
+// whatever a finished transfer left there. Every such field is set
+// first, so a field added to flow and not re-armed fails here.
+func TestXferBeginArmsAFreshFlow(t *testing.T) {
+	n := Shared(topo.NewCluster(2, 1, topo.RTX3090, topo.DefaultLinks), OversubConfig(1))
+	e := sim.NewEngine()
+	var x Xfer
+	v := reflect.ValueOf(&x.flow).Elem()
+	for i := range v.NumField() {
+		switch f := reflect.NewAt(v.Field(i).Type(), v.Field(i).Addr().UnsafePointer()).Elem(); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(7)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Struct:
+			if f.Type() == reflect.TypeOf(Route{}) {
+				f.Set(reflect.ValueOf(n.RouteBetween(1, 0)))
+			} else if f.Type() != reflect.TypeOf(sim.Cond{}) {
+				t.Fatalf("flow.%s: a field of type %v this test cannot set", v.Type().Field(i).Name, f.Type())
+			}
+		default:
+			t.Fatalf("flow.%s: a field of type %v this test cannot set", v.Type().Field(i).Name, f.Type())
+		}
+	}
+	r := n.RouteBetween(0, 1)
+	x.Begin(n, e, r, 620000, 3)
+	want := flow{route: r, remaining: 620000, cap: r.Path.Bandwidth, job: 3, size: 620000}
+	if !reflect.DeepEqual(x.flow, want) {
+		t.Errorf("Begin armed %+v, want %+v", x.flow, want)
+	}
+}
+
 // BenchmarkFlowEvent is the host cost of one small transfer (a join and a
 // finish, each re-solving the rates and waking the flows it re-rates) while 64
 // long transfers cross the same 4:1 tapered spine.

@@ -64,7 +64,11 @@ func (x *Xfer) Begin(n *Network, e *sim.Engine, r Route, bytes, job int) {
 		panic("fabric: xfer-begin-unheld: Begin on a transfer whose flow is still waited on")
 	}
 	x.net, x.engine, x.bytes, x.at = n, e, bytes, xferStart
-	x.flow = flow{route: r, remaining: float64(bytes), cap: r.Path.Bandwidth, job: job, size: float64(bytes)}
+	// Field by field: a flow literal would be built whole and copied in,
+	// the route and the unwaited condition with it.
+	f := &x.flow
+	f.route, f.remaining, f.cap, f.job, f.size = r, float64(bytes), r.Path.Bandwidth, job, float64(bytes)
+	f.rate, f.frozen, f.id, f.prevRate, f.due = 0, false, 0, 0, 0
 }
 
 // Next is the transfer's next turn (sim.Stepper).

@@ -55,6 +55,10 @@ type Connector struct {
 
 	readable sim.Cond // signalled on write
 	writable sim.Cond // signalled on read
+
+	// next links an idle connector into its Conns pool: the next idle
+	// one, or poolEnd after the last; nil while the connector is in use.
+	next *Connector
 }
 
 // NewConnector creates a connector with the given number of ring slots
@@ -283,3 +287,62 @@ func (p *Chunks) put(buf []byte) {
 	}
 	p.free[k] = append(p.free[k], buf)
 }
+
+// Conns is a pool of idle connectors: a LIFO free list linked through
+// the connectors themselves, so taking and putting allocate nothing. A
+// connector's only per-edge state is its name, so any idle connector
+// serves any edge, and a pool holds at most the peak number of its
+// connectors in use at once. The zero value is an empty pool; a nil
+// *Conns pools nothing, and Take on it builds a new connector.
+type Conns struct {
+	idle *Connector
+	made int
+}
+
+// poolEnd ends every Conns list, so that a pooled connector's next is
+// never nil.
+var poolEnd Connector
+
+// Take returns a connector for the edge Take names as NewEdgeConnector
+// does, staging its chunks in chunks: an idle one off the pool, renamed,
+// or a new one.
+func (p *Conns) Take(chunks *Chunks, tag, kind string, from, to, slots int) *Connector {
+	if p == nil || p.idle == nil || p.idle == &poolEnd {
+		if p != nil {
+			p.made++
+		}
+		return NewEdgeConnector(chunks, tag, kind, from, to, slots)
+	}
+	c := p.idle
+	p.idle, c.next = c.next, nil
+	if len(c.slots) != slots {
+		c.slots, c.sums = make([][]byte, slots), nil
+	}
+	c.pool, c.name, c.kind, c.from, c.to = chunks, tag, kind, from, to
+	return c
+}
+
+// Put gives an idle connector back to the pool. It panics (invariant
+// pooled-connector-idle) unless the connector holds no chunk, lends
+// nothing, has conserved its bytes, has no process waiting on it and is
+// not pooled already: a pooled connector goes to the next edge that
+// asks.
+func (p *Conns) Put(c *Connector) {
+	if c.Pooled() || c.Pending() != 0 || c.lent != 0 || c.readable.Waiters() != 0 || c.writable.Waiters() != 0 {
+		panic(fmt.Sprintf("mem: invariant pooled-connector-idle: connector %s put with %d in-flight chunk(s), %d lent, %d+%d waiter(s), pooled %v",
+			c.Name(), c.Pending(), c.Lent(), c.readable.Waiters(), c.writable.Waiters(), c.Pooled()))
+	}
+	c.checkBytes()
+	c.next = p.idle
+	if c.next == nil {
+		c.next = &poolEnd
+	}
+	p.idle = c
+}
+
+// Made reports how many connectors Take has built: the most of the
+// pool's connectors ever in use at once.
+func (p *Conns) Made() int { return p.made }
+
+// Pooled reports whether c is idle in a Conns pool.
+func (c *Connector) Pooled() bool { return c.next != nil }

@@ -91,7 +91,7 @@ func (l *Lib) NewComm(ranks []int) *Comm {
 	l.comms++
 	return &Comm{
 		lib: l, id: l.comms, Ranks: append([]int(nil), ranks...), Channels: DefaultChannels,
-		wirings: prim.NewWirings(&l.chunks, &l.plans, l.Net, fmt.Sprintf("comm%d", l.comms)),
+		wirings: prim.NewWirings(&l.chunks, nil, &l.plans, l.Net, fmt.Sprintf("comm%d", l.comms)),
 	}
 }
 

@@ -25,7 +25,7 @@ func snapState(x *Executor) abortState {
 // calls — the full (stage, round, step) table a kill can land on.
 func victimTrajectory(t *testing.T, c *topo.Cluster, spec Spec, victim int) []abortState {
 	t.Helper()
-	fab := buildHier(new(mem.Chunks), fabric.Unshared(c), spec.Ranks, "ta")
+	fab := buildHier(new(mem.Chunks), nil, fabric.Unshared(c), spec.Ranks, "ta")
 	n := spec.N()
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
@@ -98,7 +98,7 @@ func TestHierAbortCheckpointTable(t *testing.T) {
 
 			for kill := 0; kill < len(traj); kill++ {
 				kill := kill
-				fab := buildHier(new(mem.Chunks), fabric.Unshared(c), spec.Ranks, "tk")
+				fab := buildHier(new(mem.Chunks), nil, fabric.Unshared(c), spec.Ranks, "tk")
 				n := spec.N()
 				execs := make([]*Executor, n)
 				dead := false

@@ -16,7 +16,7 @@ import (
 // calls.
 func collVictimTrajectory(t *testing.T, c *topo.Cluster, spec Spec, victim int) []abortState {
 	t.Helper()
-	fab := buildHier(new(mem.Chunks), fabric.Unshared(c), spec.Ranks, "tca")
+	fab := buildHier(new(mem.Chunks), nil, fabric.Unshared(c), spec.Ranks, "tca")
 	n := spec.N()
 	execs := make([]*Executor, n)
 	for i := 0; i < n; i++ {
@@ -90,7 +90,7 @@ func TestHierCollAbortCheckpointTable(t *testing.T) {
 
 				for kill := 0; kill < len(traj); kill++ {
 					kill := kill
-					fab := buildHier(new(mem.Chunks), fabric.Unshared(c), spec.Ranks, "tck")
+					fab := buildHier(new(mem.Chunks), nil, fabric.Unshared(c), spec.Ranks, "tck")
 					n := spec.N()
 					execs := make([]*Executor, n)
 					dead := false

@@ -250,7 +250,7 @@ func (x *Executor) member() int {
 	if x.role == &x.part.lead {
 		return 0
 	}
-	return x.Seq.g.local[x.Pos]
+	return x.Seq.hier.g.local[x.Pos]
 }
 
 func (x *Executor) computeCost(bytes int) sim.Duration {

@@ -20,7 +20,7 @@ func runPriced(t *testing.T, net *fabric.Network, spec Spec, fill func(pos int, 
 	n := spec.N()
 	recvBufs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
-	wirings := NewWirings(new(mem.Chunks), new(Plans), net, "fp")
+	wirings := NewWirings(new(mem.Chunks), nil, new(Plans), net, "fp")
 	for i := 0; i < n; i++ {
 		sendCount, recvCount := BufferCountsFor(spec, i)
 		s := mem.NewBuffer(spec.Type, sendCount)

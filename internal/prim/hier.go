@@ -120,7 +120,7 @@ func (s Spec) HierSequenceFor(pos int, g NodeGrouping) *Sequence {
 // hierSeq builds the hierarchical plan's parts, one per node, of two or
 // more positions (Spec.build).
 func (s Spec) hierSeq(q *Sequence) {
-	g, M := q.g, q.g.Nodes()
+	g, M := q.hier.g, q.hier.g.Nodes()
 	var agg []int // the all-to-all's cross-node aggregate sizes, M×M
 	if !s.Kind.InPlace() && M > 1 {
 		agg = make([]int, M*M)
@@ -132,9 +132,9 @@ func (s Spec) hierSeq(q *Sequence) {
 			}
 		}
 	}
-	q.parts = make([]part, M)
+	q.parts, q.hier.memb = make([]part, M), make([]role, M)
 	for a := range q.parts {
-		t := &tier{q: q, p: &q.parts[a], node: a, group: g.Members[a], m: len(g.Members[a]), nodes: M, chunk: q.chunkElems}
+		t := &tier{q: q, p: &q.parts[a], memb: &q.hier.memb[a], node: a, group: g.Members[a], m: len(g.Members[a]), nodes: M, chunk: q.chunkElems}
 		switch s.Kind {
 		case AllToAll, AllToAllv:
 			s.hierAllToAllSeq(t, agg)
@@ -150,11 +150,13 @@ func (s Spec) hierSeq(q *Sequence) {
 	}
 }
 
-// tier builds node's part p of a hierarchical plan: group is its members
-// (leader first), m their count and nodes the node count.
+// tier builds node's part p of a hierarchical plan and memb, its
+// members' table: group is its members (leader first), m their count and
+// nodes the node count.
 type tier struct {
 	q               *Sequence
 	p               *part
+	memb            *role
 	node            int
 	group           []int
 	m, nodes, chunk int
@@ -176,7 +178,8 @@ func (r *role) view(sr segRange) int {
 // at the leader's node's place, on its ring endpoint, with the segments
 // the leader has allocated so far.
 func (t *tier) ring(sc sched, blk []int) ring {
-	return ring{sched: sc, nodeOf: t.q.g.NodeOf, n: t.nodes, blk: blk, conn: t.q.g.ringIdx(t.group[0]), segs: t.p.lead.segs}
+	leader := t.group[0]
+	return ring{sched: sc, place: leader - t.node, n: t.nodes, blk: blk, conn: t.q.hier.g.ringIdx(leader), segs: t.p.lead.segs}
 }
 
 // mesh adds the direct-exchange stages d = 1..m-1, at which member k
@@ -239,6 +242,9 @@ type hop struct {
 	moves     []move
 	base, per int
 	across    bool
+	// member is whose actions Stage.Len counts: 0 (the leader) in a plan,
+	// k in the copies Sequence.Stages gives member k.
+	member int
 }
 
 // move is one block of a convoy: the segment that holds it at the leader
@@ -297,7 +303,8 @@ func (h *hop) action(pos, i int, a *Action) {
 			*a = Action{SendSeg: seg, SendElems: elems(seg), SendConn: conn, RecvSeg: -1}
 		}
 	default:
-		group := q.g.Members[h.node]
+		g := &q.hier.g
+		group := g.Members[h.node]
 		m := len(group)
 		to, from := group[(k+h.d)%m], group[(k-h.d+m)%m]
 		send, recv := blockSeg(r.blk, to), blockSeg(r.blk, pos)
@@ -307,8 +314,8 @@ func (h *hop) action(pos, i int, a *Action) {
 		case meshBlocks:
 			send, recv = to, q.n+from
 		}
-		*a = Action{SendSeg: send, SendElems: elems(send), SendConn: q.g.peerIdx(pos, to),
-			RecvSeg: recv, RecvElems: elems(recv), RecvConn: q.g.peerIdx(pos, from), Reduce: h.op == meshScatter}
+		*a = Action{SendSeg: send, SendElems: elems(send), SendConn: g.peerIdx(pos, to),
+			RecvSeg: recv, RecvElems: elems(recv), RecvConn: g.peerIdx(pos, from), Reduce: h.op == meshScatter}
 	}
 }
 
@@ -317,7 +324,7 @@ func (h *hop) action(pos, i int, a *Action) {
 // ring all-to-all schedule between the leaders over per-node aggregates
 // (agg, M×M), and scatter-from-leader.
 func (s Spec) hierAllToAllSeq(t *tier, agg []int) {
-	g, lead := t.q.g, &t.p.lead
+	g, lead := t.q.hier.g, &t.p.lead
 	n, a, M, leader := t.q.n, t.node, t.nodes, t.group[0]
 
 	// Segment j is the own block to position j, read in place from the
@@ -325,11 +332,11 @@ func (s Spec) hierAllToAllSeq(t *tier, agg []int) {
 	// in place in the recv buffer: an all-to-all-v member computes its own
 	// (countedSeg). A leader's cross-node final blocks stay in its
 	// inbound aggregates until the copy-out.
-	t.p.memb = &role{initCopyOwnSeg: initCopyInPlace, work: inScratch, inPlace: n, ownOut: true}
+	*t.memb = role{initCopyOwnSeg: initCopyInPlace, work: inScratch, inPlace: n, ownOut: true}
 	if s.Kind == AllToAll {
-		t.p.memb.segs = s.blocksInPlace(make([]segRange, 0, 2*n), leader)
+		t.memb.segs = s.blocksInPlace(make([]segRange, 0, 2*n), leader)
 	}
-	*lead = *t.p.memb
+	*lead = *t.memb
 
 	// Intra-node direct exchange, one lockstep stage per offset, its
 	// rounds padded to the offset's largest block (zero-count peers send

@@ -23,7 +23,7 @@ func hierSpec(counts [][]int, chunk int) Spec {
 func runHier(t *testing.T, c *topo.Cluster, spec Spec, fill func(pos int, b *mem.Buffer)) ([]*mem.Buffer, []*Executor) {
 	t.Helper()
 	e := sim.NewEngine()
-	fab := buildHier(new(mem.Chunks), fabric.Unshared(c), spec.Ranks, "th")
+	fab := buildHier(new(mem.Chunks), nil, fabric.Unshared(c), spec.Ranks, "th")
 	n := spec.N()
 	recvBufs := make([]*mem.Buffer, n)
 	execs := make([]*Executor, n)
@@ -382,7 +382,7 @@ func TestHierPreemptAndResume(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := topo.NewCluster(2, 3, topo.RTX3090, topo.DefaultLinks)
 			spec := hierSpec(counts, 4)
-			fab := buildHier(new(mem.Chunks), fabric.Unshared(c), spec.Ranks, "tp")
+			fab := buildHier(new(mem.Chunks), nil, fabric.Unshared(c), spec.Ranks, "tp")
 			n := spec.N()
 			recvs := make([]*mem.Buffer, n)
 			execs := make([]*Executor, n)

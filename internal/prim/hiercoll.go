@@ -23,9 +23,8 @@ func (s Spec) hierAllReduceSeq(t *tier) {
 		l.alloc(evenSeg(C, t.m, i).len())
 	}
 	whole := l.view(segRange{Lo: 0, Hi: C})
-	l.blk, l.initCopyOwnSeg = t.q.g.local, initCopyWhole // the working buffer is the recv buffer
-	memb := *l                                           // a member reads no leader-ring segments
-	t.p.memb = &memb
+	l.blk, l.initCopyOwnSeg = t.q.hier.g.local, initCopyWhole // the working buffer is the recv buffer
+	*t.memb = *l                                              // a member reads no leader-ring segments
 	rounds := ceilDiv(l.segs[0].len(), t.chunk)
 	intraRounds := func(int) int { return rounds }
 
@@ -59,7 +58,7 @@ func (s Spec) hierAllReduceSeq(t *tier) {
 func (t *tier) grouped(size func(p int) int) (agg []int) {
 	l := &t.p.lead
 	l.blk, agg = make([]int, t.q.n), make([]int, t.nodes)
-	for x, members := range t.q.g.Members {
+	for x, members := range t.q.hier.g.Members {
 		lo := l.workLen
 		for _, p := range members {
 			l.blk[p] = l.alloc(size(p))
@@ -76,9 +75,7 @@ func (t *tier) grouped(size func(p int) int) (agg []int) {
 // contiguous segment for the ragged inter-leader ring, then copies out
 // in ring order.
 func (s Spec) hierAllGatherSeq(t *tier) {
-	g, C, n := t.q.g, s.Count, t.q.n
-	memb := new(role)
-	t.p.memb = memb
+	g, C, n, memb := t.q.hier.g, s.Count, t.q.n, t.memb
 	for range n {
 		memb.alloc(C)
 	}
@@ -112,8 +109,7 @@ func (s Spec) hierAllGatherSeq(t *tier) {
 // reduce-scatter over the natural evenSegs(Count, N) output partition
 // (position p's output is segment p, as in the flat ring).
 func (s Spec) hierReduceScatterSeq(t *tier) {
-	g, n, memb := t.q.g, t.q.n, new(role)
-	t.p.memb = memb
+	g, n, memb := t.q.hier.g, t.q.n, t.memb
 	for p := range n {
 		memb.alloc(evenSeg(s.Count, n, p).len())
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dfccl/internal/topo"
 )
@@ -228,6 +229,31 @@ func TestHierPlanIsSmall(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
 			t.Errorf("%v: an 8×8 hierarchical plan allocates %d bytes, budget %d", tc.spec.Kind, got, tc.budget)
+		}
+	}
+}
+
+// TestFlatPlanIsSmall holds a flat plan to what it cost before the
+// fields only a hierarchical plan reads (the node grouping, the members'
+// tables, a member's stage count, the leader ring's node map) were
+// carried by every plan: 416 bytes of Sequence, and 544 bytes an 8-rank
+// ring all-reduce, all-gather or reduce-scatter plan allocates with its
+// segments (512 and 640 while they were).
+func TestFlatPlanIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Sequence{}); size > 416 {
+		t.Errorf("a Sequence is %d bytes, budget 416", size)
+	}
+	const builds = 100
+	for _, kind := range []Kind{AllReduce, AllGather, ReduceScatter} {
+		spec := Spec{Kind: kind, Count: 1 << 16, Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range builds {
+			spec.SequenceFor(0)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / builds; got > 544 {
+			t.Errorf("%v: an 8-rank ring plan allocates %d bytes, budget 544", kind, got)
 		}
 	}
 }

@@ -140,7 +140,7 @@ func TestReduceScatterProperty(t *testing.T) {
 					ranks := []int{0, 4, 1, 5, 2, 6, 3, 7}[:n]
 					spec := Spec{Kind: ReduceScatter, Count: count, Type: typ, Op: op, Ranks: ranks, ChunkElems: chunk}
 					name := fmt.Sprintf("n=%d %v %v chunk=%d", n, typ, op, chunk)
-					ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "rs")
+					ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "rs")
 					execs := make([]*Executor, n)
 					sends, recvs, origs := make([]*mem.Buffer, n), make([]*mem.Buffer, n), make([][]byte, n)
 					all := make([]int, n)
@@ -225,7 +225,7 @@ func TestReduceScatterNeedsNoScratch(t *testing.T) {
 	const n, count = 8, 1 << 20
 	c := topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
 	spec := Spec{Kind: ReduceScatter, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 1, 2, 3, 4, 5, 6, 7}}
-	ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "rs")
+	ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "rs")
 	sends, recvs := make([]*mem.Buffer, n), make([]*mem.Buffer, n)
 	for i := range sends {
 		sends[i], recvs[i] = mem.NewBuffer(spec.Type, count), mem.NewBuffer(spec.Type, count/n)
@@ -284,7 +284,7 @@ func TestAllToAllNeedsOnlyTransit(t *testing.T) {
 			name := fmt.Sprintf("%v n=%d chunk=%d", spec.Kind, n, spec.ChunkElems)
 			var end [2]sim.Time
 			for k, blocking := range []bool{false, true} {
-				ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "a2a")
+				ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "a2a")
 				e := sim.NewEngine()
 				execs := make([]*Executor, n)
 				sends, recvs, origs := make([]*mem.Buffer, n), make([]*mem.Buffer, n), make([][]byte, n)
@@ -369,7 +369,7 @@ func TestRunsLeaveSendBuffersAlone(t *testing.T) {
 			if spec.Validate() != nil {
 				continue
 			}
-			ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "send")
+			ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "send")
 			e := sim.NewEngine()
 			sends, recvs, origs := make([]*mem.Buffer, len(ranks)), make([]*mem.Buffer, len(ranks)), make([][]byte, len(ranks))
 			for i := range ranks {
@@ -506,7 +506,7 @@ func a2aWant(spec Spec, sends []*mem.Buffer, pos int) []byte {
 // whenever it comes back Stuck.
 func runSwitched(t *testing.T, c *topo.Cluster, spec Spec, sends, recvs []*mem.Buffer) {
 	t.Helper()
-	ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "p")
+	ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "p")
 	e := sim.NewEngine()
 	for i := range sends {
 		x := ws.ExecutorFor(c, spec, i, sends[i], recvs[i])

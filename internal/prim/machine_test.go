@@ -80,7 +80,7 @@ func (c machineCase) run(blocking bool) machineOutcome {
 		net = fabric.Shared(c.cluster, fabric.OversubConfig(4))
 	}
 	net.SetRecorder(&out.Rec)
-	wirings := NewWirings(new(mem.Chunks), new(Plans), net, "m")
+	wirings := NewWirings(new(mem.Chunks), nil, new(Plans), net, "m")
 	n := c.spec.N()
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(sim.Second) // a rank that never comes back fails the case, not the suite's timeout

@@ -24,7 +24,7 @@ import (
 // (checkHops).
 func checkPeers(c *topo.Cluster, spec Spec) error {
 	spec = spec.Timing()
-	ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "peers")
+	ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "peers")
 	sent := map[*mem.Connector][]int{}
 	recvd := map[*mem.Connector][]int{}
 	var seq *Sequence

@@ -148,9 +148,10 @@ func listed(q *Sequence, pos int) *listedPlan {
 }
 
 // TestListedPlanMirrorsSequence keeps listed in step with what a position
-// reads of a plan: listedPlan has a field for every field of role, part
-// and Sequence but the shape the plan serves, where it keeps its parts,
-// their role tables and the all-to-all-v's transit lengths, and the two
+// reads of a plan: listedPlan has a field for every field of role, part,
+// hierPlan and Sequence but the shape the plan serves, where it keeps
+// its parts, their role tables, its hierarchical part and the
+// all-to-all-v's transit lengths, and the two
 // role rules the accessors apply (blk, which Stage.Action, ownSeg and
 // out map blocks through, and ownOut, which outs and out read), and no
 // other. A field added to any of them and not projected would drop out
@@ -158,9 +159,9 @@ func listed(q *Sequence, pos int) *listedPlan {
 // initCopyOwnSeg, work, copyOut) listed reads through their accessors.
 func TestListedPlanMirrorsSequence(t *testing.T) {
 	shape := map[string]bool{"kind": true, "algo": true, "n": true, "count": true, "root": true, "counts": true, "g": true,
-		"transit": true, "parts": true, "flat": true, "stage": true, "lead": true, "memb": true, "blk": true, "ownOut": true}
+		"transit": true, "parts": true, "flat": true, "stage": true, "hier": true, "lead": true, "memb": true, "blk": true, "ownOut": true}
 	want := map[string]bool{}
-	for _, typ := range []reflect.Type{reflect.TypeOf(role{}), reflect.TypeOf(part{}), reflect.TypeOf(Sequence{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(role{}), reflect.TypeOf(part{}), reflect.TypeOf(hierPlan{}), reflect.TypeOf(Sequence{})} {
 		for i := range typ.NumField() {
 			if name := typ.Field(i).Name; !shape[name] {
 				want[name] = true
@@ -173,7 +174,7 @@ func TestListedPlanMirrorsSequence(t *testing.T) {
 	}
 	for i := range lp.NumField() {
 		if name := lp.Field(i).Name; !want[name] {
-			t.Fatalf("listedPlan.%s is no field of role, part or Sequence", name)
+			t.Fatalf("listedPlan.%s is no field of role, part, hierPlan or Sequence", name)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func rebuildCorpus(c *topo.Cluster) []plan {
 					if chunk == 3 {
 						pos = n - 1 // a member, for n > 2
 					}
-					plans = append(plans, plan{spec, NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "rebuild"), pos})
+					plans = append(plans, plan{spec, NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "rebuild"), pos})
 				}
 			}
 		}
@@ -170,7 +170,7 @@ func TestPlansAreNeverRewritten(t *testing.T) {
 			}
 		}
 		name := fmt.Sprintf("%v/%v -> %v", a.Kind, a.Algo, b.Kind)
-		ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "immut")
+		ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "immut")
 		var runs [][]*Executor
 		var recvs [][]*mem.Buffer
 		open := func(spec Spec) *Sequence {
@@ -250,8 +250,8 @@ func TestPlansHoldWhatWiringsHold(t *testing.T) {
 	c := topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
 	plans := new(Plans)
 	ws := []*Wirings{
-		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "a"),
-		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "b"),
+		NewWirings(new(mem.Chunks), nil, plans, fabric.Unshared(c), "a"),
+		NewWirings(new(mem.Chunks), nil, plans, fabric.Unshared(c), "b"),
 	}
 	a := Spec{Kind: AllReduce, Count: 24, Type: mem.Float32, Op: mem.Sum, Ranks: []int{0, 4, 1, 5}}
 	b := Spec{Kind: AllToAllv, Type: mem.Float32, Ranks: []int{5, 1, 4, 0}, Counts: [][]int{{1, 2, 0, 3}, {4, 0, 5, 6}, {0, 7, 8, 9}, {1, 0, 2, 0}}}
@@ -293,8 +293,8 @@ func TestHierPlansShared(t *testing.T) {
 	c := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
 	plans := new(Plans)
 	ws := []*Wirings{
-		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "a"),
-		NewWirings(new(mem.Chunks), plans, fabric.Unshared(c), "b"),
+		NewWirings(new(mem.Chunks), nil, plans, fabric.Unshared(c), "a"),
+		NewWirings(new(mem.Chunks), nil, plans, fabric.Unshared(c), "b"),
 	}
 	hier := func(count int, ranks ...int) Spec {
 		return Spec{Kind: AllReduce, Count: count, Type: mem.Float32, Op: mem.Sum, Ranks: ranks, Algo: AlgoHierarchical}

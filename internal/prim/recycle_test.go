@@ -66,7 +66,7 @@ func TestBackedUpRingsShareOnePool(t *testing.T) {
 	spec := backedUpSpec
 	net := fabric.Unshared(topo.Server3090(spec.N()))
 	run := func(pa, pb *mem.Chunks) backedUp {
-		return runBackedUp(t, spec, NewWirings(pa, new(Plans), net, "a").wiringFor(spec), NewWirings(pb, new(Plans), net, "b").wiringFor(spec))
+		return runBackedUp(t, spec, NewWirings(pa, nil, new(Plans), net, "a").wiringFor(spec), NewWirings(pb, nil, new(Plans), net, "b").wiringFor(spec))
 	}
 	shared, ownA, ownB := new(mem.Chunks), new(mem.Chunks), new(mem.Chunks)
 	r := run(shared, shared)
@@ -162,7 +162,7 @@ func runBackedUp(t *testing.T, spec Spec, rings ...*Wiring) backedUp {
 func TestPooledWiringServesLargerChunks(t *testing.T) {
 	const n = 4
 	c := topo.Server3090(n)
-	ws := NewWirings(new(mem.Chunks), new(Plans), fabric.Unshared(c), "t")
+	ws := NewWirings(new(mem.Chunks), nil, new(Plans), fabric.Unshared(c), "t")
 	fill, want := sumPattern(n, 0)
 	var first *Wiring
 	for _, sz := range []struct{ count, chunk int }{{64, 4}, {4096, 512}, {100, 7}, {4096, 1024}} {

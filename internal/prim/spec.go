@@ -421,17 +421,20 @@ type Stage struct {
 	Label string
 	// Rounds is how many times the actions run (one chunk each).
 	Rounds int
-	// member is whose actions Len counts: 0 (the leader) in a plan, k in
-	// the copies Sequence.Stages gives member k.
-	member int
 	// ring generates a ring stage's actions (ring.n > 0), hop a node's
 	// other stages'; the single participant's stage has neither.
 	ring ring
 	hop  *hop
 }
 
-// Len returns the stage's action count per round.
-func (st *Stage) Len() int { return st.count(st.member) }
+// Len returns the stage's action count per round: the leader's in a
+// plan, member k's in the copies Sequence.Stages gives member k.
+func (st *Stage) Len() int {
+	if st.hop != nil {
+		return st.count(st.hop.member)
+	}
+	return st.count(0)
+}
 
 // count returns the stage's action count per round at member k.
 func (st *Stage) count(k int) int {
@@ -476,15 +479,15 @@ func (st *Stage) action(pos, k int, a *Action) {
 // the all-to-all-v's segments and working length (countedSeg, workLen).
 type Sequence struct {
 	// kind, algo, n, count, root and chunkElems are the shape the plan was
-	// built for (serves), counts an all-to-all-v's Counts, row-major, the
-	// plan's own copy, and g a hierarchical plan's node grouping (the
-	// wiring's, which no one writes once it is made).
+	// built for (serves), and counts an all-to-all-v's Counts, row-major,
+	// the plan's own copy.
 	kind           Kind
 	algo           Algorithm
 	n, count, root int
 	chunkElems     int
 	counts         []int
-	g              NodeGrouping
+	// hier is what only a hierarchical plan has (nil on a flat one).
+	hier *hierPlan
 	// seeded: each segment's own contribution is its seed, a range of the
 	// send buffer, which a reduce into the segment reads straight from
 	// the send buffer as it folds the chunk in; the init copy copies only
@@ -500,12 +503,19 @@ type Sequence struct {
 	stage [1]Stage
 }
 
-// part is one node's share of a plan: its leader's stages and the tables
-// of the two roles (a flat plan has only the leader's).
+// part is one node's share of a plan: its leader's stages and the
+// leader's table (its members' is hierPlan.memb).
 type part struct {
 	Stages []Stage
 	lead   role
-	memb   *role
+}
+
+// hierPlan is the part of a hierarchical plan a flat one has no use for:
+// the node grouping (the wiring's, which no one writes once it is made)
+// and, by node, the table the node's members share.
+type hierPlan struct {
+	g    NodeGrouping
+	memb []role
 }
 
 // role is the segment table of one role of a part.
@@ -541,11 +551,11 @@ type role struct {
 // index k (0: the leader, as every position of a flat plan is).
 func (q *Sequence) read(pos int) (p *part, r *role, k int) {
 	p = &q.parts[0]
-	if q.g.NodeOf != nil {
-		p, k = &q.parts[q.g.NodeOf[pos]], q.g.local[pos]
-	}
-	if k > 0 {
-		return p, p.memb, k
+	if h := q.hier; h != nil {
+		a := h.g.NodeOf[pos]
+		if p, k = &q.parts[a], h.g.local[pos]; k > 0 {
+			return p, &h.memb[a], k
+		}
 	}
 	return p, &p.lead, 0
 }
@@ -579,7 +589,8 @@ func (q *Sequence) Stages(pos int) []Stage {
 	var stages []Stage
 	for _, st := range p.Stages {
 		if st.hop.has(k) {
-			st.member = k
+			h := *st.hop
+			h.member, st.hop = k, &h
 			stages = append(stages, st)
 		}
 	}
@@ -724,7 +735,16 @@ func (q *Sequence) seed(pos, b int) segRange {
 // grouping, and not on the element type, the reduction or TimingOnly.
 func (q *Sequence) serves(s Spec, g NodeGrouping) bool {
 	return q.kind == s.Kind && q.algo == s.Algo && q.n == s.N() && q.count == s.Count && q.root == s.Root &&
-		q.chunkElems == s.chunk() && q.sameCounts(s.Counts) && slices.Equal(q.g.NodeOf, g.NodeOf)
+		q.chunkElems == s.chunk() && q.sameCounts(s.Counts) && slices.Equal(q.nodeOf(), g.NodeOf)
+}
+
+// nodeOf is the node of each position under the plan's grouping (none,
+// on a flat plan).
+func (q *Sequence) nodeOf() []int {
+	if q.hier == nil {
+		return nil
+	}
+	return q.hier.g.NodeOf
 }
 
 // sameCounts reports whether m is the plan's count matrix.
@@ -811,7 +831,10 @@ func (s Spec) build(g NodeGrouping) *Sequence {
 		panic("prim: AlgoAuto must be resolved to a concrete algorithm before building sequences")
 	}
 	n := s.N()
-	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk(), g: g}
+	q := &Sequence{kind: s.Kind, algo: s.Algo, n: n, count: s.Count, root: s.Root, chunkElems: s.chunk()}
+	if hier {
+		q.hier = &hierPlan{g: g}
+	}
 	if s.Counts != nil {
 		// The caller may change its count matrix once the collective
 		// closes: the plan keeps a copy, and room for a flat
@@ -890,10 +913,11 @@ type ring struct {
 	sched sched
 	// reduce: a chain's receiving places fold the chunks in.
 	reduce bool
-	// Position pos reads the ring at place nodeOf[pos] on a leader ring,
-	// and at place mod(pos-place, n) otherwise: place is the position at
-	// place 0 (a chain's first, 0 on the other schedules).
-	nodeOf   []int
+	// Position pos reads the ring at place mod(pos-place, n): place is
+	// the position at place 0 (a chain's first, 0 on the other flat
+	// schedules). A leader ring, which only its node's leader reads, has
+	// its leader's position less its node there, so that the leader reads
+	// it at its node's place.
 	place, n int
 	conn     int
 	blk      []int
@@ -906,9 +930,6 @@ type ring struct {
 
 // at returns the place position pos reads the ring at.
 func (r *ring) at(pos int) int {
-	if r.nodeOf != nil {
-		return r.nodeOf[pos]
-	}
 	return mod(pos-r.place, r.n)
 }
 

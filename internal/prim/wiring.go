@@ -21,7 +21,9 @@ type Wiring struct {
 	ranks []int
 	// grouping is the node grouping of a hierarchical wiring; it has no
 	// nodes on a flat ring.
-	grouping  NodeGrouping
+	grouping NodeGrouping
+	// tag names the wiring's connectors (edges).
+	tag       string
 	ins, outs [][]*mem.Connector
 	// outRoutes[pos][i] prices sends on outs[pos][i].
 	outRoutes [][]fabric.Route
@@ -35,10 +37,11 @@ type Wiring struct {
 	plan *Sequence
 }
 
-func newWiring(net *fabric.Network, ranks []int) *Wiring {
+func newWiring(net *fabric.Network, ranks []int, tag string) *Wiring {
 	n := len(ranks)
 	return &Wiring{
 		ranks:     slices.Clone(ranks),
+		tag:       tag,
 		ins:       make([][]*mem.Connector, n),
 		outs:      make([][]*mem.Connector, n),
 		outRoutes: make([][]fabric.Route, n),
@@ -51,29 +54,27 @@ func newWiring(net *fabric.Network, ranks []int) *Wiring {
 // i+1 (mod n) — pricing transfers on net's fabric (net's cluster
 // supplies the topology; fabric.Unshared gives independent,
 // contention-free pricing). The ring stages its chunks in a pool of its
-// own; a Wirings builds its rings on the pool it was given.
+// own and builds its connectors; a Wirings builds its rings on the pools
+// it was given.
 func BuildRingOn(net *fabric.Network, spec Spec, tag string) *Wiring {
-	return buildRing(new(mem.Chunks), net, spec.Ranks, tag)
+	return buildRing(new(mem.Chunks), nil, net, spec.Ranks, tag)
 }
 
-func buildRing(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string) *Wiring {
+func buildRing(chunks *mem.Chunks, conns *mem.Conns, net *fabric.Network, ranks []int, tag string) *Wiring {
 	n := len(ranks)
-	w := newWiring(net, ranks)
-	conns := make([]*mem.Connector, n)
-	routes := make([]fabric.Route, n)
-	for i := 0; i < n; i++ {
-		next := (i + 1) % n
-		conns[i] = mem.NewEdgeConnector(chunks, tag, "conn", ranks[i], ranks[next], ConnectorSlots)
-		routes[i] = net.RouteBetween(ranks[i], ranks[next])
-	}
-	// One-element windows onto the shared arrays: building an executor
+	w := newWiring(net, ranks, tag)
+	// One-element windows onto shared arrays: building an executor
 	// allocates no endpoint slices.
+	edges := make([]*mem.Connector, n)
+	routes := make([]fabric.Route, n)
 	for pos := 0; pos < n; pos++ {
 		prev := mod(pos-1, n)
-		w.ins[pos] = conns[prev : prev+1 : prev+1]
-		w.outs[pos] = conns[pos : pos+1 : pos+1]
+		w.ins[pos] = edges[prev : prev+1 : prev+1]
+		w.outs[pos] = edges[pos : pos+1 : pos+1]
 		w.outRoutes[pos] = routes[pos : pos+1 : pos+1]
 	}
+	w.price()
+	w.take(chunks, conns)
 	return w
 }
 
@@ -81,10 +82,11 @@ func buildRing(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string)
 // full mesh of SHM connectors between same-node members (so intra-node
 // blocks and leader convoys are direct, single-hop transfers) plus one
 // ring over the node leaders (the only RDMA wiring), pricing transfers
-// on net's fabric and staging its chunks in the pool chunks.
-func buildHier(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string) *Wiring {
+// on net's fabric, taking its connectors from conns and staging their
+// chunks in chunks.
+func buildHier(chunks *mem.Chunks, conns *mem.Conns, net *fabric.Network, ranks []int, tag string) *Wiring {
 	g := GroupByNode(net.Cluster(), ranks)
-	w := newWiring(net, ranks)
+	w := newWiring(net, ranks, tag)
 	w.grouping = g
 	for pos := range ranks {
 		sz := len(g.Members[g.NodeOf[pos]]) - 1
@@ -95,29 +97,74 @@ func buildHier(chunks *mem.Chunks, net *fabric.Network, ranks []int, tag string)
 		w.ins[pos] = make([]*mem.Connector, sz)
 		w.outRoutes[pos] = make([]fabric.Route, sz)
 	}
+	w.price()
+	w.take(chunks, conns)
+	return w
+}
+
+// edge is one connector of a wiring, named kind: position from's send
+// endpoint outs[from][out] and position to's recv endpoint ins[to][in].
+type edge struct {
+	kind              string
+	from, to, out, in int
+}
+
+// edges yields every edge of the wiring once: on a ring the edge i→i+1;
+// on a hierarchical wiring every ordered pair of same-node members, then
+// the leader ring's edges.
+func (w *Wiring) edges(yield func(edge) bool) {
+	g := w.grouping
+	if g.Nodes() == 0 {
+		for i, n := 0, len(w.ranks); i < n; i++ {
+			if !yield(edge{kind: "conn", from: i, to: (i + 1) % n}) {
+				return
+			}
+		}
+		return
+	}
 	for _, members := range g.Members {
 		for _, x := range members {
 			for _, y := range members {
-				if x == y {
-					continue
+				if x != y && !yield(edge{kind: "mesh", from: x, to: y, out: g.peerIdx(x, y), in: g.peerIdx(y, x)}) {
+					return
 				}
-				conn := mem.NewEdgeConnector(chunks, tag, "mesh", ranks[x], ranks[y], ConnectorSlots)
-				w.outs[x][g.peerIdx(x, y)] = conn
-				w.ins[y][g.peerIdx(y, x)] = conn
-				w.outRoutes[x][g.peerIdx(x, y)] = net.RouteBetween(ranks[x], ranks[y])
 			}
 		}
 	}
 	if M := g.Nodes(); M > 1 {
 		for a := 0; a < M; a++ {
 			la, lb := g.Leader(a), g.Leader((a+1)%M)
-			conn := mem.NewEdgeConnector(chunks, tag, "lring", ranks[la], ranks[lb], ConnectorSlots)
-			w.outs[la][g.ringIdx(la)] = conn
-			w.ins[lb][g.ringIdx(lb)] = conn
-			w.outRoutes[la][g.ringIdx(la)] = net.RouteBetween(ranks[la], ranks[lb])
+			if !yield(edge{kind: "lring", from: la, to: lb, out: g.ringIdx(la), in: g.ringIdx(lb)}) {
+				return
+			}
 		}
 	}
-	return w
+}
+
+// price sets the route of every edge.
+func (w *Wiring) price() {
+	for e := range w.edges {
+		w.outRoutes[e.from][e.out] = w.net.RouteBetween(w.ranks[e.from], w.ranks[e.to])
+	}
+}
+
+// take gives every edge a connector from conns (a new one, if conns is
+// nil), staging its chunks in chunks.
+func (w *Wiring) take(chunks *mem.Chunks, conns *mem.Conns) {
+	for e := range w.edges {
+		c := conns.Take(chunks, w.tag, e.kind, w.ranks[e.from], w.ranks[e.to], ConnectorSlots)
+		w.outs[e.from][e.out], w.ins[e.to][e.in] = c, c
+	}
+}
+
+// giveBack puts every edge's connector back in conns, leaving the
+// wiring's endpoints empty until take refills them; mem.Conns.Put panics
+// on a connector that is not idle.
+func (w *Wiring) giveBack(conns *mem.Conns) {
+	for e := range w.edges {
+		conns.Put(w.outs[e.from][e.out])
+		w.outs[e.from][e.out], w.ins[e.to][e.in] = nil, nil
+	}
 }
 
 // each visits every connector of the wiring once, through the send
@@ -254,8 +301,13 @@ func (ps *Plans) swap(old *Sequence, spec Spec, g NodeGrouping) *Sequence {
 // would map ring positions to the wrong machines (its per-transport
 // wiring and pricing would silently misclassify cross-node traffic as
 // SHM).
+//
+// The connectors are borrowed from a Conns pool: GiveBack returns them
+// while the communicator is free, keeping the wirings' endpoint arrays,
+// routes and plans, and TakeAgain refills them when it is next used.
 type Wirings struct {
 	chunks     *mem.Chunks
+	conns      *mem.Conns
 	plans      *Plans
 	net        *fabric.Network
 	tag        string
@@ -263,14 +315,16 @@ type Wirings struct {
 }
 
 // NewWirings returns an empty wiring set whose connectors will stage
-// their chunks in chunks, be priced on net and be named <tag>.conn…,
-// <tag>.hier.mesh… and <tag>.hier.lring…, and whose plans are shared
-// through plans. Every communicator of a simulation passes the
-// same pool and registry, so a chunk any of them frees serves the next
-// Write on any other, and a plan any of them holds serves every other
-// collective of its shape.
-func NewWirings(chunks *mem.Chunks, plans *Plans, net *fabric.Network, tag string) *Wirings {
-	return &Wirings{chunks: chunks, plans: plans, net: net, tag: tag}
+// their chunks in chunks, come from conns (nil: be built for the set
+// alone), be priced on net and be named <tag>.conn…, <tag>.hier.mesh…
+// and <tag>.hier.lring…, and whose plans are shared through plans.
+// Every communicator of a simulation passes the same pools and
+// registry, so a chunk any of them frees serves the next Write on any
+// other, a connector any of them gives back serves any edge of another,
+// and a plan any of them holds serves every other collective of its
+// shape.
+func NewWirings(chunks *mem.Chunks, conns *mem.Conns, plans *Plans, net *fabric.Network, tag string) *Wirings {
+	return &Wirings{chunks: chunks, conns: conns, plans: plans, net: net, tag: tag}
 }
 
 // ExecutorFor builds the executor for spec's participant at ring
@@ -299,10 +353,13 @@ func (ws *Wirings) wiringFor(spec Spec) *Wiring {
 		slot = &ws.hier
 	}
 	if old := *slot; old == nil || !slices.Equal(old.ranks, spec.Ranks) {
+		if old != nil && ws.conns != nil {
+			old.giveBack(ws.conns)
+		}
 		if spec.Algo == AlgoHierarchical {
-			*slot = buildHier(ws.chunks, ws.net, spec.Ranks, ws.tag+".hier")
+			*slot = buildHier(ws.chunks, ws.conns, ws.net, spec.Ranks, ws.tag+".hier")
 		} else {
-			*slot = buildRing(ws.chunks, ws.net, spec.Ranks, ws.tag)
+			*slot = buildRing(ws.chunks, ws.conns, ws.net, spec.Ranks, ws.tag)
 		}
 		if old != nil {
 			(*slot).plan = old.plan // still held: build swaps it if it no longer serves
@@ -335,6 +392,31 @@ func (ws *Wirings) DrainConnectors(e *sim.Engine) {
 // Reset checks that every connector built so far is empty and has lost
 // no byte (mem.Connector.Reset), as a released communicator's must be:
 // a stale chunk would pin pooled memory and reach the next owner.
-func (ws *Wirings) Reset() {
-	ws.each(func(w *Wiring) { w.each((*mem.Connector).Reset) })
+func (ws *Wirings) Reset() { ws.EachConnector((*mem.Connector).Reset) }
+
+// EachConnector visits every connector the wirings built so far hold,
+// once each (none between GiveBack and TakeAgain).
+func (ws *Wirings) EachConnector(visit func(*mem.Connector)) {
+	ws.each(func(w *Wiring) {
+		w.each(func(c *mem.Connector) {
+			if c != nil {
+				visit(c)
+			}
+		})
+	})
+}
+
+// GiveBack puts every connector of the wirings built so far back in the
+// pool the set was made with (it must have one), and each must be idle
+// (mem.Conns.Put). The set keeps its endpoint arrays, routes and plans;
+// TakeAgain refills the endpoints before the next executor is built
+// over them.
+func (ws *Wirings) GiveBack() {
+	ws.each(func(w *Wiring) { w.giveBack(ws.conns) })
+}
+
+// TakeAgain gives every edge of the wirings built so far a connector
+// from the pool again, named as before.
+func (ws *Wirings) TakeAgain() {
+	ws.each(func(w *Wiring) { w.take(ws.chunks, ws.conns) })
 }
