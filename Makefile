@@ -66,7 +66,8 @@ loc:
 # kill / abort / requeue paths must be deterministic on every run, not
 # most of them. The engine's coroutine hand-off is the one piece of real
 # cross-goroutine state in the tree, so its own tests also run 50 times
-# under the race detector. The data plane's run 20 times under it: mem's
+# under the race detector, and the event queue's and waiter lists' model
+# test and its timer edge cases 200 times without it. The data plane's run 20 times under it: mem's
 # generic kernels view bytes through unsafe (-race turns checkptr on;
 # race builds leave the SSE2 kernels out, so every access is seen), and
 # recycled connector chunks are only correct while readers consume
@@ -97,6 +98,7 @@ soak:
 	$(GO) test -count=200 -run 'TestExperiments/^(chaos|cluster|trace)$$' ./internal/bench
 	$(GO) test -count=200 -run 'MatchesBlocking' ./internal/core
 	for i in $$(seq 50); do $(GO) test -race -count=1 ./internal/sim || exit 1; done
+	$(GO) test -count=200 -run 'TestQueueMatchesModel|TestTimerRekeyEdgeCases' ./internal/sim
 	for i in $$(seq 20); do $(GO) test -race -count=1 ./internal/mem ./internal/prim ./internal/core || exit 1; done
 	$(GO) test -count=200 -run 'RepredictMatchesLoop|JoinWakesOnlyReratedFlows|FlowDueInvariant|XferBeginUnheld' ./internal/fabric
 	for i in $$(seq 20); do $(GO) test -race -count=1 ./internal/fabric || exit 1; done

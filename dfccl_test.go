@@ -161,9 +161,9 @@ func TestFacadeTimeAdvances(t *testing.T) {
 // relaunchMallocs runs one AllReduce(1024) over 8 ranks, opened once and
 // launched in lock-step: every rank pauses for gap, makes one launch with
 // launch and waits for it, launches times. It returns the heap
-// allocations the whole simulation made and the daemon starts of all
-// ranks.
-func relaunchMallocs(t *testing.T, launches int, gap dfccl.Duration, launch func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error) (mallocs uint64, starts int) {
+// allocations the whole simulation made, their bytes, and the daemon
+// starts of all ranks.
+func relaunchMallocs(t *testing.T, launches int, gap dfccl.Duration, launch func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error) (mallocs, bytes uint64, starts int) {
 	t.Helper()
 	const n, count = 8, 1024
 	ranks := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -204,7 +204,7 @@ func relaunchMallocs(t *testing.T, launches int, gap dfccl.Duration, launch func
 		t.Fatalf("Run: %v", err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, starts
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, starts
 }
 
 // futureLaunch launches with Launch and waits for the future.
@@ -232,38 +232,49 @@ func callbackLaunch() func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl
 
 // TestRelaunchAllocationBudget holds the launch path to an allocation
 // budget: one AllReduce(1024) over 8 ranks, opened once and relaunched
-// in lock-step, may cost at most 1.1 heap allocations per rank-launch
-// with Launch (1.00 measured: the Future, with its condition inside) and
-// 0.1 with LaunchCB (0.00). Mutants it catches: a launch FIFO re-sliced
+// in lock-step, may cost at most 1.1 heap allocations and 56 bytes per
+// rank-launch with Launch (1.00 and 48 measured: the Future, its
+// condition inside, in the 48-byte size class) and 0.1 and 8 bytes with
+// LaunchCB (0.00 and 0). Mutants it catches: a launch FIFO re-sliced
 // from the front, so that every append reallocates its array, adds 1 to
 // both (two such FIFOs, the run queue and a callback map, added 2); a
 // closure per Launch adds 1 to Launch, and so do a CQ that allocates its
 // pending list again after every drain and a condition allocated per
-// future; a chunk buffer allocated per connector Write adds 14. Under
-// -race the detector's own allocations move the counts by up to 0.1, so
-// the budgets there are 1.2 and 0.2, still below every mutant.
+// future; a chunk buffer allocated per connector Write adds 14; a Future
+// one size class up costs 64 bytes, and the one with a waiter slice and
+// an engine pointer cost 96. Under -race the detector's own allocations
+// move the counts by up to 0.1, so the budgets there are 1.2 and 0.2,
+// still below every mutant, and the bytes go unchecked.
 func TestRelaunchAllocationBudget(t *testing.T) {
-	const n, warm, measured = 8, 10, 50
+	const n, warm, measured = 8, 10, 500
 	for _, c := range []struct {
 		name               string
 		launch             func(p *dfccl.Process, ctx *dfccl.RankContext, coll *dfccl.Collective, send, recv *dfccl.Buffer) error
 		budget, raceBudget float64
+		bytesBudget        float64
 	}{
-		{"Launch", futureLaunch, 1.1, 1.2},
-		{"LaunchCB", callbackLaunch(), 0.1, 0.2},
+		{"Launch", futureLaunch, 1.1, 1.2, 56},
+		{"LaunchCB", callbackLaunch(), 0.1, 0.2, 8},
 	} {
 		budget := c.budget
 		if raceEnabled {
 			budget = c.raceBudget
 		}
 		// Set-up (Init, Open, the first launches' connector buffers) is in
-		// both runs and cancels.
-		long, _ := relaunchMallocs(t, warm+measured, 0, c.launch)
-		short, _ := relaunchMallocs(t, warm, 0, c.launch)
+		// both runs and cancels. With more than one CPU the runtime's own
+		// allocations vary by up to ~10 kB from run to run (under
+		// GOMAXPROCS=1 they do not): 4 000 rank-launches make that 3 bytes
+		// per launch at most.
+		long, longBytes, _ := relaunchMallocs(t, warm+measured, 0, c.launch)
+		short, shortBytes, _ := relaunchMallocs(t, warm, 0, c.launch)
 		perLaunch := (float64(long) - float64(short)) / (measured * n)
-		t.Logf("%s: %.2f allocations per rank-launch", c.name, perLaunch)
+		bytesPerLaunch := (float64(longBytes) - float64(shortBytes)) / (measured * n)
+		t.Logf("%s: %.2f allocations, %.1f bytes per rank-launch", c.name, perLaunch, bytesPerLaunch)
 		if perLaunch > budget {
 			t.Errorf("%s: %.2f allocations per rank-launch, budget %g", c.name, perLaunch, budget)
+		}
+		if !raceEnabled && bytesPerLaunch > c.bytesBudget {
+			t.Errorf("%s: %.1f bytes per rank-launch, budget %g", c.name, bytesPerLaunch, c.bytesBudget)
 		}
 	}
 }
@@ -285,8 +296,8 @@ func TestDaemonRestartAllocationBudget(t *testing.T) {
 	}
 	const warm, measured = 4, 20
 	launch := callbackLaunch()
-	long, longStarts := relaunchMallocs(t, warm+measured, dfccl.Millisecond, launch)
-	short, shortStarts := relaunchMallocs(t, warm, dfccl.Millisecond, launch)
+	long, _, longStarts := relaunchMallocs(t, warm+measured, dfccl.Millisecond, launch)
+	short, _, shortStarts := relaunchMallocs(t, warm, dfccl.Millisecond, launch)
 	restarts := longStarts - shortStarts
 	if restarts != measured*8 {
 		t.Fatalf("%d daemon restarts over %d spaced rank-launches, want one each", restarts, measured*8)

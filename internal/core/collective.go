@@ -199,7 +199,7 @@ func (c *Collective) preflight(send, recv *mem.Buffer) error {
 // *BufferOverlapError (every other kind may run in place). A buffer
 // whose element type or length is not the spec's is refused.
 func (c *Collective) Launch(p *sim.Process, send, recv *mem.Buffer) (*Future, error) {
-	f := newFuture(c.r.sys.Engine, 1)
+	f := &Future{pending: 1, total: 1}
 	if err := c.submit(p, launch{send: send, recv: recv, fut: f}); err != nil {
 		return nil, err
 	}
@@ -395,22 +395,16 @@ func survivorSpec(spec prim.Spec, lost []int) (prim.Spec, error) {
 // Future is the awaitable result of Launch (or of a Batch of
 // launches): completion, error state, and core-execution timing.
 type Future struct {
-	engine   *sim.Engine
-	cond     sim.Cond
-	pending  int
-	total    int
-	err      error
-	coreExec sim.Duration // max across joined completions
-}
-
-func newFuture(e *sim.Engine, n int) *Future {
-	return &Future{engine: e, pending: n, total: n}
+	cond           sim.Cond
+	pending, total int32
+	err            error
+	coreExec       sim.Duration // max across joined completions
 }
 
 // completeOne records one completed run; the future resolves when all
-// joined runs have completed. It runs in poller context. The first
+// joined runs have completed. It runs in poller context, on e. The first
 // non-nil error sticks (a batch reports one representative failure).
-func (f *Future) completeOne(core sim.Duration, err error) {
+func (f *Future) completeOne(e *sim.Engine, core sim.Duration, err error) {
 	if core > f.coreExec {
 		f.coreExec = core
 	}
@@ -419,7 +413,7 @@ func (f *Future) completeOne(core sim.Duration, err error) {
 	}
 	f.pending--
 	if f.pending <= 0 {
-		f.cond.Broadcast(f.engine)
+		f.cond.Broadcast(e)
 	}
 }
 
@@ -448,7 +442,7 @@ func (f *Future) Err() error { return f.err }
 func (f *Future) CoreExecTime() sim.Duration { return f.coreExec }
 
 // Runs returns how many launches the future joins (1 for Launch).
-func (f *Future) Runs() int { return f.total }
+func (f *Future) Runs() int { return int(f.total) }
 
 // BatchItem is one launch in a Batch: a collective handle plus its
 // buffers for this run.
@@ -484,7 +478,7 @@ func Batch(p *sim.Process, items ...BatchItem) (*Future, error) {
 			return nil, err
 		}
 	}
-	f := newFuture(items[0].C.r.sys.Engine, len(items))
+	f := &Future{pending: int32(len(items)), total: int32(len(items))}
 	for _, it := range items {
 		if err := it.C.submit(p, launch{send: it.Send, recv: it.Recv, fut: f}); err != nil {
 			// Unreachable after preflight; surface it rather than hang.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"dfccl/internal/mem"
 	"dfccl/internal/prim"
@@ -279,3 +280,13 @@ func TestDestroyIdempotent(t *testing.T) {
 }
 
 var _ = topo.RTX3090 // keep topo linked for helpers above
+
+// TestFutureIsSmall: every Launch allocates one Future, so it fits Go's
+// 48-byte size class: its condition (two words), its counts as int32 and
+// no engine pointer, which the poller that resolves it passes instead (96
+// bytes while it held them).
+func TestFutureIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Future{}); size > 48 {
+		t.Errorf("a Future is %d bytes, budget 48", size)
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
-import "dfccl/internal/prim"
+import (
+	"dfccl/internal/fabric"
+	"dfccl/internal/prim"
+)
 
 // retiredStats accumulates the counters of executors and rank contexts
 // that have been dropped — Unregister/Close, a killed rank's
@@ -102,11 +105,21 @@ func (s *System) Metrics() Counters {
 		"prim.bytes_rdma":      int64(tot.bytes.RDMA),
 	}
 	for _, l := range s.net.Snapshot() {
-		prefix := "fabric." + l.Tier.String() + "."
-		c[prefix+"links"]++
-		c[prefix+"bytes"] += int64(l.Bytes)
-		c[prefix+"busy_ns"] += int64(l.Busy)
-		c[prefix+"saturated_ns"] += int64(l.Saturated)
+		names := &tierCounters[l.Tier]
+		c[names[0]]++
+		c[names[1]] += int64(l.Bytes)
+		c[names[2]] += int64(l.Busy)
+		c[names[3]] += int64(l.Saturated)
 	}
 	return c
 }
+
+// tierCounters names Metrics' fabric counters by tier, built once: the
+// tier's links, then the sums of their bytes, busy and saturated times.
+var tierCounters = func() (names [fabric.TierSpine + 1][4]string) {
+	for t := range names {
+		prefix := "fabric." + fabric.Tier(t).String() + "."
+		names[t] = [4]string{prefix + "links", prefix + "bytes", prefix + "busy_ns", prefix + "saturated_ns"}
+	}
+	return names
+}()

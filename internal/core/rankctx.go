@@ -511,7 +511,7 @@ func (r *RankContext) deliver(id int) {
 	}
 	switch {
 	case l.fut != nil:
-		l.fut.completeOne(r.CoreExecTime(id), err)
+		l.fut.completeOne(r.sys.Engine, r.CoreExecTime(id), err)
 	case l.cb != nil:
 		l.cb(err)
 	}

@@ -29,6 +29,7 @@ package fabric
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 
 	"dfccl/internal/sim"
@@ -218,7 +219,7 @@ type Network struct {
 	routes map[[2]int]Route
 
 	flows  []*flow
-	busy   []*Link  // the links carrying a flow, in construction order
+	busy   []uint64 // bit i set: links[i] carries a flow
 	spare  []*Xfer  // finished TransferJob records, reused by the next ones
 	lastAt sim.Time // last time flow progress was accrued
 
@@ -263,7 +264,22 @@ func Shared(c *topo.Cluster, cfg Config) *Network {
 func (n *Network) addLink(name string, tier Tier, capacity float64) *Link {
 	l := &Link{Name: name, Tier: tier, Capacity: capacity, idx: len(n.links)}
 	n.links = append(n.links, l)
+	if l.idx%64 == 0 {
+		n.busy = append(n.busy, 0)
+	}
 	return l
+}
+
+// busyLinks yields the links carrying a flow in construction order, so
+// every solve does the same float operations in the same order.
+func (n *Network) busyLinks(yield func(*Link) bool) {
+	for w, word := range n.busy {
+		for ; word != 0; word &= word - 1 {
+			if !yield(n.links[w*64+bits.TrailingZeros64(word)]) {
+				return
+			}
+		}
+	}
 }
 
 // build derives the link graph from the cluster description.
@@ -314,7 +330,6 @@ func (n *Network) build() {
 		n.spine = n.addLink("spine", TierSpine,
 			float64(machines)*c.Links.RDMABW/(n.oversub*n.oversub))
 	}
-	n.busy = make([]*Link, 0, len(n.links))
 }
 
 // Cluster returns the cluster the network was built from.

@@ -326,8 +326,8 @@ func TestRecomputeInvariantHolds(t *testing.T) {
 						seq, step, l.Name, l.nflows, l.alloc, l.saturatedNow)
 				}
 			}
-			if !slices.Equal(n.busy, busy) {
-				t.Fatalf("sequence %d step %d: busy links %v, want those of the live flows %v", seq, step, linkNames(n.busy), linkNames(busy))
+			if got := slices.Collect(n.busyLinks); !slices.Equal(got, busy) {
+				t.Fatalf("sequence %d step %d: busy links %v, want those of the live flows %v", seq, step, linkNames(got), linkNames(busy))
 			}
 			for _, f := range n.flows {
 				bottlenecked := f.rate == f.cap

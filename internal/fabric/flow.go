@@ -171,8 +171,7 @@ func (n *Network) join(f *flow) {
 	n.flows = append(n.flows, f)
 	for _, l := range f.route.Links {
 		if l.nflows++; l.nflows == 1 {
-			i, _ := slices.BinarySearchFunc(n.busy, l.idx, func(b *Link, idx int) int { return b.idx - idx })
-			n.busy = slices.Insert(n.busy, i, l)
+			n.busy[l.idx/64] |= 1 << (l.idx % 64)
 		}
 	}
 }
@@ -184,7 +183,7 @@ func (n *Network) remove(f *flow) {
 	n.flows = slices.Delete(n.flows, i, i+1)
 	for _, l := range f.route.Links {
 		if l.nflows--; l.nflows == 0 {
-			n.busy = slices.DeleteFunc(n.busy, func(b *Link) bool { return b == l })
+			n.busy[l.idx/64] &^= 1 << (l.idx % 64)
 			l.alloc, l.saturatedNow = 0, false
 		}
 	}
@@ -218,7 +217,7 @@ func (n *Network) advance(now sim.Time) {
 			l.bytes += moved
 		}
 	}
-	for _, l := range n.busy {
+	for l := range n.busyLinks {
 		l.busy += dt
 		if l.saturatedNow {
 			l.saturated += dt
@@ -243,7 +242,7 @@ func (n *Network) advance(now sim.Time) {
 // each flow whose rate changed (its turn re-predicts at once) and records
 // the new rate; every other flow keeps its predicted completion.
 func (n *Network) recompute(e *sim.Engine) {
-	for _, l := range n.busy {
+	for l := range n.busyLinks {
 		l.alloc, l.avail, l.live = 0, l.Capacity, l.nflows
 	}
 	for _, f := range n.flows {
@@ -253,7 +252,7 @@ func (n *Network) recompute(e *sim.Engine) {
 	unfrozen := len(n.flows)
 	for unfrozen > 0 {
 		minShare, bottleneck := math.Inf(1), (*Link)(nil)
-		for _, l := range n.busy {
+		for l := range n.busyLinks {
 			if l.live > 0 {
 				if s := l.avail / float64(l.live); s < minShare {
 					minShare, bottleneck = s, l
@@ -278,7 +277,7 @@ func (n *Network) recompute(e *sim.Engine) {
 			}
 		}
 	}
-	for _, l := range n.busy {
+	for l := range n.busyLinks {
 		// What the solve promises, whatever the flow set: every flow
 		// frozen at a rate, and no link handing out more than it has.
 		if l.live != 0 || l.alloc > l.Capacity*(1+1e-9) {

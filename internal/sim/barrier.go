@@ -9,12 +9,12 @@ package sim
 type Barrier struct {
 	n, arrived, gen int
 	poisoned        bool
-	cond            *Cond
+	cond            Cond
 }
 
-// NewBarrier returns a barrier for n processes with a diagnostic name.
+// NewBarrier returns a barrier for n processes; the name is not kept.
 func NewBarrier(name string, n int) *Barrier {
-	return &Barrier{n: n, cond: NewCond(name)}
+	return &Barrier{n: n}
 }
 
 // Wait blocks until the barrier's current generation completes or the

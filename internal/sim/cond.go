@@ -1,7 +1,5 @@
 package sim
 
-import "slices"
-
 // Cond is a simulated condition variable. Processes block on it with
 // Wait or WaitTimeout; any code running inside the simulation (including
 // other processes) wakes them with Signal or Broadcast.
@@ -14,33 +12,37 @@ import "slices"
 //		cond.Wait(p)
 //	}
 type Cond struct {
-	name string
-	// waiters is FIFO and keeps its backing array across wake-ups, so
-	// waiting allocates only while a condition's waiter count is still
-	// reaching its peak; slot is that array while the peak is one (a
-	// connector, a kernel's done, a future).
-	waiters []*Process
-	slot    [1]*Process
+	// The waiters, oldest first, linked through Process.wprev and wnext: a
+	// process waits on one condition at a time, so no operation allocates.
+	head, tail *Process
 }
 
-// NewCond returns a condition variable with a diagnostic name.
-func NewCond(name string) *Cond { return &Cond{name: name} }
-
-// Name returns the diagnostic name.
-func (c *Cond) Name() string { return c.name }
+// NewCond returns a condition variable; the name is not kept.
+func NewCond(name string) *Cond { return new(Cond) }
 
 func (c *Cond) enqueue(p *Process) {
-	if c.waiters == nil {
-		c.waiters = c.slot[:0]
+	p.cond, p.wprev = c, c.tail
+	if c.tail != nil {
+		c.tail.wnext = p
+	} else {
+		c.head = p
 	}
-	c.waiters = append(c.waiters, p)
-	p.cond = c
+	c.tail = p
 }
 
-func (c *Cond) removeWaiter(p *Process) {
-	if i := slices.Index(c.waiters, p); i >= 0 {
-		c.waiters = slices.Delete(c.waiters, i, i+1)
+// unlink takes p out of c's waiters, wherever it stands.
+func (c *Cond) unlink(p *Process) {
+	if p.wprev != nil {
+		p.wprev.wnext = p.wnext
+	} else {
+		c.head = p.wnext
 	}
+	if p.wnext != nil {
+		p.wnext.wprev = p.wprev
+	} else {
+		c.tail = p.wprev
+	}
+	p.cond, p.wprev, p.wnext = nil, nil, nil
 }
 
 // Wait blocks the process until the condition is signalled. If no signal
@@ -62,28 +64,24 @@ func (c *Cond) WaitTimeout(p *Process, d Duration) (timedOut bool) {
 
 // Signal wakes one waiter (FIFO order) at the current virtual time.
 func (c *Cond) Signal(e *Engine) {
-	if len(c.waiters) == 0 {
-		return
+	if p := c.head; p != nil {
+		c.unlink(p)
+		p.timedOut = false
+		e.schedule(p, e.now) // a pending timeout's slot stays behind, kept
 	}
-	p := c.waiters[0]
-	c.waiters = slices.Delete(c.waiters, 0, 1) // shifts in place: same order, same array
-	c.wake(e, p)
 }
 
-// Broadcast wakes all waiters at the current virtual time.
+// Broadcast wakes all waiters, oldest first, at the current virtual time.
 func (c *Cond) Broadcast(e *Engine) {
-	for _, p := range c.waiters {
-		c.wake(e, p)
+	for c.head != nil {
+		c.Signal(e)
 	}
-	clear(c.waiters)
-	c.waiters = c.waiters[:0]
-}
-
-func (c *Cond) wake(e *Engine, p *Process) {
-	p.cond = nil
-	p.timedOut = false
-	e.schedule(p, e.now) // a pending timeout's slot stays behind, kept
 }
 
 // Waiters returns the number of processes currently blocked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() (n int) {
+	for p := c.head; p != nil; p = p.wnext {
+		n++
+	}
+	return n
+}

@@ -362,8 +362,7 @@ func (e *Engine) Run() error {
 		// If this process was blocked on a condition (timed wait),
 		// remove it from the waiters list: the timeout fired.
 		if c := p.cond; c != nil {
-			c.removeWaiter(p)
-			p.cond = nil
+			c.unlink(p)
 			p.timedOut = true
 		}
 		if p.stepper != nil && e.again(p) {

@@ -13,6 +13,8 @@ type Process struct {
 	w          *worker        // the coroutine running the body, from first dispatch to its end
 	prev, next *Process       // Engine's list of live processes
 	cond       *Cond          // the condition the process is blocked on, if any
+	wprev      *Process       // the waiter of cond before p, if any
+	wnext      *Process       // the waiter of cond after p, if any
 	ev         int            // 1 + the index of the process's slot in Engine.queue, 0 while it has none
 	seq        uint64         // the seq of the process's latest event: a queued entry with another is stale
 	stepper    Stepper        // the machine whose turns the engine takes at p's wake-ups (Await), if any

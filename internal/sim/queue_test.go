@@ -187,6 +187,13 @@ type modelRun struct {
 	conds [modelConds]Cond
 	log   []modelDispatch
 	cover map[string]int // how often each edge case of the queue came up
+	// joined numbers the condition waits in the order they are made, and
+	// ticket holds each waiter's number: a condition's waiters stand in
+	// ticket order. unlinked marks the conditions a timed-out waiter has
+	// left since their last broadcast.
+	joined   int
+	ticket   map[*Process]int
+	unlinked [modelConds]bool
 }
 
 type modelActor struct {
@@ -194,6 +201,50 @@ type modelActor struct {
 	p     *Process
 	steps int
 	timed bool // the wait that just ended could time out
+	cond  int  // the condition of that wait
+}
+
+// list returns c's waiters, oldest first.
+func (c *Cond) list() []*Process {
+	var ps []*Process
+	for p := c.head; p != nil; p = p.wnext {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// timedOut counts where the timed-out waiter p stood among the waiters of
+// condition c it has just left, if it left any behind: at their head, in
+// their middle or at their tail.
+func (r *modelRun) timedOut(c int, p *Process) {
+	left := r.conds[c].list()
+	if len(left) == 0 {
+		return
+	}
+	ahead := 0
+	for _, q := range left {
+		if r.ticket[q] < r.ticket[p] {
+			ahead++
+		}
+	}
+	switch ahead {
+	case 0:
+		r.cover["timed-out waiter unlinked from the head"]++
+	case len(left):
+		r.cover["timed-out waiter unlinked from the tail"]++
+	default:
+		r.cover["timed-out waiter unlinked from the middle"]++
+	}
+	r.unlinked[c] = true
+}
+
+// broadcast wakes every waiter of condition c.
+func (r *modelRun) broadcast(c int) {
+	if r.unlinked[c] && r.conds[c].head != nil {
+		r.cover["broadcast after an unlink"]++
+	}
+	r.unlinked[c] = false
+	r.conds[c].Broadcast(r.e)
 }
 
 func (r *modelRun) spawn() {
@@ -224,22 +275,29 @@ func (a *modelActor) Next() (Wait, bool) {
 	r, p := a.r, a.p
 	checkQueue(r.t, r.e)
 	r.log = append(r.log, modelDispatch{at: p.Now(), ord: p.ord, timedOut: a.timed && p.TimedOut()})
+	if a.timed && p.TimedOut() {
+		r.timedOut(a.cond, p)
+	}
 	m := r.g.move(a.steps)
 	a.steps--
-	if m.signal >= 0 && len(r.conds[m.signal].waiters) > 0 {
-		r.cover[r.beaten(r.conds[m.signal].waiters[0])]++
+	if m.signal >= 0 && r.conds[m.signal].head != nil {
+		r.cover[r.beaten(r.conds[m.signal].head)]++
 		r.conds[m.signal].Signal(r.e)
 	}
 	if m.broadcast >= 0 {
-		for _, q := range r.conds[m.broadcast].waiters {
+		for _, q := range r.conds[m.broadcast].list() {
 			r.cover[r.beaten(q)]++
 		}
-		r.conds[m.broadcast].Broadcast(r.e)
+		r.broadcast(m.broadcast)
 	}
 	if m.spawn {
 		r.spawn()
 	}
 	kept := p.ev != 0 // p runs, so its slot holds no event
+	if m.cond >= 0 {
+		r.joined++
+		r.ticket[p], a.cond = r.joined, m.cond
+	}
 	switch {
 	case m.end:
 		if kept {
@@ -274,7 +332,7 @@ func (r *modelRun) run(limits []Time) {
 		for {
 			r.log = append(r.log, modelDispatch{at: p.Now(), ord: p.ord})
 			for c := range r.conds {
-				r.conds[c].Broadcast(r.e)
+				r.broadcast(c)
 			}
 			if r.g.left == 0 {
 				return
@@ -306,13 +364,13 @@ func (r *modelRun) run(limits []Time) {
 // list reference, and requires the same dispatches in the same order and
 // the same fingerprint. Every third program is stopped by MaxTime at drawn
 // instants and resumed. The corpus must come up with every edge case the
-// lane and the kept slots have.
+// lane, the kept slots and the waiter lists have.
 func TestQueueMatchesModel(t *testing.T) {
 	cover := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		var ref refEngine
 		want, wantFP := ref.run(&modelProgram{rng: rand.New(rand.NewSource(seed)), spawns: modelActors, left: modelActors})
-		r := &modelRun{t: t, e: NewEngine(), g: &modelProgram{rng: rand.New(rand.NewSource(seed)), spawns: modelActors, left: modelActors}, cover: cover}
+		r := &modelRun{t: t, e: NewEngine(), g: &modelProgram{rng: rand.New(rand.NewSource(seed)), spawns: modelActors, left: modelActors}, cover: cover, ticket: map[*Process]int{}}
 		var limits []Time
 		if seed%3 == 0 {
 			for at := Time(1 + seed%5); at < ref.now; at += Time(1 + seed%7) {
@@ -329,7 +387,9 @@ func TestQueueMatchesModel(t *testing.T) {
 		}
 	}
 	for _, c := range []string{"Sleep(0)", "WaitTimeout(0)", "signal beats a timer due later", "signal beats a timer due now",
-		"signal beats a timer in the lane", "untimed wait after a wake", "body ends with a kept slot", "MaxTime stop with kept slots"} {
+		"signal beats a timer in the lane", "untimed wait after a wake", "body ends with a kept slot", "MaxTime stop with kept slots",
+		"timed-out waiter unlinked from the head", "timed-out waiter unlinked from the middle",
+		"timed-out waiter unlinked from the tail", "broadcast after an unlink"} {
 		if cover[c] < 10 {
 			t.Errorf("%q came up %d times in the corpus, want 10 or more", c, cover[c])
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -411,10 +412,9 @@ func TestRunRanks(t *testing.T) {
 	}
 }
 
-// TestCondWaiterReuseKeepsOrder: the waiter list reuses its backing
-// array across Signal, Broadcast and timeouts that leave from the
-// middle; after 1000 mixed rounds Signal must still wake in FIFO order
-// and Waiters must be exact. The waiters keep a model of the queue
+// TestCondWaiterReuseKeepsOrder: the waiter list is relinked by Signal,
+// Broadcast and timeouts that leave from any position; after 1000 mixed
+// rounds Signal must still wake in FIFO order and Waiters must be exact. The waiters keep a model of the queue
 // themselves: a process appends itself before it waits and takes itself
 // out when its wait times out.
 func TestCondWaiterReuseKeepsOrder(t *testing.T) {
@@ -468,16 +468,26 @@ func TestCondWaiterReuseKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestCondIsTwoWords: a condition is embedded in every connector (two),
+// fabric flow, SQ (two), kernel instance, rank context and launch's Future,
+// so it holds the two ends of its waiter list and nothing else (48 bytes
+// while it held a name and a waiter slice with an inline slot).
+func TestCondIsTwoWords(t *testing.T) {
+	if size, word := unsafe.Sizeof(Cond{}), unsafe.Sizeof(uintptr(0)); size != 2*word {
+		t.Errorf("a Cond is %d bytes, want two words (%d)", size, 2*word)
+	}
+}
+
 // TestSwitchAllocatesNothing measures, from inside a process body, the
 // three switches everything else is built from. Each must cost zero
 // allocations once warm: no message per yield, no map write per wait, no
-// waiter slice regrown after a Signal or a Broadcast.
+// waiter storage outside the waiting processes.
 func TestSwitchAllocatesNothing(t *testing.T) {
 	measure := func(name string, spawn func(e *Engine, round func(func()))) {
 		e := NewEngine()
 		spawn(e, func(f func()) {
 			for i := 0; i < 100; i++ {
-				f() // grow the event queue and the waiter lists to their peak
+				f() // grow the event queue to its peak
 			}
 			if n := testing.AllocsPerRun(2000, f); n != 0 {
 				t.Errorf("%s: %v allocations per round, want 0", name, n)
